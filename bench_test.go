@@ -2,12 +2,14 @@ package repro
 
 // Benchmark harness: one benchmark per table and figure of the paper,
 // plus the quantitative experiments implied by the theorems and the
-// design-choice ablations called out in DESIGN.md §5. Domain metrics
+// design-choice ablations (share rounding, placement hashing, local
+// join strategies, shuffle paths — see README.md). Domain metrics
 // (round counts, load ratios, answer fractions) are attached to each
 // benchmark via b.ReportMetric, so `go test -bench . -benchmem`
 // regenerates the paper's numbers alongside timing data.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/big"
@@ -18,6 +20,7 @@ import (
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/cover"
+	"repro/internal/dist"
 	"repro/internal/exchange"
 	"repro/internal/experiments"
 	"repro/internal/hypercube"
@@ -249,7 +252,7 @@ func BenchmarkWitness(b *testing.B) {
 	}
 }
 
-// --- ablation benches (DESIGN.md §5) ---
+// --- ablation benches (design choices, see README.md) ---
 
 // BenchmarkShareRounding compares greedy vs floor-only integer share
 // rounding by realized grid utilization.
@@ -353,6 +356,54 @@ func BenchmarkJoinTriangle(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkWorkerJoinTriangle times the worker stage of one fat
+// HyperCube round in isolation, at the shape of the end-to-end
+// benchmark's tri_warm workload: three n = 100 000 matchings routed at
+// shares 3×2×2 over p = 16, then Loopback Deliver + Join (the same
+// workerStore code the mpcworker session runs). The partitioning is
+// set-up; every iteration joins over the same sealed runs, as a
+// journal replay would. B/op is the memory the join stage allocates
+// per round across all workers.
+func BenchmarkWorkerJoinTriangle(b *testing.B) {
+	q := query.Triangle()
+	n, p := 100000, 16
+	db := relation.MatchingDatabase(rand.New(rand.NewPCG(31, 31)), q, n)
+	s := &hypercube.Shares{Vars: q.Vars(), Dims: []int{3, 2, 2}}
+	h := hypercube.NewHasher(s, 5)
+	var ds []exchange.Delivery
+	for _, a := range q.Atoms {
+		rel, _ := db.Relation(a.Name)
+		part, err := exchange.Partition(a.Name, rel.Tuples, a.Arity(), p, hypercube.NewGridPartitioner(s, h, a))
+		if err != nil {
+			b.Fatal(err)
+		}
+		ds = append(ds, part...)
+	}
+	spec := dist.JoinSpec{Query: q.String(), View: "out"}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	answers := 0
+	for i := 0; i < b.N; i++ {
+		l := dist.NewLoopback(p)
+		if err := l.Deliver(ctx, 1, ds); err != nil {
+			b.Fatal(err)
+		}
+		if err := l.Join(ctx, spec); err != nil {
+			b.Fatal(err)
+		}
+		runs, err := l.Gather(ctx, "out")
+		if err != nil {
+			b.Fatal(err)
+		}
+		answers = 0
+		for _, r := range runs {
+			answers += r.Len()
+		}
+	}
+	b.ReportMetric(float64(answers), "answers")
 }
 
 // BenchmarkJoinZipf is the skewed head-to-head: R(x,y) ⋈ S(y,z) with

@@ -1,4 +1,4 @@
-// Command doccheck is the documentation gate run by CI. It has two
+// Command doccheck is the documentation gate run by CI. It has three
 // checks:
 //
 //  1. Undocumented exports: for every Go package named on the command
@@ -11,6 +11,12 @@
 //     (snippets that are declaration fragments are wrapped in a
 //     synthetic package clause first; blocks that still do not parse
 //     are reported).
+//  3. Dangling document references: a comment in any Go file of the
+//     named packages (test files included), or a line of a -md file,
+//     that cites a repository-root document by its bare upper-case
+//     name (README.md, ARCHITECTURE.md, …) is reported when no such
+//     file exists in the working directory, which CI makes the
+//     repository root.
 //
 // doccheck exits non-zero when any finding is reported, so it can gate
 // a CI job:
@@ -28,6 +34,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 )
 
@@ -47,7 +54,7 @@ func main() {
 	var md mdFlags
 	flag.Var(&md, "md", "markdown file whose ```go blocks must be gofmt-clean (repeatable)")
 	flag.Parse()
-	findings, err := run(flag.Args(), md)
+	findings, err := run(".", flag.Args(), md)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "doccheck:", err)
 		os.Exit(2)
@@ -61,8 +68,9 @@ func main() {
 	}
 }
 
-// run performs both checks and returns the findings.
-func run(pkgArgs []string, mdFiles []string) ([]string, error) {
+// run performs the checks and returns the findings; root is the
+// directory root documents are looked up in.
+func run(root string, pkgArgs []string, mdFiles []string) ([]string, error) {
 	var findings []string
 	dirs, err := expandDirs(pkgArgs)
 	if err != nil {
@@ -74,13 +82,65 @@ func run(pkgArgs []string, mdFiles []string) ([]string, error) {
 			return nil, err
 		}
 		findings = append(findings, fs...)
-	}
-	for _, file := range mdFiles {
-		fs, err := checkMarkdown(file)
+		fs, err = checkGoDocRefs(root, dir)
 		if err != nil {
 			return nil, err
 		}
 		findings = append(findings, fs...)
+	}
+	for _, file := range mdFiles {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			return nil, err
+		}
+		findings = append(findings, checkMarkdown(file, string(data))...)
+		findings = append(findings, missingDocs(root, file, 1, string(data))...)
+	}
+	return findings, nil
+}
+
+// rootDocRef matches a bare upper-case markdown file name — how the
+// repository's comments cite its root documents. A name preceded by a
+// path separator is a path, resolved by its own rules, and is skipped.
+var rootDocRef = regexp.MustCompile(`(^|[^A-Za-z0-9_./-])([A-Z][A-Z0-9_]*\.md)\b`)
+
+// missingDocs reports every root-document name cited in text that does
+// not exist under root; line is the 1-based line text starts on.
+func missingDocs(root, file string, line int, text string) []string {
+	var findings []string
+	for i, l := range strings.Split(text, "\n") {
+		for _, m := range rootDocRef.FindAllStringSubmatch(l, -1) {
+			if _, err := os.Stat(filepath.Join(root, m[2])); err != nil {
+				findings = append(findings, fmt.Sprintf("%s:%d: reference to %s, which does not exist in the repository root", file, line+i, m[2]))
+			}
+		}
+	}
+	return findings
+}
+
+// checkGoDocRefs applies missingDocs to every comment of every Go file
+// in dir, test files included.
+func checkGoDocRefs(root, dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var findings []string
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
+		path := filepath.Join(dir, e.Name())
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		for _, group := range f.Comments {
+			for _, c := range group.List {
+				findings = append(findings, missingDocs(root, path, fset.Position(c.Pos()).Line, c.Text)...)
+			}
+		}
 	}
 	return findings, nil
 }
@@ -216,19 +276,15 @@ func checkTypeMembers(fset *token.FileSet, t *doc.Type) []string {
 
 // checkMarkdown extracts ```go fenced blocks and reports blocks that
 // are not gofmt-clean (or do not parse even as declaration fragments).
-func checkMarkdown(file string) ([]string, error) {
-	data, err := os.ReadFile(file)
-	if err != nil {
-		return nil, err
-	}
+func checkMarkdown(file, text string) []string {
 	var findings []string
-	for _, block := range goBlocks(string(data)) {
+	for _, block := range goBlocks(text) {
 		ok, why := snippetFormatted(block.code)
 		if !ok {
 			findings = append(findings, fmt.Sprintf("%s:%d: go snippet %s", file, block.line, why))
 		}
 	}
-	return findings, nil
+	return findings
 }
 
 // goBlock is one fenced ```go region of a markdown file.

@@ -138,7 +138,7 @@ func TestRunEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	write(t, filepath.Join(dir, "p", "p.go"), "// Package p.\npackage p\n")
 	write(t, filepath.Join(dir, "doc.md"), "```go\nx := 1\n_ = x\n```\n")
-	findings, err := run([]string{dir + "/..."}, []string{filepath.Join(dir, "doc.md")})
+	findings, err := run(dir, []string{dir + "/..."}, []string{filepath.Join(dir, "doc.md")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +147,39 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	write(t, filepath.Join(dir, "p", "q.go"), "package p\n\nfunc Oops() {}\n")
 	write(t, filepath.Join(dir, "bad.md"), "```go\nfunc  f(){}\n```\n")
-	findings, err = run([]string{dir + "/..."}, []string{filepath.Join(dir, "bad.md")})
+	findings, err = run(dir, []string{dir + "/..."}, []string{filepath.Join(dir, "bad.md")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(findings) != 2 {
 		t.Errorf("want 2 findings, got %v", findings)
+	}
+}
+
+// TestMissingRootDocs: a bare upper-case *.md name cited in a Go
+// comment (test files included) or a markdown file must exist in the
+// root; paths, lower-case names and string literals are not citations.
+func TestMissingRootDocs(t *testing.T) {
+	dir := t.TempDir()
+	write(t, filepath.Join(dir, "README.md"), "See DESIGN.md and README.md; bench/NOTES.md is a path.\n")
+	write(t, filepath.Join(dir, "p", "p.go"), `// Package p is described in README.md.
+package p
+
+// F follows GONE.md §2 (and docs/OTHER.md, a path).
+func F() string { return "LITERAL.md" }
+`)
+	write(t, filepath.Join(dir, "p", "p_test.go"), "package p\n\n// see TESTONLY.md and notes.md\n")
+	findings, err := run(dir, []string{filepath.Join(dir, "p")}, []string{filepath.Join(dir, "README.md")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := strings.Join(findings, "\n")
+	for _, want := range []string{"p.go:4: reference to GONE.md", "p_test.go:3: reference to TESTONLY.md", "README.md:1: reference to DESIGN.md"} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("missing finding %q in:\n%s", want, joined)
+		}
+	}
+	if len(findings) != 3 {
+		t.Errorf("want 3 findings, got:\n%s", joined)
 	}
 }

@@ -1,6 +1,6 @@
 // Command mpcbench regenerates the tables, the figure, and every
-// quantitative experiment of the paper (see DESIGN.md §4 for the
-// experiment index).
+// quantitative experiment of the paper (the usage below is the
+// experiment index; internal/experiments documents each one).
 //
 // Usage:
 //

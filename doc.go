@@ -79,8 +79,7 @@
 // it (with a -plan manual-override escape hatch).
 //
 // See README.md for a walkthrough, ARCHITECTURE.md for the layer
-// diagram and data flow, DESIGN.md for the system inventory and
-// experiment index, and EXPERIMENTS.md for paper-vs-measured results.
-// Benchmarks in bench_test.go regenerate each experiment under
-// `go test -bench`.
+// diagram, data flow and package index, and cmd/mpcbench for the
+// experiment index and the paper-vs-measured tables. Benchmarks in
+// bench_test.go regenerate each experiment under `go test -bench`.
 package repro

@@ -322,29 +322,6 @@ func (w *workerStore) liveDead(rel string) *relation.TupleSet {
 	return set
 }
 
-// tuples materializes a fresh view of everything stored under rel,
-// tombstoned tuples filtered out.
-func (w *workerStore) tuples(rel string) []relation.Tuple {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	col := w.store[rel]
-	if col == nil {
-		return nil
-	}
-	set := w.liveDead(rel)
-	if set == nil {
-		return col.Tuples()
-	}
-	all := col.Tuples()
-	live := all[:0]
-	for _, t := range all {
-		if !set.Contains(t) {
-			live = append(live, t)
-		}
-	}
-	return live
-}
-
 // runs returns the sealed runs stored under rel. When tombstones are
 // live for the store, the runs are rematerialized as one filtered
 // sealed run so gathers never leak retracted tuples.
@@ -379,28 +356,23 @@ func (w *workerStore) runs(rel string) []*exchange.Buffer {
 }
 
 // join evaluates q over the store (atom names mapped through
-// bindings) and stores the result as one sealed run under view.
+// bindings) and stores the result as one sealed run under view. Every
+// atom is read as the sealed runs the store already holds — the local
+// join works on their packed words directly — and the answer comes
+// back as a sealed run, so no tuple is materialized here.
 func (w *workerStore) join(q *query.Query, bindings map[string]string, view string, strategy localjoin.Strategy) error {
-	b := localjoin.Bindings{}
+	runs := make(localjoin.Runs, len(q.Atoms))
 	for _, a := range q.Atoms {
 		src := a.Name
 		if mapped, ok := bindings[a.Name]; ok {
 			src = mapped
 		}
-		b[a.Name] = w.tuples(src)
+		runs[a.Name] = w.runs(src)
 	}
-	rows, err := localjoin.Evaluate(q, b, strategy)
-	if err != nil {
+	out, err := localjoin.EvaluateRuns(q, runs, strategy)
+	if err != nil || out == nil {
 		return err
 	}
-	if len(rows) == 0 {
-		return nil
-	}
-	out := exchange.NewBuffer(q.NumVars())
-	for _, t := range rows {
-		out.Append(t)
-	}
-	out.Seal()
 	w.add(view, out)
 	return nil
 }

@@ -78,6 +78,16 @@ func (b *Buffer) Bits(bitsPerValue int) int64 {
 	return int64(b.Len()) * int64(b.arity) * int64(bitsPerValue)
 }
 
+// Grow reserves capacity for n more tuples, so a caller that knows
+// its output size appends without regrowth.
+func (b *Buffer) Grow(n int) {
+	if b.packed {
+		b.words = slices.Grow(b.words, n)
+	} else {
+		b.flat = slices.Grow(b.flat, n*b.arity)
+	}
+}
+
 // Append adds a copy of t. It panics on arity mismatch (buffers are
 // per-relation, so mixed arities indicate a routing bug) and on a
 // sealed buffer.
@@ -146,6 +156,32 @@ func (b *Buffer) Seal() {
 
 // Sealed reports whether the buffer has been sealed.
 func (b *Buffer) Sealed() bool { return b.sealed }
+
+// Dedup seals the buffer and drops repeated tuples in place (sealed
+// order puts equal tuples next to each other). It finishes an answer
+// run built with Append; like Seal it must happen before the buffer is
+// shared with readers.
+func (b *Buffer) Dedup() {
+	b.Seal()
+	if b.packed {
+		b.words = slices.Compact(b.words)
+		return
+	}
+	if b.arity == 0 {
+		return
+	}
+	a := b.arity
+	kept := 0
+	for i := 0; i < len(b.flat); i += a {
+		row := b.flat[i : i+a]
+		if kept > 0 && slices.Equal(row, b.flat[kept-a:kept]) {
+			continue
+		}
+		copy(b.flat[kept:kept+a], row)
+		kept += a
+	}
+	b.flat = b.flat[:kept]
+}
 
 // AppendTuples materializes the buffered tuples onto dst. Every call
 // allocates fresh backing storage, so callers receive stable views:

@@ -1,6 +1,8 @@
 package exchange
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/relation"
@@ -167,4 +169,82 @@ func TestMergeDedupTuplesEmpty(t *testing.T) {
 	if got := MergeDedupTuples([][]relation.Tuple{nil, {}}, 2); got != nil {
 		t.Errorf("all-empty merge = %v", got)
 	}
+}
+
+// TestBufferDedup: Dedup seals and drops repeated tuples on both
+// layouts, and Grow reserves without changing content.
+func TestBufferDedup(t *testing.T) {
+	for _, wide := range []int{0, 1 << 40} {
+		b := NewBuffer(2)
+		b.Grow(8)
+		for _, tu := range []relation.Tuple{{3, 1}, {1, 2}, {3, 1}, {1, 2}, {1, 2}, {2, wide}} {
+			b.Append(tu)
+		}
+		b.Grow(3)
+		b.Dedup()
+		if _, packed := b.Words(); packed != (wide == 0) {
+			t.Fatalf("wide=%d: packed = %v", wide, packed)
+		}
+		got := b.AppendTuples(nil)
+		want := []relation.Tuple{{1, 2}, {2, wide}, {3, 1}}
+		if !b.Sealed() || len(got) != len(want) {
+			t.Fatalf("wide=%d: sealed=%v, tuples %v, want %v", wide, b.Sealed(), got, want)
+		}
+		for i := range want {
+			if !got[i].Equal(want[i]) {
+				t.Errorf("wide=%d: [%d] = %v, want %v", wide, i, got[i], want[i])
+			}
+		}
+	}
+	empty := NewBuffer(2)
+	empty.Dedup()
+	if empty.Len() != 0 || !empty.Sealed() {
+		t.Errorf("empty buffer after Dedup: len %d sealed %v", empty.Len(), empty.Sealed())
+	}
+}
+
+// TestMergeWords: the word-level merge equals sort+compact of the
+// concatenation for every run count, skips empty runs, leaves its
+// inputs alone, and refuses a run on the flat layout.
+func TestMergeWords(t *testing.T) {
+	rng := rand.New(rand.NewPCG(17, 17))
+	for k := 0; k <= 5; k++ {
+		var runs []*Buffer
+		var all, before []uint64
+		for i := 0; i < k; i++ {
+			b := NewBuffer(2)
+			for j := rng.IntN(40); j > 0; j-- {
+				b.Append(relation.Tuple{rng.IntN(6), rng.IntN(6)})
+			}
+			b.Seal()
+			runs = append(runs, b)
+			all = append(all, b.words...)
+		}
+		before = append(before, all...)
+		slices.Sort(all)
+		want := slices.Compact(all)
+		got := MergeWords(runs)
+		if !slices.Equal(got, want) {
+			t.Errorf("k=%d: merged %v, want %v", k, got, want)
+		}
+		var after []uint64
+		for _, b := range runs {
+			after = append(after, b.words...)
+		}
+		if !slices.Equal(after, before) {
+			t.Errorf("k=%d: MergeWords modified its inputs", k)
+		}
+	}
+	flat := NewBuffer(2)
+	flat.Append(relation.Tuple{1 << 33, 1})
+	flat.Seal()
+	if _, packed := flat.Words(); packed {
+		t.Fatal("a 2^33 value at arity 2 should leave the packed layout")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("MergeWords over a flat run did not panic")
+		}
+	}()
+	MergeWords([]*Buffer{flat})
 }

@@ -38,7 +38,7 @@ func MergeRuns(runs []*Buffer) []relation.Tuple {
 		}
 		return relation.DedupSort(all)
 	}
-	words := mergeWords(live)
+	words := MergeWords(live)
 	// Unpack into tuples over one fresh backing array.
 	shift := live[0].shift
 	mask := relation.PackedMask(shift)
@@ -55,9 +55,15 @@ func MergeRuns(runs []*Buffer) []relation.Tuple {
 	return out
 }
 
-// mergeWords merges the sorted word slices of the runs, dropping
-// duplicates, via a binary min-heap of run cursors.
-func mergeWords(runs []*Buffer) []uint64 {
+// MergeWords returns the sorted, deduplicated union of the word
+// payloads of sealed packed runs of one arity — the word-level k-way
+// merge under MergeRuns and FoldRuns, exported for consumers that stay
+// on packed words end to end (the worker-side trie builder of
+// internal/localjoin). Every non-empty run must be packed (Words
+// reports true); a run on the flat layout panics rather than vanish
+// from the union. The result is freshly allocated; the runs are only
+// read.
+func MergeWords(runs []*Buffer) []uint64 {
 	type cursor struct {
 		words []uint64
 		pos   int
@@ -65,9 +71,15 @@ func mergeWords(runs []*Buffer) []uint64 {
 	h := make([]cursor, 0, len(runs))
 	total := 0
 	for _, r := range runs {
-		h = append(h, cursor{words: r.words})
-		total += len(r.words)
+		if !r.packed && r.Len() > 0 {
+			panic("exchange: MergeWords over a run on the flat layout")
+		}
+		if len(r.words) > 0 {
+			h = append(h, cursor{words: r.words})
+			total += len(r.words)
+		}
 	}
+	out := make([]uint64, 0, total)
 	less := func(a, b cursor) bool { return a.words[a.pos] < b.words[b.pos] }
 	down := func(i int) {
 		for {
@@ -89,7 +101,6 @@ func mergeWords(runs []*Buffer) []uint64 {
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		down(i)
 	}
-	out := make([]uint64, 0, total)
 	for len(h) > 0 {
 		c := &h[0]
 		w := c.words[c.pos]
@@ -142,7 +153,7 @@ func FoldRuns(runs []*Buffer, yield func(relation.Tuple)) {
 		}
 		return
 	}
-	words := mergeWords(live)
+	words := MergeWords(live)
 	shift := live[0].shift
 	mask := relation.PackedMask(shift)
 	row := make(relation.Tuple, arity)

@@ -3,7 +3,8 @@
 // by the theorems. Each experiment writes a human-readable table to an
 // io.Writer and returns structured rows so the benchmark harness and
 // tests can assert on the numbers. The experiment IDs (T1, T2, F1,
-// E-HC, E-LB1, E-WIT, E-MR, E-RLB, E-CC) match DESIGN.md §4.
+// E-HC, E-LB1, E-WIT, E-MR, E-RLB, E-CC) are the ones cmd/mpcbench
+// prints.
 package experiments
 
 import (

@@ -96,7 +96,8 @@ func (s *Shares) String() string {
 // RoundingMode selects how real-valued shares p^{e_i} become integers.
 type RoundingMode int
 
-// Share rounding strategies (the ablation in DESIGN.md §5).
+// Share rounding strategies (compared by BenchmarkShareRounding in the
+// root bench_test.go).
 const (
 	// GreedyRounding floors the real shares and then greedily raises
 	// the dimension with the largest deficit while the product stays

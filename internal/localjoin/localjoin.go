@@ -10,10 +10,18 @@
 // backtracking (tuple-at-a-time) join, and a worst-case-optimal
 // multiway join (WCOJ, a leapfrog-triejoin-style evaluator over sorted
 // trie iterators — see wcoj.go). All return identical results; the
-// benchmark suite compares their performance (an ablation called out
-// in DESIGN.md). WCOJ is the package default: on cyclic queries it
+// benchmark suite compares their performance (README.md, "Local join
+// strategies"). WCOJ is the package default: on cyclic queries it
 // avoids the super-linear pairwise intermediates of the hash join and
 // the per-candidate scans of backtracking.
+//
+// There are two entry points over one evaluator. EvaluateRuns is the
+// worker's: its input is the sealed columnar runs a worker store
+// already holds and its output a sealed run, so under WCOJ no tuple is
+// materialized between wire decode and gather encode (ARCHITECTURE.md,
+// "Worker data path"). Evaluate is the tuple API of the reference
+// path, tests and benchmarks; under WCOJ it packs its tuples into
+// columnar buffers and runs the same trie builder and leapfrog loop.
 package localjoin
 
 import (
@@ -21,6 +29,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/exchange"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
@@ -92,18 +101,27 @@ func Evaluate(q *query.Query, b Bindings, strategy Strategy) ([]relation.Tuple, 
 			return nil, nil
 		}
 	}
-	if strategy == Default {
-		strategy = WCOJ
-	}
 	var out []relation.Tuple
 	var err error
 	switch strategy {
+	case Default, WCOJ:
+		inputs := make([][]*exchange.Buffer, len(q.Atoms))
+		for i, a := range q.Atoms {
+			buf, err := packTuples(a, b[a.Name])
+			if err != nil {
+				return nil, err
+			}
+			inputs[i] = []*exchange.Buffer{buf}
+		}
+		run, err := evalWCOJ(q, inputs)
+		if err != nil || run == nil {
+			return nil, err
+		}
+		return run.AppendTuples(nil), nil
 	case HashJoin:
 		out, err = evalHashJoin(q, b)
 	case Backtracking:
 		out, err = evalBacktracking(q, b)
-	case WCOJ:
-		out, err = evalWCOJ(q, b)
 	default:
 		return nil, fmt.Errorf("localjoin: unknown strategy %v", strategy)
 	}
@@ -111,6 +129,61 @@ func Evaluate(q *query.Query, b Bindings, strategy Strategy) ([]relation.Tuple, 
 		return nil, err
 	}
 	return relation.DedupSort(out), nil
+}
+
+// packTuples copies an atom's tuples into one unsealed columnar buffer
+// — the form the trie builder consumes — checking their arity.
+func packTuples(atom query.Atom, tuples []relation.Tuple) (*exchange.Buffer, error) {
+	buf := exchange.NewBuffer(atom.Arity())
+	buf.Grow(len(tuples))
+	for _, t := range tuples {
+		if len(t) != atom.Arity() {
+			return nil, arityError(len(t), atom)
+		}
+		buf.Append(t)
+	}
+	return buf, nil
+}
+
+// Runs maps relation name → the sealed columnar runs holding its
+// tuples, the form in which a worker store keeps what it received. Run
+// arities correspond to the atoms' arities.
+type Runs map[string][]*exchange.Buffer
+
+// EvaluateRuns computes q over sealed runs and returns the answers —
+// in the variable order q.Vars(), deduplicated — as one sealed run, or
+// nil when there are none. A relation without runs is empty. The runs
+// are only read: a WCOJ trie may alias a run's words, and the same
+// runs can be joined again (or re-sent by a recovery journal) after
+// the call. HashJoin and Backtracking work on tuples, materialized
+// here once.
+func EvaluateRuns(q *query.Query, runs Runs, strategy Strategy) (*exchange.Buffer, error) {
+	switch strategy {
+	case Default, WCOJ:
+		inputs := make([][]*exchange.Buffer, len(q.Atoms))
+		for i, a := range q.Atoms {
+			inputs[i] = runs[a.Name]
+		}
+		return evalWCOJ(q, inputs)
+	case HashJoin, Backtracking:
+		b := make(Bindings, len(q.Atoms))
+		for _, a := range q.Atoms {
+			b[a.Name] = materialize(runs[a.Name])
+		}
+		rows, err := Evaluate(q, b, strategy)
+		if err != nil || len(rows) == 0 {
+			return nil, err
+		}
+		out := exchange.NewBuffer(q.NumVars())
+		out.Grow(len(rows))
+		for _, t := range rows {
+			out.Append(t)
+		}
+		out.Seal()
+		return out, nil
+	default:
+		return nil, fmt.Errorf("localjoin: unknown strategy %v", strategy)
+	}
 }
 
 // atomOrder returns an ordering of atom indices in which every atom
@@ -163,7 +236,7 @@ func evalHashJoin(q *query.Query, b Bindings) ([]relation.Tuple, error) {
 	joined := false
 	for _, ai := range order {
 		atom := q.Atoms[ai]
-		r, err := atomRelation(atom, b[atom.Name], true)
+		r, err := atomRelation(atom, b[atom.Name])
 		if err != nil {
 			return nil, err
 		}
@@ -214,41 +287,26 @@ func evalHashJoin(q *query.Query, b Bindings) ([]relation.Tuple, error) {
 // atomRelation converts an atom's tuples into a Relation whose schema
 // is the atom's distinct variables; tuples with conflicting values for
 // a repeated variable (e.g. S(x,x) with (1,2)) are filtered out. With
-// share set and no repeated variables the returned relation aliases
-// tuples instead of copying — callers must then treat it (slice and
-// rows) as read-only.
-func atomRelation(atom query.Atom, tuples []relation.Tuple, share bool) (*relation.Relation, error) {
-	distinct := atom.DistinctVars()
-	r := relation.New(atom.Name, distinct...)
-	pos := make([]int, len(distinct))
-	for i, v := range distinct {
-		for j, av := range atom.Vars {
-			if av == v {
-				pos[i] = j
-				break
-			}
+// no repeated variables the returned relation aliases tuples instead
+// of copying — callers must then treat it (slice and rows) as
+// read-only.
+func atomRelation(atom query.Atom, tuples []relation.Tuple) (*relation.Relation, error) {
+	r := relation.New(atom.Name, atom.DistinctVars()...)
+	for _, t := range tuples {
+		if len(t) != atom.Arity() {
+			return nil, arityError(len(t), atom)
 		}
 	}
-	if share && len(distinct) == len(atom.Vars) {
-		// No repeated variables: every tuple passes unchanged, so share
-		// the binding's storage instead of copying row by row (the join
-		// operators treat their inputs as read-only). Arity is still
-		// checked.
-		for _, t := range tuples {
-			if len(t) != atom.Arity() {
-				return nil, fmt.Errorf("localjoin: tuple arity %d != atom %s arity %d",
-					len(t), atom.Name, atom.Arity())
-			}
-		}
+	pos, eq := splitRepeats(atom)
+	if len(eq) == 0 {
+		// Every tuple passes unchanged, so share the binding's storage
+		// instead of copying row by row (the join operators treat their
+		// inputs as read-only).
 		r.Tuples = tuples
 		return r, nil
 	}
 	for _, t := range tuples {
-		if len(t) != atom.Arity() {
-			return nil, fmt.Errorf("localjoin: tuple arity %d != atom %s arity %d",
-				len(t), atom.Name, atom.Arity())
-		}
-		if !consistentRepeats(atom, t) {
+		if !consistentRepeats(t, eq) {
 			continue
 		}
 		row := make(relation.Tuple, len(pos))
@@ -260,21 +318,6 @@ func atomRelation(atom query.Atom, tuples []relation.Tuple, share bool) (*relati
 	return r, nil
 }
 
-// consistentRepeats checks repeated-variable positions agree.
-func consistentRepeats(atom query.Atom, t relation.Tuple) bool {
-	first := make(map[string]int, len(atom.Vars))
-	for j, v := range atom.Vars {
-		if fj, ok := first[v]; ok {
-			if t[fj] != t[j] {
-				return false
-			}
-		} else {
-			first[v] = j
-		}
-	}
-	return true
-}
-
 // evalBacktracking binds query variables one at a time. Variables are
 // ordered so each new variable (after the first in its component)
 // occurs in an atom with an already-bound variable; candidate values
@@ -284,8 +327,7 @@ func evalBacktracking(q *query.Query, b Bindings) ([]relation.Tuple, error) {
 	for _, a := range q.Atoms {
 		for _, t := range b[a.Name] {
 			if len(t) != a.Arity() {
-				return nil, fmt.Errorf("localjoin: tuple arity %d != atom %s arity %d",
-					len(t), a.Name, a.Arity())
+				return nil, arityError(len(t), a)
 			}
 		}
 	}

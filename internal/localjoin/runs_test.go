@@ -1,0 +1,242 @@
+package localjoin
+
+import (
+	"encoding/binary"
+	"math/rand/v2"
+	"reflect"
+	"testing"
+
+	"repro/internal/exchange"
+	"repro/internal/query"
+	"repro/internal/relation"
+)
+
+// TestRepeatedVariableTable pins repeated-variable semantics — S(x,x)
+// drops (1,2) — for every strategy, on atoms where the repeat is the
+// whole atom, sits around another variable, and meets a permuted atom.
+func TestRepeatedVariableTable(t *testing.T) {
+	cases := []struct {
+		query string
+		b     Bindings
+		want  []relation.Tuple
+	}{
+		{
+			"q(x) = S(x,x)",
+			Bindings{"S": {{1, 2}, {3, 3}, {2, 1}, {5, 5}}},
+			[]relation.Tuple{{3}, {5}},
+		},
+		{
+			"q(x,y) = R(x,y,x)",
+			Bindings{"R": {{1, 7, 1}, {1, 7, 2}, {2, 7, 1}, {4, 4, 4}}},
+			[]relation.Tuple{{1, 7}, {4, 4}},
+		},
+		{
+			"q(x,y) = R(x,x,y), T(y,x)",
+			Bindings{
+				"R": {{1, 1, 5}, {1, 2, 5}, {3, 3, 7}, {4, 4, 4}},
+				"T": {{5, 1}, {7, 3}, {7, 4}, {4, 4}},
+			},
+			[]relation.Tuple{{1, 5}, {3, 7}, {4, 4}},
+		},
+		{
+			"q(x) = R(x,x,x), S(x)",
+			Bindings{"R": {{2, 2, 2}, {2, 2, 3}, {3, 2, 2}, {6, 6, 6}}, "S": {{2}, {3}, {6}}},
+			[]relation.Tuple{{2}, {6}},
+		},
+	}
+	for _, c := range cases {
+		q := query.MustParse(c.query)
+		for _, strat := range allStrategies {
+			got, err := Evaluate(q, c.b, strat)
+			if err != nil {
+				t.Fatalf("%s: %v: %v", c.query, strat, err)
+			}
+			if !reflect.DeepEqual(got, c.want) {
+				t.Errorf("%s: %v = %v, want %v", c.query, strat, got, c.want)
+			}
+		}
+	}
+}
+
+// runsOf splits every relation of b into 1–3 sealed runs.
+func runsOf(rng *rand.Rand, q *query.Query, b Bindings) Runs {
+	runs := make(Runs, len(b))
+	for _, a := range q.Atoms {
+		tuples, ok := b[a.Name]
+		if !ok {
+			continue
+		}
+		parts := make([]*exchange.Buffer, 1+rng.IntN(3))
+		for i := range parts {
+			parts[i] = exchange.NewBuffer(a.Arity())
+		}
+		for _, tu := range tuples {
+			parts[rng.IntN(len(parts))].Append(tu)
+		}
+		for _, p := range parts {
+			p.Seal()
+		}
+		runs[a.Name] = parts
+	}
+	return runs
+}
+
+// TestEvaluateRunsAgreesWithEvaluate: over random instances the
+// run-input entry point returns, for every strategy, exactly the
+// tuple API's answers, as one sealed deduplicated run.
+func TestEvaluateRunsAgreesWithEvaluate(t *testing.T) {
+	for trial := 0; trial < 300; trial++ {
+		rng := rand.New(rand.NewPCG(uint64(trial), 0xE7))
+		q := randomQuery(rng)
+		b := randomBindings(rng, q, 2+rng.IntN(8))
+		want, err := Evaluate(q, b, HashJoin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := runsOf(rng, q, b)
+		for _, strat := range []Strategy{Default, HashJoin, Backtracking, WCOJ} {
+			out, err := EvaluateRuns(q, runs, strat)
+			if err != nil {
+				t.Fatalf("trial %d: %s: %v: %v", trial, q, strat, err)
+			}
+			if out == nil {
+				if len(want) != 0 {
+					t.Fatalf("trial %d: %s: %v returned no run, want %d answers", trial, q, strat, len(want))
+				}
+				continue
+			}
+			if !out.Sealed() || out.Arity() != q.NumVars() {
+				t.Fatalf("trial %d: %s: %v: run sealed=%v arity=%d", trial, q, strat, out.Sealed(), out.Arity())
+			}
+			if got := out.AppendTuples(nil); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: %s: %v = %v, want %v", trial, q, strat, got, want)
+			}
+		}
+	}
+}
+
+// TestEvaluateRunsEdges covers what a worker store can hand over that
+// Bindings cannot express the same way.
+func TestEvaluateRunsEdges(t *testing.T) {
+	q := query.MustParse("q(x,y,z) = R(x,y), S(y,z)")
+	run := func(arity int, tuples ...relation.Tuple) *exchange.Buffer {
+		b := exchange.NewBuffer(arity)
+		for _, tu := range tuples {
+			b.Append(tu)
+		}
+		b.Seal()
+		return b
+	}
+	r := run(2, relation.Tuple{1, 2}, relation.Tuple{1, 2}, relation.Tuple{4, 5})
+	for _, strat := range allStrategies {
+		// A relation without runs, and one with only empty runs.
+		for _, runs := range []Runs{{"R": {r}}, {"R": {r}, "S": {run(2)}}} {
+			if out, err := EvaluateRuns(q, runs, strat); out != nil || err != nil {
+				t.Errorf("%v: empty S: got %v, %v", strat, out, err)
+			}
+		}
+		// Duplicates across and within runs do not duplicate answers.
+		out, err := EvaluateRuns(q, Runs{"R": {r, r}, "S": {run(2, relation.Tuple{2, 9}), run(2, relation.Tuple{2, 9})}}, strat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.AppendTuples(nil); !reflect.DeepEqual(got, []relation.Tuple{{1, 2, 9}}) {
+			t.Errorf("%v: duplicates: %v", strat, got)
+		}
+		// A wrong-arity run is an error, an empty one of wrong arity is not.
+		if _, err := EvaluateRuns(q, Runs{"R": {r}, "S": {run(1, relation.Tuple{2})}}, strat); err == nil {
+			t.Errorf("%v: want arity error", strat)
+		}
+		if _, err := EvaluateRuns(q, Runs{"R": {r, run(3)}, "S": {run(2, relation.Tuple{2, 9})}}, strat); err != nil {
+			t.Errorf("%v: empty wrong-arity run: %v", strat, err)
+		}
+	}
+	if _, err := EvaluateRuns(q, Runs{"R": {r}, "S": {r}}, Strategy(99)); err == nil {
+		t.Error("want error for unknown strategy")
+	}
+}
+
+// fuzzQueries are the shapes FuzzEvaluateRuns draws from: word runs at
+// arity 1 (full 64-bit words, top bit included), 2 and 3, in and out of
+// level order, with and without repeats.
+var fuzzQueries = []string{
+	"q(x,y,z) = A(x,y), B(y,z), C(z,x)",
+	"q(x) = A(x), B(x)",
+	"q(x,y) = A(x,x), B(y,x)",
+	"q(x,y,z) = A(z,y,x), B(x,z)",
+	"q(x,y) = A(x,y,x), B(y)",
+}
+
+// FuzzEvaluateRuns feeds arbitrary word runs — as a foreign peer could
+// put them on the wire — to the trie builder. Whatever the words, the
+// evaluator must not panic, must leave the runs untouched, and must
+// return exactly what the hash join computes from the same runs read
+// back as tuples.
+func FuzzEvaluateRuns(f *testing.F) {
+	words := func(ws ...uint64) []byte {
+		out := make([]byte, 0, 8*len(ws))
+		for _, w := range ws {
+			out = binary.LittleEndian.AppendUint64(out, w)
+		}
+		return out
+	}
+	f.Add(uint8(0), uint8(2), words(1<<32|2, 2<<32|3, 3<<32|1, 1<<32|2, 5<<32|5, 7))
+	f.Add(uint8(1), uint8(1), words(0, 1<<63, ^uint64(0), 7, 7, 1<<63))
+	f.Add(uint8(1), uint8(3), words(3, 1, 2, 3, 1<<62, 2))
+	f.Add(uint8(1), uint8(0), words(5, 5, ^uint64(0), ^uint64(0))) // both hold 5 and "-1"
+	f.Add(uint8(2), uint8(2), words(4<<32|4, 4<<32|5, 9<<32|4, 0xffffffff<<32|0xffffffff, 0xffffffff<<32|4))
+	f.Add(uint8(3), uint8(1), words(1<<42|2<<21|3, 3<<42|2<<21|1, 3<<32|1, 1<<32|3))
+	f.Add(uint8(4), uint8(2), words(5<<42|6<<21|5, 5<<42|6<<21|4, 6, 0x1fffff<<42|0x1fffff))
+	f.Add(uint8(0), uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, shape, split uint8, data []byte) {
+		q := query.MustParse(fuzzQueries[int(shape)%len(fuzzQueries)])
+		var ws []uint64
+		for ; len(data) >= 8; data = data[8:] {
+			ws = append(ws, binary.LittleEndian.Uint64(data))
+		}
+		// Deal the words round-robin to the atoms, each atom's share into
+		// 1 + split%3 runs; bits above the atom's packed width are cleared,
+		// as the wire decoder would reject them.
+		runs := make(Runs, len(q.Atoms))
+		var before [][]uint64
+		for ai, a := range q.Atoms {
+			k := 1 + int(split)%3
+			parts := make([][]uint64, k)
+			for i := ai; i < len(ws); i += len(q.Atoms) {
+				w := ws[i]
+				if used := uint(a.Arity()) * relation.PackedShift(a.Arity()); used < 64 {
+					w &= 1<<used - 1
+				}
+				parts[i%k] = append(parts[i%k], w)
+			}
+			for _, p := range parts {
+				buf, err := exchange.NewBufferFromWords(a.Arity(), p)
+				if err != nil {
+					t.Fatalf("atom %s: %v", a.Name, err)
+				}
+				runs[a.Name] = append(runs[a.Name], buf)
+				before = append(before, append([]uint64(nil), p...))
+			}
+		}
+		want, err := EvaluateRuns(q, runs, HashJoin)
+		if err != nil {
+			t.Fatalf("hash join: %v", err)
+		}
+		got, err := EvaluateRuns(q, runs, WCOJ)
+		if err != nil {
+			t.Fatalf("wcoj: %v", err)
+		}
+		if (got == nil) != (want == nil) || got != nil && !reflect.DeepEqual(got.AppendTuples(nil), want.AppendTuples(nil)) {
+			t.Fatalf("%s: wcoj and hash join disagree", q)
+		}
+		i := 0
+		for _, a := range q.Atoms {
+			for _, buf := range runs[a.Name] {
+				if now, _ := buf.Words(); !reflect.DeepEqual(append([]uint64(nil), now...), before[i]) {
+					t.Fatalf("atom %s: run modified", a.Name)
+				}
+				i++
+			}
+		}
+	})
+}

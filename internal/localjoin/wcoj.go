@@ -3,9 +3,9 @@ package localjoin
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
+	"repro/internal/exchange"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
@@ -21,121 +21,197 @@ import (
 // and it is robust to skew: a heavy join value narrows every
 // participating trie at once.
 //
-// Each trie prefers an integer-packed layout: a tuple of m values
-// becomes one uint64 with ⌊64/m⌋ bits per value, so building the trie
-// sorts a flat []uint64 and every seek is a binary search over
-// contiguous integers — no per-tuple allocation and no comparator
-// indirection. Tuples that do not fit (huge values, or arity > 64)
-// fall back to a sorted []relation.Tuple trie with identical
-// semantics.
+// The data path is packed end to end. An atom's input is the columnar
+// runs of exchange.Buffer — one uint64 word per tuple — and the trie is
+// a sorted []uint64 of the same words: when the trie's level order is
+// the atom's column order and the input is one sealed run the trie
+// aliases the run (no work at all), several sealed runs are merged, and
+// only atoms whose level order differs (T(z,x) under the order x,z) or
+// that repeat a variable have their bit-fields permuted and are
+// re-sorted. Answers are appended to an exchange.Buffer the same way.
+// Every seek is a search over contiguous integers — no per-tuple
+// allocation and no comparator indirection. Runs holding a value that
+// does not fit a word (the buffer's flat layout) fall back to a sorted
+// []relation.Tuple trie with identical semantics.
 
 // trieRel is a sorted-trie view of one atom's tuples. Level d of the
 // trie is the atom's d-th distinct variable in global variable order;
 // lo[d]/hi[d] bound the rows consistent with the currently bound
 // prefix.
 type trieRel struct {
-	levels int
+	depths []int // global depth of the variable at each level, ascending
 	lo, hi []int // row range per level; level 0 is the whole relation
 	cur    []int // per-level cursor: first row of the last sought value
 
-	// Packed layout: row i is keys[i]; level d occupies the bit range
-	// [(levels-1-d)·shift, (levels-d)·shift).
-	keys  []uint64
-	shift uint
-	mask  uint64
+	// Packed layout: row i is keys[i]; level d is the mask-wide field
+	// at bit offset shifts[d]. keys may alias a sealed run: read-only.
+	keys   []uint64
+	shifts []uint
+	mask   uint64
 
-	// Fallback layout: projected tuples sorted by cols order.
+	// Fallback layout: tuples sorted by the positions cols, cols[d]
+	// being the tuple position of level d.
 	tuples []relation.Tuple
 	cols   []int
 }
 
-// newTrieRel builds the trie for one atom: project onto distinct
-// variables (dropping tuples with inconsistent repeats), order the
-// columns by the variables' global depths, and sort.
-func newTrieRel(atom query.Atom, tuples []relation.Tuple, depthOf map[string]int) (*trieRel, error) {
-	for _, t := range tuples {
-		if len(t) != atom.Arity() {
-			return nil, fmt.Errorf("localjoin: tuple arity %d != atom %s arity %d",
-				len(t), atom.Name, atom.Arity())
-		}
-	}
-	distinct := atom.DistinctVars()
-	sort.Slice(distinct, func(i, j int) bool { return depthOf[distinct[i]] < depthOf[distinct[j]] })
-	// pos[d] is the tuple position supplying trie level d.
-	pos := make([]int, len(distinct))
-	for d, v := range distinct {
-		for j, av := range atom.Vars {
-			if av == v {
-				pos[d] = j
-				break
+// splitRepeats sorts atom's positions into first occurrences of a
+// variable and, for every repeated occurrence, the position pair
+// (first occurrence, repeat). A tuple matches the atom only when every
+// pair holds equal values — S(x,x) drops (1,2). Computed once per atom.
+func splitRepeats(atom query.Atom) (first []int, eq [][2]int) {
+next:
+	for j, v := range atom.Vars {
+		for f := 0; f < j; f++ {
+			if atom.Vars[f] == v {
+				eq = append(eq, [2]int{f, j})
+				continue next
 			}
 		}
+		first = append(first, j)
 	}
-	m := len(distinct)
+	return first, eq
+}
+
+// consistentRepeats reports whether t holds equal values at every
+// repeated-variable position pair.
+func consistentRepeats(t relation.Tuple, eq [][2]int) bool {
+	for _, e := range eq {
+		if t[e[0]] != t[e[1]] {
+			return false
+		}
+	}
+	return true
+}
+
+// materialize reads runs back as tuples, the slice sized once.
+func materialize(runs []*exchange.Buffer) []relation.Tuple {
+	total := 0
+	for _, run := range runs {
+		total += run.Len()
+	}
+	tuples := make([]relation.Tuple, 0, total)
+	for _, run := range runs {
+		tuples = run.AppendTuples(tuples)
+	}
+	return tuples
+}
+
+// newTrieRel builds the trie for one atom from its columnar runs (all
+// of the atom's arity): project onto distinct variables (dropping
+// tuples with inconsistent repeats), order the columns by the
+// variables' global depths, and sort — skipping whatever of that the
+// runs already guarantee. Sealed runs are only read, never reordered.
+func newTrieRel(atom query.Atom, runs []*exchange.Buffer, depthOf map[string]int) *trieRel {
+	arity := atom.Arity()
+	// pos[d] is the tuple position supplying trie level d: first
+	// occurrences, ordered by global depth.
+	pos, eq := splitRepeats(atom)
+	sort.Slice(pos, func(i, j int) bool { return depthOf[atom.Vars[pos[i]]] < depthOf[atom.Vars[pos[j]]] })
+	m := len(pos)
 	tr := &trieRel{
-		levels: m,
+		depths: make([]int, m),
 		lo:     make([]int, m+1),
 		hi:     make([]int, m+1),
 		cur:    make([]int, m),
 	}
-	if shift := relation.PackedShift(m); shift > 0 {
-		tr.shift = shift
-		tr.mask = relation.PackedMask(shift)
-		tr.keys = make([]uint64, 0, len(tuples))
-		packed := true
-	pack:
+	inOrder := m == arity // level order = column order, nothing dropped
+	for d, j := range pos {
+		tr.depths[d] = depthOf[atom.Vars[j]]
+		inOrder = inOrder && j == d
+	}
+
+	packed, sealed, total := true, true, 0
+	for _, run := range runs {
+		words, ok := run.Words()
+		if ok && arity == 1 && run.Sealed() && len(words) > 0 && words[len(words)-1] > math.MaxInt {
+			// A full-width word with the top bit set (only a foreign
+			// peer sends one; Append admits none) reads back as a
+			// negative value, which the unsigned word order misplaces;
+			// the tuple layout orders it.
+			ok = false
+		}
+		packed = packed && ok
+		sealed = sealed && run.Sealed()
+		total += run.Len()
+	}
+	if !packed {
+		// Fallback: some value does not fit a word. Materialize once
+		// and sort with a comparator.
+		tuples := materialize(runs)
+		kept := tuples[:0]
 		for _, t := range tuples {
-			if !consistentRepeats(atom, t) {
-				continue
+			if consistentRepeats(t, eq) {
+				kept = append(kept, t)
 			}
-			var key uint64
-			for _, j := range pos {
-				if !relation.FitsPacked(t[j], shift) {
-					packed = false
-					break pack
+		}
+		sort.Slice(kept, func(i, j int) bool {
+			a, b := kept[i], kept[j]
+			for _, c := range pos {
+				if a[c] != b[c] {
+					return a[c] < b[c]
 				}
-				key = key<<shift | uint64(t[j])
 			}
-			tr.keys = append(tr.keys, key)
+			return false
+		})
+		tr.tuples, tr.cols = kept, pos
+		tr.hi[0] = len(kept)
+		return tr
+	}
+
+	// Words carry arity fields of shift bits, most significant first;
+	// the trie keeps that width for its m ≤ arity levels.
+	shift := relation.PackedShift(arity)
+	tr.mask = relation.PackedMask(shift)
+	tr.shifts = make([]uint, m)
+	for d := range tr.shifts {
+		tr.shifts[d] = uint(m-1-d) * shift
+	}
+	switch {
+	case inOrder && sealed && len(runs) == 1:
+		tr.keys, _ = runs[0].Words()
+	case inOrder && sealed:
+		tr.keys = exchange.MergeWords(runs)
+	default:
+		// Permute the bit-fields into level order (checking repeats on
+		// the words), then sort.
+		from := make([]uint, m) // bit offset of level d's field in the input word
+		for d, j := range pos {
+			from[d] = uint(arity-1-j) * shift
 		}
-		if packed {
-			slices.Sort(tr.keys)
-			tr.hi[0] = len(tr.keys)
-			return tr, nil
+		eqAt := make([][2]uint, len(eq))
+		for i, e := range eq {
+			eqAt[i] = [2]uint{uint(arity-1-e[0]) * shift, uint(arity-1-e[1]) * shift}
 		}
-		tr.keys = nil
-	}
-	// Fallback: projected tuples with a comparator-based sort.
-	proj, err := atomRelation(atom, tuples, false)
-	if err != nil {
-		return nil, err
-	}
-	cols := make([]int, len(proj.Attrs))
-	for i := range cols {
-		cols[i] = i
-	}
-	sort.Slice(cols, func(i, j int) bool {
-		return depthOf[proj.Attrs[cols[i]]] < depthOf[proj.Attrs[cols[j]]]
-	})
-	sort.Slice(proj.Tuples, func(i, j int) bool {
-		a, b := proj.Tuples[i], proj.Tuples[j]
-		for _, c := range cols {
-			if a[c] != b[c] {
-				return a[c] < b[c]
+		mask := tr.mask
+		keys := make([]uint64, 0, total)
+		for _, run := range runs {
+			words, _ := run.Words()
+		permute:
+			for _, w := range words {
+				for _, e := range eqAt {
+					if w>>e[0]&mask != w>>e[1]&mask {
+						continue permute
+					}
+				}
+				var key uint64
+				for _, f := range from {
+					key = key<<shift | w>>f&mask
+				}
+				keys = append(keys, key)
 			}
 		}
-		return false
-	})
-	tr.tuples = proj.Tuples
-	tr.cols = cols
-	tr.hi[0] = len(proj.Tuples)
-	return tr, nil
+		relation.SortWords(keys)
+		tr.keys = keys
+	}
+	tr.hi[0] = len(tr.keys)
+	return tr
 }
 
 // at returns the level-d value of row i.
 func (tr *trieRel) at(d, i int) int {
-	if tr.keys != nil {
-		return int(tr.keys[i] >> (uint(tr.levels-1-d) * tr.shift) & tr.mask)
+	if tr.tuples == nil {
+		return int(tr.keys[i] >> tr.shifts[d] & tr.mask)
 	}
 	return tr.tuples[i][tr.cols[d]]
 }
@@ -158,15 +234,7 @@ func (tr *trieRel) seek(d, v int) (int, bool) {
 	if val := tr.at(d, i); val >= v {
 		return val, true
 	}
-	// Gallop to bracket the first row with value ≥ v, then binary
-	// search inside the bracket.
-	step := 1
-	for i+step < hi && tr.at(d, i+step) < v {
-		i += step
-		step <<= 1
-	}
-	bound := min(hi, i+step+1)
-	i += sort.Search(bound-i, func(x int) bool { return tr.at(d, i+x) >= v })
+	i = tr.bound(d, i, hi, v)
 	tr.cur[d] = i
 	if i == hi {
 		return 0, false
@@ -178,15 +246,33 @@ func (tr *trieRel) seek(d, v int) (int, bool) {
 // must follow a seek that returned v, so the cursor sits on the first
 // occurrence.
 func (tr *trieRel) open(d, v int) {
-	start, hi := tr.cur[d], tr.hi[d]
-	i, step := start, 1
-	for i+step < hi && tr.at(d, i+step) <= v {
+	start, end := tr.cur[d], tr.hi[d]
+	if v < math.MaxInt {
+		end = tr.bound(d, start, end, v+1)
+	}
+	tr.lo[d+1], tr.hi[d+1] = start, end
+}
+
+// bound returns the first row in (i, hi] whose level-d value is ≥ v
+// (hi when there is none), given that row i's value is below v: gallop
+// from i in doubling strides to bracket the row, then bisect the
+// bracket.
+func (tr *trieRel) bound(d, i, hi, v int) int {
+	step := 1
+	for i+step < hi && tr.at(d, i+step) < v {
 		i += step
 		step <<= 1
 	}
-	bound := min(hi, i+step+1)
-	end := i + sort.Search(bound-i, func(x int) bool { return tr.at(d, i+x) > v })
-	tr.lo[d+1], tr.hi[d+1] = start, end
+	lo, up := i+1, min(hi, i+step)
+	for lo < up {
+		mid := int(uint(lo+up) >> 1)
+		if tr.at(d, mid) < v {
+			lo = mid + 1
+		} else {
+			up = mid
+		}
+	}
+	return lo
 }
 
 // participant is one atom's trie at the level where a global variable
@@ -197,27 +283,37 @@ type participant struct {
 }
 
 // evalWCOJ evaluates q by leapfrog intersection along the global
-// variable order.
-func evalWCOJ(q *query.Query, b Bindings) ([]relation.Tuple, error) {
+// variable order. inputs[i] holds the columnar runs of q.Atoms[i]; the
+// answer comes back as one sealed, deduplicated run in q.Vars() column
+// order, nil when there are no answers.
+func evalWCOJ(q *query.Query, inputs [][]*exchange.Buffer) (*exchange.Buffer, error) {
+	// Validate every atom before the empty-input shortcut, so an arity
+	// mismatch is reported whatever the other atoms hold.
+	empty := false
+	for i, a := range q.Atoms {
+		rows := 0
+		for _, run := range inputs[i] {
+			if run.Len() > 0 && run.Arity() != a.Arity() {
+				return nil, arityError(run.Arity(), a)
+			}
+			rows += run.Len()
+		}
+		empty = empty || rows == 0
+	}
+	if empty {
+		return nil, nil
+	}
+
 	varOrder := variableOrder(q)
 	k := len(varOrder)
 	depthOf := make(map[string]int, k)
 	for d, v := range varOrder {
 		depthOf[v] = d
 	}
-
 	parts := make([][]participant, k)
-	for _, a := range q.Atoms {
-		tr, err := newTrieRel(a, b[a.Name], depthOf)
-		if err != nil {
-			return nil, err
-		}
-		// Trie level d of this atom binds the variable at global depth
-		// depthOf[attr]; the levels are already in global order.
-		attrs := a.DistinctVars()
-		sort.Slice(attrs, func(i, j int) bool { return depthOf[attrs[i]] < depthOf[attrs[j]] })
-		for d, v := range attrs {
-			g := depthOf[v]
+	for i, a := range q.Atoms {
+		tr := newTrieRel(a, inputs[i], depthOf)
+		for d, g := range tr.depths {
 			parts[g] = append(parts[g], participant{tr: tr, d: d})
 		}
 	}
@@ -229,15 +325,15 @@ func evalWCOJ(q *query.Query, b Bindings) ([]relation.Tuple, error) {
 	}
 
 	binding := make([]int, k)
-	var out []relation.Tuple
+	row := make(relation.Tuple, len(outCol))
+	out := exchange.NewBuffer(len(outCol))
 	var rec func(g int)
 	rec = func(g int) {
 		if g == k {
-			row := make(relation.Tuple, len(outCol))
 			for i, c := range outCol {
 				row[i] = binding[c]
 			}
-			out = append(out, row)
+			out.Append(row)
 			return
 		}
 		ps := parts[g]
@@ -276,5 +372,15 @@ func evalWCOJ(q *query.Query, b Bindings) ([]relation.Tuple, error) {
 		}
 	}
 	rec(0)
+	if out.Len() == 0 {
+		return nil, nil
+	}
+	out.Dedup()
 	return out, nil
+}
+
+// arityError is the error every strategy reports for a tuple (or run)
+// whose arity differs from its atom's.
+func arityError(got int, atom query.Atom) error {
+	return fmt.Errorf("localjoin: tuple arity %d != atom %s arity %d", got, atom.Name, atom.Arity())
 }

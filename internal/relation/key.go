@@ -164,14 +164,15 @@ func (s *TupleSet) Len() int {
 	return len(s.strs)
 }
 
-// radixSortWords sorts ws ascending with an LSD byte-radix sort:
-// linear passes over machine words instead of a comparison sort, which
-// is what keeps DedupSort's packed path linear on large join outputs.
+// SortWords sorts packed tuple words ascending with an LSD byte-radix
+// sort: linear passes over machine words instead of a comparison sort,
+// which is what keeps DedupSort's packed path linear on large join
+// outputs and the local join's trie build linear on unsorted keys.
 // Byte positions that are constant across ws (the common case for
 // packed tuples over a small domain) cost one counting scan and no
 // scatter. Small inputs fall back to the comparison sort, whose
 // constant is lower there.
-func radixSortWords(ws []uint64) {
+func SortWords(ws []uint64) {
 	if len(ws) < 256 {
 		slices.Sort(ws)
 		return
@@ -266,7 +267,7 @@ func dedupSortPacked(ts []Tuple) ([]Tuple, bool) {
 		}
 		keys[i] = key
 	}
-	radixSortWords(keys)
+	SortWords(keys)
 	keys = slices.Compact(keys)
 	mask := PackedMask(shift)
 	out := ts[:len(keys)]
