@@ -20,6 +20,7 @@ import (
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/cover"
+	"repro/internal/datalog"
 	"repro/internal/dist"
 	"repro/internal/exchange"
 	"repro/internal/experiments"
@@ -404,6 +405,89 @@ func BenchmarkWorkerJoinTriangle(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(answers), "answers")
+}
+
+// BenchmarkGatherWide times the coordinator's gather of a wide answer:
+// 16 workers each hold a sealed run of 2 500 five-column tuples over a
+// 16-bit domain — the final answer of the end-to-end benchmark's
+// chain4_warm workload, 5 × 16 bits being more than one packed word —
+// and every iteration is one Cluster.Gather on loopback: the k-way
+// merge of the flat runs plus the one materialization of the answer.
+func BenchmarkGatherWide(b *testing.B) {
+	const p, per, arity, n = 16, 2500, 5, 40000
+	rng := rand.New(rand.NewPCG(41, 41))
+	ds := make([]exchange.Delivery, p)
+	for w := range ds {
+		run := exchange.NewBuffer(arity)
+		row := make(relation.Tuple, arity)
+		for i := 0; i < per; i++ {
+			for c := range row {
+				row[c] = 1 + rng.IntN(n)
+			}
+			run.Append(row)
+		}
+		run.Seal()
+		if _, packed := run.Words(); packed {
+			b.Fatal("fixture run is packed; the benchmark is about the flat layout")
+		}
+		ds[w] = exchange.Delivery{To: w, Rel: "wide", Buf: run}
+	}
+	ctx := context.Background()
+	l := dist.NewLoopback(p)
+	if err := l.Deliver(ctx, 1, ds); err != nil {
+		b.Fatal(err)
+	}
+	cluster, err := dist.NewCluster(mpc.Config{Workers: p, DomainN: n}, l)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	answers := 0
+	for i := 0; i < b.N; i++ {
+		out, err := cluster.Gather(ctx, "wide")
+		if err != nil {
+			b.Fatal(err)
+		}
+		answers = len(out)
+	}
+	b.ReportMetric(float64(answers), "answers")
+}
+
+// BenchmarkDatalogReach times one semi-naive transitive closure at the
+// shape of the end-to-end benchmark's reach_warm workload: 625 disjoint
+// paths of 16 edges over randomly labelled vertices, datalog.Eval on
+// loopback pools of 16 — 15 delta iterations whose coordinator side
+// (project, diff and merge of Δ against the closure) is what B/op and
+// allocs/op watch.
+func BenchmarkDatalogReach(b *testing.B) {
+	const paths, edges = 625, 16
+	rng := rand.New(rand.NewPCG(43, 43))
+	label := rng.Perm(paths * (edges + 1))
+	e := relation.New("e", "x", "y")
+	for p := 0; p < paths; p++ {
+		path := label[p*(edges+1) : (p+1)*(edges+1)]
+		for i := 0; i < edges; i++ {
+			e.Tuples = append(e.Tuples, relation.Tuple{path[i] + 1, path[i+1] + 1})
+		}
+	}
+	rng.Shuffle(len(e.Tuples), func(i, j int) { e.Tuples[i], e.Tuples[j] = e.Tuples[j], e.Tuples[i] })
+	db := relation.NewDatabase(len(label))
+	db.AddRelation(e)
+	prog := datalog.MustParse("tc(x,y) :- e(x,y). tc(x,z) :- tc(x,y), e(y,z).")
+	b.ReportAllocs()
+	b.ResetTimer()
+	var res *datalog.Result
+	for i := 0; i < b.N; i++ {
+		var err error
+		if res, err = datalog.Eval(prog, db, datalog.Options{P: 16, Seed: 7}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if want := paths * edges * (edges + 1) / 2; len(res.Answers) != want {
+		b.Fatalf("closure has %d pairs, want %d", len(res.Answers), want)
+	}
+	b.ReportMetric(float64(res.Iterations), "iterations")
 }
 
 // BenchmarkJoinZipf is the skewed head-to-head: R(x,y) ⋈ S(y,z) with

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cover"
 	"repro/internal/dist"
+	"repro/internal/exchange"
 	"repro/internal/hypercube"
 	"repro/internal/localjoin"
 	"repro/internal/mpc"
@@ -102,7 +103,11 @@ func Eval(prog *Program, db *relation.Database, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	e := &evaluator{prog: prog, opts: opts, ctx: ctx, facts: make(map[string][]relation.Tuple)}
+	e := &evaluator{
+		prog: prog, opts: opts, ctx: ctx,
+		facts: make(map[string][]relation.Tuple),
+		stats: make(map[string]*relation.RelationStats),
+	}
 	// The working database: shared EDB relations plus the IDB
 	// relations as strata complete.
 	e.wdb = relation.NewDatabase(db.N)
@@ -161,6 +166,10 @@ type evaluator struct {
 	wdb  *relation.Database
 	// facts maps IDB pred → sorted, deduplicated fact set.
 	facts map[string][]relation.Tuple
+	// stats memoizes the column statistics of the working database's
+	// relations for this evaluation; install drops a replaced
+	// relation's entry.
+	stats map[string]*relation.RelationStats
 
 	iterations   int
 	rounds       []mpc.RoundStats
@@ -217,18 +226,28 @@ func headPositions(r *Rule, q *query.Query) []int {
 	return pos
 }
 
-// project maps full body answers onto the head terms and returns the
-// sorted, deduplicated head facts.
-func project(answers []relation.Tuple, pos []int) []relation.Tuple {
-	out := make([]relation.Tuple, len(answers))
-	for i, t := range answers {
-		row := make(relation.Tuple, len(pos))
-		for j, p := range pos {
-			row[j] = t[p]
-		}
-		out[i] = row
+// catalog returns the planner statistics for one rule body: full
+// column statistics for the body's relations, collected once per
+// relation and evaluation, and cardinalities alone for the rest of the
+// working database — the planner reads distributions only for the
+// query's atoms, but its budget and heavy-hitter threshold are
+// fractions of the database-wide tuple count.
+func (e *evaluator) catalog(r *Rule) *relation.Stats {
+	cat := &relation.Stats{Relations: make(map[string]*relation.RelationStats, len(e.wdb.Relations))}
+	for name, rel := range e.wdb.Relations {
+		cat.Relations[name] = &relation.RelationStats{Name: name, Count: len(rel.Tuples), Attrs: rel.Attrs}
 	}
-	return relation.DedupSort(out)
+	for _, a := range r.Body {
+		rs := e.stats[a.Pred]
+		if rel, ok := e.wdb.Relation(a.Pred); ok && rs == nil {
+			rs = relation.CollectRelationStats(rel)
+			e.stats[a.Pred] = rs
+		}
+		if rs != nil {
+			cat.Relations[a.Pred] = rs
+		}
+	}
+	return cat
 }
 
 // record accumulates one execution's communication record.
@@ -239,13 +258,14 @@ func (e *evaluator) record(stats *mpc.Stats, capExceeded bool, replacements int)
 }
 
 // evalRule plans and executes one non-recursive rule body end to end
-// and returns the head facts (projected, or aggregate-folded).
-func (e *evaluator) evalRule(r *Rule) ([]relation.Tuple, error) {
+// and returns the head facts (projected, or aggregate-folded) as one
+// sealed run.
+func (e *evaluator) evalRule(r *Rule) (*exchange.Buffer, error) {
 	q, err := r.BodyQuery()
 	if err != nil {
 		return nil, fmt.Errorf("datalog: rule for %s: %v", r.Head.Pred, err)
 	}
-	pl, err := plan.Build(q, relation.CollectStats(e.wdb), plan.Options{
+	pl, err := plan.Build(q, e.catalog(r), plan.Options{
 		P: e.opts.P, Epsilon: e.opts.Epsilon, CapFactor: e.opts.CapConstant,
 	})
 	if err != nil {
@@ -276,14 +296,17 @@ func (e *evaluator) evalRule(r *Rule) ([]relation.Tuple, error) {
 	e.record(res.Stats, res.CapExceeded, res.Replacements)
 	if r.HasAggregate() {
 		// Already one sorted row per group, in head order.
-		return res.Answers, nil
+		return exchange.NewRun(len(r.Head.Terms), res.Answers), nil
 	}
-	return project(res.Answers, headPositions(r, q)), nil
+	return exchange.Project(exchange.NewRun(q.NumVars(), res.Answers), headPositions(r, q)), nil
 }
 
-// install publishes a completed predicate into the working database.
-func (e *evaluator) install(pred string, facts []relation.Tuple) {
+// install publishes a completed predicate into the working database,
+// materializing its fact run once.
+func (e *evaluator) install(pred string, run *exchange.Buffer) {
+	facts := run.Tuples()
 	e.facts[pred] = facts
+	delete(e.stats, pred)
 	arity, _ := e.prog.Arity(pred)
 	attrs := make([]string, arity)
 	for i := range attrs {
@@ -298,19 +321,15 @@ func (e *evaluator) install(pred string, facts []relation.Tuple) {
 // rules' head facts (a single predicate — non-recursive SCCs are
 // singletons).
 func (e *evaluator) evalStratum(s Stratum) error {
-	pred := s.Preds[0]
-	var facts []relation.Tuple
+	heads := make([]*exchange.Buffer, 0, len(s.Rules))
 	for _, ri := range s.Rules {
 		head, err := e.evalRule(&e.prog.Rules[ri])
 		if err != nil {
 			return err
 		}
-		facts = append(facts, head...)
+		heads = append(heads, head)
 	}
-	if len(s.Rules) > 1 {
-		facts = relation.DedupSort(facts)
-	}
-	e.install(pred, facts)
+	e.install(s.Preds[0], exchange.Merge(heads))
 	return nil
 }
 
@@ -349,17 +368,16 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 	}
 
 	// Seed: base-rule facts become the initial stores the maintainers
-	// scatter. Predicates with no base rule start empty.
-	known := make(map[string][]relation.Tuple, len(s.Preds))
-	for _, pred := range s.Preds {
-		known[pred] = nil
-	}
+	// scatter. Predicates with no base rule start empty. known and
+	// delta hold each predicate's facts as one sealed run (nil = none),
+	// so an iteration is linear passes over words, not tuples.
+	known := make(map[string]*exchange.Buffer, len(s.Preds))
 	for _, r := range baseRules {
 		head, err := e.evalRule(r)
 		if err != nil {
 			return err
 		}
-		known[r.Head.Pred] = mergeSorted(known[r.Head.Pred], head)
+		known[r.Head.Pred] = union(known[r.Head.Pred], head)
 	}
 	for _, pred := range s.Preds {
 		e.install(pred, known[pred])
@@ -380,7 +398,7 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 			mm.m.Close()
 		}
 	}
-	delta := make(map[string][]relation.Tuple, len(s.Preds))
+	delta := make(map[string]*exchange.Buffer, len(s.Preds))
 	for _, r := range recRules {
 		q, err := r.BodyQuery()
 		if err != nil {
@@ -419,11 +437,11 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 		}
 		pos := headPositions(r, q)
 		ms = append(ms, maint{rule: r, q: q, m: m, pos: pos})
-		fresh := diffSorted(project(m.Answers(), pos), known[r.Head.Pred])
-		delta[r.Head.Pred] = mergeSorted(delta[r.Head.Pred], fresh)
+		fresh := exchange.Diff(exchange.Project(m.Run(), pos), known[r.Head.Pred])
+		delta[r.Head.Pred] = union(delta[r.Head.Pred], fresh)
 	}
 	for pred, d := range delta {
-		known[pred] = mergeSorted(known[pred], d)
+		known[pred] = union(known[pred], d)
 	}
 
 	// The fixpoint loop: every iteration ships each predicate's delta
@@ -435,11 +453,17 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 			closeAll()
 			return fmt.Errorf("datalog: stratum %v exceeded %d fixpoint iterations", s.Preds, e.opts.MaxIterations)
 		}
-		next := make(map[string][]relation.Tuple, len(s.Preds))
+		// Only Δ becomes tuples: ApplyDelta takes the batch in
+		// relation.Effect's shape.
+		added := make(map[string][]relation.Tuple, len(delta))
+		for pred, d := range delta {
+			added[pred] = d.Tuples()
+		}
+		next := make(map[string]*exchange.Buffer, len(s.Preds))
 		for _, mm := range ms {
 			changes := make(map[string]relation.Effect)
 			for _, a := range mm.rule.Body {
-				if d := delta[a.Pred]; inStratum[a.Pred] && len(d) > 0 {
+				if d := added[a.Pred]; inStratum[a.Pred] && len(d) > 0 {
 					changes[a.Pred] = relation.Effect{Added: d}
 				}
 			}
@@ -452,14 +476,14 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 				return fmt.Errorf("datalog: rule for %s: %v", mm.rule.Head.Pred, err)
 			}
 			e.capSeen = e.capSeen || rep.CapExceeded
-			fresh := diffSorted(project(rep.Fresh, mm.pos), known[mm.rule.Head.Pred])
-			next[mm.rule.Head.Pred] = mergeSorted(next[mm.rule.Head.Pred], fresh)
+			fresh := exchange.Diff(exchange.Project(rep.FreshRun, mm.pos), known[mm.rule.Head.Pred])
+			next[mm.rule.Head.Pred] = union(next[mm.rule.Head.Pred], fresh)
 		}
 		// Deltas are measured against known before this iteration's
 		// merge, so two rules deriving the same new fact contribute it
-		// once (mergeSorted dedups) and nothing re-enters later rounds.
+		// once (the union dedups) and nothing re-enters later rounds.
 		for pred, d := range next {
-			known[pred] = mergeSorted(known[pred], d)
+			known[pred] = union(known[pred], d)
 		}
 		delta = next
 	}
@@ -475,60 +499,23 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 }
 
 // hasFacts reports whether any delta is nonempty.
-func hasFacts(delta map[string][]relation.Tuple) bool {
+func hasFacts(delta map[string]*exchange.Buffer) bool {
 	for _, d := range delta {
-		if len(d) > 0 {
+		if d.Len() > 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// mergeSorted merges two sorted, deduplicated tuple slices into one.
-func mergeSorted(a, b []relation.Tuple) []relation.Tuple {
-	if len(a) == 0 {
+// union merges two sorted, deduplicated runs into one; either may be
+// nil or empty, and is then not copied.
+func union(a, b *exchange.Buffer) *exchange.Buffer {
+	if a.Len() == 0 {
 		return b
 	}
-	if len(b) == 0 {
+	if b.Len() == 0 {
 		return a
 	}
-	out := make([]relation.Tuple, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Less(b[j]):
-			out = append(out, a[i])
-			i++
-		case b[j].Less(a[i]):
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-// diffSorted returns the elements of a not present in b (both sorted,
-// deduplicated).
-func diffSorted(a, b []relation.Tuple) []relation.Tuple {
-	var out []relation.Tuple
-	i, j := 0, 0
-	for i < len(a) {
-		switch {
-		case j >= len(b) || a[i].Less(b[j]):
-			out = append(out, a[i])
-			i++
-		case b[j].Less(a[i]):
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	return out
+	return exchange.Merge([]*exchange.Buffer{a, b})
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/exchange"
 	"repro/internal/relation"
 )
 
@@ -156,6 +157,61 @@ func TestEvalTransports(t *testing.T) {
 	}
 	if lb.Stats.TotalBits() == 0 {
 		t.Fatal("no communication recorded")
+	}
+}
+
+// TestEvalDisjointPathsClosedForm: the closure of disjoint directed
+// paths over shuffled labels is every ordered pair along a path — a
+// closed form the fixpoint must hit exactly, in as many delta
+// iterations as the paths are long — with labels small enough that
+// every run is packed words and with labels past 2³², where the
+// evaluator's known/Δ runs, the maintainers' answer runs and every
+// delta scatter are on the flat layout; loopback ≡ TCP on both.
+func TestEvalDisjointPathsClosedForm(t *testing.T) {
+	const paths, edges, p = 30, 7, 4
+	addrs := startPool(t, p)
+	for _, offset := range []int{0, 1 << 33} {
+		rng := rand.New(rand.NewPCG(77, uint64(offset)))
+		label := rng.Perm(paths * (edges + 1))
+		e := relation.New("e", "a", "b")
+		var want []relation.Tuple
+		for i := 0; i < paths; i++ {
+			path := label[i*(edges+1) : (i+1)*(edges+1)]
+			for j := 0; j < edges; j++ {
+				e.Tuples = append(e.Tuples, relation.Tuple{path[j] + 1 + offset, path[j+1] + 1 + offset})
+				for k := j + 1; k <= edges; k++ {
+					want = append(want, relation.Tuple{path[j] + 1 + offset, path[k] + 1 + offset})
+				}
+			}
+		}
+		rng.Shuffle(len(e.Tuples), func(i, j int) { e.Tuples[i], e.Tuples[j] = e.Tuples[j], e.Tuples[i] })
+		want = relation.DedupSort(want)
+		db := relation.NewDatabase(len(label) + offset)
+		db.AddRelation(e)
+
+		lb, err := Eval(MustParse(tcProgram), db, Options{P: p, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(lb.Answers, want) {
+			t.Fatalf("offset %d: closure has %d pairs, closed form %d", offset, len(lb.Answers), len(want))
+		}
+		if !reflect.DeepEqual(lb.Facts["tc"], want) {
+			t.Fatalf("offset %d: Facts[tc] diverges from Answers", offset)
+		}
+		// Iteration 0 (the maintainer's cold run) derives the 2-edge
+		// pairs; the loop then runs once per further path length plus the
+		// iteration that finds nothing new.
+		if lb.Iterations != edges-1 {
+			t.Errorf("offset %d: %d iterations, want %d", offset, lb.Iterations, edges-1)
+		}
+		tcp, err := Eval(MustParse(tcProgram), db, Options{P: p, Seed: 5, Dial: tcpDialer(addrs)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tcp.Answers, lb.Answers) || !reflect.DeepEqual(tcp.Stats.Rounds, lb.Stats.Rounds) {
+			t.Errorf("offset %d: TCP diverges from loopback", offset)
+		}
 	}
 }
 
@@ -318,5 +374,51 @@ func TestEvalErrors(t *testing.T) {
 	}
 	if _, err := Eval(prog, edgeDB(4, nil), Options{P: 0}); err == nil {
 		t.Fatal("p = 0 accepted")
+	}
+}
+
+// TestCatalogCollectsBodyRelationsOnce: the planner catalog of a rule
+// carries full column statistics for the body's relations — the same
+// object on every call until install replaces the relation — and
+// cardinalities alone for the rest of the working database, so
+// database-wide totals match a full collection.
+func TestCatalogCollectsBodyRelationsOnce(t *testing.T) {
+	prog := MustParse(`
+		a(x, y) :- e(x, y).
+		b(x, y) :- f(x, y), a(y, x).
+	`)
+	e := &evaluator{
+		prog: prog, wdb: relation.NewDatabase(9),
+		facts: map[string][]relation.Tuple{}, stats: map[string]*relation.RelationStats{},
+	}
+	for _, name := range []string{"e", "f"} {
+		r := relation.New(name, "u", "v")
+		r.Tuples = []relation.Tuple{{1, 2}, {1, 3}, {4, 2}}
+		e.wdb.AddRelation(r)
+	}
+	full := relation.CollectStats(e.wdb)
+	ruleA := &prog.Rules[0]
+	cat := e.catalog(ruleA)
+	if !reflect.DeepEqual(cat.Relation("e"), full.Relation("e")) {
+		t.Errorf("body relation stats = %+v, want %+v", cat.Relation("e"), full.Relation("e"))
+	}
+	if f := cat.Relation("f"); f == nil || f.Count != 3 || f.Cols != nil {
+		t.Errorf("non-body relation = %+v, want a count-only entry", f)
+	}
+	if cat.TotalTuples() != full.TotalTuples() {
+		t.Errorf("total tuples %d, full collection %d", cat.TotalTuples(), full.TotalTuples())
+	}
+	if again := e.catalog(ruleA); again.Relation("e") != cat.Relation("e") {
+		t.Error("body relation statistics were collected twice")
+	}
+	e.install("a", exchange.NewRun(2, []relation.Tuple{{7, 7}}))
+	ruleB := &prog.Rules[1]
+	first := e.catalog(ruleB).Relation("a")
+	e.install("a", exchange.NewRun(2, []relation.Tuple{{7, 7}, {8, 8}}))
+	if after := e.catalog(ruleB).Relation("a"); after == first || after.Count != 2 || len(after.Cols) != 2 {
+		t.Errorf("statistics of a replaced relation not recollected: %+v", after)
+	}
+	if after := e.catalog(ruleA).Relation("e"); after != cat.Relation("e") {
+		t.Errorf("an untouched relation was recollected: %+v", after)
 	}
 }

@@ -97,6 +97,26 @@ func (c *Cluster) Scatter(ctx context.Context, rel *relation.Relation, as string
 	if err != nil {
 		return fmt.Errorf("dist: scatter: %w", err)
 	}
+	return c.deliver(ctx, ds)
+}
+
+// ScatterRun is Scatter from a sealed run — a view gathered by
+// GatherRun goes back out for the next round without ever becoming
+// tuples. Routing, accounting, journaling and delivery are Scatter's:
+// the partitioned buffers are bit-identical to scattering the run's
+// materialized tuples. A nil run scatters nothing (the round still
+// opens and closes as it would for an empty relation).
+func (c *Cluster) ScatterRun(ctx context.Context, run *exchange.Buffer, as string, part exchange.Partitioner) error {
+	ds, err := exchange.PartitionRun(as, run, c.cfg.Workers, part)
+	if err != nil {
+		return fmt.Errorf("dist: scatter: %w", err)
+	}
+	return c.deliver(ctx, ds)
+}
+
+// deliver accounts the partitioned runs' receipt against the open
+// round (opening a lone round if none is) and ships them.
+func (c *Cluster) deliver(ctx context.Context, ds []exchange.Delivery) error {
 	lone := !c.open
 	if lone {
 		c.BeginRound()
@@ -290,8 +310,47 @@ func (c *Cluster) Join(ctx context.Context, q *query.Query, bindings map[string]
 // worker holds under view — the cluster-wide answer of a query whose
 // per-worker outputs were stored by Join.
 func (c *Cluster) Gather(ctx context.Context, view string) ([]relation.Tuple, error) {
+	run, err := c.GatherRun(ctx, view)
+	if err != nil {
+		return nil, err
+	}
+	return run.Tuples(), nil
+}
+
+// GatherRun is Gather kept columnar: the per-worker sorted runs k-way
+// merge (exchange.Merge, on either layout) into one sealed run that
+// the coordinator can diff, project or re-scatter without building
+// tuples. The run is nil when no worker holds anything under view.
+func (c *Cluster) GatherRun(ctx context.Context, view string) (*exchange.Buffer, error) {
 	span := c.tracePhase("gather")
 	defer c.tracePhaseEnd(span)
+	runs, err := c.gatherRuns(ctx, view)
+	if err != nil {
+		return nil, err
+	}
+	return exchange.Merge(runs), nil
+}
+
+// GatherAggregate is Gather with a grouped-aggregate fold pushed into
+// the k-way merge: the merged run streams through a
+// relation.Accumulator, so the coordinator materializes one row per
+// group instead of the full answer set.
+func (c *Cluster) GatherAggregate(ctx context.Context, view string, spec relation.GroupSpec) ([]relation.Tuple, error) {
+	span := c.tracePhase("gather")
+	defer c.tracePhaseEnd(span)
+	runs, err := c.gatherRuns(ctx, view)
+	if err != nil {
+		return nil, err
+	}
+	acc := relation.NewAccumulator(spec)
+	exchange.FoldRuns(runs, acc.Add)
+	return acc.Result(), nil
+}
+
+// gatherRuns fetches the sealed runs every worker holds under view, in
+// worker order. In pipelined mode it is the fence: the deferred script
+// runs first.
+func (c *Cluster) gatherRuns(ctx context.Context, view string) ([]*exchange.Buffer, error) {
 	if c.pipe {
 		return c.gatherPipelined(ctx, view)
 	}
@@ -302,43 +361,7 @@ func (c *Cluster) Gather(ctx context.Context, view string) ([]relation.Tuple, er
 		runs, err = c.tr.Gather(ctx, view)
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	if len(runs) == 0 {
-		return nil, nil
-	}
-	return exchange.MergeRuns(runs), nil
-}
-
-// GatherAggregate is Gather with a grouped-aggregate fold pushed into
-// the k-way merge: the per-worker sorted runs stream through a
-// relation.Accumulator, so the coordinator materializes one row per
-// group instead of the full answer set. In pipelined mode the deferred
-// script runs first (the gather is its fence) and the fold consumes
-// the merged output — results are identical either way.
-func (c *Cluster) GatherAggregate(ctx context.Context, view string, spec relation.GroupSpec) ([]relation.Tuple, error) {
-	span := c.tracePhase("gather")
-	defer c.tracePhaseEnd(span)
-	if c.pipe {
-		tuples, err := c.gatherPipelined(ctx, view)
-		if err != nil {
-			return nil, err
-		}
-		return relation.GroupAggregate(tuples, spec), nil
-	}
-	var runs []*exchange.Buffer
-	err := c.attempt(ctx, true, func(ctx context.Context) error {
-		var err error
-		runs, err = c.tr.Gather(ctx, view)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	acc := relation.NewAccumulator(spec)
-	exchange.FoldRuns(runs, acc.Add)
-	return acc.Result(), nil
+	return runs, err
 }
 
 // Close closes the underlying transport session.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/exchange"
-	"repro/internal/relation"
 )
 
 // This file is the compute/communication overlap of the distributed
@@ -73,7 +72,7 @@ func (c *Cluster) enqueue(op recOp) {
 // gatherPipelined is the fence: it executes every deferred operation
 // followed by a gather of view, then broadcasts the checkpoints of
 // the script's barriers when recovery is enabled.
-func (c *Cluster) gatherPipelined(ctx context.Context, view string) ([]relation.Tuple, error) {
+func (c *Cluster) gatherPipelined(ctx context.Context, view string) ([]*exchange.Buffer, error) {
 	ops := c.pending
 	c.pending = nil
 	var runs []*exchange.Buffer
@@ -123,10 +122,7 @@ func (c *Cluster) gatherPipelined(ctx context.Context, view string) ([]relation.
 			return nil, err
 		}
 	}
-	if len(runs) == 0 {
-		return nil, nil
-	}
-	return exchange.MergeRuns(runs), nil
+	return runs, nil
 }
 
 // runScriptFallback executes deferred operations through the

@@ -1,0 +1,247 @@
+package exchange
+
+import (
+	"encoding/binary"
+	"math/rand/v2"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/relation"
+)
+
+// snapshot copies a run's payload so a test can check the algebra left
+// it bit-identical.
+type snapshot struct {
+	words []uint64
+	flat  []int
+}
+
+func snap(runs []*Buffer) []snapshot {
+	out := make([]snapshot, len(runs))
+	for i, r := range runs {
+		if r != nil {
+			out[i] = snapshot{words: slices.Clone(r.words), flat: slices.Clone(r.flat)}
+		}
+	}
+	return out
+}
+
+func checkUntouched(t *testing.T, what string, runs []*Buffer, before []snapshot) {
+	t.Helper()
+	for i, r := range runs {
+		if r == nil {
+			continue
+		}
+		if !slices.Equal(r.words, before[i].words) || !slices.Equal(r.flat, before[i].flat) {
+			t.Fatalf("%s modified input run %d", what, i)
+		}
+	}
+}
+
+// tuplesOf materializes runs tuple by tuple — the reference side reads
+// through the public tuple API only.
+func tuplesOf(runs ...*Buffer) []relation.Tuple {
+	var out []relation.Tuple
+	for _, r := range runs {
+		if r != nil {
+			out = r.AppendTuples(out)
+		}
+	}
+	return out
+}
+
+func sameTuples(t *testing.T, what string, got *Buffer, want []relation.Tuple) {
+	t.Helper()
+	have := got.Tuples()
+	if len(have) != len(want) {
+		t.Fatalf("%s: %d tuples, want %d", what, len(have), len(want))
+	}
+	for i := range want {
+		if !have[i].Equal(want[i]) {
+			t.Fatalf("%s: [%d] = %v, want %v", what, i, have[i], want[i])
+		}
+	}
+	if got != nil && !got.Sealed() {
+		t.Fatalf("%s: result is not sealed", what)
+	}
+}
+
+// randomRun draws a sealed run of the arity with values below dom; a
+// wide run additionally carries values past the packed width, which
+// puts it on the flat layout.
+func randomRun(rng *rand.Rand, arity, size, dom int, wide bool) *Buffer {
+	b := NewBuffer(arity)
+	row := make(relation.Tuple, arity)
+	for i := 0; i < size; i++ {
+		for c := range row {
+			row[c] = rng.IntN(dom)
+			if wide && (i == 0 || rng.IntN(4) == 0) {
+				row[c] += 1 << relation.PackedShift(arity)
+			}
+		}
+		b.Append(row)
+	}
+	b.Seal()
+	return b
+}
+
+// TestRunAlgebraMatchesTupleReference: Merge, Diff and Project over
+// random sealed runs equal their tuple-level definitions — DedupSort
+// of the concatenation, set difference, column select then DedupSort —
+// on all-packed, all-flat and mixed inputs of one arity, with nil and
+// empty runs and duplicates across runs in the mix, and leave every
+// input bit-identical (the recovery journal re-sends those buffers).
+func TestRunAlgebraMatchesTupleReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(101, 103))
+	for _, layout := range []string{"packed", "flat", "mixed"} {
+		for arity := 1; arity <= 5; arity++ {
+			for trial := 0; trial < 12; trial++ {
+				k := rng.IntN(6)
+				runs := make([]*Buffer, 0, k+2)
+				for i := 0; i < k; i++ {
+					wide := layout == "flat" || layout == "mixed" && i%2 == 1
+					runs = append(runs, randomRun(rng, arity, rng.IntN(60), 5, wide))
+				}
+				runs = append(runs, nil, NewBuffer(arity))
+				rng.Shuffle(len(runs), func(i, j int) { runs[i], runs[j] = runs[j], runs[i] })
+				before := snap(runs)
+
+				merged := Merge(runs)
+				sameTuples(t, layout+" merge", merged, relation.DedupSort(tuplesOf(runs...)))
+				checkUntouched(t, "Merge", runs, before)
+				wantPacked := true
+				for _, r := range runs {
+					wantPacked = wantPacked && (r.Len() == 0 || r.packed)
+				}
+				if merged != nil && merged.packed != wantPacked {
+					t.Fatalf("%s merge: packed = %v, want %v", layout, merged.packed, wantPacked)
+				}
+
+				// Diff of the union of one half against the other half.
+				a, b := Merge(runs[:len(runs)/2]), Merge(runs[len(runs)/2:])
+				pair := []*Buffer{a, b}
+				before = snap(pair)
+				sub := relation.NewTupleSet(arity, b.Len())
+				for _, tu := range tuplesOf(b) {
+					sub.Add(tu)
+				}
+				var want []relation.Tuple
+				for _, tu := range tuplesOf(a) {
+					if !sub.Contains(tu) {
+						want = append(want, tu)
+					}
+				}
+				sameTuples(t, layout+" diff", Diff(a, b), want)
+				checkUntouched(t, "Diff", pair, before)
+
+				// Project onto a random column list (selection, permutation,
+				// repeats).
+				cols := make([]int, 1+rng.IntN(arity+1))
+				for i := range cols {
+					cols[i] = rng.IntN(arity)
+				}
+				before = snap([]*Buffer{merged})
+				var sel []relation.Tuple
+				for _, tu := range tuplesOf(merged) {
+					row := make(relation.Tuple, len(cols))
+					for i, c := range cols {
+						row[i] = tu[c]
+					}
+					sel = append(sel, row)
+				}
+				sameTuples(t, layout+" project", Project(merged, cols), relation.DedupSort(sel))
+				checkUntouched(t, "Project", []*Buffer{merged}, before)
+			}
+		}
+	}
+	if Merge(nil) != nil || Merge([]*Buffer{nil, NewBuffer(3)}) != nil {
+		t.Error("merge of nothing is not nil")
+	}
+	if Project(nil, []int{0}) != nil || Diff(nil, NewBuffer(2)) != nil {
+		t.Error("project/diff of a nil run is not nil")
+	}
+}
+
+// TestPartitionRunMatchesPartition: scattering a sealed run produces
+// deliveries bit-identical to scattering its materialized tuples, on
+// both layouts and across the shard fan-out.
+func TestPartitionRunMatchesPartition(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 9))
+	for _, wide := range []bool{false, true} {
+		for _, size := range []int{0, 50, 3 * minShard} {
+			run := randomRun(rng, 3, size, 1000, wide)
+			part := HashPartitioner{Col: 1, P: 5, Seed: 3}
+			want, err := Partition("V", run.Tuples(), 3, 5, part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := PartitionRun("V", run, 5, part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("wide=%v size=%d: %d deliveries, want %d", wide, size, len(got), len(want))
+			}
+			for i := range want {
+				g, w := got[i], want[i]
+				if g.To != w.To || g.Rel != w.Rel || g.Buf.packed != w.Buf.packed || !g.Buf.sealed ||
+					!slices.Equal(g.Buf.words, w.Buf.words) || !slices.Equal(g.Buf.flat, w.Buf.flat) {
+					t.Fatalf("wide=%v size=%d: delivery %d differs", wide, size, i)
+				}
+			}
+		}
+	}
+	if ds, err := PartitionRun("V", nil, 4, Broadcast{P: 4}); err != nil || len(ds) != 0 {
+		t.Errorf("nil run: %d deliveries, err %v", len(ds), err)
+	}
+	if _, err := PartitionRun("V", randomRun(rng, 2, 3, 9, false), 2, RouteFunc(func(relation.Tuple) []int { return []int{2} })); err == nil {
+		t.Error("out-of-range destination accepted")
+	}
+}
+
+// FuzzMergeRuns deals fuzzer-chosen values into runs of a
+// fuzzer-chosen arity and count and checks MergeRuns — the
+// materializing adapter over Merge — against DedupSort of the
+// concatenation, on whichever layouts the values land, and that the
+// runs survive untouched.
+func FuzzMergeRuns(f *testing.F) {
+	vals := func(vs ...uint64) []byte {
+		out := make([]byte, 0, 8*len(vs))
+		for _, v := range vs {
+			out = binary.LittleEndian.AppendUint64(out, v)
+		}
+		return out
+	}
+	f.Add(uint8(1), uint8(2), vals(1, 2, 3, 4, 1, 2, 3, 4, 5, 6))
+	f.Add(uint8(1), uint8(1), vals(1<<32, 0, 1, 2, 1<<32, 0, 1, 2))          // arity-2 values ≥ 2³²: one run flat, one packed
+	f.Add(uint8(4), uint8(3), vals(40000, 1, 2, 3, 4, 40000, 1, 2, 3, 4, 7)) // 5 × 16 bits > 64
+	f.Add(uint8(0), uint8(0), vals(1<<62, 1<<62, 0))
+	f.Add(uint8(2), uint8(4), []byte{})
+	f.Fuzz(func(t *testing.T, arity, split uint8, data []byte) {
+		a := 1 + int(arity)%6
+		k := 1 + int(split)%5
+		runs := make([]*Buffer, k)
+		for i := range runs {
+			runs[i] = NewBuffer(a)
+		}
+		row := make(relation.Tuple, 0, a)
+		for n := 0; len(data) >= 8; data = data[8:] {
+			row = append(row, int(binary.LittleEndian.Uint64(data)&^(1<<63))) // non-negative
+			if len(row) == a {
+				runs[n%k].Append(row)
+				row, n = row[:0], n+1
+			}
+		}
+		for _, r := range runs {
+			r.Seal()
+		}
+		before := snap(runs)
+		want := relation.DedupSort(tuplesOf(runs...))
+		got := MergeRuns(runs)
+		if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("arity %d, %d runs: merged %v, want %v", a, k, got, want)
+		}
+		checkUntouched(t, "MergeRuns", runs, before)
+	})
+}

@@ -15,8 +15,9 @@
 // fall out of buffer sizes with no per-message accounting.
 //
 // Receivers accumulate sealed (sorted) runs in a Column; deduplicated
-// global answers come from a k-way merge over sorted runs (MergeRuns /
-// MergeDedupTuples) instead of concatenate-then-sort.
+// global answers come from a k-way merge over sorted runs (Merge)
+// instead of concatenate-then-sort, and the coordinator's set algebra
+// on gathered views (Merge, Diff, Project) stays on sealed runs.
 //
 // Routing policy is pluggable through the Partitioner interface; the
 // three disciplines of the engines — plain hash partitioning, hypercube
@@ -61,8 +62,11 @@ func NewBuffer(arity int) *Buffer {
 // Arity returns the tuple arity.
 func (b *Buffer) Arity() int { return b.arity }
 
-// Len returns the number of buffered tuples.
+// Len returns the number of buffered tuples; a nil buffer is empty.
 func (b *Buffer) Len() int {
+	if b == nil {
+		return 0
+	}
 	if b.packed {
 		return len(b.words)
 	}
@@ -191,11 +195,52 @@ func (b *Buffer) AppendTuples(dst []relation.Tuple) []relation.Tuple {
 	return b.appendRange(dst, 0, b.Len())
 }
 
+// Tuples materializes the buffered tuples over one fresh backing array
+// (nil for a nil or empty buffer) — the one point where a run that
+// stayed columnar through the coordinator becomes a caller-owned
+// answer.
+func (b *Buffer) Tuples() []relation.Tuple {
+	if b.Len() == 0 {
+		return nil
+	}
+	return b.AppendTuples(nil)
+}
+
+// Row decodes the i-th tuple into dst, which must have the buffer's
+// arity, and returns it — the allocation-free read for consumers that
+// look at one tuple at a time through a reused scratch tuple.
+func (b *Buffer) Row(i int, dst relation.Tuple) relation.Tuple {
+	if !b.packed {
+		copy(dst, b.flat[i*b.arity:(i+1)*b.arity])
+		return dst
+	}
+	key, mask := b.words[i], relation.PackedMask(b.shift)
+	for j := b.arity - 1; j >= 0; j-- {
+		dst[j] = int(key & mask)
+		key >>= b.shift
+	}
+	return dst
+}
+
+// rows returns the buffer's tuples as row-major values: the flat
+// payload itself, or a packed payload decoded into a fresh slice.
+func (b *Buffer) rows() []int {
+	if !b.packed {
+		return b.flat
+	}
+	out := make([]int, len(b.words)*b.arity)
+	for i := range b.words {
+		b.Row(i, out[i*b.arity:(i+1)*b.arity])
+	}
+	return out
+}
+
 // appendRange materializes tuples [from, to) with fresh backing.
 func (b *Buffer) appendRange(dst []relation.Tuple, from, to int) []relation.Tuple {
 	if from >= to {
 		return dst
 	}
+	dst = slices.Grow(dst, to-from)
 	backing := make([]int, (to-from)*b.arity)
 	if b.packed {
 		mask := relation.PackedMask(b.shift)
@@ -287,6 +332,23 @@ func NewBufferFromFlat(arity int, flat []int) (*Buffer, error) {
 	b := &Buffer{arity: arity, flat: flat}
 	b.Seal()
 	return b, nil
+}
+
+// NewBufferFromSortedFlat reconstructs a sealed flat-path buffer from a
+// row-major payload that is already sorted — the trusted counterpart of
+// NewBufferFromFlat, mirroring NewBufferFromSortedWords: payloads
+// between this repo's own coordinator and workers come from sealed
+// buffers by construction, so the value check and the re-sort are
+// skipped. It takes ownership of flat. Callers decoding untrusted
+// input must use NewBufferFromFlat instead.
+func NewBufferFromSortedFlat(arity int, flat []int) (*Buffer, error) {
+	if arity < 1 {
+		return nil, fmt.Errorf("exchange: flat buffer arity %d, need ≥ 1", arity)
+	}
+	if len(flat)%arity != 0 {
+		return nil, fmt.Errorf("exchange: flat payload of %d values is not a multiple of arity %d", len(flat), arity)
+	}
+	return &Buffer{arity: arity, flat: flat, sealed: true}, nil
 }
 
 // sortFlat sorts a row-major flat slice of the given stride

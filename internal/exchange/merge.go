@@ -1,168 +1,297 @@
 package exchange
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/relation"
 )
 
-// MergeRuns k-way merges sealed sorted runs into their deduplicated,
-// lexicographically sorted union — the columnar replacement for
-// concatenate-then-sort answer gathering. When every run is packed at
-// the same arity the merge works directly on uint64 words; otherwise it
-// falls back to materializing and relation.DedupSort.
-func MergeRuns(runs []*Buffer) []relation.Tuple {
+// This file is the run algebra of the exchange layer: union, difference
+// and projection of sealed runs, each producing one sealed run. Between
+// a gather's wire decode and the final materialization of an answer the
+// coordinator stays on these — linear passes over pointer-free words or
+// row-major rows — and never builds a []relation.Tuple of a whole view.
+// Every operation works on either layout; a packed run meeting a flat
+// one is read through its decoded rows. Inputs are only read (the
+// recovery journal may re-send the same buffers).
+
+// Merge returns the sorted, deduplicated union of the runs as one
+// sealed run: one k-way merge (mergeSorted) over packed words when
+// every run is packed, over row-major rows when any run is on the flat
+// layout. Nil and empty runs are skipped; with no tuples at all the
+// result is nil.
+// All runs must share one arity (they are the per-worker pieces of one
+// view, so mixed arities indicate a routing bug and panic).
+func Merge(runs []*Buffer) *Buffer {
 	live := runs[:0:0]
+	packed := true
 	for _, r := range runs {
-		if r != nil && r.Len() > 0 {
-			live = append(live, r)
+		if r.Len() == 0 {
+			continue
 		}
+		if len(live) > 0 && r.arity != live[0].arity {
+			panic(fmt.Sprintf("exchange: merge of arity-%d and arity-%d runs", live[0].arity, r.arity))
+		}
+		r.Seal()
+		packed = packed && r.packed
+		live = append(live, r)
 	}
 	if len(live) == 0 {
 		return nil
 	}
-	arity := live[0].arity
-	packed := true
-	for _, r := range live {
-		if !r.sealed {
-			r.Seal()
-		}
-		if !r.packed || r.arity != arity {
-			packed = false
-		}
+	if packed {
+		return &Buffer{arity: live[0].arity, shift: live[0].shift, words: MergeWords(live), packed: true, sealed: true}
 	}
-	if !packed {
-		var all []relation.Tuple
-		for _, r := range live {
-			all = r.AppendTuples(all)
-		}
-		return relation.DedupSort(all)
+	rows := make([][]int, len(live))
+	for i, r := range live {
+		rows[i] = r.rows()
 	}
-	words := MergeWords(live)
-	// Unpack into tuples over one fresh backing array.
-	shift := live[0].shift
-	mask := relation.PackedMask(shift)
-	backing := make([]int, len(words)*arity)
-	out := make([]relation.Tuple, len(words))
-	for i, key := range words {
-		row := backing[i*arity : (i+1)*arity]
-		for j := arity - 1; j >= 0; j-- {
-			row[j] = int(key & mask)
-			key >>= shift
-		}
-		out[i] = relation.Tuple(row)
-	}
-	return out
+	return &Buffer{arity: live[0].arity, flat: mergeSorted(rows, live[0].arity), sealed: true}
 }
 
 // MergeWords returns the sorted, deduplicated union of the word
-// payloads of sealed packed runs of one arity — the word-level k-way
-// merge under MergeRuns and FoldRuns, exported for consumers that stay
-// on packed words end to end (the worker-side trie builder of
-// internal/localjoin). Every non-empty run must be packed (Words
-// reports true); a run on the flat layout panics rather than vanish
-// from the union. The result is freshly allocated; the runs are only
-// read.
+// payloads of sealed packed runs of one arity — Merge's packed path,
+// exported for consumers that stay on packed words end to end (the
+// worker-side trie builder of internal/localjoin). Every non-empty run
+// must be packed (Words reports true); a run on the flat layout panics
+// rather than vanish from the union. The result is freshly allocated;
+// the runs are only read.
 func MergeWords(runs []*Buffer) []uint64 {
-	type cursor struct {
-		words []uint64
-		pos   int
-	}
-	h := make([]cursor, 0, len(runs))
-	total := 0
+	words := make([][]uint64, 0, len(runs))
 	for _, r := range runs {
 		if !r.packed && r.Len() > 0 {
 			panic("exchange: MergeWords over a run on the flat layout")
 		}
-		if len(r.words) > 0 {
-			h = append(h, cursor{words: r.words})
-			total += len(r.words)
+		words = append(words, r.words)
+	}
+	return mergeSorted(words, 1)
+}
+
+// mergeSorted is the one k-way merge of the package: the sorted,
+// deduplicated union of sorted row sequences of the given stride
+// (stride 1 over packed words, stride = arity over row-major values),
+// freshly allocated. It is a balanced tree of two-way merges: each pass
+// merges neighbouring runs pairwise, ⌈log₂ k⌉ passes in all, every one
+// a branch-light linear scan — the shape that makes folding a Δ into a
+// sorted closure (k = 2) a single copy-speed pass and beats a cursor
+// heap at gather fan-ins too. Passes alternate between two arenas of
+// the total input size; the result is a prefix of one of them.
+func mergeSorted[T uint64 | int](runs [][]T, stride int) []T {
+	live := make([][]T, 0, len(runs))
+	total := 0
+	for _, r := range runs {
+		if len(r) > 0 {
+			live = append(live, r)
+			total += len(r)
 		}
 	}
-	out := make([]uint64, 0, total)
-	less := func(a, b cursor) bool { return a.words[a.pos] < b.words[b.pos] }
-	down := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			small := i
-			if l < len(h) && less(h[l], h[small]) {
-				small = l
+	if total == 0 {
+		return nil
+	}
+	var arenas [2][]T
+	for pass := 0; ; pass++ {
+		dst := arenas[pass%2]
+		if dst == nil {
+			dst = make([]T, total)
+			arenas[pass%2] = dst
+		}
+		merged, off := live[:0], 0
+		for i := 0; i < len(live); i += 2 {
+			var b []T // an odd run out merges with nothing: a deduplicating copy
+			if i+1 < len(live) {
+				b = live[i+1]
 			}
-			if r < len(h) && less(h[r], h[small]) {
-				small = r
-			}
-			if small == i {
-				return
-			}
-			h[i], h[small] = h[small], h[i]
-			i = small
+			span := len(live[i]) + len(b)
+			n := mergePair(dst[off:off+span], live[i], b, stride)
+			merged = append(merged, dst[off:off+n])
+			off += span
+		}
+		if live = merged; len(live) == 1 {
+			return live[0]
 		}
 	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		down(i)
+}
+
+// mergePair writes the sorted, deduplicated union of the sorted row
+// sequences a and b into dst (len(dst) ≥ len(a)+len(b)) and returns
+// the number of values written. Duplicates are dropped across and
+// within the inputs: a row is written only when it differs from the
+// last one written. Single-value rows (packed words) take a scalar
+// loop — half the cost per word of the strided one, and the loop every
+// fixpoint iteration and worker trie build runs.
+func mergePair[T uint64 | int](dst, a, b []T, stride int) int {
+	n := 0
+	if stride == 1 {
+		put := func(v T) {
+			if n == 0 || dst[n-1] != v {
+				dst[n] = v
+				n++
+			}
+		}
+		i, j := 0, 0
+		for i < len(a) && j < len(b) {
+			if v := b[j]; v < a[i] {
+				put(v)
+				j++
+			} else {
+				put(a[i])
+				i++
+			}
+		}
+		for _, v := range a[i:] {
+			put(v)
+		}
+		for _, v := range b[j:] {
+			put(v)
+		}
+		return n
 	}
-	for len(h) > 0 {
-		c := &h[0]
-		w := c.words[c.pos]
-		if len(out) == 0 || out[len(out)-1] != w {
-			out = append(out, w)
+	put := func(row []T) {
+		if n == 0 || compareRows(dst[n-stride:n], row) != 0 {
+			n += copy(dst[n:], row)
 		}
-		c.pos++
-		if c.pos == len(c.words) {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
+	}
+	for len(a) > 0 && len(b) > 0 {
+		if compareRows(a[:stride], b[:stride]) <= 0 {
+			put(a[:stride])
+			a = a[stride:]
+		} else {
+			put(b[:stride])
+			b = b[stride:]
 		}
-		down(0)
+	}
+	for ; len(a) > 0; a = a[stride:] {
+		put(a[:stride])
+	}
+	for ; len(b) > 0; b = b[stride:] {
+		put(b[:stride])
+	}
+	return n
+}
+
+// compareRows orders two equal-length rows lexicographically.
+func compareRows[T uint64 | int](a, b []T) int {
+	for i, v := range a {
+		if v != b[i] {
+			if v < b[i] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
+// Diff returns the tuples of a that are not in b, in a's order, as one
+// sealed run — the set difference a semi-naive fixpoint takes against
+// what it already knows. Both runs are sorted (they are sealed here if
+// not yet); a's multiplicities carry over, so a deduplicated a gives a
+// deduplicated result. When there is nothing to subtract the result is
+// a itself — sealed runs are immutable, so sharing is safe.
+func Diff(a, b *Buffer) *Buffer {
+	if a.Len() == 0 || b.Len() == 0 {
+		return a
+	}
+	if a.arity != b.arity {
+		panic(fmt.Sprintf("exchange: diff of arity-%d and arity-%d runs", a.arity, b.arity))
+	}
+	a.Seal()
+	b.Seal()
+	if a.packed && b.packed {
+		return &Buffer{arity: a.arity, shift: a.shift, words: diffSorted(a.words, b.words, 1), packed: true, sealed: true}
+	}
+	return &Buffer{arity: a.arity, flat: diffSorted(a.rows(), b.rows(), a.arity), sealed: true}
+}
+
+// diffSorted returns the rows of a absent from b (both sorted, same
+// stride), freshly allocated. b is searched by galloping from the last
+// match — doubling steps, then bisection — so subtracting a large
+// closure from a small Δ costs O(|Δ|·log) row comparisons, not a scan
+// of the closure.
+func diffSorted[T uint64 | int](a, b []T, stride int) []T {
+	out := make([]T, 0, len(a))
+	nb := len(b) / stride
+	j := 0 // first row of b not known to be < the current row of a
+	for i := 0; i < len(a); i += stride {
+		row := a[i : i+stride]
+		step := 1
+		for j+step <= nb && compareRows(b[(j+step-1)*stride:(j+step)*stride], row) < 0 {
+			j += step
+			step *= 2
+		}
+		lo, hi := j, min(j+step-1, nb) // b[lo-1] < row ≤ b[hi] (or hi == nb)
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if compareRows(b[mid*stride:(mid+1)*stride], row) < 0 {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		j = lo
+		if j == nb || compareRows(b[j*stride:(j+1)*stride], row) != 0 {
+			out = append(out, row...)
+		}
 	}
 	return out
 }
 
-// FoldRuns streams the deduplicated sorted union of the runs into
-// yield, one tuple at a time, without materializing the merged answer
-// set — the gather-phase hook grouped aggregation folds through: the
-// coordinator keeps one accumulator row per group instead of the full
-// answer. On the packed fast path the tuple passed to yield is reused
-// between calls; yield must not retain it.
+// Project returns the run's tuples restricted to the columns cols, in
+// that order (a selection, a permutation, or both), sorted and
+// deduplicated, as one sealed run. The result picks its own layout:
+// projecting a wide flat run onto few columns packs again.
+func Project(run *Buffer, cols []int) *Buffer {
+	if run == nil {
+		return nil
+	}
+	out := NewBuffer(len(cols))
+	n := run.Len()
+	out.Grow(n)
+	row := make(relation.Tuple, run.arity)
+	sel := make(relation.Tuple, len(cols))
+	for i := 0; i < n; i++ {
+		run.Row(i, row)
+		for j, c := range cols {
+			sel[j] = row[c]
+		}
+		out.Append(sel)
+	}
+	out.Dedup()
+	return out
+}
+
+// NewRun returns the tuples as one sealed run: sorted, deduplicated.
+func NewRun(arity int, tuples []relation.Tuple) *Buffer {
+	b := NewBuffer(arity)
+	b.Grow(len(tuples))
+	for _, t := range tuples {
+		b.Append(t)
+	}
+	b.Dedup()
+	return b
+}
+
+// MergeRuns materializes Merge: the deduplicated, lexicographically
+// sorted union of the runs as tuples over one fresh backing array.
+func MergeRuns(runs []*Buffer) []relation.Tuple {
+	return Merge(runs).Tuples()
+}
+
+// FoldRuns streams Merge into yield, one tuple at a time, without
+// materializing the merged answer as tuples — the gather-phase hook
+// grouped aggregation folds through: the coordinator keeps one
+// accumulator row per group instead of the full answer. The tuple
+// passed to yield is reused between calls; yield must not retain it.
 func FoldRuns(runs []*Buffer, yield func(relation.Tuple)) {
-	live := runs[:0:0]
-	for _, r := range runs {
-		if r != nil && r.Len() > 0 {
-			live = append(live, r)
-		}
-	}
-	if len(live) == 0 {
+	merged := Merge(runs)
+	n := merged.Len()
+	if n == 0 {
 		return
 	}
-	arity := live[0].arity
-	packed := true
-	for _, r := range live {
-		if !r.sealed {
-			r.Seal()
-		}
-		if !r.packed || r.arity != arity {
-			packed = false
-		}
-	}
-	if !packed {
-		var all []relation.Tuple
-		for _, r := range live {
-			all = r.AppendTuples(all)
-		}
-		for _, t := range relation.DedupSort(all) {
-			yield(t)
-		}
-		return
-	}
-	words := MergeWords(live)
-	shift := live[0].shift
-	mask := relation.PackedMask(shift)
-	row := make(relation.Tuple, arity)
-	for _, key := range words {
-		for j := arity - 1; j >= 0; j-- {
-			row[j] = int(key & mask)
-			key >>= shift
-		}
-		yield(row)
+	row := make(relation.Tuple, merged.arity)
+	for i := 0; i < n; i++ {
+		yield(merged.Row(i, row))
 	}
 }
 
@@ -185,18 +314,10 @@ func MergeDedupTuples(groups [][]relation.Tuple, arity int) []relation.Tuple {
 	if total == 0 {
 		return nil
 	}
-	build := func(g []relation.Tuple) *Buffer {
-		b := NewBuffer(arity)
-		for _, t := range g {
-			b.Append(t)
-		}
-		b.Seal()
-		return b
-	}
 	if total < mergeParallelThreshold {
 		for _, g := range groups {
 			if len(g) > 0 {
-				runs = append(runs, build(g))
+				runs = append(runs, NewRun(arity, g))
 			}
 		}
 		return MergeRuns(runs)
@@ -210,7 +331,7 @@ func MergeDedupTuples(groups [][]relation.Tuple, arity int) []relation.Tuple {
 		wg.Add(1)
 		go func(i int, g []relation.Tuple) {
 			defer wg.Done()
-			runs[i] = build(g)
+			runs[i] = NewRun(arity, g)
 		}(i, g)
 	}
 	wg.Wait()

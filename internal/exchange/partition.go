@@ -87,10 +87,74 @@ const minShard = 2048
 // sealed runs in deterministic (destination-major, shard-minor) order.
 // It errors on any out-of-range destination.
 func Partition(rel string, tuples []relation.Tuple, arity, p int, part Partitioner) ([]Delivery, error) {
+	return partitionShards(rel, len(tuples), p, func(lo, hi int, bufs []*Buffer) error {
+		var dsts []int
+		for i := lo; i < hi; i++ {
+			t := tuples[i]
+			dsts = part.Route(i, t, dsts[:0])
+			for _, d := range dsts {
+				if d < 0 || d >= p {
+					return badDestination(rel, d, p)
+				}
+				b := bufs[d]
+				if b == nil {
+					b = NewBuffer(arity)
+					bufs[d] = b
+				}
+				b.Append(t)
+			}
+		}
+		return nil
+	})
+}
+
+// PartitionRun is Partition over a sealed run instead of a tuple
+// slice — the re-scatter of a gathered view that never became tuples.
+// Each row is routed through a reused scratch tuple and a packed source
+// word is appended as it is, so the deliveries are bit-identical to
+// Partition over the run's materialized tuples without a []Tuple or a
+// re-pack. A nil run partitions into nothing.
+func PartitionRun(rel string, run *Buffer, p int, part Partitioner) ([]Delivery, error) {
+	return partitionShards(rel, run.Len(), p, func(lo, hi int, bufs []*Buffer) error {
+		var dsts []int
+		row := make(relation.Tuple, run.arity)
+		for i := lo; i < hi; i++ {
+			t := run.Row(i, row)
+			dsts = part.Route(i, t, dsts[:0])
+			for _, d := range dsts {
+				if d < 0 || d >= p {
+					return badDestination(rel, d, p)
+				}
+				b := bufs[d]
+				if b == nil {
+					b = NewBuffer(run.arity)
+					bufs[d] = b
+				}
+				if run.packed {
+					b.words = append(b.words, run.words[i])
+				} else {
+					b.Append(t)
+				}
+			}
+		}
+		return nil
+	})
+}
+
+func badDestination(rel string, d, p int) error {
+	return fmt.Errorf("exchange: partition %s: destination %d out of range [0,%d)", rel, d, p)
+}
+
+// partitionShards is the sender fan-out shared by Partition and
+// PartitionRun: it splits n source rows into shards, has fill route
+// rows [lo, hi) of each shard into that shard's per-destination
+// buffers on its own goroutine, seals them there (a parallel sort), and
+// collects the non-empty runs destination-major, shard-minor.
+func partitionShards(rel string, n, p int, fill func(lo, hi int, bufs []*Buffer) error) ([]Delivery, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("exchange: partition %s: %d workers", rel, p)
 	}
-	shards := len(tuples) / minShard
+	shards := n / minShard
 	if max := runtime.GOMAXPROCS(0); shards > max {
 		shards = max
 	}
@@ -99,13 +163,13 @@ func Partition(rel string, tuples []relation.Tuple, arity, p int, part Partition
 	}
 	per := make([][]*Buffer, shards) // shard → dest → buffer
 	errs := make([]error, shards)
-	chunk := (len(tuples) + shards - 1) / shards
+	chunk := (n + shards - 1) / shards
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
 		lo := s * chunk
 		hi := lo + chunk
-		if hi > len(tuples) {
-			hi = len(tuples)
+		if hi > n {
+			hi = n
 		}
 		if lo >= hi {
 			continue
@@ -114,22 +178,8 @@ func Partition(rel string, tuples []relation.Tuple, arity, p int, part Partition
 		go func(s, lo, hi int) {
 			defer wg.Done()
 			bufs := make([]*Buffer, p)
-			var dsts []int
-			for i := lo; i < hi; i++ {
-				t := tuples[i]
-				dsts = part.Route(i, t, dsts[:0])
-				for _, d := range dsts {
-					if d < 0 || d >= p {
-						errs[s] = fmt.Errorf("exchange: partition %s: destination %d out of range [0,%d)", rel, d, p)
-						return
-					}
-					b := bufs[d]
-					if b == nil {
-						b = NewBuffer(arity)
-						bufs[d] = b
-					}
-					b.Append(t)
-				}
+			if errs[s] = fill(lo, hi, bufs); errs[s] != nil {
+				return
 			}
 			for _, b := range bufs {
 				if b != nil {

@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/dist"
+	"repro/internal/exchange"
 	"repro/internal/mpc"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -41,10 +41,12 @@ type Report struct {
 	AnswersAdded   int
 	AnswersRemoved int
 	// Fresh lists the genuinely new answers of the batch — the
-	// AnswersAdded tuples, sorted. It is the Δ a semi-naive fixpoint
-	// loop projects and feeds into its next iteration. Callers must
-	// not mutate the tuples (they are shared with Answers()).
+	// AnswersAdded tuples, sorted.
 	Fresh []relation.Tuple
+	// FreshRun is Fresh as the sealed run it was computed as (nil or
+	// empty when nothing was added) — the Δ a semi-naive fixpoint loop
+	// projects and diffs without going through tuples.
+	FreshRun *exchange.Buffer
 	// Replacements counts workers replaced by recovery during the
 	// batch.
 	Replacements int
@@ -71,8 +73,12 @@ type Maintainer struct {
 	proj map[string][]int
 	// arity maps atom name → relation arity.
 	arity map[string]int
-	// answers is the sorted, deduplicated materialized answer.
-	answers []relation.Tuple
+	// answers is the materialized answer as one sealed, deduplicated
+	// run (nil when empty); batches maintain it with linear passes over
+	// its words or rows.
+	answers *exchange.Buffer
+	// tuples caches Answers() between batches; nil when stale.
+	tuples []relation.Tuple
 	// seq numbers maintenance batches; Δ view names embed it so no
 	// two batches share worker-side view state.
 	seq int
@@ -174,19 +180,29 @@ func NewMaintainer(q *query.Query, db *relation.Database, p int, opts Options) (
 		cluster.Close()
 		return nil, err
 	}
-	answers, err := cluster.Gather(ctx, answersView)
-	if err != nil {
+	if m.answers, err = cluster.GatherRun(ctx, answersView); err != nil {
 		cluster.Close()
 		return nil, err
 	}
-	m.answers = answers
 	return m, nil
 }
 
 // Answers returns the materialized answer: sorted, deduplicated, and
-// current as of the last ApplyDelta. The slice is shared; callers must
-// not mutate it.
-func (m *Maintainer) Answers() []relation.Tuple { return m.answers }
+// current as of the last ApplyDelta. The tuples are built from the
+// maintained run on first use after a batch and cached until the next;
+// the slice is shared and callers must not mutate it.
+func (m *Maintainer) Answers() []relation.Tuple {
+	if m.tuples == nil {
+		m.tuples = m.answers.Tuples()
+	}
+	return m.tuples
+}
+
+// Run returns the materialized answer as the sealed run the maintainer
+// keeps (nil when empty) — Answers without building tuples. Sealed
+// runs are immutable; the next ApplyDelta replaces the run rather than
+// changing it.
+func (m *Maintainer) Run() *exchange.Buffer { return m.answers }
 
 // Stats returns the cluster's communication record, cold distribution
 // and every maintenance batch included.
@@ -277,10 +293,13 @@ func (m *Maintainer) ApplyDelta(changes map[string]relation.Effect) (*Report, er
 		removedSets[name] = set
 	}
 	removed := 0
-	if len(removedSets) > 0 {
+	if len(removedSets) > 0 && m.answers.Len() > 0 {
 		witness := make(relation.Tuple, 0, 8)
-		live := m.answers[:0]
-		for _, ans := range m.answers {
+		ans := make(relation.Tuple, m.answers.Arity())
+		live := exchange.NewBuffer(m.answers.Arity())
+		live.Grow(m.answers.Len())
+		for i, n := 0, m.answers.Len(); i < n; i++ {
+			m.answers.Row(i, ans)
 			dead := false
 			for name, set := range removedSets {
 				witness = witness[:0]
@@ -295,10 +314,13 @@ func (m *Maintainer) ApplyDelta(changes map[string]relation.Effect) (*Report, er
 			if dead {
 				removed++
 			} else {
-				live = append(live, ans)
+				live.Append(ans)
 			}
 		}
-		m.answers = live
+		if removed > 0 {
+			live.Seal() // survivors arrive in order; this only freezes
+			m.answers, m.tuples = live, nil
+		}
 	}
 
 	// Insertion: one delta join per extended atom — the atom bound to
@@ -308,7 +330,7 @@ func (m *Maintainer) ApplyDelta(changes map[string]relation.Effect) (*Report, er
 	// using at least one added tuple appears in the term of one of the
 	// atoms it was added to, and stores already exclude retracted
 	// tuples, so no term resurrects a dead answer.
-	var freshNew []relation.Tuple
+	var added *exchange.Buffer
 	if changed {
 		gatherView := fmt.Sprintf("hc!delta!%d", m.seq)
 		for _, a := range m.q.Atoms {
@@ -321,17 +343,20 @@ func (m *Maintainer) ApplyDelta(changes map[string]relation.Effect) (*Report, er
 				return nil, err
 			}
 		}
-		fresh, err := m.cluster.Gather(m.ctx, gatherView)
+		fresh, err := m.cluster.GatherRun(m.ctx, gatherView)
 		if err != nil {
 			return nil, err
 		}
-		m.answers, freshNew = mergeSortedAnswers(m.answers, fresh)
+		if added = exchange.Diff(fresh, m.answers); added.Len() > 0 {
+			m.answers, m.tuples = exchange.Merge([]*exchange.Buffer{m.answers, added}), nil
+		}
 	}
 
 	rep := &Report{
-		AnswersAdded:   len(freshNew),
+		AnswersAdded:   added.Len(),
 		AnswersRemoved: removed,
-		Fresh:          freshNew,
+		Fresh:          added.Tuples(),
+		FreshRun:       added,
 		Replacements:   m.cluster.Replacements(),
 		CapExceeded:    m.capSeen,
 	}
@@ -340,41 +365,4 @@ func (m *Maintainer) ApplyDelta(changes map[string]relation.Effect) (*Report, er
 		rep.RoutedTuples += rs.TotalTuples
 	}
 	return rep, nil
-}
-
-// mergeSortedAnswers merges two sorted deduplicated tuple slices and
-// returns the union plus the tuples of fresh that were genuinely new
-// (absent from base), themselves sorted.
-func mergeSortedAnswers(base, fresh []relation.Tuple) (merged, added []relation.Tuple) {
-	if len(fresh) == 0 {
-		return base, nil
-	}
-	out := make([]relation.Tuple, 0, len(base)+len(fresh))
-	i, j := 0, 0
-	for i < len(base) && j < len(fresh) {
-		switch {
-		case base[i].Less(fresh[j]):
-			out = append(out, base[i])
-			i++
-		case fresh[j].Less(base[i]):
-			out = append(out, fresh[j])
-			added = append(added, fresh[j])
-			j++
-		default:
-			out = append(out, base[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, base[i:]...)
-	for ; j < len(fresh); j++ {
-		out = append(out, fresh[j])
-		added = append(added, fresh[j])
-	}
-	if !sort.SliceIsSorted(out, func(a, b int) bool { return out[a].Less(out[b]) }) {
-		// Defensive: gathered runs are sorted by construction, so this
-		// cannot fire; sorting keeps the invariant if it ever does.
-		sort.Slice(out, func(a, b int) bool { return out[a].Less(out[b]) })
-	}
-	return out, added
 }

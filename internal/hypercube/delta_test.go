@@ -149,6 +149,43 @@ func buildScenario(t *testing.T, rng *rand.Rand, q *query.Query, db0 *relation.D
 	return sc
 }
 
+// shifted returns the scenario relabelled by +offset on every value —
+// the same batches over a domain wide enough to push every run,
+// binary relations included, onto the flat layout.
+func (sc *maintScenario) shifted(offset int) *maintScenario {
+	tuples := func(ts []relation.Tuple) []relation.Tuple {
+		out := make([]relation.Tuple, len(ts))
+		for i, t := range ts {
+			out[i] = make(relation.Tuple, len(t))
+			for j, v := range t {
+				out[i][j] = v + offset
+			}
+		}
+		return out
+	}
+	database := func(db *relation.Database) *relation.Database {
+		out := relation.NewDatabase(db.N + offset)
+		for _, name := range db.Names() {
+			r, _ := db.Relation(name)
+			w := relation.New(r.Name, r.Attrs...)
+			w.Tuples = tuples(r.Tuples)
+			out.AddRelation(w)
+		}
+		return out
+	}
+	out := &maintScenario{q: sc.q, db0: database(sc.db0)}
+	for b, eff := range sc.effs {
+		wide := make(map[string]relation.Effect, len(eff))
+		for name, e := range eff {
+			wide[name] = relation.Effect{Added: tuples(e.Added), Removed: tuples(e.Removed)}
+		}
+		out.effs = append(out.effs, wide)
+		out.dbs = append(out.dbs, database(sc.dbs[b]))
+	}
+	out.final = out.dbs[len(out.dbs)-1]
+	return out
+}
+
 // runMaintainer replays the scenario's batches on one transport and
 // returns the maintainer for inspection. When check is set, answers
 // are compared against ground truth after every batch, not only at
@@ -177,8 +214,10 @@ func runMaintainer(t *testing.T, sc *maintScenario, p int, opts Options, check b
 
 // TestMaintainerMetamorphic is the metamorphic delta-equivalence net:
 // across query families (triangle, star, chain) and data regimes
-// (matching, Zipf-skewed), a maintained view under any sequence of
-// append/delete batches equals ground truth on the final state —
+// (matching, Zipf-skewed, and Zipf-skewed relabelled past 2³³ so that
+// the maintained answer run and every delta run are on the flat
+// layout), a maintained view under any sequence of append/delete
+// batches equals ground truth on the final state —
 // byte-identically across loopback and TCP transports, with identical
 // round statistics, sync or pipelined — and collapsing the whole
 // sequence into one batch changes nothing (granularity invariance).
@@ -197,7 +236,7 @@ func TestMaintainerMetamorphic(t *testing.T) {
 		{"chain3", query.Chain(3)},
 	}
 	for _, fam := range families {
-		for _, kind := range []string{"matching", "zipf"} {
+		for _, kind := range []string{"matching", "zipf", "wide"} {
 			t.Run(fam.name+"/"+kind, func(t *testing.T) {
 				rng := rand.New(rand.NewPCG(0xd017a, uint64(len(fam.name)+len(kind))))
 				var db0 *relation.Database
@@ -207,6 +246,9 @@ func TestMaintainerMetamorphic(t *testing.T) {
 					db0 = zipfDatabase(rng, fam.q, n, 1.3)
 				}
 				sc := buildScenario(t, rng, fam.q, db0, batches)
+				if kind == "wide" {
+					sc = sc.shifted(1 << 33)
+				}
 				want := groundTruth(t, fam.q, sc.final)
 
 				// Loopback, checked against ground truth after every batch.

@@ -21,10 +21,12 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
 
 	"repro/internal/cover"
 	"repro/internal/dist"
+	"repro/internal/exchange"
 	"repro/internal/hypercube"
 	"repro/internal/localjoin"
 	"repro/internal/mpc"
@@ -299,12 +301,12 @@ func Execute(plan *Plan, db *relation.Database, p int, opts Options) (*Result, e
 	if opts.Trace != nil {
 		cluster.EnableTracing(opts.Trace)
 	}
-	// env maps atom name (base relation or view) to its materialized
-	// relation.
-	env := make(map[string]*relation.Relation)
+	// env maps atom name to what the next round scatters under it: a
+	// base relation of db, or a view gathered from an earlier round.
+	env := make(map[string]source)
 	for _, name := range db.Names() {
 		r, _ := db.Relation(name)
-		env[name] = r
+		env[name] = source{attrs: r.Attrs, rel: r}
 	}
 	// A single-atom query needs no communication at all.
 	if len(plan.Steps) == 0 {
@@ -313,7 +315,7 @@ func Execute(plan *Plan, db *relation.Database, p int, opts Options) (*Result, e
 			return nil, fmt.Errorf("multiround: no relation for atom %s", plan.Query.Atoms[0].Name)
 		}
 		answers, err := localjoin.Evaluate(plan.Query,
-			localjoin.Bindings{plan.Query.Atoms[0].Name: base.Tuples}, opts.Strategy)
+			localjoin.Bindings{plan.Query.Atoms[0].Name: base.rel.Tuples}, opts.Strategy)
 		if err != nil {
 			return nil, err
 		}
@@ -350,15 +352,20 @@ func Execute(plan *Plan, db *relation.Database, p int, opts Options) (*Result, e
 			cluster.BeginRound()
 			for _, w := range work {
 				for _, atom := range w.group.Query.Atoms {
-					rel, ok := env[atom.Name]
+					src, ok := env[atom.Name]
 					if !ok {
 						return nil, fmt.Errorf("multiround: no relation for atom %s", atom.Name)
 					}
 					// Store under a per-view key: two groups may consume
 					// the same base relation in one round.
-					prefix := w.group.View + "/"
+					as := w.group.View + "/" + atom.Name
 					part := hypercube.NewGridPartitioner(w.shares, w.hasher, atom)
-					if err := cluster.Scatter(ctx, rel, prefix+atom.Name, part); err != nil {
+					if src.rel != nil {
+						err = cluster.Scatter(ctx, src.rel, as, part)
+					} else {
+						err = cluster.ScatterRun(ctx, src.run, as, part)
+					}
+					if err != nil {
 						return nil, err
 					}
 				}
@@ -370,25 +377,24 @@ func Execute(plan *Plan, db *relation.Database, p int, opts Options) (*Result, e
 					return nil, err
 				}
 			}
-			// Local joins: materialize each view.
+			// Local joins: gather each view as one sealed run.
 			for _, w := range work {
-				view, err := materializeView(ctx, cluster, w.group, opts.Strategy)
+				run, err := gatherView(ctx, cluster, w.group, opts.Strategy)
 				if err != nil {
 					return nil, err
 				}
-				env[w.group.View] = view
+				env[w.group.View] = source{attrs: w.group.Query.Vars(), run: run}
 			}
 		}
-		// Passthrough renames.
+		// Passthrough renames: sources are read-only, so the view shares
+		// its atom's data.
 		for _, g := range step.Groups {
 			if g.Query == nil {
 				src, ok := env[g.Atoms[0]]
 				if !ok {
 					return nil, fmt.Errorf("multiround: no relation for passthrough atom %s", g.Atoms[0])
 				}
-				renamed := src.Clone()
-				renamed.Name = g.View
-				env[g.View] = renamed
+				env[g.View] = src
 			}
 		}
 	}
@@ -415,11 +421,21 @@ func Execute(plan *Plan, db *relation.Database, p int, opts Options) (*Result, e
 	}, nil
 }
 
-// materializeView gathers the per-worker join results of one group
-// into a relation over the group query's variables: the workers join
-// concurrently (local computation is free in the model) and their
-// sorted outputs k-way merge in the gather.
-func materializeView(ctx context.Context, cluster *dist.Cluster, g Group, strategy localjoin.Strategy) (*relation.Relation, error) {
+// source is one entry of the executor's environment: the schema of an
+// atom plus its data, either a base relation (rel) or a view gathered
+// from an earlier round and kept as a sealed run (rel nil; a nil run is
+// an empty view).
+type source struct {
+	attrs []string
+	rel   *relation.Relation
+	run   *exchange.Buffer
+}
+
+// gatherView joins one group's inputs at the workers and gathers the
+// results as one sealed run over the group query's variables: the
+// workers join concurrently (local computation is free in the model)
+// and their sorted outputs k-way merge in the gather.
+func gatherView(ctx context.Context, cluster *dist.Cluster, g Group, strategy localjoin.Strategy) (*exchange.Buffer, error) {
 	prefix := g.View + "/"
 	bindings := make(map[string]string, len(g.Query.Atoms))
 	for _, atom := range g.Query.Atoms {
@@ -431,35 +447,27 @@ func materializeView(ctx context.Context, cluster *dist.Cluster, g Group, strate
 	if err := cluster.Join(ctx, g.Query, bindings, store, strategy); err != nil {
 		return nil, err
 	}
-	tuples, err := cluster.Gather(ctx, store)
-	if err != nil {
-		return nil, err
-	}
-	out := relation.New(g.View, g.Query.Vars()...)
-	out.Tuples = tuples
-	return out, nil
+	return cluster.GatherRun(ctx, store)
 }
 
-// reorder projects a relation's columns into the requested variable
-// order (schemas of the final view and the original query contain the
-// same variables, possibly ordered differently).
-func reorder(r *relation.Relation, vars []string) ([]relation.Tuple, error) {
-	idx := make([]int, len(vars))
+// reorder materializes the final view in the requested variable order
+// (the schemas of the final view and the original query contain the
+// same variables, possibly ordered differently). A view already in
+// that order is sorted as gathered; any other order is one projection
+// of the run.
+func reorder(final source, vars []string) ([]relation.Tuple, error) {
+	if final.rel != nil {
+		return nil, fmt.Errorf("multiround: final view is the ungathered relation %s", final.rel.Name)
+	}
+	if slices.Equal(final.attrs, vars) {
+		return final.run.Tuples(), nil
+	}
+	cols := make([]int, len(vars))
 	for i, v := range vars {
-		j := r.AttrIndex(v)
-		if j < 0 {
+		cols[i] = slices.Index(final.attrs, v)
+		if cols[i] < 0 {
 			return nil, fmt.Errorf("multiround: final view missing variable %s", v)
 		}
-		idx[i] = j
 	}
-	out := make([]relation.Tuple, 0, len(r.Tuples))
-	for _, t := range r.Tuples {
-		row := make(relation.Tuple, len(idx))
-		for i, j := range idx {
-			row[i] = t[j]
-		}
-		out = append(out, row)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out, nil
+	return exchange.Project(final.run, cols).Tuples(), nil
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exchange"
 	"repro/internal/localjoin"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -274,6 +275,35 @@ func assertSameTuples(t *testing.T, got, want []relation.Tuple) {
 	for i := range want {
 		if !got[i].Equal(want[i]) {
 			t.Fatalf("tuple %d: got %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestReorder: a final view already in the query's variable order is
+// materialized as gathered; any other order is projected and re-sorted;
+// a missing variable is an error — on both run layouts.
+func TestReorder(t *testing.T) {
+	for _, wide := range []int{0, 1 << 40} {
+		rows := []relation.Tuple{{1, 9, 4 + wide}, {2, 3, 7}, {2, 8, 1}, {5, 1, 6}}
+		final := source{attrs: []string{"y", "x", "z"}, run: exchange.NewRun(3, rows)}
+
+		same, err := reorder(final, []string{"y", "x", "z"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameTuples(t, same, rows)
+
+		got, err := reorder(final, []string{"x", "y", "z"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameTuples(t, got, []relation.Tuple{{1, 5, 6}, {3, 2, 7}, {8, 2, 1}, {9, 1, 4 + wide}})
+
+		if _, err := reorder(final, []string{"x", "y", "w"}); err == nil {
+			t.Error("missing variable accepted")
+		}
+		if none, err := reorder(source{attrs: final.attrs}, []string{"x", "y", "z"}); err != nil || len(none) != 0 {
+			t.Errorf("empty view reordered to %v, %v", none, err)
 		}
 	}
 }

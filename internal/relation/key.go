@@ -3,7 +3,6 @@ package relation
 import (
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 // This file provides allocation-lean tuple keys. The historic
@@ -206,8 +205,9 @@ func SortWords(ws []uint64) {
 }
 
 // DedupSort removes duplicates from ts in place and sorts the result
-// lexicographically. All tuples must have the arity of ts[0] (mixed
-// arities still dedup correctly, via the fallback path).
+// lexicographically. Tuples too wide for one packed word (and mixed
+// arities, where a shorter tuple sorts before the longer ones it
+// prefixes) are sorted by comparison and compacted.
 func DedupSort(ts []Tuple) []Tuple {
 	if len(ts) == 0 {
 		return ts
@@ -215,15 +215,8 @@ func DedupSort(ts []Tuple) []Tuple {
 	if out, ok := dedupSortPacked(ts); ok {
 		return out
 	}
-	set := NewTupleSet(len(ts[0]), len(ts))
-	out := ts[:0]
-	for _, t := range ts {
-		if set.Add(t) {
-			out = append(out, t)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	slices.SortFunc(ts, Tuple.Compare)
+	return slices.CompactFunc(ts, Tuple.Equal)
 }
 
 // dedupSortPacked is the single-word fast path of DedupSort: with

@@ -1,8 +1,12 @@
 package relation
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -113,5 +117,88 @@ func TestDedupSort(t *testing.T) {
 	}
 	if got := DedupSort(nil); len(got) != 0 {
 		t.Errorf("DedupSort(nil) = %v", got)
+	}
+}
+
+// dedupSortReference is the hash-then-sort formulation DedupSort's
+// wide path used before it became sort-then-compact: dedup on the
+// fmt-rendered string key, then a reflective sort on Less.
+func dedupSortReference(ts []Tuple) []Tuple {
+	seen := make(map[string]bool, len(ts))
+	var out []Tuple
+	for _, tp := range ts {
+		k := fmt.Sprint([]int(tp))
+		if !seen[k] {
+			seen[k] = true
+			out = append(out, tp)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	return out
+}
+
+// TestDedupSortMatchesReference: on arities 1–9, with values on both
+// sides of the 2^⌊64/arity⌋ packing limit, heavy duplication and mixed
+// arities, DedupSort equals the hash-then-sort reference, and Key
+// renders what fmt did.
+func TestDedupSortMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(41, 43))
+	gen := func(arity, count int) []Tuple {
+		shift := PackedShift(arity)
+		limit := 1 << min(shift, 40)
+		ts := make([]Tuple, count)
+		for i := range ts {
+			tp := make(Tuple, arity)
+			for j := range tp {
+				switch rng.IntN(3) {
+				case 0:
+					tp[j] = rng.IntN(4)
+				case 1:
+					tp[j] = limit - 1 - rng.IntN(2)
+				default:
+					tp[j] = limit + rng.IntN(2)
+				}
+			}
+			ts[i] = tp
+		}
+		return ts
+	}
+	check := func(name string, ts []Tuple) {
+		t.Helper()
+		want := dedupSortReference(slices.Clone(ts))
+		got := DedupSort(slices.Clone(ts))
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d tuples, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("%s: [%d] = %v, want %v", name, i, got[i], want[i])
+			}
+		}
+	}
+	for arity := 1; arity <= 9; arity++ {
+		ts := gen(arity, 300)
+		check(fmt.Sprintf("arity %d", arity), ts)
+		narrow := make([]Tuple, 200)
+		for i := range narrow {
+			narrow[i] = make(Tuple, arity)
+			for j := range narrow[i] {
+				narrow[i][j] = rng.IntN(3)
+			}
+		}
+		check(fmt.Sprintf("arity %d narrow", arity), narrow)
+		mixed := append(gen(arity, 100), gen(arity+1, 100)...)
+		mixed = append(mixed, narrow[:50]...)
+		rng.Shuffle(len(mixed), func(i, j int) { mixed[i], mixed[j] = mixed[j], mixed[i] })
+		check(fmt.Sprintf("arities %d+%d", arity, arity+1), mixed)
+		for _, tp := range ts[:20] {
+			want := strings.Trim(strings.ReplaceAll(fmt.Sprint([]int(tp)), " ", "|"), "[]")
+			if tp.Key() != want {
+				t.Fatalf("Key(%v) = %q, want %q", tp, tp.Key(), want)
+			}
+		}
+	}
+	if got := (Tuple{-5, 0, 1 << 62}).Key(); got != "-5|0|4611686018427387904" {
+		t.Errorf("Key = %q", got)
 	}
 }

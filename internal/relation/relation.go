@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -44,14 +45,31 @@ func (t Tuple) Clone() Tuple {
 // allocates per call; hot paths should prefer TupleSet / DedupSort,
 // which pack tuples into uint64 keys and use Key only as a fallback.
 func (t Tuple) Key() string {
-	var sb strings.Builder
+	var arr [64]byte
+	buf := arr[:0]
 	for i, v := range t {
 		if i > 0 {
-			sb.WriteByte('|')
+			buf = append(buf, '|')
 		}
-		fmt.Fprintf(&sb, "%d", v)
+		buf = strconv.AppendInt(buf, int64(v), 10)
 	}
-	return sb.String()
+	return string(buf)
+}
+
+// Compare orders tuples lexicographically, a shorter tuple before any
+// longer one it is a prefix of: negative when t sorts first, zero when
+// the tuples are equal, positive otherwise — the comparator form of
+// Less for slices.SortFunc.
+func (t Tuple) Compare(u Tuple) int {
+	for i := 0; i < len(t) && i < len(u); i++ {
+		if t[i] != u[i] {
+			if t[i] < u[i] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return len(t) - len(u)
 }
 
 // Less orders tuples lexicographically.

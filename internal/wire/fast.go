@@ -370,10 +370,10 @@ func (rd *Reader) Next() (*Frame, error) {
 }
 
 // decodeDataTrusted parses a Data payload on the trusted path: raw
-// and packed words go straight into sealed buffers without re-sorting
-// or width validation, delta payloads decode through the (inherently
-// order-preserving) varint codec, and the flat fallback reuses the
-// validating constructor since it is off the hot path.
+// and packed words and flat rows go straight into sealed buffers
+// without re-sorting or value validation (wide answers travel on the
+// flat layout, so it is a hot path too), and delta payloads decode
+// through the (inherently order-preserving) varint codec.
 func decodeDataTrusted(body []byte, d *Data) error {
 	p := &payloadReader{b: body}
 	d.Round = p.u32()
@@ -476,7 +476,7 @@ func decodeBufferBodyTrusted(p *payloadReader) (*exchange.Buffer, error) {
 		for i := range flat {
 			flat[i] = int(int64(p.u64()))
 		}
-		buf, err := exchange.NewBufferFromFlat(arity, flat)
+		buf, err := exchange.NewBufferFromSortedFlat(arity, flat)
 		if err != nil {
 			return nil, err
 		}
