@@ -14,6 +14,7 @@ import (
 	"io"
 	"math/big"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 
@@ -489,6 +490,79 @@ func BenchmarkDatalogReach(b *testing.B) {
 	}
 	b.ReportMetric(float64(res.Iterations), "iterations")
 }
+
+// statsBenchDBs returns the two catalog shapes the statistics kernel
+// is measured on at n = 100 000: the three matchings of the triangle
+// (every column a permutation — distinct = n, the histogram's worst
+// case) and the Zipf(1.3) two-atom join of the end-to-end benchmark's
+// skew_warm workload (few distinct keys, heavy head).
+func statsBenchDBs() map[string]*relation.Database {
+	const n = 100000
+	tri := relation.NewDatabase(n)
+	rng := rand.New(rand.NewPCG(51, 51))
+	for _, a := range query.Triangle().Atoms {
+		tri.AddRelation(relation.Matching(rng, a.Name, a.Vars, n))
+	}
+	zipf := relation.NewDatabase(n)
+	zipf.AddRelation(relation.SkewedZipf(rng, "R", []string{"x", "y"}, n, 1.3))
+	zipf.AddRelation(relation.SkewedZipf(rng, "S", []string{"y", "z"}, n, 1.3))
+	return map[string]*relation.Database{"matchings": tri, "zipf1.3": zipf}
+}
+
+// BenchmarkStatsCollect times relation.CollectStats — the scan every
+// dataset pays once, at its first query or first delta.
+func BenchmarkStatsCollect(b *testing.B) {
+	dbs := statsBenchDBs()
+	for _, name := range []string{"matchings", "zipf1.3"} {
+		db := dbs[name]
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchStatsSink = relation.CollectStats(db)
+			}
+		})
+	}
+}
+
+// BenchmarkStatsDelta times IncrementalStats.Apply + Snapshot on the
+// Zipf database for the two batch shapes that used to fall off the
+// top-K maintenance's fast path: a random 1 % batch (its deletes,
+// drawn uniformly over the tuples, mostly hit heavy values and demote
+// tracked top-K entries) and the deletion of each relation's 8
+// smallest tuples. Seeding is outside the timer.
+func BenchmarkStatsDelta(b *testing.B) {
+	db := statsBenchDBs()["zipf1.3"]
+	rng := rand.New(rand.NewPCG(52, 52))
+	random := relation.Delta{Appends: map[string][]relation.Tuple{}, Deletes: map[string][]relation.Tuple{}}
+	smallest := relation.Delta{Deletes: map[string][]relation.Tuple{}}
+	for _, name := range db.Names() {
+		ts := db.Relations[name].Tuples
+		for _, i := range rng.Perm(len(ts))[:len(ts)/200] {
+			random.Deletes[name] = append(random.Deletes[name], ts[i])
+			random.Appends[name] = append(random.Appends[name], relation.Tuple{1 + rng.IntN(db.N), 1 + rng.IntN(db.N)})
+		}
+		sorted := slices.Clone(ts)
+		slices.SortFunc(sorted, relation.Tuple.Compare)
+		smallest.Deletes[name] = sorted[:8]
+	}
+	for _, bc := range []struct {
+		name  string
+		delta relation.Delta
+	}{{"random1pct", random}, {"smallest8", smallest}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				inc := relation.NewIncrementalStats(db)
+				b.StartTimer()
+				inc.Apply(bc.delta)
+				benchStatsSink = inc.Snapshot()
+			}
+		})
+	}
+}
+
+var benchStatsSink *relation.Stats
 
 // BenchmarkJoinZipf is the skewed head-to-head: R(x,y) ⋈ S(y,z) with
 // Zipf(1.1)-distributed join values, where heavy hitters make the

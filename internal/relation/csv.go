@@ -7,6 +7,13 @@ import (
 	"strconv"
 )
 
+// csvChunkRows caps how many tuples ReadCSV carves from one backing
+// array: one allocation per chunk instead of one per row, with each
+// tuple capacity-limited to its own cells so an append to one can
+// never reach its neighbour. Chunks start small and double, so a
+// ten-row file does not pin a thousand-row array.
+const csvChunkRows = 1024
+
 // ReadCSV parses a relation from CSV: the first record is the header
 // naming the attributes, each further record is one tuple of positive
 // integers. The relation name is supplied by the caller (CSV has no
@@ -14,6 +21,7 @@ import (
 func ReadCSV(r io.Reader, name string) (*Relation, error) {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
+	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("relation: reading CSV header: %w", err)
@@ -21,7 +29,11 @@ func ReadCSV(r io.Reader, name string) (*Relation, error) {
 	if len(header) == 0 {
 		return nil, fmt.Errorf("relation: empty CSV header")
 	}
+	// The reader reuses header's backing array from the next Read on:
+	// New copies the names, the loop keeps only the arity.
 	rel := New(name, header...)
+	arity := len(header)
+	var chunk []int // backing array the next tuples are carved from
 	for line := 2; ; line++ {
 		record, err := cr.Read()
 		if err == io.EOF {
@@ -30,11 +42,15 @@ func ReadCSV(r io.Reader, name string) (*Relation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("relation: reading CSV line %d: %w", line, err)
 		}
-		if len(record) != len(header) {
+		if len(record) != arity {
 			return nil, fmt.Errorf("relation: CSV line %d has %d fields, header has %d",
-				line, len(record), len(header))
+				line, len(record), arity)
 		}
-		t := make(Tuple, len(record))
+		if len(chunk) < arity {
+			chunk = make([]int, arity*min(max(len(rel.Tuples), 16), csvChunkRows))
+		}
+		t := Tuple(chunk[:arity:arity])
+		chunk = chunk[arity:]
 		for i, field := range record {
 			v, err := strconv.Atoi(field)
 			if err != nil {

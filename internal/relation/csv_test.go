@@ -2,7 +2,9 @@ package relation
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -33,6 +35,42 @@ func TestReadCSVErrors(t *testing.T) {
 		if _, err := ReadCSV(strings.NewReader(in), "R"); err == nil {
 			t.Errorf("ReadCSV(%q): want error", in)
 		}
+	}
+}
+
+// TestReadCSVChunkedTuples reads past several tuple chunks: the header
+// survives the reader's record reuse, tuples carved from one backing
+// array cannot grow into each other, and an error deep in the file
+// still names its line and field.
+func TestReadCSVChunkedTuples(t *testing.T) {
+	const rows = 3*csvChunkRows + 7
+	var sb strings.Builder
+	sb.WriteString("first,second,third\n")
+	for i := 1; i <= rows; i++ {
+		fmt.Fprintf(&sb, "%d, %d,%d\n", i, 2*i, 3*i)
+	}
+	rel, err := ReadCSV(strings.NewReader(sb.String()), "R")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"first", "second", "third"}; !slices.Equal(rel.Attrs, want) {
+		t.Fatalf("attrs = %v, want %v", rel.Attrs, want)
+	}
+	if rel.Size() != rows {
+		t.Fatalf("%d tuples, want %d", rel.Size(), rows)
+	}
+	for _, tup := range rel.Tuples {
+		_ = append(tup, -1) // must reallocate, not write the next tuple's first cell
+	}
+	for i, tup := range rel.Tuples {
+		if !tup.Equal(Tuple{i + 1, 2 * (i + 1), 3 * (i + 1)}) {
+			t.Fatalf("tuple %d = %v", i, tup)
+		}
+	}
+	sb.WriteString("5,x,6\n")
+	_, err = ReadCSV(strings.NewReader(sb.String()), "R")
+	if want := fmt.Sprintf("CSV line %d field 2", rows+2); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %v, want one naming %q", err, want)
 	}
 }
 

@@ -5,14 +5,12 @@ package relation
 // ApplyDelta folds one into a database snapshot (multiset semantics,
 // validating every deletion), and IncrementalStats keeps the
 // planner-facing Stats catalog current under a delta stream without
-// ever re-scanning a relation — cardinalities, distinct counts, and
-// the exact top-StatsTopK heavy hitters are maintained from the
-// touched occurrences alone.
+// ever re-scanning a relation — each touched column's histogram (see
+// hist) is merged with the batch's sorted values, and cardinalities,
+// distinct counts and the exact top-StatsTopK heavy hitters are read
+// off the result.
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Delta is one batch of changes to a database: per-relation tuple
 // occurrences to delete and to append. Within a batch, deletes apply
@@ -289,164 +287,49 @@ func (c *tupleCounter) clone() *tupleCounter {
 	return out
 }
 
-// vcBefore is the canonical heavy-hitter order: count descending, ties
-// by smaller value — the order CollectRelationStats emits.
-func vcBefore(a, b ValueCount) bool {
-	if a.Count != b.Count {
-		return a.Count > b.Count
-	}
-	return a.Value < b.Value
-}
-
-// incCol incrementally maintains one column's ColumnStats. The
-// invariant after every operation: top holds the true first
-// min(StatsTopK, distinct) entries of the canonical order. Increments
-// are O(K): the new top-K is contained in the old top plus the bumped
-// value (every other value's rank only worsens relative to it).
-// Decrements of values outside the top are free for the same reason;
-// decrements inside the top trigger an O(distinct·log distinct)
-// rebuild only when values outside the top exist to promote.
-type incCol struct {
-	freq map[int]int
-	top  []ValueCount
-}
-
-func newIncCol(sizeHint int) *incCol {
-	return &incCol{freq: make(map[int]int, sizeHint)}
-}
-
-func (c *incCol) inc(v int) {
-	n := c.freq[v] + 1
-	c.freq[v] = n
-	for i := range c.top {
-		if c.top[i].Value == v {
-			c.top[i].Count = n
-			for i > 0 && vcBefore(c.top[i], c.top[i-1]) {
-				c.top[i], c.top[i-1] = c.top[i-1], c.top[i]
-				i--
-			}
-			return
-		}
-	}
-	cand := ValueCount{Value: v, Count: n}
-	i := sort.Search(len(c.top), func(j int) bool { return vcBefore(cand, c.top[j]) })
-	if i >= StatsTopK {
-		return
-	}
-	c.top = append(c.top, ValueCount{})
-	copy(c.top[i+1:], c.top[i:])
-	c.top[i] = cand
-	if len(c.top) > StatsTopK {
-		c.top = c.top[:StatsTopK]
-	}
-}
-
-func (c *incCol) dec(v int) {
-	n := c.freq[v] - 1
-	if n <= 0 {
-		delete(c.freq, v)
-	} else {
-		c.freq[v] = n
-	}
-	idx := -1
-	for i := range c.top {
-		if c.top[i].Value == v {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		// v was not among the top min(K, distinct); shrinking it cannot
-		// promote it, and no tracked entry moved.
-		return
-	}
-	if n <= 0 {
-		c.top = append(c.top[:idx], c.top[idx+1:]...)
-		if len(c.freq) > len(c.top) {
-			c.rebuild()
-		}
-		return
-	}
-	c.top[idx].Count = n
-	for idx+1 < len(c.top) && vcBefore(c.top[idx+1], c.top[idx]) {
-		c.top[idx], c.top[idx+1] = c.top[idx+1], c.top[idx]
-		idx++
-	}
-	if len(c.top) == StatsTopK && len(c.freq) > StatsTopK {
-		// An untracked value may now outrank the demoted one.
-		c.rebuild()
-	}
-}
-
-// rebuild recomputes top from the frequency map — the exactness escape
-// hatch for demotions that may promote an untracked value.
-func (c *incCol) rebuild() {
-	top := make([]ValueCount, 0, len(c.freq))
-	for v, n := range c.freq {
-		top = append(top, ValueCount{Value: v, Count: n})
-	}
-	sort.Slice(top, func(i, j int) bool { return vcBefore(top[i], top[j]) })
-	if len(top) > StatsTopK {
-		top = top[:StatsTopK]
-	}
-	c.top = top
-}
-
-func (c *incCol) snapshot() *ColumnStats {
-	cs := &ColumnStats{Distinct: len(c.freq)}
-	if len(c.top) > 0 {
-		cs.MaxFreq = c.top[0].Count
-	}
-	cs.Top = append([]ValueCount(nil), c.top...)
-	return cs
-}
-
-// IncStats incrementally maintains one relation's RelationStats under
-// appended and deleted occurrences. Snapshot returns a summary equal
-// (field for field, including heavy-hitter order) to what
-// CollectRelationStats would compute from scratch on the current
+// IncStats incrementally maintains one relation's RelationStats: its
+// cardinality plus one histogram per column. Snapshot returns a
+// summary equal (field for field, including heavy-hitter order) to
+// what CollectRelationStats would compute from scratch on the current
 // state.
 type IncStats struct {
 	name  string
 	attrs []string
 	count int
-	cols  []*incCol
+	cols  []hist
 }
 
 // NewIncStats seeds an incremental summary with one scan of r — the
-// only full scan the relation ever pays; every later delta costs the
-// touched occurrences alone.
+// only full scan the relation ever pays; every later delta costs a
+// sort of the batch and one merge per column.
 func NewIncStats(r *Relation) *IncStats {
 	s := &IncStats{
 		name:  r.Name,
 		attrs: append([]string(nil), r.Attrs...),
-		cols:  make([]*incCol, r.Arity()),
+		count: len(r.Tuples),
+		cols:  make([]hist, r.Arity()),
 	}
-	for i := range s.cols {
-		s.cols[i] = newIncCol(len(r.Tuples))
-	}
-	for _, t := range r.Tuples {
-		s.Append(t)
+	for col := range s.cols {
+		s.cols[col] = newHist(sortedColumn(r.Tuples, col))
 	}
 	return s
 }
 
-// Append folds one appended occurrence into the summary.
-func (s *IncStats) Append(t Tuple) {
-	s.count++
-	for i, v := range t {
-		s.cols[i].inc(v)
+// apply folds one batch into the summary: per column, the deleted and
+// appended values are sorted and merged into a fresh histogram, so
+// histograms handed out earlier (or adopted from a Database) stay
+// valid. The caller guarantees every deleted occurrence was present
+// (relation.ApplyDelta validates this).
+func (s *IncStats) apply(dels, apps []Tuple) {
+	if len(dels)+len(apps) == 0 {
+		return
 	}
-}
-
-// Delete folds one deleted occurrence into the summary. The caller
-// guarantees the occurrence was present (relation.ApplyDelta validates
-// this).
-func (s *IncStats) Delete(t Tuple) {
-	s.count--
-	for i, v := range t {
-		s.cols[i].dec(v)
+	s.count += len(apps) - len(dels)
+	cols := make([]hist, len(s.cols)) // not in place: an adopted IncStats shares s.cols with the Database memo
+	for col, h := range s.cols {
+		cols[col] = h.merge(sortedColumn(apps, col), sortedColumn(dels, col))
 	}
+	s.cols = cols
 }
 
 // Snapshot materializes the current RelationStats.
@@ -457,8 +340,8 @@ func (s *IncStats) Snapshot() *RelationStats {
 		Attrs: append([]string(nil), s.attrs...),
 		Cols:  make([]*ColumnStats, len(s.cols)),
 	}
-	for i, c := range s.cols {
-		rs.Cols[i] = c.snapshot()
+	for i, h := range s.cols {
+		rs.Cols[i] = h.stats()
 	}
 	return rs
 }
@@ -470,16 +353,33 @@ type IncrementalStats struct {
 	order []string
 }
 
-// NewIncrementalStats seeds the catalog from db with one scan per
-// relation.
-func NewIncrementalStats(db *Database) *IncrementalStats {
+// scanStats builds every relation's histograms with one scan each.
+func scanStats(db *Database) *IncrementalStats {
 	s := &IncrementalStats{
 		rels:  make(map[string]*IncStats, len(db.Relations)),
-		order: append([]string(nil), db.Names()...),
+		order: db.Names(),
 	}
 	for _, name := range s.order {
-		r, _ := db.Relation(name)
-		s.rels[name] = NewIncStats(r)
+		s.rels[name] = NewIncStats(db.Relations[name])
+	}
+	return s
+}
+
+// NewIncrementalStats seeds the catalog from db. When db.Stats() has
+// already collected, the histograms it kept are adopted (shared, never
+// written) and nothing is scanned; otherwise each relation is scanned
+// once.
+func NewIncrementalStats(db *Database) *IncrementalStats {
+	db.statsMu.Lock()
+	kept := db.statsHists
+	db.statsMu.Unlock()
+	if kept == nil {
+		return scanStats(db)
+	}
+	s := &IncrementalStats{rels: make(map[string]*IncStats, len(kept.rels)), order: kept.order}
+	for name, inc := range kept.rels {
+		adopted := *inc
+		s.rels[name] = &adopted
 	}
 	return s
 }
@@ -488,23 +388,8 @@ func NewIncrementalStats(db *Database) *IncrementalStats {
 // ApplyDelta's semantics) into the catalog. Call it only after
 // ApplyDelta accepted the same delta.
 func (s *IncrementalStats) Apply(d Delta) {
-	for name, ts := range d.Deletes {
-		inc := s.rels[name]
-		if inc == nil {
-			continue
-		}
-		for _, t := range ts {
-			inc.Delete(t)
-		}
-	}
-	for name, ts := range d.Appends {
-		inc := s.rels[name]
-		if inc == nil {
-			continue
-		}
-		for _, t := range ts {
-			inc.Append(t)
-		}
+	for name, inc := range s.rels {
+		inc.apply(d.Deletes[name], d.Appends[name])
 	}
 }
 

@@ -168,23 +168,30 @@ func (s *TupleSet) Len() int {
 // which is what keeps DedupSort's packed path linear on large join
 // outputs and the local join's trie build linear on unsorted keys.
 // Byte positions that are constant across ws (the common case for
-// packed tuples over a small domain) cost one counting scan and no
-// scatter. Small inputs fall back to the comparison sort, whose
-// constant is lower there.
+// packed tuples over a small domain) are found by one XOR scan up
+// front and cost no pass at all. Small inputs fall back to the
+// comparison sort, whose constant is lower there.
 func SortWords(ws []uint64) {
 	if len(ws) < 256 {
 		slices.Sort(ws)
 		return
 	}
+	var varying uint64
+	for _, w := range ws {
+		varying |= w ^ ws[0]
+	}
+	if varying == 0 {
+		return
+	}
 	buf := make([]uint64, len(ws))
 	src, dst := ws, buf
 	for shift := uint(0); shift < 64; shift += 8 {
+		if (varying>>shift)&0xff == 0 {
+			continue // byte constant across the slice
+		}
 		var counts [256]int
 		for _, w := range src {
 			counts[(w>>shift)&0xff]++
-		}
-		if counts[(src[0]>>shift)&0xff] == len(src) {
-			continue // byte constant across the slice
 		}
 		sum := 0
 		for i := range counts {

@@ -280,6 +280,9 @@ type Database struct {
 
 	statsMu     sync.Mutex
 	cachedStats *Stats
+	// statsHists holds the histograms cachedStats was read off, when
+	// Stats (not InstallStats) produced it.
+	statsHists *IncrementalStats
 }
 
 // NewDatabase returns an empty database over domain [n].
@@ -299,7 +302,7 @@ func (db *Database) AddRelation(r *Relation) {
 		db.order = append(db.order, r.Name)
 	}
 	db.Relations[r.Name] = r
-	db.cachedStats = nil
+	db.cachedStats, db.statsHists = nil, nil
 }
 
 // Relation fetches a relation by name.

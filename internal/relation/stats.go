@@ -2,7 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -83,41 +82,110 @@ func (rs *RelationStats) String() string {
 	return sb.String()
 }
 
-// CollectRelationStats scans one relation and returns its summary. The
-// scan is a single pass per column over a frequency map, O(|R|·arity).
+// signBit flips an int into a uint64 whose unsigned order is the
+// int's signed order, so SortWords sorts any labels — 0 and negatives
+// included — into the canonical "smaller value first" order.
+const signBit = 1 << 63
+
+// sortedColumn extracts column col of ts as order-preserving keys (see
+// signBit) and radix-sorts them.
+func sortedColumn(ts []Tuple, col int) []uint64 {
+	keys := make([]uint64, len(ts))
+	for i, t := range ts {
+		keys[i] = uint64(t[col]) ^ signBit
+	}
+	SortWords(keys)
+	return keys
+}
+
+// hist is one column's histogram run: its distinct values ascending,
+// each with its occurrence count. It is the one statistics kernel —
+// collection builds it with a radix sort, a delta batch merges into a
+// fresh one, and every ColumnStats is read off it. A hist is never
+// written after it is built, so snapshots, the Database memo and an
+// IncrementalStats may share one.
+type hist []ValueCount
+
+// newHist run-length encodes sorted keys.
+func newHist(keys []uint64) hist {
+	distinct := 0
+	for i, k := range keys {
+		if i == 0 || k != keys[i-1] {
+			distinct++
+		}
+	}
+	h := make(hist, 0, distinct)
+	for i, k := range keys {
+		if i > 0 && k == keys[i-1] {
+			h[len(h)-1].Count++
+		} else {
+			h = append(h, ValueCount{Value: int(k ^ signBit), Count: 1})
+		}
+	}
+	return h
+}
+
+// merge returns the histogram of h plus the occurrences add minus the
+// occurrences del (both sorted keys) in one pass; values whose count
+// falls to zero drop out. h itself is left untouched.
+func (h hist) merge(add, del []uint64) hist {
+	out := make(hist, 0, len(h)+len(add))
+	for i, a, d := 0, 0, 0; i < len(h) || a < len(add); {
+		var vc ValueCount
+		if a == len(add) || i < len(h) && uint64(h[i].Value)^signBit <= add[a] {
+			vc = h[i]
+			i++
+		} else {
+			vc.Value = int(add[a] ^ signBit)
+		}
+		key := uint64(vc.Value) ^ signBit
+		for ; a < len(add) && add[a] == key; a++ {
+			vc.Count++
+		}
+		for ; d < len(del) && del[d] <= key; d++ {
+			if del[d] == key {
+				vc.Count--
+			}
+		}
+		if vc.Count > 0 {
+			out = append(out, vc)
+		}
+	}
+	return out
+}
+
+// stats reads the column summary off the histogram in one pass: a
+// StatsTopK-slot insertion buffer keeps the canonical head (count
+// descending; values arrive ascending, so a tie never displaces an
+// earlier, smaller value).
+func (h hist) stats() *ColumnStats {
+	var top [StatsTopK]ValueCount
+	n := 0
+	for _, vc := range h {
+		if n == StatsTopK {
+			if vc.Count <= top[n-1].Count {
+				continue
+			}
+			n--
+		}
+		i := n
+		for ; i > 0 && top[i-1].Count < vc.Count; i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = vc
+		n++
+	}
+	cs := &ColumnStats{Distinct: len(h), Top: append([]ValueCount(nil), top[:n]...)}
+	if n > 0 {
+		cs.MaxFreq = top[0].Count
+	}
+	return cs
+}
+
+// CollectRelationStats scans one relation and returns its summary:
+// one radix sort per column into a histogram run, O(|R|·arity).
 func CollectRelationStats(r *Relation) *RelationStats {
-	rs := &RelationStats{
-		Name:  r.Name,
-		Count: len(r.Tuples),
-		Attrs: append([]string(nil), r.Attrs...),
-		Cols:  make([]*ColumnStats, r.Arity()),
-	}
-	for col := 0; col < r.Arity(); col++ {
-		freq := make(map[int]int)
-		for _, t := range r.Tuples {
-			freq[t[col]]++
-		}
-		cs := &ColumnStats{Distinct: len(freq)}
-		top := make([]ValueCount, 0, len(freq))
-		for v, c := range freq {
-			if c > cs.MaxFreq {
-				cs.MaxFreq = c
-			}
-			top = append(top, ValueCount{Value: v, Count: c})
-		}
-		sort.Slice(top, func(i, j int) bool {
-			if top[i].Count != top[j].Count {
-				return top[i].Count > top[j].Count
-			}
-			return top[i].Value < top[j].Value
-		})
-		if len(top) > StatsTopK {
-			top = top[:StatsTopK]
-		}
-		cs.Top = append([]ValueCount(nil), top...)
-		rs.Cols[col] = cs
-	}
-	return rs
+	return NewIncStats(r).Snapshot()
 }
 
 // Stats is a database-wide statistics catalog keyed by relation name —
@@ -132,25 +200,22 @@ type Stats struct {
 // statistics over its own relation only (Section 2.4) and the Θ(p)
 // numbers exchanged are negligible against the Ω(n) data.
 func CollectStats(db *Database) *Stats {
-	s := &Stats{Relations: make(map[string]*RelationStats, len(db.Relations))}
-	for _, name := range db.Names() {
-		r, _ := db.Relation(name)
-		s.Relations[name] = CollectRelationStats(r)
-	}
-	return s
+	return scanStats(db).Snapshot()
 }
 
 // Stats returns the database's statistics catalog, collecting it on
 // first use and memoizing it for every later call — the serving layer
 // amortizes the O(Σ|S_j|·a_j) scan across all queries that hit the
-// same resident dataset. AddRelation invalidates the memo. The
-// returned catalog is shared and must be treated as read-only;
-// concurrent callers are safe.
+// same resident dataset. The histograms the scan built are kept beside
+// the catalog for NewIncrementalStats to adopt; AddRelation drops
+// both. The returned catalog is shared and must be treated as
+// read-only; concurrent callers are safe.
 func (db *Database) Stats() *Stats {
 	db.statsMu.Lock()
 	defer db.statsMu.Unlock()
 	if db.cachedStats == nil {
-		db.cachedStats = CollectStats(db)
+		db.statsHists = scanStats(db)
+		db.cachedStats = db.statsHists.Snapshot()
 	}
 	return db.cachedStats
 }

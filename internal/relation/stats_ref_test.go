@@ -1,0 +1,51 @@
+package relation
+
+import "sort"
+
+// refRelationStats is the frequency-map collector the histogram kernel
+// replaced, kept verbatim as the tests' oracle: one map[int]int per
+// column and a full sort of the distinct values by (count descending,
+// value ascending) to cut the top StatsTopK.
+func refRelationStats(r *Relation) *RelationStats {
+	rs := &RelationStats{
+		Name:  r.Name,
+		Count: len(r.Tuples),
+		Attrs: append([]string(nil), r.Attrs...),
+		Cols:  make([]*ColumnStats, r.Arity()),
+	}
+	for col := 0; col < r.Arity(); col++ {
+		freq := make(map[int]int)
+		for _, t := range r.Tuples {
+			freq[t[col]]++
+		}
+		cs := &ColumnStats{Distinct: len(freq)}
+		top := make([]ValueCount, 0, len(freq))
+		for v, c := range freq {
+			if c > cs.MaxFreq {
+				cs.MaxFreq = c
+			}
+			top = append(top, ValueCount{Value: v, Count: c})
+		}
+		sort.Slice(top, func(i, j int) bool {
+			if top[i].Count != top[j].Count {
+				return top[i].Count > top[j].Count
+			}
+			return top[i].Value < top[j].Value
+		})
+		if len(top) > StatsTopK {
+			top = top[:StatsTopK]
+		}
+		cs.Top = append([]ValueCount(nil), top...)
+		rs.Cols[col] = cs
+	}
+	return rs
+}
+
+// refStats is the oracle catalog of a whole database.
+func refStats(db *Database) *Stats {
+	s := &Stats{Relations: make(map[string]*RelationStats, len(db.Relations))}
+	for _, name := range db.Names() {
+		s.Relations[name] = refRelationStats(db.Relations[name])
+	}
+	return s
+}

@@ -32,8 +32,9 @@ type Dataset struct {
 	mu   sync.Mutex
 	snap atomic.Pointer[Snapshot]
 	// inc incrementally maintains the statistics catalog across the
-	// delta stream (guarded by mu). It is seeded — the dataset's last
-	// ever full statistics scan — on the first delta.
+	// delta stream (guarded by mu). It is seeded on the first delta,
+	// from the histograms version 0's Stats() kept when a query got
+	// there first, by the dataset's one statistics scan otherwise.
 	inc *relation.IncrementalStats
 
 	statsSeen atomic.Bool
@@ -66,8 +67,9 @@ func (d *Dataset) Version() uint64 { return d.snap.Load().Version }
 // dataset's statistics were already memoized (false exactly once, for
 // the collecting call — the serving layer's stats-cache hit/miss
 // signal). Post-delta snapshots are born with an incrementally
-// maintained catalog installed, so only version 0 ever pays a
-// collection scan here.
+// maintained catalog installed, so only version 0 can pay a
+// collection scan here — and only when no delta has seeded the
+// incremental catalog first: a dataset is scanned once on every path.
 func (sn *Snapshot) Stats() (stats *relation.Stats, cached bool) {
 	cached = sn.ds.statsSeen.Swap(true)
 	return sn.DB.Stats(), cached
@@ -102,9 +104,9 @@ func (sn *Snapshot) Bind(q *query.Query) (*relation.Database, error) {
 // ApplyDelta applies one delta batch to the dataset: it validates the
 // delta against the current snapshot, builds the next snapshot with
 // the incrementally maintained statistics catalog pre-installed (no
-// re-scan — the catalog is updated from the delta's touched
-// occurrences alone), and returns the new version plus the set-level
-// effect per changed relation.
+// re-scan — the batch's values are merged into the column histograms
+// of the relations it touches), and returns the new version plus the
+// set-level effect per changed relation.
 func (d *Dataset) ApplyDelta(delta relation.Delta) (uint64, map[string]relation.Effect, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -121,8 +123,9 @@ func (d *Dataset) applyDeltaLocked(delta relation.Delta) (uint64, map[string]rel
 		return 0, nil, err
 	}
 	if d.inc == nil {
-		// First delta: seed the incremental catalog from the current
-		// snapshot — the last full scan this dataset ever pays.
+		// First delta: adopt the histograms a query already collected
+		// on this snapshot, or scan it now — either way the dataset's
+		// only statistics scan.
 		d.inc = relation.NewIncrementalStats(cur.DB)
 	}
 	d.inc.Apply(delta)
