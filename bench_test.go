@@ -29,6 +29,7 @@ import (
 	"repro/internal/localjoin"
 	"repro/internal/mpc"
 	"repro/internal/multiround"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/skew"
@@ -644,6 +645,41 @@ func BenchmarkSkewJoin(b *testing.B) {
 			b.ReportMetric(ratio, "load/ideal")
 		})
 	}
+}
+
+// BenchmarkSkewExecute times one warm skew query at the shape of the
+// end-to-end benchmark's skew_warm workload: R(x,y), S(y,z) at
+// n = 100 000 with Zipf(1.3) first columns and R.y a permutation (so
+// the join value is heavy in S alone), p = 16, plan built once outside
+// the timer, every iteration one Plan.Execute on loopback — scatter,
+// local joins, gather and the one materialization of the ≈ n answers.
+func BenchmarkSkewExecute(b *testing.B) {
+	const n, p = 100000, 16
+	rng := rand.New(rand.NewPCG(61, 61))
+	r := relation.SkewedZipf(rng, "R", []string{"x", "y"}, n, 1.3)
+	for i, y := range rng.Perm(n) {
+		r.Tuples[i][1] = y + 1
+	}
+	db := relation.NewDatabase(n)
+	db.AddRelation(r)
+	db.AddRelation(relation.SkewedZipf(rng, "S", []string{"y", "z"}, n, 1.3))
+	pl, err := plan.Build(query.MustParse("q(x,y,z) = R(x,y), S(y,z)"), db.Stats(), plan.Options{P: p})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if pl.Engine != plan.SkewJoin {
+		b.Fatalf("planner picked %v; the benchmark is about the skew engine", pl.Engine)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var res *plan.Result
+	for i := 0; i < b.N; i++ {
+		if res, err = pl.Execute(db, plan.ExecOptions{Seed: 7}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(res.Answers)), "answers")
+	b.ReportMetric(float64(res.Stats.MaxLoadTuples()), "max-load")
 }
 
 // BenchmarkOptimalShares times the exhaustive size-aware share search

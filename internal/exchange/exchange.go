@@ -145,13 +145,19 @@ func (b *Buffer) migrate() {
 // Seal sorts the buffer lexicographically and freezes it; sealed
 // buffers are safe for concurrent readers. Packed buffers sort by word
 // value, which (values packed most-significant-first at a uniform
-// width) coincides with lexicographic tuple order.
+// width) coincides with lexicographic tuple order. Words that are
+// already ascending — any partition of a source that was in order, such
+// as a generated matching or a re-scattered sealed run — cost one
+// linear check; anything else goes through relation.SortWords, the one
+// sort this repo has for packed words.
 func (b *Buffer) Seal() {
 	if b.sealed {
 		return
 	}
 	if b.packed {
-		slices.Sort(b.words)
+		if !slices.IsSorted(b.words) {
+			relation.SortWords(b.words)
+		}
 	} else if b.arity > 0 {
 		sortFlat(b.flat, b.arity)
 	}

@@ -248,3 +248,65 @@ func TestMergeWords(t *testing.T) {
 	}()
 	MergeWords([]*Buffer{flat})
 }
+
+// sealWords appends ws to a fresh arity-1 packed buffer, seals it and
+// returns the sealed payload with the backing array it was built on.
+func sealWords(ws []uint64) (sealed, built []uint64) {
+	b := NewBuffer(1)
+	for _, w := range ws {
+		b.Append(relation.Tuple{int(w)})
+	}
+	built, _ = b.Words()
+	b.Seal()
+	sealed, _ = b.Words()
+	return sealed, built
+}
+
+// TestSealMatchesSort: whatever order the words arrive in — random
+// above and below SortWords' radix cutoff, ascending, descending, all
+// equal, empty — a sealed packed buffer holds exactly slices.Sort of
+// its input.
+func TestSealMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(81, 82))
+	random := func(n int) []uint64 {
+		ws := make([]uint64, n)
+		for i := range ws {
+			ws[i] = rng.Uint64N(1 << 40)
+		}
+		return ws
+	}
+	sorted := random(5000)
+	slices.Sort(sorted)
+	reversed := slices.Clone(sorted)
+	slices.Reverse(reversed)
+	for name, ws := range map[string][]uint64{
+		"random-small": random(100), "random-large": random(20000), "sorted": sorted,
+		"reversed": reversed, "all-equal": make([]uint64, 3000), "empty": nil,
+	} {
+		want := slices.Clone(ws)
+		slices.Sort(want)
+		if got, _ := sealWords(ws); !slices.Equal(got, want) {
+			t.Errorf("%s: sealed words differ from slices.Sort", name)
+		}
+	}
+}
+
+// TestSealSortedIsNoop: sealing words that are already ascending
+// neither allocates nor moves them.
+func TestSealSortedIsNoop(t *testing.T) {
+	ws := make([]uint64, 50000)
+	for i := range ws {
+		ws[i] = uint64(3 * i)
+	}
+	sealed, built := sealWords(ws)
+	if &sealed[0] != &built[0] || !slices.Equal(sealed, ws) {
+		t.Fatal("sealing a sorted buffer replaced or reordered its words")
+	}
+	b := &Buffer{arity: 1, shift: relation.PackedShift(1), packed: true}
+	if allocs := testing.AllocsPerRun(10, func() {
+		b.words, b.sealed = ws, false
+		b.Seal()
+	}); allocs != 0 {
+		t.Errorf("sealing sorted words allocated %.0f times", allocs)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/dist"
 	"repro/internal/hypercube"
@@ -95,6 +94,7 @@ func (p *Plan) Execute(db *relation.Database, opts ExecOptions) (*Result, error)
 			Context:     opts.Context,
 			Recovery:    opts.Recovery,
 			Pipeline:    opts.Pipeline,
+			Trace:       opts.Trace,
 		})
 		if err != nil {
 			return nil, err
@@ -142,9 +142,10 @@ func (p *Plan) executeOneRound(db *relation.Database, opts ExecOptions) (*Result
 	}, nil
 }
 
-// executeSkewJoin maps the query onto the canonical R(x,y) ⋈ S(y,z)
-// shape, runs the resilient heavy-hitter discipline, and maps the
-// (x,y,z) answers back into Query.Vars() order.
+// executeSkewJoin runs the resilient heavy-hitter discipline on the
+// query's own atoms under the routing compiled at Build; a plan whose
+// catalog carried no histogram for a join column compiles it from the
+// data here, through the same compiler.
 func (p *Plan) executeSkewJoin(db *relation.Database, opts ExecOptions) (*Result, error) {
 	m := p.SkewMap
 	if m == nil {
@@ -158,12 +159,13 @@ func (p *Plan) executeSkewJoin(db *relation.Database, opts ExecOptions) (*Result
 	if !ok {
 		return nil, fmt.Errorf("plan: database missing relation %s", m.S)
 	}
-	r := remapBinary(relR, "R", []string{"x", "y"}, 1-m.RY, m.RY)
-	s := remapBinary(relS, "S", []string{"y", "z"}, m.SY, 1-m.SY)
-	res, err := skew.RunJoin(r, s, p.P, skew.Resilient, skew.Options{
+	rt := p.Routing
+	if rt == nil {
+		rt = skew.CompileFromData(relR, m.RY, relS, m.SY, p.P, p.heavyFactor)
+	}
+	res, err := skew.Execute(p.Query, relR, relS, m.RY, m.SY, rt, opts.Strategy, skew.Options{
 		Seed:        opts.Seed,
 		CapConstant: opts.CapConstant,
-		HeavyFactor: p.heavyFactor,
 		Transport:   opts.Transport,
 		Context:     opts.Context,
 		Recovery:    opts.Recovery,
@@ -173,20 +175,8 @@ func (p *Plan) executeSkewJoin(db *relation.Database, opts ExecOptions) (*Result
 	if err != nil {
 		return nil, err
 	}
-	// res.Answers are (x,y,z); project into Query.Vars() order.
-	roleOf := map[string]int{m.XVar: 0, m.YVar: 1, m.ZVar: 2}
-	vars := p.Query.Vars()
-	answers := make([]relation.Tuple, len(res.Answers))
-	for i, t := range res.Answers {
-		row := make(relation.Tuple, len(vars))
-		for j, v := range vars {
-			row[j] = t[roleOf[v]]
-		}
-		answers[i] = row
-	}
-	sort.Slice(answers, func(i, j int) bool { return answers[i].Less(answers[j]) })
 	return &Result{
-		Answers:      p.foldAggregate(answers),
+		Answers:      p.foldAggregate(res.Answers),
 		Engine:       SkewJoin,
 		Rounds:       res.Stats.NumRounds(),
 		Stats:        res.Stats,
@@ -197,26 +187,14 @@ func (p *Plan) executeSkewJoin(db *relation.Database, opts ExecOptions) (*Result
 
 // foldAggregate applies the plan's grouped aggregate to a final
 // answer set when one is configured. The one-round engine folds in
-// the gather merge instead; the multiround and skew engines reorder
-// their final answers into Query.Vars() order first, so the fold runs
-// here at the coordinator on the restored order.
+// the gather merge instead; the multiround and skew engines hand back
+// their final answers in Query.Vars() order, and the fold runs here at
+// the coordinator.
 func (p *Plan) foldAggregate(answers []relation.Tuple) []relation.Tuple {
 	if p.Aggregate == nil {
 		return answers
 	}
 	return relation.GroupAggregate(answers, *p.Aggregate)
-}
-
-// remapBinary returns a column-reordered copy of a binary relation
-// under a new name and schema: position 0 of the output reads input
-// column c0, position 1 reads c1.
-func remapBinary(src *relation.Relation, name string, attrs []string, c0, c1 int) *relation.Relation {
-	out := relation.New(name, attrs...)
-	out.Tuples = make([]relation.Tuple, len(src.Tuples))
-	for i, t := range src.Tuples {
-		out.Tuples[i] = relation.Tuple{t[c0], t[c1]}
-	}
-	return out
 }
 
 // WithShares returns a copy of the plan forced onto the one-round
@@ -274,7 +252,7 @@ func (p *Plan) WithEngine(e Engine) (*Plan, error) {
 			return nil, fmt.Errorf("plan: query %s is not a two-atom binary join", p.Query.Name)
 		}
 		out.Cost = CostEstimate{
-			LoadTuples: skewJoinLoad(p),
+			LoadTuples: p.skewJoinLoad,
 			CommTuples: p.OneRoundCost.CommTuples,
 			Rounds:     1,
 		}

@@ -32,13 +32,13 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"sort"
 
 	"repro/internal/cover"
 	"repro/internal/hypercube"
 	"repro/internal/multiround"
 	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/skew"
 )
 
 // Engine identifies the execution strategy a Plan selects.
@@ -157,11 +157,17 @@ type Plan struct {
 	// SkewMap is the join-shape mapping; non-nil when the query has the
 	// two-atom binary join shape (executed only when Engine == SkewJoin).
 	SkewMap *JoinMapping
-	// Heavy lists the detected heavy hitters on the join variable,
+	// Routing is the skew engine's heavy-hitter routing, compiled once
+	// from the catalog's histogram runs of the two join columns; nil
+	// when the query lacks the join shape or the catalog carries no
+	// histogram for a join column (Execute then compiles from the data).
+	Routing *skew.Routing
+	// Heavy lists the routing's heavy hitters on the join variable,
 	// descending by combined frequency.
 	Heavy []relation.ValueCount
-	// HeavyThreshold is the frequency above which a value counts as
-	// heavy: HeavyFactor·(Σ|S_j|)/p.
+	// HeavyThreshold is the combined frequency above which a value
+	// counts as heavy: HeavyFactor·(|R|+|S|)/p over the two join sides,
+	// at least 1 — the routing's own threshold.
 	HeavyThreshold int
 
 	// OneRoundCost is the one-round HyperCube estimate (always
@@ -199,6 +205,8 @@ type Plan struct {
 	heavyFactor  float64
 	capFactor    float64
 	manualShares bool // set by WithShares: Shares no longer follow the LP
+	// skewJoinLoad is the routing's predicted load, the skew engine's cost.
+	skewJoinLoad float64
 }
 
 // OutputVars names the columns of Execute's answer tuples: the
@@ -327,16 +335,27 @@ func Build(q *query.Query, stats *relation.Stats, opts Options) (*Plan, error) {
 		}
 	}
 
-	// Skew detection on the canonical join shape. The threshold is at
-	// least 1 so that tiny inputs (total < p) do not classify every
-	// value as heavy.
-	p.SkewMap = detectJoinMapping(q)
-	if p.SkewMap != nil {
-		p.HeavyThreshold = int(heavyFactor * float64(stats.TotalTuples()) / float64(opts.P))
-		if p.HeavyThreshold < 1 {
-			p.HeavyThreshold = 1
+	// Skew detection on the canonical join shape: compile the routing
+	// the skew engine would run, from the exact histograms of the two
+	// join columns, and read the heavy set, the threshold and the load
+	// prediction off it — planner and engine cannot disagree.
+	if m := detectJoinMapping(q); m != nil {
+		p.SkewMap = m
+		rs, ss := stats.Relation(m.R), stats.Relation(m.S)
+		var histR, histS []relation.ValueCount
+		cr, cs := rs.Col(m.RY), ss.Col(m.SY)
+		exact := cr != nil && cs != nil && cr.Hist != nil && cs.Hist != nil
+		if exact {
+			histR, histS = cr.Hist, cs.Hist
 		}
-		p.Heavy = combinedHeavy(stats, p.SkewMap, p.HeavyThreshold)
+		rt := skew.Compile(histR, histS, rs.Count, ss.Count, opts.P, heavyFactor)
+		if exact {
+			p.Routing = rt
+		}
+		for _, hv := range rt.Heavy {
+			p.Heavy = append(p.Heavy, relation.ValueCount{Value: hv.Value, Count: hv.CountR + hv.CountS})
+		}
+		p.HeavyThreshold, p.skewJoinLoad = rt.Threshold, rt.PredictedLoad()
 	}
 
 	p.selectEngine()
@@ -354,7 +373,7 @@ func (p *Plan) selectEngine() {
 	case len(p.Heavy) > 0 && p.SkewLoad > p.BudgetLoad:
 		p.Engine = SkewJoin
 		p.Cost = CostEstimate{
-			LoadTuples: skewJoinLoad(p),
+			LoadTuples: p.skewJoinLoad,
 			CommTuples: p.OneRoundCost.CommTuples,
 			Rounds:     1,
 		}
@@ -554,64 +573,6 @@ func detectJoinMapping(q *query.Query) *JoinMapping {
 		}
 	}
 	return m
-}
-
-// combinedHeavy merges both sides' per-column top lists on the shared
-// variable and returns the values whose combined frequency exceeds the
-// threshold, descending.
-func combinedHeavy(stats *relation.Stats, m *JoinMapping, threshold int) []relation.ValueCount {
-	counts := make(map[int]int)
-	for _, side := range []struct {
-		rel string
-		col int
-	}{{m.R, m.RY}, {m.S, m.SY}} {
-		rs := stats.Relation(side.rel)
-		cs := rs.Col(side.col)
-		if cs == nil {
-			continue
-		}
-		for _, vc := range cs.Top {
-			counts[vc.Value] += vc.Count
-		}
-	}
-	var out []relation.ValueCount
-	for v, c := range counts {
-		if c > threshold {
-			out = append(out, relation.ValueCount{Value: v, Count: c})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Value < out[j].Value
-	})
-	return out
-}
-
-// skewJoinLoad predicts the resilient discipline's per-worker load:
-// the light values hash uniformly, and each heavy value costs its
-// split side spread over its proportional block plus the broadcast of
-// the smaller side.
-func skewJoinLoad(p *Plan) float64 {
-	total := float64(p.Stats.TotalTuples())
-	load := total / float64(p.P)
-	for _, vc := range p.Heavy {
-		blockSize := float64(vc.Count) * float64(p.P) / total
-		if blockSize < 1 {
-			blockSize = 1
-		}
-		if blockSize > float64(p.P) {
-			blockSize = float64(p.P)
-		}
-		// Split side ≈ the heavy count spread over the block; broadcast
-		// side ≤ the smaller side's frequency, bounded by the threshold
-		// scale. Using the combined count is conservative.
-		if l := float64(vc.Count) / blockSize; l > load {
-			load = l
-		}
-	}
-	return load
 }
 
 // MatchingStats synthesizes the statistics of a matching database over

@@ -35,6 +35,11 @@ type ColumnStats struct {
 	// Top lists the most frequent values, descending by count (ties
 	// broken by smaller value), capped at StatsTopK entries.
 	Top []ValueCount
+	// Hist is the column's exact histogram run: every distinct value
+	// ascending, each with its count. It is shared with the catalog that
+	// built it and must be treated as read-only; nil on synthesized
+	// catalogs (plan.MatchingStats) that describe no concrete column.
+	Hist []ValueCount
 }
 
 // RelationStats is the planner-facing summary of one relation:
@@ -106,6 +111,13 @@ func sortedColumn(ts []Tuple, col int) []uint64 {
 // IncrementalStats may share one.
 type hist []ValueCount
 
+// ColumnHistogram returns the histogram run of column col of ts — what
+// a collected ColumnStats carries as Hist — for callers that hold the
+// tuples but no catalog.
+func ColumnHistogram(ts []Tuple, col int) []ValueCount {
+	return newHist(sortedColumn(ts, col))
+}
+
 // newHist run-length encodes sorted keys.
 func newHist(keys []uint64) hist {
 	distinct := 0
@@ -175,7 +187,7 @@ func (h hist) stats() *ColumnStats {
 		top[i] = vc
 		n++
 	}
-	cs := &ColumnStats{Distinct: len(h), Top: append([]ValueCount(nil), top[:n]...)}
+	cs := &ColumnStats{Distinct: len(h), Top: append([]ValueCount(nil), top[:n]...), Hist: h}
 	if n > 0 {
 		cs.MaxFreq = top[0].Count
 	}

@@ -5,7 +5,9 @@ import "sort"
 // refRelationStats is the frequency-map collector the histogram kernel
 // replaced, kept verbatim as the tests' oracle: one map[int]int per
 // column and a full sort of the distinct values by (count descending,
-// value ascending) to cut the top StatsTopK.
+// value ascending) to cut the top StatsTopK. The histogram run the
+// kernel's summaries carry (ColumnStats.Hist) is emitted from the same
+// map, sorted by value.
 func refRelationStats(r *Relation) *RelationStats {
 	rs := &RelationStats{
 		Name:  r.Name,
@@ -36,6 +38,11 @@ func refRelationStats(r *Relation) *RelationStats {
 			top = top[:StatsTopK]
 		}
 		cs.Top = append([]ValueCount(nil), top...)
+		cs.Hist = make([]ValueCount, 0, len(freq))
+		for v, c := range freq {
+			cs.Hist = append(cs.Hist, ValueCount{Value: v, Count: c})
+		}
+		sort.Slice(cs.Hist, func(i, j int) bool { return cs.Hist[i].Value < cs.Hist[j].Value })
 		rs.Cols[col] = cs
 	}
 	return rs

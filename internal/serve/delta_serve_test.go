@@ -342,12 +342,31 @@ func TestPlannerSkewFlipUnderDeltas(t *testing.T) {
 	}
 	ds, _ := srv.Registry().Get("j2")
 
+	// engineAt also executes the from-scratch plan (the server's default
+	// seed is 1): the served run routed by a heavy set that arrived
+	// through IncrementalStats' merged histogram runs, so its answer
+	// count and communication record must equal the run routed from a
+	// fresh scan's.
 	engineAt := func() (served, scratch string) {
 		t.Helper()
 		out, _ := postQuery(t, ts.URL, serve.QueryRequest{Dataset: "j2", Query: "R(x,y),S(y,z)"})
 		pl, err := plan.Build(q, relation.CollectStats(ds.DB()), plan.Options{P: p})
 		if err != nil {
 			t.Fatal(err)
+		}
+		res, err := pl.Execute(ds.DB(), plan.ExecOptions{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth, err := core.GroundTruth(q, ds.DB())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.AnswerCount != len(truth) || len(res.Answers) != len(truth) ||
+			out.MaxLoadTuples != res.Stats.MaxLoadTuples() || out.TotalBits != res.Stats.TotalBits() {
+			t.Fatalf("served %d answers, max load %d, %d bits; from-scratch plan %d, %d, %d; ground truth %d answers",
+				out.AnswerCount, out.MaxLoadTuples, out.TotalBits,
+				len(res.Answers), res.Stats.MaxLoadTuples(), res.Stats.TotalBits(), len(truth))
 		}
 		return out.Engine, pl.Engine.String()
 	}

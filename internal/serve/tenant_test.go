@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // fixedClock returns a Config.Now frozen at a single instant, so
@@ -384,5 +386,77 @@ func TestQueryTraceRecorded(t *testing.T) {
 	}
 	if len(ops.Queries) != 1 || ops.Queries[0].QueryID != qr.QueryID || ops.MultiTenant {
 		t.Fatalf("ops report queries = %+v, multiTenant = %v", ops.Queries, ops.MultiTenant)
+	}
+}
+
+// TestMultiroundQueryTraced is the regression for the multiround
+// engine dropping ExecOptions.Trace: a served L4 at ε = 0 (the
+// chain4_warm shape, a two-round Γ^r_ε plan) must leave one round span
+// per round with p worker spans under each, and the loads on those
+// spans must add up to the totals the reply reports.
+func TestMultiroundQueryTraced(t *testing.T) {
+	const p = 16
+	srv := New(Config{DefaultP: p})
+	db, err := Generate(GeneratorSpec{Family: "L4", N: 400, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Registry().Add("chain", db); err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	body, _ := json.Marshal(QueryRequest{Dataset: "chain", Family: "L4", Epsilon: "0"})
+	resp, err := http.Post(hs.URL+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var qr QueryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.Contains(qr.Engine, "multiround") || qr.Rounds < 2 {
+		t.Fatalf("status %d, engine %q, %d rounds; want a served multiround plan", resp.StatusCode, qr.Engine, qr.Rounds)
+	}
+	tresp, err := http.Get(hs.URL + "/trace/" + qr.QueryID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tresp.Body.Close()
+	var tr trace.Trace
+	if err := json.NewDecoder(tresp.Body).Decode(&tr); err != nil {
+		t.Fatal(err)
+	}
+	workersUnder := map[uint64]int{} // round span id → worker spans
+	roundOf := map[uint64]int{}
+	for _, s := range tr.Spans {
+		if s.Name == "round" {
+			roundOf[s.ID] = s.Round
+		}
+	}
+	var bits, maxLoad int64
+	for _, s := range tr.Spans {
+		if s.Name != "worker" {
+			continue
+		}
+		if round, ok := roundOf[s.Parent]; !ok || round != s.Round {
+			t.Errorf("worker span %+v is not under its round's span", s)
+		}
+		workersUnder[s.Parent]++
+		bits += s.LoadBits
+		maxLoad = max(maxLoad, s.LoadTuples)
+	}
+	if len(roundOf) != qr.Rounds {
+		t.Fatalf("%d round spans, reply reports %d rounds", len(roundOf), qr.Rounds)
+	}
+	for id, round := range roundOf {
+		if workersUnder[id] != p {
+			t.Errorf("round %d has %d worker spans, want %d", round, workersUnder[id], p)
+		}
+	}
+	if bits != qr.TotalBits || maxLoad != qr.MaxLoadTuples {
+		t.Errorf("worker spans carry %d bits, max load %d; reply reports %d, %d", bits, maxLoad, qr.TotalBits, qr.MaxLoadTuples)
 	}
 }

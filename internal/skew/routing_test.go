@@ -1,0 +1,123 @@
+package skew
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/relation"
+)
+
+// routingInputs are the shapes the compiler is checked on: Zipf joins
+// at two exponents, a matching (no heavy value), one value everywhere
+// (one block of all p servers), a heavy value present on one side only,
+// an empty side, and labels that include 0 and negatives.
+func routingInputs() map[string][2]*relation.Relation {
+	rng := rand.New(rand.NewPCG(71, 72))
+	in := map[string][2]*relation.Relation{}
+	r, s := ZipfJoinInput(rng, 3000, 1.3)
+	in["zipf1.3"] = [2]*relation.Relation{r, s}
+	r, s = ZipfJoinInput(rng, 2000, 0.9)
+	in["zipf0.9"] = [2]*relation.Relation{r, s}
+	r, s = MatchingJoinInput(rng, 500)
+	in["matching"] = [2]*relation.Relation{r, s}
+	allR, allS := relation.New("R", "x", "y"), relation.New("S", "y", "z")
+	for i := 1; i <= 400; i++ {
+		allR.Tuples = append(allR.Tuples, relation.Tuple{i, 7})
+		allS.Tuples = append(allS.Tuples, relation.Tuple{7, i})
+	}
+	in["all-equal"] = [2]*relation.Relation{allR, allS}
+	oneR, _ := MatchingJoinInput(rng, 600)
+	oneS := relation.New("S", "y", "z")
+	for i := 1; i <= 600; i++ {
+		oneS.Tuples = append(oneS.Tuples, relation.Tuple{1 + i%3, i})
+	}
+	in["heavy-in-S-only"] = [2]*relation.Relation{oneR, oneS}
+	in["empty-S"] = [2]*relation.Relation{allR, relation.New("S", "y", "z")}
+	negR, negS := relation.New("R", "x", "y"), relation.New("S", "y", "z")
+	for i := 0; i < 300; i++ {
+		negR.Tuples = append(negR.Tuples, relation.Tuple{i, i%5 - 2})
+		negS.Tuples = append(negS.Tuples, relation.Tuple{i%7 - 3, i})
+	}
+	in["zero-and-negative"] = [2]*relation.Relation{negR, negS}
+	return in
+}
+
+// TestCompiledRoutingMatchesOracle: the routing compiled from the
+// catalog's histogram runs, the routing compiled from the data, and
+// the map-based detection the engine used to run per query agree on
+// the heavy order, every block and every split side — and the two
+// partitioners built on them send every tuple of both sides to the
+// same servers.
+func TestCompiledRoutingMatchesOracle(t *testing.T) {
+	for name, in := range routingInputs() {
+		r, s := in[0], in[1]
+		ry, sy := r.AttrIndex("y"), s.AttrIndex("y")
+		histR := relation.CollectRelationStats(r).Cols[ry].Hist
+		histS := relation.CollectRelationStats(s).Cols[sy].Hist
+		for _, p := range []int{1, 4, 16, 64} {
+			for _, factor := range []float64{0, 0.25, 1, 3} {
+				t.Run(fmt.Sprintf("%s/p=%d/factor=%v", name, p, factor), func(t *testing.T) {
+					cat := Compile(histR, histS, len(r.Tuples), len(s.Tuples), p, factor)
+					data := CompileFromData(r, ry, s, sy, p, factor)
+					if !reflect.DeepEqual(cat, data) {
+						t.Fatalf("compiled from catalog %+v, from data %+v", cat, data)
+					}
+					heavy, blocks, splitR := oracleRouting(r, s, ry, sy, p, factor)
+					if len(cat.Heavy) != len(heavy) {
+						t.Fatalf("%d heavy values, oracle %d", len(cat.Heavy), len(heavy))
+					}
+					for k, hv := range cat.Heavy {
+						block := make([]int, hv.Size)
+						for i := range block {
+							block[i] = (hv.First + i) % p
+						}
+						if hv.Value != heavy[k] || !slices.Equal(block, blocks[hv.Value]) || hv.SplitR != splitR[hv.Value] {
+							t.Fatalf("heavy[%d] = %+v; oracle value %d block %v splitR %v",
+								k, hv, heavy[k], blocks[heavy[k]], splitR[heavy[k]])
+						}
+						if cat.find(hv.Value) != k {
+							t.Fatalf("find(%d) = %d, want %d", hv.Value, cat.find(hv.Value), k)
+						}
+					}
+					splitS := map[int]bool{}
+					for v, sr := range splitR {
+						splitS[v] = !sr
+					}
+					sides := []struct {
+						rel   *relation.Relation
+						col   int
+						sideR bool
+						split map[int]bool
+					}{{r, ry, true, splitR}, {s, sy, false, splitS}}
+					for _, side := range sides {
+						got := newJoinPartitioner(cat, side.rel, side.col, side.sideR, 9)
+						want := newOraclePartitioner(side.rel, side.col, p, 9, blocks, side.split)
+						for i, tu := range side.rel.Tuples {
+							if g, w := got.Route(i, tu, nil), want.Route(i, tu, nil); !slices.Equal(g, w) {
+								t.Fatalf("%s tuple %d %v routes to %v, oracle %v", side.rel.Name, i, tu, g, w)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestPredictedLoadIsExactOnAllEqual pins the prediction's terms on an
+// input where nothing is left to hashing: one value, split side spread
+// over all p servers, broadcast side replicated to each.
+func TestPredictedLoadIsExactOnAllEqual(t *testing.T) {
+	in := routingInputs()["all-equal"]
+	rt := CompileFromData(in[0], 1, in[1], 0, 8, 1)
+	res, err := RunJoin(in[0], in[1], 8, Resilient, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 400.0/8 + 400; rt.PredictedLoad() != want || float64(res.MaxLoadTuples) != want {
+		t.Errorf("predicted %v, measured %d, want %v", rt.PredictedLoad(), res.MaxLoadTuples, want)
+	}
+}

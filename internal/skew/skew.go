@@ -11,11 +11,16 @@
 //
 //   - Standard: hash-partition both relations on y — one server per
 //     join value; a heavy hitter lands intact on one server.
-//   - Resilient: the input servers detect heavy hitters (they may
-//     compute statistics over their own relation, Section 2.4),
-//     allocate each heavy value a block of servers proportional to its
-//     frequency, split the larger side across the block and broadcast
-//     the smaller side to it; light values hash as usual.
+//   - Resilient: heavy join values get a block of servers proportional
+//     to their frequency, the larger side splits across the block and
+//     the smaller side broadcasts to it; light values hash as usual.
+//     The heavy set comes from counts, not data — the per-column
+//     histograms an input server may compute over its own relation
+//     before round 1 (Section 2.4). Compile turns the two join-column
+//     histograms into an immutable Routing; the planner does so once,
+//     at plan.Build, from the catalog's histogram runs, and RunJoin
+//     (which holds tuples and no catalog) builds the same histograms
+//     from the data first.
 //
 // On skew-free inputs the two disciplines behave identically (within
 // hashing noise); on Zipf inputs the resilient discipline's maximum
@@ -27,6 +32,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sort"
 
@@ -71,43 +77,126 @@ func MatchingJoinInput(rng *rand.Rand, n int) (r, s *relation.Relation) {
 		relation.Matching(rng, "S", []string{"y", "z"}, n)
 }
 
-// Frequencies counts occurrences of each value in the named column.
-func Frequencies(rel *relation.Relation, attr string) (map[int]int, error) {
-	col := rel.AttrIndex(attr)
-	if col < 0 {
-		return nil, fmt.Errorf("skew: relation %s has no attribute %s", rel.Name, attr)
-	}
-	freq := make(map[int]int)
-	for _, t := range rel.Tuples {
-		freq[t[col]]++
-	}
-	return freq, nil
+// HeavyValue is the compiled routing of one heavy join value.
+type HeavyValue struct {
+	// Value is the join value; CountR and CountS are its frequencies in
+	// the two join columns.
+	Value, CountR, CountS int
+	// First and Size name the value's server block: servers
+	// (First+i) mod p for i < Size.
+	First, Size int
+	// SplitR reports which side splits round-robin over the block (R
+	// when set, S otherwise); the other side broadcasts to all of it.
+	SplitR bool
 }
 
-// HeavyHitters returns the values whose combined frequency across both
-// inputs exceeds threshold, sorted descending by frequency.
-func HeavyHitters(freqR, freqS map[int]int, threshold int) []int {
-	combined := make(map[int]int, len(freqR)+len(freqS))
-	for v, c := range freqR {
-		combined[v] += c
+// Routing is the heavy-hitter routing of one join on P servers,
+// compiled from counts alone. It is immutable: a cached plan shares
+// one across concurrent executions.
+type Routing struct {
+	// P is the number of servers; Total is |R|+|S|.
+	P, Total int
+	// Threshold is the combined frequency above which a value is heavy:
+	// factor·Total/P, at least 1.
+	Threshold int
+	// Heavy lists the heavy values, combined count descending, value
+	// ascending — the order blocks are allocated in.
+	Heavy []HeavyValue
+	// byValue lists positions in Heavy ascending by value, for find.
+	byValue []int
+}
+
+// Compile builds the routing from the histogram runs (ascending by
+// value, see relation.ColumnStats.Hist) of the two join columns, the
+// cardinalities nR and nS, p ≥ 1 and the heavy factor (≤ 0 means 1) in
+// one linear merge. Answers are correct for any heavy set, because
+// both sides route from the same one; the loads are the intended ones
+// when the histograms describe the data.
+func Compile(histR, histS []relation.ValueCount, nR, nS, p int, factor float64) *Routing {
+	if factor <= 0 {
+		factor = 1
 	}
-	for v, c := range freqS {
-		combined[v] += c
-	}
-	var heavy []int
-	for v, c := range combined {
-		if c > threshold {
-			heavy = append(heavy, v)
+	rt := &Routing{P: p, Total: nR + nS}
+	rt.Threshold = max(1, int(factor*float64(rt.Total)/float64(p)))
+	var byValue []HeavyValue // the heavy values as the merge meets them: ascending
+	for i, j := 0, 0; i < len(histR) || j < len(histS); {
+		var hv HeavyValue
+		if j == len(histS) || i < len(histR) && histR[i].Value <= histS[j].Value {
+			hv.Value, hv.CountR = histR[i].Value, histR[i].Count
+			i++
+		} else {
+			hv.Value = histS[j].Value
+		}
+		if j < len(histS) && histS[j].Value == hv.Value {
+			hv.CountS = histS[j].Count
+			j++
+		}
+		if hv.CountR+hv.CountS > rt.Threshold {
+			byValue = append(byValue, hv)
 		}
 	}
-	sort.Slice(heavy, func(i, j int) bool {
-		ci, cj := combined[heavy[i]], combined[heavy[j]]
-		if ci != cj {
-			return ci > cj
-		}
-		return heavy[i] < heavy[j]
+	order := make([]int, len(byValue)) // rank → position in byValue; stable, so ties stay value-ascending
+	for k := range order {
+		order[k] = k
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		ha, hb := byValue[order[a]], byValue[order[b]]
+		return ha.CountR+ha.CountS > hb.CountR+hb.CountS
 	})
-	return heavy
+	rt.Heavy, rt.byValue = make([]HeavyValue, len(order)), make([]int, len(order))
+	next := 0
+	for rank, k := range order {
+		hv := byValue[k]
+		// Block size proportional to the value's share of the data.
+		hv.Size = min(max((hv.CountR+hv.CountS)*p/rt.Total, 1), p)
+		hv.First, next = next, (next+hv.Size)%p
+		hv.SplitR = hv.CountR >= hv.CountS
+		rt.Heavy[rank], rt.byValue[k] = hv, rank
+	}
+	return rt
+}
+
+// CompileFromData is Compile for callers that hold the relations but
+// no catalog: it builds the two histograms with the statistics
+// kernel's radix sort first.
+func CompileFromData(r *relation.Relation, ry int, s *relation.Relation, sy, p int, factor float64) *Routing {
+	return Compile(relation.ColumnHistogram(r.Tuples, ry), relation.ColumnHistogram(s.Tuples, sy),
+		len(r.Tuples), len(s.Tuples), p, factor)
+}
+
+// find returns the position in Heavy of join value v, or -1 when v is
+// light.
+func (rt *Routing) find(v int) int {
+	lo, hi := 0, len(rt.byValue)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if rt.Heavy[rt.byValue[mid]].Value < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(rt.byValue) && rt.Heavy[rt.byValue[lo]].Value == v {
+		return rt.byValue[lo]
+	}
+	return -1
+}
+
+// PredictedLoad is the maximum per-server tuple count the routing
+// implies: the light tuples hash evenly over all P servers, and a
+// server in a heavy value's block additionally receives its slice of
+// the split side plus the whole broadcast side.
+func (rt *Routing) PredictedLoad() float64 {
+	light, block := rt.Total, 0.0
+	for _, hv := range rt.Heavy {
+		light -= hv.CountR + hv.CountS
+		split, bcast := hv.CountR, hv.CountS
+		if !hv.SplitR {
+			split, bcast = bcast, split
+		}
+		block = math.Max(block, float64(split)/float64(hv.Size)+float64(bcast))
+	}
+	return float64(light)/float64(rt.P) + block
 }
 
 // Mode selects the routing discipline.
@@ -155,7 +244,8 @@ type Options struct {
 	// CapConstant enables receive-cap enforcement when positive.
 	CapConstant float64
 	// HeavyFactor scales the heavy-hitter threshold
-	// HeavyFactor·(|R|+|S|)/p; zero means 1.
+	// HeavyFactor·(|R|+|S|)/p of the routing RunJoin compiles; zero
+	// means 1. Execute routes by the Routing it is handed.
 	HeavyFactor float64
 	// Transport selects the worker pool (internal/dist); nil is the
 	// in-process loopback. The pool size must equal p.
@@ -179,7 +269,8 @@ type Options struct {
 
 // Result reports a join run.
 type Result struct {
-	// Answers is the full join result (x,y,z), deduplicated sorted.
+	// Answers is the full join result in the query's Vars() order —
+	// (x,y,z) for RunJoin — deduplicated sorted.
 	Answers []relation.Tuple
 	// Stats is the communication record.
 	Stats *mpc.Stats
@@ -188,73 +279,85 @@ type Result struct {
 	Replacements int
 	// MaxLoadTuples is the maximum per-server received tuple count.
 	MaxLoadTuples int64
-	// Heavy lists the detected heavy hitters (Resilient mode only).
-	Heavy []int
+	// Heavy lists the heavy hitters the run routed by (none under plain
+	// hashing).
+	Heavy []HeavyValue
 	// CapExceeded reports receive-budget violations.
 	CapExceeded bool
 }
 
-// heavyRoute fixes the routing of one heavy join value: split sides
-// round-robin across the block, broadcast sides replicate to all of it.
-type heavyRoute struct {
-	block []int
-	split bool
-}
-
-// joinPartitioner is the skew-aware routing discipline as an
-// exchange.Partitioner: light values hash to one server, heavy values
-// either split round-robin across their block or broadcast to the
-// whole block. The round-robin position of each tuple is precomputed
+// joinPartitioner is one side of the skew-aware routing discipline as
+// an exchange.Partitioner: light values hash to one server, heavy
+// values either split round-robin across their block or broadcast to
+// the whole block. The round-robin position of each tuple is precomputed
 // per heavy value (splitRank), so routing is stateless at Route time —
 // parallel sender shards need no shared counters — while every heavy
 // value still spreads exactly evenly over its block regardless of how
 // its occurrences are laid out in the source relation.
 type joinPartitioner struct {
 	col       int
-	p         int
 	seed      uint64
-	heavy     map[int]heavyRoute
+	rt        *Routing
+	sideR     bool    // this side splits the values whose SplitR is set
 	splitRank []int32 // tuple index → rank among its value's occurrences
 }
 
-// computeSplitRanks numbers each split-side heavy tuple among the
-// occurrences of its join value, in relation order (the legacy
-// per-value counter, hoisted out of the routing hot path).
-func computeSplitRanks(rel *relation.Relation, col int, heavy map[int]heavyRoute) []int32 {
-	ranks := make([]int32, len(rel.Tuples))
-	counter := make(map[int]int32, len(heavy))
+// newJoinPartitioner numbers each split-side heavy tuple of rel among
+// the occurrences of its join value, in relation order.
+func newJoinPartitioner(rt *Routing, rel *relation.Relation, col int, sideR bool, seed uint64) *joinPartitioner {
+	j := &joinPartitioner{col: col, seed: seed, rt: rt, sideR: sideR, splitRank: make([]int32, len(rel.Tuples))}
+	counter := make([]int32, len(rt.Heavy))
 	for i, t := range rel.Tuples {
-		v := t[col]
-		if hr, ok := heavy[v]; ok && hr.split {
-			ranks[i] = counter[v]
-			counter[v]++
+		if h := rt.find(t[col]); h >= 0 && rt.Heavy[h].SplitR == sideR {
+			j.splitRank[i] = counter[h]
+			counter[h]++
 		}
 	}
-	return ranks
+	return j
 }
 
 // Route implements exchange.Partitioner.
 func (j *joinPartitioner) Route(i int, t relation.Tuple, buf []int) []int {
 	v := t[j.col]
-	if hr, ok := j.heavy[v]; ok {
-		if hr.split {
-			return append(buf, hr.block[int(j.splitRank[i])%len(hr.block)])
-		}
-		return append(buf, hr.block...)
+	h := j.rt.find(v)
+	if h < 0 {
+		return append(buf, exchange.HashDest(v, j.seed, j.rt.P))
 	}
-	return append(buf, exchange.HashDest(v, j.seed, j.p))
+	hv := &j.rt.Heavy[h]
+	if hv.SplitR == j.sideR {
+		return append(buf, (hv.First+int(j.splitRank[i])%hv.Size)%j.rt.P)
+	}
+	for k := 0; k < hv.Size; k++ {
+		buf = append(buf, (hv.First+k)%j.rt.P)
+	}
+	return buf
 }
 
-// RunJoin executes R ⋈ S on p servers under the chosen mode. The
-// domain for bit accounting is taken as the largest value appearing in
-// either relation.
+// RunJoin executes R ⋈ S on p servers under the chosen mode; Resilient
+// compiles its routing from the data's own histograms. The domain for
+// bit accounting is taken as the largest value appearing in either
+// relation.
 func RunJoin(r, s *relation.Relation, p int, mode Mode, opts Options) (*Result, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("skew: p = %d", p)
 	}
-	if r.AttrIndex("y") < 0 || s.AttrIndex("y") < 0 {
+	ry, sy := r.AttrIndex("y"), s.AttrIndex("y")
+	if ry < 0 || sy < 0 {
 		return nil, fmt.Errorf("skew: inputs must share attribute y")
 	}
+	rt := &Routing{P: p} // no heavy values: plain hashing
+	if mode == Resilient {
+		rt = CompileFromData(r, ry, s, sy, p, opts.HeavyFactor)
+	}
+	return Execute(JoinQuery(), r, s, ry, sy, rt, mode.localStrategy(), opts)
+}
+
+// Execute runs the two-atom join q on rt.P servers, run-native on q's
+// own atoms: r and s (bound to q's first and second atom, whatever
+// their names and column order) scatter as they are, partitioned on
+// columns ry and sy under rt; the workers join q itself and the gather
+// merge returns the answers in q.Vars() order, sorted and deduplicated.
+func Execute(q *query.Query, r, s *relation.Relation, ry, sy int, rt *Routing, strategy localjoin.Strategy, opts Options) (*Result, error) {
 	domain := 1
 	for _, rel := range []*relation.Relation{r, s} {
 		for _, t := range rel.Tuples {
@@ -272,10 +375,10 @@ func RunJoin(r, s *relation.Relation, p int, mode Mode, opts Options) (*Result, 
 	}
 	tr := opts.Transport
 	if tr == nil {
-		tr = dist.NewLoopback(p)
+		tr = dist.NewLoopback(rt.P)
 	}
 	cluster, err := dist.NewCluster(mpc.Config{
-		Workers:     p,
+		Workers:     rt.P,
 		Epsilon:     0,
 		InputBits:   inputBits,
 		CapConstant: opts.CapConstant,
@@ -296,65 +399,14 @@ func RunJoin(r, s *relation.Relation, p int, mode Mode, opts Options) (*Result, 
 		cluster.EnableTracing(opts.Trace)
 	}
 
-	var heavy []int
-	blocks := map[int][]int{} // heavy value → server block
-	splitR := map[int]bool{}  // heavy value → split R (true) or S
-	if mode == Resilient {
-		freqR, err := Frequencies(r, "y")
-		if err != nil {
-			return nil, err
-		}
-		freqS, err := Frequencies(s, "y")
-		if err != nil {
-			return nil, err
-		}
-		factor := opts.HeavyFactor
-		if factor <= 0 {
-			factor = 1
-		}
-		threshold := int(factor * float64(len(r.Tuples)+len(s.Tuples)) / float64(p))
-		heavy = HeavyHitters(freqR, freqS, threshold)
-		next := 0
-		for _, v := range heavy {
-			// Block size proportional to the value's share of the data.
-			combined := freqR[v] + freqS[v]
-			size := combined * p / (len(r.Tuples) + len(s.Tuples))
-			if size < 1 {
-				size = 1
-			}
-			if size > p {
-				size = p
-			}
-			block := make([]int, size)
-			for i := range block {
-				block[i] = (next + i) % p
-			}
-			next = (next + size) % p
-			blocks[v] = block
-			splitR[v] = freqR[v] >= freqS[v]
-		}
-	}
-
-	// Build one skew-aware partitioner per side; the split/broadcast
-	// decision flips between R and S for each heavy value.
-	partR := &joinPartitioner{col: r.AttrIndex("y"), p: p, seed: opts.Seed}
-	partS := &joinPartitioner{col: s.AttrIndex("y"), p: p, seed: opts.Seed}
-	if mode == Resilient {
-		partR.heavy = make(map[int]heavyRoute, len(heavy))
-		partS.heavy = make(map[int]heavyRoute, len(heavy))
-		for _, v := range heavy {
-			partR.heavy[v] = heavyRoute{block: blocks[v], split: splitR[v]}
-			partS.heavy[v] = heavyRoute{block: blocks[v], split: !splitR[v]}
-		}
-		partR.splitRank = computeSplitRanks(r, partR.col, partR.heavy)
-		partS.splitRank = computeSplitRanks(s, partS.col, partS.heavy)
-	}
+	// One partitioner per side; the split/broadcast decision flips
+	// between R and S for each heavy value.
 	capExceeded := false
 	cluster.BeginRound()
-	if err := cluster.Scatter(ctx, r, "R", partR); err != nil && !errors.Is(err, mpc.ErrCapExceeded) {
+	if err := cluster.Scatter(ctx, r, q.Atoms[0].Name, newJoinPartitioner(rt, r, ry, true, opts.Seed)); err != nil && !errors.Is(err, mpc.ErrCapExceeded) {
 		return nil, err
 	}
-	if err := cluster.Scatter(ctx, s, "S", partS); err != nil && !errors.Is(err, mpc.ErrCapExceeded) {
+	if err := cluster.Scatter(ctx, s, q.Atoms[1].Name, newJoinPartitioner(rt, s, sy, false, opts.Seed)); err != nil && !errors.Is(err, mpc.ErrCapExceeded) {
 		return nil, err
 	}
 	if err := cluster.EndRound(ctx); err != nil {
@@ -365,10 +417,9 @@ func RunJoin(r, s *relation.Relation, p int, mode Mode, opts Options) (*Result, 
 		}
 	}
 
-	// Local joins at the workers (store names R and S regardless of
-	// the inputs' relation names), then a k-way merged gather.
-	q := JoinQuery()
-	if err := cluster.Join(ctx, q, nil, "skew!answers", mode.localStrategy()); err != nil {
+	// Local joins at the workers over the sealed runs they hold, then a
+	// k-way merged gather that stays a run until its one materialization.
+	if err := cluster.Join(ctx, q, nil, "skew!answers", strategy); err != nil {
 		return nil, err
 	}
 	answers, err := cluster.Gather(ctx, "skew!answers")
@@ -380,7 +431,7 @@ func RunJoin(r, s *relation.Relation, p int, mode Mode, opts Options) (*Result, 
 		Stats:         cluster.Stats(),
 		Replacements:  cluster.Replacements(),
 		MaxLoadTuples: cluster.Stats().MaxLoadTuples(),
-		Heavy:         heavy,
+		Heavy:         rt.Heavy,
 		CapExceeded:   capExceeded,
 	}, nil
 }
