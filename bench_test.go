@@ -804,7 +804,11 @@ func legacyDestinations(s *hypercube.Shares, h *hypercube.Hasher, atom query.Ato
 	var rec func(i int)
 	rec = func(i int) {
 		if i == len(free) {
-			out = append(out, s.ServerOf(coords))
+			id := 0
+			for d, c := range coords {
+				id = id*s.Dims[d] + c
+			}
+			out = append(out, id)
 			return
 		}
 		d := free[i]

@@ -23,20 +23,10 @@
 //	mpcbench -experiment recursion
 //	mpcbench -all                # everything
 //
-// The benchmark-regression pipeline (CI's bench job) runs the
-// machine-readable suite:
-//
-//	mpcbench -json BENCH.json                          # measure, write report
-//	mpcbench -json BENCH.json -baseline bench_baseline.json
-//
-// The suite times the hot paths (columnar shuffle, WCOJ and hash
-// local joins, plan build, end-to-end execute, wire encode/decode of
-// the distributed runtime) with the testing harness and normalizes
-// every result by a fixed CPU-bound
-// calibration loop measured in the same run, so reports compare
-// across machines of different speeds. With -baseline, the run fails
-// when any benchmark's normalized time regresses by more than
-// -max-regress (default 25%).
+// mpcbench reports the paper's quantities — loads, rounds, answer
+// fractions — not this system's speed: performance is measured end to
+// end by bench/run.sh and per stage by the Go benchmarks in the root
+// bench_test.go.
 package main
 
 import (
@@ -58,48 +48,17 @@ func main() {
 		n          = flag.Int("n", 2000, "domain size for data experiments")
 		seed       = flag.Uint64("seed", 2013, "random seed")
 		trials     = flag.Int("trials", 5, "trials per randomized cell")
-		jsonPath   = flag.String("json", "", "run the benchmark suite and write the machine-readable report here")
-		baseline   = flag.String("baseline", "", "compare the suite against this baseline report and fail on regression")
-		maxRegress = flag.Float64("max-regress", 0.25, "allowed normalized slowdown vs -baseline (0.25 = 25%)")
 	)
 	flag.Parse()
-	if err := run(*table, *figure, *experiment, *all, *n, *seed, *trials, *jsonPath, *baseline, *maxRegress); err != nil {
+	if err := run(*table, *figure, *experiment, *all, *n, *seed, *trials); err != nil {
 		fmt.Fprintln(os.Stderr, "mpcbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(table, figure int, experiment string, all bool, n int, seed uint64, trials int, jsonPath, baseline string, maxRegress float64) error {
+func run(table, figure int, experiment string, all bool, n int, seed uint64, trials int) error {
 	w := os.Stdout
 	ran := false
-	if jsonPath != "" || baseline != "" {
-		ran = true
-		if baseline != "" && maxRegress <= 0 {
-			return fmt.Errorf("-max-regress = %v, need > 0", maxRegress)
-		}
-		fmt.Fprintln(w, "── BENCH: machine-readable benchmark suite ──")
-		report, err := runBenchSuite(w, seed)
-		if err != nil {
-			return err
-		}
-		if jsonPath != "" {
-			if err := writeBenchJSON(jsonPath, report); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s\n", jsonPath)
-		}
-		if baseline != "" {
-			base, err := readBenchJSON(baseline)
-			if err != nil {
-				return err
-			}
-			if err := compareBenchReports(w, base, report, maxRegress); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "regression gate passed (budget %.0f%%)\n", maxRegress*100)
-		}
-		fmt.Fprintln(w)
-	}
 	if all || table == 1 {
 		ran = true
 		fmt.Fprintln(w, "── Table 1 ──")

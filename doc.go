@@ -40,7 +40,12 @@
 // frames (internal/wire). Receive accounting happens
 // coordinator-side, so both transports record identical round
 // statistics, and a differential test net holds every engine to
-// ground-truth-identical answers on both.
+// ground-truth-identical answers on both. Every engine starts an
+// execution the same way — dist.Open, given the environment (worker
+// pool, context, recovery policy, schedule, trace) and the model
+// parameters — and internal/serve answers POST /query through one
+// pipeline whether the request is a conjunctive query or a Datalog
+// program, so both are traced and, on a worker pool, self-healing.
 //
 // Layout:
 //
@@ -81,5 +86,7 @@
 // See README.md for a walkthrough, ARCHITECTURE.md for the layer
 // diagram, data flow and package index, and cmd/mpcbench for the
 // experiment index and the paper-vs-measured tables. Benchmarks in
-// bench_test.go regenerate each experiment under `go test -bench`.
+// bench_test.go regenerate each experiment under `go test -bench`;
+// end-to-end performance is measured by the separate bench/ module
+// (bench/run.sh).
 package repro

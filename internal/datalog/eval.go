@@ -14,6 +14,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/trace"
 )
 
 // Options configures Eval.
@@ -38,6 +39,15 @@ type Options struct {
 	// Context bounds distributed executions; nil selects
 	// context.Background().
 	Context context.Context
+	// Recovery is the self-healing policy of every execution the
+	// program opens (rule bodies and recursive-rule maintainers alike):
+	// with Enabled set, a worker that dies mid-fixpoint is replaced and
+	// replayed instead of failing the program.
+	Recovery dist.RecoveryOptions
+	// Trace, when non-nil, records the round and worker spans of every
+	// execution the program opens, in execution order; span round
+	// numbers restart with each execution.
+	Trace *trace.Trace
 	// MaxIterations bounds the fixpoint loop of each recursive stratum;
 	// ≤ 0 means no bound (the loop terminates anyway: the domain is
 	// finite and every iteration adds facts).
@@ -99,12 +109,8 @@ func Eval(prog *Program, db *relation.Database, opts Options) (*Result, error) {
 		}
 	}
 
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	e := &evaluator{
-		prog: prog, opts: opts, ctx: ctx,
+		prog: prog, opts: opts,
 		facts: make(map[string][]relation.Tuple),
 		stats: make(map[string]*relation.RelationStats),
 	}
@@ -162,7 +168,6 @@ func (p *Program) outputVars() []string {
 type evaluator struct {
 	prog *Program
 	opts Options
-	ctx  context.Context
 	wdb  *relation.Database
 	// facts maps IDB pred → sorted, deduplicated fact set.
 	facts map[string][]relation.Tuple
@@ -285,7 +290,9 @@ func (e *evaluator) evalRule(r *Rule) (*exchange.Buffer, error) {
 		CapConstant: e.opts.CapConstant,
 		Strategy:    e.opts.Strategy,
 		Transport:   tr,
-		Context:     e.ctx,
+		Context:     e.opts.Context,
+		Recovery:    e.opts.Recovery,
+		Trace:       e.opts.Trace,
 	})
 	if tr != nil {
 		tr.Close()
@@ -426,7 +433,9 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 			Seed:        e.opts.Seed,
 			Strategy:    e.opts.Strategy,
 			Transport:   tr,
-			Context:     e.ctx,
+			Context:     e.opts.Context,
+			Recovery:    e.opts.Recovery,
+			Trace:       e.opts.Trace,
 		})
 		if err != nil {
 			if tr != nil {

@@ -160,6 +160,55 @@ func TestEvalTransports(t *testing.T) {
 	}
 }
 
+// TestDatalogRecoversWorker: a worker that dies in the middle of the
+// fixpoint — at the recursive rule's second delta round — is replaced
+// and replayed, so the program finishes with the fault-free answers
+// and byte-identical round statistics, and reports the replacement.
+func TestDatalogRecoversWorker(t *testing.T) {
+	rng := rand.New(rand.NewPCG(9, 0))
+	edges := randomEdges(rng, 20, 36)
+	const p = 4
+	ref, err := Eval(MustParse(tcProgram), edgeDB(20, edges), Options{P: p, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Iterations < 2 {
+		t.Fatalf("reference ran %d iterations; the kill point needs a second delta round", ref.Iterations)
+	}
+	// The program opens two sessions: the base rule's execution, then
+	// the recursive rule's maintainer, which is the one that loses a
+	// worker.
+	sessions := 0
+	var faulty *dist.FaultTransport
+	dial := func(p int) (dist.Transport, error) {
+		sessions++
+		if sessions != 2 {
+			return dist.NewLoopback(p), nil
+		}
+		faulty = dist.NewFaultTransport(dist.NewLoopback(p),
+			dist.Fault{Worker: 1, Op: dist.OpDelta, N: 1, Kind: dist.KillBefore})
+		return faulty, nil
+	}
+	res, err := Eval(MustParse(tcProgram), edgeDB(20, edges), Options{
+		P: p, Seed: 5, Dial: dial, Recovery: dist.RecoveryOptions{Enabled: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if faulty == nil || faulty.Kills() != 1 {
+		t.Fatalf("fault schedule never fired (sessions dialed: %d)", sessions)
+	}
+	if res.Replacements != 1 {
+		t.Errorf("Replacements = %d, want 1", res.Replacements)
+	}
+	if !reflect.DeepEqual(res.Answers, ref.Answers) {
+		t.Errorf("recovered run has %d answers, fault-free run %d", len(res.Answers), len(ref.Answers))
+	}
+	if res.Iterations != ref.Iterations || !reflect.DeepEqual(res.Stats.Rounds, ref.Stats.Rounds) {
+		t.Errorf("recovered run's record diverges:\n got %+v\nwant %+v", res.Stats.Rounds, ref.Stats.Rounds)
+	}
+}
+
 // TestEvalDisjointPathsClosedForm: the closure of disjoint directed
 // paths over shuffled labels is every ordered pair along a path — a
 // closed form the fixpoint must hit exactly, in as many delta

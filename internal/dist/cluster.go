@@ -56,10 +56,74 @@ func NewCluster(cfg mpc.Config, tr Transport) (*Cluster, error) {
 	if cfg.Workers != tr.Workers() {
 		return nil, fmt.Errorf("dist: config wants %d workers, transport pool has %d", cfg.Workers, tr.Workers())
 	}
-	if _, err := mpc.NewCluster(cfg); err != nil { // reuse the simulation's validation
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return &Cluster{cfg: cfg, tr: tr}, nil
+}
+
+// Env says where and how an execution's rounds run — everything about
+// an execution that is neither the query, the data, nor the model
+// parameters of mpc.Config. The zero value is the historical
+// simulation: in-process loopback workers, no deadline, no recovery,
+// the synchronous schedule, untraced. Engines and front ends hand an
+// Env through to Open unchanged, so a policy set at the top (a
+// service's recovery policy, a query's trace) reaches every cluster
+// the execution opens.
+type Env struct {
+	// Transport is the worker pool: nil opens an in-process loopback
+	// of cfg.Workers workers, a *TCP runs the rounds against remote
+	// mpcworker processes. The pool size must equal cfg.Workers. A
+	// transport is one execution session — do not share one across
+	// concurrent executions.
+	Transport Transport
+	// Context bounds the execution (cancellation, deadline); nil
+	// selects context.Background().
+	Context context.Context
+	// Recovery is the self-healing policy: with Enabled set, a worker
+	// failure at any round triggers replacement and replay of that
+	// worker's inputs — the execution resumes at the round it was in
+	// instead of aborting. The transport must support it (loopback and
+	// TCP do).
+	Recovery RecoveryOptions
+	// Pipeline defers scatter/barrier/join traffic to the gather fence
+	// so workers overlap their local joins with later deliveries (see
+	// Cluster.EnablePipelining). Off by default; answers and round
+	// statistics are identical either way.
+	Pipeline bool
+	// Trace, when non-nil, records per-round per-worker spans of the
+	// execution (see Cluster.EnableTracing).
+	Trace *trace.Trace
+}
+
+// Open turns an Env and the model parameters into a ready cluster,
+// plus the context its rounds run under. It is the one way an engine
+// starts an execution; the caller that supplied env.Transport closes
+// it.
+func Open(env Env, cfg mpc.Config) (*Cluster, context.Context, error) {
+	ctx, tr := env.Context, env.Transport
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if tr == nil {
+		tr = NewLoopback(cfg.Workers)
+	}
+	c, err := NewCluster(cfg, tr)
+	if err != nil {
+		return nil, nil, err
+	}
+	if env.Recovery.Enabled {
+		if err := c.EnableRecovery(env.Recovery); err != nil {
+			return nil, nil, err
+		}
+	}
+	if env.Pipeline {
+		c.EnablePipelining()
+	}
+	if env.Trace != nil {
+		c.EnableTracing(env.Trace)
+	}
+	return c, ctx, nil
 }
 
 // Config returns the cluster configuration.
@@ -117,60 +181,14 @@ func (c *Cluster) ScatterRun(ctx context.Context, run *exchange.Buffer, as strin
 // deliver accounts the partitioned runs' receipt against the open
 // round (opening a lone round if none is) and ships them.
 func (c *Cluster) deliver(ctx context.Context, ds []exchange.Delivery) error {
-	lone := !c.open
-	if lone {
-		c.BeginRound()
-		c.open = false
-	}
-	rs := &c.stats.Rounds[len(c.stats.Rounds)-1]
+	rs, lone := c.receivingRound()
 	bitsPer := relation.BitsPerValue(c.cfg.DomainN)
 	for _, d := range ds {
-		n := int64(d.Buf.Len())
-		if n == 0 {
-			continue
+		if n := int64(d.Buf.Len()); n > 0 {
+			rs.Account(d.To, n, d.Buf.Bits(bitsPer))
 		}
-		rs.Account(d.To, n, d.Buf.Bits(bitsPer))
 	}
-	if lone {
-		defer c.traceCloseRound(rs)
-	}
-	if err := c.traceAnnounce(ctx); err != nil {
-		return err
-	}
-	if c.rec != nil {
-		c.rec.record(recOp{kind: opDeliver, round: c.round, ds: ds})
-	}
-	if c.pipe {
-		// Pipelined: the delivery (and, for a lone scatter, its barrier)
-		// rides the next fence. The cap check needs no worker traffic —
-		// accounting happened above — so it still fires here.
-		c.enqueue(recOp{kind: opDeliver, round: c.round, ds: ds})
-		if lone {
-			if c.rec != nil {
-				c.rec.record(recOp{kind: opBarrier, round: c.round})
-			}
-			c.enqueue(recOp{kind: opBarrier, round: c.round})
-			return rs.CheckCap(c.cfg.ReceiveCap())
-		}
-		return nil
-	}
-	// Deliveries are journaled, so they are not retried after a heal:
-	// replay has re-sent the failed worker's runs and the healthy
-	// workers already ingested theirs.
-	if err := c.attempt(ctx, false, func(ctx context.Context) error {
-		return c.tr.Deliver(ctx, c.round, ds)
-	}); err != nil {
-		return err
-	}
-	if lone {
-		// Lone scatter: the round is self-contained, so synchronize and
-		// enforce the budget immediately.
-		if err := c.barrier(ctx); err != nil {
-			return err
-		}
-		return rs.CheckCap(c.cfg.ReceiveCap())
-	}
-	return nil
+	return c.ship(ctx, rs, lone, recOp{kind: opDeliver, round: c.round, ds: ds})
 }
 
 // ScatterDelta partitions delta tuples through part — the same
@@ -186,22 +204,35 @@ func (c *Cluster) ScatterDelta(ctx context.Context, tuples []relation.Tuple, ari
 	if err != nil {
 		return fmt.Errorf("dist: scatter delta: %w", err)
 	}
-	lone := !c.open
-	if lone {
-		c.BeginRound()
-		c.open = false
-	}
-	rs := &c.stats.Rounds[len(c.stats.Rounds)-1]
+	rs, lone := c.receivingRound()
 	bitsPer := relation.BitsPerValue(c.cfg.DomainN)
 	dds := make([]DeltaDelivery, 0, len(ds))
 	for _, d := range ds {
-		n := int64(d.Buf.Len())
-		if n == 0 {
-			continue
+		if n := int64(d.Buf.Len()); n > 0 {
+			rs.Account(d.To, n, d.Buf.Bits(bitsPer))
+			dds = append(dds, DeltaDelivery{To: d.To, Store: store, View: view, Del: del, Buf: d.Buf})
 		}
-		rs.Account(d.To, n, d.Buf.Bits(bitsPer))
-		dds = append(dds, DeltaDelivery{To: d.To, Store: store, View: view, Del: del, Buf: d.Buf})
 	}
+	return c.ship(ctx, rs, lone, recOp{kind: opDelta, round: c.round, dds: dds})
+}
+
+// receivingRound returns the record of the round a scatter is received
+// in: the open round, or a lone round of its own — which ship then
+// closes — when none is.
+func (c *Cluster) receivingRound() (rs *mpc.RoundStats, lone bool) {
+	if lone = !c.open; lone {
+		c.BeginRound()
+		c.open = false
+	}
+	return &c.stats.Rounds[len(c.stats.Rounds)-1], lone
+}
+
+// ship sends one already-accounted scatter of the current round — a
+// delivery or a delta — to the workers: journaled, then deferred to
+// the fence when pipelining and handed to the transport otherwise. A
+// lone scatter is a round of its own, so it also synchronizes and
+// enforces the budget.
+func (c *Cluster) ship(ctx context.Context, rs *mpc.RoundStats, lone bool, op recOp) error {
 	if lone {
 		defer c.traceCloseRound(rs)
 	}
@@ -209,31 +240,40 @@ func (c *Cluster) ScatterDelta(ctx context.Context, tuples []relation.Tuple, ari
 		return err
 	}
 	if c.rec != nil {
-		c.rec.record(recOp{kind: opDelta, round: c.round, dds: dds})
+		c.rec.record(op)
 	}
 	if c.pipe {
-		c.enqueue(recOp{kind: opDelta, round: c.round, dds: dds})
-		if lone {
-			if c.rec != nil {
-				c.rec.record(recOp{kind: opBarrier, round: c.round})
-			}
-			c.enqueue(recOp{kind: opBarrier, round: c.round})
-			return rs.CheckCap(c.cfg.ReceiveCap())
+		// Pipelined: the scatter (and, for a lone one, its barrier) rides
+		// the next fence. The cap check needs no worker traffic —
+		// accounting happened before — so it still fires here.
+		c.enqueue(op)
+		if !lone {
+			return nil
 		}
-		return nil
+		if c.rec != nil {
+			c.rec.record(recOp{kind: opBarrier, round: c.round})
+		}
+		c.enqueue(recOp{kind: opBarrier, round: c.round})
+		return rs.CheckCap(c.cfg.ReceiveCap())
 	}
+	// Scatters are journaled, so they are not retried after a heal:
+	// replay has re-sent the failed worker's runs and the healthy
+	// workers already ingested theirs.
 	if err := c.attempt(ctx, false, func(ctx context.Context) error {
-		return c.tr.ApplyDelta(ctx, c.round, dds)
+		if op.kind == opDelta {
+			return c.tr.ApplyDelta(ctx, op.round, op.dds)
+		}
+		return c.tr.Deliver(ctx, op.round, op.ds)
 	}); err != nil {
 		return err
 	}
-	if lone {
-		if err := c.barrier(ctx); err != nil {
-			return err
-		}
-		return rs.CheckCap(c.cfg.ReceiveCap())
+	if !lone {
+		return nil
 	}
-	return nil
+	if err := c.barrier(ctx); err != nil {
+		return err
+	}
+	return rs.CheckCap(c.cfg.ReceiveCap())
 }
 
 // barrier synchronizes the pool on the current round and, when

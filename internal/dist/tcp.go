@@ -554,15 +554,23 @@ func (t *TCP) RunScript(ctx context.Context, ops []recOp, view string) ([]*excha
 }
 
 // SendTrace implements traceTransport: the round's span context is
-// written to every connection unacknowledged, like Data frames; the
-// round barrier is the fence that proves ingestion.
-func (t *TCP) SendTrace(ctx context.Context, h wire.TraceHeader) error {
+// queued on every connection unacknowledged, ahead of the round's Data
+// frames. It costs no write of its own — a thin round would otherwise
+// wake every worker once just for the header — and leaves with the
+// connection's next flush, at the latest the round barrier's, which is
+// also the fence that proves ingestion.
+func (t *TCP) SendTrace(_ context.Context, h wire.TraceHeader) error {
 	f := &wire.Frame{Type: wire.TypeTrace, Trace: h}
-	return t.eachConn(func(wc *workerConn) error {
-		return wc.roundTrip(ctx, func() error {
-			return wc.writeFrames([]*wire.Frame{f})
-		})
-	})
+	var errs []error
+	for _, wc := range t.conns {
+		wc.mu.Lock()
+		err := wire.Encode(wc.bw, f)
+		wc.mu.Unlock()
+		if err != nil {
+			errs = append(errs, &WorkerError{Worker: wc.id, Err: err})
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // ReplaceWorker implements Replaceable: it closes worker w's dead

@@ -162,15 +162,6 @@ func TestMergeRunsMixedPaths(t *testing.T) {
 	}
 }
 
-func TestMergeDedupTuplesEmpty(t *testing.T) {
-	if got := MergeDedupTuples(nil, 2); got != nil {
-		t.Errorf("empty merge = %v", got)
-	}
-	if got := MergeDedupTuples([][]relation.Tuple{nil, {}}, 2); got != nil {
-		t.Errorf("all-empty merge = %v", got)
-	}
-}
-
 // TestBufferDedup: Dedup seals and drops repeated tuples on both
 // layouts, and Grow reserves without changing content.
 func TestBufferDedup(t *testing.T) {

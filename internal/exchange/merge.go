@@ -2,7 +2,6 @@ package exchange
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/relation"
 )
@@ -293,47 +292,4 @@ func FoldRuns(runs []*Buffer, yield func(relation.Tuple)) {
 	for i := 0; i < n; i++ {
 		yield(merged.Row(i, row))
 	}
-}
-
-// mergeParallelThreshold is the total tuple count above which
-// MergeDedupTuples packs its groups concurrently.
-const mergeParallelThreshold = 1 << 14
-
-// MergeDedupTuples deduplicates and sorts the union of the groups
-// (typically per-worker local join outputs) by packing each group into
-// a sorted columnar run — in parallel when the input is large — and
-// k-way merging the runs.
-func MergeDedupTuples(groups [][]relation.Tuple, arity int) []relation.Tuple {
-	runs := make([]*Buffer, 0, len(groups))
-	total := 0
-	for _, g := range groups {
-		if len(g) > 0 {
-			total += len(g)
-		}
-	}
-	if total == 0 {
-		return nil
-	}
-	if total < mergeParallelThreshold {
-		for _, g := range groups {
-			if len(g) > 0 {
-				runs = append(runs, NewRun(arity, g))
-			}
-		}
-		return MergeRuns(runs)
-	}
-	runs = make([]*Buffer, len(groups))
-	var wg sync.WaitGroup
-	for i, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, g []relation.Tuple) {
-			defer wg.Done()
-			runs[i] = NewRun(arity, g)
-		}(i, g)
-	}
-	wg.Wait()
-	return MergeRuns(runs)
 }

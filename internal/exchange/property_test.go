@@ -179,7 +179,11 @@ func TestMergeDedupEquivalence(t *testing.T) {
 			groups[gi] = g
 			all = append(all, g...)
 		}
-		got := MergeDedupTuples(groups, arity)
+		runs := make([]*Buffer, len(groups))
+		for gi, g := range groups {
+			runs[gi] = NewRun(arity, g)
+		}
+		got := MergeRuns(runs)
 		ref := make([]relation.Tuple, len(all))
 		for i, tu := range all {
 			ref[i] = tu.Clone()

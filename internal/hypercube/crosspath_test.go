@@ -128,6 +128,16 @@ func TestCrossPathEquivalence(t *testing.T) {
 	}
 }
 
+// gridPoint is the reference mixed-radix encoding of grid coordinates
+// into a point id, written independently of GridPartitioner's strides.
+func gridPoint(s *Shares, coords []int) int {
+	id := 0
+	for i, c := range coords {
+		id = id*s.Dims[i] + c
+	}
+	return id
+}
+
 // recursiveDestinations is the historic recursive enumeration, kept as
 // the reference implementation for the iterative rewrite.
 func recursiveDestinations(s *Shares, h *Hasher, atom query.Atom, t relation.Tuple) []int {
@@ -158,7 +168,7 @@ func recursiveDestinations(s *Shares, h *Hasher, atom query.Atom, t relation.Tup
 	var rec func(i int)
 	rec = func(i int) {
 		if i == len(free) {
-			out = append(out, s.ServerOf(coords))
+			out = append(out, gridPoint(s, coords))
 			return
 		}
 		d := free[i]

@@ -71,7 +71,7 @@ type Maintainer struct {
 	// proj maps atom name → positions of the atom's variables in the
 	// answer tuple, the projection behind the deletion anti-join.
 	proj map[string][]int
-	// arity maps atom name → relation arity.
+	// arity maps atom name → arity of the atom (and of its relation).
 	arity map[string]int
 	// answers is the materialized answer as one sealed, deduplicated
 	// run (nil when empty); batches maintain it with linear passes over
@@ -106,31 +106,9 @@ func NewMaintainer(q *query.Query, db *relation.Database, p int, opts Options) (
 	if shares.GridSize() > p {
 		return nil, fmt.Errorf("hypercube: grid size %d exceeds %d servers", shares.GridSize(), p)
 	}
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	tr := opts.Transport
-	if tr == nil {
-		tr = dist.NewLoopback(p)
-	}
-	cluster, err := dist.NewCluster(mpc.Config{
-		Workers:     p,
-		Epsilon:     opts.Epsilon,
-		InputBits:   db.InputBits(),
-		CapConstant: opts.CapConstant,
-		DomainN:     db.N,
-	}, tr)
+	cluster, ctx, err := opts.open(p, db)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Recovery.Enabled {
-		if err := cluster.EnableRecovery(opts.Recovery); err != nil {
-			return nil, err
-		}
-	}
-	if opts.Pipeline {
-		cluster.EnablePipelining()
 	}
 	m := &Maintainer{
 		q:       q,
@@ -147,40 +125,23 @@ func NewMaintainer(q *query.Query, db *relation.Database, p int, opts Options) (
 		varPos[v] = i
 	}
 
-	// Cold distribution: the ordinary one-round HC scatter and join,
-	// with the cluster kept open afterwards.
-	cluster.BeginRound()
 	for _, a := range q.Atoms {
-		rel, ok := db.Relation(a.Name)
-		if !ok {
-			cluster.Close()
-			return nil, fmt.Errorf("hypercube: database missing relation %s", a.Name)
-		}
-		m.arity[a.Name] = rel.Arity()
 		pos := make([]int, len(a.Vars))
 		for i, v := range a.Vars {
 			pos[i] = varPos[v]
 		}
 		m.proj[a.Name] = pos
-		part := NewGridPartitioner(shares, m.hasher, a)
-		m.parts[a.Name] = part
-		if err := cluster.Scatter(ctx, rel, a.Name, part); err != nil {
-			cluster.Close()
-			return nil, err
-		}
+		m.arity[a.Name] = len(a.Vars)
+		m.parts[a.Name] = NewGridPartitioner(shares, m.hasher, a)
 	}
-	if err := cluster.EndRound(ctx); err != nil {
-		if !errors.Is(err, mpc.ErrCapExceeded) {
-			cluster.Close()
-			return nil, err
-		}
-		m.capSeen = true
+
+	// Cold distribution: the ordinary one-round HC scatter and join,
+	// with the cluster kept open afterwards.
+	m.capSeen, err = coldRound(ctx, cluster, q, db, opts.Strategy, func(a query.Atom) *GridPartitioner { return m.parts[a.Name] })
+	if err == nil {
+		m.answers, err = cluster.GatherRun(ctx, answersView)
 	}
-	if err := cluster.Join(ctx, q, nil, answersView, opts.Strategy); err != nil {
-		cluster.Close()
-		return nil, err
-	}
-	if m.answers, err = cluster.GatherRun(ctx, answersView); err != nil {
+	if err != nil {
 		cluster.Close()
 		return nil, err
 	}

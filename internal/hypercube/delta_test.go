@@ -10,6 +10,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/trace"
 )
 
 // startDeltaPool spins up n in-process TCP worker listeners (the
@@ -328,6 +329,64 @@ func TestMaintainerReplicationBound(t *testing.T) {
 		t.Errorf("maintenance bits %d, want > 0", rep.Bits)
 	}
 	assertSameTuples(t, m.Answers(), groundTruth(t, q, next))
+}
+
+// TestMaintainerTraced: a maintainer given Options.Trace records its
+// cold distribution and every ApplyDelta round on it — one round span
+// per round of Stats, p worker spans under each, carrying exactly the
+// bits the statistics charge.
+func TestMaintainerTraced(t *testing.T) {
+	q := query.Triangle()
+	const n, p = 32, 8
+	db := relation.IdentityDatabase(q, n)
+	tc := trace.New("maint", 1)
+	m, err := NewMaintainer(q, db, p, Options{Seed: 7, Trace: tc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for _, tu := range []relation.Tuple{{3, 7}, {5, 9}} {
+		var eff map[string]relation.Effect
+		if db, eff, err = relation.ApplyDelta(db, relation.Delta{Appends: map[string][]relation.Tuple{"S1": {tu}}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.ApplyDelta(eff); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rounds := m.Stats().Rounds
+	if len(rounds) != 3 {
+		t.Fatalf("%d rounds recorded, want the cold round and two delta rounds", len(rounds))
+	}
+	snap := tc.Snapshot()
+	roundSpan := map[uint64]int{} // round span id → round number
+	for _, s := range snap.Spans {
+		if s.Name == "round" {
+			roundSpan[s.ID] = s.Round
+		}
+	}
+	if len(roundSpan) != len(rounds) {
+		t.Fatalf("%d round spans, want %d", len(roundSpan), len(rounds))
+	}
+	workers := map[int]int{} // round → worker spans
+	bits := map[int]int64{}  // round → bits on worker spans
+	for _, s := range snap.Spans {
+		if s.Name != "worker" {
+			continue
+		}
+		round, ok := roundSpan[s.Parent]
+		if !ok || round != s.Round {
+			t.Errorf("worker span %+v is not under its round's span", s)
+		}
+		workers[round]++
+		bits[round] += s.LoadBits
+	}
+	for _, rs := range rounds {
+		if workers[rs.Round] != p || bits[rs.Round] != rs.TotalBits {
+			t.Errorf("round %d: %d worker spans carrying %d bits, want %d carrying %d",
+				rs.Round, workers[rs.Round], bits[rs.Round], p, rs.TotalBits)
+		}
+	}
 }
 
 // TestMaintainerFaultInjection drives delta maintenance through a

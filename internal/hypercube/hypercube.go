@@ -51,26 +51,6 @@ func (s *Shares) GridSize() int {
 	return size
 }
 
-// ServerOf maps grid coordinates to a point id via mixed-radix
-// encoding.
-func (s *Shares) ServerOf(coords []int) int {
-	id := 0
-	for i, c := range coords {
-		id = id*s.Dims[i] + c
-	}
-	return id
-}
-
-// CoordsOf inverts ServerOf.
-func (s *Shares) CoordsOf(point int) []int {
-	coords := make([]int, len(s.Dims))
-	for i := len(s.Dims) - 1; i >= 0; i-- {
-		coords[i] = point % s.Dims[i]
-		point /= s.Dims[i]
-	}
-	return coords
-}
-
 // DimOf returns the grid dimension of variable v, or -1.
 func (s *Shares) DimOf(v string) int {
 	for i, sv := range s.Vars {
@@ -366,32 +346,29 @@ type Options struct {
 	// join — the right evaluator for the cyclic residual queries HC
 	// workers see.
 	Strategy localjoin.Strategy
-	// Transport selects the worker pool the round runs on: nil is the
-	// in-process loopback (the historical simulation), a dist.TCP
-	// value executes against remote mpcworker processes. The pool size
-	// must equal p.
+	// Transport, Context, Recovery, Pipeline and Trace are the fields of
+	// dist.Env (documented there): where and how the round runs. The
+	// zero values are the in-process loopback, no deadline, no recovery,
+	// the synchronous schedule, untraced.
 	Transport dist.Transport
-	// Context bounds a distributed execution (cancellation, deadline);
-	// nil selects context.Background().
-	Context context.Context
-	// Recovery is the self-healing policy: with Enabled set, a worker
-	// failure mid-round triggers replacement and replay instead of
-	// aborting. The transport must support it (loopback and TCP do).
-	Recovery dist.RecoveryOptions
-	// Pipeline defers scatter/barrier/join traffic to the gather fence
-	// so workers overlap their local joins with later deliveries (see
-	// dist.Cluster.EnablePipelining). Off by default; answers and round
-	// statistics are identical either way.
-	Pipeline bool
-	// Trace, when non-nil, records per-round per-worker spans of the
-	// execution (see dist.Cluster.EnableTracing); nil disables tracing.
-	Trace *trace.Trace
+	Context   context.Context
+	Recovery  dist.RecoveryOptions
+	Pipeline  bool
+	Trace     *trace.Trace
 	// Aggregate, when non-nil, folds the answer gather into grouped
 	// aggregates (the spec's column indices refer to the query's Vars()
 	// order): Result.Answers then holds one sorted row per group. The
 	// shuffle, the local joins, and the round statistics are unchanged
 	// — the fold rides the final k-way merge.
 	Aggregate *relation.GroupSpec
+}
+
+// open starts the execution's cluster: p workers under the MPC(ε)
+// parameters of opts and db, in the environment opts carries.
+func (o Options) open(p int, db *relation.Database) (*dist.Cluster, context.Context, error) {
+	return dist.Open(
+		dist.Env{Transport: o.Transport, Context: o.Context, Recovery: o.Recovery, Pipeline: o.Pipeline, Trace: o.Trace},
+		mpc.Config{Workers: p, Epsilon: o.Epsilon, InputBits: db.InputBits(), CapConstant: o.CapConstant, DomainN: db.N})
 }
 
 // Result reports a HyperCube execution.
@@ -484,61 +461,18 @@ func runWithShares(q *query.Query, db *relation.Database, p int, shares *Shares,
 			return nil, err
 		}
 	}
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	tr := opts.Transport
-	if tr == nil {
-		tr = dist.NewLoopback(p)
-	}
-	cluster, err := dist.NewCluster(mpc.Config{
-		Workers:     p,
-		Epsilon:     opts.Epsilon,
-		InputBits:   db.InputBits(),
-		CapConstant: opts.CapConstant,
-		DomainN:     db.N,
-	}, tr)
+	cluster, ctx, err := opts.open(p, db)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Recovery.Enabled {
-		if err := cluster.EnableRecovery(opts.Recovery); err != nil {
-			return nil, err
-		}
-	}
-	if opts.Pipeline {
-		cluster.EnablePipelining()
-	}
-	if opts.Trace != nil {
-		cluster.EnableTracing(opts.Trace)
-	}
 	hasher := NewHasher(shares, opts.Seed)
-
-	// Round 1: every input server scatters its relation along the grid
-	// through the columnar exchange, one grid partitioner per atom.
-	cluster.BeginRound()
-	for _, a := range q.Atoms {
-		rel, ok := db.Relation(a.Name)
-		if !ok {
-			return nil, fmt.Errorf("hypercube: database missing relation %s", a.Name)
-		}
-		part := NewGridPartitioner(shares, hasher, a).WithSample(sample)
-		if err := cluster.Scatter(ctx, rel, a.Name, part); err != nil {
-			return nil, err
-		}
-	}
-	capErr := cluster.EndRound(ctx)
-	if capErr != nil && !errors.Is(capErr, mpc.ErrCapExceeded) {
-		return nil, capErr
-	}
-
-	// Local computation (free in the MPC cost model): each worker joins
-	// what it received, and the sorted per-worker outputs k-way merge
-	// in the gather.
-	if err := cluster.Join(ctx, q, nil, answersView, opts.Strategy); err != nil {
+	capExceeded, err := coldRound(ctx, cluster, q, db, opts.Strategy, func(a query.Atom) *GridPartitioner {
+		return NewGridPartitioner(shares, hasher, a).WithSample(sample)
+	})
+	if err != nil {
 		return nil, err
 	}
+	// The sorted per-worker outputs k-way merge in the gather.
 	var merged []relation.Tuple
 	if opts.Aggregate != nil {
 		merged, err = cluster.GatherAggregate(ctx, answersView, *opts.Aggregate)
@@ -559,9 +493,36 @@ func runWithShares(q *query.Query, db *relation.Database, p int, shares *Shares,
 		Replacements: cluster.Replacements(),
 		Shares:       shares,
 		ReceiveCap:   cluster.Config().ReceiveCap(),
-		CapExceeded:  capErr != nil,
+		CapExceeded:  capExceeded,
 		GridPoints:   grid,
 	}, nil
+}
+
+// coldRound is the HC round itself, shared by a one-shot run and a
+// maintainer's cold distribution. Round 1: every input server scatters
+// its relation along the grid through the columnar exchange, one grid
+// partitioner per atom. Then local computation (free in the MPC cost
+// model): each worker joins what it received and keeps the result
+// under answersView. A broken receive budget is reported, not an
+// error.
+func coldRound(ctx context.Context, cluster *dist.Cluster, q *query.Query, db *relation.Database, strategy localjoin.Strategy, part func(query.Atom) *GridPartitioner) (capExceeded bool, err error) {
+	cluster.BeginRound()
+	for _, a := range q.Atoms {
+		rel, ok := db.Relation(a.Name)
+		if !ok {
+			return false, fmt.Errorf("hypercube: database missing relation %s", a.Name)
+		}
+		if err := cluster.Scatter(ctx, rel, a.Name, part(a)); err != nil {
+			return false, err
+		}
+	}
+	if err := cluster.EndRound(ctx); err != nil {
+		if !errors.Is(err, mpc.ErrCapExceeded) {
+			return false, err
+		}
+		capExceeded = true
+	}
+	return capExceeded, cluster.Join(ctx, q, nil, answersView, strategy)
 }
 
 // TheoreticalLoad returns the paper's per-server tuple bound for one

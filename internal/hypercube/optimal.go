@@ -2,7 +2,6 @@ package hypercube
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/query"
 )
@@ -128,16 +127,4 @@ func OptimalSharesForSizes(q *query.Query, sizes map[string]int, p int) (*Shares
 	}
 	out := &Shares{Vars: best.Vars, Dims: append([]int(nil), best.Dims...)}
 	return out, nil
-}
-
-// RealOptimalShares returns the continuous (Lagrangian) optimum for a
-// two-relation cartesian product R(x) × S(y). The cost
-// |R|·d_y + |S|·d_x under d_x·d_y = p is minimized at
-// d_x = √(p·|R|/|S|), d_y = √(p·|S|/|R|): the smaller relation is
-// replicated more (its opposite dimension grows). Exposed for tests
-// and documentation; general queries use OptimalSharesForSizes.
-func RealOptimalShares(sizeR, sizeS int, p int) (dx, dy float64) {
-	dx = math.Sqrt(float64(p) * float64(sizeR) / float64(sizeS))
-	dy = float64(p) / dx
-	return dx, dy
 }

@@ -1,7 +1,6 @@
 package hypercube
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/query"
@@ -82,23 +81,6 @@ func TestOptimalSharesSkewedSizes(t *testing.T) {
 	dy := opt.Dims[q.VarIndex("y")]
 	if dy <= dx {
 		t.Errorf("expected d_y > d_x for small R (got d_x=%d d_y=%d)", dx, dy)
-	}
-	// Continuous optimum: d_x = √(p·|R|/|S|) = 0.8, d_y = 80 — the
-	// small relation R is the one replicated (along y).
-	cdx, cdy := RealOptimalShares(100, 10000, p)
-	if cdy <= cdx {
-		t.Errorf("continuous optimum should replicate R more: dx=%v dy=%v", cdx, cdy)
-	}
-}
-
-func TestRealOptimalSharesProduct(t *testing.T) {
-	dx, dy := RealOptimalShares(400, 400, 64)
-	if math.Abs(dx-8) > 1e-9 || math.Abs(dy-8) > 1e-9 {
-		t.Errorf("equal sizes: dx=%v dy=%v, want 8, 8", dx, dy)
-	}
-	dx, dy = RealOptimalShares(100, 10000, 100)
-	if math.Abs(dx*dy-100) > 1e-6 {
-		t.Errorf("product = %v, want p", dx*dy)
 	}
 }
 

@@ -27,7 +27,6 @@ package localjoin
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/exchange"
 	"repro/internal/query"
@@ -484,21 +483,4 @@ func candidates(q *query.Query, b Bindings, v string, binding map[string]int) []
 	}
 	sort.Ints(out)
 	return out
-}
-
-// Format renders answer tuples for debugging.
-func Format(q *query.Query, ts []relation.Tuple) string {
-	var sb strings.Builder
-	sb.WriteString(strings.Join(q.Vars(), ","))
-	sb.WriteByte('\n')
-	for _, t := range ts {
-		for i, v := range t {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			fmt.Fprintf(&sb, "%d", v)
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

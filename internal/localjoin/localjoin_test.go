@@ -244,11 +244,3 @@ func TestStrategiesAgreeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestFormat(t *testing.T) {
-	q := query.Chain(1)
-	s := Format(q, []relation.Tuple{{1, 2}})
-	if s != "x0,x1\n1,2\n" {
-		t.Errorf("Format = %q", s)
-	}
-}

@@ -15,15 +15,13 @@
 // ScatterPart, which route the tuples of one base relation to workers
 // during the first round (partitioning source shards in parallel); they
 // perform the same receive accounting. Workers store what they receive
-// as sorted columnar runs, so gathering deduplicated answers is a k-way
-// merge rather than a concatenate-then-sort.
+// as sealed columnar runs and read it back through Received.
 package mpc
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/exchange"
@@ -47,8 +45,9 @@ type Config struct {
 	DomainN int
 }
 
-// validate checks the configuration.
-func (c Config) validate() error {
+// Validate checks the configuration. internal/dist validates with it
+// too, so both cluster implementations reject the same configurations.
+func (c Config) Validate() error {
 	if c.Workers < 1 {
 		return fmt.Errorf("mpc: Workers = %d, need ≥ 1", c.Workers)
 	}
@@ -99,7 +98,7 @@ func (w *Worker) Received(rel string) []relation.Tuple {
 	return w.ReceivedFrom(rel, 0)
 }
 
-// ReceivedFrom returns the tuples of rel at positions [start, Count) —
+// ReceivedFrom returns the tuples of rel at positions start and up —
 // the incremental read for round-based consumers that track a consumed
 // prefix. The view is fresh per call, like Received.
 func (w *Worker) ReceivedFrom(rel string, start int) []relation.Tuple {
@@ -110,40 +109,6 @@ func (w *Worker) ReceivedFrom(rel string, start int) []relation.Tuple {
 		return nil
 	}
 	return col.TuplesFrom(start)
-}
-
-// Count returns the number of tuples of rel received so far.
-func (w *Worker) Count(rel string) int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if col := w.store[rel]; col != nil {
-		return col.Len()
-	}
-	return 0
-}
-
-// Relations returns the names of all relations the worker holds, in
-// sorted order.
-func (w *Worker) Relations() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	names := make([]string, 0, len(w.store))
-	for name := range w.store {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Store returns a snapshot map of all held tuples. Like Received, the
-// snapshot is materialized fresh: callers may mutate it freely.
-func (w *Worker) Store() map[string][]relation.Tuple {
-	names := w.Relations()
-	out := make(map[string][]relation.Tuple, len(names))
-	for _, name := range names {
-		out[name] = w.Received(name)
-	}
-	return out
 }
 
 // addRun appends a sealed columnar run to the worker's store. The
@@ -295,7 +260,7 @@ type Cluster struct {
 
 // NewCluster builds a cluster of cfg.Workers idle workers.
 func NewCluster(cfg Config) (*Cluster, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	c := &Cluster{cfg: cfg}
@@ -320,12 +285,6 @@ func (c *Cluster) Stats() *Stats { return &c.stats }
 
 // Round returns the number of completed rounds.
 func (c *Cluster) Round() int { return c.round }
-
-// TupleBits returns the bit cost of one tuple of the given arity:
-// arity · ⌈log2(n+1)⌉, the Θ(log n) tuple encoding of Section 4.2.1.
-func (c *Cluster) TupleBits(arity int) int64 {
-	return int64(arity) * int64(relation.BitsPerValue(c.cfg.DomainN))
-}
 
 // StepFunc computes one worker's outgoing tuples for a round, writing
 // them into out. It is invoked concurrently for all workers; it must
@@ -461,36 +420,4 @@ func (c *Cluster) route(all []exchange.Delivery, rs *RoundStats) error {
 // checkCap validates the round against the receive budget.
 func (c *Cluster) checkCap(rs *RoundStats) error {
 	return rs.CheckCap(c.cfg.ReceiveCap())
-}
-
-// GatherAnswers collects deduplicated, sorted tuples stored under the
-// given view name across all workers — the union of per-server query
-// outputs — by k-way merging the workers' sorted columnar runs.
-func (c *Cluster) GatherAnswers(view string) []relation.Tuple {
-	return exchange.MergeRuns(c.gatherRuns(view))
-}
-
-// GatherAggregate folds the tuples stored under view across all
-// workers into grouped aggregates: the same k-way merge as
-// GatherAnswers, streamed through a relation.Accumulator, so the
-// coordinator materializes one row per group instead of the full
-// answer set.
-func (c *Cluster) GatherAggregate(view string, spec relation.GroupSpec) []relation.Tuple {
-	acc := relation.NewAccumulator(spec)
-	exchange.FoldRuns(c.gatherRuns(view), acc.Add)
-	return acc.Result()
-}
-
-// gatherRuns collects the sorted columnar runs stored under view
-// across all workers.
-func (c *Cluster) gatherRuns(view string) []*exchange.Buffer {
-	var runs []*exchange.Buffer
-	for _, w := range c.workers {
-		w.mu.Lock()
-		if col := w.store[view]; col != nil {
-			runs = append(runs, col.Runs()...)
-		}
-		w.mu.Unlock()
-	}
-	return runs
 }

@@ -239,13 +239,8 @@ func TestWorkerAccessors(t *testing.T) {
 	w := c.Worker(0)
 	w.add("R", []relation.Tuple{{1}})
 	w.add("A", []relation.Tuple{{2}})
-	names := w.Relations()
-	if len(names) != 2 || names[0] != "A" || names[1] != "R" {
-		t.Errorf("Relations = %v", names)
-	}
-	snap := w.Store()
-	if len(snap) != 2 || len(snap["R"]) != 1 {
-		t.Errorf("Store = %v", snap)
+	if len(w.Received("R")) != 1 || len(w.Received("A")) != 1 {
+		t.Errorf("Received: R = %v, A = %v", w.Received("R"), w.Received("A"))
 	}
 	if len(c.Workers()) != 1 {
 		t.Error("Workers length")
@@ -255,25 +250,17 @@ func TestWorkerAccessors(t *testing.T) {
 	}
 }
 
-func TestGatherAnswers(t *testing.T) {
-	c := newTestCluster(t, 3, 0, 1<<20, 0)
-	c.Worker(0).add("out", []relation.Tuple{{2, 1}, {1, 1}})
-	c.Worker(1).add("out", []relation.Tuple{{1, 1}}) // duplicate
-	c.Worker(2).add("out", []relation.Tuple{{3, 3}})
-	got := c.GatherAnswers("out")
-	if len(got) != 3 {
-		t.Fatalf("answers = %v", got)
-	}
-	if !got[0].Equal(relation.Tuple{1, 1}) || !got[1].Equal(relation.Tuple{2, 1}) || !got[2].Equal(relation.Tuple{3, 3}) {
-		t.Errorf("sorted answers = %v", got)
-	}
-}
-
 func TestTupleBits(t *testing.T) {
 	c := newTestCluster(t, 1, 0, 1<<20, 0)
-	// DomainN = 100 → 7 bits/value.
-	if got := c.TupleBits(3); got != 21 {
-		t.Errorf("TupleBits(3) = %d, want 21", got)
+	// DomainN = 100 → 7 bits/value, so one received 3-ary tuple is
+	// charged 21 bits.
+	r := relation.New("T", "x", "y", "z")
+	r.MustAdd(relation.Tuple{1, 2, 3})
+	if err := c.Broadcast(r); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Stats().TotalBits(); got != 21 {
+		t.Errorf("one 3-ary tuple cost %d bits, want 21", got)
 	}
 }
 
@@ -292,7 +279,7 @@ func TestEmptyRoundCostsNothing(t *testing.T) {
 }
 
 // TestReceivedViewsIsolated is the regression test for the historic
-// slice-aliasing footgun: Received/Store handed out the worker's
+// slice-aliasing footgun: Received handed out the worker's
 // internal slices, so one consumer's mutation could corrupt another's
 // view. Under the columnar store every call materializes fresh backing.
 func TestReceivedViewsIsolated(t *testing.T) {
@@ -317,12 +304,6 @@ func TestReceivedViewsIsolated(t *testing.T) {
 			t.Errorf("second view[%d] = %v, want %v (corrupted by first consumer)", i, tu, want[i])
 		}
 	}
-	// Store snapshots are equally isolated.
-	snap := w.Store()
-	snap["R"][0][0] = -1
-	if got := w.Received("R"); !got[0].Equal(relation.Tuple{1, 2}) {
-		t.Errorf("store snapshot mutation leaked into Received: %v", got[0])
-	}
 	// Incremental views see only the suffix and are fresh too.
 	tail := w.ReceivedFrom("R", 1)
 	if len(tail) != 1 || !tail[0].Equal(relation.Tuple{3, 4}) {
@@ -331,8 +312,5 @@ func TestReceivedViewsIsolated(t *testing.T) {
 	tail[0][0] = 42
 	if got := w.ReceivedFrom("R", 1); !got[0].Equal(relation.Tuple{3, 4}) {
 		t.Errorf("ReceivedFrom views alias: %v", got[0])
-	}
-	if w.Count("R") != 2 {
-		t.Errorf("Count = %d, want 2", w.Count("R"))
 	}
 }

@@ -227,25 +227,20 @@ type Options struct {
 	// zero value is localjoin.Default (the worst-case-optimal multiway
 	// join).
 	Strategy localjoin.Strategy
-	// Transport selects the worker pool (internal/dist); nil is the
-	// in-process loopback. The pool size must equal p.
+	// Transport, Context, Recovery, Pipeline and Trace are the fields of
+	// dist.Env (documented there): where and how the rounds run. The
+	// zero values are the in-process loopback, no deadline, no recovery,
+	// the synchronous schedule, untraced.
 	Transport dist.Transport
-	// Context bounds a distributed execution; nil selects
-	// context.Background().
-	Context context.Context
-	// Recovery is the self-healing policy: with Enabled set, a worker
-	// failure at any round triggers replacement and replay of that
-	// worker's inputs — the query resumes at the round it was in
-	// instead of aborting (or restarting at round 0).
-	Recovery dist.RecoveryOptions
-	// Pipeline defers scatter/barrier/join traffic to the gather fence
-	// so workers overlap their local joins with later deliveries (see
-	// dist.Cluster.EnablePipelining). Off by default; answers and round
-	// statistics are identical either way.
-	Pipeline bool
-	// Trace, when non-nil, records per-round per-worker spans of the
-	// execution (see dist.Cluster.EnableTracing); nil disables tracing.
-	Trace *trace.Trace
+	Context   context.Context
+	Recovery  dist.RecoveryOptions
+	Pipeline  bool
+	Trace     *trace.Trace
+}
+
+// env bundles the options' execution environment for dist.Open.
+func (o Options) env() dist.Env {
+	return dist.Env{Transport: o.Transport, Context: o.Context, Recovery: o.Recovery, Pipeline: o.Pipeline, Trace: o.Trace}
 }
 
 // Result reports a plan execution.
@@ -272,34 +267,15 @@ type Result struct {
 // communication.
 func Execute(plan *Plan, db *relation.Database, p int, opts Options) (*Result, error) {
 	epsF, _ := plan.Epsilon.Float64()
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	tr := opts.Transport
-	if tr == nil {
-		tr = dist.NewLoopback(p)
-	}
-	cluster, err := dist.NewCluster(mpc.Config{
+	cluster, ctx, err := dist.Open(opts.env(), mpc.Config{
 		Workers:     p,
 		Epsilon:     epsF,
 		InputBits:   db.InputBits(),
 		CapConstant: opts.CapConstant,
 		DomainN:     db.N,
-	}, tr)
+	})
 	if err != nil {
 		return nil, err
-	}
-	if opts.Recovery.Enabled {
-		if err := cluster.EnableRecovery(opts.Recovery); err != nil {
-			return nil, err
-		}
-	}
-	if opts.Pipeline {
-		cluster.EnablePipelining()
-	}
-	if opts.Trace != nil {
-		cluster.EnableTracing(opts.Trace)
 	}
 	// env maps atom name to what the next round scatters under it: a
 	// base relation of db, or a view gathered from an earlier round.

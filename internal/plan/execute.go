@@ -1,53 +1,22 @@
 package plan
 
 import (
-	"context"
 	"fmt"
 	"math"
 
-	"repro/internal/dist"
 	"repro/internal/hypercube"
-	"repro/internal/localjoin"
 	"repro/internal/mpc"
 	"repro/internal/multiround"
 	"repro/internal/relation"
 	"repro/internal/skew"
-	"repro/internal/trace"
 )
 
-// ExecOptions configures Plan.Execute.
-type ExecOptions struct {
-	// Seed drives every hash function of the run.
-	Seed uint64
-	// CapConstant enables receive-budget enforcement in the engine when
-	// positive (c in c·N/p^{1−ε} bits).
-	CapConstant float64
-	// Strategy selects the per-worker local join algorithm; the zero
-	// value is localjoin.Default (the worst-case-optimal join).
-	Strategy localjoin.Strategy
-	// Transport selects the worker pool the execution runs on
-	// (internal/dist): nil is the in-process loopback, a dist.TCP
-	// value runs the rounds against remote mpcworker processes. The
-	// pool size must equal the plan's P. A transport is one execution
-	// session — do not share one across concurrent Execute calls.
-	Transport dist.Transport
-	// Context bounds a distributed execution (cancellation, deadline);
-	// nil selects context.Background().
-	Context context.Context
-	// Recovery is the self-healing policy, threaded through to the
-	// engine's cluster: with Enabled set, a worker failure mid-query
-	// triggers replacement and replay instead of aborting.
-	Recovery dist.RecoveryOptions
-	// Pipeline defers scatter/barrier/join traffic to the engine's
-	// gather fences so workers overlap local joins with in-flight
-	// deliveries (dist.Cluster.EnablePipelining). Off by default;
-	// answers and round statistics are identical either way.
-	Pipeline bool
-	// Trace, when non-nil, records per-round per-worker spans of the
-	// execution, threaded through to the engine's cluster
-	// (dist.Cluster.EnableTracing); nil disables tracing.
-	Trace *trace.Trace
-}
+// ExecOptions configures Plan.Execute: the hash seed, the receive-cap
+// constant, the workers' local join strategy and the execution
+// environment (worker pool, context, recovery policy, schedule, trace).
+// It is the multiround engine's option set — the planner adds nothing
+// to it, and hands it to that engine as is.
+type ExecOptions = multiround.Options
 
 // Result reports a planner-driven execution.
 type Result struct {
@@ -86,16 +55,7 @@ func (p *Plan) Execute(db *relation.Database, opts ExecOptions) (*Result, error)
 		if p.Multi == nil {
 			return nil, fmt.Errorf("plan: multiround engine selected but no Γ^r_ε plan was built")
 		}
-		res, err := multiround.Execute(p.Multi, db, p.P, multiround.Options{
-			CapConstant: opts.CapConstant,
-			Seed:        opts.Seed,
-			Strategy:    opts.Strategy,
-			Transport:   opts.Transport,
-			Context:     opts.Context,
-			Recovery:    opts.Recovery,
-			Pipeline:    opts.Pipeline,
-			Trace:       opts.Trace,
-		})
+		res, err := multiround.Execute(p.Multi, db, p.P, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -149,88 +149,6 @@ func packColumns(t Tuple, idx []int, shift uint) uint64 {
 	return key
 }
 
-// Project returns the projection of r onto the named attributes (in
-// the given order), with duplicates removed.
-func Project(r *Relation, attrs ...string) (*Relation, error) {
-	idx := make([]int, len(attrs))
-	for i, a := range attrs {
-		j := r.AttrIndex(a)
-		if j < 0 {
-			return nil, fmt.Errorf("project %s: no attribute %s", r.Name, a)
-		}
-		idx[i] = j
-	}
-	out := New("π("+r.Name+")", attrs...)
-	seen := NewTupleSet(len(idx), len(r.Tuples))
-	for _, t := range r.Tuples {
-		p := make(Tuple, len(idx))
-		for i, j := range idx {
-			p[i] = t[j]
-		}
-		if seen.Add(p) {
-			out.Tuples = append(out.Tuples, p)
-		}
-	}
-	return out, nil
-}
-
-// Semijoin returns the tuples of r that join with at least one tuple
-// of s on their shared attributes (r ⋉ s). With no shared attributes
-// the result is r when s is non-empty and empty otherwise.
-func Semijoin(r, s *Relation) *Relation {
-	out := New(r.Name+"⋉"+s.Name, r.Attrs...)
-	shared := sharedAttrs(r, s)
-	if len(shared) == 0 {
-		if len(s.Tuples) > 0 {
-			for _, t := range r.Tuples {
-				out.Tuples = append(out.Tuples, t.Clone())
-			}
-		}
-		return out
-	}
-	rIdx := make([]int, len(shared))
-	sIdx := make([]int, len(shared))
-	for i, a := range shared {
-		rIdx[i] = r.AttrIndex(a)
-		sIdx[i] = s.AttrIndex(a)
-	}
-	if shift, ok := packShift(len(shared), [2]*Relation{r, s}, [2][]int{rIdx, sIdx}); ok {
-		semijoinInto(out, r, s, rIdx, sIdx, func(t Tuple, idx []int) uint64 {
-			return packColumns(t, idx, shift)
-		})
-	} else {
-		semijoinInto(out, r, s, rIdx, sIdx, projectKey)
-	}
-	return out
-}
-
-func semijoinInto[K comparable](out, r, s *Relation, rIdx, sIdx []int, key func(Tuple, []int) K) {
-	index := make(map[K]bool, len(s.Tuples))
-	for _, ts := range s.Tuples {
-		index[key(ts, sIdx)] = true
-	}
-	for _, tr := range r.Tuples {
-		if index[key(tr, rIdx)] {
-			out.Tuples = append(out.Tuples, tr.Clone())
-		}
-	}
-}
-
-// Select returns the tuples of r whose attribute attr equals value.
-func Select(r *Relation, attr string, value int) (*Relation, error) {
-	i := r.AttrIndex(attr)
-	if i < 0 {
-		return nil, fmt.Errorf("select %s: no attribute %s", r.Name, attr)
-	}
-	out := New("σ("+r.Name+")", r.Attrs...)
-	for _, t := range r.Tuples {
-		if t[i] == value {
-			out.Tuples = append(out.Tuples, t.Clone())
-		}
-	}
-	return out, nil
-}
-
 func sharedAttrs(r, s *Relation) []string {
 	var out []string
 	for _, a := range r.Attrs {

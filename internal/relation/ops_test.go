@@ -50,61 +50,6 @@ func TestNaturalJoinMultiAttr(t *testing.T) {
 	}
 }
 
-func TestProject(t *testing.T) {
-	r := rel("R", []string{"x", "y"}, Tuple{1, 2}, Tuple{1, 3}, Tuple{2, 2})
-	p, err := Project(r, "x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Sort()
-	if len(p.Tuples) != 2 || p.Tuples[0][0] != 1 || p.Tuples[1][0] != 2 {
-		t.Errorf("project = %v", p.Tuples)
-	}
-	if _, err := Project(r, "nope"); err == nil {
-		t.Error("want error for unknown attribute")
-	}
-	// Reorder columns.
-	p2, err := Project(r, "y", "x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.Attrs[0] != "y" {
-		t.Error("projection should honor attribute order")
-	}
-}
-
-func TestSemijoin(t *testing.T) {
-	r := rel("R", []string{"x", "y"}, Tuple{1, 2}, Tuple{2, 3})
-	s := rel("S", []string{"y"}, Tuple{2})
-	sj := Semijoin(r, s)
-	if len(sj.Tuples) != 1 || !sj.Tuples[0].Equal(Tuple{1, 2}) {
-		t.Errorf("semijoin = %v", sj.Tuples)
-	}
-	// No shared attributes: passthrough iff s non-empty.
-	u := rel("U", []string{"w"}, Tuple{5})
-	if got := Semijoin(r, u); len(got.Tuples) != 2 {
-		t.Errorf("disjoint semijoin vs non-empty = %v", got.Tuples)
-	}
-	empty := New("E", "w")
-	if got := Semijoin(r, empty); len(got.Tuples) != 0 {
-		t.Errorf("disjoint semijoin vs empty = %v", got.Tuples)
-	}
-}
-
-func TestSelect(t *testing.T) {
-	r := rel("R", []string{"x", "y"}, Tuple{1, 2}, Tuple{2, 2}, Tuple{2, 9})
-	s, err := Select(r, "x", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Tuples) != 2 {
-		t.Errorf("select = %v", s.Tuples)
-	}
-	if _, err := Select(r, "nope", 1); err == nil {
-		t.Error("want error for unknown attribute")
-	}
-}
-
 // TestJoinOfMatchingsIsMatching: the join of two binary matchings on a
 // shared attribute is again a (2-column-keyed) relation of exactly n
 // tuples — the composition of two permutations.
@@ -117,9 +62,9 @@ func TestJoinOfMatchingsIsMatching(t *testing.T) {
 	if len(j.Tuples) != n {
 		t.Fatalf("|R⋈S| = %d, want %d", len(j.Tuples), n)
 	}
-	p, err := Project(j, "x", "z")
-	if err != nil {
-		t.Fatal(err)
+	p := New("π(R⋈S)", "x", "z")
+	for _, t := range j.Tuples {
+		p.MustAdd(Tuple{t[j.AttrIndex("x")], t[j.AttrIndex("z")]})
 	}
 	if !p.IsMatching(n) {
 		t.Error("projection of composed matchings should be a matching")

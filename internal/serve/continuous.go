@@ -245,6 +245,11 @@ type ContinuousAnswers struct {
 func (cq *contQuery) info(dsVersion uint64) ContinuousInfo {
 	cq.mu.Lock()
 	defer cq.mu.Unlock()
+	return cq.infoLocked(dsVersion)
+}
+
+// infoLocked is info for callers that hold cq.mu.
+func (cq *contQuery) infoLocked(dsVersion uint64) ContinuousInfo {
 	info := ContinuousInfo{
 		Name:           cq.name,
 		Dataset:        cq.dataset,
@@ -302,21 +307,11 @@ func (s *Server) handleContinuousRegister(w http.ResponseWriter, r *http.Request
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	p := req.P
-	if p == 0 {
-		p = s.cfg.DefaultP
-	}
-	if p < 1 || p > s.cfg.MaxP {
-		writeError(w, http.StatusBadRequest, "p = %d outside [1, %d]", p, s.cfg.MaxP)
-		return
-	}
-	if req.Dataset == "" {
-		writeError(w, http.StatusBadRequest, "dataset is required")
-		return
-	}
-	ds, ok := s.registry.Get(req.Dataset)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown dataset %q (registered: %v)", req.Dataset, s.registry.Names())
+	// Maintainers live on the in-process loopback, so p is not pinned to
+	// the worker pool's size.
+	p, _, ds, err := s.target(req.P, "", req.Dataset, false)
+	if err != nil {
+		writeFailure(w, err)
 		return
 	}
 	if s.continuous.count() >= s.cfg.MaxContinuous {
@@ -379,33 +374,11 @@ func (s *Server) handleContinuousOne(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, "unknown continuous query %q (registered: %v)", name, s.continuous.names())
 			return
 		}
-		maxAnswers := s.cfg.MaxAnswers
 		cq.mu.Lock()
-		all := cq.m.Answers()
-		resp := ContinuousAnswers{Vars: cq.q.Vars()}
-		resp.ContinuousInfo = ContinuousInfo{
-			Name:           cq.name,
-			Dataset:        cq.dataset,
-			Query:          cq.q.String(),
-			P:              cq.p,
-			Version:        cq.version,
-			DatasetVersion: s.datasetVersion(cq.dataset),
-			AnswerCount:    len(all),
-			TotalBits:      cq.m.Stats().TotalBits(),
-		}
-		if cq.err != nil {
-			resp.Error = cq.err.Error()
-		}
-		answers := make([][]int, 0, min(maxAnswers, len(all)))
-		for i, t := range all {
-			if i >= maxAnswers {
-				break
-			}
-			answers = append(answers, []int(t))
-		}
+		resp := ContinuousAnswers{ContinuousInfo: cq.infoLocked(s.datasetVersion(cq.dataset)), Vars: cq.q.Vars()}
+		resp.Answers = s.truncate(cq.m.Answers(), 0)
 		cq.mu.Unlock()
-		resp.Answers = answers
-		resp.Truncated = len(answers) < resp.AnswerCount
+		resp.Truncated = len(resp.Answers) < resp.AnswerCount
 		s.metrics.ContinuousReads.Add(1)
 		writeJSON(w, http.StatusOK, resp)
 	case http.MethodDelete:

@@ -1,18 +1,19 @@
 package serve
 
 import (
+	"context"
 	"fmt"
-	"math/big"
 	"net/http"
 	"strings"
-	"time"
 
 	"repro/internal/datalog"
 	"repro/internal/dist"
+	"repro/internal/mpc"
+	"repro/internal/relation"
 	"repro/internal/trace"
 )
 
-// handleDatalogQuery is the Datalog branch of POST /query: a request
+// resolveProgram resolves the Datalog kind of POST /query: a request
 // whose program field is set (or whose query text contains ':-'/'?-')
 // is parsed by the strict front end and evaluated stratum by stratum —
 // rule bodies through the planner, recursive strata semi-naive over
@@ -20,183 +21,53 @@ import (
 // Programs are not plan-cached: a program is many plans, and the
 // recursive ones depend on derived statistics that only exist
 // mid-evaluation.
-func (s *Server) handleDatalogQuery(w http.ResponseWriter, r *http.Request, ten *Tenant, req QueryRequest) {
+func (s *Server) resolveProgram(req QueryRequest) (*job, error) {
 	src := req.Program
 	if src == "" {
 		src = req.Query
 	} else if req.Query != "" || req.Family != "" {
-		writeError(w, http.StatusBadRequest, "use program, query or family — not a combination")
-		return
+		return nil, errorf(http.StatusBadRequest, "use program, query or family — not a combination")
 	}
 	if req.Family != "" {
-		writeError(w, http.StatusBadRequest, "use program or family, not both")
-		return
+		return nil, errorf(http.StatusBadRequest, "use program or family, not both")
 	}
 	prog, err := datalog.Parse(src)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, errorf(http.StatusBadRequest, "%v", err)
 	}
-	p := req.P
-	if p == 0 {
-		p = s.cfg.DefaultP
-	}
-	if p < 1 {
-		writeError(w, http.StatusBadRequest, "p = %d, need ≥ 1", p)
-		return
-	}
-	if p > s.cfg.MaxP {
-		writeError(w, http.StatusBadRequest, "p = %d exceeds server limit %d", p, s.cfg.MaxP)
-		return
-	}
-	if len(s.cfg.WorkerAddrs) > 0 && p != len(s.cfg.WorkerAddrs) {
-		writeError(w, http.StatusBadRequest,
-			"p = %d, but this service executes on a fixed pool of %d workers (leave p unset)",
-			p, len(s.cfg.WorkerAddrs))
-		return
-	}
-	var eps *big.Rat
-	if req.Epsilon != "" {
-		eps = new(big.Rat)
-		if _, ok := eps.SetString(req.Epsilon); !ok {
-			writeError(w, http.StatusBadRequest, "cannot parse eps %q as a rational", req.Epsilon)
-			return
-		}
-		if eps.Sign() < 0 || eps.Cmp(big.NewRat(1, 1)) >= 0 {
-			writeError(w, http.StatusBadRequest, "eps = %s outside [0,1)", eps.RatString())
-			return
-		}
-	}
-	if req.Dataset == "" {
-		writeError(w, http.StatusBadRequest, "dataset is required")
-		return
-	}
-	ds, ok := s.registry.Get(req.Dataset)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown dataset %q (registered: %v)", req.Dataset, s.registry.Names())
-		return
+	p, eps, ds, err := s.target(req.P, req.Epsilon, req.Dataset, true)
+	if err != nil {
+		return nil, err
 	}
 	sn := ds.Snapshot()
-
-	// Admission: a program has no single plan to cost, so the booked
-	// load is the dataset cardinality — every EDB tuple is shuffled at
-	// least once, and the recursive deltas ride on top.
-	cost := int64(sn.DB.TotalTuples()) + 1
-	if ten != nil {
-		if qe := ten.AdmitLoad(cost); qe != nil {
-			s.metrics.QueriesRejected.Add(1)
-			writeQuotaError(w, qe)
-			return
-		}
-	}
-	if err := s.gate.Acquire(r.Context(), cost); err != nil {
-		if ten != nil {
-			ten.ReleaseLoad(cost)
-		}
-		s.metrics.QueriesRejected.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "admission rejected: %v", err)
-		return
-	}
-	s.metrics.InFlight.Add(1)
-	if ten != nil {
-		ten.InFlight.Add(1)
-	}
-	release := func() {
-		s.metrics.InFlight.Add(-1)
-		s.gate.Release(cost)
-		if ten != nil {
-			ten.InFlight.Add(-1)
-			ten.ReleaseLoad(cost)
-		}
-	}
-
-	qn := s.queryID.Add(1)
-	qid := fmt.Sprintf("q-%d", qn)
-	tc := trace.New(qid, qn)
-	tc.Query = strings.TrimRight(prog.String(), "\n")
-	tc.Engine = "datalog"
-	tc.P = p
-	if ten != nil {
-		tc.Tenant = ten.Name()
-	}
-	s.traces.Add(tc)
-
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	opts := datalog.Options{P: p, Epsilon: eps, Seed: seed, Context: r.Context()}
-	if s.pool != nil {
-		opts.Dial = func(int) (dist.Transport, error) {
-			return s.dialPool(r.Context())
-		}
-		s.metrics.DistributedQueries.Add(1)
-	}
-	start := time.Now()
-	res, err := datalog.Eval(prog, sn.DB, opts)
-	elapsed := time.Since(start)
-	release()
-	if err != nil {
-		s.metrics.QueryErrors.Add(1)
-		if ten != nil {
-			ten.QueryErrors.Add(1)
-		}
-		tc.Event(tc.Root(), "error", -1, err.Error())
-		tc.Finish()
-		writeError(w, http.StatusUnprocessableEntity, "evaluation failed: %v", err)
-		return
-	}
-	tc.Finish()
-	s.metrics.QueriesServed.Add(1)
-	if ten != nil {
-		ten.QueriesServed.Add(1)
-	}
-	s.metrics.RecordExecution(res.Stats)
-
-	maxAnswers := req.MaxAnswers
-	if maxAnswers == 0 {
-		maxAnswers = s.cfg.MaxAnswers
-	}
-	if maxAnswers < 0 {
-		maxAnswers = 0
-	}
-	answers := make([][]int, 0, min(maxAnswers, len(res.Answers)))
-	for i, t := range res.Answers {
-		if i >= maxAnswers {
-			break
-		}
-		answers = append(answers, []int(t))
-	}
-	s.metrics.AnswersReturned.Add(int64(len(answers)))
-	tenantName := ""
-	if ten != nil {
-		ten.AnswersReturned.Add(int64(len(answers)))
-		tenantName = ten.Name()
-	}
-	perRound := make([]int64, 0, len(res.Stats.Rounds))
-	for _, rs := range res.Stats.Rounds {
-		perRound = append(perRound, rs.TotalBits)
-	}
-	writeJSON(w, http.StatusOK, QueryResponse{
-		QueryID:       qid,
-		Tenant:        tenantName,
-		Dataset:       ds.Name,
-		Query:         strings.TrimRight(prog.String(), "\n"),
-		P:             p,
-		Engine:        "datalog",
-		Rounds:        res.Stats.NumRounds(),
-		Explain:       datalogExplain(prog),
-		Vars:          res.Vars,
-		Iterations:    res.Iterations,
-		AnswerCount:   len(res.Answers),
-		Answers:       answers,
-		Truncated:     len(answers) < len(res.Answers),
-		MaxLoadTuples: res.Stats.MaxLoadTuples(),
-		TotalBits:     res.Stats.TotalBits(),
-		PerRoundBits:  perRound,
-		CapExceeded:   res.CapExceeded,
-		ElapsedMs:     float64(elapsed.Microseconds()) / 1000,
-	})
+	return &job{
+		// A program has no single plan to cost, so the booked load is the
+		// dataset cardinality — every EDB tuple is shuffled at least once,
+		// and the recursive deltas ride on top.
+		cost: int64(sn.DB.TotalTuples()) + 1,
+		reply: QueryResponse{
+			Dataset: ds.Name,
+			Query:   strings.TrimRight(prog.String(), "\n"),
+			P:       p,
+			Engine:  "datalog",
+			Explain: datalogExplain(prog),
+		},
+		run: func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) ([]relation.Tuple, *mpc.Stats, error) {
+			opts := datalog.Options{P: p, Epsilon: eps, Seed: seed, Context: ctx, Trace: tc}
+			if s.pool != nil {
+				// One dialed session per execution the program opens.
+				opts.Dial = func(int) (dist.Transport, error) { return s.dialPool(ctx) }
+				opts.Recovery = s.recovery()
+			}
+			res, err := datalog.Eval(prog, sn.DB, opts)
+			if err != nil {
+				return nil, nil, errorf(http.StatusUnprocessableEntity, "evaluation failed: %v", err)
+			}
+			reply.Vars, reply.Iterations = res.Vars, res.Iterations
+			reply.CapExceeded, reply.WorkerReplacements = res.CapExceeded, res.Replacements
+			return res.Answers, res.Stats, nil
+		},
+	}, nil
 }
 
 // datalogExplain summarizes the program's evaluation structure for

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -171,6 +172,55 @@ func TestServeDatalogWorkerPool(t *testing.T) {
 	}
 	if got := srv.Metrics().DistributedQueries.Load(); got < 1 {
 		t.Fatalf("DistributedQueries = %d, want ≥ 1", got)
+	}
+}
+
+// TestServeDatalogRecoversWorker: a served recursive program is
+// self-healing like a served conjunctive query. The first run measures
+// what worker 1 reads in the recursive rule's session; the second run
+// cuts that session off halfway. The reply must still be the closure,
+// with the first run's communication record, and report the one
+// replacement — as must the worker-replacements metric.
+func TestServeDatalogRecoversWorker(t *testing.T) {
+	const p = 3
+	var workers []*meteredWorker
+	var addrs []string
+	for i := 0; i < p+1; i++ { // p members and a spare
+		w, addr := startMeteredWorker(t)
+		workers = append(workers, w)
+		addrs = append(addrs, addr)
+	}
+	_, ts := newGraphServer(t, serve.Config{WorkerAddrs: addrs[:p], SpareAddrs: addrs[p:]})
+	req := serve.QueryRequest{Dataset: "graph", Program: tcServeProgram, MaxAnswers: 100000}
+
+	// A program run dials twice: session 0 is the base rule's execution,
+	// session 1 the recursive rule's maintainer.
+	ref, _ := postQuery(t, ts.URL, req)
+	if ref.WorkerReplacements != 0 || !reflect.DeepEqual(ref.Answers, closurePairs(graphEdges())) {
+		t.Fatalf("healthy run: %d replacements, %d answers", ref.WorkerReplacements, len(ref.Answers))
+	}
+	workers[1].cutSession(3, workers[1].sessionBytes(1)/2)
+
+	out, _ := postQuery(t, ts.URL, req)
+	if out.WorkerReplacements != 1 {
+		t.Errorf("workerReplacements = %d, want 1", out.WorkerReplacements)
+	}
+	if !reflect.DeepEqual(out.Answers, ref.Answers) {
+		t.Errorf("recovered run: %d answers, healthy run %d", len(out.Answers), len(ref.Answers))
+	}
+	if out.Rounds != ref.Rounds || out.Iterations != ref.Iterations || out.MaxLoadTuples != ref.MaxLoadTuples ||
+		!reflect.DeepEqual(out.PerRoundBits, ref.PerRoundBits) {
+		t.Errorf("recovered run's record diverges: %d rounds %v, healthy %d rounds %v",
+			out.Rounds, out.PerRoundBits, ref.Rounds, ref.PerRoundBits)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, _ := io.ReadAll(resp.Body)
+	if !strings.Contains(string(text), "mpcserve_worker_replacements_total 1\n") {
+		t.Errorf("/healthz does not report the replacement")
 	}
 }
 

@@ -3,10 +3,12 @@ package serve_test
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dist"
@@ -220,4 +222,91 @@ func TestWorkerPoolUnavailable(t *testing.T) {
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("status %d, want 502", resp.StatusCode)
 	}
+}
+
+// meteredWorker is a worker listener that counts the bytes every
+// session reads and can cut one chosen session off after a byte budget
+// — the deterministic stand-in for a process dying mid-query: what the
+// coordinator streams to a worker is a function of the program, the
+// data and the seed, so "session k dies b bytes in" is the same point
+// of the execution on every run, however TCP segments the stream.
+type meteredWorker struct {
+	mu sync.Mutex
+	// read holds one byte counter per accepted session, in accept order.
+	read []*atomic.Int64
+	// cut is the session index to cut off after budget bytes; -1 cuts
+	// none.
+	cut    int
+	budget int64
+}
+
+// startMeteredWorker starts the listener and returns it with its
+// address.
+func startMeteredWorker(t *testing.T) (*meteredWorker, string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(func() { cancel(); ln.Close() })
+	w := &meteredWorker{cut: -1}
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			w.mu.Lock()
+			mc := &meteredConn{Conn: c, read: new(atomic.Int64), budget: -1}
+			if len(w.read) == w.cut {
+				mc.budget = w.budget
+			}
+			w.read = append(w.read, mc.read)
+			w.mu.Unlock()
+			go func() {
+				defer c.Close()
+				_ = dist.ServeConn(ctx, mc)
+			}()
+		}
+	}()
+	return w, ln.Addr().String()
+}
+
+// sessionBytes returns what session i has read so far.
+func (w *meteredWorker) sessionBytes(i int) int64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.read[i].Load()
+}
+
+// cutSession arranges for the i-th accepted session to lose its
+// connection after reading budget bytes.
+func (w *meteredWorker) cutSession(i int, budget int64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.cut, w.budget = i, budget
+}
+
+// meteredConn counts the bytes read through it and, given a budget ≥ 0,
+// closes the connection once exactly that many have been read.
+type meteredConn struct {
+	net.Conn
+	read   *atomic.Int64
+	budget int64
+}
+
+// Read implements net.Conn.
+func (c *meteredConn) Read(b []byte) (int, error) {
+	if c.budget >= 0 {
+		left := c.budget - c.read.Load()
+		if left <= 0 {
+			c.Conn.Close()
+			return 0, io.EOF
+		}
+		b = b[:min(int64(len(b)), left)]
+	}
+	n, err := c.Conn.Read(b)
+	c.read.Add(int64(n))
+	return n, err
 }

@@ -52,6 +52,7 @@ import (
 
 	"repro/internal/datalog"
 	"repro/internal/dist"
+	"repro/internal/mpc"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -351,9 +352,230 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorReply{Error: fmt.Sprintf(format, args...)})
 }
 
-// handleQuery is POST /query: authenticate, rate-limit, resolve, plan
-// (cache-first), admit under the tenant and global quotas, execute
-// with tracing, report.
+// httpError is a request failure that knows the status code of its
+// reply.
+type httpError struct {
+	code int
+	msg  string
+}
+
+// Error implements error.
+func (e *httpError) Error() string { return e.msg }
+
+// errorf builds an httpError.
+func errorf(code int, format string, args ...any) *httpError {
+	return &httpError{code: code, msg: fmt.Sprintf(format, args...)}
+}
+
+// writeFailure renders a pipeline error: a tenant quota error as its
+// structured 429, an httpError under its own status code.
+func writeFailure(w http.ResponseWriter, err error) {
+	var qe *QuotaError
+	var he *httpError
+	switch {
+	case errors.As(err, &qe):
+		writeQuotaError(w, qe)
+	case errors.As(err, &he):
+		writeError(w, he.code, "%s", he.msg)
+	default:
+		writeError(w, http.StatusInternalServerError, "%v", err)
+	}
+}
+
+// target validates the (p, ε, dataset) triple every execution request
+// names and resolves it: p defaulted and bounded — and, when pooled,
+// pinned to the size of the worker pool the service executes on — ε a
+// rational in [0,1) or nil when left to the query, the dataset
+// registered.
+func (s *Server) target(p int, epsilon, dataset string, pooled bool) (int, *big.Rat, *Dataset, error) {
+	if p == 0 {
+		p = s.cfg.DefaultP
+	}
+	if p < 1 {
+		return 0, nil, nil, errorf(http.StatusBadRequest, "p = %d, need ≥ 1", p)
+	}
+	if p > s.cfg.MaxP {
+		return 0, nil, nil, errorf(http.StatusBadRequest, "p = %d exceeds server limit %d", p, s.cfg.MaxP)
+	}
+	if pooled && s.pool != nil && p != len(s.cfg.WorkerAddrs) {
+		return 0, nil, nil, errorf(http.StatusBadRequest,
+			"p = %d, but this service executes on a fixed pool of %d workers (leave p unset)",
+			p, len(s.cfg.WorkerAddrs))
+	}
+	var eps *big.Rat
+	if epsilon != "" {
+		eps = new(big.Rat)
+		if _, ok := eps.SetString(epsilon); !ok {
+			return 0, nil, nil, errorf(http.StatusBadRequest, "cannot parse eps %q as a rational", epsilon)
+		}
+		if eps.Sign() < 0 || eps.Cmp(big.NewRat(1, 1)) >= 0 {
+			return 0, nil, nil, errorf(http.StatusBadRequest, "eps = %s outside [0,1)", eps.RatString())
+		}
+	}
+	if dataset == "" {
+		return 0, nil, nil, errorf(http.StatusBadRequest, "dataset is required")
+	}
+	ds, ok := s.registry.Get(dataset)
+	if !ok {
+		return 0, nil, nil, errorf(http.StatusNotFound, "unknown dataset %q (registered: %v)", dataset, s.registry.Names())
+	}
+	return p, eps, ds, nil
+}
+
+// job is a resolved /query request. Everything after resolution —
+// admission, tracing, execution, accounting, the reply — is the same
+// for a conjunctive query and a Datalog program and reads only this.
+type job struct {
+	// cost is the load booked against the tenant quota and the gate.
+	cost int64
+	// predicted and budget are the planner's per-worker load prediction
+	// and cap, recorded on the trace (0 for a program: it has no single
+	// plan).
+	predicted float64
+	budget    int64
+	// reply holds what resolution already knows: dataset, canonical
+	// query text, p, engine, plan identity, EXPLAIN, output schema.
+	reply QueryResponse
+	// run executes the job under ctx with the given seed, recording on
+	// tc, and returns the full answer set and the communication record;
+	// it fills in the reply fields only an execution knows.
+	run func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) ([]relation.Tuple, *mpc.Stats, error)
+}
+
+// resolveQuery resolves a conjunctive request: parse, bind to one
+// snapshot of the dataset, plan cache-first.
+func (s *Server) resolveQuery(req QueryRequest) (*job, error) {
+	q, err := resolveRequestQuery(req.Query, req.Family)
+	if err != nil {
+		return nil, errorf(http.StatusBadRequest, "%v", err)
+	}
+	p, eps, ds, err := s.target(req.P, req.Epsilon, req.Dataset, true)
+	if err != nil {
+		return nil, err
+	}
+	// One snapshot serves the whole request: the bind, the cache key's
+	// version, and the statistics all describe the same dataset state,
+	// even while deltas land concurrently.
+	sn := ds.Snapshot()
+	view, err := sn.Bind(q)
+	if err != nil {
+		return nil, errorf(http.StatusBadRequest, "%v", err)
+	}
+
+	// Plan: cache-first under the (query, dataset, version, p, ε)
+	// fingerprint — a delta bumps the version, so stale-statistics
+	// plans age out of the cache by key instead of by invalidation.
+	opts := plan.Options{P: p, Epsilon: eps, CapFactor: s.cfg.CapFactor}
+	key := plan.CacheKey{Query: q, Dataset: ds.Name, Version: sn.Version, Opts: opts}.Fingerprint()
+	pl, planCached := s.cache.Get(key)
+	statsCached := ds.statsSeen.Load()
+	if planCached {
+		s.metrics.PlanCacheHits.Add(1)
+	} else {
+		s.metrics.PlanCacheMisses.Add(1)
+		var stats *relation.Stats
+		if stats, statsCached = sn.Stats(); statsCached {
+			s.metrics.StatsCacheHits.Add(1)
+		} else {
+			s.metrics.StatsCacheMisses.Add(1)
+		}
+		pl, err = plan.Build(q, queryScopedStats(stats, q), opts)
+		if err != nil {
+			s.metrics.QueryErrors.Add(1)
+			return nil, errorf(http.StatusUnprocessableEntity, "planning failed: %v", err)
+		}
+		s.cache.Put(key, pl)
+	}
+	return &job{
+		// Predicted per-worker load × workers ≈ the tuples this execution
+		// materializes across the cluster.
+		cost:      int64(pl.Cost.LoadTuples*float64(p)) + 1,
+		predicted: pl.Cost.LoadTuples,
+		budget:    int64(pl.BudgetLoad),
+		reply: QueryResponse{
+			Dataset:     ds.Name,
+			Query:       q.String(),
+			P:           p,
+			Engine:      pl.Engine.String(),
+			Fingerprint: key,
+			PlanCached:  planCached,
+			StatsCached: statsCached,
+			Explain:     pl.Explain(),
+			Vars:        q.Vars(),
+		},
+		run: func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) ([]relation.Tuple, *mpc.Stats, error) {
+			execOpts := plan.ExecOptions{Seed: seed, Context: ctx, Trace: tc}
+			if s.pool != nil {
+				// One dialed session per execution: the per-connection stores
+				// on the shared mpcworker processes isolate concurrent queries.
+				tr, err := s.dialPool(ctx)
+				if err != nil {
+					return nil, nil, errorf(http.StatusBadGateway, "worker pool unavailable: %v", err)
+				}
+				defer tr.Close()
+				execOpts.Transport, execOpts.Recovery = tr, s.recovery()
+			}
+			res, err := pl.Execute(view, execOpts)
+			if err != nil {
+				return nil, nil, errorf(http.StatusInternalServerError, "execution failed: %v", err)
+			}
+			reply.CapExceeded, reply.WorkerReplacements = res.CapExceeded, res.Replacements
+			return res.Answers, res.Stats, nil
+		},
+	}, nil
+}
+
+// admit books cost against the tenant's load quota — over quota is an
+// immediate 429 — and the global gate, which queues FIFO, and marks
+// the execution in flight. The returned release undoes all of it.
+func (s *Server) admit(ctx context.Context, ten *Tenant, cost int64) (release func(), err error) {
+	if ten != nil {
+		if qe := ten.AdmitLoad(cost); qe != nil {
+			s.metrics.QueriesRejected.Add(1)
+			return nil, qe
+		}
+	}
+	if err := s.gate.Acquire(ctx, cost); err != nil {
+		if ten != nil {
+			ten.ReleaseLoad(cost)
+		}
+		s.metrics.QueriesRejected.Add(1)
+		return nil, errorf(http.StatusServiceUnavailable, "admission rejected: %v", err)
+	}
+	s.metrics.InFlight.Add(1)
+	if ten != nil {
+		ten.InFlight.Add(1)
+	}
+	return func() {
+		s.metrics.InFlight.Add(-1)
+		s.gate.Release(cost)
+		if ten != nil {
+			ten.InFlight.Add(-1)
+			ten.ReleaseLoad(cost)
+		}
+	}, nil
+}
+
+// truncate returns the first limit answers in the JSON reply's shape;
+// a zero limit selects the service default, a negative one returns
+// none (the caller still reports the full count).
+func (s *Server) truncate(answers []relation.Tuple, limit int) [][]int {
+	if limit == 0 {
+		limit = s.cfg.MaxAnswers
+	}
+	n := min(max(limit, 0), len(answers))
+	out := make([][]int, n)
+	for i, t := range answers[:n] {
+		out[i] = []int(t)
+	}
+	return out
+}
+
+// handleQuery is POST /query, one linear pipeline for both kinds of
+// query: authenticate → rate-limit → decode → resolve to a job (a
+// conjunctive query plans cache-first, a Datalog program parses) →
+// admit under the tenant and global quotas → trace → execute →
+// account → truncate → reply.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
@@ -374,174 +596,48 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON body: %v", err)
+	if err := decodeJSONBody(w, r, &req); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	resolve := s.resolveQuery
 	if req.Program != "" || datalog.IsDatalog(req.Query) {
-		s.handleDatalogQuery(w, r, ten, req)
-		return
+		resolve = s.resolveProgram
 	}
-	q, err := resolveRequestQuery(req.Query, req.Family)
+	j, err := resolve(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeFailure(w, err)
 		return
 	}
-	p := req.P
-	if p == 0 {
-		p = s.cfg.DefaultP
-	}
-	if p < 1 {
-		writeError(w, http.StatusBadRequest, "p = %d, need ≥ 1", p)
-		return
-	}
-	if p > s.cfg.MaxP {
-		writeError(w, http.StatusBadRequest, "p = %d exceeds server limit %d", p, s.cfg.MaxP)
-		return
-	}
-	if len(s.cfg.WorkerAddrs) > 0 && p != len(s.cfg.WorkerAddrs) {
-		writeError(w, http.StatusBadRequest,
-			"p = %d, but this service executes on a fixed pool of %d workers (leave p unset)",
-			p, len(s.cfg.WorkerAddrs))
-		return
-	}
-	var eps *big.Rat
-	if req.Epsilon != "" {
-		eps = new(big.Rat)
-		if _, ok := eps.SetString(req.Epsilon); !ok {
-			writeError(w, http.StatusBadRequest, "cannot parse eps %q as a rational", req.Epsilon)
-			return
-		}
-		if eps.Sign() < 0 || eps.Cmp(big.NewRat(1, 1)) >= 0 {
-			writeError(w, http.StatusBadRequest, "eps = %s outside [0,1)", eps.RatString())
-			return
-		}
-	}
-	if req.Dataset == "" {
-		writeError(w, http.StatusBadRequest, "dataset is required")
-		return
-	}
-	ds, ok := s.registry.Get(req.Dataset)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown dataset %q (registered: %v)", req.Dataset, s.registry.Names())
-		return
-	}
-	// One snapshot serves the whole request: the bind, the cache key's
-	// version, and the statistics all describe the same dataset state,
-	// even while deltas land concurrently.
-	sn := ds.Snapshot()
-	view, err := sn.Bind(q)
+	release, err := s.admit(r.Context(), ten, j.cost)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeFailure(w, err)
 		return
-	}
-
-	// Plan: cache-first under the (query, dataset, version, p, ε)
-	// fingerprint — a delta bumps the version, so stale-statistics
-	// plans age out of the cache by key instead of by invalidation.
-	opts := plan.Options{P: p, Epsilon: eps, CapFactor: s.cfg.CapFactor}
-	key := plan.CacheKey{Query: q, Dataset: ds.Name, Version: sn.Version, Opts: opts}.Fingerprint()
-	pl, planCached := s.cache.Get(key)
-	statsCached := ds.statsSeen.Load()
-	if planCached {
-		s.metrics.PlanCacheHits.Add(1)
-	} else {
-		s.metrics.PlanCacheMisses.Add(1)
-		stats, hit := sn.Stats()
-		if hit {
-			s.metrics.StatsCacheHits.Add(1)
-		} else {
-			s.metrics.StatsCacheMisses.Add(1)
-		}
-		statsCached = hit
-		pl, err = plan.Build(q, queryScopedStats(stats, q), opts)
-		if err != nil {
-			s.metrics.QueryErrors.Add(1)
-			writeError(w, http.StatusUnprocessableEntity, "planning failed: %v", err)
-			return
-		}
-		s.cache.Put(key, pl)
-	}
-
-	// Admission: predicted per-worker load × workers ≈ tuples this
-	// execution materializes across the simulated cluster. The tenant
-	// quota rejects immediately (429); the global gate queues (FIFO).
-	cost := int64(pl.Cost.LoadTuples*float64(p)) + 1
-	if ten != nil {
-		if qe := ten.AdmitLoad(cost); qe != nil {
-			s.metrics.QueriesRejected.Add(1)
-			writeQuotaError(w, qe)
-			return
-		}
-	}
-	if err := s.gate.Acquire(r.Context(), cost); err != nil {
-		if ten != nil {
-			ten.ReleaseLoad(cost)
-		}
-		s.metrics.QueriesRejected.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "admission rejected: %v", err)
-		return
-	}
-	s.metrics.InFlight.Add(1)
-	if ten != nil {
-		ten.InFlight.Add(1)
-	}
-	release := func() {
-		s.metrics.InFlight.Add(-1)
-		s.gate.Release(cost)
-		if ten != nil {
-			ten.InFlight.Add(-1)
-			ten.ReleaseLoad(cost)
-		}
 	}
 
 	// Every admitted execution is traced; the ring holds the live trace
 	// from here on, so /trace and the console see in-flight queries.
+	reply := j.reply
 	qn := s.queryID.Add(1)
-	qid := fmt.Sprintf("q-%d", qn)
-	tc := trace.New(qid, qn)
-	tc.Query = q.String()
-	tc.Engine = pl.Engine.String()
-	tc.P = p
-	tc.PredictedLoadTuples = pl.Cost.LoadTuples
-	tc.BudgetLoadTuples = int64(pl.BudgetLoad)
+	reply.QueryID = fmt.Sprintf("q-%d", qn)
+	tc := trace.New(reply.QueryID, qn)
+	tc.Query, tc.Engine, tc.P = reply.Query, reply.Engine, reply.P
+	tc.PredictedLoadTuples, tc.BudgetLoadTuples = j.predicted, j.budget
 	if ten != nil {
-		tc.Tenant = ten.Name()
+		reply.Tenant = ten.Name()
+		tc.Tenant = reply.Tenant
 	}
 	s.traces.Add(tc)
+	if s.pool != nil {
+		s.metrics.DistributedQueries.Add(1)
+	}
 
-	start := time.Now()
 	seed := req.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	execOpts := plan.ExecOptions{Seed: seed, Trace: tc}
-	if s.pool != nil {
-		// One dialed session per execution: the per-connection stores on
-		// the shared mpcworker processes isolate concurrent queries.
-		tr, derr := s.dialPool(r.Context())
-		if derr != nil {
-			s.metrics.QueryErrors.Add(1)
-			if ten != nil {
-				ten.QueryErrors.Add(1)
-			}
-			release()
-			tc.Event(tc.Root(), "error", -1, derr.Error())
-			tc.Finish()
-			writeError(w, http.StatusBadGateway, "worker pool unavailable: %v", derr)
-			return
-		}
-		defer tr.Close()
-		execOpts.Transport = tr
-		execOpts.Context = r.Context()
-		execOpts.Recovery = dist.RecoveryOptions{
-			Enabled:         true,
-			MaxReplacements: s.cfg.MaxReplacements,
-			Spares:          s.pool.Spares(),
-		}
-		s.metrics.DistributedQueries.Add(1)
-	}
-	res, err := pl.Execute(view, execOpts)
+	start := time.Now()
+	answers, stats, err := j.run(r.Context(), seed, tc, &reply)
 	elapsed := time.Since(start)
 	release()
 	if err != nil {
@@ -551,67 +647,42 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		tc.Event(tc.Root(), "error", -1, err.Error())
 		tc.Finish()
-		writeError(w, http.StatusInternalServerError, "execution failed: %v", err)
+		writeFailure(w, err)
 		return
 	}
-	tc.Replacements = res.Replacements
+	tc.Replacements = reply.WorkerReplacements
 	tc.Finish()
 	s.metrics.QueriesServed.Add(1)
+	s.metrics.RecordExecution(stats)
+	s.metrics.WorkerReplacements.Add(int64(reply.WorkerReplacements))
+
+	reply.Answers = s.truncate(answers, req.MaxAnswers)
+	s.metrics.AnswersReturned.Add(int64(len(reply.Answers)))
 	if ten != nil {
 		ten.QueriesServed.Add(1)
+		ten.AnswersReturned.Add(int64(len(reply.Answers)))
 	}
-	s.metrics.RecordExecution(res.Stats)
-	if res.Replacements > 0 {
-		s.metrics.WorkerReplacements.Add(int64(res.Replacements))
+	reply.AnswerCount = len(answers)
+	reply.Truncated = len(reply.Answers) < len(answers)
+	reply.Rounds = stats.NumRounds()
+	reply.MaxLoadTuples = stats.MaxLoadTuples()
+	reply.TotalBits = stats.TotalBits()
+	reply.PerRoundBits = make([]int64, 0, len(stats.Rounds))
+	for _, rs := range stats.Rounds {
+		reply.PerRoundBits = append(reply.PerRoundBits, rs.TotalBits)
 	}
+	reply.ElapsedMs = float64(elapsed.Microseconds()) / 1000
+	writeJSON(w, http.StatusOK, reply)
+}
 
-	maxAnswers := req.MaxAnswers
-	if maxAnswers == 0 {
-		maxAnswers = s.cfg.MaxAnswers
+// recovery is the self-healing policy of executions on the worker
+// pool: replace a dead worker from the pool's spares and replay.
+func (s *Server) recovery() dist.RecoveryOptions {
+	return dist.RecoveryOptions{
+		Enabled:         true,
+		MaxReplacements: s.cfg.MaxReplacements,
+		Spares:          s.pool.Spares(),
 	}
-	if maxAnswers < 0 {
-		maxAnswers = 0
-	}
-	answers := make([][]int, 0, min(maxAnswers, len(res.Answers)))
-	for i, t := range res.Answers {
-		if i >= maxAnswers {
-			break
-		}
-		answers = append(answers, []int(t))
-	}
-	s.metrics.AnswersReturned.Add(int64(len(answers)))
-	tenantName := ""
-	if ten != nil {
-		ten.AnswersReturned.Add(int64(len(answers)))
-		tenantName = ten.Name()
-	}
-	perRound := make([]int64, 0, len(res.Stats.Rounds))
-	for _, rs := range res.Stats.Rounds {
-		perRound = append(perRound, rs.TotalBits)
-	}
-	writeJSON(w, http.StatusOK, QueryResponse{
-		QueryID:            qid,
-		Tenant:             tenantName,
-		Dataset:            ds.Name,
-		Query:              q.String(),
-		P:                  p,
-		Engine:             res.Engine.String(),
-		Rounds:             res.Rounds,
-		Fingerprint:        key,
-		PlanCached:         planCached,
-		StatsCached:        statsCached,
-		Explain:            pl.Explain(),
-		Vars:               q.Vars(),
-		AnswerCount:        len(res.Answers),
-		Answers:            answers,
-		Truncated:          len(answers) < len(res.Answers),
-		MaxLoadTuples:      res.Stats.MaxLoadTuples(),
-		TotalBits:          res.Stats.TotalBits(),
-		PerRoundBits:       perRound,
-		CapExceeded:        res.CapExceeded,
-		WorkerReplacements: res.Replacements,
-		ElapsedMs:          float64(elapsed.Microseconds()) / 1000,
-	})
 }
 
 // dialPool dials a session against the pool's current membership. A

@@ -420,7 +420,15 @@ func TestMultiroundQueryTraced(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(qr.Engine, "multiround") || qr.Rounds < 2 {
 		t.Fatalf("status %d, engine %q, %d rounds; want a served multiround plan", resp.StatusCode, qr.Engine, qr.Rounds)
 	}
-	tresp, err := http.Get(hs.URL + "/trace/" + qr.QueryID)
+	assertRoundSpans(t, hs.URL, qr, p)
+}
+
+// assertRoundSpans fetches the reply's trace and checks its shape
+// against the reply: one round span per reported round, p worker spans
+// under each, and span loads that add up to the reply's totals.
+func assertRoundSpans(t *testing.T, url string, qr QueryResponse, p int) {
+	t.Helper()
+	tresp, err := http.Get(url + "/trace/" + qr.QueryID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,4 +467,38 @@ func TestMultiroundQueryTraced(t *testing.T) {
 	if bits != qr.TotalBits || maxLoad != qr.MaxLoadTuples {
 		t.Errorf("worker spans carry %d bits, max load %d; reply reports %d, %d", bits, maxLoad, qr.TotalBits, qr.MaxLoadTuples)
 	}
+}
+
+// TestDatalogQueryTraced: a served recursive program is traced like a
+// conjunctive query — every round of every execution the program opens
+// (the base rule's, then the recursive rule's cold round and each
+// delta round) leaves a round span with p worker spans, and the span
+// loads add up to the reply's totals.
+func TestDatalogQueryTraced(t *testing.T) {
+	const p = 4
+	srv := New(Config{DefaultP: p})
+	db, err := Generate(GeneratorSpec{Query: "e(x,y)", N: 60, Kind: "zipf", Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Registry().Add("graph", db); err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	body, _ := json.Marshal(QueryRequest{Dataset: "graph", Program: "tc(x,y) :- e(x,y). tc(x,z) :- tc(x,y), e(y,z). ?- tc(x,y)."})
+	resp, err := http.Post(hs.URL+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var qr QueryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || qr.Engine != "datalog" || qr.Iterations < 1 || qr.Rounds < 3 {
+		t.Fatalf("status %d, engine %q, %d iterations, %d rounds; want a served recursive program", resp.StatusCode, qr.Engine, qr.Iterations, qr.Rounds)
+	}
+	assertRoundSpans(t, hs.URL, qr, p)
 }

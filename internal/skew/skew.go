@@ -247,24 +247,20 @@ type Options struct {
 	// HeavyFactor·(|R|+|S|)/p of the routing RunJoin compiles; zero
 	// means 1. Execute routes by the Routing it is handed.
 	HeavyFactor float64
-	// Transport selects the worker pool (internal/dist); nil is the
-	// in-process loopback. The pool size must equal p.
+	// Transport, Context, Recovery, Pipeline and Trace are the fields of
+	// dist.Env (documented there): where and how the round runs. The
+	// zero values are the in-process loopback, no deadline, no recovery,
+	// the synchronous schedule, untraced.
 	Transport dist.Transport
-	// Context bounds a distributed execution; nil selects
-	// context.Background().
-	Context context.Context
-	// Recovery is the self-healing policy: with Enabled set, a worker
-	// failure mid-join triggers replacement and replay instead of
-	// aborting.
-	Recovery dist.RecoveryOptions
-	// Pipeline defers scatter/barrier/join traffic to the gather fence
-	// so workers overlap their local joins with later deliveries (see
-	// dist.Cluster.EnablePipelining). Off by default; answers and round
-	// statistics are identical either way.
-	Pipeline bool
-	// Trace, when non-nil, records per-round per-worker spans of the
-	// execution (see dist.Cluster.EnableTracing); nil disables tracing.
-	Trace *trace.Trace
+	Context   context.Context
+	Recovery  dist.RecoveryOptions
+	Pipeline  bool
+	Trace     *trace.Trace
+}
+
+// env bundles the options' execution environment for dist.Open.
+func (o Options) env() dist.Env {
+	return dist.Env{Transport: o.Transport, Context: o.Context, Recovery: o.Recovery, Pipeline: o.Pipeline, Trace: o.Trace}
 }
 
 // Result reports a join run.
@@ -369,34 +365,15 @@ func Execute(q *query.Query, r, s *relation.Relation, ry, sy int, rt *Routing, s
 		}
 	}
 	inputBits := int64(len(r.Tuples)+len(s.Tuples)) * 2 * int64(relation.BitsPerValue(domain))
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	tr := opts.Transport
-	if tr == nil {
-		tr = dist.NewLoopback(rt.P)
-	}
-	cluster, err := dist.NewCluster(mpc.Config{
+	cluster, ctx, err := dist.Open(opts.env(), mpc.Config{
 		Workers:     rt.P,
 		Epsilon:     0,
 		InputBits:   inputBits,
 		CapConstant: opts.CapConstant,
 		DomainN:     domain,
-	}, tr)
+	})
 	if err != nil {
 		return nil, err
-	}
-	if opts.Recovery.Enabled {
-		if err := cluster.EnableRecovery(opts.Recovery); err != nil {
-			return nil, err
-		}
-	}
-	if opts.Pipeline {
-		cluster.EnablePipelining()
-	}
-	if opts.Trace != nil {
-		cluster.EnableTracing(opts.Trace)
 	}
 
 	// One partitioner per side; the split/broadcast decision flips

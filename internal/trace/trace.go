@@ -1,7 +1,8 @@
 // Package trace provides lightweight per-query distributed tracing for
-// the BSP runtime. A Trace is created per query and threaded through
-// plan.ExecOptions into the engine's dist.Cluster, which records one
-// span per round, one child span per worker per round carrying the
+// the BSP runtime. A Trace is created per query and handed, as the
+// Trace of a dist.Env, to every dist.Cluster the query opens (one for a
+// conjunctive query, one per rule execution and recursive-rule
+// maintainer for a Datalog program); each records one span per round, one child span per worker per round carrying the
 // worker's actual received load (tuples and bits), plus spans for
 // join/gather phases and recovery events. Completed traces are kept in
 // a bounded in-memory Ring and exported as JSON by mpcserve's
