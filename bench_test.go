@@ -14,6 +14,7 @@ import (
 	"io"
 	"math/big"
 	"math/rand/v2"
+	"net"
 	"slices"
 	"sync"
 	"testing"
@@ -463,6 +464,42 @@ func BenchmarkGatherWide(b *testing.B) {
 // (project, diff and merge of Δ against the closure) is what B/op and
 // allocs/op watch.
 func BenchmarkDatalogReach(b *testing.B) {
+	benchDatalogReach(b, datalog.Options{P: 16, Seed: 7})
+}
+
+// BenchmarkDatalogReachTCP is BenchmarkDatalogReach as mpcserve runs
+// it: 16 in-process dist.Serve listeners, a fresh dial per execution,
+// recovery armed. The program's 17 thin rounds make it the benchmark of
+// the TCP control path — what a round costs in round trips on top of
+// what the model charges — which the loopback variant never touches.
+func BenchmarkDatalogReachTCP(b *testing.B) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var serving sync.WaitGroup
+	defer serving.Wait()
+	defer cancel()
+	addrs := make([]string, 16)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		addrs[i] = ln.Addr().String()
+		serving.Add(1)
+		go func() {
+			defer serving.Done()
+			_ = dist.Serve(ctx, ln) // ends with ctx; a listener failure fails the dials below
+		}()
+	}
+	benchDatalogReach(b, datalog.Options{
+		P:        len(addrs),
+		Seed:     7,
+		Recovery: dist.RecoveryOptions{Enabled: true},
+		Dial:     func(int) (dist.Transport, error) { return dist.DialTCP(ctx, addrs) },
+	})
+}
+
+// benchDatalogReach is the body of the DatalogReach benchmarks.
+func benchDatalogReach(b *testing.B, opts datalog.Options) {
 	const paths, edges = 625, 16
 	rng := rand.New(rand.NewPCG(43, 43))
 	label := rng.Perm(paths * (edges + 1))
@@ -482,7 +519,7 @@ func BenchmarkDatalogReach(b *testing.B) {
 	var res *datalog.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		if res, err = datalog.Eval(prog, db, datalog.Options{P: 16, Seed: 7}); err != nil {
+		if res, err = datalog.Eval(prog, db, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

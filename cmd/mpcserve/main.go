@@ -16,7 +16,8 @@
 // becomes the pool size and each query dials its own isolated worker
 // session, so concurrent queries share the pool safely. With -spares,
 // the pool self-heals: a worker that dies mid-query is replaced by a
-// standby and the query resumes from its last checkpointed round,
+// standby, its slice of the query is replayed from the coordinator's
+// journal and the query resumes at the round it was in,
 // while a background reconciler (-reconcile) heartbeats the pool and
 // promotes spares for members that stop answering.
 //

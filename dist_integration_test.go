@@ -175,7 +175,7 @@ func (k *killAtBarrier) Barrier(ctx context.Context, round int) error {
 // TestDistributedWorkerKillRecovery is the self-healing e2e: four real
 // mpcworker processes plus one spare process run a multiround Γ^r_ε
 // chain query; one member is SIGKILLed at the barrier of round 2 (so
-// round 1 is complete and checkpointed); the run must promote the
+// round 1 is complete and journaled); the run must promote the
 // spare, replay the lost shard, and still produce ground-truth
 // answers with statistics identical to the in-process run.
 func TestDistributedWorkerKillRecovery(t *testing.T) {

@@ -239,9 +239,7 @@ func (c *Cluster) ship(ctx context.Context, rs *mpc.RoundStats, lone bool, op re
 	if err := c.traceAnnounce(ctx); err != nil {
 		return err
 	}
-	if c.rec != nil {
-		c.rec.record(op)
-	}
+	c.journal(op)
 	if c.pipe {
 		// Pipelined: the scatter (and, for a lone one, its barrier) rides
 		// the next fence. The cap check needs no worker traffic —
@@ -250,9 +248,7 @@ func (c *Cluster) ship(ctx context.Context, rs *mpc.RoundStats, lone bool, op re
 		if !lone {
 			return nil
 		}
-		if c.rec != nil {
-			c.rec.record(recOp{kind: opBarrier, round: c.round})
-		}
+		c.journal(recOp{kind: opBarrier, round: c.round})
 		c.enqueue(recOp{kind: opBarrier, round: c.round})
 		return rs.CheckCap(c.cfg.ReceiveCap())
 	}
@@ -276,21 +272,13 @@ func (c *Cluster) ship(ctx context.Context, rs *mpc.RoundStats, lone bool, op re
 	return rs.CheckCap(c.cfg.ReceiveCap())
 }
 
-// barrier synchronizes the pool on the current round and, when
-// recovery is enabled, broadcasts the round's checkpoint manifest.
+// barrier synchronizes the pool on the current round: one round trip,
+// with or without recovery.
 func (c *Cluster) barrier(ctx context.Context) error {
-	if c.rec != nil {
-		c.rec.record(recOp{kind: opBarrier, round: c.round})
-	}
-	if err := c.attempt(ctx, true, func(ctx context.Context) error {
+	c.journal(recOp{kind: opBarrier, round: c.round})
+	return c.attempt(ctx, true, func(ctx context.Context) error {
 		return c.tr.Barrier(ctx, c.round)
-	}); err != nil {
-		return err
-	}
-	if c.rec != nil {
-		return c.checkpoint(ctx, c.round)
-	}
-	return nil
+	})
 }
 
 // EndRound closes the round opened by BeginRound: it synchronizes the
@@ -307,9 +295,7 @@ func (c *Cluster) EndRound(ctx context.Context) error {
 		// The barrier is deferred to the fence; the budget check is
 		// coordinator-local (accounting happened at Scatter), so it
 		// fires now with exactly the sync-path result.
-		if c.rec != nil {
-			c.rec.record(recOp{kind: opBarrier, round: c.round})
-		}
+		c.journal(recOp{kind: opBarrier, round: c.round})
 		c.enqueue(recOp{kind: opBarrier, round: c.round})
 		return c.stats.Rounds[len(c.stats.Rounds)-1].CheckCap(c.cfg.ReceiveCap())
 	}
@@ -331,9 +317,7 @@ func (c *Cluster) Join(ctx context.Context, q *query.Query, bindings map[string]
 		Bindings: bindings,
 		Strategy: uint8(strategy),
 	}
-	if c.rec != nil {
-		c.rec.record(recOp{kind: opJoin, spec: spec})
-	}
+	c.journal(recOp{kind: opJoin, spec: spec})
 	if c.pipe {
 		c.enqueue(recOp{kind: opJoin, spec: spec})
 		return nil

@@ -2,6 +2,9 @@ package dist_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"strings"
@@ -171,6 +174,33 @@ func TestWorkerRejectsMisroutedData(t *testing.T) {
 	}
 	if !strings.Contains(f.Msg, "shard") {
 		t.Fatalf("error frame does not name the shard mismatch: %q", f.Msg)
+	}
+}
+
+// TestWorkerRejectsVersionMismatch: a hello from a coordinator one
+// protocol version behind is answered with an Error frame naming both
+// versions, and the session ends — a mixed-version pool is refused at
+// the handshake, before any frame whose meaning differs can be read.
+func TestWorkerRejectsVersionMismatch(t *testing.T) {
+	addrs := startPool(t, 1)
+	conn, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello := &wire.Frame{Type: wire.TypeHello, Hello: wire.Hello{Version: wire.Version - 1, Worker: 0, P: 1}}
+	if err := wire.Encode(conn, hello); err != nil {
+		t.Fatal(err)
+	}
+	f, err := wire.Decode(conn)
+	if err != nil || f.Type != wire.TypeError {
+		t.Fatalf("want error frame for a version-%d hello, got %v %v", wire.Version-1, f, err)
+	}
+	if want := fmt.Sprintf("version %d, worker speaks %d", wire.Version-1, wire.Version); !strings.Contains(f.Msg, want) {
+		t.Errorf("error frame %q does not name both versions (%q)", f.Msg, want)
+	}
+	if f, err := wire.Decode(conn); !errors.Is(err, io.EOF) {
+		t.Fatalf("session still open after a refused hello: %v %v", f, err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/exchange"
-	"repro/internal/wire"
 )
 
 // OpType names the transport phase a fault attaches to.
@@ -452,25 +451,6 @@ func (ft *FaultTransport) Announce(ctx context.Context, epoch uint32) error {
 	}
 	ft.mu.Unlock()
 	if err := rt.Announce(ctx, epoch); err != nil {
-		errs = append(errs, err)
-	}
-	return errors.Join(errs...)
-}
-
-// Checkpoint implements Replaceable, with the same dead-worker
-// surfacing as Announce.
-func (ft *FaultTransport) Checkpoint(ctx context.Context, m *wire.Manifest) error {
-	rt, err := ft.replaceable()
-	if err != nil {
-		return err
-	}
-	var errs []error
-	ft.mu.Lock()
-	for w := range ft.dead {
-		errs = append(errs, &WorkerError{Worker: w, Err: errFaultDead})
-	}
-	ft.mu.Unlock()
-	if err := rt.Checkpoint(ctx, m); err != nil {
 		errs = append(errs, err)
 	}
 	return errors.Join(errs...)

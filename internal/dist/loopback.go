@@ -21,13 +21,13 @@ import (
 // differentially tested against.
 type Loopback struct {
 	ws []*workerStore
-	// mu guards the recovery bookkeeping (worker replacement, epoch,
-	// checkpoint); the data path goes through the per-store locks.
-	mu         sync.Mutex
-	epoch      uint32
-	checkpoint *wire.Manifest
-	traceHdr   wire.TraceHeader
-	traced     bool
+	// mu guards the recovery bookkeeping (worker replacement, epoch)
+	// and the trace header; the data path goes through the per-store
+	// locks.
+	mu       sync.Mutex
+	epoch    uint32
+	traceHdr wire.TraceHeader
+	traced   bool
 }
 
 // NewLoopback returns an in-process pool of p workers with empty
@@ -174,21 +174,6 @@ func (l *Loopback) Announce(ctx context.Context, epoch uint32) error {
 	return nil
 }
 
-// Checkpoint implements Replaceable by recording the manifest; tests
-// read it back through LastCheckpoint.
-func (l *Loopback) Checkpoint(ctx context.Context, m *wire.Manifest) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if m.Epoch < l.epoch {
-		return fmt.Errorf("dist: loopback stale checkpoint epoch %d, pool at %d", m.Epoch, l.epoch)
-	}
-	l.checkpoint = m
-	return nil
-}
-
 // SendTrace implements traceTransport by recording the header — the
 // in-process analogue of announcing it to every worker; tests read it
 // back through LastTrace.
@@ -216,14 +201,6 @@ func (l *Loopback) Epoch() uint32 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.epoch
-}
-
-// LastCheckpoint returns the last recorded checkpoint manifest, nil if
-// none was broadcast.
-func (l *Loopback) LastCheckpoint() *wire.Manifest {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.checkpoint
 }
 
 // parseJoinSpec validates the pieces of a JoinSpec shared by the

@@ -70,8 +70,7 @@ func (c *Cluster) enqueue(op recOp) {
 }
 
 // gatherPipelined is the fence: it executes every deferred operation
-// followed by a gather of view, then broadcasts the checkpoints of
-// the script's barriers when recovery is enabled.
+// followed by a gather of view.
 func (c *Cluster) gatherPipelined(ctx context.Context, view string) ([]*exchange.Buffer, error) {
 	ops := c.pending
 	c.pending = nil
@@ -96,19 +95,6 @@ func (c *Cluster) gatherPipelined(ctx context.Context, view string) ([]*exchange
 		if err != nil {
 			return nil, err
 		}
-		if c.rec != nil {
-			// Checkpoints ride after the stream: manifests reflect the
-			// same durable tallies as sync mode (engines fence once per
-			// round), they are just broadcast at the fence instead of
-			// inside it.
-			for _, op := range ops {
-				if op.kind == opBarrier {
-					if err := c.checkpoint(ctx, op.round); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
 	} else {
 		if err := c.runScriptFallback(ctx, ops); err != nil {
 			return nil, err
@@ -126,8 +112,8 @@ func (c *Cluster) gatherPipelined(ctx context.Context, view string) ([]*exchange
 }
 
 // runScriptFallback executes deferred operations through the
-// primitive transport methods with the same attempt/heal policy and
-// checkpoint placement as the sync path — the pipelined schedule on a
+// primitive transport methods with the same attempt/heal policy as
+// the sync path — the pipelined schedule on a
 // non-streaming transport is the sync schedule relocated to the
 // fence, which keeps fault-injection counters and recovery semantics
 // byte-compatible.
@@ -148,9 +134,6 @@ func (c *Cluster) runScriptFallback(ctx context.Context, ops []recOp) error {
 			err = c.attempt(ctx, true, func(ctx context.Context) error {
 				return c.tr.Barrier(ctx, op.round)
 			})
-			if err == nil && c.rec != nil {
-				err = c.checkpoint(ctx, op.round)
-			}
 		case opJoin:
 			err = c.attempt(ctx, false, func(ctx context.Context) error {
 				return c.tr.Join(ctx, op.spec)

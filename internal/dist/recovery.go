@@ -78,7 +78,7 @@ type RecoveryOptions struct {
 	// the back of the spare list. Ignored by address-less transports.
 	Spares []string
 	// PhaseTimeout bounds each transport phase (deliver, barrier, join,
-	// gather, checkpoint); a stuck worker then surfaces as a failed
+	// gather); a stuck worker then surfaces as a failed
 	// phase that recovery can heal instead of a hang. Zero means no
 	// per-phase deadline.
 	PhaseTimeout time.Duration
@@ -94,7 +94,7 @@ func (o RecoveryOptions) maxReplacements(p int) int {
 
 // Replaceable is the control surface a Transport must offer for
 // mid-query recovery: replacing one worker's session and replaying
-// state into it, plus the heartbeat/epoch/checkpoint control frames.
+// state into it, plus the heartbeat and epoch control frames.
 type Replaceable interface {
 	Transport
 	// ReplaceWorker discards worker w's session and installs a fresh,
@@ -111,9 +111,6 @@ type Replaceable interface {
 	// Announce broadcasts the coordinator's recovery epoch to the whole
 	// pool; workers reject decreasing epochs as stale coordinators.
 	Announce(ctx context.Context, epoch uint32) error
-	// Checkpoint broadcasts the durable-state manifest for a completed
-	// round to the whole pool.
-	Checkpoint(ctx context.Context, m *wire.Manifest) error
 }
 
 // recOpKind discriminates journal entries.
@@ -151,21 +148,6 @@ type recovery struct {
 	epoch    uint32
 	replaced int
 	journal  []recOp
-	// durable accumulates per-(worker, store) run and tuple counts as
-	// scatters happen; it is the source of checkpoint manifests.
-	durable map[manifestKey]*manifestTally
-}
-
-// manifestKey identifies one (worker, store) manifest line.
-type manifestKey struct {
-	worker int
-	store  string
-}
-
-// manifestTally accumulates the runs and tuples behind one line.
-type manifestTally struct {
-	runs   uint32
-	tuples uint64
 }
 
 // EnableRecovery arms the cluster's self-healing: every transport
@@ -183,7 +165,7 @@ func (c *Cluster) EnableRecovery(opts RecoveryOptions) error {
 			s.AddSpares(opts.Spares)
 		}
 	}
-	c.rec = &recovery{opts: opts, rt: rt, durable: make(map[manifestKey]*manifestTally)}
+	c.rec = &recovery{opts: opts, rt: rt}
 	return nil
 }
 
@@ -218,8 +200,8 @@ func (c *Cluster) phaseCtx(ctx context.Context) (context.Context, context.Cancel
 // effects are already journaled (deliver, join) pass retry=false —
 // replay has re-sent the failed worker's slice and the healthy workers
 // already hold theirs, so re-running the phase would duplicate state.
-// Idempotent phases (barrier, gather, checkpoint) retry until they
-// succeed or the replacement budget runs out.
+// Idempotent phases (barrier, gather) retry until they succeed or the
+// replacement budget runs out.
 func (c *Cluster) attempt(ctx context.Context, retry bool, op func(context.Context) error) error {
 	for {
 		pctx, cancel := c.phaseCtx(ctx)
@@ -335,75 +317,12 @@ func (c *Cluster) replay(ctx context.Context, w int) error {
 	return rec.rt.Ping(ctx, w, rec.epoch)
 }
 
-// record appends a journal entry and, for deliveries and extending
-// deltas, folds the runs into the durable-state tallies behind
-// checkpoint manifests. Retractions add no runs, so they leave the
-// tallies alone — the manifest describes what a replacement must
-// re-receive, and retracted tuples are re-sent as journal replay.
-func (rec *recovery) record(op recOp) {
-	rec.journal = append(rec.journal, op)
-	switch op.kind {
-	case opDeliver:
-		for _, d := range op.ds {
-			if d.Buf.Len() == 0 {
-				continue
-			}
-			rec.tally(d.To, d.Rel, d.Buf.Len())
-		}
-	case opDelta:
-		for _, d := range op.dds {
-			if d.Del || d.Buf.Len() == 0 {
-				continue
-			}
-			rec.tally(d.To, d.Store, d.Buf.Len())
-		}
+// journal records one coordinator action for replay; without recovery
+// nothing is kept.
+func (c *Cluster) journal(op recOp) {
+	if c.rec != nil {
+		c.rec.journal = append(c.rec.journal, op)
 	}
-}
-
-// tally folds one run of n tuples into the (worker, store) line.
-func (rec *recovery) tally(worker int, store string, n int) {
-	k := manifestKey{worker: worker, store: store}
-	t := rec.durable[k]
-	if t == nil {
-		t = &manifestTally{}
-		rec.durable[k] = t
-	}
-	t.runs++
-	t.tuples += uint64(n)
-}
-
-// manifest builds the checkpoint manifest for a completed round in
-// canonical (worker, store) order.
-func (rec *recovery) manifest(round int) *wire.Manifest {
-	m := &wire.Manifest{Epoch: rec.epoch, Round: uint32(round)}
-	for k, t := range rec.durable {
-		m.Entries = append(m.Entries, wire.ManifestEntry{
-			Worker: uint32(k.worker),
-			Store:  k.store,
-			Runs:   t.runs,
-			Tuples: t.tuples,
-		})
-	}
-	sort.Slice(m.Entries, func(i, j int) bool {
-		a, b := m.Entries[i], m.Entries[j]
-		if a.Worker != b.Worker {
-			return a.Worker < b.Worker
-		}
-		return a.Store < b.Store
-	})
-	return m
-}
-
-// checkpoint broadcasts the round's manifest to the pool, healing on
-// worker-attributed failures like any other phase.
-func (c *Cluster) checkpoint(ctx context.Context, round int) error {
-	m := c.rec.manifest(round)
-	return c.attempt(ctx, true, func(ctx context.Context) error {
-		// Rebuild the epoch on each try: a heal in between bumps it, and
-		// workers reject manifests from before their announced epoch.
-		m.Epoch = c.rec.epoch
-		return c.rec.rt.Checkpoint(ctx, m)
-	})
 }
 
 // queueMissing appends the workers of more not already queued.

@@ -253,10 +253,10 @@ func TestRecoveryBudgetExhausted(t *testing.T) {
 	}
 }
 
-// TestRecoveryEpochAndCheckpoint: a healed loopback run leaves the
-// expected control-plane trail — a positive epoch and a checkpoint
-// manifest whose entries name the stores the round delivered.
-func TestRecoveryEpochAndCheckpoint(t *testing.T) {
+// TestRecoveryAnnouncesEpoch: a healed loopback run leaves the
+// expected control-plane trail — a replacement and a positive epoch
+// announced to the pool.
+func TestRecoveryAnnouncesEpoch(t *testing.T) {
 	const p = 4
 	q := query.Cycle(3)
 	db := relation.MatchingDatabase(rand.New(rand.NewPCG(100, 0)), q, 100)
@@ -276,28 +276,6 @@ func TestRecoveryEpochAndCheckpoint(t *testing.T) {
 	}
 	if lb.Epoch() == 0 {
 		t.Error("healed run never announced an epoch")
-	}
-	m := lb.LastCheckpoint()
-	if m == nil {
-		t.Fatal("no checkpoint manifest recorded")
-	}
-	if m.Round != 1 {
-		t.Errorf("checkpoint round = %d, want 1", m.Round)
-	}
-	if m.Epoch != lb.Epoch() {
-		t.Errorf("checkpoint epoch %d != announced epoch %d", m.Epoch, lb.Epoch())
-	}
-	stores := map[string]bool{}
-	for _, e := range m.Entries {
-		stores[e.Store] = true
-		if e.Runs == 0 || e.Tuples == 0 {
-			t.Errorf("manifest entry %+v records no durable runs", e)
-		}
-	}
-	for _, a := range q.Atoms {
-		if !stores[a.Name] {
-			t.Errorf("manifest has no entry for scattered relation %s", a.Name)
-		}
 	}
 }
 

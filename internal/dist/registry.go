@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 )
@@ -61,17 +62,11 @@ func probe(ctx context.Context, addr string) bool {
 	return t.Ping(ctx, 0, 1) == nil
 }
 
-// Reconcile probes every member concurrently and swaps each dead
-// member for a live spare; dead member addresses are recycled to the
-// back of the spare list (a restarted process at the old address
-// becomes promotable again). It returns how many members were
-// swapped. Dead members with no live spare left keep their slot — a
-// later Reconcile retries them.
-func (r *Registry) Reconcile(ctx context.Context) int {
-	members := r.Members()
-	alive := make([]bool, len(members))
+// probeAll probes every address concurrently.
+func probeAll(ctx context.Context, addrs []string) []bool {
+	alive := make([]bool, len(addrs))
 	var wg sync.WaitGroup
-	for i, addr := range members {
+	for i, addr := range addrs {
 		wg.Add(1)
 		go func(i int, addr string) {
 			defer wg.Done()
@@ -79,6 +74,29 @@ func (r *Registry) Reconcile(ctx context.Context) int {
 		}(i, addr)
 	}
 	wg.Wait()
+	return alive
+}
+
+// Reconcile probes every member and swaps each dead member for a live
+// spare; dead member addresses are recycled to the back of the spare
+// list (a restarted process at the old address becomes promotable
+// again). It returns how many members were swapped. Dead members with
+// no live spare left keep their slot — a later Reconcile retries them.
+//
+// Every probe runs on a snapshot, outside the registry lock: a worker
+// that accepts the connection and never answers stalls this call until
+// ctx is done, never Members or Spares, which every query takes.
+func (r *Registry) Reconcile(ctx context.Context) int {
+	members := r.Members()
+	alive := probeAll(ctx, members)
+	if !slices.Contains(alive, false) {
+		return 0
+	}
+	spares := r.Spares()
+	promotable := make(map[string]bool, len(spares))
+	for i, ok := range probeAll(ctx, spares) {
+		promotable[spares[i]] = ok
+	}
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -87,18 +105,15 @@ func (r *Registry) Reconcile(ctx context.Context) int {
 		if ok || r.members[i] != members[i] {
 			continue // live, or someone else already swapped the slot
 		}
-		// Try each spare at most once; dead spares rotate to the back
-		// so later slots and later reconciles retry them last.
-		for tries := len(r.spares); tries > 0; tries-- {
-			cand := r.spares[0]
-			r.spares = r.spares[1:]
-			if probe(ctx, cand) {
-				r.spares = append(r.spares, r.members[i])
+		// Only spares still listed are candidates: a concurrent Reconcile
+		// may have promoted one since the snapshot.
+		for j, cand := range r.spares {
+			if promotable[cand] {
+				r.spares = append(slices.Delete(r.spares, j, j+1), r.members[i])
 				r.members[i] = cand
 				swapped++
 				break
 			}
-			r.spares = append(r.spares, cand)
 		}
 	}
 	if swapped > 0 {
@@ -108,7 +123,9 @@ func (r *Registry) Reconcile(ctx context.Context) int {
 }
 
 // Run reconciles every interval until ctx is done — the background
-// heartbeat loop a server mounts next to its query handlers.
+// heartbeat loop a server mounts next to its query handlers. Each
+// reconcile is bounded by the interval, so one silent worker costs one
+// heartbeat period, not the loop.
 func (r *Registry) Run(ctx context.Context, interval time.Duration) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
@@ -117,7 +134,9 @@ func (r *Registry) Run(ctx context.Context, interval time.Duration) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			r.Reconcile(ctx)
+			rctx, cancel := context.WithTimeout(ctx, interval)
+			r.Reconcile(rctx)
+			cancel()
 		}
 	}
 }

@@ -2,6 +2,8 @@ package dist_test
 
 import (
 	"context"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -105,5 +107,111 @@ func TestRegistryRunLoop(t *testing.T) {
 	tr := dialPool(t, reg.Members())
 	if err := tr.Ping(context.Background(), 0, 7); err != nil {
 		t.Fatalf("promoted membership not dialable: %v", err)
+	}
+}
+
+// silentWorker listens like a worker, accepts every connection and
+// never answers — a SIGSTOPped mpcworker as the network sees it.
+func silentWorker(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var held []net.Conn
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range held {
+			c.Close()
+		}
+	})
+	return ln.Addr().String()
+}
+
+// TestRegistryProbeDoesNotHoldLock: with a dead member and a spare
+// that accepts TCP and never answers, a Reconcile in flight stalls
+// only itself — Members and Spares, which every query's dial takes,
+// keep answering at once — and it returns when its context is done.
+func TestRegistryProbeDoesNotHoldLock(t *testing.T) {
+	pool := startKillablePool(t, 2)
+	reg := dist.NewRegistry(pool.addrs, []string{silentWorker(t)})
+	pool.kill(1)
+
+	const deadline = 500 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	done := make(chan int, 1)
+	go func() { done <- reg.Reconcile(ctx) }()
+
+	reads := 0
+	for inFlight := true; inFlight; reads++ {
+		select {
+		case n := <-done:
+			if n != 0 {
+				t.Errorf("Reconcile = %d swaps with only a silent spare", n)
+			}
+			inFlight = false
+		default:
+		}
+		at := time.Now()
+		members, spares := reg.Members(), reg.Spares()
+		if took := time.Since(at); took > 100*time.Millisecond {
+			t.Fatalf("Members+Spares took %v while a Reconcile was probing", took)
+		}
+		if members[1] != pool.addrs[1] || len(spares) != 1 {
+			t.Fatalf("membership moved without a live spare: %v / %v", members, spares)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if took := time.Since(start); took < deadline/2 || took > deadline+5*time.Second {
+		t.Errorf("Reconcile returned after %v, want about its %v deadline (the silent spare stalls it, the deadline ends it)", took, deadline)
+	}
+	if reads < 10 {
+		t.Errorf("only %d membership reads overlapped the Reconcile", reads)
+	}
+}
+
+// TestRegistryRunBoundsEachReconcile: the background loop gives every
+// reconcile its own interval as a deadline, so a silent spare ahead of
+// a live one delays the repair by one heartbeat instead of parking the
+// loop for good.
+func TestRegistryRunBoundsEachReconcile(t *testing.T) {
+	pool := startKillablePool(t, 3) // 2 members + 1 live spare
+	reg := dist.NewRegistry(pool.addrs[:2], []string{silentWorker(t), pool.addrs[2]})
+	pool.kill(0)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go reg.Run(ctx, 100*time.Millisecond)
+
+	repaired := make(chan struct{})
+	go func() {
+		defer close(repaired)
+		for reg.Generation() == 0 && ctx.Err() == nil {
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	select {
+	case <-repaired:
+	case <-time.After(30 * time.Second):
+		t.Fatal("registry loop never got past the silent spare")
+	}
+	if got := reg.Members(); got[0] != pool.addrs[2] {
+		t.Fatalf("member 0 = %s, want the live spare %s", got[0], pool.addrs[2])
 	}
 }

@@ -32,14 +32,6 @@ type TCP struct {
 	spares []string
 }
 
-// TCPOptions configures a pool dial beyond the member addresses.
-type TCPOptions struct {
-	// Spares are extra worker addresses: not part of the pool, but
-	// available both at dial time (a dead member address is substituted
-	// by a live spare) and mid-query (ReplaceWorker promotes one).
-	Spares []string
-}
-
 // workerConn is the coordinator's end of one worker connection. The
 // mutex serializes frame traffic per worker; distinct workers proceed
 // in parallel.
@@ -102,22 +94,12 @@ func ParseAddrs(s string) ([]string, error) {
 // the session handshake; the pool size is len(addrs) and worker i is
 // addrs[i]. On any failure every already-opened connection is closed.
 func DialTCP(ctx context.Context, addrs []string) (*TCP, error) {
-	return DialTCPPool(ctx, addrs, TCPOptions{})
-}
-
-// DialTCPPool is DialTCP with a pool policy: when a member address is
-// unreachable and opts.Spares holds live workers, the dial substitutes
-// a spare for the dead member instead of failing, recycling the dead
-// address to the back of the spare list. The pool size is always
-// len(addrs).
-func DialTCPPool(ctx context.Context, addrs []string, opts TCPOptions) (*TCP, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("dist: no worker addresses")
 	}
 	t := &TCP{
-		conns:  make([]*workerConn, len(addrs)),
-		addrs:  append([]string(nil), addrs...),
-		spares: append([]string(nil), opts.Spares...),
+		conns: make([]*workerConn, len(addrs)),
+		addrs: append([]string(nil), addrs...),
 	}
 	for i := range addrs {
 		wc, err := t.dialWorker(ctx, i)
@@ -189,16 +171,7 @@ func dialHandshake(ctx context.Context, i, p int, addr string) (*workerConn, err
 		Worker:  uint32(i),
 		P:       uint32(p),
 	}}
-	err = wc.roundTrip(ctx, func() error {
-		if err := wire.Encode(wc.bw, hello); err != nil {
-			return err
-		}
-		if err := wc.bw.Flush(); err != nil {
-			return err
-		}
-		return wc.expectAck(0, false)
-	})
-	if err != nil {
+	if err := wc.control(ctx, hello, wire.TypeAck, 0); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("dist: handshake with worker %d at %s: %w", i, addr, err)
 	}
@@ -244,25 +217,49 @@ func (wc *workerConn) roundTrip(ctx context.Context, op func() error) error {
 	return nil
 }
 
-// expectAck reads the next frame and requires an Ack (with the given
-// round echo when checkRound is set); an Error frame becomes the
-// worker's reported error.
-func (wc *workerConn) expectAck(round uint32, checkRound bool) error {
+// send encodes one control frame onto the connection's buffered
+// writer and, when flush is set, pushes it — with everything queued
+// before it — to the worker. The caller holds wc.mu.
+func (wc *workerConn) send(f *wire.Frame, flush bool) error {
+	if err := wire.Encode(wc.bw, f); err != nil {
+		return err
+	}
+	if !flush {
+		return nil
+	}
+	return wc.bw.Flush()
+}
+
+// expect reads the next frame and requires it to be of type want
+// echoing tag echo (the round of a barrier, the epoch of an
+// announcement, the sequence of a ping; zero for the commands whose
+// ack carries none); an Error frame becomes the worker's reported
+// error.
+func (wc *workerConn) expect(want wire.Type, echo uint32) error {
 	f, err := wc.rd.Next()
 	if err != nil {
 		return err
 	}
-	switch f.Type {
-	case wire.TypeAck:
-		if checkRound && f.Round != round {
-			return fmt.Errorf("ack for round %d, want %d", f.Round, round)
-		}
-		return nil
-	case wire.TypeError:
+	switch {
+	case f.Type == wire.TypeError:
 		return fmt.Errorf("worker error: %s", f.Msg)
-	default:
-		return fmt.Errorf("unexpected %s frame, want ack", f.Type)
+	case f.Type != want:
+		return fmt.Errorf("unexpected %s frame, want %s", f.Type, want)
+	case f.Round != echo:
+		return fmt.Errorf("%s echoes %d, want %d", want, f.Round, echo)
 	}
+	return nil
+}
+
+// control is the one control round trip of the protocol: send f, wait
+// for the worker's reply, and require its type and echo.
+func (wc *workerConn) control(ctx context.Context, f *wire.Frame, want wire.Type, echo uint32) error {
+	return wc.roundTrip(ctx, func() error {
+		if err := wc.send(f, true); err != nil {
+			return err
+		}
+		return wc.expect(want, echo)
+	})
 }
 
 // eachConn runs fn for every worker connection concurrently and joins
@@ -309,17 +306,19 @@ func deltaFrames(frames []*wire.Frame, round int, ds []DeltaDelivery) []*wire.Fr
 	return frames
 }
 
-// ApplyDelta implements Transport: delta runs are fast-framed and
-// written to their destination connections like Deliver, one vectored
-// send per worker. Delta frames are unacknowledged; Barrier is the
-// ingestion fence.
-func (t *TCP) ApplyDelta(ctx context.Context, round int, ds []DeltaDelivery) error {
-	byWorker := make([][]DeltaDelivery, len(t.conns))
+// scatter is the body Deliver and ApplyDelta share: bucket the
+// deliveries by destination worker (to reads it off one delivery), then
+// fast-frame each worker's bucket and write it to its connection as one
+// vectored send, all workers in parallel. Nothing is acknowledged;
+// Barrier is the ingestion fence.
+func scatter[D any](ctx context.Context, t *TCP, ds []D, to func(D) int, frames func([]D) []*wire.Frame) error {
+	byWorker := make([][]D, len(t.conns))
 	for _, d := range ds {
-		if d.To < 0 || d.To >= len(t.conns) {
-			return fmt.Errorf("dist: delta to worker %d out of range [0,%d)", d.To, len(t.conns))
+		w := to(d)
+		if w < 0 || w >= len(t.conns) {
+			return fmt.Errorf("dist: delivery to worker %d out of range [0,%d)", w, len(t.conns))
 		}
-		byWorker[d.To] = append(byWorker[d.To], d)
+		byWorker[w] = append(byWorker[w], d)
 	}
 	return t.eachConn(func(wc *workerConn) error {
 		mine := byWorker[wc.id]
@@ -327,47 +326,29 @@ func (t *TCP) ApplyDelta(ctx context.Context, round int, ds []DeltaDelivery) err
 			return nil
 		}
 		return wc.roundTrip(ctx, func() error {
-			return wc.writeFrames(deltaFrames(nil, round, mine))
+			return wc.writeFrames(frames(mine))
 		})
 	})
 }
 
-// Deliver implements Transport: runs are fast-framed and written to
-// their destination connections as one vectored send per worker, all
-// workers in parallel. Barrier synchronizes.
+// ApplyDelta implements Transport.
+func (t *TCP) ApplyDelta(ctx context.Context, round int, ds []DeltaDelivery) error {
+	return scatter(ctx, t, ds, func(d DeltaDelivery) int { return d.To },
+		func(mine []DeltaDelivery) []*wire.Frame { return deltaFrames(nil, round, mine) })
+}
+
+// Deliver implements Transport.
 func (t *TCP) Deliver(ctx context.Context, round int, ds []exchange.Delivery) error {
-	byWorker := make([][]exchange.Delivery, len(t.conns))
-	for _, d := range ds {
-		if d.To < 0 || d.To >= len(t.conns) {
-			return fmt.Errorf("dist: delivery to worker %d out of range [0,%d)", d.To, len(t.conns))
-		}
-		byWorker[d.To] = append(byWorker[d.To], d)
-	}
-	return t.eachConn(func(wc *workerConn) error {
-		mine := byWorker[wc.id]
-		if len(mine) == 0 {
-			return nil
-		}
-		return wc.roundTrip(ctx, func() error {
-			return wc.writeFrames(dataFrames(nil, round, mine))
-		})
-	})
+	return scatter(ctx, t, ds, func(d exchange.Delivery) int { return d.To },
+		func(mine []exchange.Delivery) []*wire.Frame { return dataFrames(nil, round, mine) })
 }
 
 // Barrier implements Transport: every connection flushes its buffered
-// data frames, sends the barrier, and waits for the worker's ack.
+// frames behind the barrier and waits for the worker's ack.
 func (t *TCP) Barrier(ctx context.Context, round int) error {
+	f := &wire.Frame{Type: wire.TypeBarrier, Round: uint32(round)}
 	return t.eachConn(func(wc *workerConn) error {
-		return wc.roundTrip(ctx, func() error {
-			f := &wire.Frame{Type: wire.TypeBarrier, Round: uint32(round)}
-			if err := wire.Encode(wc.bw, f); err != nil {
-				return err
-			}
-			if err := wc.bw.Flush(); err != nil {
-				return err
-			}
-			return wc.expectAck(uint32(round), true)
-		})
+		return wc.control(ctx, f, wire.TypeAck, uint32(round))
 	})
 }
 
@@ -388,15 +369,7 @@ func joinFrame(spec JoinSpec) *wire.Frame {
 func (t *TCP) Join(ctx context.Context, spec JoinSpec) error {
 	f := joinFrame(spec)
 	return t.eachConn(func(wc *workerConn) error {
-		return wc.roundTrip(ctx, func() error {
-			if err := wire.Encode(wc.bw, f); err != nil {
-				return err
-			}
-			if err := wc.bw.Flush(); err != nil {
-				return err
-			}
-			return wc.expectAck(0, false)
-		})
+		return wc.control(ctx, f, wire.TypeAck, 0)
 	})
 }
 
@@ -437,10 +410,7 @@ func (t *TCP) Gather(ctx context.Context, view string) ([]*exchange.Buffer, erro
 	perWorker := make([][]*exchange.Buffer, len(t.conns))
 	err := t.eachConn(func(wc *workerConn) error {
 		return wc.roundTrip(ctx, func() error {
-			if err := wire.Encode(wc.bw, &wire.Frame{Type: wire.TypeGather, View: view}); err != nil {
-				return err
-			}
-			if err := wc.bw.Flush(); err != nil {
+			if err := wc.send(&wire.Frame{Type: wire.TypeGather, View: view}, true); err != nil {
 				return err
 			}
 			runs, err := wc.readGatherStream(view)
@@ -526,11 +496,11 @@ func (t *TCP) RunScript(ctx context.Context, ops []recOp, view string) ([]*excha
 			for _, op := range ops {
 				switch op.kind {
 				case opBarrier:
-					if err := wc.expectAck(uint32(op.round), true); err != nil {
+					if err := wc.expect(wire.TypeAck, uint32(op.round)); err != nil {
 						return err
 					}
 				case opJoin:
-					if err := wc.expectAck(0, false); err != nil {
+					if err := wc.expect(wire.TypeAck, 0); err != nil {
 						return err
 					}
 				}
@@ -564,7 +534,7 @@ func (t *TCP) SendTrace(_ context.Context, h wire.TraceHeader) error {
 	var errs []error
 	for _, wc := range t.conns {
 		wc.mu.Lock()
-		err := wire.Encode(wc.bw, f)
+		err := wc.send(f, false)
 		wc.mu.Unlock()
 		if err != nil {
 			errs = append(errs, &WorkerError{Worker: wc.id, Err: err})
@@ -599,17 +569,7 @@ func (t *TCP) JoinWorker(ctx context.Context, w int, spec JoinSpec) error {
 	if w < 0 || w >= len(t.conns) {
 		return fmt.Errorf("dist: join worker %d out of range [0,%d)", w, len(t.conns))
 	}
-	f := joinFrame(spec)
-	wc := t.conns[w]
-	return wc.roundTrip(ctx, func() error {
-		if err := wire.Encode(wc.bw, f); err != nil {
-			return err
-		}
-		if err := wc.bw.Flush(); err != nil {
-			return err
-		}
-		return wc.expectAck(0, false)
-	})
+	return t.conns[w].control(ctx, joinFrame(spec), wire.TypeAck, 0)
 }
 
 // Ping implements Replaceable: a heartbeat round trip through worker
@@ -619,63 +579,15 @@ func (t *TCP) Ping(ctx context.Context, w int, seq uint32) error {
 	if w < 0 || w >= len(t.conns) {
 		return fmt.Errorf("dist: ping worker %d out of range [0,%d)", w, len(t.conns))
 	}
-	wc := t.conns[w]
-	return wc.roundTrip(ctx, func() error {
-		if err := wire.Encode(wc.bw, &wire.Frame{Type: wire.TypePing, Round: seq}); err != nil {
-			return err
-		}
-		if err := wc.bw.Flush(); err != nil {
-			return err
-		}
-		f, err := wc.rd.Next()
-		if err != nil {
-			return err
-		}
-		switch f.Type {
-		case wire.TypePong:
-			if f.Round != seq {
-				return fmt.Errorf("pong echoes %d, want %d", f.Round, seq)
-			}
-			return nil
-		case wire.TypeError:
-			return fmt.Errorf("worker error: %s", f.Msg)
-		default:
-			return fmt.Errorf("unexpected %s frame, want pong", f.Type)
-		}
-	})
+	return t.conns[w].control(ctx, &wire.Frame{Type: wire.TypePing, Round: seq}, wire.TypePong, seq)
 }
 
 // Announce implements Replaceable: broadcast the recovery epoch, every
 // worker acking it (echoing the epoch) or rejecting it as stale.
 func (t *TCP) Announce(ctx context.Context, epoch uint32) error {
+	f := &wire.Frame{Type: wire.TypeEpoch, Round: epoch}
 	return t.eachConn(func(wc *workerConn) error {
-		return wc.roundTrip(ctx, func() error {
-			if err := wire.Encode(wc.bw, &wire.Frame{Type: wire.TypeEpoch, Round: epoch}); err != nil {
-				return err
-			}
-			if err := wc.bw.Flush(); err != nil {
-				return err
-			}
-			return wc.expectAck(epoch, true)
-		})
-	})
-}
-
-// Checkpoint implements Replaceable: broadcast the round manifest,
-// every worker acking it (echoing the round) after validating its
-// epoch.
-func (t *TCP) Checkpoint(ctx context.Context, m *wire.Manifest) error {
-	f := &wire.Frame{Type: wire.TypeCheckpoint, Checkpoint: m}
-	return t.eachConn(func(wc *workerConn) error {
-		return wc.roundTrip(ctx, func() error {
-			if err := wire.Encode(wc.bw, f); err != nil {
-				return err
-			}
-			if err := wc.bw.Flush(); err != nil {
-				return err
-			}
-			return wc.expectAck(m.Round, true)
-		})
+		return wc.control(ctx, f, wire.TypeAck, epoch)
 	})
 }
 

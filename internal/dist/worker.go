@@ -95,11 +95,8 @@ type session struct {
 	// head is the reusable fast-encoder scratch for gather replies.
 	head []byte
 	// epoch is the last recovery epoch the coordinator announced on
-	// this session; announcements may only grow it, and checkpoint
-	// manifests from before it are rejected as stale.
+	// this session; announcements may only grow it.
 	epoch uint32
-	// checkpoint is the last accepted checkpoint manifest.
-	checkpoint *wire.Manifest
 	// trace is the most recent span context the coordinator announced;
 	// worker-side failures are attributed to its query id.
 	trace wire.TraceHeader
@@ -179,13 +176,6 @@ func (s *session) handle(f *wire.Frame) error {
 		}
 		s.epoch = f.Round
 		return s.reply(&wire.Frame{Type: wire.TypeAck, Round: f.Round})
-	case wire.TypeCheckpoint:
-		if f.Checkpoint.Epoch < s.epoch {
-			return fmt.Errorf("stale checkpoint epoch %d, session at %d", f.Checkpoint.Epoch, s.epoch)
-		}
-		s.epoch = f.Checkpoint.Epoch
-		s.checkpoint = f.Checkpoint
-		return s.reply(&wire.Frame{Type: wire.TypeAck, Round: f.Checkpoint.Round})
 	case wire.TypeGather:
 		runs := s.store.runs(f.View)
 		frames := make([]*wire.Frame, 0, len(runs)+1)

@@ -180,12 +180,6 @@ func appendFrame(dst []byte, f *Frame) ([]byte, []byte, error) {
 		if dst, err = appendString(dst, f.Msg); err != nil {
 			return dst, nil, err
 		}
-	case TypeCheckpoint:
-		// Checkpoints reuse the canonical manifest validation so the
-		// byte representation stays unique.
-		if dst, err = appendManifest(dst, f.Checkpoint); err != nil {
-			return dst, nil, err
-		}
 	case TypeTrace:
 		dst = appendU64(dst, f.Trace.TraceID)
 		dst = appendU64(dst, f.Trace.Span)
@@ -202,30 +196,6 @@ func appendFrame(dst []byte, f *Frame) ([]byte, []byte, error) {
 	}
 	binary.BigEndian.PutUint32(dst[hdrAt+1:], uint32(n))
 	return dst, seg, nil
-}
-
-// appendManifest append-encodes a checkpoint manifest with the same
-// canonical validation as encodeManifest.
-func appendManifest(dst []byte, m *Manifest) ([]byte, error) {
-	if m == nil {
-		return dst, fmt.Errorf("wire: checkpoint frame without manifest")
-	}
-	dst = appendU32(dst, m.Epoch)
-	dst = appendU32(dst, m.Round)
-	dst = appendU32(dst, uint32(len(m.Entries)))
-	var err error
-	for i, e := range m.Entries {
-		if i > 0 && !manifestLess(m.Entries[i-1], e) {
-			return dst, fmt.Errorf("wire: manifest entries not strictly ascending at %d", i)
-		}
-		dst = appendU32(dst, e.Worker)
-		if dst, err = appendString(dst, e.Store); err != nil {
-			return dst, err
-		}
-		dst = appendU32(dst, e.Runs)
-		dst = appendU64(dst, e.Tuples)
-	}
-	return dst, nil
 }
 
 // appendData appends a Data payload, choosing the encoding: packed

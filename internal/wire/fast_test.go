@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"math/rand/v2"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -73,31 +72,14 @@ func TestFastRoundTrip(t *testing.T) {
 }
 
 // assertFramesEqual checks trusted and validating decodes of one
-// fast-encoded frame against the original.
+// fast-encoded frame against each other and the original.
 func assertFramesEqual(t *testing.T, want, trusted, validating *Frame) {
 	t.Helper()
-	if want.Type != TypeData {
-		if !reflect.DeepEqual(trusted, validating) {
-			t.Fatalf("%s: trusted %+v != validating %+v", want.Type, trusted, validating)
-		}
-		if !reflect.DeepEqual(want, trusted) {
-			t.Fatalf("%s: decoded %+v, want %+v", want.Type, trusted, want)
-		}
-		return
+	if !sameFrame(trusted, validating) {
+		t.Fatalf("%s: trusted %+v != validating %+v", want.Type, trusted, validating)
 	}
-	for _, got := range []*Frame{trusted, validating} {
-		if got.Data.Round != want.Data.Round || got.Data.Dest != want.Data.Dest || got.Data.Rel != want.Data.Rel {
-			t.Fatalf("data header mismatch: got %+v want %+v", got.Data, want.Data)
-		}
-	}
-	wt := want.Data.Buf.AppendTuples(nil)
-	tt := trusted.Data.Buf.AppendTuples(nil)
-	vt := validating.Data.Buf.AppendTuples(nil)
-	if !reflect.DeepEqual(tt, vt) {
-		t.Fatalf("trusted decode (%d tuples) != validating decode (%d tuples)", len(tt), len(vt))
-	}
-	if len(wt) > 0 && !reflect.DeepEqual(wt, tt) {
-		t.Fatalf("decoded %d tuples, want %d", len(tt), len(wt))
+	if !sameFrame(want, trusted) {
+		t.Fatalf("%s: decoded %+v, want %+v", want.Type, trusted, want)
 	}
 }
 

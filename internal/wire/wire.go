@@ -13,8 +13,12 @@
 // between workers — as the round id, the destination shard, the store
 // name, and the buffer body in its native encoding: one uint64 word
 // per tuple on the packed path, a row-major int64 sequence on the
-// flat fallback path. Control frames (Hello, Barrier, Join, Gather,
-// Ack, Done, Error) carry the BSP protocol around the data.
+// flat fallback path; a Delta frame carries a maintenance run the same
+// way. Control frames carry the BSP protocol around the data (Hello,
+// Barrier, Join, Gather, Ack, Done, Error), the recovery handshake
+// (Ping, Pong, Epoch) and the tracing context (Trace). Every frame
+// type has a reader on the receiving side: a frame nothing consumes
+// does not belong in the protocol.
 //
 // Decode is defensive: any malformed or truncated frame yields an
 // error, never a panic, and allocation is bounded by the bytes that
@@ -37,8 +41,10 @@ import (
 // Type enumerates the frame kinds of the protocol.
 type Type uint8
 
-// Frame types. The coordinator sends Hello, Data, Barrier, Join and
-// Gather; a worker replies with Ack, Data, Done and Error.
+// Frame types. The coordinator sends Hello, Data, Delta, Trace,
+// Barrier, Join, Gather, Ping and Epoch; a worker replies with Ack,
+// Data, Done, Pong and Error. The values are contiguous from 1 —
+// retiring a type renumbers the ones after it and bumps Version.
 const (
 	// TypeHello opens a session: protocol version, worker id, pool
 	// size. The worker replies with an Ack.
@@ -57,8 +63,9 @@ const (
 	// TypeGather asks the worker to stream the runs it holds under a
 	// view name back as Data frames, terminated by a Done frame.
 	TypeGather
-	// TypeAck acknowledges a Hello, Barrier or Join, echoing a tag
-	// (the round number for barriers).
+	// TypeAck acknowledges a Hello, Barrier, Join or Epoch, echoing a
+	// tag: the round number for barriers, the epoch for announcements,
+	// zero otherwise.
 	TypeAck
 	// TypeDone terminates a Gather stream and reports the number of
 	// Data frames that preceded it.
@@ -75,11 +82,6 @@ const (
 	// Epochs only ever grow: a worker rejects a decreasing epoch as a
 	// stale coordinator and acks an accepted one, echoing the epoch.
 	TypeEpoch
-	// TypeCheckpoint carries a checkpoint Manifest — the coordinator's
-	// record of which per-worker sorted runs are durable after a round
-	// barrier. The worker validates the manifest's epoch against its
-	// session epoch and acks, echoing the manifest round.
-	TypeCheckpoint
 	// TypeDelta carries one sealed delta run for incremental view
 	// maintenance: the tuples of a maintenance batch routed to one
 	// worker. A delete delta tombstones the run's tuples in the named
@@ -122,8 +124,6 @@ func (t Type) String() string {
 		return "pong"
 	case TypeEpoch:
 		return "epoch"
-	case TypeCheckpoint:
-		return "checkpoint"
 	case TypeDelta:
 		return "delta"
 	case TypeTrace:
@@ -138,8 +138,10 @@ func (t Type) String() string {
 // the fast-path Data encodings (raw little-endian words, delta-varint
 // words) that version-1 decoders would reject; version 3 added the
 // Delta frame of incremental view maintenance; version 4 added the
-// Trace frame of per-round distributed tracing.
-const Version = 4
+// Trace frame of per-round distributed tracing; version 5 retired a
+// per-barrier state broadcast that no receiver read, renumbering Delta
+// and Trace.
+const Version = 5
 
 // MaxPayload bounds a frame's declared payload size (128 MiB). A
 // larger length prefix is rejected before any payload is read.
@@ -224,42 +226,6 @@ type Join struct {
 	Bindings [][2]string
 }
 
-// Manifest is the checkpoint record a coordinator emits after each
-// round barrier when recovery is enabled: for every (worker, store)
-// pair it names how many sealed runs — and how many tuples across
-// them — are durably ingested at that worker as of Round. A recovering
-// coordinator replays exactly this state into a replacement worker.
-//
-// The canonical encoding orders entries strictly ascending by
-// (Worker, Store); DecodeManifest rejects anything else, so a manifest
-// has exactly one byte representation.
-type Manifest struct {
-	// Epoch is the recovery epoch the manifest belongs to.
-	Epoch uint32
-	// Round is the barrier the manifest describes.
-	Round uint32
-	// Entries lists the durable runs, ordered by (Worker, Store).
-	Entries []ManifestEntry
-}
-
-// ManifestEntry is one (worker, store) line of a checkpoint manifest.
-type ManifestEntry struct {
-	// Worker is the worker id holding the runs.
-	Worker uint32
-	// Store is the store name the runs live under.
-	Store string
-	// Runs counts the sealed runs delivered to the store.
-	Runs uint32
-	// Tuples counts the tuples across those runs.
-	Tuples uint64
-}
-
-// manifestEntryMin is the smallest encoded entry (worker u32, empty
-// store u16 prefix, runs u32, tuples u64): the declared entry count is
-// checked against the remaining payload at this granularity before any
-// entry allocation.
-const manifestEntryMin = 4 + 2 + 4 + 8
-
 // Frame is one decoded protocol frame; the field matching Type is
 // meaningful, the rest are zero.
 type Frame struct {
@@ -283,8 +249,6 @@ type Frame struct {
 	Count uint32
 	// Msg is set for TypeError.
 	Msg string
-	// Checkpoint is set for TypeCheckpoint.
-	Checkpoint *Manifest
 	// Trace is set for TypeTrace.
 	Trace TraceHeader
 }
@@ -320,10 +284,6 @@ func Encode(w io.Writer, f *Frame) error {
 		}
 	case TypeBarrier, TypeAck, TypePing, TypePong, TypeEpoch:
 		putU32(&payload, f.Round)
-	case TypeCheckpoint:
-		if err := encodeManifest(&payload, f.Checkpoint); err != nil {
-			return err
-		}
 	case TypeTrace:
 		putU64(&payload, f.Trace.TraceID)
 		putU64(&payload, f.Trace.Span)
@@ -481,8 +441,6 @@ func decodePayload(typ Type, body []byte) (*Frame, error) {
 		decodeDelta(p, &f.Delta)
 	case TypeBarrier, TypeAck, TypePing, TypePong, TypeEpoch:
 		f.Round = p.u32()
-	case TypeCheckpoint:
-		f.Checkpoint = decodeManifest(p)
 	case TypeTrace:
 		f.Trace.TraceID = p.u64()
 		f.Trace.Span = p.u64()
@@ -512,86 +470,6 @@ func decodePayload(typ Type, body []byte) (*Frame, error) {
 		return nil, fmt.Errorf("wire: %s frame has %d trailing payload bytes", typ, len(p.b)-p.off)
 	}
 	return f, nil
-}
-
-// encodeManifest serializes a checkpoint manifest, enforcing the
-// canonical strictly-ascending (worker, store) entry order so every
-// manifest has one byte representation.
-func encodeManifest(w *bytes.Buffer, m *Manifest) error {
-	if m == nil {
-		return fmt.Errorf("wire: checkpoint frame without manifest")
-	}
-	putU32(w, m.Epoch)
-	putU32(w, m.Round)
-	putU32(w, uint32(len(m.Entries)))
-	for i, e := range m.Entries {
-		if i > 0 && !manifestLess(m.Entries[i-1], e) {
-			return fmt.Errorf("wire: manifest entries not strictly ascending at %d", i)
-		}
-		putU32(w, e.Worker)
-		if err := putString(w, e.Store); err != nil {
-			return err
-		}
-		putU32(w, e.Runs)
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], e.Tuples)
-		w.Write(b[:])
-	}
-	return nil
-}
-
-// decodeManifest parses a manifest payload. The declared entry count
-// is validated against the remaining payload at minimum-entry
-// granularity before any allocation, so a lying count cannot force a
-// large allocation; entries are then required to be strictly ascending
-// by (worker, store).
-func decodeManifest(p *payloadReader) *Manifest {
-	m := &Manifest{Epoch: p.u32(), Round: p.u32()}
-	count := int(p.u32())
-	if p.err != nil {
-		return nil
-	}
-	if count*manifestEntryMin > len(p.b)-p.off {
-		p.fail(fmt.Errorf("manifest count %d exceeds payload", count))
-		return nil
-	}
-	m.Entries = make([]ManifestEntry, 0, count)
-	for i := 0; i < count && p.err == nil; i++ {
-		e := ManifestEntry{Worker: p.u32(), Store: p.str(), Runs: p.u32(), Tuples: p.u64()}
-		if p.err != nil {
-			return nil
-		}
-		if i > 0 && !manifestLess(m.Entries[i-1], e) {
-			p.fail(fmt.Errorf("manifest entries not strictly ascending at %d", i))
-			return nil
-		}
-		m.Entries = append(m.Entries, e)
-	}
-	return m
-}
-
-// manifestLess orders entries by (worker, store), strictly.
-func manifestLess(a, b ManifestEntry) bool {
-	if a.Worker != b.Worker {
-		return a.Worker < b.Worker
-	}
-	return a.Store < b.Store
-}
-
-// DecodeManifest parses a standalone checkpoint-manifest payload (the
-// body of a TypeCheckpoint frame) with the same validation Decode
-// applies: bounded allocation, full consumption, canonical entry
-// order. It exists so the manifest codec can be fuzzed directly.
-func DecodeManifest(b []byte) (*Manifest, error) {
-	p := &payloadReader{b: b}
-	m := decodeManifest(p)
-	if p.err != nil {
-		return nil, fmt.Errorf("wire: manifest: %w", p.err)
-	}
-	if len(p.b) != p.off {
-		return nil, fmt.Errorf("wire: manifest has %d trailing payload bytes", len(p.b)-p.off)
-	}
-	return m, nil
 }
 
 // decodeData parses a Data payload and reconstructs the buffer

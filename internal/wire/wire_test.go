@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand/v2"
@@ -62,41 +61,106 @@ func sampleFrames(t *testing.T) []*Frame {
 		{Type: TypePong, Round: 19},
 		{Type: TypeEpoch, Round: 2},
 		{Type: TypeTrace, Trace: TraceHeader{TraceID: 1 << 50, Span: 7, Round: 3, QueryID: "q-12"}},
-		{Type: TypeCheckpoint, Checkpoint: &Manifest{
-			Epoch: 2, Round: 3,
-			Entries: []ManifestEntry{
-				{Worker: 0, Store: "V1_1/R", Runs: 2, Tuples: 64},
-				{Worker: 1, Store: "V1_1/R", Runs: 1, Tuples: 7},
-				{Worker: 1, Store: "V1_1/S", Runs: 3, Tuples: 1 << 40},
-			},
-		}},
+		{Type: TypeDelta, Delta: Delta{Round: 4, Dest: 1, Store: "R", View: "delta!R!7", Buf: packed}},
+		{Type: TypeDelta, Delta: Delta{Round: 4, Dest: 2, Store: "S", Del: true, Buf: flat}},
 	}
 }
 
+// lastType walks the Type values from 1 until String falls through to
+// its default: the last named frame type.
+func lastType() Type {
+	typ := Type(1)
+	for !strings.HasPrefix((typ + 1).String(), "Type(") {
+		typ++
+	}
+	return typ
+}
+
+// sameFrame compares two frames, run-carrying ones by materialized
+// contents (a decoded buffer need not share the original's layout
+// bookkeeping).
+func sameFrame(a, b *Frame) bool {
+	tuples := func(buf *exchange.Buffer) []relation.Tuple {
+		if buf == nil {
+			return nil
+		}
+		return buf.AppendTuples(nil)
+	}
+	ha, hb := *a, *b
+	ha.Data.Buf, hb.Data.Buf, ha.Delta.Buf, hb.Delta.Buf = nil, nil, nil, nil
+	return reflect.DeepEqual(ha, hb) &&
+		reflect.DeepEqual(tuples(a.Data.Buf), tuples(b.Data.Buf)) &&
+		reflect.DeepEqual(tuples(a.Delta.Buf), tuples(b.Delta.Buf))
+}
+
+// TestRoundTrip: every frame type the protocol names survives every
+// encoder × decoder pairing unchanged. The table is checked against the
+// Type enumeration itself, so a type cannot be added without a codec
+// test here, and a type with no frame to test has no business staying.
 func TestRoundTrip(t *testing.T) {
-	for _, f := range sampleFrames(t) {
-		var buf bytes.Buffer
-		if err := Encode(&buf, f); err != nil {
-			t.Fatalf("%s: encode: %v", f.Type, err)
+	frames := sampleFrames(t)
+	covered := map[Type]bool{}
+	for _, f := range frames {
+		covered[f.Type] = true
+	}
+	last := lastType()
+	for typ := Type(1); typ <= last; typ++ {
+		if !covered[typ] {
+			t.Errorf("frame type %s has no frame in the round-trip table", typ)
 		}
-		got, err := Decode(&buf)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", f.Type, err)
-		}
-		if f.Type != TypeData {
-			if !reflect.DeepEqual(f, got) {
-				t.Errorf("%s: roundtrip mismatch:\n got %+v\nwant %+v", f.Type, got, f)
+	}
+	if len(covered) != int(last) {
+		t.Errorf("round-trip table covers %d types, the protocol names %d", len(covered), last)
+	}
+
+	encoders := map[string]func(*Frame) []byte{
+		"canonical": func(f *Frame) []byte {
+			var buf bytes.Buffer
+			if err := Encode(&buf, f); err != nil {
+				t.Fatalf("%s: encode: %v", f.Type, err)
 			}
-			continue
+			return buf.Bytes()
+		},
+		"fast": func(f *Frame) []byte { return fastEncode(t, []*Frame{f}) },
+	}
+	decoders := map[string]func([]byte) (*Frame, error){
+		"validating": func(b []byte) (*Frame, error) { return Decode(bytes.NewReader(b)) },
+		"trusted":    func(b []byte) (*Frame, error) { return NewTrustedReader(bytes.NewReader(b)).Next() },
+	}
+	for en, encode := range encoders {
+		for dn, decode := range decoders {
+			for _, f := range frames {
+				got, err := decode(encode(f))
+				if err != nil {
+					t.Fatalf("%s → %s: %s: decode: %v", en, dn, f.Type, err)
+				}
+				if !sameFrame(f, got) {
+					t.Errorf("%s → %s: %s: roundtrip mismatch:\n got %+v\nwant %+v", en, dn, f.Type, got, f)
+				}
+			}
 		}
-		// Buffers compare by materialized contents.
-		if got.Data.Round != f.Data.Round || got.Data.Dest != f.Data.Dest || got.Data.Rel != f.Data.Rel {
-			t.Errorf("data header mismatch: got %+v want %+v", got.Data, f.Data)
-		}
-		want := f.Data.Buf.AppendTuples(nil)
-		have := got.Data.Buf.AppendTuples(nil)
-		if !reflect.DeepEqual(want, have) {
-			t.Errorf("data tuples mismatch: got %d tuples, want %d", len(have), len(want))
+	}
+}
+
+// TestDecodeRejectsUnnamedTypes: byte 0 and every byte past the last
+// named type — the first of which version 4 still used, for the frame
+// type version 5 retired — is refused by both decoders, with or
+// without a payload behind it, and never panics.
+func TestDecodeRejectsUnnamedTypes(t *testing.T) {
+	payloads := [][]byte{nil, make([]byte, 12)}
+	unnamed := []int{0}
+	for b := int(lastType()) + 1; b <= 0xFF; b++ {
+		unnamed = append(unnamed, b)
+	}
+	for _, b := range unnamed {
+		for _, payload := range payloads {
+			frame := append([]byte{byte(b), 0, 0, 0, byte(len(payload))}, payload...)
+			if f, err := Decode(bytes.NewReader(frame)); err == nil || !strings.Contains(err.Error(), "unknown frame type") {
+				t.Errorf("Decode of type byte %d (%d payload bytes): frame %+v, err %v", b, len(payload), f, err)
+			}
+			if f, err := NewTrustedReader(bytes.NewReader(frame)).Next(); err == nil || !strings.Contains(err.Error(), "unknown frame type") {
+				t.Errorf("trusted Next of type byte %d (%d payload bytes): frame %+v, err %v", b, len(payload), f, err)
+			}
 		}
 	}
 }
@@ -188,91 +252,6 @@ func TestDecodeMalformed(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestManifestValidation: the manifest codec enforces canonical form
-// on both sides — encode refuses out-of-order entries, decode refuses
-// lying counts, duplicates, disorder, and truncation.
-func TestManifestValidation(t *testing.T) {
-	enc := func(m *Manifest) []byte {
-		var buf bytes.Buffer
-		if err := Encode(&buf, &Frame{Type: TypeCheckpoint, Checkpoint: m}); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()[5:]
-	}
-	good := &Manifest{Epoch: 1, Round: 2, Entries: []ManifestEntry{
-		{Worker: 0, Store: "R", Runs: 1, Tuples: 3},
-		{Worker: 1, Store: "R", Runs: 2, Tuples: 9},
-	}}
-	if _, err := DecodeManifest(enc(good)); err != nil {
-		t.Fatalf("canonical manifest rejected: %v", err)
-	}
-
-	var buf bytes.Buffer
-	err := Encode(&buf, &Frame{Type: TypeCheckpoint, Checkpoint: &Manifest{
-		Entries: []ManifestEntry{{Worker: 1, Store: "R"}, {Worker: 0, Store: "R"}},
-	}})
-	if err == nil || !strings.Contains(err.Error(), "ascending") {
-		t.Fatalf("encode of out-of-order entries: %v, want ascending error", err)
-	}
-	if err := Encode(&buf, &Frame{Type: TypeCheckpoint}); err == nil {
-		t.Fatal("encode of checkpoint without manifest succeeded")
-	}
-
-	payload := enc(good)
-	cases := []struct {
-		name string
-		data []byte
-		want string
-	}{
-		{"count exceeds payload", mutate(payload, func(b []byte) {
-			b[8], b[9], b[10], b[11] = 0xFF, 0xFF, 0xFF, 0xFF
-		}), "exceeds payload"},
-		{"count below payload leaves trailing bytes", mutate(payload, func(b []byte) {
-			b[11] = 1
-		}), "trailing"},
-		{"duplicate entry", enc2(t, &Manifest{Entries: []ManifestEntry{
-			{Worker: 1, Store: "R"}, {Worker: 1, Store: "R"},
-		}}), "ascending"},
-		{"descending entry", enc2(t, &Manifest{Entries: []ManifestEntry{
-			{Worker: 1, Store: "S"}, {Worker: 1, Store: "R"},
-		}}), "ascending"},
-		{"truncated mid-entry", payload[:len(payload)-1], "truncated"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			_, err := DecodeManifest(c.data)
-			if err == nil {
-				t.Fatal("want error, got nil")
-			}
-			if !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("error %q does not mention %q", err, c.want)
-			}
-		})
-	}
-}
-
-// enc2 hand-encodes a manifest payload without Encode's ordering
-// check, so decode-side validation can be exercised on shapes the
-// encoder refuses to produce.
-func enc2(t *testing.T, m *Manifest) []byte {
-	t.Helper()
-	var w bytes.Buffer
-	putU32(&w, m.Epoch)
-	putU32(&w, m.Round)
-	putU32(&w, uint32(len(m.Entries)))
-	for _, e := range m.Entries {
-		putU32(&w, e.Worker)
-		if err := putString(&w, e.Store); err != nil {
-			t.Fatal(err)
-		}
-		putU32(&w, e.Runs)
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], e.Tuples)
-		w.Write(b[:])
-	}
-	return w.Bytes()
 }
 
 // mutate copies b, applies f, returns the copy.
