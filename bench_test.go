@@ -899,7 +899,7 @@ func legacyShuffle(q *query.Query, db *relation.Database, p int, s *hypercube.Sh
 // exchangeShuffle scatters db's relations for q through the columnar
 // exchange and returns (routed tuples, accounted bits).
 func exchangeShuffle(b *testing.B, q *query.Query, db *relation.Database, p int, s *hypercube.Shares, h *hypercube.Hasher) (int64, int64) {
-	cluster, err := mpc.NewCluster(mpc.Config{
+	cluster, ctx, err := dist.Open(dist.Env{}, mpc.Config{
 		Workers: p, Epsilon: 1, InputBits: db.InputBits(), DomainN: db.N,
 	})
 	if err != nil {
@@ -908,11 +908,11 @@ func exchangeShuffle(b *testing.B, q *query.Query, db *relation.Database, p int,
 	cluster.BeginRound()
 	for _, a := range q.Atoms {
 		rel, _ := db.Relation(a.Name)
-		if err := cluster.ScatterPart(rel, hypercube.NewGridPartitioner(s, h, a)); err != nil {
+		if err := cluster.Scatter(ctx, rel, "", hypercube.NewGridPartitioner(s, h, a)); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if err := cluster.EndRound(); err != nil {
+	if err := cluster.EndRound(ctx); err != nil {
 		b.Fatal(err)
 	}
 	rs := cluster.Stats().Rounds[0]
@@ -997,20 +997,20 @@ func BenchmarkShuffleHashJoin(b *testing.B) {
 	})
 	b.Run("exchange", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cluster, err := mpc.NewCluster(mpc.Config{
+			cluster, ctx, err := dist.Open(dist.Env{}, mpc.Config{
 				Workers: p, Epsilon: 1, InputBits: 1 << 30, DomainN: n,
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
 			cluster.BeginRound()
-			if err := cluster.ScatterPart(r, exchange.HashPartitioner{Col: yR, P: p, Seed: seed}); err != nil {
+			if err := cluster.Scatter(ctx, r, "", exchange.HashPartitioner{Col: yR, P: p, Seed: seed}); err != nil {
 				b.Fatal(err)
 			}
-			if err := cluster.ScatterPart(s, exchange.HashPartitioner{Col: yS, P: p, Seed: seed}); err != nil {
+			if err := cluster.Scatter(ctx, s, "", exchange.HashPartitioner{Col: yS, P: p, Seed: seed}); err != nil {
 				b.Fatal(err)
 			}
-			if err := cluster.EndRound(); err != nil {
+			if err := cluster.EndRound(ctx); err != nil {
 				b.Fatal(err)
 			}
 		}

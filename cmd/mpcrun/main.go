@@ -1,19 +1,19 @@
-// Command mpcrun evaluates a conjunctive query on the simulated MPC(ε)
-// cluster. By default it is planner-driven: it collects statistics
-// over the input relations (relation.CollectStats), builds a
-// cost-based plan (internal/plan) that picks the share grid and the
-// engine — one-round HyperCube, multiround Γ^r_ε decomposition, or
-// skew-aware routing — prints the plan's EXPLAIN, and executes it end
-// to end through the columnar exchange layer.
+// Command mpcrun evaluates a conjunctive query on the MPC(ε) cluster.
+// It is planner-driven: it collects statistics over the input relations
+// (relation.CollectStats), builds a cost-based plan (internal/plan)
+// that picks the share grid and the engine — one-round HyperCube,
+// multiround Γ^r_ε decomposition, or skew-aware routing — prints the
+// plan's EXPLAIN, and executes it end to end through the columnar
+// exchange layer.
 //
 // Usage:
 //
-//	mpcrun -family C3 -n 10000 -p 64                 # planner-driven (auto)
+//	mpcrun -family C3 -n 10000 -p 64                 # the planner decides
 //	mpcrun -family L16 -n 5000 -p 64 -eps 1/2        # planner at a fixed ε
 //	mpcrun -query 'R(x,y),S(y,z)' -n 1000 -p 16
 //	mpcrun -query 'R(x,y),S(y,z)' -data 'R=r.csv,S=s.csv' -p 16
-//	mpcrun -family C3 -mode one                      # manual: force one round
-//	mpcrun -family L16 -mode multi -eps 1/2          # manual: force Γ^r_ε
+//	mpcrun -family C3 -plan engine=one               # manual: force one round
+//	mpcrun -family L16 -plan engine=multi -eps 1/2   # manual: force Γ^r_ε
 //	mpcrun -family C3 -plan 'shares=x1:4,x2:4,x3:4'  # manual share override
 //	mpcrun -query 'R(x,y),S(y,z)' -plan engine=skew  # manual engine override
 //	mpcrun -family C3 -workers localhost:9001,localhost:9002,localhost:9003,localhost:9004
@@ -68,8 +68,7 @@ func main() {
 		familyStr = flag.String("family", "", "query family: L<k>, C<k>, T<k>, SP<k>, B<k>_<m>")
 		n         = flag.Int("n", 10000, "domain size (tuples per relation)")
 		p         = flag.Int("p", 64, "number of servers")
-		mode      = flag.String("mode", "auto", "auto (planner-driven) | one | multi")
-		epsStr    = flag.String("eps", "", "space exponent (default: the query's 1-1/τ* for auto/one-round, 0 for multi)")
+		epsStr    = flag.String("eps", "", "space exponent (default: the query's 1-1/τ*)")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		capC      = flag.Float64("cap", 0, "receive-cap constant c (0 disables enforcement)")
 		show      = flag.Int("show", 5, "print at most this many answers")
@@ -81,13 +80,13 @@ func main() {
 		pipeline  = flag.Bool("pipeline", false, "overlap compute with communication: defer scatter/barrier/join traffic to the gather fence (answers and stats are unchanged)")
 	)
 	flag.Parse()
-	if err := run(*queryStr, *familyStr, *n, *p, *mode, *epsStr, *seed, *capC, *show, *dataStr, *planStr, *workers, *spares, *maxRepl, *pipeline); err != nil {
+	if err := run(*queryStr, *familyStr, *n, *p, *epsStr, *seed, *capC, *show, *dataStr, *planStr, *workers, *spares, *maxRepl, *pipeline); err != nil {
 		fmt.Fprintln(os.Stderr, "mpcrun:", err)
 		os.Exit(1)
 	}
 }
 
-func run(queryStr, familyStr string, n, p int, mode, epsStr string, seed uint64, capC float64, show int, dataStr, planStr, workers, spares string, maxRepl int, pipeline bool) error {
+func run(queryStr, familyStr string, n, p int, epsStr string, seed uint64, capC float64, show int, dataStr, planStr, workers, spares string, maxRepl int, pipeline bool) error {
 	if p < 1 {
 		return fmt.Errorf("-p = %d, need ≥ 1", p)
 	}
@@ -103,9 +102,6 @@ func run(queryStr, familyStr string, n, p int, mode, epsStr string, seed uint64,
 		return fmt.Errorf("-spares and -max-replace require -workers")
 	}
 	if len(addrs) > 0 {
-		if mode != "auto" {
-			return fmt.Errorf("-workers requires -mode auto (the planner-driven path)")
-		}
 		// The cluster size is the pool size: one worker id per process.
 		if p != len(addrs) {
 			fmt.Printf("note: -workers fixes p to the pool size %d (ignoring -p %d)\n", len(addrs), p)
@@ -116,7 +112,7 @@ func run(queryStr, familyStr string, n, p int, mode, epsStr string, seed uint64,
 		return fmt.Errorf("-n = %d, need ≥ 1", n)
 	}
 	if datalog.IsDatalog(queryStr) {
-		if familyStr != "" || mode != "auto" || planStr != "" || len(spareAddrs) > 0 || pipeline {
+		if familyStr != "" || planStr != "" || len(spareAddrs) > 0 || pipeline {
 			return fmt.Errorf("a Datalog -query supports only -n, -p, -eps, -seed, -cap, -show, -data and -workers")
 		}
 		return runDatalog(queryStr, n, p, epsStr, seed, capC, show, dataStr, addrs)
@@ -142,65 +138,13 @@ func run(queryStr, familyStr string, n, p int, mode, epsStr string, seed uint64,
 	if err != nil {
 		return err
 	}
-	switch mode {
-	case "auto":
-		return runAuto(q, db, p, epsStr, seed, capC, show, planStr, addrs, spareAddrs, maxRepl, pipeline, truth)
-	case "one":
-		if planStr != "" {
-			return fmt.Errorf("-plan only applies to -mode auto")
-		}
-		eps := -1.0
-		if epsStr != "" {
-			r, err := parseRat(epsStr)
-			if err != nil {
-				return err
-			}
-			eps, _ = r.Float64()
-		}
-		res, err := core.EvaluateOneRound(q, db, p, core.OneRoundOptions{
-			Epsilon: eps, CapConstant: capC, Seed: seed,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("one round (HyperCube), shares %s\n", res.Shares)
-		fmt.Printf("answers: %d / %d ground truth\n", len(res.Answers), len(truth))
-		fmt.Printf("max load: %d tuples, %d bits (cap %d, exceeded: %v)\n",
-			res.Stats.MaxLoadTuples(), res.Stats.MaxLoadBits(), res.ReceiveCap, res.CapExceeded)
-		fmt.Printf("replication: %.2fx input\n", res.Stats.Replication(db.InputBits()))
-		printAnswers(q, res.Answers, show)
-	case "multi":
-		if planStr != "" {
-			return fmt.Errorf("-plan only applies to -mode auto")
-		}
-		epsRat := big.NewRat(0, 1)
-		if epsStr != "" {
-			epsRat, err = parseRat(epsStr)
-			if err != nil {
-				return err
-			}
-		}
-		res, err := core.EvaluateMultiRound(q, db, p, epsRat, core.MultiRoundOptions{
-			CapConstant: capC, Seed: seed,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("multi round at ε=%s: %d rounds\n", epsRat.RatString(), res.Rounds)
-		fmt.Printf("answers: %d / %d ground truth\n", len(res.Answers), len(truth))
-		fmt.Printf("max load: %d tuples/round, total %d bits (cap exceeded: %v)\n",
-			res.Stats.MaxLoadTuples(), res.Stats.TotalBits(), res.CapExceeded)
-		printAnswers(q, res.Answers, show)
-	default:
-		return fmt.Errorf("unknown -mode %q (want auto, one or multi)", mode)
-	}
-	return nil
+	return runPlanned(q, db, p, epsStr, seed, capC, show, planStr, addrs, spareAddrs, maxRepl, pipeline, truth)
 }
 
-// runAuto is the planner-driven path: collect statistics, build the
+// runPlanned is the planner-driven path: collect statistics, build the
 // plan, apply any -plan override, EXPLAIN, execute (in process, or
 // distributed over a TCP worker pool when addrs are given), report.
-func runAuto(q *query.Query, db *relation.Database, p int, epsStr string, seed uint64, capC float64, show int, planStr string, addrs, spareAddrs []string, maxRepl int, pipeline bool, truth []relation.Tuple) error {
+func runPlanned(q *query.Query, db *relation.Database, p int, epsStr string, seed uint64, capC float64, show int, planStr string, addrs, spareAddrs []string, maxRepl int, pipeline bool, truth []relation.Tuple) error {
 	var eps *big.Rat
 	if epsStr != "" {
 		var err error

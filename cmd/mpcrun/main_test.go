@@ -25,33 +25,33 @@ func TestRunDistributed(t *testing.T) {
 		addrs = append(addrs, ln.Addr().String())
 		go dist.Serve(ctx, ln)
 	}
-	if err := run("", "C3", 150, 8, "auto", "", 1, 0, 0, "", "", strings.Join(addrs, ","), "", 0, true); err != nil {
+	if err := run("", "C3", 150, 8, "", 1, 0, 0, "", "", strings.Join(addrs, ","), "", 0, true); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunAutoMode(t *testing.T) {
 	// Planner-driven default on a cyclic and an acyclic family.
-	if err := run("", "C3", 200, 8, "auto", "", 1, 0, 2, "", "", "", "", 0, false); err != nil {
+	if err := run("", "C3", 200, 8, "", 1, 0, 2, "", "", "", "", 0, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("", "L3", 100, 8, "auto", "", 1, 0, 0, "", "", "", "", 0, false); err != nil {
+	if err := run("", "L3", 100, 8, "", 1, 0, 0, "", "", "", "", 0, false); err != nil {
 		t.Fatal(err)
 	}
 	// Fixed ε that forces the multiround engine.
-	if err := run("", "L4", 100, 16, "auto", "0", 1, 0, 0, "", "", "", "", 0, false); err != nil {
+	if err := run("", "L4", 100, 16, "0", 1, 0, 0, "", "", "", "", 0, false); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunPlanOverrides(t *testing.T) {
-	if err := run("", "C3", 100, 27, "auto", "", 1, 0, 0, "", "shares=x1:3,x2:3,x3:3", "", "", 0, false); err != nil {
+	if err := run("", "C3", 100, 27, "", 1, 0, 0, "", "shares=x1:3,x2:3,x3:3", "", "", 0, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("", "C3", 100, 27, "auto", "", 1, 0, 0, "", "engine=multi", "", "", 0, false); err != nil {
+	if err := run("", "C3", 100, 27, "", 1, 0, 0, "", "engine=multi", "", "", 0, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("q(x,y,z) = R(x,y), S(y,z)", "", 100, 8, "auto", "", 1, 0, 0, "", "engine=skew", "", "", 0, false); err != nil {
+	if err := run("q(x,y,z) = R(x,y), S(y,z)", "", 100, 8, "", 1, 0, 0, "", "engine=skew", "", "", 0, false); err != nil {
 		t.Fatal(err)
 	}
 	// Invalid overrides.
@@ -64,53 +64,46 @@ func TestRunPlanOverrides(t *testing.T) {
 		"engine=multi;shares=x1:27,x2:1,x3:1", // conflicting
 		"engine=skew;shares=x1:27,x2:1,x3:1",  // conflicting
 	} {
-		if err := run("", "C3", 50, 27, "auto", "", 1, 0, 0, "", bad, "", "", 0, false); err == nil {
+		if err := run("", "C3", 50, 27, "", 1, 0, 0, "", bad, "", "", 0, false); err == nil {
 			t.Errorf("-plan %q: want error", bad)
 		}
-	}
-	// -plan is auto-only.
-	if err := run("", "C3", 50, 8, "one", "", 1, 0, 0, "", "engine=one", "", "", 0, false); err == nil {
-		t.Error("-plan with -mode one: want error")
 	}
 }
 
 func TestRunOneRoundMode(t *testing.T) {
-	if err := run("", "C3", 200, 8, "one", "", 1, 0, 2, "", "", "", "", 0, false); err != nil {
+	if err := run("", "C3", 200, 8, "", 1, 0, 2, "", "engine=one", "", "", 0, false); err != nil {
 		t.Fatal(err)
 	}
 	// Explicit epsilon.
-	if err := run("", "L3", 100, 8, "one", "1/2", 1, 0, 0, "", "", "", "", 0, false); err != nil {
+	if err := run("", "L3", 100, 8, "1/2", 1, 0, 0, "", "engine=one", "", "", 0, false); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunMultiMode(t *testing.T) {
-	if err := run("", "L4", 80, 8, "multi", "", 1, 0, 1, "", "", "", "", 0, false); err != nil {
+	if err := run("", "L4", 80, 8, "0", 1, 0, 1, "", "engine=multi", "", "", 0, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("", "L16", 50, 8, "multi", "1/2", 1, 0, 0, "", "", "", "", 0, false); err != nil {
+	if err := run("", "L16", 50, 8, "1/2", 1, 0, 0, "", "engine=multi", "", "", 0, false); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("", "", 10, 4, "one", "", 1, 0, 0, "", "", "", "", 0, false); err == nil {
+	if err := run("", "", 10, 4, "", 1, 0, 0, "", "", "", "", 0, false); err == nil {
 		t.Error("want error: no query")
 	}
-	if err := run("R(x)", "L2", 10, 4, "one", "", 1, 0, 0, "", "", "", "", 0, false); err == nil {
+	if err := run("R(x)", "L2", 10, 4, "", 1, 0, 0, "", "", "", "", 0, false); err == nil {
 		t.Error("want error: both query and family")
 	}
-	if err := run("", "L2", 10, 4, "bogus", "", 1, 0, 0, "", "", "", "", 0, false); err == nil {
-		t.Error("want error: unknown mode")
-	}
-	if err := run("", "L2", 10, 4, "one", "nope", 1, 0, 0, "", "", "", "", 0, false); err == nil {
+	if err := run("", "L2", 10, 4, "nope", 1, 0, 0, "", "engine=one", "", "", 0, false); err == nil {
 		t.Error("want error: bad epsilon")
 	}
-	if err := run("", "L2", 10, 4, "multi", "3/2", 1, 0, 0, "", "", "", "", 0, false); err == nil {
+	if err := run("", "L2", 10, 4, "3/2", 1, 0, 0, "", "", "", "", 0, false); err == nil {
 		t.Error("want error: epsilon out of range")
 	}
-	if err := run("", "L2", 10, 4, "auto", "nope", 1, 0, 0, "", "", "", "", 0, false); err == nil {
-		t.Error("want error: bad epsilon in auto mode")
+	if err := run("", "L2", 10, 4, "nope", 1, 0, 0, "", "", "", "", 0, false); err == nil {
+		t.Error("want error: bad epsilon without an override")
 	}
 }
 
@@ -126,26 +119,26 @@ func TestRunWithCSVData(t *testing.T) {
 	}
 	data := "R=" + rPath + ",S=" + sPath
 	// Planner-driven over CSV data.
-	if err := run("q(x,y,z) = R(x,y), S(y,z)", "", 0, 4, "auto", "", 1, 0, 10, data, "", "", "", 0, false); err != nil {
+	if err := run("q(x,y,z) = R(x,y), S(y,z)", "", 0, 4, "", 1, 0, 10, data, "", "", "", 0, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("q(x,y,z) = R(x,y), S(y,z)", "", 0, 4, "one", "1/2", 1, 0, 10, data, "", "", "", 0, false); err != nil {
+	if err := run("q(x,y,z) = R(x,y), S(y,z)", "", 0, 4, "1/2", 1, 0, 10, data, "engine=one", "", "", 0, false); err != nil {
 		t.Fatal(err)
 	}
 	// Missing relation in -data.
-	if err := run("q(x,y,z) = R(x,y), S(y,z)", "", 0, 4, "one", "", 1, 0, 0, "R="+rPath, "", "", "", 0, false); err == nil {
+	if err := run("q(x,y,z) = R(x,y), S(y,z)", "", 0, 4, "", 1, 0, 0, "R="+rPath, "", "", "", 0, false); err == nil {
 		t.Error("want error: S missing from -data")
 	}
 	// Malformed pair.
-	if err := run("q(x,y) = R(x,y)", "", 0, 4, "one", "", 1, 0, 0, "R", "", "", "", 0, false); err == nil {
+	if err := run("q(x,y) = R(x,y)", "", 0, 4, "", 1, 0, 0, "R", "", "", "", 0, false); err == nil {
 		t.Error("want error: malformed -data")
 	}
 	// Nonexistent file.
-	if err := run("q(x,y) = R(x,y)", "", 0, 4, "one", "", 1, 0, 0, "R="+filepath.Join(dir, "nope.csv"), "", "", "", 0, false); err == nil {
+	if err := run("q(x,y) = R(x,y)", "", 0, 4, "", 1, 0, 0, "R="+filepath.Join(dir, "nope.csv"), "", "", "", 0, false); err == nil {
 		t.Error("want error: missing file")
 	}
 	// Arity mismatch.
-	if err := run("q(x,y,z) = R(x,y,z)", "", 0, 4, "one", "", 1, 0, 0, "R="+rPath, "", "", "", 0, false); err == nil {
+	if err := run("q(x,y,z) = R(x,y,z)", "", 0, 4, "", 1, 0, 0, "R="+rPath, "", "", "", 0, false); err == nil {
 		t.Error("want error: arity mismatch")
 	}
 }
@@ -171,21 +164,19 @@ func TestRunFlagValidation(t *testing.T) {
 		name string
 		err  func() error
 	}{
-		{"p zero", func() error { return run("", "C3", 100, 0, "auto", "", 1, 0, 0, "", "", "", "", 0, false) }},
-		{"p negative", func() error { return run("", "C3", 100, -4, "one", "", 1, 0, 0, "", "", "", "", 0, false) }},
-		{"n zero", func() error { return run("", "C3", 0, 8, "auto", "", 1, 0, 0, "", "", "", "", 0, false) }},
-		{"empty query", func() error { return run("", "", 100, 8, "auto", "", 1, 0, 0, "", "", "", "", 0, false) }},
-		{"both query and family", func() error { return run("R(x,y)", "C3", 100, 8, "auto", "", 1, 0, 0, "", "", "", "", 0, false) }},
-		{"unparsable query", func() error { return run("R(x,", "", 100, 8, "auto", "", 1, 0, 0, "", "", "", "", 0, false) }},
-		{"unknown family", func() error { return run("", "Q9", 100, 8, "auto", "", 1, 0, 0, "", "", "", "", 0, false) }},
-		{"unknown mode", func() error { return run("", "C3", 100, 8, "warp", "", 1, 0, 0, "", "", "", "", 0, false) }},
-		{"unknown plan engine", func() error { return run("", "C3", 100, 8, "auto", "", 1, 0, 0, "", "engine=warp", "", "", 0, false) }},
-		{"bad eps", func() error { return run("", "C3", 100, 8, "auto", "2", 1, 0, 0, "", "", "", "", 0, false) }},
-		{"workers outside auto", func() error { return run("", "C3", 100, 8, "one", "", 1, 0, 0, "", "", "localhost:9001", "", 0, false) }},
+		{"p zero", func() error { return run("", "C3", 100, 0, "", 1, 0, 0, "", "", "", "", 0, false) }},
+		{"p negative", func() error { return run("", "C3", 100, -4, "", 1, 0, 0, "", "", "", "", 0, false) }},
+		{"n zero", func() error { return run("", "C3", 0, 8, "", 1, 0, 0, "", "", "", "", 0, false) }},
+		{"empty query", func() error { return run("", "", 100, 8, "", 1, 0, 0, "", "", "", "", 0, false) }},
+		{"both query and family", func() error { return run("R(x,y)", "C3", 100, 8, "", 1, 0, 0, "", "", "", "", 0, false) }},
+		{"unparsable query", func() error { return run("R(x,", "", 100, 8, "", 1, 0, 0, "", "", "", "", 0, false) }},
+		{"unknown family", func() error { return run("", "Q9", 100, 8, "", 1, 0, 0, "", "", "", "", 0, false) }},
+		{"unknown plan engine", func() error { return run("", "C3", 100, 8, "", 1, 0, 0, "", "engine=warp", "", "", 0, false) }},
+		{"bad eps", func() error { return run("", "C3", 100, 8, "2", 1, 0, 0, "", "", "", "", 0, false) }},
 		{"empty worker address", func() error {
-			return run("", "C3", 100, 8, "auto", "", 1, 0, 0, "", "", "localhost:9001,,localhost:9002", "", 0, false)
+			return run("", "C3", 100, 8, "", 1, 0, 0, "", "", "localhost:9001,,localhost:9002", "", 0, false)
 		}},
-		{"unreachable workers", func() error { return run("", "C3", 50, 8, "auto", "", 1, 0, 0, "", "", "127.0.0.1:1", "", 0, false) }},
+		{"unreachable workers", func() error { return run("", "C3", 50, 8, "", 1, 0, 0, "", "", "127.0.0.1:1", "", 0, false) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

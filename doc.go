@@ -6,7 +6,7 @@
 // MPC(ε), the HyperCube one-round algorithm and its matching lower
 // bound apparatus, multi-round Γ^r_ε query plans, the (ε,r)-plan lower
 // bound machinery, and the connected-components reduction — together
-// with a goroutine-based cluster simulator, an exact rational LP
+// with one cluster runtime (in-process or over TCP), an exact rational LP
 // solver for the fractional vertex-cover/edge-packing programs, and a
 // benchmark harness that regenerates every table and figure of the
 // paper.
@@ -54,13 +54,13 @@
 //	internal/cover       Figure 1 LPs, τ*, space exponents, shares
 //	internal/relation    tuples, relations, matching databases, packed tuple keys
 //	internal/exchange    the columnar shuffle: partitioners, packed buffers, k-way merge
-//	internal/mpc         the MPC(ε) cluster simulator
+//	internal/mpc         the MPC(ε) model's parameters and accounting: Config, RoundStats, Stats
 //	internal/localjoin   per-worker join evaluation (WCOJ default, hash, backtracking)
 //	internal/hypercube   the HyperCube algorithm (Theorem 1.1)
 //	internal/multiround  Γ^r_ε plans and the round executor (§4.1)
 //	internal/plan        the statistics-driven planner: LP → shares → engine, EXPLAIN
 //	internal/wire        length-prefixed wire frames for columnar runs + BSP control
-//	internal/dist        the distributed runtime: loopback/TCP transports, coordinator, worker
+//	internal/dist        the cluster: coordinator, loopback/TCP transports, worker session
 //	internal/serve       the multi-query HTTP service: registry, plan cache, admission gate
 //	internal/theory      closed-form bounds, ε-good sets, (ε,r)-plans
 //	internal/cc          connected components (Theorem 4.10)

@@ -39,7 +39,7 @@ func TestTheorem11UpperBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.EvaluateOneRound(q, db, p, core.OneRoundOptions{Epsilon: -1, Seed: 9})
+		res, err := hypercube.Run(q, db, p, hypercube.Options{Seed: 9})
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
@@ -114,7 +114,11 @@ func TestTheorem12RoundTradeoff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.EvaluateMultiRound(q, db, p, tc.eps, core.MultiRoundOptions{Seed: 3})
+		pl, err := multiround.Build(q, tc.eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := multiround.Execute(pl, db, p, multiround.Options{Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +203,7 @@ func TestReplicationRate(t *testing.T) {
 	n := 2000
 	db := relation.MatchingDatabase(rng, q, n)
 	for _, p := range []int{8, 64, 512} {
-		res, err := core.EvaluateOneRound(q, db, p, core.OneRoundOptions{Epsilon: -1, Seed: 5})
+		res, err := hypercube.Run(q, db, p, hypercube.Options{Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}

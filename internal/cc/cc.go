@@ -13,14 +13,21 @@
 // rounds), and the dense-graph contrast: when a single server may
 // receive the whole input (the regime of Karloff et al.), two rounds
 // suffice.
+//
+// The rounds run on the same cluster as every query engine
+// (dist.Cluster, on its in-process loopback): per-vertex state is kept
+// at the vertex's owner, a round is one scatter of that round's
+// messages hashed to their target's owner, and the cluster accounts
+// what each worker receives against the c·N/p^{1−ε} budget.
 package cc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"sort"
 
+	"repro/internal/dist"
 	"repro/internal/exchange"
 	"repro/internal/mpc"
 	"repro/internal/relation"
@@ -202,21 +209,61 @@ func Run(g *Graph, algo Algorithm, opts Options) (*Result, error) {
 	}
 }
 
-// owner assigns vertices to workers by hash — the same placement the
-// exchange layer's HashPartitioner computes, so edge distribution and
-// label routing agree.
-func owner(v int, seed uint64, p int) int {
-	return exchange.HashDest(v, seed, p)
+// session is one execution on the cluster. Every communication round
+// is one lone scatter of that round's messages; a receive-cap violation
+// is recorded instead of ending the run, so experiments can report the
+// loads of an over-budget algorithm.
+type session struct {
+	cluster     *dist.Cluster
+	ctx         context.Context
+	opts        Options
+	capExceeded bool
 }
 
-func newCluster(g *Graph, opts Options) (*mpc.Cluster, error) {
-	return mpc.NewCluster(mpc.Config{
+func open(g *Graph, opts Options) (*session, error) {
+	cluster, ctx, err := dist.Open(dist.Env{}, mpc.Config{
 		Workers:     opts.Workers,
 		Epsilon:     opts.Epsilon,
 		InputBits:   g.InputBits(),
 		CapConstant: opts.CapConstant,
 		DomainN:     g.N,
 	})
+	if err != nil {
+		return nil, err
+	}
+	return &session{cluster: cluster, ctx: ctx, opts: opts}, nil
+}
+
+// owner assigns vertices to workers by hash — the placement toOwner
+// routes by, so a worker's state holds exactly the vertices whose
+// messages it receives.
+func (s *session) owner(v int) int {
+	return exchange.HashDest(v, s.opts.Seed, s.opts.Workers)
+}
+
+// toOwner routes a tuple to the owner of the vertex in its first
+// column: edges to their source endpoint, messages to their target.
+func (s *session) toOwner() exchange.Partitioner {
+	return exchange.HashPartitioner{Col: 0, P: s.opts.Workers, Seed: s.opts.Seed}
+}
+
+// round sends msgs through part as one communication round.
+func (s *session) round(msgs *relation.Relation, part exchange.Partitioner) error {
+	err := s.cluster.Scatter(s.ctx, msgs, "", part)
+	if errors.Is(err, mpc.ErrCapExceeded) {
+		s.capExceeded = true
+		return nil
+	}
+	return err
+}
+
+func (s *session) result(labels map[int]int) *Result {
+	return &Result{
+		Labels:      labels,
+		Rounds:      s.cluster.Stats().NumRounds(),
+		Stats:       s.cluster.Stats(),
+		CapExceeded: s.capExceeded,
+	}
 }
 
 func maxRounds(g *Graph, opts Options) int {
@@ -232,20 +279,14 @@ func maxRounds(g *Graph, opts Options) int {
 // the algorithm stops one round after no label changes.
 func runNeighborMin(g *Graph, opts Options) (*Result, error) {
 	p := opts.Workers
-	cluster, err := newCluster(g, opts)
+	s, err := open(g, opts)
 	if err != nil {
 		return nil, err
 	}
-	capExceeded := false
-	// Round 1: distribute both edge orientations to the source owner
-	// through the exchange's hash partitioner.
+	// Round 1: distribute both edge orientations to the source owner.
 	edges := g.EdgeRelation()
-	if err := cluster.ScatterPart(edges, exchange.HashPartitioner{Col: 0, P: p, Seed: opts.Seed}); err != nil {
-		if isCap(err) {
-			capExceeded = true
-		} else {
-			return nil, err
-		}
+	if err := s.round(edges, s.toOwner()); err != nil {
+		return nil, err
 	}
 	// Per-worker state: adjacency and labels of owned vertices.
 	adj := make([]map[int][]int, p)
@@ -253,44 +294,37 @@ func runNeighborMin(g *Graph, opts Options) (*Result, error) {
 	for i := 0; i < p; i++ {
 		adj[i] = make(map[int][]int)
 		labels[i] = make(map[int]int)
-		for _, t := range cluster.Worker(i).Received("E") {
-			adj[i][t[0]] = append(adj[i][t[0]], t[1])
-			labels[i][t[0]] = t[0]
-		}
 	}
-	seen := make(map[int]int, p) // per-worker count of consumed "prop" tuples
+	for _, t := range edges.Tuples {
+		i := s.owner(t[0])
+		adj[i][t[0]] = append(adj[i][t[0]], t[1])
+		labels[i][t[0]] = t[0]
+	}
 	limit := maxRounds(g, opts)
 	for round := 0; round < limit; round++ {
-		// Every worker proposes labels to neighbors.
-		err := cluster.RunRound(func(_ int, w *mpc.Worker, out *exchange.Outbox) {
-			for u, ns := range adj[w.ID] {
-				lbl := labels[w.ID][u]
+		// Every worker proposes labels to neighbors: (target, label).
+		props := relation.New("prop", "v", "label")
+		for i := 0; i < p; i++ {
+			for u, ns := range adj[i] {
+				lbl := labels[i][u]
 				for _, v := range ns {
-					out.Send(owner(v, opts.Seed, p), "prop", relation.Tuple{v, lbl})
+					props.Tuples = append(props.Tuples, relation.Tuple{v, lbl})
 				}
-			}
-		})
-		if err != nil {
-			if isCap(err) {
-				capExceeded = true
-			} else {
-				return nil, err
 			}
 		}
-		// Apply proposals (local computation; the engine's store is
-		// append-only, so track the consumed prefix).
+		if err := s.round(props, s.toOwner()); err != nil {
+			return nil, err
+		}
+		// Each owner applies the proposals it received (local
+		// computation).
 		changed := false
-		for i := 0; i < p; i++ {
-			w := cluster.Worker(i)
-			props := w.ReceivedFrom("prop", seen[i])
-			for _, t := range props {
-				v, lbl := t[0], t[1]
-				if cur, ok := labels[i][v]; ok && lbl < cur {
-					labels[i][v] = lbl
-					changed = true
-				}
+		for _, t := range props.Tuples {
+			v, lbl := t[0], t[1]
+			own := labels[s.owner(v)]
+			if cur, ok := own[v]; ok && lbl < cur {
+				own[v] = lbl
+				changed = true
 			}
-			seen[i] += len(props)
 		}
 		if !changed {
 			break
@@ -302,12 +336,7 @@ func runNeighborMin(g *Graph, opts Options) (*Result, error) {
 			out[v] = l
 		}
 	}
-	return &Result{
-		Labels:      out,
-		Rounds:      cluster.Stats().NumRounds(),
-		Stats:       cluster.Stats(),
-		CapExceeded: capExceeded,
-	}, nil
+	return s.result(out), nil
 }
 
 // runHashToMin: every vertex v keeps a cluster set C(v), initially
@@ -316,76 +345,56 @@ func runNeighborMin(g *Graph, opts Options) (*Result, error) {
 // On path graphs the reach doubles each round.
 func runHashToMin(g *Graph, opts Options) (*Result, error) {
 	p := opts.Workers
-	cluster, err := newCluster(g, opts)
+	s, err := open(g, opts)
 	if err != nil {
 		return nil, err
 	}
-	capExceeded := false
 	edges := g.EdgeRelation()
-	if err := cluster.ScatterPart(edges, exchange.HashPartitioner{Col: 0, P: p, Seed: opts.Seed}); err != nil {
-		if isCap(err) {
-			capExceeded = true
-		} else {
-			return nil, err
-		}
+	if err := s.round(edges, s.toOwner()); err != nil {
+		return nil, err
 	}
 	sets := make([]map[int]map[int]bool, p) // worker → vertex → cluster set
 	for i := 0; i < p; i++ {
 		sets[i] = make(map[int]map[int]bool)
-		for _, t := range cluster.Worker(i).Received("E") {
-			u, v := t[0], t[1]
-			if sets[i][u] == nil {
-				sets[i][u] = map[int]bool{u: true}
-			}
-			sets[i][u][v] = true
-		}
 	}
-	seen := map[int]int{}
+	// absorb adds member to C(v) at v's owner.
+	absorb := func(v, member int) bool {
+		own := sets[s.owner(v)]
+		if own[v] == nil {
+			own[v] = map[int]bool{v: true}
+		}
+		if own[v][member] {
+			return false
+		}
+		own[v][member] = true
+		return true
+	}
+	for _, t := range edges.Tuples {
+		absorb(t[0], t[1])
+	}
 	limit := maxRounds(g, opts)
 	for round := 0; round < limit; round++ {
-		err := cluster.RunRound(func(_ int, w *mpc.Worker, out *exchange.Outbox) {
-			emit := func(dstVertex int, payload relation.Tuple) {
-				out.Send(owner(dstVertex, opts.Seed, p), "h2m", payload)
-			}
-			for v, set := range sets[w.ID] {
-				mn := v
-				for u := range set {
-					if u < mn {
-						mn = u
-					}
-				}
-				// Send the minimum to every member, and every member
-				// to the minimum. Tuples are (targetVertex, member).
+		// Send the minimum to every member, and every member to the
+		// minimum. Tuples are (targetVertex, member).
+		msgs := relation.New("h2m", "v", "member")
+		for i := 0; i < p; i++ {
+			for v, set := range sets[i] {
+				mn := minOf(v, set)
 				for u := range set {
 					if u != mn {
-						emit(u, relation.Tuple{u, mn})
-						emit(mn, relation.Tuple{mn, u})
+						msgs.Tuples = append(msgs.Tuples, relation.Tuple{u, mn}, relation.Tuple{mn, u})
 					}
 				}
 			}
-		})
-		if err != nil {
-			if isCap(err) {
-				capExceeded = true
-			} else {
-				return nil, err
-			}
+		}
+		if err := s.round(msgs, s.toOwner()); err != nil {
+			return nil, err
 		}
 		changed := false
-		for i := 0; i < p; i++ {
-			w := cluster.Worker(i)
-			msgs := w.ReceivedFrom("h2m", seen[i])
-			for _, t := range msgs {
-				v, member := t[0], t[1]
-				if sets[i][v] == nil {
-					sets[i][v] = map[int]bool{v: true}
-				}
-				if !sets[i][v][member] {
-					sets[i][v][member] = true
-					changed = true
-				}
+		for _, t := range msgs.Tuples {
+			if absorb(t[0], t[1]) {
+				changed = true
 			}
-			seen[i] += len(msgs)
 		}
 		if !changed {
 			break
@@ -395,23 +404,24 @@ func runHashToMin(g *Graph, opts Options) (*Result, error) {
 	final := make(map[int]int, g.N)
 	for i := 0; i < p; i++ {
 		for v, set := range sets[i] {
-			mn := v
-			for u := range set {
-				if u < mn {
-					mn = u
-				}
-			}
+			mn := minOf(v, set)
 			if cur, ok := final[v]; !ok || mn < cur {
 				final[v] = mn
 			}
 		}
 	}
-	return &Result{
-		Labels:      final,
-		Rounds:      cluster.Stats().NumRounds(),
-		Stats:       cluster.Stats(),
-		CapExceeded: capExceeded,
-	}, nil
+	return s.result(final), nil
+}
+
+// minOf returns the smallest vertex of {v} ∪ set.
+func minOf(v int, set map[int]bool) int {
+	mn := v
+	for u := range set {
+		if u < mn {
+			mn = u
+		}
+	}
+	return mn
 }
 
 // DenseTwoRound is the Karloff-et-al contrast: when the receive budget
@@ -420,61 +430,30 @@ func runHashToMin(g *Graph, opts Options) (*Result, error) {
 // computed locally, and round two distributes the labels back to the
 // vertices' owners. Exactly two communication rounds.
 func DenseTwoRound(g *Graph, opts Options) (*Result, error) {
-	p := opts.Workers
-	cluster, err := newCluster(g, opts)
+	s, err := open(g, opts)
 	if err != nil {
 		return nil, err
 	}
-	capExceeded := false
+	// Round 1: a hash onto a single bucket sends everything to worker 0.
 	edges := g.EdgeRelation()
-	if err := cluster.Scatter(edges, func(relation.Tuple) []int { return []int{0} }); err != nil {
-		if isCap(err) {
-			capExceeded = true
-		} else {
-			return nil, err
-		}
+	if err := s.round(edges, exchange.HashPartitioner{Col: 0, P: 1}); err != nil {
+		return nil, err
 	}
 	// Worker 0 computes components locally.
 	sub := &Graph{N: g.N}
-	for _, t := range cluster.Worker(0).Received("E") {
+	for _, t := range edges.Tuples {
 		if t[0] < t[1] {
 			sub.Edges = append(sub.Edges, [2]int{t[0], t[1]})
 		}
 	}
 	labels := SequentialComponents(sub)
-	// Round 2: send (v, label) to the owner of v.
-	err = cluster.RunRound(func(_ int, w *mpc.Worker, out *exchange.Outbox) {
-		if w.ID != 0 {
-			return
-		}
-		vs := make([]int, 0, len(labels))
-		for v := range labels {
-			vs = append(vs, v)
-		}
-		sort.Ints(vs)
-		for _, v := range vs {
-			out.Send(owner(v, opts.Seed, p), "label", relation.Tuple{v, labels[v]})
-		}
-	})
-	if err != nil {
-		if isCap(err) {
-			capExceeded = true
-		} else {
-			return nil, err
-		}
+	// Round 2: worker 0 sends (v, label) to the owner of v.
+	msgs := relation.New("label", "v", "label")
+	for v, l := range labels {
+		msgs.Tuples = append(msgs.Tuples, relation.Tuple{v, l})
 	}
-	out := make(map[int]int, g.N)
-	for i := 0; i < p; i++ {
-		for _, t := range cluster.Worker(i).Received("label") {
-			out[t[0]] = t[1]
-		}
+	if err := s.round(msgs, s.toOwner()); err != nil {
+		return nil, err
 	}
-	return &Result{
-		Labels:      out,
-		Rounds:      cluster.Stats().NumRounds(),
-		Stats:       cluster.Stats(),
-		CapExceeded: capExceeded,
-	}, nil
+	return s.result(labels), nil
 }
-
-func isCap(err error) bool { return errors.Is(err, mpc.ErrCapExceeded) }

@@ -6,13 +6,11 @@
 //   - Analyze inspects a conjunctive query: hypergraph statistics, the
 //     two LPs of Figure 1, τ*, the one-round space exponent, HyperCube
 //     share exponents, and round bounds for a given ε.
-//   - EvaluateOneRound runs the HyperCube algorithm (Theorem 1.1 upper
-//     bound) on a database.
-//   - EvaluateMultiRound builds a Γ^r_ε plan (Section 4.1) and executes
-//     it round by round.
+//   - GroundTruth evaluates a query on a single node: the reference
+//     answer every cluster execution is checked against.
 //
-// The cmd/ tools and examples/ programs are thin wrappers around this
-// package.
+// Execution goes through the planner (internal/plan) or an engine
+// (hypercube.Run, multiround.Build + Execute) directly.
 package core
 
 import (
@@ -20,9 +18,7 @@ import (
 	"math/big"
 
 	"repro/internal/cover"
-	"repro/internal/hypercube"
 	"repro/internal/localjoin"
-	"repro/internal/multiround"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/theory"
@@ -117,59 +113,6 @@ func (a *Analysis) RoundBounds(eps *big.Rat) (lower, upper int, err error) {
 		return 1, upper, nil
 	}
 	return 2, upper, nil
-}
-
-// OneRoundOptions configures EvaluateOneRound.
-type OneRoundOptions struct {
-	// Epsilon overrides the space exponent; negative means "use the
-	// query's own exponent 1−1/τ*".
-	Epsilon float64
-	// CapConstant enables receive-budget enforcement when positive.
-	CapConstant float64
-	// Seed drives hashing.
-	Seed uint64
-}
-
-// EvaluateOneRound runs the HyperCube algorithm for q over db on p
-// servers. With the default options the run uses ε = 1−1/τ* and finds
-// every answer on matching databases (Proposition 3.2).
-func EvaluateOneRound(q *query.Query, db *relation.Database, p int, opts OneRoundOptions) (*hypercube.Result, error) {
-	eps := opts.Epsilon
-	if eps < 0 {
-		a, err := cover.Solve(q)
-		if err != nil {
-			return nil, err
-		}
-		eps = a.SpaceExponentFloat()
-	}
-	return hypercube.Run(q, db, p, hypercube.Options{
-		Epsilon:     eps,
-		CapConstant: opts.CapConstant,
-		Seed:        opts.Seed,
-		Strategy:    localjoin.Default,
-	})
-}
-
-// MultiRoundOptions configures EvaluateMultiRound.
-type MultiRoundOptions struct {
-	// CapConstant enables receive-budget enforcement when positive.
-	CapConstant float64
-	// Seed drives hashing.
-	Seed uint64
-}
-
-// EvaluateMultiRound builds the greedy Γ^r_ε plan for q at space
-// exponent eps and executes it on db with p servers.
-func EvaluateMultiRound(q *query.Query, db *relation.Database, p int, eps *big.Rat, opts MultiRoundOptions) (*multiround.Result, error) {
-	plan, err := multiround.Build(q, eps)
-	if err != nil {
-		return nil, err
-	}
-	return multiround.Execute(plan, db, p, multiround.Options{
-		CapConstant: opts.CapConstant,
-		Seed:        opts.Seed,
-		Strategy:    localjoin.Default,
-	})
 }
 
 // GroundTruth evaluates q over db on a single node — the reference

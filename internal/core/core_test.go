@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/hypercube"
+	"repro/internal/multiround"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
@@ -106,7 +108,14 @@ func TestEvaluateOneRoundDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := EvaluateOneRound(q, db, 27, OneRoundOptions{Epsilon: -1, Seed: 4})
+	// At the analysis' space exponent one HyperCube round finds every
+	// answer of a matching database (Proposition 3.2).
+	a, err := Analyze(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps, _ := a.SpaceExponent.Float64()
+	res, err := hypercube.Run(q, db, 27, hypercube.Options{Epsilon: eps, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +132,11 @@ func TestEvaluateMultiRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := EvaluateMultiRound(q, db, 8, rat(0, 1), MultiRoundOptions{Seed: 9})
+	pl, err := multiround.Build(q, rat(0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := multiround.Execute(pl, db, 8, multiround.Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,9 @@ import (
 )
 
 // Cluster drives MPC(ε) bulk-synchronous rounds against a worker pool
-// through a Transport. It is the distributed counterpart of
-// mpc.Cluster: the coordinator plays the paper's input servers —
-// partitioning base relations through the columnar exchange layer —
+// through a Transport. It is the one implementation of the paper's
+// machine model (§2.1): the coordinator plays the input servers (§2.4)
+// — partitioning base relations through the columnar exchange layer —
 // and performs the per-round receive accounting against the
 // c·N/p^{1−ε} budget. All accounting happens coordinator-side from
 // the sizes of the partitioned buffers, before they reach any
@@ -64,9 +64,9 @@ func NewCluster(cfg mpc.Config, tr Transport) (*Cluster, error) {
 
 // Env says where and how an execution's rounds run — everything about
 // an execution that is neither the query, the data, nor the model
-// parameters of mpc.Config. The zero value is the historical
-// simulation: in-process loopback workers, no deadline, no recovery,
-// the synchronous schedule, untraced. Engines and front ends hand an
+// parameters of mpc.Config. The zero value runs in this process:
+// loopback workers, no deadline, no recovery, the synchronous schedule,
+// untraced. Engines and front ends hand an
 // Env through to Open unchanged, so a policy set at the top (a
 // service's recovery policy, a query's trace) reaches every cluster
 // the execution opens.

@@ -9,10 +9,10 @@
 // factors it into three pieces:
 //
 //   - Transport: how sealed columnar runs and BSP commands reach the
-//     pool. Loopback keeps everything in-process (the historical
-//     simulation path, now behind the interface); TCP ships
-//     length-prefixed wire frames (internal/wire) to cmd/mpcworker
-//     processes, one connection per worker.
+//     pool. Loopback keeps everything in-process (what the paper's
+//     experiments, the tests and an unconfigured engine run on); TCP
+//     ships length-prefixed wire frames (internal/wire) to
+//     cmd/mpcworker processes, one connection per worker.
 //   - Cluster: the coordinator. It partitions relations through the
 //     columnar exchange layer, performs the per-round MPC(ε) receive
 //     accounting coordinator-side — so statistics are identical

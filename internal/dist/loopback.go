@@ -15,10 +15,9 @@ import (
 
 // Loopback is the in-process Transport: p worker states in this
 // process's memory, deliveries as pointer hand-offs with no
-// serialization, local joins as one goroutine per worker. It is the
-// historical simulation path of the engines, now behind the Transport
-// interface, and the reference implementation the TCP transport is
-// differentially tested against.
+// serialization, local joins as one goroutine per worker. It is what
+// Open uses when no transport is given, and the reference
+// implementation the TCP transport is differentially tested against.
 type Loopback struct {
 	ws []*workerStore
 	// mu guards the recovery bookkeeping (worker replacement, epoch)
@@ -223,9 +222,8 @@ func parseJoinSpec(spec JoinSpec) (*query.Query, localjoin.Strategy, error) {
 }
 
 // workerStore is one worker's state: received runs grouped by store
-// name. It is the same columnar layout as the mpc simulation's worker
-// store, shared between the loopback transport and the remote worker
-// session.
+// name. It is the one worker store, shared between the loopback
+// transport and the remote worker session.
 type workerStore struct {
 	mu    sync.Mutex
 	store map[string]*exchange.Column

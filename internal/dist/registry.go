@@ -51,9 +51,19 @@ func (r *Registry) Generation() uint64 {
 	return r.generation
 }
 
+// probeTimeout bounds one liveness probe. A healthy worker answers in
+// milliseconds; one that accepts the connection and then says nothing
+// would otherwise hold its prober for as long as the caller's context
+// lives — a /query's whole request, when the probe is the repair a
+// failed dial triggers.
+const probeTimeout = 3 * time.Second
+
 // probe checks one worker for liveness: dial, handshake, heartbeat
-// round trip, close. A worker that completes it can serve a session.
+// round trip, close, all within probeTimeout. A worker that completes
+// it can serve a session.
 func probe(ctx context.Context, addr string) bool {
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
+	defer cancel()
 	t, err := DialTCP(ctx, []string{addr})
 	if err != nil {
 		return false
@@ -84,8 +94,9 @@ func probeAll(ctx context.Context, addrs []string) []bool {
 // no live spare left keep their slot — a later Reconcile retries them.
 //
 // Every probe runs on a snapshot, outside the registry lock: a worker
-// that accepts the connection and never answers stalls this call until
-// ctx is done, never Members or Spares, which every query takes.
+// that accepts the connection and never answers stalls this call for
+// one probeTimeout per pass (members, then spares) or until ctx is done,
+// never Members or Spares, which every query takes.
 func (r *Registry) Reconcile(ctx context.Context) int {
 	members := r.Members()
 	alive := probeAll(ctx, members)

@@ -186,6 +186,27 @@ func TestRegistryProbeDoesNotHoldLock(t *testing.T) {
 	}
 }
 
+// TestRegistryProbeIsBounded: with a dead member and a silent spare, a
+// Reconcile under a context that never ends — what a /query's repair
+// runs under when its client sets no deadline — still returns: each
+// probe gives up on its own after a few seconds.
+func TestRegistryProbeIsBounded(t *testing.T) {
+	pool := startKillablePool(t, 2)
+	reg := dist.NewRegistry(pool.addrs, []string{silentWorker(t)})
+	pool.kill(1)
+
+	done := make(chan int, 1)
+	go func() { done <- reg.Reconcile(context.Background()) }()
+	select {
+	case n := <-done:
+		if n != 0 {
+			t.Errorf("Reconcile = %d swaps with only a silent spare", n)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Reconcile still waiting on the silent spare after 30 s")
+	}
+}
+
 // TestRegistryRunBoundsEachReconcile: the background loop gives every
 // reconcile its own interval as a deadline, so a silent spare ahead of
 // a live one delays the repair by one heartbeat instead of parking the

@@ -1,5 +1,5 @@
 // Package exchange is the columnar shuffle subsystem of the MPC
-// simulation: the one hot path through which every engine (hypercube,
+// cluster: the one hot path through which every engine (hypercube,
 // multiround, skew, cc) moves tuples between workers.
 //
 // The paper measures algorithms purely by communication — per-worker
@@ -198,7 +198,29 @@ func (b *Buffer) Dedup() {
 // mutating the returned tuples cannot corrupt the buffer or any other
 // caller's view.
 func (b *Buffer) AppendTuples(dst []relation.Tuple) []relation.Tuple {
-	return b.appendRange(dst, 0, b.Len())
+	n := b.Len()
+	if n == 0 {
+		return dst
+	}
+	dst = slices.Grow(dst, n)
+	backing := make([]int, n*b.arity)
+	if b.packed {
+		mask := relation.PackedMask(b.shift)
+		for i, key := range b.words {
+			row := backing[i*b.arity : (i+1)*b.arity]
+			for j := b.arity - 1; j >= 0; j-- {
+				row[j] = int(key & mask)
+				key >>= b.shift
+			}
+			dst = append(dst, relation.Tuple(row))
+		}
+		return dst
+	}
+	copy(backing, b.flat)
+	for i := 0; i < n; i++ {
+		dst = append(dst, relation.Tuple(backing[i*b.arity:(i+1)*b.arity]))
+	}
+	return dst
 }
 
 // Tuples materializes the buffered tuples over one fresh backing array
@@ -239,33 +261,6 @@ func (b *Buffer) rows() []int {
 		b.Row(i, out[i*b.arity:(i+1)*b.arity])
 	}
 	return out
-}
-
-// appendRange materializes tuples [from, to) with fresh backing.
-func (b *Buffer) appendRange(dst []relation.Tuple, from, to int) []relation.Tuple {
-	if from >= to {
-		return dst
-	}
-	dst = slices.Grow(dst, to-from)
-	backing := make([]int, (to-from)*b.arity)
-	if b.packed {
-		mask := relation.PackedMask(b.shift)
-		for i := from; i < to; i++ {
-			key := b.words[i]
-			row := backing[(i-from)*b.arity : (i-from+1)*b.arity]
-			for j := b.arity - 1; j >= 0; j-- {
-				row[j] = int(key & mask)
-				key >>= b.shift
-			}
-			dst = append(dst, relation.Tuple(row))
-		}
-		return dst
-	}
-	copy(backing, b.flat[from*b.arity:to*b.arity])
-	for i := 0; i < to-from; i++ {
-		dst = append(dst, relation.Tuple(backing[i*b.arity:(i+1)*b.arity]))
-	}
-	return dst
 }
 
 // Words returns the packed uint64 payload and true when the buffer is
@@ -391,56 +386,17 @@ func (s *flatSorter) Swap(i, j int) {
 	}
 }
 
-// Column is the receiver side of the exchange: an append-only sequence
-// of sealed runs under one relation name. Tuple order is stable — runs
-// in arrival order, each run sorted — so incremental consumers can
-// track a consumed prefix by count.
+// Column is the receiver side of the exchange: the sealed runs a worker
+// holds under one relation name, in arrival order.
 type Column struct {
-	runs  []*Buffer
-	total int
+	runs []*Buffer
 }
 
-// Add appends a sealed run.
+// Add appends a run, sealing it if the sender did not.
 func (c *Column) Add(run *Buffer) {
-	if !run.Sealed() {
-		run.Seal()
-	}
+	run.Seal()
 	c.runs = append(c.runs, run)
-	c.total += run.Len()
 }
-
-// Len returns the total tuple count across runs.
-func (c *Column) Len() int { return c.total }
 
 // Runs returns the underlying sealed runs (read-only).
 func (c *Column) Runs() []*Buffer { return c.runs }
-
-// Tuples materializes every tuple, run by run, with fresh backing
-// storage per call (a stable view: callers cannot corrupt the column
-// or each other).
-func (c *Column) Tuples() []relation.Tuple {
-	return c.TuplesFrom(0)
-}
-
-// TuplesFrom materializes the tuples at positions [start, Len()) —
-// the incremental read used by round-based consumers.
-func (c *Column) TuplesFrom(start int) []relation.Tuple {
-	if start < 0 {
-		start = 0
-	}
-	if start >= c.total {
-		return nil
-	}
-	out := make([]relation.Tuple, 0, c.total-start)
-	skip := start
-	for _, r := range c.runs {
-		n := r.Len()
-		if skip >= n {
-			skip -= n
-			continue
-		}
-		out = r.appendRange(out, skip, n)
-		skip = 0
-	}
-	return out
-}

@@ -64,54 +64,13 @@ func TestBufferHugeArityFallsBack(t *testing.T) {
 	}
 }
 
-func TestColumnTuplesFrom(t *testing.T) {
-	c := &Column{}
-	r1 := NewBuffer(2)
-	r1.Append(relation.Tuple{2, 2})
-	r1.Append(relation.Tuple{1, 1})
-	c.Add(r1) // sealed on add → sorted: (1,1),(2,2)
-	r2 := NewBuffer(2)
-	r2.Append(relation.Tuple{3, 3})
-	c.Add(r2)
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-	all := c.Tuples()
-	want := []relation.Tuple{{1, 1}, {2, 2}, {3, 3}}
-	for i := range want {
-		if !all[i].Equal(want[i]) {
-			t.Errorf("Tuples[%d] = %v", i, all[i])
-		}
-	}
-	tail := c.TuplesFrom(2)
-	if len(tail) != 1 || !tail[0].Equal(relation.Tuple{3, 3}) {
-		t.Errorf("TuplesFrom(2) = %v", tail)
-	}
-	if got := c.TuplesFrom(3); got != nil {
-		t.Errorf("TuplesFrom(past end) = %v", got)
-	}
-}
+// RouteFunc adapts a per-tuple destination function to the Partitioner
+// interface, for tests that route by a rule no engine uses.
+type RouteFunc func(t relation.Tuple) []int
 
-func TestOutboxDeliveries(t *testing.T) {
-	o := NewOutbox(3)
-	o.Send(2, "A", relation.Tuple{5})
-	o.Send(0, "A", relation.Tuple{1})
-	o.Send(2, "B", relation.Tuple{7, 8})
-	ds := o.Deliveries()
-	if len(ds) != 3 {
-		t.Fatalf("deliveries = %d", len(ds))
-	}
-	// Deterministic order: rel insertion order, then destination.
-	if ds[0].Rel != "A" || ds[0].To != 0 || ds[1].Rel != "A" || ds[1].To != 2 || ds[2].Rel != "B" || ds[2].To != 2 {
-		t.Errorf("order = %+v", ds)
-	}
-	if o.Err() != nil {
-		t.Errorf("unexpected err: %v", o.Err())
-	}
-	o.Send(9, "A", relation.Tuple{1})
-	if o.Err() == nil {
-		t.Error("out-of-range Send should record an error")
-	}
+// Route implements Partitioner.
+func (f RouteFunc) Route(_ int, t relation.Tuple, buf []int) []int {
+	return append(buf, f(t)...)
 }
 
 func TestPartitionRejectsBadDestination(t *testing.T) {

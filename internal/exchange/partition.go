@@ -60,18 +60,8 @@ func (b Broadcast) Route(_ int, _ relation.Tuple, buf []int) []int {
 	return buf
 }
 
-// RouteFunc adapts a per-tuple destination function to the Partitioner
-// interface (the compatibility shim for callers of the historic
-// mpc.Cluster.Scatter signature).
-type RouteFunc func(t relation.Tuple) []int
-
-// Route implements Partitioner.
-func (f RouteFunc) Route(_ int, t relation.Tuple, buf []int) []int {
-	return append(buf, f(t)...)
-}
-
 // Delivery is one sealed per-destination run bound for worker To under
-// relation name Rel — the unit the mpc engine accounts and delivers.
+// relation name Rel — the unit the coordinator accounts and delivers.
 type Delivery struct {
 	To  int
 	Rel string
@@ -205,65 +195,4 @@ func partitionShards(rel string, n, p int, fill func(lo, hi int, bufs []*Buffer)
 		}
 	}
 	return out, nil
-}
-
-// Outbox accumulates computed tuples bound for other workers during a
-// communication round — the columnar sender side for payloads that are
-// not scatters of a stored relation (label propagation, cluster sets).
-// One Outbox belongs to one sender goroutine; it is not itself
-// concurrency-safe.
-type Outbox struct {
-	p     int
-	byRel map[string][]*Buffer
-	order []string
-	err   error
-}
-
-// NewOutbox returns an outbox for a p-worker cluster.
-func NewOutbox(p int) *Outbox {
-	return &Outbox{p: p, byRel: make(map[string][]*Buffer)}
-}
-
-// Send buffers a copy of t for worker dst under relation rel. An
-// out-of-range destination is recorded as an error (reported when the
-// round delivers) and the tuple is dropped.
-func (o *Outbox) Send(dst int, rel string, t relation.Tuple) {
-	if dst < 0 || dst >= o.p {
-		if o.err == nil {
-			o.err = fmt.Errorf("exchange: send %s to worker %d out of range [0,%d)", rel, dst, o.p)
-		}
-		return
-	}
-	bufs, ok := o.byRel[rel]
-	if !ok {
-		bufs = make([]*Buffer, o.p)
-		o.byRel[rel] = bufs
-		o.order = append(o.order, rel)
-	}
-	b := bufs[dst]
-	if b == nil {
-		b = NewBuffer(len(t))
-		bufs[dst] = b
-	}
-	b.Append(t)
-}
-
-// Err returns the first routing error recorded by Send.
-func (o *Outbox) Err() error { return o.err }
-
-// Deliveries seals and returns the accumulated runs in deterministic
-// (relation, destination) order.
-func (o *Outbox) Deliveries() []Delivery {
-	var out []Delivery
-	for _, rel := range o.order {
-		bufs := o.byRel[rel]
-		for d, b := range bufs {
-			if b == nil || b.Len() == 0 {
-				continue
-			}
-			b.Seal()
-			out = append(out, Delivery{To: d, Rel: rel, Buf: b})
-		}
-	}
-	return out
 }

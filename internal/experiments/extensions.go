@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/cover"
+	"repro/internal/dist"
 	"repro/internal/exchange"
 	"repro/internal/friedgut"
 	"repro/internal/hypercube"
@@ -450,7 +451,7 @@ func Shuffle(w io.Writer, n int, ps []int, seed uint64) ([]ShuffleRow, error) {
 			return nil, err
 		}
 		hasher := hypercube.NewHasher(shares, seed)
-		cluster, err := mpc.NewCluster(mpc.Config{
+		cluster, ctx, err := dist.Open(dist.Env{}, mpc.Config{
 			Workers:   p,
 			Epsilon:   1,
 			InputBits: db.InputBits(),
@@ -466,11 +467,11 @@ func Shuffle(w io.Writer, n int, ps []int, seed uint64) ([]ShuffleRow, error) {
 			if !ok {
 				return nil, fmt.Errorf("experiments: missing relation %s", a.Name)
 			}
-			if err := cluster.ScatterPart(rel, hypercube.NewGridPartitioner(shares, hasher, a)); err != nil {
+			if err := cluster.Scatter(ctx, rel, "", hypercube.NewGridPartitioner(shares, hasher, a)); err != nil {
 				return nil, err
 			}
 		}
-		if err := cluster.EndRound(); err != nil {
+		if err := cluster.EndRound(ctx); err != nil {
 			return nil, err
 		}
 		elapsed := time.Since(start).Seconds()

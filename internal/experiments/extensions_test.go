@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -173,5 +174,33 @@ func TestCharts(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "legend") {
 		t.Error("charts should include legends")
+	}
+}
+
+// TestShuffleModelColumns holds E-SHUF's model columns — routed tuples,
+// max load and total bits of the round — to the values the mpc
+// simulator recorded (captured at the commit before the port to
+// dist.Cluster); the timing columns are free.
+func TestShuffleModelColumns(t *testing.T) {
+	rows, err := Shuffle(io.Discard, 1000, []int{8, 32, 64}, 2013)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []ShuffleRow{
+		{N: 1000, P: 8, RoutedTuples: 6000, TotalBits: 120000, MaxLoadBits: 15640},
+		{N: 1000, P: 32, RoutedTuples: 9000, TotalBits: 180000, MaxLoadBits: 7300},
+		{N: 1000, P: 64, RoutedTuples: 12000, TotalBits: 240000, MaxLoadBits: 4400},
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(want))
+	}
+	for i, r := range rows {
+		got := ShuffleRow{N: r.N, P: r.P, RoutedTuples: r.RoutedTuples, TotalBits: r.TotalBits, MaxLoadBits: r.MaxLoadBits}
+		if got != want[i] {
+			t.Errorf("row %d = %+v, want %+v", i, got, want[i])
+		}
+		if r.Seconds <= 0 || r.TuplesPerSec <= 0 {
+			t.Errorf("row %d: non-positive timing %+v", i, r)
+		}
 	}
 }

@@ -1,44 +1,35 @@
-package mpc
+package mpc_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/exchange"
+	"repro/internal/mpc"
 	"repro/internal/relation"
 )
 
-func newTestCluster(t *testing.T, p int, eps float64, inputBits int64, capC float64) *Cluster {
-	t.Helper()
-	c, err := NewCluster(Config{
-		Workers:     p,
-		Epsilon:     eps,
-		InputBits:   inputBits,
-		CapConstant: capC,
-		DomainN:     100,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 func TestConfigValidation(t *testing.T) {
-	bad := []Config{
+	bad := []mpc.Config{
 		{Workers: 0, DomainN: 1},
 		{Workers: 1, Epsilon: -0.1, DomainN: 1},
 		{Workers: 1, Epsilon: 1.5, DomainN: 1},
 		{Workers: 1, DomainN: 0},
 	}
 	for i, cfg := range bad {
-		if _, err := NewCluster(cfg); err == nil {
+		if err := cfg.Validate(); err == nil {
 			t.Errorf("config %d: want error", i)
 		}
+	}
+	if err := (mpc.Config{Workers: 1, Epsilon: 1, DomainN: 1}).Validate(); err != nil {
+		t.Errorf("valid config rejected: %v", err)
 	}
 }
 
 func TestReceiveCap(t *testing.T) {
-	cfg := Config{Workers: 16, Epsilon: 0, InputBits: 1 << 20, CapConstant: 1, DomainN: 10}
+	cfg := mpc.Config{Workers: 16, Epsilon: 0, InputBits: 1 << 20, CapConstant: 1, DomainN: 10}
 	// c·N/p^{1-0} = 2^20/16 = 65536.
 	if got := cfg.ReceiveCap(); got != 65536 {
 		t.Errorf("ReceiveCap = %d, want 65536", got)
@@ -54,101 +45,136 @@ func TestReceiveCap(t *testing.T) {
 	}
 }
 
-func TestRunRoundDelivery(t *testing.T) {
-	c := newTestCluster(t, 4, 0, 1<<20, 0)
-	// Every worker sends its id to worker (id+1) mod 4.
-	err := c.RunRound(func(round int, w *Worker, out *exchange.Outbox) {
-		out.Send((w.ID+1)%4, "R", relation.Tuple{w.ID + 1})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		got := c.Worker(i).Received("R")
-		if len(got) != 1 {
-			t.Fatalf("worker %d: %v", i, got)
-		}
-		want := (i+3)%4 + 1
-		if got[0][0] != want {
-			t.Errorf("worker %d received %d, want %d", i, got[0][0], want)
-		}
-	}
-	if c.Round() != 1 || c.Stats().NumRounds() != 1 {
-		t.Errorf("rounds = %d / %d", c.Round(), c.Stats().NumRounds())
-	}
+// newRound returns the record of round r on a p-worker cluster, sized
+// the way Account requires.
+func newRound(r, p int) mpc.RoundStats {
+	return mpc.RoundStats{Round: r, PerWorkerBits: make([]int64, p), PerWorkerTuples: make([]int64, p)}
 }
 
 func TestRunRoundStats(t *testing.T) {
-	c := newTestCluster(t, 2, 0, 1<<20, 0)
-	err := c.RunRound(func(round int, w *Worker, out *exchange.Outbox) {
-		if w.ID != 0 {
-			return
-		}
-		out.Send(1, "R", relation.Tuple{1, 2})
-		out.Send(1, "R", relation.Tuple{3, 4})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := c.Stats().Rounds[0]
-	// DomainN=100 → 7 bits per value, arity 2, 2 tuples → 28 bits.
+	// Worker 1 receives two runs of one 2-ary tuple each at 7 bits per
+	// value: 28 bits.
+	rs := newRound(1, 2)
+	rs.Account(1, 1, 14)
+	rs.Account(1, 1, 14)
 	if rs.TotalBits != 28 || rs.MaxReceivedBits != 28 || rs.TotalTuples != 2 || rs.MaxReceivedTuples != 2 {
 		t.Errorf("stats = %+v", rs)
 	}
-	if c.Stats().TotalBits() != 28 || c.Stats().MaxLoadBits() != 28 || c.Stats().MaxLoadTuples() != 2 {
+	if rs.PerWorkerBits[0] != 0 || rs.PerWorkerBits[1] != 28 || rs.PerWorkerTuples[1] != 2 {
+		t.Errorf("per-worker = %v / %v", rs.PerWorkerBits, rs.PerWorkerTuples)
+	}
+	s := mpc.Stats{Rounds: []mpc.RoundStats{rs}}
+	if s.TotalBits() != 28 || s.MaxLoadBits() != 28 || s.MaxLoadTuples() != 2 || s.NumRounds() != 1 {
 		t.Error("aggregate stats mismatch")
 	}
-	if got := c.Stats().Replication(28); got != 1.0 {
+	if got := s.Replication(28); got != 1.0 {
 		t.Errorf("replication = %v", got)
 	}
-	if got := c.Stats().Replication(0); got != 0 {
+	if got := s.Replication(0); got != 0 {
 		t.Errorf("replication with zero input = %v", got)
 	}
 }
 
 func TestCapEnforcement(t *testing.T) {
-	// Budget: 1·64/4 = 16 bits; sending 3 tuples of 14 bits = 42 > 16.
-	c := newTestCluster(t, 4, 0, 64, 1)
-	err := c.RunRound(func(round int, w *Worker, out *exchange.Outbox) {
-		if w.ID != 0 {
-			return
-		}
-		for _, t := range []relation.Tuple{{1, 1}, {2, 2}, {3, 3}} {
-			out.Send(1, "R", t)
-		}
-	})
-	if !errors.Is(err, ErrCapExceeded) {
+	// Budget 16 bits; worker 1 received 3 tuples of 14 bits = 42 > 16.
+	rs := newRound(3, 4)
+	rs.Account(1, 3, 42)
+	err := rs.CheckCap(16)
+	if !errors.Is(err, mpc.ErrCapExceeded) {
 		t.Fatalf("err = %v, want ErrCapExceeded", err)
 	}
-	// Data still delivered (stats recorded) so experiments can report.
-	if len(c.Worker(1).Received("R")) != 3 {
-		t.Error("tuples should be delivered even when cap trips")
+	if err := rs.CheckCap(42); err != nil {
+		t.Errorf("load equal to the budget rejected: %v", err)
+	}
+	if err := rs.CheckCap(0); err != nil {
+		t.Errorf("budget 0 must disable enforcement: %v", err)
 	}
 }
 
-func TestRunRoundBadDestination(t *testing.T) {
-	c := newTestCluster(t, 2, 0, 1<<20, 0)
-	err := c.RunRound(func(round int, w *Worker, out *exchange.Outbox) {
-		out.Send(99, "R", relation.Tuple{1})
+// The tests below hold the cluster (internal/dist, on its in-process
+// loopback) to the model's rules: what a round is, where tuples land
+// and what they cost.
+
+// routeFunc routes each tuple to the workers a function names.
+type routeFunc func(t relation.Tuple) []int
+
+func (f routeFunc) Route(_ int, t relation.Tuple, buf []int) []int { return append(buf, f(t)...) }
+
+// recorder is a loopback pool that also notes what each worker was
+// sent.
+type recorder struct {
+	*dist.Loopback
+	got map[int]map[string][]relation.Tuple
+}
+
+func (r *recorder) Deliver(ctx context.Context, round int, ds []exchange.Delivery) error {
+	for _, d := range ds {
+		if r.got[d.To] == nil {
+			r.got[d.To] = map[string][]relation.Tuple{}
+		}
+		r.got[d.To][d.Rel] = d.Buf.AppendTuples(r.got[d.To][d.Rel])
+	}
+	return r.Loopback.Deliver(ctx, round, ds)
+}
+
+func newTestCluster(t *testing.T, p int, eps float64, inputBits int64, capC float64) (*dist.Cluster, *recorder) {
+	t.Helper()
+	rec := &recorder{Loopback: dist.NewLoopback(p), got: map[int]map[string][]relation.Tuple{}}
+	c, _, err := dist.Open(dist.Env{Transport: rec}, mpc.Config{
+		Workers:     p,
+		Epsilon:     eps,
+		InputBits:   inputBits,
+		CapConstant: capC,
+		DomainN:     100,
 	})
-	if err == nil {
-		t.Fatal("want error for out-of-range destination")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, rec
+}
+
+func unary(name string, vals ...int) *relation.Relation {
+	r := relation.New(name, "x")
+	for _, v := range vals {
+		r.MustAdd(relation.Tuple{v})
+	}
+	return r
+}
+
+var ctx = context.Background()
+
+func TestRunRoundDelivery(t *testing.T) {
+	// A scatter outside BeginRound/EndRound is a round of its own.
+	c, rec := newTestCluster(t, 4, 0, 1<<20, 0)
+	next := routeFunc(func(t relation.Tuple) []int { return []int{t[0] % 4} })
+	for round := 1; round <= 2; round++ {
+		if err := c.Scatter(ctx, unary("R", 1, 2, 3, 4), "", next); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Stats().NumRounds(); got != round {
+			t.Fatalf("rounds = %d after %d lone scatters", got, round)
+		}
+	}
+	for w := 0; w < 4; w++ {
+		got := rec.got[w]["R"]
+		if len(got) != 2 || got[0][0]%4 != w || got[1][0]%4 != w {
+			t.Errorf("worker %d received %v", w, got)
+		}
+	}
+	if rs := c.Stats().Rounds[1]; rs.Round != 2 || rs.TotalTuples != 4 {
+		t.Errorf("round 2 = %+v", rs)
 	}
 }
 
 func TestScatterRoutesByFunction(t *testing.T) {
-	c := newTestCluster(t, 4, 0, 1<<20, 0)
-	r := relation.New("S", "x")
-	for i := 1; i <= 8; i++ {
-		r.MustAdd(relation.Tuple{i})
-	}
-	if err := c.Scatter(r, func(t relation.Tuple) []int {
+	c, rec := newTestCluster(t, 4, 0, 1<<20, 0)
+	if err := c.Scatter(ctx, unary("S", 1, 2, 3, 4, 5, 6, 7, 8), "", routeFunc(func(t relation.Tuple) []int {
 		return []int{t[0] % 4}
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	for w := 0; w < 4; w++ {
-		got := c.Worker(w).Received("S")
+		got := rec.got[w]["S"]
 		if len(got) != 2 {
 			t.Errorf("worker %d holds %d tuples, want 2", w, len(got))
 		}
@@ -161,42 +187,50 @@ func TestScatterRoutesByFunction(t *testing.T) {
 }
 
 func TestScatterBadDestination(t *testing.T) {
-	c := newTestCluster(t, 2, 0, 1<<20, 0)
-	r := relation.New("S", "x")
-	r.MustAdd(relation.Tuple{1})
-	if err := c.Scatter(r, func(relation.Tuple) []int { return []int{5} }); err == nil {
+	c, _ := newTestCluster(t, 2, 0, 1<<20, 0)
+	if err := c.Scatter(ctx, unary("S", 1), "", routeFunc(func(relation.Tuple) []int { return []int{5} })); err == nil {
 		t.Fatal("want error")
 	}
 }
 
+func TestRunRoundBadDestination(t *testing.T) {
+	// Inside an open round too, and the round can still be closed.
+	c, _ := newTestCluster(t, 2, 0, 1<<20, 0)
+	c.BeginRound()
+	if err := c.Scatter(ctx, unary("R", 1), "", routeFunc(func(relation.Tuple) []int { return []int{99} })); err == nil {
+		t.Fatal("want error for out-of-range destination")
+	}
+	if err := c.EndRound(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if c.Stats().NumRounds() != 1 || c.Stats().TotalBits() != 0 {
+		t.Errorf("misrouted scatter was accounted: %+v", c.Stats().Rounds)
+	}
+}
+
 func TestBroadcast(t *testing.T) {
-	c := newTestCluster(t, 3, 1, 1<<20, 1)
-	r := relation.New("T", "x")
-	r.MustAdd(relation.Tuple{42})
-	if err := c.Broadcast(r); err != nil {
+	c, rec := newTestCluster(t, 3, 1, 1<<20, 1)
+	if err := c.Scatter(ctx, unary("T", 42), "", exchange.Broadcast{P: 3}); err != nil {
 		t.Fatal(err)
 	}
 	for w := 0; w < 3; w++ {
-		if got := c.Worker(w).Received("T"); len(got) != 1 || got[0][0] != 42 {
+		if got := rec.got[w]["T"]; len(got) != 1 || got[0][0] != 42 {
 			t.Errorf("worker %d: %v", w, got)
 		}
 	}
 }
 
 func TestBeginEndRoundGroupsScatters(t *testing.T) {
-	c := newTestCluster(t, 2, 0, 1<<20, 0)
-	r1 := relation.New("A", "x")
-	r1.MustAdd(relation.Tuple{1})
-	r2 := relation.New("B", "x")
-	r2.MustAdd(relation.Tuple{2})
+	c, _ := newTestCluster(t, 2, 0, 1<<20, 0)
+	toZero := exchange.HashPartitioner{P: 1}
 	c.BeginRound()
-	if err := c.Scatter(r1, func(relation.Tuple) []int { return []int{0} }); err != nil {
+	if err := c.Scatter(ctx, unary("A", 1), "", toZero); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Scatter(r2, func(relation.Tuple) []int { return []int{0} }); err != nil {
+	if err := c.Scatter(ctx, unary("B", 2), "", toZero); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.EndRound(); err != nil {
+	if err := c.EndRound(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats().NumRounds() != 1 {
@@ -208,55 +242,61 @@ func TestBeginEndRoundGroupsScatters(t *testing.T) {
 }
 
 func TestEndRoundWithoutBegin(t *testing.T) {
-	c := newTestCluster(t, 2, 0, 1<<20, 0)
-	if err := c.EndRound(); err == nil {
+	c, _ := newTestCluster(t, 2, 0, 1<<20, 0)
+	if err := c.EndRound(ctx); err == nil {
 		t.Fatal("want error")
 	}
 }
 
 func TestBeginEndRoundCapViolation(t *testing.T) {
 	// Budget 1·32/2 = 16 bits; two scatters of 7-bit singletons to the
-	// same worker are fine (14), three trip it (21).
-	c := newTestCluster(t, 2, 0, 32, 1)
-	mk := func(name string) *relation.Relation {
-		r := relation.New(name, "x")
-		r.MustAdd(relation.Tuple{1})
-		return r
-	}
-	c.BeginRound()
-	for _, name := range []string{"A", "B", "C"} {
-		if err := c.Scatter(mk(name), func(relation.Tuple) []int { return []int{0} }); err != nil {
-			t.Fatal(err)
+	// same worker are fine (14), three trip it (21). The tuples are
+	// delivered and the round recorded all the same, so experiments can
+	// report an over-budget load.
+	for n, wantErr := range map[int]bool{2: false, 3: true} {
+		c, rec := newTestCluster(t, 2, 0, 32, 1)
+		c.BeginRound()
+		for _, name := range []string{"A", "B", "C"}[:n] {
+			if err := c.Scatter(ctx, unary(name, 1), "", exchange.HashPartitioner{P: 1}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if err := c.EndRound(); !errors.Is(err, ErrCapExceeded) {
-		t.Fatalf("err = %v, want ErrCapExceeded", err)
+		err := c.EndRound(ctx)
+		if wantErr != errors.Is(err, mpc.ErrCapExceeded) {
+			t.Fatalf("%d scatters: err = %v, want cap violation %v", n, err, wantErr)
+		}
+		if len(rec.got[0]) != n || c.Stats().Rounds[0].PerWorkerBits[0] != int64(7*n) {
+			t.Errorf("%d scatters: delivered %d, recorded %+v", n, len(rec.got[0]), c.Stats().Rounds[0])
+		}
 	}
 }
 
 func TestWorkerAccessors(t *testing.T) {
-	c := newTestCluster(t, 1, 0, 1<<20, 0)
-	w := c.Worker(0)
-	w.add("R", []relation.Tuple{{1}})
-	w.add("A", []relation.Tuple{{2}})
-	if len(w.Received("R")) != 1 || len(w.Received("A")) != 1 {
-		t.Errorf("Received: R = %v, A = %v", w.Received("R"), w.Received("A"))
+	c, rec := newTestCluster(t, 1, 0, 1<<20, 0)
+	if err := c.Scatter(ctx, unary("R", 1), "", exchange.Broadcast{P: 1}); err != nil {
+		t.Fatal(err)
 	}
-	if len(c.Workers()) != 1 {
-		t.Error("Workers length")
+	if err := c.Scatter(ctx, unary("A", 2), "", exchange.Broadcast{P: 1}); err != nil {
+		t.Fatal(err)
 	}
-	if c.Config().Workers != 1 {
+	if len(rec.got[0]["R"]) != 1 || len(rec.got[0]["A"]) != 1 {
+		t.Errorf("received: R = %v, A = %v", rec.got[0]["R"], rec.got[0]["A"])
+	}
+	if c.Workers() != 1 {
+		t.Error("Workers")
+	}
+	if c.Config().Workers != 1 || c.Config().DomainN != 100 {
 		t.Error("Config accessor")
 	}
 }
 
 func TestTupleBits(t *testing.T) {
-	c := newTestCluster(t, 1, 0, 1<<20, 0)
+	c, _ := newTestCluster(t, 1, 0, 1<<20, 0)
 	// DomainN = 100 → 7 bits/value, so one received 3-ary tuple is
 	// charged 21 bits.
 	r := relation.New("T", "x", "y", "z")
 	r.MustAdd(relation.Tuple{1, 2, 3})
-	if err := c.Broadcast(r); err != nil {
+	if err := c.Scatter(ctx, r, "", exchange.Broadcast{P: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Stats().TotalBits(); got != 21 {
@@ -265,9 +305,8 @@ func TestTupleBits(t *testing.T) {
 }
 
 func TestEmptyRoundCostsNothing(t *testing.T) {
-	c := newTestCluster(t, 2, 0, 1<<20, 0)
-	err := c.RunRound(func(round int, w *Worker, out *exchange.Outbox) {})
-	if err != nil {
+	c, _ := newTestCluster(t, 2, 0, 1<<20, 0)
+	if err := c.Scatter(ctx, unary("R"), "", exchange.Broadcast{P: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats().TotalBits() != 0 {
@@ -278,39 +317,36 @@ func TestEmptyRoundCostsNothing(t *testing.T) {
 	}
 }
 
-// TestReceivedViewsIsolated is the regression test for the historic
-// slice-aliasing footgun: Received handed out the worker's
-// internal slices, so one consumer's mutation could corrupt another's
-// view. Under the columnar store every call materializes fresh backing.
+// TestReceivedViewsIsolated: a gathered view is the caller's own. One
+// consumer overwriting, truncating and appending through it must not
+// corrupt what the workers hold or what the next gather returns.
 func TestReceivedViewsIsolated(t *testing.T) {
-	c := newTestCluster(t, 1, 0, 1<<20, 0)
-	w := c.Worker(0)
-	w.add("R", []relation.Tuple{{1, 2}, {3, 4}})
-
-	first := w.Received("R")
-	// Consumer one vandalizes its view: overwrites values, truncates,
-	// and appends through the original header.
+	c, _ := newTestCluster(t, 1, 0, 1<<20, 0)
+	r := relation.New("R", "x", "y")
+	r.MustAdd(relation.Tuple{1, 2})
+	r.MustAdd(relation.Tuple{3, 4})
+	if err := c.Scatter(ctx, r, "", exchange.Broadcast{P: 1}); err != nil {
+		t.Fatal(err)
+	}
+	first, err := c.Gather(ctx, "R")
+	if err != nil {
+		t.Fatal(err)
+	}
 	first[0][0] = 999
 	first[0][1] = 999
 	_ = append(first[:1], relation.Tuple{7, 7})
 
-	second := w.Received("R")
-	if len(second) != 2 {
-		t.Fatalf("second view has %d tuples, want 2", len(second))
+	second, err := c.Gather(ctx, "R")
+	if err != nil {
+		t.Fatal(err)
 	}
 	want := []relation.Tuple{{1, 2}, {3, 4}}
+	if len(second) != len(want) {
+		t.Fatalf("second view has %d tuples, want 2", len(second))
+	}
 	for i, tu := range second {
 		if !tu.Equal(want[i]) {
 			t.Errorf("second view[%d] = %v, want %v (corrupted by first consumer)", i, tu, want[i])
 		}
-	}
-	// Incremental views see only the suffix and are fresh too.
-	tail := w.ReceivedFrom("R", 1)
-	if len(tail) != 1 || !tail[0].Equal(relation.Tuple{3, 4}) {
-		t.Errorf("ReceivedFrom(1) = %v", tail)
-	}
-	tail[0][0] = 42
-	if got := w.ReceivedFrom("R", 1); !got[0].Equal(relation.Tuple{3, 4}) {
-		t.Errorf("ReceivedFrom views alias: %v", got[0])
 	}
 }

@@ -118,8 +118,8 @@ type JoinMapping struct {
 // Plan is an executable, explainable query plan.
 //
 // A Plan is immutable after Build: Execute reads the plan and the
-// database but mutates neither (each execution builds its own
-// mpc.Cluster, hashers, and output buffers), and the override methods
+// database but mutates neither (each execution opens its own
+// dist.Cluster, hashers, and output buffers), and the override methods
 // WithShares/WithEngine return modified copies. One cached Plan may
 // therefore be Executed concurrently from many goroutines — the
 // contract the serving layer's plan cache relies on.

@@ -7,8 +7,7 @@ package relation
 // planner-facing Stats catalog current under a delta stream without
 // ever re-scanning a relation — each touched column's histogram (see
 // hist) is merged with the batch's sorted values, and cardinalities,
-// distinct counts and the exact top-StatsTopK heavy hitters are read
-// off the result.
+// distinct counts and maximum frequencies are read off the result.
 
 import "fmt"
 

@@ -148,16 +148,17 @@ func TestIncrementalStatsMatchCollect(t *testing.T) {
 	}
 }
 
-// TestIncrementalStatsTopKPromotion forces the demotion path: a value
-// inside the top-K shrinks below an untracked value, which must be
-// promoted exactly as a re-collection would.
+// TestIncrementalStatsTopKPromotion forces the demotion path: the most
+// frequent value shrinks below every other, so MaxFreq must move to the
+// runner-up exactly as a re-collection would.
 func TestIncrementalStatsTopKPromotion(t *testing.T) {
+	const k = 16
 	db := NewDatabase(100)
 	r := &Relation{Name: "R", Attrs: []string{"x", "y"}}
-	// StatsTopK+1 distinct x-values; value 1 is the most frequent, the
-	// last value is just below the top-K cut.
-	for v := 1; v <= StatsTopK+1; v++ {
-		reps := StatsTopK + 2 - v
+	// k+1 distinct x-values in descending frequency; value 1 is the
+	// most frequent.
+	for v := 1; v <= k+1; v++ {
+		reps := k + 2 - v
 		for i := 0; i < reps; i++ {
 			r.MustAdd(Tuple{v, 50})
 		}
@@ -165,11 +166,10 @@ func TestIncrementalStatsTopKPromotion(t *testing.T) {
 	db.AddRelation(r)
 	inc := NewIncrementalStats(db)
 
-	// Delete value 1 down to frequency 1: it must fall to the bottom
-	// and the previously untracked value StatsTopK+1 must enter.
+	// Delete value 1 down to frequency 1: it falls to the bottom.
 	var d Delta
 	d.Deletes = map[string][]Tuple{}
-	for i := 0; i < StatsTopK; i++ {
+	for i := 0; i < k; i++ {
 		d.Deletes["R"] = append(d.Deletes["R"], Tuple{1, 50})
 	}
 	next, _, err := ApplyDelta(db, d)

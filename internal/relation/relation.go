@@ -147,20 +147,6 @@ func (r *Relation) Sort() *Relation {
 	return r
 }
 
-// Dedup removes duplicate tuples in place (order not preserved) and
-// returns r.
-func (r *Relation) Dedup() *Relation {
-	seen := NewTupleSet(r.Arity(), len(r.Tuples))
-	out := r.Tuples[:0]
-	for _, t := range r.Tuples {
-		if seen.Add(t) {
-			out = append(out, t)
-		}
-	}
-	r.Tuples = out
-	return r
-}
-
 // String renders a compact description (name, schema, cardinality).
 func (r *Relation) String() string {
 	return fmt.Sprintf("%s(%s)[%d tuples]", r.Name, strings.Join(r.Attrs, ","), len(r.Tuples))

@@ -77,7 +77,11 @@ func TestSortDedup(t *testing.T) {
 	r.MustAdd(Tuple{3})
 	r.MustAdd(Tuple{1})
 	r.MustAdd(Tuple{3})
-	r.Dedup().Sort()
+	r.Sort()
+	if r.Size() != 3 || r.Tuples[0][0] != 1 || r.Tuples[1][0] != 3 || r.Tuples[2][0] != 3 {
+		t.Errorf("after sort: %v", r.Tuples)
+	}
+	r.Tuples = DedupSort(r.Tuples)
 	if r.Size() != 2 || r.Tuples[0][0] != 1 || r.Tuples[1][0] != 3 {
 		t.Errorf("after dedup+sort: %v", r.Tuples)
 	}

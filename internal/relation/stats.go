@@ -5,14 +5,6 @@ import (
 	"strings"
 )
 
-// StatsTopK bounds how many of the most frequent values per column a
-// collected ColumnStats retains. The planner only ever compares the
-// head of the frequency distribution against a heavy-hitter threshold
-// of order |R|/p, so a small constant suffices: any value outside the
-// top StatsTopK has frequency at most MaxFreq and at most |R|/StatsTopK
-// of the column, which the planner accounts for via MaxFreq alone.
-const StatsTopK = 16
-
 // ValueCount pairs a domain value with its number of occurrences in
 // one column.
 type ValueCount struct {
@@ -32,9 +24,6 @@ type ColumnStats struct {
 	// MaxFreq is the frequency of the most common value (1 on a
 	// matching, where every column is a permutation).
 	MaxFreq int
-	// Top lists the most frequent values, descending by count (ties
-	// broken by smaller value), capped at StatsTopK entries.
-	Top []ValueCount
 	// Hist is the column's exact histogram run: every distinct value
 	// ascending, each with its count. It is shared with the catalog that
 	// built it and must be treated as read-only; nil on synthesized
@@ -166,30 +155,13 @@ func (h hist) merge(add, del []uint64) hist {
 	return out
 }
 
-// stats reads the column summary off the histogram in one pass: a
-// StatsTopK-slot insertion buffer keeps the canonical head (count
-// descending; values arrive ascending, so a tie never displaces an
-// earlier, smaller value).
+// stats reads the column summary off the histogram in one pass.
 func (h hist) stats() *ColumnStats {
-	var top [StatsTopK]ValueCount
-	n := 0
+	cs := &ColumnStats{Distinct: len(h), Hist: h}
 	for _, vc := range h {
-		if n == StatsTopK {
-			if vc.Count <= top[n-1].Count {
-				continue
-			}
-			n--
+		if vc.Count > cs.MaxFreq {
+			cs.MaxFreq = vc.Count
 		}
-		i := n
-		for ; i > 0 && top[i-1].Count < vc.Count; i-- {
-			top[i] = top[i-1]
-		}
-		top[i] = vc
-		n++
-	}
-	cs := &ColumnStats{Distinct: len(h), Top: append([]ValueCount(nil), top[:n]...), Hist: h}
-	if n > 0 {
-		cs.MaxFreq = top[0].Count
 	}
 	return cs
 }

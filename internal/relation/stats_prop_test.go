@@ -185,12 +185,12 @@ func statsStreams() []statsStream {
 	zipf2 := oneRelation(200, func(rng *rand.Rand) *Relation { return genStatsRelation(rng, "R", 2, 600, 200, "zipf") })
 	return append(out,
 		// The current heaviest value of column 0 loses all its
-		// occurrences (all but one on even steps), 24 times over: the
-		// head is eaten down to and well past the 16th rank.
+		// occurrences (all but one on even steps), 24 times over, so
+		// MaxFreq has to move to a new value every step.
 		statsStream{name: "heavy-hitters-down", steps: 24, db: zipf2,
 			next: func(_ *rand.Rand, step int, db *Database) Delta {
 				r := db.Relations["R"]
-				hits := whereCol0(r, refRelationStats(r).Cols[0].Top[0].Value)
+				hits := whereCol0(r, heaviest(refRelationStats(r).Cols[0].Hist))
 				return Delta{Deletes: map[string][]Tuple{"R": hits[(step+1)%2:]}}
 			}},
 		statsStream{name: "smallest-8", steps: 12,
@@ -266,8 +266,8 @@ func statsStreams() []statsStream {
 				}
 				return d
 			}},
-		// 40 values tie at count 3 — more than StatsTopK at the cut —
-		// and single-occurrence batches reshuffle who leads the tie.
+		// 40 values tie at count 3 and single-occurrence batches
+		// reshuffle who leads the tie.
 		statsStream{name: "ties-at-the-cut", steps: 30, next: randomBatch,
 			db: oneRelation(45, func(*rand.Rand) *Relation {
 				r := &Relation{Name: "R", Attrs: statsTestAttrs[:2]}

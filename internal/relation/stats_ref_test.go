@@ -3,11 +3,9 @@ package relation
 import "sort"
 
 // refRelationStats is the frequency-map collector the histogram kernel
-// replaced, kept verbatim as the tests' oracle: one map[int]int per
-// column and a full sort of the distinct values by (count descending,
-// value ascending) to cut the top StatsTopK. The histogram run the
-// kernel's summaries carry (ColumnStats.Hist) is emitted from the same
-// map, sorted by value.
+// replaced, kept as the tests' oracle: one map[int]int per column. The
+// histogram run the kernel's summaries carry (ColumnStats.Hist) is
+// emitted from the same map, sorted by value.
 func refRelationStats(r *Relation) *RelationStats {
 	rs := &RelationStats{
 		Name:  r.Name,
@@ -21,31 +19,29 @@ func refRelationStats(r *Relation) *RelationStats {
 			freq[t[col]]++
 		}
 		cs := &ColumnStats{Distinct: len(freq)}
-		top := make([]ValueCount, 0, len(freq))
+		cs.Hist = make([]ValueCount, 0, len(freq))
 		for v, c := range freq {
 			if c > cs.MaxFreq {
 				cs.MaxFreq = c
 			}
-			top = append(top, ValueCount{Value: v, Count: c})
-		}
-		sort.Slice(top, func(i, j int) bool {
-			if top[i].Count != top[j].Count {
-				return top[i].Count > top[j].Count
-			}
-			return top[i].Value < top[j].Value
-		})
-		if len(top) > StatsTopK {
-			top = top[:StatsTopK]
-		}
-		cs.Top = append([]ValueCount(nil), top...)
-		cs.Hist = make([]ValueCount, 0, len(freq))
-		for v, c := range freq {
 			cs.Hist = append(cs.Hist, ValueCount{Value: v, Count: c})
 		}
 		sort.Slice(cs.Hist, func(i, j int) bool { return cs.Hist[i].Value < cs.Hist[j].Value })
 		rs.Cols[col] = cs
 	}
 	return rs
+}
+
+// heaviest returns the most frequent value of a histogram run, the
+// smallest among ties.
+func heaviest(h []ValueCount) int {
+	best := h[0]
+	for _, vc := range h[1:] {
+		if vc.Count > best.Count {
+			best = vc
+		}
+	}
+	return best.Value
 }
 
 // refStats is the oracle catalog of a whole database.

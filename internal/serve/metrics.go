@@ -37,7 +37,7 @@ type Metrics struct {
 	// per-response truncation).
 	AnswersReturned atomic.Int64
 	// ShuffleBits is the total number of bits received by workers
-	// across all executed queries, as accounted by the MPC simulator.
+	// across all executed queries, as accounted by the coordinator.
 	ShuffleBits atomic.Int64
 	// DistributedQueries counts executions dispatched to the remote
 	// TCP worker pool (Config.WorkerAddrs) rather than the in-process

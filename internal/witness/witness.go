@@ -10,15 +10,20 @@
 // probability: the unary relations are broadcast for free, but the
 // chain subquery q' = S1,S2,S3 has τ* = 2, so any server knows only a
 // O(1/p^{2(1−ε)}) expected fraction of its n answers.
+//
+// The one round runs on the same cluster as every query engine
+// (dist.Cluster, on its in-process loopback): scatter, local join of
+// the full query at every server, gather.
 package witness
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
 
 	"repro/internal/cover"
+	"repro/internal/dist"
+	"repro/internal/exchange"
 	"repro/internal/hypercube"
 	"repro/internal/localjoin"
 	"repro/internal/mpc"
@@ -124,7 +129,7 @@ func RunOneRound(in *Input, p int, eps float64, seed uint64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cluster, err := mpc.NewCluster(mpc.Config{
+	cluster, ctx, err := dist.Open(dist.Env{}, mpc.Config{
 		Workers:   p,
 		Epsilon:   eps,
 		InputBits: in.DB.InputBits(),
@@ -149,58 +154,35 @@ func RunOneRound(in *Input, p int, eps float64, seed uint64) (*Result, error) {
 		}
 	}
 
-	cluster.BeginRound()
-	for _, name := range []string{"R", "T"} {
-		rel, ok := in.DB.Relation(name)
-		if !ok {
-			return nil, fmt.Errorf("witness: missing relation %s", name)
-		}
-		if err := cluster.Broadcast(rel); err != nil && !errors.Is(err, mpc.ErrCapExceeded) {
-			return nil, err
-		}
-	}
+	// Round 1: R and T go to every server, each chain atom to the
+	// sampled grid points its tuples hash to.
+	parts := map[string]exchange.Partitioner{"R": exchange.Broadcast{P: p}, "T": exchange.Broadcast{P: p}}
 	for _, a := range chain.Atoms {
+		parts[a.Name] = hypercube.NewGridPartitioner(shares, hasher, a).WithSample(sample)
+	}
+	full := FullQuery()
+	cluster.BeginRound()
+	for _, a := range full.Atoms {
 		rel, ok := in.DB.Relation(a.Name)
 		if !ok {
 			return nil, fmt.Errorf("witness: missing relation %s", a.Name)
 		}
-		atom := a
-		err := cluster.Scatter(rel, func(t relation.Tuple) []int {
-			var dsts []int
-			for _, g := range hypercube.Destinations(shares, hasher, atom, t) {
-				if srv, ok := sample[g]; ok {
-					dsts = append(dsts, srv)
-				}
-			}
-			return dsts
-		})
-		if err != nil && !errors.Is(err, mpc.ErrCapExceeded) {
+		if err := cluster.Scatter(ctx, rel, "", parts[a.Name]); err != nil {
 			return nil, err
 		}
 	}
-	if err := cluster.EndRound(); err != nil && !errors.Is(err, mpc.ErrCapExceeded) {
+	if err := cluster.EndRound(ctx); err != nil {
 		return nil, err
 	}
 
 	// Each server assembles witnesses from what it received.
-	full := FullQuery()
-	seen := make(map[string]bool)
-	var witnesses []relation.Tuple
-	for _, w := range cluster.Workers() {
-		b := localjoin.Bindings{}
-		for _, a := range full.Atoms {
-			b[a.Name] = w.Received(a.Name)
-		}
-		rows, err := localjoin.Evaluate(full, b, localjoin.HashJoin)
-		if err != nil {
-			return nil, err
-		}
-		for _, t := range rows {
-			if !seen[t.Key()] {
-				seen[t.Key()] = true
-				witnesses = append(witnesses, t)
-			}
-		}
+	const view = "witnesses"
+	if err := cluster.Join(ctx, full, nil, view, localjoin.HashJoin); err != nil {
+		return nil, err
+	}
+	witnesses, err := cluster.Gather(ctx, view)
+	if err != nil {
+		return nil, err
 	}
 	truth, err := TrueWitnesses(in)
 	if err != nil {
