@@ -490,12 +490,27 @@ func BenchmarkDatalogReachTCP(b *testing.B) {
 			_ = dist.Serve(ctx, ln) // ends with ctx; a listener failure fails the dials below
 		}()
 	}
+	var sessions []*dist.TCP
 	benchDatalogReach(b, datalog.Options{
 		P:        len(addrs),
 		Seed:     7,
 		Recovery: dist.RecoveryOptions{Enabled: true},
-		Dial:     func(int) (dist.Transport, error) { return dist.DialTCP(ctx, addrs) },
+		Dial: func(int) (dist.Transport, error) {
+			tr, err := dist.DialTCP(ctx, addrs)
+			if err != nil {
+				return nil, err
+			}
+			sessions = append(sessions, tr)
+			return tr, nil
+		},
 	})
+	var dials, exchanges int64
+	for _, tr := range sessions {
+		dials += tr.Dials()
+		exchanges += tr.Exchanges()
+	}
+	b.ReportMetric(float64(dials)/float64(b.N), "dials/op")
+	b.ReportMetric(float64(exchanges)/float64(b.N), "exchanges/op")
 }
 
 // benchDatalogReach is the body of the DatalogReach benchmarks.

@@ -88,7 +88,10 @@ type Result struct {
 // executed as a conjunctive query through internal/plan; recursive
 // strata run a semi-naive fixpoint in which every delta iteration is
 // an incremental-maintenance batch (hypercube.Maintainer) on a warm
-// cluster, so iteration cost is delta routing, not a rescatter.
+// cluster, so iteration cost is delta routing, not a rescatter. Every
+// execution runs the fused round schedule (dist.Env.Pipeline): a
+// program's round count grows with its data, and over TCP a fused round
+// is one exchange per worker where the synchronous one is three.
 func Eval(prog *Program, db *relation.Database, opts Options) (*Result, error) {
 	if opts.P < 1 {
 		return nil, fmt.Errorf("datalog: p = %d, need ≥ 1", opts.P)
@@ -293,6 +296,7 @@ func (e *evaluator) evalRule(r *Rule) (*exchange.Buffer, error) {
 		Context:     e.opts.Context,
 		Recovery:    e.opts.Recovery,
 		Trace:       e.opts.Trace,
+		Pipeline:    true, // see Eval; maintainers are always fused
 	})
 	if tr != nil {
 		tr.Close()
@@ -411,11 +415,6 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 		if err != nil {
 			return fmt.Errorf("datalog: rule for %s: %v", r.Head.Pred, err)
 		}
-		tr, err := e.dial()
-		if err != nil {
-			closeAll()
-			return err
-		}
 		var epsF float64
 		if e.opts.Epsilon != nil {
 			epsF, _ = e.opts.Epsilon.Float64()
@@ -426,6 +425,13 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 				return fmt.Errorf("datalog: rule for %s: %v", r.Head.Pred, err)
 			}
 			epsF = cr.SpaceExponentFloat()
+		}
+		// Nothing that can fail without the network sits between the dial
+		// and the maintainer that takes ownership of the session.
+		tr, err := e.dial()
+		if err != nil {
+			closeAll()
+			return err
 		}
 		m, err := hypercube.NewMaintainer(q, e.wdb, e.opts.P, hypercube.Options{
 			Epsilon:     epsF,
@@ -455,7 +461,7 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 
 	// The fixpoint loop: every iteration ships each predicate's delta
 	// to every maintainer that reads it, in one batch per rule, and
-	// the genuinely new answers (Report.Fresh) become the next delta.
+	// the genuinely new answers (Report.FreshRun) become the next delta.
 	for hasFacts(delta) {
 		e.iterations++
 		if e.opts.MaxIterations > 0 && e.iterations > e.opts.MaxIterations {

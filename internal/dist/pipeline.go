@@ -111,6 +111,17 @@ func (c *Cluster) gatherPipelined(ctx context.Context, view string) ([]*exchange
 	return runs, nil
 }
 
+// Flush executes the deferred script without gathering anything: the
+// fence of a step that ends at its barrier, so that no caller returns
+// with work still queued (a retraction-only maintenance batch has no
+// view to gather). It is a no-op with nothing pending — always, on the
+// synchronous schedule.
+func (c *Cluster) Flush(ctx context.Context) error {
+	ops := c.pending
+	c.pending = nil
+	return c.runScriptFallback(ctx, ops)
+}
+
 // runScriptFallback executes deferred operations through the
 // primitive transport methods with the same attempt/heal policy as
 // the sync path — the pipelined schedule on a

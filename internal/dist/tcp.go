@@ -8,6 +8,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/exchange"
@@ -30,7 +31,20 @@ type TCP struct {
 	// a member dies; a replaced member's old address is recycled to the
 	// back of this list.
 	spares []string
+	// dials counts the pool-wide dials and worker replacements this
+	// session paid, exchanges its acknowledged pool-wide round trips; a
+	// service adds them up across executions.
+	dials, exchanges atomic.Int64
 }
+
+// Dials returns how many times the session dialled: one for DialTCP,
+// one per ReplaceWorker.
+func (t *TCP) Dials() int64 { return t.dials.Load() }
+
+// Exchanges returns how many acknowledged pool-wide round trips the
+// session made — every Barrier, Join, Gather, RunScript and Announce. A
+// fused round (RunScript) is one; the synchronous schedule pays three.
+func (t *TCP) Exchanges() int64 { return t.exchanges.Load() }
 
 // workerConn is the coordinator's end of one worker connection. The
 // mutex serializes frame traffic per worker; distinct workers proceed
@@ -92,7 +106,10 @@ func ParseAddrs(s string) ([]string, error) {
 
 // DialTCP connects to one mpcworker process per address and performs
 // the session handshake; the pool size is len(addrs) and worker i is
-// addrs[i]. On any failure every already-opened connection is closed.
+// addrs[i]. All workers are dialled concurrently — a session costs one
+// connect-and-handshake latency, not p of them. On any failure every
+// connection that did open is closed and the error names each worker
+// that could not be reached.
 func DialTCP(ctx context.Context, addrs []string) (*TCP, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("dist: no worker addresses")
@@ -101,13 +118,14 @@ func DialTCP(ctx context.Context, addrs []string) (*TCP, error) {
 		conns: make([]*workerConn, len(addrs)),
 		addrs: append([]string(nil), addrs...),
 	}
-	for i := range addrs {
-		wc, err := t.dialWorker(ctx, i)
-		if err != nil {
-			t.Close()
-			return nil, err
-		}
-		t.conns[i] = wc
+	t.dials.Add(1)
+	err := eachWorker(len(addrs), func(i int) (err error) {
+		t.conns[i], err = t.dialWorker(ctx, i)
+		return err
+	})
+	if err != nil {
+		t.Close()
+		return nil, err
 	}
 	return t, nil
 }
@@ -262,20 +280,25 @@ func (wc *workerConn) control(ctx context.Context, f *wire.Frame, want wire.Type
 	})
 }
 
-// eachConn runs fn for every worker connection concurrently and joins
-// the failures.
-func (t *TCP) eachConn(fn func(wc *workerConn) error) error {
-	errs := make([]error, len(t.conns))
+// eachWorker runs fn for every worker slot of a pool of n concurrently
+// and joins the failures.
+func eachWorker(n int, fn func(i int) error) error {
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i, wc := range t.conns {
+	for i := range errs {
 		wg.Add(1)
-		go func(i int, wc *workerConn) {
+		go func(i int) {
 			defer wg.Done()
-			errs[i] = fn(wc)
-		}(i, wc)
+			errs[i] = fn(i)
+		}(i)
 	}
 	wg.Wait()
 	return errors.Join(errs...)
+}
+
+// eachConn is eachWorker over the session's connections.
+func (t *TCP) eachConn(fn func(wc *workerConn) error) error {
+	return eachWorker(len(t.conns), func(i int) error { return fn(t.conns[i]) })
 }
 
 // dataFrames converts one worker's deliveries to wire frames.
@@ -346,6 +369,7 @@ func (t *TCP) Deliver(ctx context.Context, round int, ds []exchange.Delivery) er
 // Barrier implements Transport: every connection flushes its buffered
 // frames behind the barrier and waits for the worker's ack.
 func (t *TCP) Barrier(ctx context.Context, round int) error {
+	t.exchanges.Add(1)
 	f := &wire.Frame{Type: wire.TypeBarrier, Round: uint32(round)}
 	return t.eachConn(func(wc *workerConn) error {
 		return wc.control(ctx, f, wire.TypeAck, uint32(round))
@@ -367,6 +391,7 @@ func joinFrame(spec JoinSpec) *wire.Frame {
 
 // Join implements Transport.
 func (t *TCP) Join(ctx context.Context, spec JoinSpec) error {
+	t.exchanges.Add(1)
 	f := joinFrame(spec)
 	return t.eachConn(func(wc *workerConn) error {
 		return wc.control(ctx, f, wire.TypeAck, 0)
@@ -407,6 +432,7 @@ func (wc *workerConn) readGatherStream(view string) ([]*exchange.Buffer, error) 
 // parallel; the result keeps worker order (all of worker 0's runs,
 // then worker 1's, …) so gathers are deterministic.
 func (t *TCP) Gather(ctx context.Context, view string) ([]*exchange.Buffer, error) {
+	t.exchanges.Add(1)
 	perWorker := make([][]*exchange.Buffer, len(t.conns))
 	err := t.eachConn(func(wc *workerConn) error {
 		return wc.roundTrip(ctx, func() error {
@@ -454,6 +480,7 @@ func (t *TCP) RunScript(ctx context.Context, ops []recOp, view string) ([]*excha
 			}
 		}
 	}
+	t.exchanges.Add(1)
 	perWorker := make([][]*exchange.Buffer, len(t.conns))
 	err := t.eachConn(func(wc *workerConn) error {
 		return wc.roundTrip(ctx, func() error {
@@ -551,6 +578,7 @@ func (t *TCP) ReplaceWorker(ctx context.Context, w int) error {
 	if w < 0 || w >= len(t.conns) {
 		return fmt.Errorf("dist: replace worker %d out of range [0,%d)", w, len(t.conns))
 	}
+	t.dials.Add(1)
 	old := t.conns[w]
 	wc, err := t.dialWorker(ctx, w)
 	if err != nil {
@@ -585,6 +613,7 @@ func (t *TCP) Ping(ctx context.Context, w int, seq uint32) error {
 // Announce implements Replaceable: broadcast the recovery epoch, every
 // worker acking it (echoing the epoch) or rejecting it as stale.
 func (t *TCP) Announce(ctx context.Context, epoch uint32) error {
+	t.exchanges.Add(1)
 	f := &wire.Frame{Type: wire.TypeEpoch, Round: epoch}
 	return t.eachConn(func(wc *workerConn) error {
 		return wc.control(ctx, f, wire.TypeAck, epoch)

@@ -45,8 +45,7 @@ func ServeConn(ctx context.Context, conn net.Conn) error {
 	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
 	defer stop()
 	br := bufio.NewReaderSize(conn, 1<<16)
-	bw := bufio.NewWriterSize(conn, 1<<16)
-	s := &session{store: newWorkerStore(), bw: bw, conn: conn}
+	s := &session{store: newWorkerStore(), conn: conn}
 
 	// The handshake frame comes from an unauthenticated dialer, so it
 	// goes through the validating decoder; everything after it is our
@@ -65,7 +64,7 @@ func ServeConn(ctx context.Context, conn net.Conn) error {
 		return s.abort(fmt.Errorf("worker id %d out of pool [0,%d)", hello.Hello.Worker, hello.Hello.P))
 	}
 	s.id = hello.Hello.Worker
-	if err := s.reply(&wire.Frame{Type: wire.TypeAck}); err != nil {
+	if err := s.flush(&wire.Frame{Type: wire.TypeAck}); err != nil {
 		return err
 	}
 
@@ -81,6 +80,15 @@ func ServeConn(ctx context.Context, conn net.Conn) error {
 		if err := s.handle(f); err != nil {
 			return s.abort(err)
 		}
+		// Replies leave when the session is about to block for input. A
+		// synchronous command is followed by nothing until it is answered,
+		// so its ack goes out at once; the acks of a fused round script
+		// wait for the script's last frame and leave with the gather.
+		if br.Buffered() == 0 && len(s.out) > 0 {
+			if err := s.flush(); err != nil {
+				return err
+			}
+		}
 	}
 }
 
@@ -88,12 +96,10 @@ func ServeConn(ctx context.Context, conn net.Conn) error {
 type session struct {
 	id    uint32
 	store *workerStore
-	bw    *bufio.Writer
-	// conn is the raw connection, used for vectored gather replies
-	// that bypass bw (which is flushed first to preserve order).
-	conn net.Conn
-	// head is the reusable fast-encoder scratch for gather replies.
-	head []byte
+	conn  net.Conn
+	// out holds the fast-encoded replies not yet written, and doubles
+	// as the reusable encoder scratch.
+	out []byte
 	// epoch is the last recovery epoch the coordinator announced on
 	// this session; announcements may only grow it.
 	epoch uint32
@@ -102,12 +108,40 @@ type session struct {
 	trace wire.TraceHeader
 }
 
-// reply encodes a frame and flushes it.
+// reply queues one control frame for the coordinator; it leaves with
+// the next flush.
 func (s *session) reply(f *wire.Frame) error {
-	if err := wire.Encode(s.bw, f); err != nil {
+	_, err := s.encode(f)
+	return err
+}
+
+// encode fast-encodes frames behind the queued replies and returns the
+// vectored write list of everything queued (Data payloads are zero-copy
+// segments of it, so a list holding any must be written before the
+// next encode). A frame that does not encode leaves the queue as it
+// was.
+func (s *session) encode(frames ...*wire.Frame) ([][]byte, error) {
+	n := len(s.out)
+	out, bufs, err := wire.AppendFrames(s.out, frames)
+	if err != nil {
+		s.out = out[:n]
+		return nil, err
+	}
+	s.out = out
+	return bufs, nil
+}
+
+// flush writes the queued replies, followed by frames, as one vectored
+// write.
+func (s *session) flush(frames ...*wire.Frame) error {
+	bufs, err := s.encode(frames...)
+	if err != nil || len(bufs) == 0 {
 		return err
 	}
-	return s.bw.Flush()
+	s.out = s.out[:0]
+	nb := net.Buffers(bufs)
+	_, err = nb.WriteTo(s.conn)
+	return err
 }
 
 // abort reports err to the coordinator as an Error frame (best
@@ -117,7 +151,7 @@ func (s *session) abort(err error) error {
 	if s.trace.QueryID != "" {
 		err = fmt.Errorf("query %s: %w", s.trace.QueryID, err)
 	}
-	_ = s.reply(&wire.Frame{Type: wire.TypeError, Msg: err.Error()})
+	_ = s.flush(&wire.Frame{Type: wire.TypeError, Msg: err.Error()})
 	return fmt.Errorf("dist: worker %d: %w", s.id, err)
 }
 
@@ -187,17 +221,8 @@ func (s *session) handle(f *wire.Frame) error {
 			}})
 		}
 		frames = append(frames, &wire.Frame{Type: wire.TypeDone, Count: uint32(len(runs))})
-		if err := s.bw.Flush(); err != nil {
-			return err
-		}
-		head, bufs, err := wire.AppendFrames(s.head[:0], frames)
-		s.head = head
-		if err != nil {
-			return err
-		}
-		nb := net.Buffers(bufs)
-		_, err = nb.WriteTo(s.conn)
-		return err
+		// The reply carries the acks queued ahead of it in the same write.
+		return s.flush(frames...)
 	default:
 		return fmt.Errorf("unexpected %s frame", f.Type)
 	}

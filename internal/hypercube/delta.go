@@ -40,11 +40,9 @@ type Report struct {
 	// materialized answer.
 	AnswersAdded   int
 	AnswersRemoved int
-	// Fresh lists the genuinely new answers of the batch — the
-	// AnswersAdded tuples, sorted.
-	Fresh []relation.Tuple
-	// FreshRun is Fresh as the sealed run it was computed as (nil or
-	// empty when nothing was added) — the Δ a semi-naive fixpoint loop
+	// FreshRun holds the genuinely new answers of the batch — the
+	// AnswersAdded tuples — as the sealed run they were computed as (nil
+	// or empty when nothing was added): the Δ a semi-naive fixpoint loop
 	// projects and diffs without going through tuples.
 	FreshRun *exchange.Buffer
 	// Replacements counts workers replaced by recovery during the
@@ -90,7 +88,10 @@ type Maintainer struct {
 // workers and returns a Maintainer holding the cluster open for delta
 // batches. Self-joins are rejected: maintenance binds stores by atom
 // name, which a repeated atom name would alias. The caller must Close
-// the maintainer to release the cluster.
+// the maintainer to release the cluster. A maintenance batch is a thin
+// round — route Δ, barrier, delta joins, gather — so the cluster always
+// runs the fused schedule whatever opts.Pipeline says: one exchange per
+// worker and batch over TCP instead of three.
 func NewMaintainer(q *query.Query, db *relation.Database, p int, opts Options) (*Maintainer, error) {
 	seen := make(map[string]bool, len(q.Atoms))
 	for _, a := range q.Atoms {
@@ -106,6 +107,7 @@ func NewMaintainer(q *query.Query, db *relation.Database, p int, opts Options) (
 	if shares.GridSize() > p {
 		return nil, fmt.Errorf("hypercube: grid size %d exceeds %d servers", shares.GridSize(), p)
 	}
+	opts.Pipeline = true
 	cluster, ctx, err := opts.open(p, db)
 	if err != nil {
 		return nil, err
@@ -313,10 +315,16 @@ func (m *Maintainer) ApplyDelta(changes map[string]relation.Effect) (*Report, er
 		}
 	}
 
+	// A batch without extensions gathered nothing, and on the fused
+	// schedule the gather is the fence: send what is still deferred (the
+	// routed retractions and the barrier) before returning.
+	if err := m.cluster.Flush(m.ctx); err != nil {
+		return nil, err
+	}
+
 	rep := &Report{
 		AnswersAdded:   added.Len(),
 		AnswersRemoved: removed,
-		Fresh:          added.Tuples(),
 		FreshRun:       added,
 		Replacements:   m.cluster.Replacements(),
 		CapExceeded:    m.capSeen,

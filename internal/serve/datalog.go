@@ -55,8 +55,22 @@ func (s *Server) resolveProgram(req QueryRequest) (*job, error) {
 		run: func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) ([]relation.Tuple, *mpc.Stats, error) {
 			opts := datalog.Options{P: p, Epsilon: eps, Seed: seed, Context: ctx, Trace: tc}
 			if s.pool != nil {
-				// One dialed session per execution the program opens.
-				opts.Dial = func(int) (dist.Transport, error) { return s.dialPool(ctx) }
+				// One dialed session per execution the program opens; the
+				// evaluator closes them, the service counts what they cost.
+				var sessions []*dist.TCP
+				opts.Dial = func(int) (dist.Transport, error) {
+					tr, err := s.dialPool(ctx)
+					if err != nil {
+						return nil, err
+					}
+					sessions = append(sessions, tr)
+					return tr, nil
+				}
+				defer func() {
+					for _, tr := range sessions {
+						s.metrics.RecordSession(tr)
+					}
+				}()
 				opts.Recovery = s.recovery()
 			}
 			res, err := datalog.Eval(prog, sn.DB, opts)

@@ -173,6 +173,28 @@ func TestServeDatalogWorkerPool(t *testing.T) {
 	if got := srv.Metrics().DistributedQueries.Load(); got < 1 {
 		t.Fatalf("DistributedQueries = %d, want ≥ 1", got)
 	}
+	// The program dialled two sessions (base rule, maintainer) and ran
+	// them fused: one acknowledged pool-wide exchange per model round.
+	if dials, ex := srv.Metrics().PoolDials.Load(), srv.Metrics().PoolExchanges.Load(); dials != 2 || ex != int64(out.Rounds) {
+		t.Fatalf("pool dials = %d, exchanges = %d; want 2 and %d (the rounds)", dials, ex, out.Rounds)
+	}
+	// A one-shot query keeps the synchronous schedule: barrier, join and
+	// gather are an exchange each.
+	q, _ := postQuery(t, ts.URL, serve.QueryRequest{Dataset: "graph", Query: "q(x,y) = e(x,y)"})
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, _ := io.ReadAll(resp.Body)
+	for _, line := range []string{
+		"mpcserve_pool_dials_total 3\n",
+		fmt.Sprintf("mpcserve_pool_exchanges_total %d\n", out.Rounds+3*q.Rounds),
+	} {
+		if !strings.Contains(string(text), line) {
+			t.Errorf("/metrics lacks %q", line)
+		}
+	}
 }
 
 // TestServeDatalogRecoversWorker: a served recursive program is

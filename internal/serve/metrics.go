@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/dist"
 	"repro/internal/mpc"
 )
 
@@ -49,6 +50,12 @@ type Metrics struct {
 	// PoolRepairs counts pool members swapped for spares by registry
 	// reconciliation (background heartbeats plus dial-failure repair).
 	PoolRepairs atomic.Int64
+	// PoolDials counts the sessions dialled against the worker pool (one
+	// per execution a request opens) plus mid-query worker replacements.
+	PoolDials atomic.Int64
+	// PoolExchanges counts acknowledged pool-wide round trips across all
+	// sessions; on the fused schedule it equals the rounds executed.
+	PoolExchanges atomic.Int64
 	// DeltasTotal counts successfully applied delta batches
 	// (POST /datasets/{name}/delta).
 	DeltasTotal atomic.Int64
@@ -67,6 +74,13 @@ type Metrics struct {
 
 	mu           sync.Mutex
 	perRoundBits []int64
+}
+
+// RecordSession adds what one finished pool session cost the transport
+// — its dials and its acknowledged pool-wide exchanges.
+func (m *Metrics) RecordSession(tr *dist.TCP) {
+	m.PoolDials.Add(tr.Dials())
+	m.PoolExchanges.Add(tr.Exchanges())
 }
 
 // RecordExecution folds one execution's communication record into the
@@ -136,6 +150,8 @@ func (m *Metrics) WriteProm(w io.Writer) {
 	counter("mpcserve_distributed_queries_total", "Executions dispatched to the remote TCP worker pool.", m.DistributedQueries.Load())
 	counter("mpcserve_worker_replacements_total", "Workers replaced mid-query by the recovery policy.", m.WorkerReplacements.Load())
 	counter("mpcserve_pool_repairs_total", "Pool members swapped for spares by reconciliation.", m.PoolRepairs.Load())
+	counter("mpcserve_pool_dials_total", "Worker-pool sessions dialled, plus mid-query worker replacements.", m.PoolDials.Load())
+	counter("mpcserve_pool_exchanges_total", "Acknowledged pool-wide round trips across all sessions.", m.PoolExchanges.Load())
 	counter("mpcserve_deltas_total", "Delta batches applied to datasets.", m.DeltasTotal.Load())
 	counter("mpcserve_delta_tuples_total", "Tuple occurrences ingested by delta batches.", m.DeltaTuples.Load())
 	counter("mpcserve_maintenance_bits_total", "Bits shipped maintaining continuous queries under deltas.", m.MaintenanceBits.Load())

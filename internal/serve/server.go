@@ -513,6 +513,7 @@ func (s *Server) resolveQuery(req QueryRequest) (*job, error) {
 					return nil, nil, errorf(http.StatusBadGateway, "worker pool unavailable: %v", err)
 				}
 				defer tr.Close()
+				defer s.metrics.RecordSession(tr)
 				execOpts.Transport, execOpts.Recovery = tr, s.recovery()
 			}
 			res, err := pl.Execute(view, execOpts)
