@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"math/big"
 	"os"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/datalog"
@@ -60,12 +59,9 @@ func run(queryStr, familyStr, epsStr string, p, n int) error {
 	if n < 1 {
 		return fmt.Errorf("-n = %d, need ≥ 1", n)
 	}
-	var eps *big.Rat
-	if epsStr != "" {
-		var err error
-		if eps, err = parseRat(epsStr); err != nil {
-			return err
-		}
+	eps, err := plan.ParseEpsilon(epsStr)
+	if err != nil {
+		return err
 	}
 	if datalog.IsDatalog(queryStr) {
 		if familyStr != "" {
@@ -73,7 +69,7 @@ func run(queryStr, familyStr, epsStr string, p, n int) error {
 		}
 		return runDatalog(queryStr, eps, p, n)
 	}
-	q, err := resolveQuery(queryStr, familyStr)
+	q, err := query.Resolve(queryStr, familyStr)
 	if err != nil {
 		return err
 	}
@@ -102,81 +98,29 @@ func run(queryStr, familyStr, epsStr string, p, n int) error {
 	return nil
 }
 
-// runDatalog analyzes a Datalog program: the canonical rendering, the
-// EDB/IDB split, the stratified evaluation order, and the planner's
-// EXPLAIN for every rule body against an assumed matching database of
+// runDatalog analyzes a Datalog program: the canonical rendering, its
+// evaluation structure, and the planner's EXPLAIN for every rule body,
+// in evaluation order, against an assumed matching database of
 // cardinality n.
 func runDatalog(src string, eps *big.Rat, p, n int) error {
 	prog, err := datalog.Parse(src)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("program:\n%s", prog.String())
-	fmt.Printf("edb:")
-	for _, pred := range prog.EDBPreds() {
-		arity, _ := prog.Arity(pred)
-		fmt.Printf(" %s/%d", pred, arity)
-	}
-	fmt.Printf("\nidb:")
-	for _, pred := range prog.IDBPreds() {
-		arity, _ := prog.Arity(pred)
-		fmt.Printf(" %s/%d", pred, arity)
-		if prog.IsAggregate(pred) {
-			fmt.Printf(" (aggregate)")
-		}
-	}
-	fmt.Println()
-	for i, s := range prog.Strata() {
-		kind := "non-recursive"
-		if s.Recursive {
-			kind = "recursive — semi-naive fixpoint over warm delta maintenance"
-		}
-		fmt.Printf("stratum %d (%s): %s\n", i, kind, strings.Join(s.Preds, ", "))
+	fmt.Printf("program:\n%s%s", prog, prog.Describe())
+	for _, s := range prog.Strata() {
 		for _, ri := range s.Rules {
 			r := &prog.Rules[ri]
-			fmt.Printf("\nrule: %s\n", r)
 			q, err := r.BodyQuery()
 			if err != nil {
 				return err
 			}
-			pl, err := plan.Build(q, plan.MatchingStats(q, n), plan.Options{P: p, Epsilon: eps})
+			pl, err := r.Plan(plan.MatchingStats(q, n), plan.Options{P: p, Epsilon: eps})
 			if err != nil {
 				return err
 			}
-			if spec := r.AggregateSpec(q); spec != nil {
-				if pl, err = pl.WithAggregate(*spec); err != nil {
-					return err
-				}
-			}
-			fmt.Print(pl.Explain())
+			fmt.Printf("\nrule: %s\n%s", r, pl.Explain())
 		}
 	}
-	fmt.Printf("\noutput: %s\n", prog.OutputPred())
 	return nil
-}
-
-// resolveQuery builds the query from either -query or -family.
-func resolveQuery(queryStr, familyStr string) (*query.Query, error) {
-	switch {
-	case queryStr != "" && familyStr != "":
-		return nil, fmt.Errorf("use either -query or -family, not both")
-	case queryStr != "":
-		return query.Parse(queryStr)
-	case familyStr != "":
-		return query.ParseFamily(familyStr)
-	default:
-		return nil, fmt.Errorf("one of -query or -family is required")
-	}
-}
-
-// parseRat reads "1/2", "0.5" (limited to simple decimals), or "0".
-func parseRat(s string) (*big.Rat, error) {
-	r := new(big.Rat)
-	if _, ok := r.SetString(s); !ok {
-		return nil, fmt.Errorf("cannot parse %q as a rational", s)
-	}
-	if r.Sign() < 0 || r.Cmp(big.NewRat(1, 1)) >= 0 {
-		return nil, fmt.Errorf("ε = %s outside [0,1)", r.RatString())
-	}
-	return r, nil
 }

@@ -5,37 +5,40 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/plan"
+	"repro/internal/query"
 )
 
 func TestParseRat(t *testing.T) {
-	r, err := parseRat("1/2")
+	r, err := plan.ParseEpsilon("1/2")
 	if err != nil || r.RatString() != "1/2" {
-		t.Errorf("parseRat(1/2) = %v, %v", r, err)
+		t.Errorf("plan.ParseEpsilon(1/2) = %v, %v", r, err)
 	}
-	if _, err := parseRat("x"); err == nil {
+	if _, err := plan.ParseEpsilon("x"); err == nil {
 		t.Error("want error for garbage")
 	}
-	if _, err := parseRat("1"); err == nil {
+	if _, err := plan.ParseEpsilon("1"); err == nil {
 		t.Error("want error for ε = 1")
 	}
-	if _, err := parseRat("-1/2"); err == nil {
+	if _, err := plan.ParseEpsilon("-1/2"); err == nil {
 		t.Error("want error for negative ε")
 	}
 }
 
 func TestResolveQuery(t *testing.T) {
-	if _, err := resolveQuery("", ""); err == nil {
+	if _, err := query.Resolve("", ""); err == nil {
 		t.Error("want error when neither flag is set")
 	}
-	if _, err := resolveQuery("R(x)", "L2"); err == nil {
+	if _, err := query.Resolve("R(x)", "L2"); err == nil {
 		t.Error("want error when both flags are set")
 	}
-	q, err := resolveQuery("R(x,y), S(y,z)", "")
+	q, err := query.Resolve("R(x,y), S(y,z)", "")
 	if err != nil || q.NumAtoms() != 2 {
-		t.Errorf("resolveQuery text: %v, %v", q, err)
+		t.Errorf("query.Resolve text: %v, %v", q, err)
 	}
-	if _, err := resolveQuery("", "C4"); err != nil {
-		t.Errorf("resolveQuery family: %v", err)
+	if _, err := query.Resolve("", "C4"); err != nil {
+		t.Errorf("query.Resolve family: %v", err)
 	}
 }
 

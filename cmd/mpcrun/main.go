@@ -111,13 +111,17 @@ func run(queryStr, familyStr string, n, p int, epsStr string, seed uint64, capC 
 	if dataStr == "" && n < 1 {
 		return fmt.Errorf("-n = %d, need ≥ 1", n)
 	}
+	eps, err := plan.ParseEpsilon(epsStr)
+	if err != nil {
+		return err
+	}
 	if datalog.IsDatalog(queryStr) {
-		if familyStr != "" || planStr != "" || len(spareAddrs) > 0 || pipeline {
+		if familyStr != "" || planStr != "" || len(spareAddrs) > 0 || maxRepl != 0 || pipeline {
 			return fmt.Errorf("a Datalog -query supports only -n, -p, -eps, -seed, -cap, -show, -data and -workers")
 		}
-		return runDatalog(queryStr, n, p, epsStr, seed, capC, show, dataStr, addrs)
+		return runDatalog(queryStr, n, p, eps, seed, capC, show, dataStr, addrs)
 	}
-	q, err := resolveQuery(queryStr, familyStr)
+	q, err := query.Resolve(queryStr, familyStr)
 	if err != nil {
 		return err
 	}
@@ -126,8 +130,12 @@ func run(queryStr, familyStr string, n, p int, epsStr string, seed uint64, capC 
 		rng := rand.New(rand.NewPCG(seed, 0xdb))
 		db = relation.MatchingDatabase(rng, q, n)
 	} else {
-		db, err = loadDatabase(q, dataStr)
-		if err != nil {
+		// Each CSV takes its atom's variables as schema.
+		specs := make([]relSpec, len(q.Atoms))
+		for i, a := range q.Atoms {
+			specs[i] = relSpec{a.Name, a.Vars}
+		}
+		if db, err = loadDatabase(specs, dataStr); err != nil {
 			return err
 		}
 		n = db.N
@@ -138,20 +146,13 @@ func run(queryStr, familyStr string, n, p int, epsStr string, seed uint64, capC 
 	if err != nil {
 		return err
 	}
-	return runPlanned(q, db, p, epsStr, seed, capC, show, planStr, addrs, spareAddrs, maxRepl, pipeline, truth)
+	return runPlanned(q, db, p, eps, seed, capC, show, planStr, addrs, spareAddrs, maxRepl, pipeline, truth)
 }
 
 // runPlanned is the planner-driven path: collect statistics, build the
 // plan, apply any -plan override, EXPLAIN, execute (in process, or
 // distributed over a TCP worker pool when addrs are given), report.
-func runPlanned(q *query.Query, db *relation.Database, p int, epsStr string, seed uint64, capC float64, show int, planStr string, addrs, spareAddrs []string, maxRepl int, pipeline bool, truth []relation.Tuple) error {
-	var eps *big.Rat
-	if epsStr != "" {
-		var err error
-		if eps, err = parseRat(epsStr); err != nil {
-			return err
-		}
-	}
+func runPlanned(q *query.Query, db *relation.Database, p int, eps *big.Rat, seed uint64, capC float64, show int, planStr string, addrs, spareAddrs []string, maxRepl int, pipeline bool, truth []relation.Tuple) error {
 	stats := relation.CollectStats(db)
 	// A caller-supplied cap constant is both enforced at execution and
 	// used as the planner's budget factor, so EXPLAIN's verdict and the
@@ -199,7 +200,7 @@ func runPlanned(q *query.Query, db *relation.Database, p int, epsStr string, see
 	fmt.Printf("max load: %d tuples (predicted %.0f), total %d bits (cap exceeded: %v)\n",
 		res.Stats.MaxLoadTuples(), pl.Cost.LoadTuples, res.Stats.TotalBits(), res.CapExceeded)
 	fmt.Printf("replication: %.2fx input\n", res.Stats.Replication(db.InputBits()))
-	printAnswers(q, res.Answers, show)
+	printAnswers(q.Vars(), res.Answers, show)
 	return nil
 }
 
@@ -274,11 +275,11 @@ func parseShares(s string) (*hypercube.Shares, error) {
 	return out, nil
 }
 
-func printAnswers(q *query.Query, answers []relation.Tuple, show int) {
+func printAnswers(vars []string, answers []relation.Tuple, show int) {
 	if show <= 0 {
 		return
 	}
-	fmt.Printf("sample answers over (%s):\n", strings.Join(q.Vars(), ","))
+	fmt.Printf("sample answers over (%s):\n", strings.Join(vars, ","))
 	for i, t := range answers {
 		if i >= show {
 			fmt.Printf("  … %d more\n", len(answers)-show)
@@ -288,9 +289,16 @@ func printAnswers(q *query.Query, answers []relation.Tuple, show int) {
 	}
 }
 
-// loadDatabase reads 'Rel=file.csv' pairs and validates them against
-// the query's atoms.
-func loadDatabase(q *query.Query, dataStr string) (*relation.Database, error) {
+// relSpec is what -data must supply for one relation: its name and the
+// schema its columns take (so its arity).
+type relSpec struct {
+	name  string
+	attrs []string
+}
+
+// loadDatabase reads 'Rel=file.csv' pairs, one CSV per spec, over the
+// domain of the largest value read.
+func loadDatabase(specs []relSpec, dataStr string) (*relation.Database, error) {
 	files := map[string]string{}
 	for _, pair := range strings.Split(dataStr, ",") {
 		eq := strings.Index(pair, "=")
@@ -301,29 +309,26 @@ func loadDatabase(q *query.Query, dataStr string) (*relation.Database, error) {
 	}
 	maxVal := 1
 	var rels []*relation.Relation
-	for _, a := range q.Atoms {
-		path, ok := files[a.Name]
+	for _, spec := range specs {
+		path, ok := files[spec.name]
 		if !ok {
-			return nil, fmt.Errorf("-data missing relation %s", a.Name)
+			return nil, fmt.Errorf("-data missing relation %s", spec.name)
 		}
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, err
 		}
-		rel, err := relation.ReadCSV(f, a.Name)
+		rel, err := relation.ReadCSV(f, spec.name)
 		f.Close()
 		if err != nil {
 			return nil, err
 		}
-		if rel.Arity() != a.Arity() {
-			return nil, fmt.Errorf("relation %s from %s has arity %d, atom needs %d",
-				a.Name, path, rel.Arity(), a.Arity())
+		if rel.Arity() != len(spec.attrs) {
+			return nil, fmt.Errorf("relation %s from %s has arity %d, need %d",
+				spec.name, path, rel.Arity(), len(spec.attrs))
 		}
-		// Align the schema with the atom's variables.
-		rel.Attrs = append([]string(nil), a.Vars...)
-		if mv := rel.MaxValue(); mv > maxVal {
-			maxVal = mv
-		}
+		rel.Attrs = append([]string(nil), spec.attrs...)
+		maxVal = max(maxVal, rel.MaxValue())
 		rels = append(rels, rel)
 	}
 	db := relation.NewDatabase(maxVal)
@@ -336,38 +341,20 @@ func loadDatabase(q *query.Query, dataStr string) (*relation.Database, error) {
 // runDatalog evaluates a Datalog program: EDB relations from -data
 // CSVs or generated uniform over [n], rule bodies through the planner,
 // recursive strata semi-naive over warm maintainers.
-func runDatalog(src string, n, p int, epsStr string, seed uint64, capC float64, show int, dataStr string, addrs []string) error {
+func runDatalog(src string, n, p int, eps *big.Rat, seed uint64, capC float64, show int, dataStr string, addrs []string) error {
 	prog, err := datalog.Parse(src)
 	if err != nil {
 		return err
-	}
-	var eps *big.Rat
-	if epsStr != "" {
-		if eps, err = parseRat(epsStr); err != nil {
-			return err
-		}
 	}
 	db, err := datalogDB(prog, n, seed, dataStr)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("program:\n%s", prog.String())
-	fmt.Printf("edb: %s, idb: %s\n", strings.Join(prog.EDBPreds(), ", "), strings.Join(prog.IDBPreds(), ", "))
-	for i, s := range prog.Strata() {
-		kind := "rules"
-		if s.Recursive {
-			kind = "recursive (semi-naive fixpoint)"
-		}
-		fmt.Printf("stratum %d: %s — %d %s\n", i, strings.Join(s.Preds, ", "), len(s.Rules), kind)
-	}
+	fmt.Printf("program:\n%s%s", prog, prog.Describe())
 	fmt.Printf("n = %d, p = %d, input = %d bits\n", db.N, p, db.InputBits())
 
 	opts := datalog.Options{P: p, Epsilon: eps, CapConstant: capC, Seed: seed}
 	if len(addrs) > 0 {
-		if p != len(addrs) {
-			fmt.Printf("note: -workers fixes p to the pool size %d (ignoring -p %d)\n", len(addrs), p)
-			opts.P = len(addrs)
-		}
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 		defer cancel()
 		opts.Context = ctx
@@ -382,104 +369,34 @@ func runDatalog(src string, n, p int, epsStr string, seed uint64, capC float64, 
 	fmt.Printf("answers (%s): %d facts\n", prog.OutputPred(), len(res.Answers))
 	fmt.Printf("max load: %d tuples, total %d bits (cap exceeded: %v)\n",
 		res.Stats.MaxLoadTuples(), res.Stats.TotalBits(), res.CapExceeded)
-	if show > 0 {
-		fmt.Printf("sample answers over (%s):\n", strings.Join(res.Vars, ","))
-		for i, t := range res.Answers {
-			if i >= show {
-				fmt.Printf("  … %d more\n", len(res.Answers)-show)
-				break
-			}
-			fmt.Printf("  %v\n", t)
-		}
-	}
+	printAnswers(res.Vars, res.Answers, show)
 	return nil
 }
 
 // datalogDB builds the EDB database: CSVs from -data, or n uniform
 // tuples per EDB relation over [n].
 func datalogDB(prog *datalog.Program, n int, seed uint64, dataStr string) (*relation.Database, error) {
-	if dataStr == "" {
-		rng := rand.New(rand.NewPCG(seed, 0xdb))
-		db := relation.NewDatabase(n)
-		for _, pred := range prog.EDBPreds() {
-			arity, _ := prog.Arity(pred)
-			attrs := make([]string, arity)
-			for i := range attrs {
-				attrs[i] = fmt.Sprintf("c%d", i)
+	edb := prog.EDBPreds()
+	specs := make([]relSpec, len(edb))
+	for i, pred := range edb {
+		specs[i] = relSpec{pred, prog.Schema(pred)}
+	}
+	if dataStr != "" {
+		return loadDatabase(specs, dataStr)
+	}
+	rng := rand.New(rand.NewPCG(seed, 0xdb))
+	db := relation.NewDatabase(n)
+	for _, spec := range specs {
+		rel := relation.New(spec.name, spec.attrs...)
+		rel.Tuples = make([]relation.Tuple, n)
+		for i := range rel.Tuples {
+			t := make(relation.Tuple, len(spec.attrs))
+			for j := range t {
+				t[j] = rng.IntN(n) + 1
 			}
-			rel := relation.New(pred, attrs...)
-			rel.Tuples = make([]relation.Tuple, n)
-			for i := range rel.Tuples {
-				t := make(relation.Tuple, arity)
-				for j := range t {
-					t[j] = rng.IntN(n) + 1
-				}
-				rel.Tuples[i] = t
-			}
-			db.AddRelation(rel)
+			rel.Tuples[i] = t
 		}
-		return db, nil
-	}
-	files := map[string]string{}
-	for _, pair := range strings.Split(dataStr, ",") {
-		eq := strings.Index(pair, "=")
-		if eq <= 0 || eq == len(pair)-1 {
-			return nil, fmt.Errorf("bad -data entry %q (want Rel=file.csv)", pair)
-		}
-		files[strings.TrimSpace(pair[:eq])] = strings.TrimSpace(pair[eq+1:])
-	}
-	maxVal := 1
-	var rels []*relation.Relation
-	for _, pred := range prog.EDBPreds() {
-		path, ok := files[pred]
-		if !ok {
-			return nil, fmt.Errorf("-data missing EDB relation %s", pred)
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		rel, err := relation.ReadCSV(f, pred)
-		f.Close()
-		if err != nil {
-			return nil, err
-		}
-		want, _ := prog.Arity(pred)
-		if rel.Arity() != want {
-			return nil, fmt.Errorf("relation %s from %s has arity %d, program needs %d", pred, path, rel.Arity(), want)
-		}
-		if mv := rel.MaxValue(); mv > maxVal {
-			maxVal = mv
-		}
-		rels = append(rels, rel)
-	}
-	db := relation.NewDatabase(maxVal)
-	for _, rel := range rels {
 		db.AddRelation(rel)
 	}
 	return db, nil
-}
-
-func resolveQuery(queryStr, familyStr string) (*query.Query, error) {
-	switch {
-	case queryStr != "" && familyStr != "":
-		return nil, fmt.Errorf("use either -query or -family, not both")
-	case queryStr != "":
-		return query.Parse(queryStr)
-	case familyStr != "":
-		return query.ParseFamily(familyStr)
-	default:
-		return nil, fmt.Errorf("one of -query or -family is required")
-	}
-}
-
-func parseRat(s string) (*big.Rat, error) {
-	r := new(big.Rat)
-	if _, ok := r.SetString(s); !ok {
-		return nil, fmt.Errorf("cannot parse %q as a rational", s)
-	}
-	if r.Sign() < 0 || r.Cmp(big.NewRat(1, 1)) >= 0 {
-		return nil, fmt.Errorf("ε = %s outside [0,1)", r.RatString())
-	}
-	return r, nil
 }

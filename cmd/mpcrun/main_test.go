@@ -14,10 +14,18 @@ import (
 // TestRunDistributed drives the -workers path end to end against an
 // in-process TCP worker pool (the exact cmd/mpcworker serving code).
 func TestRunDistributed(t *testing.T) {
+	if err := run("", "C3", 150, 8, "", 1, 0, 0, "", "", startWorkers(t, 2), "", 0, true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// startWorkers serves n in-process TCP workers for the test's lifetime
+// and returns their addresses as a -workers value.
+func startWorkers(t *testing.T, n int) string {
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	t.Cleanup(cancel)
 	var addrs []string
-	for i := 0; i < 2; i++ {
+	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -25,9 +33,7 @@ func TestRunDistributed(t *testing.T) {
 		addrs = append(addrs, ln.Addr().String())
 		go dist.Serve(ctx, ln)
 	}
-	if err := run("", "C3", 150, 8, "", 1, 0, 0, "", "", strings.Join(addrs, ","), "", 0, true); err != nil {
-		t.Fatal(err)
-	}
+	return strings.Join(addrs, ",")
 }
 
 func TestRunAutoMode(t *testing.T) {
@@ -160,10 +166,20 @@ func TestParseShares(t *testing.T) {
 // error (the CLI turns it into a non-zero exit), never a panic or a
 // silent default.
 func TestRunFlagValidation(t *testing.T) {
+	const tc = "tc(x,y) :- e(x,y). tc(x,z) :- tc(x,y), e(y,z)."
 	cases := []struct {
 		name string
 		err  func() error
 	}{
+		// A live pool, so only the flag check can fail the run.
+		{"datalog with max-replace", func() error {
+			err := run(tc, "", 30, 2, "", 1, 0, 0, "", "", startWorkers(t, 2), "", 1, false)
+			if err != nil && !strings.Contains(err.Error(), "a Datalog -query supports only") {
+				t.Errorf("rejected for the wrong reason: %v", err)
+			}
+			return err
+		}},
+		{"datalog with max-replace and no workers", func() error { return run(tc, "", 30, 2, "", 1, 0, 0, "", "", "", "", 1, false) }},
 		{"p zero", func() error { return run("", "C3", 100, 0, "", 1, 0, 0, "", "", "", "", 0, false) }},
 		{"p negative", func() error { return run("", "C3", 100, -4, "", 1, 0, 0, "", "", "", "", 0, false) }},
 		{"n zero", func() error { return run("", "C3", 0, 8, "", 1, 0, 0, "", "", "", "", 0, false) }},

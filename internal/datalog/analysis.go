@@ -3,6 +3,7 @@ package datalog
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Stratum is one evaluation unit: the rules of one strongly connected
@@ -37,6 +38,17 @@ type analysis struct {
 func (p *Program) Arity(pred string) (int, bool) {
 	n, ok := p.an.arity[pred]
 	return n, ok
+}
+
+// Schema names the columns of a predicate's relation, c0 … c(arity−1):
+// the attribute names of derived relations and generated EDB data
+// alike (atoms bind columns by position, so the names are labels only).
+func (p *Program) Schema(pred string) []string {
+	attrs := make([]string, p.an.arity[pred])
+	for i := range attrs {
+		attrs[i] = fmt.Sprintf("c%d", i)
+	}
+	return attrs
 }
 
 // IsIDB reports whether the predicate is defined by a rule.
@@ -93,6 +105,39 @@ func (p *Program) OutputPred() string {
 	return p.Rules[len(p.Rules)-1].Head.Pred
 }
 
+// Describe renders the program's evaluation structure, one line each:
+// the EDB and IDB predicates with arities, the strata in evaluation
+// order with their recursion flags, and the output predicate. It is
+// what every front door (mpcrun, mpcplan, the service's EXPLAIN field)
+// prints for a program.
+func (p *Program) Describe() string {
+	var sb strings.Builder
+	list := func(label string, preds []string) {
+		sb.WriteString(label)
+		for i, pred := range preds {
+			if i > 0 {
+				sb.WriteString(",")
+			}
+			fmt.Fprintf(&sb, " %s/%d", pred, p.an.arity[pred])
+			if p.an.aggPred[pred] {
+				sb.WriteString(" (aggregate)")
+			}
+		}
+		sb.WriteString("\n")
+	}
+	list("edb:", p.EDBPreds())
+	list("idb:", p.IDBPreds())
+	for i, s := range p.an.strata {
+		kind := "non-recursive"
+		if s.Recursive {
+			kind = "recursive — semi-naive fixpoint over warm delta maintenance"
+		}
+		fmt.Fprintf(&sb, "stratum %d (%s): %s, %d rule(s)\n", i, kind, strings.Join(s.Preds, ", "), len(s.Rules))
+	}
+	fmt.Fprintf(&sb, "output: %s\n", p.OutputPred())
+	return sb.String()
+}
+
 // analyze validates the parsed program and computes the evaluation
 // order. The checks, in the order a user hits them: consistent
 // arities, per-rule shape (non-empty distinct body, safety), the
@@ -108,7 +153,7 @@ func (p *Program) analyze() error {
 	note := func(pred string, arity, line int) error {
 		if prev, ok := p.an.arity[pred]; ok {
 			if prev != arity {
-				return fmt.Errorf("datalog: line %d: predicate %s used with arity %d and %d", line, pred, arity, prev)
+				return fmt.Errorf("line %d: predicate %s used with arity %d and %d", line, pred, arity, prev)
 			}
 			return nil
 		}
@@ -131,21 +176,21 @@ func (p *Program) analyze() error {
 		bodyVars := make(map[string]bool)
 		seenAtom := make(map[string]bool, len(r.Body))
 		for _, a := range r.Body {
-			if err := note(a.Pred, len(a.Vars), r.line); err != nil {
+			if err := note(a.Name, len(a.Vars), r.line); err != nil {
 				return err
 			}
-			if seenAtom[a.Pred] {
-				return fmt.Errorf("datalog: line %d: rule for %s repeats body predicate %s (self-joins are not supported; split the rule through an alias predicate)",
-					r.line, r.Head.Pred, a.Pred)
+			if seenAtom[a.Name] {
+				return fmt.Errorf("line %d: rule for %s repeats body predicate %s (self-joins are not supported; split the rule through an alias predicate)",
+					r.line, r.Head.Pred, a.Name)
 			}
-			seenAtom[a.Pred] = true
+			seenAtom[a.Name] = true
 			for _, v := range a.Vars {
 				bodyVars[v] = true
 			}
 		}
 		for _, t := range r.Head.Terms {
 			if !bodyVars[t.Var] {
-				return fmt.Errorf("datalog: line %d: rule for %s is unsafe: head variable %s does not occur in the body",
+				return fmt.Errorf("line %d: rule for %s is unsafe: head variable %s does not occur in the body",
 					r.line, r.Head.Pred, t.Var)
 			}
 		}
@@ -170,15 +215,15 @@ func (p *Program) analyze() error {
 			}
 		}
 		if n > 1 {
-			return fmt.Errorf("datalog: aggregate predicate %s has %d rules (exactly one defining rule is allowed)", pred, n)
+			return fmt.Errorf("aggregate predicate %s has %d rules (exactly one defining rule is allowed)", pred, n)
 		}
 	}
 	for i := range p.Rules {
 		r := &p.Rules[i]
 		for _, a := range r.Body {
-			if p.an.aggPred[a.Pred] {
-				return fmt.Errorf("datalog: line %d: aggregate predicate %s may not appear in a rule body (aggregates are terminal: query them with '?-')",
-					r.line, a.Pred)
+			if p.an.aggPred[a.Name] {
+				return fmt.Errorf("line %d: aggregate predicate %s may not appear in a rule body (aggregates are terminal: query them with '?-')",
+					r.line, a.Name)
 			}
 		}
 	}
@@ -186,15 +231,15 @@ func (p *Program) analyze() error {
 	if p.Goal != nil {
 		g := p.Goal
 		if !p.an.idb[g.Pred] {
-			return fmt.Errorf("datalog: line %d: goal predicate %s has no defining rule", g.line, g.Pred)
+			return fmt.Errorf("line %d: goal predicate %s has no defining rule", g.line, g.Pred)
 		}
 		if want := p.an.arity[g.Pred]; len(g.Vars) != want {
-			return fmt.Errorf("datalog: line %d: goal %s has %d variables, predicate has arity %d", g.line, g.Pred, len(g.Vars), want)
+			return fmt.Errorf("line %d: goal %s has %d variables, predicate has arity %d", g.line, g.Pred, len(g.Vars), want)
 		}
 		seen := make(map[string]bool, len(g.Vars))
 		for _, v := range g.Vars {
 			if seen[v] {
-				return fmt.Errorf("datalog: line %d: goal variable %s repeated (goal variables label output columns and must be distinct)", g.line, v)
+				return fmt.Errorf("line %d: goal variable %s repeated (goal variables label output columns and must be distinct)", g.line, v)
 			}
 			seen[v] = true
 		}
@@ -220,17 +265,17 @@ func (p *Program) checkAggregateRule(r *Rule, bodyVars map[string]bool) error {
 			continue
 		}
 		if sawAgg {
-			return fmt.Errorf("datalog: line %d: aggregate rule for %s: group variable %s after an aggregate term (group variables first, then aggregates)",
+			return fmt.Errorf("line %d: aggregate rule for %s: group variable %s after an aggregate term (group variables first, then aggregates)",
 				r.line, r.Head.Pred, t.Var)
 		}
 		if headVars[t.Var] {
-			return fmt.Errorf("datalog: line %d: aggregate rule for %s repeats group variable %s", r.line, r.Head.Pred, t.Var)
+			return fmt.Errorf("line %d: aggregate rule for %s repeats group variable %s", r.line, r.Head.Pred, t.Var)
 		}
 		headVars[t.Var] = true
 	}
 	for v := range bodyVars {
 		if !headVars[v] {
-			return fmt.Errorf("datalog: line %d: aggregate rule for %s: body variable %s missing from the head (aggregates fold the full body answer set, so every body variable must be a group variable or an aggregate argument)",
+			return fmt.Errorf("line %d: aggregate rule for %s: body variable %s missing from the head (aggregates fold the full body answer set, so every body variable must be a group variable or an aggregate argument)",
 				r.line, r.Head.Pred, v)
 		}
 	}
@@ -254,7 +299,7 @@ func (p *Program) stratify() []Stratum {
 		r := &p.Rules[i]
 		from := index[r.Head.Pred]
 		for _, a := range r.Body {
-			to, ok := index[a.Pred]
+			to, ok := index[a.Name]
 			if !ok {
 				continue // EDB
 			}

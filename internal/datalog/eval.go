@@ -9,7 +9,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/exchange"
 	"repro/internal/hypercube"
-	"repro/internal/localjoin"
 	"repro/internal/mpc"
 	"repro/internal/plan"
 	"repro/internal/query"
@@ -29,8 +28,6 @@ type Options struct {
 	CapConstant float64
 	// Seed drives every hash function of the run.
 	Seed uint64
-	// Strategy selects the per-worker local join algorithm.
-	Strategy localjoin.Strategy
 	// Dial returns a fresh transport for one execution session (a
 	// transport cannot be reused across sessions): one per rule-body
 	// plan execution, one per recursive-rule maintainer. nil runs
@@ -197,22 +194,25 @@ func (e *evaluator) dial() (dist.Transport, error) {
 // BodyQuery compiles the rule body into a conjunctive query named
 // after the head predicate — the unit the planner costs and executes.
 func (r *Rule) BodyQuery() (*query.Query, error) {
-	atoms := make([]query.Atom, len(r.Body))
-	for i, a := range r.Body {
-		atoms[i] = query.Atom{Name: a.Pred, Vars: append([]string(nil), a.Vars...)}
-	}
-	return query.New(r.Head.Pred, atoms...)
+	return query.New(r.Head.Pred, r.Body...)
 }
 
-// AggregateSpec returns the gather-fold spec of an aggregate rule
-// relative to the body query's variable order, or nil for a plain
-// rule: group columns are the plain head terms, aggregate columns the
-// aggregate terms, both in head order (analysis guarantees groups
-// precede aggregates, so the fold's output order is the head order).
-func (r *Rule) AggregateSpec(q *query.Query) *relation.GroupSpec {
-	if !r.HasAggregate() {
-		return nil
+// Plan is the one way from a rule to what executes it: the body query
+// planned over stats, with an aggregate head folded into the gather.
+// The planned query is the result's Query field.
+func (r *Rule) Plan(stats *relation.Stats, opts plan.Options) (*plan.Plan, error) {
+	q, err := r.BodyQuery()
+	if err != nil {
+		return nil, err
 	}
+	pl, err := plan.Build(q, stats, opts)
+	if err != nil || !r.HasAggregate() {
+		return pl, err
+	}
+	// The fold's spec, relative to the body query's variable order:
+	// group columns are the plain head terms, aggregate columns the
+	// aggregate terms, both in head order (analysis guarantees groups
+	// precede aggregates, so the fold's output order is the head order).
 	var spec relation.GroupSpec
 	for _, t := range r.Head.Terms {
 		if t.Agg != 0 {
@@ -221,7 +221,7 @@ func (r *Rule) AggregateSpec(q *query.Query) *relation.GroupSpec {
 			spec.GroupBy = append(spec.GroupBy, q.VarIndex(t.Var))
 		}
 	}
-	return &spec
+	return pl.WithAggregate(spec)
 }
 
 // headPositions maps each head term to its column in the body query's
@@ -246,13 +246,13 @@ func (e *evaluator) catalog(r *Rule) *relation.Stats {
 		cat.Relations[name] = &relation.RelationStats{Name: name, Count: len(rel.Tuples), Attrs: rel.Attrs}
 	}
 	for _, a := range r.Body {
-		rs := e.stats[a.Pred]
-		if rel, ok := e.wdb.Relation(a.Pred); ok && rs == nil {
+		rs := e.stats[a.Name]
+		if rel, ok := e.wdb.Relation(a.Name); ok && rs == nil {
 			rs = relation.CollectRelationStats(rel)
-			e.stats[a.Pred] = rs
+			e.stats[a.Name] = rs
 		}
 		if rs != nil {
-			cat.Relations[a.Pred] = rs
+			cat.Relations[a.Name] = rs
 		}
 	}
 	return cat
@@ -269,21 +269,13 @@ func (e *evaluator) record(stats *mpc.Stats, capExceeded bool, replacements int)
 // and returns the head facts (projected, or aggregate-folded) as one
 // sealed run.
 func (e *evaluator) evalRule(r *Rule) (*exchange.Buffer, error) {
-	q, err := r.BodyQuery()
-	if err != nil {
-		return nil, fmt.Errorf("datalog: rule for %s: %v", r.Head.Pred, err)
-	}
-	pl, err := plan.Build(q, e.catalog(r), plan.Options{
+	pl, err := r.Plan(e.catalog(r), plan.Options{
 		P: e.opts.P, Epsilon: e.opts.Epsilon, CapFactor: e.opts.CapConstant,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("datalog: rule for %s: %v", r.Head.Pred, err)
 	}
-	if r.HasAggregate() {
-		if pl, err = pl.WithAggregate(*r.AggregateSpec(q)); err != nil {
-			return nil, fmt.Errorf("datalog: rule for %s: %v", r.Head.Pred, err)
-		}
-	}
+	q := pl.Query
 	tr, err := e.dial()
 	if err != nil {
 		return nil, err
@@ -291,7 +283,6 @@ func (e *evaluator) evalRule(r *Rule) (*exchange.Buffer, error) {
 	res, err := pl.Execute(e.wdb, plan.ExecOptions{
 		Seed:        e.opts.Seed,
 		CapConstant: e.opts.CapConstant,
-		Strategy:    e.opts.Strategy,
 		Transport:   tr,
 		Context:     e.opts.Context,
 		Recovery:    e.opts.Recovery,
@@ -318,12 +309,7 @@ func (e *evaluator) install(pred string, run *exchange.Buffer) {
 	facts := run.Tuples()
 	e.facts[pred] = facts
 	delete(e.stats, pred)
-	arity, _ := e.prog.Arity(pred)
-	attrs := make([]string, arity)
-	for i := range attrs {
-		attrs[i] = fmt.Sprintf("c%d", i)
-	}
-	rel := relation.New(pred, attrs...)
+	rel := relation.New(pred, e.prog.Schema(pred)...)
 	rel.Tuples = facts
 	e.wdb.AddRelation(rel)
 }
@@ -361,7 +347,7 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 		r := &e.prog.Rules[ri]
 		rec := false
 		for _, a := range r.Body {
-			if inStratum[a.Pred] {
+			if inStratum[a.Name] {
 				rec = true
 				break
 			}
@@ -437,7 +423,6 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 			Epsilon:     epsF,
 			CapConstant: e.opts.CapConstant,
 			Seed:        e.opts.Seed,
-			Strategy:    e.opts.Strategy,
 			Transport:   tr,
 			Context:     e.opts.Context,
 			Recovery:    e.opts.Recovery,
@@ -478,8 +463,8 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 		for _, mm := range ms {
 			changes := make(map[string]relation.Effect)
 			for _, a := range mm.rule.Body {
-				if d := added[a.Pred]; inStratum[a.Pred] && len(d) > 0 {
-					changes[a.Pred] = relation.Effect{Added: d}
+				if d := added[a.Name]; inStratum[a.Name] && len(d) > 0 {
+					changes[a.Name] = relation.Effect{Added: d}
 				}
 			}
 			if len(changes) == 0 {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/dist/disttest"
 	"repro/internal/exchange"
 	"repro/internal/relation"
 )
@@ -179,14 +180,14 @@ func TestDatalogRecoversWorker(t *testing.T) {
 	// the recursive rule's maintainer, which is the one that loses a
 	// worker.
 	sessions := 0
-	var faulty *dist.FaultTransport
+	var faulty *disttest.FaultTransport
 	dial := func(p int) (dist.Transport, error) {
 		sessions++
 		if sessions != 2 {
 			return dist.NewLoopback(p), nil
 		}
-		faulty = dist.NewFaultTransport(dist.NewLoopback(p),
-			dist.Fault{Worker: 1, Op: dist.OpDelta, N: 1, Kind: dist.KillBefore})
+		faulty = disttest.NewFaultTransport(dist.NewLoopback(p),
+			disttest.Fault{Worker: 1, Op: disttest.OpDelta, N: 1, Kind: disttest.KillBefore})
 		return faulty, nil
 	}
 	res, err := Eval(MustParse(tcProgram), edgeDB(20, edges), Options{

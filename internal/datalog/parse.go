@@ -1,5 +1,5 @@
-// Package datalog is the text front end of the reproduction: a strict
-// parser and a stratified, semi-naive evaluator for Datalog programs —
+// Package datalog is the rule front end of the reproduction: a parser
+// and a stratified, semi-naive evaluator for Datalog programs —
 // conjunctive rules, grouped aggregation (count/sum/min/max) in rule
 // heads, and (mutually) recursive predicates. Rule bodies compile onto
 // the statistics-driven engines of internal/plan; recursive strata run
@@ -7,29 +7,20 @@
 // of internal/hypercube, so every semi-naive delta round is routed at
 // replication-factor cost instead of a rescatter.
 //
-// The grammar, deliberately strict where the conjunctive-query parser
-// was once lenient:
-//
-//	program   := { rule | goal }
-//	rule      := head ":-" atom { "," atom } "."
-//	goal      := "?-" atom "."
-//	head      := ident "(" term { "," term } ")"
-//	term      := ident | agg "(" ident ")"
-//	agg       := "count" | "sum" | "min" | "max"
-//	atom      := ident "(" ident { "," ident } ")"
-//
-// Identifiers are letters, digits and underscores beginning with a
-// letter; "%" starts a comment to end of line; every statement is
-// terminated by "."; empty positions ("e(x,,y)") and unterminated
-// statements are errors. Constants, negation, and facts in program
-// text are not supported — base relations arrive as EDB data.
+// A program is the second statement form of the text front end's one
+// lexical grammar — the tokens, the atom and the full grammar are
+// stated once, in internal/query (lex.go); a conjunctive query is the
+// first. This package owns the productions a query does not have
+// (program, rule, goal, head, term). Every statement is terminated by
+// "."; constants, negation, and facts in program text are not
+// supported — base relations arrive as EDB data.
 package datalog
 
 import (
 	"fmt"
 	"strings"
-	"unicode"
 
+	"repro/internal/query"
 	"repro/internal/relation"
 )
 
@@ -59,17 +50,10 @@ type Head struct {
 	Terms []Term
 }
 
-// Atom is a body (or goal) predicate applied to variables.
-type Atom struct {
-	// Pred is the predicate name.
-	Pred string
-	// Vars are the argument variables.
-	Vars []string
-}
-
-// String renders the atom.
-func (a Atom) String() string {
-	return fmt.Sprintf("%s(%s)", a.Pred, strings.Join(a.Vars, ", "))
+// writeAtom renders pred(v1, v2, …) in the program's canonical
+// spacing.
+func writeAtom(sb *strings.Builder, pred string, vars []string) {
+	fmt.Fprintf(sb, "%s(%s)", pred, strings.Join(vars, ", "))
 }
 
 // Rule is one Datalog rule head :- body.
@@ -77,7 +61,7 @@ type Rule struct {
 	// Head is the rule head.
 	Head Head
 	// Body lists the body atoms in written order.
-	Body []Atom
+	Body []query.Atom
 
 	line int
 }
@@ -107,7 +91,7 @@ func (r *Rule) String() string {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		sb.WriteString(a.String())
+		writeAtom(&sb, a.Name, a.Vars)
 	}
 	sb.WriteString(".")
 	return sb.String()
@@ -144,7 +128,9 @@ func (p *Program) String() string {
 		sb.WriteString("\n")
 	}
 	if p.Goal != nil {
-		fmt.Fprintf(&sb, "?- %s.\n", Atom{Pred: p.Goal.Pred, Vars: p.Goal.Vars})
+		sb.WriteString("?- ")
+		writeAtom(&sb, p.Goal.Pred, p.Goal.Vars)
+		sb.WriteString(".\n")
 	}
 	return sb.String()
 }
@@ -156,167 +142,44 @@ func IsDatalog(src string) bool {
 	return strings.Contains(src, ":-") || strings.Contains(src, "?-")
 }
 
-// ───────────────────────────── lexer ─────────────────────────────
-
-type tokKind uint8
-
-const (
-	tokIdent tokKind = iota + 1
-	tokLParen
-	tokRParen
-	tokComma
-	tokDot
-	tokImplies // ":-"
-	tokQuery   // "?-"
-	tokEOF
-)
-
-func (k tokKind) String() string {
-	switch k {
-	case tokIdent:
-		return "identifier"
-	case tokLParen:
-		return "'('"
-	case tokRParen:
-		return "')'"
-	case tokComma:
-		return "','"
-	case tokDot:
-		return "'.'"
-	case tokImplies:
-		return "':-'"
-	case tokQuery:
-		return "'?-'"
-	case tokEOF:
-		return "end of input"
-	default:
-		return "token"
-	}
-}
-
-type token struct {
-	kind tokKind
-	text string
-	line int
-}
-
-// lex tokenizes the whole program, rejecting anything outside the
-// grammar's alphabet.
-func lex(src string) ([]token, error) {
-	var toks []token
-	line := 1
-	rs := []rune(src)
-	for i := 0; i < len(rs); {
-		r := rs[i]
-		switch {
-		case r == '\n':
-			line++
-			i++
-		case unicode.IsSpace(r):
-			i++
-		case r == '%':
-			for i < len(rs) && rs[i] != '\n' {
-				i++
-			}
-		case r == '(':
-			toks = append(toks, token{tokLParen, "(", line})
-			i++
-		case r == ')':
-			toks = append(toks, token{tokRParen, ")", line})
-			i++
-		case r == ',':
-			toks = append(toks, token{tokComma, ",", line})
-			i++
-		case r == '.':
-			toks = append(toks, token{tokDot, ".", line})
-			i++
-		case r == ':':
-			if i+1 < len(rs) && rs[i+1] == '-' {
-				toks = append(toks, token{tokImplies, ":-", line})
-				i += 2
-			} else {
-				return nil, fmt.Errorf("datalog: line %d: ':' not followed by '-'", line)
-			}
-		case r == '?':
-			if i+1 < len(rs) && rs[i+1] == '-' {
-				toks = append(toks, token{tokQuery, "?-", line})
-				i += 2
-			} else {
-				return nil, fmt.Errorf("datalog: line %d: '?' not followed by '-'", line)
-			}
-		case unicode.IsLetter(r):
-			j := i + 1
-			for j < len(rs) && (unicode.IsLetter(rs[j]) || unicode.IsDigit(rs[j]) || rs[j] == '_') {
-				j++
-			}
-			toks = append(toks, token{tokIdent, string(rs[i:j]), line})
-			i = j
-		case unicode.IsDigit(r):
-			return nil, fmt.Errorf("datalog: line %d: constants are not supported (identifiers begin with a letter); load base facts as EDB data", line)
-		default:
-			return nil, fmt.Errorf("datalog: line %d: unexpected character %q", line, r)
-		}
-	}
-	toks = append(toks, token{tokEOF, "", line})
-	return toks, nil
-}
-
-// ───────────────────────────── parser ─────────────────────────────
-
-type parser struct {
-	toks []token
-	pos  int
-}
-
-func (p *parser) peek() token { return p.toks[p.pos] }
-
-func (p *parser) next() token {
-	t := p.toks[p.pos]
-	if t.kind != tokEOF {
-		p.pos++
-	}
-	return t
-}
-
-func (p *parser) expect(k tokKind) (token, error) {
-	t := p.next()
-	if t.kind != k {
-		return t, fmt.Errorf("datalog: line %d: expected %s, got %q", t.line, k, t.text)
-	}
-	return t, nil
-}
-
 // Parse reads and statically validates a Datalog program: syntax,
 // consistent predicate arities, range restriction (safety), the
 // aggregate discipline, and stratification (no recursion through
 // aggregation, no self-join bodies).
 func Parse(src string) (*Program, error) {
-	toks, err := lex(src)
+	prog, err := parse(src)
+	if err != nil {
+		return nil, fmt.Errorf("datalog: %w", err)
+	}
+	return prog, nil
+}
+
+func parse(src string) (*Program, error) {
+	ts, err := query.Tokenize(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
 	prog := &Program{}
-	for p.peek().kind != tokEOF {
-		if p.peek().kind == tokQuery {
-			g, err := p.parseGoal()
+	for ts.Peek().Text != "" {
+		if ts.Peek().Text == "?-" {
+			g, err := parseGoal(ts)
 			if err != nil {
 				return nil, err
 			}
 			if prog.Goal != nil {
-				return nil, fmt.Errorf("datalog: line %d: second goal (one '?-' per program)", g.line)
+				return nil, fmt.Errorf("line %d: second goal (one '?-' per program)", g.line)
 			}
 			prog.Goal = g
 			continue
 		}
-		r, err := p.parseRule()
+		r, err := parseRule(ts)
 		if err != nil {
 			return nil, err
 		}
 		prog.Rules = append(prog.Rules, *r)
 	}
 	if len(prog.Rules) == 0 {
-		return nil, fmt.Errorf("datalog: program has no rules")
+		return nil, fmt.Errorf("program has no rules")
 	}
 	if err := prog.analyze(); err != nil {
 		return nil, err
@@ -333,113 +196,76 @@ func MustParse(src string) *Program {
 	return p
 }
 
-func (p *parser) parseGoal() (*Goal, error) {
-	q, err := p.expect(tokQuery)
+// parseGoal reads goal := "?-" atom ".".
+func parseGoal(ts *query.Tokens) (*Goal, error) {
+	line := ts.Next().Line // "?-"
+	a, err := ts.Atom()
 	if err != nil {
 		return nil, err
 	}
-	a, err := p.parseAtom()
-	if err != nil {
+	if err := ts.Expect("."); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(tokDot); err != nil {
-		return nil, err
-	}
-	return &Goal{Pred: a.Pred, Vars: a.Vars, line: q.line}, nil
+	return &Goal{Pred: a.Name, Vars: a.Vars, line: line}, nil
 }
 
-func (p *parser) parseRule() (*Rule, error) {
-	name, err := p.expect(tokIdent)
+// parseRule reads rule := head ":-" atoms ".".
+func parseRule(ts *query.Tokens) (*Rule, error) {
+	name, err := ts.Ident()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(tokLParen); err != nil {
+	if err := ts.Expect("("); err != nil {
 		return nil, err
 	}
-	r := &Rule{Head: Head{Pred: name.text}, line: name.line}
+	r := &Rule{Head: Head{Pred: name.Text}, line: name.Line}
 	for {
-		t, err := p.parseTerm()
+		t, err := parseTerm(ts)
 		if err != nil {
 			return nil, err
 		}
 		r.Head.Terms = append(r.Head.Terms, t)
-		sep := p.next()
-		if sep.kind == tokRParen {
+		sep := ts.Next()
+		if sep.Text == ")" {
 			break
 		}
-		if sep.kind != tokComma {
-			return nil, fmt.Errorf("datalog: line %d: expected ',' or ')' in head of %s, got %q", sep.line, name.text, sep.text)
+		if sep.Text != "," {
+			return nil, fmt.Errorf("line %d: expected ',' or ')' in head of %s, got %s", sep.Line, name.Text, sep)
 		}
 	}
-	if _, err := p.expect(tokImplies); err != nil {
-		t := p.toks[p.pos]
-		return nil, fmt.Errorf("datalog: line %d: rule %s has no ':-' body (facts are not supported; load them as EDB data): got %q",
-			t.line, name.text, t.text)
+	if t := ts.Next(); t.Text != ":-" {
+		return nil, fmt.Errorf("line %d: rule %s has no ':-' body (facts are not supported; load them as EDB data): got %s",
+			t.Line, name.Text, t)
 	}
-	for {
-		a, err := p.parseAtom()
-		if err != nil {
-			return nil, err
-		}
-		r.Body = append(r.Body, a)
-		sep := p.next()
-		if sep.kind == tokDot {
-			break
-		}
-		if sep.kind != tokComma {
-			return nil, fmt.Errorf("datalog: line %d: expected ',' or '.' after body atom, got %q", sep.line, sep.text)
-		}
+	if r.Body, err = ts.Atoms(); err != nil {
+		return nil, err
+	}
+	if t := ts.Next(); t.Text != "." {
+		return nil, fmt.Errorf("line %d: expected ',' or '.' after body atom, got %s", t.Line, t)
 	}
 	return r, nil
 }
 
-// parseTerm reads a head term: ident, or agg "(" ident ")".
-func (p *parser) parseTerm() (Term, error) {
-	id, err := p.expect(tokIdent)
+// parseTerm reads term := ident | agg "(" ident ")".
+func parseTerm(ts *query.Tokens) (Term, error) {
+	id, err := ts.Ident()
 	if err != nil {
 		return Term{}, err
 	}
-	if p.peek().kind != tokLParen {
-		return Term{Var: id.text}, nil
+	if ts.Peek().Text != "(" {
+		return Term{Var: id.Text}, nil
 	}
-	f, ok := relation.ParseAggFunc(id.text)
+	f, ok := relation.ParseAggFunc(id.Text)
 	if !ok {
-		return Term{}, fmt.Errorf("datalog: line %d: unknown aggregate function %q (count, sum, min, max)", id.line, id.text)
+		return Term{}, fmt.Errorf("line %d: unknown aggregate function %q (count, sum, min, max)", id.Line, id.Text)
 	}
-	p.next() // '('
-	arg, err := p.expect(tokIdent)
+	ts.Next() // '('
+	arg, err := ts.Ident()
 	if err != nil {
 		return Term{}, err
 	}
-	if _, err := p.expect(tokRParen); err != nil {
+	if err := ts.Expect(")"); err != nil {
 		return Term{}, err
 	}
-	return Term{Var: arg.text, Agg: f}, nil
-}
-
-// parseAtom reads pred "(" var {"," var} ")".
-func (p *parser) parseAtom() (Atom, error) {
-	name, err := p.expect(tokIdent)
-	if err != nil {
-		return Atom{}, err
-	}
-	if _, err := p.expect(tokLParen); err != nil {
-		return Atom{}, err
-	}
-	a := Atom{Pred: name.text}
-	for {
-		v, err := p.expect(tokIdent)
-		if err != nil {
-			return Atom{}, fmt.Errorf("datalog: atom %s: %v", name.text, err)
-		}
-		a.Vars = append(a.Vars, v.text)
-		sep := p.next()
-		if sep.kind == tokRParen {
-			break
-		}
-		if sep.kind != tokComma {
-			return Atom{}, fmt.Errorf("datalog: line %d: expected ',' or ')' in atom %s, got %q", sep.line, name.text, sep.text)
-		}
-	}
-	return a, nil
+	return Term{Var: arg.Text, Agg: f}, nil
 }

@@ -1,4 +1,8 @@
-package dist
+// Package disttest is test scaffolding for code that runs on
+// dist.Cluster: a Transport wrapper that injects a deterministic,
+// counter-keyed schedule of worker failures, delays and duplicate
+// deliveries. It is imported by tests only.
+package disttest
 
 import (
 	"context"
@@ -6,6 +10,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/dist"
 	"repro/internal/exchange"
 )
 
@@ -115,7 +120,7 @@ var errFaultDead = errors.New("fault injected: worker is dead")
 // rather than time-keyed, a test net built on it has no sleeps and no
 // flakes.
 type FaultTransport struct {
-	inner Transport
+	inner dist.Transport
 
 	mu     sync.Mutex
 	faults []Fault
@@ -143,13 +148,13 @@ type opKey struct {
 type heldDelivery struct {
 	round int
 	ds    []exchange.Delivery
-	dds   []DeltaDelivery
+	dds   []dist.DeltaDelivery
 }
 
 // NewFaultTransport wraps inner with the fault schedule. The wrapped
 // transport satisfies Replaceable when inner does, which the recovery
 // tests rely on.
-func NewFaultTransport(inner Transport, faults ...Fault) *FaultTransport {
+func NewFaultTransport(inner dist.Transport, faults ...Fault) *FaultTransport {
 	return &FaultTransport{
 		inner:  inner,
 		faults: append([]Fault(nil), faults...),
@@ -202,7 +207,7 @@ func (ft *FaultTransport) Deliver(ctx context.Context, round int, ds []exchange.
 		mine := byWorker[w]
 		if ft.dead[w] {
 			if len(mine) > 0 {
-				errs = append(errs, &WorkerError{Worker: w, Err: errFaultDead})
+				errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultDead})
 			}
 			continue
 		}
@@ -214,12 +219,12 @@ func (ft *FaultTransport) Deliver(ctx context.Context, round int, ds []exchange.
 		switch f.Kind {
 		case KillBefore:
 			// The worker's slice never arrives.
-			errs = append(errs, &WorkerError{Worker: w, Err: errFaultKilled})
+			errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultKilled})
 		case KillAfter:
 			// The slice arrives, then the connection dies; the
 			// coordinator cannot tell, so it still sees a failure.
 			pass = append(pass, mine...)
-			errs = append(errs, &WorkerError{Worker: w, Err: errFaultKilled})
+			errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultKilled})
 		case DelayToBarrier:
 			ft.held = append(ft.held, heldDelivery{round: round, ds: mine})
 		case DuplicateDelivery:
@@ -244,19 +249,19 @@ func (ft *FaultTransport) Deliver(ctx context.Context, round int, ds []exchange.
 // Barrier, DuplicateDelivery applies it twice — tombstones are
 // idempotent and appended duplicates dedup at the gather merge, so
 // results must not change.
-func (ft *FaultTransport) ApplyDelta(ctx context.Context, round int, ds []DeltaDelivery) error {
-	byWorker := make(map[int][]DeltaDelivery)
+func (ft *FaultTransport) ApplyDelta(ctx context.Context, round int, ds []dist.DeltaDelivery) error {
+	byWorker := make(map[int][]dist.DeltaDelivery)
 	for _, d := range ds {
 		byWorker[d.To] = append(byWorker[d.To], d)
 	}
 	ft.mu.Lock()
-	var pass []DeltaDelivery
+	var pass []dist.DeltaDelivery
 	var errs []error
 	for w := 0; w < ft.inner.Workers(); w++ {
 		mine := byWorker[w]
 		if ft.dead[w] {
 			if len(mine) > 0 {
-				errs = append(errs, &WorkerError{Worker: w, Err: errFaultDead})
+				errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultDead})
 			}
 			continue
 		}
@@ -268,12 +273,12 @@ func (ft *FaultTransport) ApplyDelta(ctx context.Context, round int, ds []DeltaD
 		switch f.Kind {
 		case KillBefore:
 			// The worker's slice never arrives.
-			errs = append(errs, &WorkerError{Worker: w, Err: errFaultKilled})
+			errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultKilled})
 		case KillAfter:
 			// The slice arrives, then the connection dies; the
 			// coordinator cannot tell, so it still sees a failure.
 			pass = append(pass, mine...)
-			errs = append(errs, &WorkerError{Worker: w, Err: errFaultKilled})
+			errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultKilled})
 		case DelayToBarrier:
 			ft.held = append(ft.held, heldDelivery{round: round, dds: mine})
 		case DuplicateDelivery:
@@ -302,13 +307,13 @@ func (ft *FaultTransport) Barrier(ctx context.Context, round int) error {
 	var errs []error
 	for w := 0; w < ft.inner.Workers(); w++ {
 		if ft.dead[w] {
-			errs = append(errs, &WorkerError{Worker: w, Err: errFaultDead})
+			errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultDead})
 			continue
 		}
 		if f, ok := ft.step(w, OpBarrier); ok {
 			switch f.Kind {
 			case KillBefore, KillAfter:
-				errs = append(errs, &WorkerError{Worker: w, Err: errFaultKilled})
+				errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultKilled})
 			}
 		}
 	}
@@ -336,18 +341,18 @@ func (ft *FaultTransport) Barrier(ctx context.Context, round int) error {
 // dead while the healthy pool still evaluates — exactly what a dead
 // TCP connection looks like to the coordinator — and the replaced
 // worker re-evaluates during replay.
-func (ft *FaultTransport) Join(ctx context.Context, spec JoinSpec) error {
+func (ft *FaultTransport) Join(ctx context.Context, spec dist.JoinSpec) error {
 	ft.mu.Lock()
 	var errs []error
 	for w := 0; w < ft.inner.Workers(); w++ {
 		if ft.dead[w] {
-			errs = append(errs, &WorkerError{Worker: w, Err: errFaultDead})
+			errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultDead})
 			continue
 		}
 		if f, ok := ft.step(w, OpJoin); ok {
 			switch f.Kind {
 			case KillBefore, KillAfter:
-				errs = append(errs, &WorkerError{Worker: w, Err: errFaultKilled})
+				errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultKilled})
 			}
 		}
 	}
@@ -367,13 +372,13 @@ func (ft *FaultTransport) Gather(ctx context.Context, view string) ([]*exchange.
 	var errs []error
 	for w := 0; w < ft.inner.Workers(); w++ {
 		if ft.dead[w] {
-			errs = append(errs, &WorkerError{Worker: w, Err: errFaultDead})
+			errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultDead})
 			continue
 		}
 		if f, ok := ft.step(w, OpGather); ok {
 			switch f.Kind {
 			case KillBefore, KillAfter:
-				errs = append(errs, &WorkerError{Worker: w, Err: errFaultKilled})
+				errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultKilled})
 			}
 		}
 	}
@@ -388,10 +393,10 @@ func (ft *FaultTransport) Gather(ctx context.Context, view string) ([]*exchange.
 func (ft *FaultTransport) Close() error { return ft.inner.Close() }
 
 // replaceable returns the inner transport's recovery surface.
-func (ft *FaultTransport) replaceable() (Replaceable, error) {
-	rt, ok := ft.inner.(Replaceable)
+func (ft *FaultTransport) replaceable() (dist.Replaceable, error) {
+	rt, ok := ft.inner.(dist.Replaceable)
 	if !ok {
-		return nil, fmt.Errorf("dist: fault transport wraps %T, which does not support recovery", ft.inner)
+		return nil, fmt.Errorf("disttest: fault transport wraps %T, which does not support recovery", ft.inner)
 	}
 	return rt, nil
 }
@@ -414,7 +419,7 @@ func (ft *FaultTransport) ReplaceWorker(ctx context.Context, w int) error {
 
 // JoinWorker implements Replaceable; replay traffic is not subject to
 // the fault schedule but still fails against a dead worker.
-func (ft *FaultTransport) JoinWorker(ctx context.Context, w int, spec JoinSpec) error {
+func (ft *FaultTransport) JoinWorker(ctx context.Context, w int, spec dist.JoinSpec) error {
 	if err := ft.checkDead(w); err != nil {
 		return err
 	}
@@ -447,7 +452,7 @@ func (ft *FaultTransport) Announce(ctx context.Context, epoch uint32) error {
 	var errs []error
 	ft.mu.Lock()
 	for w := range ft.dead {
-		errs = append(errs, &WorkerError{Worker: w, Err: errFaultDead})
+		errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultDead})
 	}
 	ft.mu.Unlock()
 	if err := rt.Announce(ctx, epoch); err != nil {
@@ -462,7 +467,7 @@ func (ft *FaultTransport) checkDead(w int) error {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
 	if ft.dead[w] {
-		return &WorkerError{Worker: w, Err: errFaultDead}
+		return &dist.WorkerError{Worker: w, Err: errFaultDead}
 	}
 	return nil
 }
@@ -473,4 +478,4 @@ func (ft *FaultTransport) checkDead(w int) error {
 // channel, the schedule simply never fires twice (faults are
 // one-shot), so replay traffic only fails when the worker is dead —
 // the semantics recovery expects.
-var _ Replaceable = (*FaultTransport)(nil)
+var _ dist.Replaceable = (*FaultTransport)(nil)

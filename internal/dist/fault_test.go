@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/dist/disttest"
 	"repro/internal/exchange"
 	"repro/internal/relation"
 )
@@ -25,8 +26,8 @@ func scatterTo(t *testing.T, w int, store string) []exchange.Delivery {
 // same WorkerError — until ReplaceWorker clears it.
 func TestFaultTransportKillMasksUntilReplace(t *testing.T) {
 	ctx := context.Background()
-	ft := dist.NewFaultTransport(dist.NewLoopback(3),
-		dist.Fault{Worker: 1, Op: dist.OpDeliver, N: 0, Kind: dist.KillBefore})
+	ft := disttest.NewFaultTransport(dist.NewLoopback(3),
+		disttest.Fault{Worker: 1, Op: disttest.OpDeliver, N: 0, Kind: disttest.KillBefore})
 
 	err := ft.Deliver(ctx, 1, scatterTo(t, 1, "R"))
 	if err == nil {
@@ -72,8 +73,8 @@ func TestFaultTransportKillMasksUntilReplace(t *testing.T) {
 func TestFaultTransportDeterministic(t *testing.T) {
 	ctx := context.Background()
 	run := func() (failedAt int) {
-		ft := dist.NewFaultTransport(dist.NewLoopback(2),
-			dist.Fault{Worker: 0, Op: dist.OpDeliver, N: 2, Kind: dist.KillBefore})
+		ft := disttest.NewFaultTransport(dist.NewLoopback(2),
+			disttest.Fault{Worker: 0, Op: disttest.OpDeliver, N: 2, Kind: disttest.KillBefore})
 		for i := 0; i < 5; i++ {
 			if err := ft.Deliver(ctx, 1, scatterTo(t, 0, "R")); err != nil {
 				return i
@@ -93,8 +94,8 @@ func TestFaultTransportDeterministic(t *testing.T) {
 func TestFaultTransportDelayFlushesAtBarrier(t *testing.T) {
 	ctx := context.Background()
 	lb := dist.NewLoopback(2)
-	ft := dist.NewFaultTransport(lb,
-		dist.Fault{Worker: 0, Op: dist.OpDeliver, N: 0, Kind: dist.DelayToBarrier})
+	ft := disttest.NewFaultTransport(lb,
+		disttest.Fault{Worker: 0, Op: disttest.OpDeliver, N: 0, Kind: disttest.DelayToBarrier})
 	if err := ft.Deliver(ctx, 1, scatterTo(t, 0, "R")); err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +125,9 @@ func TestFaultTransportDelayFlushesAtBarrier(t *testing.T) {
 // dead worker so the healer can queue them all.
 func TestFaultTransportAnnounceSurfacesDead(t *testing.T) {
 	ctx := context.Background()
-	ft := dist.NewFaultTransport(dist.NewLoopback(3),
-		dist.Fault{Worker: 0, Op: dist.OpDeliver, N: 0, Kind: dist.KillBefore},
-		dist.Fault{Worker: 2, Op: dist.OpDeliver, N: 0, Kind: dist.KillBefore})
+	ft := disttest.NewFaultTransport(dist.NewLoopback(3),
+		disttest.Fault{Worker: 0, Op: disttest.OpDeliver, N: 0, Kind: disttest.KillBefore},
+		disttest.Fault{Worker: 2, Op: disttest.OpDeliver, N: 0, Kind: disttest.KillBefore})
 	if err := ft.Deliver(ctx, 1, scatterTo(t, 1, "R")); err == nil {
 		t.Fatal("double kill delivered cleanly")
 	}

@@ -34,8 +34,8 @@ import (
 // journaled when deferred, a worker that dies mid-stream is replaced
 // and replayed from the journal exactly as in sync mode, and the
 // fence then retries only the idempotent gather. Transports that
-// cannot stream a script (Loopback, FaultTransport) fall back to
-// executing the deferred operations through the ordinary primitive
+// cannot stream a script (Loopback, disttest.FaultTransport) fall back
+// to executing the deferred operations through the ordinary primitive
 // methods at the fence — same calls, same order, same fault
 // semantics, just relocated.
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/dist/disttest"
 	"repro/internal/hypercube"
 	"repro/internal/mpc"
 	"repro/internal/multiround"
@@ -112,18 +113,18 @@ func TestRecoveryKillPointsPipelined(t *testing.T) {
 
 		points := []struct {
 			name   string
-			faults []dist.Fault
+			faults []disttest.Fault
 			kills  int
 			ok     bool
 		}{
-			{"scatter-kill", []dist.Fault{{Worker: 1, Op: dist.OpDeliver, N: 0, Kind: dist.KillBefore}}, 1, true},
-			{"last-scatter-kill", []dist.Fault{{Worker: 0, Op: dist.OpDeliver, N: counter.delivers - 1, Kind: dist.KillBefore}}, 1, counter.delivers > 1},
-			{"barrier-kill", []dist.Fault{{Worker: 0, Op: dist.OpBarrier, N: 0, Kind: dist.KillBefore}}, 1, true},
-			{"join-kill", []dist.Fault{{Worker: 1, Op: dist.OpJoin, N: 0, Kind: dist.KillBefore}}, 1, true},
-			{"gather-kill", []dist.Fault{{Worker: 3, Op: dist.OpGather, N: 0, Kind: dist.KillBefore}}, 1, true},
-			{"double-kill", []dist.Fault{
-				{Worker: 1, Op: dist.OpDeliver, N: 0, Kind: dist.KillBefore},
-				{Worker: 2, Op: dist.OpJoin, N: 0, Kind: dist.KillBefore},
+			{"scatter-kill", []disttest.Fault{{Worker: 1, Op: disttest.OpDeliver, N: 0, Kind: disttest.KillBefore}}, 1, true},
+			{"last-scatter-kill", []disttest.Fault{{Worker: 0, Op: disttest.OpDeliver, N: counter.delivers - 1, Kind: disttest.KillBefore}}, 1, counter.delivers > 1},
+			{"barrier-kill", []disttest.Fault{{Worker: 0, Op: disttest.OpBarrier, N: 0, Kind: disttest.KillBefore}}, 1, true},
+			{"join-kill", []disttest.Fault{{Worker: 1, Op: disttest.OpJoin, N: 0, Kind: disttest.KillBefore}}, 1, true},
+			{"gather-kill", []disttest.Fault{{Worker: 3, Op: disttest.OpGather, N: 0, Kind: disttest.KillBefore}}, 1, true},
+			{"double-kill", []disttest.Fault{
+				{Worker: 1, Op: disttest.OpDeliver, N: 0, Kind: disttest.KillBefore},
+				{Worker: 2, Op: disttest.OpJoin, N: 0, Kind: disttest.KillBefore},
 			}, 2, true},
 		}
 		for _, pt := range points {
@@ -132,7 +133,7 @@ func TestRecoveryKillPointsPipelined(t *testing.T) {
 			}
 			pt := pt
 			t.Run(eng.name+"/"+pt.name, func(t *testing.T) {
-				ft := dist.NewFaultTransport(dist.NewLoopback(p), pt.faults...)
+				ft := disttest.NewFaultTransport(dist.NewLoopback(p), pt.faults...)
 				ans, stats, repl := eng.run(t, ft, dist.RecoveryOptions{Enabled: true, MaxReplacements: 8})
 				if !sameTuples(ans, eng.truth) {
 					t.Errorf("%d answers, ground truth %d", len(ans), len(eng.truth))

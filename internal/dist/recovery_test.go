@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/dist/disttest"
 	"repro/internal/exchange"
 	"repro/internal/hypercube"
 	"repro/internal/mpc"
@@ -20,7 +21,7 @@ import (
 
 // The recovery test net: a table of kill-points × engines ×
 // transports. Every entry injects a deterministic fault schedule
-// (dist.FaultTransport — counter-keyed, no timers) into a full engine
+// (disttest.FaultTransport — counter-keyed, no timers) into a full engine
 // execution with recovery enabled, then demands the answers match the
 // single-node ground truth and the round statistics match the
 // fault-free baseline byte for byte. A lost worker must be invisible
@@ -157,24 +158,24 @@ func TestRecoveryKillPoints(t *testing.T) {
 		// Kill-points, placed against the measured phase counts.
 		points := []struct {
 			name   string
-			faults []dist.Fault
+			faults []disttest.Fault
 			kills  int
 			ok     bool
 		}{
-			{"scatter-kill-before", []dist.Fault{{Worker: 1, Op: dist.OpDeliver, N: 0, Kind: dist.KillBefore}}, 1, true},
-			{"scatter-kill-after", []dist.Fault{{Worker: 2, Op: dist.OpDeliver, N: 0, Kind: dist.KillAfter}}, 1, true},
-			{"last-scatter-kill", []dist.Fault{{Worker: 0, Op: dist.OpDeliver, N: counter.delivers - 1, Kind: dist.KillBefore}}, 1, counter.delivers > 1},
-			{"barrier-kill", []dist.Fault{{Worker: 0, Op: dist.OpBarrier, N: 0, Kind: dist.KillBefore}}, 1, true},
-			{"round-2-barrier-kill", []dist.Fault{{Worker: 2, Op: dist.OpBarrier, N: 1, Kind: dist.KillBefore}}, 1, counter.barriers > 1},
-			{"join-kill", []dist.Fault{{Worker: 1, Op: dist.OpJoin, N: 0, Kind: dist.KillBefore}}, 1, true},
-			{"last-join-kill", []dist.Fault{{Worker: 3, Op: dist.OpJoin, N: counter.joins - 1, Kind: dist.KillBefore}}, 1, counter.joins > 1},
-			{"gather-kill", []dist.Fault{{Worker: 3, Op: dist.OpGather, N: 0, Kind: dist.KillBefore}}, 1, true},
-			{"double-kill", []dist.Fault{
-				{Worker: 1, Op: dist.OpDeliver, N: 0, Kind: dist.KillBefore},
-				{Worker: 2, Op: dist.OpJoin, N: 0, Kind: dist.KillBefore},
+			{"scatter-kill-before", []disttest.Fault{{Worker: 1, Op: disttest.OpDeliver, N: 0, Kind: disttest.KillBefore}}, 1, true},
+			{"scatter-kill-after", []disttest.Fault{{Worker: 2, Op: disttest.OpDeliver, N: 0, Kind: disttest.KillAfter}}, 1, true},
+			{"last-scatter-kill", []disttest.Fault{{Worker: 0, Op: disttest.OpDeliver, N: counter.delivers - 1, Kind: disttest.KillBefore}}, 1, counter.delivers > 1},
+			{"barrier-kill", []disttest.Fault{{Worker: 0, Op: disttest.OpBarrier, N: 0, Kind: disttest.KillBefore}}, 1, true},
+			{"round-2-barrier-kill", []disttest.Fault{{Worker: 2, Op: disttest.OpBarrier, N: 1, Kind: disttest.KillBefore}}, 1, counter.barriers > 1},
+			{"join-kill", []disttest.Fault{{Worker: 1, Op: disttest.OpJoin, N: 0, Kind: disttest.KillBefore}}, 1, true},
+			{"last-join-kill", []disttest.Fault{{Worker: 3, Op: disttest.OpJoin, N: counter.joins - 1, Kind: disttest.KillBefore}}, 1, counter.joins > 1},
+			{"gather-kill", []disttest.Fault{{Worker: 3, Op: disttest.OpGather, N: 0, Kind: disttest.KillBefore}}, 1, true},
+			{"double-kill", []disttest.Fault{
+				{Worker: 1, Op: disttest.OpDeliver, N: 0, Kind: disttest.KillBefore},
+				{Worker: 2, Op: disttest.OpJoin, N: 0, Kind: disttest.KillBefore},
 			}, 2, true},
-			{"delay-to-barrier", []dist.Fault{{Worker: 1, Op: dist.OpDeliver, N: 0, Kind: dist.DelayToBarrier}}, 0, true},
-			{"duplicate-delivery", []dist.Fault{{Worker: 2, Op: dist.OpDeliver, N: 0, Kind: dist.DuplicateDelivery}}, 0, true},
+			{"delay-to-barrier", []disttest.Fault{{Worker: 1, Op: disttest.OpDeliver, N: 0, Kind: disttest.DelayToBarrier}}, 0, true},
+			{"duplicate-delivery", []disttest.Fault{{Worker: 2, Op: disttest.OpDeliver, N: 0, Kind: disttest.DuplicateDelivery}}, 0, true},
 		}
 		for _, pt := range points {
 			if !pt.ok {
@@ -189,7 +190,7 @@ func TestRecoveryKillPoints(t *testing.T) {
 					} else {
 						inner = dialPool(t, startPool(t, p))
 					}
-					ft := dist.NewFaultTransport(inner, pt.faults...)
+					ft := disttest.NewFaultTransport(inner, pt.faults...)
 					rec := dist.RecoveryOptions{Enabled: true, MaxReplacements: 8}
 					ans, stats, repl := eng.run(t, ft, rec)
 					if !sameTuples(ans, eng.truth) {
@@ -221,8 +222,8 @@ func TestRecoveryWithoutPolicyStillFails(t *testing.T) {
 	const p = 4
 	q := query.Cycle(3)
 	db := relation.MatchingDatabase(rand.New(rand.NewPCG(100, 0)), q, 100)
-	ft := dist.NewFaultTransport(dist.NewLoopback(p),
-		dist.Fault{Worker: 1, Op: dist.OpBarrier, N: 0, Kind: dist.KillBefore})
+	ft := disttest.NewFaultTransport(dist.NewLoopback(p),
+		disttest.Fault{Worker: 1, Op: disttest.OpBarrier, N: 0, Kind: disttest.KillBefore})
 	_, err := hypercube.Run(q, db, p, hypercube.Options{Seed: 23, Transport: ft})
 	if err == nil {
 		t.Fatal("kill without recovery succeeded")
@@ -238,10 +239,10 @@ func TestRecoveryBudgetExhausted(t *testing.T) {
 	const p = 4
 	q := query.Cycle(3)
 	db := relation.MatchingDatabase(rand.New(rand.NewPCG(100, 0)), q, 100)
-	ft := dist.NewFaultTransport(dist.NewLoopback(p),
-		dist.Fault{Worker: 0, Op: dist.OpDeliver, N: 0, Kind: dist.KillBefore},
-		dist.Fault{Worker: 1, Op: dist.OpDeliver, N: 1, Kind: dist.KillBefore},
-		dist.Fault{Worker: 2, Op: dist.OpDeliver, N: 2, Kind: dist.KillBefore},
+	ft := disttest.NewFaultTransport(dist.NewLoopback(p),
+		disttest.Fault{Worker: 0, Op: disttest.OpDeliver, N: 0, Kind: disttest.KillBefore},
+		disttest.Fault{Worker: 1, Op: disttest.OpDeliver, N: 1, Kind: disttest.KillBefore},
+		disttest.Fault{Worker: 2, Op: disttest.OpDeliver, N: 2, Kind: disttest.KillBefore},
 	)
 	_, err := hypercube.Run(q, db, p, hypercube.Options{
 		Seed:      23,
@@ -261,8 +262,8 @@ func TestRecoveryAnnouncesEpoch(t *testing.T) {
 	q := query.Cycle(3)
 	db := relation.MatchingDatabase(rand.New(rand.NewPCG(100, 0)), q, 100)
 	lb := dist.NewLoopback(p)
-	ft := dist.NewFaultTransport(lb,
-		dist.Fault{Worker: 1, Op: dist.OpDeliver, N: 0, Kind: dist.KillBefore})
+	ft := disttest.NewFaultTransport(lb,
+		disttest.Fault{Worker: 1, Op: disttest.OpDeliver, N: 0, Kind: disttest.KillBefore})
 	res, err := hypercube.Run(q, db, p, hypercube.Options{
 		Seed:      23,
 		Transport: ft,

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/dist/disttest"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -118,7 +119,7 @@ func TestSkewPlannerRunNative(t *testing.T) {
 						t.Errorf("%s pipeline=%v: round stats differ from the sync loopback run", kind, pipeline)
 					}
 				}
-				ft := dist.NewFaultTransport(transport(), dist.Fault{Worker: 0, Op: dist.OpBarrier, N: 0, Kind: dist.KillBefore})
+				ft := disttest.NewFaultTransport(transport(), disttest.Fault{Worker: 0, Op: disttest.OpBarrier, N: 0, Kind: disttest.KillBefore})
 				res := run(pl, ft, false, dist.RecoveryOptions{Enabled: true, MaxReplacements: 8})
 				if !reflect.DeepEqual(res.Stats.Rounds, base.Stats.Rounds) || ft.Kills() != 1 || res.Replacements < 1 {
 					t.Errorf("%s barrier kill: %d kills, %d replacements, stats equal %v",

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/dist/disttest"
 	"repro/internal/exchange"
 	"repro/internal/hypercube"
 	"repro/internal/mpc"
@@ -168,7 +169,7 @@ func TestRecoveryWideRescatter(t *testing.T) {
 				if kind == "tcp" {
 					inner = dialPool(t, startPool(t, p))
 				}
-				ft := dist.NewFaultTransport(inner, dist.Fault{Worker: 2, Op: dist.OpBarrier, N: 1, Kind: dist.KillBefore})
+				ft := disttest.NewFaultTransport(inner, disttest.Fault{Worker: 2, Op: disttest.OpBarrier, N: 1, Kind: disttest.KillBefore})
 				res, err := multiround.Execute(pl, db, p, multiround.Options{
 					Seed: 23, Transport: ft, Pipeline: pipeline,
 					Recovery: dist.RecoveryOptions{Enabled: true, MaxReplacements: 4},

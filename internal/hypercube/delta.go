@@ -100,7 +100,7 @@ func NewMaintainer(q *query.Query, db *relation.Database, p int, opts Options) (
 		}
 		seen[a.Name] = true
 	}
-	shares, err := SharesForQuery(q, p, opts.Rounding)
+	shares, err := SharesForQuery(q, p, GreedyRounding)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/dist/disttest"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/trace"
@@ -400,17 +401,17 @@ func TestMaintainerFaultInjection(t *testing.T) {
 	const n, p = 30, 4
 	cases := []struct {
 		name   string
-		faults []dist.Fault
+		faults []disttest.Fault
 		kills  int
 	}{
-		{"kill-before-delta", []dist.Fault{{Worker: 1, Op: dist.OpDelta, N: 0, Kind: dist.KillBefore}}, 1},
-		{"kill-after-delta", []dist.Fault{{Worker: 2, Op: dist.OpDelta, N: 1, Kind: dist.KillAfter}}, 1},
-		{"kill-at-maintenance-join", []dist.Fault{{Worker: 0, Op: dist.OpJoin, N: 1, Kind: dist.KillBefore}}, 1},
-		{"delay-delta-to-barrier", []dist.Fault{{Worker: 3, Op: dist.OpDelta, N: 0, Kind: dist.DelayToBarrier}}, 0},
-		{"duplicate-delta", []dist.Fault{{Worker: 0, Op: dist.OpDelta, N: 0, Kind: dist.DuplicateDelivery}}, 0},
-		{"double-kill", []dist.Fault{
-			{Worker: 1, Op: dist.OpDelta, N: 0, Kind: dist.KillBefore},
-			{Worker: 2, Op: dist.OpJoin, N: 2, Kind: dist.KillAfter},
+		{"kill-before-delta", []disttest.Fault{{Worker: 1, Op: disttest.OpDelta, N: 0, Kind: disttest.KillBefore}}, 1},
+		{"kill-after-delta", []disttest.Fault{{Worker: 2, Op: disttest.OpDelta, N: 1, Kind: disttest.KillAfter}}, 1},
+		{"kill-at-maintenance-join", []disttest.Fault{{Worker: 0, Op: disttest.OpJoin, N: 1, Kind: disttest.KillBefore}}, 1},
+		{"delay-delta-to-barrier", []disttest.Fault{{Worker: 3, Op: disttest.OpDelta, N: 0, Kind: disttest.DelayToBarrier}}, 0},
+		{"duplicate-delta", []disttest.Fault{{Worker: 0, Op: disttest.OpDelta, N: 0, Kind: disttest.DuplicateDelivery}}, 0},
+		{"double-kill", []disttest.Fault{
+			{Worker: 1, Op: disttest.OpDelta, N: 0, Kind: disttest.KillBefore},
+			{Worker: 2, Op: disttest.OpJoin, N: 2, Kind: disttest.KillAfter},
 		}, 2},
 	}
 	for _, c := range cases {
@@ -418,7 +419,7 @@ func TestMaintainerFaultInjection(t *testing.T) {
 			rng := rand.New(rand.NewPCG(0xfa117, uint64(len(c.name))))
 			db0 := relation.MatchingDatabase(rng, q, n)
 			sc := buildScenario(t, rng, q, db0, 4)
-			ft := dist.NewFaultTransport(dist.NewLoopback(p), c.faults...)
+			ft := disttest.NewFaultTransport(dist.NewLoopback(p), c.faults...)
 			m := runMaintainer(t, sc, p, Options{
 				Seed:      9,
 				Transport: ft,

@@ -339,8 +339,6 @@ type Options struct {
 	CapConstant float64
 	// Seed drives hash-function choice (and sampling in RunSampled).
 	Seed uint64
-	// Rounding selects the integer share strategy.
-	Rounding RoundingMode
 	// Strategy selects the per-worker local join algorithm. The zero
 	// value is localjoin.Default, i.e. the worst-case-optimal multiway
 	// join — the right evaluator for the cyclic residual queries HC
@@ -395,7 +393,7 @@ type Result struct {
 // and returns all answers found (on matching databases this is the
 // complete answer when ε ≥ 1−1/τ*).
 func Run(q *query.Query, db *relation.Database, p int, opts Options) (*Result, error) {
-	shares, err := SharesForQuery(q, p, opts.Rounding)
+	shares, err := SharesForQuery(q, p, GreedyRounding)
 	if err != nil {
 		return nil, err
 	}
@@ -422,7 +420,7 @@ func RunSampled(q *query.Query, db *relation.Database, p int, opts Options) (*Re
 		f, _ := v.Float64()
 		exps[i] = (1 - opts.Epsilon) * f
 	}
-	shares, err := ComputeShares(q.Vars(), exps, p, opts.Rounding)
+	shares, err := ComputeShares(q.Vars(), exps, p, GreedyRounding)
 	if err != nil {
 		return nil, err
 	}

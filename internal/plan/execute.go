@@ -121,7 +121,7 @@ func (p *Plan) executeSkewJoin(db *relation.Database, opts ExecOptions) (*Result
 	}
 	rt := p.Routing
 	if rt == nil {
-		rt = skew.CompileFromData(relR, m.RY, relS, m.SY, p.P, p.heavyFactor)
+		rt = skew.CompileFromData(relR, m.RY, relS, m.SY, p.P, heavyFactor)
 	}
 	res, err := skew.Execute(p.Query, relR, relS, m.RY, m.SY, rt, opts.Strategy, skew.Options{
 		Seed:        opts.Seed,

@@ -50,9 +50,6 @@ func (k CacheKey) String() string {
 	if k.Opts.CapFactor > 0 {
 		fmt.Fprintf(&sb, "|cap=%g", k.Opts.CapFactor)
 	}
-	if k.Opts.HeavyFactor > 0 {
-		fmt.Fprintf(&sb, "|heavy=%g", k.Opts.HeavyFactor)
-	}
 	return sb.String()
 }
 
@@ -65,16 +62,11 @@ func (k CacheKey) Fingerprint() string {
 
 // Fingerprint digests the plan's own planning problem: the query it
 // was built for and the effective options it was built with (p, the
-// resolved ε, the budget and heavy-hitter factors). Plans built from
+// resolved ε, the budget factor). Plans built from
 // equal CacheKeys report equal fingerprints.
 func (p *Plan) Fingerprint() string {
 	return CacheKey{
 		Query: p.Query,
-		Opts: Options{
-			P:           p.P,
-			Epsilon:     p.Epsilon,
-			CapFactor:   p.capFactor,
-			HeavyFactor: p.heavyFactor,
-		},
+		Opts:  Options{P: p.P, Epsilon: p.Epsilon, CapFactor: p.capFactor},
 	}.Fingerprint()
 }

@@ -85,10 +85,28 @@ type Options struct {
 	// c·N/p^{1−ε} (in tuples) the planner compares predicted loads
 	// against; ≤ 0 selects 2.
 	CapFactor float64
-	// HeavyFactor scales the heavy-hitter threshold
-	// HeavyFactor·(Σ|S_j|)/p; ≤ 0 selects 1.
-	HeavyFactor float64
 }
+
+// ParseEpsilon reads the text form of Options.Epsilon — a rational
+// such as "1/2", "0.5" or "0" — and checks it lies in [0,1). The empty
+// string is nil: the query's own one-round exponent.
+func ParseEpsilon(s string) (*big.Rat, error) {
+	if s == "" {
+		return nil, nil
+	}
+	eps, ok := new(big.Rat).SetString(s)
+	if !ok {
+		return nil, fmt.Errorf("cannot parse ε %q as a rational", s)
+	}
+	if eps.Sign() < 0 || eps.Cmp(big.NewRat(1, 1)) >= 0 {
+		return nil, fmt.Errorf("ε = %s outside [0,1)", eps.RatString())
+	}
+	return eps, nil
+}
+
+// heavyFactor scales the heavy-hitter threshold heavyFactor·(Σ|S_j|)/p
+// of the skew routing the planner compiles.
+const heavyFactor = 1
 
 // CostEstimate is the planner's prediction for one engine.
 type CostEstimate struct {
@@ -166,7 +184,7 @@ type Plan struct {
 	// descending by combined frequency.
 	Heavy []relation.ValueCount
 	// HeavyThreshold is the combined frequency above which a value
-	// counts as heavy: HeavyFactor·(|R|+|S|)/p over the two join sides,
+	// counts as heavy: (|R|+|S|)/p over the two join sides,
 	// at least 1 — the routing's own threshold.
 	HeavyThreshold int
 
@@ -202,7 +220,6 @@ type Plan struct {
 	// aggregated answer tuples. Nil when Aggregate is.
 	AggVars []string
 
-	heavyFactor  float64
 	capFactor    float64
 	manualShares bool // set by WithShares: Shares no longer follow the LP
 	// skewJoinLoad is the routing's predicted load, the skew engine's cost.
@@ -271,10 +288,6 @@ func Build(q *query.Query, stats *relation.Stats, opts Options) (*Plan, error) {
 	if capFactor <= 0 {
 		capFactor = 2
 	}
-	heavyFactor := opts.HeavyFactor
-	if heavyFactor <= 0 {
-		heavyFactor = 1
-	}
 
 	p := &Plan{
 		Query:          q,
@@ -284,7 +297,6 @@ func Build(q *query.Query, stats *relation.Stats, opts Options) (*Plan, error) {
 		Tau:            cr.Tau,
 		ShareExponents: cr.ShareExponents(),
 		EdgePacking:    cr.EdgePacking,
-		heavyFactor:    heavyFactor,
 		capFactor:      capFactor,
 	}
 

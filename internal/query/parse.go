@@ -1,12 +1,9 @@
 package query
 
-import (
-	"fmt"
-	"strings"
-	"unicode"
-)
+import "fmt"
 
-// Parse reads a conjunctive query from a compact textual syntax:
+// Parse reads a conjunctive query, the first statement form of the
+// grammar in lex.go:
 //
 //	q(x,y,z) = R(x,y), S(y,z)
 //
@@ -15,59 +12,53 @@ import (
 //
 //	R(x,y), S(y,z)
 //
-// Identifiers are letters, digits and underscores beginning with a
-// letter. Whitespace is insignificant.
+// A declared head must list exactly the body's variables (the paper's
+// queries are full); only its name is kept.
 func Parse(s string) (*Query, error) {
-	name := "q"
-	body := s
-	headDeclared := false
-	var declared []string
-	if i := strings.Index(s, "="); i >= 0 {
-		head := strings.TrimSpace(s[:i])
-		body = s[i+1:]
-		// Head looks like name(vars...); only the name matters for a
-		// full CQ, but we validate the declared variables if present.
-		open := strings.Index(head, "(")
-		if open < 0 || !strings.HasSuffix(head, ")") {
-			return nil, fmt.Errorf("query parse: malformed head %q", head)
-		}
-		name = strings.TrimSpace(head[:open])
-		if !validIdent(name) {
-			return nil, fmt.Errorf("query parse: invalid query name %q in head %q", name, head)
-		}
-		var err error
-		declared, err = splitIdents(head[open+1 : len(head)-1])
-		if err != nil {
-			return nil, fmt.Errorf("query parse: head %q: %v", head, err)
-		}
-		headDeclared = true
+	q, err := parse(s)
+	if err != nil {
+		return nil, fmt.Errorf("query parse: %w", err)
 	}
-	atoms, err := parseAtoms(body)
+	return q, nil
+}
+
+func parse(s string) (*Query, error) {
+	ts, err := Tokenize(s)
 	if err != nil {
 		return nil, err
 	}
-	q, err := New(name, atoms...)
+	atoms, err := ts.Atoms()
 	if err != nil {
 		return nil, err
 	}
-	// A declared head — even an empty one — must cover exactly the body
-	// variables (the paper's queries are full).
-	if headDeclared {
-		want := make(map[string]bool, q.NumVars())
-		for _, v := range q.Vars() {
-			want[v] = true
+	var head *Atom
+	if len(atoms) == 1 && ts.Peek().Text == "=" {
+		ts.Next()
+		head = &atoms[0]
+		if atoms, err = ts.Atoms(); err != nil {
+			return nil, err
 		}
-		got := make(map[string]bool, len(declared))
-		for _, v := range declared {
-			if !want[v] {
-				return nil, fmt.Errorf("query parse: head variable %s not in body (query must be full)", v)
-			}
-			got[v] = true
+	}
+	if t := ts.Next(); t.Text != "" {
+		return nil, fmt.Errorf("line %d: expected ',' between atoms, got %s", t.Line, t)
+	}
+	if head == nil {
+		return New("q", atoms...)
+	}
+	q, err := New(head.Name, atoms...)
+	if err != nil {
+		return nil, err
+	}
+	declared := make(map[string]bool, len(head.Vars))
+	for _, v := range head.Vars {
+		if q.VarIndex(v) < 0 {
+			return nil, fmt.Errorf("head variable %s not in body (query must be full)", v)
 		}
-		for v := range want {
-			if !got[v] {
-				return nil, fmt.Errorf("query parse: body variable %s missing from head (query must be full)", v)
-			}
+		declared[v] = true
+	}
+	for _, v := range q.Vars() {
+		if !declared[v] {
+			return nil, fmt.Errorf("body variable %s missing from head (query must be full)", v)
 		}
 	}
 	return q, nil
@@ -82,85 +73,17 @@ func MustParse(s string) *Query {
 	return q
 }
 
-func parseAtoms(body string) ([]Atom, error) {
-	var atoms []Atom
-	rest := strings.TrimSpace(body)
-	for rest != "" {
-		open := strings.Index(rest, "(")
-		if open < 0 {
-			return nil, fmt.Errorf("query parse: expected atom, got %q", rest)
-		}
-		name := strings.TrimSpace(rest[:open])
-		if !validIdent(name) {
-			return nil, fmt.Errorf("query parse: invalid relation name %q", name)
-		}
-		closeIdx := strings.Index(rest[open:], ")")
-		if closeIdx < 0 {
-			return nil, fmt.Errorf("query parse: unclosed atom %q", rest)
-		}
-		closeIdx += open
-		vars, err := splitIdents(rest[open+1 : closeIdx])
-		if err != nil {
-			return nil, fmt.Errorf("query parse: atom %s: %v", name, err)
-		}
-		if len(vars) == 0 {
-			return nil, fmt.Errorf("query parse: atom %s has no variables", name)
-		}
-		for _, v := range vars {
-			if !validIdent(v) {
-				return nil, fmt.Errorf("query parse: invalid variable %q in atom %s", v, name)
-			}
-		}
-		atoms = append(atoms, Atom{Name: name, Vars: vars})
-		rest = strings.TrimSpace(rest[closeIdx+1:])
-		if rest == "" {
-			break
-		}
-		if !strings.HasPrefix(rest, ",") {
-			return nil, fmt.Errorf("query parse: expected ',' between atoms, got %q", rest)
-		}
-		rest = strings.TrimSpace(rest[1:])
-		if rest == "" {
-			return nil, fmt.Errorf("query parse: trailing comma")
-		}
+// Resolve is the one way from a request's (query text, family label)
+// pair to a query: exactly one of the two must be set.
+func Resolve(text, family string) (*Query, error) {
+	switch {
+	case text != "" && family != "":
+		return nil, fmt.Errorf("use either query or family, not both")
+	case text != "":
+		return Parse(text)
+	case family != "":
+		return ParseFamily(family)
+	default:
+		return nil, fmt.Errorf("one of query or family is required")
 	}
-	if len(atoms) == 0 {
-		return nil, fmt.Errorf("query parse: empty body")
-	}
-	return atoms, nil
-}
-
-// splitIdents splits a comma-separated identifier list. An all-blank
-// string is zero identifiers (an explicitly empty list); an empty
-// position between commas, as in "x,,y" or "x,", is a parse error
-// rather than being silently dropped.
-func splitIdents(s string) ([]string, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			return nil, fmt.Errorf("empty position in identifier list %q", s)
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-func validIdent(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i, r := range s {
-		if i == 0 && !unicode.IsLetter(r) {
-			return false
-		}
-		if !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' {
-			return false
-		}
-	}
-	return true
 }

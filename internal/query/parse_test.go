@@ -66,11 +66,11 @@ func TestParseRejections(t *testing.T) {
 	cases := []struct {
 		name, in, wantSub string
 	}{
-		{"head name with space", "1bad name(x) = R(x)", "invalid query name"},
-		{"head name starting with digit", "1bad(x) = R(x)", "invalid query name"},
-		{"head name with dash", "no-good(x) = R(x)", "invalid query name"},
-		{"empty declared head", "q() = R(x,y)", "missing from head"},
-		{"blank declared head", "q(   ) = R(x)", "missing from head"},
+		{"head name with space", "1bad name(x) = R(x)", "identifiers begin with a letter"},
+		{"head name starting with digit", "1bad(x) = R(x)", "identifiers begin with a letter"},
+		{"head name with dash", "no-good(x) = R(x)", "unexpected character '-'"},
+		{"empty declared head", "q() = R(x,y)", "empty position in atom q"},
+		{"blank declared head", "q(   ) = R(x)", "empty position in atom q"},
 		{"empty position in atom", "R(x,,y)", "empty position"},
 		{"trailing empty position in atom", "q(x,y) = R(x,y,)", "empty position"},
 		{"empty position in head", "q(x,,y) = R(x,y)", "empty position"},
@@ -115,5 +115,37 @@ func TestParseSelfJoinRejected(t *testing.T) {
 	_, err := Parse("R(x,y), R(y,z)")
 	if err == nil || !strings.Contains(err.Error(), "self-join") {
 		t.Errorf("want self-join error, got %v", err)
+	}
+}
+
+// TestParseSharedLexer covers what conjunctive text gained from sharing
+// the Datalog front end's tokenizer: "%" comments, and errors that name
+// the line they occur on.
+func TestParseSharedLexer(t *testing.T) {
+	accepted := []struct{ in, want string }{
+		{"R(x,y), S(y,z) % the skew join", "q(x,y,z) = R(x,y),S(y,z)"},
+		{"% triangle\nC3(x,y,z) =\n  R(x,y), % first edge\n  S(y,z),\n  T(z,x)\n", "C3(x,y,z) = R(x,y),S(y,z),T(z,x)"},
+		{"R(x,y)%", "q(x,y) = R(x,y)"},
+	}
+	for _, c := range accepted {
+		q, err := Parse(c.in)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", c.in, err)
+		} else if q.String() != c.want {
+			t.Errorf("Parse(%q) = %s, want %s", c.in, q, c.want)
+		}
+	}
+	rejected := []struct{ in, wantSub string }{
+		{"R(x,y),\nS(y,,z)", "line 2: expected identifier"},
+		{"R(x,y),\n\nS(y;z)", "line 3: unexpected character ';'"},
+		{"R(x,y)\nS(y,z)", "line 2: expected ',' between atoms"},
+		{"q(x,y) =\n% nothing follows\n", "line 3: expected identifier, got end of input"},
+		{"R(x,y) % S(y,z)\n, S(y", "line 2: expected ',' or ')' in atom S, got end of input"},
+		{"% only a comment", "line 1: expected identifier, got end of input"},
+	}
+	for _, c := range rejected {
+		if _, err := Parse(c.in); err == nil || !strings.Contains(err.Error(), c.wantSub) {
+			t.Errorf("Parse(%q) error %v, want substring %q", c.in, err, c.wantSub)
+		}
 	}
 }

@@ -182,8 +182,9 @@ func applyRelationDelta(n int, r *Relation, dels, apps []Tuple) (*Relation, Effe
 	return nr, eff, nil
 }
 
-// tupleCounter counts same-arity tuple occurrences with the packed
-// fast path of TupleSet and the same string-key fallback.
+// tupleCounter counts same-arity tuple occurrences under packed uint64
+// keys (see key.go), falling back to string keys when a tuple does not
+// pack.
 type tupleCounter struct {
 	arity int
 	shift uint
@@ -205,6 +206,8 @@ func newTupleCounter(arity, sizeHint int) *tupleCounter {
 	return c
 }
 
+// pack encodes t into a uint64 key; ok is false when a value needs
+// more than shift bits (or is negative, or the arity differs).
 func (c *tupleCounter) pack(t Tuple) (uint64, bool) {
 	if len(t) != c.arity {
 		return 0, false
@@ -219,6 +222,9 @@ func (c *tupleCounter) pack(t Tuple) (uint64, bool) {
 	return key, true
 }
 
+// migrate re-encodes every packed key as a string key and switches to
+// the fallback path. Packed keys decode exactly (uniform shift), so no
+// information is lost.
 func (c *tupleCounter) migrate() {
 	c.strs = make(map[string]int, len(c.ints))
 	mask := PackedMask(c.shift)
@@ -258,7 +264,8 @@ func (c *tupleCounter) add(t Tuple, delta int) int {
 	return n
 }
 
-// get returns t's current count.
+// get returns t's current count; a tuple that does not pack is never
+// among packed keys.
 func (c *tupleCounter) get(t Tuple) int {
 	if c.ints != nil {
 		if key, ok := c.pack(t); ok {
@@ -267,6 +274,14 @@ func (c *tupleCounter) get(t Tuple) int {
 		return 0
 	}
 	return c.strs[t.Key()]
+}
+
+// len returns the number of distinct tuples with a nonzero count.
+func (c *tupleCounter) len() int {
+	if c.ints != nil {
+		return len(c.ints)
+	}
+	return len(c.strs)
 }
 
 // clone returns an independent copy.

@@ -8,10 +8,11 @@ import (
 // This file provides allocation-lean tuple keys. The historic
 // Tuple.Key() renders every tuple as a '|'-separated string, which
 // costs one allocation (plus formatting) per lookup and dominated the
-// local-join hot path. TupleSet instead packs a tuple's values into a
-// single uint64 — arity a gets ⌊64/a⌋ bits per value — and only falls
-// back to string keys when a value (or a mixed-arity tuple) does not
-// fit, migrating the already-inserted keys transparently.
+// local-join hot path. tupleCounter (and TupleSet over it) instead
+// packs a tuple's values into a single uint64 — arity a gets ⌊64/a⌋
+// bits per value — and only falls back to string keys when a value (or
+// a mixed-arity tuple) does not fit, migrating the already-inserted
+// keys transparently.
 
 // PackedShift returns the per-value bit width for packing m values
 // into one uint64 key, or 0 when m values cannot be packed.
@@ -39,129 +40,40 @@ func PackedMask(shift uint) uint64 {
 	return 1<<shift - 1
 }
 
-// TupleSet is an exact membership set for same-arity tuples with a
-// packed-uint64 fast path. The zero value is not usable; call
-// NewTupleSet.
-type TupleSet struct {
-	arity int
-	shift uint                // bits per value on the packed path
-	ints  map[uint64]struct{} // packed path
-	strs  map[string]struct{} // fallback path (nil until needed)
-}
+// TupleSet is an exact membership set for same-arity tuples: a
+// tupleCounter that saturates at one, so the packing rule and its
+// fallback exist once. The zero value is not usable; call NewTupleSet.
+type TupleSet struct{ c *tupleCounter }
 
 // NewTupleSet returns a set for tuples of the given arity, sized for
 // sizeHint insertions.
 func NewTupleSet(arity, sizeHint int) *TupleSet {
-	if sizeHint < 0 {
-		sizeHint = 0
-	}
-	s := &TupleSet{arity: arity}
-	if shift := PackedShift(arity); shift > 0 {
-		s.shift = shift
-		s.ints = make(map[uint64]struct{}, sizeHint)
-	} else {
-		s.strs = make(map[string]struct{}, sizeHint)
-	}
-	return s
-}
-
-// pack encodes t into a uint64 key; ok is false when a value needs
-// more than shift bits (or is negative, or the arity differs).
-func (s *TupleSet) pack(t Tuple) (uint64, bool) {
-	if len(t) != s.arity {
-		return 0, false
-	}
-	var key uint64
-	for _, v := range t {
-		if !FitsPacked(v, s.shift) {
-			return 0, false
-		}
-		key = key<<s.shift | uint64(v)
-	}
-	return key, true
-}
-
-// migrate re-encodes every packed key as a string key and switches the
-// set to the fallback path. Packed keys decode exactly (uniform shift),
-// so no information is lost.
-func (s *TupleSet) migrate() {
-	s.strs = make(map[string]struct{}, len(s.ints))
-	mask := PackedMask(s.shift)
-	t := make(Tuple, s.arity)
-	for key := range s.ints {
-		for i := s.arity - 1; i >= 0; i-- {
-			t[i] = int(key & mask)
-			key >>= s.shift
-		}
-		s.strs[t.Key()] = struct{}{}
-	}
-	s.ints = nil
+	return &TupleSet{newTupleCounter(arity, sizeHint)}
 }
 
 // Add inserts t and reports whether it was not already present.
 func (s *TupleSet) Add(t Tuple) bool {
-	if s.ints != nil {
-		if key, ok := s.pack(t); ok {
-			if _, dup := s.ints[key]; dup {
-				return false
-			}
-			s.ints[key] = struct{}{}
-			return true
-		}
-		s.migrate()
-	}
-	k := t.Key()
-	if _, dup := s.strs[k]; dup {
+	if s.c.get(t) != 0 {
 		return false
 	}
-	s.strs[k] = struct{}{}
+	s.c.add(t, 1)
 	return true
 }
 
 // Remove deletes t from the set and reports whether it was present.
 func (s *TupleSet) Remove(t Tuple) bool {
-	if s.ints != nil {
-		if key, ok := s.pack(t); ok {
-			if _, hit := s.ints[key]; hit {
-				delete(s.ints, key)
-				return true
-			}
-			return false
-		}
-		// Unpackable tuples are never members of a packed set.
+	if s.c.get(t) == 0 {
 		return false
 	}
-	k := t.Key()
-	if _, hit := s.strs[k]; hit {
-		delete(s.strs, k)
-		return true
-	}
-	return false
+	s.c.add(t, -1)
+	return true
 }
 
 // Contains reports whether t is in the set.
-func (s *TupleSet) Contains(t Tuple) bool {
-	if s.ints != nil {
-		if key, ok := s.pack(t); ok {
-			_, hit := s.ints[key]
-			return hit
-		}
-		// t itself is unpackable; packed members cannot equal it unless
-		// it has the wrong arity, which Key() disambiguates — but a
-		// packed set only holds arity-matching packable tuples.
-		return false
-	}
-	_, hit := s.strs[t.Key()]
-	return hit
-}
+func (s *TupleSet) Contains(t Tuple) bool { return s.c.get(t) != 0 }
 
 // Len returns the number of distinct tuples inserted.
-func (s *TupleSet) Len() int {
-	if s.ints != nil {
-		return len(s.ints)
-	}
-	return len(s.strs)
-}
+func (s *TupleSet) Len() int { return s.c.len() }
 
 // SortWords sorts packed tuple words ascending with an LSD byte-radix
 // sort: linear passes over machine words instead of a comparison sort,

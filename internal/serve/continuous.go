@@ -302,7 +302,7 @@ func (s *Server) handleContinuousRegister(w http.ResponseWriter, r *http.Request
 		writeError(w, http.StatusBadRequest, "name is required")
 		return
 	}
-	q, err := resolveRequestQuery(req.Query, req.Family)
+	q, err := query.Resolve(req.Query, req.Family)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"strings"
 
@@ -15,7 +14,7 @@ import (
 
 // resolveProgram resolves the Datalog kind of POST /query: a request
 // whose program field is set (or whose query text contains ':-'/'?-')
-// is parsed by the strict front end and evaluated stratum by stratum —
+// is parsed by internal/datalog and evaluated stratum by stratum —
 // rule bodies through the planner, recursive strata semi-naive over
 // warm incremental maintenance, aggregate heads folded in the gather.
 // Programs are not plan-cached: a program is many plans, and the
@@ -50,7 +49,7 @@ func (s *Server) resolveProgram(req QueryRequest) (*job, error) {
 			Query:   strings.TrimRight(prog.String(), "\n"),
 			P:       p,
 			Engine:  "datalog",
-			Explain: datalogExplain(prog),
+			Explain: prog.Describe(),
 		},
 		run: func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) ([]relation.Tuple, *mpc.Stats, error) {
 			opts := datalog.Options{P: p, Epsilon: eps, Seed: seed, Context: ctx, Trace: tc}
@@ -82,22 +81,4 @@ func (s *Server) resolveProgram(req QueryRequest) (*job, error) {
 			return res.Answers, res.Stats, nil
 		},
 	}, nil
-}
-
-// datalogExplain summarizes the program's evaluation structure for
-// the response (the per-rule plan EXPLAINs depend on mid-evaluation
-// statistics, so the static report covers strata and recursion).
-func datalogExplain(prog *datalog.Program) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "DATALOG %d rules, edb (%s), idb (%s)\n",
-		len(prog.Rules), strings.Join(prog.EDBPreds(), ", "), strings.Join(prog.IDBPreds(), ", "))
-	for i, s := range prog.Strata() {
-		kind := "non-recursive"
-		if s.Recursive {
-			kind = "recursive, semi-naive fixpoint over warm delta maintenance"
-		}
-		fmt.Fprintf(&sb, "  stratum %d (%s): %s\n", i, kind, strings.Join(s.Preds, ", "))
-	}
-	fmt.Fprintf(&sb, "  output: %s\n", prog.OutputPred())
-	return sb.String()
 }

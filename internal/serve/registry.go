@@ -249,20 +249,9 @@ func Generate(spec GeneratorSpec) (*relation.Database, error) {
 	if spec.N < 1 {
 		return nil, fmt.Errorf("serve: generator n = %d, need ≥ 1", spec.N)
 	}
-	var q *query.Query
-	var err error
-	switch {
-	case spec.Family != "" && spec.Query != "":
-		return nil, fmt.Errorf("serve: generator needs family or query, not both")
-	case spec.Family != "":
-		q, err = query.ParseFamily(spec.Family)
-	case spec.Query != "":
-		q, err = query.Parse(spec.Query)
-	default:
-		return nil, fmt.Errorf("serve: generator needs a family or query")
-	}
+	q, err := query.Resolve(spec.Query, spec.Family)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("serve: generator: %w", err)
 	}
 	seed := spec.Seed
 	if seed == 0 {

@@ -402,15 +402,9 @@ func (s *Server) target(p int, epsilon, dataset string, pooled bool) (int, *big.
 			"p = %d, but this service executes on a fixed pool of %d workers (leave p unset)",
 			p, len(s.cfg.WorkerAddrs))
 	}
-	var eps *big.Rat
-	if epsilon != "" {
-		eps = new(big.Rat)
-		if _, ok := eps.SetString(epsilon); !ok {
-			return 0, nil, nil, errorf(http.StatusBadRequest, "cannot parse eps %q as a rational", epsilon)
-		}
-		if eps.Sign() < 0 || eps.Cmp(big.NewRat(1, 1)) >= 0 {
-			return 0, nil, nil, errorf(http.StatusBadRequest, "eps = %s outside [0,1)", eps.RatString())
-		}
+	eps, err := plan.ParseEpsilon(epsilon)
+	if err != nil {
+		return 0, nil, nil, errorf(http.StatusBadRequest, "eps: %v", err)
 	}
 	if dataset == "" {
 		return 0, nil, nil, errorf(http.StatusBadRequest, "dataset is required")
@@ -445,7 +439,7 @@ type job struct {
 // resolveQuery resolves a conjunctive request: parse, bind to one
 // snapshot of the dataset, plan cache-first.
 func (s *Server) resolveQuery(req QueryRequest) (*job, error) {
-	q, err := resolveRequestQuery(req.Query, req.Family)
+	q, err := query.Resolve(req.Query, req.Family)
 	if err != nil {
 		return nil, errorf(http.StatusBadRequest, "%v", err)
 	}
@@ -840,20 +834,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeContinuousProm(w)
 	if s.tenants != nil {
 		s.tenants.WriteProm(w)
-	}
-}
-
-// resolveRequestQuery parses the query/family pair of a request.
-func resolveRequestQuery(queryStr, familyStr string) (*query.Query, error) {
-	switch {
-	case queryStr != "" && familyStr != "":
-		return nil, fmt.Errorf("use query or family, not both")
-	case queryStr != "":
-		return query.Parse(queryStr)
-	case familyStr != "":
-		return query.ParseFamily(familyStr)
-	default:
-		return nil, fmt.Errorf("one of query or family is required")
 	}
 }
 

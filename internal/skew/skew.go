@@ -243,10 +243,6 @@ type Options struct {
 	Seed uint64
 	// CapConstant enables receive-cap enforcement when positive.
 	CapConstant float64
-	// HeavyFactor scales the heavy-hitter threshold
-	// HeavyFactor·(|R|+|S|)/p of the routing RunJoin compiles; zero
-	// means 1. Execute routes by the Routing it is handed.
-	HeavyFactor float64
 	// Transport, Context, Recovery, Pipeline and Trace are the fields of
 	// dist.Env (documented there): where and how the round runs. The
 	// zero values are the in-process loopback, no deadline, no recovery,
@@ -343,7 +339,7 @@ func RunJoin(r, s *relation.Relation, p int, mode Mode, opts Options) (*Result, 
 	}
 	rt := &Routing{P: p} // no heavy values: plain hashing
 	if mode == Resilient {
-		rt = CompileFromData(r, ry, s, sy, p, opts.HeavyFactor)
+		rt = CompileFromData(r, ry, s, sy, p, 1)
 	}
 	return Execute(JoinQuery(), r, s, ry, sy, rt, mode.localStrategy(), opts)
 }
