@@ -963,6 +963,7 @@ func BenchmarkShuffleTriangle(b *testing.B) {
 		report(b, tuples, bits)
 	})
 	b.Run("exchange", func(b *testing.B) {
+		b.ReportAllocs()
 		var tuples, bits int64
 		for i := 0; i < b.N; i++ {
 			tuples, bits = exchangeShuffle(b, q, db, p, s, h)

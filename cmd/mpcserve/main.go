@@ -19,7 +19,13 @@
 // standby, its slice of the query is replayed from the coordinator's
 // journal and the query resumes at the round it was in,
 // while a background reconciler (-reconcile) heartbeats the pool and
-// promotes spares for members that stop answering.
+// promotes spares for members that stop answering. The workers keep
+// the routed runs of a dataset version from its second query on, and
+// later queries attach to them ("scatterResident" in the reply).
+//
+// A client that does not finish its request headers is disconnected;
+// SIGTERM or SIGINT stops the listener, lets the requests in flight
+// finish (bounded) and exits 0.
 //
 // Endpoints:
 //
@@ -59,10 +65,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/dist"
@@ -113,16 +122,58 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mpcserve: empty -addr")
 		os.Exit(1)
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	if reg := srv.Pool(); reg != nil && *reconcile > 0 {
 		// Background membership heartbeats: dead members are swapped
 		// for spares without waiting for a query to trip over them.
-		go reg.Run(context.Background(), *reconcile)
+		go reg.Run(ctx, *reconcile)
 	}
-	fmt.Printf("mpcserve listening on %s (datasets: %s)\n", *addr, strings.Join(srv.Registry().Names(), ", "))
-	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "mpcserve:", err)
 		os.Exit(1)
 	}
+	fmt.Printf("mpcserve listening on %s (datasets: %s)\n", *addr, strings.Join(srv.Registry().Names(), ", "))
+	if err := serveHTTP(ctx, newHTTPServer(srv.Handler()), ln); err != nil {
+		fmt.Fprintln(os.Stderr, "mpcserve:", err)
+		os.Exit(1)
+	}
+}
+
+// readHeaderTimeout disconnects a client that does not finish its request
+// headers, idleTimeout a kept-alive connection nobody uses (bodies and
+// replies stay unbounded: uploads are large, queries long); shutdownGrace
+// is how long a termination signal waits for requests in flight.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	shutdownGrace     = 30 * time.Second
+)
+
+// newHTTPServer wraps h in the service's timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
+// serveHTTP serves on ln until ctx is done, then stops accepting and lets
+// the requests in flight finish — for at most shutdownGrace, after which
+// their connections are closed and the error says so.
+func serveHTTP(ctx context.Context, hs *http.Server, ln net.Listener) error {
+	errc := make(chan error, 1)
+	go func() { errc <- hs.Serve(ln) }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+	grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if err := hs.Shutdown(grace); err != nil {
+		hs.Close()
+		return fmt.Errorf("shutdown: %w", err)
+	}
+	return nil
 }
 
 // build validates the flags and assembles the server with all

@@ -14,8 +14,12 @@
 //
 // One process serves any number of concurrent coordinator sessions
 // (e.g. parallel mpcserve queries): every connection has its own
-// store, dropped when the connection closes. The process exits
-// cleanly on SIGINT/SIGTERM.
+// store, dropped when the connection closes. Beside them the process
+// keeps one bounded, read-only store of the scatter slices a
+// coordinator asked it to retain, so a later query on the same dataset
+// version attaches to them instead of receiving them again; it is lost
+// with the process, and a coordinator re-sends what is missing. The
+// process exits cleanly on SIGINT/SIGTERM.
 package main
 
 import (

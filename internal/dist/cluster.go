@@ -45,6 +45,10 @@ type Cluster struct {
 	// traceSent is the last round whose span context was announced to
 	// the workers.
 	traceSent int
+	// snap is Env.Snapshot; attaching holds the open round's scatters
+	// believed resident until its barrier (resident.go).
+	snap      *Snapshot
+	attaching []*residentScatter
 }
 
 // NewCluster validates cfg against the transport's pool and returns
@@ -94,6 +98,11 @@ type Env struct {
 	// Trace, when non-nil, records per-round per-worker spans of the
 	// execution (see Cluster.EnableTracing).
 	Trace *trace.Trace
+	// Snapshot, when non-nil, identifies the immutable dataset version
+	// the relations handed to Cluster.Scatter belong to, by name, so a
+	// scatter the workers already keep is attached to instead of re-sent
+	// (see Residency). Nil: nothing is known, every scatter is shipped.
+	Snapshot *Snapshot
 }
 
 // Open turns an Env and the model parameters into a ready cluster,
@@ -123,6 +132,7 @@ func Open(env Env, cfg mpc.Config) (*Cluster, context.Context, error) {
 	if env.Trace != nil {
 		c.EnableTracing(env.Trace)
 	}
+	c.snap = env.Snapshot
 	return c, ctx, nil
 }
 
@@ -153,13 +163,38 @@ func (c *Cluster) BeginRound() {
 // — accounts their receipt against the open round (opening a fresh
 // round if none is), and ships them to the workers under store name
 // as.
+//
+// Under an Env.Snapshot, a scatter through an exchange.Keyed partitioner
+// has an identity. Its second execution asks the workers to retain their
+// slices; from then on Scatter partitions and sends nothing: it charges
+// the round the recorded per-destination counts — a fresh scatter's
+// statistics, which is what the model charges — and the workers attach
+// to what they kept, at the round's barrier.
 func (c *Cluster) Scatter(ctx context.Context, rel *relation.Relation, as string, part exchange.Partitioner) error {
 	if as == "" {
 		as = rel.Name
 	}
+	key, retain := c.scatterKey(rel, part), false
+	if key != "" {
+		var tuples []int64
+		if tuples, retain = c.snap.res.sight(key); tuples != nil {
+			rs, lone := c.receivingRound()
+			bits := int64(rel.Arity() * relation.BitsPerValue(c.cfg.DomainN))
+			for w, n := range tuples {
+				if n > 0 {
+					rs.Account(w, n, n*bits)
+				}
+			}
+			return c.ship(ctx, rs, lone, recOp{kind: opDeliver, round: c.round,
+				lazy: &residentScatter{rel: rel, as: as, key: key, part: part, tuples: tuples}})
+		}
+	}
 	ds, err := exchange.Partition(as, rel.Tuples, rel.Arity(), c.cfg.Workers, part)
 	if err != nil {
 		return fmt.Errorf("dist: scatter: %w", err)
+	}
+	if retain {
+		c.retain(key, ds)
 	}
 	return c.deliver(ctx, ds)
 }
@@ -239,11 +274,16 @@ func (c *Cluster) ship(ctx context.Context, rs *mpc.RoundStats, lone bool, op re
 	if err := c.traceAnnounce(ctx); err != nil {
 		return err
 	}
-	c.journal(op)
-	if c.pipe {
+	switch {
+	case op.lazy != nil:
+		// Believed resident: the round's barrier asks the workers, and
+		// journals the scatter once it has.
+		c.attaching = append(c.attaching, op.lazy)
+	case c.pipe:
 		// Pipelined: the scatter (and, for a lone one, its barrier) rides
 		// the next fence. The cap check needs no worker traffic —
 		// accounting happened before — so it still fires here.
+		c.journal(op)
 		c.enqueue(op)
 		if !lone {
 			return nil
@@ -251,17 +291,19 @@ func (c *Cluster) ship(ctx context.Context, rs *mpc.RoundStats, lone bool, op re
 		c.journal(recOp{kind: opBarrier, round: c.round})
 		c.enqueue(recOp{kind: opBarrier, round: c.round})
 		return rs.CheckCap(c.cfg.ReceiveCap())
-	}
-	// Scatters are journaled, so they are not retried after a heal:
-	// replay has re-sent the failed worker's runs and the healthy
-	// workers already ingested theirs.
-	if err := c.attempt(ctx, false, func(ctx context.Context) error {
-		if op.kind == opDelta {
-			return c.tr.ApplyDelta(ctx, op.round, op.dds)
+	default:
+		// Scatters are journaled, so they are not retried after a heal:
+		// replay has re-sent the failed worker's runs and the healthy
+		// workers already ingested theirs.
+		c.journal(op)
+		if err := c.attempt(ctx, false, func(ctx context.Context) error {
+			if op.kind == opDelta {
+				return c.tr.ApplyDelta(ctx, op.round, op.dds)
+			}
+			return c.tr.Deliver(ctx, op.round, op.ds)
+		}); err != nil {
+			return err
 		}
-		return c.tr.Deliver(ctx, op.round, op.ds)
-	}); err != nil {
-		return err
 	}
 	if !lone {
 		return nil
@@ -273,8 +315,12 @@ func (c *Cluster) ship(ctx context.Context, rs *mpc.RoundStats, lone bool, op re
 }
 
 // barrier synchronizes the pool on the current round: one round trip,
-// with or without recovery.
+// with or without recovery — two when the round attaches to resident
+// scatters first.
 func (c *Cluster) barrier(ctx context.Context) error {
+	if err := c.attach(ctx); err != nil {
+		return err
+	}
 	c.journal(recOp{kind: opBarrier, round: c.round})
 	return c.attempt(ctx, true, func(ctx context.Context) error {
 		return c.tr.Barrier(ctx, c.round)

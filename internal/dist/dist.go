@@ -20,6 +20,9 @@
 //   - the worker session (Serve/ServeConn): the remote half. Each
 //     accepted connection is an isolated session with its own store,
 //     so one worker process can serve many concurrent executions.
+//     What the process keeps between sessions is a read-only store of
+//     scatter slices it was asked to retain, which a later execution
+//     of the same scatter attaches to (resident.go).
 //
 // Communication accounting never depends on the transport: a run of t
 // tuples costs t·arity·⌈log2(n+1)⌉ bits whether it crosses a socket
@@ -78,7 +81,8 @@ type DeltaDelivery struct {
 //
 // A Transport instance represents one execution session: workers
 // accumulate state (received runs, materialized views) across calls
-// and drop it when the transport closes.
+// and drop it when the transport closes — all but the runs a Delivery
+// flagged to be retained, which an Attacher's workers keep.
 type Transport interface {
 	// Workers returns the pool size p.
 	Workers() int

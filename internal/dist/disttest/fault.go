@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/exchange"
+	"repro/internal/wire"
 )
 
 // OpType names the transport phase a fault attaches to.
@@ -29,6 +30,8 @@ const (
 	OpGather
 	// OpDelta is an ApplyDelta call (one per delta scatter).
 	OpDelta
+	// OpAttach is an Attach call (one per round with resident scatters).
+	OpAttach
 )
 
 // String names the phase.
@@ -44,6 +47,8 @@ func (o OpType) String() string {
 		return "gather"
 	case OpDelta:
 		return "delta"
+	case OpAttach:
+		return "attach"
 	default:
 		return fmt.Sprintf("OpType(%d)", uint8(o))
 	}
@@ -190,72 +195,54 @@ func (ft *FaultTransport) step(w int, op OpType) (Fault, bool) {
 	return Fault{}, false
 }
 
+// killed advances every live worker's counter for op and returns the
+// failures the coordinator sees: the dead, and those a kill fault fires
+// on now. The caller holds ft.mu.
+func (ft *FaultTransport) killed(op OpType) []error {
+	var errs []error
+	for w := 0; w < ft.inner.Workers(); w++ {
+		if ft.dead[w] {
+			errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultDead})
+		} else if f, ok := ft.step(w, op); ok && (f.Kind == KillBefore || f.Kind == KillAfter) {
+			errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultKilled})
+		}
+	}
+	return errs
+}
+
 // Workers implements Transport.
 func (ft *FaultTransport) Workers() int { return ft.inner.Workers() }
 
 // Deliver implements Transport with the fault schedule applied per
 // destination worker.
 func (ft *FaultTransport) Deliver(ctx context.Context, round int, ds []exchange.Delivery) error {
-	byWorker := make(map[int][]exchange.Delivery)
-	for _, d := range ds {
-		byWorker[d.To] = append(byWorker[d.To], d)
-	}
-	ft.mu.Lock()
-	var pass []exchange.Delivery
-	var errs []error
-	for w := 0; w < ft.inner.Workers(); w++ {
-		mine := byWorker[w]
-		if ft.dead[w] {
-			if len(mine) > 0 {
-				errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultDead})
-			}
-			continue
-		}
-		f, ok := ft.step(w, OpDeliver)
-		if !ok {
-			pass = append(pass, mine...)
-			continue
-		}
-		switch f.Kind {
-		case KillBefore:
-			// The worker's slice never arrives.
-			errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultKilled})
-		case KillAfter:
-			// The slice arrives, then the connection dies; the
-			// coordinator cannot tell, so it still sees a failure.
-			pass = append(pass, mine...)
-			errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultKilled})
-		case DelayToBarrier:
-			ft.held = append(ft.held, heldDelivery{round: round, ds: mine})
-		case DuplicateDelivery:
-			pass = append(pass, mine...)
-			pass = append(pass, mine...)
-		}
-	}
-	ft.mu.Unlock()
-	var err error
-	if len(pass) > 0 {
-		err = ft.inner.Deliver(ctx, round, pass)
-	}
-	if len(errs) > 0 {
-		return errors.Join(append(errs, err)...)
-	}
-	return err
+	return scatterFaults(ft, OpDeliver, ds, func(d exchange.Delivery) int { return d.To },
+		func(mine []exchange.Delivery) heldDelivery { return heldDelivery{round: round, ds: mine} },
+		func(pass []exchange.Delivery) error { return ft.inner.Deliver(ctx, round, pass) })
 }
 
 // ApplyDelta implements Transport with the fault schedule applied per
-// destination worker, mirroring Deliver: kill faults lose (or race)
-// the worker's delta slice, DelayToBarrier holds it for the next
-// Barrier, DuplicateDelivery applies it twice — tombstones are
-// idempotent and appended duplicates dedup at the gather merge, so
-// results must not change.
+// destination worker, mirroring Deliver: tombstones are idempotent and
+// appended duplicates dedup at the gather merge, so a DuplicateDelivery
+// must not change results.
 func (ft *FaultTransport) ApplyDelta(ctx context.Context, round int, ds []dist.DeltaDelivery) error {
-	byWorker := make(map[int][]dist.DeltaDelivery)
+	return scatterFaults(ft, OpDelta, ds, func(d dist.DeltaDelivery) int { return d.To },
+		func(mine []dist.DeltaDelivery) heldDelivery { return heldDelivery{round: round, dds: mine} },
+		func(pass []dist.DeltaDelivery) error { return ft.inner.ApplyDelta(ctx, round, pass) })
+}
+
+// scatterFaults is the body Deliver and ApplyDelta share: bucket the
+// deliveries by destination worker, apply the schedule to each worker's
+// bucket — kill faults lose (or race) it, DelayToBarrier holds it for
+// the next Barrier, DuplicateDelivery passes it twice — and send what
+// passes.
+func scatterFaults[D any](ft *FaultTransport, op OpType, ds []D, to func(D) int, hold func([]D) heldDelivery, send func([]D) error) error {
+	byWorker := make(map[int][]D)
 	for _, d := range ds {
-		byWorker[d.To] = append(byWorker[d.To], d)
+		byWorker[to(d)] = append(byWorker[to(d)], d)
 	}
 	ft.mu.Lock()
-	var pass []dist.DeltaDelivery
+	var pass []D
 	var errs []error
 	for w := 0; w < ft.inner.Workers(); w++ {
 		mine := byWorker[w]
@@ -265,7 +252,7 @@ func (ft *FaultTransport) ApplyDelta(ctx context.Context, round int, ds []dist.D
 			}
 			continue
 		}
-		f, ok := ft.step(w, OpDelta)
+		f, ok := ft.step(w, op)
 		if !ok {
 			pass = append(pass, mine...)
 			continue
@@ -280,7 +267,7 @@ func (ft *FaultTransport) ApplyDelta(ctx context.Context, round int, ds []dist.D
 			pass = append(pass, mine...)
 			errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultKilled})
 		case DelayToBarrier:
-			ft.held = append(ft.held, heldDelivery{round: round, dds: mine})
+			ft.held = append(ft.held, hold(mine))
 		case DuplicateDelivery:
 			pass = append(pass, mine...)
 			pass = append(pass, mine...)
@@ -289,7 +276,7 @@ func (ft *FaultTransport) ApplyDelta(ctx context.Context, round int, ds []dist.D
 	ft.mu.Unlock()
 	var err error
 	if len(pass) > 0 {
-		err = ft.inner.ApplyDelta(ctx, round, pass)
+		err = send(pass)
 	}
 	if len(errs) > 0 {
 		return errors.Join(append(errs, err)...)
@@ -304,19 +291,7 @@ func (ft *FaultTransport) Barrier(ctx context.Context, round int) error {
 	ft.mu.Lock()
 	held := ft.held
 	ft.held = nil
-	var errs []error
-	for w := 0; w < ft.inner.Workers(); w++ {
-		if ft.dead[w] {
-			errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultDead})
-			continue
-		}
-		if f, ok := ft.step(w, OpBarrier); ok {
-			switch f.Kind {
-			case KillBefore, KillAfter:
-				errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultKilled})
-			}
-		}
-	}
+	errs := ft.killed(OpBarrier)
 	ft.mu.Unlock()
 	for _, h := range held {
 		if len(h.ds) > 0 {
@@ -343,19 +318,7 @@ func (ft *FaultTransport) Barrier(ctx context.Context, round int) error {
 // worker re-evaluates during replay.
 func (ft *FaultTransport) Join(ctx context.Context, spec dist.JoinSpec) error {
 	ft.mu.Lock()
-	var errs []error
-	for w := 0; w < ft.inner.Workers(); w++ {
-		if ft.dead[w] {
-			errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultDead})
-			continue
-		}
-		if f, ok := ft.step(w, OpJoin); ok {
-			switch f.Kind {
-			case KillBefore, KillAfter:
-				errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultKilled})
-			}
-		}
-	}
+	errs := ft.killed(OpJoin)
 	ft.mu.Unlock()
 	err := ft.inner.Join(ctx, spec)
 	if len(errs) > 0 {
@@ -364,24 +327,27 @@ func (ft *FaultTransport) Join(ctx context.Context, spec dist.JoinSpec) error {
 	return err
 }
 
+// Attach implements dist.Attacher. Like Join, the healthy pool still
+// attaches while a kill fault reports its worker dead; whether that
+// worker bound its runs first is lost with its session.
+func (ft *FaultTransport) Attach(ctx context.Context, atts []dist.Attachment) ([][]wire.Attach, error) {
+	at, ok := ft.inner.(dist.Attacher)
+	if !ok {
+		return nil, fmt.Errorf("disttest: fault transport wraps %T, which keeps no resident runs", ft.inner)
+	}
+	ft.mu.Lock()
+	errs := ft.killed(OpAttach)
+	ft.mu.Unlock()
+	replies, err := at.Attach(ctx, atts)
+	return replies, errors.Join(append(errs, err)...)
+}
+
 // Gather implements Transport. A kill fault loses the whole gather —
 // the coordinator cannot use a stream a dead worker never finished —
 // so the caller heals and gathers again.
 func (ft *FaultTransport) Gather(ctx context.Context, view string) ([]*exchange.Buffer, error) {
 	ft.mu.Lock()
-	var errs []error
-	for w := 0; w < ft.inner.Workers(); w++ {
-		if ft.dead[w] {
-			errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultDead})
-			continue
-		}
-		if f, ok := ft.step(w, OpGather); ok {
-			switch f.Kind {
-			case KillBefore, KillAfter:
-				errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultKilled})
-			}
-		}
-	}
+	errs := ft.killed(OpGather)
 	ft.mu.Unlock()
 	if len(errs) > 0 {
 		return nil, errors.Join(errs...)

@@ -1,0 +1,38 @@
+package dist
+
+// Test-only windows into a worker process's resident store, for the
+// external test package.
+
+// Bytes returns the payload bytes the store keeps.
+func (rs *ResidentStore) Bytes() int64 {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return rs.bytes
+}
+
+// Entries returns the number of (scatter, slot) slices the store keeps.
+func (rs *ResidentStore) Entries() int {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return len(rs.entries)
+}
+
+// SetBudget replaces the byte budget.
+func (rs *ResidentStore) SetBudget(n int64) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	rs.budget = n
+}
+
+// ForgetSlot drops everything kept for one slot — what a restarted
+// worker process has lost.
+func (rs *ResidentStore) ForgetSlot(slot int) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	for k, e := range rs.entries {
+		if k.slot == slot {
+			rs.bytes -= e.bytes
+			delete(rs.entries, k)
+		}
+	}
+}

@@ -32,9 +32,15 @@ type Loopback struct {
 // NewLoopback returns an in-process pool of p workers with empty
 // stores.
 func NewLoopback(p int) *Loopback {
+	return NewLoopbackOn(p, nil)
+}
+
+// NewLoopbackOn is NewLoopback with the workers keeping retained runs
+// in rs, like sessions on one pool of worker processes (nil: nothing).
+func NewLoopbackOn(p int, rs *ResidentStore) *Loopback {
 	l := &Loopback{ws: make([]*workerStore, p)}
 	for i := range l.ws {
-		l.ws[i] = newWorkerStore()
+		l.ws[i] = newWorkerStore(residentHome{rs, i, p})
 	}
 	return l
 }
@@ -52,9 +58,20 @@ func (l *Loopback) Deliver(ctx context.Context, round int, ds []exchange.Deliver
 		if d.To < 0 || d.To >= len(l.ws) {
 			return fmt.Errorf("dist: loopback delivery to worker %d out of range [0,%d)", d.To, len(l.ws))
 		}
-		l.ws[d.To].add(d.Rel, d.Buf)
+		l.ws[d.To].receive(d)
 	}
 	return nil
+}
+
+// Attach implements Attacher.
+func (l *Loopback) Attach(ctx context.Context, atts []Attachment) ([][]wire.Attach, error) {
+	replies := make([][]wire.Attach, len(l.ws))
+	for w, ws := range l.ws {
+		for _, a := range atts {
+			replies[w] = append(replies[w], ws.attach(a.Key, a.Store, a.Tuples[w]))
+		}
+	}
+	return replies, ctx.Err()
 }
 
 // ApplyDelta implements Transport: delta runs land in the destination
@@ -74,8 +91,12 @@ func (l *Loopback) ApplyDelta(ctx context.Context, round int, ds []DeltaDelivery
 }
 
 // Barrier implements Transport; loopback deliveries are synchronous,
-// so it only observes cancellation.
+// so it only observes cancellation and publishes the round's retained
+// runs.
 func (l *Loopback) Barrier(ctx context.Context, round int) error {
+	for _, w := range l.ws {
+		w.publish()
+	}
 	return ctx.Err()
 }
 
@@ -130,7 +151,7 @@ func (l *Loopback) ReplaceWorker(ctx context.Context, w int) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.ws[w] = newWorkerStore()
+	l.ws[w] = newWorkerStore(l.ws[w].home)
 	return nil
 }
 
@@ -232,10 +253,14 @@ type workerStore struct {
 	// marks the tuple dead instead of rewriting runs; reads filter
 	// through the set, and a later re-append clears the mark.
 	dead map[string]*relation.TupleSet
+	// home is where the worker keeps runs beyond the session; retained
+	// holds the open round's flagged runs until its barrier.
+	home     residentHome
+	retained map[string][]*exchange.Buffer
 }
 
-func newWorkerStore() *workerStore {
-	return &workerStore{store: make(map[string]*exchange.Column)}
+func newWorkerStore(home residentHome) *workerStore {
+	return &workerStore{store: make(map[string]*exchange.Column), home: home}
 }
 
 // add appends a sealed run under the store name.

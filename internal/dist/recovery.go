@@ -136,9 +136,12 @@ type recOp struct {
 	kind  recOpKind
 	round int
 	ds    []exchange.Delivery
-	dds   []DeltaDelivery
-	spec  JoinSpec
-	hdr   wire.TraceHeader
+	// lazy stands in for ds on a resident scatter: nothing was
+	// partitioned, so replay partitions the replaced worker's slice.
+	lazy *residentScatter
+	dds  []DeltaDelivery
+	spec JoinSpec
+	hdr  wire.TraceHeader
 }
 
 // recovery is a Cluster's self-healing state.
@@ -290,6 +293,13 @@ func (c *Cluster) replay(ctx context.Context, w int) error {
 			for _, d := range op.ds {
 				if d.To == w {
 					mine = append(mine, d)
+				}
+			}
+			if op.lazy != nil {
+				want := make([]bool, c.cfg.Workers)
+				want[w] = true
+				if mine, err = op.lazy.deliveries(c.cfg.Workers, want); err != nil {
+					return err
 				}
 			}
 			if len(mine) > 0 {

@@ -1,0 +1,347 @@
+package dist
+
+import (
+	"context"
+	"crypto/rand"
+	"crypto/sha256"
+	"fmt"
+	"strings"
+	"sync"
+
+	"repro/internal/exchange"
+	"repro/internal/relation"
+	"repro/internal/wire"
+)
+
+// The resident scatter (ARCHITECTURE.md, *Resident scatter*): a worker
+// process keeps the routed runs of a scatter it was asked to retain, and
+// a later execution of the same scatter attaches to them. The
+// coordinator holds belief, a worker's reply is truth, and a miss is
+// repaired by re-sending that worker its slice.
+
+// residentBudget bounds the payload bytes one worker process keeps,
+// residencyKeys the scatters a coordinator holds belief about.
+const (
+	residentBudget = 64 << 20
+	residencyKeys  = 256
+)
+
+// Residency is a coordinator's belief about which scatters its worker
+// pool keeps. Safe for concurrent executions.
+type Residency struct {
+	nonce [16]byte
+	mu    sync.Mutex
+	// keys maps a sighted scatter key to the per-destination tuple counts
+	// the workers were asked to retain (nil after one sighting); order is
+	// first-seen order, the oldest forgotten first.
+	keys  map[string][]int64
+	order []string
+}
+
+// NewResidency returns an empty table under a fresh 128-bit nonce: every
+// key contains it, so nobody else can name this coordinator's runs.
+func NewResidency() (*Residency, error) {
+	r := &Residency{keys: make(map[string][]int64)}
+	_, err := rand.Read(r.nonce[:])
+	return r, err
+}
+
+// Snapshot is one execution's Env.Snapshot: the identity of the dataset
+// version its base relations belong to, and what its scatters came to.
+type Snapshot struct {
+	res *Residency
+	id  string
+	// Hits counts scatters every worker attached to — no Partition, no
+	// Data frame; Misses the (scatter, worker) attaches answered miss and
+	// re-sent; Retained the (scatter, worker) slices sent to be kept.
+	Hits, Misses, Retained int
+}
+
+// Snapshot identifies a dataset version to one execution; the caller
+// vouches that the pair names one immutable set of relations for the
+// life of r. A nil Residency yields nil: every scatter fresh.
+func (r *Residency) Snapshot(dataset string, version uint64) *Snapshot {
+	if r == nil {
+		return nil
+	}
+	return &Snapshot{res: r, id: fmt.Sprintf("%x/%d/%q", r.nonce, version, dataset)}
+}
+
+// sight records an execution of key and returns the counts the workers
+// were asked to retain, else whether to ask them now: admission is by
+// second sight, so a version queried once pays and keeps nothing.
+func (r *Residency) sight(key string) (tuples []int64, retain bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	tuples, retain = r.keys[key]
+	if !retain {
+		if len(r.order) == residencyKeys {
+			delete(r.keys, r.order[0])
+			r.order = r.order[1:]
+		}
+		r.keys[key], r.order = nil, append(r.order, key)
+	}
+	return tuples, retain
+}
+
+// learn records what the workers were asked to retain under a sighted
+// key; nil forgets it when a worker's reply contradicts the belief.
+func (r *Residency) learn(key string, tuples []int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.keys[key]; ok {
+		r.keys[key] = tuples
+	}
+}
+
+// Attachment asks the pool to bind the runs kept under Key into the
+// session store Store; Tuples[w] is what worker w must hold for a hit.
+type Attachment struct {
+	Key, Store string
+	Tuples     []int64
+}
+
+// Attacher is implemented by transports whose workers can keep runs
+// beyond a session (Loopback, TCP): Attach sends every attachment to
+// every worker in one exchange, and replies[w][i] answers atts[i].
+type Attacher interface {
+	Attach(ctx context.Context, atts []Attachment) (replies [][]wire.Attach, err error)
+}
+
+// residentScatter is a scatter of the open round believed resident.
+type residentScatter struct {
+	rel     *relation.Relation
+	as, key string
+	part    exchange.Partitioner
+	tuples  []int64
+}
+
+// deliveries partitions the scatter — what a fresh one costs, on the one
+// miss path — and returns the wanted workers' runs, flagged to be kept.
+func (s *residentScatter) deliveries(p int, want []bool) (ds []exchange.Delivery, err error) {
+	all, err := exchange.Partition(s.as, s.rel.Tuples, s.rel.Arity(), p, s.part)
+	for _, d := range all {
+		if want[d.To] {
+			d.Retain = s.key
+			ds = append(ds, d)
+		}
+	}
+	return ds, err
+}
+
+// scatterKey derives the identity of scattering rel through part, or ""
+// for a fresh scatter: no snapshot, the pipelined schedule, a partitioner
+// that cannot describe itself, a transport that keeps nothing.
+func (c *Cluster) scatterKey(rel *relation.Relation, part exchange.Partitioner) string {
+	k, keyed := part.(exchange.Keyed)
+	if _, keeps := c.tr.(Attacher); c.snap == nil || c.pipe || !keyed || !keeps {
+		return ""
+	}
+	routing := k.Key()
+	if routing == "" {
+		return ""
+	}
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%s/%q/%d/%s", c.snap.id, rel.Name, c.cfg.Workers, routing)))
+	return string(sum[:])
+}
+
+// retain flags a freshly partitioned scatter to be kept under key and
+// records the per-destination counts later executions are charged from.
+func (c *Cluster) retain(key string, ds []exchange.Delivery) {
+	tuples := make([]int64, c.cfg.Workers)
+	for i := range ds {
+		ds[i].Retain = key
+		if tuples[ds[i].To] == 0 {
+			c.snap.Retained++
+		}
+		tuples[ds[i].To] += int64(ds[i].Buf.Len())
+	}
+	c.snap.res.learn(key, tuples)
+}
+
+// attach asks the workers, in one exchange ahead of the round's barrier,
+// to bind every scatter of the round believed resident, and re-sends
+// each worker what it reports missing.
+func (c *Cluster) attach(ctx context.Context) error {
+	ops := c.attaching
+	c.attaching = nil
+	if len(ops) == 0 {
+		return nil
+	}
+	atts := make([]Attachment, len(ops))
+	for i, s := range ops {
+		atts[i] = Attachment{Key: s.key, Store: s.as, Tuples: s.tuples}
+	}
+	var replies [][]wire.Attach
+	var attErr error
+	if err := c.attempt(ctx, false, func(ctx context.Context) error {
+		replies, attErr = c.tr.(Attacher).Attach(ctx, atts)
+		return attErr
+	}); err != nil {
+		return err
+	}
+	// A worker that failed the exchange was replaced by an empty session
+	// and misses everything; from here on the journal covers these
+	// scatters, and replay re-sends a later replacement its slice.
+	healed := FailedWorkers(attErr)
+	for _, s := range ops {
+		c.journal(recOp{kind: opDeliver, round: c.round, lazy: s})
+	}
+	var note strings.Builder
+	for i, s := range ops {
+		miss := make([]bool, c.cfg.Workers)
+		missed := 0
+		for w := range miss {
+			if gone := contains(healed, w); gone || !replies[w][i].Hit {
+				miss[w] = true
+				missed++
+				if !gone && replies[w][i].Tuples != 0 {
+					c.snap.res.learn(s.key, nil)
+				}
+			}
+		}
+		fmt.Fprintf(&note, "%s: %d hit, %d miss; ", s.as, len(miss)-missed, missed)
+		if missed == 0 {
+			c.snap.Hits++
+			continue
+		}
+		c.snap.Misses += missed
+		c.snap.Retained += missed
+		ds, err := s.deliveries(c.cfg.Workers, miss)
+		if err != nil {
+			return fmt.Errorf("dist: scatter: %w", err)
+		}
+		if err := c.attempt(ctx, false, func(ctx context.Context) error {
+			return c.tr.Deliver(ctx, c.round, ds)
+		}); err != nil {
+			return err
+		}
+	}
+	if c.trace != nil {
+		c.trace.Event(c.roundSpan, "scatter-resident", -1, strings.TrimSuffix(note.String(), "; "))
+	}
+	return nil
+}
+
+// ResidentStore is what a worker process keeps beyond its sessions:
+// retained scatter slices, bounded in bytes, least recently attached
+// evicted first. A published entry is never written again: its runs are
+// sealed, and a session copies the run pointers into its own Column —
+// which is what its later deltas append to and tombstone.
+type ResidentStore struct {
+	mu                   sync.Mutex
+	budget, bytes, clock int64
+	entries              map[residentSlot]*residentRuns
+}
+
+// residentSlot names one worker's slice of one scatter; residentRuns is
+// one published slice, immutable but for used.
+type residentSlot struct {
+	key     string
+	slot, p int
+}
+
+type residentRuns struct {
+	runs                []*exchange.Buffer
+	tuples, bytes, used int64
+}
+
+// NewResidentStore returns an empty store with the process-wide budget.
+func NewResidentStore() *ResidentStore {
+	return &ResidentStore{budget: residentBudget, entries: make(map[residentSlot]*residentRuns)}
+}
+
+// attach returns the runs kept for k when they hold exactly want tuples,
+// and the count held; an entry holding anything else is dropped.
+func (rs *ResidentStore) attach(k residentSlot, want int64) (runs []*exchange.Buffer, held int64) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	e := rs.entries[k]
+	if e == nil {
+		return nil, 0
+	}
+	if e.tuples != want {
+		rs.bytes -= e.bytes
+		delete(rs.entries, k)
+		return nil, e.tuples
+	}
+	rs.clock++
+	e.used = rs.clock
+	return e.runs, e.tuples
+}
+
+// publish keeps runs under k, replacing what was there, and evicts the
+// least recently attached entries down to the budget.
+func (rs *ResidentStore) publish(k residentSlot, runs []*exchange.Buffer) {
+	e := &residentRuns{runs: runs}
+	for _, run := range runs {
+		e.tuples += int64(run.Len())
+		words, _ := run.Words()
+		e.bytes += int64(8 * (len(words) + len(run.Flat())))
+	}
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if old := rs.entries[k]; old != nil {
+		rs.bytes -= old.bytes
+	}
+	rs.clock++
+	e.used = rs.clock
+	rs.entries[k] = e
+	rs.bytes += e.bytes
+	for rs.bytes > rs.budget {
+		oldest := k
+		for k, o := range rs.entries {
+			if o.used < rs.entries[oldest].used {
+				oldest = k
+			}
+		}
+		rs.bytes -= rs.entries[oldest].bytes
+		delete(rs.entries, oldest)
+	}
+}
+
+// residentHome is a worker's resident store (nil: it keeps nothing) and
+// the slot it plays in a pool of p.
+type residentHome struct {
+	store   *ResidentStore
+	slot, p int
+}
+
+// receive ingests one delivered run: under its store name, and — flagged
+// — noted to be published at the round's barrier.
+func (w *workerStore) receive(d exchange.Delivery) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.addLocked(d.Rel, d.Buf)
+	if d.Retain != "" && w.home.store != nil {
+		if w.retained == nil {
+			w.retained = make(map[string][]*exchange.Buffer)
+		}
+		w.retained[d.Retain] = append(w.retained[d.Retain], d.Buf)
+	}
+}
+
+// publish hands the round's flagged runs — complete, now that its
+// barrier has come — to the process's resident store.
+func (w *workerStore) publish() {
+	w.mu.Lock()
+	kept := w.retained
+	w.retained = nil
+	w.mu.Unlock()
+	for key, runs := range kept {
+		w.home.store.publish(residentSlot{key, w.home.slot, w.home.p}, runs)
+	}
+}
+
+// attach binds the runs the process keeps under key into the session's
+// store. Nothing wanted is a hit with nothing to bind.
+func (w *workerStore) attach(key, store string, want int64) wire.Attach {
+	if want == 0 || w.home.store == nil {
+		return wire.Attach{Hit: want == 0}
+	}
+	runs, held := w.home.store.attach(residentSlot{key, w.home.slot, w.home.p}, want)
+	for _, run := range runs {
+		w.add(store, run)
+	}
+	return wire.Attach{Hit: runs != nil, Tuples: uint64(held)}
+}

@@ -1,0 +1,662 @@
+package dist_test
+
+import (
+	"context"
+	"math/big"
+	"math/rand/v2"
+	"net"
+	"reflect"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dist"
+	"repro/internal/dist/disttest"
+	"repro/internal/exchange"
+	"repro/internal/hypercube"
+	"repro/internal/mpc"
+	"repro/internal/plan"
+	"repro/internal/query"
+	"repro/internal/relation"
+	"repro/internal/wire"
+)
+
+// The resident-scatter net. An execution is described by what the
+// coordinator knows (a Residency and the snapshot identity it derives
+// from it) and by where the workers are (a pool); the same plan runs
+// fresh, retaining and resident, and every time the answers and the
+// round statistics must be those of the fresh run.
+
+// residentPool is a worker pool whose processes outlive sessions: over
+// loopback one shared store, over TCP one dist.Serve listener per slot.
+type residentPool interface {
+	// session opens one execution's transport.
+	session(t *testing.T) dist.Transport
+	// restart makes slot lose everything it kept.
+	restart(t *testing.T, slot int)
+}
+
+type loopbackPool struct {
+	p  int
+	rs *dist.ResidentStore
+}
+
+func (l *loopbackPool) session(*testing.T) dist.Transport { return dist.NewLoopbackOn(l.p, l.rs) }
+func (l *loopbackPool) restart(_ *testing.T, slot int)    { l.rs.ForgetSlot(slot) }
+
+type tcpPool struct{ addrs []string }
+
+func (p *tcpPool) session(t *testing.T) dist.Transport { return dialPool(t, p.addrs) }
+func (p *tcpPool) restart(t *testing.T, slot int)      { p.addrs[slot] = startPool(t, 1)[0] }
+
+// residentPools returns one pool of each kind, p workers each.
+func residentPools(t *testing.T, p int) map[string]residentPool {
+	return map[string]residentPool{
+		"loopback": &loopbackPool{p: p, rs: dist.NewResidentStore()},
+		"tcp":      &tcpPool{addrs: startPool(t, p)},
+	}
+}
+
+// residentCase is one query with its data and plan.
+type residentCase struct {
+	name     string
+	q        *query.Query
+	db       *relation.Database
+	pl       *plan.Plan
+	truth    []relation.Tuple
+	scatters int // keyed scatters per execution
+	// exchanges is what a resident execution costs a TCP session: one
+	// attach, then a barrier per round and a join and a gather per view.
+	exchanges int64
+}
+
+func residentCases(t *testing.T, p int) []residentCase {
+	t.Helper()
+	mk := func(name string, q *query.Query, db *relation.Database, eps *big.Rat, engine plan.Engine, scatters int, exchanges int64) residentCase {
+		pl, err := plan.Build(q, db.Stats(), plan.Options{P: p, Epsilon: eps})
+		if err == nil {
+			pl, err = pl.WithEngine(engine)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth, err := core.GroundTruth(q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(truth) == 0 {
+			t.Fatalf("%s: empty ground truth checks nothing", name)
+		}
+		return residentCase{name, q, db, pl, truth, scatters, exchanges}
+	}
+	rng := rand.New(rand.NewPCG(41, 41))
+	c3 := query.Cycle(3)
+	l4 := query.Chain(4)
+	// A repeated variable: R's first two columns must agree, so the grid
+	// partitioner binds one dimension from two positions.
+	rep, err := query.Parse("q(x,y,z) = R(x,x,y), S(y,z)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	repDB := relation.NewDatabase(40)
+	r, s := relation.New("R", "a", "b", "c"), relation.New("S", "y", "z")
+	for i := 0; i < 6000; i++ {
+		r.Tuples = append(r.Tuples, relation.Tuple{1 + rng.IntN(40), 1 + rng.IntN(40), 1 + rng.IntN(40)})
+		s.Tuples = append(s.Tuples, relation.Tuple{1 + rng.IntN(40), 1 + rng.IntN(40)})
+	}
+	repDB.AddRelation(r)
+	repDB.AddRelation(s)
+	return []residentCase{
+		mk("C3", c3, zipfDatabase(rng, c3, 4000, 1.05), nil, plan.OneRound, 3, 1+3),
+		// Two rounds: two views of two base relations each, then their join.
+		mk("L4-eps0", l4, relation.MatchingDatabase(rng, l4, 3000), new(big.Rat), plan.MultiRound, 4, 1+5+3),
+		mk("repeated-variable", rep, repDB, nil, plan.OneRound, 2, 1+3),
+	}
+}
+
+// execute runs the case once on tr under snap and checks the answers.
+func (c residentCase) execute(t *testing.T, tr dist.Transport, snap *dist.Snapshot, rec dist.RecoveryOptions) *plan.Result {
+	t.Helper()
+	res, err := c.pl.Execute(c.db, plan.ExecOptions{Seed: 23, Transport: tr, Snapshot: snap, Recovery: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameTuples(res.Answers, c.truth) {
+		t.Fatalf("%d answers, ground truth %d", len(res.Answers), len(c.truth))
+	}
+	return res
+}
+
+// warm runs the case fresh and retaining, and returns the fresh run's
+// round statistics: what every later execution must record.
+func (c residentCase) warm(t *testing.T, pool residentPool, res *dist.Residency) []mpc.RoundStats {
+	t.Helper()
+	fresh := res.Snapshot("d", 0)
+	want := c.execute(t, pool.session(t), fresh, dist.RecoveryOptions{}).Stats.Rounds
+	if fresh.Hits != 0 || fresh.Misses != 0 || fresh.Retained != 0 {
+		t.Fatalf("first sighting did more than scatter: %+v", fresh)
+	}
+	retaining := res.Snapshot("d", 0)
+	if got := c.execute(t, pool.session(t), retaining, dist.RecoveryOptions{}).Stats.Rounds; !reflect.DeepEqual(got, want) {
+		t.Fatalf("retaining run's round stats differ:\n%+v\n%+v", got, want)
+	}
+	if retaining.Hits != 0 || retaining.Misses != 0 || retaining.Retained == 0 {
+		t.Fatalf("second sighting: %+v, want only retained slices", retaining)
+	}
+	return want
+}
+
+func newResidency(t *testing.T) *dist.Residency {
+	t.Helper()
+	res, err := dist.NewResidency()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestResidentDifferential: fresh, retaining, resident, and resident with
+// one restarted worker return the same answers and the same Stats.Rounds
+// on both transports; the third run partitions and sends nothing, the
+// fourth re-sends exactly the restarted slot.
+func TestResidentDifferential(t *testing.T) {
+	const p = 4
+	for _, c := range residentCases(t, p) {
+		for name, pool := range residentPools(t, p) {
+			t.Run(c.name+"/"+name, func(t *testing.T) {
+				res := newResidency(t)
+				want := c.warm(t, pool, res)
+
+				hit := res.Snapshot("d", 0)
+				tr := pool.session(t)
+				if got := c.execute(t, tr, hit, dist.RecoveryOptions{}).Stats.Rounds; !reflect.DeepEqual(got, want) {
+					t.Fatalf("resident run's round stats differ:\n%+v\n%+v", got, want)
+				}
+				if hit.Hits != c.scatters || hit.Misses != 0 || hit.Retained != 0 {
+					t.Fatalf("third sighting: %+v, want %d hits and nothing sent", hit, c.scatters)
+				}
+				if tcp, ok := tr.(*dist.TCP); ok {
+					// One attach exchange, however many scatters attach.
+					if got := tcp.Exchanges(); got != c.exchanges {
+						t.Errorf("%d exchanges, want %d", got, c.exchanges)
+					}
+				}
+
+				pool.restart(t, 1)
+				partial := res.Snapshot("d", 0)
+				if got := c.execute(t, pool.session(t), partial, dist.RecoveryOptions{}).Stats.Rounds; !reflect.DeepEqual(got, want) {
+					t.Fatalf("partial-miss run's round stats differ:\n%+v\n%+v", got, want)
+				}
+				if partial.Hits != 0 || partial.Misses != c.scatters || partial.Retained != c.scatters {
+					t.Fatalf("after restarting one worker: %+v, want that slot's %d misses re-sent", partial, c.scatters)
+				}
+				again := res.Snapshot("d", 0)
+				c.execute(t, pool.session(t), again, dist.RecoveryOptions{})
+				if again.Hits != c.scatters || again.Misses != 0 {
+					t.Fatalf("after the repair: %+v, want %d hits", again, c.scatters)
+				}
+			})
+		}
+	}
+}
+
+// TestResidentRecovery: a worker killed right after it attached is
+// replaced mid-query; the replacement misses and is re-sent only its
+// slot, and answers and round statistics equal the fault-free run.
+func TestResidentRecovery(t *testing.T) {
+	const p = 4
+	rec := dist.RecoveryOptions{Enabled: true}
+	for _, c := range residentCases(t, p) {
+		for name, pool := range residentPools(t, p) {
+			for _, kind := range []disttest.FaultKind{disttest.KillBefore, disttest.KillAfter} {
+				t.Run(c.name+"/"+name+"/"+kind.String(), func(t *testing.T) {
+					res := newResidency(t)
+					want := c.warm(t, pool, res)
+					snap := res.Snapshot("d", 0)
+					ft := disttest.NewFaultTransport(pool.session(t),
+						disttest.Fault{Worker: 2, Op: disttest.OpAttach, N: 0, Kind: kind})
+					got := c.execute(t, ft, snap, rec)
+					if got.Replacements != 1 || ft.Kills() != 1 {
+						t.Fatalf("%d replacements, %d kills, want 1 and 1", got.Replacements, ft.Kills())
+					}
+					if !reflect.DeepEqual(got.Stats.Rounds, want) {
+						t.Fatalf("healed run's round stats differ:\n%+v\n%+v", got.Stats.Rounds, want)
+					}
+					// Only round 1 attaches, and only slot 2 was lost.
+					if snap.Hits != 0 || snap.Misses != c.scatters || snap.Retained != c.scatters {
+						t.Fatalf("healed run: %+v, want %d misses (one slot per scatter)", snap, c.scatters)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestResidentRecoveryAfterAttach: a worker that dies after the round
+// attached — at its join — is replaced and replay re-partitions its
+// slice of the resident scatters, which were never partitioned here.
+func TestResidentRecoveryAfterAttach(t *testing.T) {
+	const p = 4
+	c := residentCases(t, p)[0]
+	for name, pool := range residentPools(t, p) {
+		t.Run(name, func(t *testing.T) {
+			res := newResidency(t)
+			want := c.warm(t, pool, res)
+			snap := res.Snapshot("d", 0)
+			ft := disttest.NewFaultTransport(pool.session(t),
+				disttest.Fault{Worker: 0, Op: disttest.OpJoin, N: 0, Kind: disttest.KillBefore})
+			got := c.execute(t, ft, snap, dist.RecoveryOptions{Enabled: true})
+			if got.Replacements != 1 || snap.Hits != c.scatters {
+				t.Fatalf("%d replacements, %+v; want 1 and %d hits", got.Replacements, snap, c.scatters)
+			}
+			if !reflect.DeepEqual(got.Stats.Rounds, want) {
+				t.Fatalf("healed run's round stats differ:\n%+v\n%+v", got.Stats.Rounds, want)
+			}
+		})
+	}
+}
+
+// joinCluster opens a cluster for R(x,y) ⋈ S(y,z) on tr, scatters both
+// relations through grid partitioners under snap, and leaves the round
+// closed: the caller joins and gathers.
+func joinCluster(t *testing.T, q *query.Query, db *relation.Database, tr dist.Transport, snap *dist.Snapshot, seed uint64) (*dist.Cluster, func(query.Atom) *hypercube.GridPartitioner) {
+	t.Helper()
+	p := tr.Workers()
+	cl, ctx, err := dist.Open(dist.Env{Transport: tr, Snapshot: snap}, mpc.Config{Workers: p, DomainN: db.N, InputBits: db.InputBits()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares, err := hypercube.SharesForQuery(q, p, hypercube.GreedyRounding)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hasher := hypercube.NewHasher(shares, seed)
+	part := func(a query.Atom) *hypercube.GridPartitioner { return hypercube.NewGridPartitioner(shares, hasher, a) }
+	cl.BeginRound()
+	for _, a := range q.Atoms {
+		rel, _ := db.Relation(a.Name)
+		if err := cl.Scatter(ctx, rel, a.Name, part(a)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.EndRound(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return cl, part
+}
+
+// joinAnswers joins and gathers on a cluster joinCluster prepared.
+func joinAnswers(t *testing.T, cl *dist.Cluster, q *query.Query) []relation.Tuple {
+	t.Helper()
+	ctx := context.Background()
+	if err := cl.Join(ctx, q, nil, "out", 0); err != nil {
+		t.Fatal(err)
+	}
+	out, err := cl.Gather(ctx, "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestResidentIsolation: two sessions attach to the same resident runs;
+// one then retracts from and extends that store, as a maintainer would.
+// The other session's join never changes, a later session still attaches
+// to the original runs, and -race sees no write to a published run.
+func TestResidentIsolation(t *testing.T) {
+	const p = 4
+	q, err := query.Parse("q(x,y,z) = R(x,y), S(y,z)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(5, 5))
+	db := zipfDatabase(rng, q, 2000, 1.1)
+	truth, err := core.GroundTruth(q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relR, _ := db.Relation("R")
+	gone := relR.Tuples[:len(relR.Tuples)/2]
+	// A retraction removes a tuple however often the relation lists it.
+	dead := relation.NewTupleSet(2, len(gone))
+	for _, tu := range gone {
+		dead.Add(tu)
+	}
+	// The extension joins: a session that saw it would answer more.
+	relS, _ := db.Relation("S")
+	fresh := relation.Tuple{db.N, relS.Tuples[0][0]}
+	kept := []relation.Tuple{fresh}
+	for _, tu := range relR.Tuples {
+		if !dead.Contains(tu) {
+			kept = append(kept, tu)
+		}
+	}
+	after := relation.NewDatabase(db.N)
+	after.AddRelation(&relation.Relation{Name: "R", Attrs: relR.Attrs, Tuples: kept})
+	after.AddRelation(relS)
+	truthAfter, err := core.GroundTruth(q, after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sameTuples(truth, truthAfter) {
+		t.Fatal("the delta changes nothing: the test checks nothing")
+	}
+	for name, pool := range residentPools(t, p) {
+		t.Run(name, func(t *testing.T) {
+			res := newResidency(t)
+			for i := 0; i < 2; i++ {
+				cl, _ := joinCluster(t, q, db, pool.session(t), res.Snapshot("d", 0), 9)
+				if got := joinAnswers(t, cl, q); !sameTuples(got, truth) {
+					t.Fatalf("warm-up %d: %d answers, want %d", i, len(got), len(truth))
+				}
+			}
+			snapA, snapB := res.Snapshot("d", 0), res.Snapshot("d", 0)
+			a, part := joinCluster(t, q, db, pool.session(t), snapA, 9)
+			b, _ := joinCluster(t, q, db, pool.session(t), snapB, 9)
+			if snapA.Hits != 2 || snapB.Hits != 2 {
+				t.Fatalf("sessions did not attach: %+v %+v", snapA, snapB)
+			}
+			done := make(chan []relation.Tuple)
+			go func() { done <- joinAnswers(t, b, q) }()
+			ctx := context.Background()
+			a.BeginRound()
+			if err := a.ScatterDelta(ctx, gone, 2, "R", "", true, part(q.Atoms[0])); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.ScatterDelta(ctx, []relation.Tuple{fresh}, 2, "R", "", false, part(q.Atoms[0])); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.EndRound(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if got := joinAnswers(t, a, q); !sameTuples(got, truthAfter) {
+				t.Fatalf("maintained session: %d answers, want %d", len(got), len(truthAfter))
+			}
+			if got := <-done; !sameTuples(got, truth) {
+				t.Fatalf("the other session saw the delta: %d answers, want %d", len(got), len(truth))
+			}
+			snapC := res.Snapshot("d", 0)
+			c, _ := joinCluster(t, q, db, pool.session(t), snapC, 9)
+			if got := joinAnswers(t, c, q); snapC.Hits != 2 || !sameTuples(got, truth) {
+				t.Fatalf("a later session: %+v, %d answers, want 2 hits and %d", snapC, len(got), len(truth))
+			}
+		})
+	}
+}
+
+// TestResidentIdentity: what makes a scatter a different scatter — a
+// delta's version bump, another seed, other shares, another p — is never
+// served from the old key's runs; a partitioner that cannot describe
+// itself has no key at all.
+func TestResidentIdentity(t *testing.T) {
+	const p = 4
+	c := residentCases(t, p)[0]
+	rs := dist.NewResidentStore()
+	pool := &loopbackPool{p: p, rs: rs}
+	res := newResidency(t)
+	c.warm(t, pool, res)
+	kept := rs.Entries()
+	run := func(name string, snap *dist.Snapshot, opts plan.ExecOptions, pl *plan.Plan) {
+		t.Helper()
+		opts.Snapshot = snap
+		got, err := pl.Execute(c.db, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameTuples(got.Answers, c.truth) {
+			t.Fatalf("%s: %d answers, ground truth %d", name, len(got.Answers), len(c.truth))
+		}
+		if snap.Hits != 0 || snap.Misses != 0 || snap.Retained != 0 {
+			t.Errorf("%s: %+v, want a first sighting", name, snap)
+		}
+		if rs.Entries() != kept {
+			t.Errorf("%s: %d resident slices, want the %d of the warm key", name, rs.Entries(), kept)
+		}
+	}
+	run("version bump", res.Snapshot("d", 1), plan.ExecOptions{Seed: 23, Transport: pool.session(t)}, c.pl)
+	run("other dataset", res.Snapshot("e", 0), plan.ExecOptions{Seed: 23, Transport: pool.session(t)}, c.pl)
+	run("other seed", res.Snapshot("d", 0), plan.ExecOptions{Seed: 24, Transport: pool.session(t)}, c.pl)
+	shares := &hypercube.Shares{Vars: c.q.Vars(), Dims: []int{1, 2, 2}}
+	other, err := c.pl.WithShares(shares)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run("other shares", res.Snapshot("d", 0), plan.ExecOptions{Seed: 23, Transport: pool.session(t)}, other)
+	wide, err := plan.Build(c.q, c.db.Stats(), plan.Options{P: p + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run("other p", res.Snapshot("d", 0), plan.ExecOptions{Seed: 23, Transport: dist.NewLoopbackOn(p+1, rs)}, wide)
+	run("other coordinator", newResidency(t).Snapshot("d", 0), plan.ExecOptions{Seed: 23, Transport: pool.session(t)}, c.pl)
+
+	// The warm key itself is untouched by all of that.
+	hit := res.Snapshot("d", 0)
+	c.execute(t, pool.session(t), hit, dist.RecoveryOptions{})
+	if hit.Hits != c.scatters {
+		t.Fatalf("the warm key stopped hitting: %+v", hit)
+	}
+
+	// Sampled routing cannot be described: no key, whatever is known.
+	sampled := res.Snapshot("d", 0)
+	for i := 0; i < 3; i++ {
+		if _, err := hypercube.RunSampled(c.q, c.db, p, hypercube.Options{Seed: 3, Epsilon: 0.1, Transport: pool.session(t), Snapshot: sampled}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sampled.Hits != 0 || sampled.Misses != 0 || sampled.Retained != 0 {
+		t.Fatalf("a sampled grid was keyed: %+v", sampled)
+	}
+}
+
+// TestResidentSecondSight: a key seen once leaves nothing on any worker;
+// the second execution is the one that pays to keep it.
+func TestResidentSecondSight(t *testing.T) {
+	const p = 4
+	c := residentCases(t, p)[0]
+	rs := dist.NewResidentStore()
+	pool := &loopbackPool{p: p, rs: rs}
+	res := newResidency(t)
+	for v := uint64(0); v < 5; v++ {
+		c.execute(t, pool.session(t), res.Snapshot("d", v), dist.RecoveryOptions{})
+		if rs.Bytes() != 0 || rs.Entries() != 0 {
+			t.Fatalf("version %d, seen once, left %d bytes in %d slices", v, rs.Bytes(), rs.Entries())
+		}
+	}
+	c.execute(t, pool.session(t), res.Snapshot("d", 4), dist.RecoveryOptions{})
+	if rs.Bytes() == 0 {
+		t.Fatal("a second sighting retained nothing")
+	}
+}
+
+// TestResidentEviction: filling a worker past its byte budget evicts the
+// least recently attached scatter first, and the evicted key's next
+// attach is a transparent miss.
+func TestResidentEviction(t *testing.T) {
+	const p = 4
+	c := residentCases(t, p)[0]
+	rs := dist.NewResidentStore()
+	pool := &loopbackPool{p: p, rs: rs}
+	res := newResidency(t)
+	c.warm(t, pool, res) // version 0
+	one := rs.Bytes()
+	// Room for two versions' slices, not three.
+	rs.SetBudget(2*one + one/2)
+	for v := uint64(1); v <= 2; v++ {
+		for i := 0; i < 2; i++ {
+			c.execute(t, pool.session(t), res.Snapshot("d", v), dist.RecoveryOptions{})
+		}
+		if v == 1 {
+			// Touch version 0: version 1 is now the least recently attached.
+			c.execute(t, pool.session(t), res.Snapshot("d", 0), dist.RecoveryOptions{})
+		}
+	}
+	if rs.Bytes() > 2*one+one/2 {
+		t.Fatalf("%d bytes kept, budget %d", rs.Bytes(), 2*one+one/2)
+	}
+	for _, v := range []uint64{0, 2, 1} {
+		snap := res.Snapshot("d", v)
+		c.execute(t, pool.session(t), snap, dist.RecoveryOptions{})
+		if full := snap.Hits == c.scatters; full != (v != 1) {
+			t.Errorf("version %d: %+v, want every scatter resident: %v", v, snap, v != 1)
+		}
+	}
+}
+
+// lyingPool makes worker 0 answer every attach with a miss holding one
+// tuple too many — a reply that contradicts the coordinator's belief.
+type lyingPool struct{ *dist.Loopback }
+
+func (l lyingPool) Attach(ctx context.Context, atts []dist.Attachment) ([][]wire.Attach, error) {
+	replies, err := l.Loopback.Attach(ctx, atts)
+	for i, a := range atts {
+		replies[0][i] = wire.Attach{Tuples: uint64(a.Tuples[0] + 1)}
+	}
+	return replies, err
+}
+
+// TestResidentContradiction: a worker reporting a tuple count that
+// differs from the table is a miss, and the belief is dropped — the next
+// execution asks nobody and re-establishes it.
+func TestResidentContradiction(t *testing.T) {
+	const p = 4
+	c := residentCases(t, p)[0]
+	rs := dist.NewResidentStore()
+	pool := &loopbackPool{p: p, rs: rs}
+	res := newResidency(t)
+	want := c.warm(t, pool, res)
+	lied := res.Snapshot("d", 0)
+	got := c.execute(t, lyingPool{dist.NewLoopbackOn(p, rs)}, lied, dist.RecoveryOptions{})
+	if !reflect.DeepEqual(got.Stats.Rounds, want) {
+		t.Fatalf("round stats differ under a contradicting worker")
+	}
+	if lied.Hits != 0 || lied.Misses != c.scatters {
+		t.Fatalf("contradicted: %+v, want %d misses", lied, c.scatters)
+	}
+	asked := res.Snapshot("d", 0)
+	c.execute(t, pool.session(t), asked, dist.RecoveryOptions{})
+	if asked.Hits != 0 || asked.Misses != 0 || asked.Retained == 0 {
+		t.Fatalf("after the contradiction: %+v, want a retaining run that attaches to nothing", asked)
+	}
+	hit := res.Snapshot("d", 0)
+	c.execute(t, pool.session(t), hit, dist.RecoveryOptions{})
+	if hit.Hits != c.scatters {
+		t.Fatalf("belief not re-established: %+v", hit)
+	}
+}
+
+// TestResidentStaleEntry: a worker holding the wrong number of tuples
+// under a key answers miss, binds nothing, and drops the entry.
+func TestResidentStaleEntry(t *testing.T) {
+	rs := dist.NewResidentStore()
+	lb := dist.NewLoopbackOn(2, rs)
+	buf := exchange.NewBuffer(1)
+	buf.Append(relation.Tuple{7})
+	buf.Seal()
+	ctx := context.Background()
+	if err := lb.Deliver(ctx, 1, []exchange.Delivery{{To: 1, Rel: "R", Buf: buf, Retain: "k"}}); err != nil {
+		t.Fatal(err)
+	}
+	if rs.Entries() != 0 {
+		t.Fatal("a retained run was published before its round's barrier")
+	}
+	if err := lb.Barrier(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	if rs.Entries() != 1 {
+		t.Fatalf("%d slices after the barrier, want 1", rs.Entries())
+	}
+	fresh := dist.NewLoopbackOn(2, rs)
+	replies, err := fresh.Attach(ctx, []dist.Attachment{{Key: "k", Store: "R", Tuples: []int64{0, 2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !replies[0][0].Hit || replies[1][0].Hit || replies[1][0].Tuples != 1 {
+		t.Fatalf("replies %+v: want slot 0 a trivial hit, slot 1 a miss holding 1", replies)
+	}
+	if runs, _ := fresh.Gather(ctx, "R"); len(runs) != 0 || rs.Entries() != 0 {
+		t.Fatalf("a stale entry was bound (%d runs) or kept (%d slices)", len(runs), rs.Entries())
+	}
+}
+
+// TestServeSessionsShareOneStore: the sessions of one dist.Serve attach
+// to what an earlier session retained; a session served alone does not.
+func TestServeSessionsShareOneStore(t *testing.T) {
+	addrs := startPool(t, 1)
+	buf := exchange.NewBuffer(1)
+	buf.Append(relation.Tuple{7})
+	buf.Seal()
+	ctx := context.Background()
+	first := dialPool(t, addrs)
+	if err := first.Deliver(ctx, 1, []exchange.Delivery{{To: 0, Rel: "R", Buf: buf, Retain: "k"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Barrier(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+	att := []dist.Attachment{{Key: "k", Store: "R2", Tuples: []int64{1}}}
+	second := dialPool(t, addrs)
+	replies, err := second.Attach(ctx, att)
+	if err != nil || !replies[0][0].Hit || replies[0][0].Tuples != 1 {
+		t.Fatalf("second session: %+v %v, want a hit holding 1 tuple", replies, err)
+	}
+	runs, err := second.Gather(ctx, "R2")
+	if err != nil || len(runs) != 1 || runs[0].Len() != 1 {
+		t.Fatalf("the attached run is not in the session's store: %v %v", runs, err)
+	}
+
+	client, server := net.Pipe()
+	defer client.Close()
+	go dist.ServeConn(ctx, server)
+	// ServeConn alone has no process to keep anything in.
+	if err := wire.Encode(client, &wire.Frame{Type: wire.TypeHello, Hello: wire.Hello{Version: wire.Version, P: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := wire.Decode(client); err != nil || f.Type != wire.TypeAck {
+		t.Fatalf("handshake: %v %v", f, err)
+	}
+	if err := wire.Encode(client, &wire.Frame{Type: wire.TypeAttach, Attach: wire.Attach{Key: "k", Store: "R", Tuples: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := wire.Decode(client); err != nil || f.Type != wire.TypeAttach || f.Attach.Hit {
+		t.Fatalf("lone session: %+v %v, want a miss", f, err)
+	}
+}
+
+// deliveryLog records what a loopback session was sent.
+type deliveryLog struct {
+	*dist.Loopback
+	sent []exchange.Delivery
+}
+
+func (l *deliveryLog) Deliver(ctx context.Context, round int, ds []exchange.Delivery) error {
+	l.sent = append(l.sent, ds...)
+	return l.Loopback.Deliver(ctx, round, ds)
+}
+
+// TestResidentHitSendsNothing: a resident execution delivers no run at
+// all, and after one worker lost its store only that worker is sent
+// anything — its own slices, flagged to be kept again.
+func TestResidentHitSendsNothing(t *testing.T) {
+	const p = 4
+	c := residentCases(t, p)[0]
+	rs := dist.NewResidentStore()
+	pool := &loopbackPool{p: p, rs: rs}
+	res := newResidency(t)
+	c.warm(t, pool, res)
+	hit := &deliveryLog{Loopback: dist.NewLoopbackOn(p, rs)}
+	c.execute(t, hit, res.Snapshot("d", 0), dist.RecoveryOptions{})
+	if len(hit.sent) != 0 {
+		t.Fatalf("a resident execution delivered %d runs", len(hit.sent))
+	}
+	pool.restart(t, 3)
+	partial := &deliveryLog{Loopback: dist.NewLoopbackOn(p, rs)}
+	c.execute(t, partial, res.Snapshot("d", 0), dist.RecoveryOptions{})
+	if len(partial.sent) == 0 {
+		t.Fatal("the restarted worker was sent nothing")
+	}
+	for _, d := range partial.sent {
+		if d.To != 3 || d.Retain == "" {
+			t.Fatalf("delivery to worker %d (retain %q) after only worker 3 restarted", d.To, d.Retain)
+		}
+	}
+}

@@ -19,7 +19,8 @@ import (
 // (internal/wire) for every primitive. A TCP value is one execution
 // session — the workers' per-connection stores live exactly as long
 // as it does — so callers that share a worker pool across concurrent
-// executions dial one TCP transport per execution.
+// executions dial one TCP transport per execution. Only what a worker
+// process was asked to retain outlives it, for later sessions to Attach.
 type TCP struct {
 	conns []*workerConn
 	// mu guards the address bookkeeping below, mutated only by the
@@ -42,8 +43,9 @@ type TCP struct {
 func (t *TCP) Dials() int64 { return t.dials.Load() }
 
 // Exchanges returns how many acknowledged pool-wide round trips the
-// session made — every Barrier, Join, Gather, RunScript and Announce. A
-// fused round (RunScript) is one; the synchronous schedule pays three.
+// session made — every Barrier, Join, Gather, RunScript, Announce and
+// Attach. A fused round (RunScript) is one; the synchronous schedule
+// pays three, four in a round that attaches to resident scatters.
 func (t *TCP) Exchanges() int64 { return t.exchanges.Load() }
 
 // workerConn is the coordinator's end of one worker connection. The
@@ -305,10 +307,11 @@ func (t *TCP) eachConn(fn func(wc *workerConn) error) error {
 func dataFrames(frames []*wire.Frame, round int, ds []exchange.Delivery) []*wire.Frame {
 	for _, d := range ds {
 		frames = append(frames, &wire.Frame{Type: wire.TypeData, Data: wire.Data{
-			Round: uint32(round),
-			Dest:  uint32(d.To),
-			Rel:   d.Rel,
-			Buf:   d.Buf,
+			Round:  uint32(round),
+			Dest:   uint32(d.To),
+			Rel:    d.Rel,
+			Retain: d.Retain,
+			Buf:    d.Buf,
 		}})
 	}
 	return frames
@@ -364,6 +367,37 @@ func (t *TCP) ApplyDelta(ctx context.Context, round int, ds []DeltaDelivery) err
 func (t *TCP) Deliver(ctx context.Context, round int, ds []exchange.Delivery) error {
 	return scatter(ctx, t, ds, func(d exchange.Delivery) int { return d.To },
 		func(mine []exchange.Delivery) []*wire.Frame { return dataFrames(nil, round, mine) })
+}
+
+// Attach implements Attacher: one write and one reply per attachment on
+// every connection — one exchange, however many scatters attach.
+func (t *TCP) Attach(ctx context.Context, atts []Attachment) ([][]wire.Attach, error) {
+	t.exchanges.Add(1)
+	replies := make([][]wire.Attach, len(t.conns))
+	err := t.eachConn(func(wc *workerConn) error {
+		return wc.roundTrip(ctx, func() error {
+			frames := make([]*wire.Frame, len(atts))
+			for i, a := range atts {
+				frames[i] = &wire.Frame{Type: wire.TypeAttach, Attach: wire.Attach{
+					Key: a.Key, Store: a.Store, Tuples: uint64(a.Tuples[wc.id])}}
+			}
+			if err := wc.writeFrames(frames); err != nil {
+				return err
+			}
+			for range atts {
+				f, err := wc.rd.Next()
+				if err == nil && f.Type != wire.TypeAttach {
+					err = fmt.Errorf("unexpected %s frame answering an attach: %s", f.Type, f.Msg)
+				}
+				if err != nil {
+					return err
+				}
+				replies[wc.id] = append(replies[wc.id], f.Attach)
+			}
+			return nil
+		})
+	})
+	return replies, err
 }
 
 // Barrier implements Transport: every connection flushes its buffered

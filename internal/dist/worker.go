@@ -9,6 +9,7 @@ import (
 	"net"
 	"time"
 
+	"repro/internal/exchange"
 	"repro/internal/wire"
 )
 
@@ -16,10 +17,12 @@ import (
 // isolated worker session until ctx is done or the listener fails.
 // Sessions are independent: concurrent executions (e.g. parallel
 // mpcserve queries sharing one worker pool) never see each other's
-// stores.
+// stores. What they share is one ResidentStore: the scatter slices a
+// coordinator asked this process to keep, for later sessions to attach to.
 func Serve(ctx context.Context, ln net.Listener) error {
 	stop := context.AfterFunc(ctx, func() { ln.Close() })
 	defer stop()
+	rs := NewResidentStore()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -30,7 +33,7 @@ func Serve(ctx context.Context, ln net.Listener) error {
 		}
 		go func() {
 			defer conn.Close()
-			_ = ServeConn(ctx, conn)
+			_ = serveConn(ctx, conn, rs)
 		}()
 	}
 }
@@ -40,12 +43,18 @@ func Serve(ctx context.Context, ln net.Listener) error {
 // the coordinator closes the connection. Cancelling ctx aborts the
 // session by poisoning the connection deadline. Protocol violations
 // and evaluation failures are reported to the coordinator as Error
-// frames and returned.
+// frames and returned. A session served alone keeps nothing beyond
+// itself.
 func ServeConn(ctx context.Context, conn net.Conn) error {
+	return serveConn(ctx, conn, nil)
+}
+
+// serveConn is ServeConn in a process that keeps retained runs in rs.
+func serveConn(ctx context.Context, conn net.Conn, rs *ResidentStore) error {
 	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
 	defer stop()
 	br := bufio.NewReaderSize(conn, 1<<16)
-	s := &session{store: newWorkerStore(), conn: conn}
+	s := &session{conn: conn}
 
 	// The handshake frame comes from an unauthenticated dialer, so it
 	// goes through the validating decoder; everything after it is our
@@ -64,6 +73,7 @@ func ServeConn(ctx context.Context, conn net.Conn) error {
 		return s.abort(fmt.Errorf("worker id %d out of pool [0,%d)", hello.Hello.Worker, hello.Hello.P))
 	}
 	s.id = hello.Hello.Worker
+	s.store = newWorkerStore(residentHome{rs, int(s.id), int(hello.Hello.P)})
 	if err := s.flush(&wire.Frame{Type: wire.TypeAck}); err != nil {
 		return err
 	}
@@ -162,8 +172,11 @@ func (s *session) handle(f *wire.Frame) error {
 		if f.Data.Dest != s.id {
 			return fmt.Errorf("data frame for shard %d delivered to worker %d", f.Data.Dest, s.id)
 		}
-		s.store.add(f.Data.Rel, f.Data.Buf)
+		s.store.receive(exchange.Delivery{Rel: f.Data.Rel, Buf: f.Data.Buf, Retain: f.Data.Retain})
 		return nil
+	case wire.TypeAttach:
+		return s.reply(&wire.Frame{Type: wire.TypeAttach,
+			Attach: s.store.attach(f.Attach.Key, f.Attach.Store, int64(f.Attach.Tuples))})
 	case wire.TypeDelta:
 		if f.Delta.Dest != s.id {
 			return fmt.Errorf("delta frame for shard %d delivered to worker %d", f.Delta.Dest, s.id)
@@ -178,7 +191,9 @@ func (s *session) handle(f *wire.Frame) error {
 		return nil
 	case wire.TypeBarrier:
 		// Frames on the connection are processed in order, so reaching
-		// the barrier means every preceding Data frame is ingested.
+		// the barrier means every preceding Data frame is ingested — and
+		// every run flagged to be retained is complete.
+		s.store.publish()
 		return s.reply(&wire.Frame{Type: wire.TypeAck, Round: f.Round})
 	case wire.TypeJoin:
 		spec := JoinSpec{

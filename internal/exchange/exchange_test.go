@@ -2,6 +2,7 @@ package exchange
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -258,5 +259,54 @@ func TestSealSortedIsNoop(t *testing.T) {
 		b.Seal()
 	}); allocs != 0 {
 		t.Errorf("sealing sorted words allocated %.0f times", allocs)
+	}
+}
+
+// sizedHash is a HashPartitioner that also says what one destination
+// should expect.
+type sizedHash struct{ HashPartitioner }
+
+func (s sizedHash) PerDestination(rows int) int { return (rows + s.P - 1) / s.P }
+
+// TestPartitionReservesFromFanout: a partitioner that reports what one
+// destination should expect has its buffers reserved once — the same
+// runs, a fraction of the allocations of growing each from empty.
+func TestPartitionReservesFromFanout(t *testing.T) {
+	const p = 8
+	tuples := make([]relation.Tuple, 40000)
+	for i := range tuples {
+		tuples[i] = relation.Tuple{i, i * 31}
+	}
+	plain := HashPartitioner{Col: 0, P: p, Seed: 3}
+	a, err := Partition("R", tuples, 2, p, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Partition("R", tuples, 2, p, sizedHash{plain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) != len(b) {
+		t.Fatalf("%d runs reserved, %d grown", len(b), len(a))
+	}
+	for i := range a {
+		if a[i].To != b[i].To || !reflect.DeepEqual(a[i].Buf.Tuples(), b[i].Buf.Tuples()) {
+			t.Fatalf("run %d differs when reserved", i)
+		}
+	}
+	allocs := func(part Partitioner) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Partition("R", tuples, 2, p, part); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	grown, reserved := allocs(plain), allocs(sizedHash{plain})
+	if reserved > grown/2 {
+		t.Errorf("%.0f allocations reserved, %.0f grown: want less than half", reserved, grown)
+	}
+	c, err := PartitionRun("R", a[0].Buf, p, sizedHash{plain})
+	if err != nil || len(c) != 1 || !reflect.DeepEqual(c[0].Buf.Tuples(), a[0].Buf.Tuples()) {
+		t.Fatalf("re-scattering a reserved run: %d runs, %v", len(c), err)
 	}
 }

@@ -19,6 +19,11 @@ type Partitioner interface {
 	Route(i int, t relation.Tuple, buf []int) []int
 }
 
+// Keyed is optionally implemented by a Partitioner that can describe
+// its routing function completely: equal keys route every tuple
+// identically; "" says there is no such description.
+type Keyed interface{ Key() string }
+
 // HashDest is the shared splitmix64-style hash placement used by the
 // plain-hash disciplines (skew routing, cc vertex ownership): the
 // worker owning value v under the given seed, in [0, p).
@@ -66,6 +71,9 @@ type Delivery struct {
 	To  int
 	Rel string
 	Buf *Buffer
+	// Retain, when non-empty, asks the receiving worker process to keep
+	// the run under this key beyond the session (see dist.Residency).
+	Retain string
 }
 
 // minShard is the smallest per-goroutine shard worth spawning; below
@@ -79,6 +87,7 @@ const minShard = 2048
 func Partition(rel string, tuples []relation.Tuple, arity, p int, part Partitioner) ([]Delivery, error) {
 	return partitionShards(rel, len(tuples), p, func(lo, hi int, bufs []*Buffer) error {
 		var dsts []int
+		reserve := perDestination(part, hi-lo)
 		for i := lo; i < hi; i++ {
 			t := tuples[i]
 			dsts = part.Route(i, t, dsts[:0])
@@ -89,6 +98,7 @@ func Partition(rel string, tuples []relation.Tuple, arity, p int, part Partition
 				b := bufs[d]
 				if b == nil {
 					b = NewBuffer(arity)
+					b.Grow(reserve)
 					bufs[d] = b
 				}
 				b.Append(t)
@@ -96,6 +106,16 @@ func Partition(rel string, tuples []relation.Tuple, arity, p int, part Partition
 		}
 		return nil
 	})
+}
+
+// perDestination asks part, when it has the optional method, how many
+// of rows tuples one destination should expect, so a shard reserves each
+// buffer once instead of growing it from empty.
+func perDestination(part Partitioner, rows int) int {
+	if s, ok := part.(interface{ PerDestination(rows int) int }); ok {
+		return s.PerDestination(rows)
+	}
+	return 0
 }
 
 // PartitionRun is Partition over a sealed run instead of a tuple
@@ -108,6 +128,7 @@ func PartitionRun(rel string, run *Buffer, p int, part Partitioner) ([]Delivery,
 	return partitionShards(rel, run.Len(), p, func(lo, hi int, bufs []*Buffer) error {
 		var dsts []int
 		row := make(relation.Tuple, run.arity)
+		reserve := perDestination(part, hi-lo)
 		for i := lo; i < hi; i++ {
 			t := run.Row(i, row)
 			dsts = part.Route(i, t, dsts[:0])
@@ -118,6 +139,7 @@ func PartitionRun(rel string, run *Buffer, p int, part Partitioner) ([]Delivery,
 				b := bufs[d]
 				if b == nil {
 					b = NewBuffer(run.arity)
+					b.Grow(reserve)
 					bufs[d] = b
 				}
 				if run.packed {

@@ -272,6 +272,25 @@ func (g *GridPartitioner) WithSample(sample map[int]int) *GridPartitioner {
 // (before sampling).
 func (g *GridPartitioner) Fanout() int { return g.fanout }
 
+// PerDestination returns the tuples one grid point should expect of
+// rows, each reaching Fanout of the grid's points; 0 on a sampled grid.
+func (g *GridPartitioner) PerDestination(rows int) int {
+	if g.sample != nil {
+		return 0
+	}
+	grid := g.strides[0] * g.dims[0]
+	return (rows*g.fanout + grid - 1) / grid
+}
+
+// Key implements exchange.Keyed: shares, per-dimension hash seeds and
+// position → dimension bindings. A sampled grid has no key.
+func (g *GridPartitioner) Key() string {
+	if g.sample != nil {
+		return ""
+	}
+	return fmt.Sprint("grid", g.dims, g.hasher.seeds, g.binds)
+}
+
 // Route implements exchange.Partitioner. It is stateless and safe for
 // concurrent senders.
 func (g *GridPartitioner) Route(_ int, t relation.Tuple, buf []int) []int {
@@ -344,15 +363,16 @@ type Options struct {
 	// join — the right evaluator for the cyclic residual queries HC
 	// workers see.
 	Strategy localjoin.Strategy
-	// Transport, Context, Recovery, Pipeline and Trace are the fields of
-	// dist.Env (documented there): where and how the round runs. The
-	// zero values are the in-process loopback, no deadline, no recovery,
-	// the synchronous schedule, untraced.
+	// Transport, Context, Recovery, Pipeline, Trace and Snapshot are the
+	// fields of dist.Env (documented there): where and how the round
+	// runs. The zero values are the in-process loopback, no deadline, no
+	// recovery, the synchronous schedule, untraced, every scatter fresh.
 	Transport dist.Transport
 	Context   context.Context
 	Recovery  dist.RecoveryOptions
 	Pipeline  bool
 	Trace     *trace.Trace
+	Snapshot  *dist.Snapshot
 	// Aggregate, when non-nil, folds the answer gather into grouped
 	// aggregates (the spec's column indices refer to the query's Vars()
 	// order): Result.Answers then holds one sorted row per group. The
@@ -365,7 +385,7 @@ type Options struct {
 // parameters of opts and db, in the environment opts carries.
 func (o Options) open(p int, db *relation.Database) (*dist.Cluster, context.Context, error) {
 	return dist.Open(
-		dist.Env{Transport: o.Transport, Context: o.Context, Recovery: o.Recovery, Pipeline: o.Pipeline, Trace: o.Trace},
+		dist.Env{Transport: o.Transport, Context: o.Context, Recovery: o.Recovery, Pipeline: o.Pipeline, Trace: o.Trace, Snapshot: o.Snapshot},
 		mpc.Config{Workers: p, Epsilon: o.Epsilon, InputBits: db.InputBits(), CapConstant: o.CapConstant, DomainN: db.N})
 }
 

@@ -366,3 +366,40 @@ func assertSameTuples(t *testing.T, got, want []relation.Tuple) {
 		}
 	}
 }
+
+// TestGridPartitionerKey: the key is a complete description of the
+// routing function — it changes with the seed, the shares and the
+// position → dimension bindings, not with variable names — and a sampled
+// grid has none.
+func TestGridPartitionerKey(t *testing.T) {
+	q := query.Triangle()
+	shares := &Shares{Vars: q.Vars(), Dims: []int{3, 2, 2}}
+	key := func(s *Shares, seed uint64, a query.Atom) string {
+		return NewGridPartitioner(s, NewHasher(s, seed), a).Key()
+	}
+	base := key(shares, 7, q.Atoms[0])
+	if base == "" || base != key(shares, 7, q.Atoms[0]) {
+		t.Fatalf("key %q is empty or not reproducible", base)
+	}
+	renamed := &Shares{Vars: []string{"a", "b", "c"}, Dims: []int{3, 2, 2}}
+	if got := key(renamed, 7, query.Atom{Name: "T", Vars: []string{"a", "b"}}); got != base {
+		t.Errorf("renaming variables changed the key:\n%s\n%s", got, base)
+	}
+	for name, other := range map[string]string{
+		"seed":     key(shares, 8, q.Atoms[0]),
+		"shares":   key(&Shares{Vars: q.Vars(), Dims: []int{2, 3, 2}}, 7, q.Atoms[0]),
+		"bindings": key(shares, 7, q.Atoms[1]),
+		"repeated": key(shares, 7, query.Atom{Name: "R", Vars: []string{q.Vars()[0], q.Vars()[0]}}),
+	} {
+		if other == "" || other == base {
+			t.Errorf("another %s, same key %q", name, other)
+		}
+	}
+	part := NewGridPartitioner(shares, NewHasher(shares, 7), q.Atoms[0])
+	if got := part.PerDestination(1200); got != 1200*part.Fanout()/shares.GridSize() {
+		t.Errorf("PerDestination(1200) = %d with fanout %d on %d points", got, part.Fanout(), shares.GridSize())
+	}
+	if part.WithSample(map[int]int{0: 0}); part.Key() != "" || part.PerDestination(1200) != 0 {
+		t.Error("a sampled grid describes itself")
+	}
+}

@@ -86,6 +86,7 @@ func (p *Plan) executeOneRound(db *relation.Database, opts ExecOptions) (*Result
 		Recovery:    opts.Recovery,
 		Pipeline:    opts.Pipeline,
 		Trace:       opts.Trace,
+		Snapshot:    opts.Snapshot,
 		Aggregate:   p.Aggregate,
 	})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -309,4 +310,83 @@ func (c *meteredConn) Read(b []byte) (int, error) {
 	n, err := c.Conn.Read(b)
 	c.read.Add(int64(n))
 	return n, err
+}
+
+// TestWorkerPoolResidentScatter drives the resident scatter through the
+// service: the third identical query attaches to what the second asked
+// the workers to keep, the reply says so and charges what the first
+// charged, /metrics counts it, and a delta — a new version — starts over
+// while the loopback service never asks at all.
+func TestWorkerPoolResidentScatter(t *testing.T) {
+	addrs := startWorkerPool(t, 3)
+	srv, ts := newTestServer(t, serve.Config{WorkerAddrs: addrs, MaxAnswers: 100000}, 300)
+	ask := func() *serve.QueryResponse {
+		out, _ := postQuery(t, ts.URL, serve.QueryRequest{Dataset: "tri", Family: "C3"})
+		return out
+	}
+	counters := func() [3]int64 {
+		m := srv.Metrics()
+		return [3]int64{m.ScatterHits.Load(), m.ScatterMisses.Load(), m.ScatterRetained.Load()}
+	}
+	first, second, third := ask(), ask(), ask()
+	if first.ScatterResident != 0 || second.ScatterResident != 0 || third.ScatterResident != 3 {
+		t.Fatalf("scatterResident = %d, %d, %d; want 0, 0, 3", first.ScatterResident, second.ScatterResident, third.ScatterResident)
+	}
+	for i, out := range []*serve.QueryResponse{second, third} {
+		if out.Rounds != first.Rounds || out.TotalBits != first.TotalBits || out.MaxLoadTuples != first.MaxLoadTuples ||
+			!reflect.DeepEqual(out.PerRoundBits, first.PerRoundBits) || !reflect.DeepEqual(out.Answers, first.Answers) {
+			t.Fatalf("query %d is charged or answered differently from the fresh one:\n%+v\n%+v", i+2, out, first)
+		}
+	}
+	if got := counters(); got[0] != 3 || got[1] != 0 || got[2] == 0 {
+		t.Fatalf("hits, misses, retained = %v; want 3, 0, > 0", got)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{"mpcserve_scatter_resident_hits_total 3\n", "mpcserve_scatter_resident_misses_total 0\n", "mpcserve_scatter_resident_retained_total "} {
+		if !strings.Contains(string(prom), want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+	tr, err := http.Get(ts.URL + "/trace/" + third.QueryID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans, _ := io.ReadAll(tr.Body)
+	tr.Body.Close()
+	if !strings.Contains(string(spans), "scatter-resident") || !strings.Contains(string(spans), "S1: 3 hit, 0 miss") {
+		t.Errorf("the trace of %s does not name its resident scatters", third.QueryID)
+	}
+
+	// A delta is a new version: its scatters are sighted afresh, and the
+	// old version's runs are never attached to again.
+	ds, _ := srv.Registry().Get("tri")
+	a, b, c := freshTriangle(t, ds.DB(), 300)
+	if code := postJSON(t, ts.URL+"/datasets/tri/delta", serve.DeltaRequest{
+		Appends: map[string][][]int{"S1": {{a, b}}, "S2": {{b, c}}, "S3": {{c, a}}},
+	}, &serve.DeltaResponse{}); code != http.StatusOK {
+		t.Fatalf("delta status %d", code)
+	}
+	before := counters()
+	if out := ask(); out.ScatterResident != 0 || out.AnswerCount != first.AnswerCount+1 {
+		t.Fatalf("post-delta query: %d resident scatters, %d answers; want 0 and %d", out.ScatterResident, out.AnswerCount, first.AnswerCount+1)
+	}
+	if got := counters(); got != before {
+		t.Fatalf("a version seen once moved the counters: %v → %v", before, got)
+	}
+
+	// Without a pool there is nobody to keep anything.
+	lsrv, lts := newTestServer(t, serve.Config{DefaultP: 3}, 300)
+	for i := 0; i < 3; i++ {
+		if out, _ := postQuery(t, lts.URL, serve.QueryRequest{Dataset: "tri", Family: "C3"}); out.ScatterResident != 0 {
+			t.Fatalf("loopback query %d reports %d resident scatters", i, out.ScatterResident)
+		}
+	}
+	if m := lsrv.Metrics(); m.ScatterRetained.Load() != 0 {
+		t.Fatal("the loopback service asked workers to retain")
+	}
 }

@@ -56,6 +56,10 @@ type Metrics struct {
 	// PoolExchanges counts acknowledged pool-wide round trips across all
 	// sessions; on the fused schedule it equals the rounds executed.
 	PoolExchanges atomic.Int64
+	// ScatterHits counts scatters the pool's workers attached to instead
+	// of receiving, ScatterMisses the per-worker attaches that missed and
+	// were re-sent, ScatterRetained the per-worker slices asked to be kept.
+	ScatterHits, ScatterMisses, ScatterRetained atomic.Int64
 	// DeltasTotal counts successfully applied delta batches
 	// (POST /datasets/{name}/delta).
 	DeltasTotal atomic.Int64
@@ -81,6 +85,18 @@ type Metrics struct {
 func (m *Metrics) RecordSession(tr *dist.TCP) {
 	m.PoolDials.Add(tr.Dials())
 	m.PoolExchanges.Add(tr.Exchanges())
+}
+
+// RecordScatters adds what one execution's keyed scatters came to (nil:
+// nothing) and returns its hits.
+func (m *Metrics) RecordScatters(snap *dist.Snapshot) int {
+	if snap == nil {
+		return 0
+	}
+	m.ScatterHits.Add(int64(snap.Hits))
+	m.ScatterMisses.Add(int64(snap.Misses))
+	m.ScatterRetained.Add(int64(snap.Retained))
+	return snap.Hits
 }
 
 // RecordExecution folds one execution's communication record into the
@@ -152,6 +168,9 @@ func (m *Metrics) WriteProm(w io.Writer) {
 	counter("mpcserve_pool_repairs_total", "Pool members swapped for spares by reconciliation.", m.PoolRepairs.Load())
 	counter("mpcserve_pool_dials_total", "Worker-pool sessions dialled, plus mid-query worker replacements.", m.PoolDials.Load())
 	counter("mpcserve_pool_exchanges_total", "Acknowledged pool-wide round trips across all sessions.", m.PoolExchanges.Load())
+	counter("mpcserve_scatter_resident_hits_total", "Scatters the workers attached to instead of receiving.", m.ScatterHits.Load())
+	counter("mpcserve_scatter_resident_misses_total", "Per-worker attaches that missed and were re-sent.", m.ScatterMisses.Load())
+	counter("mpcserve_scatter_resident_retained_total", "Per-worker scatter slices workers were asked to keep.", m.ScatterRetained.Load())
 	counter("mpcserve_deltas_total", "Delta batches applied to datasets.", m.DeltasTotal.Load())
 	counter("mpcserve_delta_tuples_total", "Tuple occurrences ingested by delta batches.", m.DeltaTuples.Load())
 	counter("mpcserve_maintenance_bits_total", "Bits shipped maintaining continuous queries under deltas.", m.MaintenanceBits.Load())

@@ -169,6 +169,9 @@ type Server struct {
 	traces     *trace.Ring
 	queryID    atomic.Uint64
 	started    time.Time
+	// residency is what the pool's workers are believed to keep of
+	// earlier scatters; nil without a pool.
+	residency *dist.Residency
 }
 
 // New returns a Server with an empty registry and cold caches. An
@@ -187,6 +190,11 @@ func New(cfg Config) *Server {
 	}
 	if len(cfg.WorkerAddrs) > 0 {
 		s.pool = dist.NewRegistry(cfg.WorkerAddrs, cfg.SpareAddrs)
+		// Without entropy there is no unguessable key: the service then
+		// runs every scatter fresh.
+		if res, err := dist.NewResidency(); err == nil {
+			s.residency = res
+		}
 	}
 	if len(cfg.Tenants) > 0 {
 		ts, err := NewTenants(cfg.Tenants)
@@ -328,6 +336,11 @@ type QueryResponse struct {
 	// WorkerReplacements counts workers replaced mid-query by the
 	// recovery policy (distributed pool only; 0 on a healthy run).
 	WorkerReplacements int `json:"workerReplacements,omitempty"`
+	// ScatterResident counts the base-relation scatters the workers had
+	// kept from an earlier execution on this dataset version and attached
+	// to instead of receiving. Rounds, bits and loads are reported as if
+	// scattered: that is what the model charges the computation.
+	ScatterResident int `json:"scatterResident,omitempty"`
 	// ElapsedMs is the wall-clock execution time in milliseconds.
 	ElapsedMs float64 `json:"elapsedMs"`
 }
@@ -509,6 +522,10 @@ func (s *Server) resolveQuery(req QueryRequest) (*job, error) {
 				defer tr.Close()
 				defer s.metrics.RecordSession(tr)
 				execOpts.Transport, execOpts.Recovery = tr, s.recovery()
+				// Its identity lets workers attach to what they kept of it.
+				snap := s.residency.Snapshot(ds.Name, sn.Version)
+				defer func() { reply.ScatterResident = s.metrics.RecordScatters(snap) }()
+				execOpts.Snapshot = snap
 			}
 			res, err := pl.Execute(view, execOpts)
 			if err != nil {

@@ -150,6 +150,14 @@ func appendFrame(dst []byte, f *Frame) ([]byte, []byte, error) {
 		dst = appendU32(dst, f.Hello.P)
 	case TypeBarrier, TypeAck, TypePing, TypePong, TypeEpoch:
 		dst = appendU32(dst, f.Round)
+	case TypeAttach:
+		if dst, err = appendString(dst, f.Attach.Key); err != nil {
+			return dst, nil, err
+		}
+		if dst, err = appendString(dst, f.Attach.Store); err != nil {
+			return dst, nil, err
+		}
+		dst = append(appendU64(dst, f.Attach.Tuples), boolByte(f.Attach.Hit))
 	case TypeJoin:
 		if dst, err = appendString(dst, f.Join.Query); err != nil {
 			return dst, nil, err
@@ -210,6 +218,9 @@ func appendData(dst []byte, d *Data) ([]byte, []byte, error) {
 	if dst, err = appendString(dst, d.Rel); err != nil {
 		return dst, nil, err
 	}
+	if dst, err = appendString(dst, d.Retain); err != nil {
+		return dst, nil, err
+	}
 	return appendBufferBody(dst, d.Buf)
 }
 
@@ -225,12 +236,7 @@ func appendDelta(dst []byte, d *Delta) ([]byte, []byte, error) {
 	if dst, err = appendString(dst, d.View); err != nil {
 		return dst, nil, err
 	}
-	if d.Del {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
-	return appendBufferBody(dst, d.Buf)
+	return appendBufferBody(append(dst, boolByte(d.Del)), d.Buf)
 }
 
 // appendBufferBody appends one sealed buffer body, choosing the
@@ -349,6 +355,7 @@ func decodeDataTrusted(body []byte, d *Data) error {
 	d.Round = p.u32()
 	d.Dest = p.u32()
 	d.Rel = p.str()
+	d.Retain = p.str()
 	buf, err := decodeBufferBodyTrusted(p)
 	if err != nil {
 		return err
@@ -365,11 +372,9 @@ func decodeDeltaTrusted(body []byte, d *Delta) error {
 	d.Dest = p.u32()
 	d.Store = p.str()
 	d.View = p.str()
-	op := p.u8()
-	if p.err == nil && op > 1 {
-		return fmt.Errorf("delta op %d", op)
+	if d.Del = p.flag(); p.err != nil {
+		return p.err
 	}
-	d.Del = op == 1
 	buf, err := decodeBufferBodyTrusted(p)
 	if err != nil {
 		return err

@@ -97,8 +97,9 @@ func TestFastEncodingChoice(t *testing.T) {
 			out.Write(b)
 		}
 		stream := out.Bytes()
-		// enc byte sits after 5 hdr + 4 round + 4 dest + 2 len + 1 "R" + 2 arity.
-		return stream[18], out.Len()
+		// enc byte sits after 5 hdr + 4 round + 4 dest + 2 len + 1 "R" +
+		// 2 len (no retain key) + 2 arity.
+		return stream[20], out.Len()
 	}
 
 	skewed := zipfBuffer(t, 4096, 11)
@@ -194,7 +195,8 @@ func TestValidatingRejectsDirtyDeltaWords(t *testing.T) {
 	body = appendU32(body, 0) // round
 	body = appendU32(body, 0) // dest
 	body, _ = appendString(body, "R")
-	body = appendU16(body, 3) // arity 3 → 21 bits/value, 63 used
+	body, _ = appendString(body, "") // retain
+	body = appendU16(body, 3)        // arity 3 → 21 bits/value, 63 used
 	body = append(body, encDelta)
 	body = appendU32(body, uint32(len(words)))
 	body = append(body, payload...)

@@ -65,6 +65,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	seed(&Frame{Type: TypeTrace, Trace: TraceHeader{}})
 	seed(&Frame{Type: TypeDelta, Delta: Delta{Round: 4, Dest: 1, Store: "R", View: "delta!R!7", Buf: packed}})
 	seed(&Frame{Type: TypeDelta, Delta: Delta{Round: 4, Dest: 2, Store: "S", Del: true, Buf: flat}})
+	seed(&Frame{Type: TypeData, Data: Data{Round: 1, Dest: 2, Rel: "R", Retain: "\x00key\xff", Buf: packed}})
+	seed(&Frame{Type: TypeAttach, Attach: Attach{Key: "\x00key\xff", Store: "V1_1/S1", Tuples: 200}})
+	seed(&Frame{Type: TypeAttach, Attach: Attach{Tuples: 200, Hit: true}})
 	// Fast-path encodings: the same frames as the fast encoder ships
 	// them — raw little-endian words for the random buffer, delta
 	// varints for a skewed one — so the fuzzer mutates deep inside
@@ -89,11 +92,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	skewed.Seal()
 	fastSeed(&Frame{Type: TypeData, Data: Data{Round: 2, Dest: 1, Rel: "Z", Buf: skewed}})
+	fastSeed(&Frame{Type: TypeData, Data: Data{Round: 2, Dest: 1, Rel: "Z", Retain: "\x00key\xff", Buf: skewed}})
 	fastSeed(&Frame{Type: TypeDelta, Delta: Delta{Round: 5, Dest: 0, Store: "R", View: "delta!R!1", Buf: packed}})
 	fastSeed(&Frame{Type: TypeDelta, Delta: Delta{Round: 5, Dest: 1, Store: "Z", Del: true, Buf: skewed}})
 	// Hostile shapes: lying lengths, dirty high bits, truncation.
 	f.Add([]byte{byte(TypeData), 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Add([]byte{byte(TypeData), 0, 0, 0, 30, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 3, 0, 0, 0, 0, 2})
+	f.Add([]byte{byte(TypeData), 0, 0, 0, 30, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 3, 0, 0, 0, 0, 2})
 	f.Add([]byte{0xEE, 0, 0, 0, 0})
 	// Version-4 frames under bytes that changed meaning in version 5:
 	// the first byte past the last type, and a 12-byte payload under the
@@ -104,25 +108,29 @@ func FuzzDecodeFrame(f *testing.F) {
 	// first word sets bits above the packed width, a truncated delta
 	// varint, and a lying delta count.
 	f.Add([]byte{
-		byte(TypeData), 0, 0, 0, 34,
-		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 3, encRaw, 0, 0, 0, 2,
+		byte(TypeData), 0, 0, 0, 36,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 3, encRaw, 0, 0, 0, 2,
 		9, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
 	})
 	f.Add([]byte{
-		byte(TypeData), 0, 0, 0, 29,
-		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 3, encDelta, 0, 0, 0, 2,
+		byte(TypeData), 0, 0, 0, 31,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 3, encDelta, 0, 0, 0, 2,
 		0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0, // 1<<63, +0
 	})
 	f.Add([]byte{
-		byte(TypeData), 0, 0, 0, 19,
-		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 3, encDelta, 0, 0, 0, 2,
+		byte(TypeData), 0, 0, 0, 21,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 3, encDelta, 0, 0, 0, 2,
 		0x80,
 	})
 	f.Add([]byte{
-		byte(TypeData), 0, 0, 0, 20,
-		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 3, encDelta, 0xFF, 0xFF, 0xFF, 0xFF,
+		byte(TypeData), 0, 0, 0, 22,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 3, encDelta, 0xFF, 0xFF, 0xFF, 0xFF,
 		1, 2,
 	})
+	// Hostile attach frames: a dirty hit byte, and a key length that
+	// overruns the payload.
+	f.Add([]byte{byte(TypeAttach), 0, 0, 0, 13, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 2})
+	f.Add([]byte{byte(TypeAttach), 0, 0, 0, 13, 0xFF, 0xFF, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 1})
 	// Hostile delta frames: a dirty op byte (only 0 and 1 are legal), a
 	// lying tuple count with almost no payload behind it, and a
 	// truncated delta-varint body — all must reject without

@@ -16,7 +16,8 @@
 // flat fallback path; a Delta frame carries a maintenance run the same
 // way. Control frames carry the BSP protocol around the data (Hello,
 // Barrier, Join, Gather, Ack, Done, Error), the recovery handshake
-// (Ping, Pong, Epoch) and the tracing context (Trace). Every frame
+// (Ping, Pong, Epoch), the tracing context (Trace) and the resident
+// scatter (Attach). Every frame
 // type has a reader on the receiving side: a frame nothing consumes
 // does not belong in the protocol.
 //
@@ -42,8 +43,8 @@ import (
 type Type uint8
 
 // Frame types. The coordinator sends Hello, Data, Delta, Trace,
-// Barrier, Join, Gather, Ping and Epoch; a worker replies with Ack,
-// Data, Done, Pong and Error. The values are contiguous from 1 —
+// Barrier, Join, Gather, Ping, Epoch and Attach; a worker replies with
+// Ack, Data, Done, Pong, Attach and Error. The values are contiguous from 1 —
 // retiring a type renumbers the ones after it and bumps Version.
 const (
 	// TypeHello opens a session: protocol version, worker id, pool
@@ -97,6 +98,10 @@ const (
 	// like Data); a worker simply records the most recent header so its
 	// session can attribute work to the query being traced.
 	TypeTrace
+	// TypeAttach asks a worker to bind the runs its process keeps under
+	// an opaque key into the session's store; the worker answers with an
+	// Attach of its own.
+	TypeAttach
 )
 
 // String names the frame type.
@@ -128,6 +133,8 @@ func (t Type) String() string {
 		return "delta"
 	case TypeTrace:
 		return "trace"
+	case TypeAttach:
+		return "attach"
 	default:
 		return fmt.Sprintf("Type(%d)", uint8(t))
 	}
@@ -140,8 +147,8 @@ func (t Type) String() string {
 // Delta frame of incremental view maintenance; version 4 added the
 // Trace frame of per-round distributed tracing; version 5 retired a
 // per-barrier state broadcast that no receiver read, renumbering Delta
-// and Trace.
-const Version = 5
+// and Trace; version 6 added the Attach frame and the Retain key of Data.
+const Version = 6
 
 // MaxPayload bounds a frame's declared payload size (128 MiB). A
 // larger length prefix is rejected before any payload is read.
@@ -173,8 +180,23 @@ type Data struct {
 	Dest uint32
 	// Rel is the store name the run lands under.
 	Rel string
+	// Retain, when non-empty, is the key the worker also keeps the run
+	// under for later sessions to Attach to, from the round's barrier on.
+	Retain string
 	// Buf is the run itself.
 	Buf *exchange.Buffer
+}
+
+// Attach is the resident-scatter request and its reply.
+type Attach struct {
+	// Key names the resident runs, Store the session store they are bound
+	// under; a reply leaves both empty.
+	Key, Store string
+	// Tuples is how many tuples the key must hold to be a hit (request;
+	// zero: nothing to bind), and how many the worker held (reply).
+	Tuples uint64
+	// Hit reports, in a reply, that the runs are bound.
+	Hit bool
 }
 
 // Delta is one sealed maintenance run in flight. Its buffer body uses
@@ -251,6 +273,8 @@ type Frame struct {
 	Msg string
 	// Trace is set for TypeTrace.
 	Trace TraceHeader
+	// Attach is set for TypeAttach.
+	Attach Attach
 }
 
 // buffer encoding discriminators inside Data payloads. encPacked and
@@ -291,6 +315,15 @@ func Encode(w io.Writer, f *Frame) error {
 		if err := putString(&payload, f.Trace.QueryID); err != nil {
 			return err
 		}
+	case TypeAttach:
+		if err := putString(&payload, f.Attach.Key); err != nil {
+			return err
+		}
+		if err := putString(&payload, f.Attach.Store); err != nil {
+			return err
+		}
+		putU64(&payload, f.Attach.Tuples)
+		payload.WriteByte(boolByte(f.Attach.Hit))
 	case TypeJoin:
 		if err := putString(&payload, f.Join.Query); err != nil {
 			return err
@@ -344,6 +377,9 @@ func encodeData(w *bytes.Buffer, d *Data) error {
 	if err := putString(w, d.Rel); err != nil {
 		return err
 	}
+	if err := putString(w, d.Retain); err != nil {
+		return err
+	}
 	return encodeBufferBody(w, d.Buf)
 }
 
@@ -358,11 +394,7 @@ func encodeDelta(w *bytes.Buffer, d *Delta) error {
 	if err := putString(w, d.View); err != nil {
 		return err
 	}
-	if d.Del {
-		w.WriteByte(1)
-	} else {
-		w.WriteByte(0)
-	}
+	w.WriteByte(boolByte(d.Del))
 	return encodeBufferBody(w, d.Buf)
 }
 
@@ -446,6 +478,10 @@ func decodePayload(typ Type, body []byte) (*Frame, error) {
 		f.Trace.Span = p.u64()
 		f.Trace.Round = p.u32()
 		f.Trace.QueryID = p.str()
+	case TypeAttach:
+		f.Attach.Key, f.Attach.Store = p.str(), p.str()
+		f.Attach.Tuples = p.u64()
+		f.Attach.Hit = p.flag()
 	case TypeJoin:
 		f.Join.Query = p.str()
 		f.Join.View = p.str()
@@ -478,6 +514,7 @@ func decodeData(p *payloadReader, d *Data) {
 	d.Round = p.u32()
 	d.Dest = p.u32()
 	d.Rel = p.str()
+	d.Retain = p.str()
 	d.Buf = decodeBufferBody(p)
 }
 
@@ -487,12 +524,9 @@ func decodeDelta(p *payloadReader, d *Delta) {
 	d.Dest = p.u32()
 	d.Store = p.str()
 	d.View = p.str()
-	op := p.u8()
-	if p.err == nil && op > 1 {
-		p.fail(fmt.Errorf("delta op %d", op))
+	if d.Del = p.flag(); p.err != nil {
 		return
 	}
-	d.Del = op == 1
 	d.Buf = decodeBufferBody(p)
 }
 
@@ -622,6 +656,15 @@ func (p *payloadReader) u8() uint8 {
 	return v
 }
 
+// flag reads a byte that must be 0 or 1.
+func (p *payloadReader) flag() bool {
+	v := p.u8()
+	if v > 1 {
+		p.fail(fmt.Errorf("flag byte %d", v))
+	}
+	return v == 1
+}
+
 func (p *payloadReader) u16() uint16 {
 	if !p.need(2) {
 		return 0
@@ -658,6 +701,14 @@ func (p *payloadReader) str() string {
 	v := string(p.b[p.off : p.off+n])
 	p.off += n
 	return v
+}
+
+// boolByte is the wire form of a flag.
+func boolByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // putU16 appends a big-endian uint16.

@@ -63,6 +63,9 @@ func sampleFrames(t *testing.T) []*Frame {
 		{Type: TypeTrace, Trace: TraceHeader{TraceID: 1 << 50, Span: 7, Round: 3, QueryID: "q-12"}},
 		{Type: TypeDelta, Delta: Delta{Round: 4, Dest: 1, Store: "R", View: "delta!R!7", Buf: packed}},
 		{Type: TypeDelta, Delta: Delta{Round: 4, Dest: 2, Store: "S", Del: true, Buf: flat}},
+		{Type: TypeData, Data: Data{Round: 1, Dest: 3, Rel: "V1_1/S1", Retain: "\x00opaque\xffkey", Buf: packed}},
+		{Type: TypeAttach, Attach: Attach{Key: "\x00opaque\xffkey", Store: "V1_1/S1", Tuples: 1 << 40}},
+		{Type: TypeAttach, Attach: Attach{Tuples: 58733, Hit: true}},
 	}
 }
 
@@ -231,14 +234,15 @@ func TestDecodeMalformed(t *testing.T) {
 		// trailing payload the parser must reject.
 		{"trailing bytes", []byte{byte(TypeBarrier), 0, 0, 0, 6, 0, 0, 0, 1, 0xAA, 0xBB}, "trailing"},
 		{"zero arity", mutate(enc(&Frame{Type: TypeData, Data: Data{Rel: "R", Buf: packed}}), func(b []byte) {
-			// arity field sits after 5 hdr + 4 round + 4 dest + 2 len + 1 "R".
-			b[16], b[17] = 0, 0
+			// arity field sits after 5 hdr + 4 round + 4 dest + 2 len + 1 "R"
+			// + 2 len (no retain key).
+			b[18], b[19] = 0, 0
 		}), "arity"},
 		{"bad encoding byte", mutate(enc(&Frame{Type: TypeData, Data: Data{Rel: "R", Buf: packed}}), func(b []byte) {
-			b[18] = 9
+			b[20] = 9
 		}), "encoding"},
 		{"count overflows payload", mutate(enc(&Frame{Type: TypeData, Data: Data{Rel: "R", Buf: packed}}), func(b []byte) {
-			b[19], b[20], b[21], b[22] = 0xFF, 0xFF, 0xFF, 0xFF
+			b[21], b[22], b[23], b[24] = 0xFF, 0xFF, 0xFF, 0xFF
 		}), "truncated payload"},
 	}
 	for _, c := range cases {
