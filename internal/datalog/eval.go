@@ -30,14 +30,14 @@ type Options struct {
 	Seed uint64
 	// Dial returns a fresh transport for one execution session (a
 	// transport cannot be reused across sessions): one per rule-body
-	// plan execution, one per recursive-rule maintainer. nil runs
+	// plan execution, one per recursive-rule distribution. nil runs
 	// everything on in-process loopback pools.
 	Dial func(p int) (dist.Transport, error)
 	// Context bounds distributed executions; nil selects
 	// context.Background().
 	Context context.Context
 	// Recovery is the self-healing policy of every execution the
-	// program opens (rule bodies and recursive-rule maintainers alike):
+	// program opens (rule bodies and recursive-rule distributions alike):
 	// with Enabled set, a worker that dies mid-fixpoint is replaced and
 	// replayed instead of failing the program.
 	Recovery dist.RecoveryOptions
@@ -84,8 +84,8 @@ type Result struct {
 // derived and may not be pre-populated). Each rule body is planned and
 // executed as a conjunctive query through internal/plan; recursive
 // strata run a semi-naive fixpoint in which every delta iteration is
-// an incremental-maintenance batch (hypercube.Maintainer) on a warm
-// cluster, so iteration cost is delta routing, not a rescatter. Every
+// an incremental-maintenance batch (hypercube.Distribution.Apply) on a
+// warm cluster, so iteration cost is delta routing, not a rescatter. Every
 // execution runs the fused round schedule (dist.Env.Pipeline): a
 // program's round count grows with its data, and over TCP a fused round
 // is one exchange per worker where the synchronous one is three.
@@ -287,7 +287,7 @@ func (e *evaluator) evalRule(r *Rule) (*exchange.Buffer, error) {
 		Context:     e.opts.Context,
 		Recovery:    e.opts.Recovery,
 		Trace:       e.opts.Trace,
-		Pipeline:    true, // see Eval; maintainers are always fused
+		Pipeline:    true, // see Eval; distributions are always fused
 	})
 	if tr != nil {
 		tr.Close()
@@ -332,11 +332,12 @@ func (e *evaluator) evalStratum(s Stratum) error {
 
 // evalRecursive runs the semi-naive fixpoint of one recursive
 // stratum. Base rules (no stratum predicate in the body) seed the
-// iteration; each recursive rule becomes a warm Maintainer whose cold
-// run is iteration zero, and each subsequent iteration feeds the
-// per-predicate delta into every maintainer reading it as an
+// iteration; each recursive rule becomes a warm grid distribution whose
+// cold run is iteration zero, and each subsequent iteration feeds the
+// per-predicate delta into every distribution reading it as an
 // incremental batch — replication-factor routing, answers gathered
-// from the delta join only.
+// from the delta join only. The coordinator keeps the closure once, in
+// known; a rule's body answer is materialized nowhere.
 func (e *evaluator) evalRecursive(s Stratum) error {
 	inStratum := make(map[string]bool, len(s.Preds))
 	for _, pred := range s.Preds {
@@ -364,7 +365,7 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 		return fmt.Errorf("datalog: stratum %v marked recursive but has no recursive rule", s.Preds)
 	}
 
-	// Seed: base-rule facts become the initial stores the maintainers
+	// Seed: base-rule facts become the initial stores the distributions
 	// scatter. Predicates with no base rule start empty. known and
 	// delta hold each predicate's facts as one sealed run (nil = none),
 	// so an iteration is linear passes over words, not tuples.
@@ -380,19 +381,18 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 		e.install(pred, known[pred])
 	}
 
-	// One warm maintainer per recursive rule; its cold run already
-	// joins the seeds, so its Answers() are the iteration-zero
+	// One warm grid distribution per recursive rule; its cold run already
+	// joins the seeds, so what it returns are the iteration-zero
 	// derivations.
-	type maint struct {
+	type exec struct {
 		rule *Rule
-		q    *query.Query
-		m    *hypercube.Maintainer
+		d    *hypercube.Distribution
 		pos  []int
 	}
-	ms := make([]maint, 0, len(recRules))
+	xs := make([]exec, 0, len(recRules))
 	closeAll := func() {
-		for _, mm := range ms {
-			mm.m.Close()
+		for _, x := range xs {
+			x.d.Close()
 		}
 	}
 	delta := make(map[string]*exchange.Buffer, len(s.Preds))
@@ -413,13 +413,13 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 			epsF = cr.SpaceExponentFloat()
 		}
 		// Nothing that can fail without the network sits between the dial
-		// and the maintainer that takes ownership of the session.
+		// and the distribution that takes ownership of the session.
 		tr, err := e.dial()
 		if err != nil {
 			closeAll()
 			return err
 		}
-		m, err := hypercube.NewMaintainer(q, e.wdb, e.opts.P, hypercube.Options{
+		d, cold, err := hypercube.Distribute(q, e.wdb, e.opts.P, hypercube.Options{
 			Epsilon:     epsF,
 			CapConstant: e.opts.CapConstant,
 			Seed:        e.opts.Seed,
@@ -436,48 +436,43 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 			return fmt.Errorf("datalog: rule for %s: %v", r.Head.Pred, err)
 		}
 		pos := headPositions(r, q)
-		ms = append(ms, maint{rule: r, q: q, m: m, pos: pos})
-		fresh := exchange.Diff(exchange.Project(m.Run(), pos), known[r.Head.Pred])
+		xs = append(xs, exec{rule: r, d: d, pos: pos})
+		fresh := exchange.Diff(exchange.Project(cold, pos), known[r.Head.Pred])
 		delta[r.Head.Pred] = union(delta[r.Head.Pred], fresh)
 	}
 	for pred, d := range delta {
 		known[pred] = union(known[pred], d)
 	}
 
-	// The fixpoint loop: every iteration ships each predicate's delta
-	// to every maintainer that reads it, in one batch per rule, and
-	// the genuinely new answers (Report.FreshRun) become the next delta.
-	for hasFacts(delta) {
+	// The fixpoint loop: every iteration hands each rule the Δ runs of
+	// the predicates it reads, as they are, in one batch per rule. What
+	// the batch gathers is every derivation through a Δ fact, old or new;
+	// projected onto the head and diffed against known — the one copy of
+	// the closure there is — it is the rule's share of the next Δ.
+	for iter := 1; hasFacts(delta); iter++ {
 		e.iterations++
-		if e.opts.MaxIterations > 0 && e.iterations > e.opts.MaxIterations {
+		if e.opts.MaxIterations > 0 && iter > e.opts.MaxIterations {
 			closeAll()
 			return fmt.Errorf("datalog: stratum %v exceeded %d fixpoint iterations", s.Preds, e.opts.MaxIterations)
 		}
-		// Only Δ becomes tuples: ApplyDelta takes the batch in
-		// relation.Effect's shape.
-		added := make(map[string][]relation.Tuple, len(delta))
-		for pred, d := range delta {
-			added[pred] = d.Tuples()
-		}
 		next := make(map[string]*exchange.Buffer, len(s.Preds))
-		for _, mm := range ms {
-			changes := make(map[string]relation.Effect)
-			for _, a := range mm.rule.Body {
-				if d := added[a.Name]; inStratum[a.Name] && len(d) > 0 {
-					changes[a.Name] = relation.Effect{Added: d}
+		for _, x := range xs {
+			added := make(map[string]*exchange.Buffer)
+			for _, a := range x.rule.Body {
+				if d := delta[a.Name]; d.Len() > 0 {
+					added[a.Name] = d
 				}
 			}
-			if len(changes) == 0 {
+			if len(added) == 0 {
 				continue
 			}
-			rep, err := mm.m.ApplyDelta(changes)
+			gathered, err := x.d.Apply(nil, added)
 			if err != nil {
 				closeAll()
-				return fmt.Errorf("datalog: rule for %s: %v", mm.rule.Head.Pred, err)
+				return fmt.Errorf("datalog: rule for %s: %v", x.rule.Head.Pred, err)
 			}
-			e.capSeen = e.capSeen || rep.CapExceeded
-			fresh := exchange.Diff(exchange.Project(rep.FreshRun, mm.pos), known[mm.rule.Head.Pred])
-			next[mm.rule.Head.Pred] = union(next[mm.rule.Head.Pred], fresh)
+			fresh := exchange.Diff(exchange.Project(gathered, x.pos), known[x.rule.Head.Pred])
+			next[x.rule.Head.Pred] = union(next[x.rule.Head.Pred], fresh)
 		}
 		// Deltas are measured against known before this iteration's
 		// merge, so two rules deriving the same new fact contribute it
@@ -488,9 +483,9 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 		delta = next
 	}
 
-	for _, mm := range ms {
-		e.record(mm.m.Stats(), false, mm.m.Replacements())
-		mm.m.Close()
+	for _, x := range xs {
+		e.record(x.d.Stats(), x.d.CapExceeded(), x.d.Replacements())
+		x.d.Close()
 	}
 	for _, pred := range s.Preds {
 		e.install(pred, known[pred])

@@ -472,3 +472,31 @@ func TestCatalogCollectsBodyRelationsOnce(t *testing.T) {
 		t.Errorf("an untouched relation was recollected: %+v", after)
 	}
 }
+
+// TestMaxIterationsIsPerStratum: Options.MaxIterations bounds each
+// recursive stratum's loop on its own, while Result.Iterations stays the
+// total. Two strata that each close a 6-edge path in 5 iterations fit
+// under a bound of 6; the running total (10) does not.
+func TestMaxIterationsIsPerStratum(t *testing.T) {
+	var path [][2]int
+	for v := 1; v <= 6; v++ {
+		path = append(path, [2]int{v, v + 1})
+	}
+	prog := MustParse(`
+		a(x, y) :- e(x, y).
+		a(x, z) :- a(x, y), e(y, z).
+		b(x, y) :- e(x, y).
+		b(x, z) :- b(x, y), e(y, z).
+		out(x, y) :- a(x, y), b(x, y).
+	`)
+	res, err := Eval(prog, edgeDB(7, path), Options{P: 4, Seed: 5, MaxIterations: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iterations != 10 || len(res.Answers) != 21 {
+		t.Errorf("%d iterations and %d answers, want 10 (5 per stratum) and 21", res.Iterations, len(res.Answers))
+	}
+	if _, err := Eval(prog, edgeDB(7, path), Options{P: 4, Seed: 5, MaxIterations: 4}); err == nil {
+		t.Error("a stratum that needs 5 iterations ran under a bound of 4")
+	}
+}

@@ -3,9 +3,11 @@
 // conjunctive rules, grouped aggregation (count/sum/min/max) in rule
 // heads, and (mutually) recursive predicates. Rule bodies compile onto
 // the statistics-driven engines of internal/plan; recursive strata run
-// as a fixpoint loop over the warm incremental-maintenance machinery
-// of internal/hypercube, so every semi-naive delta round is routed at
-// replication-factor cost instead of a rescatter.
+// as a fixpoint loop over the warm grid distributions of
+// internal/hypercube (a hypercube.Distribution per recursive rule), so
+// every semi-naive delta round is routed at replication-factor cost
+// instead of a rescatter, and the coordinator holds each predicate's
+// closure once, as one sealed run.
 //
 // A program is the second statement form of the text front end's one
 // lexical grammar — the tokens, the atom and the full grammar are

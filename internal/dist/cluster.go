@@ -226,16 +226,18 @@ func (c *Cluster) deliver(ctx context.Context, ds []exchange.Delivery) error {
 	return c.ship(ctx, rs, lone, recOp{kind: opDeliver, round: c.round, ds: ds})
 }
 
-// ScatterDelta partitions delta tuples through part — the same
-// partitioner as the base scatter, so each delta tuple reaches
+// ScatterDelta partitions a sealed run of delta tuples through part —
+// the same partitioner as the base scatter, so each delta tuple reaches
 // exactly the workers that replicate it — and ships them as delta
 // deliveries maintaining store: retractions (del) tombstone, and
 // extensions append, additionally registering under view when it is
-// non-empty. Receipt is accounted against the open round exactly like
-// Scatter; the incremental-maintenance cost bound (replication factor
-// per tuple, not O(N)) is thereby measured, not assumed.
-func (c *Cluster) ScatterDelta(ctx context.Context, tuples []relation.Tuple, arity int, store, view string, del bool, part exchange.Partitioner) error {
-	ds, err := exchange.Partition(store, tuples, arity, c.cfg.Workers, part)
+// non-empty. The run is routed as it is (exchange.PartitionRun), every
+// row received, a repeated one once per occurrence. Receipt is accounted
+// against the open round exactly like Scatter; the
+// incremental-maintenance cost bound (replication factor per tuple, not
+// O(N)) is thereby measured, not assumed.
+func (c *Cluster) ScatterDelta(ctx context.Context, run *exchange.Buffer, store, view string, del bool, part exchange.Partitioner) error {
+	ds, err := exchange.PartitionRun(store, run, c.cfg.Workers, part)
 	if err != nil {
 		return fmt.Errorf("dist: scatter delta: %w", err)
 	}

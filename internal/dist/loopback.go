@@ -107,7 +107,7 @@ func (l *Loopback) Join(ctx context.Context, spec JoinSpec) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	q, strategy, err := parseJoinSpec(spec)
+	q, strategy, err := parseJoinSpec(spec, query.Parse)
 	if err != nil {
 		return err
 	}
@@ -164,7 +164,7 @@ func (l *Loopback) JoinWorker(ctx context.Context, w int, spec JoinSpec) error {
 	if w < 0 || w >= len(l.ws) {
 		return fmt.Errorf("dist: loopback join worker %d out of range [0,%d)", w, len(l.ws))
 	}
-	q, strategy, err := parseJoinSpec(spec)
+	q, strategy, err := parseJoinSpec(spec, query.Parse)
 	if err != nil {
 		return err
 	}
@@ -224,9 +224,10 @@ func (l *Loopback) Epoch() uint32 {
 }
 
 // parseJoinSpec validates the pieces of a JoinSpec shared by the
-// loopback transport and the remote worker session.
-func parseJoinSpec(spec JoinSpec) (*query.Query, localjoin.Strategy, error) {
-	q, err := query.Parse(spec.Query)
+// loopback transport and the remote worker session; parse is query.Parse
+// or a session's memo of it.
+func parseJoinSpec(spec JoinSpec, parse func(string) (*query.Query, error)) (*query.Query, localjoin.Strategy, error) {
+	q, err := parse(spec.Query)
 	if err != nil {
 		return nil, 0, fmt.Errorf("dist: join query: %w", err)
 	}

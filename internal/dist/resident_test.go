@@ -359,10 +359,10 @@ func TestResidentIsolation(t *testing.T) {
 			go func() { done <- joinAnswers(t, b, q) }()
 			ctx := context.Background()
 			a.BeginRound()
-			if err := a.ScatterDelta(ctx, gone, 2, "R", "", true, part(q.Atoms[0])); err != nil {
+			if err := a.ScatterDelta(ctx, exchange.NewRun(2, gone), "R", "", true, part(q.Atoms[0])); err != nil {
 				t.Fatal(err)
 			}
-			if err := a.ScatterDelta(ctx, []relation.Tuple{fresh}, 2, "R", "", false, part(q.Atoms[0])); err != nil {
+			if err := a.ScatterDelta(ctx, exchange.NewRun(2, []relation.Tuple{fresh}), "R", "", false, part(q.Atoms[0])); err != nil {
 				t.Fatal(err)
 			}
 			if err := a.EndRound(ctx); err != nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/exchange"
+	"repro/internal/query"
 	"repro/internal/wire"
 )
 
@@ -116,6 +117,23 @@ type session struct {
 	// trace is the most recent span context the coordinator announced;
 	// worker-side failures are attributed to its query id.
 	trace wire.TraceHeader
+	// joinText and joinQuery are the query text of the last join frame
+	// and what it parsed into.
+	joinText  string
+	joinQuery *query.Query
+}
+
+// parseQuery is query.Parse remembering its last result, matched by
+// text: a fixpoint sends the same rule body every iteration.
+func (s *session) parseQuery(text string) (*query.Query, error) {
+	if s.joinQuery == nil || text != s.joinText {
+		q, err := query.Parse(text)
+		if err != nil {
+			return nil, err
+		}
+		s.joinText, s.joinQuery = text, q
+	}
+	return s.joinQuery, nil
 }
 
 // reply queues one control frame for the coordinator; it leaves with
@@ -207,7 +225,7 @@ func (s *session) handle(f *wire.Frame) error {
 				spec.Bindings[b[0]] = b[1]
 			}
 		}
-		q, strategy, err := parseJoinSpec(spec)
+		q, strategy, err := parseJoinSpec(spec, s.parseQuery)
 		if err != nil {
 			return err
 		}

@@ -1,0 +1,63 @@
+package dist
+
+import (
+	"testing"
+
+	"repro/internal/exchange"
+	"repro/internal/relation"
+	"repro/internal/wire"
+)
+
+// TestSessionParsesJoinQueryOnce: a worker session remembers what the
+// last join frame's query text parsed into, so the frames of a fixpoint
+// — same rule body, a new view every iteration — parse once; a frame
+// with a different text is parsed afresh and evaluated as what it says,
+// and so is the first text when it comes back.
+func TestSessionParsesJoinQueryOnce(t *testing.T) {
+	s := &session{store: newWorkerStore(residentHome{})}
+	s.store.add("R", exchange.NewRun(2, []relation.Tuple{{1, 2}, {3, 4}}))
+	s.store.add("S", exchange.NewRun(2, []relation.Tuple{{2, 5}, {4, 6}}))
+	join := func(text, view string) {
+		t.Helper()
+		if err := s.handle(&wire.Frame{Type: wire.TypeJoin, Join: wire.Join{Query: text, View: view}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	arity := func(view string) int {
+		t.Helper()
+		runs := s.store.runs(view)
+		if len(runs) != 1 || runs[0].Len() != 2 {
+			t.Fatalf("view %s holds %d runs, want one of two answers", view, len(runs))
+		}
+		return runs[0].Arity()
+	}
+	const chain, single = "q(x,y,z) = R(x,y), S(y,z)", "q(x,y) = R(x,y)"
+
+	join(chain, "v1")
+	first := s.joinQuery
+	join(chain, "v2")
+	if first == nil || s.joinQuery != first {
+		t.Error("the second join frame with the same text was parsed again")
+	}
+	if arity("v1") != 3 || arity("v2") != 3 {
+		t.Errorf("chain views have arity %d and %d, want 3", arity("v1"), arity("v2"))
+	}
+	join(single, "v3")
+	if s.joinQuery == first || s.joinText != single {
+		t.Error("a different query text was served the remembered query")
+	}
+	if arity("v3") != 2 {
+		t.Errorf("single-atom view has arity %d, want 2", arity("v3"))
+	}
+	join(chain, "v4")
+	if arity("v4") != 3 {
+		t.Errorf("chain view after the switch has arity %d, want 3", arity("v4"))
+	}
+	if err := s.handle(&wire.Frame{Type: wire.TypeJoin, Join: wire.Join{Query: "R(x,", View: "v5"}}); err == nil {
+		t.Error("malformed query text accepted")
+	}
+	join(chain, "v6") // a failed parse leaves the memo usable
+	if arity("v6") != 3 {
+		t.Errorf("chain view after a parse error has arity %d, want 3", arity("v6"))
+	}
+}

@@ -245,3 +245,38 @@ func FuzzMergeRuns(f *testing.F) {
 		checkUntouched(t, "MergeRuns", runs, before)
 	})
 }
+
+// BenchmarkDiffDelta is the diff a fixpoint iteration takes: a Δ of
+// 6 000 binary tuples, half of them known, against a closure of 50 000 —
+// on packed words (the scalar loop) and on flat rows (the strided one).
+func BenchmarkDiffDelta(b *testing.B) {
+	for _, layout := range []string{"packed", "flat"} {
+		b.Run(layout, func(b *testing.B) {
+			rng := rand.New(rand.NewPCG(23, 29))
+			offset := 0
+			if layout == "flat" {
+				offset = 1 << 33
+			}
+			draw := func(n int) []relation.Tuple {
+				ts := make([]relation.Tuple, n)
+				for i := range ts {
+					ts[i] = relation.Tuple{offset + rng.IntN(1<<20), offset + rng.IntN(1<<20)}
+				}
+				return ts
+			}
+			known := draw(50000)
+			closure := NewRun(2, known)
+			delta := NewRun(2, append(draw(3000), known[:3000]...))
+			if closure.packed != (layout == "packed") || delta.packed != closure.packed {
+				b.Fatalf("runs are not on the %s layout", layout)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if fresh := Diff(delta, closure); fresh.Len() < 2900 || fresh.Len() > 3000 {
+					b.Fatalf("%d of %d Δ tuples are new, want about 3 000", fresh.Len(), delta.Len())
+				}
+			}
+		})
+	}
+}

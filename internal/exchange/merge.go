@@ -207,9 +207,32 @@ func Diff(a, b *Buffer) *Buffer {
 // stride), freshly allocated. b is searched by galloping from the last
 // match — doubling steps, then bisection — so subtracting a large
 // closure from a small Δ costs O(|Δ|·log) row comparisons, not a scan
-// of the closure.
+// of the closure. Single-value rows (packed words) take a scalar loop,
+// as in mergePair: every fixpoint iteration runs it.
 func diffSorted[T uint64 | int](a, b []T, stride int) []T {
 	out := make([]T, 0, len(a))
+	if stride == 1 {
+		j := 0
+		for _, v := range a {
+			step := 1
+			for j+step <= len(b) && b[j+step-1] < v {
+				j += step
+				step *= 2
+			}
+			lo, hi := j, min(j+step-1, len(b))
+			for lo < hi {
+				if mid := (lo + hi) / 2; b[mid] < v {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			if j = lo; j == len(b) || b[j] != v {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
 	nb := len(b) / stride
 	j := 0 // first row of b not known to be < the current row of a
 	for i := 0; i < len(a); i += stride {

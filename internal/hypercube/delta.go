@@ -12,20 +12,23 @@ import (
 	"repro/internal/relation"
 )
 
-// This file is the incremental view maintenance of the HC engine.
-// A cold HC run distributes every relation along the grid once and
-// answers one query; a Maintainer keeps that distribution — and the
-// materialized answer — alive across delta batches. A delta tuple of
-// atom S_j routes through the same GridPartitioner as the base
-// scatter, so it reaches exactly the grid points that replicate it:
-// maintenance communication is the replication factor of the tuple,
-// not a rescatter of the relation. Insertions are then answered by a
-// delta join per changed atom (the changed atom bound to its Δ view,
-// every other atom to its full post-update store), and deletions by a
-// coordinator-side anti-join: a conjunctive query without projection
-// determines each answer's witness in atom S_j uniquely (it is the
-// answer's projection onto vars(S_j)), so an answer dies exactly when
-// one of its projections was retracted.
+// This file is the incremental view maintenance of the HC engine, in
+// two layers. A cold HC run distributes every relation along the grid
+// once and answers one query; a Distribution keeps that distribution
+// alive across delta batches, and a Maintainer keeps the materialized
+// answer on top of it. A delta tuple of atom S_j routes through the same
+// GridPartitioner as the base scatter, so it reaches exactly the grid
+// points that replicate it: maintenance communication is the
+// replication factor of the tuple, not a rescatter of the relation.
+// Insertions are then answered by a delta join per changed atom (the
+// changed atom bound to its Δ view, every other atom to its full
+// post-update store), and deletions by a coordinator-side anti-join: a
+// conjunctive query without projection determines each answer's witness
+// in atom S_j uniquely (it is the answer's projection onto vars(S_j)),
+// so an answer dies exactly when one of its projections was retracted.
+// The Distribution hands back what the workers joined, undiffed:
+// datalog's fixpoint diffs head facts against the closure it keeps and
+// drives it directly; serve's continuous queries use a Maintainer.
 
 // Report describes what one maintenance batch cost and changed.
 type Report struct {
@@ -40,11 +43,6 @@ type Report struct {
 	// materialized answer.
 	AnswersAdded   int
 	AnswersRemoved int
-	// FreshRun holds the genuinely new answers of the batch — the
-	// AnswersAdded tuples — as the sealed run they were computed as (nil
-	// or empty when nothing was added): the Δ a semi-naive fixpoint loop
-	// projects and diffs without going through tuples.
-	FreshRun *exchange.Buffer
 	// Replacements counts workers replaced by recovery during the
 	// batch.
 	Replacements int
@@ -53,30 +51,16 @@ type Report struct {
 	CapExceeded bool
 }
 
-// Maintainer holds a continuously-maintained HC execution: the grid
-// distribution of every atom's relation on a live cluster, plus the
-// materialized answer. It is single-caller, like the Cluster it
-// drives.
-type Maintainer struct {
+// Distribution holds a warm HC execution: the grid distribution of every
+// atom's relation on a live cluster, maintained under delta batches given
+// as sealed runs. It is single-caller, like the Cluster it drives.
+type Distribution struct {
 	q       *query.Query
-	shares  *Shares
-	hasher  *Hasher
 	cluster *dist.Cluster
 	ctx     context.Context
 	// parts holds the per-atom grid partitioner — the identical
 	// routing the base scatter used, reused for every delta.
 	parts map[string]*GridPartitioner
-	// proj maps atom name → positions of the atom's variables in the
-	// answer tuple, the projection behind the deletion anti-join.
-	proj map[string][]int
-	// arity maps atom name → arity of the atom (and of its relation).
-	arity map[string]int
-	// answers is the materialized answer as one sealed, deduplicated
-	// run (nil when empty); batches maintain it with linear passes over
-	// its words or rows.
-	answers *exchange.Buffer
-	// tuples caches Answers() between batches; nil when stale.
-	tuples []relation.Tuple
 	// seq numbers maintenance batches; Δ view names embed it so no
 	// two batches share worker-side view state.
 	seq int
@@ -84,68 +68,181 @@ type Maintainer struct {
 	capSeen bool
 }
 
-// NewMaintainer runs the cold HC distribution of q over db on p
-// workers and returns a Maintainer holding the cluster open for delta
-// batches. Self-joins are rejected: maintenance binds stores by atom
-// name, which a repeated atom name would alias. The caller must Close
-// the maintainer to release the cluster. A maintenance batch is a thin
-// round — route Δ, barrier, delta joins, gather — so the cluster always
-// runs the fused schedule whatever opts.Pipeline says: one exchange per
-// worker and batch over TCP instead of three.
-func NewMaintainer(q *query.Query, db *relation.Database, p int, opts Options) (*Maintainer, error) {
+// Distribute runs the cold HC distribution of q over db on p workers and
+// returns it, held open for delta batches, with the cold round's answer
+// as one sealed run (nil when empty). Self-joins are rejected:
+// maintenance binds stores by atom name, which a repeated atom name
+// would alias. The caller must Close the distribution to release the
+// cluster. A maintenance batch is a thin round — route Δ, barrier, delta
+// joins, gather — so the cluster always runs the fused schedule whatever
+// opts.Pipeline says: one exchange per worker and batch over TCP instead
+// of three.
+func Distribute(q *query.Query, db *relation.Database, p int, opts Options) (*Distribution, *exchange.Buffer, error) {
 	seen := make(map[string]bool, len(q.Atoms))
 	for _, a := range q.Atoms {
 		if seen[a.Name] {
-			return nil, fmt.Errorf("hypercube: maintenance of self-join atom %s not supported", a.Name)
+			return nil, nil, fmt.Errorf("hypercube: maintenance of self-join atom %s not supported", a.Name)
 		}
 		seen[a.Name] = true
 	}
 	shares, err := SharesForQuery(q, p, GreedyRounding)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if shares.GridSize() > p {
-		return nil, fmt.Errorf("hypercube: grid size %d exceeds %d servers", shares.GridSize(), p)
+		return nil, nil, fmt.Errorf("hypercube: grid size %d exceeds %d servers", shares.GridSize(), p)
 	}
 	opts.Pipeline = true
 	cluster, ctx, err := opts.open(p, db)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	m := &Maintainer{
-		q:       q,
-		shares:  shares,
-		hasher:  NewHasher(shares, opts.Seed),
-		cluster: cluster,
-		ctx:     ctx,
-		parts:   make(map[string]*GridPartitioner, len(q.Atoms)),
-		proj:    make(map[string][]int, len(q.Atoms)),
-		arity:   make(map[string]int, len(q.Atoms)),
-	}
-	varPos := make(map[string]int, q.NumVars())
-	for i, v := range q.Vars() {
-		varPos[v] = i
-	}
-
+	d := &Distribution{q: q, cluster: cluster, ctx: ctx, parts: make(map[string]*GridPartitioner, len(q.Atoms))}
+	hasher := NewHasher(shares, opts.Seed)
 	for _, a := range q.Atoms {
-		pos := make([]int, len(a.Vars))
-		for i, v := range a.Vars {
-			pos[i] = varPos[v]
-		}
-		m.proj[a.Name] = pos
-		m.arity[a.Name] = len(a.Vars)
-		m.parts[a.Name] = NewGridPartitioner(shares, m.hasher, a)
+		d.parts[a.Name] = NewGridPartitioner(shares, hasher, a)
 	}
 
 	// Cold distribution: the ordinary one-round HC scatter and join,
 	// with the cluster kept open afterwards.
-	m.capSeen, err = coldRound(ctx, cluster, q, db, opts.Strategy, func(a query.Atom) *GridPartitioner { return m.parts[a.Name] })
+	var cold *exchange.Buffer
+	d.capSeen, err = coldRound(ctx, cluster, q, db, opts.Strategy, func(a query.Atom) *GridPartitioner { return d.parts[a.Name] })
 	if err == nil {
-		m.answers, err = cluster.GatherRun(ctx, answersView)
+		cold, err = cluster.GatherRun(ctx, answersView)
 	}
 	if err != nil {
 		cluster.Close()
+		return nil, nil, err
+	}
+	return d, cold, nil
+}
+
+// Stats returns the cluster's communication record, cold distribution
+// and every maintenance batch included.
+func (d *Distribution) Stats() *mpc.Stats { return d.cluster.Stats() }
+
+// Replacements returns the total workers replaced by recovery across
+// the distribution's lifetime.
+func (d *Distribution) Replacements() int { return d.cluster.Replacements() }
+
+// CapExceeded reports whether any round so far, the cold one included,
+// exceeded the per-worker receive budget.
+func (d *Distribution) CapExceeded() bool { return d.capSeen }
+
+// Fanout returns the replication factor of the named atom — how many
+// grid points each of its tuples is sent to — or 0 for an unknown
+// atom. It is the per-tuple maintenance communication bound.
+func (d *Distribution) Fanout(atom string) int {
+	part := d.parts[atom]
+	if part == nil {
+		return 0
+	}
+	return part.Fanout()
+}
+
+// Close releases the cluster.
+func (d *Distribution) Close() error { return d.cluster.Close() }
+
+// deltaView names the Δ-relation view of one atom in one batch.
+func deltaView(atom string, seq int) string {
+	return fmt.Sprintf("delta!%s!%d", atom, seq)
+}
+
+// Apply maintains the distribution under one delta batch — per atom
+// name, the sealed runs of retracted and of added tuples (set-level
+// effects: disjoint, and truly present resp. absent; nil or empty runs
+// and names outside the query are skipped) — and returns what the
+// batch's delta joins produced, gathered into one sealed run: every
+// answer that uses at least one added tuple, whether or not the caller
+// has seen it before (nil when nothing was added or nothing joined).
+func (d *Distribution) Apply(removed, added map[string]*exchange.Buffer) (*exchange.Buffer, error) {
+	d.seq++
+	// Route the delta along the grid: retractions first, then
+	// extensions, so a worker never resurrects an old occurrence by
+	// clearing a tombstone the same batch set (set-level effects make
+	// added and removed disjoint, but ordering keeps the invariant
+	// locally checkable). Atom order follows the query, as the cold
+	// scatter does.
+	d.cluster.BeginRound()
+	var extended []query.Atom
+	for _, a := range d.q.Atoms {
+		if run := removed[a.Name]; run.Len() > 0 {
+			if err := d.cluster.ScatterDelta(d.ctx, run, a.Name, "", true, d.parts[a.Name]); err != nil {
+				return nil, err
+			}
+		}
+		if run := added[a.Name]; run.Len() > 0 {
+			extended = append(extended, a)
+			if err := d.cluster.ScatterDelta(d.ctx, run, a.Name, deltaView(a.Name, d.seq), false, d.parts[a.Name]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if err := d.cluster.EndRound(d.ctx); err != nil {
+		if !errors.Is(err, mpc.ErrCapExceeded) {
+			return nil, err
+		}
+		d.capSeen = true
+	}
+
+	// Insertion: one delta join per extended atom — the atom bound to
+	// its Δ view, every other atom to its full post-update store — all
+	// terms unioned under one gather view. Under set semantics the
+	// union of these terms is exactly the new answers: any answer
+	// using at least one added tuple appears in the term of one of the
+	// atoms it was added to, and stores already exclude retracted
+	// tuples, so no term resurrects a dead answer.
+	var gathered *exchange.Buffer
+	if len(extended) > 0 {
+		gatherView := fmt.Sprintf("hc!delta!%d", d.seq)
+		for _, a := range extended {
+			bindings := map[string]string{a.Name: deltaView(a.Name, d.seq)}
+			if err := d.cluster.Join(d.ctx, d.q, bindings, gatherView, 0); err != nil {
+				return nil, err
+			}
+		}
+		var err error
+		if gathered, err = d.cluster.GatherRun(d.ctx, gatherView); err != nil {
+			return nil, err
+		}
+	}
+	// A batch without extensions gathered nothing, and on the fused
+	// schedule the gather is the fence: send what is still deferred (the
+	// routed retractions and the barrier) before returning.
+	return gathered, d.cluster.Flush(d.ctx)
+}
+
+// Maintainer is a Distribution plus the materialized answer of its
+// query, kept current under delta batches given as tuples: ApplyDelta
+// is its way in (the promoted Apply would leave the answer behind).
+type Maintainer struct {
+	*Distribution
+	// proj maps atom name → positions of the atom's variables in the
+	// answer tuple, the projection behind the deletion anti-join.
+	proj map[string][]int
+	// answers is the materialized answer as one sealed, deduplicated
+	// run (nil when empty); batches maintain it with linear passes over
+	// its words or rows.
+	answers *exchange.Buffer
+	// tuples caches Answers() between batches; nil when stale.
+	tuples []relation.Tuple
+}
+
+// NewMaintainer distributes q over db on p workers (Distribute) and
+// returns a Maintainer whose answer is the cold round's. The caller must
+// Close the maintainer to release the cluster.
+func NewMaintainer(q *query.Query, db *relation.Database, p int, opts Options) (*Maintainer, error) {
+	d, cold, err := Distribute(q, db, p, opts)
+	if err != nil {
 		return nil, err
+	}
+	m := &Maintainer{Distribution: d, proj: make(map[string][]int, len(q.Atoms)), answers: cold}
+	for _, a := range q.Atoms {
+		pos := make([]int, len(a.Vars))
+		for i, v := range a.Vars {
+			pos[i] = q.VarIndex(v)
+		}
+		m.proj[a.Name] = pos
 	}
 	return m, nil
 }
@@ -161,37 +258,20 @@ func (m *Maintainer) Answers() []relation.Tuple {
 	return m.tuples
 }
 
-// Run returns the materialized answer as the sealed run the maintainer
-// keeps (nil when empty) — Answers without building tuples. Sealed
-// runs are immutable; the next ApplyDelta replaces the run rather than
-// changing it.
-func (m *Maintainer) Run() *exchange.Buffer { return m.answers }
-
-// Stats returns the cluster's communication record, cold distribution
-// and every maintenance batch included.
-func (m *Maintainer) Stats() *mpc.Stats { return m.cluster.Stats() }
-
-// Replacements returns the total workers replaced by recovery across
-// the maintainer's lifetime.
-func (m *Maintainer) Replacements() int { return m.cluster.Replacements() }
-
-// Fanout returns the replication factor of the named atom — how many
-// grid points each of its tuples is sent to — or 0 for an unknown
-// atom. It is the per-tuple maintenance communication bound.
-func (m *Maintainer) Fanout(atom string) int {
-	part := m.parts[atom]
-	if part == nil {
-		return 0
+// sealedRun holds the tuples as one sealed run with every occurrence
+// kept, so a tuple a caller repeats is routed and accounted once per
+// occurrence; nil for no tuples.
+func sealedRun(arity int, tuples []relation.Tuple) *exchange.Buffer {
+	if len(tuples) == 0 {
+		return nil
 	}
-	return part.Fanout()
-}
-
-// Close releases the cluster.
-func (m *Maintainer) Close() error { return m.cluster.Close() }
-
-// deltaView names the Δ-relation view of one atom in one batch.
-func deltaView(atom string, seq int) string {
-	return fmt.Sprintf("delta!%s!%d", atom, seq)
+	run := exchange.NewBuffer(arity)
+	run.Grow(len(tuples))
+	for _, t := range tuples {
+		run.Append(t)
+	}
+	run.Seal()
+	return run
 }
 
 // ApplyDelta maintains the distribution and the materialized answer
@@ -201,61 +281,36 @@ func deltaView(atom string, seq int) string {
 // untouched. The returned report carries the batch's maintenance
 // cost.
 func (m *Maintainer) ApplyDelta(changes map[string]relation.Effect) (*Report, error) {
-	for name := range changes {
-		if m.parts[name] == nil {
+	removed := make(map[string]*exchange.Buffer, len(changes))
+	added := make(map[string]*exchange.Buffer, len(changes))
+	removedSets := make(map[string]*relation.TupleSet, len(changes))
+	for name, eff := range changes {
+		pos, ok := m.proj[name]
+		if !ok {
 			return nil, fmt.Errorf("hypercube: delta for relation %s not in query", name)
 		}
-	}
-	m.seq++
-	stats := m.cluster.Stats()
-	statsFrom := len(stats.Rounds)
-
-	// Route the delta along the grid: retractions first, then
-	// extensions, so a worker never resurrects an old occurrence by
-	// clearing a tombstone the same batch set (set-level effects make
-	// Added and Removed disjoint, but ordering keeps the invariant
-	// locally checkable). Atom order follows the query, as the cold
-	// scatter does.
-	m.cluster.BeginRound()
-	changed := false
-	for _, a := range m.q.Atoms {
-		eff, ok := changes[a.Name]
-		if !ok {
-			continue
-		}
+		removed[name], added[name] = sealedRun(len(pos), eff.Removed), sealedRun(len(pos), eff.Added)
 		if len(eff.Removed) > 0 {
-			if err := m.cluster.ScatterDelta(m.ctx, eff.Removed, m.arity[a.Name], a.Name, "", true, m.parts[a.Name]); err != nil {
-				return nil, err
-			}
-		}
-		if len(eff.Added) > 0 {
-			changed = true
-			if err := m.cluster.ScatterDelta(m.ctx, eff.Added, m.arity[a.Name], a.Name, deltaView(a.Name, m.seq), false, m.parts[a.Name]); err != nil {
-				return nil, err
+			removedSets[name] = relation.NewTupleSet(len(pos), len(eff.Removed))
+			for _, t := range eff.Removed {
+				removedSets[name].Add(t)
 			}
 		}
 	}
-	if err := m.cluster.EndRound(m.ctx); err != nil {
-		if !errors.Is(err, mpc.ErrCapExceeded) {
-			return nil, err
-		}
-		m.capSeen = true
+	stats := m.Stats()
+	statsFrom := len(stats.Rounds)
+	fresh, err := m.Apply(removed, added)
+	if err != nil {
+		return nil, err
+	}
+	rep := &Report{Replacements: m.Replacements(), CapExceeded: m.capSeen}
+	for _, rs := range stats.Rounds[statsFrom:] {
+		rep.Bits += rs.TotalBits
+		rep.RoutedTuples += rs.TotalTuples
 	}
 
 	// Deletion, coordinator-side: an answer dies exactly when its
 	// projection onto some atom was retracted.
-	removedSets := make(map[string]*relation.TupleSet, len(changes))
-	for name, eff := range changes {
-		if len(eff.Removed) == 0 {
-			continue
-		}
-		set := relation.NewTupleSet(m.arity[name], len(eff.Removed))
-		for _, t := range eff.Removed {
-			set.Add(t)
-		}
-		removedSets[name] = set
-	}
-	removed := 0
 	if len(removedSets) > 0 && m.answers.Len() > 0 {
 		witness := make(relation.Tuple, 0, 8)
 		ans := make(relation.Tuple, m.answers.Arity())
@@ -275,63 +330,22 @@ func (m *Maintainer) ApplyDelta(changes map[string]relation.Effect) (*Report, er
 				}
 			}
 			if dead {
-				removed++
+				rep.AnswersRemoved++
 			} else {
 				live.Append(ans)
 			}
 		}
-		if removed > 0 {
+		if rep.AnswersRemoved > 0 {
 			live.Seal() // survivors arrive in order; this only freezes
 			m.answers, m.tuples = live, nil
 		}
 	}
 
-	// Insertion: one delta join per extended atom — the atom bound to
-	// its Δ view, every other atom to its full post-update store — all
-	// terms unioned under one gather view. Under set semantics the
-	// union of these terms is exactly the new answers: any answer
-	// using at least one added tuple appears in the term of one of the
-	// atoms it was added to, and stores already exclude retracted
-	// tuples, so no term resurrects a dead answer.
-	var added *exchange.Buffer
-	if changed {
-		gatherView := fmt.Sprintf("hc!delta!%d", m.seq)
-		for _, a := range m.q.Atoms {
-			eff, ok := changes[a.Name]
-			if !ok || len(eff.Added) == 0 {
-				continue
-			}
-			bindings := map[string]string{a.Name: deltaView(a.Name, m.seq)}
-			if err := m.cluster.Join(m.ctx, m.q, bindings, gatherView, 0); err != nil {
-				return nil, err
-			}
-		}
-		fresh, err := m.cluster.GatherRun(m.ctx, gatherView)
-		if err != nil {
-			return nil, err
-		}
-		if added = exchange.Diff(fresh, m.answers); added.Len() > 0 {
-			m.answers, m.tuples = exchange.Merge([]*exchange.Buffer{m.answers, added}), nil
-		}
-	}
-
-	// A batch without extensions gathered nothing, and on the fused
-	// schedule the gather is the fence: send what is still deferred (the
-	// routed retractions and the barrier) before returning.
-	if err := m.cluster.Flush(m.ctx); err != nil {
-		return nil, err
-	}
-
-	rep := &Report{
-		AnswersAdded:   added.Len(),
-		AnswersRemoved: removed,
-		FreshRun:       added,
-		Replacements:   m.cluster.Replacements(),
-		CapExceeded:    m.capSeen,
-	}
-	for _, rs := range stats.Rounds[statsFrom:] {
-		rep.Bits += rs.TotalBits
-		rep.RoutedTuples += rs.TotalTuples
+	// Insertion: of what the delta joins produced, the answers not
+	// already held are the batch's additions.
+	if fresh = exchange.Diff(fresh, m.answers); fresh.Len() > 0 {
+		rep.AnswersAdded = fresh.Len()
+		m.answers, m.tuples = exchange.Merge([]*exchange.Buffer{m.answers, fresh}), nil
 	}
 	return rep, nil
 }

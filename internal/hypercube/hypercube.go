@@ -16,6 +16,11 @@
 // full grid would need more than p servers, so p random grid points
 // are materialized and only a Θ(p^{1−(1−ε)τ*}) fraction of the answers
 // is found — exactly the fraction the Theorem 3.3 lower bound allows.
+//
+// delta.go keeps a cold run's grid distribution warm under delta
+// batches, in two layers: a Distribution, which holds no answer
+// (datalog's fixpoint drives it), and on top of it a Maintainer with the
+// query's materialized answer (serve's continuous queries).
 package hypercube
 
 import (
