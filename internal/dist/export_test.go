@@ -1,7 +1,13 @@
 package dist
 
-// Test-only windows into a worker process's resident store, for the
-// external test package.
+import (
+	"context"
+	"net"
+	"time"
+)
+
+// Test-only windows into a worker process's resident store and its
+// session, for the external test package.
 
 // Bytes returns the payload bytes the store keeps.
 func (rs *ResidentStore) Bytes() int64 {
@@ -35,4 +41,10 @@ func (rs *ResidentStore) ForgetSlot(slot int) {
 			delete(rs.entries, k)
 		}
 	}
+}
+
+// ServeConnOn is ServeConn with the process's resident store and the
+// handshake window chosen by the test.
+func ServeConnOn(ctx context.Context, conn net.Conn, rs *ResidentStore, hello time.Duration) error {
+	return serveConn(ctx, conn, rs, hello)
 }

@@ -1,0 +1,459 @@
+package dist_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"io"
+	"net"
+	"os"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/dist"
+	"repro/internal/exchange"
+	"repro/internal/relation"
+	"repro/internal/wire"
+)
+
+// The wire's run encodings, as a hostile peer writes them by hand.
+const (
+	encFlat  = 1
+	encRaw   = 2
+	encDelta = 3
+)
+
+// be and le spell 64-bit values big- and little-endian.
+func be(vs ...uint64) (b []byte) {
+	for _, v := range vs {
+		b = binary.BigEndian.AppendUint64(b, v)
+	}
+	return b
+}
+
+func le(vs ...uint64) (b []byte) {
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return b
+}
+
+// hostileRun is one malformed run body and the word the receiver must
+// use to name what is wrong with it.
+type hostileRun struct {
+	name  string
+	arity uint16
+	enc   byte
+	count uint32
+	body  []byte
+	want  string
+}
+
+// hostileRuns is the table both ends are held to: each entry is a run no
+// sealed buffer encodes to. Version 6 acked the first five at the
+// barrier — re-sorted, or stored as they came.
+var hostileRuns = []hostileRun{
+	{"unsorted raw words", 2, encRaw, 2, le(9, 1), "not sorted"},
+	{"raw word above the packed width", 3, encRaw, 1, le(1 << 63), "bits above"},
+	{"delta first word above the packed width", 3, encDelta, 1,
+		binary.AppendUvarint(nil, 1<<63), "bits above"},
+	{"negative flat value", 1, encFlat, 1, be(1 << 63), "negative"},
+	{"unsorted flat rows", 1, encFlat, 2, be(9, 1), "not sorted"},
+	{"count larger than the payload", 2, encRaw, 5, le(1), "truncated"},
+	{"trailing bytes", 2, encRaw, 1, append(le(1), 0xAA), "trailing"},
+}
+
+// frame is a Data frame for shard 0 carrying the run under rel, retained
+// under key when that is not empty.
+func (h hostileRun) frame(rel, key string) []byte {
+	var p []byte
+	p = binary.BigEndian.AppendUint32(p, 1) // round
+	p = binary.BigEndian.AppendUint32(p, 0) // dest
+	for _, s := range []string{rel, key} {
+		p = binary.BigEndian.AppendUint16(p, uint16(len(s)))
+		p = append(p, s...)
+	}
+	p = binary.BigEndian.AppendUint16(p, h.arity)
+	p = append(p, h.enc)
+	p = binary.BigEndian.AppendUint32(p, h.count)
+	p = append(p, h.body...)
+	return append(binary.BigEndian.AppendUint32([]byte{byte(wire.TypeData)}, uint32(len(p))), p...)
+}
+
+// encodeFrames is the byte stream a connection carries for frames.
+func encodeFrames(t testing.TB, frames ...*wire.Frame) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	if err := wire.NewWriter(&out).Flush(frames...); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// halfClose lets the far end of a net.Pipe finish sending without
+// hanging up: after end() the worker's reads drain what was written and
+// then see EOF, while its replies still have somewhere to go.
+type halfClose struct {
+	net.Conn
+	ended atomic.Bool
+}
+
+func (c *halfClose) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if err != nil && c.ended.Load() && errors.Is(err, os.ErrDeadlineExceeded) {
+		err = io.EOF
+	}
+	return n, err
+}
+
+func (c *halfClose) end() {
+	c.ended.Store(true)
+	c.Conn.SetReadDeadline(time.Unix(1, 0))
+}
+
+// workerSession is a live ServeConn on one end of a net.Pipe, playing
+// worker 0 of 1, and the test's end of the pipe.
+type workerSession struct {
+	conn   net.Conn
+	rd     *wire.Reader
+	served *halfClose
+	// done yields ServeConn's result, after the worker's end is closed.
+	done chan error
+}
+
+func startSession(t testing.TB, rs *dist.ResidentStore, hello time.Duration) *workerSession {
+	t.Helper()
+	client, server := net.Pipe()
+	s := &workerSession{conn: client, rd: wire.NewReader(client), served: &halfClose{Conn: server}, done: make(chan error, 1)}
+	go func() {
+		err := dist.ServeConnOn(context.Background(), s.served, rs, hello)
+		server.Close()
+		s.done <- err
+	}()
+	t.Cleanup(func() { client.Close() })
+	return s
+}
+
+// hello opens the session as worker 0 of a pool of 1.
+func (s *workerSession) hello(t testing.TB) {
+	t.Helper()
+	hello := encodeFrames(t, &wire.Frame{Type: wire.TypeHello, Hello: wire.Hello{Version: wire.Version, P: 1}})
+	if _, err := s.conn.Write(hello); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := s.rd.Next(); err != nil || f.Type != wire.TypeAck {
+		t.Fatalf("handshake: %+v, %v", f, err)
+	}
+}
+
+// run sends stream and then ends the sending direction, collecting every
+// frame the worker answers until it hangs up, and ServeConn's result.
+func (s *workerSession) run(t testing.TB, stream []byte) (replies []*wire.Frame, served error) {
+	t.Helper()
+	go func() {
+		s.conn.Write(stream) // fails once the worker has hung up; that is an outcome, not an error
+		s.served.end()
+	}()
+	for {
+		f, err := s.rd.Next()
+		if err != nil {
+			if !errors.Is(err, io.EOF) {
+				t.Fatalf("the worker's replies end in %v, want a clean EOF", err)
+			}
+			return replies, <-s.done
+		}
+		replies = append(replies, f)
+	}
+}
+
+// TestWorkerRejectsHostileRuns: a peer that has said hello is still
+// only a peer. Each malformed run — flagged to be retained, with the
+// round's barrier right behind it — is answered by an Error frame naming
+// the defect, the session ends there, no barrier is acked and nothing
+// reaches the process's resident store.
+func TestWorkerRejectsHostileRuns(t *testing.T) {
+	barrier := encodeFrames(t, &wire.Frame{Type: wire.TypeBarrier, Round: 1})
+	for _, h := range hostileRuns {
+		t.Run(h.name, func(t *testing.T) {
+			rs := dist.NewResidentStore()
+			s := startSession(t, rs, time.Minute)
+			s.hello(t)
+			replies, served := s.run(t, append(h.frame("R", "key"), barrier...))
+			if len(replies) != 1 || replies[0].Type != wire.TypeError || !strings.Contains(replies[0].Msg, h.want) {
+				t.Fatalf("replies %+v, want one error frame naming %q", replies, h.want)
+			}
+			if served == nil || !strings.Contains(served.Error(), h.want) {
+				t.Errorf("ServeConn returned %v, want the defect", served)
+			}
+			if rs.Entries() != 0 || rs.Bytes() != 0 {
+				t.Errorf("the resident store kept %d entries (%d bytes) of a rejected run", rs.Entries(), rs.Bytes())
+			}
+		})
+	}
+}
+
+// mixedArityScript names one store with runs of two arities, tombstones
+// it and gathers it — the read that merges a store's runs into one.
+func mixedArityScript(t testing.TB) []byte {
+	return encodeFrames(t,
+		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", Buf: exchange.NewRun(1, []relation.Tuple{{1}})}},
+		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", Buf: exchange.NewRun(2, []relation.Tuple{{1, 2}})}},
+		&wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{Store: "R", Del: true, Buf: exchange.NewRun(1, []relation.Tuple{{5}})}},
+		&wire.Frame{Type: wire.TypeGather, View: "R"},
+	)
+}
+
+// TestWorkerRejectsMixedArityStore: every run is well-formed, the store
+// they add up to is not. The second arity is refused where it arrives;
+// at version 6 the gather panicked the worker process.
+func TestWorkerRejectsMixedArityStore(t *testing.T) {
+	s := startSession(t, nil, time.Minute)
+	s.hello(t)
+	replies, served := s.run(t, mixedArityScript(t))
+	if len(replies) != 1 || replies[0].Type != wire.TypeError || !strings.Contains(replies[0].Msg, "holds arity 1") || served == nil {
+		t.Fatalf("replies %+v, served %v, want one error frame naming the store's arity", replies, served)
+	}
+}
+
+// TestCoordinatorRejectsHostileRuns: the same table from the other side.
+// A worker that answers a gather with a malformed run fails the gather
+// as that worker's error; the run is not merged into an answer.
+func TestCoordinatorRejectsHostileRuns(t *testing.T) {
+	for _, h := range hostileRuns {
+		t.Run(h.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			faked := make(chan error, 1)
+			go func() { faked <- fakeWorker(ln, h.frame("v", "")) }()
+			tr, err := dist.DialTCP(context.Background(), []string{ln.Addr().String()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			runs, err := tr.Gather(context.Background(), "v")
+			var we *dist.WorkerError
+			if !errors.As(err, &we) || we.Worker != 0 || !strings.Contains(err.Error(), h.want) {
+				t.Fatalf("gather returned %d runs and %v, want worker 0's error naming %q", len(runs), err, h.want)
+			}
+			if err := <-faked; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// fakeWorker accepts one session on ln, acks its hello, and answers its
+// first gather with run and a Done counting it.
+func fakeWorker(ln net.Listener, run []byte) error {
+	conn, err := ln.Accept()
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	rd, w := wire.NewReader(conn), wire.NewWriter(conn)
+	if f, err := rd.Next(); err != nil || f.Type != wire.TypeHello {
+		return errors.New("fake worker: no hello")
+	}
+	if err := w.Flush(&wire.Frame{Type: wire.TypeAck}); err != nil {
+		return err
+	}
+	if f, err := rd.Next(); err != nil || f.Type != wire.TypeGather {
+		return errors.New("fake worker: no gather")
+	}
+	if _, err := conn.Write(run); err != nil {
+		return err
+	}
+	return w.Flush(&wire.Frame{Type: wire.TypeDone, Count: 1})
+}
+
+// TestWorkerAllocationFollowsArrival: a header is a claim. One declaring
+// the largest legal payload, followed by a hang-up or by silence, costs
+// the worker a read chunk — it reserved the 128 MiB at version 6 — and a
+// length past wire.MaxPayload is refused before any of it is read.
+func TestWorkerAllocationFollowsArrival(t *testing.T) {
+	header := func(n uint32) []byte {
+		return binary.BigEndian.AppendUint32([]byte{byte(wire.TypeData)}, n)
+	}
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+
+	t.Run("hang-up", func(t *testing.T) {
+		s := startSession(t, nil, time.Minute)
+		s.hello(t)
+		var replies []*wire.Frame
+		var served error
+		got := allocated(func() { replies, served = s.run(t, append(header(wire.MaxPayload-1), 1, 2, 3)) })
+		if got > 1<<20 {
+			t.Errorf("a lying header allocated %d bytes on the worker, want < 1 MiB", got)
+		}
+		if len(replies) != 1 || replies[0].Type != wire.TypeError || !errors.Is(served, io.ErrUnexpectedEOF) {
+			t.Errorf("replies %+v, served %v, want an error frame for a truncated frame", replies, served)
+		}
+	})
+
+	t.Run("stalled peer", func(t *testing.T) {
+		s := startSession(t, nil, time.Minute)
+		s.hello(t)
+		got := allocated(func() {
+			// A pipe write returns once the worker has read it, and the
+			// worker asks for payload only after sizing its scratch: when the
+			// lone payload byte is gone the allocation has happened.
+			for _, b := range [][]byte{header(wire.MaxPayload - 1), {1}} {
+				if _, err := s.conn.Write(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if got > 1<<20 {
+			t.Errorf("a lying header allocated %d bytes on a worker still waiting, want < 1 MiB", got)
+		}
+		select {
+		case err := <-s.done:
+			t.Fatalf("the session ended (%v) while its frame was still arriving", err)
+		default:
+		}
+	})
+
+	t.Run("oversized", func(t *testing.T) {
+		s := startSession(t, nil, time.Minute)
+		s.hello(t)
+		replies, _ := s.run(t, header(wire.MaxPayload+1))
+		if len(replies) != 1 || replies[0].Type != wire.TypeError || !strings.Contains(replies[0].Msg, "exceeds") {
+			t.Fatalf("replies %+v, want one error frame refusing the length", replies)
+		}
+	})
+}
+
+// TestWorkerHangsUpOnSilentDialer: a connection that never says hello is
+// closed when the handshake window ends; one that says it late but
+// inside the window gets a session that outlives the window.
+func TestWorkerHangsUpOnSilentDialer(t *testing.T) {
+	t.Run("silent", func(t *testing.T) {
+		s := startSession(t, nil, 50*time.Millisecond)
+		select {
+		case err := <-s.done:
+			if err == nil || !strings.Contains(err.Error(), "handshake") {
+				t.Errorf("ServeConn returned %v, want a handshake failure", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a silent dialer still holds its session")
+		}
+		if _, err := s.conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+			t.Errorf("reading from a refused connection: %v, want EOF", err)
+		}
+	})
+	t.Run("late hello", func(t *testing.T) {
+		const window = time.Second
+		s := startSession(t, nil, window)
+		time.Sleep(window / 10)
+		s.hello(t)
+		time.Sleep(window) // the window is over; the session must not be
+		replies, served := s.run(t, encodeFrames(t, &wire.Frame{Type: wire.TypeBarrier, Round: 1}))
+		if len(replies) != 1 || replies[0].Type != wire.TypeAck || served != nil {
+			t.Fatalf("after the handshake window: replies %+v, served %v, want the barrier acked", replies, served)
+		}
+	})
+}
+
+// recordedScript is every kind of frame a coordinator sends after its
+// hello, in the order a round sends them, to worker 0 of 1.
+func recordedScript(t testing.TB) []byte {
+	t.Helper()
+	run := func(arity, n, max int) *exchange.Buffer {
+		b := exchange.NewBuffer(arity)
+		row := make(relation.Tuple, arity)
+		for i := 0; i < n; i++ {
+			for j := range row {
+				row[j] = (i*7 + j*3) % max
+			}
+			b.Append(row)
+		}
+		b.Seal()
+		return b
+	}
+	wide := exchange.NewBuffer(2)
+	wide.Append(relation.Tuple{1 << 40, 2})
+	wide.Seal()
+	return encodeFrames(t,
+		&wire.Frame{Type: wire.TypeTrace, Trace: wire.TraceHeader{TraceID: 9, Span: 1, Round: 1, QueryID: "q-1"}},
+		&wire.Frame{Type: wire.TypeEpoch, Round: 1},
+		&wire.Frame{Type: wire.TypeAttach, Attach: wire.Attach{Key: "k", Store: "R", Tuples: 40}},
+		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Round: 1, Rel: "R", Retain: "k", Buf: run(2, 40, 9)}},
+		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Round: 1, Rel: "S", Buf: run(2, 200, 3)}},
+		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Round: 1, Rel: "W", Buf: wide}},
+		&wire.Frame{Type: wire.TypeBarrier, Round: 1},
+		&wire.Frame{Type: wire.TypeJoin, Join: wire.Join{Query: "q(x,y,z) = R(x,y), T(y,z)", View: "v", Bindings: [][2]string{{"T", "S"}}}},
+		&wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{Round: 2, Store: "R", View: "delta!R", Buf: run(2, 3, 5)}},
+		&wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{Round: 2, Store: "S", Del: true, Buf: run(2, 5, 3)}},
+		&wire.Frame{Type: wire.TypeBarrier, Round: 2},
+		&wire.Frame{Type: wire.TypeJoin, Join: wire.Join{Query: "q(x,y,z) = D(x,y), S(y,z)", View: "dv", Strategy: 1, Bindings: [][2]string{{"D", "delta!R"}}}},
+		&wire.Frame{Type: wire.TypePing, Round: 7},
+		&wire.Frame{Type: wire.TypeGather, View: "v"},
+		&wire.Frame{Type: wire.TypeGather, View: "S"},
+		&wire.Frame{Type: wire.TypeGather, View: "W"},
+	)
+}
+
+// FuzzWorkerSession holds a live session to the codec's contract on the
+// bytes that follow a valid hello: whatever they are, the worker does
+// not panic, ends the session either cleanly — every reply a well-formed
+// frame, then EOF — or with one Error frame last, and, while all it does
+// is decode and store, allocates no more than a small multiple of what
+// it was sent. (What a join may allocate is bounded by the model's cap,
+// not by the codec; enforcing that on the worker is ROADMAP item 6.)
+func FuzzWorkerSession(f *testing.F) {
+	script := recordedScript(f)
+	f.Add(script)
+	f.Add(script[:len(script)/2])
+	for _, h := range hostileRuns {
+		f.Add(h.frame("R", "key"))
+		f.Add(append(script[:0:0], append(script, h.frame("S", "")...)...))
+	}
+	f.Add(mixedArityScript(f))
+	f.Add(binary.BigEndian.AppendUint32([]byte{byte(wire.TypeData)}, wire.MaxPayload-1))
+	f.Add(binary.BigEndian.AppendUint32([]byte{byte(wire.TypeData)}, wire.MaxPayload+1))
+	f.Add(encodeFrames(f, &wire.Frame{Type: wire.TypeHello, Hello: wire.Hello{Version: wire.Version, P: 1}}))
+	f.Add(encodeFrames(f, &wire.Frame{Type: wire.TypeEpoch, Round: 3}, &wire.Frame{Type: wire.TypeEpoch, Round: 2}))
+	f.Add(encodeFrames(f, &wire.Frame{Type: wire.TypeJoin, Join: wire.Join{Query: "q(x = R(x", View: "v"}}))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		joins := false
+		for rd := wire.NewReader(bytes.NewReader(data)); ; {
+			fr, err := rd.Next()
+			if err != nil {
+				break
+			}
+			joins = joins || fr.Type == wire.TypeJoin
+		}
+		s := startSession(t, dist.NewResidentStore(), time.Minute)
+		s.hello(t)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		replies, served := s.run(t, data)
+		runtime.ReadMemStats(&after)
+		for i, fr := range replies {
+			if fr.Type == wire.TypeError && i != len(replies)-1 {
+				t.Fatalf("reply %d of %d is an error frame, and the session went on", i, len(replies))
+			}
+		}
+		failed := len(replies) > 0 && replies[len(replies)-1].Type == wire.TypeError
+		if failed != (served != nil) {
+			t.Fatalf("ServeConn returned %v, its last reply of %d says failed=%v", served, len(replies), failed)
+		}
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(4<<20+64*len(data)); !joins && got > bound {
+			t.Fatalf("%d bytes of input made the session allocate %d, want ≤ %d", len(data), got, bound)
+		}
+	})
+}

@@ -58,7 +58,9 @@ func (l *Loopback) Deliver(ctx context.Context, round int, ds []exchange.Deliver
 		if d.To < 0 || d.To >= len(l.ws) {
 			return fmt.Errorf("dist: loopback delivery to worker %d out of range [0,%d)", d.To, len(l.ws))
 		}
-		l.ws[d.To].receive(d)
+		if err := l.ws[d.To].receive(d); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -68,7 +70,11 @@ func (l *Loopback) Attach(ctx context.Context, atts []Attachment) ([][]wire.Atta
 	replies := make([][]wire.Attach, len(l.ws))
 	for w, ws := range l.ws {
 		for _, a := range atts {
-			replies[w] = append(replies[w], ws.attach(a.Key, a.Store, a.Tuples[w]))
+			reply, err := ws.attach(a.Key, a.Store, a.Tuples[w])
+			if err != nil {
+				return nil, err
+			}
+			replies[w] = append(replies[w], reply)
 		}
 	}
 	return replies, ctx.Err()
@@ -85,7 +91,9 @@ func (l *Loopback) ApplyDelta(ctx context.Context, round int, ds []DeltaDelivery
 		if d.To < 0 || d.To >= len(l.ws) {
 			return fmt.Errorf("dist: loopback delta to worker %d out of range [0,%d)", d.To, len(l.ws))
 		}
-		l.ws[d.To].applyDelta(d.Store, d.View, d.Del, d.Buf)
+		if err := l.ws[d.To].applyDelta(d.Store, d.View, d.Del, d.Buf); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -264,28 +272,35 @@ func newWorkerStore(home residentHome) *workerStore {
 	return &workerStore{store: make(map[string]*exchange.Column), home: home}
 }
 
-// add appends a sealed run under the store name.
-func (w *workerStore) add(rel string, run *exchange.Buffer) {
+// add appends a sealed run under the store name. A store is read as one
+// relation — its runs merged, filtered, joined together — so it holds
+// one arity, and a run of another is refused: what names a store comes
+// from the peer.
+func (w *workerStore) add(rel string, run *exchange.Buffer) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.addLocked(rel, run)
+	return w.addLocked(rel, run)
 }
 
 // addLocked is add with w.mu held.
-func (w *workerStore) addLocked(rel string, run *exchange.Buffer) {
+func (w *workerStore) addLocked(rel string, run *exchange.Buffer) error {
 	col := w.store[rel]
 	if col == nil {
 		col = &exchange.Column{}
 		w.store[rel] = col
 	}
+	if held := col.Runs(); len(held) > 0 && held[0].Arity() != run.Arity() {
+		return fmt.Errorf("dist: arity-%d run for store %q, which holds arity %d", run.Arity(), rel, held[0].Arity())
+	}
 	col.Add(run)
+	return nil
 }
 
 // applyDelta ingests one delta run: a retraction tombstones every
 // tuple out of store; an extension clears any tombstones the tuples
 // carry and appends the run under store — and, when view is non-empty,
 // under view as well, making the run readable as a Δ-relation.
-func (w *workerStore) applyDelta(store, view string, del bool, run *exchange.Buffer) {
+func (w *workerStore) applyDelta(store, view string, del bool, run *exchange.Buffer) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if del {
@@ -300,17 +315,17 @@ func (w *workerStore) applyDelta(store, view string, del bool, run *exchange.Buf
 		for _, t := range run.AppendTuples(nil) {
 			set.Add(t)
 		}
-		return
+		return nil
 	}
 	if set := w.dead[store]; set != nil && set.Len() > 0 {
 		for _, t := range run.AppendTuples(nil) {
 			set.Remove(t)
 		}
 	}
-	w.addLocked(store, run)
-	if view != "" {
-		w.addLocked(view, run)
+	if err := w.addLocked(store, run); err != nil || view == "" {
+		return err
 	}
+	return w.addLocked(view, run)
 }
 
 // liveDead returns rel's tombstone set when it is non-empty, with
@@ -374,6 +389,5 @@ func (w *workerStore) join(q *query.Query, bindings map[string]string, view stri
 	if err != nil || out == nil {
 		return err
 	}
-	w.add(view, out)
-	return nil
+	return w.add(view, out)
 }

@@ -309,16 +309,19 @@ type residentHome struct {
 
 // receive ingests one delivered run: under its store name, and — flagged
 // — noted to be published at the round's barrier.
-func (w *workerStore) receive(d exchange.Delivery) {
+func (w *workerStore) receive(d exchange.Delivery) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.addLocked(d.Rel, d.Buf)
+	if err := w.addLocked(d.Rel, d.Buf); err != nil {
+		return err
+	}
 	if d.Retain != "" && w.home.store != nil {
 		if w.retained == nil {
 			w.retained = make(map[string][]*exchange.Buffer)
 		}
 		w.retained[d.Retain] = append(w.retained[d.Retain], d.Buf)
 	}
+	return nil
 }
 
 // publish hands the round's flagged runs — complete, now that its
@@ -335,13 +338,15 @@ func (w *workerStore) publish() {
 
 // attach binds the runs the process keeps under key into the session's
 // store. Nothing wanted is a hit with nothing to bind.
-func (w *workerStore) attach(key, store string, want int64) wire.Attach {
+func (w *workerStore) attach(key, store string, want int64) (wire.Attach, error) {
 	if want == 0 || w.home.store == nil {
-		return wire.Attach{Hit: want == 0}
+		return wire.Attach{Hit: want == 0}, nil
 	}
 	runs, held := w.home.store.attach(residentSlot{key, w.home.slot, w.home.p}, want)
 	for _, run := range runs {
-		w.add(store, run)
+		if err := w.add(store, run); err != nil {
+			return wire.Attach{}, err
+		}
 	}
-	return wire.Attach{Hit: runs != nil, Tuples: uint64(held)}
+	return wire.Attach{Hit: runs != nil, Tuples: uint64(held)}, nil
 }

@@ -55,37 +55,12 @@ type workerConn struct {
 	id   int
 	mu   sync.Mutex
 	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-	// rd is the trusted fast-path decoder over br: worker replies come
-	// from this repo's own worker processes, past the validating
-	// handshake.
+	// rd validates every frame the worker sends: a reply is input from
+	// another process, whoever is expected to be running there.
 	rd *wire.Reader
-	// head is the reusable fast-encoder scratch for frame headers and
-	// compressed payloads; word payloads are written zero-copy.
-	head []byte
-}
-
-// writeFrames fast-encodes frames and writes them to the connection as
-// one vectored write (raw word payloads go out as writev segments
-// aliasing the buffers, with no per-word re-encoding), flushing any
-// buffered control bytes first so frame order is preserved. The caller
-// holds wc.mu via roundTrip.
-func (wc *workerConn) writeFrames(frames []*wire.Frame) error {
-	if err := wc.bw.Flush(); err != nil {
-		return err
-	}
-	head, bufs, err := wire.AppendFrames(wc.head[:0], frames)
-	wc.head = head
-	if err != nil {
-		return err
-	}
-	if len(bufs) == 0 {
-		return nil
-	}
-	nb := net.Buffers(bufs)
-	_, err = nb.WriteTo(wc.conn)
-	return err
+	// w queues and writes frames: whatever is queued leaves, in order, in
+	// the one vectored write of the next Flush.
+	w *wire.Writer
 }
 
 // ParseAddrs splits a comma-separated worker address list (the
@@ -182,10 +157,9 @@ func dialHandshake(ctx context.Context, i, p int, addr string) (*workerConn, err
 	wc := &workerConn{
 		id:   i,
 		conn: conn,
-		br:   bufio.NewReaderSize(conn, 1<<16),
-		bw:   bufio.NewWriterSize(conn, 1<<16),
+		rd:   wire.NewReader(bufio.NewReaderSize(conn, 1<<16)),
+		w:    wire.NewWriter(conn),
 	}
-	wc.rd = wire.NewTrustedReader(wc.br)
 	hello := &wire.Frame{Type: wire.TypeHello, Hello: wire.Hello{
 		Version: wire.Version,
 		Worker:  uint32(i),
@@ -237,19 +211,6 @@ func (wc *workerConn) roundTrip(ctx context.Context, op func() error) error {
 	return nil
 }
 
-// send encodes one control frame onto the connection's buffered
-// writer and, when flush is set, pushes it — with everything queued
-// before it — to the worker. The caller holds wc.mu.
-func (wc *workerConn) send(f *wire.Frame, flush bool) error {
-	if err := wire.Encode(wc.bw, f); err != nil {
-		return err
-	}
-	if !flush {
-		return nil
-	}
-	return wc.bw.Flush()
-}
-
 // expect reads the next frame and requires it to be of type want
 // echoing tag echo (the round of a barrier, the epoch of an
 // announcement, the sequence of a ping; zero for the commands whose
@@ -275,7 +236,7 @@ func (wc *workerConn) expect(want wire.Type, echo uint32) error {
 // for the worker's reply, and require its type and echo.
 func (wc *workerConn) control(ctx context.Context, f *wire.Frame, want wire.Type, echo uint32) error {
 	return wc.roundTrip(ctx, func() error {
-		if err := wc.send(f, true); err != nil {
+		if err := wc.w.Flush(f); err != nil {
 			return err
 		}
 		return wc.expect(want, echo)
@@ -334,9 +295,10 @@ func deltaFrames(frames []*wire.Frame, round int, ds []DeltaDelivery) []*wire.Fr
 
 // scatter is the body Deliver and ApplyDelta share: bucket the
 // deliveries by destination worker (to reads it off one delivery), then
-// fast-frame each worker's bucket and write it to its connection as one
-// vectored send, all workers in parallel. Nothing is acknowledged;
-// Barrier is the ingestion fence.
+// frame each worker's bucket and write it to its connection as one
+// vectored send (raw word payloads leave as segments aliasing the
+// buffers), all workers in parallel. Nothing is acknowledged; Barrier is
+// the ingestion fence.
 func scatter[D any](ctx context.Context, t *TCP, ds []D, to func(D) int, frames func([]D) []*wire.Frame) error {
 	byWorker := make([][]D, len(t.conns))
 	for _, d := range ds {
@@ -352,7 +314,7 @@ func scatter[D any](ctx context.Context, t *TCP, ds []D, to func(D) int, frames 
 			return nil
 		}
 		return wc.roundTrip(ctx, func() error {
-			return wc.writeFrames(frames(mine))
+			return wc.w.Flush(frames(mine)...)
 		})
 	})
 }
@@ -381,7 +343,7 @@ func (t *TCP) Attach(ctx context.Context, atts []Attachment) ([][]wire.Attach, e
 				frames[i] = &wire.Frame{Type: wire.TypeAttach, Attach: wire.Attach{
 					Key: a.Key, Store: a.Store, Tuples: uint64(a.Tuples[wc.id])}}
 			}
-			if err := wc.writeFrames(frames); err != nil {
+			if err := wc.w.Flush(frames...); err != nil {
 				return err
 			}
 			for range atts {
@@ -400,8 +362,8 @@ func (t *TCP) Attach(ctx context.Context, atts []Attachment) ([][]wire.Attach, e
 	return replies, err
 }
 
-// Barrier implements Transport: every connection flushes its buffered
-// frames behind the barrier and waits for the worker's ack.
+// Barrier implements Transport: every connection writes its queued
+// frames and the barrier, and waits for the worker's ack.
 func (t *TCP) Barrier(ctx context.Context, round int) error {
 	t.exchanges.Add(1)
 	f := &wire.Frame{Type: wire.TypeBarrier, Round: uint32(round)}
@@ -470,7 +432,7 @@ func (t *TCP) Gather(ctx context.Context, view string) ([]*exchange.Buffer, erro
 	perWorker := make([][]*exchange.Buffer, len(t.conns))
 	err := t.eachConn(func(wc *workerConn) error {
 		return wc.roundTrip(ctx, func() error {
-			if err := wc.send(&wire.Frame{Type: wire.TypeGather, View: view}, true); err != nil {
+			if err := wc.w.Flush(&wire.Frame{Type: wire.TypeGather, View: view}); err != nil {
 				return err
 			}
 			runs, err := wc.readGatherStream(view)
@@ -546,7 +508,7 @@ func (t *TCP) RunScript(ctx context.Context, ops []recOp, view string) ([]*excha
 				}
 			}
 			frames = append(frames, &wire.Frame{Type: wire.TypeGather, View: view})
-			if err := wc.writeFrames(frames); err != nil {
+			if err := wc.w.Flush(frames...); err != nil {
 				return err
 			}
 			// The worker answers in script order: one ack per barrier and
@@ -587,15 +549,15 @@ func (t *TCP) RunScript(ctx context.Context, ops []recOp, view string) ([]*excha
 // SendTrace implements traceTransport: the round's span context is
 // queued on every connection unacknowledged, ahead of the round's Data
 // frames. It costs no write of its own — a thin round would otherwise
-// wake every worker once just for the header — and leaves with the
-// connection's next flush, at the latest the round barrier's, which is
+// wake every worker once just for the header — and leaves in the
+// connection's next write, at the latest the round barrier's, which is
 // also the fence that proves ingestion.
 func (t *TCP) SendTrace(_ context.Context, h wire.TraceHeader) error {
 	f := &wire.Frame{Type: wire.TypeTrace, Trace: h}
 	var errs []error
 	for _, wc := range t.conns {
 		wc.mu.Lock()
-		err := wc.send(f, false)
+		err := wc.w.Queue(f)
 		wc.mu.Unlock()
 		if err != nil {
 			errs = append(errs, &WorkerError{Worker: wc.id, Err: err})

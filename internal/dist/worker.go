@@ -34,69 +34,83 @@ func Serve(ctx context.Context, ln net.Listener) error {
 		}
 		go func() {
 			defer conn.Close()
-			_ = serveConn(ctx, conn, rs)
+			_ = serveConn(ctx, conn, rs, handshakeTimeout)
 		}()
 	}
 }
 
-// ServeConn runs one worker session over conn: it expects a Hello,
-// then processes Data, Barrier, Join and Gather frames in order until
-// the coordinator closes the connection. Cancelling ctx aborts the
-// session by poisoning the connection deadline. Protocol violations
-// and evaluation failures are reported to the coordinator as Error
-// frames and returned. A session served alone keeps nothing beyond
-// itself.
+// handshakeTimeout is how long a dialer has to say hello before the
+// worker hangs up on it.
+const handshakeTimeout = 10 * time.Second
+
+// ServeConn runs one worker session over conn: it expects a Hello within
+// handshakeTimeout, acks it, then processes the coordinator's frames in
+// order — Data, Delta and Trace (unacknowledged; the barrier fences
+// them), Barrier, Join and Epoch (acked), Ping (a Pong), Attach (an
+// Attach) and Gather (a Data stream closed by a Done) — until the
+// coordinator closes the connection. Every frame, the hello included, is
+// validated as it is decoded; whoever dialled is not authenticated.
+// Cancelling ctx aborts the session by poisoning the connection
+// deadline. Malformed frames, protocol violations and evaluation
+// failures are reported to the peer as an Error frame and returned, and
+// end the session. A session served alone keeps nothing beyond itself.
 func ServeConn(ctx context.Context, conn net.Conn) error {
-	return serveConn(ctx, conn, nil)
+	return serveConn(ctx, conn, nil, handshakeTimeout)
 }
 
-// serveConn is ServeConn in a process that keeps retained runs in rs.
-func serveConn(ctx context.Context, conn net.Conn, rs *ResidentStore) error {
+// serveConn is ServeConn in a process that keeps retained runs in rs,
+// giving the dialer hello to complete the handshake.
+func serveConn(ctx context.Context, conn net.Conn, rs *ResidentStore, hello time.Duration) error {
 	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
 	defer stop()
 	br := bufio.NewReaderSize(conn, 1<<16)
-	s := &session{conn: conn}
+	rd := wire.NewReader(br)
+	s := &session{w: wire.NewWriter(conn)}
 
-	// The handshake frame comes from an unauthenticated dialer, so it
-	// goes through the validating decoder; everything after it is our
-	// own coordinator speaking the fast path.
-	hello, err := wire.Decode(br)
+	// An idle connect must not pin a goroutine and a socket: a dialer that
+	// has not been acked in time is cut off the way a cancelled ctx cuts a
+	// session off.
+	late := time.AfterFunc(hello, func() { conn.SetDeadline(time.Unix(1, 0)) })
+	defer late.Stop()
+	f, err := rd.Next()
 	if err != nil {
-		return fmt.Errorf("dist: worker handshake: %w", err)
+		return s.abort(fmt.Errorf("handshake: %w", err))
 	}
-	if hello.Type != wire.TypeHello {
-		return s.abort(fmt.Errorf("first frame is %s, want hello", hello.Type))
+	if f.Type != wire.TypeHello {
+		return s.abort(fmt.Errorf("first frame is %s, want hello", f.Type))
 	}
-	if hello.Hello.Version != wire.Version {
-		return s.abort(fmt.Errorf("protocol version %d, worker speaks %d", hello.Hello.Version, wire.Version))
+	if f.Hello.Version != wire.Version {
+		return s.abort(fmt.Errorf("protocol version %d, worker speaks %d", f.Hello.Version, wire.Version))
 	}
-	if hello.Hello.P == 0 || hello.Hello.Worker >= hello.Hello.P {
-		return s.abort(fmt.Errorf("worker id %d out of pool [0,%d)", hello.Hello.Worker, hello.Hello.P))
+	if f.Hello.P == 0 || f.Hello.Worker >= f.Hello.P {
+		return s.abort(fmt.Errorf("worker id %d out of pool [0,%d)", f.Hello.Worker, f.Hello.P))
 	}
-	s.id = hello.Hello.Worker
-	s.store = newWorkerStore(residentHome{rs, int(s.id), int(hello.Hello.P)})
-	if err := s.flush(&wire.Frame{Type: wire.TypeAck}); err != nil {
+	s.id = f.Hello.Worker
+	s.store = newWorkerStore(residentHome{rs, int(s.id), int(f.Hello.P)})
+	if err := s.w.Flush(&wire.Frame{Type: wire.TypeAck}); err != nil {
 		return err
 	}
+	if !late.Stop() {
+		return fmt.Errorf("dist: worker %d: handshake timed out", s.id)
+	}
 
-	rd := wire.NewTrustedReader(br)
 	for {
 		f, err := rd.Next()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil // coordinator closed the session
-			}
-			return fmt.Errorf("dist: worker %d: %w", s.id, err)
+		if errors.Is(err, io.EOF) {
+			return nil // coordinator closed the session
 		}
-		if err := s.handle(f); err != nil {
+		if err == nil {
+			err = s.handle(f)
+		}
+		if err != nil {
 			return s.abort(err)
 		}
 		// Replies leave when the session is about to block for input. A
 		// synchronous command is followed by nothing until it is answered,
 		// so its ack goes out at once; the acks of a fused round script
 		// wait for the script's last frame and leave with the gather.
-		if br.Buffered() == 0 && len(s.out) > 0 {
-			if err := s.flush(); err != nil {
+		if br.Buffered() == 0 {
+			if err := s.w.Flush(); err != nil {
 				return err
 			}
 		}
@@ -107,10 +121,9 @@ func serveConn(ctx context.Context, conn net.Conn, rs *ResidentStore) error {
 type session struct {
 	id    uint32
 	store *workerStore
-	conn  net.Conn
-	// out holds the fast-encoded replies not yet written, and doubles
-	// as the reusable encoder scratch.
-	out []byte
+	// w queues the session's replies: they leave, in order, in the one
+	// vectored write of its next Flush.
+	w *wire.Writer
 	// epoch is the last recovery epoch the coordinator announced on
 	// this session; announcements may only grow it.
 	epoch uint32
@@ -136,42 +149,6 @@ func (s *session) parseQuery(text string) (*query.Query, error) {
 	return s.joinQuery, nil
 }
 
-// reply queues one control frame for the coordinator; it leaves with
-// the next flush.
-func (s *session) reply(f *wire.Frame) error {
-	_, err := s.encode(f)
-	return err
-}
-
-// encode fast-encodes frames behind the queued replies and returns the
-// vectored write list of everything queued (Data payloads are zero-copy
-// segments of it, so a list holding any must be written before the
-// next encode). A frame that does not encode leaves the queue as it
-// was.
-func (s *session) encode(frames ...*wire.Frame) ([][]byte, error) {
-	n := len(s.out)
-	out, bufs, err := wire.AppendFrames(s.out, frames)
-	if err != nil {
-		s.out = out[:n]
-		return nil, err
-	}
-	s.out = out
-	return bufs, nil
-}
-
-// flush writes the queued replies, followed by frames, as one vectored
-// write.
-func (s *session) flush(frames ...*wire.Frame) error {
-	bufs, err := s.encode(frames...)
-	if err != nil || len(bufs) == 0 {
-		return err
-	}
-	s.out = s.out[:0]
-	nb := net.Buffers(bufs)
-	_, err = nb.WriteTo(s.conn)
-	return err
-}
-
 // abort reports err to the coordinator as an Error frame (best
 // effort) and returns it, attributed to the traced query when the
 // session has seen a span context.
@@ -179,7 +156,10 @@ func (s *session) abort(err error) error {
 	if s.trace.QueryID != "" {
 		err = fmt.Errorf("query %s: %w", s.trace.QueryID, err)
 	}
-	_ = s.flush(&wire.Frame{Type: wire.TypeError, Msg: err.Error()})
+	// The frame is cut to fit: a defect that quotes the peer's input (a
+	// query text) must not grow past what an Error frame can carry.
+	msg := err.Error()
+	_ = s.w.Flush(&wire.Frame{Type: wire.TypeError, Msg: msg[:min(len(msg), 1<<10)]})
 	return fmt.Errorf("dist: worker %d: %w", s.id, err)
 }
 
@@ -190,17 +170,18 @@ func (s *session) handle(f *wire.Frame) error {
 		if f.Data.Dest != s.id {
 			return fmt.Errorf("data frame for shard %d delivered to worker %d", f.Data.Dest, s.id)
 		}
-		s.store.receive(exchange.Delivery{Rel: f.Data.Rel, Buf: f.Data.Buf, Retain: f.Data.Retain})
-		return nil
+		return s.store.receive(exchange.Delivery{Rel: f.Data.Rel, Buf: f.Data.Buf, Retain: f.Data.Retain})
 	case wire.TypeAttach:
-		return s.reply(&wire.Frame{Type: wire.TypeAttach,
-			Attach: s.store.attach(f.Attach.Key, f.Attach.Store, int64(f.Attach.Tuples))})
+		reply, err := s.store.attach(f.Attach.Key, f.Attach.Store, int64(f.Attach.Tuples))
+		if err != nil {
+			return err
+		}
+		return s.w.Queue(&wire.Frame{Type: wire.TypeAttach, Attach: reply})
 	case wire.TypeDelta:
 		if f.Delta.Dest != s.id {
 			return fmt.Errorf("delta frame for shard %d delivered to worker %d", f.Delta.Dest, s.id)
 		}
-		s.store.applyDelta(f.Delta.Store, f.Delta.View, f.Delta.Del, f.Delta.Buf)
-		return nil
+		return s.store.applyDelta(f.Delta.Store, f.Delta.View, f.Delta.Del, f.Delta.Buf)
 	case wire.TypeTrace:
 		// Unacknowledged, like Data: the session records the most recent
 		// span context so its work (and any failure) is attributable to
@@ -212,7 +193,7 @@ func (s *session) handle(f *wire.Frame) error {
 		// the barrier means every preceding Data frame is ingested — and
 		// every run flagged to be retained is complete.
 		s.store.publish()
-		return s.reply(&wire.Frame{Type: wire.TypeAck, Round: f.Round})
+		return s.w.Queue(&wire.Frame{Type: wire.TypeAck, Round: f.Round})
 	case wire.TypeJoin:
 		spec := JoinSpec{
 			Query:    f.Join.Query,
@@ -232,17 +213,17 @@ func (s *session) handle(f *wire.Frame) error {
 		if err := s.store.join(q, spec.Bindings, spec.View, strategy); err != nil {
 			return err
 		}
-		return s.reply(&wire.Frame{Type: wire.TypeAck})
+		return s.w.Queue(&wire.Frame{Type: wire.TypeAck})
 	case wire.TypePing:
 		// A pong proves liveness and — frames being processed in order —
 		// ingestion of everything the coordinator sent before the ping.
-		return s.reply(&wire.Frame{Type: wire.TypePong, Round: f.Round})
+		return s.w.Queue(&wire.Frame{Type: wire.TypePong, Round: f.Round})
 	case wire.TypeEpoch:
 		if f.Round < s.epoch {
 			return fmt.Errorf("stale epoch %d announced, session at %d", f.Round, s.epoch)
 		}
 		s.epoch = f.Round
-		return s.reply(&wire.Frame{Type: wire.TypeAck, Round: f.Round})
+		return s.w.Queue(&wire.Frame{Type: wire.TypeAck, Round: f.Round})
 	case wire.TypeGather:
 		runs := s.store.runs(f.View)
 		frames := make([]*wire.Frame, 0, len(runs)+1)
@@ -255,7 +236,7 @@ func (s *session) handle(f *wire.Frame) error {
 		}
 		frames = append(frames, &wire.Frame{Type: wire.TypeDone, Count: uint32(len(runs))})
 		// The reply carries the acks queued ahead of it in the same write.
-		return s.flush(frames...)
+		return s.w.Flush(frames...)
 	default:
 		return fmt.Errorf("unexpected %s frame", f.Type)
 	}

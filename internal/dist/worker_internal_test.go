@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"io"
 	"testing"
 
 	"repro/internal/exchange"
@@ -14,7 +15,7 @@ import (
 // with a different text is parsed afresh and evaluated as what it says,
 // and so is the first text when it comes back.
 func TestSessionParsesJoinQueryOnce(t *testing.T) {
-	s := &session{store: newWorkerStore(residentHome{})}
+	s := &session{store: newWorkerStore(residentHome{}), w: wire.NewWriter(io.Discard)}
 	s.store.add("R", exchange.NewRun(2, []relation.Tuple{{1, 2}, {3, 4}}))
 	s.store.add("S", exchange.NewRun(2, []relation.Tuple{{2, 5}, {4, 6}}))
 	join := func(text, view string) {

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-
-	"repro/internal/relation"
 )
 
 // This file is the columnar bit-width reduction of the exchange layer:
@@ -24,25 +22,6 @@ import (
 // accounts bits at the configured per-value width on the coordinator,
 // never from transport byte counts — so the same query reports
 // byte-identical round stats whether or not frames travel compressed.
-
-// NewBufferFromSortedWords reconstructs a sealed packed buffer from a
-// word payload that is already sorted and within the packed width —
-// the trusted fast path used between this repo's own coordinator and
-// worker processes, where payloads come from sealed buffers by
-// construction. It skips the per-word high-bit validation and the
-// re-sort that NewBufferFromWords performs, and takes ownership of
-// words. Callers decoding untrusted input must use NewBufferFromWords
-// instead.
-func NewBufferFromSortedWords(arity int, words []uint64) (*Buffer, error) {
-	if arity < 1 {
-		return nil, fmt.Errorf("exchange: packed buffer arity %d, need ≥ 1", arity)
-	}
-	shift := relation.PackedShift(arity)
-	if shift == 0 {
-		return nil, fmt.Errorf("exchange: arity %d does not admit packed words", arity)
-	}
-	return &Buffer{arity: arity, shift: shift, words: words, packed: true, sealed: true}, nil
-}
 
 // DeltaWordsSize returns the exact encoded size in bytes of
 // AppendDeltaWords(nil, words). It assumes words is sorted

@@ -117,37 +117,80 @@ func TestDecodeDeltaWordsSortedByConstruction(t *testing.T) {
 	}
 }
 
-// TestNewBufferFromSortedWords: the trusted constructor preserves the
-// given order and seals without validating — and agrees with the
-// validating constructor on well-formed sorted input.
+// TestNewBufferFromSortedWords: the wire constructors adopt a run that
+// arrives in order and in range — sealed, same storage, nothing moved —
+// and refuse every other: they check, they never reorder or repair.
 func TestNewBufferFromSortedWords(t *testing.T) {
 	src := NewBuffer(3)
 	rng := rand.New(rand.NewPCG(13, 2))
 	for i := 0; i < 100; i++ {
 		src.Append(relation.Tuple{rng.IntN(1000), rng.IntN(1000), rng.IntN(1000)})
 	}
+	src.Append(relation.Tuple{7, 7, 7})
+	src.Append(relation.Tuple{7, 7, 7}) // a sealed run may repeat a tuple
 	src.Seal()
 	words, _ := src.Words()
 
-	trusted, err := NewBufferFromSortedWords(3, slices.Clone(words))
+	given := slices.Clone(words)
+	got, err := NewBufferFromWords(3, given)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !trusted.Sealed() {
-		t.Fatal("trusted buffer not sealed")
+	if kept, _ := got.Words(); !got.Sealed() || &kept[0] != &given[0] || !slices.Equal(kept, words) {
+		t.Fatal("sorted in-width words were not adopted as they are")
 	}
-	checked, err := NewBufferFromWords(3, slices.Clone(words))
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(got.AppendTuples(nil), src.AppendTuples(nil)) {
+		t.Fatal("adopted words decode to different tuples")
 	}
-	if !reflect.DeepEqual(trusted.AppendTuples(nil), checked.AppendTuples(nil)) {
-		t.Fatal("trusted and validating constructors disagree on sorted input")
+	if empty, err := NewBufferFromWords(3, nil); err != nil || !empty.Sealed() || empty.Len() != 0 {
+		t.Fatalf("empty run: %v, %v", empty, err)
 	}
 
-	if _, err := NewBufferFromSortedWords(0, nil); err == nil {
-		t.Fatal("arity 0 accepted")
+	swapped := slices.Clone(words)
+	swapped[10], swapped[90] = swapped[90], swapped[10]
+	wide := append(slices.Clone(words), 1<<63) // arity 3 packs 63 bits
+	for name, c := range map[string]struct {
+		arity int
+		words []uint64
+		want  string
+	}{
+		"unsorted":          {3, swapped, "not sorted"},
+		"bits above width":  {3, wide, "bits above"},
+		"arity 0":           {0, nil, "arity"},
+		"unpackable arity":  {65, nil, "does not admit"},
+		"lone word too big": {3, []uint64{1 << 63}, "bits above"},
+	} {
+		before := slices.Clone(c.words)
+		if buf, err := NewBufferFromWords(c.arity, c.words); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: buffer %v, err %v, want a rejection naming %q", name, buf, err, c.want)
+		}
+		if !slices.Equal(c.words, before) {
+			t.Errorf("%s: the constructor reordered its input", name)
+		}
 	}
-	if _, err := NewBufferFromSortedWords(65, nil); err == nil {
-		t.Fatal("unpackable arity accepted")
+
+	rows := []int{1, 1 << 50, 3, 1, 1 << 50, 3, 2, 0, 0}
+	flat, err := NewBufferFromFlat(3, slices.Clone(rows))
+	if err != nil || !flat.Sealed() || !slices.Equal(flat.Flat(), rows) {
+		t.Fatalf("sorted flat rows: %v, %v", flat, err)
+	}
+	for name, c := range map[string]struct {
+		arity int
+		flat  []int
+		want  string
+	}{
+		"unsorted rows":  {3, []int{2, 0, 0, 1, 1 << 50, 3}, "not sorted"},
+		"late column":    {3, []int{1, 5, 3, 1, 5, 2}, "not sorted"},
+		"negative value": {3, []int{1, 2, 3, 1, -2, 9}, "negative"},
+		"ragged":         {3, []int{1, 2, 3, 4}, "multiple"},
+		"arity 0":        {0, nil, "arity"},
+	} {
+		before := slices.Clone(c.flat)
+		if buf, err := NewBufferFromFlat(c.arity, c.flat); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("flat %s: buffer %v, err %v, want a rejection naming %q", name, buf, err, c.want)
+		}
+		if !slices.Equal(c.flat, before) {
+			t.Errorf("flat %s: the constructor reordered its input", name)
+		}
 	}
 }

@@ -286,13 +286,13 @@ func (b *Buffer) Flat() []int {
 	return b.flat
 }
 
-// NewBufferFromWords reconstructs a packed buffer from a wire payload
-// of one word per tuple. It validates that the arity admits packing
-// and that no word sets bits above arity·shift (two distinct words
-// must never decode to the same tuple, or sealed word order would stop
-// coinciding with lexicographic tuple order). The returned buffer is
-// sealed — sorted and immutable — regardless of the input order, and
-// takes ownership of words.
+// NewBufferFromWords adopts a wire payload of one packed word per tuple
+// as a sealed buffer, taking ownership of words. It checks what a sealed
+// packed buffer guarantees and reorders nothing: the arity admits
+// packing, the words are non-decreasing, and none sets bits above
+// arity·shift (two distinct words must never decode to the same tuple,
+// or word order would stop coinciding with lexicographic tuple order) —
+// which, the words being in order, is a property of the last one.
 func NewBufferFromWords(arity int, words []uint64) (*Buffer, error) {
 	if arity < 1 {
 		return nil, fmt.Errorf("exchange: packed buffer arity %d, need ≥ 1", arity)
@@ -301,23 +301,19 @@ func NewBufferFromWords(arity int, words []uint64) (*Buffer, error) {
 	if shift == 0 {
 		return nil, fmt.Errorf("exchange: arity %d does not admit packed words", arity)
 	}
-	if used := uint(arity) * shift; used < 64 {
-		for _, w := range words {
-			if w>>used != 0 {
-				return nil, fmt.Errorf("exchange: packed word %#x sets bits above %d", w, used)
-			}
-		}
+	if !slices.IsSorted(words) {
+		return nil, fmt.Errorf("exchange: packed words not sorted")
 	}
-	b := &Buffer{arity: arity, shift: shift, words: words, packed: true}
-	b.Seal()
-	return b, nil
+	if used := uint(arity) * shift; used < 64 && len(words) > 0 && words[len(words)-1]>>used != 0 {
+		return nil, fmt.Errorf("exchange: packed word %#x sets bits above %d", words[len(words)-1], used)
+	}
+	return &Buffer{arity: arity, shift: shift, words: words, packed: true, sealed: true}, nil
 }
 
-// NewBufferFromFlat reconstructs a flat-path buffer from a row-major
-// wire payload (stride = arity). It validates the length is a whole
-// number of rows and every value is non-negative (tuple values are
-// domain elements). The returned buffer is sealed and takes ownership
-// of flat.
+// NewBufferFromFlat adopts a row-major wire payload (stride = arity) as
+// a sealed flat-path buffer, taking ownership of flat. It checks, and
+// reorders nothing: a whole number of rows, every value non-negative
+// (tuple values are domain elements), rows in lexicographic order.
 func NewBufferFromFlat(arity int, flat []int) (*Buffer, error) {
 	if arity < 1 {
 		return nil, fmt.Errorf("exchange: flat buffer arity %d, need ≥ 1", arity)
@@ -325,29 +321,16 @@ func NewBufferFromFlat(arity int, flat []int) (*Buffer, error) {
 	if len(flat)%arity != 0 {
 		return nil, fmt.Errorf("exchange: flat payload of %d values is not a multiple of arity %d", len(flat), arity)
 	}
-	for _, v := range flat {
-		if v < 0 {
-			return nil, fmt.Errorf("exchange: negative value %d in flat payload", v)
+	for i := 0; i < len(flat); i += arity {
+		row := flat[i : i+arity]
+		for _, v := range row {
+			if v < 0 {
+				return nil, fmt.Errorf("exchange: negative value %d in flat payload", v)
+			}
 		}
-	}
-	b := &Buffer{arity: arity, flat: flat}
-	b.Seal()
-	return b, nil
-}
-
-// NewBufferFromSortedFlat reconstructs a sealed flat-path buffer from a
-// row-major payload that is already sorted — the trusted counterpart of
-// NewBufferFromFlat, mirroring NewBufferFromSortedWords: payloads
-// between this repo's own coordinator and workers come from sealed
-// buffers by construction, so the value check and the re-sort are
-// skipped. It takes ownership of flat. Callers decoding untrusted
-// input must use NewBufferFromFlat instead.
-func NewBufferFromSortedFlat(arity int, flat []int) (*Buffer, error) {
-	if arity < 1 {
-		return nil, fmt.Errorf("exchange: flat buffer arity %d, need ≥ 1", arity)
-	}
-	if len(flat)%arity != 0 {
-		return nil, fmt.Errorf("exchange: flat payload of %d values is not a multiple of arity %d", len(flat), arity)
+		if i > 0 && slices.Compare(flat[i-arity:i], row) > 0 {
+			return nil, fmt.Errorf("exchange: flat rows not sorted at row %d", i/arity)
+		}
 	}
 	return &Buffer{arity: arity, flat: flat, sealed: true}, nil
 }

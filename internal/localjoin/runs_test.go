@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/exchange"
@@ -195,8 +196,8 @@ func FuzzEvaluateRuns(f *testing.F) {
 			ws = append(ws, binary.LittleEndian.Uint64(data))
 		}
 		// Deal the words round-robin to the atoms, each atom's share into
-		// 1 + split%3 runs; bits above the atom's packed width are cleared,
-		// as the wire decoder would reject them.
+		// 1 + split%3 runs; bits above the atom's packed width are cleared
+		// and each run is sorted, as the wire decoder would reject the rest.
 		runs := make(Runs, len(q.Atoms))
 		var before [][]uint64
 		for ai, a := range q.Atoms {
@@ -210,6 +211,7 @@ func FuzzEvaluateRuns(f *testing.F) {
 				parts[i%k] = append(parts[i%k], w)
 			}
 			for _, p := range parts {
+				slices.Sort(p)
 				buf, err := exchange.NewBufferFromWords(a.Arity(), p)
 				if err != nil {
 					t.Fatalf("atom %s: %v", a.Name, err)

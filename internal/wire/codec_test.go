@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand/v2"
@@ -41,10 +42,10 @@ func zipfBuffer(t *testing.T, n int, seed uint64) *exchange.Buffer {
 	return b
 }
 
-// TestFastRoundTrip: every frame type fast-encodes into bytes that
-// BOTH the trusted Reader and the validating Decode accept, and the
-// two decoders agree exactly — the differential contract of the fast
-// path.
+// TestFastRoundTrip: a batch of every frame type — a skewed run and an
+// empty one included — encodes into one stream that one Reader, reusing
+// its scratch from frame to frame, decodes back into the same frames,
+// and that a fresh Decode per frame reads the same way.
 func TestFastRoundTrip(t *testing.T) {
 	frames := sampleFrames(t)
 	frames = append(frames,
@@ -53,33 +54,23 @@ func TestFastRoundTrip(t *testing.T) {
 	)
 	stream := fastEncode(t, frames)
 
-	trusted := NewTrustedReader(bytes.NewReader(stream))
-	validating := bytes.NewReader(stream)
+	reused := NewReader(bytes.NewReader(stream))
+	fresh := bytes.NewReader(stream)
 	for i, want := range frames {
-		ft, err := trusted.Next()
+		fr, err := reused.Next()
 		if err != nil {
-			t.Fatalf("frame %d (%s): trusted decode: %v", i, want.Type, err)
+			t.Fatalf("frame %d (%s): reader: %v", i, want.Type, err)
 		}
-		fv, err := Decode(validating)
+		ff, err := Decode(fresh)
 		if err != nil {
-			t.Fatalf("frame %d (%s): validating decode: %v", i, want.Type, err)
+			t.Fatalf("frame %d (%s): decode: %v", i, want.Type, err)
 		}
-		assertFramesEqual(t, want, ft, fv)
+		if !sameFrame(want, fr) || !sameFrame(want, ff) {
+			t.Fatalf("frame %d (%s): reader %+v, decode %+v, want %+v", i, want.Type, fr, ff, want)
+		}
 	}
-	if _, err := trusted.Next(); !errors.Is(err, io.EOF) {
-		t.Fatalf("trusted reader past end: %v, want EOF", err)
-	}
-}
-
-// assertFramesEqual checks trusted and validating decodes of one
-// fast-encoded frame against each other and the original.
-func assertFramesEqual(t *testing.T, want, trusted, validating *Frame) {
-	t.Helper()
-	if !sameFrame(trusted, validating) {
-		t.Fatalf("%s: trusted %+v != validating %+v", want.Type, trusted, validating)
-	}
-	if !sameFrame(want, trusted) {
-		t.Fatalf("%s: decoded %+v, want %+v", want.Type, trusted, want)
+	if _, err := reused.Next(); !errors.Is(err, io.EOF) {
+		t.Fatalf("reader past end: %v, want EOF", err)
 	}
 }
 
@@ -145,8 +136,8 @@ func TestFastZeroCopySegments(t *testing.T) {
 	}
 }
 
-// TestFastRejectsUnsealed: the fast encoder refuses unsealed buffers —
-// its encodings assume sorted words.
+// TestFastRejectsUnsealed: the encoder refuses unsealed buffers — the
+// receiver would reject their words, and delta varints cannot carry them.
 func TestFastRejectsUnsealed(t *testing.T) {
 	b := exchange.NewBuffer(2)
 	b.Append(relation.Tuple{9, 1})
@@ -157,9 +148,9 @@ func TestFastRejectsUnsealed(t *testing.T) {
 	}
 }
 
-// TestValidatingRejectsDirtyRawWords: the untrusted path still rejects
-// raw payloads whose words set bits above the packed width, and raw
-// payloads that are not sorted.
+// TestValidatingRejectsDirtyRawWords: the decoder rejects raw payloads
+// whose words set bits above the packed width, and raw payloads that are
+// not sorted.
 func TestValidatingRejectsDirtyRawWords(t *testing.T) {
 	buf := buildBuffer(t, 3, 4, 10, 29)
 	stream := fastEncode(t, []*Frame{{Type: TypeData, Data: Data{Rel: "R", Buf: buf}}})
@@ -183,73 +174,25 @@ func TestValidatingRejectsDirtyRawWords(t *testing.T) {
 }
 
 // TestValidatingRejectsDirtyDeltaWords: a delta payload whose first
-// word already exceeds the packed width is rejected untrusted.
+// word already exceeds the packed width is rejected.
 func TestValidatingRejectsDirtyDeltaWords(t *testing.T) {
 	words := make([]uint64, 64)
 	words[0] = 1 << 63 // arity-2 packing uses all 64 bits; use arity 3 (63 bits)
 	for i := 1; i < len(words); i++ {
 		words[i] = words[i-1] + 1
 	}
-	payload := exchange.AppendDeltaWords(nil, words)
-	var body []byte
-	body = appendU32(body, 0) // round
-	body = appendU32(body, 0) // dest
-	body, _ = appendString(body, "R")
-	body, _ = appendString(body, "") // retain
-	body = appendU16(body, 3)        // arity 3 → 21 bits/value, 63 used
-	body = append(body, encDelta)
-	body = appendU32(body, uint32(len(words)))
-	body = append(body, payload...)
-	stream := []byte{byte(TypeData)}
-	stream = appendU32(stream, uint32(len(body)))
-	stream = append(stream, body...)
+	body := payloadWriter{}
+	body.u32(0) // round
+	body.u32(0) // dest
+	body.str("R")
+	body.str("") // retain
+	body.u16(3)  // arity 3 → 21 bits/value, 63 used
+	body.b = append(body.b, encDelta)
+	body.u32(uint32(len(words)))
+	body.b = exchange.AppendDeltaWords(body.b, words)
+	stream := binary.BigEndian.AppendUint32([]byte{byte(TypeData)}, uint32(len(body.b)))
+	stream = append(stream, body.b...)
 	if _, err := Decode(bytes.NewReader(stream)); err == nil || !strings.Contains(err.Error(), "bits above") {
 		t.Fatalf("dirty delta word: %v, want high-bit rejection", err)
-	}
-}
-
-// BenchmarkWireFastEncode measures the trusted fast encoder on the
-// same frame shape as BenchmarkWireEncode, including assembling the
-// vectored write list (but not the syscall).
-func BenchmarkWireFastEncode(b *testing.B) {
-	f := benchFrame(1 << 16)
-	var probe bytes.Buffer
-	if err := Encode(&probe, f); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(probe.Len()))
-	frames := []*Frame{f}
-	var head []byte
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		head, _, err = AppendFrames(head[:0], frames)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWireFastDecode measures the trusted Reader on a raw-encoded
-// frame — the single-copy path the coordinator and workers run.
-func BenchmarkWireFastDecode(b *testing.B) {
-	f := benchFrame(1 << 16)
-	_, bufs, err := AppendFrames(nil, []*Frame{f})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var stream bytes.Buffer
-	for _, s := range bufs {
-		stream.Write(s)
-	}
-	data := stream.Bytes()
-	b.SetBytes(int64(len(data)))
-	rd := NewTrustedReader(nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rd.r = bytes.NewReader(data)
-		if _, err := rd.Next(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -11,30 +11,36 @@
 // The payload that matters is the columnar one: a Data frame carries
 // one sealed exchange.Buffer — the unit the exchange layer ships
 // between workers — as the round id, the destination shard, the store
-// name, and the buffer body in its native encoding: one uint64 word
-// per tuple on the packed path, a row-major int64 sequence on the
-// flat fallback path; a Delta frame carries a maintenance run the same
-// way. Control frames carry the BSP protocol around the data (Hello,
-// Barrier, Join, Gather, Ack, Done, Error), the recovery handshake
-// (Ping, Pong, Epoch), the tracing context (Trace) and the resident
-// scatter (Attach). Every frame
-// type has a reader on the receiving side: a frame nothing consumes
-// does not belong in the protocol.
+// name, and the buffer body in one of three encodings: the packed words
+// as raw little-endian memory, the same words as delta varints when
+// that is at most 3/4 the size, or a row-major big-endian int64
+// sequence for a buffer on the flat layout; a Delta frame carries a
+// maintenance run the same way. Control frames carry the BSP protocol
+// around the data (Hello, Barrier, Join, Gather, Ack, Done, Error), the
+// recovery handshake (Ping, Pong, Epoch), the tracing context (Trace)
+// and the resident scatter (Attach). Every frame type has a reader on
+// the receiving side: a frame nothing consumes does not belong in the
+// protocol.
 //
-// Decode is defensive: any malformed or truncated frame yields an
-// error, never a panic, and allocation is bounded by the bytes that
-// actually arrive (a length prefix larger than the available input
-// cannot force a large allocation). FuzzDecodeFrame in this package
-// holds the codec to that contract.
+// There is one codec. AppendFrames (behind Writer) is the only encoder:
+// it appends headers and inline payloads to one buffer and hands raw
+// word payloads back as segments aliasing the buffers, for one vectored
+// write. Reader is the only decoder, for a coordinator's frames and a
+// worker's alike: it copies each run out of the payload once and
+// validates it there — words non-decreasing and inside the packed
+// width, flat values non-negative with rows in order, counts against
+// lengths, no trailing bytes — and rejects what fails; it repairs
+// nothing and there is no way to decode a frame unvalidated. Any
+// malformed or truncated frame yields an error, never a panic, and
+// allocation is bounded by the bytes that actually arrive (a length
+// prefix larger than the available input cannot force a large
+// allocation). FuzzDecodeFrame in this package holds the codec to that
+// contract; dist's FuzzWorkerSession holds a live session to it.
 package wire
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
-	"slices"
 
 	"repro/internal/exchange"
 )
@@ -142,13 +148,14 @@ func (t Type) String() string {
 
 // Version is the protocol version carried by Hello frames; a worker
 // rejects a coordinator speaking a different version. Version 2 added
-// the fast-path Data encodings (raw little-endian words, delta-varint
-// words) that version-1 decoders would reject; version 3 added the
-// Delta frame of incremental view maintenance; version 4 added the
-// Trace frame of per-round distributed tracing; version 5 retired a
-// per-barrier state broadcast that no receiver read, renumbering Delta
-// and Trace; version 6 added the Attach frame and the Retain key of Data.
-const Version = 6
+// the raw and delta-varint Data encodings; version 3 the Delta frame of
+// incremental view maintenance; version 4 the Trace frame of per-round
+// distributed tracing; version 5 retired a per-barrier state broadcast
+// that no receiver read, renumbering Delta and Trace; version 6 added
+// the Attach frame and the Retain key of Data; version 7 retired the
+// big-endian packed encoding no sender emitted, and a receiver rejects
+// an unsorted or out-of-width run where version 6 re-sorted it.
+const Version = 7
 
 // MaxPayload bounds a frame's declared payload size (128 MiB). A
 // larger length prefix is rejected before any payload is read.
@@ -275,482 +282,4 @@ type Frame struct {
 	Trace TraceHeader
 	// Attach is set for TypeAttach.
 	Attach Attach
-}
-
-// buffer encoding discriminators inside Data payloads. encPacked and
-// encFlat are the canonical big-endian encodings Encode emits; encRaw
-// and encDelta are the fast-path encodings AppendFrames chooses for
-// packed buffers (raw little-endian word memory for vectored sends,
-// delta-varint for skew-compressible columns). Decode validates all
-// four.
-const (
-	encPacked = 0
-	encFlat   = 1
-	encRaw    = 2
-	encDelta  = 3
-)
-
-// Encode writes one frame to w in wire format.
-func Encode(w io.Writer, f *Frame) error {
-	var payload bytes.Buffer
-	switch f.Type {
-	case TypeHello:
-		putU16(&payload, f.Hello.Version)
-		putU32(&payload, f.Hello.Worker)
-		putU32(&payload, f.Hello.P)
-	case TypeData:
-		if err := encodeData(&payload, &f.Data); err != nil {
-			return err
-		}
-	case TypeDelta:
-		if err := encodeDelta(&payload, &f.Delta); err != nil {
-			return err
-		}
-	case TypeBarrier, TypeAck, TypePing, TypePong, TypeEpoch:
-		putU32(&payload, f.Round)
-	case TypeTrace:
-		putU64(&payload, f.Trace.TraceID)
-		putU64(&payload, f.Trace.Span)
-		putU32(&payload, f.Trace.Round)
-		if err := putString(&payload, f.Trace.QueryID); err != nil {
-			return err
-		}
-	case TypeAttach:
-		if err := putString(&payload, f.Attach.Key); err != nil {
-			return err
-		}
-		if err := putString(&payload, f.Attach.Store); err != nil {
-			return err
-		}
-		putU64(&payload, f.Attach.Tuples)
-		payload.WriteByte(boolByte(f.Attach.Hit))
-	case TypeJoin:
-		if err := putString(&payload, f.Join.Query); err != nil {
-			return err
-		}
-		if err := putString(&payload, f.Join.View); err != nil {
-			return err
-		}
-		payload.WriteByte(f.Join.Strategy)
-		if len(f.Join.Bindings) > maxName {
-			return fmt.Errorf("wire: %d bindings exceed limit", len(f.Join.Bindings))
-		}
-		putU16(&payload, uint16(len(f.Join.Bindings)))
-		for _, b := range f.Join.Bindings {
-			if err := putString(&payload, b[0]); err != nil {
-				return err
-			}
-			if err := putString(&payload, b[1]); err != nil {
-				return err
-			}
-		}
-	case TypeGather:
-		if err := putString(&payload, f.View); err != nil {
-			return err
-		}
-	case TypeDone:
-		putU32(&payload, f.Count)
-	case TypeError:
-		if err := putString(&payload, f.Msg); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("wire: encode unknown frame type %d", f.Type)
-	}
-	if payload.Len() > MaxPayload {
-		return fmt.Errorf("wire: %s payload %d bytes exceeds %d", f.Type, payload.Len(), MaxPayload)
-	}
-	var hdr [5]byte
-	hdr[0] = byte(f.Type)
-	binary.BigEndian.PutUint32(hdr[1:], uint32(payload.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload.Bytes())
-	return err
-}
-
-// encodeData serializes round, dest, name and the buffer body.
-func encodeData(w *bytes.Buffer, d *Data) error {
-	putU32(w, d.Round)
-	putU32(w, d.Dest)
-	if err := putString(w, d.Rel); err != nil {
-		return err
-	}
-	if err := putString(w, d.Retain); err != nil {
-		return err
-	}
-	return encodeBufferBody(w, d.Buf)
-}
-
-// encodeDelta serializes round, dest, store, view, the op byte and the
-// buffer body.
-func encodeDelta(w *bytes.Buffer, d *Delta) error {
-	putU32(w, d.Round)
-	putU32(w, d.Dest)
-	if err := putString(w, d.Store); err != nil {
-		return err
-	}
-	if err := putString(w, d.View); err != nil {
-		return err
-	}
-	w.WriteByte(boolByte(d.Del))
-	return encodeBufferBody(w, d.Buf)
-}
-
-// encodeBufferBody serializes one buffer in the canonical encodings:
-// arity u16, encoding byte, tuple count u32, then big-endian words
-// (packed path) or big-endian row-major values (flat path). It is the
-// body shared by Data and Delta payloads.
-func encodeBufferBody(w *bytes.Buffer, buf *exchange.Buffer) error {
-	arity := buf.Arity()
-	if arity < 1 || arity > maxName {
-		return fmt.Errorf("wire: buffer arity %d out of range", arity)
-	}
-	putU16(w, uint16(arity))
-	if words, ok := buf.Words(); ok {
-		w.WriteByte(encPacked)
-		putU32(w, uint32(len(words)))
-		var scratch [8]byte
-		for _, word := range words {
-			binary.BigEndian.PutUint64(scratch[:], word)
-			w.Write(scratch[:])
-		}
-		return nil
-	}
-	flat := buf.Flat()
-	w.WriteByte(encFlat)
-	putU32(w, uint32(len(flat)/arity))
-	var scratch [8]byte
-	for _, v := range flat {
-		binary.BigEndian.PutUint64(scratch[:], uint64(int64(v)))
-		w.Write(scratch[:])
-	}
-	return nil
-}
-
-// Decode reads one frame from r. It returns io.EOF when r is
-// exhausted before the first header byte and io.ErrUnexpectedEOF on a
-// truncated frame. Allocation is bounded by the bytes actually
-// available in r, not by the declared length.
-func Decode(r io.Reader) (*Frame, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		return nil, err
-	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return nil, unexpected(err)
-	}
-	typ := Type(hdr[0])
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > MaxPayload {
-		return nil, fmt.Errorf("wire: %s payload length %d exceeds %d", typ, n, MaxPayload)
-	}
-	// Copy rather than pre-allocate: a lying length prefix on a
-	// truncated stream only allocates what the stream actually holds.
-	var body bytes.Buffer
-	m, err := io.CopyN(&body, r, int64(n))
-	if err != nil || m != int64(n) {
-		return nil, unexpected(err)
-	}
-	return decodePayload(typ, body.Bytes())
-}
-
-// decodePayload parses one frame payload with full validation. It is
-// the body shared by Decode (untrusted streams) and the control-frame
-// cases of the trusted Reader.
-func decodePayload(typ Type, body []byte) (*Frame, error) {
-	p := &payloadReader{b: body}
-	f := &Frame{Type: typ}
-	switch typ {
-	case TypeHello:
-		f.Hello.Version = p.u16()
-		f.Hello.Worker = p.u32()
-		f.Hello.P = p.u32()
-	case TypeData:
-		decodeData(p, &f.Data)
-	case TypeDelta:
-		decodeDelta(p, &f.Delta)
-	case TypeBarrier, TypeAck, TypePing, TypePong, TypeEpoch:
-		f.Round = p.u32()
-	case TypeTrace:
-		f.Trace.TraceID = p.u64()
-		f.Trace.Span = p.u64()
-		f.Trace.Round = p.u32()
-		f.Trace.QueryID = p.str()
-	case TypeAttach:
-		f.Attach.Key, f.Attach.Store = p.str(), p.str()
-		f.Attach.Tuples = p.u64()
-		f.Attach.Hit = p.flag()
-	case TypeJoin:
-		f.Join.Query = p.str()
-		f.Join.View = p.str()
-		f.Join.Strategy = p.u8()
-		nb := int(p.u16())
-		for i := 0; i < nb && p.err == nil; i++ {
-			f.Join.Bindings = append(f.Join.Bindings, [2]string{p.str(), p.str()})
-		}
-	case TypeGather:
-		f.View = p.str()
-	case TypeDone:
-		f.Count = p.u32()
-	case TypeError:
-		f.Msg = p.str()
-	default:
-		return nil, fmt.Errorf("wire: unknown frame type %d", uint8(typ))
-	}
-	if p.err != nil {
-		return nil, fmt.Errorf("wire: %s frame: %w", typ, p.err)
-	}
-	if len(p.b) != p.off {
-		return nil, fmt.Errorf("wire: %s frame has %d trailing payload bytes", typ, len(p.b)-p.off)
-	}
-	return f, nil
-}
-
-// decodeData parses a Data payload and reconstructs the buffer
-// through the validating exchange constructors.
-func decodeData(p *payloadReader, d *Data) {
-	d.Round = p.u32()
-	d.Dest = p.u32()
-	d.Rel = p.str()
-	d.Retain = p.str()
-	d.Buf = decodeBufferBody(p)
-}
-
-// decodeDelta parses a Delta payload with the same validation.
-func decodeDelta(p *payloadReader, d *Delta) {
-	d.Round = p.u32()
-	d.Dest = p.u32()
-	d.Store = p.str()
-	d.View = p.str()
-	if d.Del = p.flag(); p.err != nil {
-		return
-	}
-	d.Buf = decodeBufferBody(p)
-}
-
-// decodeBufferBody parses one buffer body (arity, encoding, count,
-// values) with full validation — the shape shared by Data and Delta
-// payloads. A lying count cannot force a large allocation: every
-// encoding bounds its allocation by the bytes actually present.
-func decodeBufferBody(p *payloadReader) *exchange.Buffer {
-	arity := int(p.u16())
-	enc := p.u8()
-	count := int(p.u32())
-	if p.err != nil {
-		return nil
-	}
-	if arity < 1 {
-		p.fail(fmt.Errorf("arity %d", arity))
-		return nil
-	}
-	switch enc {
-	case encPacked:
-		if !p.need(count * 8) {
-			return nil
-		}
-		words := make([]uint64, count)
-		for i := range words {
-			words[i] = p.u64()
-		}
-		buf, err := exchange.NewBufferFromWords(arity, words)
-		if err != nil {
-			p.fail(err)
-			return nil
-		}
-		return buf
-	case encFlat:
-		values := count * arity
-		if !p.need(values * 8) {
-			return nil
-		}
-		flat := make([]int, values)
-		for i := range flat {
-			v := int64(p.u64())
-			if v < 0 || v > math.MaxInt {
-				p.fail(fmt.Errorf("flat value %d out of range", v))
-				return nil
-			}
-			flat[i] = int(v)
-		}
-		buf, err := exchange.NewBufferFromFlat(arity, flat)
-		if err != nil {
-			p.fail(err)
-			return nil
-		}
-		return buf
-	case encRaw:
-		if !p.need(count * 8) {
-			return nil
-		}
-		words := make([]uint64, count)
-		for i := range words {
-			words[i] = binary.LittleEndian.Uint64(p.b[p.off:])
-			p.off += 8
-		}
-		if !slices.IsSorted(words) {
-			p.fail(fmt.Errorf("raw words not sorted"))
-			return nil
-		}
-		buf, err := exchange.NewBufferFromWords(arity, words)
-		if err != nil {
-			p.fail(err)
-			return nil
-		}
-		return buf
-	case encDelta:
-		rest := p.b[p.off:]
-		words, err := exchange.DecodeDeltaWords(rest, count)
-		if err != nil {
-			p.fail(err)
-			return nil
-		}
-		p.off = len(p.b)
-		buf, err := exchange.NewBufferFromWords(arity, words)
-		if err != nil {
-			p.fail(err)
-			return nil
-		}
-		return buf
-	default:
-		p.fail(fmt.Errorf("unknown buffer encoding %d", enc))
-		return nil
-	}
-}
-
-// payloadReader is a bounds-checked cursor over a payload; the first
-// failure sticks.
-type payloadReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-// fail records the first error.
-func (p *payloadReader) fail(err error) {
-	if p.err == nil {
-		p.err = err
-	}
-}
-
-// need reports whether n more bytes are available, recording an error
-// if not (and on nonsensical sizes).
-func (p *payloadReader) need(n int) bool {
-	if p.err != nil {
-		return false
-	}
-	if n < 0 || n > len(p.b)-p.off {
-		p.fail(fmt.Errorf("truncated payload: need %d bytes, have %d", n, len(p.b)-p.off))
-		return false
-	}
-	return true
-}
-
-func (p *payloadReader) u8() uint8 {
-	if !p.need(1) {
-		return 0
-	}
-	v := p.b[p.off]
-	p.off++
-	return v
-}
-
-// flag reads a byte that must be 0 or 1.
-func (p *payloadReader) flag() bool {
-	v := p.u8()
-	if v > 1 {
-		p.fail(fmt.Errorf("flag byte %d", v))
-	}
-	return v == 1
-}
-
-func (p *payloadReader) u16() uint16 {
-	if !p.need(2) {
-		return 0
-	}
-	v := binary.BigEndian.Uint16(p.b[p.off:])
-	p.off += 2
-	return v
-}
-
-func (p *payloadReader) u32() uint32 {
-	if !p.need(4) {
-		return 0
-	}
-	v := binary.BigEndian.Uint32(p.b[p.off:])
-	p.off += 4
-	return v
-}
-
-func (p *payloadReader) u64() uint64 {
-	if !p.need(8) {
-		return 0
-	}
-	v := binary.BigEndian.Uint64(p.b[p.off:])
-	p.off += 8
-	return v
-}
-
-// str reads a uint16-length-prefixed string.
-func (p *payloadReader) str() string {
-	n := int(p.u16())
-	if !p.need(n) {
-		return ""
-	}
-	v := string(p.b[p.off : p.off+n])
-	p.off += n
-	return v
-}
-
-// boolByte is the wire form of a flag.
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// putU16 appends a big-endian uint16.
-func putU16(w *bytes.Buffer, v uint16) {
-	var b [2]byte
-	binary.BigEndian.PutUint16(b[:], v)
-	w.Write(b[:])
-}
-
-// putU32 appends a big-endian uint32.
-func putU32(w *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	w.Write(b[:])
-}
-
-// putU64 appends a big-endian uint64.
-func putU64(w *bytes.Buffer, v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	w.Write(b[:])
-}
-
-// putString appends a uint16-length-prefixed string.
-func putString(w *bytes.Buffer, s string) error {
-	if len(s) > maxName {
-		return fmt.Errorf("wire: string of %d bytes exceeds %d", len(s), maxName)
-	}
-	putU16(w, uint16(len(s)))
-	w.WriteString(s)
-	return nil
-}
-
-// unexpected normalizes a short read into io.ErrUnexpectedEOF so
-// callers can distinguish "stream ended between frames" (io.EOF from
-// Decode's first byte) from "stream died mid-frame".
-func unexpected(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	if err == nil {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }

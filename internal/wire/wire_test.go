@@ -2,10 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -96,10 +98,12 @@ func sameFrame(a, b *Frame) bool {
 		reflect.DeepEqual(tuples(a.Delta.Buf), tuples(b.Delta.Buf))
 }
 
-// TestRoundTrip: every frame type the protocol names survives every
-// encoder × decoder pairing unchanged. The table is checked against the
-// Type enumeration itself, so a type cannot be added without a codec
-// test here, and a type with no frame to test has no business staying.
+// TestRoundTrip: every frame type the protocol names survives the codec
+// unchanged, through every entry point the package has — they are one
+// implementation, and bench/ still compiles against the older names. The
+// table is checked against the Type enumeration itself, so a type cannot
+// be added without a codec test here, and a type with no frame to test
+// has no business staying.
 func TestRoundTrip(t *testing.T) {
 	frames := sampleFrames(t)
 	covered := map[Type]bool{}
@@ -117,23 +121,40 @@ func TestRoundTrip(t *testing.T) {
 	}
 
 	encoders := map[string]func(*Frame) []byte{
-		"canonical": func(f *Frame) []byte {
+		"Encode": func(f *Frame) []byte {
 			var buf bytes.Buffer
 			if err := Encode(&buf, f); err != nil {
 				t.Fatalf("%s: encode: %v", f.Type, err)
 			}
 			return buf.Bytes()
 		},
-		"fast": func(f *Frame) []byte { return fastEncode(t, []*Frame{f}) },
+		"AppendFrames": func(f *Frame) []byte { return fastEncode(t, []*Frame{f}) },
+		"Writer.Queue": func(f *Frame) []byte {
+			var buf bytes.Buffer
+			w := NewWriter(&buf)
+			if err := w.Queue(f); err != nil {
+				t.Fatalf("%s: queue: %v", f.Type, err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatalf("%s: flush: %v", f.Type, err)
+			}
+			return buf.Bytes()
+		},
 	}
 	decoders := map[string]func([]byte) (*Frame, error){
-		"validating": func(b []byte) (*Frame, error) { return Decode(bytes.NewReader(b)) },
-		"trusted":    func(b []byte) (*Frame, error) { return NewTrustedReader(bytes.NewReader(b)).Next() },
+		"Decode":           func(b []byte) (*Frame, error) { return Decode(bytes.NewReader(b)) },
+		"NewReader":        func(b []byte) (*Frame, error) { return NewReader(bytes.NewReader(b)).Next() },
+		"NewTrustedReader": func(b []byte) (*Frame, error) { return NewTrustedReader(bytes.NewReader(b)).Next() },
 	}
-	for en, encode := range encoders {
-		for dn, decode := range decoders {
-			for _, f := range frames {
-				got, err := decode(encode(f))
+	for _, f := range frames {
+		want := encoders["AppendFrames"](f)
+		for en, encode := range encoders {
+			enc := encode(f)
+			if !bytes.Equal(enc, want) {
+				t.Errorf("%s: %s and AppendFrames emit different bytes", f.Type, en)
+			}
+			for dn, decode := range decoders {
+				got, err := decode(enc)
 				if err != nil {
 					t.Fatalf("%s → %s: %s: decode: %v", en, dn, f.Type, err)
 				}
@@ -147,8 +168,8 @@ func TestRoundTrip(t *testing.T) {
 
 // TestDecodeRejectsUnnamedTypes: byte 0 and every byte past the last
 // named type — the first of which version 4 still used, for the frame
-// type version 5 retired — is refused by both decoders, with or
-// without a payload behind it, and never panics.
+// type version 5 retired — is refused, with or without a payload behind
+// it, and never panics.
 func TestDecodeRejectsUnnamedTypes(t *testing.T) {
 	payloads := [][]byte{nil, make([]byte, 12)}
 	unnamed := []int{0}
@@ -160,9 +181,6 @@ func TestDecodeRejectsUnnamedTypes(t *testing.T) {
 			frame := append([]byte{byte(b), 0, 0, 0, byte(len(payload))}, payload...)
 			if f, err := Decode(bytes.NewReader(frame)); err == nil || !strings.Contains(err.Error(), "unknown frame type") {
 				t.Errorf("Decode of type byte %d (%d payload bytes): frame %+v, err %v", b, len(payload), f, err)
-			}
-			if f, err := NewTrustedReader(bytes.NewReader(frame)).Next(); err == nil || !strings.Contains(err.Error(), "unknown frame type") {
-				t.Errorf("trusted Next of type byte %d (%d payload bytes): frame %+v, err %v", b, len(payload), f, err)
 			}
 		}
 	}
@@ -270,41 +288,149 @@ func mutate(b []byte, f func([]byte)) []byte {
 // must be rejected.
 func TestDecodeRejectsDirtyHighBits(t *testing.T) {
 	packed := buildBuffer(t, 3, 2, 10, 5)
-	var buf bytes.Buffer
-	if err := Encode(&buf, &Frame{Type: TypeData, Data: Data{Rel: "R", Buf: packed}}); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	b[len(b)-8] |= 0x80 // arity 3 uses 63 bits; set bit 63 of the last word
+	b := fastEncode(t, []*Frame{{Type: TypeData, Data: Data{Rel: "R", Buf: packed}}})
+	b[len(b)-1] |= 0x80 // arity 3 uses 63 bits; set bit 63 of the last little-endian word
 	_, err := Decode(bytes.NewReader(b))
 	if err == nil || !strings.Contains(err.Error(), "bits above") {
 		t.Fatalf("want high-bit rejection, got %v", err)
 	}
 }
 
-// TestDecodedBufferSorted: decoding an unsorted payload still yields
-// a sealed, sorted buffer (the Column invariant).
+// TestDecodedBufferSorted: a decoded run is sealed and in order (the
+// Column invariant) because the decoder adopts only runs that arrive so:
+// the same payloads with two words swapped, two flat rows swapped or a
+// flat value negated are rejected, never re-sorted.
 func TestDecodedBufferSorted(t *testing.T) {
-	b := exchange.NewBuffer(2)
-	b.Append(relation.Tuple{9, 1})
-	b.Append(relation.Tuple{1, 2})
-	b.Append(relation.Tuple{5, 0})
-	// Do not Seal: encode the unsorted words via a crafted frame.
-	var buf bytes.Buffer
-	if err := Encode(&buf, &Frame{Type: TypeData, Data: Data{Rel: "R", Buf: b}}); err != nil {
-		t.Fatal(err)
+	packed := exchange.NewBuffer(2)
+	packed.Append(relation.Tuple{9, 1})
+	packed.Append(relation.Tuple{1, 2})
+	packed.Append(relation.Tuple{5, 0})
+	packed.Seal()
+	flat := exchange.NewBuffer(3)
+	flat.Append(relation.Tuple{4, 5 << 30, 6})
+	flat.Append(relation.Tuple{1 << 40, 2, 3})
+	flat.Seal()
+	swap := func(b []byte, i, j, n int) {
+		tmp := append([]byte(nil), b[i:i+n]...)
+		copy(b[i:i+n], b[j:j+n])
+		copy(b[j:j+n], tmp)
 	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := got.Data.Buf.AppendTuples(nil)
-	for i := 1; i < len(ts); i++ {
-		if ts[i].Less(ts[i-1]) {
-			t.Fatalf("decoded buffer not sorted: %v before %v", ts[i-1], ts[i])
+	for _, c := range []struct {
+		name    string
+		buf     *exchange.Buffer
+		corrupt func(b []byte)
+		want    string
+	}{
+		{"raw words", packed, func(b []byte) { swap(b, len(b)-24, len(b)-8, 8) }, "not sorted"},
+		{"flat rows", flat, func(b []byte) { swap(b, len(b)-48, len(b)-24, 24) }, "not sorted"},
+		{"flat value", flat, func(b []byte) { b[len(b)-8] |= 0x80 }, "negative"},
+	} {
+		stream := fastEncode(t, []*Frame{{Type: TypeData, Data: Data{Rel: "R", Buf: c.buf}}})
+		got, err := Decode(bytes.NewReader(stream))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !got.Data.Buf.Sealed() {
+			t.Fatalf("%s: decoded buffer not sealed", c.name)
+		}
+		ts := got.Data.Buf.AppendTuples(nil)
+		if len(ts) != c.buf.Len() {
+			t.Fatalf("%s: decoded %d tuples, sent %d", c.name, len(ts), c.buf.Len())
+		}
+		for i := 1; i < len(ts); i++ {
+			if ts[i].Less(ts[i-1]) {
+				t.Fatalf("%s: decoded buffer not sorted: %v before %v", c.name, ts[i-1], ts[i])
+			}
+		}
+		if f, err := Decode(bytes.NewReader(mutate(stream, c.corrupt))); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s out of order: frame %+v, err %v, want a rejection naming %q", c.name, f, err, c.want)
 		}
 	}
-	if !got.Data.Buf.Sealed() {
-		t.Fatal("decoded buffer not sealed")
+}
+
+// TestReaderAllocationFollowsArrival: the payload scratch grows with the
+// bytes that arrive. A header declaring the largest legal payload with
+// nothing behind it costs one read chunk, not 128 MiB; a length past
+// MaxPayload is refused before any read.
+func TestReaderAllocationFollowsArrival(t *testing.T) {
+	hdr := binary.BigEndian.AppendUint32([]byte{byte(TypeData)}, MaxPayload-1)
+	for _, behind := range []int{0, 1000, 3 * readChunk} {
+		stream := append(hdr[:5:5], make([]byte, behind)...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f, err := NewReader(bytes.NewReader(stream)).Next()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%d bytes behind a %d-byte header: frame %+v, err %v, want ErrUnexpectedEOF", behind, MaxPayload-1, f, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%d bytes behind a lying header allocated %d bytes, want < 1 MiB", behind, got)
+		}
 	}
+	over := binary.BigEndian.AppendUint32([]byte{byte(TypeData)}, MaxPayload+1)
+	rd := bytes.NewReader(append(over, 1, 2, 3))
+	if _, err := NewReader(rd).Next(); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("oversized length: %v, want a refusal", err)
+	}
+	if rd.Len() != 3 {
+		t.Errorf("an oversized length was refused after reading %d payload bytes", 3-rd.Len())
+	}
+}
+
+// TestWriterQueuesBehindOneWrite: queued frames cost no write until the
+// next Flush and leave ahead of its frames in wire order; a frame that
+// does not encode writes nothing and leaves the queue as it was.
+func TestWriterQueuesBehindOneWrite(t *testing.T) {
+	var out countingWriter
+	w := NewWriter(&out)
+	if err := w.Queue(&Frame{Type: TypeTrace, Trace: TraceHeader{TraceID: 7, QueryID: "q-1"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Queue(&Frame{Type: TypeAck, Round: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if out.writes != 0 {
+		t.Fatalf("Queue wrote %d times", out.writes)
+	}
+	unsealed := exchange.NewBuffer(1)
+	unsealed.Append(relation.Tuple{1})
+	if err := w.Flush(&Frame{Type: TypeBarrier, Round: 1}, &Frame{Type: TypeData, Data: Data{Rel: "R", Buf: unsealed}}); err == nil {
+		t.Fatal("an unsealed run was flushed")
+	}
+	if err := w.Queue(&Frame{Type: TypeGather, View: strings.Repeat("v", maxName+1)}); err == nil {
+		t.Fatal("an over-long name was queued")
+	}
+	if out.writes != 0 {
+		t.Fatalf("failed encodes wrote %d times", out.writes)
+	}
+	if err := w.Flush(&Frame{Type: TypeBarrier, Round: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if out.writes != 1 {
+		t.Fatalf("queue and flush left in %d writes, want 1", out.writes)
+	}
+	rd := NewReader(&out.Buffer)
+	for i, want := range []Type{TypeTrace, TypeAck, TypeBarrier} {
+		f, err := rd.Next()
+		if err != nil || f.Type != want {
+			t.Fatalf("frame %d: %+v, %v, want %s", i, f, err, want)
+		}
+	}
+	if _, err := rd.Next(); !errors.Is(err, io.EOF) {
+		t.Fatalf("after the flushed frames: %v, want EOF", err)
+	}
+	if err := w.Flush(); err != nil || out.writes != 1 {
+		t.Fatalf("an empty flush: err %v, %d writes", err, out.writes)
+	}
+}
+
+// countingWriter counts Write calls.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	return c.Buffer.Write(p)
 }
