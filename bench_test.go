@@ -385,25 +385,22 @@ func BenchmarkWorkerJoinTriangle(b *testing.B) {
 		}
 		ds = append(ds, part...)
 	}
-	spec := dist.JoinSpec{Query: q.String(), View: "out"}
+	script := []dist.Op{
+		{Kind: dist.OpDeliver, Round: 1, Deliveries: ds},
+		{Kind: dist.OpJoin, Join: dist.JoinSpec{Query: q.String(), View: "out"}},
+		{Kind: dist.OpGather, View: "out"},
+	}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	answers := 0
 	for i := 0; i < b.N; i++ {
-		l := dist.NewLoopback(p)
-		if err := l.Deliver(ctx, 1, ds); err != nil {
-			b.Fatal(err)
-		}
-		if err := l.Join(ctx, spec); err != nil {
-			b.Fatal(err)
-		}
-		runs, err := l.Gather(ctx, "out")
+		reply, err := dist.NewLoopback(p).Run(ctx, script)
 		if err != nil {
 			b.Fatal(err)
 		}
 		answers = 0
-		for _, r := range runs {
+		for _, r := range reply.Runs {
 			answers += r.Len()
 		}
 	}
@@ -437,7 +434,7 @@ func BenchmarkGatherWide(b *testing.B) {
 	}
 	ctx := context.Background()
 	l := dist.NewLoopback(p)
-	if err := l.Deliver(ctx, 1, ds); err != nil {
+	if _, err := l.Run(ctx, []dist.Op{{Kind: dist.OpDeliver, Round: 1, Deliveries: ds}}); err != nil {
 		b.Fatal(err)
 	}
 	cluster, err := dist.NewCluster(mpc.Config{Workers: p, DomainN: n}, l)

@@ -16,7 +16,6 @@
 //	mpcbench -experiment skew
 //	mpcbench -experiment shuffle
 //	mpcbench -experiment wire
-//	mpcbench -experiment pipeline
 //	mpcbench -experiment delta
 //	mpcbench -experiment opt-shares
 //	mpcbench -experiment friedgut
@@ -43,7 +42,7 @@ func main() {
 	var (
 		table      = flag.Int("table", 0, "regenerate Table 1 or 2")
 		figure     = flag.Int("figure", 0, "regenerate Figure 1")
-		experiment = flag.String("experiment", "", "hc-load | lb-fraction | witness | rounds | round-bounds | cc | skew | shuffle | wire | pipeline | delta | opt-shares | friedgut | knowledge | tail | recursion")
+		experiment = flag.String("experiment", "", "hc-load | lb-fraction | witness | rounds | round-bounds | cc | skew | shuffle | wire | delta | opt-shares | friedgut | knowledge | tail | recursion")
 		all        = flag.Bool("all", false, "run everything")
 		n          = flag.Int("n", 2000, "domain size for data experiments")
 		seed       = flag.Uint64("seed", 2013, "random seed")
@@ -167,18 +166,6 @@ func run(table, figure int, experiment string, all bool, n int, seed uint64, tri
 		ran = true
 		fmt.Fprintln(w, "── E-WIRE: distributed wire codec throughput (internal/wire) ──")
 		if _, err := experiments.Wire(w, []int{1 << 10, 1 << 14, 1 << 17}, seed); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	if all || experiment == "pipeline" {
-		ran = true
-		fmt.Fprintln(w, "── E-PIPE: compute/communication overlap, sync vs pipelined rounds ──")
-		pn := n
-		if pn > 600 {
-			pn = 600 // wall-clock cells at p=256 get slow beyond this
-		}
-		if _, err := experiments.Pipeline(w, pn, []int{16, 64, 256}, trials, seed); err != nil {
 			return err
 		}
 		fmt.Fprintln(w)

@@ -77,16 +77,15 @@ func main() {
 		workers   = flag.String("workers", "", "comma-separated mpcworker addresses; run the rounds distributed over TCP (p becomes the pool size; the run is bounded by a 10-minute deadline)")
 		spares    = flag.String("spares", "", "comma-separated standby mpcworker addresses; a worker that dies mid-run is replaced and the query resumes (requires -workers)")
 		maxRepl   = flag.Int("max-replace", 0, "max worker replacements for the run (0: pool size; requires -workers)")
-		pipeline  = flag.Bool("pipeline", false, "overlap compute with communication: defer scatter/barrier/join traffic to the gather fence (answers and stats are unchanged)")
 	)
 	flag.Parse()
-	if err := run(*queryStr, *familyStr, *n, *p, *epsStr, *seed, *capC, *show, *dataStr, *planStr, *workers, *spares, *maxRepl, *pipeline); err != nil {
+	if err := run(*queryStr, *familyStr, *n, *p, *epsStr, *seed, *capC, *show, *dataStr, *planStr, *workers, *spares, *maxRepl); err != nil {
 		fmt.Fprintln(os.Stderr, "mpcrun:", err)
 		os.Exit(1)
 	}
 }
 
-func run(queryStr, familyStr string, n, p int, epsStr string, seed uint64, capC float64, show int, dataStr, planStr, workers, spares string, maxRepl int, pipeline bool) error {
+func run(queryStr, familyStr string, n, p int, epsStr string, seed uint64, capC float64, show int, dataStr, planStr, workers, spares string, maxRepl int) error {
 	if p < 1 {
 		return fmt.Errorf("-p = %d, need ≥ 1", p)
 	}
@@ -116,7 +115,7 @@ func run(queryStr, familyStr string, n, p int, epsStr string, seed uint64, capC 
 		return err
 	}
 	if datalog.IsDatalog(queryStr) {
-		if familyStr != "" || planStr != "" || len(spareAddrs) > 0 || maxRepl != 0 || pipeline {
+		if familyStr != "" || planStr != "" || len(spareAddrs) > 0 || maxRepl != 0 {
 			return fmt.Errorf("a Datalog -query supports only -n, -p, -eps, -seed, -cap, -show, -data and -workers")
 		}
 		return runDatalog(queryStr, n, p, eps, seed, capC, show, dataStr, addrs)
@@ -146,13 +145,13 @@ func run(queryStr, familyStr string, n, p int, epsStr string, seed uint64, capC 
 	if err != nil {
 		return err
 	}
-	return runPlanned(q, db, p, eps, seed, capC, show, planStr, addrs, spareAddrs, maxRepl, pipeline, truth)
+	return runPlanned(q, db, p, eps, seed, capC, show, planStr, addrs, spareAddrs, maxRepl, truth)
 }
 
 // runPlanned is the planner-driven path: collect statistics, build the
 // plan, apply any -plan override, EXPLAIN, execute (in process, or
 // distributed over a TCP worker pool when addrs are given), report.
-func runPlanned(q *query.Query, db *relation.Database, p int, eps *big.Rat, seed uint64, capC float64, show int, planStr string, addrs, spareAddrs []string, maxRepl int, pipeline bool, truth []relation.Tuple) error {
+func runPlanned(q *query.Query, db *relation.Database, p int, eps *big.Rat, seed uint64, capC float64, show int, planStr string, addrs, spareAddrs []string, maxRepl int, truth []relation.Tuple) error {
 	stats := relation.CollectStats(db)
 	// A caller-supplied cap constant is both enforced at execution and
 	// used as the planner's budget factor, so EXPLAIN's verdict and the
@@ -167,7 +166,7 @@ func runPlanned(q *query.Query, db *relation.Database, p int, eps *big.Rat, seed
 		}
 	}
 	fmt.Print(pl.Explain())
-	opts := plan.ExecOptions{Seed: seed, CapConstant: capC, Pipeline: pipeline}
+	opts := plan.ExecOptions{Seed: seed, CapConstant: capC}
 	if len(addrs) > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 		defer cancel()

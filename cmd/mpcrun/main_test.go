@@ -14,7 +14,7 @@ import (
 // TestRunDistributed drives the -workers path end to end against an
 // in-process TCP worker pool (the exact cmd/mpcworker serving code).
 func TestRunDistributed(t *testing.T) {
-	if err := run("", "C3", 150, 8, "", 1, 0, 0, "", "", startWorkers(t, 2), "", 0, true); err != nil {
+	if err := run("", "C3", 150, 8, "", 1, 0, 0, "", "", startWorkers(t, 2), "", 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -38,26 +38,26 @@ func startWorkers(t *testing.T, n int) string {
 
 func TestRunAutoMode(t *testing.T) {
 	// Planner-driven default on a cyclic and an acyclic family.
-	if err := run("", "C3", 200, 8, "", 1, 0, 2, "", "", "", "", 0, false); err != nil {
+	if err := run("", "C3", 200, 8, "", 1, 0, 2, "", "", "", "", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("", "L3", 100, 8, "", 1, 0, 0, "", "", "", "", 0, false); err != nil {
+	if err := run("", "L3", 100, 8, "", 1, 0, 0, "", "", "", "", 0); err != nil {
 		t.Fatal(err)
 	}
 	// Fixed ε that forces the multiround engine.
-	if err := run("", "L4", 100, 16, "0", 1, 0, 0, "", "", "", "", 0, false); err != nil {
+	if err := run("", "L4", 100, 16, "0", 1, 0, 0, "", "", "", "", 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunPlanOverrides(t *testing.T) {
-	if err := run("", "C3", 100, 27, "", 1, 0, 0, "", "shares=x1:3,x2:3,x3:3", "", "", 0, false); err != nil {
+	if err := run("", "C3", 100, 27, "", 1, 0, 0, "", "shares=x1:3,x2:3,x3:3", "", "", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("", "C3", 100, 27, "", 1, 0, 0, "", "engine=multi", "", "", 0, false); err != nil {
+	if err := run("", "C3", 100, 27, "", 1, 0, 0, "", "engine=multi", "", "", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("q(x,y,z) = R(x,y), S(y,z)", "", 100, 8, "", 1, 0, 0, "", "engine=skew", "", "", 0, false); err != nil {
+	if err := run("q(x,y,z) = R(x,y), S(y,z)", "", 100, 8, "", 1, 0, 0, "", "engine=skew", "", "", 0); err != nil {
 		t.Fatal(err)
 	}
 	// Invalid overrides.
@@ -70,45 +70,45 @@ func TestRunPlanOverrides(t *testing.T) {
 		"engine=multi;shares=x1:27,x2:1,x3:1", // conflicting
 		"engine=skew;shares=x1:27,x2:1,x3:1",  // conflicting
 	} {
-		if err := run("", "C3", 50, 27, "", 1, 0, 0, "", bad, "", "", 0, false); err == nil {
+		if err := run("", "C3", 50, 27, "", 1, 0, 0, "", bad, "", "", 0); err == nil {
 			t.Errorf("-plan %q: want error", bad)
 		}
 	}
 }
 
 func TestRunOneRoundMode(t *testing.T) {
-	if err := run("", "C3", 200, 8, "", 1, 0, 2, "", "engine=one", "", "", 0, false); err != nil {
+	if err := run("", "C3", 200, 8, "", 1, 0, 2, "", "engine=one", "", "", 0); err != nil {
 		t.Fatal(err)
 	}
 	// Explicit epsilon.
-	if err := run("", "L3", 100, 8, "1/2", 1, 0, 0, "", "engine=one", "", "", 0, false); err != nil {
+	if err := run("", "L3", 100, 8, "1/2", 1, 0, 0, "", "engine=one", "", "", 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunMultiMode(t *testing.T) {
-	if err := run("", "L4", 80, 8, "0", 1, 0, 1, "", "engine=multi", "", "", 0, false); err != nil {
+	if err := run("", "L4", 80, 8, "0", 1, 0, 1, "", "engine=multi", "", "", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("", "L16", 50, 8, "1/2", 1, 0, 0, "", "engine=multi", "", "", 0, false); err != nil {
+	if err := run("", "L16", 50, 8, "1/2", 1, 0, 0, "", "engine=multi", "", "", 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("", "", 10, 4, "", 1, 0, 0, "", "", "", "", 0, false); err == nil {
+	if err := run("", "", 10, 4, "", 1, 0, 0, "", "", "", "", 0); err == nil {
 		t.Error("want error: no query")
 	}
-	if err := run("R(x)", "L2", 10, 4, "", 1, 0, 0, "", "", "", "", 0, false); err == nil {
+	if err := run("R(x)", "L2", 10, 4, "", 1, 0, 0, "", "", "", "", 0); err == nil {
 		t.Error("want error: both query and family")
 	}
-	if err := run("", "L2", 10, 4, "nope", 1, 0, 0, "", "engine=one", "", "", 0, false); err == nil {
+	if err := run("", "L2", 10, 4, "nope", 1, 0, 0, "", "engine=one", "", "", 0); err == nil {
 		t.Error("want error: bad epsilon")
 	}
-	if err := run("", "L2", 10, 4, "3/2", 1, 0, 0, "", "", "", "", 0, false); err == nil {
+	if err := run("", "L2", 10, 4, "3/2", 1, 0, 0, "", "", "", "", 0); err == nil {
 		t.Error("want error: epsilon out of range")
 	}
-	if err := run("", "L2", 10, 4, "nope", 1, 0, 0, "", "", "", "", 0, false); err == nil {
+	if err := run("", "L2", 10, 4, "nope", 1, 0, 0, "", "", "", "", 0); err == nil {
 		t.Error("want error: bad epsilon without an override")
 	}
 }
@@ -125,26 +125,26 @@ func TestRunWithCSVData(t *testing.T) {
 	}
 	data := "R=" + rPath + ",S=" + sPath
 	// Planner-driven over CSV data.
-	if err := run("q(x,y,z) = R(x,y), S(y,z)", "", 0, 4, "", 1, 0, 10, data, "", "", "", 0, false); err != nil {
+	if err := run("q(x,y,z) = R(x,y), S(y,z)", "", 0, 4, "", 1, 0, 10, data, "", "", "", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("q(x,y,z) = R(x,y), S(y,z)", "", 0, 4, "1/2", 1, 0, 10, data, "engine=one", "", "", 0, false); err != nil {
+	if err := run("q(x,y,z) = R(x,y), S(y,z)", "", 0, 4, "1/2", 1, 0, 10, data, "engine=one", "", "", 0); err != nil {
 		t.Fatal(err)
 	}
 	// Missing relation in -data.
-	if err := run("q(x,y,z) = R(x,y), S(y,z)", "", 0, 4, "", 1, 0, 0, "R="+rPath, "", "", "", 0, false); err == nil {
+	if err := run("q(x,y,z) = R(x,y), S(y,z)", "", 0, 4, "", 1, 0, 0, "R="+rPath, "", "", "", 0); err == nil {
 		t.Error("want error: S missing from -data")
 	}
 	// Malformed pair.
-	if err := run("q(x,y) = R(x,y)", "", 0, 4, "", 1, 0, 0, "R", "", "", "", 0, false); err == nil {
+	if err := run("q(x,y) = R(x,y)", "", 0, 4, "", 1, 0, 0, "R", "", "", "", 0); err == nil {
 		t.Error("want error: malformed -data")
 	}
 	// Nonexistent file.
-	if err := run("q(x,y) = R(x,y)", "", 0, 4, "", 1, 0, 0, "R="+filepath.Join(dir, "nope.csv"), "", "", "", 0, false); err == nil {
+	if err := run("q(x,y) = R(x,y)", "", 0, 4, "", 1, 0, 0, "R="+filepath.Join(dir, "nope.csv"), "", "", "", 0); err == nil {
 		t.Error("want error: missing file")
 	}
 	// Arity mismatch.
-	if err := run("q(x,y,z) = R(x,y,z)", "", 0, 4, "", 1, 0, 0, "R="+rPath, "", "", "", 0, false); err == nil {
+	if err := run("q(x,y,z) = R(x,y,z)", "", 0, 4, "", 1, 0, 0, "R="+rPath, "", "", "", 0); err == nil {
 		t.Error("want error: arity mismatch")
 	}
 }
@@ -173,26 +173,26 @@ func TestRunFlagValidation(t *testing.T) {
 	}{
 		// A live pool, so only the flag check can fail the run.
 		{"datalog with max-replace", func() error {
-			err := run(tc, "", 30, 2, "", 1, 0, 0, "", "", startWorkers(t, 2), "", 1, false)
+			err := run(tc, "", 30, 2, "", 1, 0, 0, "", "", startWorkers(t, 2), "", 1)
 			if err != nil && !strings.Contains(err.Error(), "a Datalog -query supports only") {
 				t.Errorf("rejected for the wrong reason: %v", err)
 			}
 			return err
 		}},
-		{"datalog with max-replace and no workers", func() error { return run(tc, "", 30, 2, "", 1, 0, 0, "", "", "", "", 1, false) }},
-		{"p zero", func() error { return run("", "C3", 100, 0, "", 1, 0, 0, "", "", "", "", 0, false) }},
-		{"p negative", func() error { return run("", "C3", 100, -4, "", 1, 0, 0, "", "", "", "", 0, false) }},
-		{"n zero", func() error { return run("", "C3", 0, 8, "", 1, 0, 0, "", "", "", "", 0, false) }},
-		{"empty query", func() error { return run("", "", 100, 8, "", 1, 0, 0, "", "", "", "", 0, false) }},
-		{"both query and family", func() error { return run("R(x,y)", "C3", 100, 8, "", 1, 0, 0, "", "", "", "", 0, false) }},
-		{"unparsable query", func() error { return run("R(x,", "", 100, 8, "", 1, 0, 0, "", "", "", "", 0, false) }},
-		{"unknown family", func() error { return run("", "Q9", 100, 8, "", 1, 0, 0, "", "", "", "", 0, false) }},
-		{"unknown plan engine", func() error { return run("", "C3", 100, 8, "", 1, 0, 0, "", "engine=warp", "", "", 0, false) }},
-		{"bad eps", func() error { return run("", "C3", 100, 8, "2", 1, 0, 0, "", "", "", "", 0, false) }},
+		{"datalog with max-replace and no workers", func() error { return run(tc, "", 30, 2, "", 1, 0, 0, "", "", "", "", 1) }},
+		{"p zero", func() error { return run("", "C3", 100, 0, "", 1, 0, 0, "", "", "", "", 0) }},
+		{"p negative", func() error { return run("", "C3", 100, -4, "", 1, 0, 0, "", "", "", "", 0) }},
+		{"n zero", func() error { return run("", "C3", 0, 8, "", 1, 0, 0, "", "", "", "", 0) }},
+		{"empty query", func() error { return run("", "", 100, 8, "", 1, 0, 0, "", "", "", "", 0) }},
+		{"both query and family", func() error { return run("R(x,y)", "C3", 100, 8, "", 1, 0, 0, "", "", "", "", 0) }},
+		{"unparsable query", func() error { return run("R(x,", "", 100, 8, "", 1, 0, 0, "", "", "", "", 0) }},
+		{"unknown family", func() error { return run("", "Q9", 100, 8, "", 1, 0, 0, "", "", "", "", 0) }},
+		{"unknown plan engine", func() error { return run("", "C3", 100, 8, "", 1, 0, 0, "", "engine=warp", "", "", 0) }},
+		{"bad eps", func() error { return run("", "C3", 100, 8, "2", 1, 0, 0, "", "", "", "", 0) }},
 		{"empty worker address", func() error {
-			return run("", "C3", 100, 8, "", 1, 0, 0, "", "", "localhost:9001,,localhost:9002", "", 0, false)
+			return run("", "C3", 100, 8, "", 1, 0, 0, "", "", "localhost:9001,,localhost:9002", "", 0)
 		}},
-		{"unreachable workers", func() error { return run("", "C3", 50, 8, "", 1, 0, 0, "", "", "127.0.0.1:1", "", 0, false) }},
+		{"unreachable workers", func() error { return run("", "C3", 50, 8, "", 1, 0, 0, "", "", "127.0.0.1:1", "", 0) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/dist/disttest"
 	"repro/internal/exchange"
 	"repro/internal/relation"
 )
@@ -40,21 +41,21 @@ func TestServeSession(t *testing.T) {
 	buf.Append(relation.Tuple{1, 2})
 	buf.Append(relation.Tuple{2, 3})
 	buf.Seal()
-	if err := tr.Deliver(ctx, 1, []exchange.Delivery{{To: 0, Rel: "R", Buf: buf}}); err != nil {
-		t.Fatal(err)
+	for _, op := range []dist.Op{
+		{Kind: dist.OpDeliver, Round: 1, Deliveries: []exchange.Delivery{{To: 0, Rel: "R", Buf: buf}}},
+		{Kind: dist.OpBarrier, Round: 1},
+		{Kind: dist.OpJoin, Join: dist.JoinSpec{Query: "q(x,y) = R(x,y)", View: "out"}},
+	} {
+		if _, err := disttest.Step(ctx, tr, op); err != nil {
+			t.Fatalf("%s: %v", op.Kind, err)
+		}
 	}
-	if err := tr.Barrier(ctx, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Join(ctx, dist.JoinSpec{Query: "q(x,y) = R(x,y)", View: "out"}); err != nil {
-		t.Fatal(err)
-	}
-	runs, err := tr.Gather(ctx, "out")
+	reply, err := disttest.Step(ctx, tr, dist.Op{Kind: dist.OpGather, View: "out"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, r := range runs {
+	for _, r := range reply.Runs {
 		total += r.Len()
 	}
 	if total != 2 {

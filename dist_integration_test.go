@@ -151,10 +151,11 @@ func TestDistributedWorkerProcesses(t *testing.T) {
 }
 
 // killAtBarrier wraps the TCP transport and SIGKILLs a real worker
-// process exactly once, at the barrier that closes the given round —
-// a deterministic mid-query crash with no timers. The embedded TCP
-// keeps the wrapper a full Replaceable, so recovery drives replacement
-// through it.
+// process exactly once, ahead of the script that carries the barrier
+// closing the given round — a deterministic mid-query crash with no
+// timers: the round's whole fused stream to that worker dies. The
+// embedded TCP keeps the wrapper a full Replaceable, so recovery drives
+// replacement through it.
 type killAtBarrier struct {
 	*dist.TCP
 	round int
@@ -162,14 +163,16 @@ type killAtBarrier struct {
 	fired bool
 }
 
-// Barrier fires the kill before forwarding, so the barrier itself
-// observes the dead worker.
-func (k *killAtBarrier) Barrier(ctx context.Context, round int) error {
-	if round == k.round && !k.fired {
-		k.fired = true
-		k.kill()
+// Run fires the kill before forwarding, so the script itself observes
+// the dead worker.
+func (k *killAtBarrier) Run(ctx context.Context, ops []dist.Op) (dist.Reply, error) {
+	for _, op := range ops {
+		if op.Kind == dist.OpBarrier && op.Round == k.round && !k.fired {
+			k.fired = true
+			k.kill()
+		}
 	}
-	return k.TCP.Barrier(ctx, round)
+	return k.TCP.Run(ctx, ops)
 }
 
 // TestDistributedWorkerKillRecovery is the self-healing e2e: four real
@@ -228,8 +231,8 @@ func TestDistributedWorkerKillRecovery(t *testing.T) {
 	if !killer.fired {
 		t.Fatal("kill-point never reached")
 	}
-	if remote.Replacements < 1 {
-		t.Fatalf("Replacements = %d after a SIGKILL, want ≥ 1", remote.Replacements)
+	if remote.Replacements != 1 {
+		t.Fatalf("Replacements = %d after one SIGKILL, want 1", remote.Replacements)
 	}
 	if len(remote.Answers) != len(truth) {
 		t.Fatalf("recovered run: %d answers, ground truth %d", len(remote.Answers), len(truth))

@@ -85,10 +85,9 @@ type Result struct {
 // executed as a conjunctive query through internal/plan; recursive
 // strata run a semi-naive fixpoint in which every delta iteration is
 // an incremental-maintenance batch (hypercube.Distribution.Apply) on a
-// warm cluster, so iteration cost is delta routing, not a rescatter. Every
-// execution runs the fused round schedule (dist.Env.Pipeline): a
-// program's round count grows with its data, and over TCP a fused round
-// is one exchange per worker where the synchronous one is three.
+// warm cluster, so iteration cost is delta routing, not a rescatter. A
+// program's round count grows with its data; over TCP each round is one
+// exchange per worker (dist.Open's fused schedule).
 func Eval(prog *Program, db *relation.Database, opts Options) (*Result, error) {
 	if opts.P < 1 {
 		return nil, fmt.Errorf("datalog: p = %d, need ≥ 1", opts.P)
@@ -287,7 +286,6 @@ func (e *evaluator) evalRule(r *Rule) (*exchange.Buffer, error) {
 		Context:     e.opts.Context,
 		Recovery:    e.opts.Recovery,
 		Trace:       e.opts.Trace,
-		Pipeline:    true, // see Eval; distributions are always fused
 	})
 	if tr != nil {
 		tr.Close()

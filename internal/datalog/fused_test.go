@@ -13,8 +13,8 @@ import (
 
 // TestProgramExchangesEqualRounds: every execution a program opens runs
 // the fused schedule, so over TCP a program costs exactly one
-// acknowledged pool-wide exchange per model round — the synchronous
-// schedule pays three — with the answers and the round record of the
+// acknowledged pool-wide exchange per model round — sent a step at a
+// time it would pay three — with the answers and the round record of the
 // loopback run.
 func TestProgramExchangesEqualRounds(t *testing.T) {
 	const p = 4

@@ -88,7 +88,7 @@ func TestChaosCancelMidRound(t *testing.T) {
 	}
 	defer tr.Close()
 	ctx, cancel := context.WithCancel(context.Background())
-	if err := tr.Deliver(ctx, 1, smallDelivery()); err != nil {
+	if err := deliver(ctx, tr, 1, smallDelivery()); err != nil {
 		t.Fatal(err)
 	}
 	go func() {
@@ -96,7 +96,7 @@ func TestChaosCancelMidRound(t *testing.T) {
 		cancel()
 	}()
 	withinDeadline(t, "barrier against stuck worker, ctx cancelled", func() error {
-		return tr.Barrier(ctx, 1)
+		return barrier(ctx, tr, 1)
 	})
 }
 
@@ -111,11 +111,11 @@ func TestChaosDeadlineMidRound(t *testing.T) {
 	defer tr.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	if err := tr.Deliver(ctx, 1, smallDelivery()); err != nil {
+	if err := deliver(ctx, tr, 1, smallDelivery()); err != nil {
 		t.Fatal(err)
 	}
 	withinDeadline(t, "barrier against stuck worker, deadline", func() error {
-		return tr.Barrier(ctx, 1)
+		return barrier(ctx, tr, 1)
 	})
 }
 

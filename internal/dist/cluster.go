@@ -33,11 +33,13 @@ type Cluster struct {
 	open  bool
 	// rec is the self-healing state; nil until EnableRecovery.
 	rec *recovery
-	// pipe defers transport work to Gather fences; see
-	// EnablePipelining in pipeline.go.
-	pipe bool
-	// pending is the deferred round script awaiting the next fence.
-	pending []recOp
+	// fused defers the round script to the next fence — a step whose
+	// reply the coordinator consumes — where it leaves as one stream per
+	// worker; a stepped cluster sends every step before its call returns.
+	// Open fuses; see enqueue.
+	fused bool
+	// pending is the round script not yet sent.
+	pending []Op
 	// trace is the per-query span recorder; nil until EnableTracing.
 	trace *trace.Trace
 	// roundSpan is the open round's span id (0 between rounds).
@@ -52,7 +54,11 @@ type Cluster struct {
 }
 
 // NewCluster validates cfg against the transport's pool and returns
-// an idle cluster. cfg.Workers must equal tr.Workers().
+// an idle cluster. cfg.Workers must equal tr.Workers(). A cluster made
+// here is stepped: every Scatter, EndRound and Join has reached the
+// workers when it returns, which is what timing the stages of a round
+// apart, or looking at a worker between them, needs. Executions go
+// through Open.
 func NewCluster(cfg mpc.Config, tr Transport) (*Cluster, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("dist: nil transport")
@@ -69,11 +75,10 @@ func NewCluster(cfg mpc.Config, tr Transport) (*Cluster, error) {
 // Env says where and how an execution's rounds run — everything about
 // an execution that is neither the query, the data, nor the model
 // parameters of mpc.Config. The zero value runs in this process:
-// loopback workers, no deadline, no recovery, the synchronous schedule,
-// untraced. Engines and front ends hand an
-// Env through to Open unchanged, so a policy set at the top (a
-// service's recovery policy, a query's trace) reaches every cluster
-// the execution opens.
+// loopback workers, no deadline, no recovery, untraced. Engines and
+// front ends hand an Env through to Open unchanged, so a policy set at
+// the top (a service's recovery policy, a query's trace) reaches every
+// cluster the execution opens.
 type Env struct {
 	// Transport is the worker pool: nil opens an in-process loopback
 	// of cfg.Workers workers, a *TCP runs the rounds against remote
@@ -90,11 +95,6 @@ type Env struct {
 	// instead of aborting. The transport must support it (loopback and
 	// TCP do).
 	Recovery RecoveryOptions
-	// Pipeline defers scatter/barrier/join traffic to the gather fence
-	// so workers overlap their local joins with later deliveries (see
-	// Cluster.EnablePipelining). Off by default; answers and round
-	// statistics are identical either way.
-	Pipeline bool
 	// Trace, when non-nil, records per-round per-worker spans of the
 	// execution (see Cluster.EnableTracing).
 	Trace *trace.Trace
@@ -109,6 +109,17 @@ type Env struct {
 // plus the context its rounds run under. It is the one way an engine
 // starts an execution; the caller that supplied env.Transport closes
 // it.
+//
+// The cluster runs the fused schedule: Scatter, EndRound and Join
+// journal and queue their steps, and the next fence — a Gather, a
+// Flush, or the attach of a round with resident scatters — sends the
+// script as one stream per worker. Each worker answers in order, so it
+// starts its local join the moment its own data has arrived while other
+// workers' frames are still in flight, and a round costs one exchange
+// instead of three. What the model charges is accounted when a scatter
+// is partitioned, before any transport, so answers and statistics do
+// not depend on when a step leaves; work still queued when the cluster
+// is dropped without a final fence is discarded.
 func Open(env Env, cfg mpc.Config) (*Cluster, context.Context, error) {
 	ctx, tr := env.Context, env.Transport
 	if ctx == nil {
@@ -126,9 +137,7 @@ func Open(env Env, cfg mpc.Config) (*Cluster, context.Context, error) {
 			return nil, nil, err
 		}
 	}
-	if env.Pipeline {
-		c.EnablePipelining()
-	}
+	c.fused = true
 	if env.Trace != nil {
 		c.EnableTracing(env.Trace)
 	}
@@ -169,7 +178,7 @@ func (c *Cluster) BeginRound() {
 // slices; from then on Scatter partitions and sends nothing: it charges
 // the round the recorded per-destination counts — a fresh scatter's
 // statistics, which is what the model charges — and the workers attach
-// to what they kept, at the round's barrier.
+// to what they kept, ahead of the round's barrier.
 func (c *Cluster) Scatter(ctx context.Context, rel *relation.Relation, as string, part exchange.Partitioner) error {
 	if as == "" {
 		as = rel.Name
@@ -185,7 +194,7 @@ func (c *Cluster) Scatter(ctx context.Context, rel *relation.Relation, as string
 					rs.Account(w, n, n*bits)
 				}
 			}
-			return c.ship(ctx, rs, lone, recOp{kind: opDeliver, round: c.round,
+			return c.ship(ctx, rs, lone, Op{Kind: OpDeliver, Round: c.round,
 				lazy: &residentScatter{rel: rel, as: as, key: key, part: part, tuples: tuples}})
 		}
 	}
@@ -223,7 +232,7 @@ func (c *Cluster) deliver(ctx context.Context, ds []exchange.Delivery) error {
 			rs.Account(d.To, n, d.Buf.Bits(bitsPer))
 		}
 	}
-	return c.ship(ctx, rs, lone, recOp{kind: opDeliver, round: c.round, ds: ds})
+	return c.ship(ctx, rs, lone, Op{Kind: OpDeliver, Round: c.round, Deliveries: ds})
 }
 
 // ScatterDelta partitions a sealed run of delta tuples through part —
@@ -250,7 +259,7 @@ func (c *Cluster) ScatterDelta(ctx context.Context, run *exchange.Buffer, store,
 			dds = append(dds, DeltaDelivery{To: d.To, Store: store, View: view, Del: del, Buf: d.Buf})
 		}
 	}
-	return c.ship(ctx, rs, lone, recOp{kind: opDelta, round: c.round, dds: dds})
+	return c.ship(ctx, rs, lone, Op{Kind: OpDelta, Round: c.round, Deltas: dds})
 }
 
 // receivingRound returns the record of the round a scatter is received
@@ -264,69 +273,70 @@ func (c *Cluster) receivingRound() (rs *mpc.RoundStats, lone bool) {
 	return &c.stats.Rounds[len(c.stats.Rounds)-1], lone
 }
 
-// ship sends one already-accounted scatter of the current round — a
-// delivery or a delta — to the workers: journaled, then deferred to
-// the fence when pipelining and handed to the transport otherwise. A
-// lone scatter is a round of its own, so it also synchronizes and
-// enforces the budget.
-func (c *Cluster) ship(ctx context.Context, rs *mpc.RoundStats, lone bool, op recOp) error {
+// ship submits one already-accounted scatter of the current round — a
+// delivery or a delta. A lone scatter is a round of its own, so it also
+// closes it.
+func (c *Cluster) ship(ctx context.Context, rs *mpc.RoundStats, lone bool, op Op) error {
 	if lone {
 		defer c.traceCloseRound(rs)
 	}
 	if err := c.traceAnnounce(ctx); err != nil {
 		return err
 	}
-	switch {
-	case op.lazy != nil:
-		// Believed resident: the round's barrier asks the workers, and
+	if op.lazy != nil {
+		// Believed resident: the round's close asks the workers, and
 		// journals the scatter once it has.
 		c.attaching = append(c.attaching, op.lazy)
-	case c.pipe:
-		// Pipelined: the scatter (and, for a lone one, its barrier) rides
-		// the next fence. The cap check needs no worker traffic —
-		// accounting happened before — so it still fires here.
-		c.journal(op)
-		c.enqueue(op)
-		if !lone {
-			return nil
-		}
-		c.journal(recOp{kind: opBarrier, round: c.round})
-		c.enqueue(recOp{kind: opBarrier, round: c.round})
-		return rs.CheckCap(c.cfg.ReceiveCap())
-	default:
-		// Scatters are journaled, so they are not retried after a heal:
-		// replay has re-sent the failed worker's runs and the healthy
-		// workers already ingested theirs.
-		c.journal(op)
-		if err := c.attempt(ctx, false, func(ctx context.Context) error {
-			if op.kind == opDelta {
-				return c.tr.ApplyDelta(ctx, op.round, op.dds)
-			}
-			return c.tr.Deliver(ctx, op.round, op.ds)
-		}); err != nil {
-			return err
-		}
+	} else if err := c.submit(ctx, op); err != nil {
+		return err
 	}
 	if !lone {
 		return nil
 	}
-	if err := c.barrier(ctx); err != nil {
-		return err
-	}
-	return rs.CheckCap(c.cfg.ReceiveCap())
+	return c.closeRound(ctx, rs)
 }
 
-// barrier synchronizes the pool on the current round: one round trip,
-// with or without recovery — two when the round attaches to resident
-// scatters first.
-func (c *Cluster) barrier(ctx context.Context) error {
+// submit journals one step and adds it to the round script.
+func (c *Cluster) submit(ctx context.Context, op Op) error {
+	c.journal(op)
+	return c.enqueue(ctx, op)
+}
+
+// enqueue adds one step to the round script, which a fused cluster
+// leaves for the next fence and a stepped one sends at once. This is
+// the one place the two schedules differ.
+func (c *Cluster) enqueue(ctx context.Context, op Op) error {
+	c.pending = append(c.pending, op)
+	if c.fused {
+		return nil
+	}
+	_, err := c.run(ctx)
+	return err
+}
+
+// run sends the round script, tail behind it, and returns what its
+// answered steps replied: the fence. With nothing to send it is a no-op.
+func (c *Cluster) run(ctx context.Context, tail ...Op) (Reply, error) {
+	ops := append(c.pending, tail...)
+	c.pending = nil
+	if len(ops) == 0 {
+		return Reply{}, nil
+	}
+	return c.attempt(ctx, ops)
+}
+
+// closeRound synchronizes the pool on rs's round — resident scatters
+// attach first, then the barrier — and enforces the receive budget. The
+// check is coordinator-local (accounting happened at Scatter), so it
+// gives the same verdict whether or not the barrier has left yet.
+func (c *Cluster) closeRound(ctx context.Context, rs *mpc.RoundStats) error {
 	if err := c.attach(ctx); err != nil {
 		return err
 	}
-	c.journal(recOp{kind: opBarrier, round: c.round})
-	return c.attempt(ctx, true, func(ctx context.Context) error {
-		return c.tr.Barrier(ctx, c.round)
-	})
+	if err := c.submit(ctx, Op{Kind: OpBarrier, Round: c.round}); err != nil {
+		return err
+	}
+	return rs.CheckCap(c.cfg.ReceiveCap())
 }
 
 // EndRound closes the round opened by BeginRound: it synchronizes the
@@ -338,19 +348,9 @@ func (c *Cluster) EndRound(ctx context.Context) error {
 		return fmt.Errorf("dist: EndRound without BeginRound")
 	}
 	c.open = false
-	defer c.traceCloseRound(&c.stats.Rounds[len(c.stats.Rounds)-1])
-	if c.pipe {
-		// The barrier is deferred to the fence; the budget check is
-		// coordinator-local (accounting happened at Scatter), so it
-		// fires now with exactly the sync-path result.
-		c.journal(recOp{kind: opBarrier, round: c.round})
-		c.enqueue(recOp{kind: opBarrier, round: c.round})
-		return c.stats.Rounds[len(c.stats.Rounds)-1].CheckCap(c.cfg.ReceiveCap())
-	}
-	if err := c.barrier(ctx); err != nil {
-		return err
-	}
-	return c.stats.Rounds[len(c.stats.Rounds)-1].CheckCap(c.cfg.ReceiveCap())
+	rs := &c.stats.Rounds[len(c.stats.Rounds)-1]
+	defer c.traceCloseRound(rs)
+	return c.closeRound(ctx, rs)
 }
 
 // Join has every worker evaluate q over its stored tuples — local
@@ -365,17 +365,7 @@ func (c *Cluster) Join(ctx context.Context, q *query.Query, bindings map[string]
 		Bindings: bindings,
 		Strategy: uint8(strategy),
 	}
-	c.journal(recOp{kind: opJoin, spec: spec})
-	if c.pipe {
-		c.enqueue(recOp{kind: opJoin, spec: spec})
-		return nil
-	}
-	// Joins are journaled like deliveries: healthy workers have already
-	// evaluated theirs, replay re-runs the failed worker's, so a healed
-	// join is not re-broadcast.
-	return c.attempt(ctx, false, func(ctx context.Context) error {
-		return c.tr.Join(ctx, spec)
-	})
+	return c.submit(ctx, Op{Kind: OpJoin, Join: spec})
 }
 
 // Gather returns the deduplicated sorted union of the tuples every
@@ -420,20 +410,20 @@ func (c *Cluster) GatherAggregate(ctx context.Context, view string, spec relatio
 }
 
 // gatherRuns fetches the sealed runs every worker holds under view, in
-// worker order. In pipelined mode it is the fence: the deferred script
-// runs first.
+// worker order, behind whatever the round script still holds.
 func (c *Cluster) gatherRuns(ctx context.Context, view string) ([]*exchange.Buffer, error) {
-	if c.pipe {
-		return c.gatherPipelined(ctx, view)
-	}
-	var runs []*exchange.Buffer
-	// Gather is read-only, so after a heal it simply runs again.
-	err := c.attempt(ctx, true, func(ctx context.Context) error {
-		var err error
-		runs, err = c.tr.Gather(ctx, view)
-		return err
-	})
-	return runs, err
+	reply, err := c.run(ctx, Op{Kind: OpGather, View: view})
+	return reply.Runs, err
+}
+
+// Flush sends the round script without gathering anything: the fence of
+// a step that ends at its barrier, so that no caller returns with work
+// still queued (a retraction-only maintenance batch has no view to
+// gather). It is a no-op with nothing queued — always, on a stepped
+// cluster.
+func (c *Cluster) Flush(ctx context.Context) error {
+	_, err := c.run(ctx)
+	return err
 }
 
 // Close closes the underlying transport session.

@@ -8,15 +8,21 @@
 // multiround, skew) express exactly that shape, so the package
 // factors it into three pieces:
 //
-//   - Transport: how sealed columnar runs and BSP commands reach the
-//     pool. Loopback keeps everything in-process (what the paper's
-//     experiments, the tests and an unconfigured engine run on); TCP
-//     ships length-prefixed wire frames (internal/wire) to
-//     cmd/mpcworker processes, one connection per worker.
+//   - Transport: runs a round script — a list of Op steps — on the
+//     pool, every worker getting its slice as one ordered stream, and
+//     returns what the answered steps replied. Loopback keeps
+//     everything in-process (what the paper's experiments, the tests
+//     and an unconfigured engine run on); TCP ships length-prefixed
+//     wire frames (internal/wire) to cmd/mpcworker processes, one
+//     connection per worker.
 //   - Cluster: the coordinator. It partitions relations through the
 //     columnar exchange layer, performs the per-round MPC(ε) receive
 //     accounting coordinator-side — so statistics are identical
-//     across transports by construction — and drives the transport.
+//     across transports by construction — and turns Scatter, EndRound,
+//     Join and Gather into steps: journaled for replay, queued until
+//     the next step whose reply it needs (Open), or sent one at a time
+//     (a bare NewCluster), and healed when a worker fails
+//     (recovery.go).
 //   - the worker session (Serve/ServeConn): the remote half. Each
 //     accepted connection is an isolated session with its own store,
 //     so one worker process can serve many concurrent executions.
@@ -32,8 +38,10 @@ package dist
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/exchange"
+	"repro/internal/wire"
 )
 
 // JoinSpec instructs every worker to evaluate a conjunctive query
@@ -72,36 +80,97 @@ type DeltaDelivery struct {
 	Buf *exchange.Buffer
 }
 
-// Transport carries the BSP primitives of one execution to a pool of
-// workers. Implementations must tolerate concurrent calls from the
-// per-worker goroutines a Cluster fans out, and every method must
-// honor ctx: cancellation or deadline expiry surfaces as an error
-// instead of a hang, even when a worker is stuck or its connection
-// has died.
+// OpKind names one step of a round script.
+type OpKind uint8
+
+// The steps a script is made of. Deliver, delta and trace steps are
+// unacknowledged; a barrier, a join, an attach and a gather are each
+// answered, so a script holding one of them is an exchange.
+const (
+	// OpDeliver ships sealed runs to their destination workers.
+	OpDeliver OpKind = iota
+	// OpBarrier fences the round: every worker has ingested what was
+	// delivered for it and publishes the runs it was asked to retain.
+	OpBarrier
+	// OpJoin runs the local-evaluation command on every worker.
+	OpJoin
+	// OpGather fetches the sealed runs every worker holds under a view.
+	OpGather
+	// OpDelta ships delta runs: retractions tombstone tuples out of
+	// their store, extensions append (and register the Δ view).
+	OpDelta
+	// OpAttach asks every worker to bind the runs it keeps beyond its
+	// sessions into this session's store (resident.go).
+	OpAttach
+	// OpTrace announces the round's span context.
+	OpTrace
+)
+
+// String names the step.
+func (k OpKind) String() string {
+	if int(k) < len(opNames) {
+		return opNames[k]
+	}
+	return fmt.Sprintf("OpKind(%d)", uint8(k))
+}
+
+var opNames = [...]string{"deliver", "barrier", "join", "gather", "delta", "attach", "trace"}
+
+// Op is one step of a round script — what the coordinator journals for
+// replay, defers to the next fence, and hands to a Transport are all
+// lists of these. Kind says which of the other fields the step reads.
+type Op struct {
+	Kind OpKind
+	// Round is the round a delivery, delta or barrier belongs to.
+	Round int
+	// Deliveries are the runs of an OpDeliver, Deltas those of an OpDelta.
+	Deliveries []exchange.Delivery
+	Deltas     []DeltaDelivery
+	// Join is the command of an OpJoin.
+	Join JoinSpec
+	// View is the store an OpGather reads.
+	View string
+	// Attach lists what an OpAttach binds, every attachment of the round
+	// in the one step.
+	Attach []Attachment
+	// Trace is the span context of an OpTrace.
+	Trace wire.TraceHeader
+	// lazy stands in for Deliveries in the journal entry of a resident
+	// scatter: nothing was partitioned, so replay partitions the replaced
+	// worker's slice.
+	lazy *residentScatter
+}
+
+// Reply is what a script's answered steps returned.
+type Reply struct {
+	// Runs are the gathered runs in worker order (all of worker 0's,
+	// then worker 1's, …), so gathers are deterministic.
+	Runs []*exchange.Buffer
+	// Attached[w][i] is worker w's answer to the i-th attachment; nil for
+	// a worker that failed the script.
+	Attached [][]wire.Attach
+}
+
+// Transport carries round scripts to a pool of workers: Run gives every
+// worker its slice of the script — its own deliveries and deltas, every
+// other step — as one stream, processed in order, and returns what the
+// answered steps replied. A worker that fails is named by a *WorkerError
+// in the returned error while the healthy pool runs its slices to the
+// end; an unattributed error (a destination out of range, a join the
+// workers reject) means the script was refused. Run must honor ctx:
+// cancellation or deadline expiry surfaces as an error instead of a
+// hang, even when a worker is stuck or its connection has died.
 //
 // A Transport instance represents one execution session: workers
-// accumulate state (received runs, materialized views) across calls
+// accumulate state (received runs, materialized views) across scripts
 // and drop it when the transport closes — all but the runs a Delivery
-// flagged to be retained, which an Attacher's workers keep.
+// flagged to be retained, which a worker process keeps for later
+// sessions to attach to.
 type Transport interface {
 	// Workers returns the pool size p.
 	Workers() int
-	// Deliver ships sealed runs to their destination workers as part
-	// of the given round.
-	Deliver(ctx context.Context, round int, ds []exchange.Delivery) error
-	// ApplyDelta ships delta runs to their destination workers as part
-	// of the given round: retractions tombstone tuples out of their
-	// store, extensions append (and register the Δ view). Like Deliver
-	// it is unacknowledged; the round's Barrier is the ingestion fence.
-	ApplyDelta(ctx context.Context, round int, ds []DeltaDelivery) error
-	// Barrier blocks until every worker has ingested all runs
-	// delivered for the round.
-	Barrier(ctx context.Context, round int) error
-	// Join runs the local-evaluation command on every worker.
-	Join(ctx context.Context, spec JoinSpec) error
-	// Gather returns the sealed runs every worker holds under the
-	// view, in worker order.
-	Gather(ctx context.Context, view string) ([]*exchange.Buffer, error)
+	// Run executes the script on the pool.
+	Run(ctx context.Context, ops []Op) (Reply, error)
 	// Close ends the session and releases its resources.
 	Close() error
 }

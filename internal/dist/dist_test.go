@@ -122,20 +122,20 @@ func TestSessionIsolation(t *testing.T) {
 	buf := exchange.NewBuffer(1)
 	buf.Append(relation.Tuple{7})
 	buf.Seal()
-	if err := a.Deliver(ctx, 1, []exchange.Delivery{{To: 0, Rel: "R", Buf: buf}}); err != nil {
+	if err := deliver(ctx, a, 1, []exchange.Delivery{{To: 0, Rel: "R", Buf: buf}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Barrier(ctx, 1); err != nil {
+	if err := barrier(ctx, a, 1); err != nil {
 		t.Fatal(err)
 	}
-	runs, err := b.Gather(ctx, "R")
+	runs, err := gather(ctx, b, "R")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(runs) != 0 {
 		t.Fatalf("session b sees %d runs delivered to session a", len(runs))
 	}
-	runs, err = a.Gather(ctx, "R")
+	runs, err = gather(ctx, a, "R")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestDeliverRejectsOutOfRange(t *testing.T) {
 	buf := exchange.NewBuffer(1)
 	buf.Append(relation.Tuple{1})
 	buf.Seal()
-	err := tr.Deliver(context.Background(), 1, []exchange.Delivery{{To: 5, Rel: "R", Buf: buf}})
+	err := deliver(context.Background(), tr, 1, []exchange.Delivery{{To: 5, Rel: "R", Buf: buf}})
 	if err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("want out-of-range error, got %v", err)
 	}
@@ -222,13 +222,13 @@ func TestDeliverRejectsOutOfRange(t *testing.T) {
 func TestJoinErrorsSurface(t *testing.T) {
 	ctx := context.Background()
 	for _, tr := range []dist.Transport{dist.NewLoopback(2), dialPool(t, startPool(t, 2))} {
-		if err := tr.Join(ctx, dist.JoinSpec{Query: "not a query", View: "v"}); err == nil {
+		if err := join(ctx, tr, dist.JoinSpec{Query: "not a query", View: "v"}); err == nil {
 			t.Errorf("%T: malformed query accepted", tr)
 		}
-		if err := tr.Join(ctx, dist.JoinSpec{Query: "R(x,y)", View: ""}); err == nil {
+		if err := join(ctx, tr, dist.JoinSpec{Query: "R(x,y)", View: ""}); err == nil {
 			t.Errorf("%T: empty view accepted", tr)
 		}
-		if err := tr.Join(ctx, dist.JoinSpec{Query: "R(x,y)", View: "v", Strategy: 99}); err == nil {
+		if err := join(ctx, tr, dist.JoinSpec{Query: "R(x,y)", View: "v", Strategy: 99}); err == nil {
 			t.Errorf("%T: unknown strategy accepted", tr)
 		}
 	}

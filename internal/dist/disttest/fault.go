@@ -12,64 +12,38 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/exchange"
-	"repro/internal/wire"
 )
 
-// OpType names the transport phase a fault attaches to.
-type OpType uint8
+// OpType names the step of a round script a fault attaches to.
+type OpType = dist.OpKind
 
-// Transport phases a Fault can target.
+// Steps a Fault can target: one occurrence is one such step of a script,
+// whether it came alone or fused with others.
 const (
-	// OpDeliver is a Deliver call (one per scatter).
-	OpDeliver OpType = iota
-	// OpBarrier is a Barrier call.
-	OpBarrier
-	// OpJoin is a Join call.
-	OpJoin
-	// OpGather is a Gather call.
-	OpGather
-	// OpDelta is an ApplyDelta call (one per delta scatter).
-	OpDelta
-	// OpAttach is an Attach call (one per round with resident scatters).
-	OpAttach
+	OpDeliver = dist.OpDeliver
+	OpBarrier = dist.OpBarrier
+	OpJoin    = dist.OpJoin
+	OpGather  = dist.OpGather
+	OpDelta   = dist.OpDelta
+	OpAttach  = dist.OpAttach
 )
-
-// String names the phase.
-func (o OpType) String() string {
-	switch o {
-	case OpDeliver:
-		return "deliver"
-	case OpBarrier:
-		return "barrier"
-	case OpJoin:
-		return "join"
-	case OpGather:
-		return "gather"
-	case OpDelta:
-		return "delta"
-	case OpAttach:
-		return "attach"
-	default:
-		return fmt.Sprintf("OpType(%d)", uint8(o))
-	}
-}
 
 // FaultKind is what happens when a fault fires.
 type FaultKind uint8
 
 // Fault behaviors.
 const (
-	// KillBefore kills the worker's connection before the phase acts:
-	// the worker's slice of the phase is lost and the worker is dead
+	// KillBefore kills the worker's connection before the step acts:
+	// the worker's slice of the step is lost and the worker is dead
 	// until replaced.
 	KillBefore FaultKind = iota
-	// KillAfter kills the worker's connection after the phase acted:
-	// the worker holds the phase's state but the coordinator sees a
+	// KillAfter kills the worker's connection after the step acted:
+	// the worker holds the step's state but the coordinator sees a
 	// failure (it cannot know how much arrived), and the worker is dead
 	// until replaced.
 	KillAfter
 	// DelayToBarrier holds the worker's deliveries back until the next
-	// Barrier call, which injects them before synchronizing — legal
+	// barrier step, which injects them before synchronizing — legal
 	// under BSP semantics (ingestion is only promised at the barrier)
 	// and must not change any result.
 	DelayToBarrier
@@ -96,13 +70,13 @@ func (k FaultKind) String() string {
 }
 
 // Fault is one scheduled failure: when worker Worker sees its N-th
-// (0-indexed) call of phase Op, Kind happens. The schedule is purely
+// (0-indexed) step of kind Op, Kind happens. The schedule is purely
 // counter-driven — no timers, no goroutine races — so a recovery test
 // that uses it is deterministic by construction.
 type Fault struct {
 	// Worker is the pool index the fault targets.
 	Worker int
-	// Op is the phase the fault attaches to.
+	// Op is the step the fault attaches to.
 	Op OpType
 	// N is the 0-indexed occurrence of Op at which the fault fires.
 	N int
@@ -117,13 +91,15 @@ var errFaultKilled = errors.New("fault injected: connection killed")
 var errFaultDead = errors.New("fault injected: worker is dead")
 
 // FaultTransport wraps a Transport with a deterministic fault
-// schedule. Each phase call advances per-worker counters; when a
-// counter hits a scheduled Fault, the transport injects the fault —
-// reporting a *WorkerError exactly like the TCP transport would — and,
-// for kill faults, keeps the worker dead (every touch fails) until
-// ReplaceWorker revives it. Because the schedule is counter-keyed
-// rather than time-keyed, a test net built on it has no sleeps and no
-// flakes.
+// schedule. Run walks its script and hands the inner transport one step
+// at a time; each step advances per-worker counters, and when a counter
+// hits a scheduled Fault the transport injects the fault — reporting a
+// *WorkerError exactly like the TCP transport would — and, for kill
+// faults, keeps the worker dead (every touch fails) until ReplaceWorker
+// revives it. Like a dead TCP connection, a dead worker does not stop
+// the script: the healthy pool runs the rest of it before the failures
+// are reported. Because the schedule is counter-keyed rather than
+// time-keyed, a test net built on it has no sleeps and no flakes.
 type FaultTransport struct {
 	inner dist.Transport
 
@@ -136,8 +112,8 @@ type FaultTransport struct {
 	counts map[opKey]int
 	// dead marks killed workers awaiting replacement.
 	dead map[int]bool
-	// held are DelayToBarrier deliveries waiting for the next Barrier.
-	held []heldDelivery
+	// held are DelayToBarrier deliveries waiting for the next barrier.
+	held []dist.Op
 	// kills counts injected kill faults, for test assertions.
 	kills int
 }
@@ -146,14 +122,6 @@ type FaultTransport struct {
 type opKey struct {
 	worker int
 	op     OpType
-}
-
-// heldDelivery is a delayed delivery (data or delta) with its
-// original round.
-type heldDelivery struct {
-	round int
-	ds    []exchange.Delivery
-	dds   []dist.DeltaDelivery
 }
 
 // NewFaultTransport wraps inner with the fault schedule. The wrapped
@@ -213,37 +181,89 @@ func (ft *FaultTransport) killed(op OpType) []error {
 // Workers implements Transport.
 func (ft *FaultTransport) Workers() int { return ft.inner.Workers() }
 
-// Deliver implements Transport with the fault schedule applied per
-// destination worker.
-func (ft *FaultTransport) Deliver(ctx context.Context, round int, ds []exchange.Delivery) error {
-	return scatterFaults(ft, OpDeliver, ds, func(d exchange.Delivery) int { return d.To },
-		func(mine []exchange.Delivery) heldDelivery { return heldDelivery{round: round, ds: mine} },
-		func(pass []exchange.Delivery) error { return ft.inner.Deliver(ctx, round, pass) })
+// Run implements Transport: every step meets the schedule as it would
+// have sent alone, and what passes goes to the inner transport.
+func (ft *FaultTransport) Run(ctx context.Context, ops []dist.Op) (dist.Reply, error) {
+	var reply dist.Reply
+	var errs []error
+	for _, op := range ops {
+		pass, failed := ft.meet(op)
+		errs = append(errs, failed...)
+		if len(pass) == 0 {
+			continue
+		}
+		r, err := ft.inner.Run(ctx, pass)
+		if err != nil {
+			errs = append(errs, err)
+		}
+		if r.Runs != nil {
+			reply.Runs = r.Runs
+		}
+		if r.Attached != nil {
+			reply.Attached = r.Attached
+		}
+	}
+	return reply, errors.Join(errs...)
 }
 
-// ApplyDelta implements Transport with the fault schedule applied per
-// destination worker, mirroring Deliver: tombstones are idempotent and
-// appended duplicates dedup at the gather merge, so a DuplicateDelivery
-// must not change results.
-func (ft *FaultTransport) ApplyDelta(ctx context.Context, round int, ds []dist.DeltaDelivery) error {
-	return scatterFaults(ft, OpDelta, ds, func(d dist.DeltaDelivery) int { return d.To },
-		func(mine []dist.DeltaDelivery) heldDelivery { return heldDelivery{round: round, dds: mine} },
-		func(pass []dist.DeltaDelivery) error { return ft.inner.ApplyDelta(ctx, round, pass) })
+// meet applies the schedule to one step and returns what the inner
+// transport is to run in its place, and the failures the coordinator
+// sees.
+func (ft *FaultTransport) meet(op dist.Op) (pass []dist.Op, errs []error) {
+	ft.mu.Lock()
+	defer ft.mu.Unlock()
+	switch op.Kind {
+	case dist.OpDeliver:
+		held := op
+		op.Deliveries, held.Deliveries, errs = scatterFaults(ft, op.Kind, op.Deliveries, func(d exchange.Delivery) int { return d.To })
+		if len(held.Deliveries) > 0 {
+			ft.held = append(ft.held, held)
+		}
+		if len(op.Deliveries) == 0 {
+			return nil, errs
+		}
+	case dist.OpDelta:
+		// Tombstones are idempotent and appended duplicates dedup at the
+		// gather merge, so a DuplicateDelivery must not change results.
+		held := op
+		op.Deltas, held.Deltas, errs = scatterFaults(ft, op.Kind, op.Deltas, func(d dist.DeltaDelivery) int { return d.To })
+		if len(held.Deltas) > 0 {
+			ft.held = append(ft.held, held)
+		}
+		if len(op.Deltas) == 0 {
+			return nil, errs
+		}
+	case dist.OpBarrier:
+		// Held deliveries are injected first: the BSP contract only
+		// promises ingestion at the barrier.
+		pass, ft.held = ft.held, nil
+		errs = ft.killed(op.Kind)
+	case dist.OpJoin, dist.OpAttach:
+		// The healthy pool still evaluates (or attaches) while a kill
+		// fault reports its worker dead; what that worker did first is
+		// lost with its session, and replay redoes it.
+		errs = ft.killed(op.Kind)
+	case dist.OpGather:
+		// A kill loses the whole gather — the coordinator cannot use a
+		// stream a dead worker never finished — so the caller heals and
+		// gathers again.
+		if errs = ft.killed(op.Kind); len(errs) > 0 {
+			return nil, errs
+		}
+	}
+	return append(pass, op), errs
 }
 
-// scatterFaults is the body Deliver and ApplyDelta share: bucket the
-// deliveries by destination worker, apply the schedule to each worker's
-// bucket — kill faults lose (or race) it, DelayToBarrier holds it for
-// the next Barrier, DuplicateDelivery passes it twice — and send what
-// passes.
-func scatterFaults[D any](ft *FaultTransport, op OpType, ds []D, to func(D) int, hold func([]D) heldDelivery, send func([]D) error) error {
+// scatterFaults is the body deliveries and deltas share: bucket them by
+// destination worker and apply the schedule to each worker's bucket —
+// kill faults lose (or race) it, DelayToBarrier holds it for the next
+// barrier, DuplicateDelivery passes it twice. It returns what passes and
+// what is held.
+func scatterFaults[D any](ft *FaultTransport, op OpType, ds []D, to func(D) int) (pass, held []D, errs []error) {
 	byWorker := make(map[int][]D)
 	for _, d := range ds {
 		byWorker[to(d)] = append(byWorker[to(d)], d)
 	}
-	ft.mu.Lock()
-	var pass []D
-	var errs []error
 	for w := 0; w < ft.inner.Workers(); w++ {
 		mine := byWorker[w]
 		if ft.dead[w] {
@@ -267,92 +287,13 @@ func scatterFaults[D any](ft *FaultTransport, op OpType, ds []D, to func(D) int,
 			pass = append(pass, mine...)
 			errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultKilled})
 		case DelayToBarrier:
-			ft.held = append(ft.held, hold(mine))
+			held = append(held, mine...)
 		case DuplicateDelivery:
 			pass = append(pass, mine...)
 			pass = append(pass, mine...)
 		}
 	}
-	ft.mu.Unlock()
-	var err error
-	if len(pass) > 0 {
-		err = send(pass)
-	}
-	if len(errs) > 0 {
-		return errors.Join(append(errs, err)...)
-	}
-	return err
-}
-
-// Barrier implements Transport: held deliveries are injected first —
-// the BSP contract only promises ingestion at the barrier — then the
-// schedule applies per worker.
-func (ft *FaultTransport) Barrier(ctx context.Context, round int) error {
-	ft.mu.Lock()
-	held := ft.held
-	ft.held = nil
-	errs := ft.killed(OpBarrier)
-	ft.mu.Unlock()
-	for _, h := range held {
-		if len(h.ds) > 0 {
-			if err := ft.inner.Deliver(ctx, h.round, h.ds); err != nil {
-				return err
-			}
-		}
-		if len(h.dds) > 0 {
-			if err := ft.inner.ApplyDelta(ctx, h.round, h.dds); err != nil {
-				return err
-			}
-		}
-	}
-	err := ft.inner.Barrier(ctx, round)
-	if len(errs) > 0 {
-		return errors.Join(append(errs, err)...)
-	}
-	return err
-}
-
-// Join implements Transport. Kill faults report the targeted worker
-// dead while the healthy pool still evaluates — exactly what a dead
-// TCP connection looks like to the coordinator — and the replaced
-// worker re-evaluates during replay.
-func (ft *FaultTransport) Join(ctx context.Context, spec dist.JoinSpec) error {
-	ft.mu.Lock()
-	errs := ft.killed(OpJoin)
-	ft.mu.Unlock()
-	err := ft.inner.Join(ctx, spec)
-	if len(errs) > 0 {
-		return errors.Join(append(errs, err)...)
-	}
-	return err
-}
-
-// Attach implements dist.Attacher. Like Join, the healthy pool still
-// attaches while a kill fault reports its worker dead; whether that
-// worker bound its runs first is lost with its session.
-func (ft *FaultTransport) Attach(ctx context.Context, atts []dist.Attachment) ([][]wire.Attach, error) {
-	at, ok := ft.inner.(dist.Attacher)
-	if !ok {
-		return nil, fmt.Errorf("disttest: fault transport wraps %T, which keeps no resident runs", ft.inner)
-	}
-	ft.mu.Lock()
-	errs := ft.killed(OpAttach)
-	ft.mu.Unlock()
-	replies, err := at.Attach(ctx, atts)
-	return replies, errors.Join(append(errs, err)...)
-}
-
-// Gather implements Transport. A kill fault loses the whole gather —
-// the coordinator cannot use a stream a dead worker never finished —
-// so the caller heals and gathers again.
-func (ft *FaultTransport) Gather(ctx context.Context, view string) ([]*exchange.Buffer, error) {
-	ft.mu.Lock()
-	errs := ft.killed(OpGather)
-	ft.mu.Unlock()
-	if len(errs) > 0 {
-		return nil, errors.Join(errs...)
-	}
-	return ft.inner.Gather(ctx, view)
+	return pass, held, errs
 }
 
 // Close implements Transport.
@@ -383,9 +324,9 @@ func (ft *FaultTransport) ReplaceWorker(ctx context.Context, w int) error {
 	return nil
 }
 
-// JoinWorker implements Replaceable; replay traffic is not subject to
-// the fault schedule but still fails against a dead worker.
-func (ft *FaultTransport) JoinWorker(ctx context.Context, w int, spec dist.JoinSpec) error {
+// RunOn implements Replaceable; replay traffic is not subject to the
+// fault schedule but still fails against a dead worker.
+func (ft *FaultTransport) RunOn(ctx context.Context, w int, ops []dist.Op) error {
 	if err := ft.checkDead(w); err != nil {
 		return err
 	}
@@ -393,7 +334,7 @@ func (ft *FaultTransport) JoinWorker(ctx context.Context, w int, spec dist.JoinS
 	if err != nil {
 		return err
 	}
-	return rt.JoinWorker(ctx, w, spec)
+	return rt.RunOn(ctx, w, ops)
 }
 
 // Ping implements Replaceable.
@@ -438,10 +379,10 @@ func (ft *FaultTransport) checkDead(w int) error {
 	return nil
 }
 
-// Deliveries during replay go through Deliver; a replayed delivery
-// addresses one (revived) worker only and must bypass the schedule
-// counters, which Deliver cannot distinguish. Instead of a side
-// channel, the schedule simply never fires twice (faults are
-// one-shot), so replay traffic only fails when the worker is dead —
-// the semantics recovery expects.
 var _ dist.Replaceable = (*FaultTransport)(nil)
+
+// Step sends op to tr as a one-step script: what a test that drives a
+// transport by hand, below any Cluster, calls for each step.
+func Step(ctx context.Context, tr dist.Transport, op dist.Op) (dist.Reply, error) {
+	return tr.Run(ctx, []dist.Op{op})
+}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"net"
 	"time"
+
+	"repro/internal/mpc"
 )
 
 // Test-only windows into a worker process's resident store and its
@@ -47,4 +49,15 @@ func (rs *ResidentStore) ForgetSlot(slot int) {
 // handshake window chosen by the test.
 func ServeConnOn(ctx context.Context, conn net.Conn, rs *ResidentStore, hello time.Duration) error {
 	return serveConn(ctx, conn, rs, hello)
+}
+
+// OpenStepped is Open with the schedule of a bare NewCluster: every
+// step is sent before its call returns. The stepped ≡ fused nets drive
+// one round program through both.
+func OpenStepped(env Env, cfg mpc.Config) (*Cluster, context.Context, error) {
+	c, ctx, err := Open(env, cfg)
+	if err == nil {
+		c.fused = false
+	}
+	return c, ctx, err
 }

@@ -29,7 +29,7 @@ func TestFaultTransportKillMasksUntilReplace(t *testing.T) {
 	ft := disttest.NewFaultTransport(dist.NewLoopback(3),
 		disttest.Fault{Worker: 1, Op: disttest.OpDeliver, N: 0, Kind: disttest.KillBefore})
 
-	err := ft.Deliver(ctx, 1, scatterTo(t, 1, "R"))
+	err := deliver(ctx, ft, 1, scatterTo(t, 1, "R"))
 	if err == nil {
 		t.Fatal("kill fault delivered cleanly")
 	}
@@ -42,13 +42,13 @@ func TestFaultTransportKillMasksUntilReplace(t *testing.T) {
 
 	// Still dead: barrier and a fresh deliver to the same worker fail;
 	// a deliver that does not touch it passes.
-	if err := ft.Barrier(ctx, 1); err == nil {
+	if err := barrier(ctx, ft, 1); err == nil {
 		t.Fatal("barrier past a dead worker succeeded")
 	}
-	if err := ft.Deliver(ctx, 1, scatterTo(t, 1, "R")); err == nil {
+	if err := deliver(ctx, ft, 1, scatterTo(t, 1, "R")); err == nil {
 		t.Fatal("deliver to a dead worker succeeded")
 	}
-	if err := ft.Deliver(ctx, 1, scatterTo(t, 0, "R")); err != nil {
+	if err := deliver(ctx, ft, 1, scatterTo(t, 0, "R")); err != nil {
 		t.Fatalf("deliver avoiding the dead worker failed: %v", err)
 	}
 
@@ -56,10 +56,10 @@ func TestFaultTransportKillMasksUntilReplace(t *testing.T) {
 	if err := ft.ReplaceWorker(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := ft.Deliver(ctx, 1, scatterTo(t, 1, "R")); err != nil {
+	if err := deliver(ctx, ft, 1, scatterTo(t, 1, "R")); err != nil {
 		t.Fatalf("deliver after replacement failed: %v", err)
 	}
-	if err := ft.Barrier(ctx, 2); err != nil {
+	if err := barrier(ctx, ft, 2); err != nil {
 		t.Fatalf("barrier after replacement failed: %v", err)
 	}
 	if ft.Kills() != 1 {
@@ -76,7 +76,7 @@ func TestFaultTransportDeterministic(t *testing.T) {
 		ft := disttest.NewFaultTransport(dist.NewLoopback(2),
 			disttest.Fault{Worker: 0, Op: disttest.OpDeliver, N: 2, Kind: disttest.KillBefore})
 		for i := 0; i < 5; i++ {
-			if err := ft.Deliver(ctx, 1, scatterTo(t, 0, "R")); err != nil {
+			if err := deliver(ctx, ft, 1, scatterTo(t, 0, "R")); err != nil {
 				return i
 			}
 		}
@@ -96,14 +96,14 @@ func TestFaultTransportDelayFlushesAtBarrier(t *testing.T) {
 	lb := dist.NewLoopback(2)
 	ft := disttest.NewFaultTransport(lb,
 		disttest.Fault{Worker: 0, Op: disttest.OpDeliver, N: 0, Kind: disttest.DelayToBarrier})
-	if err := ft.Deliver(ctx, 1, scatterTo(t, 0, "R")); err != nil {
+	if err := deliver(ctx, ft, 1, scatterTo(t, 0, "R")); err != nil {
 		t.Fatal(err)
 	}
-	if err := ft.Barrier(ctx, 1); err != nil {
+	if err := barrier(ctx, ft, 1); err != nil {
 		t.Fatal(err)
 	}
 	// The inner loopback must now hold the run: gather it back.
-	bufs, err := lb.Gather(ctx, "R")
+	bufs, err := gather(ctx, lb, "R")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestFaultTransportAnnounceSurfacesDead(t *testing.T) {
 	ft := disttest.NewFaultTransport(dist.NewLoopback(3),
 		disttest.Fault{Worker: 0, Op: disttest.OpDeliver, N: 0, Kind: disttest.KillBefore},
 		disttest.Fault{Worker: 2, Op: disttest.OpDeliver, N: 0, Kind: disttest.KillBefore})
-	if err := ft.Deliver(ctx, 1, scatterTo(t, 1, "R")); err == nil {
+	if err := deliver(ctx, ft, 1, scatterTo(t, 1, "R")); err == nil {
 		t.Fatal("double kill delivered cleanly")
 	}
 	err := ft.Announce(ctx, 1)

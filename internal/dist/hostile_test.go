@@ -237,7 +237,7 @@ func TestCoordinatorRejectsHostileRuns(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer tr.Close()
-			runs, err := tr.Gather(context.Background(), "v")
+			runs, err := gather(context.Background(), tr, "v")
 			var we *dist.WorkerError
 			if !errors.As(err, &we) || we.Worker != 0 || !strings.Contains(err.Error(), h.want) {
 				t.Fatalf("gather returned %d runs and %v, want worker 0's error naming %q", len(runs), err, h.want)

@@ -48,80 +48,101 @@ func NewLoopbackOn(p int, rs *ResidentStore) *Loopback {
 // Workers implements Transport.
 func (l *Loopback) Workers() int { return len(l.ws) }
 
-// Deliver implements Transport: runs land in the destination stores
-// immediately (destination range was validated by the partitioner).
-func (l *Loopback) Deliver(ctx context.Context, round int, ds []exchange.Delivery) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, d := range ds {
-		if d.To < 0 || d.To >= len(l.ws) {
-			return fmt.Errorf("dist: loopback delivery to worker %d out of range [0,%d)", d.To, len(l.ws))
-		}
-		if err := l.ws[d.To].receive(d); err != nil {
-			return err
-		}
-	}
-	return nil
+// Run implements Transport: the steps act on the stores in script
+// order. Deliveries land immediately (a barrier only publishes the
+// round's retained runs), a join evaluates on every worker concurrently
+// and keeps the result as a sealed run under the view name.
+func (l *Loopback) Run(ctx context.Context, ops []Op) (Reply, error) {
+	return l.run(ctx, ops, -1)
 }
 
-// Attach implements Attacher.
-func (l *Loopback) Attach(ctx context.Context, atts []Attachment) ([][]wire.Attach, error) {
-	replies := make([][]wire.Attach, len(l.ws))
-	for w, ws := range l.ws {
-		for _, a := range atts {
-			reply, err := ws.attach(a.Key, a.Store, a.Tuples[w])
-			if err != nil {
-				return nil, err
+// run executes the script on the pool, or — the replay of a replaced
+// worker — on worker only alone when that is not negative.
+func (l *Loopback) run(ctx context.Context, ops []Op, only int) (Reply, error) {
+	var reply Reply
+	if err := ctx.Err(); err != nil {
+		return reply, err
+	}
+	ws := l.ws
+	if only >= 0 {
+		ws = l.ws[only : only+1]
+	}
+	// takes reports whether a delivery addressed to worker to is for ws.
+	takes := func(to int) (bool, error) {
+		if to < 0 || to >= len(l.ws) {
+			return false, fmt.Errorf("dist: loopback delivery to worker %d out of range [0,%d)", to, len(l.ws))
+		}
+		return only < 0 || to == only, nil
+	}
+	for _, op := range ops {
+		var err error
+		switch op.Kind {
+		case OpDeliver:
+			for _, d := range op.Deliveries {
+				if ok, err := takes(d.To); err != nil {
+					return reply, err
+				} else if !ok {
+					continue
+				}
+				if err := l.ws[d.To].receive(d); err != nil {
+					return reply, err
+				}
 			}
-			replies[w] = append(replies[w], reply)
+		case OpDelta:
+			for _, d := range op.Deltas {
+				if ok, err := takes(d.To); err != nil {
+					return reply, err
+				} else if !ok {
+					continue
+				}
+				if err := l.ws[d.To].applyDelta(d.Store, d.View, d.Del, d.Buf); err != nil {
+					return reply, err
+				}
+			}
+		case OpBarrier:
+			for _, w := range ws {
+				w.publish()
+			}
+		case OpJoin:
+			err = joinAll(ws, op.Join)
+		case OpAttach:
+			reply.Attached = make([][]wire.Attach, len(l.ws))
+			for _, w := range ws {
+				for _, a := range op.Attach {
+					r, err := w.attach(a.Key, a.Store, a.Tuples[w.home.slot])
+					if err != nil {
+						return reply, err
+					}
+					reply.Attached[w.home.slot] = append(reply.Attached[w.home.slot], r)
+				}
+			}
+		case OpGather:
+			for _, w := range ws {
+				reply.Runs = append(reply.Runs, w.runs(op.View)...)
+			}
+		case OpTrace:
+			// The in-process analogue of announcing the header to every
+			// worker; tests read it back through LastTrace.
+			l.mu.Lock()
+			l.traceHdr, l.traced = op.Trace, true
+			l.mu.Unlock()
+		}
+		if err != nil {
+			return reply, err
 		}
 	}
-	return replies, ctx.Err()
+	return reply, ctx.Err()
 }
 
-// ApplyDelta implements Transport: delta runs land in the destination
-// stores immediately, retractions as tombstones, extensions as
-// appended runs (also registered under their Δ view).
-func (l *Loopback) ApplyDelta(ctx context.Context, round int, ds []DeltaDelivery) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, d := range ds {
-		if d.To < 0 || d.To >= len(l.ws) {
-			return fmt.Errorf("dist: loopback delta to worker %d out of range [0,%d)", d.To, len(l.ws))
-		}
-		if err := l.ws[d.To].applyDelta(d.Store, d.View, d.Del, d.Buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Barrier implements Transport; loopback deliveries are synchronous,
-// so it only observes cancellation and publishes the round's retained
-// runs.
-func (l *Loopback) Barrier(ctx context.Context, round int) error {
-	for _, w := range l.ws {
-		w.publish()
-	}
-	return ctx.Err()
-}
-
-// Join implements Transport: every worker evaluates the query over
-// its own store concurrently and keeps the result as a sealed run
-// under the view name.
-func (l *Loopback) Join(ctx context.Context, spec JoinSpec) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+// joinAll evaluates spec on every given worker concurrently.
+func joinAll(ws []*workerStore, spec JoinSpec) error {
 	q, strategy, err := parseJoinSpec(spec, query.Parse)
 	if err != nil {
 		return err
 	}
-	errs := make([]error, len(l.ws))
+	errs := make([]error, len(ws))
 	var wg sync.WaitGroup
-	for i, w := range l.ws {
+	for i, w := range ws {
 		wg.Add(1)
 		go func(i int, w *workerStore) {
 			defer wg.Done()
@@ -130,18 +151,6 @@ func (l *Loopback) Join(ctx context.Context, spec JoinSpec) error {
 	}
 	wg.Wait()
 	return errors.Join(errs...)
-}
-
-// Gather implements Transport.
-func (l *Loopback) Gather(ctx context.Context, view string) ([]*exchange.Buffer, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var runs []*exchange.Buffer
-	for _, w := range l.ws {
-		runs = append(runs, w.runs(view)...)
-	}
-	return runs, nil
 }
 
 // Close implements Transport.
@@ -163,20 +172,13 @@ func (l *Loopback) ReplaceWorker(ctx context.Context, w int) error {
 	return nil
 }
 
-// JoinWorker implements Replaceable: the local evaluation on worker w
-// only.
-func (l *Loopback) JoinWorker(ctx context.Context, w int, spec JoinSpec) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+// RunOn implements Replaceable: the script on worker w only.
+func (l *Loopback) RunOn(ctx context.Context, w int, ops []Op) error {
 	if w < 0 || w >= len(l.ws) {
-		return fmt.Errorf("dist: loopback join worker %d out of range [0,%d)", w, len(l.ws))
+		return fmt.Errorf("dist: loopback run on worker %d out of range [0,%d)", w, len(l.ws))
 	}
-	q, strategy, err := parseJoinSpec(spec, query.Parse)
-	if err != nil {
-		return err
-	}
-	return l.ws[w].join(q, spec.Bindings, spec.View, strategy)
+	_, err := l.run(ctx, ops, w)
+	return err
 }
 
 // Ping implements Replaceable; an in-process worker is always live.
@@ -199,20 +201,6 @@ func (l *Loopback) Announce(ctx context.Context, epoch uint32) error {
 		return fmt.Errorf("dist: loopback stale epoch %d announced, pool at %d", epoch, l.epoch)
 	}
 	l.epoch = epoch
-	return nil
-}
-
-// SendTrace implements traceTransport by recording the header — the
-// in-process analogue of announcing it to every worker; tests read it
-// back through LastTrace.
-func (l *Loopback) SendTrace(ctx context.Context, h wire.TraceHeader) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.traceHdr = h
-	l.traced = true
 	return nil
 }
 

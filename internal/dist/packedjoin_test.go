@@ -54,10 +54,10 @@ func joinView(t *testing.T, l *dist.Loopback, q *query.Query, strategy localjoin
 	t.Helper()
 	ctx := context.Background()
 	view := "out-" + strategy.String()
-	if err := l.Join(ctx, dist.JoinSpec{Query: q.String(), View: view, Strategy: uint8(strategy)}); err != nil {
+	if err := join(ctx, l, dist.JoinSpec{Query: q.String(), View: view, Strategy: uint8(strategy)}); err != nil {
 		t.Fatalf("%s: %v join: %v", q, strategy, err)
 	}
-	runs, err := l.Gather(ctx, view)
+	runs, err := gather(ctx, l, view)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestPackedJoinMatchesReferences(t *testing.T) {
 			if mode > 1 {
 				tuples = randomTuples(a.Arity(), 1+rng.IntN(20))
 			}
-			if err := l.Deliver(ctx, 1, deliveries(a.Name, sealedRuns(rng, a.Arity(), 1+rng.IntN(3), tuples))); err != nil {
+			if err := deliver(ctx, l, 1, deliveries(a.Name, sealedRuns(rng, a.Arity(), 1+rng.IntN(3), tuples))); err != nil {
 				t.Fatal(err)
 			}
 			live := make(map[string]relation.Tuple, len(tuples))
@@ -156,7 +156,7 @@ func TestPackedJoinMatchesReferences(t *testing.T) {
 				// some of them back (an absent one is then simply stored).
 				apply := func(del bool, ts []relation.Tuple) {
 					run := sealedRuns(rng, a.Arity(), 1, ts)[0]
-					if err := l.ApplyDelta(ctx, 2, []dist.DeltaDelivery{{To: 0, Store: a.Name, Del: del, Buf: run}}); err != nil {
+					if err := applyDelta(ctx, l, 2, []dist.DeltaDelivery{{To: 0, Store: a.Name, Del: del, Buf: run}}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -221,14 +221,14 @@ func TestPackedJoinArityMismatch(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	for _, sRows := range [][]relation.Tuple{{{1, 2}}, nil} {
 		l := dist.NewLoopback(1)
-		if err := l.Deliver(ctx, 1, deliveries("R", sealedRuns(rng, 1, 2, bad))); err != nil {
+		if err := deliver(ctx, l, 1, deliveries("R", sealedRuns(rng, 1, 2, bad))); err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Deliver(ctx, 1, deliveries("S", sealedRuns(rng, 2, 1, sRows))); err != nil {
+		if err := deliver(ctx, l, 1, deliveries("S", sealedRuns(rng, 2, 1, sRows))); err != nil {
 			t.Fatal(err)
 		}
 		for _, strategy := range []localjoin.Strategy{localjoin.WCOJ, localjoin.HashJoin, localjoin.Backtracking} {
-			err := l.Join(ctx, dist.JoinSpec{Query: q.String(), View: "out", Strategy: uint8(strategy)})
+			err := join(ctx, l, dist.JoinSpec{Query: q.String(), View: "out", Strategy: uint8(strategy)})
 			if err == nil || !strings.Contains(err.Error(), wantErr.Error()) {
 				t.Errorf("|S|=%d, %v: join error = %v, want %q", len(sRows), strategy, err, wantErr)
 			}
@@ -272,17 +272,17 @@ func TestJoinNeverMutatesSealedRuns(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			l := dist.NewLoopback(1)
-			if err := l.Deliver(ctx, 1, ds); err != nil {
+			if err := deliver(ctx, l, 1, ds); err != nil {
 				t.Error(err)
 				return
 			}
 			for round := 0; round < 2; round++ {
 				view := fmt.Sprintf("out%d", round)
-				if err := l.Join(ctx, dist.JoinSpec{Query: q.String(), View: view}); err != nil {
+				if err := join(ctx, l, dist.JoinSpec{Query: q.String(), View: view}); err != nil {
 					t.Error(err)
 					return
 				}
-				runs, err := l.Gather(ctx, view)
+				runs, err := gather(ctx, l, view)
 				if err != nil {
 					t.Error(err)
 					return
@@ -322,10 +322,10 @@ func TestHashJoinWorkerAllocs(t *testing.T) {
 	spec := dist.JoinSpec{Query: q.String(), View: "out", Strategy: uint8(localjoin.HashJoin)}
 	allocs := testing.AllocsPerRun(20, func() {
 		l := dist.NewLoopback(1)
-		if err := l.Deliver(ctx, 1, ds); err != nil {
+		if err := deliver(ctx, l, 1, ds); err != nil {
 			t.Fatal(err)
 		}
-		if err := l.JoinWorker(ctx, 0, spec); err != nil {
+		if err := l.RunOn(ctx, 0, []dist.Op{{Kind: dist.OpJoin, Join: spec}}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -9,20 +9,22 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/exchange"
 	"repro/internal/hypercube"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
 
-// recordingTransport logs every call a Cluster makes on its transport.
-// It declares each method of dist.Replaceable itself instead of
+// recordingTransport logs every step of every script a Cluster hands
+// its transport, one entry per step, and every call of the recovery
+// surface. It declares each method of dist.Replaceable itself instead of
 // embedding one, so a call added to the recovery surface cannot reach
 // the pool unrecorded: until it is declared here the wrapper is not
 // Replaceable and arming recovery on it fails.
 type recordingTransport struct {
 	inner dist.Replaceable
 	calls []string
+	// scripts counts the Run calls the steps arrived in.
+	scripts int
 }
 
 func (r *recordingTransport) log(format string, args ...any) {
@@ -31,29 +33,25 @@ func (r *recordingTransport) log(format string, args ...any) {
 
 func (r *recordingTransport) Workers() int { return r.inner.Workers() }
 
-func (r *recordingTransport) Deliver(ctx context.Context, round int, ds []exchange.Delivery) error {
-	r.log("Deliver(%d)", round)
-	return r.inner.Deliver(ctx, round, ds)
-}
-
-func (r *recordingTransport) ApplyDelta(ctx context.Context, round int, ds []dist.DeltaDelivery) error {
-	r.log("ApplyDelta(%d)", round)
-	return r.inner.ApplyDelta(ctx, round, ds)
-}
-
-func (r *recordingTransport) Barrier(ctx context.Context, round int) error {
-	r.log("Barrier(%d)", round)
-	return r.inner.Barrier(ctx, round)
-}
-
-func (r *recordingTransport) Join(ctx context.Context, spec dist.JoinSpec) error {
-	r.log("Join")
-	return r.inner.Join(ctx, spec)
-}
-
-func (r *recordingTransport) Gather(ctx context.Context, view string) ([]*exchange.Buffer, error) {
-	r.log("Gather")
-	return r.inner.Gather(ctx, view)
+func (r *recordingTransport) Run(ctx context.Context, ops []dist.Op) (dist.Reply, error) {
+	r.scripts++
+	for _, op := range ops {
+		switch op.Kind {
+		case dist.OpDeliver:
+			r.log("Deliver(%d)", op.Round)
+		case dist.OpDelta:
+			r.log("ApplyDelta(%d)", op.Round)
+		case dist.OpBarrier:
+			r.log("Barrier(%d)", op.Round)
+		case dist.OpJoin:
+			r.log("Join")
+		case dist.OpGather:
+			r.log("Gather")
+		default:
+			r.log("%s", op.Kind)
+		}
+	}
+	return r.inner.Run(ctx, ops)
 }
 
 func (r *recordingTransport) Close() error {
@@ -66,9 +64,9 @@ func (r *recordingTransport) ReplaceWorker(ctx context.Context, w int) error {
 	return r.inner.ReplaceWorker(ctx, w)
 }
 
-func (r *recordingTransport) JoinWorker(ctx context.Context, w int, spec dist.JoinSpec) error {
-	r.log("JoinWorker(%d)", w)
-	return r.inner.JoinWorker(ctx, w, spec)
+func (r *recordingTransport) RunOn(ctx context.Context, w int, ops []dist.Op) error {
+	r.log("RunOn(%d)", w)
+	return r.inner.RunOn(ctx, w, ops)
 }
 
 func (r *recordingTransport) Ping(ctx context.Context, w int, seq uint32) error {
@@ -83,9 +81,9 @@ func (r *recordingTransport) Announce(ctx context.Context, epoch uint32) error {
 
 // TestRecoveryArmedCostsNoTraffic: until a worker fails, arming
 // recovery changes nothing a worker can observe. Every engine issues
-// the identical sequence of transport calls with the policy on and off,
-// and a round is Deliver…, Barrier, Join: exactly one barrier, and
-// nothing else, between a round's last scatter and its join.
+// the identical sequence of steps, in the identical scripts, with the
+// policy on and off, and a round is Deliver…, Barrier, Join: exactly one
+// barrier, and nothing else, between a round's last scatter and its join.
 func TestRecoveryArmedCostsNoTraffic(t *testing.T) {
 	const p = 4
 	type engine struct {
@@ -127,7 +125,7 @@ func TestRecoveryArmedCostsNoTraffic(t *testing.T) {
 			eng.run(t, off, dist.RecoveryOptions{})
 			on := &recordingTransport{inner: dist.NewLoopback(p)}
 			eng.run(t, on, dist.RecoveryOptions{Enabled: true})
-			if !slices.Equal(on.calls, off.calls) {
+			if !slices.Equal(on.calls, off.calls) || on.scripts != off.scripts {
 				t.Fatalf("arming recovery changed the transport calls of a fault-free run:\n on  %v\n off %v", on.calls, off.calls)
 			}
 

@@ -6,9 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"time"
-
-	"repro/internal/exchange"
-	"repro/internal/wire"
 )
 
 // WorkerError attributes a transport failure to one worker of the
@@ -77,10 +74,10 @@ type RecoveryOptions struct {
 	// when replacing a failed worker; the failed address is recycled to
 	// the back of the spare list. Ignored by address-less transports.
 	Spares []string
-	// PhaseTimeout bounds each transport phase (deliver, barrier, join,
-	// gather); a stuck worker then surfaces as a failed
-	// phase that recovery can heal instead of a hang. Zero means no
-	// per-phase deadline.
+	// PhaseTimeout bounds each script the cluster sends (one step on a
+	// stepped cluster, a round up to its fence on a fused one); a stuck
+	// worker then surfaces as a failed script that recovery can heal
+	// instead of a hang. Zero means no such deadline.
 	PhaseTimeout time.Duration
 }
 
@@ -101,9 +98,9 @@ type Replaceable interface {
 	// empty one (promoting a spare or re-dialing as the transport sees
 	// fit). After it returns, w holds no state.
 	ReplaceWorker(ctx context.Context, w int) error
-	// JoinWorker runs the local-evaluation command on worker w only —
-	// the replay counterpart of Join, which addresses the whole pool.
-	JoinWorker(ctx context.Context, w int, spec JoinSpec) error
+	// RunOn is Run for worker w alone: its slice of the script, its
+	// replies awaited and dropped. Replay sends the journal through it.
+	RunOn(ctx context.Context, w int, ops []Op) error
 	// Ping round-trips a heartbeat through worker w. Because frames on
 	// a session are processed in order, a returned Ping also proves the
 	// worker ingested everything sent before it.
@@ -113,44 +110,18 @@ type Replaceable interface {
 	Announce(ctx context.Context, epoch uint32) error
 }
 
-// recOpKind discriminates journal entries.
-type recOpKind uint8
-
-const (
-	opDeliver recOpKind = iota
-	opBarrier
-	opJoin
-	opDelta
-	// opTrace is a deferred trace-header announcement; pipelined-only
-	// (the sync path sends headers directly) and never journaled.
-	opTrace
-)
-
-// recOp is one journaled coordinator action. The journal is what makes
+// recovery is a Cluster's self-healing state. The journal is what makes
 // a replacement worker reconstructible: every run it should hold and
-// every join it should have evaluated is recorded here, so replay
+// every join it should have evaluated is recorded there, so replay
 // re-sends exactly the lost worker's slice of the execution — healthy
-// workers are never touched and a multiround query resumes at the
-// round it was in, not at round 0.
-type recOp struct {
-	kind  recOpKind
-	round int
-	ds    []exchange.Delivery
-	// lazy stands in for ds on a resident scatter: nothing was
-	// partitioned, so replay partitions the replaced worker's slice.
-	lazy *residentScatter
-	dds  []DeltaDelivery
-	spec JoinSpec
-	hdr  wire.TraceHeader
-}
-
-// recovery is a Cluster's self-healing state.
+// workers are never touched and a multiround query resumes at the round
+// it was in, not at round 0.
 type recovery struct {
 	opts     RecoveryOptions
 	rt       Replaceable
 	epoch    uint32
 	replaced int
-	journal  []recOp
+	journal  []Op
 }
 
 // EnableRecovery arms the cluster's self-healing: every transport
@@ -197,31 +168,49 @@ func (c *Cluster) phaseCtx(ctx context.Context) (context.Context, context.Cancel
 	return ctx, func() {}
 }
 
-// attempt runs one transport phase with healing: a failure attributed
-// to specific workers triggers replace-and-replay for exactly those
-// workers, then the phase is retried when retry is set. Phases whose
-// effects are already journaled (deliver, join) pass retry=false —
-// replay has re-sent the failed worker's slice and the healthy workers
-// already hold theirs, so re-running the phase would duplicate state.
-// Idempotent phases (barrier, gather) retry until they succeed or the
-// replacement budget runs out.
-func (c *Cluster) attempt(ctx context.Context, retry bool, op func(context.Context) error) error {
+// attempt sends one script with healing: a failure attributed to
+// specific workers triggers replace-and-replay for exactly those
+// workers. Every effectful step was journaled before it was sent, so
+// replay has rebuilt the replacement and the healthy workers — which ran
+// their slices to the end — already hold theirs: sending such a step
+// again would duplicate state. What is sent again, until it succeeds or
+// the replacement budget runs out, is the script's idempotent suffix:
+// the barriers and the gather behind its last delivery, delta, join or
+// attach. The reply keeps the attach answers of the first send, with
+// those of the workers it failed on dropped, and the runs of the last.
+func (c *Cluster) attempt(ctx context.Context, ops []Op) (Reply, error) {
+	var reply Reply
 	for {
 		pctx, cancel := c.phaseCtx(ctx)
-		err := op(pctx)
+		r, err := c.tr.Run(pctx, ops)
 		cancel()
+		reply.Runs = r.Runs
+		if r.Attached != nil {
+			reply.Attached = r.Attached
+		}
 		if err == nil || c.rec == nil || ctx.Err() != nil {
-			return err
+			return reply, err
 		}
 		failed := FailedWorkers(err)
 		if len(failed) == 0 {
-			return err
+			return reply, err
+		}
+		for _, w := range failed {
+			if w >= 0 && w < len(reply.Attached) {
+				reply.Attached[w] = nil
+			}
 		}
 		if herr := c.heal(ctx, failed); herr != nil {
-			return herr
+			return reply, herr
 		}
-		if !retry {
-			return nil
+		for i := len(ops) - 1; i >= 0; i-- {
+			if k := ops[i].Kind; k == OpDeliver || k == OpDelta || k == OpJoin || k == OpAttach {
+				ops = ops[i+1:]
+				break
+			}
+		}
+		if len(ops) == 0 {
+			return reply, nil
 		}
 	}
 }
@@ -279,57 +268,36 @@ func (c *Cluster) heal(ctx context.Context, failed []int) error {
 }
 
 // replay re-sends worker w's slice of the journal into its fresh
-// session: its deliveries (filtered by destination) and every join, in
-// original order. Barriers are unnecessary here — frames on one
-// session are processed in order, and the final Ping round-trip proves
-// the worker ingested everything.
+// session: the journal minus its barriers, on worker w. Barriers are
+// unnecessary here — frames on one session are processed in order, and
+// the final Ping round-trip proves the worker ingested everything.
 func (c *Cluster) replay(ctx context.Context, w int) error {
 	rec := c.rec
+	ops := make([]Op, 0, len(rec.journal))
 	for _, op := range rec.journal {
-		var err error
-		switch op.kind {
-		case opDeliver:
-			var mine []exchange.Delivery
-			for _, d := range op.ds {
-				if d.To == w {
-					mine = append(mine, d)
-				}
-			}
-			if op.lazy != nil {
-				want := make([]bool, c.cfg.Workers)
-				want[w] = true
-				if mine, err = op.lazy.deliveries(c.cfg.Workers, want); err != nil {
-					return err
-				}
-			}
-			if len(mine) > 0 {
-				err = rec.rt.Deliver(ctx, op.round, mine)
-			}
-		case opDelta:
-			var mine []DeltaDelivery
-			for _, d := range op.dds {
-				if d.To == w {
-					mine = append(mine, d)
-				}
-			}
-			if len(mine) > 0 {
-				err = rec.rt.ApplyDelta(ctx, op.round, mine)
-			}
-		case opJoin:
-			err = rec.rt.JoinWorker(ctx, w, op.spec)
-		case opBarrier:
-			// covered by session frame ordering
+		if op.Kind == OpBarrier {
+			continue
 		}
-		if err != nil {
-			return err
+		if op.lazy != nil {
+			want := make([]bool, c.cfg.Workers)
+			want[w] = true
+			ds, err := op.lazy.deliveries(c.cfg.Workers, want)
+			if err != nil {
+				return err
+			}
+			op = Op{Kind: OpDeliver, Round: op.Round, Deliveries: ds}
 		}
+		ops = append(ops, op)
+	}
+	if err := rec.rt.RunOn(ctx, w, ops); err != nil {
+		return err
 	}
 	return rec.rt.Ping(ctx, w, rec.epoch)
 }
 
 // journal records one coordinator action for replay; without recovery
 // nothing is kept.
-func (c *Cluster) journal(op recOp) {
+func (c *Cluster) journal(op Op) {
 	if c.rec != nil {
 		c.rec.journal = append(c.rec.journal, op)
 	}

@@ -10,8 +10,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/dist/disttest"
-	"repro/internal/exchange"
 	"repro/internal/hypercube"
+	"repro/internal/localjoin"
 	"repro/internal/mpc"
 	"repro/internal/multiround"
 	"repro/internal/query"
@@ -27,41 +27,40 @@ import (
 // fault-free baseline byte for byte. A lost worker must be invisible
 // in every output except the replacement counter.
 
-// countingTransport counts phase calls during the baseline run, so
+// countingTransport counts the steps of the baseline run, so
 // kill-points can be placed relative to each engine's actual shape
-// instead of hard-coded call numbers.
+// instead of hard-coded step numbers.
 type countingTransport struct {
 	dist.Transport
 	delivers, barriers, joins, gathers int
 }
 
-func (c *countingTransport) Deliver(ctx context.Context, round int, ds []exchange.Delivery) error {
-	c.delivers++
-	return c.Transport.Deliver(ctx, round, ds)
-}
-
-func (c *countingTransport) Barrier(ctx context.Context, round int) error {
-	c.barriers++
-	return c.Transport.Barrier(ctx, round)
-}
-
-func (c *countingTransport) Join(ctx context.Context, spec dist.JoinSpec) error {
-	c.joins++
-	return c.Transport.Join(ctx, spec)
-}
-
-func (c *countingTransport) Gather(ctx context.Context, view string) ([]*exchange.Buffer, error) {
-	c.gathers++
-	return c.Transport.Gather(ctx, view)
+func (c *countingTransport) Run(ctx context.Context, ops []dist.Op) (dist.Reply, error) {
+	for _, op := range ops {
+		switch op.Kind {
+		case dist.OpDeliver:
+			c.delivers++
+		case dist.OpBarrier:
+			c.barriers++
+		case dist.OpJoin:
+			c.joins++
+		case dist.OpGather:
+			c.gathers++
+		}
+	}
+	return c.Transport.Run(ctx, ops)
 }
 
 // recEngine is one engine under recovery test: run executes it on the
 // transport (recovery enabled when rec.Enabled) and returns answers,
-// stats and the replacement count.
+// stats and the replacement count; prog is the same round program
+// written out by hand (schedule_test.go), for the nets that choose the
+// cluster's schedule.
 type recEngine struct {
 	name  string
 	truth []relation.Tuple
 	run   func(t *testing.T, tr dist.Transport, rec dist.RecoveryOptions) ([]relation.Tuple, *mpc.Stats, int)
+	prog  program
 }
 
 // recoveryEngines builds the three engines over fixed deterministic
@@ -73,6 +72,10 @@ func recoveryEngines(t *testing.T, p int) []recEngine {
 	triQ := query.Cycle(3)
 	triDB := relation.MatchingDatabase(rand.New(rand.NewPCG(100, 0)), triQ, 200)
 	triTruth, err := core.GroundTruth(triQ, triDB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	triShares, err := hypercube.SharesForQuery(triQ, p, hypercube.GreedyRounding)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,6 +99,7 @@ func recoveryEngines(t *testing.T, p int) []recEngine {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ry, sy := r.AttrIndex("y"), s.AttrIndex("y")
 
 	return []recEngine{
 		{
@@ -109,6 +113,7 @@ func recoveryEngines(t *testing.T, p int) []recEngine {
 				}
 				return res.Answers, res.Stats, res.Replacements
 			},
+			prog: hcProgram(triQ, triDB, p, 0, triShares, localjoin.Default, 23),
 		},
 		{
 			name:  "multiround",
@@ -121,6 +126,7 @@ func recoveryEngines(t *testing.T, p int) []recEngine {
 				}
 				return res.Answers, res.Stats, res.Replacements
 			},
+			prog: multiProgram(chPlan, chDB, p, localjoin.Default, 23),
 		},
 		{
 			name:  "skew",
@@ -133,6 +139,7 @@ func recoveryEngines(t *testing.T, p int) []recEngine {
 				}
 				return res.Answers, res.Stats, res.Replacements
 			},
+			prog: skewProgram(skew.JoinQuery(), r, s, ry, sy, skew.CompileFromData(r, ry, s, sy, p, 1), localjoin.HashJoin, 7),
 		},
 	}
 }

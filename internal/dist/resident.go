@@ -101,13 +101,6 @@ type Attachment struct {
 	Tuples     []int64
 }
 
-// Attacher is implemented by transports whose workers can keep runs
-// beyond a session (Loopback, TCP): Attach sends every attachment to
-// every worker in one exchange, and replies[w][i] answers atts[i].
-type Attacher interface {
-	Attach(ctx context.Context, atts []Attachment) (replies [][]wire.Attach, err error)
-}
-
 // residentScatter is a scatter of the open round believed resident.
 type residentScatter struct {
 	rel     *relation.Relation
@@ -130,11 +123,11 @@ func (s *residentScatter) deliveries(p int, want []bool) (ds []exchange.Delivery
 }
 
 // scatterKey derives the identity of scattering rel through part, or ""
-// for a fresh scatter: no snapshot, the pipelined schedule, a partitioner
-// that cannot describe itself, a transport that keeps nothing.
+// for a fresh scatter: no snapshot, a partitioner that cannot describe
+// itself.
 func (c *Cluster) scatterKey(rel *relation.Relation, part exchange.Partitioner) string {
 	k, keyed := part.(exchange.Keyed)
-	if _, keeps := c.tr.(Attacher); c.snap == nil || c.pipe || !keyed || !keeps {
+	if c.snap == nil || !keyed {
 		return ""
 	}
 	routing := k.Key()
@@ -161,7 +154,9 @@ func (c *Cluster) retain(key string, ds []exchange.Delivery) {
 
 // attach asks the workers, in one exchange ahead of the round's barrier,
 // to bind every scatter of the round believed resident, and re-sends
-// each worker what it reports missing.
+// each worker what it reports missing. The answers decide what is sent
+// next, so the attach is a fence: the round script so far leaves with it,
+// and the misses' runs ride the next one.
 func (c *Cluster) attach(ctx context.Context) error {
 	ops := c.attaching
 	c.attaching = nil
@@ -172,30 +167,28 @@ func (c *Cluster) attach(ctx context.Context) error {
 	for i, s := range ops {
 		atts[i] = Attachment{Key: s.key, Store: s.as, Tuples: s.tuples}
 	}
-	var replies [][]wire.Attach
-	var attErr error
-	if err := c.attempt(ctx, false, func(ctx context.Context) error {
-		replies, attErr = c.tr.(Attacher).Attach(ctx, atts)
-		return attErr
-	}); err != nil {
+	reply, err := c.run(ctx, Op{Kind: OpAttach, Attach: atts})
+	if err != nil {
 		return err
+	}
+	if len(reply.Attached) != c.cfg.Workers {
+		return fmt.Errorf("dist: attach answered for %d workers of %d", len(reply.Attached), c.cfg.Workers)
 	}
 	// A worker that failed the exchange was replaced by an empty session
 	// and misses everything; from here on the journal covers these
 	// scatters, and replay re-sends a later replacement its slice.
-	healed := FailedWorkers(attErr)
 	for _, s := range ops {
-		c.journal(recOp{kind: opDeliver, round: c.round, lazy: s})
+		c.journal(Op{Kind: OpDeliver, Round: c.round, lazy: s})
 	}
 	var note strings.Builder
 	for i, s := range ops {
 		miss := make([]bool, c.cfg.Workers)
 		missed := 0
 		for w := range miss {
-			if gone := contains(healed, w); gone || !replies[w][i].Hit {
+			if gone := reply.Attached[w] == nil; gone || !reply.Attached[w][i].Hit {
 				miss[w] = true
 				missed++
-				if !gone && replies[w][i].Tuples != 0 {
+				if !gone && reply.Attached[w][i].Tuples != 0 {
 					c.snap.res.learn(s.key, nil)
 				}
 			}
@@ -211,9 +204,7 @@ func (c *Cluster) attach(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("dist: scatter: %w", err)
 		}
-		if err := c.attempt(ctx, false, func(ctx context.Context) error {
-			return c.tr.Deliver(ctx, c.round, ds)
-		}); err != nil {
+		if err := c.enqueue(ctx, Op{Kind: OpDeliver, Round: c.round, Deliveries: ds}); err != nil {
 			return err
 		}
 	}

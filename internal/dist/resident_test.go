@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"net"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -65,7 +66,8 @@ type residentCase struct {
 	truth    []relation.Tuple
 	scatters int // keyed scatters per execution
 	// exchanges is what a resident execution costs a TCP session: one
-	// attach, then a barrier per round and a join and a gather per view.
+	// per fence — the attach, then every gather, with the round's barrier
+	// and the joins riding the gather they precede.
 	exchanges int64
 }
 
@@ -106,10 +108,11 @@ func residentCases(t *testing.T, p int) []residentCase {
 	repDB.AddRelation(r)
 	repDB.AddRelation(s)
 	return []residentCase{
-		mk("C3", c3, zipfDatabase(rng, c3, 4000, 1.05), nil, plan.OneRound, 3, 1+3),
-		// Two rounds: two views of two base relations each, then their join.
-		mk("L4-eps0", l4, relation.MatchingDatabase(rng, l4, 3000), new(big.Rat), plan.MultiRound, 4, 1+5+3),
-		mk("repeated-variable", rep, repDB, nil, plan.OneRound, 2, 1+3),
+		mk("C3", c3, zipfDatabase(rng, c3, 4000, 1.05), nil, plan.OneRound, 3, 2),
+		// Two rounds: two views of two base relations each, then their join;
+		// three gathers.
+		mk("L4-eps0", l4, relation.MatchingDatabase(rng, l4, 3000), new(big.Rat), plan.MultiRound, 4, 4),
+		mk("repeated-variable", rep, repDB, nil, plan.OneRound, 2, 2),
 	}
 }
 
@@ -183,8 +186,13 @@ func TestResidentDifferential(t *testing.T) {
 
 				pool.restart(t, 1)
 				partial := res.Snapshot("d", 0)
-				if got := c.execute(t, pool.session(t), partial, dist.RecoveryOptions{}).Stats.Rounds; !reflect.DeepEqual(got, want) {
+				tr = pool.session(t)
+				if got := c.execute(t, tr, partial, dist.RecoveryOptions{}).Stats.Rounds; !reflect.DeepEqual(got, want) {
 					t.Fatalf("partial-miss run's round stats differ:\n%+v\n%+v", got, want)
+				}
+				if tcp, ok := tr.(*dist.TCP); ok && tcp.Exchanges() != c.exchanges {
+					// The re-sent slices ride the fence that follows the attach.
+					t.Errorf("%d exchanges with one worker's slices re-sent, want %d", tcp.Exchanges(), c.exchanges)
 				}
 				if partial.Hits != 0 || partial.Misses != c.scatters || partial.Retained != c.scatters {
 					t.Fatalf("after restarting one worker: %+v, want that slot's %d misses re-sent", partial, c.scatters)
@@ -196,6 +204,32 @@ func TestResidentDifferential(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestResidentFused: a resident round is a fused one. A resident C3
+// execution leaves as two scripts — the attach, which is a fence because
+// its answers decide what is sent, and everything else — and after one
+// worker lost what it kept, the slices re-sent to it ride the second.
+func TestResidentFused(t *testing.T) {
+	const p = 4
+	c := residentCases(t, p)[0]
+	rs := dist.NewResidentStore()
+	pool := &loopbackPool{p: p, rs: rs}
+	res := newResidency(t)
+	c.warm(t, pool, res)
+	scripts := func() (int, []string) {
+		rec := &recordingTransport{inner: dist.NewLoopbackOn(p, rs)}
+		c.execute(t, rec, res.Snapshot("d", 0), dist.RecoveryOptions{})
+		return rec.scripts, rec.calls
+	}
+	if n, calls := scripts(); n != 2 || !slices.Equal(calls, []string{"attach", "Barrier(1)", "Join", "Gather"}) {
+		t.Fatalf("resident round left as %d scripts of %v", n, calls)
+	}
+	pool.restart(t, 2)
+	want := []string{"attach", "Deliver(1)", "Deliver(1)", "Deliver(1)", "Barrier(1)", "Join", "Gather"}
+	if n, calls := scripts(); n != 2 || !slices.Equal(calls, want) {
+		t.Fatalf("round with one worker's slices re-sent left as %d scripts of %v", n, calls)
 	}
 }
 
@@ -505,12 +539,14 @@ func TestResidentEviction(t *testing.T) {
 // tuple too many — a reply that contradicts the coordinator's belief.
 type lyingPool struct{ *dist.Loopback }
 
-func (l lyingPool) Attach(ctx context.Context, atts []dist.Attachment) ([][]wire.Attach, error) {
-	replies, err := l.Loopback.Attach(ctx, atts)
-	for i, a := range atts {
-		replies[0][i] = wire.Attach{Tuples: uint64(a.Tuples[0] + 1)}
+func (l lyingPool) Run(ctx context.Context, ops []dist.Op) (dist.Reply, error) {
+	reply, err := l.Loopback.Run(ctx, ops)
+	for _, op := range ops {
+		for i, a := range op.Attach {
+			reply.Attached[0][i] = wire.Attach{Tuples: uint64(a.Tuples[0] + 1)}
+		}
 	}
-	return replies, err
+	return reply, err
 }
 
 // TestResidentContradiction: a worker reporting a tuple count that
@@ -552,27 +588,27 @@ func TestResidentStaleEntry(t *testing.T) {
 	buf.Append(relation.Tuple{7})
 	buf.Seal()
 	ctx := context.Background()
-	if err := lb.Deliver(ctx, 1, []exchange.Delivery{{To: 1, Rel: "R", Buf: buf, Retain: "k"}}); err != nil {
+	if err := deliver(ctx, lb, 1, []exchange.Delivery{{To: 1, Rel: "R", Buf: buf, Retain: "k"}}); err != nil {
 		t.Fatal(err)
 	}
 	if rs.Entries() != 0 {
 		t.Fatal("a retained run was published before its round's barrier")
 	}
-	if err := lb.Barrier(ctx, 1); err != nil {
+	if err := barrier(ctx, lb, 1); err != nil {
 		t.Fatal(err)
 	}
 	if rs.Entries() != 1 {
 		t.Fatalf("%d slices after the barrier, want 1", rs.Entries())
 	}
 	fresh := dist.NewLoopbackOn(2, rs)
-	replies, err := fresh.Attach(ctx, []dist.Attachment{{Key: "k", Store: "R", Tuples: []int64{0, 2}}})
+	replies, err := attach(ctx, fresh, []dist.Attachment{{Key: "k", Store: "R", Tuples: []int64{0, 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !replies[0][0].Hit || replies[1][0].Hit || replies[1][0].Tuples != 1 {
 		t.Fatalf("replies %+v: want slot 0 a trivial hit, slot 1 a miss holding 1", replies)
 	}
-	if runs, _ := fresh.Gather(ctx, "R"); len(runs) != 0 || rs.Entries() != 0 {
+	if runs, _ := gather(ctx, fresh, "R"); len(runs) != 0 || rs.Entries() != 0 {
 		t.Fatalf("a stale entry was bound (%d runs) or kept (%d slices)", len(runs), rs.Entries())
 	}
 }
@@ -586,20 +622,20 @@ func TestServeSessionsShareOneStore(t *testing.T) {
 	buf.Seal()
 	ctx := context.Background()
 	first := dialPool(t, addrs)
-	if err := first.Deliver(ctx, 1, []exchange.Delivery{{To: 0, Rel: "R", Buf: buf, Retain: "k"}}); err != nil {
+	if err := deliver(ctx, first, 1, []exchange.Delivery{{To: 0, Rel: "R", Buf: buf, Retain: "k"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := first.Barrier(ctx, 1); err != nil {
+	if err := barrier(ctx, first, 1); err != nil {
 		t.Fatal(err)
 	}
 	first.Close()
 	att := []dist.Attachment{{Key: "k", Store: "R2", Tuples: []int64{1}}}
 	second := dialPool(t, addrs)
-	replies, err := second.Attach(ctx, att)
+	replies, err := attach(ctx, second, att)
 	if err != nil || !replies[0][0].Hit || replies[0][0].Tuples != 1 {
 		t.Fatalf("second session: %+v %v, want a hit holding 1 tuple", replies, err)
 	}
-	runs, err := second.Gather(ctx, "R2")
+	runs, err := gather(ctx, second, "R2")
 	if err != nil || len(runs) != 1 || runs[0].Len() != 1 {
 		t.Fatalf("the attached run is not in the session's store: %v %v", runs, err)
 	}
@@ -628,9 +664,11 @@ type deliveryLog struct {
 	sent []exchange.Delivery
 }
 
-func (l *deliveryLog) Deliver(ctx context.Context, round int, ds []exchange.Delivery) error {
-	l.sent = append(l.sent, ds...)
-	return l.Loopback.Deliver(ctx, round, ds)
+func (l *deliveryLog) Run(ctx context.Context, ops []dist.Op) (dist.Reply, error) {
+	for _, op := range ops {
+		l.sent = append(l.sent, op.Deliveries...)
+	}
+	return l.Loopback.Run(ctx, ops)
 }
 
 // TestResidentHitSendsNothing: a resident execution delivers no run at

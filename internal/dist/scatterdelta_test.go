@@ -22,11 +22,13 @@ type deltaCapture struct {
 	got [][]relation.Tuple
 }
 
-func (c *deltaCapture) ApplyDelta(ctx context.Context, round int, ds []dist.DeltaDelivery) error {
-	for _, d := range ds {
-		c.got[d.To] = d.Buf.AppendTuples(c.got[d.To])
+func (c *deltaCapture) Run(ctx context.Context, ops []dist.Op) (dist.Reply, error) {
+	for _, op := range ops {
+		for _, d := range op.Deltas {
+			c.got[d.To] = d.Buf.AppendTuples(c.got[d.To])
+		}
 	}
-	return c.Loopback.ApplyDelta(ctx, round, ds)
+	return c.Loopback.Run(ctx, ops)
 }
 
 // sortOccurrences orders tuples lexicographically, repeats kept.

@@ -47,10 +47,10 @@ func skewShapeDB(q *query.Query, n, offset int, emptyS bool) *relation.Database 
 // 2³³, and an empty side; round statistics equal the digests recorded
 // at the commit before the engine went run-native (when it remapped
 // both relations onto R(x,y), S(y,z) and detected heavy hitters from
-// the tuples on every query); loopback ≡ TCP, sync ≡ pipelined, a
-// worker killed at the barrier heals to the same record, and a plan
-// whose catalog has no histograms compiles the same routing from the
-// data at Execute.
+// the tuples on every query); loopback ≡ TCP, the plan's round driven by
+// hand stepped ≡ fused ≡ Execute, a worker killed at the barrier heals to
+// the same record, and a plan whose catalog has no histograms compiles
+// the same routing from the data at Execute.
 func TestSkewPlannerRunNative(t *testing.T) {
 	const p, n = 16, 2000
 	addrs := startPool(t, p)
@@ -88,9 +88,9 @@ func TestSkewPlannerRunNative(t *testing.T) {
 			if pl, err = pl.WithEngine(plan.SkewJoin); err != nil {
 				t.Fatal(err)
 			}
-			run := func(pl *plan.Plan, tr dist.Transport, pipeline bool, rec dist.RecoveryOptions) *plan.Result {
+			run := func(pl *plan.Plan, tr dist.Transport, rec dist.RecoveryOptions) *plan.Result {
 				t.Helper()
-				res, err := pl.Execute(db, plan.ExecOptions{Seed: 23, Transport: tr, Pipeline: pipeline, Recovery: rec})
+				res, err := pl.Execute(db, plan.ExecOptions{Seed: 23, Transport: tr, Recovery: rec})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -99,7 +99,7 @@ func TestSkewPlannerRunNative(t *testing.T) {
 				}
 				return res
 			}
-			base := run(pl, nil, false, dist.RecoveryOptions{})
+			base := run(pl, nil, dist.RecoveryOptions{})
 			if got := statsDigest(base.Stats); got != c.golden {
 				t.Errorf("round stats digest %s, recorded %s", got, c.golden)
 			}
@@ -114,13 +114,18 @@ func TestSkewPlannerRunNative(t *testing.T) {
 					}
 					return dist.NewLoopback(p)
 				}
-				for _, pipeline := range []bool{false, true} {
-					if res := run(pl, transport(), pipeline, dist.RecoveryOptions{}); !reflect.DeepEqual(res.Stats.Rounds, base.Stats.Rounds) {
-						t.Errorf("%s pipeline=%v: round stats differ from the sync loopback run", kind, pipeline)
+				if res := run(pl, transport(), dist.RecoveryOptions{}); !reflect.DeepEqual(res.Stats.Rounds, base.Stats.Rounds) {
+					t.Errorf("%s: round stats differ from the loopback run", kind)
+				}
+				for _, sch := range schedules {
+					ans, cl := drive(t, sch.open, dist.Env{Transport: transport()}, planProgram(t, pl, db, 23))
+					if !sameTuples(ans, truth) || !reflect.DeepEqual(cl.Stats().Rounds, base.Stats.Rounds) {
+						t.Errorf("%s, %s by hand: %d answers (ground truth %d), stats equal Execute's: %v",
+							kind, sch.name, len(ans), len(truth), reflect.DeepEqual(cl.Stats().Rounds, base.Stats.Rounds))
 					}
 				}
 				ft := disttest.NewFaultTransport(transport(), disttest.Fault{Worker: 0, Op: disttest.OpBarrier, N: 0, Kind: disttest.KillBefore})
-				res := run(pl, ft, false, dist.RecoveryOptions{Enabled: true, MaxReplacements: 8})
+				res := run(pl, ft, dist.RecoveryOptions{Enabled: true, MaxReplacements: 8})
 				if !reflect.DeepEqual(res.Stats.Rounds, base.Stats.Rounds) || ft.Kills() != 1 || res.Replacements < 1 {
 					t.Errorf("%s barrier kill: %d kills, %d replacements, stats equal %v",
 						kind, ft.Kills(), res.Replacements, reflect.DeepEqual(res.Stats.Rounds, base.Stats.Rounds))
@@ -133,7 +138,7 @@ func TestSkewPlannerRunNative(t *testing.T) {
 			if bare, err = bare.WithEngine(plan.SkewJoin); err != nil {
 				t.Fatal(err)
 			}
-			if res := run(bare, nil, false, dist.RecoveryOptions{}); !reflect.DeepEqual(res.Stats.Rounds, base.Stats.Rounds) {
+			if res := run(bare, nil, dist.RecoveryOptions{}); !reflect.DeepEqual(res.Stats.Rounds, base.Stats.Rounds) {
 				t.Errorf("plan without histograms routed differently from the compiled plan")
 			}
 		})

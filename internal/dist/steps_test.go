@@ -1,0 +1,43 @@
+package dist_test
+
+import (
+	"context"
+
+	"repro/internal/dist"
+	"repro/internal/dist/disttest"
+	"repro/internal/exchange"
+	"repro/internal/wire"
+)
+
+// One-step scripts, for the tests that drive a transport by hand, below
+// any Cluster: each sends its step alone through disttest.Step.
+
+func deliver(ctx context.Context, tr dist.Transport, round int, ds []exchange.Delivery) error {
+	_, err := disttest.Step(ctx, tr, dist.Op{Kind: dist.OpDeliver, Round: round, Deliveries: ds})
+	return err
+}
+
+func applyDelta(ctx context.Context, tr dist.Transport, round int, ds []dist.DeltaDelivery) error {
+	_, err := disttest.Step(ctx, tr, dist.Op{Kind: dist.OpDelta, Round: round, Deltas: ds})
+	return err
+}
+
+func barrier(ctx context.Context, tr dist.Transport, round int) error {
+	_, err := disttest.Step(ctx, tr, dist.Op{Kind: dist.OpBarrier, Round: round})
+	return err
+}
+
+func join(ctx context.Context, tr dist.Transport, spec dist.JoinSpec) error {
+	_, err := disttest.Step(ctx, tr, dist.Op{Kind: dist.OpJoin, Join: spec})
+	return err
+}
+
+func gather(ctx context.Context, tr dist.Transport, view string) ([]*exchange.Buffer, error) {
+	reply, err := disttest.Step(ctx, tr, dist.Op{Kind: dist.OpGather, View: view})
+	return reply.Runs, err
+}
+
+func attach(ctx context.Context, tr dist.Transport, atts []dist.Attachment) ([][]wire.Attach, error) {
+	reply, err := disttest.Step(ctx, tr, dist.Op{Kind: dist.OpAttach, Attach: atts})
+	return reply.Attached, err
+}

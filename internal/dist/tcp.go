@@ -16,11 +16,11 @@ import (
 )
 
 // TCP is the socket Transport: one connection per worker, wire frames
-// (internal/wire) for every primitive. A TCP value is one execution
+// (internal/wire) for every step. A TCP value is one execution
 // session — the workers' per-connection stores live exactly as long
 // as it does — so callers that share a worker pool across concurrent
 // executions dial one TCP transport per execution. Only what a worker
-// process was asked to retain outlives it, for later sessions to Attach.
+// process was asked to retain outlives it, for later sessions to attach to.
 type TCP struct {
 	conns []*workerConn
 	// mu guards the address bookkeeping below, mutated only by the
@@ -43,9 +43,9 @@ type TCP struct {
 func (t *TCP) Dials() int64 { return t.dials.Load() }
 
 // Exchanges returns how many acknowledged pool-wide round trips the
-// session made — every Barrier, Join, Gather, RunScript, Announce and
-// Attach. A fused round (RunScript) is one; the synchronous schedule
-// pays three, four in a round that attaches to resident scatters.
+// session made: every Run that reads a reply — one per fence, so a
+// one-shot round is one and a round that attaches to resident scatters
+// two — and every Announce.
 func (t *TCP) Exchanges() int64 { return t.exchanges.Load() }
 
 // workerConn is the coordinator's end of one worker connection. The
@@ -264,112 +264,44 @@ func (t *TCP) eachConn(fn func(wc *workerConn) error) error {
 	return eachWorker(len(t.conns), func(i int) error { return fn(t.conns[i]) })
 }
 
-// dataFrames converts one worker's deliveries to wire frames.
-func dataFrames(frames []*wire.Frame, round int, ds []exchange.Delivery) []*wire.Frame {
-	for _, d := range ds {
-		frames = append(frames, &wire.Frame{Type: wire.TypeData, Data: wire.Data{
-			Round:  uint32(round),
-			Dest:   uint32(d.To),
-			Rel:    d.Rel,
-			Retain: d.Retain,
-			Buf:    d.Buf,
-		}})
+// frames appends worker w's slice of op to frames: its own deliveries
+// and deltas, every other step.
+func (op *Op) frames(frames []*wire.Frame, w int) []*wire.Frame {
+	switch op.Kind {
+	case OpDeliver:
+		for _, d := range op.Deliveries {
+			if d.To == w {
+				frames = append(frames, &wire.Frame{Type: wire.TypeData, Data: wire.Data{
+					Round: uint32(op.Round), Dest: uint32(w), Rel: d.Rel, Retain: d.Retain, Buf: d.Buf}})
+			}
+		}
+	case OpDelta:
+		for _, d := range op.Deltas {
+			if d.To == w {
+				frames = append(frames, &wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{
+					Round: uint32(op.Round), Dest: uint32(w), Store: d.Store, View: d.View, Del: d.Del, Buf: d.Buf}})
+			}
+		}
+	case OpBarrier:
+		frames = append(frames, &wire.Frame{Type: wire.TypeBarrier, Round: uint32(op.Round)})
+	case OpJoin:
+		frames = append(frames, joinFrame(op.Join))
+	case OpTrace:
+		frames = append(frames, &wire.Frame{Type: wire.TypeTrace, Trace: op.Trace})
+	case OpAttach:
+		for _, a := range op.Attach {
+			frames = append(frames, &wire.Frame{Type: wire.TypeAttach, Attach: wire.Attach{
+				Key: a.Key, Store: a.Store, Tuples: uint64(a.Tuples[w])}})
+		}
+	case OpGather:
+		frames = append(frames, &wire.Frame{Type: wire.TypeGather, View: op.View})
 	}
 	return frames
 }
 
-// deltaFrames converts one worker's delta deliveries to wire frames.
-func deltaFrames(frames []*wire.Frame, round int, ds []DeltaDelivery) []*wire.Frame {
-	for _, d := range ds {
-		frames = append(frames, &wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{
-			Round: uint32(round),
-			Dest:  uint32(d.To),
-			Store: d.Store,
-			View:  d.View,
-			Del:   d.Del,
-			Buf:   d.Buf,
-		}})
-	}
-	return frames
-}
-
-// scatter is the body Deliver and ApplyDelta share: bucket the
-// deliveries by destination worker (to reads it off one delivery), then
-// frame each worker's bucket and write it to its connection as one
-// vectored send (raw word payloads leave as segments aliasing the
-// buffers), all workers in parallel. Nothing is acknowledged; Barrier is
-// the ingestion fence.
-func scatter[D any](ctx context.Context, t *TCP, ds []D, to func(D) int, frames func([]D) []*wire.Frame) error {
-	byWorker := make([][]D, len(t.conns))
-	for _, d := range ds {
-		w := to(d)
-		if w < 0 || w >= len(t.conns) {
-			return fmt.Errorf("dist: delivery to worker %d out of range [0,%d)", w, len(t.conns))
-		}
-		byWorker[w] = append(byWorker[w], d)
-	}
-	return t.eachConn(func(wc *workerConn) error {
-		mine := byWorker[wc.id]
-		if len(mine) == 0 {
-			return nil
-		}
-		return wc.roundTrip(ctx, func() error {
-			return wc.w.Flush(frames(mine)...)
-		})
-	})
-}
-
-// ApplyDelta implements Transport.
-func (t *TCP) ApplyDelta(ctx context.Context, round int, ds []DeltaDelivery) error {
-	return scatter(ctx, t, ds, func(d DeltaDelivery) int { return d.To },
-		func(mine []DeltaDelivery) []*wire.Frame { return deltaFrames(nil, round, mine) })
-}
-
-// Deliver implements Transport.
-func (t *TCP) Deliver(ctx context.Context, round int, ds []exchange.Delivery) error {
-	return scatter(ctx, t, ds, func(d exchange.Delivery) int { return d.To },
-		func(mine []exchange.Delivery) []*wire.Frame { return dataFrames(nil, round, mine) })
-}
-
-// Attach implements Attacher: one write and one reply per attachment on
-// every connection — one exchange, however many scatters attach.
-func (t *TCP) Attach(ctx context.Context, atts []Attachment) ([][]wire.Attach, error) {
-	t.exchanges.Add(1)
-	replies := make([][]wire.Attach, len(t.conns))
-	err := t.eachConn(func(wc *workerConn) error {
-		return wc.roundTrip(ctx, func() error {
-			frames := make([]*wire.Frame, len(atts))
-			for i, a := range atts {
-				frames[i] = &wire.Frame{Type: wire.TypeAttach, Attach: wire.Attach{
-					Key: a.Key, Store: a.Store, Tuples: uint64(a.Tuples[wc.id])}}
-			}
-			if err := wc.w.Flush(frames...); err != nil {
-				return err
-			}
-			for range atts {
-				f, err := wc.rd.Next()
-				if err == nil && f.Type != wire.TypeAttach {
-					err = fmt.Errorf("unexpected %s frame answering an attach: %s", f.Type, f.Msg)
-				}
-				if err != nil {
-					return err
-				}
-				replies[wc.id] = append(replies[wc.id], f.Attach)
-			}
-			return nil
-		})
-	})
-	return replies, err
-}
-
-// Barrier implements Transport: every connection writes its queued
-// frames and the barrier, and waits for the worker's ack.
-func (t *TCP) Barrier(ctx context.Context, round int) error {
-	t.exchanges.Add(1)
-	f := &wire.Frame{Type: wire.TypeBarrier, Round: uint32(round)}
-	return t.eachConn(func(wc *workerConn) error {
-		return wc.control(ctx, f, wire.TypeAck, uint32(round))
-	})
+// answered reports whether the worker replies to the step.
+func (k OpKind) answered() bool {
+	return k == OpBarrier || k == OpJoin || k == OpAttach || k == OpGather
 }
 
 // joinFrame builds the wire frame for a local-evaluation command.
@@ -383,15 +315,6 @@ func joinFrame(spec JoinSpec) *wire.Frame {
 		f.Join.Bindings = append(f.Join.Bindings, [2]string{atom, store})
 	}
 	return f
-}
-
-// Join implements Transport.
-func (t *TCP) Join(ctx context.Context, spec JoinSpec) error {
-	t.exchanges.Add(1)
-	f := joinFrame(spec)
-	return t.eachConn(func(wc *workerConn) error {
-		return wc.control(ctx, f, wire.TypeAck, 0)
-	})
 }
 
 // readGatherStream consumes one worker's gather reply — Data frames
@@ -424,146 +347,119 @@ func (wc *workerConn) readGatherStream(view string) ([]*exchange.Buffer, error) 
 	}
 }
 
-// Gather implements Transport: every worker streams its runs back in
-// parallel; the result keeps worker order (all of worker 0's runs,
-// then worker 1's, …) so gathers are deterministic.
-func (t *TCP) Gather(ctx context.Context, view string) ([]*exchange.Buffer, error) {
-	t.exchanges.Add(1)
-	perWorker := make([][]*exchange.Buffer, len(t.conns))
-	err := t.eachConn(func(wc *workerConn) error {
-		return wc.roundTrip(ctx, func() error {
-			if err := wc.w.Flush(&wire.Frame{Type: wire.TypeGather, View: view}); err != nil {
-				return err
-			}
-			runs, err := wc.readGatherStream(view)
-			if err != nil {
-				return err
-			}
-			perWorker[wc.id] = runs
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, err
+// run is one worker's half of a script: its whole slice — data frames,
+// barriers, joins, the gather — leaves as one vectored write (raw word
+// payloads as segments aliasing the buffers) with no round trip in
+// between, then the worker's replies are read back in script order.
+// Because frames on a session are processed in order, a worker starts
+// its local join the moment its own data has arrived, however far the
+// coordinator has got with the other workers: the BSP barrier is a
+// completion fence inside each worker's stream, not a pool-wide stall.
+// Acks are tiny, so reading them only after the full write cannot
+// deadlock; a gather reply starts only after the worker consumed the
+// whole script.
+//
+// A slice nothing answers is only written. One of span contexts alone is
+// queued, costing no write of its own — a thin round would otherwise
+// wake every worker once just for the header — and leaves with the
+// connection's next write, at the latest the round barrier's.
+func (wc *workerConn) run(ctx context.Context, ops []Op) (runs []*exchange.Buffer, attached []wire.Attach, err error) {
+	var frames []*wire.Frame
+	queue := true
+	for i := range ops {
+		frames = ops[i].frames(frames, wc.id)
+		queue = queue && ops[i].Kind == OpTrace
 	}
-	var runs []*exchange.Buffer
-	for _, rs := range perWorker {
-		runs = append(runs, rs...)
-	}
-	return runs, nil
-}
-
-// RunScript implements scriptTransport: the pipelined fence. Each
-// worker's whole slice of the deferred round script — data frames,
-// barriers, joins, and the final gather — is written as one burst of
-// vectored sends with no intermediate round trips, then the worker's
-// replies (barrier and join acks, then the gather stream) are read
-// back. Because frames on a session are processed in order, a worker
-// starts its local join the moment its own data has arrived,
-// regardless of how far the coordinator has gotten with the other
-// workers: compute overlaps communication across the pool, and the
-// BSP barrier degrades to a per-worker completion fence.
-func (t *TCP) RunScript(ctx context.Context, ops []recOp, view string) ([]*exchange.Buffer, error) {
-	for _, op := range ops {
-		for _, d := range op.ds {
-			if d.To < 0 || d.To >= len(t.conns) {
-				return nil, fmt.Errorf("dist: delivery to worker %d out of range [0,%d)", d.To, len(t.conns))
-			}
-		}
-		for _, d := range op.dds {
-			if d.To < 0 || d.To >= len(t.conns) {
-				return nil, fmt.Errorf("dist: delta to worker %d out of range [0,%d)", d.To, len(t.conns))
-			}
-		}
-	}
-	t.exchanges.Add(1)
-	perWorker := make([][]*exchange.Buffer, len(t.conns))
-	err := t.eachConn(func(wc *workerConn) error {
-		return wc.roundTrip(ctx, func() error {
-			var frames []*wire.Frame
-			for _, op := range ops {
-				switch op.kind {
-				case opDeliver:
-					var mine []exchange.Delivery
-					for _, d := range op.ds {
-						if d.To == wc.id {
-							mine = append(mine, d)
-						}
-					}
-					frames = dataFrames(frames, op.round, mine)
-				case opDelta:
-					var mine []DeltaDelivery
-					for _, d := range op.dds {
-						if d.To == wc.id {
-							mine = append(mine, d)
-						}
-					}
-					frames = deltaFrames(frames, op.round, mine)
-				case opBarrier:
-					frames = append(frames, &wire.Frame{Type: wire.TypeBarrier, Round: uint32(op.round)})
-				case opJoin:
-					frames = append(frames, joinFrame(op.spec))
-				case opTrace:
-					frames = append(frames, &wire.Frame{Type: wire.TypeTrace, Trace: op.hdr})
-				}
-			}
-			frames = append(frames, &wire.Frame{Type: wire.TypeGather, View: view})
-			if err := wc.w.Flush(frames...); err != nil {
-				return err
-			}
-			// The worker answers in script order: one ack per barrier and
-			// join, then the gather stream. Acks are tiny, so reading them
-			// only after the full write cannot deadlock; the gather reply
-			// itself starts only after the worker consumed our entire
-			// script.
-			for _, op := range ops {
-				switch op.kind {
-				case opBarrier:
-					if err := wc.expect(wire.TypeAck, uint32(op.round)); err != nil {
-						return err
-					}
-				case opJoin:
-					if err := wc.expect(wire.TypeAck, 0); err != nil {
-						return err
-					}
-				}
-			}
-			runs, err := wc.readGatherStream(view)
-			if err != nil {
-				return err
-			}
-			perWorker[wc.id] = runs
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	var runs []*exchange.Buffer
-	for _, rs := range perWorker {
-		runs = append(runs, rs...)
-	}
-	return runs, nil
-}
-
-// SendTrace implements traceTransport: the round's span context is
-// queued on every connection unacknowledged, ahead of the round's Data
-// frames. It costs no write of its own — a thin round would otherwise
-// wake every worker once just for the header — and leaves in the
-// connection's next write, at the latest the round barrier's, which is
-// also the fence that proves ingestion.
-func (t *TCP) SendTrace(_ context.Context, h wire.TraceHeader) error {
-	f := &wire.Frame{Type: wire.TypeTrace, Trace: h}
-	var errs []error
-	for _, wc := range t.conns {
+	if queue {
 		wc.mu.Lock()
-		err := wc.w.Queue(f)
-		wc.mu.Unlock()
-		if err != nil {
-			errs = append(errs, &WorkerError{Worker: wc.id, Err: err})
+		defer wc.mu.Unlock()
+		for _, f := range frames {
+			if err := wc.w.Queue(f); err != nil {
+				return nil, nil, &WorkerError{Worker: wc.id, Err: err}
+			}
 		}
+		return nil, nil, nil
 	}
-	return errors.Join(errs...)
+	if len(frames) == 0 {
+		return nil, nil, nil
+	}
+	err = wc.roundTrip(ctx, func() error {
+		if err := wc.w.Flush(frames...); err != nil {
+			return err
+		}
+		for _, op := range ops {
+			var err error
+			switch op.Kind {
+			case OpBarrier:
+				err = wc.expect(wire.TypeAck, uint32(op.Round))
+			case OpJoin:
+				err = wc.expect(wire.TypeAck, 0)
+			case OpAttach:
+				for range op.Attach {
+					f, err := wc.rd.Next()
+					if err == nil && f.Type != wire.TypeAttach {
+						err = fmt.Errorf("unexpected %s frame answering an attach: %s", f.Type, f.Msg)
+					}
+					if err != nil {
+						return err
+					}
+					attached = append(attached, f.Attach)
+				}
+			case OpGather:
+				var got []*exchange.Buffer
+				got, err = wc.readGatherStream(op.View)
+				runs = append(runs, got...)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err // half a reply is none
+	}
+	return runs, attached, nil
+}
+
+// Run implements Transport: every connection runs its slice of the
+// script in parallel.
+func (t *TCP) Run(ctx context.Context, ops []Op) (Reply, error) {
+	answered, attaches := false, false
+	for _, op := range ops {
+		for _, d := range op.Deliveries {
+			if d.To < 0 || d.To >= len(t.conns) {
+				return Reply{}, fmt.Errorf("dist: delivery to worker %d out of range [0,%d)", d.To, len(t.conns))
+			}
+		}
+		for _, d := range op.Deltas {
+			if d.To < 0 || d.To >= len(t.conns) {
+				return Reply{}, fmt.Errorf("dist: delta to worker %d out of range [0,%d)", d.To, len(t.conns))
+			}
+		}
+		answered = answered || op.Kind.answered()
+		attaches = attaches || op.Kind == OpAttach
+	}
+	if answered {
+		t.exchanges.Add(1)
+	}
+	perWorker := make([][]*exchange.Buffer, len(t.conns))
+	attached := make([][]wire.Attach, len(t.conns))
+	err := t.eachConn(func(wc *workerConn) (err error) {
+		perWorker[wc.id], attached[wc.id], err = wc.run(ctx, ops)
+		return err
+	})
+	var reply Reply
+	if attaches {
+		reply.Attached = attached
+	}
+	if err != nil {
+		return reply, err
+	}
+	for _, rs := range perWorker {
+		reply.Runs = append(reply.Runs, rs...)
+	}
+	return reply, nil
 }
 
 // ReplaceWorker implements Replaceable: it closes worker w's dead
@@ -587,13 +483,14 @@ func (t *TCP) ReplaceWorker(ctx context.Context, w int) error {
 	return nil
 }
 
-// JoinWorker implements Replaceable: the local-evaluation command for
-// worker w only, used when replaying a replaced worker.
-func (t *TCP) JoinWorker(ctx context.Context, w int, spec JoinSpec) error {
+// RunOn implements Replaceable: worker w's slice of the script on its
+// connection alone, used when replaying a replaced worker.
+func (t *TCP) RunOn(ctx context.Context, w int, ops []Op) error {
 	if w < 0 || w >= len(t.conns) {
-		return fmt.Errorf("dist: join worker %d out of range [0,%d)", w, len(t.conns))
+		return fmt.Errorf("dist: run on worker %d out of range [0,%d)", w, len(t.conns))
 	}
-	return t.conns[w].control(ctx, joinFrame(spec), wire.TypeAck, 0)
+	_, _, err := t.conns[w].run(ctx, ops)
+	return err
 }
 
 // Ping implements Replaceable: a heartbeat round trip through worker

@@ -111,10 +111,11 @@ func constant(n int, v int64) []int64 {
 }
 
 // TestWorkerAnswersScriptInOneWrite: a worker's replies leave when its
-// session goes idle. A synchronous command is followed by nothing until
-// it is answered, so its ack is written at once — a lone Barrier must
-// return — and the three commands of a synchronous round cost three
-// writes; the fused script of a maintenance batch is answered by one:
+// session goes idle. A step sent alone is followed by nothing until it
+// is answered, so its ack is written at once — a lone barrier must
+// return — and the three answered steps of a round sent one at a time
+// ("synchronous" in the subtest's name) cost three writes; the fused
+// script of a maintenance batch is answered by one:
 // the barrier and join acks ride the gather's write.
 func TestWorkerAnswersScriptInOneWrite(t *testing.T) {
 	const p = 4
@@ -127,16 +128,16 @@ func TestWorkerAnswersScriptInOneWrite(t *testing.T) {
 		if got := pool.writes(); !slices.Equal(got, constant(p, 1)) {
 			t.Fatalf("writes after the handshake = %v, want 1 per session", got)
 		}
-		if err := tr.Barrier(ctx, 1); err != nil {
+		if err := barrier(ctx, tr, 1); err != nil {
 			t.Fatalf("lone barrier: %v", err)
 		}
 		if got := pool.writes(); !slices.Equal(got, constant(p, 2)) {
 			t.Fatalf("writes after a lone barrier = %v, want 2 per session", got)
 		}
-		if err := tr.Join(ctx, dist.JoinSpec{Query: "q(x,y) = R(x,y)", View: "v"}); err != nil {
+		if err := join(ctx, tr, dist.JoinSpec{Query: "q(x,y) = R(x,y)", View: "v"}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tr.Gather(ctx, "v"); err != nil {
+		if _, err := gather(ctx, tr, "v"); err != nil {
 			t.Fatal(err)
 		}
 		if got := pool.writes(); !slices.Equal(got, constant(p, 4)) {

@@ -8,26 +8,18 @@ import (
 	"repro/internal/wire"
 )
 
-// traceTransport is optionally implemented by transports that can
-// propagate the per-round span context to workers as Trace frames.
-// Transports without it still execute traced queries — the coordinator
-// records every span from its own accounting — they just don't announce
-// the context to the worker side.
-type traceTransport interface {
-	// SendTrace announces the span context of the current round to every
-	// worker. Trace frames are unacknowledged; the round barrier fences
-	// them like Data.
-	SendTrace(ctx context.Context, h wire.TraceHeader) error
-}
-
 // EnableTracing attaches a per-query trace to the cluster: every round
 // records one "round" span plus one "worker" child span per worker
 // carrying the actual received load (tuples and bits) that the
 // planner's predicted L bounds, joins and gathers record phase spans,
 // and recovery replacements record events. The span context is
-// propagated coordinator→worker once per round on transports that
-// implement traceTransport. Call it before the first round; a nil
-// trace disables tracing.
+// propagated coordinator→worker once per round, as an OpTrace step
+// ahead of the round's first scatter. Call it before the first round; a
+// nil trace disables tracing.
+//
+// A "join" span covers submitting the join: on a fused cluster the
+// workers evaluate it at the next fence, so its time shows under
+// "gather".
 //
 // Span ids are assigned in coordinator call order, so identical
 // executions over different transports produce identical span trees —
@@ -47,34 +39,22 @@ func (c *Cluster) traceBeginRound() {
 	c.roundSpan = c.trace.StartSpan(0, "round", c.round, -1)
 }
 
-// traceAnnounce ships the current round's span context to the workers,
-// once per round: directly on traceTransport transports, as a deferred
-// script op when pipelining (so the header precedes the round's data
-// frames in each worker's stream).
+// traceAnnounce puts the current round's span context into the round
+// script, once per round, so the header precedes the round's data frames
+// in each worker's stream. It is not journaled: a replacement worker
+// gets fresh data frames from replay, and the header is observability,
+// not state.
 func (c *Cluster) traceAnnounce(ctx context.Context) error {
 	if c.trace == nil || c.traceSent == c.round {
 		return nil
 	}
 	c.traceSent = c.round
-	h := wire.TraceHeader{
+	return c.enqueue(ctx, Op{Kind: OpTrace, Trace: wire.TraceHeader{
 		TraceID: c.trace.TraceID,
 		Span:    c.roundSpan,
 		Round:   uint32(c.round),
 		QueryID: c.trace.QueryID,
-	}
-	if c.pipe {
-		c.enqueue(recOp{kind: opTrace, hdr: h})
-		return nil
-	}
-	tt, ok := c.tr.(traceTransport)
-	if !ok {
-		return nil
-	}
-	// Not journaled: a replacement worker gets fresh data frames from
-	// replay, and the header is observability, not state.
-	return c.attempt(ctx, false, func(ctx context.Context) error {
-		return tt.SendTrace(ctx, h)
-	})
+	}})
 }
 
 // traceCloseRound emits one "worker" span per worker carrying the

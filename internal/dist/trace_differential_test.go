@@ -29,27 +29,34 @@ func spanTree(tr *trace.Trace) string {
 	return b.String()
 }
 
-// tracedRun plans and executes q over db with tracing enabled and
-// returns the trace.
-func tracedRun(t *testing.T, q *query.Query, db *relation.Database, p int, tr dist.Transport, pipeline bool) *trace.Trace {
+// tracedRun plans q over db and runs the plan with tracing enabled —
+// fused: Plan.Execute itself; stepped: the plan's round program driven by
+// hand on a stepped cluster — and returns the trace.
+func tracedRun(t *testing.T, q *query.Query, db *relation.Database, p int, tr dist.Transport, fused bool) *trace.Trace {
 	t.Helper()
 	pl, err := plan.Build(q, relation.CollectStats(db), plan.Options{P: p})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tc := trace.New("q-diff", 77)
-	_, err = pl.Execute(db, plan.ExecOptions{Seed: 23, Transport: tr, Pipeline: pipeline, Trace: tc})
-	if err != nil {
-		t.Fatal(err)
+	if fused {
+		_, err = pl.Execute(db, plan.ExecOptions{Seed: 23, Transport: tr, Trace: tc})
+		if err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		drive(t, dist.OpenStepped, dist.Env{Transport: tr, Trace: tc}, planProgram(t, pl, db, 23))
 	}
 	tc.Finish()
 	return tc
 }
 
 // TestTraceDifferentialTransports asserts the identical-span-tree
-// invariant across loopback and TCP, for the sync and pipelined
-// schedules, over the query families the planner routes to different
-// engines.
+// invariant across loopback and TCP and across the schedules — the
+// plan's round program stepped by hand ("sync" in the subtest's name,
+// which is older than this net) and Plan.Execute's fused run
+// ("pipelined") — over the query families the planner routes to
+// different engines.
 func TestTraceDifferentialTransports(t *testing.T) {
 	const p = 4
 	addrs := startPool(t, p)
@@ -62,18 +69,22 @@ func TestTraceDifferentialTransports(t *testing.T) {
 		{"star", query.Star(3)},
 	}
 	for fi, fam := range families {
-		for _, pipeline := range []bool{false, true} {
+		db := relation.MatchingDatabase(rand.New(rand.NewPCG(42, uint64(fi))), fam.q, 300)
+		want := spanTree(tracedRun(t, fam.q, db, p, nil, true))
+		for _, fused := range []bool{false, true} {
 			name := fam.name + "/sync"
-			if pipeline {
+			if fused {
 				name = fam.name + "/pipelined"
 			}
 			t.Run(name, func(t *testing.T) {
-				db := relation.MatchingDatabase(rand.New(rand.NewPCG(42, uint64(fi))), fam.q, 300)
-				loop := tracedRun(t, fam.q, db, p, nil, pipeline)
-				tcp := tracedRun(t, fam.q, db, p, dialPool(t, addrs), pipeline)
+				loop := tracedRun(t, fam.q, db, p, nil, fused)
+				tcp := tracedRun(t, fam.q, db, p, dialPool(t, addrs), fused)
 				lt, tt := spanTree(loop), spanTree(tcp)
 				if lt != tt {
 					t.Errorf("span trees differ across transports:\nloopback:\n%s\ntcp:\n%s", lt, tt)
+				}
+				if lt != want {
+					t.Errorf("span tree differs from Plan.Execute's:\n%s\nwant:\n%s", lt, want)
 				}
 				if loop.Rounds() == 0 {
 					t.Errorf("no round spans recorded")
@@ -101,14 +112,14 @@ func TestTraceHeaderPropagation(t *testing.T) {
 	q := query.Cycle(3)
 	db := relation.MatchingDatabase(rand.New(rand.NewPCG(9, 9)), q, 200)
 	const p = 4
-	for _, pipeline := range []bool{false, true} {
+	for _, fused := range []bool{false, true} {
 		name := "sync"
-		if pipeline {
+		if fused {
 			name = "pipelined"
 		}
 		t.Run(name, func(t *testing.T) {
 			lb := dist.NewLoopback(p)
-			tc := tracedRun(t, q, db, p, lb, pipeline)
+			tc := tracedRun(t, q, db, p, lb, fused)
 			h, ok := lb.LastTrace()
 			if !ok {
 				t.Fatal("no trace header announced to the transport")

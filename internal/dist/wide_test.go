@@ -14,6 +14,7 @@ import (
 	"repro/internal/dist/disttest"
 	"repro/internal/exchange"
 	"repro/internal/hypercube"
+	"repro/internal/localjoin"
 	"repro/internal/mpc"
 	"repro/internal/multiround"
 	"repro/internal/query"
@@ -63,10 +64,11 @@ func statsDigest(s *mpc.Stats) string {
 }
 
 // TestDifferentialWideTuples: L4, L5 and C5 over flat-forcing domains,
-// multiround and one-round, loopback ≡ TCP ≡ ground truth, sync ≡
-// pipelined, and round statistics equal to the digests recorded at the
-// commit before the coordinator went run-native (routing, shares and
-// accounting must not have moved).
+// multiround and one-round: the engine's round statistics equal the
+// digests recorded at the commit before the coordinator went run-native
+// (routing, shares and accounting must not have moved), and the engine's
+// round program driven by hand — stepped ≡ fused, loopback ≡ TCP —
+// equals ground truth and the engine's record.
 func TestDifferentialWideTuples(t *testing.T) {
 	const p, n = 4, 250
 	addrs := startPool(t, p)
@@ -96,15 +98,9 @@ func TestDifferentialWideTuples(t *testing.T) {
 			if len(truth) == 0 {
 				t.Fatal("empty ground truth proves nothing")
 			}
-			run := func(tr dist.Transport, pipeline bool) ([]relation.Tuple, *mpc.Stats) {
-				t.Helper()
-				if !c.multi {
-					res, err := hypercube.Run(c.q, db, p, hypercube.Options{Seed: 23, Transport: tr, Pipeline: pipeline})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res.Answers, res.Stats
-				}
+			var base *mpc.Stats
+			var prog program
+			if c.multi {
 				pl, err := multiround.Build(c.q, big.NewRat(0, 1))
 				if err != nil {
 					t.Fatal(err)
@@ -112,31 +108,22 @@ func TestDifferentialWideTuples(t *testing.T) {
 				if pl.Rounds() < 2 {
 					t.Fatalf("plan has %d rounds; the case is about re-scattered views", pl.Rounds())
 				}
-				res, err := multiround.Execute(pl, db, p, multiround.Options{Seed: 23, Transport: tr, Pipeline: pipeline})
+				res, err := multiround.Execute(pl, db, p, multiround.Options{Seed: 23})
 				if err != nil {
 					t.Fatal(err)
 				}
-				return res.Answers, res.Stats
+				base, prog = res.Stats, multiProgram(pl, db, p, localjoin.Default, 23)
+			} else {
+				res, err := hypercube.Run(c.q, db, p, hypercube.Options{Seed: 23})
+				if err != nil {
+					t.Fatal(err)
+				}
+				base, prog = res.Stats, hcProgram(c.q, db, p, 0, res.Shares, localjoin.Default, 23)
 			}
-			_, base := run(nil, false)
 			if got := statsDigest(base); got != c.golden {
 				t.Errorf("round stats digest %s, recorded %s", got, c.golden)
 			}
-			for _, pipeline := range []bool{false, true} {
-				for _, kind := range []string{"loopback", "tcp"} {
-					var tr dist.Transport
-					if kind == "tcp" {
-						tr = dialPool(t, addrs)
-					}
-					ans, stats := run(tr, pipeline)
-					if !sameTuples(ans, truth) {
-						t.Errorf("%s pipeline=%v: %d answers, ground truth %d", kind, pipeline, len(ans), len(truth))
-					}
-					if !reflect.DeepEqual(stats.Rounds, base.Rounds) {
-						t.Errorf("%s pipeline=%v: round stats differ from the sync loopback run", kind, pipeline)
-					}
-				}
-			}
+			driveAll(t, addrs, prog, truth, base)
 		})
 	}
 }
@@ -145,7 +132,9 @@ func TestDifferentialWideTuples(t *testing.T) {
 // a multiround run whose round-2 inputs are re-scattered runs on the
 // flat layout is replaced and replayed from the journal — a scattered
 // run must replay exactly like a scattered relation — with ground-truth
-// answers and fault-free statistics, on both transports and schedules.
+// answers and fault-free statistics, on both transports and on both
+// schedules: the plan driven by hand on a stepped cluster (pipeline=false
+// in the subtest's name, which is older than this net) and a fused one.
 func TestRecoveryWideRescatter(t *testing.T) {
 	const p = 4
 	q := query.Chain(4)
@@ -162,29 +151,27 @@ func TestRecoveryWideRescatter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pipeline := range []bool{false, true} {
+	prog := multiProgram(pl, db, p, localjoin.Default, 23)
+	for fused, sch := range schedules {
 		for _, kind := range []string{"loopback", "tcp"} {
-			t.Run(fmt.Sprintf("%s/pipeline=%v", kind, pipeline), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/pipeline=%v", kind, fused == 1), func(t *testing.T) {
 				var inner dist.Transport = dist.NewLoopback(p)
 				if kind == "tcp" {
 					inner = dialPool(t, startPool(t, p))
 				}
 				ft := disttest.NewFaultTransport(inner, disttest.Fault{Worker: 2, Op: disttest.OpBarrier, N: 1, Kind: disttest.KillBefore})
-				res, err := multiround.Execute(pl, db, p, multiround.Options{
-					Seed: 23, Transport: ft, Pipeline: pipeline,
-					Recovery: dist.RecoveryOptions{Enabled: true, MaxReplacements: 4},
-				})
-				if err != nil {
-					t.Fatal(err)
+				ans, cl := drive(t, sch.open, dist.Env{
+					Transport: ft,
+					Recovery:  dist.RecoveryOptions{Enabled: true, MaxReplacements: 4},
+				}, prog)
+				if !sameTuples(ans, truth) {
+					t.Errorf("%d answers, ground truth %d", len(ans), len(truth))
 				}
-				if !sameTuples(res.Answers, truth) {
-					t.Errorf("%d answers, ground truth %d", len(res.Answers), len(truth))
+				if !reflect.DeepEqual(cl.Stats().Rounds, base.Stats.Rounds) {
+					t.Errorf("round stats differ from the engine's fault-free run")
 				}
-				if !reflect.DeepEqual(res.Stats.Rounds, base.Stats.Rounds) {
-					t.Errorf("round stats differ from the fault-free run")
-				}
-				if ft.Kills() != 1 || res.Replacements < 1 {
-					t.Errorf("%d kills fired, %d replacements", ft.Kills(), res.Replacements)
+				if ft.Kills() != 1 || cl.Replacements() != 1 {
+					t.Errorf("%d kills fired, %d replacements", ft.Kills(), cl.Replacements())
 				}
 			})
 		}
@@ -216,7 +203,7 @@ func TestGatherWideAllocs(t *testing.T) {
 	}
 	ctx := context.Background()
 	l := dist.NewLoopback(p)
-	if err := l.Deliver(ctx, 1, ds); err != nil {
+	if err := deliver(ctx, l, 1, ds); err != nil {
 		t.Fatal(err)
 	}
 	cluster, err := dist.NewCluster(mpc.Config{Workers: p, DomainN: n}, l)

@@ -106,8 +106,8 @@ func serveConn(ctx context.Context, conn net.Conn, rs *ResidentStore, hello time
 			return s.abort(err)
 		}
 		// Replies leave when the session is about to block for input. A
-		// synchronous command is followed by nothing until it is answered,
-		// so its ack goes out at once; the acks of a fused round script
+		// step sent alone is followed by nothing until it is answered, so
+		// its ack goes out at once; the acks of a fused round script
 		// wait for the script's last frame and leave with the gather.
 		if br.Buffered() == 0 {
 			if err := s.w.Flush(); err != nil {

@@ -74,9 +74,8 @@ type Distribution struct {
 // maintenance binds stores by atom name, which a repeated atom name
 // would alias. The caller must Close the distribution to release the
 // cluster. A maintenance batch is a thin round — route Δ, barrier, delta
-// joins, gather — so the cluster always runs the fused schedule whatever
-// opts.Pipeline says: one exchange per worker and batch over TCP instead
-// of three.
+// joins, gather — and leaves fused: one exchange per worker and batch
+// over TCP.
 func Distribute(q *query.Query, db *relation.Database, p int, opts Options) (*Distribution, *exchange.Buffer, error) {
 	seen := make(map[string]bool, len(q.Atoms))
 	for _, a := range q.Atoms {
@@ -92,7 +91,6 @@ func Distribute(q *query.Query, db *relation.Database, p int, opts Options) (*Di
 	if shares.GridSize() > p {
 		return nil, nil, fmt.Errorf("hypercube: grid size %d exceeds %d servers", shares.GridSize(), p)
 	}
-	opts.Pipeline = true
 	cluster, ctx, err := opts.open(p, db)
 	if err != nil {
 		return nil, nil, err

@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/dist/disttest"
+	"repro/internal/exchange"
+	"repro/internal/mpc"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/trace"
@@ -214,6 +216,52 @@ func runMaintainer(t *testing.T, sc *maintScenario, p int, opts Options, check b
 	return m
 }
 
+// distributeByHand is Distribute and every batch of sc through
+// Distribution.Apply on a cluster the test made: a bare dist.NewCluster
+// when stepped — every step sent before its call returns — else
+// dist.Open's, which fuses a batch into one script. It returns the cold
+// answer and each batch's gathered Δ-join as tuples, and the record.
+func distributeByHand(t *testing.T, sc *maintScenario, p int, seed uint64, tr dist.Transport, stepped bool) ([][]relation.Tuple, *mpc.Stats) {
+	t.Helper()
+	cfg := mpc.Config{Workers: p, InputBits: sc.db0.InputBits(), DomainN: sc.db0.N}
+	cluster, ctx, err := dist.Open(dist.Env{Transport: tr}, cfg)
+	if stepped {
+		cluster, err = dist.NewCluster(cfg, tr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares, err := SharesForQuery(sc.q, p, GreedyRounding)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &Distribution{q: sc.q, cluster: cluster, ctx: ctx, parts: make(map[string]*GridPartitioner)}
+	hasher := NewHasher(shares, seed)
+	for _, a := range sc.q.Atoms {
+		d.parts[a.Name] = NewGridPartitioner(shares, hasher, a)
+	}
+	if _, err := coldRound(ctx, cluster, sc.q, sc.db0, 0, func(a query.Atom) *GridPartitioner { return d.parts[a.Name] }); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := cluster.GatherRun(ctx, answersView)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := [][]relation.Tuple{cold.Tuples()}
+	for b, eff := range sc.effs {
+		removed, added := make(map[string]*exchange.Buffer), make(map[string]*exchange.Buffer)
+		for _, a := range sc.q.Atoms {
+			removed[a.Name], added[a.Name] = sealedRun(a.Arity(), eff[a.Name].Removed), sealedRun(a.Arity(), eff[a.Name].Added)
+		}
+		fresh, err := d.Apply(removed, added)
+		if err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+		out = append(out, fresh.Tuples())
+	}
+	return out, cluster.Stats()
+}
+
 // TestMaintainerMetamorphic is the metamorphic delta-equivalence net:
 // across query families (triangle, star, chain) and data regimes
 // (matching, Zipf-skewed, and Zipf-skewed relabelled past 2³³ so that
@@ -221,7 +269,7 @@ func runMaintainer(t *testing.T, sc *maintScenario, p int, opts Options, check b
 // layout), a maintained view under any sequence of append/delete
 // batches equals ground truth on the final state —
 // byte-identically across loopback and TCP transports, with identical
-// round statistics, sync or pipelined — and collapsing the whole
+// round statistics, stepped or fused — and collapsing the whole
 // sequence into one batch changes nothing (granularity invariance).
 func TestMaintainerMetamorphic(t *testing.T) {
 	const (
@@ -269,15 +317,21 @@ func TestMaintainerMetamorphic(t *testing.T) {
 						tcp.Stats().Rounds, lb.Stats().Rounds)
 				}
 
-				// Pipelined TCP: deferred scripts, same answers and stats.
-				pipe := runMaintainer(t, sc, p,
-					Options{Seed: 42, Pipeline: true, Transport: dialDeltaPool(t, startDeltaPool(t, p))}, false)
-				if !answersEqual(pipe.Answers(), want) {
-					t.Fatalf("pipelined TCP answers diverge from ground truth: %d vs %d tuples",
-						len(pipe.Answers()), len(want))
-				}
-				if !reflect.DeepEqual(pipe.Stats().Rounds, lb.Stats().Rounds) {
-					t.Fatalf("pipelined round stats diverge from sync loopback")
+				// Stepped ≡ fused: the distribution driven by hand on a bare
+				// NewCluster and on Open's cluster, over both transports —
+				// every batch gathers the same Δ-join, and the record is
+				// the maintainer's.
+				fused, _ := distributeByHand(t, sc, p, 42, dist.NewLoopback(p), false)
+				for _, stepped := range []bool{true, false} {
+					for _, tr := range []dist.Transport{dist.NewLoopback(p), dialDeltaPool(t, startDeltaPool(t, p))} {
+						got, stats := distributeByHand(t, sc, p, 42, tr, stepped)
+						if !reflect.DeepEqual(got, fused) {
+							t.Fatalf("%T stepped=%v: some batch gathered another Δ-join than the fused loopback run", tr, stepped)
+						}
+						if !reflect.DeepEqual(stats.Rounds, lb.Stats().Rounds) {
+							t.Fatalf("%T stepped=%v: round stats diverge from the maintainer's", tr, stepped)
+						}
+					}
 				}
 
 				// Granularity invariance: the whole sequence as one batch.

@@ -368,14 +368,13 @@ type Options struct {
 	// join — the right evaluator for the cyclic residual queries HC
 	// workers see.
 	Strategy localjoin.Strategy
-	// Transport, Context, Recovery, Pipeline, Trace and Snapshot are the
-	// fields of dist.Env (documented there): where and how the round
-	// runs. The zero values are the in-process loopback, no deadline, no
-	// recovery, the synchronous schedule, untraced, every scatter fresh.
+	// Transport, Context, Recovery, Trace and Snapshot are the fields of
+	// dist.Env (documented there): where and how the round runs. The
+	// zero values are the in-process loopback, no deadline, no recovery,
+	// untraced, every scatter fresh.
 	Transport dist.Transport
 	Context   context.Context
 	Recovery  dist.RecoveryOptions
-	Pipeline  bool
 	Trace     *trace.Trace
 	Snapshot  *dist.Snapshot
 	// Aggregate, when non-nil, folds the answer gather into grouped
@@ -390,7 +389,7 @@ type Options struct {
 // parameters of opts and db, in the environment opts carries.
 func (o Options) open(p int, db *relation.Database) (*dist.Cluster, context.Context, error) {
 	return dist.Open(
-		dist.Env{Transport: o.Transport, Context: o.Context, Recovery: o.Recovery, Pipeline: o.Pipeline, Trace: o.Trace, Snapshot: o.Snapshot},
+		dist.Env{Transport: o.Transport, Context: o.Context, Recovery: o.Recovery, Trace: o.Trace, Snapshot: o.Snapshot},
 		mpc.Config{Workers: p, Epsilon: o.Epsilon, InputBits: db.InputBits(), CapConstant: o.CapConstant, DomainN: db.N})
 }
 

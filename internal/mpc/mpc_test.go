@@ -107,26 +107,29 @@ type recorder struct {
 	got map[int]map[string][]relation.Tuple
 }
 
-func (r *recorder) Deliver(ctx context.Context, round int, ds []exchange.Delivery) error {
-	for _, d := range ds {
-		if r.got[d.To] == nil {
-			r.got[d.To] = map[string][]relation.Tuple{}
+func (r *recorder) Run(ctx context.Context, ops []dist.Op) (dist.Reply, error) {
+	for _, op := range ops {
+		for _, d := range op.Deliveries {
+			if r.got[d.To] == nil {
+				r.got[d.To] = map[string][]relation.Tuple{}
+			}
+			r.got[d.To][d.Rel] = d.Buf.AppendTuples(r.got[d.To][d.Rel])
 		}
-		r.got[d.To][d.Rel] = d.Buf.AppendTuples(r.got[d.To][d.Rel])
 	}
-	return r.Loopback.Deliver(ctx, round, ds)
+	return r.Loopback.Run(ctx, ops)
 }
 
 func newTestCluster(t *testing.T, p int, eps float64, inputBits int64, capC float64) (*dist.Cluster, *recorder) {
 	t.Helper()
 	rec := &recorder{Loopback: dist.NewLoopback(p), got: map[int]map[string][]relation.Tuple{}}
-	c, _, err := dist.Open(dist.Env{Transport: rec}, mpc.Config{
+	// Stepped: the tests look at what was delivered before any fence.
+	c, err := dist.NewCluster(mpc.Config{
 		Workers:     p,
 		Epsilon:     eps,
 		InputBits:   inputBits,
 		CapConstant: capC,
 		DomainN:     100,
-	})
+	}, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

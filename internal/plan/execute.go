@@ -84,7 +84,6 @@ func (p *Plan) executeOneRound(db *relation.Database, opts ExecOptions) (*Result
 		Transport:   opts.Transport,
 		Context:     opts.Context,
 		Recovery:    opts.Recovery,
-		Pipeline:    opts.Pipeline,
 		Trace:       opts.Trace,
 		Snapshot:    opts.Snapshot,
 		Aggregate:   p.Aggregate,
@@ -130,7 +129,6 @@ func (p *Plan) executeSkewJoin(db *relation.Database, opts ExecOptions) (*Result
 		Transport:   opts.Transport,
 		Context:     opts.Context,
 		Recovery:    opts.Recovery,
-		Pipeline:    opts.Pipeline,
 		Trace:       opts.Trace,
 	})
 	if err != nil {

@@ -167,7 +167,7 @@ func (m *Metrics) WriteProm(w io.Writer) {
 	counter("mpcserve_worker_replacements_total", "Workers replaced mid-query by the recovery policy.", m.WorkerReplacements.Load())
 	counter("mpcserve_pool_repairs_total", "Pool members swapped for spares by reconciliation.", m.PoolRepairs.Load())
 	counter("mpcserve_pool_dials_total", "Worker-pool sessions dialled, plus mid-query worker replacements.", m.PoolDials.Load())
-	counter("mpcserve_pool_exchanges_total", "Acknowledged pool-wide round trips across all sessions.", m.PoolExchanges.Load())
+	counter("mpcserve_pool_exchanges_total", "Acknowledged pool-wide round trips across all sessions: one per fence, so a one-shot round is one and a resident one two.", m.PoolExchanges.Load())
 	counter("mpcserve_scatter_resident_hits_total", "Scatters the workers attached to instead of receiving.", m.ScatterHits.Load())
 	counter("mpcserve_scatter_resident_misses_total", "Per-worker attaches that missed and were re-sent.", m.ScatterMisses.Load())
 	counter("mpcserve_scatter_resident_retained_total", "Per-worker scatter slices workers were asked to keep.", m.ScatterRetained.Load())

@@ -243,20 +243,18 @@ type Options struct {
 	Seed uint64
 	// CapConstant enables receive-cap enforcement when positive.
 	CapConstant float64
-	// Transport, Context, Recovery, Pipeline and Trace are the fields of
-	// dist.Env (documented there): where and how the round runs. The
-	// zero values are the in-process loopback, no deadline, no recovery,
-	// the synchronous schedule, untraced.
+	// Transport, Context, Recovery and Trace are the fields of dist.Env
+	// (documented there): where and how the round runs. The zero values
+	// are the in-process loopback, no deadline, no recovery, untraced.
 	Transport dist.Transport
 	Context   context.Context
 	Recovery  dist.RecoveryOptions
-	Pipeline  bool
 	Trace     *trace.Trace
 }
 
 // env bundles the options' execution environment for dist.Open.
 func (o Options) env() dist.Env {
-	return dist.Env{Transport: o.Transport, Context: o.Context, Recovery: o.Recovery, Pipeline: o.Pipeline, Trace: o.Trace}
+	return dist.Env{Transport: o.Transport, Context: o.Context, Recovery: o.Recovery, Trace: o.Trace}
 }
 
 // Result reports a join run.
