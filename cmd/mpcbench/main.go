@@ -31,6 +31,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/big"
 	"os"
 
@@ -49,14 +50,13 @@ func main() {
 		trials     = flag.Int("trials", 5, "trials per randomized cell")
 	)
 	flag.Parse()
-	if err := run(*table, *figure, *experiment, *all, *n, *seed, *trials); err != nil {
+	if err := run(os.Stdout, *table, *figure, *experiment, *all, *n, *seed, *trials); err != nil {
 		fmt.Fprintln(os.Stderr, "mpcbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(table, figure int, experiment string, all bool, n int, seed uint64, trials int) error {
-	w := os.Stdout
+func run(w io.Writer, table, figure int, experiment string, all bool, n int, seed uint64, trials int) error {
 	ran := false
 	if all || table == 1 {
 		ran = true

@@ -37,7 +37,7 @@ func TestServeSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	buf := exchange.NewBuffer(2)
+	buf := relation.NewRun(2)
 	buf.Append(relation.Tuple{1, 2})
 	buf.Append(relation.Tuple{2, 3})
 	buf.Seal()

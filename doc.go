@@ -11,23 +11,25 @@
 // benchmark harness that regenerates every table and figure of the
 // paper.
 //
-// Local (per-worker) evaluation defaults to a worst-case-optimal
-// multiway join: a leapfrog-triejoin-style engine over integer-packed
-// sorted tries (localjoin.WCOJ), which stays within the AGM bound on
-// the cyclic, skewed residual queries HyperCube workers see. The
-// pairwise hash pipeline and the backtracking join remain available as
-// localjoin.HashJoin and localjoin.Backtracking; the BenchmarkJoin*
-// benchmarks compare all three head to head on triangle and Zipf
-// inputs.
+// Local (per-worker) evaluation is a worst-case-optimal multiway join:
+// a leapfrog-triejoin-style engine over integer-packed sorted tries
+// (localjoin.EvaluateRuns), which stays within the AGM bound on the
+// cyclic, skewed residual queries HyperCube workers see. It is the only
+// evaluator a worker has — the model gives servers unlimited local
+// computation, so nothing selects one. The pairwise hash pipeline
+// (localjoin.HashJoin) is the single-node ground-truth oracle, an
+// independent algorithm on purpose; the BenchmarkJoin* benchmarks
+// compare the two head to head on triangle and Zipf inputs.
 //
-// All inter-worker communication flows through one columnar shuffle
-// subsystem, internal/exchange: senders partition source shards in
-// parallel into per-destination bit-packed buffers (one uint64 word
-// per tuple when the arity admits it), routing policy is a pluggable
-// Partitioner (plain hash, hypercube grid replication, skew-aware
-// heavy-hitter blocks), receivers accumulate sorted columnar runs, and
+// All inter-worker communication is one type, the sealed run
+// (relation.Run: one uint64 word per tuple when the arity admits it,
+// flat rows otherwise, sorted; with its algebra Merge, Diff, Project),
+// routed by one subsystem, internal/exchange: senders partition source
+// shards in parallel into one run per destination, routing policy is a
+// pluggable Partitioner (plain hash, hypercube grid replication,
+// skew-aware heavy-hitter blocks), receivers accumulate sorted runs, and
 // the model's round statistics — total bits, per-worker load, the
-// c·N/p^{1−ε} receive cap — are computed from buffer sizes. Answer
+// c·N/p^{1−ε} receive cap — are computed from run sizes. Answer
 // gathering k-way merges the sorted runs instead of concatenating and
 // re-sorting. The BenchmarkShuffle* benchmarks compare this path
 // head to head against the historic per-tuple message routing.
@@ -52,10 +54,10 @@
 //	internal/lp          exact two-phase simplex over big.Rat
 //	internal/query       conjunctive queries and hypergraph machinery
 //	internal/cover       Figure 1 LPs, τ*, space exponents, shares
-//	internal/relation    tuples, relations, matching databases, packed tuple keys
-//	internal/exchange    the columnar shuffle: partitioners, packed buffers, k-way merge
+//	internal/relation    tuples, relations, matching databases, the sealed run and its algebra
+//	internal/exchange    routing: partitioners, source → one sealed run per destination
 //	internal/mpc         the MPC(ε) model's parameters and accounting: Config, RoundStats, Stats
-//	internal/localjoin   per-worker join evaluation (WCOJ default, hash, backtracking)
+//	internal/localjoin   the worker's join (WCOJ over runs) and the hash-join ground-truth oracle
 //	internal/hypercube   the HyperCube algorithm (Theorem 1.1)
 //	internal/multiround  Γ^r_ε plans and the round executor (§4.1)
 //	internal/plan        the statistics-driven planner: LP → shares → engine, EXPLAIN

@@ -23,7 +23,6 @@ import (
 	"os"
 	"text/tabwriter"
 
-	"repro/internal/localjoin"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -70,8 +69,7 @@ func main() {
 	fmt.Print(pl.Explain())
 
 	res, err := pl.Execute(db, plan.ExecOptions{
-		Seed:     3,
-		Strategy: localjoin.HashJoin,
+		Seed: 3,
 	})
 	if err != nil {
 		log.Fatal(err)

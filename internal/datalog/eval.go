@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cover"
 	"repro/internal/dist"
-	"repro/internal/exchange"
 	"repro/internal/hypercube"
 	"repro/internal/mpc"
 	"repro/internal/plan"
@@ -267,7 +266,7 @@ func (e *evaluator) record(stats *mpc.Stats, capExceeded bool, replacements int)
 // evalRule plans and executes one non-recursive rule body end to end
 // and returns the head facts (projected, or aggregate-folded) as one
 // sealed run.
-func (e *evaluator) evalRule(r *Rule) (*exchange.Buffer, error) {
+func (e *evaluator) evalRule(r *Rule) (*relation.Run, error) {
 	pl, err := r.Plan(e.catalog(r), plan.Options{
 		P: e.opts.P, Epsilon: e.opts.Epsilon, CapFactor: e.opts.CapConstant,
 	})
@@ -296,14 +295,14 @@ func (e *evaluator) evalRule(r *Rule) (*exchange.Buffer, error) {
 	e.record(res.Stats, res.CapExceeded, res.Replacements)
 	if r.HasAggregate() {
 		// Already one sorted row per group, in head order.
-		return exchange.NewRun(len(r.Head.Terms), res.Answers), nil
+		return relation.RunOf(len(r.Head.Terms), res.Answers), nil
 	}
-	return exchange.Project(exchange.NewRun(q.NumVars(), res.Answers), headPositions(r, q)), nil
+	return relation.Project(relation.RunOf(q.NumVars(), res.Answers), headPositions(r, q)), nil
 }
 
 // install publishes a completed predicate into the working database,
 // materializing its fact run once.
-func (e *evaluator) install(pred string, run *exchange.Buffer) {
+func (e *evaluator) install(pred string, run *relation.Run) {
 	facts := run.Tuples()
 	e.facts[pred] = facts
 	delete(e.stats, pred)
@@ -316,7 +315,7 @@ func (e *evaluator) install(pred string, run *exchange.Buffer) {
 // rules' head facts (a single predicate — non-recursive SCCs are
 // singletons).
 func (e *evaluator) evalStratum(s Stratum) error {
-	heads := make([]*exchange.Buffer, 0, len(s.Rules))
+	heads := make([]*relation.Run, 0, len(s.Rules))
 	for _, ri := range s.Rules {
 		head, err := e.evalRule(&e.prog.Rules[ri])
 		if err != nil {
@@ -324,7 +323,7 @@ func (e *evaluator) evalStratum(s Stratum) error {
 		}
 		heads = append(heads, head)
 	}
-	e.install(s.Preds[0], exchange.Merge(heads))
+	e.install(s.Preds[0], relation.Merge(heads))
 	return nil
 }
 
@@ -367,7 +366,7 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 	// scatter. Predicates with no base rule start empty. known and
 	// delta hold each predicate's facts as one sealed run (nil = none),
 	// so an iteration is linear passes over words, not tuples.
-	known := make(map[string]*exchange.Buffer, len(s.Preds))
+	known := make(map[string]*relation.Run, len(s.Preds))
 	for _, r := range baseRules {
 		head, err := e.evalRule(r)
 		if err != nil {
@@ -393,7 +392,7 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 			x.d.Close()
 		}
 	}
-	delta := make(map[string]*exchange.Buffer, len(s.Preds))
+	delta := make(map[string]*relation.Run, len(s.Preds))
 	for _, r := range recRules {
 		q, err := r.BodyQuery()
 		if err != nil {
@@ -435,7 +434,7 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 		}
 		pos := headPositions(r, q)
 		xs = append(xs, exec{rule: r, d: d, pos: pos})
-		fresh := exchange.Diff(exchange.Project(cold, pos), known[r.Head.Pred])
+		fresh := relation.Diff(relation.Project(cold, pos), known[r.Head.Pred])
 		delta[r.Head.Pred] = union(delta[r.Head.Pred], fresh)
 	}
 	for pred, d := range delta {
@@ -453,9 +452,9 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 			closeAll()
 			return fmt.Errorf("datalog: stratum %v exceeded %d fixpoint iterations", s.Preds, e.opts.MaxIterations)
 		}
-		next := make(map[string]*exchange.Buffer, len(s.Preds))
+		next := make(map[string]*relation.Run, len(s.Preds))
 		for _, x := range xs {
-			added := make(map[string]*exchange.Buffer)
+			added := make(map[string]*relation.Run)
 			for _, a := range x.rule.Body {
 				if d := delta[a.Name]; d.Len() > 0 {
 					added[a.Name] = d
@@ -469,7 +468,7 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 				closeAll()
 				return fmt.Errorf("datalog: rule for %s: %v", x.rule.Head.Pred, err)
 			}
-			fresh := exchange.Diff(exchange.Project(gathered, x.pos), known[x.rule.Head.Pred])
+			fresh := relation.Diff(relation.Project(gathered, x.pos), known[x.rule.Head.Pred])
 			next[x.rule.Head.Pred] = union(next[x.rule.Head.Pred], fresh)
 		}
 		// Deltas are measured against known before this iteration's
@@ -492,7 +491,7 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 }
 
 // hasFacts reports whether any delta is nonempty.
-func hasFacts(delta map[string]*exchange.Buffer) bool {
+func hasFacts(delta map[string]*relation.Run) bool {
 	for _, d := range delta {
 		if d.Len() > 0 {
 			return true
@@ -503,12 +502,12 @@ func hasFacts(delta map[string]*exchange.Buffer) bool {
 
 // union merges two sorted, deduplicated runs into one; either may be
 // nil or empty, and is then not copied.
-func union(a, b *exchange.Buffer) *exchange.Buffer {
+func union(a, b *relation.Run) *relation.Run {
 	if a.Len() == 0 {
 		return b
 	}
 	if b.Len() == 0 {
 		return a
 	}
-	return exchange.Merge([]*exchange.Buffer{a, b})
+	return relation.Merge([]*relation.Run{a, b})
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/dist/disttest"
-	"repro/internal/exchange"
 	"repro/internal/relation"
 )
 
@@ -461,10 +460,10 @@ func TestCatalogCollectsBodyRelationsOnce(t *testing.T) {
 	if again := e.catalog(ruleA); again.Relation("e") != cat.Relation("e") {
 		t.Error("body relation statistics were collected twice")
 	}
-	e.install("a", exchange.NewRun(2, []relation.Tuple{{7, 7}}))
+	e.install("a", relation.RunOf(2, []relation.Tuple{{7, 7}}))
 	ruleB := &prog.Rules[1]
 	first := e.catalog(ruleB).Relation("a")
-	e.install("a", exchange.NewRun(2, []relation.Tuple{{7, 7}, {8, 8}}))
+	e.install("a", relation.RunOf(2, []relation.Tuple{{7, 7}, {8, 8}}))
 	if after := e.catalog(ruleB).Relation("a"); after == first || after.Count != 2 || len(after.Cols) != 2 {
 		t.Errorf("statistics of a replaced relation not recollected: %+v", after)
 	}

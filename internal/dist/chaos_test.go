@@ -72,7 +72,7 @@ func startStuckWorker(t *testing.T) string {
 
 // smallDelivery is one single-tuple sealed run for worker 0.
 func smallDelivery() []exchange.Delivery {
-	b := exchange.NewBuffer(1)
+	b := relation.NewRun(1)
 	b.Append(relation.Tuple{1})
 	b.Seal()
 	return []exchange.Delivery{{To: 0, Rel: "R", Buf: b}}

@@ -214,7 +214,7 @@ func (c *Cluster) Scatter(ctx context.Context, rel *relation.Relation, as string
 // the partitioned buffers are bit-identical to scattering the run's
 // materialized tuples. A nil run scatters nothing (the round still
 // opens and closes as it would for an empty relation).
-func (c *Cluster) ScatterRun(ctx context.Context, run *exchange.Buffer, as string, part exchange.Partitioner) error {
+func (c *Cluster) ScatterRun(ctx context.Context, run *relation.Run, as string, part exchange.Partitioner) error {
 	ds, err := exchange.PartitionRun(as, run, c.cfg.Workers, part)
 	if err != nil {
 		return fmt.Errorf("dist: scatter: %w", err)
@@ -245,7 +245,7 @@ func (c *Cluster) deliver(ctx context.Context, ds []exchange.Delivery) error {
 // against the open round exactly like Scatter; the
 // incremental-maintenance cost bound (replication factor per tuple, not
 // O(N)) is thereby measured, not assumed.
-func (c *Cluster) ScatterDelta(ctx context.Context, run *exchange.Buffer, store, view string, del bool, part exchange.Partitioner) error {
+func (c *Cluster) ScatterDelta(ctx context.Context, run *relation.Run, store, view string, del bool, part exchange.Partitioner) error {
 	ds, err := exchange.PartitionRun(store, run, c.cfg.Workers, part)
 	if err != nil {
 		return fmt.Errorf("dist: scatter delta: %w", err)
@@ -353,19 +353,15 @@ func (c *Cluster) EndRound(ctx context.Context) error {
 	return c.closeRound(ctx, rs)
 }
 
-// Join has every worker evaluate q over its stored tuples — local
-// computation, free in the MPC cost model — and keep the result under
-// view. bindings maps atom names to store names when they differ.
-func (c *Cluster) Join(ctx context.Context, q *query.Query, bindings map[string]string, view string, strategy localjoin.Strategy) error {
+// Join has every worker evaluate q over its stored runs — local
+// computation, free in the MPC cost model, and one evaluator
+// (localjoin.EvaluateRuns) — and keep the result under view. bindings
+// maps atom names to store names when they differ. The last parameter is
+// inert; callers pass 0.
+func (c *Cluster) Join(ctx context.Context, q *query.Query, bindings map[string]string, view string, _ localjoin.Strategy /* pinned by bench/probes.go:474 */) error {
 	span := c.tracePhase("join")
 	defer c.tracePhaseEnd(span)
-	spec := JoinSpec{
-		Query:    q.String(),
-		View:     view,
-		Bindings: bindings,
-		Strategy: uint8(strategy),
-	}
-	return c.submit(ctx, Op{Kind: OpJoin, Join: spec})
+	return c.submit(ctx, Op{Kind: OpJoin, Join: JoinSpec{Query: q.String(), View: view, Bindings: bindings}})
 }
 
 // Gather returns the deduplicated sorted union of the tuples every
@@ -380,23 +376,23 @@ func (c *Cluster) Gather(ctx context.Context, view string) ([]relation.Tuple, er
 }
 
 // GatherRun is Gather kept columnar: the per-worker sorted runs k-way
-// merge (exchange.Merge, on either layout) into one sealed run that
+// merge (relation.Merge, on either layout) into one sealed run that
 // the coordinator can diff, project or re-scatter without building
 // tuples. The run is nil when no worker holds anything under view.
-func (c *Cluster) GatherRun(ctx context.Context, view string) (*exchange.Buffer, error) {
+func (c *Cluster) GatherRun(ctx context.Context, view string) (*relation.Run, error) {
 	span := c.tracePhase("gather")
 	defer c.tracePhaseEnd(span)
 	runs, err := c.gatherRuns(ctx, view)
 	if err != nil {
 		return nil, err
 	}
-	return exchange.Merge(runs), nil
+	return relation.Merge(runs), nil
 }
 
 // GatherAggregate is Gather with a grouped-aggregate fold pushed into
 // the k-way merge: the merged run streams through a
-// relation.Accumulator, so the coordinator materializes one row per
-// group instead of the full answer set.
+// relation.Accumulator one reused tuple at a time, so the coordinator
+// materializes one row per group instead of the full answer set.
 func (c *Cluster) GatherAggregate(ctx context.Context, view string, spec relation.GroupSpec) ([]relation.Tuple, error) {
 	span := c.tracePhase("gather")
 	defer c.tracePhaseEnd(span)
@@ -405,13 +401,13 @@ func (c *Cluster) GatherAggregate(ctx context.Context, view string, spec relatio
 		return nil, err
 	}
 	acc := relation.NewAccumulator(spec)
-	exchange.FoldRuns(runs, acc.Add)
+	relation.Merge(runs).Each(acc.Add)
 	return acc.Result(), nil
 }
 
 // gatherRuns fetches the sealed runs every worker holds under view, in
 // worker order, behind whatever the round script still holds.
-func (c *Cluster) gatherRuns(ctx context.Context, view string) ([]*exchange.Buffer, error) {
+func (c *Cluster) gatherRuns(ctx context.Context, view string) ([]*relation.Run, error) {
 	reply, err := c.run(ctx, Op{Kind: OpGather, View: view})
 	return reply.Runs, err
 }

@@ -25,7 +25,12 @@
 //     (recovery.go).
 //   - the worker session (Serve/ServeConn): the remote half. Each
 //     accepted connection is an isolated session with its own store,
-//     so one worker process can serve many concurrent executions.
+//     so one worker process can serve many concurrent executions. A
+//     store holds sealed runs (relation.Run) and nothing else — what
+//     arrived, what the one local evaluator (localjoin.EvaluateRuns)
+//     produced, and per store one run of tombstones that reads
+//     subtract — so no tuple exists on a worker between wire decode
+//     and wire encode.
 //     What the process keeps between sessions is a read-only store of
 //     scatter slices it was asked to retain, which a later execution
 //     of the same scatter attaches to (resident.go).
@@ -41,6 +46,7 @@ import (
 	"fmt"
 
 	"repro/internal/exchange"
+	"repro/internal/relation"
 	"repro/internal/wire"
 )
 
@@ -55,9 +61,6 @@ type JoinSpec struct {
 	// Bindings maps atom names to store names when they differ; atoms
 	// without an entry read the store of their own name.
 	Bindings map[string]string
-	// Strategy is the numeric value of the localjoin.Strategy the
-	// workers must use.
-	Strategy uint8
 }
 
 // DeltaDelivery ships one sealed delta run to one worker as part of
@@ -77,7 +80,7 @@ type DeltaDelivery struct {
 	// Del marks a retraction: the tuples are tombstoned out of Store.
 	Del bool
 	// Buf is the sealed columnar run of delta tuples.
-	Buf *exchange.Buffer
+	Buf *relation.Run
 }
 
 // OpKind names one step of a round script.
@@ -145,7 +148,7 @@ type Op struct {
 type Reply struct {
 	// Runs are the gathered runs in worker order (all of worker 0's,
 	// then worker 1's, …), so gathers are deterministic.
-	Runs []*exchange.Buffer
+	Runs []*relation.Run
 	// Attached[w][i] is worker w's answer to the i-th attachment; nil for
 	// a worker that failed the script.
 	Attached [][]wire.Attach

@@ -15,7 +15,7 @@ import (
 // for worker w.
 func scatterTo(t *testing.T, w int, store string) []exchange.Delivery {
 	t.Helper()
-	buf := exchange.NewBuffer(2)
+	buf := relation.NewRun(2)
 	buf.Append(relation.Tuple{1, 2})
 	buf.Seal()
 	return []exchange.Delivery{{To: w, Rel: store, Buf: buf}}

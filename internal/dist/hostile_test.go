@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -200,17 +201,115 @@ func TestWorkerRejectsHostileRuns(t *testing.T) {
 // it and gathers it — the read that merges a store's runs into one.
 func mixedArityScript(t testing.TB) []byte {
 	return encodeFrames(t,
-		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", Buf: exchange.NewRun(1, []relation.Tuple{{1}})}},
-		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", Buf: exchange.NewRun(2, []relation.Tuple{{1, 2}})}},
-		&wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{Store: "R", Del: true, Buf: exchange.NewRun(1, []relation.Tuple{{5}})}},
+		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", Buf: relation.RunOf(1, []relation.Tuple{{1}})}},
+		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", Buf: relation.RunOf(2, []relation.Tuple{{1, 2}})}},
+		&wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{Store: "R", Del: true, Buf: relation.RunOf(1, []relation.Tuple{{5}})}},
 		&wire.Frame{Type: wire.TypeGather, View: "R"},
 	)
 }
 
 // TestWorkerRejectsMixedArityStore: every run is well-formed, the store
-// they add up to is not. The second arity is refused where it arrives;
-// at version 6 the gather panicked the worker process.
+// they add up to is not. A store name holds one arity — as runs, as
+// tombstones, and under the Δ view an extension also registers — and a
+// run of another is refused where it arrives, before anything is
+// applied: an Error frame ends a session (at version 6 the gather
+// panicked the worker process; until version 8 a retraction of another
+// arity was accepted silently, and an extension that fit its store but
+// not its view left the store changed), and on a pool that lives on
+// every store reads as it did before.
 func TestWorkerRejectsMixedArityStore(t *testing.T) {
+	unary := func(vs ...int) *relation.Run {
+		ts := make([]relation.Tuple, len(vs))
+		for i, v := range vs {
+			ts[i] = relation.Tuple{v}
+		}
+		return relation.RunOf(1, ts)
+	}
+	binary := relation.RunOf(2, []relation.Tuple{{1, 2}})
+	deliver := func(rel string, run *relation.Run) dist.Op {
+		return dist.Op{Kind: dist.OpDeliver, Deliveries: []exchange.Delivery{{Rel: rel, Buf: run}}}
+	}
+	delta := func(store, view string, del bool, run *relation.Run) dist.Op {
+		return dist.Op{Kind: dist.OpDelta, Deltas: []dist.DeltaDelivery{{Store: store, View: view, Del: del, Buf: run}}}
+	}
+	for _, row := range []struct {
+		name    string
+		held    []dist.Op // accepted
+		refused dist.Op
+		want    string
+		// after is delivered once the refusal is in, so that tombstones show
+		// in what the stores then read as.
+		after  []dist.Op
+		stores map[string][]relation.Tuple
+	}{
+		{
+			name: "delivery vs store", held: []dist.Op{deliver("R", unary(1))},
+			refused: deliver("R", binary), want: `store "R", which holds arity 1`,
+			stores: map[string][]relation.Tuple{"R": {{1}}},
+		},
+		{
+			name: "retraction vs store", held: []dist.Op{deliver("R", unary(1, 5))},
+			refused: delta("R", "", true, binary), want: `store "R", which holds arity 1`,
+			stores: map[string][]relation.Tuple{"R": {{1}, {5}}},
+		},
+		{
+			name: "retraction vs earlier tombstones", held: []dist.Op{delta("R", "", true, unary(5))},
+			refused: delta("R", "", true, binary), want: `store "R", which holds arity 1`,
+			after:  []dist.Op{deliver("R", unary(5, 6))},
+			stores: map[string][]relation.Tuple{"R": {{6}}},
+		},
+		{
+			name: "delivery vs earlier tombstones", held: []dist.Op{delta("R", "", true, unary(5))},
+			refused: deliver("R", binary), want: `store "R", which holds arity 1`,
+			after:  []dist.Op{deliver("R", unary(5, 6))},
+			stores: map[string][]relation.Tuple{"R": {{6}}},
+		},
+		{
+			name: "extension vs view", held: []dist.Op{deliver("R", binary), deliver("V", unary(9)), delta("R", "", true, relation.RunOf(2, []relation.Tuple{{3, 4}}))},
+			refused: delta("R", "V", false, relation.RunOf(2, []relation.Tuple{{3, 4}})), want: `store "V", which holds arity 1`,
+			after:  []dist.Op{deliver("R", relation.RunOf(2, []relation.Tuple{{3, 4}}))},
+			stores: map[string][]relation.Tuple{"R": {{1, 2}}, "V": {{9}}}, // (3,4) is still tombstoned
+		},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			ctx := context.Background()
+			l := dist.NewLoopback(1)
+			if _, err := l.Run(ctx, row.held); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Run(ctx, []dist.Op{row.refused}); err == nil || !strings.Contains(err.Error(), row.want) {
+				t.Fatalf("loopback: %v, want an error naming %s", err, row.want)
+			}
+			if _, err := l.Run(ctx, row.after); err != nil {
+				t.Fatal(err)
+			}
+			for store, want := range row.stores {
+				runs, err := gather(ctx, l, store)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := relation.Merge(runs).Tuples(); !reflect.DeepEqual(got, want) {
+					t.Errorf("loopback: store %q reads %v after the refusal, want %v", store, got, want)
+				}
+			}
+
+			var frames []*wire.Frame
+			for _, op := range append(row.held[:len(row.held):len(row.held)], row.refused) {
+				for _, d := range op.Deliveries {
+					frames = append(frames, &wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: d.Rel, Buf: d.Buf}})
+				}
+				for _, d := range op.Deltas {
+					frames = append(frames, &wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{Store: d.Store, View: d.View, Del: d.Del, Buf: d.Buf}})
+				}
+			}
+			s := startSession(t, nil, time.Minute)
+			s.hello(t)
+			replies, served := s.run(t, encodeFrames(t, append(frames, &wire.Frame{Type: wire.TypeGather, View: "R"})...))
+			if len(replies) != 1 || replies[0].Type != wire.TypeError || !strings.Contains(replies[0].Msg, row.want) || served == nil {
+				t.Fatalf("session: replies %+v, served %v, want one error frame naming %s", replies, served, row.want)
+			}
+		})
+	}
 	s := startSession(t, nil, time.Minute)
 	s.hello(t)
 	replies, served := s.run(t, mixedArityScript(t))
@@ -371,8 +470,8 @@ func TestWorkerHangsUpOnSilentDialer(t *testing.T) {
 // hello, in the order a round sends them, to worker 0 of 1.
 func recordedScript(t testing.TB) []byte {
 	t.Helper()
-	run := func(arity, n, max int) *exchange.Buffer {
-		b := exchange.NewBuffer(arity)
+	run := func(arity, n, max int) *relation.Run {
+		b := relation.NewRun(arity)
 		row := make(relation.Tuple, arity)
 		for i := 0; i < n; i++ {
 			for j := range row {
@@ -383,7 +482,7 @@ func recordedScript(t testing.TB) []byte {
 		b.Seal()
 		return b
 	}
-	wide := exchange.NewBuffer(2)
+	wide := relation.NewRun(2)
 	wide.Append(relation.Tuple{1 << 40, 2})
 	wide.Seal()
 	return encodeFrames(t,
@@ -398,7 +497,7 @@ func recordedScript(t testing.TB) []byte {
 		&wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{Round: 2, Store: "R", View: "delta!R", Buf: run(2, 3, 5)}},
 		&wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{Round: 2, Store: "S", Del: true, Buf: run(2, 5, 3)}},
 		&wire.Frame{Type: wire.TypeBarrier, Round: 2},
-		&wire.Frame{Type: wire.TypeJoin, Join: wire.Join{Query: "q(x,y,z) = D(x,y), S(y,z)", View: "dv", Strategy: 1, Bindings: [][2]string{{"D", "delta!R"}}}},
+		&wire.Frame{Type: wire.TypeJoin, Join: wire.Join{Query: "q(x,y,z) = D(x,y), S(y,z)", View: "dv", Bindings: [][2]string{{"D", "delta!R"}}}},
 		&wire.Frame{Type: wire.TypePing, Round: 7},
 		&wire.Frame{Type: wire.TypeGather, View: "v"},
 		&wire.Frame{Type: wire.TypeGather, View: "S"},
@@ -422,6 +521,17 @@ func FuzzWorkerSession(f *testing.F) {
 		f.Add(append(script[:0:0], append(script, h.frame("S", "")...)...))
 	}
 	f.Add(mixedArityScript(f))
+	pair := relation.RunOf(2, []relation.Tuple{{1, 2}})
+	f.Add(encodeFrames(f, // retract, re-append, gather: tombstones set and cleared
+		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", Buf: relation.RunOf(2, []relation.Tuple{{1, 2}, {3, 4}})}},
+		&wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{Store: "R", Del: true, Buf: pair}},
+		&wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{Store: "R", Buf: pair}},
+		&wire.Frame{Type: wire.TypeGather, View: "R"},
+	))
+	f.Add(append(script[:0:0], append(script, encodeFrames(f, // a retraction of an arity its store does not hold
+		&wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{Store: "R", Del: true, Buf: relation.RunOf(3, []relation.Tuple{{1, 2, 3}})}},
+		&wire.Frame{Type: wire.TypeGather, View: "R"},
+	)...)...))
 	f.Add(binary.BigEndian.AppendUint32([]byte{byte(wire.TypeData)}, wire.MaxPayload-1))
 	f.Add(binary.BigEndian.AppendUint32([]byte{byte(wire.TypeData)}, wire.MaxPayload+1))
 	f.Add(encodeFrames(f, &wire.Frame{Type: wire.TypeHello, Hello: wire.Hello{Version: wire.Version, P: 1}}))

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/exchange"
 	"repro/internal/localjoin"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -136,7 +135,7 @@ func (l *Loopback) run(ctx context.Context, ops []Op, only int) (Reply, error) {
 
 // joinAll evaluates spec on every given worker concurrently.
 func joinAll(ws []*workerStore, spec JoinSpec) error {
-	q, strategy, err := parseJoinSpec(spec, query.Parse)
+	q, err := parseJoinSpec(spec, query.Parse)
 	if err != nil {
 		return err
 	}
@@ -146,7 +145,7 @@ func joinAll(ws []*workerStore, spec JoinSpec) error {
 		wg.Add(1)
 		go func(i int, w *workerStore) {
 			defer wg.Done()
-			errs[i] = w.join(q, spec.Bindings, spec.View, strategy)
+			errs[i] = w.join(q, spec.Bindings, spec.View)
 		}(i, w)
 	}
 	wg.Wait()
@@ -222,149 +221,130 @@ func (l *Loopback) Epoch() uint32 {
 // parseJoinSpec validates the pieces of a JoinSpec shared by the
 // loopback transport and the remote worker session; parse is query.Parse
 // or a session's memo of it.
-func parseJoinSpec(spec JoinSpec, parse func(string) (*query.Query, error)) (*query.Query, localjoin.Strategy, error) {
+func parseJoinSpec(spec JoinSpec, parse func(string) (*query.Query, error)) (*query.Query, error) {
 	q, err := parse(spec.Query)
 	if err != nil {
-		return nil, 0, fmt.Errorf("dist: join query: %w", err)
-	}
-	strategy := localjoin.Strategy(spec.Strategy)
-	switch strategy {
-	case localjoin.Default, localjoin.HashJoin, localjoin.Backtracking, localjoin.WCOJ:
-	default:
-		return nil, 0, fmt.Errorf("dist: unknown join strategy %d", spec.Strategy)
+		return nil, fmt.Errorf("dist: join query: %w", err)
 	}
 	if spec.View == "" {
-		return nil, 0, fmt.Errorf("dist: join with empty view name")
+		return nil, fmt.Errorf("dist: join with empty view name")
 	}
-	return q, strategy, nil
+	return q, nil
 }
 
 // workerStore is one worker's state: received runs grouped by store
-// name. It is the one worker store, shared between the loopback
-// transport and the remote worker session.
+// name, in arrival order. It is the one worker store, shared between the
+// loopback transport and the remote worker session, and everything in it
+// is a sealed run: no tuple exists on a worker between wire decode and
+// wire encode.
 type workerStore struct {
 	mu    sync.Mutex
-	store map[string]*exchange.Column
-	// dead holds per-store tombstones: tuples retracted by delta
-	// maintenance. Runs are immutable once sealed, so a retraction
-	// marks the tuple dead instead of rewriting runs; reads filter
-	// through the set, and a later re-append clears the mark.
-	dead map[string]*relation.TupleSet
+	store map[string][]*relation.Run
+	// dead holds per-store tombstones — the tuples retracted by delta
+	// maintenance — as one sealed run. Runs are immutable once sealed, so
+	// a retraction merges into the tombstones instead of rewriting runs, a
+	// later re-append subtracts from them, and a read subtracts them from
+	// the store. Nil until the first retraction.
+	dead map[string]*relation.Run
 	// home is where the worker keeps runs beyond the session; retained
 	// holds the open round's flagged runs until its barrier.
 	home     residentHome
-	retained map[string][]*exchange.Buffer
+	retained map[string][]*relation.Run
 }
 
 func newWorkerStore(home residentHome) *workerStore {
-	return &workerStore{store: make(map[string]*exchange.Column), home: home}
+	return &workerStore{store: make(map[string][]*relation.Run), home: home}
 }
 
-// add appends a sealed run under the store name. A store is read as one
-// relation — its runs merged, filtered, joined together — so it holds
-// one arity, and a run of another is refused: what names a store comes
-// from the peer.
-func (w *workerStore) add(rel string, run *exchange.Buffer) error {
+// fits reports, with w.mu held, whether run may land under the store
+// name. A store is read as one relation — its runs merged, its
+// tombstones subtracted, the result joined — so it holds one arity, as
+// runs and as tombstones, and a run of another is refused: what names a
+// store comes from the peer.
+func (w *workerStore) fits(rel string, run *relation.Run) error {
+	held := w.dead[rel]
+	if runs := w.store[rel]; len(runs) > 0 {
+		held = runs[0]
+	}
+	if held != nil && held.Arity() != run.Arity() {
+		return fmt.Errorf("dist: arity-%d run for store %q, which holds arity %d", run.Arity(), rel, held.Arity())
+	}
+	return nil
+}
+
+// add appends a run under the store name, sealing it if the sender did
+// not.
+func (w *workerStore) add(rel string, run *relation.Run) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.addLocked(rel, run)
 }
 
 // addLocked is add with w.mu held.
-func (w *workerStore) addLocked(rel string, run *exchange.Buffer) error {
-	col := w.store[rel]
-	if col == nil {
-		col = &exchange.Column{}
-		w.store[rel] = col
+func (w *workerStore) addLocked(rel string, run *relation.Run) error {
+	if err := w.fits(rel, run); err != nil {
+		return err
 	}
-	if held := col.Runs(); len(held) > 0 && held[0].Arity() != run.Arity() {
-		return fmt.Errorf("dist: arity-%d run for store %q, which holds arity %d", run.Arity(), rel, held[0].Arity())
-	}
-	col.Add(run)
+	run.Seal()
+	w.store[rel] = append(w.store[rel], run)
 	return nil
 }
 
-// applyDelta ingests one delta run: a retraction tombstones every
-// tuple out of store; an extension clears any tombstones the tuples
-// carry and appends the run under store — and, when view is non-empty,
-// under view as well, making the run readable as a Δ-relation.
-func (w *workerStore) applyDelta(store, view string, del bool, run *exchange.Buffer) error {
+// applyDelta ingests one delta run: a retraction merges into store's
+// tombstones; an extension is subtracted from them and appended under
+// store — and, when view is non-empty, under view as well, making the
+// run readable as a Δ-relation. A run that does not fit every name it
+// would land under is refused before anything is applied.
+func (w *workerStore) applyDelta(store, view string, del bool, run *relation.Run) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if del {
-		set := w.dead[store]
-		if set == nil {
-			set = relation.NewTupleSet(run.Arity(), run.Len())
-			if w.dead == nil {
-				w.dead = make(map[string]*relation.TupleSet)
-			}
-			w.dead[store] = set
-		}
-		for _, t := range run.AppendTuples(nil) {
-			set.Add(t)
-		}
-		return nil
-	}
-	if set := w.dead[store]; set != nil && set.Len() > 0 {
-		for _, t := range run.AppendTuples(nil) {
-			set.Remove(t)
-		}
-	}
-	if err := w.addLocked(store, run); err != nil || view == "" {
+	if err := w.fits(store, run); err != nil {
 		return err
 	}
-	return w.addLocked(view, run)
-}
-
-// liveDead returns rel's tombstone set when it is non-empty, with
-// w.mu held.
-func (w *workerStore) liveDead(rel string) *relation.TupleSet {
-	set := w.dead[rel]
-	if set == nil || set.Len() == 0 {
+	run.Seal()
+	if del {
+		if w.dead == nil {
+			w.dead = make(map[string]*relation.Run)
+		}
+		w.dead[store] = relation.Merge([]*relation.Run{w.dead[store], run})
 		return nil
 	}
-	return set
+	if view != "" {
+		if err := w.fits(view, run); err != nil {
+			return err
+		}
+		w.store[view] = append(w.store[view], run)
+	}
+	if dead := w.dead[store]; dead.Len() > 0 {
+		w.dead[store] = relation.Diff(dead, run)
+	}
+	w.store[store] = append(w.store[store], run)
+	return nil
 }
 
-// runs returns the sealed runs stored under rel. When tombstones are
-// live for the store, the runs are rematerialized as one filtered
-// sealed run so gathers never leak retracted tuples.
-func (w *workerStore) runs(rel string) []*exchange.Buffer {
+// runs returns the sealed runs stored under rel. While tombstones are
+// live for the store that is one run: the store's union less the
+// tombstones, so gathers and joins never see a retracted tuple.
+func (w *workerStore) runs(rel string) []*relation.Run {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	col := w.store[rel]
-	if col == nil {
+	held, dead := w.store[rel], w.dead[rel]
+	if dead.Len() == 0 || len(held) == 0 {
+		return held
+	}
+	live := relation.Diff(relation.Merge(held), dead)
+	if live.Len() == 0 {
 		return nil
 	}
-	set := w.liveDead(rel)
-	if set == nil {
-		return col.Runs()
-	}
-	src := col.Runs()
-	if len(src) == 0 {
-		return nil
-	}
-	out := exchange.NewBuffer(src[0].Arity())
-	for _, run := range src {
-		for _, t := range run.AppendTuples(nil) {
-			if !set.Contains(t) {
-				out.Append(t)
-			}
-		}
-	}
-	out.Seal()
-	if out.Len() == 0 {
-		return nil
-	}
-	return []*exchange.Buffer{out}
+	return []*relation.Run{live}
 }
 
 // join evaluates q over the store (atom names mapped through
 // bindings) and stores the result as one sealed run under view. Every
 // atom is read as the sealed runs the store already holds — the local
 // join works on their packed words directly — and the answer comes
-// back as a sealed run, so no tuple is materialized here.
-func (w *workerStore) join(q *query.Query, bindings map[string]string, view string, strategy localjoin.Strategy) error {
+// back as a sealed run.
+func (w *workerStore) join(q *query.Query, bindings map[string]string, view string) error {
 	runs := make(localjoin.Runs, len(q.Atoms))
 	for _, a := range q.Atoms {
 		src := a.Name
@@ -373,7 +353,7 @@ func (w *workerStore) join(q *query.Query, bindings map[string]string, view stri
 		}
 		runs[a.Name] = w.runs(src)
 	}
-	out, err := localjoin.EvaluateRuns(q, runs, strategy)
+	out, err := localjoin.EvaluateRuns(q, runs)
 	if err != nil || out == nil {
 		return err
 	}

@@ -25,10 +25,10 @@ import (
 // contract: joining never writes to a run.
 
 // sealedRuns splits tuples into k sealed runs of the given arity.
-func sealedRuns(rng *rand.Rand, arity, k int, tuples []relation.Tuple) []*exchange.Buffer {
-	runs := make([]*exchange.Buffer, k)
+func sealedRuns(rng *rand.Rand, arity, k int, tuples []relation.Tuple) []*relation.Run {
+	runs := make([]*relation.Run, k)
 	for i := range runs {
-		runs[i] = exchange.NewBuffer(arity)
+		runs[i] = relation.NewRun(arity)
 	}
 	for _, t := range tuples {
 		runs[rng.IntN(k)].Append(t)
@@ -40,7 +40,7 @@ func sealedRuns(rng *rand.Rand, arity, k int, tuples []relation.Tuple) []*exchan
 }
 
 // deliveries addresses runs to worker 0 under rel.
-func deliveries(rel string, runs []*exchange.Buffer) []exchange.Delivery {
+func deliveries(rel string, runs []*relation.Run) []exchange.Delivery {
 	ds := make([]exchange.Delivery, len(runs))
 	for i, r := range runs {
 		ds[i] = exchange.Delivery{To: 0, Rel: rel, Buf: r}
@@ -48,20 +48,19 @@ func deliveries(rel string, runs []*exchange.Buffer) []exchange.Delivery {
 	return ds
 }
 
-// joinView runs spec on a one-worker loopback and returns the merged
+// joinView joins q on a one-worker loopback and returns the merged
 // answer of its view.
-func joinView(t *testing.T, l *dist.Loopback, q *query.Query, strategy localjoin.Strategy) []relation.Tuple {
+func joinView(t *testing.T, l *dist.Loopback, q *query.Query) []relation.Tuple {
 	t.Helper()
 	ctx := context.Background()
-	view := "out-" + strategy.String()
-	if err := join(ctx, l, dist.JoinSpec{Query: q.String(), View: view, Strategy: uint8(strategy)}); err != nil {
-		t.Fatalf("%s: %v join: %v", q, strategy, err)
+	if err := join(ctx, l, dist.JoinSpec{Query: q.String(), View: "out"}); err != nil {
+		t.Fatalf("%s: join: %v", q, err)
 	}
-	runs, err := gather(ctx, l, view)
+	runs, err := gather(ctx, l, "out")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return exchange.MergeRuns(runs)
+	return relation.Merge(runs).Tuples()
 }
 
 // packedJoinQueries are the fixed shapes the random generator might
@@ -92,7 +91,7 @@ func randomJoinQuery(rng *rand.Rand) *query.Query {
 }
 
 // TestPackedJoinMatchesReferences is the differential property:
-// over random queries and stores, the worker join under every strategy
+// over random queries and stores, the worker join
 // ≡ localjoin.Evaluate on the same tuples ≡ core.GroundTruth. Stores
 // are multi-run, sometimes empty or never delivered, sometimes hold a
 // value ≥ 2³² (flat-layout runs at arity 2 and 3), and sometimes carry
@@ -185,7 +184,7 @@ func TestPackedJoinMatchesReferences(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaTuples, err := localjoin.Evaluate(q, b, localjoin.WCOJ)
+		viaTuples, err := localjoin.Evaluate(q, b, localjoin.Default)
 		if err != nil {
 			t.Fatalf("trial %d: %s: evaluate: %v", trial, q, err)
 		}
@@ -193,28 +192,22 @@ func TestPackedJoinMatchesReferences(t *testing.T) {
 			want, viaTuples = nil, nil
 		}
 		if !reflect.DeepEqual(viaTuples, want) {
-			t.Fatalf("trial %d: %s: Evaluate(WCOJ) = %v, ground truth %v", trial, q, viaTuples, want)
+			t.Fatalf("trial %d: %s: Evaluate(Default) = %v, ground truth %v", trial, q, viaTuples, want)
 		}
-		for _, strategy := range []localjoin.Strategy{localjoin.Default, localjoin.HashJoin, localjoin.Backtracking, localjoin.WCOJ} {
-			got := joinView(t, l, q, strategy)
-			if len(got) == 0 {
-				got = nil
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d: %s (big=%v): worker join %v = %v, ground truth %v", trial, q, big, strategy, got, want)
-			}
+		if got := joinView(t, l, q); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: %s (big=%v): worker join = %v, ground truth %v", trial, q, big, got, want)
 		}
 	}
 }
 
 // TestPackedJoinArityMismatch: a run whose arity differs from its
-// atom's is reported with the text the tuple API uses, under every
-// strategy and even when another atom is empty.
+// atom's is reported with the text the tuple API uses, even when
+// another atom is empty.
 func TestPackedJoinArityMismatch(t *testing.T) {
 	ctx := context.Background()
 	q := query.MustParse("q(x,y,z) = R(x,y), S(y,z)")
 	bad := []relation.Tuple{{1}, {2}}
-	_, wantErr := localjoin.Evaluate(q, localjoin.Bindings{"R": bad, "S": {{1, 2}}}, localjoin.WCOJ)
+	_, wantErr := localjoin.Evaluate(q, localjoin.Bindings{"R": bad, "S": {{1, 2}}}, localjoin.Default)
 	if wantErr == nil {
 		t.Fatal("tuple API accepted an arity mismatch")
 	}
@@ -227,11 +220,9 @@ func TestPackedJoinArityMismatch(t *testing.T) {
 		if err := deliver(ctx, l, 1, deliveries("S", sealedRuns(rng, 2, 1, sRows))); err != nil {
 			t.Fatal(err)
 		}
-		for _, strategy := range []localjoin.Strategy{localjoin.WCOJ, localjoin.HashJoin, localjoin.Backtracking} {
-			err := join(ctx, l, dist.JoinSpec{Query: q.String(), View: "out", Strategy: uint8(strategy)})
-			if err == nil || !strings.Contains(err.Error(), wantErr.Error()) {
-				t.Errorf("|S|=%d, %v: join error = %v, want %q", len(sRows), strategy, err, wantErr)
-			}
+		err := join(ctx, l, dist.JoinSpec{Query: q.String(), View: "out"})
+		if err == nil || !strings.Contains(err.Error(), wantErr.Error()) {
+			t.Errorf("|S|=%d: join error = %v, want %q", len(sRows), err, wantErr)
 		}
 	}
 }
@@ -287,7 +278,7 @@ func TestJoinNeverMutatesSealedRuns(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if got := exchange.MergeRuns(runs); !reflect.DeepEqual(got, want) {
+				if got := relation.Merge(runs).Tuples(); !reflect.DeepEqual(got, want) {
 					t.Errorf("round %d: %d answers, want %d", round, len(got), len(want))
 				}
 			}
@@ -301,13 +292,13 @@ func TestJoinNeverMutatesSealedRuns(t *testing.T) {
 	}
 }
 
-// TestHashJoinWorkerAllocs guards the tuple fallback of the worker
-// join — what the skew engine's HashJoin strategy runs — against
-// materializing run by run: over this fixed two-run store the join
-// allocated 95 objects at the commit before the packed path, and
-// must not allocate more.
+// TestHashJoinWorkerAllocs guards the worker join against
+// materializing anything per row: over this fixed two-run store the
+// packed path allocated 103 objects at the commit that made it the
+// worker's only evaluator (the tuple fallback this test was written for,
+// 95, is gone), and must not allocate more.
 func TestHashJoinWorkerAllocs(t *testing.T) {
-	const parentAllocs = 95
+	const parentAllocs = 103
 	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(3, 3))
 	q := query.MustParse("q(x,y,z) = R(x,y), S(y,z)")
@@ -319,7 +310,7 @@ func TestHashJoinWorkerAllocs(t *testing.T) {
 		}
 		ds = append(ds, deliveries(name, sealedRuns(rng, 2, 2, tuples))...)
 	}
-	spec := dist.JoinSpec{Query: q.String(), View: "out", Strategy: uint8(localjoin.HashJoin)}
+	spec := dist.JoinSpec{Query: q.String(), View: "out"}
 	allocs := testing.AllocsPerRun(20, func() {
 		l := dist.NewLoopback(1)
 		if err := deliver(ctx, l, 1, ds); err != nil {
@@ -330,6 +321,6 @@ func TestHashJoinWorkerAllocs(t *testing.T) {
 		}
 	})
 	if allocs > parentAllocs {
-		t.Errorf("HashJoin worker join: %.0f allocs per run, parent commit %d", allocs, parentAllocs)
+		t.Errorf("worker join: %.0f allocs per run, parent commit %d", allocs, parentAllocs)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/dist/disttest"
 	"repro/internal/hypercube"
-	"repro/internal/localjoin"
 	"repro/internal/mpc"
 	"repro/internal/multiround"
 	"repro/internal/query"
@@ -113,7 +112,7 @@ func recoveryEngines(t *testing.T, p int) []recEngine {
 				}
 				return res.Answers, res.Stats, res.Replacements
 			},
-			prog: hcProgram(triQ, triDB, p, 0, triShares, localjoin.Default, 23),
+			prog: hcProgram(triQ, triDB, p, 0, triShares, 23),
 		},
 		{
 			name:  "multiround",
@@ -126,7 +125,7 @@ func recoveryEngines(t *testing.T, p int) []recEngine {
 				}
 				return res.Answers, res.Stats, res.Replacements
 			},
-			prog: multiProgram(chPlan, chDB, p, localjoin.Default, 23),
+			prog: multiProgram(chPlan, chDB, p, 23),
 		},
 		{
 			name:  "skew",
@@ -139,7 +138,7 @@ func recoveryEngines(t *testing.T, p int) []recEngine {
 				}
 				return res.Answers, res.Stats, res.Replacements
 			},
-			prog: skewProgram(skew.JoinQuery(), r, s, ry, sy, skew.CompileFromData(r, ry, s, sy, p, 1), localjoin.HashJoin, 7),
+			prog: skewProgram(skew.JoinQuery(), r, s, ry, sy, skew.CompileFromData(r, ry, s, sy, p, 1), 7),
 		},
 	}
 }

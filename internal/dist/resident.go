@@ -217,7 +217,7 @@ func (c *Cluster) attach(ctx context.Context) error {
 // ResidentStore is what a worker process keeps beyond its sessions:
 // retained scatter slices, bounded in bytes, least recently attached
 // evicted first. A published entry is never written again: its runs are
-// sealed, and a session copies the run pointers into its own Column —
+// sealed, and a session copies the run pointers into its own store —
 // which is what its later deltas append to and tombstone.
 type ResidentStore struct {
 	mu                   sync.Mutex
@@ -233,7 +233,7 @@ type residentSlot struct {
 }
 
 type residentRuns struct {
-	runs                []*exchange.Buffer
+	runs                []*relation.Run
 	tuples, bytes, used int64
 }
 
@@ -244,7 +244,7 @@ func NewResidentStore() *ResidentStore {
 
 // attach returns the runs kept for k when they hold exactly want tuples,
 // and the count held; an entry holding anything else is dropped.
-func (rs *ResidentStore) attach(k residentSlot, want int64) (runs []*exchange.Buffer, held int64) {
+func (rs *ResidentStore) attach(k residentSlot, want int64) (runs []*relation.Run, held int64) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	e := rs.entries[k]
@@ -263,7 +263,7 @@ func (rs *ResidentStore) attach(k residentSlot, want int64) (runs []*exchange.Bu
 
 // publish keeps runs under k, replacing what was there, and evicts the
 // least recently attached entries down to the budget.
-func (rs *ResidentStore) publish(k residentSlot, runs []*exchange.Buffer) {
+func (rs *ResidentStore) publish(k residentSlot, runs []*relation.Run) {
 	e := &residentRuns{runs: runs}
 	for _, run := range runs {
 		e.tuples += int64(run.Len())
@@ -308,7 +308,7 @@ func (w *workerStore) receive(d exchange.Delivery) error {
 	}
 	if d.Retain != "" && w.home.store != nil {
 		if w.retained == nil {
-			w.retained = make(map[string][]*exchange.Buffer)
+			w.retained = make(map[string][]*relation.Run)
 		}
 		w.retained[d.Retain] = append(w.retained[d.Retain], d.Buf)
 	}

@@ -2,6 +2,7 @@ package dist_test
 
 import (
 	"context"
+	"fmt"
 	"math/big"
 	"math/rand/v2"
 	"net"
@@ -321,11 +322,19 @@ func joinCluster(t *testing.T, q *query.Query, db *relation.Database, tr dist.Tr
 // joinAnswers joins and gathers on a cluster joinCluster prepared.
 func joinAnswers(t *testing.T, cl *dist.Cluster, q *query.Query) []relation.Tuple {
 	t.Helper()
+	return joinInto(t, cl, q, "out")
+}
+
+// joinInto is joinAnswers under a view of the caller's: a view keeps
+// every join stored under it, so a session that joins again after a
+// retraction names a new one.
+func joinInto(t *testing.T, cl *dist.Cluster, q *query.Query, view string) []relation.Tuple {
+	t.Helper()
 	ctx := context.Background()
-	if err := cl.Join(ctx, q, nil, "out", 0); err != nil {
+	if err := cl.Join(ctx, q, nil, view, 0); err != nil {
 		t.Fatal(err)
 	}
-	out, err := cl.Gather(ctx, "out")
+	out, err := cl.Gather(ctx, view)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,85 +344,130 @@ func joinAnswers(t *testing.T, cl *dist.Cluster, q *query.Query) []relation.Tupl
 // TestResidentIsolation: two sessions attach to the same resident runs;
 // one then retracts from and extends that store, as a maintainer would.
 // The other session's join never changes, a later session still attaches
-// to the original runs, and -race sees no write to a published run.
+// to the original runs, and -race sees no write to a published run. The
+// maintaining session goes on to re-append some of what it retracted and
+// to retract part of that again, and after every batch it joins to the
+// ground truth of, and gathers exactly, the live set — with R packed, and
+// with R on the flat layout (an x value ≥ 2³² at arity 2).
 func TestResidentIsolation(t *testing.T) {
 	const p = 4
 	q, err := query.Parse("q(x,y,z) = R(x,y), S(y,z)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewPCG(5, 5))
-	db := zipfDatabase(rng, q, 2000, 1.1)
-	truth, err := core.GroundTruth(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	relR, _ := db.Relation("R")
-	gone := relR.Tuples[:len(relR.Tuples)/2]
-	// A retraction removes a tuple however often the relation lists it.
-	dead := relation.NewTupleSet(2, len(gone))
-	for _, tu := range gone {
-		dead.Add(tu)
-	}
-	// The extension joins: a session that saw it would answer more.
-	relS, _ := db.Relation("S")
-	fresh := relation.Tuple{db.N, relS.Tuples[0][0]}
-	kept := []relation.Tuple{fresh}
-	for _, tu := range relR.Tuples {
-		if !dead.Contains(tu) {
-			kept = append(kept, tu)
-		}
-	}
-	after := relation.NewDatabase(db.N)
-	after.AddRelation(&relation.Relation{Name: "R", Attrs: relR.Attrs, Tuples: kept})
-	after.AddRelation(relS)
-	truthAfter, err := core.GroundTruth(q, after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sameTuples(truth, truthAfter) {
-		t.Fatal("the delta changes nothing: the test checks nothing")
-	}
 	for name, pool := range residentPools(t, p) {
 		t.Run(name, func(t *testing.T) {
-			res := newResidency(t)
-			for i := 0; i < 2; i++ {
-				cl, _ := joinCluster(t, q, db, pool.session(t), res.Snapshot("d", 0), 9)
-				if got := joinAnswers(t, cl, q); !sameTuples(got, truth) {
-					t.Fatalf("warm-up %d: %d answers, want %d", i, len(got), len(truth))
-				}
-			}
-			snapA, snapB := res.Snapshot("d", 0), res.Snapshot("d", 0)
-			a, part := joinCluster(t, q, db, pool.session(t), snapA, 9)
-			b, _ := joinCluster(t, q, db, pool.session(t), snapB, 9)
-			if snapA.Hits != 2 || snapB.Hits != 2 {
-				t.Fatalf("sessions did not attach: %+v %+v", snapA, snapB)
-			}
-			done := make(chan []relation.Tuple)
-			go func() { done <- joinAnswers(t, b, q) }()
-			ctx := context.Background()
-			a.BeginRound()
-			if err := a.ScatterDelta(ctx, exchange.NewRun(2, gone), "R", "", true, part(q.Atoms[0])); err != nil {
-				t.Fatal(err)
-			}
-			if err := a.ScatterDelta(ctx, exchange.NewRun(2, []relation.Tuple{fresh}), "R", "", false, part(q.Atoms[0])); err != nil {
-				t.Fatal(err)
-			}
-			if err := a.EndRound(ctx); err != nil {
-				t.Fatal(err)
-			}
-			if got := joinAnswers(t, a, q); !sameTuples(got, truthAfter) {
-				t.Fatalf("maintained session: %d answers, want %d", len(got), len(truthAfter))
-			}
-			if got := <-done; !sameTuples(got, truth) {
-				t.Fatalf("the other session saw the delta: %d answers, want %d", len(got), len(truth))
-			}
-			snapC := res.Snapshot("d", 0)
-			c, _ := joinCluster(t, q, db, pool.session(t), snapC, 9)
-			if got := joinAnswers(t, c, q); snapC.Hits != 2 || !sameTuples(got, truth) {
-				t.Fatalf("a later session: %+v, %d answers, want 2 hits and %d", snapC, len(got), len(truth))
+			for layout, offset := range map[string]int{"packed": 0, "flat": 1 << 33} {
+				t.Run(layout, func(t *testing.T) { residentIsolation(t, q, pool, offset) })
 			}
 		})
+	}
+}
+
+// residentIsolation is TestResidentIsolation on one pool, every x value
+// of R raised by offset.
+func residentIsolation(t *testing.T, q *query.Query, pool residentPool, offset int) {
+	rng := rand.New(rand.NewPCG(5, 5))
+	db := zipfDatabase(rng, q, 2000, 1.1)
+	relR, _ := db.Relation("R")
+	relS, _ := db.Relation("S")
+	for _, tu := range relR.Tuples {
+		tu[0] += offset
+	}
+	db.N += offset
+	// live is R as the maintaining session holds it; truthOf what the join
+	// must then answer. A retraction removes a tuple however often the
+	// relation lists it.
+	live := make(map[string]relation.Tuple, len(relR.Tuples))
+	apply := func(del bool, ts []relation.Tuple) {
+		for _, tu := range ts {
+			if delete(live, tu.Key()); !del {
+				live[tu.Key()] = tu
+			}
+		}
+	}
+	truthOf := func() (r, answers []relation.Tuple) {
+		t.Helper()
+		for _, tu := range live {
+			r = append(r, tu)
+		}
+		after := relation.NewDatabase(db.N)
+		after.AddRelation(&relation.Relation{Name: "R", Attrs: relR.Attrs, Tuples: r})
+		after.AddRelation(relS)
+		answers, err := core.GroundTruth(q, after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return relation.DedupSort(r), answers
+	}
+	apply(false, relR.Tuples)
+	_, truth := truthOf()
+	gone := relR.Tuples[:len(relR.Tuples)/2]
+	// The extension joins: a session that saw it would answer more.
+	fresh := relation.Tuple{db.N, relS.Tuples[0][0]}
+	back := gone[:len(gone)/2]
+	// Every batch is one round: retractions, then extensions.
+	batches := []struct{ del, add []relation.Tuple }{
+		{del: gone, add: []relation.Tuple{fresh}},
+		{add: back},
+		{del: append([]relation.Tuple{fresh}, back[:len(back)/2]...)},
+	}
+
+	res := newResidency(t)
+	for i := 0; i < 2; i++ {
+		cl, _ := joinCluster(t, q, db, pool.session(t), res.Snapshot("d", 0), 9)
+		if got := joinAnswers(t, cl, q); !sameTuples(got, truth) {
+			t.Fatalf("warm-up %d: %d answers, want %d", i, len(got), len(truth))
+		}
+	}
+	snapA, snapB := res.Snapshot("d", 0), res.Snapshot("d", 0)
+	a, part := joinCluster(t, q, db, pool.session(t), snapA, 9)
+	b, _ := joinCluster(t, q, db, pool.session(t), snapB, 9)
+	if snapA.Hits != 2 || snapB.Hits != 2 {
+		t.Fatalf("sessions did not attach: %+v %+v", snapA, snapB)
+	}
+	done := make(chan []relation.Tuple)
+	go func() { done <- joinAnswers(t, b, q) }()
+	ctx := context.Background()
+	for i, batch := range batches {
+		a.BeginRound()
+		for _, side := range []struct {
+			del bool
+			ts  []relation.Tuple
+		}{{true, batch.del}, {false, batch.add}} {
+			if len(side.ts) == 0 {
+				continue
+			}
+			run := relation.RunOf(2, side.ts)
+			if _, packed := run.Words(); packed != (offset == 0) {
+				t.Fatalf("batch %d: delta run packed = %v at offset %d", i, packed, offset)
+			}
+			if err := a.ScatterDelta(ctx, run, "R", "", side.del, part(q.Atoms[0])); err != nil {
+				t.Fatal(err)
+			}
+			apply(side.del, side.ts)
+		}
+		if err := a.EndRound(ctx); err != nil {
+			t.Fatal(err)
+		}
+		wantR, want := truthOf()
+		if i == 0 && sameTuples(truth, want) {
+			t.Fatal("the delta changes nothing: the test checks nothing")
+		}
+		if got := joinInto(t, a, q, fmt.Sprintf("out%d", i)); !sameTuples(got, want) {
+			t.Fatalf("maintained session, batch %d: %d answers, want %d", i, len(got), len(want))
+		}
+		if got, err := a.Gather(ctx, "R"); err != nil || !sameTuples(got, wantR) {
+			t.Fatalf("maintained session, batch %d: gathered %d tuples of R (%v), want the %d live ones", i, len(got), err, len(wantR))
+		}
+	}
+	if got := <-done; !sameTuples(got, truth) {
+		t.Fatalf("the other session saw the delta: %d answers, want %d", len(got), len(truth))
+	}
+	snapC := res.Snapshot("d", 0)
+	c, _ := joinCluster(t, q, db, pool.session(t), snapC, 9)
+	if got := joinAnswers(t, c, q); snapC.Hits != 2 || !sameTuples(got, truth) {
+		t.Fatalf("a later session: %+v, %d answers, want 2 hits and %d", snapC, len(got), len(truth))
 	}
 }
 
@@ -584,7 +638,7 @@ func TestResidentContradiction(t *testing.T) {
 func TestResidentStaleEntry(t *testing.T) {
 	rs := dist.NewResidentStore()
 	lb := dist.NewLoopbackOn(2, rs)
-	buf := exchange.NewBuffer(1)
+	buf := relation.NewRun(1)
 	buf.Append(relation.Tuple{7})
 	buf.Seal()
 	ctx := context.Background()
@@ -617,7 +671,7 @@ func TestResidentStaleEntry(t *testing.T) {
 // to what an earlier session retained; a session served alone does not.
 func TestServeSessionsShareOneStore(t *testing.T) {
 	addrs := startPool(t, 1)
-	buf := exchange.NewBuffer(1)
+	buf := relation.NewRun(1)
 	buf.Append(relation.Tuple{7})
 	buf.Seal()
 	ctx := context.Background()

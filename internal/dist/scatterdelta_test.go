@@ -67,7 +67,7 @@ func TestScatterDeltaRunNative(t *testing.T) {
 
 		scatter := func(order []relation.Tuple) (mpc.RoundStats, [][]relation.Tuple) {
 			t.Helper()
-			run := exchange.NewBuffer(2)
+			run := relation.NewRun(2)
 			for _, tu := range order {
 				run.Append(tu)
 			}

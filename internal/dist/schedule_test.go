@@ -14,7 +14,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/exchange"
 	"repro/internal/hypercube"
-	"repro/internal/localjoin"
 	"repro/internal/mpc"
 	"repro/internal/multiround"
 	"repro/internal/plan"
@@ -93,7 +92,7 @@ func capOK(err error) error {
 }
 
 // hcProgram is hypercube.RunWithShares by hand: one fat round.
-func hcProgram(q *query.Query, db *relation.Database, p int, eps float64, shares *hypercube.Shares, strategy localjoin.Strategy, seed uint64) program {
+func hcProgram(q *query.Query, db *relation.Database, p int, eps float64, shares *hypercube.Shares, seed uint64) program {
 	return program{
 		cfg: mpc.Config{Workers: p, Epsilon: eps, InputBits: db.InputBits(), DomainN: db.N},
 		run: func(ctx context.Context, cl *dist.Cluster) ([]relation.Tuple, error) {
@@ -108,7 +107,7 @@ func hcProgram(q *query.Query, db *relation.Database, p int, eps float64, shares
 			if err := capOK(cl.EndRound(ctx)); err != nil {
 				return nil, err
 			}
-			if err := cl.Join(ctx, q, nil, "out", strategy); err != nil {
+			if err := cl.Join(ctx, q, nil, "out", 0); err != nil {
 				return nil, err
 			}
 			return cl.Gather(ctx, "out")
@@ -120,11 +119,11 @@ func hcProgram(q *query.Query, db *relation.Database, p int, eps float64, shares
 // scatters its groups' inputs — base relations, or the views an earlier
 // round gathered, re-scattered as the runs they came back as — joins
 // each group's view at the workers and gathers it.
-func multiProgram(pl *multiround.Plan, db *relation.Database, p int, strategy localjoin.Strategy, seed uint64) program {
+func multiProgram(pl *multiround.Plan, db *relation.Database, p int, seed uint64) program {
 	type source struct {
 		attrs []string
 		rel   *relation.Relation
-		run   *exchange.Buffer
+		run   *relation.Run
 	}
 	eps, _ := pl.Epsilon.Float64()
 	return program{
@@ -180,7 +179,7 @@ func multiProgram(pl *multiround.Plan, db *relation.Database, p int, strategy lo
 						for _, a := range w.g.Query.Atoms {
 							bindings[a.Name] = w.g.View + "/" + a.Name
 						}
-						if err := cl.Join(ctx, w.g.Query, bindings, w.g.View+"!out", strategy); err != nil {
+						if err := cl.Join(ctx, w.g.Query, bindings, w.g.View+"!out", 0); err != nil {
 							return nil, err
 						}
 						run, err := cl.GatherRun(ctx, w.g.View+"!out")
@@ -205,7 +204,7 @@ func multiProgram(pl *multiround.Plan, db *relation.Database, p int, strategy lo
 			for _, v := range pl.Query.Vars() {
 				cols = append(cols, slices.Index(final.attrs, v))
 			}
-			return exchange.Project(final.run, cols).Tuples(), nil
+			return relation.Project(final.run, cols).Tuples(), nil
 		},
 	}
 }
@@ -255,7 +254,7 @@ func (h *heavyRoute) Route(i int, t relation.Tuple, buf []int) []int {
 
 // skewProgram is skew.Execute by hand: the two sides of q scatter as
 // they are under rt, partitioned on columns ry and sy.
-func skewProgram(q *query.Query, r, s *relation.Relation, ry, sy int, rt *skew.Routing, strategy localjoin.Strategy, seed uint64) program {
+func skewProgram(q *query.Query, r, s *relation.Relation, ry, sy int, rt *skew.Routing, seed uint64) program {
 	domain := 1
 	for _, rel := range []*relation.Relation{r, s} {
 		for _, t := range rel.Tuples {
@@ -275,7 +274,7 @@ func skewProgram(q *query.Query, r, s *relation.Relation, ry, sy int, rt *skew.R
 			if err := capOK(cl.EndRound(ctx)); err != nil {
 				return nil, err
 			}
-			if err := cl.Join(ctx, q, nil, "out", strategy); err != nil {
+			if err := cl.Join(ctx, q, nil, "out", 0); err != nil {
 				return nil, err
 			}
 			return cl.Gather(ctx, "out")
@@ -290,9 +289,9 @@ func planProgram(t *testing.T, pl *plan.Plan, db *relation.Database, seed uint64
 	switch pl.Engine {
 	case plan.OneRound:
 		eps, _ := pl.Epsilon.Float64()
-		return hcProgram(pl.Query, db, pl.P, eps, pl.Shares, localjoin.Default, seed)
+		return hcProgram(pl.Query, db, pl.P, eps, pl.Shares, seed)
 	case plan.MultiRound:
-		return multiProgram(pl.Multi, db, pl.P, localjoin.Default, seed)
+		return multiProgram(pl.Multi, db, pl.P, seed)
 	case plan.SkewJoin:
 		m := pl.SkewMap
 		r, _ := db.Relation(m.R)
@@ -301,7 +300,7 @@ func planProgram(t *testing.T, pl *plan.Plan, db *relation.Database, seed uint64
 		if rt == nil {
 			rt = skew.CompileFromData(r, m.RY, s, m.SY, pl.P, 1)
 		}
-		return skewProgram(pl.Query, r, s, m.RY, m.SY, rt, localjoin.Default, seed)
+		return skewProgram(pl.Query, r, s, m.RY, m.SY, rt, seed)
 	}
 	t.Fatalf("no hand-driven program for engine %v", pl.Engine)
 	return program{}
@@ -331,14 +330,14 @@ func TestPipelinedDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return hcProgram(q, db, p, 0, shares, localjoin.Default, 23)
+			return hcProgram(q, db, p, 0, shares, 23)
 		}},
 		{"multiround", runMultiround, func(t *testing.T, q *query.Query, db *relation.Database) program {
 			pl, err := multiround.Build(q, big.NewRat(1, 2))
 			if err != nil {
 				t.Fatal(err)
 			}
-			return multiProgram(pl, db, p, localjoin.Default, 23)
+			return multiProgram(pl, db, p, 23)
 		}},
 	}
 	inputs := []struct {
@@ -393,17 +392,14 @@ func TestPipelinedSkewJoin(t *testing.T) {
 			if !sameTuples(ref.Answers, truth) {
 				t.Fatalf("engine: %d answers, ground truth %d", len(ref.Answers), len(truth))
 			}
-			rt, strategy := &skew.Routing{P: p}, localjoin.HashJoin
+			rt := &skew.Routing{P: p}
 			if mode == skew.Resilient {
 				rt = skew.CompileFromData(r, ry, s, sy, p, 1)
 				if len(rt.Heavy) == 0 {
 					t.Fatal("no heavy hitter in a Zipf(1.3) input: the mode routes like plain hashing")
 				}
 			}
-			if mode == skew.ModeWCOJ {
-				strategy = localjoin.WCOJ
-			}
-			driveAll(t, addrs, skewProgram(skew.JoinQuery(), r, s, ry, sy, rt, strategy, 7), truth, ref.Stats)
+			driveAll(t, addrs, skewProgram(skew.JoinQuery(), r, s, ry, sy, rt, 7), truth, ref.Stats)
 		})
 	}
 }

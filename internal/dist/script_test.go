@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/dist/disttest"
-	"repro/internal/exchange"
 	"repro/internal/relation"
 )
 
@@ -33,7 +32,7 @@ func (f *faultyPool) session(t *testing.T) dist.Transport {
 }
 
 // rows flattens runs to their tuples, run by run.
-func rows(runs []*exchange.Buffer) [][]relation.Tuple {
+func rows(runs []*relation.Run) [][]relation.Tuple {
 	out := make([][]relation.Tuple, len(runs))
 	for i, run := range runs {
 		out[i] = run.AppendTuples(nil)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/dist/disttest"
 	"repro/internal/exchange"
+	"repro/internal/relation"
 	"repro/internal/wire"
 )
 
@@ -32,7 +33,7 @@ func join(ctx context.Context, tr dist.Transport, spec dist.JoinSpec) error {
 	return err
 }
 
-func gather(ctx context.Context, tr dist.Transport, view string) ([]*exchange.Buffer, error) {
+func gather(ctx context.Context, tr dist.Transport, view string) ([]*relation.Run, error) {
 	reply, err := disttest.Step(ctx, tr, dist.Op{Kind: dist.OpGather, View: view})
 	return reply.Runs, err
 }

@@ -11,7 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/exchange"
+	"repro/internal/relation"
 	"repro/internal/wire"
 )
 
@@ -307,9 +307,8 @@ func (k OpKind) answered() bool {
 // joinFrame builds the wire frame for a local-evaluation command.
 func joinFrame(spec JoinSpec) *wire.Frame {
 	f := &wire.Frame{Type: wire.TypeJoin, Join: wire.Join{
-		Query:    spec.Query,
-		View:     spec.View,
-		Strategy: spec.Strategy,
+		Query: spec.Query,
+		View:  spec.View,
 	}}
 	for atom, store := range spec.Bindings {
 		f.Join.Bindings = append(f.Join.Bindings, [2]string{atom, store})
@@ -320,8 +319,8 @@ func joinFrame(spec JoinSpec) *wire.Frame {
 // readGatherStream consumes one worker's gather reply — Data frames
 // terminated by a Done carrying the run count — and returns the runs.
 // The caller holds wc.mu via roundTrip.
-func (wc *workerConn) readGatherStream(view string) ([]*exchange.Buffer, error) {
-	var runs []*exchange.Buffer
+func (wc *workerConn) readGatherStream(view string) ([]*relation.Run, error) {
+	var runs []*relation.Run
 	for {
 		f, err := wc.rd.Next()
 		if err != nil {
@@ -363,7 +362,7 @@ func (wc *workerConn) readGatherStream(view string) ([]*exchange.Buffer, error) 
 // queued, costing no write of its own — a thin round would otherwise
 // wake every worker once just for the header — and leaves with the
 // connection's next write, at the latest the round barrier's.
-func (wc *workerConn) run(ctx context.Context, ops []Op) (runs []*exchange.Buffer, attached []wire.Attach, err error) {
+func (wc *workerConn) run(ctx context.Context, ops []Op) (runs []*relation.Run, attached []wire.Attach, err error) {
 	var frames []*wire.Frame
 	queue := true
 	for i := range ops {
@@ -406,7 +405,7 @@ func (wc *workerConn) run(ctx context.Context, ops []Op) (runs []*exchange.Buffe
 					attached = append(attached, f.Attach)
 				}
 			case OpGather:
-				var got []*exchange.Buffer
+				var got []*relation.Run
 				got, err = wc.readGatherStream(op.View)
 				runs = append(runs, got...)
 			}
@@ -443,7 +442,7 @@ func (t *TCP) Run(ctx context.Context, ops []Op) (Reply, error) {
 	if answered {
 		t.exchanges.Add(1)
 	}
-	perWorker := make([][]*exchange.Buffer, len(t.conns))
+	perWorker := make([][]*relation.Run, len(t.conns))
 	attached := make([][]wire.Attach, len(t.conns))
 	err := t.eachConn(func(wc *workerConn) (err error) {
 		perWorker[wc.id], attached[wc.id], err = wc.run(ctx, ops)

@@ -14,7 +14,6 @@ import (
 	"repro/internal/dist/disttest"
 	"repro/internal/exchange"
 	"repro/internal/hypercube"
-	"repro/internal/localjoin"
 	"repro/internal/mpc"
 	"repro/internal/multiround"
 	"repro/internal/query"
@@ -112,13 +111,13 @@ func TestDifferentialWideTuples(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				base, prog = res.Stats, multiProgram(pl, db, p, localjoin.Default, 23)
+				base, prog = res.Stats, multiProgram(pl, db, p, 23)
 			} else {
 				res, err := hypercube.Run(c.q, db, p, hypercube.Options{Seed: 23})
 				if err != nil {
 					t.Fatal(err)
 				}
-				base, prog = res.Stats, hcProgram(c.q, db, p, 0, res.Shares, localjoin.Default, 23)
+				base, prog = res.Stats, hcProgram(c.q, db, p, 0, res.Shares, 23)
 			}
 			if got := statsDigest(base); got != c.golden {
 				t.Errorf("round stats digest %s, recorded %s", got, c.golden)
@@ -151,7 +150,7 @@ func TestRecoveryWideRescatter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := multiProgram(pl, db, p, localjoin.Default, 23)
+	prog := multiProgram(pl, db, p, 23)
 	for fused, sch := range schedules {
 		for _, kind := range []string{"loopback", "tcp"} {
 			t.Run(fmt.Sprintf("%s/pipeline=%v", kind, fused == 1), func(t *testing.T) {
@@ -190,7 +189,7 @@ func TestGatherWideAllocs(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 41))
 	ds := make([]exchange.Delivery, p)
 	for w := range ds {
-		run := exchange.NewBuffer(arity)
+		run := relation.NewRun(arity)
 		row := make(relation.Tuple, arity)
 		for i := 0; i < per; i++ {
 			for c := range row {

@@ -196,9 +196,8 @@ func (s *session) handle(f *wire.Frame) error {
 		return s.w.Queue(&wire.Frame{Type: wire.TypeAck, Round: f.Round})
 	case wire.TypeJoin:
 		spec := JoinSpec{
-			Query:    f.Join.Query,
-			View:     f.Join.View,
-			Strategy: f.Join.Strategy,
+			Query: f.Join.Query,
+			View:  f.Join.View,
 		}
 		if len(f.Join.Bindings) > 0 {
 			spec.Bindings = make(map[string]string, len(f.Join.Bindings))
@@ -206,11 +205,11 @@ func (s *session) handle(f *wire.Frame) error {
 				spec.Bindings[b[0]] = b[1]
 			}
 		}
-		q, strategy, err := parseJoinSpec(spec, s.parseQuery)
+		q, err := parseJoinSpec(spec, s.parseQuery)
 		if err != nil {
 			return err
 		}
-		if err := s.store.join(q, spec.Bindings, spec.View, strategy); err != nil {
+		if err := s.store.join(q, spec.Bindings, spec.View); err != nil {
 			return err
 		}
 		return s.w.Queue(&wire.Frame{Type: wire.TypeAck})

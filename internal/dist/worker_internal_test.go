@@ -4,7 +4,6 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/exchange"
 	"repro/internal/relation"
 	"repro/internal/wire"
 )
@@ -16,8 +15,8 @@ import (
 // and so is the first text when it comes back.
 func TestSessionParsesJoinQueryOnce(t *testing.T) {
 	s := &session{store: newWorkerStore(residentHome{}), w: wire.NewWriter(io.Discard)}
-	s.store.add("R", exchange.NewRun(2, []relation.Tuple{{1, 2}, {3, 4}}))
-	s.store.add("S", exchange.NewRun(2, []relation.Tuple{{2, 5}, {4, 6}}))
+	s.store.add("R", relation.RunOf(2, []relation.Tuple{{1, 2}, {3, 4}}))
+	s.store.add("S", relation.RunOf(2, []relation.Tuple{{2, 5}, {4, 6}}))
 	join := func(text, view string) {
 		t.Helper()
 		if err := s.handle(&wire.Frame{Type: wire.TypeJoin, Join: wire.Join{Query: text, View: view}}); err != nil {
@@ -60,5 +59,36 @@ func TestSessionParsesJoinQueryOnce(t *testing.T) {
 	join(chain, "v6") // a failed parse leaves the memo usable
 	if arity("v6") != 3 {
 		t.Errorf("chain view after a parse error has arity %d, want 3", arity("v6"))
+	}
+}
+
+// TestTombstonedReadBuildsNoTuples: a store with live tombstones is read
+// as Diff(Merge(runs), dead) over words, so what the read allocates does
+// not grow with the rows it reads. Until tombstones were a run it decoded
+// every stored row to a tuple and probed a set with it: thousands of
+// allocations over this store of two 2 000-row runs with 50 tombstones.
+func TestTombstonedReadBuildsNoTuples(t *testing.T) {
+	w := newWorkerStore(residentHome{})
+	var dead []relation.Tuple
+	for r := 0; r < 2; r++ {
+		rows := make([]relation.Tuple, 2000)
+		for i := range rows {
+			rows[i] = relation.Tuple{2*i + r, i % 97}
+		}
+		if err := w.add("R", relation.RunOf(2, rows)); err != nil {
+			t.Fatal(err)
+		}
+		dead = append(dead, rows[:25]...)
+	}
+	if err := w.applyDelta("R", "", true, relation.RunOf(2, dead)); err != nil {
+		t.Fatal(err)
+	}
+	var live []*relation.Run
+	allocs := testing.AllocsPerRun(20, func() { live = w.runs("R") })
+	if len(live) != 1 || live[0].Len() != 4000-len(dead) {
+		t.Fatalf("read %d runs, want one of the %d live rows", len(live), 4000-len(dead))
+	}
+	if allocs > 12 { // 9 when written: the merge's arenas, the diff's output, their headers
+		t.Errorf("a tombstoned read allocated %.0f times, want a small constant", allocs)
 	}
 }

@@ -21,7 +21,8 @@ func snap(runs []*Buffer) []snapshot {
 	out := make([]snapshot, len(runs))
 	for i, r := range runs {
 		if r != nil {
-			out[i] = snapshot{words: slices.Clone(r.words), flat: slices.Clone(r.flat)}
+			words, _ := r.Words()
+			out[i] = snapshot{words: slices.Clone(words), flat: slices.Clone(r.Flat())}
 		}
 	}
 	return out
@@ -33,10 +34,16 @@ func checkUntouched(t *testing.T, what string, runs []*Buffer, before []snapshot
 		if r == nil {
 			continue
 		}
-		if !slices.Equal(r.words, before[i].words) || !slices.Equal(r.flat, before[i].flat) {
+		if words, _ := r.Words(); !slices.Equal(words, before[i].words) || !slices.Equal(r.Flat(), before[i].flat) {
 			t.Fatalf("%s modified input run %d", what, i)
 		}
 	}
+}
+
+// isPacked reports the run's layout through the exported surface.
+func isPacked(r *Buffer) bool {
+	_, packed := r.Words()
+	return packed
 }
 
 // tuplesOf materializes runs tuple by tuple — the reference side reads
@@ -107,19 +114,19 @@ func TestRunAlgebraMatchesTupleReference(t *testing.T) {
 				rng.Shuffle(len(runs), func(i, j int) { runs[i], runs[j] = runs[j], runs[i] })
 				before := snap(runs)
 
-				merged := Merge(runs)
+				merged := relation.Merge(runs)
 				sameTuples(t, layout+" merge", merged, relation.DedupSort(tuplesOf(runs...)))
 				checkUntouched(t, "Merge", runs, before)
 				wantPacked := true
 				for _, r := range runs {
-					wantPacked = wantPacked && (r.Len() == 0 || r.packed)
+					wantPacked = wantPacked && (r.Len() == 0 || isPacked(r))
 				}
-				if merged != nil && merged.packed != wantPacked {
-					t.Fatalf("%s merge: packed = %v, want %v", layout, merged.packed, wantPacked)
+				if merged != nil && isPacked(merged) != wantPacked {
+					t.Fatalf("%s merge: packed = %v, want %v", layout, isPacked(merged), wantPacked)
 				}
 
 				// Diff of the union of one half against the other half.
-				a, b := Merge(runs[:len(runs)/2]), Merge(runs[len(runs)/2:])
+				a, b := relation.Merge(runs[:len(runs)/2]), relation.Merge(runs[len(runs)/2:])
 				pair := []*Buffer{a, b}
 				before = snap(pair)
 				sub := relation.NewTupleSet(arity, b.Len())
@@ -132,7 +139,7 @@ func TestRunAlgebraMatchesTupleReference(t *testing.T) {
 						want = append(want, tu)
 					}
 				}
-				sameTuples(t, layout+" diff", Diff(a, b), want)
+				sameTuples(t, layout+" diff", relation.Diff(a, b), want)
 				checkUntouched(t, "Diff", pair, before)
 
 				// Project onto a random column list (selection, permutation,
@@ -150,15 +157,15 @@ func TestRunAlgebraMatchesTupleReference(t *testing.T) {
 					}
 					sel = append(sel, row)
 				}
-				sameTuples(t, layout+" project", Project(merged, cols), relation.DedupSort(sel))
+				sameTuples(t, layout+" project", relation.Project(merged, cols), relation.DedupSort(sel))
 				checkUntouched(t, "Project", []*Buffer{merged}, before)
 			}
 		}
 	}
-	if Merge(nil) != nil || Merge([]*Buffer{nil, NewBuffer(3)}) != nil {
+	if relation.Merge(nil) != nil || relation.Merge([]*Buffer{nil, NewBuffer(3)}) != nil {
 		t.Error("merge of nothing is not nil")
 	}
-	if Project(nil, []int{0}) != nil || Diff(nil, NewBuffer(2)) != nil {
+	if relation.Project(nil, []int{0}) != nil || relation.Diff(nil, NewBuffer(2)) != nil {
 		t.Error("project/diff of a nil run is not nil")
 	}
 }
@@ -185,8 +192,10 @@ func TestPartitionRunMatchesPartition(t *testing.T) {
 			}
 			for i := range want {
 				g, w := got[i], want[i]
-				if g.To != w.To || g.Rel != w.Rel || g.Buf.packed != w.Buf.packed || !g.Buf.sealed ||
-					!slices.Equal(g.Buf.words, w.Buf.words) || !slices.Equal(g.Buf.flat, w.Buf.flat) {
+				gw, gp := g.Buf.Words()
+				ww, wp := w.Buf.Words()
+				if g.To != w.To || g.Rel != w.Rel || gp != wp || !g.Buf.Sealed() ||
+					!slices.Equal(gw, ww) || !slices.Equal(g.Buf.Flat(), w.Buf.Flat()) {
 					t.Fatalf("wide=%v size=%d: delivery %d differs", wide, size, i)
 				}
 			}
@@ -265,15 +274,15 @@ func BenchmarkDiffDelta(b *testing.B) {
 				return ts
 			}
 			known := draw(50000)
-			closure := NewRun(2, known)
-			delta := NewRun(2, append(draw(3000), known[:3000]...))
-			if closure.packed != (layout == "packed") || delta.packed != closure.packed {
+			closure := relation.RunOf(2, known).Dedup()
+			delta := relation.RunOf(2, append(draw(3000), known[:3000]...)).Dedup()
+			if isPacked(closure) != (layout == "packed") || isPacked(delta) != isPacked(closure) {
 				b.Fatalf("runs are not on the %s layout", layout)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if fresh := Diff(delta, closure); fresh.Len() < 2900 || fresh.Len() > 3000 {
+				if fresh := relation.Diff(delta, closure); fresh.Len() < 2900 || fresh.Len() > 3000 {
 					b.Fatalf("%d of %d Δ tuples are new, want about 3 000", fresh.Len(), delta.Len())
 				}
 			}

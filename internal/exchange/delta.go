@@ -8,7 +8,7 @@ import (
 
 // This file is the columnar bit-width reduction of the exchange layer:
 // a delta + varint codec over the packed word payload of a sealed
-// Buffer. Sealed packed buffers are sorted uint64 slices, and the
+// relation.Run. Sealed packed runs are sorted uint64 slices, and the
 // packing scheme puts values most-significant-first, so the join
 // column that drives partitioning occupies the high bits of every
 // word. Skewed inputs (Zipf heavy hitters) therefore produce long runs
@@ -43,7 +43,7 @@ func DeltaWordsSize(words []uint64) int {
 // slice to dst and returns the extended slice: the first word as a
 // uvarint, then each successive non-negative difference as a uvarint.
 // The caller must pass a sorted (non-decreasing) slice — sealed packed
-// buffers satisfy this — or decoding will not reproduce the input.
+// runs satisfy this — or decoding will not reproduce the input.
 func AppendDeltaWords(dst []byte, words []uint64) []byte {
 	if len(words) == 0 {
 		return dst

@@ -132,7 +132,7 @@ func TestNewBufferFromSortedWords(t *testing.T) {
 	words, _ := src.Words()
 
 	given := slices.Clone(words)
-	got, err := NewBufferFromWords(3, given)
+	got, err := relation.NewRunFromWords(3, given)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestNewBufferFromSortedWords(t *testing.T) {
 	if !reflect.DeepEqual(got.AppendTuples(nil), src.AppendTuples(nil)) {
 		t.Fatal("adopted words decode to different tuples")
 	}
-	if empty, err := NewBufferFromWords(3, nil); err != nil || !empty.Sealed() || empty.Len() != 0 {
+	if empty, err := relation.NewRunFromWords(3, nil); err != nil || !empty.Sealed() || empty.Len() != 0 {
 		t.Fatalf("empty run: %v, %v", empty, err)
 	}
 
@@ -161,7 +161,7 @@ func TestNewBufferFromSortedWords(t *testing.T) {
 		"lone word too big": {3, []uint64{1 << 63}, "bits above"},
 	} {
 		before := slices.Clone(c.words)
-		if buf, err := NewBufferFromWords(c.arity, c.words); err == nil || !strings.Contains(err.Error(), c.want) {
+		if buf, err := relation.NewRunFromWords(c.arity, c.words); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: buffer %v, err %v, want a rejection naming %q", name, buf, err, c.want)
 		}
 		if !slices.Equal(c.words, before) {
@@ -170,7 +170,7 @@ func TestNewBufferFromSortedWords(t *testing.T) {
 	}
 
 	rows := []int{1, 1 << 50, 3, 1, 1 << 50, 3, 2, 0, 0}
-	flat, err := NewBufferFromFlat(3, slices.Clone(rows))
+	flat, err := relation.NewRunFromFlat(3, slices.Clone(rows))
 	if err != nil || !flat.Sealed() || !slices.Equal(flat.Flat(), rows) {
 		t.Fatalf("sorted flat rows: %v, %v", flat, err)
 	}
@@ -186,7 +186,7 @@ func TestNewBufferFromSortedWords(t *testing.T) {
 		"arity 0":        {0, nil, "arity"},
 	} {
 		before := slices.Clone(c.flat)
-		if buf, err := NewBufferFromFlat(c.arity, c.flat); err == nil || !strings.Contains(err.Error(), c.want) {
+		if buf, err := relation.NewRunFromFlat(c.arity, c.flat); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("flat %s: buffer %v, err %v, want a rejection naming %q", name, buf, err, c.want)
 		}
 		if !slices.Equal(c.flat, before) {

@@ -169,18 +169,20 @@ func TestMergeWords(t *testing.T) {
 			}
 			b.Seal()
 			runs = append(runs, b)
-			all = append(all, b.words...)
+			words, _ := b.Words()
+			all = append(all, words...)
 		}
 		before = append(before, all...)
 		slices.Sort(all)
 		want := slices.Compact(all)
-		got := MergeWords(runs)
+		got := relation.MergeWords(runs)
 		if !slices.Equal(got, want) {
 			t.Errorf("k=%d: merged %v, want %v", k, got, want)
 		}
 		var after []uint64
 		for _, b := range runs {
-			after = append(after, b.words...)
+			words, _ := b.Words()
+			after = append(after, words...)
 		}
 		if !slices.Equal(after, before) {
 			t.Errorf("k=%d: MergeWords modified its inputs", k)
@@ -197,7 +199,7 @@ func TestMergeWords(t *testing.T) {
 			t.Error("MergeWords over a flat run did not panic")
 		}
 	}()
-	MergeWords([]*Buffer{flat})
+	relation.MergeWords([]*Buffer{flat})
 }
 
 // sealWords appends ws to a fresh arity-1 packed buffer, seals it and
@@ -253,10 +255,22 @@ func TestSealSortedIsNoop(t *testing.T) {
 	if &sealed[0] != &built[0] || !slices.Equal(sealed, ws) {
 		t.Fatal("sealing a sorted buffer replaced or reordered its words")
 	}
-	b := &Buffer{arity: 1, shift: relation.PackedShift(1), packed: true}
-	if allocs := testing.AllocsPerRun(10, func() {
-		b.words, b.sealed = ws, false
-		b.Seal()
+	// One pre-built unsealed buffer per measured call (AllocsPerRun warms
+	// up with one call of its own).
+	const calls = 10
+	unsealed := make([]*Buffer, 0, calls+1)
+	for len(unsealed) < cap(unsealed) {
+		b := NewBuffer(1)
+		b.Grow(len(ws))
+		for _, w := range ws {
+			b.Append(relation.Tuple{int(w)})
+		}
+		unsealed = append(unsealed, b)
+	}
+	next := 0
+	if allocs := testing.AllocsPerRun(calls, func() {
+		unsealed[next].Seal()
+		next++
 	}); allocs != 0 {
 		t.Errorf("sealing sorted words allocated %.0f times", allocs)
 	}

@@ -8,11 +8,17 @@ import (
 	"repro/internal/relation"
 )
 
-// foldCollect drains FoldRuns into a materialized slice, cloning each
-// yielded tuple (FoldRuns reuses the row on the packed path).
+// foldRuns is the gather-phase fold: the merged run streamed into yield
+// one reused tuple at a time (Run.Each), never materialized as tuples.
+func foldRuns(runs []*Buffer, yield func(relation.Tuple)) {
+	relation.Merge(runs).Each(yield)
+}
+
+// foldCollect drains the fold into a materialized slice, cloning each
+// yielded tuple (Each reuses the row).
 func foldCollect(runs []*Buffer) []relation.Tuple {
 	var out []relation.Tuple
-	FoldRuns(runs, func(t relation.Tuple) { out = append(out, t.Clone()) })
+	foldRuns(runs, func(t relation.Tuple) { out = append(out, t.Clone()) })
 	return out
 }
 
@@ -54,9 +60,9 @@ func TestFoldRunsMatchesMergeRuns(t *testing.T) {
 
 func TestFoldRunsEmpty(t *testing.T) {
 	calls := 0
-	FoldRuns(nil, func(relation.Tuple) { calls++ })
+	foldRuns(nil, func(relation.Tuple) { calls++ })
 	empty := NewBuffer(2)
-	FoldRuns([]*Buffer{nil, empty}, func(relation.Tuple) { calls++ })
+	foldRuns([]*Buffer{nil, empty}, func(relation.Tuple) { calls++ })
 	if calls != 0 {
 		t.Errorf("yield called %d times on empty input", calls)
 	}
@@ -81,7 +87,7 @@ func TestFoldRunsAggregate(t *testing.T) {
 		Aggs:    []relation.Aggregate{{Func: relation.AggCount, Col: 1}, {Func: relation.AggSum, Col: 1}},
 	}
 	acc := relation.NewAccumulator(spec)
-	FoldRuns(runs, acc.Add)
+	foldRuns(runs, acc.Add)
 	got := acc.Result()
 	want := relation.GroupAggregate(MergeRuns(runs), spec)
 	if !reflect.DeepEqual(got, want) {

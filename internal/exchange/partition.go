@@ -70,7 +70,7 @@ func (b Broadcast) Route(_ int, _ relation.Tuple, buf []int) []int {
 type Delivery struct {
 	To  int
 	Rel string
-	Buf *Buffer
+	Buf *relation.Run
 	// Retain, when non-empty, asks the receiving worker process to keep
 	// the run under this key beyond the session (see dist.Residency).
 	Retain string
@@ -85,7 +85,7 @@ const minShard = 2048
 // sealed runs in deterministic (destination-major, shard-minor) order.
 // It errors on any out-of-range destination.
 func Partition(rel string, tuples []relation.Tuple, arity, p int, part Partitioner) ([]Delivery, error) {
-	return partitionShards(rel, len(tuples), p, func(lo, hi int, bufs []*Buffer) error {
+	return partitionShards(rel, len(tuples), p, func(lo, hi int, bufs []*relation.Run) error {
 		var dsts []int
 		reserve := perDestination(part, hi-lo)
 		for i := lo; i < hi; i++ {
@@ -97,7 +97,7 @@ func Partition(rel string, tuples []relation.Tuple, arity, p int, part Partition
 				}
 				b := bufs[d]
 				if b == nil {
-					b = NewBuffer(arity)
+					b = relation.NewRun(arity)
 					b.Grow(reserve)
 					bufs[d] = b
 				}
@@ -120,14 +120,14 @@ func perDestination(part Partitioner, rows int) int {
 
 // PartitionRun is Partition over a sealed run instead of a tuple
 // slice — the re-scatter of a gathered view that never became tuples.
-// Each row is routed through a reused scratch tuple and a packed source
-// word is appended as it is, so the deliveries are bit-identical to
+// Each row is routed through a reused scratch tuple and appended as the
+// source holds it (Run.AppendRow), so the deliveries are bit-identical to
 // Partition over the run's materialized tuples without a []Tuple or a
 // re-pack. A nil run partitions into nothing.
-func PartitionRun(rel string, run *Buffer, p int, part Partitioner) ([]Delivery, error) {
-	return partitionShards(rel, run.Len(), p, func(lo, hi int, bufs []*Buffer) error {
+func PartitionRun(rel string, run *relation.Run, p int, part Partitioner) ([]Delivery, error) {
+	return partitionShards(rel, run.Len(), p, func(lo, hi int, bufs []*relation.Run) error {
 		var dsts []int
-		row := make(relation.Tuple, run.arity)
+		row := make(relation.Tuple, run.Arity())
 		reserve := perDestination(part, hi-lo)
 		for i := lo; i < hi; i++ {
 			t := run.Row(i, row)
@@ -138,15 +138,11 @@ func PartitionRun(rel string, run *Buffer, p int, part Partitioner) ([]Delivery,
 				}
 				b := bufs[d]
 				if b == nil {
-					b = NewBuffer(run.arity)
+					b = relation.NewRun(run.Arity())
 					b.Grow(reserve)
 					bufs[d] = b
 				}
-				if run.packed {
-					b.words = append(b.words, run.words[i])
-				} else {
-					b.Append(t)
-				}
+				b.AppendRow(run, i)
 			}
 		}
 		return nil
@@ -162,7 +158,7 @@ func badDestination(rel string, d, p int) error {
 // rows [lo, hi) of each shard into that shard's per-destination
 // buffers on its own goroutine, seals them there (a parallel sort), and
 // collects the non-empty runs destination-major, shard-minor.
-func partitionShards(rel string, n, p int, fill func(lo, hi int, bufs []*Buffer) error) ([]Delivery, error) {
+func partitionShards(rel string, n, p int, fill func(lo, hi int, bufs []*relation.Run) error) ([]Delivery, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("exchange: partition %s: %d workers", rel, p)
 	}
@@ -173,7 +169,7 @@ func partitionShards(rel string, n, p int, fill func(lo, hi int, bufs []*Buffer)
 	if shards < 1 {
 		shards = 1
 	}
-	per := make([][]*Buffer, shards) // shard → dest → buffer
+	per := make([][]*relation.Run, shards) // shard → dest → buffer
 	errs := make([]error, shards)
 	chunk := (n + shards - 1) / shards
 	var wg sync.WaitGroup
@@ -189,7 +185,7 @@ func partitionShards(rel string, n, p int, fill func(lo, hi int, bufs []*Buffer)
 		wg.Add(1)
 		go func(s, lo, hi int) {
 			defer wg.Done()
-			bufs := make([]*Buffer, p)
+			bufs := make([]*relation.Run, p)
 			if errs[s] = fill(lo, hi, bufs); errs[s] != nil {
 				return
 			}

@@ -181,7 +181,7 @@ func TestMergeDedupEquivalence(t *testing.T) {
 		}
 		runs := make([]*Buffer, len(groups))
 		for gi, g := range groups {
-			runs[gi] = NewRun(arity, g)
+			runs[gi] = relation.RunOf(arity, g)
 		}
 		got := MergeRuns(runs)
 		ref := make([]relation.Tuple, len(all))

@@ -19,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cover"
 	"repro/internal/hypercube"
-	"repro/internal/localjoin"
 	"repro/internal/multiround"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -214,9 +213,8 @@ func HCLoad(w io.Writer, q *query.Query, n int, ps []int, seed uint64) ([]HCLoad
 	epsF, _ := a.SpaceExponent.Float64()
 	for _, p := range ps {
 		res, err := hypercube.Run(q, db, p, hypercube.Options{
-			Epsilon:  epsF,
-			Seed:     seed,
-			Strategy: localjoin.Default,
+			Epsilon: epsF,
+			Seed:    seed,
 		})
 		if err != nil {
 			return nil, err

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/cover"
 	"repro/internal/dist"
-	"repro/internal/exchange"
 	"repro/internal/friedgut"
 	"repro/internal/hypercube"
 	"repro/internal/knowledge"
@@ -62,7 +61,7 @@ func Wire(w io.Writer, sizes []int, seed uint64) ([]WireRow, error) {
 		if n < 1 {
 			return nil, fmt.Errorf("experiments: wire frame of %d tuples", n)
 		}
-		buf := exchange.NewBuffer(3)
+		buf := relation.NewRun(3)
 		row := make(relation.Tuple, 3)
 		for i := 0; i < n; i++ {
 			for j := range row {

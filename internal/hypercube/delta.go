@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/dist"
-	"repro/internal/exchange"
 	"repro/internal/mpc"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -76,7 +75,7 @@ type Distribution struct {
 // cluster. A maintenance batch is a thin round — route Δ, barrier, delta
 // joins, gather — and leaves fused: one exchange per worker and batch
 // over TCP.
-func Distribute(q *query.Query, db *relation.Database, p int, opts Options) (*Distribution, *exchange.Buffer, error) {
+func Distribute(q *query.Query, db *relation.Database, p int, opts Options) (*Distribution, *relation.Run, error) {
 	seen := make(map[string]bool, len(q.Atoms))
 	for _, a := range q.Atoms {
 		if seen[a.Name] {
@@ -103,8 +102,8 @@ func Distribute(q *query.Query, db *relation.Database, p int, opts Options) (*Di
 
 	// Cold distribution: the ordinary one-round HC scatter and join,
 	// with the cluster kept open afterwards.
-	var cold *exchange.Buffer
-	d.capSeen, err = coldRound(ctx, cluster, q, db, opts.Strategy, func(a query.Atom) *GridPartitioner { return d.parts[a.Name] })
+	var cold *relation.Run
+	d.capSeen, err = coldRound(ctx, cluster, q, db, func(a query.Atom) *GridPartitioner { return d.parts[a.Name] })
 	if err == nil {
 		cold, err = cluster.GatherRun(ctx, answersView)
 	}
@@ -153,7 +152,7 @@ func deltaView(atom string, seq int) string {
 // batch's delta joins produced, gathered into one sealed run: every
 // answer that uses at least one added tuple, whether or not the caller
 // has seen it before (nil when nothing was added or nothing joined).
-func (d *Distribution) Apply(removed, added map[string]*exchange.Buffer) (*exchange.Buffer, error) {
+func (d *Distribution) Apply(removed, added map[string]*relation.Run) (*relation.Run, error) {
 	d.seq++
 	// Route the delta along the grid: retractions first, then
 	// extensions, so a worker never resurrects an old occurrence by
@@ -190,7 +189,7 @@ func (d *Distribution) Apply(removed, added map[string]*exchange.Buffer) (*excha
 	// using at least one added tuple appears in the term of one of the
 	// atoms it was added to, and stores already exclude retracted
 	// tuples, so no term resurrects a dead answer.
-	var gathered *exchange.Buffer
+	var gathered *relation.Run
 	if len(extended) > 0 {
 		gatherView := fmt.Sprintf("hc!delta!%d", d.seq)
 		for _, a := range extended {
@@ -221,7 +220,7 @@ type Maintainer struct {
 	// answers is the materialized answer as one sealed, deduplicated
 	// run (nil when empty); batches maintain it with linear passes over
 	// its words or rows.
-	answers *exchange.Buffer
+	answers *relation.Run
 	// tuples caches Answers() between batches; nil when stale.
 	tuples []relation.Tuple
 }
@@ -256,22 +255,6 @@ func (m *Maintainer) Answers() []relation.Tuple {
 	return m.tuples
 }
 
-// sealedRun holds the tuples as one sealed run with every occurrence
-// kept, so a tuple a caller repeats is routed and accounted once per
-// occurrence; nil for no tuples.
-func sealedRun(arity int, tuples []relation.Tuple) *exchange.Buffer {
-	if len(tuples) == 0 {
-		return nil
-	}
-	run := exchange.NewBuffer(arity)
-	run.Grow(len(tuples))
-	for _, t := range tuples {
-		run.Append(t)
-	}
-	run.Seal()
-	return run
-}
-
 // ApplyDelta maintains the distribution and the materialized answer
 // under one delta batch, given as the set-level effect per relation
 // (relation.ApplyDelta's output shape). Unknown relation names are
@@ -279,15 +262,17 @@ func sealedRun(arity int, tuples []relation.Tuple) *exchange.Buffer {
 // untouched. The returned report carries the batch's maintenance
 // cost.
 func (m *Maintainer) ApplyDelta(changes map[string]relation.Effect) (*Report, error) {
-	removed := make(map[string]*exchange.Buffer, len(changes))
-	added := make(map[string]*exchange.Buffer, len(changes))
+	removed := make(map[string]*relation.Run, len(changes))
+	added := make(map[string]*relation.Run, len(changes))
 	removedSets := make(map[string]*relation.TupleSet, len(changes))
 	for name, eff := range changes {
 		pos, ok := m.proj[name]
 		if !ok {
 			return nil, fmt.Errorf("hypercube: delta for relation %s not in query", name)
 		}
-		removed[name], added[name] = sealedRun(len(pos), eff.Removed), sealedRun(len(pos), eff.Added)
+		// Every occurrence is kept, so a tuple a caller repeats is routed
+		// and accounted once per occurrence.
+		removed[name], added[name] = relation.RunOf(len(pos), eff.Removed), relation.RunOf(len(pos), eff.Added)
 		if len(eff.Removed) > 0 {
 			removedSets[name] = relation.NewTupleSet(len(pos), len(eff.Removed))
 			for _, t := range eff.Removed {
@@ -312,7 +297,7 @@ func (m *Maintainer) ApplyDelta(changes map[string]relation.Effect) (*Report, er
 	if len(removedSets) > 0 && m.answers.Len() > 0 {
 		witness := make(relation.Tuple, 0, 8)
 		ans := make(relation.Tuple, m.answers.Arity())
-		live := exchange.NewBuffer(m.answers.Arity())
+		live := relation.NewRun(m.answers.Arity())
 		live.Grow(m.answers.Len())
 		for i, n := 0, m.answers.Len(); i < n; i++ {
 			m.answers.Row(i, ans)
@@ -341,9 +326,9 @@ func (m *Maintainer) ApplyDelta(changes map[string]relation.Effect) (*Report, er
 
 	// Insertion: of what the delta joins produced, the answers not
 	// already held are the batch's additions.
-	if fresh = exchange.Diff(fresh, m.answers); fresh.Len() > 0 {
+	if fresh = relation.Diff(fresh, m.answers); fresh.Len() > 0 {
 		rep.AnswersAdded = fresh.Len()
-		m.answers, m.tuples = exchange.Merge([]*exchange.Buffer{m.answers, fresh}), nil
+		m.answers, m.tuples = relation.Merge([]*relation.Run{m.answers, fresh}), nil
 	}
 	return rep, nil
 }

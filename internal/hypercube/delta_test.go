@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/dist/disttest"
-	"repro/internal/exchange"
 	"repro/internal/mpc"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -240,7 +239,7 @@ func distributeByHand(t *testing.T, sc *maintScenario, p int, seed uint64, tr di
 	for _, a := range sc.q.Atoms {
 		d.parts[a.Name] = NewGridPartitioner(shares, hasher, a)
 	}
-	if _, err := coldRound(ctx, cluster, sc.q, sc.db0, 0, func(a query.Atom) *GridPartitioner { return d.parts[a.Name] }); err != nil {
+	if _, err := coldRound(ctx, cluster, sc.q, sc.db0, func(a query.Atom) *GridPartitioner { return d.parts[a.Name] }); err != nil {
 		t.Fatal(err)
 	}
 	cold, err := cluster.GatherRun(ctx, answersView)
@@ -249,9 +248,9 @@ func distributeByHand(t *testing.T, sc *maintScenario, p int, seed uint64, tr di
 	}
 	out := [][]relation.Tuple{cold.Tuples()}
 	for b, eff := range sc.effs {
-		removed, added := make(map[string]*exchange.Buffer), make(map[string]*exchange.Buffer)
+		removed, added := make(map[string]*relation.Run), make(map[string]*relation.Run)
 		for _, a := range sc.q.Atoms {
-			removed[a.Name], added[a.Name] = sealedRun(a.Arity(), eff[a.Name].Removed), sealedRun(a.Arity(), eff[a.Name].Added)
+			removed[a.Name], added[a.Name] = relation.RunOf(a.Arity(), eff[a.Name].Removed), relation.RunOf(a.Arity(), eff[a.Name].Added)
 		}
 		fresh, err := d.Apply(removed, added)
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/exchange"
 	"repro/internal/mpc"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -15,7 +14,7 @@ import (
 // the two maintenance layers: over random batch sequences — retractions
 // only, extensions only, both; labels that pack and labels past 2³³ that
 // put every run on the flat layout — a Maintainer, a bare Distribution
-// whose caller keeps the answer itself (anti-join, then exchange.Diff and
+// whose caller keeps the answer itself (anti-join, then relation.Diff and
 // Merge of what Apply gathered) and a cold re-join of each state hold
 // the same answer after every batch, and the two layers charge the same
 // rounds, on loopback and on TCP sessions.
@@ -79,10 +78,10 @@ func TestMaintainerEqualsDistributionPlusAlgebra(t *testing.T) {
 					t.Cleanup(func() { d.Close() })
 					killed, born := 0, 0
 					for b, eff := range sc.effs {
-						removed, added := map[string]*exchange.Buffer{}, map[string]*exchange.Buffer{}
+						removed, added := map[string]*relation.Run{}, map[string]*relation.Run{}
 						dead := map[string]*relation.TupleSet{}
 						for name, e := range eff {
-							removed[name], added[name] = exchange.NewRun(2, e.Removed), exchange.NewRun(2, e.Added)
+							removed[name], added[name] = relation.RunOf(2, e.Removed), relation.RunOf(2, e.Added)
 							dead[name] = relation.NewTupleSet(2, len(e.Removed))
 							for _, tu := range e.Removed {
 								dead[name].Add(tu)
@@ -104,10 +103,10 @@ func TestMaintainerEqualsDistributionPlusAlgebra(t *testing.T) {
 							}
 						}
 						killed += answers.Len() - len(live)
-						answers = exchange.NewRun(q.NumVars(), live)
-						fresh := exchange.Diff(gathered, answers)
+						answers = relation.RunOf(q.NumVars(), live)
+						fresh := relation.Diff(gathered, answers)
 						born += fresh.Len()
-						answers = exchange.Merge([]*exchange.Buffer{answers, fresh})
+						answers = relation.Merge([]*relation.Run{answers, fresh})
 						if want := groundTruth(t, q, sc.dbs[b]); !answersEqual(answers.Tuples(), want) {
 							t.Fatalf("%s batch %d: distribution + algebra holds %d answers, cold re-join %d",
 								transport, b, answers.Len(), len(want))

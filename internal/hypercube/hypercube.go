@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/cover"
 	"repro/internal/dist"
-	"repro/internal/localjoin"
 	"repro/internal/mpc"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -363,11 +362,6 @@ type Options struct {
 	CapConstant float64
 	// Seed drives hash-function choice (and sampling in RunSampled).
 	Seed uint64
-	// Strategy selects the per-worker local join algorithm. The zero
-	// value is localjoin.Default, i.e. the worst-case-optimal multiway
-	// join — the right evaluator for the cyclic residual queries HC
-	// workers see.
-	Strategy localjoin.Strategy
 	// Transport, Context, Recovery, Trace and Snapshot are the fields of
 	// dist.Env (documented there): where and how the round runs. The
 	// zero values are the in-process loopback, no deadline, no recovery,
@@ -488,7 +482,7 @@ func runWithShares(q *query.Query, db *relation.Database, p int, shares *Shares,
 		return nil, err
 	}
 	hasher := NewHasher(shares, opts.Seed)
-	capExceeded, err := coldRound(ctx, cluster, q, db, opts.Strategy, func(a query.Atom) *GridPartitioner {
+	capExceeded, err := coldRound(ctx, cluster, q, db, func(a query.Atom) *GridPartitioner {
 		return NewGridPartitioner(shares, hasher, a).WithSample(sample)
 	})
 	if err != nil {
@@ -527,7 +521,7 @@ func runWithShares(q *query.Query, db *relation.Database, p int, shares *Shares,
 // model): each worker joins what it received and keeps the result
 // under answersView. A broken receive budget is reported, not an
 // error.
-func coldRound(ctx context.Context, cluster *dist.Cluster, q *query.Query, db *relation.Database, strategy localjoin.Strategy, part func(query.Atom) *GridPartitioner) (capExceeded bool, err error) {
+func coldRound(ctx context.Context, cluster *dist.Cluster, q *query.Query, db *relation.Database, part func(query.Atom) *GridPartitioner) (capExceeded bool, err error) {
 	cluster.BeginRound()
 	for _, a := range q.Atoms {
 		rel, ok := db.Relation(a.Name)
@@ -544,7 +538,7 @@ func coldRound(ctx context.Context, cluster *dist.Cluster, q *query.Query, db *r
 		}
 		capExceeded = true
 	}
-	return capExceeded, cluster.Join(ctx, q, nil, answersView, strategy)
+	return capExceeded, cluster.Join(ctx, q, nil, answersView, 0)
 }
 
 // TheoreticalLoad returns the paper's per-server tuple bound for one

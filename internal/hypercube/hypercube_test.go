@@ -229,7 +229,7 @@ func TestRunChainComplete(t *testing.T) {
 		n := 150
 		db := relation.MatchingDatabase(rng, q, n)
 		truth := groundTruth(t, q, db)
-		res, err := Run(q, db, 16, Options{Seed: 5, Strategy: localjoin.HashJoin})
+		res, err := Run(q, db, 16, Options{Seed: 5})
 		if err != nil {
 			t.Fatalf("L%d: %v", k, err)
 		}

@@ -1,55 +1,49 @@
 // Package localjoin evaluates a full conjunctive query on data held
-// in memory. It is used in two roles: as the local computation every
-// MPC worker performs on the tuples it received (the paper gives the
-// servers unlimited computational power, so any correct evaluator is
-// faithful to the model), and as the single-node reference evaluator
-// that supplies ground truth in tests and experiments.
+// in memory. It is used in two roles, by two independent algorithms:
+// as the local computation every MPC worker performs on the runs it
+// received (the paper gives the servers unlimited computational power,
+// so any correct evaluator is faithful to the model), and as the
+// single-node reference evaluator that supplies ground truth in tests
+// and experiments.
 //
-// Three strategies are provided: a pairwise hash-join pipeline that
-// joins atoms in a connectivity-respecting order, a generic
-// backtracking (tuple-at-a-time) join, and a worst-case-optimal
-// multiway join (WCOJ, a leapfrog-triejoin-style evaluator over sorted
-// trie iterators — see wcoj.go). All return identical results; the
-// benchmark suite compares their performance (README.md, "Local join
-// strategies"). WCOJ is the package default: on cyclic queries it
-// avoids the super-linear pairwise intermediates of the hash join and
-// the per-candidate scans of backtracking.
+// The worker's evaluator is EvaluateRuns: a worst-case-optimal multiway
+// join (WCOJ, a leapfrog-triejoin-style evaluator over sorted trie
+// iterators — see wcoj.go) whose input is the sealed columnar runs a
+// worker store already holds and whose output is a sealed run, so no
+// tuple is materialized between wire decode and gather encode
+// (ARCHITECTURE.md, "Worker data path"). It is the only evaluator a
+// worker has: on cyclic queries it avoids the super-linear pairwise
+// intermediates of a hash join, and the model has no use for a choice
+// (README.md, "The local join").
 //
-// There are two entry points over one evaluator. EvaluateRuns is the
-// worker's: its input is the sealed columnar runs a worker store
-// already holds and its output a sealed run, so under WCOJ no tuple is
-// materialized between wire decode and gather encode (ARCHITECTURE.md,
-// "Worker data path"). Evaluate is the tuple API of the reference
-// path, tests and benchmarks; under WCOJ it packs its tuples into
-// columnar buffers and runs the same trie builder and leapfrog loop.
+// Evaluate is the tuple API. Under Default it seals its tuples into
+// runs and calls EvaluateRuns; under HashJoin it runs a pairwise
+// hash-join pipeline in a connectivity-respecting atom order — the
+// oracle behind core.GroundTruth, knowledge, witness and skew, kept an
+// independent algorithm on purpose: ground truth that shared the
+// worker's code would agree with its bugs. A third algorithm, generic
+// backtracking, lives beside the tests that compare all three
+// (backtracking_test.go).
 package localjoin
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/exchange"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
 
-// Strategy selects the join algorithm.
+// Strategy selects the algorithm Evaluate runs.
 type Strategy int
 
 // Available strategies.
 const (
-	// Default selects the package default (currently WCOJ). It is the
-	// zero value, so callers that leave a Strategy field unset get the
-	// worst-case-optimal evaluator.
+	// Default is the worker's evaluator, the worst-case-optimal multiway
+	// join of EvaluateRuns. It is the zero value.
 	Default Strategy = iota
-	// HashJoin joins atoms pairwise with hash indexes.
+	// HashJoin joins atoms pairwise with hash indexes: the ground-truth
+	// oracle.
 	HashJoin
-	// Backtracking binds variables one at a time, checking every atom
-	// incrementally.
-	Backtracking
-	// WCOJ is the worst-case-optimal multiway join: sorted trie
-	// iterators per atom, variable-at-a-time leapfrog intersection.
-	WCOJ
 )
 
 // String names the strategy.
@@ -59,10 +53,6 @@ func (s Strategy) String() string {
 		return "default"
 	case HashJoin:
 		return "hashjoin"
-	case Backtracking:
-		return "backtracking"
-	case WCOJ:
-		return "wcoj"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
@@ -100,90 +90,31 @@ func Evaluate(q *query.Query, b Bindings, strategy Strategy) ([]relation.Tuple, 
 			return nil, nil
 		}
 	}
-	var out []relation.Tuple
-	var err error
 	switch strategy {
-	case Default, WCOJ:
-		inputs := make([][]*exchange.Buffer, len(q.Atoms))
-		for i, a := range q.Atoms {
-			buf, err := packTuples(a, b[a.Name])
-			if err != nil {
-				return nil, err
+	case Default:
+		runs := make(Runs, len(q.Atoms))
+		for _, a := range q.Atoms {
+			for _, t := range b[a.Name] {
+				if len(t) != a.Arity() {
+					return nil, arityError(len(t), a)
+				}
 			}
-			inputs[i] = []*exchange.Buffer{buf}
+			runs[a.Name] = []*relation.Run{relation.RunOf(a.Arity(), b[a.Name])}
 		}
-		run, err := evalWCOJ(q, inputs)
-		if err != nil || run == nil {
-			return nil, err
-		}
-		return run.AppendTuples(nil), nil
+		run, err := EvaluateRuns(q, runs)
+		return run.Tuples(), err
 	case HashJoin:
-		out, err = evalHashJoin(q, b)
-	case Backtracking:
-		out, err = evalBacktracking(q, b)
+		out, err := evalHashJoin(q, b)
+		return relation.DedupSort(out), err
 	default:
 		return nil, fmt.Errorf("localjoin: unknown strategy %v", strategy)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return relation.DedupSort(out), nil
-}
-
-// packTuples copies an atom's tuples into one unsealed columnar buffer
-// — the form the trie builder consumes — checking their arity.
-func packTuples(atom query.Atom, tuples []relation.Tuple) (*exchange.Buffer, error) {
-	buf := exchange.NewBuffer(atom.Arity())
-	buf.Grow(len(tuples))
-	for _, t := range tuples {
-		if len(t) != atom.Arity() {
-			return nil, arityError(len(t), atom)
-		}
-		buf.Append(t)
-	}
-	return buf, nil
 }
 
 // Runs maps relation name → the sealed columnar runs holding its
 // tuples, the form in which a worker store keeps what it received. Run
 // arities correspond to the atoms' arities.
-type Runs map[string][]*exchange.Buffer
-
-// EvaluateRuns computes q over sealed runs and returns the answers —
-// in the variable order q.Vars(), deduplicated — as one sealed run, or
-// nil when there are none. A relation without runs is empty. The runs
-// are only read: a WCOJ trie may alias a run's words, and the same
-// runs can be joined again (or re-sent by a recovery journal) after
-// the call. HashJoin and Backtracking work on tuples, materialized
-// here once.
-func EvaluateRuns(q *query.Query, runs Runs, strategy Strategy) (*exchange.Buffer, error) {
-	switch strategy {
-	case Default, WCOJ:
-		inputs := make([][]*exchange.Buffer, len(q.Atoms))
-		for i, a := range q.Atoms {
-			inputs[i] = runs[a.Name]
-		}
-		return evalWCOJ(q, inputs)
-	case HashJoin, Backtracking:
-		b := make(Bindings, len(q.Atoms))
-		for _, a := range q.Atoms {
-			b[a.Name] = materialize(runs[a.Name])
-		}
-		rows, err := Evaluate(q, b, strategy)
-		if err != nil || len(rows) == 0 {
-			return nil, err
-		}
-		out := exchange.NewBuffer(q.NumVars())
-		out.Grow(len(rows))
-		for _, t := range rows {
-			out.Append(t)
-		}
-		out.Seal()
-		return out, nil
-	default:
-		return nil, fmt.Errorf("localjoin: unknown strategy %v", strategy)
-	}
-}
+type Runs map[string][]*relation.Run
 
 // atomOrder returns an ordering of atom indices in which every atom
 // after the first within a component shares a variable with an
@@ -317,86 +248,6 @@ func atomRelation(atom query.Atom, tuples []relation.Tuple) (*relation.Relation,
 	return r, nil
 }
 
-// evalBacktracking binds query variables one at a time. Variables are
-// ordered so each new variable (after the first in its component)
-// occurs in an atom with an already-bound variable; candidate values
-// come from the smallest atom containing the variable, restricted by
-// already-bound positions via hash indexes.
-func evalBacktracking(q *query.Query, b Bindings) ([]relation.Tuple, error) {
-	for _, a := range q.Atoms {
-		for _, t := range b[a.Name] {
-			if len(t) != a.Arity() {
-				return nil, arityError(len(t), a)
-			}
-		}
-	}
-	vars := q.Vars()
-	k := len(vars)
-	varOrder := variableOrder(q)
-	binding := make(map[string]int, k)
-	var out []relation.Tuple
-
-	// Index every atom's tuples by packed key for O(1) closed-atom
-	// membership checks, and precompute at which depth each atom closes
-	// (all its variables bound).
-	index := make(map[string]*relation.TupleSet, q.NumAtoms())
-	for _, a := range q.Atoms {
-		set := relation.NewTupleSet(a.Arity(), len(b[a.Name]))
-		for _, t := range b[a.Name] {
-			set.Add(t)
-		}
-		index[a.Name] = set
-	}
-	depthOf := make(map[string]int, k)
-	for d, v := range varOrder {
-		depthOf[v] = d
-	}
-	closesAt := make([][]int, k) // depth → atoms that close there
-	for ai, a := range q.Atoms {
-		maxDepth := 0
-		for _, v := range a.Vars {
-			if d := depthOf[v]; d > maxDepth {
-				maxDepth = d
-			}
-		}
-		closesAt[maxDepth] = append(closesAt[maxDepth], ai)
-	}
-
-	var assign func(depth int)
-	assign = func(depth int) {
-		if depth == k {
-			row := make(relation.Tuple, k)
-			for i, v := range vars {
-				row[i] = binding[v]
-			}
-			out = append(out, row)
-			return
-		}
-		v := varOrder[depth]
-		for _, val := range candidates(q, b, v, binding) {
-			binding[v] = val
-			ok := true
-			for _, ai := range closesAt[depth] {
-				a := q.Atoms[ai]
-				probe := make(relation.Tuple, a.Arity())
-				for j, av := range a.Vars {
-					probe[j] = binding[av]
-				}
-				if !index[a.Name].Contains(probe) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				assign(depth + 1)
-			}
-			delete(binding, v)
-		}
-	}
-	assign(0)
-	return out, nil
-}
-
 // variableOrder returns variables ordered to keep each prefix
 // connected within its component.
 func variableOrder(q *query.Query) []string {
@@ -439,48 +290,4 @@ func variableOrder(q *query.Query) []string {
 		}
 	}
 	return order
-}
-
-// candidates returns the possible values for variable v given the
-// current partial binding: the v-values of tuples (in the smallest
-// atom containing v) that agree with the binding.
-func candidates(q *query.Query, b Bindings, v string, binding map[string]int) []int {
-	atomIdxs := q.AtomsOf(v)
-	best := atomIdxs[0]
-	for _, ai := range atomIdxs[1:] {
-		if len(b[q.Atoms[ai].Name]) < len(b[q.Atoms[best].Name]) {
-			best = ai
-		}
-	}
-	atom := q.Atoms[best]
-	vals := make(map[int]bool)
-	var out []int
-	for _, t := range b[atom.Name] {
-		ok := true
-		var val int
-		for j, av := range atom.Vars {
-			if av == v {
-				val = t[j]
-			} else if bound, has := binding[av]; has && t[j] != bound {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		// Repeated occurrences of v inside the atom must agree.
-		for j, av := range atom.Vars {
-			if av == v && t[j] != val {
-				ok = false
-				break
-			}
-		}
-		if ok && !vals[val] {
-			vals[val] = true
-			out = append(out, val)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -30,8 +30,9 @@ func TestEvaluateChainSmall(t *testing.T) {
 	db.AddRelation(s1)
 	db.AddRelation(s2)
 	b := bindingsOf(t, q, db)
-	for _, strat := range []Strategy{HashJoin, Backtracking, WCOJ} {
-		out, err := Evaluate(q, b, strat)
+	for _, ev := range evaluators {
+		strat := ev.name
+		out, err := ev.eval(q, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,8 +62,9 @@ func TestEvaluateTriangle(t *testing.T) {
 	db.AddRelation(s2)
 	db.AddRelation(s3)
 	b := bindingsOf(t, q, db)
-	for _, strat := range []Strategy{HashJoin, Backtracking, WCOJ} {
-		out, err := Evaluate(q, b, strat)
+	for _, ev := range evaluators {
+		strat := ev.name
+		out, err := ev.eval(q, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,8 +85,9 @@ func TestEvaluateDisconnected(t *testing.T) {
 	db.AddRelation(r)
 	db.AddRelation(s)
 	b := bindingsOf(t, q, db)
-	for _, strat := range []Strategy{HashJoin, Backtracking, WCOJ} {
-		out, err := Evaluate(q, b, strat)
+	for _, ev := range evaluators {
+		strat := ev.name
+		out, err := ev.eval(q, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,8 +100,9 @@ func TestEvaluateDisconnected(t *testing.T) {
 func TestEvaluateEmptyRelation(t *testing.T) {
 	q := query.Chain(2)
 	b := Bindings{"S1": nil, "S2": {relation.Tuple{1, 2}}}
-	for _, strat := range []Strategy{HashJoin, Backtracking, WCOJ} {
-		out, err := Evaluate(q, b, strat)
+	for _, ev := range evaluators {
+		strat := ev.name
+		out, err := ev.eval(q, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,8 +129,9 @@ func TestEvaluateRepeatedVariable(t *testing.T) {
 		relation.Tuple{1, 2, 6},
 		relation.Tuple{3, 3, 7},
 	}}
-	for _, strat := range []Strategy{HashJoin, Backtracking, WCOJ} {
-		out, err := Evaluate(q, b, strat)
+	for _, ev := range evaluators {
+		strat := ev.name
+		out, err := ev.eval(q, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,8 +144,9 @@ func TestEvaluateRepeatedVariable(t *testing.T) {
 func TestEvaluateArityMismatch(t *testing.T) {
 	q := query.Chain(2)
 	b := Bindings{"S1": {relation.Tuple{1}}, "S2": {relation.Tuple{1, 2}}}
-	for _, strat := range []Strategy{HashJoin, Backtracking, WCOJ} {
-		if _, err := Evaluate(q, b, strat); err == nil {
+	for _, ev := range evaluators {
+		strat := ev.name
+		if _, err := ev.eval(q, b); err == nil {
 			t.Errorf("%v: want arity error", strat)
 		}
 	}
@@ -152,7 +158,7 @@ func TestUnknownStrategy(t *testing.T) {
 	if _, err := Evaluate(q, b, Strategy(99)); err == nil {
 		t.Error("want error for unknown strategy")
 	}
-	if Strategy(99).String() == "" || HashJoin.String() != "hashjoin" || Backtracking.String() != "backtracking" {
+	if Strategy(99).String() == "" || HashJoin.String() != "hashjoin" || Strategy(2).String() != "Strategy(2)" {
 		t.Error("Strategy.String")
 	}
 }
@@ -197,7 +203,7 @@ func TestStarOnMatchingHasNAnswers(t *testing.T) {
 	n := 30
 	db := relation.MatchingDatabase(rng, q, n)
 	b := bindingsOf(t, q, db)
-	out, err := Evaluate(q, b, Backtracking)
+	out, err := backtrack(q, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +235,7 @@ func TestStrategiesAgreeProperty(t *testing.T) {
 			return false
 		}
 		h, err1 := Evaluate(q, b, HashJoin)
-		bt, err2 := Evaluate(q, b, Backtracking)
+		bt, err2 := backtrack(q, b)
 		if err1 != nil || err2 != nil || len(h) != len(bt) {
 			return false
 		}

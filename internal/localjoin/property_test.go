@@ -9,10 +9,6 @@ import (
 	"repro/internal/relation"
 )
 
-// allStrategies are the concrete evaluators (Default aliases WCOJ and
-// is covered by TestDefaultStrategyIsWCOJ).
-var allStrategies = []Strategy{HashJoin, Backtracking, WCOJ}
-
 // randomQuery builds a random conjunctive query: 1–4 atoms of arity
 // 1–3 over a pool of 5 variables, repeats within an atom allowed.
 // Queries may be disconnected or have variables shared by every atom.
@@ -61,8 +57,9 @@ func TestAllStrategiesAgreeOnRandomInstances(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %s: hashjoin: %v", trial, q, err)
 		}
-		for _, strat := range allStrategies[1:] {
-			got, err := Evaluate(q, b, strat)
+		for _, ev := range evaluators[1:] {
+			strat := ev.name
+			got, err := ev.eval(q, b)
 			if err != nil {
 				t.Fatalf("trial %d: %s: %v: %v", trial, q, strat, err)
 			}
@@ -98,8 +95,9 @@ func TestAllStrategiesAgreeOnMatchings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, strat := range allStrategies[1:] {
-			got, err := Evaluate(q, b, strat)
+		for _, ev := range evaluators[1:] {
+			strat := ev.name
+			got, err := ev.eval(q, b)
 			if err != nil {
 				t.Fatalf("%s: %v: %v", q.Name, strat, err)
 			}
@@ -115,7 +113,9 @@ func TestAllStrategiesAgreeOnMatchings(t *testing.T) {
 	}
 }
 
-// TestDefaultStrategyIsWCOJ pins the zero value to the WCOJ engine.
+// TestDefaultStrategyIsWCOJ pins the zero value to the worker's
+// evaluator: Evaluate under Default returns exactly what EvaluateRuns
+// computes from the same tuples sealed into runs.
 func TestDefaultStrategyIsWCOJ(t *testing.T) {
 	if Default != 0 {
 		t.Fatalf("Default = %d, want the zero value", int(Default))
@@ -131,11 +131,16 @@ func TestDefaultStrategyIsWCOJ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wcoj, err := Evaluate(q, b, WCOJ)
+	runs := make(Runs, len(b))
+	for _, a := range q.Atoms {
+		runs[a.Name] = []*relation.Run{relation.RunOf(a.Arity(), b[a.Name])}
+	}
+	run, err := EvaluateRuns(q, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(def) != len(wcoj) {
+	wcoj := run.Tuples()
+	if len(def) == 0 || len(def) != len(wcoj) {
 		t.Fatalf("Default answers %d != WCOJ answers %d", len(def), len(wcoj))
 	}
 	for i := range def {
@@ -143,8 +148,8 @@ func TestDefaultStrategyIsWCOJ(t *testing.T) {
 			t.Fatalf("answer[%d]: Default %v != WCOJ %v", i, def[i], wcoj[i])
 		}
 	}
-	if Default.String() != "default" || WCOJ.String() != "wcoj" {
-		t.Errorf("Strategy names: %q, %q", Default.String(), WCOJ.String())
+	if Default.String() != "default" {
+		t.Errorf("Strategy name: %q", Default.String())
 	}
 }
 
@@ -159,7 +164,7 @@ func TestWCOJTriangleCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Evaluate(q, b, WCOJ)
+	out, err := Evaluate(q, b, Default)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/exchange"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
@@ -47,8 +46,9 @@ func TestRepeatedVariableTable(t *testing.T) {
 	}
 	for _, c := range cases {
 		q := query.MustParse(c.query)
-		for _, strat := range allStrategies {
-			got, err := Evaluate(q, c.b, strat)
+		for _, ev := range evaluators {
+			strat := ev.name
+			got, err := ev.eval(q, c.b)
 			if err != nil {
 				t.Fatalf("%s: %v: %v", c.query, strat, err)
 			}
@@ -67,9 +67,9 @@ func runsOf(rng *rand.Rand, q *query.Query, b Bindings) Runs {
 		if !ok {
 			continue
 		}
-		parts := make([]*exchange.Buffer, 1+rng.IntN(3))
+		parts := make([]*relation.Run, 1+rng.IntN(3))
 		for i := range parts {
-			parts[i] = exchange.NewBuffer(a.Arity())
+			parts[i] = relation.NewRun(a.Arity())
 		}
 		for _, tu := range tuples {
 			parts[rng.IntN(len(parts))].Append(tu)
@@ -83,8 +83,8 @@ func runsOf(rng *rand.Rand, q *query.Query, b Bindings) Runs {
 }
 
 // TestEvaluateRunsAgreesWithEvaluate: over random instances the
-// run-input entry point returns, for every strategy, exactly the
-// tuple API's answers, as one sealed deduplicated run.
+// run-input entry point returns exactly the hash-join oracle's answers,
+// as one sealed deduplicated run.
 func TestEvaluateRunsAgreesWithEvaluate(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		rng := rand.New(rand.NewPCG(uint64(trial), 0xE7))
@@ -95,23 +95,21 @@ func TestEvaluateRunsAgreesWithEvaluate(t *testing.T) {
 			t.Fatal(err)
 		}
 		runs := runsOf(rng, q, b)
-		for _, strat := range []Strategy{Default, HashJoin, Backtracking, WCOJ} {
-			out, err := EvaluateRuns(q, runs, strat)
-			if err != nil {
-				t.Fatalf("trial %d: %s: %v: %v", trial, q, strat, err)
+		out, err := EvaluateRuns(q, runs)
+		if err != nil {
+			t.Fatalf("trial %d: %s: %v", trial, q, err)
+		}
+		if out == nil {
+			if len(want) != 0 {
+				t.Fatalf("trial %d: %s: no run, want %d answers", trial, q, len(want))
 			}
-			if out == nil {
-				if len(want) != 0 {
-					t.Fatalf("trial %d: %s: %v returned no run, want %d answers", trial, q, strat, len(want))
-				}
-				continue
-			}
-			if !out.Sealed() || out.Arity() != q.NumVars() {
-				t.Fatalf("trial %d: %s: %v: run sealed=%v arity=%d", trial, q, strat, out.Sealed(), out.Arity())
-			}
-			if got := out.AppendTuples(nil); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d: %s: %v = %v, want %v", trial, q, strat, got, want)
-			}
+			continue
+		}
+		if !out.Sealed() || out.Arity() != q.NumVars() {
+			t.Fatalf("trial %d: %s: run sealed=%v arity=%d", trial, q, out.Sealed(), out.Arity())
+		}
+		if got := out.AppendTuples(nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: %s = %v, want %v", trial, q, got, want)
 		}
 	}
 }
@@ -120,8 +118,8 @@ func TestEvaluateRunsAgreesWithEvaluate(t *testing.T) {
 // Bindings cannot express the same way.
 func TestEvaluateRunsEdges(t *testing.T) {
 	q := query.MustParse("q(x,y,z) = R(x,y), S(y,z)")
-	run := func(arity int, tuples ...relation.Tuple) *exchange.Buffer {
-		b := exchange.NewBuffer(arity)
+	run := func(arity int, tuples ...relation.Tuple) *relation.Run {
+		b := relation.NewRun(arity)
 		for _, tu := range tuples {
 			b.Append(tu)
 		}
@@ -129,31 +127,26 @@ func TestEvaluateRunsEdges(t *testing.T) {
 		return b
 	}
 	r := run(2, relation.Tuple{1, 2}, relation.Tuple{1, 2}, relation.Tuple{4, 5})
-	for _, strat := range allStrategies {
-		// A relation without runs, and one with only empty runs.
-		for _, runs := range []Runs{{"R": {r}}, {"R": {r}, "S": {run(2)}}} {
-			if out, err := EvaluateRuns(q, runs, strat); out != nil || err != nil {
-				t.Errorf("%v: empty S: got %v, %v", strat, out, err)
-			}
-		}
-		// Duplicates across and within runs do not duplicate answers.
-		out, err := EvaluateRuns(q, Runs{"R": {r, r}, "S": {run(2, relation.Tuple{2, 9}), run(2, relation.Tuple{2, 9})}}, strat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := out.AppendTuples(nil); !reflect.DeepEqual(got, []relation.Tuple{{1, 2, 9}}) {
-			t.Errorf("%v: duplicates: %v", strat, got)
-		}
-		// A wrong-arity run is an error, an empty one of wrong arity is not.
-		if _, err := EvaluateRuns(q, Runs{"R": {r}, "S": {run(1, relation.Tuple{2})}}, strat); err == nil {
-			t.Errorf("%v: want arity error", strat)
-		}
-		if _, err := EvaluateRuns(q, Runs{"R": {r, run(3)}, "S": {run(2, relation.Tuple{2, 9})}}, strat); err != nil {
-			t.Errorf("%v: empty wrong-arity run: %v", strat, err)
+	// A relation without runs, and one with only empty runs.
+	for _, runs := range []Runs{{"R": {r}}, {"R": {r}, "S": {run(2)}}} {
+		if out, err := EvaluateRuns(q, runs); out != nil || err != nil {
+			t.Errorf("empty S: got %v, %v", out, err)
 		}
 	}
-	if _, err := EvaluateRuns(q, Runs{"R": {r}, "S": {r}}, Strategy(99)); err == nil {
-		t.Error("want error for unknown strategy")
+	// Duplicates across and within runs do not duplicate answers.
+	out, err := EvaluateRuns(q, Runs{"R": {r, r}, "S": {run(2, relation.Tuple{2, 9}), run(2, relation.Tuple{2, 9})}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.AppendTuples(nil); !reflect.DeepEqual(got, []relation.Tuple{{1, 2, 9}}) {
+		t.Errorf("duplicates: %v", got)
+	}
+	// A wrong-arity run is an error, an empty one of wrong arity is not.
+	if _, err := EvaluateRuns(q, Runs{"R": {r}, "S": {run(1, relation.Tuple{2})}}); err == nil {
+		t.Error("want arity error")
+	}
+	if _, err := EvaluateRuns(q, Runs{"R": {r, run(3)}, "S": {run(2, relation.Tuple{2, 9})}}); err != nil {
+		t.Errorf("empty wrong-arity run: %v", err)
 	}
 }
 
@@ -212,7 +205,7 @@ func FuzzEvaluateRuns(f *testing.F) {
 			}
 			for _, p := range parts {
 				slices.Sort(p)
-				buf, err := exchange.NewBufferFromWords(a.Arity(), p)
+				buf, err := relation.NewRunFromWords(a.Arity(), p)
 				if err != nil {
 					t.Fatalf("atom %s: %v", a.Name, err)
 				}
@@ -220,15 +213,19 @@ func FuzzEvaluateRuns(f *testing.F) {
 				before = append(before, append([]uint64(nil), p...))
 			}
 		}
-		want, err := EvaluateRuns(q, runs, HashJoin)
+		b := make(Bindings, len(q.Atoms))
+		for _, a := range q.Atoms {
+			b[a.Name] = materialize(runs[a.Name])
+		}
+		want, err := Evaluate(q, b, HashJoin)
 		if err != nil {
 			t.Fatalf("hash join: %v", err)
 		}
-		got, err := EvaluateRuns(q, runs, WCOJ)
+		got, err := EvaluateRuns(q, runs)
 		if err != nil {
 			t.Fatalf("wcoj: %v", err)
 		}
-		if (got == nil) != (want == nil) || got != nil && !reflect.DeepEqual(got.AppendTuples(nil), want.AppendTuples(nil)) {
+		if len(got.Tuples()) != len(want) || len(want) > 0 && !reflect.DeepEqual(got.Tuples(), want) {
 			t.Fatalf("%s: wcoj and hash join disagree", q)
 		}
 		i := 0

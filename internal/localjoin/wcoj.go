@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/exchange"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
@@ -22,16 +21,16 @@ import (
 // participating trie at once.
 //
 // The data path is packed end to end. An atom's input is the columnar
-// runs of exchange.Buffer — one uint64 word per tuple — and the trie is
+// runs of relation.Run — one uint64 word per tuple — and the trie is
 // a sorted []uint64 of the same words: when the trie's level order is
 // the atom's column order and the input is one sealed run the trie
 // aliases the run (no work at all), several sealed runs are merged, and
 // only atoms whose level order differs (T(z,x) under the order x,z) or
 // that repeat a variable have their bit-fields permuted and are
-// re-sorted. Answers are appended to an exchange.Buffer the same way.
+// re-sorted. Answers are appended to an relation.Run the same way.
 // Every seek is a search over contiguous integers — no per-tuple
 // allocation and no comparator indirection. Runs holding a value that
-// does not fit a word (the buffer's flat layout) fall back to a sorted
+// does not fit a word (the run's flat layout) fall back to a sorted
 // []relation.Tuple trie with identical semantics.
 
 // trieRel is a sorted-trie view of one atom's tuples. Level d of the
@@ -85,7 +84,7 @@ func consistentRepeats(t relation.Tuple, eq [][2]int) bool {
 }
 
 // materialize reads runs back as tuples, the slice sized once.
-func materialize(runs []*exchange.Buffer) []relation.Tuple {
+func materialize(runs []*relation.Run) []relation.Tuple {
 	total := 0
 	for _, run := range runs {
 		total += run.Len()
@@ -102,7 +101,7 @@ func materialize(runs []*exchange.Buffer) []relation.Tuple {
 // tuples with inconsistent repeats), order the columns by the
 // variables' global depths, and sort — skipping whatever of that the
 // runs already guarantee. Sealed runs are only read, never reordered.
-func newTrieRel(atom query.Atom, runs []*exchange.Buffer, depthOf map[string]int) *trieRel {
+func newTrieRel(atom query.Atom, runs []*relation.Run, depthOf map[string]int) *trieRel {
 	arity := atom.Arity()
 	// pos[d] is the tuple position supplying trie level d: first
 	// occurrences, ordered by global depth.
@@ -171,7 +170,7 @@ func newTrieRel(atom query.Atom, runs []*exchange.Buffer, depthOf map[string]int
 	case inOrder && sealed && len(runs) == 1:
 		tr.keys, _ = runs[0].Words()
 	case inOrder && sealed:
-		tr.keys = exchange.MergeWords(runs)
+		tr.keys = relation.MergeWords(runs)
 	default:
 		// Permute the bit-fields into level order (checking repeats on
 		// the words), then sort.
@@ -282,17 +281,19 @@ type participant struct {
 	d  int // trie level of the variable inside this atom
 }
 
-// evalWCOJ evaluates q by leapfrog intersection along the global
-// variable order. inputs[i] holds the columnar runs of q.Atoms[i]; the
-// answer comes back as one sealed, deduplicated run in q.Vars() column
-// order, nil when there are no answers.
-func evalWCOJ(q *query.Query, inputs [][]*exchange.Buffer) (*exchange.Buffer, error) {
+// EvaluateRuns computes q over sealed runs by leapfrog intersection
+// along the global variable order and returns the answers — in the
+// variable order q.Vars(), deduplicated — as one sealed run, or nil when
+// there are none. A relation without runs is empty. The runs are only
+// read: a trie may alias a run's words, and the same runs can be joined
+// again (or re-sent by a recovery journal) after the call.
+func EvaluateRuns(q *query.Query, runs Runs) (*relation.Run, error) {
 	// Validate every atom before the empty-input shortcut, so an arity
 	// mismatch is reported whatever the other atoms hold.
 	empty := false
-	for i, a := range q.Atoms {
+	for _, a := range q.Atoms {
 		rows := 0
-		for _, run := range inputs[i] {
+		for _, run := range runs[a.Name] {
 			if run.Len() > 0 && run.Arity() != a.Arity() {
 				return nil, arityError(run.Arity(), a)
 			}
@@ -311,8 +312,8 @@ func evalWCOJ(q *query.Query, inputs [][]*exchange.Buffer) (*exchange.Buffer, er
 		depthOf[v] = d
 	}
 	parts := make([][]participant, k)
-	for i, a := range q.Atoms {
-		tr := newTrieRel(a, inputs[i], depthOf)
+	for _, a := range q.Atoms {
+		tr := newTrieRel(a, runs[a.Name], depthOf)
 		for d, g := range tr.depths {
 			parts[g] = append(parts[g], participant{tr: tr, d: d})
 		}
@@ -326,7 +327,7 @@ func evalWCOJ(q *query.Query, inputs [][]*exchange.Buffer) (*exchange.Buffer, er
 
 	binding := make([]int, k)
 	row := make(relation.Tuple, len(outCol))
-	out := exchange.NewBuffer(len(outCol))
+	out := relation.NewRun(len(outCol))
 	var rec func(g int)
 	rec = func(g int) {
 		if g == k {
@@ -375,8 +376,7 @@ func evalWCOJ(q *query.Query, inputs [][]*exchange.Buffer) (*exchange.Buffer, er
 	if out.Len() == 0 {
 		return nil, nil
 	}
-	out.Dedup()
-	return out, nil
+	return out.Dedup(), nil
 }
 
 // arityError is the error every strategy reports for a tuple (or run)

@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/cover"
 	"repro/internal/dist"
-	"repro/internal/exchange"
 	"repro/internal/hypercube"
 	"repro/internal/localjoin"
 	"repro/internal/mpc"
@@ -223,10 +222,6 @@ type Options struct {
 	CapConstant float64
 	// Seed drives all hash functions.
 	Seed uint64
-	// Strategy selects the local join algorithm at the workers. The
-	// zero value is localjoin.Default (the worst-case-optimal multiway
-	// join).
-	Strategy localjoin.Strategy
 	// Transport, Context, Recovery, Trace and Snapshot are the fields of
 	// dist.Env (documented there): where and how the rounds run. The
 	// zero values are the in-process loopback, no deadline, no recovery,
@@ -298,7 +293,7 @@ func Execute(plan *Plan, db *relation.Database, p int, opts Options) (*Result, e
 			return nil, fmt.Errorf("multiround: no relation for atom %s", plan.Query.Atoms[0].Name)
 		}
 		answers, err := localjoin.Evaluate(plan.Query,
-			localjoin.Bindings{plan.Query.Atoms[0].Name: base.rel.Tuples}, opts.Strategy)
+			localjoin.Bindings{plan.Query.Atoms[0].Name: base.rel.Tuples}, localjoin.Default)
 		if err != nil {
 			return nil, err
 		}
@@ -362,7 +357,7 @@ func Execute(plan *Plan, db *relation.Database, p int, opts Options) (*Result, e
 			}
 			// Local joins: gather each view as one sealed run.
 			for _, w := range work {
-				run, err := gatherView(ctx, cluster, w.group, opts.Strategy)
+				run, err := gatherView(ctx, cluster, w.group)
 				if err != nil {
 					return nil, err
 				}
@@ -411,14 +406,14 @@ func Execute(plan *Plan, db *relation.Database, p int, opts Options) (*Result, e
 type source struct {
 	attrs []string
 	rel   *relation.Relation
-	run   *exchange.Buffer
+	run   *relation.Run
 }
 
 // gatherView joins one group's inputs at the workers and gathers the
 // results as one sealed run over the group query's variables: the
 // workers join concurrently (local computation is free in the model)
 // and their sorted outputs k-way merge in the gather.
-func gatherView(ctx context.Context, cluster *dist.Cluster, g Group, strategy localjoin.Strategy) (*exchange.Buffer, error) {
+func gatherView(ctx context.Context, cluster *dist.Cluster, g Group) (*relation.Run, error) {
 	prefix := g.View + "/"
 	bindings := make(map[string]string, len(g.Query.Atoms))
 	for _, atom := range g.Query.Atoms {
@@ -427,7 +422,7 @@ func gatherView(ctx context.Context, cluster *dist.Cluster, g Group, strategy lo
 	// "!out" keeps the result store out of both the identifier space
 	// and the "view/atom" input keys.
 	store := g.View + "!out"
-	if err := cluster.Join(ctx, g.Query, bindings, store, strategy); err != nil {
+	if err := cluster.Join(ctx, g.Query, bindings, store, 0); err != nil {
 		return nil, err
 	}
 	return cluster.GatherRun(ctx, store)
@@ -452,5 +447,5 @@ func reorder(final source, vars []string) ([]relation.Tuple, error) {
 			return nil, fmt.Errorf("multiround: final view missing variable %s", v)
 		}
 	}
-	return exchange.Project(final.run, cols).Tuples(), nil
+	return relation.Project(final.run, cols).Tuples(), nil
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/exchange"
 	"repro/internal/localjoin"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -285,7 +284,7 @@ func assertSameTuples(t *testing.T, got, want []relation.Tuple) {
 func TestReorder(t *testing.T) {
 	for _, wide := range []int{0, 1 << 40} {
 		rows := []relation.Tuple{{1, 9, 4 + wide}, {2, 3, 7}, {2, 8, 1}, {5, 1, 6}}
-		final := source{attrs: []string{"y", "x", "z"}, run: exchange.NewRun(3, rows)}
+		final := source{attrs: []string{"y", "x", "z"}, run: relation.RunOf(3, rows)}
 
 		same, err := reorder(final, []string{"y", "x", "z"})
 		if err != nil {

@@ -80,7 +80,6 @@ func (p *Plan) executeOneRound(db *relation.Database, opts ExecOptions) (*Result
 		Epsilon:     epsF,
 		CapConstant: opts.CapConstant,
 		Seed:        opts.Seed,
-		Strategy:    opts.Strategy,
 		Transport:   opts.Transport,
 		Context:     opts.Context,
 		Recovery:    opts.Recovery,
@@ -123,7 +122,7 @@ func (p *Plan) executeSkewJoin(db *relation.Database, opts ExecOptions) (*Result
 	if rt == nil {
 		rt = skew.CompileFromData(relR, m.RY, relS, m.SY, p.P, heavyFactor)
 	}
-	res, err := skew.Execute(p.Query, relR, relS, m.RY, m.SY, rt, opts.Strategy, skew.Options{
+	res, err := skew.Execute(p.Query, relR, relS, m.RY, m.SY, rt, skew.Options{
 		Seed:        opts.Seed,
 		CapConstant: opts.CapConstant,
 		Transport:   opts.Transport,

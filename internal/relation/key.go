@@ -1,9 +1,6 @@
 package relation
 
-import (
-	"math/bits"
-	"slices"
-)
+import "slices"
 
 // This file provides allocation-lean tuple keys. The historic
 // Tuple.Key() renders every tuple as a '|'-separated string, which
@@ -124,73 +121,19 @@ func SortWords(ws []uint64) {
 }
 
 // DedupSort removes duplicates from ts in place and sorts the result
-// lexicographically. Tuples too wide for one packed word (and mixed
-// arities, where a shorter tuple sorts before the longer ones it
-// prefixes) are sorted by comparison and compacted.
+// lexicographically. Tuples of one arity are sealed into a Run and read
+// back — a radix sort on packed words when they pack, the flat layout's
+// row sort when they do not — over one fresh backing array. Mixed
+// arities (a shorter tuple sorts before the longer ones it prefixes) and
+// arity zero are sorted by comparison and compacted.
 func DedupSort(ts []Tuple) []Tuple {
 	if len(ts) == 0 {
 		return ts
 	}
-	if out, ok := dedupSortPacked(ts); ok {
-		return out
+	m := len(ts[0])
+	if m > 0 && !slices.ContainsFunc(ts, func(t Tuple) bool { return len(t) != m }) {
+		return RunOf(m, ts).Dedup().AppendTuples(ts[:0])
 	}
 	slices.SortFunc(ts, Tuple.Compare)
 	return slices.CompactFunc(ts, Tuple.Equal)
-}
-
-// dedupSortPacked is the single-word fast path of DedupSort: with
-// uniform arity m and values narrow enough that m of them fit one
-// uint64, MSB-first packing is order-preserving, so sorting the packed
-// words sorts the tuples — a radix sort on machine integers instead of
-// a reflective comparator, with dedup reduced to compacting equal
-// neighbours. The field width is the widest value's actual bit count,
-// not ⌊64/m⌋: tight fields keep the keys in the low bytes, which both
-// admits higher arities and cuts the radix passes to the bytes in use.
-// ok is false (and ts untouched) when any tuple breaks the packing
-// preconditions.
-func dedupSortPacked(ts []Tuple) ([]Tuple, bool) {
-	m := len(ts[0])
-	if m < 1 || m > 64 {
-		return nil, false
-	}
-	var maxv int
-	for _, t := range ts {
-		if len(t) != m {
-			return nil, false
-		}
-		for _, v := range t {
-			if v < 0 {
-				return nil, false
-			}
-			if v > maxv {
-				maxv = v
-			}
-		}
-	}
-	shift := uint(bits.Len64(uint64(maxv) | 1))
-	if m*int(shift) > 64 {
-		return nil, false
-	}
-	keys := make([]uint64, len(ts))
-	for i, t := range ts {
-		var key uint64
-		for _, v := range t {
-			key = key<<shift | uint64(v)
-		}
-		keys[i] = key
-	}
-	SortWords(keys)
-	keys = slices.Compact(keys)
-	mask := PackedMask(shift)
-	out := ts[:len(keys)]
-	arena := make([]int, len(keys)*m)
-	for i, key := range keys {
-		row := arena[i*m : (i+1)*m : (i+1)*m]
-		for j := m - 1; j >= 0; j-- {
-			row[j] = int(key & mask)
-			key >>= shift
-		}
-		out[i] = row
-	}
-	return out, true
 }

@@ -139,8 +139,9 @@ func dedupSortReference(ts []Tuple) []Tuple {
 
 // TestDedupSortMatchesReference: on arities 1–9, with values on both
 // sides of the 2^⌊64/arity⌋ packing limit, heavy duplication and mixed
-// arities, DedupSort equals the hash-then-sort reference, and Key
-// renders what fmt did.
+// arities — and on zero arity, negative values and tuples that do not
+// pack — DedupSort equals the hash-then-sort reference, and Key renders
+// what fmt did.
 func TestDedupSortMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 43))
 	gen := func(arity, count int) []Tuple {
@@ -198,6 +199,20 @@ func TestDedupSortMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	// What a sealed run cannot hold or does not pack: no columns, mixed
+	// with no columns, negative values, values past the packed width, more
+	// columns than a word has bits.
+	check("zero arity", []Tuple{{}, {}, {}})
+	check("zero and one", []Tuple{{1}, {}, {0}, {}, {1}})
+	check("negative", []Tuple{{3, -1}, {-7, 2}, {3, -1}, {0, 0}, {-7, 1}, {-7, 2}})
+	check("negative unary", []Tuple{{4}, {-1}, {4}, {math.MinInt}, {math.MaxInt}})
+	check("does not pack", []Tuple{{1 << 62, 1}, {5, 1 << 40}, {1 << 62, 1}, {0, 3}, {5, 1 << 40}})
+	huge := make([]Tuple, 6)
+	for i := range huge {
+		huge[i] = make(Tuple, 70)
+		huge[i][69-i%3] = 1
+	}
+	check("arity 70", huge)
 	if got := (Tuple{-5, 0, 1 << 62}).Key(); got != "-5|0|4611686018427387904" {
 		t.Errorf("Key = %q", got)
 	}

@@ -1,19 +1,15 @@
-package exchange
+package relation
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/relation"
-)
-
-// This file is the run algebra of the exchange layer: union, difference
-// and projection of sealed runs, each producing one sealed run. Between
-// a gather's wire decode and the final materialization of an answer the
-// coordinator stays on these — linear passes over pointer-free words or
-// row-major rows — and never builds a []relation.Tuple of a whole view.
-// Every operation works on either layout; a packed run meeting a flat
-// one is read through its decoded rows. Inputs are only read (the
-// recovery journal may re-send the same buffers).
+// This file is the run algebra: union, difference and projection of
+// sealed runs, each producing one sealed run. Between a gather's wire
+// decode and the final materialization of an answer the coordinator
+// stays on these — linear passes over pointer-free words or row-major
+// rows — and never builds a []Tuple of a whole view; a worker keeps its
+// tombstones with them. Every operation works on either layout; a
+// packed run meeting a flat one is read through its decoded rows.
+// Inputs are only read (the recovery journal may re-send the same runs).
 
 // Merge returns the sorted, deduplicated union of the runs as one
 // sealed run: one k-way merge (mergeSorted) over packed words when
@@ -22,7 +18,7 @@ import (
 // result is nil.
 // All runs must share one arity (they are the per-worker pieces of one
 // view, so mixed arities indicate a routing bug and panic).
-func Merge(runs []*Buffer) *Buffer {
+func Merge(runs []*Run) *Run {
 	live := runs[:0:0]
 	packed := true
 	for _, r := range runs {
@@ -30,7 +26,7 @@ func Merge(runs []*Buffer) *Buffer {
 			continue
 		}
 		if len(live) > 0 && r.arity != live[0].arity {
-			panic(fmt.Sprintf("exchange: merge of arity-%d and arity-%d runs", live[0].arity, r.arity))
+			panic(fmt.Sprintf("relation: merge of arity-%d and arity-%d runs", live[0].arity, r.arity))
 		}
 		r.Seal()
 		packed = packed && r.packed
@@ -40,13 +36,13 @@ func Merge(runs []*Buffer) *Buffer {
 		return nil
 	}
 	if packed {
-		return &Buffer{arity: live[0].arity, shift: live[0].shift, words: MergeWords(live), packed: true, sealed: true}
+		return &Run{arity: live[0].arity, shift: live[0].shift, words: MergeWords(live), packed: true, sealed: true}
 	}
 	rows := make([][]int, len(live))
 	for i, r := range live {
 		rows[i] = r.rows()
 	}
-	return &Buffer{arity: live[0].arity, flat: mergeSorted(rows, live[0].arity), sealed: true}
+	return &Run{arity: live[0].arity, flat: mergeSorted(rows, live[0].arity), sealed: true}
 }
 
 // MergeWords returns the sorted, deduplicated union of the word
@@ -56,11 +52,11 @@ func Merge(runs []*Buffer) *Buffer {
 // must be packed (Words reports true); a run on the flat layout panics
 // rather than vanish from the union. The result is freshly allocated;
 // the runs are only read.
-func MergeWords(runs []*Buffer) []uint64 {
+func MergeWords(runs []*Run) []uint64 {
 	words := make([][]uint64, 0, len(runs))
 	for _, r := range runs {
 		if !r.packed && r.Len() > 0 {
-			panic("exchange: MergeWords over a run on the flat layout")
+			panic("relation: MergeWords over a run on the flat layout")
 		}
 		words = append(words, r.words)
 	}
@@ -188,19 +184,19 @@ func compareRows[T uint64 | int](a, b []T) int {
 // not yet); a's multiplicities carry over, so a deduplicated a gives a
 // deduplicated result. When there is nothing to subtract the result is
 // a itself — sealed runs are immutable, so sharing is safe.
-func Diff(a, b *Buffer) *Buffer {
+func Diff(a, b *Run) *Run {
 	if a.Len() == 0 || b.Len() == 0 {
 		return a
 	}
 	if a.arity != b.arity {
-		panic(fmt.Sprintf("exchange: diff of arity-%d and arity-%d runs", a.arity, b.arity))
+		panic(fmt.Sprintf("relation: diff of arity-%d and arity-%d runs", a.arity, b.arity))
 	}
 	a.Seal()
 	b.Seal()
 	if a.packed && b.packed {
-		return &Buffer{arity: a.arity, shift: a.shift, words: diffSorted(a.words, b.words, 1), packed: true, sealed: true}
+		return &Run{arity: a.arity, shift: a.shift, words: diffSorted(a.words, b.words, 1), packed: true, sealed: true}
 	}
-	return &Buffer{arity: a.arity, flat: diffSorted(a.rows(), b.rows(), a.arity), sealed: true}
+	return &Run{arity: a.arity, flat: diffSorted(a.rows(), b.rows(), a.arity), sealed: true}
 }
 
 // diffSorted returns the rows of a absent from b (both sorted, same
@@ -263,15 +259,15 @@ func diffSorted[T uint64 | int](a, b []T, stride int) []T {
 // that order (a selection, a permutation, or both), sorted and
 // deduplicated, as one sealed run. The result picks its own layout:
 // projecting a wide flat run onto few columns packs again.
-func Project(run *Buffer, cols []int) *Buffer {
+func Project(run *Run, cols []int) *Run {
 	if run == nil {
 		return nil
 	}
-	out := NewBuffer(len(cols))
+	out := NewRun(len(cols))
 	n := run.Len()
 	out.Grow(n)
-	row := make(relation.Tuple, run.arity)
-	sel := make(relation.Tuple, len(cols))
+	row := make(Tuple, run.arity)
+	sel := make(Tuple, len(cols))
 	for i := 0; i < n; i++ {
 		run.Row(i, row)
 		for j, c := range cols {
@@ -279,40 +275,5 @@ func Project(run *Buffer, cols []int) *Buffer {
 		}
 		out.Append(sel)
 	}
-	out.Dedup()
-	return out
-}
-
-// NewRun returns the tuples as one sealed run: sorted, deduplicated.
-func NewRun(arity int, tuples []relation.Tuple) *Buffer {
-	b := NewBuffer(arity)
-	b.Grow(len(tuples))
-	for _, t := range tuples {
-		b.Append(t)
-	}
-	b.Dedup()
-	return b
-}
-
-// MergeRuns materializes Merge: the deduplicated, lexicographically
-// sorted union of the runs as tuples over one fresh backing array.
-func MergeRuns(runs []*Buffer) []relation.Tuple {
-	return Merge(runs).Tuples()
-}
-
-// FoldRuns streams Merge into yield, one tuple at a time, without
-// materializing the merged answer as tuples — the gather-phase hook
-// grouped aggregation folds through: the coordinator keeps one
-// accumulator row per group instead of the full answer. The tuple
-// passed to yield is reused between calls; yield must not retain it.
-func FoldRuns(runs []*Buffer, yield func(relation.Tuple)) {
-	merged := Merge(runs)
-	n := merged.Len()
-	if n == 0 {
-		return
-	}
-	row := make(relation.Tuple, merged.arity)
-	for i := 0; i < n; i++ {
-		yield(merged.Row(i, row))
-	}
+	return out.Dedup()
 }

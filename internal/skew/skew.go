@@ -208,10 +208,10 @@ const (
 	Standard Mode = iota
 	// Resilient splits heavy hitters across server blocks.
 	Resilient
-	// ModeWCOJ routes like Standard but runs the worst-case-optimal
-	// multiway join (localjoin.WCOJ) as each server's local evaluator,
-	// so skewed-join experiments exercise the leapfrog engine end to
-	// end. Routing skew is unchanged; only local evaluation differs.
+	// ModeWCOJ routes and evaluates exactly like Standard: it used to
+	// select the worst-case-optimal local join, and a worker now has no
+	// other. The name stays because floored test names spell its string
+	// (ROADMAP, the pin list).
 	ModeWCOJ
 )
 
@@ -227,14 +227,6 @@ func (m Mode) String() string {
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
-}
-
-// localStrategy returns the per-server join algorithm for the mode.
-func (m Mode) localStrategy() localjoin.Strategy {
-	if m == ModeWCOJ {
-		return localjoin.WCOJ
-	}
-	return localjoin.HashJoin
 }
 
 // Options configures a join run.
@@ -339,7 +331,7 @@ func RunJoin(r, s *relation.Relation, p int, mode Mode, opts Options) (*Result, 
 	if mode == Resilient {
 		rt = CompileFromData(r, ry, s, sy, p, 1)
 	}
-	return Execute(JoinQuery(), r, s, ry, sy, rt, mode.localStrategy(), opts)
+	return Execute(JoinQuery(), r, s, ry, sy, rt, opts)
 }
 
 // Execute runs the two-atom join q on rt.P servers, run-native on q's
@@ -347,7 +339,7 @@ func RunJoin(r, s *relation.Relation, p int, mode Mode, opts Options) (*Result, 
 // their names and column order) scatter as they are, partitioned on
 // columns ry and sy under rt; the workers join q itself and the gather
 // merge returns the answers in q.Vars() order, sorted and deduplicated.
-func Execute(q *query.Query, r, s *relation.Relation, ry, sy int, rt *Routing, strategy localjoin.Strategy, opts Options) (*Result, error) {
+func Execute(q *query.Query, r, s *relation.Relation, ry, sy int, rt *Routing, opts Options) (*Result, error) {
 	domain := 1
 	for _, rel := range []*relation.Relation{r, s} {
 		for _, t := range rel.Tuples {
@@ -390,7 +382,7 @@ func Execute(q *query.Query, r, s *relation.Relation, ry, sy int, rt *Routing, s
 
 	// Local joins at the workers over the sealed runs they hold, then a
 	// k-way merged gather that stays a run until its one materialization.
-	if err := cluster.Join(ctx, q, nil, "skew!answers", strategy); err != nil {
+	if err := cluster.Join(ctx, q, nil, "skew!answers", 0); err != nil {
 		return nil, err
 	}
 	answers, err := cluster.Gather(ctx, "skew!answers")

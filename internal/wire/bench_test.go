@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"repro/internal/exchange"
 	"repro/internal/relation"
 )
 
@@ -13,7 +12,7 @@ import (
 // exact shape a triangle-query scatter ships per destination.
 func benchFrame(n int) *Frame {
 	rng := rand.New(rand.NewPCG(11, 13))
-	b := exchange.NewBuffer(3)
+	b := relation.NewRun(3)
 	row := make(relation.Tuple, 3)
 	for i := 0; i < n; i++ {
 		for j := range row {

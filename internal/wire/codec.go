@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"repro/internal/exchange"
+	"repro/internal/relation"
 )
 
 // Buffer-body encodings inside Data and Delta payloads. The encoder
@@ -135,7 +136,6 @@ func appendFrame(dst []byte, f *Frame) ([]byte, []byte, error) {
 	case TypeJoin:
 		w.str(f.Join.Query)
 		w.str(f.Join.View)
-		w.b = append(w.b, f.Join.Strategy)
 		if len(f.Join.Bindings) > maxName {
 			w.fail(fmt.Errorf("%d bindings exceed limit", len(f.Join.Bindings)))
 		}
@@ -204,7 +204,7 @@ func (w *payloadWriter) str(s string) {
 // u32, values — choosing the encoding, and returns the raw word segment
 // when there is one. Only a sealed run is sent: the receiver rejects
 // words out of order, and delta varints cannot represent them.
-func (w *payloadWriter) buffer(buf *exchange.Buffer) (seg []byte) {
+func (w *payloadWriter) buffer(buf *relation.Run) (seg []byte) {
 	if !buf.Sealed() {
 		w.fail(fmt.Errorf("unsealed buffer"))
 		return nil
@@ -382,7 +382,6 @@ func decodePayload(typ Type, body []byte) (*Frame, error) {
 	case TypeJoin:
 		f.Join.Query = p.str()
 		f.Join.View = p.str()
-		f.Join.Strategy = p.u8()
 		nb := int(p.u16())
 		for i := 0; i < nb && p.err == nil; i++ {
 			f.Join.Bindings = append(f.Join.Bindings, [2]string{p.str(), p.str()})
@@ -476,15 +475,15 @@ func (p *payloadReader) str() string {
 }
 
 // buffer reads one run — the body appendFrame's buffer wrote — into
-// fresh storage and has the exchange constructors check it: they adopt a
+// fresh storage and has the relation constructors check it: they adopt a
 // run that is in order and in range and refuse any other. The storage
 // is sized by the payload bytes present, whatever the count claims.
-func (p *payloadReader) buffer() *exchange.Buffer {
+func (p *payloadReader) buffer() *relation.Run {
 	arity, enc, count := int(p.u16()), p.u8(), int(p.u32())
 	if p.err != nil {
 		return nil
 	}
-	var buf *exchange.Buffer
+	var buf *relation.Run
 	var err error
 	switch enc {
 	case encRaw:
@@ -497,11 +496,11 @@ func (p *payloadReader) buffer() *exchange.Buffer {
 				words[i] = binary.LittleEndian.Uint64(raw[i*8:])
 			}
 		}
-		buf, err = exchange.NewBufferFromWords(arity, words)
+		buf, err = relation.NewRunFromWords(arity, words)
 	case encDelta:
 		var words []uint64
 		if words, err = exchange.DecodeDeltaWords(p.take(len(p.b)-p.off), count); err == nil {
-			buf, err = exchange.NewBufferFromWords(arity, words)
+			buf, err = relation.NewRunFromWords(arity, words)
 		}
 	case encFlat:
 		raw := p.take(count * arity * 8)
@@ -513,7 +512,7 @@ func (p *payloadReader) buffer() *exchange.Buffer {
 			}
 		}
 		if err == nil {
-			buf, err = exchange.NewBufferFromFlat(arity, flat)
+			buf, err = relation.NewRunFromFlat(arity, flat)
 		}
 	default:
 		err = fmt.Errorf("unknown buffer encoding %d", enc)

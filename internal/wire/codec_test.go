@@ -30,11 +30,11 @@ func fastEncode(t *testing.T, frames []*Frame) []byte {
 
 // zipfBuffer builds a sealed packed buffer whose first column is
 // heavily skewed, the shape delta compression exists for.
-func zipfBuffer(t *testing.T, n int, seed uint64) *exchange.Buffer {
+func zipfBuffer(t *testing.T, n int, seed uint64) *relation.Run {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, 7))
 	z := rand.NewZipf(rng, 1.2, 1, 1<<16)
-	b := exchange.NewBuffer(2)
+	b := relation.NewRun(2)
 	for i := 0; i < n; i++ {
 		b.Append(relation.Tuple{int(z.Uint64()), rng.IntN(1 << 10)})
 	}
@@ -78,7 +78,7 @@ func TestFastRoundTrip(t *testing.T) {
 // is materially smaller than raw; incompressible random words stay on
 // the zero-copy raw path.
 func TestFastEncodingChoice(t *testing.T) {
-	encodingOf := func(buf *exchange.Buffer) (byte, int) {
+	encodingOf := func(buf *relation.Run) (byte, int) {
 		_, bufs, err := AppendFrames(nil, []*Frame{{Type: TypeData, Data: Data{Rel: "R", Buf: buf}}})
 		if err != nil {
 			t.Fatal(err)
@@ -139,7 +139,7 @@ func TestFastZeroCopySegments(t *testing.T) {
 // TestFastRejectsUnsealed: the encoder refuses unsealed buffers — the
 // receiver would reject their words, and delta varints cannot carry them.
 func TestFastRejectsUnsealed(t *testing.T) {
-	b := exchange.NewBuffer(2)
+	b := relation.NewRun(2)
 	b.Append(relation.Tuple{9, 1})
 	b.Append(relation.Tuple{1, 2})
 	_, _, err := AppendFrames(nil, []*Frame{{Type: TypeData, Data: Data{Rel: "R", Buf: b}}})

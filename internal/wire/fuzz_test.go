@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"repro/internal/exchange"
 	"repro/internal/relation"
 )
 
@@ -34,7 +33,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(data)
 	}
 	rng := rand.New(rand.NewPCG(7, 7))
-	packed := exchange.NewBuffer(3)
+	packed := relation.NewRun(3)
 	row := make(relation.Tuple, 3)
 	for i := 0; i < 200; i++ {
 		for j := range row {
@@ -43,11 +42,11 @@ func FuzzDecodeFrame(f *testing.F) {
 		packed.Append(row)
 	}
 	packed.Seal()
-	flat := exchange.NewBuffer(2)
+	flat := relation.NewRun(2)
 	flat.Append(relation.Tuple{1 << 50, 3})
 	flat.Append(relation.Tuple{2, 1 << 40})
 	flat.Seal()
-	wide := exchange.NewBuffer(1)
+	wide := relation.NewRun(1)
 	for i := 0; i < 64; i++ {
 		wide.Append(relation.Tuple{i * i})
 	}
@@ -61,7 +60,6 @@ func FuzzDecodeFrame(f *testing.F) {
 	seed(&Frame{Type: TypeJoin, Join: Join{
 		Query:    "q(x,y,z) = R(x,y), S(y,z)",
 		View:     "out",
-		Strategy: 1,
 		Bindings: [][2]string{{"R", "V/R"}},
 	}})
 	seed(&Frame{Type: TypeGather, View: "out"})
@@ -81,9 +79,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	// The encoder's choices inside one run type: an empty run, delta
 	// varints for a skewed column (plain, retained, as a maintenance
 	// delete), a flat maintenance append.
-	seed(&Frame{Type: TypeData, Data: Data{Round: 1, Dest: 2, Rel: "R", Buf: exchange.NewRun(3, nil)}})
+	seed(&Frame{Type: TypeData, Data: Data{Round: 1, Dest: 2, Rel: "R", Buf: relation.RunOf(3, nil)}})
 	seed(&Frame{Type: TypeDelta, Delta: Delta{Round: 6, Dest: 3, Store: "S", View: "delta!S!2", Buf: flat}})
-	skewed := exchange.NewBuffer(2)
+	skewed := relation.NewRun(2)
 	z := rand.NewZipf(rng, 1.2, 1, 1<<16)
 	for i := 0; i < 512; i++ {
 		skewed.Append(relation.Tuple{int(z.Uint64()), rng.IntN(64)})
@@ -188,7 +186,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if !sameFrame(fr, again) {
 			t.Fatalf("round trip changed the frame:\n was %+v\n now %+v", fr, again)
 		}
-		for _, run := range []*exchange.Buffer{fr.Data.Buf, fr.Delta.Buf} {
+		for _, run := range []*relation.Run{fr.Data.Buf, fr.Delta.Buf} {
 			if run != nil && !run.Sealed() {
 				t.Fatalf("accepted %s frame carries an unsealed run", fr.Type)
 			}

@@ -9,7 +9,7 @@
 //	payload       — type-specific, all integers big-endian
 //
 // The payload that matters is the columnar one: a Data frame carries
-// one sealed exchange.Buffer — the unit the exchange layer ships
+// one sealed relation.Run — the unit the exchange layer ships
 // between workers — as the round id, the destination shard, the store
 // name, and the buffer body in one of three encodings: the packed words
 // as raw little-endian memory, the same words as delta varints when
@@ -42,7 +42,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/exchange"
+	"repro/internal/relation"
 )
 
 // Type enumerates the frame kinds of the protocol.
@@ -154,8 +154,9 @@ func (t Type) String() string {
 // that no receiver read, renumbering Delta and Trace; version 6 added
 // the Attach frame and the Retain key of Data; version 7 retired the
 // big-endian packed encoding no sender emitted, and a receiver rejects
-// an unsorted or out-of-width run where version 6 re-sorted it.
-const Version = 7
+// an unsorted or out-of-width run where version 6 re-sorted it; version
+// 8 dropped the strategy byte of Join — a worker has one evaluator.
+const Version = 8
 
 // MaxPayload bounds a frame's declared payload size (128 MiB). A
 // larger length prefix is rejected before any payload is read.
@@ -191,7 +192,7 @@ type Data struct {
 	// under for later sessions to Attach to, from the round's barrier on.
 	Retain string
 	// Buf is the run itself.
-	Buf *exchange.Buffer
+	Buf *relation.Run
 }
 
 // Attach is the resident-scatter request and its reply.
@@ -223,7 +224,7 @@ type Delta struct {
 	// Del discriminates delete (tombstone) from append deltas.
 	Del bool
 	// Buf is the run itself.
-	Buf *exchange.Buffer
+	Buf *relation.Run
 }
 
 // TraceHeader is the span context a Trace frame propagates
@@ -246,9 +247,6 @@ type Join struct {
 	Query string
 	// View is the store name the evaluation result lands under.
 	View string
-	// Strategy selects the localjoin algorithm (the numeric value of a
-	// localjoin.Strategy).
-	Strategy uint8
 	// Bindings maps atom names to store names when they differ (the
 	// multiround executor stores inputs under view-prefixed names).
 	// Atoms without an entry read the store of their own name.

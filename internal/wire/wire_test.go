@@ -11,15 +11,14 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/exchange"
 	"repro/internal/relation"
 )
 
 // buildBuffer packs tuples of the given arity drawn from [0, max).
-func buildBuffer(t *testing.T, arity, n, max int, seed uint64) *exchange.Buffer {
+func buildBuffer(t *testing.T, arity, n, max int, seed uint64) *relation.Run {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, 42))
-	b := exchange.NewBuffer(arity)
+	b := relation.NewRun(arity)
 	row := make(relation.Tuple, arity)
 	for i := 0; i < n; i++ {
 		for j := range row {
@@ -37,7 +36,7 @@ func sampleFrames(t *testing.T) []*Frame {
 	t.Helper()
 	packed := buildBuffer(t, 3, 100, 1000, 1)
 	// Huge values defeat packing for arity 3 (21 bits per value).
-	flat := exchange.NewBuffer(3)
+	flat := relation.NewRun(3)
 	flat.Append(relation.Tuple{1 << 40, 2, 3})
 	flat.Append(relation.Tuple{4, 5 << 30, 6})
 	flat.Seal()
@@ -52,7 +51,6 @@ func sampleFrames(t *testing.T) []*Frame {
 		{Type: TypeJoin, Join: Join{
 			Query:    "q(x,y,z) = R(x,y), S(y,z)",
 			View:     "V1_1!out",
-			Strategy: 3,
 			Bindings: [][2]string{{"R", "V1_1/R"}, {"S", "V1_1/S"}},
 		}},
 		{Type: TypeGather, View: "hc!answers"},
@@ -85,7 +83,7 @@ func lastType() Type {
 // contents (a decoded buffer need not share the original's layout
 // bookkeeping).
 func sameFrame(a, b *Frame) bool {
-	tuples := func(buf *exchange.Buffer) []relation.Tuple {
+	tuples := func(buf *relation.Run) []relation.Tuple {
 		if buf == nil {
 			return nil
 		}
@@ -301,12 +299,12 @@ func TestDecodeRejectsDirtyHighBits(t *testing.T) {
 // the same payloads with two words swapped, two flat rows swapped or a
 // flat value negated are rejected, never re-sorted.
 func TestDecodedBufferSorted(t *testing.T) {
-	packed := exchange.NewBuffer(2)
+	packed := relation.NewRun(2)
 	packed.Append(relation.Tuple{9, 1})
 	packed.Append(relation.Tuple{1, 2})
 	packed.Append(relation.Tuple{5, 0})
 	packed.Seal()
-	flat := exchange.NewBuffer(3)
+	flat := relation.NewRun(3)
 	flat.Append(relation.Tuple{4, 5 << 30, 6})
 	flat.Append(relation.Tuple{1 << 40, 2, 3})
 	flat.Seal()
@@ -317,7 +315,7 @@ func TestDecodedBufferSorted(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name    string
-		buf     *exchange.Buffer
+		buf     *relation.Run
 		corrupt func(b []byte)
 		want    string
 	}{
@@ -392,7 +390,7 @@ func TestWriterQueuesBehindOneWrite(t *testing.T) {
 	if out.writes != 0 {
 		t.Fatalf("Queue wrote %d times", out.writes)
 	}
-	unsealed := exchange.NewBuffer(1)
+	unsealed := relation.NewRun(1)
 	unsealed.Append(relation.Tuple{1})
 	if err := w.Flush(&Frame{Type: TypeBarrier, Round: 1}, &Frame{Type: TypeData, Data: Data{Rel: "R", Buf: unsealed}}); err == nil {
 		t.Fatal("an unsealed run was flushed")

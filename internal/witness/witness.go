@@ -177,7 +177,7 @@ func RunOneRound(in *Input, p int, eps float64, seed uint64) (*Result, error) {
 
 	// Each server assembles witnesses from what it received.
 	const view = "witnesses"
-	if err := cluster.Join(ctx, full, nil, view, localjoin.HashJoin); err != nil {
+	if err := cluster.Join(ctx, full, nil, view, 0); err != nil {
 		return nil, err
 	}
 	witnesses, err := cluster.Gather(ctx, view)
