@@ -367,11 +367,16 @@ func BenchmarkJoinTriangle(b *testing.B) {
 // BenchmarkWorkerJoinTriangle times the worker stage of one fat
 // HyperCube round in isolation, at the shape of the end-to-end
 // benchmark's tri_warm workload: three n = 100 000 matchings routed at
-// shares 3×2×2 over p = 16, then Loopback Deliver + Join (the same
-// workerStore code the mpcworker session runs). The partitioning is
-// set-up; every iteration joins over the same sealed runs, as a
-// journal replay would. B/op is the memory the join stage allocates
-// per round across all workers.
+// shares 3×2×2 over p = 16, then Loopback Deliver + Join + Gather (the
+// same workerStore code the mpcworker session runs). The partitioning is
+// set-up. A sealed run remembers what a join derived from it, so the two
+// joins a worker can be asked for are timed apart: cold is a first
+// sighting — every iteration delivers runs nobody has read, re-adopted
+// from the same words outside the timer, to a fresh pool, and pays the
+// store merge (one piece per sender shard, so -cpu 1 has none) and the
+// permuted atom's sort; warm is every later one — one pool, the join and
+// its gather repeated over stores that are standing. B/op is the memory
+// the join stage allocates per round across all workers.
 func BenchmarkWorkerJoinTriangle(b *testing.B) {
 	q := query.Triangle()
 	n, p := 100000, 16
@@ -387,26 +392,50 @@ func BenchmarkWorkerJoinTriangle(b *testing.B) {
 		}
 		ds = append(ds, part...)
 	}
-	script := []dist.Op{
-		{Kind: dist.OpDeliver, Round: 1, Deliveries: ds},
+	joinGather := []dist.Op{
 		{Kind: dist.OpJoin, Join: dist.JoinSpec{Query: q.String(), View: "out"}},
 		{Kind: dist.OpGather, View: "out"},
 	}
 	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	answers := 0
-	for i := 0; i < b.N; i++ {
-		reply, err := dist.NewLoopback(p).Run(ctx, script)
+	run := func(b *testing.B, l *dist.Loopback, script []dist.Op) (answers int) {
+		reply, err := l.Run(ctx, script)
 		if err != nil {
 			b.Fatal(err)
 		}
-		answers = 0
 		for _, r := range reply.Runs {
 			answers += r.Len()
 		}
+		return answers
 	}
-	b.ReportMetric(float64(answers), "answers")
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		answers := 0
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			unread := slices.Clone(ds)
+			for j, d := range ds {
+				words, _ := d.Buf.Words()
+				var err error
+				if unread[j].Buf, err = relation.NewRunFromWords(d.Buf.Arity(), words); err != nil {
+					b.Fatal(err)
+				}
+			}
+			script := append([]dist.Op{{Kind: dist.OpDeliver, Round: 1, Deliveries: unread}}, joinGather...)
+			b.StartTimer()
+			answers = run(b, dist.NewLoopback(p), script)
+		}
+		b.ReportMetric(float64(answers), "answers")
+	})
+	b.Run("warm", func(b *testing.B) {
+		l := dist.NewLoopback(p)
+		answers := run(b, l, append([]dist.Op{{Kind: dist.OpDeliver, Round: 1, Deliveries: ds}}, joinGather...))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			answers = run(b, l, joinGather)
+		}
+		b.ReportMetric(float64(answers), "answers")
+	})
 }
 
 // BenchmarkGatherWide times the coordinator's gather of a wide answer:

@@ -318,6 +318,35 @@ func TestWorkerRejectsMixedArityStore(t *testing.T) {
 	}
 }
 
+// TestWorkerRejectsMixedArityRetainedKey: what a key keeps is merged
+// into one run at the round's barrier, so a peer that flags runs of two
+// arities — under two store names, each well-formed — with one key is
+// refused at the second, and the barrier publishes what the key held.
+func TestWorkerRejectsMixedArityRetainedKey(t *testing.T) {
+	ctx := context.Background()
+	rs := dist.NewResidentStore()
+	l := dist.NewLoopbackOn(1, rs)
+	flagged := func(rel string, run *relation.Run) []exchange.Delivery {
+		return []exchange.Delivery{{Rel: rel, Buf: run, Retain: "k"}}
+	}
+	if err := deliver(ctx, l, 1, flagged("R", relation.RunOf(1, []relation.Tuple{{1}, {2}}))); err != nil {
+		t.Fatal(err)
+	}
+	err := deliver(ctx, l, 1, flagged("S", relation.RunOf(2, []relation.Tuple{{1, 2}})))
+	if err == nil || !strings.Contains(err.Error(), "key that holds arity 1") {
+		t.Fatalf("a binary run under a unary key: %v, want a refusal naming the key's arity", err)
+	}
+	if err := barrier(ctx, l, 1); err != nil {
+		t.Fatal(err)
+	}
+	if rs.Entries() != 1 || rs.Bytes() != 16 {
+		t.Errorf("%d bytes in %d entries after the barrier, want the two unary rows", rs.Bytes(), rs.Entries())
+	}
+	if runs, err := gather(ctx, l, "S"); err != nil || len(runs) != 0 {
+		t.Errorf("store S reads %v, %v after the refusal, want nothing", runs, err)
+	}
+}
+
 // TestCoordinatorRejectsHostileRuns: the same table from the other side.
 // A worker that answers a gather with a malformed run fails the gather
 // as that worker's error; the run is not merged into an answer.

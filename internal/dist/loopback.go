@@ -249,7 +249,7 @@ type workerStore struct {
 	// home is where the worker keeps runs beyond the session; retained
 	// holds the open round's flagged runs until its barrier.
 	home     residentHome
-	retained map[string][]*relation.Run
+	retained map[string]*retainedRuns
 }
 
 func newWorkerStore(home residentHome) *workerStore {
@@ -322,17 +322,30 @@ func (w *workerStore) applyDelta(store, view string, del bool, run *relation.Run
 	return nil
 }
 
-// runs returns the sealed runs stored under rel. While tombstones are
-// live for the store that is one run: the store's union less the
-// tombstones, so gathers and joins never see a retracted tuple.
+// runs returns what is stored under rel as at most one sealed run. A
+// store that holds several is merged here, once: the merged run takes
+// its pieces' place, so the next read — and whatever index the join
+// hangs on the run — finds it standing; a later delivery or delta
+// appends a piece beside it and the next read merges again. While
+// tombstones are live for the store the run returned is the store less
+// the tombstones, so gathers and joins never see a retracted tuple.
 func (w *workerStore) runs(rel string) []*relation.Run {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	held, dead := w.store[rel], w.dead[rel]
+	held := w.store[rel]
+	if len(held) > 1 {
+		merged := relation.Merge(held)
+		if merged == nil {
+			return nil // only empty pieces, which stay: they say the store's arity
+		}
+		held = []*relation.Run{merged}
+		w.store[rel] = held
+	}
+	dead := w.dead[rel]
 	if dead.Len() == 0 || len(held) == 0 {
 		return held
 	}
-	live := relation.Diff(relation.Merge(held), dead)
+	live := relation.Diff(held[0], dead)
 	if live.Len() == 0 {
 		return nil
 	}

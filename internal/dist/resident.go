@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -215,36 +216,41 @@ func (c *Cluster) attach(ctx context.Context) error {
 }
 
 // ResidentStore is what a worker process keeps beyond its sessions:
-// retained scatter slices, bounded in bytes, least recently attached
-// evicted first. A published entry is never written again: its runs are
-// sealed, and a session copies the run pointers into its own store —
-// which is what its later deltas append to and tombstone.
+// retained scatter slices, one merged run each, bounded in bytes, least
+// recently attached evicted first. A published entry is never written
+// again: its run is sealed, and a session copies the run pointer into
+// its own store — which is what its later deltas append to and
+// tombstone. What a sealed run remembers of itself (relation.Run's
+// Reordered) is derived from it, bounded by it and counted here: the
+// budget is re-measured when an entry is attached.
 type ResidentStore struct {
 	mu                   sync.Mutex
 	budget, bytes, clock int64
-	entries              map[residentSlot]*residentRuns
+	entries              map[residentSlot]*residentEntry
 }
 
-// residentSlot names one worker's slice of one scatter; residentRuns is
-// one published slice, immutable but for used.
+// residentSlot names one worker's slice of one scatter; residentEntry is
+// one published slice — tuples the count received, which merging may
+// have reduced — immutable but for used and the bytes last measured.
 type residentSlot struct {
 	key     string
 	slot, p int
 }
 
-type residentRuns struct {
-	runs                []*relation.Run
+type residentEntry struct {
+	run                 *relation.Run
 	tuples, bytes, used int64
 }
 
 // NewResidentStore returns an empty store with the process-wide budget.
 func NewResidentStore() *ResidentStore {
-	return &ResidentStore{budget: residentBudget, entries: make(map[residentSlot]*residentRuns)}
+	return &ResidentStore{budget: residentBudget, entries: make(map[residentSlot]*residentEntry)}
 }
 
-// attach returns the runs kept for k when they hold exactly want tuples,
-// and the count held; an entry holding anything else is dropped.
-func (rs *ResidentStore) attach(k residentSlot, want int64) (runs []*relation.Run, held int64) {
+// attach returns the run kept for k when it was published as exactly
+// want tuples, and the count held; an entry holding anything else is
+// dropped.
+func (rs *ResidentStore) attach(k residentSlot, want int64) (run *relation.Run, held int64) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	e := rs.entries[k]
@@ -256,28 +262,30 @@ func (rs *ResidentStore) attach(k residentSlot, want int64) (runs []*relation.Ru
 		delete(rs.entries, k)
 		return nil, e.tuples
 	}
-	rs.clock++
-	e.used = rs.clock
-	return e.runs, e.tuples
+	rs.keep(k, e)
+	return e.run, e.tuples
 }
 
-// publish keeps runs under k, replacing what was there, and evicts the
-// least recently attached entries down to the budget.
-func (rs *ResidentStore) publish(k residentSlot, runs []*relation.Run) {
-	e := &residentRuns{runs: runs}
-	for _, run := range runs {
-		e.tuples += int64(run.Len())
-		words, _ := run.Words()
-		e.bytes += int64(8 * (len(words) + len(run.Flat())))
-	}
+// publish keeps run under k as tuples received, replacing what was there.
+func (rs *ResidentStore) publish(k residentSlot, run *relation.Run, tuples int64) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	if old := rs.entries[k]; old != nil {
 		rs.bytes -= old.bytes
 	}
+	e := &residentEntry{run: run, tuples: tuples}
+	rs.entries[k] = e
+	rs.keep(k, e)
+}
+
+// keep marks e, the entry under k, as just used, measures it — an index
+// may have been built on its run since it was last sized — and evicts the
+// least recently attached entries down to the budget.
+func (rs *ResidentStore) keep(k residentSlot, e *residentEntry) {
 	rs.clock++
 	e.used = rs.clock
-	rs.entries[k] = e
+	rs.bytes -= e.bytes
+	e.bytes = e.run.Bytes()
 	rs.bytes += e.bytes
 	for rs.bytes > rs.budget {
 		oldest := k
@@ -298,46 +306,79 @@ type residentHome struct {
 	slot, p int
 }
 
+// retainedRuns is what one round delivered to be kept under one key: the
+// runs, and the store name they landed under.
+type retainedRuns struct {
+	rel  string
+	runs []*relation.Run
+}
+
 // receive ingests one delivered run: under its store name, and — flagged
-// — noted to be published at the round's barrier.
+// — noted to be published at the round's barrier. What a key keeps is
+// merged into one run, so it holds one arity, like a store: the peer names
+// both.
 func (w *workerStore) receive(d exchange.Delivery) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	r := w.retained[d.Retain]
+	if r != nil && r.runs[0].Arity() != d.Buf.Arity() {
+		return fmt.Errorf("dist: arity-%d run to be retained under a key that holds arity %d", d.Buf.Arity(), r.runs[0].Arity())
+	}
 	if err := w.addLocked(d.Rel, d.Buf); err != nil {
 		return err
 	}
 	if d.Retain != "" && w.home.store != nil {
-		if w.retained == nil {
-			w.retained = make(map[string][]*relation.Run)
+		if r == nil {
+			if w.retained == nil {
+				w.retained = make(map[string]*retainedRuns)
+			}
+			r = &retainedRuns{rel: d.Rel}
+			w.retained[d.Retain] = r
 		}
-		w.retained[d.Retain] = append(w.retained[d.Retain], d.Buf)
+		r.runs = append(r.runs, d.Buf)
 	}
 	return nil
 }
 
 // publish hands the round's flagged runs — complete, now that its
-// barrier has come — to the process's resident store.
+// barrier has come — to the process's resident store, merged into the one
+// run later sessions attach. A session store holding exactly those runs
+// takes the merged run in their place, so a cold scatter is merged once,
+// here, and not again at the join's read.
 func (w *workerStore) publish() {
 	w.mu.Lock()
-	kept := w.retained
-	w.retained = nil
-	w.mu.Unlock()
-	for key, runs := range kept {
-		w.home.store.publish(residentSlot{key, w.home.slot, w.home.p}, runs)
+	defer w.mu.Unlock()
+	for key, r := range w.retained {
+		var tuples int64
+		for _, run := range r.runs {
+			tuples += int64(run.Len())
+		}
+		merged := r.runs[0]
+		if len(r.runs) > 1 {
+			merged = relation.Merge(r.runs)
+		}
+		if merged == nil {
+			continue
+		}
+		if slices.Equal(w.store[r.rel], r.runs) {
+			w.store[r.rel] = []*relation.Run{merged}
+		}
+		w.home.store.publish(residentSlot{key, w.home.slot, w.home.p}, merged, tuples)
 	}
+	w.retained = nil
 }
 
-// attach binds the runs the process keeps under key into the session's
+// attach binds the run the process keeps under key into the session's
 // store. Nothing wanted is a hit with nothing to bind.
 func (w *workerStore) attach(key, store string, want int64) (wire.Attach, error) {
 	if want == 0 || w.home.store == nil {
 		return wire.Attach{Hit: want == 0}, nil
 	}
-	runs, held := w.home.store.attach(residentSlot{key, w.home.slot, w.home.p}, want)
-	for _, run := range runs {
+	run, held := w.home.store.attach(residentSlot{key, w.home.slot, w.home.p}, want)
+	if run != nil {
 		if err := w.add(store, run); err != nil {
 			return wire.Attach{}, err
 		}
 	}
-	return wire.Attach{Hit: runs != nil, Tuples: uint64(held)}, nil
+	return wire.Attach{Hit: run != nil, Tuples: uint64(held)}, nil
 }

@@ -565,6 +565,10 @@ func TestResidentEviction(t *testing.T) {
 	pool := &loopbackPool{p: p, rs: rs}
 	res := newResidency(t)
 	c.warm(t, pool, res) // version 0
+	// The unit is a version as it stands once joined: the retaining run's
+	// join indexed the published runs, and an entry is measured again when
+	// it is attached.
+	c.execute(t, pool.session(t), res.Snapshot("d", 0), dist.RecoveryOptions{})
 	one := rs.Bytes()
 	// Room for two versions' slices, not three.
 	rs.SetBudget(2*one + one/2)

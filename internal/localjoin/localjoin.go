@@ -11,7 +11,10 @@
 // iterators — see wcoj.go) whose input is the sealed columnar runs a
 // worker store already holds and whose output is a sealed run, so no
 // tuple is materialized between wire decode and gather encode
-// (ARCHITECTURE.md, "Worker data path"). It is the only evaluator a
+// (ARCHITECTURE.md, "Worker data path"). What it derives from a sealed
+// run — the words in an atom's level order — the run remembers
+// (relation.Run.Reordered), so joining the same runs again only probes.
+// It is the only evaluator a
 // worker has: on cyclic queries it avoids the super-linear pairwise
 // intermediates of a hash join, and the model has no use for a choice
 // (README.md, "The local join").

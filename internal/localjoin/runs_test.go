@@ -2,6 +2,7 @@ package localjoin
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -13,7 +14,10 @@ import (
 
 // TestRepeatedVariableTable pins repeated-variable semantics — S(x,x)
 // drops (1,2) — for every strategy, on atoms where the repeat is the
-// whole atom, sits around another variable, and meets a permuted atom.
+// whole atom, sits around another variable, and meets a permuted atom;
+// and the edges of a seek that compares whole words: a value wider than
+// the other atom's field, the largest value a field holds above the last
+// level, full-width words, and a pass that starts below every value.
 func TestRepeatedVariableTable(t *testing.T) {
 	cases := []struct {
 		query string
@@ -42,6 +46,42 @@ func TestRepeatedVariableTable(t *testing.T) {
 			"q(x) = R(x,x,x), S(x)",
 			Bindings{"R": {{2, 2, 2}, {2, 2, 3}, {3, 2, 2}, {6, 6, 6}}, "S": {{2}, {3}, {6}}},
 			[]relation.Tuple{{2}, {6}},
+		},
+		{
+			// x and y meet 21-bit fields in T: R's wider values must
+			// exhaust T's range, not wrap into it — 1<<21|5 is not 5, and
+			// 1<<22 shifted to T's top field is not 0.
+			"q(x,y,z) = R(x,y), T(x,y,z)",
+			Bindings{
+				"R": {{1<<21 | 5, 1}, {5, 1<<21 | 1}, {5, 1}, {1 << 22, 1 << 22}, {0, 0}, {1<<32 - 1, 7}},
+				"T": {{5, 1, 9}, {0, 0, 0}, {1<<21 - 1, 1<<21 - 1, 3}},
+			},
+			[]relation.Tuple{{0, 0, 0}, {5, 1, 9}},
+		},
+		{
+			// The field mask itself at T's first and second level.
+			"q(x,y,z) = R(x,y), T(x,y,z)",
+			Bindings{
+				"R": {{1<<21 - 1, 1<<21 - 1}, {1<<21 - 1, 2}, {1<<21 - 2, 1<<21 - 1}},
+				"T": {{1<<21 - 1, 1<<21 - 1, 3}, {1<<21 - 1, 1<<21 - 1, 1<<21 - 1}, {1<<21 - 2, 1<<21 - 1, 4}, {1<<21 - 1, 0, 5}},
+			},
+			[]relation.Tuple{{1<<21 - 2, 1<<21 - 1, 4}, {1<<21 - 1, 1<<21 - 1, 3}, {1<<21 - 1, 1<<21 - 1, 1<<21 - 1}},
+		},
+		{
+			// …and at the top level of a word with no spare bits.
+			"q(x,y,z) = R(x,y), S(y,z)",
+			Bindings{
+				"R": {{1<<32 - 1, 1<<32 - 1}, {1<<32 - 1, 4}, {3, 1<<32 - 1}},
+				"S": {{1<<32 - 1, 7}, {1<<32 - 1, 1<<32 - 1}, {4, 0}},
+			},
+			[]relation.Tuple{{3, 1<<32 - 1, 7}, {3, 1<<32 - 1, 1<<32 - 1}, {1<<32 - 1, 4, 0}, {1<<32 - 1, 1<<32 - 1, 7}, {1<<32 - 1, 1<<32 - 1, 1<<32 - 1}},
+		},
+		{
+			// Arity 1 is a 64-bit field: every pass starts at math.MinInt,
+			// which seeks 0, and math.MaxInt ends it.
+			"q(x) = A(x), B(x)",
+			Bindings{"A": {{math.MaxInt}, {0}, {7}, {math.MaxInt - 1}}, "B": {{0}, {math.MaxInt}, {8}}},
+			[]relation.Tuple{{0}, {math.MaxInt}},
 		},
 	}
 	for _, c := range cases {
@@ -141,6 +181,24 @@ func TestEvaluateRunsEdges(t *testing.T) {
 	if got := out.AppendTuples(nil); !reflect.DeepEqual(got, []relation.Tuple{{1, 2, 9}}) {
 		t.Errorf("duplicates: %v", got)
 	}
+	// A store mixing a packed and a flat run reads as the tuple trie, under
+	// a permuted atom too.
+	wide := run(2, relation.Tuple{1 << 33, 2}, relation.Tuple{4, 1 << 33})
+	if _, packed := wide.Words(); packed {
+		t.Fatal("a value of 2³³ must not pack at arity 2")
+	}
+	for text, want := range map[string][]relation.Tuple{
+		"q(x,y,z) = R(x,y), S(y,z)": {{1, 2, 9}, {1 << 33, 2, 9}},
+		"q(y,z,x) = S(y,z), R(x,y)": {{2, 9, 1}, {2, 9, 1 << 33}},
+	} {
+		out, err := EvaluateRuns(query.MustParse(text), Runs{"R": {r, wide}, "S": {run(2, relation.Tuple{2, 9})}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.Tuples(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s over a packed and a flat run: %v, want %v", text, got, want)
+		}
+	}
 	// A wrong-arity run is an error, an empty one of wrong arity is not.
 	if _, err := EvaluateRuns(q, Runs{"R": {r}, "S": {run(1, relation.Tuple{2})}}); err == nil {
 		t.Error("want arity error")
@@ -181,6 +239,9 @@ func FuzzEvaluateRuns(f *testing.F) {
 	f.Add(uint8(2), uint8(2), words(4<<32|4, 4<<32|5, 9<<32|4, 0xffffffff<<32|0xffffffff, 0xffffffff<<32|4))
 	f.Add(uint8(3), uint8(1), words(1<<42|2<<21|3, 3<<42|2<<21|1, 3<<32|1, 1<<32|3))
 	f.Add(uint8(4), uint8(2), words(5<<42|6<<21|5, 5<<42|6<<21|4, 6, 0x1fffff<<42|0x1fffff))
+	f.Add(uint8(3), uint8(0), words(5<<42|6<<21|7, (1<<21|7)<<32|5, 5<<42|6<<21|7, 7<<32|5, 0, 1<<22<<32, 0x1fffff<<42|0x1fffff, 0x1fffff<<32|0x1fffff)) // wider than A's field
+	f.Add(uint8(1), uint8(0), words(math.MaxInt, math.MaxInt, 0, 0, 1<<62, 1<<62))
+	f.Add(uint8(2), uint8(1), words(0xffffffff<<32|0xffffffff, 0xffffffff<<32|0xffffffff, 0, 0, 0xffffffff<<32, 0xffffffff)) // the mask above the last level
 	f.Add(uint8(0), uint8(0), []byte{})
 	f.Fuzz(func(t *testing.T, shape, split uint8, data []byte) {
 		q := query.MustParse(fuzzQueries[int(shape)%len(fuzzQueries)])
@@ -215,7 +276,9 @@ func FuzzEvaluateRuns(f *testing.F) {
 		}
 		b := make(Bindings, len(q.Atoms))
 		for _, a := range q.Atoms {
-			b[a.Name] = materialize(runs[a.Name])
+			for _, run := range runs[a.Name] {
+				b[a.Name] = run.AppendTuples(b[a.Name])
+			}
 		}
 		want, err := Evaluate(q, b, HashJoin)
 		if err != nil {

@@ -20,38 +20,47 @@ import (
 // and it is robust to skew: a heavy join value narrows every
 // participating trie at once.
 //
-// The data path is packed end to end. An atom's input is the columnar
-// runs of relation.Run — one uint64 word per tuple — and the trie is
-// a sorted []uint64 of the same words: when the trie's level order is
-// the atom's column order and the input is one sealed run the trie
-// aliases the run (no work at all), several sealed runs are merged, and
-// only atoms whose level order differs (T(z,x) under the order x,z) or
-// that repeat a variable have their bit-fields permuted and are
-// re-sorted. Answers are appended to an relation.Run the same way.
-// Every seek is a search over contiguous integers — no per-tuple
-// allocation and no comparator indirection. Runs holding a value that
-// does not fit a word (the run's flat layout) fall back to a sorted
-// []relation.Tuple trie with identical semantics.
+// The data path is packed end to end. An atom's input is a sealed
+// relation.Run — one uint64 word per tuple; several runs are merged into
+// one first, which a worker store has already done — and the trie is a
+// sorted []uint64 of the same words: when the trie's level order is the
+// atom's column order the trie aliases the run (no work at all), and only
+// atoms whose level order differs (T(z,x) under the order x,z) or that
+// repeat a variable read the run's words with their bit-fields permuted
+// and re-sorted (Run.Reordered) — which a sealed run remembers, so a
+// second join over the same run builds nothing. Answers are appended to a
+// relation.Run the same way. Every seek is a search over contiguous
+// integers, compared as whole words — no per-tuple allocation, no
+// comparator indirection and no field extraction per probe. Runs holding a
+// value that does not fit a word (the run's flat layout) fall back to a
+// sorted []relation.Tuple trie with identical semantics.
 
 // trieRel is a sorted-trie view of one atom's tuples. Level d of the
-// trie is the atom's d-th distinct variable in global variable order;
-// lo[d]/hi[d] bound the rows consistent with the currently bound
-// prefix.
+// trie is the atom's d-th distinct variable in global variable order.
 type trieRel struct {
-	depths []int // global depth of the variable at each level, ascending
-	lo, hi []int // row range per level; level 0 is the whole relation
-	cur    []int // per-level cursor: first row of the last sought value
+	levels []trieLevel
 
-	// Packed layout: row i is keys[i]; level d is the mask-wide field
-	// at bit offset shifts[d]. keys may alias a sealed run: read-only.
-	keys   []uint64
-	shifts []uint
-	mask   uint64
+	// Packed layout: row i is keys[i], level d the mask-wide field at
+	// bit offset levels[d].shift. keys may alias a sealed run, or the
+	// order it remembers: read-only.
+	keys []uint64
+	mask uint64
 
-	// Fallback layout: tuples sorted by the positions cols, cols[d]
-	// being the tuple position of level d.
+	// Fallback layout: tuples sorted by the levels' positions col.
 	tuples []relation.Tuple
-	cols   []int
+}
+
+// trieLevel is the state of one trie level: what a seek touches, side
+// by side.
+type trieLevel struct {
+	depth  int // global depth of the level's variable
+	lo, hi int // rows consistent with the currently bound prefix; level 0 is the whole relation
+	cur    int // cursor: first row of the last sought value
+
+	shift uint   // packed: bit offset of the level's field
+	pre   uint64 // packed: the bits above the field, shared by every row of [lo, hi)
+
+	col int // fallback: tuple position of the level
 }
 
 // splitRepeats sorts atom's positions into first occurrences of a
@@ -83,19 +92,6 @@ func consistentRepeats(t relation.Tuple, eq [][2]int) bool {
 	return true
 }
 
-// materialize reads runs back as tuples, the slice sized once.
-func materialize(runs []*relation.Run) []relation.Tuple {
-	total := 0
-	for _, run := range runs {
-		total += run.Len()
-	}
-	tuples := make([]relation.Tuple, 0, total)
-	for _, run := range runs {
-		tuples = run.AppendTuples(tuples)
-	}
-	return tuples
-}
-
 // newTrieRel builds the trie for one atom from its columnar runs (all
 // of the atom's arity): project onto distinct variables (dropping
 // tuples with inconsistent repeats), order the columns by the
@@ -108,36 +104,31 @@ func newTrieRel(atom query.Atom, runs []*relation.Run, depthOf map[string]int) *
 	pos, eq := splitRepeats(atom)
 	sort.Slice(pos, func(i, j int) bool { return depthOf[atom.Vars[pos[i]]] < depthOf[atom.Vars[pos[j]]] })
 	m := len(pos)
-	tr := &trieRel{
-		depths: make([]int, m),
-		lo:     make([]int, m+1),
-		hi:     make([]int, m+1),
-		cur:    make([]int, m),
-	}
+	tr := &trieRel{levels: make([]trieLevel, m)}
 	inOrder := m == arity // level order = column order, nothing dropped
 	for d, j := range pos {
-		tr.depths[d] = depthOf[atom.Vars[j]]
+		tr.levels[d].depth, tr.levels[d].col = depthOf[atom.Vars[j]], j
 		inOrder = inOrder && j == d
 	}
 
-	packed, sealed, total := true, true, 0
-	for _, run := range runs {
-		words, ok := run.Words()
-		if ok && arity == 1 && run.Sealed() && len(words) > 0 && words[len(words)-1] > math.MaxInt {
-			// A full-width word with the top bit set (only a foreign
-			// peer sends one; Append admits none) reads back as a
-			// negative value, which the unsigned word order misplaces;
-			// the tuple layout orders it.
-			ok = false
-		}
-		packed = packed && ok
-		sealed = sealed && run.Sealed()
-		total += run.Len()
+	// A worker store reads as one run; whoever hands over several has
+	// them merged here (packed with flat gives flat).
+	run := runs[0]
+	if len(runs) > 1 {
+		run = relation.Merge(runs)
+	}
+	words, packed := run.Words()
+	if packed && arity == 1 && run.Sealed() && len(words) > 0 && words[len(words)-1] > math.MaxInt {
+		// A full-width word with the top bit set (only a foreign peer
+		// sends one; Append admits none) reads back as a negative value,
+		// which the unsigned word order misplaces; the tuple layout orders
+		// it.
+		packed = false
 	}
 	if !packed {
 		// Fallback: some value does not fit a word. Materialize once
 		// and sort with a comparator.
-		tuples := materialize(runs)
+		tuples := run.Tuples()
 		kept := tuples[:0]
 		for _, t := range tuples {
 			if consistentRepeats(t, eq) {
@@ -153,8 +144,8 @@ func newTrieRel(atom query.Atom, runs []*relation.Run, depthOf map[string]int) *
 			}
 			return false
 		})
-		tr.tuples, tr.cols = kept, pos
-		tr.hi[0] = len(kept)
+		tr.tuples = kept
+		tr.levels[0].hi = len(kept)
 		return tr
 	}
 
@@ -162,62 +153,26 @@ func newTrieRel(atom query.Atom, runs []*relation.Run, depthOf map[string]int) *
 	// the trie keeps that width for its m ≤ arity levels.
 	shift := relation.PackedShift(arity)
 	tr.mask = relation.PackedMask(shift)
-	tr.shifts = make([]uint, m)
-	for d := range tr.shifts {
-		tr.shifts[d] = uint(m-1-d) * shift
+	for d := range tr.levels {
+		tr.levels[d].shift = uint(m-1-d) * shift
 	}
-	switch {
-	case inOrder && sealed && len(runs) == 1:
-		tr.keys, _ = runs[0].Words()
-	case inOrder && sealed:
-		tr.keys = relation.MergeWords(runs)
-	default:
-		// Permute the bit-fields into level order (checking repeats on
-		// the words), then sort.
-		from := make([]uint, m) // bit offset of level d's field in the input word
-		for d, j := range pos {
-			from[d] = uint(arity-1-j) * shift
-		}
-		eqAt := make([][2]uint, len(eq))
-		for i, e := range eq {
-			eqAt[i] = [2]uint{uint(arity-1-e[0]) * shift, uint(arity-1-e[1]) * shift}
-		}
-		mask := tr.mask
-		keys := make([]uint64, 0, total)
-		for _, run := range runs {
-			words, _ := run.Words()
-		permute:
-			for _, w := range words {
-				for _, e := range eqAt {
-					if w>>e[0]&mask != w>>e[1]&mask {
-						continue permute
-					}
-				}
-				var key uint64
-				for _, f := range from {
-					key = key<<shift | w>>f&mask
-				}
-				keys = append(keys, key)
-			}
-		}
-		relation.SortWords(keys)
-		tr.keys = keys
+	if inOrder && run.Sealed() {
+		tr.keys = words
+	} else {
+		// The run's bit-fields permuted into level order (repeats checked
+		// on the words) and re-sorted — once per sealed run, not per join.
+		tr.keys = run.Reordered(pos, eq)
 	}
-	tr.hi[0] = len(tr.keys)
+	tr.levels[0].hi = len(tr.keys)
 	return tr
 }
 
-// at returns the level-d value of row i.
-func (tr *trieRel) at(d, i int) int {
-	if tr.tuples == nil {
-		return int(tr.keys[i] >> tr.shifts[d] & tr.mask)
-	}
-	return tr.tuples[i][tr.cols[d]]
-}
+// at returns the level-d value of row i of the tuple layout.
+func (tr *trieRel) at(d, i int) int { return tr.tuples[i][tr.levels[d].col] }
 
 // reset rewinds the level-d cursor to the start of the current prefix
 // range; callers do this when they start a fresh intersection pass.
-func (tr *trieRel) reset(d int) { tr.cur[d] = tr.lo[d] }
+func (tr *trieRel) reset(d int) { tr.levels[d].cur = tr.levels[d].lo }
 
 // seek returns the smallest value ≥ v at trie level d within the
 // current prefix range, or ok=false when the range is exhausted.
@@ -225,37 +180,72 @@ func (tr *trieRel) reset(d int) { tr.cur[d] = tr.lo[d] }
 // leapfrog discipline); the cursor then advances monotonically and a
 // full intersection pass costs amortized O(rows) instead of
 // O(values · log rows), via galloping from the previous position.
+//
+// On the packed layout every row of the range shares the bits above
+// level d's field (pre), so the first row whose field is ≥ v is the
+// first word ≥ pre | v<<shift: the search compares whole words and
+// extracts a field once, from the row it lands on. A v below every field
+// value seeks 0; one above the field mask — a wider value from an atom
+// of another arity — exhausts the range.
 func (tr *trieRel) seek(d, v int) (int, bool) {
-	i, hi := tr.cur[d], tr.hi[d]
-	if i >= hi {
+	l := &tr.levels[d]
+	i := l.cur
+	if i >= l.hi {
 		return 0, false
 	}
-	if val := tr.at(d, i); val >= v {
-		return val, true
+	if tr.tuples != nil {
+		if val := tr.at(d, i); val >= v {
+			return val, true
+		}
+		i = tr.bound(d, i, l.hi, v)
+		l.cur = i
+		if i == l.hi {
+			return 0, false
+		}
+		return tr.at(d, i), true
 	}
-	i = tr.bound(d, i, hi, v)
-	tr.cur[d] = i
-	if i == hi {
+	v = max(v, 0)
+	if uint64(v) > tr.mask {
+		l.cur = l.hi
 		return 0, false
 	}
-	return tr.at(d, i), true
+	if target := l.pre | uint64(v)<<l.shift; tr.keys[i] < target {
+		i = boundWords(tr.keys, i, l.hi, target)
+		l.cur = i
+		if i == l.hi {
+			return 0, false
+		}
+	}
+	return int(tr.keys[i] >> l.shift & tr.mask), true
 }
 
 // open narrows level d+1 to the rows whose level-d value equals v. It
 // must follow a seek that returned v, so the cursor sits on the first
-// occurrence.
+// occurrence. The last level has nothing below it to narrow, and the
+// largest value a level can hold no successor to search for: its rows
+// run to the end of the range.
 func (tr *trieRel) open(d, v int) {
-	start, end := tr.cur[d], tr.hi[d]
-	if v < math.MaxInt {
-		end = tr.bound(d, start, end, v+1)
+	if d+1 == len(tr.levels) {
+		return
 	}
-	tr.lo[d+1], tr.hi[d+1] = start, end
+	l, next := &tr.levels[d], &tr.levels[d+1]
+	next.lo, next.hi = l.cur, l.hi
+	if tr.tuples != nil {
+		if v < math.MaxInt {
+			next.hi = tr.bound(d, l.cur, l.hi, v+1)
+		}
+		return
+	}
+	next.pre = l.pre | uint64(v)<<l.shift
+	if uint64(v) < tr.mask {
+		next.hi = boundWords(tr.keys, l.cur, l.hi, next.pre+1<<l.shift)
+	}
 }
 
-// bound returns the first row in (i, hi] whose level-d value is ≥ v
-// (hi when there is none), given that row i's value is below v: gallop
-// from i in doubling strides to bracket the row, then bisect the
-// bracket.
+// bound returns the first row in (i, hi] of the tuple layout whose
+// level-d value is ≥ v (hi when there is none), given that row i's value
+// is below v: gallop from i in doubling strides to bracket the row, then
+// bisect the bracket.
 func (tr *trieRel) bound(d, i, hi, v int) int {
 	step := 1
 	for i+step < hi && tr.at(d, i+step) < v {
@@ -266,6 +256,26 @@ func (tr *trieRel) bound(d, i, hi, v int) int {
 	for lo < up {
 		mid := int(uint(lo+up) >> 1)
 		if tr.at(d, mid) < v {
+			lo = mid + 1
+		} else {
+			up = mid
+		}
+	}
+	return lo
+}
+
+// boundWords is bound on the packed layout: the first row in (i, hi] of
+// keys that is ≥ target, given keys[i] < target.
+func boundWords(keys []uint64, i, hi int, target uint64) int {
+	step := 1
+	for i+step < hi && keys[i+step] < target {
+		i += step
+		step <<= 1
+	}
+	lo, up := i+1, min(hi, i+step)
+	for lo < up {
+		mid := int(uint(lo+up) >> 1)
+		if keys[mid] < target {
 			lo = mid + 1
 		} else {
 			up = mid
@@ -314,8 +324,8 @@ func EvaluateRuns(q *query.Query, runs Runs) (*relation.Run, error) {
 	parts := make([][]participant, k)
 	for _, a := range q.Atoms {
 		tr := newTrieRel(a, runs[a.Name], depthOf)
-		for d, g := range tr.depths {
-			parts[g] = append(parts[g], participant{tr: tr, d: d})
+		for d, l := range tr.levels {
+			parts[l.depth] = append(parts[l.depth], participant{tr: tr, d: d})
 		}
 	}
 

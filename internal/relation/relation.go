@@ -8,7 +8,9 @@
 // It also owns the form in which tuples travel: the sealed Run (run.go)
 // — same-arity tuples as sorted packed words, or sorted flat rows when
 // they do not pack — and its set algebra Merge, Diff and Project
-// (runalgebra.go). Everything between a scatter and a gather is runs:
+// (runalgebra.go), and the one index a sealed run remembers of itself
+// (Run.Reordered: immutable input, so never invalidated). Everything
+// between a scatter and a gather is runs:
 // internal/exchange routes rows into them, internal/wire frames them,
 // workers store, join and return them, and the coordinator's views are
 // kept as them. The package imports none of those layers.

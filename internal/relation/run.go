@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // Run holds same-arity tuples in packed columnar form — the currency of
@@ -15,7 +16,9 @@ import (
 // most-significant first, so it sorts as a plain integer slice and word
 // order is lexicographic tuple order; otherwise it transparently
 // migrates to a flat row-major []int with stride = arity. A sealed run
-// is sorted lexicographically and immutable.
+// is sorted lexicographically and immutable — which is what lets it
+// remember one index derived from itself (Reordered): nothing can
+// invalidate it, and it is freed with the run.
 type Run struct {
 	arity  int
 	shift  uint
@@ -23,6 +26,14 @@ type Run struct {
 	flat   []int    // fallback path, row-major
 	packed bool
 	sealed bool
+	// index is the only field written after Seal: the last column order
+	// Reordered was asked for, under its own lock.
+	index struct {
+		sync.Mutex
+		cols []int
+		eq   [][2]int
+		keys []uint64
+	}
 }
 
 // NewRun returns an empty run for tuples of the given arity.
@@ -300,6 +311,66 @@ func (b *Run) Flat() []int {
 		return nil
 	}
 	return b.flat
+}
+
+// Reordered returns a packed run's rows in another column order, for a
+// reader whose sort order is not the run's: the rows holding equal values
+// at every position pair of eq, reduced to the positions cols in that
+// order — one word per row at the run's own field width, first of cols
+// most significant — and sorted, every occurrence kept. The slice is
+// read-only. A sealed run remembers the last (cols, eq) it was asked for,
+// so its readers — every session that attached it — sort it once between
+// them, and a run never holds more than one such slice: a peer varying
+// its atom patterns makes it rebuild, not grow.
+func (b *Run) Reordered(cols []int, eq [][2]int) []uint64 {
+	if !b.sealed {
+		return b.reorder(cols, eq)
+	}
+	ix := &b.index
+	ix.Lock()
+	defer ix.Unlock()
+	if ix.cols == nil || !slices.Equal(ix.cols, cols) || !slices.Equal(ix.eq, eq) {
+		ix.cols, ix.eq, ix.keys = slices.Clone(cols), slices.Clone(eq), b.reorder(cols, eq)
+	}
+	return ix.keys
+}
+
+// reorder builds what Reordered returns.
+func (b *Run) reorder(cols []int, eq [][2]int) []uint64 {
+	offset := func(col int) uint { return uint(b.arity-1-col) * b.shift }
+	from := make([]uint, len(cols))
+	for d, c := range cols {
+		from[d] = offset(c)
+	}
+	eqAt := make([][2]uint, len(eq))
+	for i, e := range eq {
+		eqAt[i] = [2]uint{offset(e[0]), offset(e[1])}
+	}
+	mask := PackedMask(b.shift)
+	keys := make([]uint64, 0, len(b.words))
+rows:
+	for _, w := range b.words {
+		for _, e := range eqAt {
+			if w>>e[0]&mask != w>>e[1]&mask {
+				continue rows
+			}
+		}
+		var key uint64
+		for _, f := range from {
+			key = key<<b.shift | w>>f&mask
+		}
+		keys = append(keys, key)
+	}
+	SortWords(keys)
+	return keys
+}
+
+// Bytes returns the payload bytes the run keeps alive: its words or flat
+// values, and the order a sealed run remembers.
+func (b *Run) Bytes() int64 {
+	b.index.Lock()
+	defer b.index.Unlock()
+	return 8 * int64(len(b.words)+len(b.flat)+len(b.index.keys))
 }
 
 // NewRunFromWords adopts a wire payload of one packed word per tuple as
