@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/dist/disttest"
 	"repro/internal/exchange"
 	"repro/internal/relation"
 )
@@ -46,11 +45,11 @@ func TestServeSession(t *testing.T) {
 		{Kind: dist.OpBarrier, Round: 1},
 		{Kind: dist.OpJoin, Join: dist.JoinSpec{Query: "q(x,y) = R(x,y)", View: "out"}},
 	} {
-		if _, err := disttest.Step(ctx, tr, op); err != nil {
+		if _, err := tr.Run(ctx, []dist.Op{op}); err != nil {
 			t.Fatalf("%s: %v", op.Kind, err)
 		}
 	}
-	reply, err := disttest.Step(ctx, tr, dist.Op{Kind: dist.OpGather, View: "out"})
+	reply, err := tr.Run(ctx, []dist.Op{{Kind: dist.OpGather, View: "out"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,6 +160,33 @@ func TestEvalTransports(t *testing.T) {
 	}
 }
 
+// onSession is an Options.Dial of loopback sessions, the n-th (0-indexed)
+// of them behind s.
+func onSession(n int, s *disttest.Schedule) func(int) (dist.Transport, error) {
+	return func(p int) (dist.Transport, error) {
+		if n--; n != -1 {
+			return dist.NewLoopback(p), nil
+		}
+		return s.Wrap(dist.NewLoopback(p)), nil
+	}
+}
+
+// killAtSecondDelta looks up, in a fault-free evaluation of prog, the
+// point the recovery tests of this package share: worker 1 dying ahead of
+// the second delta round of the execution the program dials as session.
+func killAtSecondDelta(t *testing.T, prog *Program, db *relation.Database, p, session int) []disttest.Fault {
+	t.Helper()
+	clean := disttest.NewSchedule()
+	if _, err := Eval(prog, db, Options{P: p, Seed: 5, Dial: onSession(session, clean)}); err != nil {
+		t.Fatal(err)
+	}
+	kill := clean.Trace().At(dist.OpDelta, 1, 1, disttest.KillBefore)
+	if kill == nil {
+		t.Fatalf("session %d has no second delta round", session)
+	}
+	return kill
+}
+
 // TestDatalogRecoversWorker: a worker that dies in the middle of the
 // fixpoint — at the recursive rule's second delta round — is replaced
 // and replayed, so the program finishes with the fault-free answers
@@ -178,25 +205,15 @@ func TestDatalogRecoversWorker(t *testing.T) {
 	// The program opens two sessions: the base rule's execution, then
 	// the recursive rule's maintainer, which is the one that loses a
 	// worker.
-	sessions := 0
-	var faulty *disttest.FaultTransport
-	dial := func(p int) (dist.Transport, error) {
-		sessions++
-		if sessions != 2 {
-			return dist.NewLoopback(p), nil
-		}
-		faulty = disttest.NewFaultTransport(dist.NewLoopback(p),
-			disttest.Fault{Worker: 1, Op: disttest.OpDelta, N: 1, Kind: disttest.KillBefore})
-		return faulty, nil
-	}
+	faulty := disttest.NewSchedule(killAtSecondDelta(t, MustParse(tcProgram), edgeDB(20, edges), p, 1)...)
 	res, err := Eval(MustParse(tcProgram), edgeDB(20, edges), Options{
-		P: p, Seed: 5, Dial: dial, Recovery: dist.RecoveryOptions{Enabled: true},
+		P: p, Seed: 5, Dial: onSession(1, faulty), Recovery: dist.RecoveryOptions{Enabled: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if faulty == nil || faulty.Kills() != 1 {
-		t.Fatalf("fault schedule never fired (sessions dialed: %d)", sessions)
+	if faulty.Kills() != 1 {
+		t.Fatalf("fault schedule fired %d kills", faulty.Kills())
 	}
 	if res.Replacements != 1 {
 		t.Errorf("Replacements = %d, want 1", res.Replacements)

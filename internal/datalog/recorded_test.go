@@ -98,15 +98,8 @@ func TestFixpointRecorded(t *testing.T) {
 			check("loopback", Options{}, 0)
 			check("tcp", Options{Dial: tcpDialer(startPool(t, p))}, 0)
 
-			dials := 0
-			check("loopback healed", Options{Recovery: healing, Dial: func(p int) (dist.Transport, error) {
-				dials++
-				if dials-1 != tc.session {
-					return dist.NewLoopback(p), nil
-				}
-				return disttest.NewFaultTransport(dist.NewLoopback(p),
-					disttest.Fault{Worker: 1, Op: disttest.OpDelta, N: 1, Kind: disttest.KillBefore}), nil
-			}}, 1)
+			kill := disttest.NewSchedule(killAtSecondDelta(t, prog, db, p, tc.session)...)
+			check("loopback healed", Options{Recovery: healing, Dial: onSession(tc.session, kill)}, 1)
 
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()

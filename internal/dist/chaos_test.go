@@ -2,7 +2,6 @@ package dist_test
 
 import (
 	"context"
-	"net"
 	"testing"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"repro/internal/mpc"
 	"repro/internal/query"
 	"repro/internal/relation"
-	"repro/internal/wire"
 )
 
 // Chaos tests: the failure modes a real cluster has and the loopback
@@ -41,35 +39,6 @@ func withinDeadline(t *testing.T, what string, fn func() error) {
 	}
 }
 
-// startStuckWorker accepts one connection, answers the handshake, and
-// then goes silent: it reads and discards frames but never acks — the
-// shape of a wedged remote process.
-func startStuckWorker(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		if f, err := wire.Decode(conn); err != nil || f.Type != wire.TypeHello {
-			return
-		}
-		_ = wire.Encode(conn, &wire.Frame{Type: wire.TypeAck})
-		for {
-			if _, err := wire.Decode(conn); err != nil {
-				return
-			}
-		}
-	}()
-	return ln.Addr().String()
-}
-
 // smallDelivery is one single-tuple sealed run for worker 0.
 func smallDelivery() []exchange.Delivery {
 	b := relation.NewRun(1)
@@ -81,12 +50,7 @@ func smallDelivery() []exchange.Delivery {
 // TestChaosCancelMidRound: cancelling the context while a barrier
 // waits on a stuck worker aborts the round promptly.
 func TestChaosCancelMidRound(t *testing.T) {
-	addr := startStuckWorker(t)
-	tr, err := dist.DialTCP(context.Background(), []string{addr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := dialPool(t, []string{silentWorker(t, 1)})
 	ctx, cancel := context.WithCancel(context.Background())
 	if err := deliver(ctx, tr, 1, smallDelivery()); err != nil {
 		t.Fatal(err)
@@ -103,12 +67,7 @@ func TestChaosCancelMidRound(t *testing.T) {
 // TestChaosDeadlineMidRound: same scenario driven by a context
 // deadline instead of an explicit cancel.
 func TestChaosDeadlineMidRound(t *testing.T) {
-	addr := startStuckWorker(t)
-	tr, err := dist.DialTCP(context.Background(), []string{addr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := dialPool(t, []string{silentWorker(t, 1)})
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	if err := deliver(ctx, tr, 1, smallDelivery()); err != nil {
@@ -119,27 +78,36 @@ func TestChaosDeadlineMidRound(t *testing.T) {
 	})
 }
 
+// TestChaosSilentMemberIsReplaced: a member stopped mid-session — it
+// acked the hello and says nothing after, not to the next hello either —
+// fails its script when the phase bound runs out, and its own address,
+// the first candidate for its slot, gets no more than its share of the
+// next bound before the spare is tried: ground truth, one replacement,
+// inside twice the bound. (Before the heal ran under the bound the
+// replacement's hello waited on the stopped process for good.)
+func TestChaosSilentMemberIsReplaced(t *testing.T) {
+	const p, bound = 4, time.Second
+	live := startPool(t, p) // p-1 members and the spare
+	members := append(append([]string(nil), live[:p-1]...), silentWorker(t, 1))
+	eng := recoveryEngines(t, p)[0]
+	start := time.Now()
+	out, err := eng.on(dialPool(t, members), dist.RecoveryOptions{Enabled: true, Spares: live[p-1:], PhaseTimeout: bound})
+	took := time.Since(start)
+	if err != nil || !sameTuples(out.answers, eng.truth) || out.repl != 1 {
+		t.Fatalf("%d answers (ground truth %d), %d replacements, %v", len(out.answers), len(eng.truth), out.repl, err)
+	}
+	if took < bound || took > 2*bound {
+		t.Errorf("healed in %v, want between the bound %v and twice that", took, bound)
+	}
+}
+
 // TestChaosWorkerDropsBetweenScatterAndGather: one worker of the pool
 // dies after the scatter round completes; the join and the gather
 // must error out instead of hanging, and the coordinator names a
 // transport failure.
 func TestChaosWorkerDropsBetweenScatterAndGather(t *testing.T) {
-	// Worker 0 lives for the whole test; worker 1 is killable.
-	stable := startPool(t, 1)
-	dyingCtx, kill := context.WithCancel(context.Background())
-	defer kill()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go dist.Serve(dyingCtx, ln)
-
-	tr, err := dist.DialTCP(context.Background(), []string{stable[0], ln.Addr().String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	pool := startKillablePool(t, 2)
+	tr := dialPool(t, pool.addrs)
 	cl, err := dist.NewCluster(mpc.Config{Workers: 2, DomainN: 64, InputBits: 1}, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +126,7 @@ func TestChaosWorkerDropsBetweenScatterAndGather(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	kill() // worker 1's sessions die between scatter and gather
+	pool.kill(1) // worker 1's sessions die between scatter and gather
 
 	withinDeadline(t, "join+gather after worker drop", func() error {
 		q := query.MustParse("q(x,y,z) = R(x,y), S(y,z)")

@@ -51,6 +51,9 @@ type Cluster struct {
 	// believed resident until its barrier (resident.go).
 	snap      *Snapshot
 	attaching []*residentScatter
+	// arity is what Join said each view not yet gathered holds: what a
+	// gather reply is checked against.
+	arity map[string]int
 }
 
 // NewCluster validates cfg against the transport's pool and returns
@@ -69,7 +72,7 @@ func NewCluster(cfg mpc.Config, tr Transport) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Cluster{cfg: cfg, tr: tr}, nil
+	return &Cluster{cfg: cfg, tr: tr, arity: make(map[string]int)}, nil
 }
 
 // Env says where and how an execution's rounds run — everything about
@@ -361,6 +364,7 @@ func (c *Cluster) EndRound(ctx context.Context) error {
 func (c *Cluster) Join(ctx context.Context, q *query.Query, bindings map[string]string, view string, _ localjoin.Strategy /* pinned by bench/probes.go:474 */) error {
 	span := c.tracePhase("join")
 	defer c.tracePhaseEnd(span)
+	c.arity[view] = q.NumVars()
 	return c.submit(ctx, Op{Kind: OpJoin, Join: JoinSpec{Query: q.String(), View: view, Bindings: bindings}})
 }
 
@@ -406,10 +410,30 @@ func (c *Cluster) GatherAggregate(ctx context.Context, view string, spec relatio
 }
 
 // gatherRuns fetches the sealed runs every worker holds under view, in
-// worker order, behind whatever the round script still holds.
+// worker order, behind whatever the round script still holds. The reply
+// is input: every run must have the arity a Join of this cluster gave
+// the view — or, for a view no Join filled, the arity of the others —
+// before anything merges them.
 func (c *Cluster) gatherRuns(ctx context.Context, view string) ([]*relation.Run, error) {
 	reply, err := c.run(ctx, Op{Kind: OpGather, View: view})
-	return reply.Runs, err
+	if err != nil {
+		return nil, err
+	}
+	want, joined := c.arity[view]
+	delete(c.arity, view)
+	for i, run := range reply.Runs {
+		if !joined {
+			want, joined = run.Arity(), true
+		}
+		if run.Arity() != want {
+			err := fmt.Errorf("dist: gather of %q answered with an arity-%d run, the view holds arity %d", view, run.Arity(), want)
+			if i < len(reply.From) {
+				err = &WorkerError{Worker: reply.From[i], Err: err}
+			}
+			return nil, err
+		}
+	}
+	return reply.Runs, nil
 }
 
 // Flush sends the round script without gathering anything: the fence of

@@ -21,8 +21,9 @@
 //     across transports by construction — and turns Scatter, EndRound,
 //     Join and Gather into steps: journaled for replay, queued until
 //     the next step whose reply it needs (Open), or sent one at a time
-//     (a bare NewCluster), and healed when a worker fails
-//     (recovery.go).
+//     (a bare NewCluster). A failed worker is healed by more scripts —
+//     an epoch step, a replay closed by a ping (recovery.go) — each,
+//     like every script, under the policy's phase bound.
 //   - the worker session (Serve/ServeConn): the remote half. Each
 //     accepted connection is an isolated session with its own store,
 //     so one worker process can serve many concurrent executions. A
@@ -87,8 +88,8 @@ type DeltaDelivery struct {
 type OpKind uint8
 
 // The steps a script is made of. Deliver, delta and trace steps are
-// unacknowledged; a barrier, a join, an attach and a gather are each
-// answered, so a script holding one of them is an exchange.
+// unacknowledged; a barrier, a join, an attach, a gather, an epoch and a
+// ping are each answered, so a script holding one of them is an exchange.
 const (
 	// OpDeliver ships sealed runs to their destination workers.
 	OpDeliver OpKind = iota
@@ -107,6 +108,14 @@ const (
 	OpAttach
 	// OpTrace announces the round's span context.
 	OpTrace
+	// OpEpoch announces the coordinator's recovery epoch, carried in
+	// Round: a worker acks it, or refuses one lower than it was last told
+	// as a stale coordinator's.
+	OpEpoch
+	// OpPing round-trips a heartbeat, its sequence number in Round. Frames
+	// on a session are processed in order, so the answer also proves the
+	// worker ingested everything sent before it.
+	OpPing
 )
 
 // String names the step.
@@ -117,14 +126,15 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("OpKind(%d)", uint8(k))
 }
 
-var opNames = [...]string{"deliver", "barrier", "join", "gather", "delta", "attach", "trace"}
+var opNames = [...]string{"deliver", "barrier", "join", "gather", "delta", "attach", "trace", "epoch", "ping"}
 
 // Op is one step of a round script — what the coordinator journals for
 // replay, defers to the next fence, and hands to a Transport are all
 // lists of these. Kind says which of the other fields the step reads.
 type Op struct {
 	Kind OpKind
-	// Round is the round a delivery, delta or barrier belongs to.
+	// Round is the round a delivery, delta or barrier belongs to, the
+	// epoch of an OpEpoch, the sequence number of an OpPing.
 	Round int
 	// Deliveries are the runs of an OpDeliver, Deltas those of an OpDelta.
 	Deliveries []exchange.Delivery
@@ -149,6 +159,9 @@ type Reply struct {
 	// Runs are the gathered runs in worker order (all of worker 0's,
 	// then worker 1's, …), so gathers are deterministic.
 	Runs []*relation.Run
+	// From[i] is the worker Runs[i] came from; a gather reply is input,
+	// and this is who to hold to it.
+	From []int
 	// Attached[w][i] is worker w's answer to the i-th attachment; nil for
 	// a worker that failed the script.
 	Attached [][]wire.Attach

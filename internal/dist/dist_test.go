@@ -8,6 +8,7 @@ import (
 	"net"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/dist"
@@ -19,22 +20,31 @@ import (
 	"repro/internal/wire"
 )
 
-// startPool spins up n in-process TCP worker listeners (the exact
-// code cmd/mpcworker runs) and returns their addresses. Everything
-// shuts down with the test.
-func startPool(t *testing.T, n int) []string {
-	t.Helper()
+// servePool spins up n in-process TCP worker listeners (the exact code
+// cmd/mpcworker runs) and returns their addresses and what shuts them
+// down, waiting for the accept loops.
+func servePool(n int) (addrs []string, stop func()) {
 	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	addrs := make([]string, n)
-	for i := range addrs {
+	var serving sync.WaitGroup
+	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			t.Fatal(err)
+			panic(err)
 		}
-		addrs[i] = ln.Addr().String()
-		go dist.Serve(ctx, ln)
+		addrs = append(addrs, ln.Addr().String())
+		serving.Add(1)
+		go func() {
+			defer serving.Done()
+			dist.Serve(ctx, ln)
+		}()
 	}
+	return addrs, func() { cancel(); serving.Wait() }
+}
+
+// startPool is servePool shut down with the test.
+func startPool(t *testing.T, n int) []string {
+	addrs, stop := servePool(n)
+	t.Cleanup(stop)
 	return addrs
 }
 

@@ -1,37 +1,29 @@
 // Package disttest is test scaffolding for code that runs on
-// dist.Cluster: a Transport wrapper that injects a deterministic,
-// counter-keyed schedule of worker failures, delays and duplicate
-// deliveries. It is imported by tests only.
+// dist.Cluster: a Transport wrapper that meets every step of every
+// script — an execution's rounds and a heal's epoch step and replay alike
+// — with a deterministic, counter-keyed schedule of worker failures,
+// stalls, lies, delays and duplicate deliveries, and records the steps it
+// met, so that a net can enumerate them instead of naming them by hand
+// (internal/dist/explore_test.go). It is imported by tests only.
 package disttest
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/dist"
-	"repro/internal/exchange"
-)
-
-// OpType names the step of a round script a fault attaches to.
-type OpType = dist.OpKind
-
-// Steps a Fault can target: one occurrence is one such step of a script,
-// whether it came alone or fused with others.
-const (
-	OpDeliver = dist.OpDeliver
-	OpBarrier = dist.OpBarrier
-	OpJoin    = dist.OpJoin
-	OpGather  = dist.OpGather
-	OpDelta   = dist.OpDelta
-	OpAttach  = dist.OpAttach
+	"repro/internal/relation"
 )
 
 // FaultKind is what happens when a fault fires.
 type FaultKind uint8
 
-// Fault behaviors.
+// Fault behaviors. The first four are what a worker can do to any step
+// and what the explorer puts at every one; the last two are what the
+// network may do to a delivery or a delta without changing any result.
 const (
 	// KillBefore kills the worker's connection before the step acts:
 	// the worker's slice of the step is lost and the worker is dead
@@ -42,347 +34,353 @@ const (
 	// failure (it cannot know how much arrived), and the worker is dead
 	// until replaced.
 	KillAfter
+	// Stall has the worker take the step and never answer: the script
+	// returns when its context is done and not before, and the worker is
+	// dead until replaced. The context is the only clock in this package.
+	Stall
+	// Lie has the worker answer a gather with a well-formed run of
+	// another arity; on any other step it does nothing.
+	Lie
 	// DelayToBarrier holds the worker's deliveries back until the next
 	// barrier step, which injects them before synchronizing — legal
 	// under BSP semantics (ingestion is only promised at the barrier)
 	// and must not change any result.
 	DelayToBarrier
 	// DuplicateDelivery delivers the worker's runs twice. Exactly-once
-	// is not part of the transport contract — sorted-run merging dedups
-	// — so answers must not change.
+	// is not part of the transport contract — sorted-run merging dedups,
+	// tombstones are idempotent — so answers must not change.
 	DuplicateDelivery
 )
 
+var kindNames = [...]string{"kill-before", "kill-after", "stall", "lie", "delay-to-barrier", "duplicate-delivery"}
+
 // String names the behavior.
 func (k FaultKind) String() string {
-	switch k {
-	case KillBefore:
-		return "kill-before"
-	case KillAfter:
-		return "kill-after"
-	case DelayToBarrier:
-		return "delay-to-barrier"
-	case DuplicateDelivery:
-		return "duplicate-delivery"
-	default:
-		return fmt.Sprintf("FaultKind(%d)", uint8(k))
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("FaultKind(%d)", uint8(k))
 }
 
-// Fault is one scheduled failure: when worker Worker sees its N-th
-// (0-indexed) step of kind Op, Kind happens. The schedule is purely
-// counter-driven — no timers, no goroutine races — so a recovery test
-// that uses it is deterministic by construction.
+// Fault is one scheduled failure: when worker Worker meets its N-th
+// (0-indexed) step of kind Op — in a round script, an epoch step or its
+// own replay — Kind happens. The schedule is purely counter-driven — no
+// timers, no goroutine races — so a recovery test that uses it is
+// deterministic by construction. A Fault is usually not spelled out but
+// read off a recorded Site.
 type Fault struct {
-	// Worker is the pool index the fault targets.
 	Worker int
-	// Op is the step the fault attaches to.
-	Op OpType
-	// N is the 0-indexed occurrence of Op at which the fault fires.
-	N int
-	// Kind is the behavior.
-	Kind FaultKind
+	Op     dist.OpKind
+	N      int
+	Kind   FaultKind
 }
 
-// errFaultKilled marks an injected connection kill.
-var errFaultKilled = errors.New("fault injected: connection killed")
+// Site is one step as a schedule met it: step Index of the execution's
+// Script-th script (counted over all its sessions, heal-time scripts
+// included), sent to worker Only alone when that is not negative.
+type Site struct {
+	Script, Index int
+	Kind          dist.OpKind
+	Only          int
+	// N[w] is which of worker w's steps of this kind it was — what a Fault
+	// names — or -1 for a worker the step did not reach: not Only, or dead.
+	// For[w] is false where a deliver or delta step carried nothing for w.
+	N   []int
+	For []bool
+}
 
-// errFaultDead marks an op against a worker killed earlier.
-var errFaultDead = errors.New("fault injected: worker is dead")
+// On is the fault that has kind happen to worker w at this step.
+func (s Site) On(w int, kind FaultKind) Fault {
+	return Fault{Worker: w, Op: s.Kind, N: s.N[w], Kind: kind}
+}
 
-// FaultTransport wraps a Transport with a deterministic fault
-// schedule. Run walks its script and hands the inner transport one step
-// at a time; each step advances per-worker counters, and when a counter
-// hits a scheduled Fault the transport injects the fault — reporting a
-// *WorkerError exactly like the TCP transport would — and, for kill
-// faults, keeps the worker dead (every touch fails) until ReplaceWorker
-// revives it. Like a dead TCP connection, a dead worker does not stop
-// the script: the healthy pool runs the rest of it before the failures
-// are reported. Because the schedule is counter-keyed rather than
-// time-keyed, a test net built on it has no sleeps and no flakes.
+// Trace is the steps of one execution in the order they were met.
+type Trace []Site
+
+// At is the point a hand-kept table used to spell out, looked up in a
+// recorded execution: kind happening to worker w at the n-th step of kind
+// op (counted from the end when n is negative), as a one-fault schedule —
+// nil when the execution has no such step.
+func (tr Trace) At(op dist.OpKind, n, w int, kind FaultKind) []Fault {
+	var sites Trace
+	for _, s := range tr {
+		if s.Kind == op {
+			sites = append(sites, s)
+		}
+	}
+	if n < 0 {
+		n += len(sites)
+	}
+	if n < 0 || n >= len(sites) {
+		return nil
+	}
+	return []Fault{sites[n].On(w, kind)}
+}
+
+var (
+	errFaultKilled  = errors.New("fault injected: connection killed")
+	errFaultDead    = errors.New("fault injected: worker is dead")
+	errFaultStalled = errors.New("fault injected: worker took the step and never answered")
+)
+
+// Schedule is a fault schedule, the per-(worker, step kind) counters it
+// is keyed on and the trace of what met it, shared by every session one
+// execution opens: a program that dials per rule is still one sequence of
+// scripts.
+type Schedule struct {
+	mu sync.Mutex
+	// faults is keyed by worker, step kind and occurrence. A counter passes
+	// each value once, so every fault is one-shot; kills counts those that
+	// took a worker down.
+	faults  map[[3]int]FaultKind
+	kills   int
+	counts  map[[2]int]int // by worker and step kind
+	scripts int
+	trace   Trace
+}
+
+// NewSchedule returns a schedule of the given faults; with none it only
+// records.
+func NewSchedule(faults ...Fault) *Schedule {
+	s := &Schedule{faults: make(map[[3]int]FaultKind), counts: make(map[[2]int]int)}
+	for _, f := range faults {
+		s.faults[[3]int{f.Worker, int(f.Op), f.N}] = f.Kind
+	}
+	return s
+}
+
+// Wrap puts one session behind the schedule.
+func (s *Schedule) Wrap(inner dist.Transport) *FaultTransport {
+	return &FaultTransport{Transport: inner, s: s, dead: make(map[int]bool)}
+}
+
+// Kills returns how many kill and stall faults have fired.
+func (s *Schedule) Kills() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.kills
+}
+
+// Trace returns every step met so far.
+func (s *Schedule) Trace() Trace {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append(Trace(nil), s.trace...)
+}
+
+// FaultTransport is one session behind a Schedule. Run and RunOn walk
+// their script and hand the inner transport one step at a time; each step
+// advances the counter of every worker it reaches, and when a counter
+// hits a scheduled Fault the transport injects it — reporting a
+// *WorkerError exactly like the TCP transport would — and, for kills and
+// stalls, keeps the worker dead (every touch fails) until ReplaceWorker
+// revives it. Like a dead TCP connection, a dead worker does not stop the
+// script: the healthy pool runs the rest of it before the failures are
+// reported.
 type FaultTransport struct {
-	inner dist.Transport
-
-	mu     sync.Mutex
-	faults []Fault
-	// fired marks schedule entries that already went off (each fault is
-	// one-shot).
-	fired []bool
-	// counts is the per-(worker, op) call counter.
-	counts map[opKey]int
-	// dead marks killed workers awaiting replacement.
+	dist.Transport // the session behind the schedule
+	s              *Schedule
+	// Guarded by s.mu: dead marks killed and stalled workers awaiting
+	// replacement, held are DelayToBarrier deliveries waiting for the next
+	// barrier.
 	dead map[int]bool
-	// held are DelayToBarrier deliveries waiting for the next barrier.
 	held []dist.Op
-	// kills counts injected kill faults, for test assertions.
-	kills int
 }
 
-// opKey keys the per-worker phase counters.
-type opKey struct {
-	worker int
-	op     OpType
-}
-
-// NewFaultTransport wraps inner with the fault schedule. The wrapped
-// transport satisfies Replaceable when inner does, which the recovery
-// tests rely on.
+// NewFaultTransport wraps one session with a schedule of its own.
 func NewFaultTransport(inner dist.Transport, faults ...Fault) *FaultTransport {
-	return &FaultTransport{
-		inner:  inner,
-		faults: append([]Fault(nil), faults...),
-		fired:  make([]bool, len(faults)),
-		counts: make(map[opKey]int),
-		dead:   make(map[int]bool),
-	}
+	return NewSchedule(faults...).Wrap(inner)
 }
 
-// Kills returns how many kill faults have fired.
-func (ft *FaultTransport) Kills() int {
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	return ft.kills
-}
-
-// step advances worker w's counter for op and returns the fault firing
-// at this occurrence, if any.
-func (ft *FaultTransport) step(w int, op OpType) (Fault, bool) {
-	k := opKey{worker: w, op: op}
-	n := ft.counts[k]
-	ft.counts[k] = n + 1
-	for i, f := range ft.faults {
-		if !ft.fired[i] && f.Worker == w && f.Op == op && f.N == n {
-			ft.fired[i] = true
-			if f.Kind == KillBefore || f.Kind == KillAfter {
-				ft.dead[w] = true
-				ft.kills++
-			}
-			return f, true
-		}
-	}
-	return Fault{}, false
-}
-
-// killed advances every live worker's counter for op and returns the
-// failures the coordinator sees: the dead, and those a kill fault fires
-// on now. The caller holds ft.mu.
-func (ft *FaultTransport) killed(op OpType) []error {
-	var errs []error
-	for w := 0; w < ft.inner.Workers(); w++ {
-		if ft.dead[w] {
-			errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultDead})
-		} else if f, ok := ft.step(w, op); ok && (f.Kind == KillBefore || f.Kind == KillAfter) {
-			errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultKilled})
-		}
-	}
-	return errs
-}
-
-// Workers implements Transport.
-func (ft *FaultTransport) Workers() int { return ft.inner.Workers() }
+// Kills returns how many kill and stall faults the schedule has fired.
+func (ft *FaultTransport) Kills() int { return ft.s.Kills() }
 
 // Run implements Transport: every step meets the schedule as it would
 // have sent alone, and what passes goes to the inner transport.
 func (ft *FaultTransport) Run(ctx context.Context, ops []dist.Op) (dist.Reply, error) {
-	var reply dist.Reply
+	return ft.run(ctx, ops, -1)
+}
+
+// RunOn implements Replaceable: a replay meets the schedule like any
+// other script, on its one worker's counters.
+func (ft *FaultTransport) RunOn(ctx context.Context, w int, ops []dist.Op) error {
+	_, err := ft.run(ctx, ops, w)
+	return err
+}
+
+// ReplaceWorker implements Replaceable: the inner transport installs a
+// fresh session and the worker is revived (its dead mark cleared).
+func (ft *FaultTransport) ReplaceWorker(ctx context.Context, w int) error {
+	rt, ok := ft.Transport.(dist.Replaceable)
+	if !ok {
+		return fmt.Errorf("disttest: fault transport wraps %T, which does not support recovery", ft.Transport)
+	}
+	if err := rt.ReplaceWorker(ctx, w); err != nil {
+		return err
+	}
+	ft.s.mu.Lock()
+	defer ft.s.mu.Unlock()
+	delete(ft.dead, w)
+	return nil
+}
+
+// run is Run, or RunOn when only is not negative.
+func (ft *FaultTransport) run(ctx context.Context, ops []dist.Op, only int) (reply dist.Reply, err error) {
 	var errs []error
-	for _, op := range ops {
-		pass, failed := ft.meet(op)
-		errs = append(errs, failed...)
+	stalled := false
+	for j, op := range ops {
+		pass, liar, stall, failed := ft.meet(Site{Index: j, Kind: op.Kind, Only: only}, op)
+		errs, stalled = append(errs, failed...), stalled || stall
 		if len(pass) == 0 {
 			continue
 		}
-		r, err := ft.inner.Run(ctx, pass)
+		var r dist.Reply
+		if only < 0 {
+			r, err = ft.Transport.Run(ctx, pass)
+		} else {
+			err = ft.Transport.(dist.Replaceable).RunOn(ctx, only, pass)
+		}
 		if err != nil {
 			errs = append(errs, err)
 		}
+		if liar >= 0 {
+			lie(&r, liar)
+		}
 		if r.Runs != nil {
-			reply.Runs = r.Runs
+			reply.Runs, reply.From = r.Runs, r.From
 		}
 		if r.Attached != nil {
 			reply.Attached = r.Attached
 		}
 	}
+	if stalled {
+		<-ctx.Done()
+	}
 	return reply, errors.Join(errs...)
 }
 
-// meet applies the schedule to one step and returns what the inner
-// transport is to run in its place, and the failures the coordinator
-// sees.
-func (ft *FaultTransport) meet(op dist.Op) (pass []dist.Op, errs []error) {
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	switch op.Kind {
-	case dist.OpDeliver:
-		held := op
-		op.Deliveries, held.Deliveries, errs = scatterFaults(ft, op.Kind, op.Deliveries, func(d exchange.Delivery) int { return d.To })
-		if len(held.Deliveries) > 0 {
-			ft.held = append(ft.held, held)
-		}
-		if len(op.Deliveries) == 0 {
-			return nil, errs
-		}
-	case dist.OpDelta:
-		// Tombstones are idempotent and appended duplicates dedup at the
-		// gather merge, so a DuplicateDelivery must not change results.
-		held := op
-		op.Deltas, held.Deltas, errs = scatterFaults(ft, op.Kind, op.Deltas, func(d dist.DeltaDelivery) int { return d.To })
-		if len(held.Deltas) > 0 {
-			ft.held = append(ft.held, held)
-		}
-		if len(op.Deltas) == 0 {
-			return nil, errs
-		}
-	case dist.OpBarrier:
-		// Held deliveries are injected first: the BSP contract only
-		// promises ingestion at the barrier.
-		pass, ft.held = ft.held, nil
-		errs = ft.killed(op.Kind)
-	case dist.OpJoin, dist.OpAttach:
-		// The healthy pool still evaluates (or attaches) while a kill
-		// fault reports its worker dead; what that worker did first is
-		// lost with its session, and replay redoes it.
-		errs = ft.killed(op.Kind)
-	case dist.OpGather:
-		// A kill loses the whole gather — the coordinator cannot use a
-		// stream a dead worker never finished — so the caller heals and
-		// gathers again.
-		if errs = ft.killed(op.Kind); len(errs) > 0 {
-			return nil, errs
-		}
+// lie swaps the run worker w answered a gather with — or adds one, if it
+// held none — for a run one column wider than the reply's first.
+func lie(r *dist.Reply, w int) {
+	arity := 2
+	if len(r.Runs) > 0 {
+		arity = r.Runs[0].Arity() + 1
 	}
-	return append(pass, op), errs
+	fake := relation.NewRun(arity)
+	fake.Append(make(relation.Tuple, arity))
+	fake.Seal()
+	if i := slices.Index(r.From, w); i >= 0 {
+		r.Runs[i] = fake
+	} else {
+		r.Runs, r.From = append(r.Runs, fake), append(r.From, w)
+	}
 }
 
-// scatterFaults is the body deliveries and deltas share: bucket them by
-// destination worker and apply the schedule to each worker's bucket —
-// kill faults lose (or race) it, DelayToBarrier holds it for the next
-// barrier, DuplicateDelivery passes it twice. It returns what passes and
-// what is held.
-func scatterFaults[D any](ft *FaultTransport, op OpType, ds []D, to func(D) int) (pass, held []D, errs []error) {
-	byWorker := make(map[int][]D)
-	for _, d := range ds {
-		byWorker[to(d)] = append(byWorker[to(d)], d)
+// meet applies the schedule to one step: every live worker the step
+// reaches advances its counter and meets the fault scheduled there, if
+// any. It returns what the inner transport is to run in the step's place,
+// the worker to lie for (or -1), whether a worker stalled, and the
+// failures the coordinator sees.
+func (ft *FaultTransport) meet(at Site, op dist.Op) (pass []dist.Op, liar int, stalled bool, errs []error) {
+	s := ft.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if at.Index == 0 {
+		s.scripts++
 	}
-	for w := 0; w < ft.inner.Workers(); w++ {
-		mine := byWorker[w]
-		if ft.dead[w] {
-			if len(mine) > 0 {
-				errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultDead})
+	at.Script = s.scripts - 1
+	p := ft.Workers()
+	scatter := op.Kind == dist.OpDeliver || op.Kind == dist.OpDelta
+	// copies[w] is how often worker w's deliveries pass now, late[w] at
+	// the next barrier; a dead worker only fails a scatter that has
+	// something for it.
+	copies, late, mine := map[int]int{}, map[int]int{}, map[int]bool{}
+	for _, d := range op.Deliveries {
+		mine[d.To] = true
+	}
+	for _, d := range op.Deltas {
+		mine[d.To] = true
+	}
+	lost := false
+	at.N, at.For, liar = make([]int, p), make([]bool, p), -1
+	for w := range at.N {
+		at.N[w], at.For[w] = -1, mine[w] || !scatter
+		switch {
+		case at.Only >= 0 && w != at.Only:
+			continue
+		case ft.dead[w]:
+			if at.For[w] {
+				errs, lost = append(errs, &dist.WorkerError{Worker: w, Err: errFaultDead}), true
 			}
 			continue
 		}
-		f, ok := ft.step(w, op)
-		if !ok {
-			pass = append(pass, mine...)
+		key := [2]int{w, int(op.Kind)}
+		at.N[w] = s.counts[key]
+		s.counts[key]++
+		copies[w] = 1
+		kind, fires := s.faults[[3]int{w, int(op.Kind), at.N[w]}]
+		if !fires {
 			continue
 		}
-		switch f.Kind {
-		case KillBefore:
-			// The worker's slice never arrives.
-			errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultKilled})
-		case KillAfter:
-			// The slice arrives, then the connection dies; the
-			// coordinator cannot tell, so it still sees a failure.
-			pass = append(pass, mine...)
-			errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultKilled})
+		switch kind {
+		case KillBefore, KillAfter, Stall:
+			cause := errFaultKilled
+			if kind == KillBefore {
+				copies[w] = 0 // the worker's slice never arrives
+			} else if kind == Stall {
+				cause, stalled = errFaultStalled, true
+			}
+			ft.dead[w], lost = true, true
+			s.kills++
+			errs = append(errs, &dist.WorkerError{Worker: w, Err: cause})
+		case Lie:
+			if op.Kind == dist.OpGather {
+				liar = w
+			}
 		case DelayToBarrier:
-			held = append(held, mine...)
+			copies[w], late[w] = 0, 1
 		case DuplicateDelivery:
-			pass = append(pass, mine...)
-			pass = append(pass, mine...)
+			copies[w] = 2
 		}
 	}
-	return pass, held, errs
+	s.trace = append(s.trace, at)
+	switch {
+	case scatter:
+		if held := slice(op, late); len(held.Deliveries)+len(held.Deltas) > 0 {
+			ft.held = append(ft.held, held)
+		}
+		if op = slice(op, copies); len(op.Deliveries)+len(op.Deltas) == 0 {
+			return nil, liar, stalled, errs
+		}
+	case op.Kind == dist.OpBarrier:
+		// Held deliveries are injected first: the BSP contract only
+		// promises ingestion at the barrier.
+		pass, ft.held = ft.held, nil
+	case op.Kind == dist.OpGather && lost:
+		// The coordinator cannot use a stream a lost worker never finished,
+		// so the whole gather is lost: the caller heals and gathers again.
+		return nil, liar, stalled, errs
+	}
+	// Any other step the healthy pool still runs while a fault reports its
+	// worker lost; what that worker did first is lost with its session, and
+	// replay redoes it.
+	return append(pass, op), liar, stalled, errs
 }
 
-// Close implements Transport.
-func (ft *FaultTransport) Close() error { return ft.inner.Close() }
-
-// replaceable returns the inner transport's recovery surface.
-func (ft *FaultTransport) replaceable() (dist.Replaceable, error) {
-	rt, ok := ft.inner.(dist.Replaceable)
-	if !ok {
-		return nil, fmt.Errorf("disttest: fault transport wraps %T, which does not support recovery", ft.inner)
+// slice returns op with every delivery and delta of worker w copies[w]
+// times.
+func slice(op dist.Op, copies map[int]int) dist.Op {
+	ds, dds := op.Deliveries, op.Deltas
+	op.Deliveries, op.Deltas = nil, nil
+	for _, d := range ds {
+		for i := 0; i < copies[d.To]; i++ {
+			op.Deliveries = append(op.Deliveries, d)
+		}
 	}
-	return rt, nil
-}
-
-// ReplaceWorker implements Replaceable: the worker is revived (its
-// dead mark cleared) and the inner transport installs a fresh session.
-func (ft *FaultTransport) ReplaceWorker(ctx context.Context, w int) error {
-	rt, err := ft.replaceable()
-	if err != nil {
-		return err
+	for _, d := range dds {
+		for i := 0; i < copies[d.To]; i++ {
+			op.Deltas = append(op.Deltas, d)
+		}
 	}
-	if err := rt.ReplaceWorker(ctx, w); err != nil {
-		return err
-	}
-	ft.mu.Lock()
-	delete(ft.dead, w)
-	ft.mu.Unlock()
-	return nil
-}
-
-// RunOn implements Replaceable; replay traffic is not subject to the
-// fault schedule but still fails against a dead worker.
-func (ft *FaultTransport) RunOn(ctx context.Context, w int, ops []dist.Op) error {
-	if err := ft.checkDead(w); err != nil {
-		return err
-	}
-	rt, err := ft.replaceable()
-	if err != nil {
-		return err
-	}
-	return rt.RunOn(ctx, w, ops)
-}
-
-// Ping implements Replaceable.
-func (ft *FaultTransport) Ping(ctx context.Context, w int, seq uint32) error {
-	if err := ft.checkDead(w); err != nil {
-		return err
-	}
-	rt, err := ft.replaceable()
-	if err != nil {
-		return err
-	}
-	return rt.Ping(ctx, w, seq)
-}
-
-// Announce implements Replaceable; dead workers miss the broadcast and
-// surface as failures, which is how healing discovers them.
-func (ft *FaultTransport) Announce(ctx context.Context, epoch uint32) error {
-	rt, err := ft.replaceable()
-	if err != nil {
-		return err
-	}
-	var errs []error
-	ft.mu.Lock()
-	for w := range ft.dead {
-		errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultDead})
-	}
-	ft.mu.Unlock()
-	if err := rt.Announce(ctx, epoch); err != nil {
-		errs = append(errs, err)
-	}
-	return errors.Join(errs...)
-}
-
-// checkDead reports a fault error when w was killed and not yet
-// replaced.
-func (ft *FaultTransport) checkDead(w int) error {
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	if ft.dead[w] {
-		return &dist.WorkerError{Worker: w, Err: errFaultDead}
-	}
-	return nil
-}
-
-var _ dist.Replaceable = (*FaultTransport)(nil)
-
-// Step sends op to tr as a one-step script: what a test that drives a
-// transport by hand, below any Cluster, calls for each step.
-func Step(ctx context.Context, tr dist.Transport, op dist.Op) (dist.Reply, error) {
-	return tr.Run(ctx, []dist.Op{op})
+	return op
 }

@@ -1,0 +1,365 @@
+package dist_test
+
+import (
+	"errors"
+	"fmt"
+	"math/rand/v2"
+	"reflect"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/datalog"
+	"repro/internal/dist"
+	"repro/internal/dist/disttest"
+	"repro/internal/hypercube"
+	"repro/internal/mpc"
+	"repro/internal/plan"
+	"repro/internal/query"
+	"repro/internal/relation"
+)
+
+// The fault explorer. Everything a coordinator says to a worker is a step
+// of a script, so a fault has an address: (script i, step j, worker w).
+// The explorer records the scripts of one fault-free execution
+// (disttest.Schedule), then runs it again once per address and kind of
+// fault — the connection dies before the step, or after it; the worker
+// takes the step and never answers; it answers a gather with a run of
+// another arity — each time in a fresh pool, and holds every run to the
+// invariants of exploration.holds. A heal's own scripts — the epoch step,
+// the replay — meet the schedule like any other, so "the replacement dies
+// during its replay" and "two workers die in one script" are pairs of
+// points, sampled by seed. The older tables (recovery_test.go,
+// recovery_schedule_test.go, resident_test.go, wide_test.go) look their
+// points up in a recorded trace (disttest.Trace.At) and call holds too.
+//
+// Three mutations were planted one at a time on a scratch copy of PR 28's
+// tree; each fails on loopback and TCP alike (CHANGES.md has the counts):
+//   - Cluster.attach does not journal the round's resident scatters:
+//     every kill and stall in resident's second script, s1.0-barrier to
+//     s1.2-gather on all four workers, returns short answers;
+//   - Cluster.attempt re-sends the whole script after a heal, not its
+//     idempotent suffix: every kill and stall of every kind fails "worker
+//     … was never lost and met 8 deliver, delta, join and attach steps, 4
+//     in the fault-free run" — and nothing else, duplicates merge away;
+//   - heal skips the epoch step: every kill and stall of every kind fails
+//     "0 epoch steps for 1 replacements".
+
+// outcome is what one execution computed: what a fault must not change,
+// and the replacement count. Only a resident execution fills snap. A trial
+// fills the other two from its trace: effects[w] is how many deliver,
+// delta, join and attach steps had something for worker w — the steps
+// that carry or build state; epochs counts the epoch steps, and fenced is
+// whether the last of them reached the whole pool.
+type outcome struct {
+	answers []relation.Tuple
+	rounds  []mpc.RoundStats
+	repl    int
+	snap    dist.Snapshot
+	effects []int
+	epochs  int
+	fenced  bool
+}
+
+// exploration is one execution kind with its ground truth. run executes
+// it once: every session it opens is dial() behind s (see behind), under
+// the policy rec.
+type exploration struct {
+	name  string
+	truth []relation.Tuple
+	run   func(dial func() dist.Transport, s *disttest.Schedule, rec dist.RecoveryOptions) (outcome, error)
+}
+
+// behind puts one session behind the schedule; none leaves it bare.
+func behind(s *disttest.Schedule, tr dist.Transport) dist.Transport {
+	if s == nil {
+		return tr
+	}
+	return s.Wrap(tr)
+}
+
+// on runs x on the one session tr, behind no schedule.
+func (x exploration) on(tr dist.Transport, rec dist.RecoveryOptions) (outcome, error) {
+	return x.run(func() dist.Transport { return tr }, nil, rec)
+}
+
+// stallBound is the phase bound of a trial with a stall in it: what each
+// such trial waits, and far above what a script of these sizes takes.
+const stallBound = 750 * time.Millisecond
+
+// trial runs x once in a fresh world of the given kind under the faults.
+// A panic anywhere in the execution comes back as the error.
+func (x exploration) trial(kind string, p int, faults ...disttest.Fault) (out outcome, s *disttest.Schedule, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
+		}
+	}()
+	pool := newPool(kind, p)
+	defer pool.close()
+	rec := dist.RecoveryOptions{Enabled: true, MaxReplacements: 8}
+	for _, f := range faults {
+		if f.Kind == disttest.Stall {
+			rec.PhaseTimeout = stallBound
+		}
+	}
+	s = disttest.NewSchedule(faults...)
+	out, err = x.run(pool.session, s, rec)
+	out.effects = make([]int, p)
+	for _, site := range s.Trace() {
+		reached := 0
+		for w, n := range site.N {
+			if n >= 0 && site.For[w] {
+				reached++
+				if k := site.Kind; k == dist.OpDeliver || k == dist.OpDelta || k == dist.OpJoin || k == dist.OpAttach {
+					out.effects[w]++
+				}
+			}
+		}
+		if site.Kind == dist.OpEpoch {
+			out.epochs, out.fenced = out.epochs+1, reached == p
+		}
+	}
+	return out, s, err
+}
+
+// baseline is the fault-free trial: its outcome, checked against the
+// ground truth, and the steps it sent.
+func (x exploration) baseline(t *testing.T, kind string, p int) (outcome, disttest.Trace) {
+	t.Helper()
+	base, s, err := x.trial(kind, p)
+	if err != nil {
+		t.Fatalf("%s: %v", x.name, err)
+	}
+	if !sameTuples(base.answers, x.truth) || base.repl != 0 {
+		t.Fatalf("%s: fault-free run has %d answers (ground truth %d) and %d replacements", x.name, len(base.answers), len(x.truth), base.repl)
+	}
+	return base, s.Trace()
+}
+
+// holds runs x under the faults and reports how the run departs from the
+// invariants, nil when it does not. A lie must come back as the liar's
+// error about the arity; anything else must be invisible but for the
+// replacements, one per fault that takes a worker down.
+func (x exploration) holds(kind string, p int, base outcome, faults ...disttest.Fault) (outcome, error) {
+	out, s, err := x.trial(kind, p, faults...)
+	down, lost := 0, make(map[int]bool)
+	for _, f := range faults {
+		if f.Kind == disttest.Lie {
+			// By its text: a Datalog program reports a rule's failure flattened.
+			liar := (&dist.WorkerError{Worker: f.Worker, Err: errors.New("")}).Error()
+			if err == nil || !strings.Contains(err.Error(), liar) || !strings.Contains(err.Error(), "arity") {
+				return out, fmt.Errorf("a lie came back as %d answers and error %v, want worker %d's arity error", len(out.answers), err, f.Worker)
+			}
+			return out, nil
+		}
+		if f.Kind <= disttest.Stall {
+			down++
+			lost[f.Worker] = true
+		}
+	}
+	switch {
+	case err != nil:
+		return out, err
+	case !sameTuples(out.answers, x.truth):
+		return out, fmt.Errorf("%d answers, ground truth %d", len(out.answers), len(x.truth))
+	case !reflect.DeepEqual(out.rounds, base.rounds):
+		return out, fmt.Errorf("round stats differ from the fault-free run:\n got %+v\nwant %+v", out.rounds, base.rounds)
+	case s.Kills() != down || out.repl != down:
+		return out, fmt.Errorf("%d faults took a worker down and %d workers were replaced, want %d and %d", s.Kills(), out.repl, down, down)
+	case out.epochs != down || down > 0 && !out.fenced:
+		return out, fmt.Errorf("%d epoch steps for %d replacements, the last reaching the whole pool: %v", out.epochs, down, out.fenced)
+	}
+	for w, n := range base.effects {
+		if !lost[w] && out.effects[w] != n {
+			return out, fmt.Errorf("worker %d was never lost and met %d deliver, delta, join and attach steps, %d in the fault-free run", w, out.effects[w], n)
+		}
+	}
+	return out, nil
+}
+
+// point is one or two faults and where they sit.
+type point struct {
+	name   string
+	faults []disttest.Fault
+}
+
+// explore puts a fault at every step x sends to every worker — every
+// keep-th of them when sampling — and at a few pairs drawn by rng, and
+// returns how many points it ran.
+func (x exploration) explore(t *testing.T, kind string, p int, rng *rand.Rand, keep int) int {
+	before := runtime.NumGoroutine()
+	base, trace := x.baseline(t, kind, p)
+	name := func(s disttest.Site, w int, k disttest.FaultKind) string {
+		return fmt.Sprintf("s%d.%d-%s/w%d/%s", s.Script, s.Index, s.Kind, w, k)
+	}
+	var points []point
+	for _, site := range trace {
+		for w, n := range site.N {
+			for k := disttest.KillBefore; k <= disttest.Lie; k++ {
+				if n >= 0 && (k != disttest.Lie || site.Kind == dist.OpGather) && rng.IntN(keep) == 0 {
+					points = append(points, point{name(site, w, k), []disttest.Fault{site.On(w, k)}})
+				}
+			}
+		}
+	}
+	// Second order: a first fault anywhere and, in the run it heals, a
+	// second one — in the first worker's own replay (even i), or on another
+	// worker in the script the first fired in (odd i).
+	for i := 0; i < 6; i++ {
+		site, w := trace[rng.IntN(len(trace))], rng.IntN(p)
+		first, k := site.On(w, disttest.FaultKind(rng.IntN(2))), disttest.FaultKind(rng.IntN(3))
+		_, s, _ := x.trial(kind, p, first)
+		var sites []disttest.Site
+		for _, at := range s.Trace() {
+			if i%2 == 0 && at.Only == w || i%2 == 1 && at.Only < 0 && at.Script == site.Script {
+				sites = append(sites, at)
+			}
+		}
+		if i%2 == 1 {
+			w = (w + 1 + rng.IntN(p-1)) % p
+		}
+		if at := sites[rng.IntN(len(sites))]; at.N[w] >= 0 {
+			points = append(points, point{name(site, first.Worker, first.Kind) + "+" + name(at, w, k), []disttest.Fault{first, at.On(w, k)}})
+		}
+	}
+
+	// Points are independent — each builds its own world. Those without a
+	// stall are work, and run a few at a time; a stall mostly waits out its
+	// bound, so those run many at a time, once the others are out of the way:
+	// a busy machine is what makes a healthy script miss the bound too.
+	var running sync.WaitGroup
+	for _, phase := range []struct {
+		stalls bool
+		width  int
+	}{{false, 4}, {true, 32}} {
+		slots := make(chan struct{}, phase.width)
+		for _, pt := range points {
+			if slices.ContainsFunc(pt.faults, func(f disttest.Fault) bool { return f.Kind == disttest.Stall }) != phase.stalls {
+				continue
+			}
+			running.Add(1)
+			slots <- struct{}{}
+			go func() {
+				defer func() { <-slots; running.Done() }()
+				if _, err := x.holds(kind, p, base, pt.faults...); err != nil {
+					t.Errorf("%s/%s %s: %v", x.name, kind, pt.name, err)
+				}
+			}()
+		}
+		running.Wait()
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Errorf("%s/%s: %d goroutines before the pools opened, %d after the last closed", x.name, kind, before, runtime.NumGoroutine())
+			break
+		}
+	}
+	return len(points)
+}
+
+// explorations builds the six execution kinds at p workers and test
+// sizes: the three engines, a Datalog fixpoint, a maintainer batch, and a
+// warm operation on resident scatters.
+func explorations(t *testing.T, p int) []exploration {
+	var xs []exploration
+	for _, eng := range recoveryEngines(t, p) {
+		xs = append(xs, eng.exploration)
+	}
+
+	// Datalog: the closure of a path — eight delta rounds, each a script of
+	// the recursive rule's session-long distribution, behind a base rule
+	// that dials a session of its own.
+	const nodes = 9
+	edges := relation.New("e", "a", "b")
+	var closure []relation.Tuple
+	for i := 1; i < nodes; i++ {
+		edges.Tuples = append(edges.Tuples, relation.Tuple{i, i + 1})
+		for j := i + 1; j <= nodes; j++ {
+			closure = append(closure, relation.Tuple{i, j})
+		}
+	}
+	graph := relation.NewDatabase(nodes)
+	graph.AddRelation(edges)
+	tc := datalog.MustParse("tc(x, y) :- e(x, y). tc(x, z) :- tc(x, y), e(y, z). ?- tc(x, y).")
+	xs = append(xs, exploration{"datalog", closure, func(dial func() dist.Transport, s *disttest.Schedule, rec dist.RecoveryOptions) (outcome, error) {
+		res, err := datalog.Eval(tc, graph, datalog.Options{P: p, Seed: 5, Recovery: rec,
+			Dial: func(int) (dist.Transport, error) { return behind(s, dial()), nil }})
+		if err != nil {
+			return outcome{}, err
+		}
+		if res.Iterations < 5 {
+			return outcome{}, fmt.Errorf("the fixpoint took %d iterations, the explorer wants at least 5", res.Iterations)
+		}
+		return outcome{answers: res.Answers, rounds: res.Stats.Rounds, repl: res.Replacements}, nil
+	}})
+
+	// Maintainer: the cold round, then one batch that retracts three
+	// answers and extends all three relations into a new one.
+	mq := query.Cycle(3)
+	before, after := relation.IdentityDatabase(mq, 60), relation.IdentityDatabase(mq, 60)
+	batch := make(map[string]relation.Effect)
+	for i, add := range []relation.Tuple{{5, 6}, {6, 7}, {7, 5}} {
+		name := mq.Atoms[i].Name
+		eff, rel := relation.Effect{Added: []relation.Tuple{add}}, after.Relations[name]
+		if i == 0 {
+			eff.Removed, rel.Tuples = rel.Tuples[:3:3], rel.Tuples[3:]
+		}
+		rel.Tuples = append(rel.Tuples, add)
+		batch[name] = eff
+	}
+	maintained, err := core.GroundTruth(mq, after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs = append(xs, exploration{"maintainer", maintained, func(dial func() dist.Transport, s *disttest.Schedule, rec dist.RecoveryOptions) (outcome, error) {
+		m, err := hypercube.NewMaintainer(mq, before, p, hypercube.Options{Seed: 23, Transport: behind(s, dial()), Recovery: rec})
+		if err != nil {
+			return outcome{}, err
+		}
+		defer m.Close()
+		if _, err := m.ApplyDelta(batch); err != nil {
+			return outcome{}, err
+		}
+		return outcome{answers: m.Answers(), rounds: m.Stats().Rounds, repl: m.Replacements()}, nil
+	}})
+
+	// Resident: the cold triangle again, as the third sighting of one
+	// dataset version (resident_test.go) — an attach script, then barrier,
+	// join and gather.
+	pl, err := plan.Build(mq, before.Stats(), plan.Options{P: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := core.GroundTruth(mq, before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(xs, residentCase{q: mq, db: before, pl: pl, truth: cold}.exploration())
+}
+
+// TestExplore runs the explorer over the six execution kinds on both
+// transports at p = 4: every point, or under -short one in eight of them,
+// plus six sampled pairs per kind and transport. The seed is logged; a
+// failure names its point, and the exhaustive run is deterministic.
+func TestExplore(t *testing.T) {
+	const p = 4
+	seed, keep := uint64(time.Now().UnixNano()), 1
+	if testing.Short() {
+		keep = 8
+	}
+	t.Logf("seed %d, one point in %d", seed, keep)
+	for _, x := range explorations(t, p) {
+		for _, kind := range []string{"loopback", "tcp"} {
+			t.Run(x.name+"/"+kind, func(t *testing.T) {
+				n := x.explore(t, kind, p, rand.New(rand.NewPCG(seed, 0)), keep)
+				t.Logf("%d points explored", n)
+			})
+		}
+	}
+}

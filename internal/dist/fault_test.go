@@ -27,7 +27,7 @@ func scatterTo(t *testing.T, w int, store string) []exchange.Delivery {
 func TestFaultTransportKillMasksUntilReplace(t *testing.T) {
 	ctx := context.Background()
 	ft := disttest.NewFaultTransport(dist.NewLoopback(3),
-		disttest.Fault{Worker: 1, Op: disttest.OpDeliver, N: 0, Kind: disttest.KillBefore})
+		disttest.Fault{Worker: 1, Op: dist.OpDeliver, N: 0, Kind: disttest.KillBefore})
 
 	err := deliver(ctx, ft, 1, scatterTo(t, 1, "R"))
 	if err == nil {
@@ -74,7 +74,7 @@ func TestFaultTransportDeterministic(t *testing.T) {
 	ctx := context.Background()
 	run := func() (failedAt int) {
 		ft := disttest.NewFaultTransport(dist.NewLoopback(2),
-			disttest.Fault{Worker: 0, Op: disttest.OpDeliver, N: 2, Kind: disttest.KillBefore})
+			disttest.Fault{Worker: 0, Op: dist.OpDeliver, N: 2, Kind: disttest.KillBefore})
 		for i := 0; i < 5; i++ {
 			if err := deliver(ctx, ft, 1, scatterTo(t, 0, "R")); err != nil {
 				return i
@@ -95,7 +95,7 @@ func TestFaultTransportDelayFlushesAtBarrier(t *testing.T) {
 	ctx := context.Background()
 	lb := dist.NewLoopback(2)
 	ft := disttest.NewFaultTransport(lb,
-		disttest.Fault{Worker: 0, Op: disttest.OpDeliver, N: 0, Kind: disttest.DelayToBarrier})
+		disttest.Fault{Worker: 0, Op: dist.OpDeliver, N: 0, Kind: disttest.DelayToBarrier})
 	if err := deliver(ctx, ft, 1, scatterTo(t, 0, "R")); err != nil {
 		t.Fatal(err)
 	}
@@ -121,19 +121,20 @@ func TestFaultTransportDelayFlushesAtBarrier(t *testing.T) {
 	}
 }
 
-// TestFaultTransportAnnounceSurfacesDead: control-plane ops name every
-// dead worker so the healer can queue them all.
+// TestFaultTransportAnnounceSurfacesDead: the epoch step of a heal is a
+// script like any other, so it names every dead worker and the healer can
+// queue them all.
 func TestFaultTransportAnnounceSurfacesDead(t *testing.T) {
 	ctx := context.Background()
 	ft := disttest.NewFaultTransport(dist.NewLoopback(3),
-		disttest.Fault{Worker: 0, Op: disttest.OpDeliver, N: 0, Kind: disttest.KillBefore},
-		disttest.Fault{Worker: 2, Op: disttest.OpDeliver, N: 0, Kind: disttest.KillBefore})
+		disttest.Fault{Worker: 0, Op: dist.OpDeliver, N: 0, Kind: disttest.KillBefore},
+		disttest.Fault{Worker: 2, Op: dist.OpDeliver, N: 0, Kind: disttest.KillBefore})
 	if err := deliver(ctx, ft, 1, scatterTo(t, 1, "R")); err == nil {
 		t.Fatal("double kill delivered cleanly")
 	}
-	err := ft.Announce(ctx, 1)
+	_, err := ft.Run(ctx, []dist.Op{{Kind: dist.OpEpoch, Round: 1}})
 	if err == nil {
-		t.Fatal("announce to two dead workers succeeded")
+		t.Fatal("epoch step to two dead workers succeeded")
 	}
 	if got := dist.FailedWorkers(err); len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("FailedWorkers = %v, want [0 2]", got)

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/exchange"
+	"repro/internal/mpc"
 	"repro/internal/relation"
 	"repro/internal/wire"
 )
@@ -374,6 +375,45 @@ func TestCoordinatorRejectsHostileRuns(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestCoordinatorRejectsMixedArityGather: two workers answer one gather
+// with well-formed runs of arity 2 and 3. Each is valid alone, so the
+// codec passes both; the coordinator refuses the pair, as the error of the
+// worker that disagrees, before anything merges them (relation.Merge
+// panicked here).
+func TestCoordinatorRejectsMixedArityGather(t *testing.T) {
+	addrs := make([]string, 2)
+	faked := make(chan error, len(addrs))
+	for w := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		addrs[w] = ln.Addr().String()
+		run := relation.NewRun(2 + w)
+		run.Append(make(relation.Tuple, 2+w))
+		run.Seal()
+		data := encodeFrames(t, &wire.Frame{Type: wire.TypeData, Data: wire.Data{Dest: uint32(w), Rel: "v", Buf: run}})
+		go func() { faked <- fakeWorker(ln, data) }()
+	}
+	tr := dialPool(t, addrs)
+	cl, err := dist.NewCluster(mpc.Config{Workers: 2, DomainN: 64, InputBits: 1}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers, err := cl.Gather(context.Background(), "v")
+	var we *dist.WorkerError
+	if !errors.As(err, &we) || we.Worker != 1 || !strings.Contains(err.Error(), `"v"`) ||
+		!strings.Contains(err.Error(), "arity-3") || !strings.Contains(err.Error(), "arity 2") {
+		t.Fatalf("gather returned %d answers and %v, want worker 1's error naming the view and both arities", len(answers), err)
+	}
+	for range addrs {
+		if err := <-faked; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -281,7 +281,7 @@ func TestIndexedEqualsFresh(t *testing.T) {
 				content[c.store] = held
 
 				open := func() *indexedSession {
-					s := &indexedSession{t: t, c: c, tr: pool.session(t), fresh: unretained, live: make(map[string]map[string]relation.Tuple)}
+					s := &indexedSession{t: t, c: c, tr: pool.session(), fresh: unretained, live: make(map[string]map[string]relation.Tuple)}
 					for name, tuples := range content {
 						s.live[name] = make(map[string]relation.Tuple)
 						for _, tu := range tuples {
@@ -367,7 +367,7 @@ func TestIndexedEqualsFresh(t *testing.T) {
 
 				// (c) the resident entries are evicted and published again.
 				for slot := 0; slot < indexedP; slot++ {
-					pool.restart(t, slot)
+					pool.restart(slot)
 				}
 				second := open()
 				counts = publish(second)

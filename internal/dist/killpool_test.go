@@ -16,29 +16,29 @@ import (
 // periods.
 type killablePool struct {
 	addrs   []string
-	members []*killableMember
+	members []*killableListener
 }
 
-type killableMember struct {
-	ln     net.Listener
-	cancel context.CancelFunc
-	mu     sync.Mutex
-	conns  []net.Conn
-	dead   bool
+// killableListener is a listener that remembers what it accepted.
+type killableListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+	dead  bool
 }
 
 // startKillablePool starts n independently killable worker listeners.
 func startKillablePool(t *testing.T, n int) *killablePool {
 	t.Helper()
 	pool := &killablePool{}
+	ctx, cancel := context.WithCancel(context.Background())
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		m := &killableMember{ln: ln, cancel: cancel}
-		go m.accept(ctx)
+		m := &killableListener{Listener: ln}
+		go dist.Serve(ctx, m)
 		pool.addrs = append(pool.addrs, ln.Addr().String())
 		pool.members = append(pool.members, m)
 	}
@@ -46,44 +46,33 @@ func startKillablePool(t *testing.T, n int) *killablePool {
 		for i := range pool.members {
 			pool.kill(i)
 		}
+		cancel()
 	})
 	return pool
 }
 
-func (m *killableMember) accept(ctx context.Context) {
-	for {
-		c, err := m.ln.Accept()
-		if err != nil {
-			return
-		}
-		m.mu.Lock()
-		if m.dead {
-			m.mu.Unlock()
-			c.Close()
-			continue
-		}
-		m.conns = append(m.conns, c)
-		m.mu.Unlock()
-		go dist.ServeConn(ctx, c)
+func (l *killableListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err == nil && l.dead {
+		c.Close() // accepted as the member died: dies with it
+	} else if err == nil {
+		l.conns = append(l.conns, c)
 	}
+	return c, err
 }
 
 // kill takes member i down hard: no new sessions, and every live
 // session connection is closed before kill returns.
 func (p *killablePool) kill(i int) {
-	m := p.members[i]
-	m.mu.Lock()
-	if m.dead {
-		m.mu.Unlock()
-		return
-	}
-	m.dead = true
-	conns := m.conns
-	m.conns = nil
-	m.mu.Unlock()
-	m.cancel()
-	m.ln.Close()
-	for _, c := range conns {
+	l := p.members[i]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.dead = true
+	l.Close()
+	for _, c := range l.conns {
 		c.Close()
 	}
+	l.conns = nil
 }

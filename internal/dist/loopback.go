@@ -117,8 +117,20 @@ func (l *Loopback) run(ctx context.Context, ops []Op, only int) (Reply, error) {
 			}
 		case OpGather:
 			for _, w := range ws {
-				reply.Runs = append(reply.Runs, w.runs(op.View)...)
+				for _, run := range w.runs(op.View) {
+					reply.Runs, reply.From = append(reply.Runs, run), append(reply.From, w.home.slot)
+				}
 			}
+		case OpEpoch:
+			// The pool's sessions as one: tests read it back through Epoch.
+			// An in-process worker is always live, so an OpPing does nothing.
+			l.mu.Lock()
+			if uint32(op.Round) < l.epoch {
+				err = fmt.Errorf("dist: loopback stale epoch %d announced, pool at %d", op.Round, l.epoch)
+			} else {
+				l.epoch = uint32(op.Round)
+			}
+			l.mu.Unlock()
 		case OpTrace:
 			// The in-process analogue of announcing the header to every
 			// worker; tests read it back through LastTrace.
@@ -178,29 +190,6 @@ func (l *Loopback) RunOn(ctx context.Context, w int, ops []Op) error {
 	}
 	_, err := l.run(ctx, ops, w)
 	return err
-}
-
-// Ping implements Replaceable; an in-process worker is always live.
-func (l *Loopback) Ping(ctx context.Context, w int, seq uint32) error {
-	if w < 0 || w >= len(l.ws) {
-		return fmt.Errorf("dist: loopback ping worker %d out of range [0,%d)", w, len(l.ws))
-	}
-	return ctx.Err()
-}
-
-// Announce implements Replaceable by recording the epoch; tests read
-// it back through Epoch.
-func (l *Loopback) Announce(ctx context.Context, epoch uint32) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if epoch < l.epoch {
-		return fmt.Errorf("dist: loopback stale epoch %d announced, pool at %d", epoch, l.epoch)
-	}
-	l.epoch = epoch
-	return nil
 }
 
 // LastTrace returns the last announced trace header and whether any

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -75,11 +76,20 @@ type RecoveryOptions struct {
 	// the back of the spare list. Ignored by address-less transports.
 	Spares []string
 	// PhaseTimeout bounds each script the cluster sends (one step on a
-	// stepped cluster, a round up to its fence on a fused one); a stuck
-	// worker then surfaces as a failed script that recovery can heal
-	// instead of a hang. Zero means no such deadline.
+	// stepped cluster, a round up to its fence on a fused one) and each
+	// step of a heal — the replacement's dial and hello, the epoch step,
+	// the replay; a worker that takes a script and never answers then
+	// surfaces as a failed script that recovery heals instead of a hang.
+	// Zero or negative selects defaultPhaseTimeout: with recovery on,
+	// there is always a bound.
 	PhaseTimeout time.Duration
 }
+
+// defaultPhaseTimeout is the bound of a policy that names none: at least
+// 200 times the slowest script a BENCHMARK.json workload sends (its cold
+// queries, a handful of scripts each, read 75–130 ms end to end), so it
+// cuts off only a worker that is not going to answer.
+const defaultPhaseTimeout = 30 * time.Second
 
 // maxReplacements resolves the budget against the pool size.
 func (o RecoveryOptions) maxReplacements(p int) int {
@@ -89,9 +99,11 @@ func (o RecoveryOptions) maxReplacements(p int) int {
 	return p
 }
 
-// Replaceable is the control surface a Transport must offer for
-// mid-query recovery: replacing one worker's session and replaying
-// state into it, plus the heartbeat and epoch control frames.
+// Replaceable is what a Transport adds for mid-query recovery: a fresh
+// session for one worker, and a script for that worker alone. Everything
+// else a heal says — the epoch, the heartbeat that closes a replay — is a
+// step of a script (OpEpoch, OpPing), so it meets whatever wraps the
+// transport exactly as a round does.
 type Replaceable interface {
 	Transport
 	// ReplaceWorker discards worker w's session and installs a fresh,
@@ -101,13 +113,6 @@ type Replaceable interface {
 	// RunOn is Run for worker w alone: its slice of the script, its
 	// replies awaited and dropped. Replay sends the journal through it.
 	RunOn(ctx context.Context, w int, ops []Op) error
-	// Ping round-trips a heartbeat through worker w. Because frames on
-	// a session are processed in order, a returned Ping also proves the
-	// worker ingested everything sent before it.
-	Ping(ctx context.Context, w int, seq uint32) error
-	// Announce broadcasts the coordinator's recovery epoch to the whole
-	// pool; workers reject decreasing epochs as stale coordinators.
-	Announce(ctx context.Context, epoch uint32) error
 }
 
 // recovery is a Cluster's self-healing state. The journal is what makes
@@ -160,12 +165,17 @@ func (c *Cluster) Replacements() int {
 	return c.rec.replaced
 }
 
-// phaseCtx derives the per-phase context from the recovery policy.
+// phaseCtx derives the context of one script, or one step of a heal,
+// from the recovery policy.
 func (c *Cluster) phaseCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if c.rec != nil && c.rec.opts.PhaseTimeout > 0 {
-		return context.WithTimeout(ctx, c.rec.opts.PhaseTimeout)
+	if c.rec == nil {
+		return ctx, func() {}
 	}
-	return ctx, func() {}
+	bound := c.rec.opts.PhaseTimeout
+	if bound <= 0 {
+		bound = defaultPhaseTimeout
+	}
+	return context.WithTimeout(ctx, bound)
 }
 
 // attempt sends one script with healing: a failure attributed to
@@ -184,7 +194,7 @@ func (c *Cluster) attempt(ctx context.Context, ops []Op) (Reply, error) {
 		pctx, cancel := c.phaseCtx(ctx)
 		r, err := c.tr.Run(pctx, ops)
 		cancel()
-		reply.Runs = r.Runs
+		reply.Runs, reply.From = r.Runs, r.From
 		if r.Attached != nil {
 			reply.Attached = r.Attached
 		}
@@ -216,13 +226,21 @@ func (c *Cluster) attempt(ctx context.Context, ops []Op) (Reply, error) {
 }
 
 // heal replaces each failed worker and replays its journaled state:
-// bump the epoch, install a fresh session, announce the epoch to the
-// pool, re-send the worker's deliveries and joins. Failures discovered
-// during healing (another dead worker, a replacement that dies
-// mid-replay) are queued and healed too, all under the replacement
-// budget.
+// bump the epoch, install a fresh session, tell the pool the epoch — one
+// script of one OpEpoch step — and send the worker its slice of the
+// journal, closed by a ping, as one script. Each of the three runs under
+// the phase bound, so a candidate that never acks the hello or a
+// replacement that goes silent mid-replay is a failure like any other.
+// Failures discovered during healing (another dead worker, a replacement
+// that dies mid-replay) are queued and healed too, all under the
+// replacement budget.
 func (c *Cluster) heal(ctx context.Context, failed []int) error {
 	rec := c.rec
+	bounded := func(step func(context.Context) error) error {
+		pctx, cancel := c.phaseCtx(ctx)
+		defer cancel()
+		return step(pctx)
+	}
 	queue := append([]int(nil), failed...)
 	for len(queue) > 0 {
 		w := queue[0]
@@ -237,43 +255,39 @@ func (c *Cluster) heal(ctx context.Context, failed []int) error {
 		rec.replaced++
 		rec.epoch++
 		c.traceEvent("replace-worker", w, fmt.Sprintf("epoch %d: session replaced, journal replayed", rec.epoch))
-		if err := rec.rt.ReplaceWorker(ctx, w); err != nil {
+		if err := bounded(func(ctx context.Context) error { return rec.rt.ReplaceWorker(ctx, w) }); err != nil {
 			return fmt.Errorf("dist: replace worker %d: %w", w, err)
 		}
-		if err := rec.rt.Announce(ctx, rec.epoch); err != nil {
-			if ctx.Err() != nil {
-				return err
-			}
-			more := FailedWorkers(err)
-			if len(more) == 0 {
-				return err
-			}
-			queue = queueMissing(queue, more)
-			if contains(more, w) {
-				continue // the replacement itself died; go around again
-			}
+		err := bounded(func(ctx context.Context) error {
+			_, err := rec.rt.Run(ctx, []Op{{Kind: OpEpoch, Round: int(rec.epoch)}})
+			return err
+		})
+		if !slices.Contains(FailedWorkers(err), w) { // else the replacement itself died: it is queued again below
+			err = errors.Join(err, bounded(func(ctx context.Context) error { return c.replay(ctx, w) }))
 		}
-		if err := c.replay(ctx, w); err != nil {
-			if ctx.Err() != nil {
-				return err
-			}
+		if err != nil {
 			more := FailedWorkers(err)
-			if len(more) == 0 {
+			if ctx.Err() != nil || len(more) == 0 {
 				return err
 			}
-			queue = queueMissing(queue, more)
+			for _, w := range more {
+				if !slices.Contains(queue, w) {
+					queue = append(queue, w)
+				}
+			}
 		}
 	}
 	return nil
 }
 
 // replay re-sends worker w's slice of the journal into its fresh
-// session: the journal minus its barriers, on worker w. Barriers are
-// unnecessary here — frames on one session are processed in order, and
-// the final Ping round-trip proves the worker ingested everything.
+// session: the journal minus its barriers, then a ping, as one script on
+// worker w. Barriers are unnecessary here — frames on one session are
+// processed in order, and the ping's answer proves the worker ingested
+// everything.
 func (c *Cluster) replay(ctx context.Context, w int) error {
 	rec := c.rec
-	ops := make([]Op, 0, len(rec.journal))
+	ops := make([]Op, 0, len(rec.journal)+1)
 	for _, op := range rec.journal {
 		if op.Kind == OpBarrier {
 			continue
@@ -289,10 +303,7 @@ func (c *Cluster) replay(ctx context.Context, w int) error {
 		}
 		ops = append(ops, op)
 	}
-	if err := rec.rt.RunOn(ctx, w, ops); err != nil {
-		return err
-	}
-	return rec.rt.Ping(ctx, w, rec.epoch)
+	return rec.rt.RunOn(ctx, w, append(ops, Op{Kind: OpPing, Round: int(rec.epoch)}))
 }
 
 // journal records one coordinator action for replay; without recovery
@@ -301,24 +312,4 @@ func (c *Cluster) journal(op Op) {
 	if c.rec != nil {
 		c.rec.journal = append(c.rec.journal, op)
 	}
-}
-
-// queueMissing appends the workers of more not already queued.
-func queueMissing(queue, more []int) []int {
-	for _, w := range more {
-		if !contains(queue, w) {
-			queue = append(queue, w)
-		}
-	}
-	return queue
-}
-
-// contains reports whether ws includes w.
-func contains(ws []int, w int) bool {
-	for _, x := range ws {
-		if x == w {
-			return true
-		}
-	}
-	return false
 }

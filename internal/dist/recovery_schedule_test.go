@@ -22,60 +22,30 @@ import (
 
 // TestRecoveryKillPointsPipelined reruns the kill-point table on the
 // hand-driven programs, stepped and fused. The baseline is the stepped
-// fault-free run (itself checked against ground truth); every
-// kill-point must heal back to it on both schedules.
+// fault-free run (itself checked against ground truth), whose trace the
+// points are looked up in; every kill-point must heal back to it on both
+// schedules, with exactly one replacement per kill.
 func TestRecoveryKillPointsPipelined(t *testing.T) {
 	const p = 4
 	for _, eng := range recoveryEngines(t, p) {
-		counter := &countingTransport{Transport: dist.NewLoopback(p)}
-		baseAns, base := drive(t, dist.OpenStepped, dist.Env{Transport: counter}, eng.prog)
-		if !sameTuples(baseAns, eng.truth) {
-			t.Fatalf("%s: baseline %d answers, ground truth %d", eng.name, len(baseAns), len(eng.truth))
-		}
-
+		base, trace := eng.prog.exploration(eng.name, eng.truth, dist.OpenStepped).baseline(t, "loopback", p)
 		points := []struct {
 			name   string
 			faults []disttest.Fault
-			kills  int
-			ok     bool
 		}{
-			{"scatter-kill", []disttest.Fault{{Worker: 1, Op: disttest.OpDeliver, N: 0, Kind: disttest.KillBefore}}, 1, true},
-			{"last-scatter-kill", []disttest.Fault{{Worker: 0, Op: disttest.OpDeliver, N: counter.delivers - 1, Kind: disttest.KillBefore}}, 1, counter.delivers > 1},
-			{"barrier-kill", []disttest.Fault{{Worker: 0, Op: disttest.OpBarrier, N: 0, Kind: disttest.KillBefore}}, 1, true},
-			{"join-kill", []disttest.Fault{{Worker: 1, Op: disttest.OpJoin, N: 0, Kind: disttest.KillBefore}}, 1, true},
-			{"gather-kill", []disttest.Fault{{Worker: 3, Op: disttest.OpGather, N: 0, Kind: disttest.KillBefore}}, 1, true},
-			{"double-kill", []disttest.Fault{
-				{Worker: 1, Op: disttest.OpDeliver, N: 0, Kind: disttest.KillBefore},
-				{Worker: 2, Op: disttest.OpJoin, N: 0, Kind: disttest.KillBefore},
-			}, 2, true},
+			{"scatter-kill", trace.At(dist.OpDeliver, 0, 1, disttest.KillBefore)},
+			{"last-scatter-kill", trace.At(dist.OpDeliver, -1, 0, disttest.KillBefore)},
+			{"barrier-kill", trace.At(dist.OpBarrier, 0, 0, disttest.KillBefore)},
+			{"join-kill", trace.At(dist.OpJoin, 0, 1, disttest.KillBefore)},
+			{"gather-kill", trace.At(dist.OpGather, 0, 3, disttest.KillBefore)},
+			{"double-kill", append(trace.At(dist.OpDeliver, 0, 1, disttest.KillBefore), trace.At(dist.OpJoin, 0, 2, disttest.KillBefore)...)},
 		}
 		for _, pt := range points {
-			if !pt.ok {
-				continue
-			}
 			t.Run(eng.name+"/"+pt.name, func(t *testing.T) {
 				for _, sch := range schedules {
 					for _, kind := range []string{"loopback", "tcp"} {
-						var inner dist.Transport = dist.NewLoopback(p)
-						if kind == "tcp" {
-							inner = dialPool(t, startPool(t, p))
-						}
-						ft := disttest.NewFaultTransport(inner, pt.faults...)
-						env := dist.Env{Transport: ft, Recovery: dist.RecoveryOptions{Enabled: true, MaxReplacements: 8}}
-						ans, cl := drive(t, sch.open, env, eng.prog)
-						what := sch.name + " " + kind
-						if !sameTuples(ans, eng.truth) {
-							t.Errorf("%s: %d answers, ground truth %d", what, len(ans), len(eng.truth))
-						}
-						if !reflect.DeepEqual(cl.Stats().Rounds, base.Stats().Rounds) {
-							t.Errorf("%s: round stats differ from fault-free baseline:\n got %+v\nwant %+v",
-								what, cl.Stats().Rounds, base.Stats().Rounds)
-						}
-						if got := ft.Kills(); got != pt.kills {
-							t.Errorf("%s: %d kill faults fired, schedule expects %d", what, got, pt.kills)
-						}
-						if cl.Replacements() != pt.kills {
-							t.Errorf("%s: %d replacements for %d kills", what, cl.Replacements(), pt.kills)
+						if _, err := eng.prog.exploration(eng.name, eng.truth, sch.open).holds(kind, p, base, pt.faults...); err != nil {
+							t.Errorf("%s %s: %v", sch.name, kind, err)
 						}
 					}
 				}
@@ -93,34 +63,17 @@ func TestRecoveryKillPointsPipelined(t *testing.T) {
 func TestHealMidScriptIsInvisible(t *testing.T) {
 	const p = 4
 	eng := recoveryEngines(t, p)[0]
-	_, base := drive(t, dist.Open, dist.Env{}, eng.prog)
-	rec := &recordingTransport{inner: dist.NewLoopback(p)}
-	drive(t, dist.Open, dist.Env{Transport: rec}, eng.prog)
-	if rec.scripts != 1 || len(rec.calls) != 6 {
-		t.Fatalf("a fused C3 round left as %d scripts of %v, want one of six steps", rec.scripts, rec.calls)
+	x := eng.prog.exploration(eng.name, eng.truth, dist.Open)
+	base, trace := x.baseline(t, "loopback", p)
+	if len(trace) != 6 || trace[5].Script != 0 {
+		t.Fatalf("a fused C3 round left as %+v, want one script of six steps", trace)
 	}
-	steps := []struct {
-		op disttest.OpType
-		n  int
-	}{{disttest.OpDeliver, 0}, {disttest.OpDeliver, 1}, {disttest.OpDeliver, 2}, {disttest.OpBarrier, 0}, {disttest.OpJoin, 0}, {disttest.OpGather, 0}}
-	for i, step := range steps {
+	for i, site := range trace {
 		for _, kill := range []disttest.FaultKind{disttest.KillBefore, disttest.KillAfter} {
 			for _, kind := range []string{"loopback", "tcp"} {
-				t.Run(fmt.Sprintf("step-%d-%s/%s/%s", i, step.op, kill, kind), func(t *testing.T) {
-					var inner dist.Transport = dist.NewLoopback(p)
-					if kind == "tcp" {
-						inner = dialPool(t, startPool(t, p))
-					}
-					ft := disttest.NewFaultTransport(inner, disttest.Fault{Worker: i % p, Op: step.op, N: step.n, Kind: kill})
-					ans, cl := drive(t, dist.Open, dist.Env{Transport: ft, Recovery: dist.RecoveryOptions{Enabled: true}}, eng.prog)
-					if !sameTuples(ans, eng.truth) {
-						t.Errorf("%d answers, ground truth %d", len(ans), len(eng.truth))
-					}
-					if !reflect.DeepEqual(cl.Stats().Rounds, base.Stats().Rounds) {
-						t.Errorf("round stats differ from the fault-free run")
-					}
-					if ft.Kills() != 1 || cl.Replacements() != 1 {
-						t.Errorf("%d kills, %d replacements, want 1 and 1", ft.Kills(), cl.Replacements())
+				t.Run(fmt.Sprintf("step-%d-%s/%s/%s", i, site.Kind, kill, kind), func(t *testing.T) {
+					if _, err := x.holds(kind, p, base, site.On(i%p, kill)); err != nil {
+						t.Error(err)
 					}
 				})
 			}

@@ -1,65 +1,48 @@
 package dist_test
 
 import (
-	"context"
 	"math/big"
 	"math/rand/v2"
-	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/dist/disttest"
 	"repro/internal/hypercube"
-	"repro/internal/mpc"
 	"repro/internal/multiround"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/skew"
 )
 
-// The recovery test net: a table of kill-points × engines ×
-// transports. Every entry injects a deterministic fault schedule
-// (disttest.FaultTransport — counter-keyed, no timers) into a full engine
-// execution with recovery enabled, then demands the answers match the
-// single-node ground truth and the round statistics match the
-// fault-free baseline byte for byte. A lost worker must be invisible
-// in every output except the replacement counter.
+// The recovery tables: named kill-points × engines × transports. Every
+// row is looked up in the trace of the engine's fault-free run
+// (disttest.Trace.At — the first scatter, the last join, the second
+// barrier) and held to the explorer's invariants (explore_test.go): the
+// answers match the single-node ground truth and the round statistics
+// match the fault-free baseline byte for byte. A lost worker must be
+// invisible in every output except the replacement counter.
 
-// countingTransport counts the steps of the baseline run, so
-// kill-points can be placed relative to each engine's actual shape
-// instead of hard-coded step numbers.
-type countingTransport struct {
-	dist.Transport
-	delivers, barriers, joins, gathers int
-}
-
-func (c *countingTransport) Run(ctx context.Context, ops []dist.Op) (dist.Reply, error) {
-	for _, op := range ops {
-		switch op.Kind {
-		case dist.OpDeliver:
-			c.delivers++
-		case dist.OpBarrier:
-			c.barriers++
-		case dist.OpJoin:
-			c.joins++
-		case dist.OpGather:
-			c.gathers++
-		}
-	}
-	return c.Transport.Run(ctx, ops)
-}
-
-// recEngine is one engine under recovery test: run executes it on the
-// transport (recovery enabled when rec.Enabled) and returns answers,
-// stats and the replacement count; prog is the same round program
-// written out by hand (schedule_test.go), for the nets that choose the
-// cluster's schedule.
+// recEngine is one engine under recovery test: the exploration runs the
+// engine itself, prog is the same round program written out by hand
+// (schedule_test.go), for the nets that choose the cluster's schedule.
 type recEngine struct {
-	name  string
-	truth []relation.Tuple
-	run   func(t *testing.T, tr dist.Transport, rec dist.RecoveryOptions) ([]relation.Tuple, *mpc.Stats, int)
-	prog  program
+	exploration
+	prog program
+}
+
+// exploration runs the hand-written program on a cluster opened by open.
+func (pr program) exploration(name string, truth []relation.Tuple, open opener) exploration {
+	return exploration{name, truth, func(dial func() dist.Transport, s *disttest.Schedule, rec dist.RecoveryOptions) (outcome, error) {
+		cl, ctx, err := open(dist.Env{Transport: behind(s, dial()), Recovery: rec}, pr.cfg)
+		if err != nil {
+			return outcome{}, err
+		}
+		answers, err := pr.run(ctx, cl)
+		return outcome{answers: answers, rounds: cl.Stats().Rounds, repl: cl.Replacements()}, err
+	}}
 }
 
 // recoveryEngines builds the three engines over fixed deterministic
@@ -67,9 +50,10 @@ type recEngine struct {
 func recoveryEngines(t *testing.T, p int) []recEngine {
 	t.Helper()
 
-	// Hypercube: one round, triangle query.
+	// Hypercube: one round, triangle query, one triangle per domain value
+	// (a matching database has next to none, and then no worker's loss shows).
 	triQ := query.Cycle(3)
-	triDB := relation.MatchingDatabase(rand.New(rand.NewPCG(100, 0)), triQ, 200)
+	triDB := relation.IdentityDatabase(triQ, 200)
 	triTruth, err := core.GroundTruth(triQ, triDB)
 	if err != nil {
 		t.Fatal(err)
@@ -100,120 +84,72 @@ func recoveryEngines(t *testing.T, p int) []recEngine {
 	}
 	ry, sy := r.AttrIndex("y"), s.AttrIndex("y")
 
+	engine := func(name string, truth []relation.Tuple, prog program, run func(tr dist.Transport, rec dist.RecoveryOptions) (outcome, error)) recEngine {
+		return recEngine{exploration{name, truth, func(dial func() dist.Transport, s *disttest.Schedule, rec dist.RecoveryOptions) (outcome, error) {
+			return run(behind(s, dial()), rec)
+		}}, prog}
+	}
 	return []recEngine{
-		{
-			name:  "hypercube",
-			truth: triTruth,
-			run: func(t *testing.T, tr dist.Transport, rec dist.RecoveryOptions) ([]relation.Tuple, *mpc.Stats, int) {
-				t.Helper()
-				res, err := hypercube.Run(triQ, triDB, p, hypercube.Options{Seed: 23, Transport: tr, Recovery: rec})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res.Answers, res.Stats, res.Replacements
-			},
-			prog: hcProgram(triQ, triDB, p, 0, triShares, 23),
-		},
-		{
-			name:  "multiround",
-			truth: chTruth,
-			run: func(t *testing.T, tr dist.Transport, rec dist.RecoveryOptions) ([]relation.Tuple, *mpc.Stats, int) {
-				t.Helper()
-				res, err := multiround.Execute(chPlan, chDB, p, multiround.Options{Seed: 23, Transport: tr, Recovery: rec})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res.Answers, res.Stats, res.Replacements
-			},
-			prog: multiProgram(chPlan, chDB, p, 23),
-		},
-		{
-			name:  "skew",
-			truth: sjTruth,
-			run: func(t *testing.T, tr dist.Transport, rec dist.RecoveryOptions) ([]relation.Tuple, *mpc.Stats, int) {
-				t.Helper()
-				res, err := skew.RunJoin(r, s, p, skew.Resilient, skew.Options{Seed: 7, Transport: tr, Recovery: rec})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res.Answers, res.Stats, res.Replacements
-			},
-			prog: skewProgram(skew.JoinQuery(), r, s, ry, sy, skew.CompileFromData(r, ry, s, sy, p, 1), 7),
-		},
+		engine("hypercube", triTruth, hcProgram(triQ, triDB, p, 0, triShares, 23), func(tr dist.Transport, rec dist.RecoveryOptions) (outcome, error) {
+			res, err := hypercube.Run(triQ, triDB, p, hypercube.Options{Seed: 23, Transport: tr, Recovery: rec})
+			if err != nil {
+				return outcome{}, err
+			}
+			return outcome{answers: res.Answers, rounds: res.Stats.Rounds, repl: res.Replacements}, nil
+		}),
+		engine("multiround", chTruth, multiProgram(chPlan, chDB, p, 23), func(tr dist.Transport, rec dist.RecoveryOptions) (outcome, error) {
+			res, err := multiround.Execute(chPlan, chDB, p, multiround.Options{Seed: 23, Transport: tr, Recovery: rec})
+			if err != nil {
+				return outcome{}, err
+			}
+			return outcome{answers: res.Answers, rounds: res.Stats.Rounds, repl: res.Replacements}, nil
+		}),
+		engine("skew", sjTruth, skewProgram(skew.JoinQuery(), r, s, ry, sy, skew.CompileFromData(r, ry, s, sy, p, 1), 7), func(tr dist.Transport, rec dist.RecoveryOptions) (outcome, error) {
+			res, err := skew.RunJoin(r, s, p, skew.Resilient, skew.Options{Seed: 7, Transport: tr, Recovery: rec})
+			if err != nil {
+				return outcome{}, err
+			}
+			return outcome{answers: res.Answers, rounds: res.Stats.Rounds, repl: res.Replacements}, nil
+		}),
 	}
 }
 
-// TestRecoveryKillPoints is the full net. For every engine it first
-// runs fault-free on a counting loopback to fix the baseline (answers
-// already checked against ground truth, stats recorded, phase counts
-// measured), then runs every applicable kill-point on both transports.
+// TestRecoveryKillPoints is the named net. For every engine it first runs
+// fault-free on loopback to fix the baseline (answers checked against
+// ground truth, stats and the trace recorded), then runs every kill-point
+// the trace has on both transports.
 func TestRecoveryKillPoints(t *testing.T) {
 	const p = 4
-	engines := recoveryEngines(t, p)
-	for _, eng := range engines {
-		// Baseline: fault-free, recovery off, loopback.
-		counter := &countingTransport{Transport: dist.NewLoopback(p)}
-		baseAns, baseStats, baseRepl := eng.run(t, counter, dist.RecoveryOptions{})
-		if baseRepl != 0 {
-			t.Fatalf("%s: baseline replaced %d workers", eng.name, baseRepl)
+	for _, eng := range recoveryEngines(t, p) {
+		base, trace := eng.baseline(t, "loopback", p)
+		lastJoin := trace.At(dist.OpJoin, -1, 3, disttest.KillBefore)
+		if trace.At(dist.OpJoin, 1, 3, disttest.KillBefore) == nil {
+			lastJoin = nil // the only join is join-kill's
 		}
-		if !sameTuples(baseAns, eng.truth) {
-			t.Fatalf("%s: baseline %d answers, ground truth %d", eng.name, len(baseAns), len(eng.truth))
-		}
-
-		// Kill-points, placed against the measured phase counts.
 		points := []struct {
 			name   string
 			faults []disttest.Fault
-			kills  int
-			ok     bool
 		}{
-			{"scatter-kill-before", []disttest.Fault{{Worker: 1, Op: disttest.OpDeliver, N: 0, Kind: disttest.KillBefore}}, 1, true},
-			{"scatter-kill-after", []disttest.Fault{{Worker: 2, Op: disttest.OpDeliver, N: 0, Kind: disttest.KillAfter}}, 1, true},
-			{"last-scatter-kill", []disttest.Fault{{Worker: 0, Op: disttest.OpDeliver, N: counter.delivers - 1, Kind: disttest.KillBefore}}, 1, counter.delivers > 1},
-			{"barrier-kill", []disttest.Fault{{Worker: 0, Op: disttest.OpBarrier, N: 0, Kind: disttest.KillBefore}}, 1, true},
-			{"round-2-barrier-kill", []disttest.Fault{{Worker: 2, Op: disttest.OpBarrier, N: 1, Kind: disttest.KillBefore}}, 1, counter.barriers > 1},
-			{"join-kill", []disttest.Fault{{Worker: 1, Op: disttest.OpJoin, N: 0, Kind: disttest.KillBefore}}, 1, true},
-			{"last-join-kill", []disttest.Fault{{Worker: 3, Op: disttest.OpJoin, N: counter.joins - 1, Kind: disttest.KillBefore}}, 1, counter.joins > 1},
-			{"gather-kill", []disttest.Fault{{Worker: 3, Op: disttest.OpGather, N: 0, Kind: disttest.KillBefore}}, 1, true},
-			{"double-kill", []disttest.Fault{
-				{Worker: 1, Op: disttest.OpDeliver, N: 0, Kind: disttest.KillBefore},
-				{Worker: 2, Op: disttest.OpJoin, N: 0, Kind: disttest.KillBefore},
-			}, 2, true},
-			{"delay-to-barrier", []disttest.Fault{{Worker: 1, Op: disttest.OpDeliver, N: 0, Kind: disttest.DelayToBarrier}}, 0, true},
-			{"duplicate-delivery", []disttest.Fault{{Worker: 2, Op: disttest.OpDeliver, N: 0, Kind: disttest.DuplicateDelivery}}, 0, true},
+			{"scatter-kill-before", trace.At(dist.OpDeliver, 0, 1, disttest.KillBefore)},
+			{"scatter-kill-after", trace.At(dist.OpDeliver, 0, 2, disttest.KillAfter)},
+			{"last-scatter-kill", trace.At(dist.OpDeliver, -1, 0, disttest.KillBefore)},
+			{"barrier-kill", trace.At(dist.OpBarrier, 0, 0, disttest.KillBefore)},
+			{"round-2-barrier-kill", trace.At(dist.OpBarrier, 1, 2, disttest.KillBefore)},
+			{"join-kill", trace.At(dist.OpJoin, 0, 1, disttest.KillBefore)},
+			{"last-join-kill", lastJoin},
+			{"gather-kill", trace.At(dist.OpGather, 0, 3, disttest.KillBefore)},
+			{"double-kill", append(trace.At(dist.OpDeliver, 0, 1, disttest.KillBefore), trace.At(dist.OpJoin, 0, 2, disttest.KillBefore)...)},
+			{"delay-to-barrier", trace.At(dist.OpDeliver, 0, 1, disttest.DelayToBarrier)},
+			{"duplicate-delivery", trace.At(dist.OpDeliver, 0, 2, disttest.DuplicateDelivery)},
 		}
 		for _, pt := range points {
-			if !pt.ok {
-				continue
+			if pt.faults == nil {
+				continue // a one-round engine has no second barrier
 			}
 			for _, kind := range []string{"loopback", "tcp"} {
-				pt, kind := pt, kind
 				t.Run(eng.name+"/"+pt.name+"/"+kind, func(t *testing.T) {
-					var inner dist.Transport
-					if kind == "loopback" {
-						inner = dist.NewLoopback(p)
-					} else {
-						inner = dialPool(t, startPool(t, p))
-					}
-					ft := disttest.NewFaultTransport(inner, pt.faults...)
-					rec := dist.RecoveryOptions{Enabled: true, MaxReplacements: 8}
-					ans, stats, repl := eng.run(t, ft, rec)
-					if !sameTuples(ans, eng.truth) {
-						t.Errorf("%d answers, ground truth %d", len(ans), len(eng.truth))
-					}
-					if !reflect.DeepEqual(stats.Rounds, baseStats.Rounds) {
-						t.Errorf("round stats differ from fault-free baseline:\n got %+v\nwant %+v",
-							stats.Rounds, baseStats.Rounds)
-					}
-					if got := ft.Kills(); got != pt.kills {
-						t.Errorf("%d kill faults fired, schedule expects %d", got, pt.kills)
-					}
-					if pt.kills > 0 && repl < pt.kills {
-						t.Errorf("%d replacements for %d kills", repl, pt.kills)
-					}
-					if pt.kills == 0 && repl != 0 {
-						t.Errorf("%d replacements for a kill-free schedule", repl)
+					if _, err := eng.holds(kind, p, base, pt.faults...); err != nil {
+						t.Error(err)
 					}
 				})
 			}
@@ -226,11 +162,9 @@ func TestRecoveryKillPoints(t *testing.T) {
 // off, exactly like the pre-recovery runtime.
 func TestRecoveryWithoutPolicyStillFails(t *testing.T) {
 	const p = 4
-	q := query.Cycle(3)
-	db := relation.MatchingDatabase(rand.New(rand.NewPCG(100, 0)), q, 100)
 	ft := disttest.NewFaultTransport(dist.NewLoopback(p),
-		disttest.Fault{Worker: 1, Op: disttest.OpBarrier, N: 0, Kind: disttest.KillBefore})
-	_, err := hypercube.Run(q, db, p, hypercube.Options{Seed: 23, Transport: ft})
+		disttest.Fault{Worker: 1, Op: dist.OpBarrier, N: 0, Kind: disttest.KillBefore})
+	_, err := recoveryEngines(t, p)[0].on(ft, dist.RecoveryOptions{})
 	if err == nil {
 		t.Fatal("kill without recovery succeeded")
 	}
@@ -243,46 +177,40 @@ func TestRecoveryWithoutPolicyStillFails(t *testing.T) {
 // aborts with a budget error instead of looping.
 func TestRecoveryBudgetExhausted(t *testing.T) {
 	const p = 4
-	q := query.Cycle(3)
-	db := relation.MatchingDatabase(rand.New(rand.NewPCG(100, 0)), q, 100)
 	ft := disttest.NewFaultTransport(dist.NewLoopback(p),
-		disttest.Fault{Worker: 0, Op: disttest.OpDeliver, N: 0, Kind: disttest.KillBefore},
-		disttest.Fault{Worker: 1, Op: disttest.OpDeliver, N: 1, Kind: disttest.KillBefore},
-		disttest.Fault{Worker: 2, Op: disttest.OpDeliver, N: 2, Kind: disttest.KillBefore},
+		disttest.Fault{Worker: 0, Op: dist.OpDeliver, N: 0, Kind: disttest.KillBefore},
+		disttest.Fault{Worker: 1, Op: dist.OpDeliver, N: 1, Kind: disttest.KillBefore},
+		disttest.Fault{Worker: 2, Op: dist.OpDeliver, N: 2, Kind: disttest.KillBefore},
 	)
-	_, err := hypercube.Run(q, db, p, hypercube.Options{
-		Seed:      23,
-		Transport: ft,
-		Recovery:  dist.RecoveryOptions{Enabled: true, MaxReplacements: 2},
-	})
-	if err == nil {
+	if _, err := recoveryEngines(t, p)[0].on(ft, dist.RecoveryOptions{Enabled: true, MaxReplacements: 2}); err == nil {
 		t.Fatal("three kills under a budget of 2 succeeded")
 	}
 }
 
-// TestRecoveryAnnouncesEpoch: a healed loopback run leaves the
-// expected control-plane trail — a replacement and a positive epoch
-// announced to the pool.
+// TestRecoveryAnnouncesEpoch: a healed loopback run leaves the expected
+// control-plane trail — for the one lost worker one fresh session, one
+// epoch step to the pool and one replay script, which is one exchange —
+// and, although the policy names no PhaseTimeout, every script of the
+// execution and every step of the heal ran under a deadline.
 func TestRecoveryAnnouncesEpoch(t *testing.T) {
 	const p = 4
-	q := query.Cycle(3)
-	db := relation.MatchingDatabase(rand.New(rand.NewPCG(100, 0)), q, 100)
 	lb := dist.NewLoopback(p)
-	ft := disttest.NewFaultTransport(lb,
-		disttest.Fault{Worker: 1, Op: disttest.OpDeliver, N: 0, Kind: disttest.KillBefore})
-	res, err := hypercube.Run(q, db, p, hypercube.Options{
-		Seed:      23,
-		Transport: ft,
-		Recovery:  dist.RecoveryOptions{Enabled: true},
-	})
+	rec := &recordingTransport{inner: disttest.NewFaultTransport(lb,
+		disttest.Fault{Worker: 1, Op: dist.OpDeliver, N: 0, Kind: disttest.KillBefore})}
+	out, err := recoveryEngines(t, p)[0].on(rec, dist.RecoveryOptions{Enabled: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Replacements == 0 {
-		t.Fatal("kill fault healed without a replacement")
+	if out.repl != 1 || lb.Epoch() != 1 {
+		t.Fatalf("%d replacements, pool at epoch %d, want 1 and 1", out.repl, lb.Epoch())
 	}
-	if lb.Epoch() == 0 {
-		t.Error("healed run never announced an epoch")
+	heal := slices.Index(rec.calls, "ReplaceWorker(1)")
+	if heal < 0 || !slices.Equal(rec.calls[heal:heal+3], []string{"ReplaceWorker(1)", "epoch", "RunOn(1)"}) ||
+		strings.Count(strings.Join(rec.calls, " "), "RunOn") != 1 {
+		t.Errorf("the heal's trail is %v, want one ReplaceWorker(1), epoch, RunOn(1)", rec.calls)
+	}
+	if rec.unbounded != 0 {
+		t.Errorf("%d of the calls %v ran under no deadline", rec.unbounded, rec.calls)
 	}
 }
 
@@ -292,33 +220,16 @@ func TestRecoveryAnnouncesEpoch(t *testing.T) {
 func TestRecoverySparePromotionTCP(t *testing.T) {
 	const p = 4
 	pool := startKillablePool(t, p+1) // p members + 1 spare
-	members, spare := pool.addrs[:p], pool.addrs[p]
-
-	tr := dialPool(t, members)
-	q := query.Cycle(3)
-	db := relation.MatchingDatabase(rand.New(rand.NewPCG(100, 0)), q, 200)
-	truth, err := core.GroundTruth(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	eng, tr := recoveryEngines(t, p)[0], dialPool(t, pool.addrs[:p])
 	// Kill member 2 outright — listener and established sessions — so
 	// the first phase that touches it fails and its address cannot be
 	// re-dialed; only the spare can fill the slot.
 	pool.kill(2)
-
-	res, err := hypercube.Run(q, db, p, hypercube.Options{
-		Seed:      23,
-		Transport: tr,
-		Recovery:  dist.RecoveryOptions{Enabled: true, Spares: []string{spare}},
-	})
+	out, err := eng.on(tr, dist.RecoveryOptions{Enabled: true, Spares: pool.addrs[p:]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Replacements == 0 {
-		t.Fatal("killed worker process healed without a replacement")
-	}
-	if !sameTuples(res.Answers, truth) {
-		t.Fatalf("%d answers after spare promotion, ground truth %d", len(res.Answers), len(truth))
+	if out.repl == 0 || !sameTuples(out.answers, eng.truth) {
+		t.Fatalf("%d replacements and %d answers after spare promotion, ground truth %d", out.repl, len(out.answers), len(eng.truth))
 	}
 }

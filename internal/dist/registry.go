@@ -58,9 +58,9 @@ func (r *Registry) Generation() uint64 {
 // failed dial triggers.
 const probeTimeout = 3 * time.Second
 
-// probe checks one worker for liveness: dial, handshake, heartbeat
-// round trip, close, all within probeTimeout. A worker that completes
-// it can serve a session.
+// probe checks one worker for liveness: dial, handshake, a one-step
+// script holding a ping, close, all within probeTimeout. A worker that
+// completes it can serve a session.
 func probe(ctx context.Context, addr string) bool {
 	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
@@ -69,7 +69,8 @@ func probe(ctx context.Context, addr string) bool {
 		return false
 	}
 	defer t.Close()
-	return t.Ping(ctx, 0, 1) == nil
+	_, err = t.Run(ctx, []Op{{Kind: OpPing, Round: 1}})
+	return err == nil
 }
 
 // probeAll probes every address concurrently.

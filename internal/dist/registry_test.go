@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/wire"
 )
 
 // TestRegistryReconcileSwapsDeadMember: killing a member and
@@ -105,14 +106,16 @@ func TestRegistryRunLoop(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	tr := dialPool(t, reg.Members())
-	if err := tr.Ping(context.Background(), 0, 7); err != nil {
+	if _, err := tr.Run(context.Background(), []dist.Op{{Kind: dist.OpPing, Round: 7}}); err != nil {
 		t.Fatalf("promoted membership not dialable: %v", err)
 	}
 }
 
 // silentWorker listens like a worker, accepts every connection and
-// never answers — a SIGSTOPped mpcworker as the network sees it.
-func silentWorker(t *testing.T) string {
+// never answers — a SIGSTOPped mpcworker as the network sees it. Stopped
+// mid-session, that is, when hellos is positive: the first so many
+// connections have their hello acked before the silence.
+func silentWorker(t *testing.T, hellos int) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -121,7 +124,7 @@ func silentWorker(t *testing.T) string {
 	var mu sync.Mutex
 	var held []net.Conn
 	go func() {
-		for {
+		for ; ; hellos-- {
 			c, err := ln.Accept()
 			if err != nil {
 				return
@@ -129,6 +132,11 @@ func silentWorker(t *testing.T) string {
 			mu.Lock()
 			held = append(held, c)
 			mu.Unlock()
+			if hellos > 0 {
+				if f, err := wire.Decode(c); err == nil && f.Type == wire.TypeHello {
+					_ = wire.Encode(c, &wire.Frame{Type: wire.TypeAck})
+				}
+			}
 		}
 	}()
 	t.Cleanup(func() {
@@ -148,7 +156,7 @@ func silentWorker(t *testing.T) string {
 // keep answering at once — and it returns when its context is done.
 func TestRegistryProbeDoesNotHoldLock(t *testing.T) {
 	pool := startKillablePool(t, 2)
-	reg := dist.NewRegistry(pool.addrs, []string{silentWorker(t)})
+	reg := dist.NewRegistry(pool.addrs, []string{silentWorker(t, 0)})
 	pool.kill(1)
 
 	const deadline = 500 * time.Millisecond
@@ -192,7 +200,7 @@ func TestRegistryProbeDoesNotHoldLock(t *testing.T) {
 // probe gives up on its own after a few seconds.
 func TestRegistryProbeIsBounded(t *testing.T) {
 	pool := startKillablePool(t, 2)
-	reg := dist.NewRegistry(pool.addrs, []string{silentWorker(t)})
+	reg := dist.NewRegistry(pool.addrs, []string{silentWorker(t, 0)})
 	pool.kill(1)
 
 	done := make(chan int, 1)
@@ -213,7 +221,7 @@ func TestRegistryProbeIsBounded(t *testing.T) {
 // loop for good.
 func TestRegistryRunBoundsEachReconcile(t *testing.T) {
 	pool := startKillablePool(t, 3) // 2 members + 1 live spare
-	reg := dist.NewRegistry(pool.addrs[:2], []string{silentWorker(t), pool.addrs[2]})
+	reg := dist.NewRegistry(pool.addrs[:2], []string{silentWorker(t, 0), pool.addrs[2]})
 	pool.kill(0)
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -31,10 +31,12 @@ import (
 // residentPool is a worker pool whose processes outlive sessions: over
 // loopback one shared store, over TCP one dist.Serve listener per slot.
 type residentPool interface {
-	// session opens one execution's transport.
-	session(t *testing.T) dist.Transport
+	// session opens one execution's transport; a dial that fails panics.
+	session() dist.Transport
 	// restart makes slot lose everything it kept.
-	restart(t *testing.T, slot int)
+	restart(slot int)
+	// close ends every session, then the pool.
+	close()
 }
 
 type loopbackPool struct {
@@ -42,20 +44,55 @@ type loopbackPool struct {
 	rs *dist.ResidentStore
 }
 
-func (l *loopbackPool) session(*testing.T) dist.Transport { return dist.NewLoopbackOn(l.p, l.rs) }
-func (l *loopbackPool) restart(_ *testing.T, slot int)    { l.rs.ForgetSlot(slot) }
+func (l *loopbackPool) session() dist.Transport { return dist.NewLoopbackOn(l.p, l.rs) }
+func (l *loopbackPool) restart(slot int)        { l.rs.ForgetSlot(slot) }
+func (l *loopbackPool) close()                  {}
 
-type tcpPool struct{ addrs []string }
+// tcpPool is used by one execution at a time, like the sessions it opens.
+type tcpPool struct {
+	addrs  []string
+	closes []func()
+}
 
-func (p *tcpPool) session(t *testing.T) dist.Transport { return dialPool(t, p.addrs) }
-func (p *tcpPool) restart(t *testing.T, slot int)      { p.addrs[slot] = startPool(t, 1)[0] }
-
-// residentPools returns one pool of each kind, p workers each.
-func residentPools(t *testing.T, p int) map[string]residentPool {
-	return map[string]residentPool{
-		"loopback": &loopbackPool{p: p, rs: dist.NewResidentStore()},
-		"tcp":      &tcpPool{addrs: startPool(t, p)},
+func (p *tcpPool) session() dist.Transport {
+	tr, err := dist.DialTCP(context.Background(), p.addrs)
+	if err != nil {
+		panic(err)
 	}
+	p.closes = append(p.closes, func() { tr.Close() })
+	return tr
+}
+
+func (p *tcpPool) restart(slot int) {
+	addrs, stop := servePool(1)
+	p.addrs[slot], p.closes = addrs[0], append(p.closes, stop)
+}
+
+// close runs the closers newest first: sessions before their listeners.
+func (p *tcpPool) close() {
+	for i := len(p.closes) - 1; i >= 0; i-- {
+		p.closes[i]()
+	}
+}
+
+// newPool opens a pool of p workers of the given kind.
+func newPool(kind string, p int) residentPool {
+	if kind == "loopback" {
+		return &loopbackPool{p: p, rs: dist.NewResidentStore()}
+	}
+	addrs, stop := servePool(p)
+	return &tcpPool{addrs: addrs, closes: []func(){stop}}
+}
+
+// residentPools returns one pool of each kind, p workers each, closed
+// with the test.
+func residentPools(t *testing.T, p int) map[string]residentPool {
+	pools := make(map[string]residentPool)
+	for _, kind := range []string{"loopback", "tcp"} {
+		pools[kind] = newPool(kind, p)
+		t.Cleanup(pools[kind].close)
+	}
+	return pools
 }
 
 // residentCase is one query with its data and plan.
@@ -130,17 +167,40 @@ func (c residentCase) execute(t *testing.T, tr dist.Transport, snap *dist.Snapsh
 	return res
 }
 
+// exploration is the case's warm operation: in a pool that has seen the
+// case fresh and retaining, bare, the third execution — the one that
+// attaches — runs behind the schedule.
+func (c residentCase) exploration() exploration {
+	return exploration{"resident", c.truth, func(dial func() dist.Transport, s *disttest.Schedule, rec dist.RecoveryOptions) (outcome, error) {
+		res, err := dist.NewResidency()
+		if err != nil {
+			return outcome{}, err
+		}
+		for sighting := 0; sighting < 2; sighting++ {
+			if _, err := c.pl.Execute(c.db, plan.ExecOptions{Seed: 23, Transport: dial(), Snapshot: res.Snapshot("d", 0)}); err != nil {
+				return outcome{}, err
+			}
+		}
+		snap := res.Snapshot("d", 0)
+		got, err := c.pl.Execute(c.db, plan.ExecOptions{Seed: 23, Transport: behind(s, dial()), Snapshot: snap, Recovery: rec})
+		if err != nil {
+			return outcome{}, err
+		}
+		return outcome{answers: got.Answers, rounds: got.Stats.Rounds, repl: got.Replacements, snap: *snap}, nil
+	}}
+}
+
 // warm runs the case fresh and retaining, and returns the fresh run's
 // round statistics: what every later execution must record.
 func (c residentCase) warm(t *testing.T, pool residentPool, res *dist.Residency) []mpc.RoundStats {
 	t.Helper()
 	fresh := res.Snapshot("d", 0)
-	want := c.execute(t, pool.session(t), fresh, dist.RecoveryOptions{}).Stats.Rounds
+	want := c.execute(t, pool.session(), fresh, dist.RecoveryOptions{}).Stats.Rounds
 	if fresh.Hits != 0 || fresh.Misses != 0 || fresh.Retained != 0 {
 		t.Fatalf("first sighting did more than scatter: %+v", fresh)
 	}
 	retaining := res.Snapshot("d", 0)
-	if got := c.execute(t, pool.session(t), retaining, dist.RecoveryOptions{}).Stats.Rounds; !reflect.DeepEqual(got, want) {
+	if got := c.execute(t, pool.session(), retaining, dist.RecoveryOptions{}).Stats.Rounds; !reflect.DeepEqual(got, want) {
 		t.Fatalf("retaining run's round stats differ:\n%+v\n%+v", got, want)
 	}
 	if retaining.Hits != 0 || retaining.Misses != 0 || retaining.Retained == 0 {
@@ -171,7 +231,7 @@ func TestResidentDifferential(t *testing.T) {
 				want := c.warm(t, pool, res)
 
 				hit := res.Snapshot("d", 0)
-				tr := pool.session(t)
+				tr := pool.session()
 				if got := c.execute(t, tr, hit, dist.RecoveryOptions{}).Stats.Rounds; !reflect.DeepEqual(got, want) {
 					t.Fatalf("resident run's round stats differ:\n%+v\n%+v", got, want)
 				}
@@ -185,9 +245,9 @@ func TestResidentDifferential(t *testing.T) {
 					}
 				}
 
-				pool.restart(t, 1)
+				pool.restart(1)
 				partial := res.Snapshot("d", 0)
-				tr = pool.session(t)
+				tr = pool.session()
 				if got := c.execute(t, tr, partial, dist.RecoveryOptions{}).Stats.Rounds; !reflect.DeepEqual(got, want) {
 					t.Fatalf("partial-miss run's round stats differ:\n%+v\n%+v", got, want)
 				}
@@ -199,7 +259,7 @@ func TestResidentDifferential(t *testing.T) {
 					t.Fatalf("after restarting one worker: %+v, want that slot's %d misses re-sent", partial, c.scatters)
 				}
 				again := res.Snapshot("d", 0)
-				c.execute(t, pool.session(t), again, dist.RecoveryOptions{})
+				c.execute(t, pool.session(), again, dist.RecoveryOptions{})
 				if again.Hits != c.scatters || again.Misses != 0 {
 					t.Fatalf("after the repair: %+v, want %d hits", again, c.scatters)
 				}
@@ -227,7 +287,7 @@ func TestResidentFused(t *testing.T) {
 	if n, calls := scripts(); n != 2 || !slices.Equal(calls, []string{"attach", "Barrier(1)", "Join", "Gather"}) {
 		t.Fatalf("resident round left as %d scripts of %v", n, calls)
 	}
-	pool.restart(t, 2)
+	pool.restart(2)
 	want := []string{"attach", "Deliver(1)", "Deliver(1)", "Deliver(1)", "Barrier(1)", "Join", "Gather"}
 	if n, calls := scripts(); n != 2 || !slices.Equal(calls, want) {
 		t.Fatalf("round with one worker's slices re-sent left as %d scripts of %v", n, calls)
@@ -239,25 +299,18 @@ func TestResidentFused(t *testing.T) {
 // slot, and answers and round statistics equal the fault-free run.
 func TestResidentRecovery(t *testing.T) {
 	const p = 4
-	rec := dist.RecoveryOptions{Enabled: true}
 	for _, c := range residentCases(t, p) {
-		for name, pool := range residentPools(t, p) {
+		x := c.exploration()
+		for _, name := range []string{"loopback", "tcp"} {
+			base, trace := x.baseline(t, name, p)
 			for _, kind := range []disttest.FaultKind{disttest.KillBefore, disttest.KillAfter} {
 				t.Run(c.name+"/"+name+"/"+kind.String(), func(t *testing.T) {
-					res := newResidency(t)
-					want := c.warm(t, pool, res)
-					snap := res.Snapshot("d", 0)
-					ft := disttest.NewFaultTransport(pool.session(t),
-						disttest.Fault{Worker: 2, Op: disttest.OpAttach, N: 0, Kind: kind})
-					got := c.execute(t, ft, snap, rec)
-					if got.Replacements != 1 || ft.Kills() != 1 {
-						t.Fatalf("%d replacements, %d kills, want 1 and 1", got.Replacements, ft.Kills())
-					}
-					if !reflect.DeepEqual(got.Stats.Rounds, want) {
-						t.Fatalf("healed run's round stats differ:\n%+v\n%+v", got.Stats.Rounds, want)
+					got, err := x.holds(name, p, base, trace.At(dist.OpAttach, 0, 2, kind)...)
+					if err != nil {
+						t.Fatal(err)
 					}
 					// Only round 1 attaches, and only slot 2 was lost.
-					if snap.Hits != 0 || snap.Misses != c.scatters || snap.Retained != c.scatters {
+					if snap := got.snap; snap.Hits != 0 || snap.Misses != c.scatters || snap.Retained != c.scatters {
 						t.Fatalf("healed run: %+v, want %d misses (one slot per scatter)", snap, c.scatters)
 					}
 				})
@@ -272,19 +325,16 @@ func TestResidentRecovery(t *testing.T) {
 func TestResidentRecoveryAfterAttach(t *testing.T) {
 	const p = 4
 	c := residentCases(t, p)[0]
-	for name, pool := range residentPools(t, p) {
+	x := c.exploration()
+	for _, name := range []string{"loopback", "tcp"} {
 		t.Run(name, func(t *testing.T) {
-			res := newResidency(t)
-			want := c.warm(t, pool, res)
-			snap := res.Snapshot("d", 0)
-			ft := disttest.NewFaultTransport(pool.session(t),
-				disttest.Fault{Worker: 0, Op: disttest.OpJoin, N: 0, Kind: disttest.KillBefore})
-			got := c.execute(t, ft, snap, dist.RecoveryOptions{Enabled: true})
-			if got.Replacements != 1 || snap.Hits != c.scatters {
-				t.Fatalf("%d replacements, %+v; want 1 and %d hits", got.Replacements, snap, c.scatters)
+			base, trace := x.baseline(t, name, p)
+			got, err := x.holds(name, p, base, trace.At(dist.OpJoin, 0, 0, disttest.KillBefore)...)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got.Stats.Rounds, want) {
-				t.Fatalf("healed run's round stats differ:\n%+v\n%+v", got.Stats.Rounds, want)
+			if got.snap.Hits != c.scatters {
+				t.Fatalf("%+v; want %d hits", got.snap, c.scatters)
 			}
 		})
 	}
@@ -415,14 +465,14 @@ func residentIsolation(t *testing.T, q *query.Query, pool residentPool, offset i
 
 	res := newResidency(t)
 	for i := 0; i < 2; i++ {
-		cl, _ := joinCluster(t, q, db, pool.session(t), res.Snapshot("d", 0), 9)
+		cl, _ := joinCluster(t, q, db, pool.session(), res.Snapshot("d", 0), 9)
 		if got := joinAnswers(t, cl, q); !sameTuples(got, truth) {
 			t.Fatalf("warm-up %d: %d answers, want %d", i, len(got), len(truth))
 		}
 	}
 	snapA, snapB := res.Snapshot("d", 0), res.Snapshot("d", 0)
-	a, part := joinCluster(t, q, db, pool.session(t), snapA, 9)
-	b, _ := joinCluster(t, q, db, pool.session(t), snapB, 9)
+	a, part := joinCluster(t, q, db, pool.session(), snapA, 9)
+	b, _ := joinCluster(t, q, db, pool.session(), snapB, 9)
 	if snapA.Hits != 2 || snapB.Hits != 2 {
 		t.Fatalf("sessions did not attach: %+v %+v", snapA, snapB)
 	}
@@ -465,7 +515,7 @@ func residentIsolation(t *testing.T, q *query.Query, pool residentPool, offset i
 		t.Fatalf("the other session saw the delta: %d answers, want %d", len(got), len(truth))
 	}
 	snapC := res.Snapshot("d", 0)
-	c, _ := joinCluster(t, q, db, pool.session(t), snapC, 9)
+	c, _ := joinCluster(t, q, db, pool.session(), snapC, 9)
 	if got := joinAnswers(t, c, q); snapC.Hits != 2 || !sameTuples(got, truth) {
 		t.Fatalf("a later session: %+v, %d answers, want 2 hits and %d", snapC, len(got), len(truth))
 	}
@@ -500,25 +550,25 @@ func TestResidentIdentity(t *testing.T) {
 			t.Errorf("%s: %d resident slices, want the %d of the warm key", name, rs.Entries(), kept)
 		}
 	}
-	run("version bump", res.Snapshot("d", 1), plan.ExecOptions{Seed: 23, Transport: pool.session(t)}, c.pl)
-	run("other dataset", res.Snapshot("e", 0), plan.ExecOptions{Seed: 23, Transport: pool.session(t)}, c.pl)
-	run("other seed", res.Snapshot("d", 0), plan.ExecOptions{Seed: 24, Transport: pool.session(t)}, c.pl)
+	run("version bump", res.Snapshot("d", 1), plan.ExecOptions{Seed: 23, Transport: pool.session()}, c.pl)
+	run("other dataset", res.Snapshot("e", 0), plan.ExecOptions{Seed: 23, Transport: pool.session()}, c.pl)
+	run("other seed", res.Snapshot("d", 0), plan.ExecOptions{Seed: 24, Transport: pool.session()}, c.pl)
 	shares := &hypercube.Shares{Vars: c.q.Vars(), Dims: []int{1, 2, 2}}
 	other, err := c.pl.WithShares(shares)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run("other shares", res.Snapshot("d", 0), plan.ExecOptions{Seed: 23, Transport: pool.session(t)}, other)
+	run("other shares", res.Snapshot("d", 0), plan.ExecOptions{Seed: 23, Transport: pool.session()}, other)
 	wide, err := plan.Build(c.q, c.db.Stats(), plan.Options{P: p + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	run("other p", res.Snapshot("d", 0), plan.ExecOptions{Seed: 23, Transport: dist.NewLoopbackOn(p+1, rs)}, wide)
-	run("other coordinator", newResidency(t).Snapshot("d", 0), plan.ExecOptions{Seed: 23, Transport: pool.session(t)}, c.pl)
+	run("other coordinator", newResidency(t).Snapshot("d", 0), plan.ExecOptions{Seed: 23, Transport: pool.session()}, c.pl)
 
 	// The warm key itself is untouched by all of that.
 	hit := res.Snapshot("d", 0)
-	c.execute(t, pool.session(t), hit, dist.RecoveryOptions{})
+	c.execute(t, pool.session(), hit, dist.RecoveryOptions{})
 	if hit.Hits != c.scatters {
 		t.Fatalf("the warm key stopped hitting: %+v", hit)
 	}
@@ -526,7 +576,7 @@ func TestResidentIdentity(t *testing.T) {
 	// Sampled routing cannot be described: no key, whatever is known.
 	sampled := res.Snapshot("d", 0)
 	for i := 0; i < 3; i++ {
-		if _, err := hypercube.RunSampled(c.q, c.db, p, hypercube.Options{Seed: 3, Epsilon: 0.1, Transport: pool.session(t), Snapshot: sampled}); err != nil {
+		if _, err := hypercube.RunSampled(c.q, c.db, p, hypercube.Options{Seed: 3, Epsilon: 0.1, Transport: pool.session(), Snapshot: sampled}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -544,12 +594,12 @@ func TestResidentSecondSight(t *testing.T) {
 	pool := &loopbackPool{p: p, rs: rs}
 	res := newResidency(t)
 	for v := uint64(0); v < 5; v++ {
-		c.execute(t, pool.session(t), res.Snapshot("d", v), dist.RecoveryOptions{})
+		c.execute(t, pool.session(), res.Snapshot("d", v), dist.RecoveryOptions{})
 		if rs.Bytes() != 0 || rs.Entries() != 0 {
 			t.Fatalf("version %d, seen once, left %d bytes in %d slices", v, rs.Bytes(), rs.Entries())
 		}
 	}
-	c.execute(t, pool.session(t), res.Snapshot("d", 4), dist.RecoveryOptions{})
+	c.execute(t, pool.session(), res.Snapshot("d", 4), dist.RecoveryOptions{})
 	if rs.Bytes() == 0 {
 		t.Fatal("a second sighting retained nothing")
 	}
@@ -568,17 +618,17 @@ func TestResidentEviction(t *testing.T) {
 	// The unit is a version as it stands once joined: the retaining run's
 	// join indexed the published runs, and an entry is measured again when
 	// it is attached.
-	c.execute(t, pool.session(t), res.Snapshot("d", 0), dist.RecoveryOptions{})
+	c.execute(t, pool.session(), res.Snapshot("d", 0), dist.RecoveryOptions{})
 	one := rs.Bytes()
 	// Room for two versions' slices, not three.
 	rs.SetBudget(2*one + one/2)
 	for v := uint64(1); v <= 2; v++ {
 		for i := 0; i < 2; i++ {
-			c.execute(t, pool.session(t), res.Snapshot("d", v), dist.RecoveryOptions{})
+			c.execute(t, pool.session(), res.Snapshot("d", v), dist.RecoveryOptions{})
 		}
 		if v == 1 {
 			// Touch version 0: version 1 is now the least recently attached.
-			c.execute(t, pool.session(t), res.Snapshot("d", 0), dist.RecoveryOptions{})
+			c.execute(t, pool.session(), res.Snapshot("d", 0), dist.RecoveryOptions{})
 		}
 	}
 	if rs.Bytes() > 2*one+one/2 {
@@ -586,7 +636,7 @@ func TestResidentEviction(t *testing.T) {
 	}
 	for _, v := range []uint64{0, 2, 1} {
 		snap := res.Snapshot("d", v)
-		c.execute(t, pool.session(t), snap, dist.RecoveryOptions{})
+		c.execute(t, pool.session(), snap, dist.RecoveryOptions{})
 		if full := snap.Hits == c.scatters; full != (v != 1) {
 			t.Errorf("version %d: %+v, want every scatter resident: %v", v, snap, v != 1)
 		}
@@ -626,12 +676,12 @@ func TestResidentContradiction(t *testing.T) {
 		t.Fatalf("contradicted: %+v, want %d misses", lied, c.scatters)
 	}
 	asked := res.Snapshot("d", 0)
-	c.execute(t, pool.session(t), asked, dist.RecoveryOptions{})
+	c.execute(t, pool.session(), asked, dist.RecoveryOptions{})
 	if asked.Hits != 0 || asked.Misses != 0 || asked.Retained == 0 {
 		t.Fatalf("after the contradiction: %+v, want a retaining run that attaches to nothing", asked)
 	}
 	hit := res.Snapshot("d", 0)
-	c.execute(t, pool.session(t), hit, dist.RecoveryOptions{})
+	c.execute(t, pool.session(), hit, dist.RecoveryOptions{})
 	if hit.Hits != c.scatters {
 		t.Fatalf("belief not re-established: %+v", hit)
 	}
@@ -744,7 +794,7 @@ func TestResidentHitSendsNothing(t *testing.T) {
 	if len(hit.sent) != 0 {
 		t.Fatalf("a resident execution delivered %d runs", len(hit.sent))
 	}
-	pool.restart(t, 3)
+	pool.restart(3)
 	partial := &deliveryLog{Loopback: dist.NewLoopbackOn(p, rs)}
 	c.execute(t, partial, res.Snapshot("d", 0), dist.RecoveryOptions{})
 	if len(partial.sent) == 0 {

@@ -26,9 +26,9 @@ func (l *scriptLog) Run(ctx context.Context, ops []dist.Op) (dist.Reply, error) 
 // back to its barrier.
 type faultyPool struct{ loopbackPool }
 
-func (f *faultyPool) session(t *testing.T) dist.Transport {
-	return disttest.NewFaultTransport(f.loopbackPool.session(t),
-		disttest.Fault{Worker: 1, Op: disttest.OpDeliver, N: 0, Kind: disttest.DelayToBarrier})
+func (f *faultyPool) session() dist.Transport {
+	return disttest.NewFaultTransport(f.loopbackPool.session(),
+		disttest.Fault{Worker: 1, Op: dist.OpDeliver, N: 0, Kind: disttest.DelayToBarrier})
 }
 
 // rows flattens runs to their tuples, run by run.
@@ -58,9 +58,9 @@ func TestScriptIsItsSteps(t *testing.T) {
 				res := newResidency(t)
 				kinds := make(map[dist.OpKind]bool)
 				for sighting := 0; sighting < 3; sighting++ {
-					log := &scriptLog{Transport: pool.session(t)}
+					log := &scriptLog{Transport: pool.session()}
 					c.execute(t, log, res.Snapshot("d", 0), dist.RecoveryOptions{})
-					whole, steps := pool.session(t), pool.session(t)
+					whole, steps := pool.session(), pool.session()
 					stores := make(map[string]bool)
 					for i, ops := range log.scripts {
 						want, err := whole.Run(ctx, ops)

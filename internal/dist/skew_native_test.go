@@ -124,7 +124,7 @@ func TestSkewPlannerRunNative(t *testing.T) {
 							kind, sch.name, len(ans), len(truth), reflect.DeepEqual(cl.Stats().Rounds, base.Stats.Rounds))
 					}
 				}
-				ft := disttest.NewFaultTransport(transport(), disttest.Fault{Worker: 0, Op: disttest.OpBarrier, N: 0, Kind: disttest.KillBefore})
+				ft := disttest.NewFaultTransport(transport(), disttest.Fault{Worker: 0, Op: dist.OpBarrier, N: 0, Kind: disttest.KillBefore})
 				res := run(pl, ft, dist.RecoveryOptions{Enabled: true, MaxReplacements: 8})
 				if !reflect.DeepEqual(res.Stats.Rounds, base.Stats.Rounds) || ft.Kills() != 1 || res.Replacements < 1 {
 					t.Errorf("%s barrier kill: %d kills, %d replacements, stats equal %v",

@@ -44,8 +44,8 @@ func (t *TCP) Dials() int64 { return t.dials.Load() }
 
 // Exchanges returns how many acknowledged pool-wide round trips the
 // session made: every Run that reads a reply — one per fence, so a
-// one-shot round is one and a round that attaches to resident scatters
-// two — and every Announce.
+// one-shot round is one, a round that attaches to resident scatters two,
+// and the epoch step of a heal one more.
 func (t *TCP) Exchanges() int64 { return t.exchanges.Load() }
 
 // workerConn is the coordinator's end of one worker connection. The
@@ -109,15 +109,22 @@ func DialTCP(ctx context.Context, addrs []string) (*TCP, error) {
 
 // dialWorker connects worker slot i to its current address, falling
 // back to spares (and recycling the dead address) when it is
-// unreachable. The caller holds no lock; slot bookkeeping is guarded
-// by t.mu.
+// unreachable. A candidate that accepts the connection and never acks
+// the hello — a stopped process — must not use up the time of those
+// behind it: each gets an equal share of what is left until ctx's
+// deadline. The caller holds no lock; t.mu guards slot bookkeeping.
 func (t *TCP) dialWorker(ctx context.Context, i int) (*workerConn, error) {
 	t.mu.Lock()
 	candidates := append([]string{t.addrs[i]}, t.spares...)
 	t.mu.Unlock()
 	var firstErr error
-	for _, addr := range candidates {
-		wc, err := dialHandshake(ctx, i, len(t.conns), addr)
+	for k, addr := range candidates {
+		cctx, cancel := ctx, func() {}
+		if deadline, ok := ctx.Deadline(); ok {
+			cctx, cancel = context.WithTimeout(ctx, time.Until(deadline)/time.Duration(len(candidates)-k))
+		}
+		wc, err := dialHandshake(cctx, i, len(t.conns), addr)
+		cancel()
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -165,7 +172,13 @@ func dialHandshake(ctx context.Context, i, p int, addr string) (*workerConn, err
 		Worker:  uint32(i),
 		P:       uint32(p),
 	}}
-	if err := wc.control(ctx, hello, wire.TypeAck, 0); err != nil {
+	err = wc.roundTrip(ctx, func() error {
+		if err := wc.w.Flush(hello); err != nil {
+			return err
+		}
+		return wc.expect(wire.TypeAck, 0)
+	})
+	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("dist: handshake with worker %d at %s: %w", i, addr, err)
 	}
@@ -212,10 +225,9 @@ func (wc *workerConn) roundTrip(ctx context.Context, op func() error) error {
 }
 
 // expect reads the next frame and requires it to be of type want
-// echoing tag echo (the round of a barrier, the epoch of an
-// announcement, the sequence of a ping; zero for the commands whose
-// ack carries none); an Error frame becomes the worker's reported
-// error.
+// echoing tag echo (the round of a barrier, the epoch of an epoch
+// step, the sequence of a ping; zero for the commands whose ack carries
+// none); an Error frame becomes the worker's reported error.
 func (wc *workerConn) expect(want wire.Type, echo uint32) error {
 	f, err := wc.rd.Next()
 	if err != nil {
@@ -232,17 +244,6 @@ func (wc *workerConn) expect(want wire.Type, echo uint32) error {
 	return nil
 }
 
-// control is the one control round trip of the protocol: send f, wait
-// for the worker's reply, and require its type and echo.
-func (wc *workerConn) control(ctx context.Context, f *wire.Frame, want wire.Type, echo uint32) error {
-	return wc.roundTrip(ctx, func() error {
-		if err := wc.w.Flush(f); err != nil {
-			return err
-		}
-		return wc.expect(want, echo)
-	})
-}
-
 // eachWorker runs fn for every worker slot of a pool of n concurrently
 // and joins the failures.
 func eachWorker(n int, fn func(i int) error) error {
@@ -257,11 +258,6 @@ func eachWorker(n int, fn func(i int) error) error {
 	}
 	wg.Wait()
 	return errors.Join(errs...)
-}
-
-// eachConn is eachWorker over the session's connections.
-func (t *TCP) eachConn(fn func(wc *workerConn) error) error {
-	return eachWorker(len(t.conns), func(i int) error { return fn(t.conns[i]) })
 }
 
 // frames appends worker w's slice of op to frames: its own deliveries
@@ -295,13 +291,17 @@ func (op *Op) frames(frames []*wire.Frame, w int) []*wire.Frame {
 		}
 	case OpGather:
 		frames = append(frames, &wire.Frame{Type: wire.TypeGather, View: op.View})
+	case OpEpoch:
+		frames = append(frames, &wire.Frame{Type: wire.TypeEpoch, Round: uint32(op.Round)})
+	case OpPing:
+		frames = append(frames, &wire.Frame{Type: wire.TypePing, Round: uint32(op.Round)})
 	}
 	return frames
 }
 
 // answered reports whether the worker replies to the step.
 func (k OpKind) answered() bool {
-	return k == OpBarrier || k == OpJoin || k == OpAttach || k == OpGather
+	return k != OpDeliver && k != OpDelta && k != OpTrace
 }
 
 // joinFrame builds the wire frame for a local-evaluation command.
@@ -389,8 +389,10 @@ func (wc *workerConn) run(ctx context.Context, ops []Op) (runs []*relation.Run, 
 		for _, op := range ops {
 			var err error
 			switch op.Kind {
-			case OpBarrier:
+			case OpBarrier, OpEpoch:
 				err = wc.expect(wire.TypeAck, uint32(op.Round))
+			case OpPing:
+				err = wc.expect(wire.TypePong, uint32(op.Round))
 			case OpJoin:
 				err = wc.expect(wire.TypeAck, 0)
 			case OpAttach:
@@ -444,8 +446,8 @@ func (t *TCP) Run(ctx context.Context, ops []Op) (Reply, error) {
 	}
 	perWorker := make([][]*relation.Run, len(t.conns))
 	attached := make([][]wire.Attach, len(t.conns))
-	err := t.eachConn(func(wc *workerConn) (err error) {
-		perWorker[wc.id], attached[wc.id], err = wc.run(ctx, ops)
+	err := eachWorker(len(t.conns), func(w int) (err error) {
+		perWorker[w], attached[w], err = t.conns[w].run(ctx, ops)
 		return err
 	})
 	var reply Reply
@@ -455,8 +457,10 @@ func (t *TCP) Run(ctx context.Context, ops []Op) (Reply, error) {
 	if err != nil {
 		return reply, err
 	}
-	for _, rs := range perWorker {
-		reply.Runs = append(reply.Runs, rs...)
+	for w, rs := range perWorker {
+		for _, run := range rs {
+			reply.Runs, reply.From = append(reply.Runs, run), append(reply.From, w)
+		}
 	}
 	return reply, nil
 }
@@ -490,26 +494,6 @@ func (t *TCP) RunOn(ctx context.Context, w int, ops []Op) error {
 	}
 	_, _, err := t.conns[w].run(ctx, ops)
 	return err
-}
-
-// Ping implements Replaceable: a heartbeat round trip through worker
-// w. Its returned Pong also proves the worker ingested every frame
-// sent before it on the session.
-func (t *TCP) Ping(ctx context.Context, w int, seq uint32) error {
-	if w < 0 || w >= len(t.conns) {
-		return fmt.Errorf("dist: ping worker %d out of range [0,%d)", w, len(t.conns))
-	}
-	return t.conns[w].control(ctx, &wire.Frame{Type: wire.TypePing, Round: seq}, wire.TypePong, seq)
-}
-
-// Announce implements Replaceable: broadcast the recovery epoch, every
-// worker acking it (echoing the epoch) or rejecting it as stale.
-func (t *TCP) Announce(ctx context.Context, epoch uint32) error {
-	t.exchanges.Add(1)
-	f := &wire.Frame{Type: wire.TypeEpoch, Round: epoch}
-	return t.eachConn(func(wc *workerConn) error {
-		return wc.control(ctx, f, wire.TypeAck, epoch)
-	})
 }
 
 // Close implements Transport: all connections are closed; workers

@@ -146,31 +146,21 @@ func TestRecoveryWideRescatter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := multiround.Execute(pl, db, p, multiround.Options{Seed: 23})
+	engine, err := multiround.Execute(pl, db, p, multiround.Options{Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
 	prog := multiProgram(pl, db, p, 23)
+	base, trace := prog.exploration("wide", truth, dist.OpenStepped).baseline(t, "loopback", p)
+	if !reflect.DeepEqual(base.rounds, engine.Stats.Rounds) {
+		t.Fatalf("round stats of the plan driven by hand differ from the engine's fault-free run")
+	}
 	for fused, sch := range schedules {
 		for _, kind := range []string{"loopback", "tcp"} {
 			t.Run(fmt.Sprintf("%s/pipeline=%v", kind, fused == 1), func(t *testing.T) {
-				var inner dist.Transport = dist.NewLoopback(p)
-				if kind == "tcp" {
-					inner = dialPool(t, startPool(t, p))
-				}
-				ft := disttest.NewFaultTransport(inner, disttest.Fault{Worker: 2, Op: disttest.OpBarrier, N: 1, Kind: disttest.KillBefore})
-				ans, cl := drive(t, sch.open, dist.Env{
-					Transport: ft,
-					Recovery:  dist.RecoveryOptions{Enabled: true, MaxReplacements: 4},
-				}, prog)
-				if !sameTuples(ans, truth) {
-					t.Errorf("%d answers, ground truth %d", len(ans), len(truth))
-				}
-				if !reflect.DeepEqual(cl.Stats().Rounds, base.Stats.Rounds) {
-					t.Errorf("round stats differ from the engine's fault-free run")
-				}
-				if ft.Kills() != 1 || cl.Replacements() != 1 {
-					t.Errorf("%d kills fired, %d replacements", ft.Kills(), cl.Replacements())
+				x := prog.exploration("wide", truth, sch.open)
+				if _, err := x.holds(kind, p, base, trace.At(dist.OpBarrier, 1, 2, disttest.KillBefore)...); err != nil {
+					t.Error(err)
 				}
 			})
 		}

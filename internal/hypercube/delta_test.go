@@ -452,27 +452,40 @@ func TestMaintainerTraced(t *testing.T) {
 func TestMaintainerFaultInjection(t *testing.T) {
 	q := query.Triangle()
 	const n, p = 30, 4
+	// Worker w at the n-th step of kind op of the fault-free run.
+	type point struct {
+		op   dist.OpKind
+		n, w int
+		kind disttest.FaultKind
+	}
 	cases := []struct {
 		name   string
-		faults []disttest.Fault
+		points []point
 		kills  int
 	}{
-		{"kill-before-delta", []disttest.Fault{{Worker: 1, Op: disttest.OpDelta, N: 0, Kind: disttest.KillBefore}}, 1},
-		{"kill-after-delta", []disttest.Fault{{Worker: 2, Op: disttest.OpDelta, N: 1, Kind: disttest.KillAfter}}, 1},
-		{"kill-at-maintenance-join", []disttest.Fault{{Worker: 0, Op: disttest.OpJoin, N: 1, Kind: disttest.KillBefore}}, 1},
-		{"delay-delta-to-barrier", []disttest.Fault{{Worker: 3, Op: disttest.OpDelta, N: 0, Kind: disttest.DelayToBarrier}}, 0},
-		{"duplicate-delta", []disttest.Fault{{Worker: 0, Op: disttest.OpDelta, N: 0, Kind: disttest.DuplicateDelivery}}, 0},
-		{"double-kill", []disttest.Fault{
-			{Worker: 1, Op: disttest.OpDelta, N: 0, Kind: disttest.KillBefore},
-			{Worker: 2, Op: disttest.OpJoin, N: 2, Kind: disttest.KillAfter},
-		}, 2},
+		{"kill-before-delta", []point{{dist.OpDelta, 0, 1, disttest.KillBefore}}, 1},
+		{"kill-after-delta", []point{{dist.OpDelta, 1, 2, disttest.KillAfter}}, 1},
+		{"kill-at-maintenance-join", []point{{dist.OpJoin, 1, 0, disttest.KillBefore}}, 1},
+		{"delay-delta-to-barrier", []point{{dist.OpDelta, 0, 3, disttest.DelayToBarrier}}, 0},
+		{"duplicate-delta", []point{{dist.OpDelta, 0, 0, disttest.DuplicateDelivery}}, 0},
+		{"double-kill", []point{{dist.OpDelta, 0, 1, disttest.KillBefore}, {dist.OpJoin, 2, 2, disttest.KillAfter}}, 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(0xfa117, uint64(len(c.name))))
 			db0 := relation.MatchingDatabase(rng, q, n)
 			sc := buildScenario(t, rng, q, db0, 4)
-			ft := disttest.NewFaultTransport(dist.NewLoopback(p), c.faults...)
+			clean := disttest.NewSchedule()
+			runMaintainer(t, sc, p, Options{Seed: 9, Transport: clean.Wrap(dist.NewLoopback(p))}, false)
+			var faults []disttest.Fault
+			for _, pt := range c.points {
+				at := clean.Trace().At(pt.op, pt.n, pt.w, pt.kind)
+				if at == nil {
+					t.Fatalf("the fault-free run has no %s step %d", pt.op, pt.n)
+				}
+				faults = append(faults, at...)
+			}
+			ft := disttest.NewFaultTransport(dist.NewLoopback(p), faults...)
 			m := runMaintainer(t, sc, p, Options{
 				Seed:      9,
 				Transport: ft,
