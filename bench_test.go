@@ -133,7 +133,7 @@ func BenchmarkOneRoundFraction(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					found += len(res.Answers)
+					found += res.Answers.Len()
 					total += len(truth)
 				}
 				if total > 0 {
@@ -480,7 +480,7 @@ func BenchmarkGatherWide(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		answers = len(out)
+		answers = out.Len()
 	}
 	b.ReportMetric(float64(answers), "answers")
 }
@@ -566,8 +566,8 @@ func benchDatalogReach(b *testing.B, opts datalog.Options) {
 			b.Fatal(err)
 		}
 	}
-	if want := paths * edges * (edges + 1) / 2; len(res.Answers) != want {
-		b.Fatalf("closure has %d pairs, want %d", len(res.Answers), want)
+	if want := paths * edges * (edges + 1) / 2; res.Answers.Len() != want {
+		b.Fatalf("closure has %d pairs, want %d", res.Answers.Len(), want)
 	}
 	b.ReportMetric(float64(res.Iterations), "iterations")
 }

@@ -187,7 +187,7 @@ func runPlanned(q *query.Query, db *relation.Database, p int, eps *big.Rat, seed
 			fmt.Printf("spares: %s\n", strings.Join(spareAddrs, ", "))
 		}
 	}
-	res, err := pl.Execute(db, opts)
+	res, err := pl.ExecuteRun(db, opts)
 	if err != nil {
 		return err
 	}
@@ -195,11 +195,11 @@ func runPlanned(q *query.Query, db *relation.Database, p int, eps *big.Rat, seed
 	if res.Replacements > 0 {
 		fmt.Printf("recovered: %d worker(s) replaced mid-query\n", res.Replacements)
 	}
-	fmt.Printf("answers: %d / %d ground truth\n", len(res.Answers), len(truth))
+	fmt.Printf("answers: %d / %d ground truth\n", res.Run.Len(), len(truth))
 	fmt.Printf("max load: %d tuples (predicted %.0f), total %d bits (cap exceeded: %v)\n",
 		res.Stats.MaxLoadTuples(), pl.Cost.LoadTuples, res.Stats.TotalBits(), res.CapExceeded)
 	fmt.Printf("replication: %.2fx input\n", res.Stats.Replication(db.InputBits()))
-	printAnswers(q.Vars(), res.Answers, show)
+	printAnswers(q.Vars(), res.Run, show)
 	return nil
 }
 
@@ -274,17 +274,17 @@ func parseShares(s string) (*hypercube.Shares, error) {
 	return out, nil
 }
 
-func printAnswers(vars []string, answers []relation.Tuple, show int) {
+func printAnswers(vars []string, answers *relation.Run, show int) {
 	if show <= 0 {
 		return
 	}
 	fmt.Printf("sample answers over (%s):\n", strings.Join(vars, ","))
-	for i, t := range answers {
-		if i >= show {
-			fmt.Printf("  … %d more\n", len(answers)-show)
-			break
-		}
-		fmt.Printf("  %v\n", t)
+	n := answers.Len()
+	for i := 0; i < min(show, n); i++ {
+		fmt.Printf("  %v\n", answers.Row(i, make(relation.Tuple, answers.Arity())))
+	}
+	if n > show {
+		fmt.Printf("  … %d more\n", n-show)
 	}
 }
 
@@ -365,7 +365,7 @@ func runDatalog(src string, n, p int, eps *big.Rat, seed uint64, capC float64, s
 		return err
 	}
 	fmt.Printf("evaluated: %d communication rounds, %d fixpoint iterations\n", res.Stats.NumRounds(), res.Iterations)
-	fmt.Printf("answers (%s): %d facts\n", prog.OutputPred(), len(res.Answers))
+	fmt.Printf("answers (%s): %d facts\n", prog.OutputPred(), res.Answers.Len())
 	fmt.Printf("max load: %d tuples, total %d bits (cap exceeded: %v)\n",
 		res.Stats.MaxLoadTuples(), res.Stats.TotalBits(), res.CapExceeded)
 	printAnswers(res.Vars, res.Answers, show)

@@ -75,11 +75,11 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if len(res.Answers) != len(truth) {
-				log.Fatalf("%s/%s: %d answers, want %d", in.name, mode, len(res.Answers), len(truth))
+			if res.Answers.Len() != len(truth) {
+				log.Fatalf("%s/%s: %d answers, want %d", in.name, mode, res.Answers.Len(), len(truth))
 			}
 			fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\n",
-				in.name, mode, res.MaxLoadTuples, len(res.Heavy), len(res.Answers))
+				in.name, mode, res.MaxLoadTuples, len(res.Heavy), res.Answers.Len())
 		}
 	}
 	tw.Flush()

@@ -43,8 +43,8 @@ func TestTheorem11UpperBound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
-		if len(res.Answers) != len(truth) {
-			t.Errorf("%s: one-round HC found %d answers, truth %d", q.Name, len(res.Answers), len(truth))
+		if res.Answers.Len() != len(truth) {
+			t.Errorf("%s: one-round HC found %d answers, truth %d", q.Name, res.Answers.Len(), len(truth))
 		}
 		if res.Stats.NumRounds() != 1 {
 			t.Errorf("%s: %d rounds, want 1", q.Name, res.Stats.NumRounds())
@@ -73,7 +73,7 @@ func TestTheorem11LowerBoundShape(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			found += len(res.Answers)
+			found += res.Answers.Len()
 			total += len(truth)
 		}
 		if total == 0 {
@@ -126,8 +126,8 @@ func TestTheorem12RoundTradeoff(t *testing.T) {
 			t.Errorf("L%d at ε=%s: executed %d rounds outside [%d,%d]",
 				tc.k, tc.eps.RatString(), res.Rounds, lower, upper)
 		}
-		if len(res.Answers) != len(truth) {
-			t.Errorf("L%d: incomplete answers %d/%d", tc.k, len(res.Answers), len(truth))
+		if res.Answers.Len() != len(truth) {
+			t.Errorf("L%d: incomplete answers %d/%d", tc.k, res.Answers.Len(), len(truth))
 		}
 	}
 }

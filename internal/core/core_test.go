@@ -119,8 +119,8 @@ func TestEvaluateOneRoundDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Answers) != len(truth) {
-		t.Errorf("answers = %d, want %d", len(res.Answers), len(truth))
+	if res.Answers.Len() != len(truth) {
+		t.Errorf("answers = %d, want %d", res.Answers.Len(), len(truth))
 	}
 }
 
@@ -140,11 +140,11 @@ func TestEvaluateMultiRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Answers) != len(truth) {
-		t.Fatalf("answers = %d, want %d", len(res.Answers), len(truth))
+	if res.Answers.Len() != len(truth) {
+		t.Fatalf("answers = %d, want %d", res.Answers.Len(), len(truth))
 	}
-	for i := range truth {
-		if !res.Answers[i].Equal(truth[i]) {
+	for i, got := range res.Answers.Tuples() {
+		if !got.Equal(truth[i]) {
 			t.Fatalf("answer %d mismatch", i)
 		}
 	}

@@ -250,7 +250,7 @@ func (p *Program) analyze() error {
 }
 
 // checkAggregateRule enforces the head shape that lets the evaluator
-// fold the aggregate exactly in the gather merge: every body variable
+// fold the aggregate exactly over the gathered answer: every body variable
 // appears in the head (so the deduplicated body answer set is the
 // aggregation input, with no pre-aggregation projection), and plain
 // group terms precede aggregate terms (so head order equals the

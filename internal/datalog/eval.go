@@ -52,16 +52,16 @@ type Options struct {
 
 // Result reports a Datalog evaluation.
 type Result struct {
-	// Answers is the output predicate's fact set: sorted, deduplicated,
-	// in head-term order.
-	Answers []relation.Tuple
+	// Answers is the output predicate's fact set, in head-term order, as
+	// one sealed, deduplicated run (nil when empty).
+	Answers *relation.Run
 	// Vars labels the answer columns: the goal's variables when a goal
 	// was declared, otherwise the output predicate's head terms
 	// rendered as written ("x", "count(y)").
 	Vars []string
-	// Facts holds every IDB predicate's derived fact set. Shared
-	// slices; callers must not mutate.
-	Facts map[string][]relation.Tuple
+	// Facts holds every IDB predicate's derived fact set as one sealed
+	// run (nil when empty).
+	Facts map[string]*relation.Run
 	// Iterations is the total number of semi-naive delta iterations
 	// across all recursive strata (0 for a non-recursive program).
 	Iterations int
@@ -109,7 +109,7 @@ func Eval(prog *Program, db *relation.Database, opts Options) (*Result, error) {
 
 	e := &evaluator{
 		prog: prog, opts: opts,
-		facts: make(map[string][]relation.Tuple),
+		facts: make(map[string]*relation.Run),
 		stats: make(map[string]*relation.RelationStats),
 	}
 	// The working database: shared EDB relations plus the IDB
@@ -167,8 +167,8 @@ type evaluator struct {
 	prog *Program
 	opts Options
 	wdb  *relation.Database
-	// facts maps IDB pred → sorted, deduplicated fact set.
-	facts map[string][]relation.Tuple
+	// facts maps IDB pred → its fact set, one sealed run.
+	facts map[string]*relation.Run
 	// stats memoizes the column statistics of the working database's
 	// relations for this evaluation; install drops a replaced
 	// relation's entry.
@@ -196,7 +196,8 @@ func (r *Rule) BodyQuery() (*query.Query, error) {
 }
 
 // Plan is the one way from a rule to what executes it: the body query
-// planned over stats, with an aggregate head folded into the gather.
+// planned over stats, with an aggregate head folded over the gathered
+// answer.
 // The planned query is the result's Query field.
 func (r *Rule) Plan(stats *relation.Stats, opts plan.Options) (*plan.Plan, error) {
 	q, err := r.BodyQuery()
@@ -278,7 +279,7 @@ func (e *evaluator) evalRule(r *Rule) (*relation.Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := pl.Execute(e.wdb, plan.ExecOptions{
+	res, err := pl.ExecuteRun(e.wdb, plan.ExecOptions{
 		Seed:        e.opts.Seed,
 		CapConstant: e.opts.CapConstant,
 		Transport:   tr,
@@ -294,16 +295,16 @@ func (e *evaluator) evalRule(r *Rule) (*relation.Run, error) {
 	}
 	e.record(res.Stats, res.CapExceeded, res.Replacements)
 	if r.HasAggregate() {
-		// Already one sorted row per group, in head order.
-		return relation.RunOf(len(r.Head.Terms), res.Answers), nil
+		// Already one row per group, in head order.
+		return res.Run, nil
 	}
-	return relation.Project(relation.RunOf(q.NumVars(), res.Answers), headPositions(r, q)), nil
+	return relation.Project(res.Run, headPositions(r, q)), nil
 }
 
-// install publishes a completed predicate into the working database as
-// its fact run, and materializes the facts once for the result.
+// install publishes a completed predicate's fact run into the working
+// database and the result.
 func (e *evaluator) install(pred string, run *relation.Run) {
-	e.facts[pred] = run.Tuples()
+	e.facts[pred] = run
 	delete(e.stats, pred)
 	e.wdb.AddRelation(relation.FromRun(pred, e.prog.Schema(pred), run))
 }

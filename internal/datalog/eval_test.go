@@ -112,7 +112,7 @@ func TestEvalTransitiveClosure(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := naiveTC(edges)
-		got := pairsOf(res.Answers)
+		got := pairsOf(res.Answers.Tuples())
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: closure has %d pairs, reference %d", trial, len(got), len(want))
 		}
@@ -123,8 +123,8 @@ func TestEvalTransitiveClosure(t *testing.T) {
 			t.Fatal("recursive run reports zero iterations")
 		}
 		// Sorted, deduplicated.
-		for i := 1; i < len(res.Answers); i++ {
-			if !res.Answers[i-1].Less(res.Answers[i]) {
+		for i, answers := 1, res.Answers.Tuples(); i < len(answers); i++ {
+			if !answers[i-1].Less(answers[i]) {
 				t.Fatal("answers not sorted/deduplicated")
 			}
 		}
@@ -146,8 +146,8 @@ func TestEvalTransports(t *testing.T) {
 	}
 	lb := run(nil)
 	tcp := run(tcpDialer(startPool(t, p)))
-	if !reflect.DeepEqual(lb.Answers, tcp.Answers) {
-		t.Fatalf("answers diverge: %d loopback vs %d TCP", len(lb.Answers), len(tcp.Answers))
+	if !reflect.DeepEqual(lb.Answers.Tuples(), tcp.Answers.Tuples()) {
+		t.Fatalf("answers diverge: %d loopback vs %d TCP", lb.Answers.Len(), tcp.Answers.Len())
 	}
 	if lb.Iterations != tcp.Iterations {
 		t.Fatalf("iterations diverge: %d vs %d", lb.Iterations, tcp.Iterations)
@@ -218,8 +218,8 @@ func TestDatalogRecoversWorker(t *testing.T) {
 	if res.Replacements != 1 {
 		t.Errorf("Replacements = %d, want 1", res.Replacements)
 	}
-	if !reflect.DeepEqual(res.Answers, ref.Answers) {
-		t.Errorf("recovered run has %d answers, fault-free run %d", len(res.Answers), len(ref.Answers))
+	if !reflect.DeepEqual(res.Answers.Tuples(), ref.Answers.Tuples()) {
+		t.Errorf("recovered run has %d answers, fault-free run %d", res.Answers.Len(), ref.Answers.Len())
 	}
 	if res.Iterations != ref.Iterations || !reflect.DeepEqual(res.Stats.Rounds, ref.Stats.Rounds) {
 		t.Errorf("recovered run's record diverges:\n got %+v\nwant %+v", res.Stats.Rounds, ref.Stats.Rounds)
@@ -259,10 +259,10 @@ func TestEvalDisjointPathsClosedForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(lb.Answers, want) {
-			t.Fatalf("offset %d: closure has %d pairs, closed form %d", offset, len(lb.Answers), len(want))
+		if !reflect.DeepEqual(lb.Answers.Tuples(), want) {
+			t.Fatalf("offset %d: closure has %d pairs, closed form %d", offset, lb.Answers.Len(), len(want))
 		}
-		if !reflect.DeepEqual(lb.Facts["tc"], want) {
+		if !reflect.DeepEqual(lb.Facts["tc"].Tuples(), want) {
 			t.Fatalf("offset %d: Facts[tc] diverges from Answers", offset)
 		}
 		// Iteration 0 (the maintainer's cold run) derives the 2-edge
@@ -275,7 +275,7 @@ func TestEvalDisjointPathsClosedForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(tcp.Answers, lb.Answers) || !reflect.DeepEqual(tcp.Stats.Rounds, lb.Stats.Rounds) {
+		if !reflect.DeepEqual(tcp.Answers.Tuples(), lb.Answers.Tuples()) || !reflect.DeepEqual(tcp.Stats.Rounds, lb.Stats.Rounds) {
 			t.Errorf("offset %d: TCP diverges from loopback", offset)
 		}
 	}
@@ -330,10 +330,10 @@ func TestEvalMutualRecursion(t *testing.T) {
 			wantEven[[2]int{s.x, s.y}] = true
 		}
 	}
-	if got := pairsOf(res.Answers); !reflect.DeepEqual(got, wantOdd) {
+	if got := pairsOf(res.Answers.Tuples()); !reflect.DeepEqual(got, wantOdd) {
 		t.Fatalf("odd: got %d pairs, want %d", len(got), len(wantOdd))
 	}
-	if got := pairsOf(res.Facts["even"]); !reflect.DeepEqual(got, wantEven) {
+	if got := pairsOf(res.Facts["even"].Tuples()); !reflect.DeepEqual(got, wantEven) {
 		t.Fatalf("even: got %d pairs, want %d", len(got), len(wantEven))
 	}
 }
@@ -359,8 +359,8 @@ func TestEvalAggregate(t *testing.T) {
 			{Func: relation.AggMax, Col: 1},
 		},
 	})
-	if !reflect.DeepEqual(res.Answers, want) {
-		t.Fatalf("aggregate diverges:\ngot  %v\nwant %v", res.Answers, want)
+	if !reflect.DeepEqual(res.Answers.Tuples(), want) {
+		t.Fatalf("aggregate diverges:\ngot  %v\nwant %v", res.Answers.Tuples(), want)
 	}
 	if !reflect.DeepEqual(res.Vars, []string{"x", "c", "m"}) {
 		t.Fatalf("vars = %v", res.Vars)
@@ -389,7 +389,7 @@ func TestEvalStratified(t *testing.T) {
 	for x, c := range counts {
 		want[[2]int{x, c}] = true
 	}
-	if got := pairsOf(res.Answers); !reflect.DeepEqual(got, want) {
+	if got := pairsOf(res.Answers.Tuples()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("reach counts diverge:\ngot  %v\nwant %v", got, want)
 	}
 }
@@ -412,8 +412,8 @@ func TestEvalUnionRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []relation.Tuple{{1, 2}, {3, 4}, {5, 6}}
-	if !reflect.DeepEqual(res.Answers, want) {
-		t.Fatalf("union = %v, want %v", res.Answers, want)
+	if !reflect.DeepEqual(res.Answers.Tuples(), want) {
+		t.Fatalf("union = %v, want %v", res.Answers.Tuples(), want)
 	}
 	if res.Iterations != 0 {
 		t.Fatalf("non-recursive program reports %d iterations", res.Iterations)
@@ -455,7 +455,7 @@ func TestCatalogCollectsBodyRelationsOnce(t *testing.T) {
 	`)
 	e := &evaluator{
 		prog: prog, wdb: relation.NewDatabase(9),
-		facts: map[string][]relation.Tuple{}, stats: map[string]*relation.RelationStats{},
+		facts: map[string]*relation.Run{}, stats: map[string]*relation.RelationStats{},
 	}
 	for _, name := range []string{"e", "f"} {
 		r := relation.New(name, "u", "v")
@@ -509,8 +509,8 @@ func TestMaxIterationsIsPerStratum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Iterations != 10 || len(res.Answers) != 21 {
-		t.Errorf("%d iterations and %d answers, want 10 (5 per stratum) and 21", res.Iterations, len(res.Answers))
+	if res.Iterations != 10 || res.Answers.Len() != 21 {
+		t.Errorf("%d iterations and %d answers, want 10 (5 per stratum) and 21", res.Iterations, res.Answers.Len())
 	}
 	if _, err := Eval(prog, edgeDB(7, path), Options{P: 4, Seed: 5, MaxIterations: 4}); err == nil {
 		t.Error("a stratum that needs 5 iterations ran under a bound of 4")

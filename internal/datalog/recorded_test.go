@@ -24,9 +24,9 @@ func factsDigest(res *Result) string {
 	sort.Strings(preds)
 	h := fnv.New64a()
 	for _, pred := range preds {
-		fmt.Fprintf(h, "%s%v", pred, res.Facts[pred])
+		fmt.Fprintf(h, "%s%v", pred, res.Facts[pred].Tuples())
 	}
-	fmt.Fprintf(h, "%v", res.Answers)
+	fmt.Fprintf(h, "%v", res.Answers.Tuples())
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
@@ -148,8 +148,8 @@ func TestClosureIsHeldOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Iterations != 15 || len(res.Answers) != paths*edges*(edges+1)/2 {
-		t.Fatalf("%d iterations, %d answers: not the benchmark's shape", res.Iterations, len(res.Answers))
+	if res.Iterations != 15 || res.Answers.Len() != paths*edges*(edges+1)/2 {
+		t.Fatalf("%d iterations, %d answers: not the benchmark's shape", res.Iterations, res.Answers.Len())
 	}
 	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > 24+raceSlackMB {
 		t.Errorf("one Eval allocated %.1f MB, want ≤ %d", mb, 24+raceSlackMB)

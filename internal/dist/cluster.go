@@ -213,7 +213,7 @@ func (c *Cluster) Scatter(ctx context.Context, rel *relation.Relation, as string
 }
 
 // ScatterRun is Scatter from a sealed run — a view gathered by
-// GatherRun goes back out for the next round without ever becoming
+// Gather goes back out for the next round without ever becoming
 // tuples. Routing, accounting, journaling and delivery are Scatter's:
 // the partitioned buffers are bit-identical to scattering the run's
 // materialized tuples. A nil run scatters nothing (the round still
@@ -369,22 +369,14 @@ func (c *Cluster) Join(ctx context.Context, q *query.Query, bindings map[string]
 	return c.submit(ctx, Op{Kind: OpJoin, Join: JoinSpec{Query: q.String(), View: view, Bindings: bindings}})
 }
 
-// Gather returns the deduplicated sorted union of the tuples every
-// worker holds under view — the cluster-wide answer of a query whose
-// per-worker outputs were stored by Join.
-func (c *Cluster) Gather(ctx context.Context, view string) ([]relation.Tuple, error) {
-	run, err := c.GatherRun(ctx, view)
-	if err != nil {
-		return nil, err
-	}
-	return run.Tuples(), nil
-}
-
-// GatherRun is Gather kept columnar: the per-worker sorted runs k-way
-// merge (relation.Merge, on either layout) into one sealed run that
-// the coordinator can diff, project or re-scatter without building
-// tuples. The run is nil when no worker holds anything under view.
-func (c *Cluster) GatherRun(ctx context.Context, view string) (*relation.Run, error) {
+// Gather returns the union of what every worker holds under view — the
+// cluster-wide answer of a query whose per-worker outputs were stored by
+// Join — as one sealed, deduplicated run: the per-worker sorted runs
+// k-way merge (relation.Merge, on either layout), and the coordinator
+// diffs, projects, folds, re-scatters or replies from that run without
+// building tuples. The run is nil when no worker holds anything under
+// view.
+func (c *Cluster) Gather(ctx context.Context, view string) (*relation.Run, error) {
 	span := c.tracePhase("gather")
 	defer c.tracePhaseEnd(span)
 	runs, err := c.gatherRuns(ctx, view)
@@ -392,22 +384,6 @@ func (c *Cluster) GatherRun(ctx context.Context, view string) (*relation.Run, er
 		return nil, err
 	}
 	return relation.Merge(runs), nil
-}
-
-// GatherAggregate is Gather with a grouped-aggregate fold pushed into
-// the k-way merge: the merged run streams through a
-// relation.Accumulator one reused tuple at a time, so the coordinator
-// materializes one row per group instead of the full answer set.
-func (c *Cluster) GatherAggregate(ctx context.Context, view string, spec relation.GroupSpec) ([]relation.Tuple, error) {
-	span := c.tracePhase("gather")
-	defer c.tracePhaseEnd(span)
-	runs, err := c.gatherRuns(ctx, view)
-	if err != nil {
-		return nil, err
-	}
-	acc := relation.NewAccumulator(spec)
-	relation.Merge(runs).Each(acc.Add)
-	return acc.Result(), nil
 }
 
 // gatherRuns fetches the sealed runs every worker holds under view, in

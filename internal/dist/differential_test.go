@@ -59,7 +59,7 @@ func runHypercube(t *testing.T, q *query.Query, db *relation.Database, p int, tr
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Answers, res.Stats
+	return res.Answers.Tuples(), res.Stats
 }
 
 func runMultiround(t *testing.T, q *query.Query, db *relation.Database, p int, tr dist.Transport) ([]relation.Tuple, *mpc.Stats) {
@@ -72,7 +72,7 @@ func runMultiround(t *testing.T, q *query.Query, db *relation.Database, p int, t
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Answers, res.Stats
+	return res.Answers.Tuples(), res.Stats
 }
 
 // TestDifferentialFamilies is the family × engine × transport × input
@@ -166,11 +166,11 @@ func TestDifferentialSkewJoin(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !sameTuples(loop.Answers, truth) {
-					t.Errorf("loopback: %d answers, ground truth %d", len(loop.Answers), len(truth))
+				if !sameTuples(loop.Answers.Tuples(), truth) {
+					t.Errorf("loopback: %d answers, ground truth %d", loop.Answers.Len(), len(truth))
 				}
-				if !sameTuples(tcpRes.Answers, truth) {
-					t.Errorf("tcp: %d answers, ground truth %d", len(tcpRes.Answers), len(truth))
+				if !sameTuples(tcpRes.Answers.Tuples(), truth) {
+					t.Errorf("tcp: %d answers, ground truth %d", tcpRes.Answers.Len(), len(truth))
 				}
 				if !reflect.DeepEqual(loop.Stats.Rounds, tcpRes.Stats.Rounds) {
 					t.Errorf("round stats differ across transports")

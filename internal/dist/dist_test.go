@@ -88,7 +88,7 @@ func runJoinRound(t *testing.T, tr dist.Transport, r, s *relation.Relation, doma
 	if err != nil {
 		t.Fatal(err)
 	}
-	return answers, cl.Stats()
+	return answers.Tuples(), cl.Stats()
 }
 
 // joinInputs builds a small R(x,y), S(y,z) pair with a known join.

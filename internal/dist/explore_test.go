@@ -295,7 +295,7 @@ func explorations(t *testing.T, p int) []exploration {
 		if res.Iterations < 5 {
 			return outcome{}, fmt.Errorf("the fixpoint took %d iterations, the explorer wants at least 5", res.Iterations)
 		}
-		return outcome{answers: res.Answers, rounds: res.Stats.Rounds, repl: res.Replacements}, nil
+		return outcome{answers: res.Answers.Tuples(), rounds: res.Stats.Rounds, repl: res.Replacements}, nil
 	}})
 
 	// Maintainer: the cold round, then one batch that retracts three
@@ -325,7 +325,7 @@ func explorations(t *testing.T, p int) []exploration {
 		if _, err := m.ApplyDelta(batch); err != nil {
 			return outcome{}, err
 		}
-		return outcome{answers: m.Answers(), rounds: m.Stats().Rounds, repl: m.Replacements()}, nil
+		return outcome{answers: m.Answers().Tuples(), rounds: m.Stats().Rounds, repl: m.Replacements()}, nil
 	}})
 
 	// Resident: the cold triangle again, as the third sighting of one

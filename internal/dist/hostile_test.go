@@ -408,7 +408,7 @@ func TestCoordinatorRejectsMixedArityGather(t *testing.T) {
 	var we *dist.WorkerError
 	if !errors.As(err, &we) || we.Worker != 1 || !strings.Contains(err.Error(), `"v"`) ||
 		!strings.Contains(err.Error(), "arity-3") || !strings.Contains(err.Error(), "arity 2") {
-		t.Fatalf("gather returned %d answers and %v, want worker 1's error naming the view and both arities", len(answers), err)
+		t.Fatalf("gather returned %d answers and %v, want worker 1's error naming the view and both arities", answers.Len(), err)
 	}
 	for range addrs {
 		if err := <-faked; err != nil {

@@ -388,7 +388,7 @@ func joinInto(t *testing.T, cl *dist.Cluster, q *query.Query, view string) []rel
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return out.Tuples()
 }
 
 // TestResidentIsolation: two sessions attach to the same resident runs;
@@ -507,8 +507,8 @@ func residentIsolation(t *testing.T, q *query.Query, pool residentPool, offset i
 		if got := joinInto(t, a, q, fmt.Sprintf("out%d", i)); !sameTuples(got, want) {
 			t.Fatalf("maintained session, batch %d: %d answers, want %d", i, len(got), len(want))
 		}
-		if got, err := a.Gather(ctx, "R"); err != nil || !sameTuples(got, wantR) {
-			t.Fatalf("maintained session, batch %d: gathered %d tuples of R (%v), want the %d live ones", i, len(got), err, len(wantR))
+		if got, err := a.Gather(ctx, "R"); err != nil || !sameTuples(got.Tuples(), wantR) {
+			t.Fatalf("maintained session, batch %d: gathered %d tuples of R (%v), want the %d live ones", i, got.Len(), err, len(wantR))
 		}
 	}
 	if got := <-done; !sameTuples(got, truth) {

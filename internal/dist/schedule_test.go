@@ -110,7 +110,7 @@ func hcProgram(q *query.Query, db *relation.Database, p int, eps float64, shares
 			if err := cl.Join(ctx, q, nil, "out", 0); err != nil {
 				return nil, err
 			}
-			return cl.Gather(ctx, "out")
+			return gatherTuples(ctx, cl, "out")
 		},
 	}
 }
@@ -182,7 +182,7 @@ func multiProgram(pl *multiround.Plan, db *relation.Database, p int, seed uint64
 						if err := cl.Join(ctx, w.g.Query, bindings, w.g.View+"!out", 0); err != nil {
 							return nil, err
 						}
-						run, err := cl.GatherRun(ctx, w.g.View+"!out")
+						run, err := cl.Gather(ctx, w.g.View+"!out")
 						if err != nil {
 							return nil, err
 						}
@@ -278,7 +278,7 @@ func skewProgram(q *query.Query, r, s *relation.Relation, ry, sy int, rt *skew.R
 			if err := cl.Join(ctx, q, nil, "out", 0); err != nil {
 				return nil, err
 			}
-			return cl.Gather(ctx, "out")
+			return gatherTuples(ctx, cl, "out")
 		},
 	}
 }
@@ -390,8 +390,8 @@ func TestPipelinedSkewJoin(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameTuples(ref.Answers, truth) {
-				t.Fatalf("engine: %d answers, ground truth %d", len(ref.Answers), len(truth))
+			if !sameTuples(ref.Answers.Tuples(), truth) {
+				t.Fatalf("engine: %d answers, ground truth %d", ref.Answers.Len(), len(truth))
 			}
 			rt := &skew.Routing{P: p}
 			if mode == skew.Resilient {
@@ -451,4 +451,11 @@ func TestPipelinedPlanner(t *testing.T) {
 			driveAll(t, addrs, planProgram(t, pl, db, 3), truth, ref.Stats)
 		})
 	}
+}
+
+// gatherTuples is Cluster.Gather materialized, for the hand-driven
+// programs that hand back tuples.
+func gatherTuples(ctx context.Context, cl *dist.Cluster, view string) ([]relation.Tuple, error) {
+	run, err := cl.Gather(ctx, view)
+	return run.Tuples(), err
 }

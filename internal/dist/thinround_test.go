@@ -204,7 +204,7 @@ func TestRetractionOnlyBatchIsFenced(t *testing.T) {
 		if _, err := ref.ApplyDelta(batch); err != nil {
 			t.Fatal(err)
 		}
-		return ref.Answers()
+		return ref.Answers().Tuples()
 	}()
 
 	for _, tc := range []struct {
@@ -228,8 +228,8 @@ func TestRetractionOnlyBatchIsFenced(t *testing.T) {
 			if got, want := rec.calls[cold:], []string{"ApplyDelta(2)", "Barrier(2)"}; !slices.Equal(got, want) {
 				t.Fatalf("transport calls of a retraction-only batch = %v, want %v before ApplyDelta returns", got, want)
 			}
-			if !sameTuples(m.Answers(), truth) {
-				t.Fatalf("%d answers after the retraction, reference %d", len(m.Answers()), len(truth))
+			if !sameTuples(m.Answers().Tuples(), truth) {
+				t.Fatalf("%d answers after the retraction, reference %d", m.Answers().Len(), len(truth))
 			}
 		})
 	}

@@ -205,7 +205,7 @@ func TestGatherWideAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		answers = len(out)
+		answers = out.Len()
 	})
 	if answers != p*per {
 		t.Fatalf("gathered %d tuples, want %d", answers, p*per)

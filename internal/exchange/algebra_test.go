@@ -129,13 +129,13 @@ func TestRunAlgebraMatchesTupleReference(t *testing.T) {
 				a, b := relation.Merge(runs[:len(runs)/2]), relation.Merge(runs[len(runs)/2:])
 				pair := []*Buffer{a, b}
 				before = snap(pair)
-				sub := relation.NewTupleSet(arity, b.Len())
+				sub := map[string]bool{}
 				for _, tu := range tuplesOf(b) {
-					sub.Add(tu)
+					sub[tu.Key()] = true
 				}
 				var want []relation.Tuple
 				for _, tu := range tuplesOf(a) {
-					if !sub.Contains(tu) {
+					if !sub[tu.Key()] {
 						want = append(want, tu)
 					}
 				}

@@ -88,7 +88,7 @@ func TestFoldRunsAggregate(t *testing.T) {
 	}
 	acc := relation.NewAccumulator(spec)
 	foldRuns(runs, acc.Add)
-	got := acc.Result()
+	got := acc.Result().Tuples()
 	want := relation.GroupAggregate(MergeRuns(runs), spec)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("streamed fold %v != reference %v", got, want)

@@ -220,7 +220,7 @@ func HCLoad(w io.Writer, q *query.Query, n int, ps []int, seed uint64) ([]HCLoad
 			return nil, err
 		}
 		bound := float64(q.NumAtoms()) * hypercube.TheoreticalLoad(n, p, tauF)
-		complete := len(res.Answers) == len(truth)
+		complete := res.Answers.Len() == len(truth)
 		row := HCLoadRow{
 			Query:       q.Name,
 			N:           n,
@@ -267,7 +267,7 @@ func LBFraction(w io.Writer, q *query.Query, n int, eps float64, ps []int, trial
 			if err != nil {
 				return nil, err
 			}
-			foundSum += len(res.Answers)
+			foundSum += res.Answers.Len()
 			truthSum += len(truth)
 		}
 		measured := 0.0
@@ -357,7 +357,7 @@ func Rounds(w io.Writer, ks []int, epss []*big.Rat, n, p int, seed uint64) ([]Ro
 			if err != nil {
 				return nil, err
 			}
-			complete := len(res.Answers) == len(truth)
+			complete := res.Answers.Len() == len(truth)
 			rows = append(rows, RoundsRow{
 				Query: q.Name, Eps: eps, PlanRounds: plan.Rounds(),
 				Executed: res.Rounds, Lower: lower, Upper: upper, Complete: complete,

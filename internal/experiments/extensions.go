@@ -141,7 +141,7 @@ func Skew(w io.Writer, n, p int, zipfS float64, seed uint64) ([]SkewRow, error) 
 			if err != nil {
 				return nil, err
 			}
-			complete := len(res.Answers) == len(truth)
+			complete := res.Answers.Len() == len(truth)
 			row := SkewRow{
 				Input:        in.name,
 				Mode:         mode.String(),

@@ -81,14 +81,14 @@ func Recursion(w io.Writer, sizes []int, p int, seed uint64) ([]RecursionRow, er
 		if err != nil {
 			return nil, err
 		}
-		if got, want := len(semi.Answers), naiveAnswers; got != want {
+		if got, want := semi.Answers.Len(), naiveAnswers; got != want {
 			return nil, fmt.Errorf("experiments: recursion n=%d p=%d semi-naive found %d pairs, naive found %d",
 				n, p, got, want)
 		}
 		row := RecursionRow{
 			N:           n,
 			P:           p,
-			Answers:     len(semi.Answers),
+			Answers:     semi.Answers.Len(),
 			Iterations:  semi.Iterations,
 			SemiRounds:  semi.Stats.NumRounds(),
 			SemiBits:    semi.Stats.TotalBits(),
@@ -121,17 +121,11 @@ func naiveClosure(db *relation.Database, p int, seed uint64) (answers, rounds in
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	known := make([]relation.Tuple, edges.Size())
-	for i, t := range edges.Rows() {
-		known[i] = append(relation.Tuple(nil), t...)
-	}
-	known = relation.DedupSort(known)
+	known := relation.Merge([]*relation.Run{edges.Run()})
 	for {
 		step := relation.NewDatabase(db.N)
 		step.AddRelation(edges)
-		tc := relation.New("tc", "x", "y")
-		tc.Tuples = known
-		step.AddRelation(tc)
+		step.AddRelation(relation.FromRun("tc", []string{"x", "y"}, known))
 		res, err := hypercube.Run(q, step, p, hypercube.Options{Seed: seed})
 		if err != nil {
 			return 0, 0, 0, err
@@ -140,13 +134,9 @@ func naiveClosure(db *relation.Database, p int, seed uint64) (answers, rounds in
 		bits += res.Stats.TotalBits()
 		// Project q's (x,y,z) answers onto (x,z) and fold into the
 		// closure; a pass that grows nothing is the fixpoint.
-		next := make([]relation.Tuple, 0, len(res.Answers))
-		for _, t := range res.Answers {
-			next = append(next, relation.Tuple{t[0], t[2]})
-		}
-		merged := relation.DedupSort(append(next, known...))
-		if len(merged) == len(known) {
-			return len(known), rounds, bits, nil
+		merged := relation.Merge([]*relation.Run{known, relation.Project(res.Answers, []int{0, 2})})
+		if merged.Len() == known.Len() {
+			return known.Len(), rounds, bits, nil
 		}
 		known = merged
 	}

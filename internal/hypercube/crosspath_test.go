@@ -95,12 +95,12 @@ func TestCrossPathEquivalence(t *testing.T) {
 			return false
 		}
 		// Identical answers.
-		if len(res.Answers) != len(refAnswers) {
-			t.Logf("answers: got %d want %d", len(res.Answers), len(refAnswers))
+		if res.Answers.Len() != len(refAnswers) {
+			t.Logf("answers: got %d want %d", res.Answers.Len(), len(refAnswers))
 			return false
 		}
-		for i := range refAnswers {
-			if !res.Answers[i].Equal(refAnswers[i]) {
+		for i, got := range res.Answers.Tuples() {
+			if !got.Equal(refAnswers[i]) {
 				return false
 			}
 		}

@@ -42,12 +42,6 @@ type Report struct {
 	// materialized answer.
 	AnswersAdded   int
 	AnswersRemoved int
-	// Replacements counts workers replaced by recovery during the
-	// batch.
-	Replacements int
-	// CapExceeded reports whether a worker exceeded the per-round
-	// receive budget during the batch.
-	CapExceeded bool
 }
 
 // Distribution holds a warm HC execution: the grid distribution of every
@@ -105,7 +99,7 @@ func Distribute(q *query.Query, db *relation.Database, p int, opts Options) (*Di
 	var cold *relation.Run
 	d.capSeen, err = coldRound(ctx, cluster, q, db, func(a query.Atom) *GridPartitioner { return d.parts[a.Name] })
 	if err == nil {
-		cold, err = cluster.GatherRun(ctx, answersView)
+		cold, err = cluster.Gather(ctx, answersView)
 	}
 	if err != nil {
 		cluster.Close()
@@ -199,7 +193,7 @@ func (d *Distribution) Apply(removed, added map[string]*relation.Run) (*relation
 			}
 		}
 		var err error
-		if gathered, err = d.cluster.GatherRun(d.ctx, gatherView); err != nil {
+		if gathered, err = d.cluster.Gather(d.ctx, gatherView); err != nil {
 			return nil, err
 		}
 	}
@@ -221,8 +215,6 @@ type Maintainer struct {
 	// run (nil when empty); batches maintain it with linear passes over
 	// its words or rows.
 	answers *relation.Run
-	// tuples caches Answers() between batches; nil when stale.
-	tuples []relation.Tuple
 }
 
 // NewMaintainer distributes q over db on p workers (Distribute) and
@@ -244,16 +236,10 @@ func NewMaintainer(q *query.Query, db *relation.Database, p int, opts Options) (
 	return m, nil
 }
 
-// Answers returns the materialized answer: sorted, deduplicated, and
-// current as of the last ApplyDelta. The tuples are built from the
-// maintained run on first use after a batch and cached until the next;
-// the slice is shared and callers must not mutate it.
-func (m *Maintainer) Answers() []relation.Tuple {
-	if m.tuples == nil {
-		m.tuples = m.answers.Tuples()
-	}
-	return m.tuples
-}
+// Answers returns the materialized answer, current as of the last
+// ApplyDelta, as one sealed, deduplicated run (nil when empty). A batch
+// replaces the run rather than changing it, so a caller may keep it.
+func (m *Maintainer) Answers() *relation.Run { return m.answers }
 
 // ApplyDelta maintains the distribution and the materialized answer
 // under one delta batch, given as the set-level effect per relation
@@ -264,7 +250,6 @@ func (m *Maintainer) Answers() []relation.Tuple {
 func (m *Maintainer) ApplyDelta(changes map[string]relation.Effect) (*Report, error) {
 	removed := make(map[string]*relation.Run, len(changes))
 	added := make(map[string]*relation.Run, len(changes))
-	removedSets := make(map[string]*relation.TupleSet, len(changes))
 	for name, eff := range changes {
 		pos, ok := m.proj[name]
 		if !ok {
@@ -272,13 +257,10 @@ func (m *Maintainer) ApplyDelta(changes map[string]relation.Effect) (*Report, er
 		}
 		// Every occurrence is kept, so a tuple a caller repeats is routed
 		// and accounted once per occurrence.
-		removed[name], added[name] = relation.RunOf(len(pos), eff.Removed), relation.RunOf(len(pos), eff.Added)
 		if len(eff.Removed) > 0 {
-			removedSets[name] = relation.NewTupleSet(len(pos), len(eff.Removed))
-			for _, t := range eff.Removed {
-				removedSets[name].Add(t)
-			}
+			removed[name] = relation.RunOf(len(pos), eff.Removed)
 		}
+		added[name] = relation.RunOf(len(pos), eff.Added)
 	}
 	stats := m.Stats()
 	statsFrom := len(stats.Rounds)
@@ -286,15 +268,15 @@ func (m *Maintainer) ApplyDelta(changes map[string]relation.Effect) (*Report, er
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{Replacements: m.Replacements(), CapExceeded: m.capSeen}
+	rep := &Report{}
 	for _, rs := range stats.Rounds[statsFrom:] {
 		rep.Bits += rs.TotalBits
 		rep.RoutedTuples += rs.TotalTuples
 	}
 
 	// Deletion, coordinator-side: an answer dies exactly when its
-	// projection onto some atom was retracted.
-	if len(removedSets) > 0 && m.answers.Len() > 0 {
+	// projection onto some atom is in that atom's removed run.
+	if len(removed) > 0 && m.answers.Len() > 0 {
 		witness := make(relation.Tuple, 0, 8)
 		ans := make(relation.Tuple, m.answers.Arity())
 		live := relation.NewRun(m.answers.Arity())
@@ -302,12 +284,12 @@ func (m *Maintainer) ApplyDelta(changes map[string]relation.Effect) (*Report, er
 		for i, n := 0, m.answers.Len(); i < n; i++ {
 			m.answers.Row(i, ans)
 			dead := false
-			for name, set := range removedSets {
+			for name, run := range removed {
 				witness = witness[:0]
 				for _, p := range m.proj[name] {
 					witness = append(witness, ans[p])
 				}
-				if set.Contains(witness) {
+				if run.Contains(witness) {
 					dead = true
 					break
 				}
@@ -315,12 +297,12 @@ func (m *Maintainer) ApplyDelta(changes map[string]relation.Effect) (*Report, er
 			if dead {
 				rep.AnswersRemoved++
 			} else {
-				live.Append(ans)
+				live.AppendRow(m.answers, i)
 			}
 		}
 		if rep.AnswersRemoved > 0 {
 			live.Seal() // survivors arrive in order; this only freezes
-			m.answers, m.tuples = live, nil
+			m.answers = live
 		}
 	}
 
@@ -328,7 +310,7 @@ func (m *Maintainer) ApplyDelta(changes map[string]relation.Effect) (*Report, er
 	// already held are the batch's additions.
 	if fresh = relation.Diff(fresh, m.answers); fresh.Len() > 0 {
 		rep.AnswersAdded = fresh.Len()
-		m.answers, m.tuples = relation.Merge([]*relation.Run{m.answers, fresh}), nil
+		m.answers = relation.Merge([]*relation.Run{m.answers, fresh})
 	}
 	return rep, nil
 }

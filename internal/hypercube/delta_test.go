@@ -93,32 +93,34 @@ func dbEffect(before, after *relation.Database) map[string]relation.Effect {
 		b, _ := before.Relation(name)
 		a, _ := after.Relation(name)
 		bRows, aRows := b.Rows(), a.Rows()
-		bset := relation.NewTupleSet(b.Arity(), len(bRows))
-		for _, t := range bRows {
-			bset.Add(t)
-		}
-		aset := relation.NewTupleSet(a.Arity(), len(aRows))
-		for _, t := range aRows {
-			aset.Add(t)
-		}
+		bset, aset := keySet(bRows), keySet(aRows)
 		var eff relation.Effect
-		seenAdd := relation.NewTupleSet(a.Arity(), 8)
+		seenAdd := map[string]bool{}
 		for _, t := range aRows {
-			if !bset.Contains(t) && !seenAdd.Contains(t) {
-				seenAdd.Add(t)
+			if k := t.Key(); !bset[k] && !seenAdd[k] {
+				seenAdd[k] = true
 				eff.Added = append(eff.Added, t)
 			}
 		}
-		seenDel := relation.NewTupleSet(b.Arity(), 8)
+		seenDel := map[string]bool{}
 		for _, t := range bRows {
-			if !aset.Contains(t) && !seenDel.Contains(t) {
-				seenDel.Add(t)
+			if k := t.Key(); !aset[k] && !seenDel[k] {
+				seenDel[k] = true
 				eff.Removed = append(eff.Removed, t)
 			}
 		}
 		out[name] = eff
 	}
 	return out
+}
+
+// keySet is the tuples' membership set, keyed by Tuple.Key.
+func keySet(tuples []relation.Tuple) map[string]bool {
+	set := make(map[string]bool, len(tuples))
+	for _, t := range tuples {
+		set[t.Key()] = true
+	}
+	return set
 }
 
 // maintScenario is one precomputed delta scenario: the initial
@@ -205,9 +207,9 @@ func runMaintainer(t *testing.T, sc *maintScenario, p int, opts Options, check b
 		}
 		if check {
 			want := groundTruth(t, sc.q, sc.dbs[b])
-			if !answersEqual(m.Answers(), want) {
+			if !answersEqual(m.Answers().Tuples(), want) {
 				t.Fatalf("batch %d: maintained answers diverge from ground truth: %d vs %d tuples",
-					b, len(m.Answers()), len(want))
+					b, m.Answers().Len(), len(want))
 			}
 		}
 	}
@@ -241,7 +243,7 @@ func distributeByHand(t *testing.T, sc *maintScenario, p int, seed uint64, tr di
 	if _, err := coldRound(ctx, cluster, sc.q, sc.db0, func(a query.Atom) *GridPartitioner { return d.parts[a.Name] }); err != nil {
 		t.Fatal(err)
 	}
-	cold, err := cluster.GatherRun(ctx, answersView)
+	cold, err := cluster.Gather(ctx, answersView)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,9 +308,9 @@ func TestMaintainerMetamorphic(t *testing.T) {
 				// full per-round communication record.
 				tcp := runMaintainer(t, sc, p,
 					Options{Seed: 42, Transport: dialDeltaPool(t, startDeltaPool(t, p))}, false)
-				if !answersEqual(tcp.Answers(), lb.Answers()) {
+				if !answersEqual(tcp.Answers().Tuples(), lb.Answers().Tuples()) {
 					t.Fatalf("TCP answers diverge from loopback: %d vs %d tuples",
-						len(tcp.Answers()), len(lb.Answers()))
+						tcp.Answers().Len(), lb.Answers().Len())
 				}
 				if !reflect.DeepEqual(tcp.Stats().Rounds, lb.Stats().Rounds) {
 					t.Fatalf("TCP round stats diverge from loopback:\n tcp %+v\nloop %+v",
@@ -340,7 +342,7 @@ func TestMaintainerMetamorphic(t *testing.T) {
 					final: sc.final,
 				}
 				big := runMaintainer(t, one, p, Options{Seed: 42}, true)
-				if !answersEqual(big.Answers(), want) {
+				if !answersEqual(big.Answers().Tuples(), want) {
 					t.Fatalf("single-batch answers diverge from %d-batch answers", batches)
 				}
 			})
@@ -381,7 +383,7 @@ func TestMaintainerReplicationBound(t *testing.T) {
 	if rep.Bits <= 0 {
 		t.Errorf("maintenance bits %d, want > 0", rep.Bits)
 	}
-	assertSameTuples(t, m.Answers(), groundTruth(t, q, next))
+	assertSameTuples(t, m.Answers().Tuples(), groundTruth(t, q, next))
 }
 
 // TestMaintainerTraced: a maintainer given Options.Trace records its
@@ -491,9 +493,9 @@ func TestMaintainerFaultInjection(t *testing.T) {
 				Recovery:  dist.RecoveryOptions{Enabled: true},
 			}, false)
 			want := groundTruth(t, q, sc.final)
-			if !answersEqual(m.Answers(), want) {
+			if !answersEqual(m.Answers().Tuples(), want) {
 				t.Fatalf("answers after faults diverge from ground truth: %d vs %d tuples",
-					len(m.Answers()), len(want))
+					m.Answers().Len(), len(want))
 			}
 			if got := ft.Kills(); got != c.kills {
 				t.Errorf("fault schedule fired %d kills, want %d", got, c.kills)

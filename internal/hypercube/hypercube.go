@@ -371,12 +371,6 @@ type Options struct {
 	Recovery  dist.RecoveryOptions
 	Trace     *trace.Trace
 	Snapshot  *dist.Snapshot
-	// Aggregate, when non-nil, folds the answer gather into grouped
-	// aggregates (the spec's column indices refer to the query's Vars()
-	// order): Result.Answers then holds one sorted row per group. The
-	// shuffle, the local joins, and the round statistics are unchanged
-	// — the fold rides the final k-way merge.
-	Aggregate *relation.GroupSpec
 }
 
 // open starts the execution's cluster: p workers under the MPC(ε)
@@ -389,8 +383,9 @@ func (o Options) open(p int, db *relation.Database) (*dist.Cluster, context.Cont
 
 // Result reports a HyperCube execution.
 type Result struct {
-	// Answers is the union of the tuples output by all servers.
-	Answers []relation.Tuple
+	// Answers is the union of the tuples output by all servers, as the
+	// one sealed run the gather merged (nil when empty).
+	Answers *relation.Run
 	// Stats is the engine's communication record.
 	Stats *mpc.Stats
 	// Replacements counts the workers replaced mid-query by the
@@ -472,11 +467,6 @@ func runWithShares(q *query.Query, db *relation.Database, p int, shares *Shares,
 	if sample == nil && shares.GridSize() > p {
 		return nil, fmt.Errorf("hypercube: grid size %d exceeds %d servers", shares.GridSize(), p)
 	}
-	if opts.Aggregate != nil {
-		if err := opts.Aggregate.Validate(q.NumVars()); err != nil {
-			return nil, err
-		}
-	}
 	cluster, ctx, err := opts.open(p, db)
 	if err != nil {
 		return nil, err
@@ -489,12 +479,7 @@ func runWithShares(q *query.Query, db *relation.Database, p int, shares *Shares,
 		return nil, err
 	}
 	// The sorted per-worker outputs k-way merge in the gather.
-	var merged []relation.Tuple
-	if opts.Aggregate != nil {
-		merged, err = cluster.GatherAggregate(ctx, answersView, *opts.Aggregate)
-	} else {
-		merged, err = cluster.Gather(ctx, answersView)
-	}
+	merged, err := cluster.Gather(ctx, answersView)
 	if err != nil {
 		return nil, err
 	}

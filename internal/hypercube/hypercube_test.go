@@ -216,7 +216,7 @@ func TestRunTriangleComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameTuples(t, res.Answers, truth)
+	assertSameTuples(t, res.Answers.Tuples(), truth)
 	if res.Stats.NumRounds() != 1 {
 		t.Errorf("rounds = %d, want 1", res.Stats.NumRounds())
 	}
@@ -233,9 +233,9 @@ func TestRunChainComplete(t *testing.T) {
 		if err != nil {
 			t.Fatalf("L%d: %v", k, err)
 		}
-		assertSameTuples(t, res.Answers, truth)
-		if len(res.Answers) != n {
-			t.Errorf("L%d: %d answers, want %d", k, len(res.Answers), n)
+		assertSameTuples(t, res.Answers.Tuples(), truth)
+		if res.Answers.Len() != n {
+			t.Errorf("L%d: %d answers, want %d", k, res.Answers.Len(), n)
 		}
 	}
 }
@@ -250,7 +250,7 @@ func TestRunStarComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameTuples(t, res.Answers, truth)
+	assertSameTuples(t, res.Answers.Tuples(), truth)
 }
 
 func TestRunLoadWithinBound(t *testing.T) {
@@ -311,7 +311,7 @@ func TestRunSampledFraction(t *testing.T) {
 	for _, tp := range truth {
 		truthKeys[tp.Key()] = true
 	}
-	for _, tp := range res.Answers {
+	for _, tp := range res.Answers.Tuples() {
 		if !truthKeys[tp.Key()] {
 			t.Errorf("sampled run reported false answer %v", tp)
 		}
@@ -333,7 +333,7 @@ func TestRunSampledSmallGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameTuples(t, res.Answers, truth)
+	assertSameTuples(t, res.Answers.Tuples(), truth)
 }
 
 func TestTheoreticalLoad(t *testing.T) {

@@ -33,11 +33,11 @@ func TestHCCompletenessProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if len(res.Answers) != len(truth) {
+		if res.Answers.Len() != len(truth) {
 			return false
 		}
-		for i := range truth {
-			if !res.Answers[i].Equal(truth[i]) {
+		for i, got := range res.Answers.Tuples() {
+			if !got.Equal(truth[i]) {
 				return false
 			}
 		}
@@ -62,8 +62,8 @@ func TestHCDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Answers) != len(b.Answers) {
-		t.Fatalf("answer counts differ: %d vs %d", len(a.Answers), len(b.Answers))
+	if a.Answers.Len() != b.Answers.Len() {
+		t.Fatalf("answer counts differ: %d vs %d", a.Answers.Len(), b.Answers.Len())
 	}
 	if a.Stats.TotalBits() != b.Stats.TotalBits() ||
 		a.Stats.MaxLoadBits() != b.Stats.MaxLoadBits() ||
@@ -76,7 +76,7 @@ func TestHCDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Answers) != len(a.Answers) {
+	if c.Answers.Len() != a.Answers.Len() {
 		t.Error("different seed changed the answer set")
 	}
 }

@@ -57,14 +57,14 @@ func evalBacktracking(q *query.Query, b Bindings) ([]relation.Tuple, error) {
 	binding := make(map[string]int, k)
 	var out []relation.Tuple
 
-	// Index every atom's tuples by packed key for O(1) closed-atom
+	// Index every atom's tuples by Tuple.Key for O(1) closed-atom
 	// membership checks, and precompute at which depth each atom closes
 	// (all its variables bound).
-	index := make(map[string]*relation.TupleSet, q.NumAtoms())
+	index := make(map[string]map[string]bool, q.NumAtoms())
 	for _, a := range q.Atoms {
-		set := relation.NewTupleSet(a.Arity(), len(b[a.Name]))
+		set := make(map[string]bool, len(b[a.Name]))
 		for _, t := range b[a.Name] {
-			set.Add(t)
+			set[t.Key()] = true
 		}
 		index[a.Name] = set
 	}
@@ -103,7 +103,7 @@ func evalBacktracking(q *query.Query, b Bindings) ([]relation.Tuple, error) {
 				for j, av := range a.Vars {
 					probe[j] = binding[av]
 				}
-				if !index[a.Name].Contains(probe) {
+				if !index[a.Name][probe.Key()] {
 					ok = false
 					break
 				}

@@ -320,9 +320,10 @@ func TestEmptyRoundCostsNothing(t *testing.T) {
 	}
 }
 
-// TestReceivedViewsIsolated: a gathered view is the caller's own. One
-// consumer overwriting, truncating and appending through it must not
-// corrupt what the workers hold or what the next gather returns.
+// TestReceivedViewsIsolated: the tuples of a gathered view are the
+// caller's own. One consumer overwriting, truncating and appending
+// through them must not corrupt what the workers hold or what the next
+// gather returns.
 func TestReceivedViewsIsolated(t *testing.T) {
 	c, _ := newTestCluster(t, 1, 0, 1<<20, 0)
 	r := relation.New("R", "x", "y")
@@ -331,10 +332,11 @@ func TestReceivedViewsIsolated(t *testing.T) {
 	if err := c.Scatter(ctx, r, "", exchange.Broadcast{P: 1}); err != nil {
 		t.Fatal(err)
 	}
-	first, err := c.Gather(ctx, "R")
+	run, err := c.Gather(ctx, "R")
 	if err != nil {
 		t.Fatal(err)
 	}
+	first := run.Tuples()
 	first[0][0] = 999
 	first[0][1] = 999
 	_ = append(first[:1], relation.Tuple{7, 7})
@@ -344,10 +346,10 @@ func TestReceivedViewsIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []relation.Tuple{{1, 2}, {3, 4}}
-	if len(second) != len(want) {
-		t.Fatalf("second view has %d tuples, want 2", len(second))
+	if second.Len() != len(want) {
+		t.Fatalf("second view has %d tuples, want 2", second.Len())
 	}
-	for i, tu := range second {
+	for i, tu := range second.Tuples() {
 		if !tu.Equal(want[i]) {
 			t.Errorf("second view[%d] = %v, want %v (corrupted by first consumer)", i, tu, want[i])
 		}

@@ -248,8 +248,8 @@ func (o Options) env() dist.Env {
 // Result reports a plan execution.
 type Result struct {
 	// Answers is the final answer, in the original query's variable
-	// order.
-	Answers []relation.Tuple
+	// order, as one sealed, deduplicated run (nil when empty).
+	Answers *relation.Run
 	// Rounds is the number of communication rounds used.
 	Rounds int
 	// Stats is the engine's communication record.
@@ -297,7 +297,7 @@ func Execute(plan *Plan, db *relation.Database, p int, opts Options) (*Result, e
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Answers: answers.Tuples(), Rounds: 0, Stats: cluster.Stats()}, nil
+		return &Result{Answers: answers, Rounds: 0, Stats: cluster.Stats()}, nil
 	}
 	capExceeded := false
 	seedCounter := opts.Seed
@@ -425,20 +425,19 @@ func gatherView(ctx context.Context, cluster *dist.Cluster, g Group) (*relation.
 	if err := cluster.Join(ctx, g.Query, bindings, store, 0); err != nil {
 		return nil, err
 	}
-	return cluster.GatherRun(ctx, store)
+	return cluster.Gather(ctx, store)
 }
 
-// reorder materializes the final view in the requested variable order
-// (the schemas of the final view and the original query contain the
-// same variables, possibly ordered differently). A view already in
-// that order is sorted as gathered; any other order is one projection
-// of the run.
-func reorder(final source, vars []string) ([]relation.Tuple, error) {
+// reorder returns the final view in the requested variable order (the
+// schemas of the final view and the original query contain the same
+// variables, possibly ordered differently): the gathered run itself when
+// it is already in that order, otherwise its one projection.
+func reorder(final source, vars []string) (*relation.Run, error) {
 	if final.rel != nil {
 		return nil, fmt.Errorf("multiround: final view is the ungathered relation %s", final.rel.Name)
 	}
 	if slices.Equal(final.attrs, vars) {
-		return final.run.Tuples(), nil
+		return final.run, nil
 	}
 	cols := make([]int, len(vars))
 	for i, v := range vars {
@@ -447,5 +446,5 @@ func reorder(final source, vars []string) ([]relation.Tuple, error) {
 			return nil, fmt.Errorf("multiround: final view missing variable %s", v)
 		}
 	}
-	return relation.Project(final.run, cols).Tuples(), nil
+	return relation.Project(final.run, cols), nil
 }

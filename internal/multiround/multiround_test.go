@@ -172,7 +172,7 @@ func TestExecuteChainCorrect(t *testing.T) {
 		if res.Rounds != plan.Rounds() {
 			t.Errorf("L%d: executed %d rounds, plan says %d", k, res.Rounds, plan.Rounds())
 		}
-		assertSameTuples(t, res.Answers, truth)
+		assertSameTuples(t, res.Answers.Tuples(), truth)
 	}
 }
 
@@ -195,9 +195,9 @@ func TestExecuteExample42(t *testing.T) {
 	if res.Rounds != 2 {
 		t.Errorf("rounds = %d, want 2", res.Rounds)
 	}
-	assertSameTuples(t, res.Answers, truth)
-	if len(res.Answers) != n {
-		t.Errorf("answers = %d, want %d (chains over matchings)", len(res.Answers), n)
+	assertSameTuples(t, res.Answers.Tuples(), truth)
+	if res.Answers.Len() != n {
+		t.Errorf("answers = %d, want %d (chains over matchings)", res.Answers.Len(), n)
 	}
 }
 
@@ -215,7 +215,7 @@ func TestExecuteSPk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameTuples(t, res.Answers, truth)
+	assertSameTuples(t, res.Answers.Tuples(), truth)
 }
 
 func TestExecuteCycle(t *testing.T) {
@@ -232,7 +232,7 @@ func TestExecuteCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameTuples(t, res.Answers, truth)
+	assertSameTuples(t, res.Answers.Tuples(), truth)
 }
 
 func TestExecuteSingleAtom(t *testing.T) {
@@ -249,8 +249,8 @@ func TestExecuteSingleAtom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds != 0 || len(res.Answers) != 1 {
-		t.Errorf("rounds=%d answers=%v", res.Rounds, res.Answers)
+	if res.Rounds != 0 || res.Answers.Len() != 1 {
+		t.Errorf("rounds=%d answers=%v", res.Rounds, res.Answers.Tuples())
 	}
 }
 
@@ -290,18 +290,18 @@ func TestReorder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameTuples(t, same, rows)
+		assertSameTuples(t, same.Tuples(), rows)
 
 		got, err := reorder(final, []string{"x", "y", "z"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameTuples(t, got, []relation.Tuple{{1, 5, 6}, {3, 2, 7}, {8, 2, 1}, {9, 1, 4 + wide}})
+		assertSameTuples(t, got.Tuples(), []relation.Tuple{{1, 5, 6}, {3, 2, 7}, {8, 2, 1}, {9, 1, 4 + wide}})
 
 		if _, err := reorder(final, []string{"x", "y", "w"}); err == nil {
 			t.Error("missing variable accepted")
 		}
-		if none, err := reorder(source{attrs: final.attrs}, []string{"x", "y", "z"}); err != nil || len(none) != 0 {
+		if none, err := reorder(source{attrs: final.attrs}, []string{"x", "y", "z"}); err != nil || none.Len() != 0 {
 			t.Errorf("empty view reordered to %v, %v", none, err)
 		}
 	}

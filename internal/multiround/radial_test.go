@@ -86,7 +86,7 @@ func TestExecuteRadialCorrect(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v\n%s", q.Name, err, plan)
 		}
-		assertSameTuples(t, res.Answers, truth)
+		assertSameTuples(t, res.Answers.Tuples(), truth)
 		if res.Rounds != plan.Rounds() {
 			t.Errorf("%s: executed %d rounds, plan says %d", q.Name, res.Rounds, plan.Rounds())
 		}

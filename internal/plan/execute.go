@@ -11,17 +11,20 @@ import (
 	"repro/internal/skew"
 )
 
-// ExecOptions configures Plan.Execute: the hash seed, the receive-cap
-// constant, the workers' local join strategy and the execution
-// environment (worker pool, context, recovery policy, schedule, trace).
+// ExecOptions configures Plan.ExecuteRun: the hash seed, the
+// receive-cap constant and the execution environment (worker pool,
+// context, recovery policy, trace, snapshot).
 // It is the multiround engine's option set — the planner adds nothing
 // to it, and hands it to that engine as is.
 type ExecOptions = multiround.Options
 
 // Result reports a planner-driven execution.
 type Result struct {
-	// Answers is the full answer set in Query.Vars() order, sorted and
-	// deduplicated.
+	// Run is the answer in OutputVars() order as one sealed,
+	// deduplicated run (nil when empty): the run the engine gathered,
+	// folded into one row per group under WithAggregate.
+	Run *relation.Run
+	// Answers is Run materialized as tuples; only Execute fills it.
 	Answers []relation.Tuple
 	// Engine is the strategy that actually ran.
 	Engine Engine
@@ -39,39 +42,46 @@ type Result struct {
 	Shares *hypercube.Shares
 }
 
-// Execute runs the plan's chosen engine on db end to end through the
-// columnar exchange layer and returns the answers in the original
-// query's variable order.
+// Execute is ExecuteRun with the answer also materialized as tuples in
+// Result.Answers, for callers that want a slice.
+func (p *Plan) Execute(db *relation.Database, opts ExecOptions) (*Result, error) {
+	res, err := p.ExecuteRun(db, opts)
+	if err == nil {
+		res.Answers = res.Run.Tuples()
+	}
+	return res, err
+}
+
+// ExecuteRun runs the plan's chosen engine on db end to end through the
+// columnar exchange layer and returns the answer as the run the engine
+// gathered, in the original query's variable order — or, under
+// WithAggregate, that run folded once into grouped aggregates, whichever
+// engine ran.
 //
-// Execute is safe for concurrent use: it treats both the plan and db
+// ExecuteRun is safe for concurrent use: it treats both the plan and db
 // as read-only and allocates per-call state (cluster, hash functions,
 // buffers), so many executions — of the same plan or of different
 // plans over a shared database — may run in parallel.
-func (p *Plan) Execute(db *relation.Database, opts ExecOptions) (*Result, error) {
+func (p *Plan) ExecuteRun(db *relation.Database, opts ExecOptions) (*Result, error) {
+	var res *Result
+	var err error
 	switch p.Engine {
 	case OneRound:
-		return p.executeOneRound(db, opts)
+		res, err = p.executeOneRound(db, opts)
 	case MultiRound:
-		if p.Multi == nil {
-			return nil, fmt.Errorf("plan: multiround engine selected but no Γ^r_ε plan was built")
-		}
-		res, err := multiround.Execute(p.Multi, db, p.P, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{
-			Answers:      p.foldAggregate(res.Answers),
-			Engine:       MultiRound,
-			Rounds:       res.Rounds,
-			Stats:        res.Stats,
-			CapExceeded:  res.CapExceeded,
-			Replacements: res.Replacements,
-		}, nil
+		res, err = p.executeMultiRound(db, opts)
 	case SkewJoin:
-		return p.executeSkewJoin(db, opts)
+		res, err = p.executeSkewJoin(db, opts)
 	default:
-		return nil, fmt.Errorf("plan: unknown engine %v", p.Engine)
+		err = fmt.Errorf("plan: unknown engine %v", p.Engine)
 	}
+	if err != nil {
+		return nil, err
+	}
+	if p.Aggregate != nil {
+		res.Run = relation.Fold(res.Run, *p.Aggregate)
+	}
+	return res, nil
 }
 
 func (p *Plan) executeOneRound(db *relation.Database, opts ExecOptions) (*Result, error) {
@@ -85,19 +95,36 @@ func (p *Plan) executeOneRound(db *relation.Database, opts ExecOptions) (*Result
 		Recovery:    opts.Recovery,
 		Trace:       opts.Trace,
 		Snapshot:    opts.Snapshot,
-		Aggregate:   p.Aggregate,
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &Result{
-		Answers:      res.Answers,
+		Run:          res.Answers,
 		Engine:       OneRound,
 		Rounds:       res.Stats.NumRounds(),
 		Stats:        res.Stats,
 		CapExceeded:  res.CapExceeded,
 		Replacements: res.Replacements,
 		Shares:       res.Shares,
+	}, nil
+}
+
+func (p *Plan) executeMultiRound(db *relation.Database, opts ExecOptions) (*Result, error) {
+	if p.Multi == nil {
+		return nil, fmt.Errorf("plan: multiround engine selected but no Γ^r_ε plan was built")
+	}
+	res, err := multiround.Execute(p.Multi, db, p.P, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Run:          res.Answers,
+		Engine:       MultiRound,
+		Rounds:       res.Rounds,
+		Stats:        res.Stats,
+		CapExceeded:  res.CapExceeded,
+		Replacements: res.Replacements,
 	}, nil
 }
 
@@ -134,25 +161,13 @@ func (p *Plan) executeSkewJoin(db *relation.Database, opts ExecOptions) (*Result
 		return nil, err
 	}
 	return &Result{
-		Answers:      p.foldAggregate(res.Answers),
+		Run:          res.Answers,
 		Engine:       SkewJoin,
 		Rounds:       res.Stats.NumRounds(),
 		Stats:        res.Stats,
 		CapExceeded:  res.CapExceeded,
 		Replacements: res.Replacements,
 	}, nil
-}
-
-// foldAggregate applies the plan's grouped aggregate to a final
-// answer set when one is configured. The one-round engine folds in
-// the gather merge instead; the multiround and skew engines hand back
-// their final answers in Query.Vars() order, and the fold runs here at
-// the coordinator.
-func (p *Plan) foldAggregate(answers []relation.Tuple) []relation.Tuple {
-	if p.Aggregate == nil {
-		return answers
-	}
-	return relation.GroupAggregate(answers, *p.Aggregate)
 }
 
 // WithShares returns a copy of the plan forced onto the one-round

@@ -80,9 +80,10 @@ func (p *Plan) Explain() string {
 		}
 	}
 
-	// Aggregation rides the gather; it changes the output, not the plan.
+	// Aggregation folds the gathered answer; it changes the output, not
+	// the plan.
 	if p.Aggregate != nil {
-		fmt.Fprintf(&sb, "  aggregate (folded into the gather merge): %s → (%s)\n",
+		fmt.Fprintf(&sb, "  aggregate (folded over the gathered answer): %s → (%s)\n",
 			p.Aggregate, strings.Join(p.AggVars, ","))
 	}
 

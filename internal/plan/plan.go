@@ -24,7 +24,7 @@
 //     would overload the server owning it under hash routing.
 //
 // Plan.Explain renders the decision for humans (the cmd/mpcplan
-// EXPLAIN output); Plan.Execute runs the chosen engine end to end
+// EXPLAIN output); Plan.ExecuteRun runs the chosen engine end to end
 // through the columnar exchange layer.
 package plan
 
@@ -209,11 +209,10 @@ type Plan struct {
 	// dimension.
 	SkewLoad float64
 
-	// Aggregate, when non-nil, turns Execute's answer into grouped
+	// Aggregate, when non-nil, turns ExecuteRun's answer into grouped
 	// aggregates over the head: the spec's column indices refer to
-	// Query.Vars(). Set by WithAggregate. The one-round engine folds it
-	// into the gather's k-way merge; the other engines fold at the
-	// coordinator after restoring their final answer order.
+	// Query.Vars(). Set by WithAggregate. ExecuteRun folds the run the
+	// engine gathered, whichever engine ran, once (relation.Fold).
 	Aggregate *relation.GroupSpec
 	// AggVars names the aggregated output columns — the group-by
 	// variables followed by the "func(var)" terms — indexed like the
@@ -226,7 +225,7 @@ type Plan struct {
 	skewJoinLoad float64
 }
 
-// OutputVars names the columns of Execute's answer tuples: the
+// OutputVars names the columns of ExecuteRun's answer: the
 // aggregated output columns under WithAggregate, Query.Vars()
 // otherwise.
 func (p *Plan) OutputVars() []string {
@@ -239,7 +238,8 @@ func (p *Plan) OutputVars() []string {
 // WithAggregate returns a copy of the plan whose execution folds the
 // answer into grouped aggregates. The spec's column indices refer to
 // Query.Vars(); engine choice, shares, and cost estimates are
-// untouched (the fold adds no communication — it rides the gather).
+// untouched (the fold adds no communication — it reads the gathered
+// answer at the coordinator).
 func (p *Plan) WithAggregate(spec relation.GroupSpec) (*Plan, error) {
 	if err := spec.Validate(p.Query.NumVars()); err != nil {
 		return nil, err

@@ -2,16 +2,16 @@ package relation
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
 // This file is the grouped-aggregation layer of the data model:
 // COUNT/SUM/MIN/MAX folded over a *set* of tuples, grouped by a subset
-// of columns. The engines push the fold into the answer gather — the
-// per-worker outputs arrive as sorted deduplicated runs, and the
-// Accumulator consumes the merged stream one tuple at a time, so the
-// coordinator holds one row per group instead of the full answer set.
+// of columns. Whatever engine ran, its answer is one gathered, sealed,
+// deduplicated run; the planner folds that run once (Fold), reading it
+// through one reused tuple into an Accumulator that holds one row per
+// group.
 
 // AggFunc identifies an aggregate function.
 type AggFunc uint8
@@ -136,7 +136,7 @@ type accGroup struct {
 
 // Accumulator folds a stream of tuples into grouped aggregates. Add
 // does not retain its argument, so callers may reuse one scratch tuple
-// across calls — the property the streaming gather fold relies on.
+// across calls — the property Fold relies on.
 type Accumulator struct {
 	spec   GroupSpec
 	groups map[string]*accGroup
@@ -194,47 +194,42 @@ func (a *Accumulator) Add(t Tuple) {
 	}
 }
 
-// Groups returns the number of groups accumulated so far.
-func (a *Accumulator) Groups() int { return len(a.groups) }
-
-// Result materializes the aggregated output: one tuple per group —
-// group-by values then aggregate values — sorted lexicographically.
-// On empty input it returns nil (no groups, even for a global
+// Result returns the aggregated output as one sealed run: one row per
+// group — group-by values then aggregate values — in lexicographic
+// order. On empty input it returns nil (no groups, even for a global
 // aggregate).
-func (a *Accumulator) Result() []Tuple {
+func (a *Accumulator) Result() *Run {
 	if len(a.groups) == 0 {
 		return nil
 	}
-	out := make([]Tuple, 0, len(a.groups))
-	backing := make([]int, len(a.groups)*a.spec.OutArity())
-	i := 0
+	out := NewRun(a.spec.OutArity())
+	out.Grow(len(a.groups))
+	row := make(Tuple, 0, a.spec.OutArity())
 	for _, g := range a.groups {
-		row := backing[i : i+a.spec.OutArity() : i+a.spec.OutArity()]
-		i += a.spec.OutArity()
-		copy(row, g.key)
-		copy(row[len(g.key):], g.vals)
-		out = append(out, Tuple(row))
+		out.Append(append(append(row[:0], g.key...), g.vals...))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	out.Seal()
 	return out
 }
 
+// Fold folds an answer run — sealed and deduplicated, so COUNT counts
+// distinct tuples — into the spec's grouped aggregates, reading it one
+// reused tuple at a time. It is the one fold of an execution: the
+// planner applies it to whatever run the engine gathered.
+func Fold(run *Run, spec GroupSpec) *Run {
+	acc := NewAccumulator(spec)
+	run.Each(acc.Add)
+	return acc.Result()
+}
+
 // GroupAggregate folds a materialized tuple set in one call — the
-// naive single-node reference the streaming gather fold is
-// differential-tested against, and the post-gather fold used by
-// engines whose final answer order differs from the fold's input
-// order. The input is treated as a set: duplicates are removed before
-// folding, so the result does not depend on multiplicity.
+// single-node reference Fold is differential-tested against. The input
+// is treated as a set: duplicates are removed before folding, so the
+// result does not depend on multiplicity.
 func GroupAggregate(tuples []Tuple, spec GroupSpec) []Tuple {
 	acc := NewAccumulator(spec)
-	if len(tuples) == 0 {
-		return nil
+	for _, t := range DedupSort(slices.Clone(tuples)) {
+		acc.Add(t)
 	}
-	seen := NewTupleSet(len(tuples[0]), len(tuples))
-	for _, t := range tuples {
-		if seen.Add(t) {
-			acc.Add(t)
-		}
-	}
-	return acc.Result()
+	return acc.Result().Tuples()
 }

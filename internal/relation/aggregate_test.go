@@ -84,7 +84,7 @@ func TestAccumulatorMatchesNaive(t *testing.T) {
 		copy(scratch, t)
 		acc.Add(scratch)
 	}
-	got := acc.Result()
+	got := acc.Result().Tuples()
 
 	type ref struct{ max, count, sum int }
 	refs := map[[2]int]*ref{}

@@ -184,29 +184,34 @@ func TestIncrementalStatsTopKPromotion(t *testing.T) {
 	}
 }
 
+// Removing tuples from a sealed run is a Diff, and the membership search
+// sees the result — on packed words and, once a value exceeds the 32-bit
+// packed width, on the flat layout.
 func TestTupleSetRemove(t *testing.T) {
-	s := NewTupleSet(2, 4)
-	s.Add(Tuple{1, 2})
-	s.Add(Tuple{3, 4})
-	if !s.Remove(Tuple{1, 2}) {
-		t.Fatal("Remove of present tuple returned false")
+	s := RunOf(2, []Tuple{{1, 2}, {3, 4}})
+	gone := RunOf(2, []Tuple{{1, 2}})
+	if !s.Contains(Tuple{1, 2}) {
+		t.Fatal("present tuple not found before the Diff")
 	}
-	if s.Remove(Tuple{1, 2}) {
-		t.Fatal("second Remove returned true")
+	s = Diff(s, gone)
+	if again := Diff(s, gone); again.Len() != s.Len() {
+		t.Fatalf("second Diff removed %d more tuples", s.Len()-again.Len())
 	}
 	if s.Contains(Tuple{1, 2}) || !s.Contains(Tuple{3, 4}) || s.Len() != 1 {
-		t.Fatalf("set state wrong after Remove: len=%d", s.Len())
+		t.Fatalf("run state wrong after Diff: len=%d", s.Len())
 	}
-	// Fallback (string-key) path.
-	big := NewTupleSet(2, 2)
+	// Flat path.
 	huge := Tuple{1 << 40, 1 << 40}
-	big.Add(huge) // forces migration (values exceed 32-bit packing)
-	big.Add(Tuple{1, 2})
-	if !big.Remove(huge) || big.Contains(huge) {
-		t.Fatal("Remove on fallback path failed")
+	big := RunOf(2, []Tuple{huge, {1, 2}}) // values exceed 32-bit packing
+	if _, packed := big.Words(); packed {
+		t.Fatal("a value past 2³² still packed at arity 2")
+	}
+	big = Diff(big, RunOf(2, []Tuple{huge}))
+	if big.Contains(huge) {
+		t.Fatal("Diff on the flat path kept the removed tuple")
 	}
 	if !big.Contains(Tuple{1, 2}) {
-		t.Fatal("fallback Remove disturbed other members")
+		t.Fatal("flat Diff disturbed other members")
 	}
 }
 
@@ -373,11 +378,12 @@ func refApplyRelationDelta(n int, r *Relation, dels, apps []Tuple) (*Relation, E
 		kept = append(kept, t)
 	}
 	var eff Effect
-	seenDel := NewTupleSet(arity, len(dels))
+	seenDel := make(map[string]bool, len(dels))
 	for _, t := range dels {
-		if !seenDel.Add(t) {
+		if seenDel[t.Key()] {
 			continue
 		}
+		seenDel[t.Key()] = true
 		have, want := occ.get(t), delC.get(t)
 		if have < want {
 			return nil, Effect{}, fmt.Errorf("relation: delete of %v from %s: %d occurrence(s) present, %d deleted", t, r.Name, have, want)
@@ -386,12 +392,13 @@ func refApplyRelationDelta(n int, r *Relation, dels, apps []Tuple) (*Relation, E
 			eff.Removed = append(eff.Removed, t.Clone())
 		}
 	}
-	seenApp := NewTupleSet(arity, len(apps))
+	seenApp := make(map[string]bool, len(apps))
 	for _, t := range apps {
 		kept = append(kept, t.Clone())
-		if !seenApp.Add(t) {
+		if seenApp[t.Key()] {
 			continue
 		}
+		seenApp[t.Key()] = true
 		if occ.get(t) == 0 {
 			eff.Added = append(eff.Added, t.Clone())
 		}

@@ -1,12 +1,9 @@
 package relation
 
-import (
-	"encoding/binary"
-	"slices"
-)
+import "slices"
 
-// This file holds the packed-key arithmetic runs are built on, a
-// tuple set, and the word sort.
+// This file holds the packed-key arithmetic runs are built on and the
+// word sort.
 
 // PackedShift returns the per-value bit width for packing m values
 // into one uint64 key, or 0 when m values cannot be packed.
@@ -33,53 +30,6 @@ func PackedMask(shift uint) uint64 {
 	}
 	return 1<<shift - 1
 }
-
-// TupleSet is an exact membership set of tuples, keyed by their values
-// as consecutive varints (self-delimiting, so distinct tuples never
-// share a key) in a reused buffer: a lookup allocates nothing, and no
-// method is safe for concurrent use. The zero value is not usable; call
-// NewTupleSet.
-type TupleSet struct {
-	m   map[string]struct{}
-	buf []byte
-}
-
-// NewTupleSet returns a set for tuples of the given arity, sized for
-// sizeHint insertions.
-func NewTupleSet(arity, sizeHint int) *TupleSet {
-	return &TupleSet{m: make(map[string]struct{}, max(sizeHint, 0)), buf: make([]byte, 0, 2*arity)}
-}
-
-func (s *TupleSet) key(t Tuple) []byte {
-	s.buf = s.buf[:0]
-	for _, v := range t {
-		s.buf = binary.AppendVarint(s.buf, int64(v))
-	}
-	return s.buf
-}
-
-// Add inserts t and reports whether it was not already present.
-func (s *TupleSet) Add(t Tuple) bool {
-	n := len(s.m)
-	s.m[string(s.key(t))] = struct{}{}
-	return len(s.m) > n
-}
-
-// Remove deletes t from the set and reports whether it was present.
-func (s *TupleSet) Remove(t Tuple) bool {
-	n := len(s.m)
-	delete(s.m, string(s.key(t)))
-	return len(s.m) < n
-}
-
-// Contains reports whether t is in the set.
-func (s *TupleSet) Contains(t Tuple) bool {
-	_, in := s.m[string(s.key(t))]
-	return in
-}
-
-// Len returns the number of distinct tuples inserted.
-func (s *TupleSet) Len() int { return len(s.m) }
 
 // SortWords sorts packed tuple words ascending with an LSD byte-radix
 // sort: linear passes over machine words instead of a comparison sort,

@@ -10,95 +10,104 @@ import (
 	"testing"
 )
 
+// The next four tests hold the membership search of a sealed run
+// (Run.Contains) — which took over from a map-backed tuple set — to the
+// cases the set was tested on, under the set's test names.
+
 func TestTupleSetBasic(t *testing.T) {
-	s := NewTupleSet(3, 4)
-	if !s.Add(Tuple{1, 2, 3}) {
-		t.Error("first Add should report new")
-	}
-	if s.Add(Tuple{1, 2, 3}) {
-		t.Error("duplicate Add should report existing")
-	}
-	if !s.Add(Tuple{1, 2, 4}) || !s.Add(Tuple{3, 2, 1}) {
-		t.Error("distinct tuples should be new")
-	}
+	s := RunOf(3, []Tuple{{1, 2, 3}, {1, 2, 3}, {1, 2, 4}, {3, 2, 1}}).Dedup()
 	if s.Len() != 3 {
 		t.Errorf("Len = %d, want 3", s.Len())
 	}
-	if !s.Contains(Tuple{3, 2, 1}) || s.Contains(Tuple{3, 2, 2}) {
+	if !s.Contains(Tuple{1, 2, 3}) || !s.Contains(Tuple{3, 2, 1}) || s.Contains(Tuple{3, 2, 2}) {
 		t.Error("Contains mismatch")
+	}
+	if s.Contains(Tuple{1, 2}) || (*Run)(nil).Contains(Tuple{1, 2, 3}) {
+		t.Error("a tuple of another arity, or a nil run, must contain nothing")
 	}
 }
 
-// TestTupleSetNoPackingCollisions guards the packed encoding against
-// concatenation ambiguity: (1,23) and (12,3) must stay distinct.
+// Packed keys must not be ambiguous under concatenation: (1,23) and
+// (12,3) must stay distinct.
 func TestTupleSetNoPackingCollisions(t *testing.T) {
-	s := NewTupleSet(2, 0)
-	s.Add(Tuple{1, 23})
-	if s.Contains(Tuple{12, 3}) {
+	s := RunOf(2, []Tuple{{1, 23}})
+	if s.Contains(Tuple{12, 3}) || !s.Contains(Tuple{1, 23}) {
 		t.Error("packed keys must distinguish (1,23) from (12,3)")
 	}
 }
 
-// TestTupleSetMigration forces the fallback path with values that do
-// not fit the packed width and checks earlier members survive.
+// Values that do not fit the packed width force the flat layout; the
+// earlier members must survive.
 func TestTupleSetMigration(t *testing.T) {
-	s := NewTupleSet(2, 0)
 	members := []Tuple{{1, 2}, {7, 9}, {1 << 20, 5}}
-	for _, m := range members {
-		s.Add(m)
-	}
 	// Arity 2 packs 32 bits per value; exceed it to migrate.
 	big := Tuple{math.MaxInt, math.MaxInt}
-	if !s.Add(big) {
-		t.Error("oversized tuple should insert via fallback")
+	s := RunOf(2, append(slices.Clone(members), big, big)).Dedup()
+	if _, packed := s.Words(); packed {
+		t.Fatal("oversized tuple left the run packed")
 	}
-	if s.Add(big) {
-		t.Error("oversized duplicate should be detected")
+	if !s.Contains(big) {
+		t.Error("oversized tuple not found on the flat layout")
 	}
 	for _, m := range members {
 		if !s.Contains(m) {
 			t.Errorf("member %v lost in migration", m)
 		}
 	}
-	if s.Contains(Tuple{2, 1}) {
+	if s.Contains(Tuple{2, 1}) || s.Contains(Tuple{math.MaxInt, 1}) {
 		t.Error("false positive after migration")
 	}
 	if s.Len() != len(members)+1 {
-		t.Errorf("Len = %d, want %d", s.Len(), len(members)+1)
+		t.Errorf("Len = %d, want %d (the oversized duplicate must dedup)", s.Len(), len(members)+1)
 	}
-	// Negative values also take the fallback path.
-	neg := NewTupleSet(1, 0)
-	if !neg.Add(Tuple{-5}) || neg.Add(Tuple{-5}) || !neg.Contains(Tuple{-5}) {
-		t.Error("negative values must dedup via fallback")
+	// Negative values also take the flat layout.
+	neg := RunOf(1, []Tuple{{-5}, {-5}, {3}}).Dedup()
+	if neg.Len() != 2 || !neg.Contains(Tuple{-5}) || !neg.Contains(Tuple{3}) || neg.Contains(Tuple{5}) {
+		t.Error("negative values must dedup and be found on the flat layout")
 	}
 }
 
-// TestTupleSetMatchesStringKeys cross-checks TupleSet against the
-// reference string-key dedup on random tuples, including values that
-// straddle the packed limit.
+// The membership search agrees with the reference string-key set on
+// random tuples of arity 1–4: packed runs of small values, and flat ones
+// mixing in values past 2³³ and negative values.
 func TestTupleSetMatchesStringKeys(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
-	for _, arity := range []int{1, 2, 3, 5, 9} {
-		s := NewTupleSet(arity, 0)
-		ref := make(map[string]bool)
-		for i := 0; i < 2000; i++ {
-			tp := make(Tuple, arity)
-			for j := range tp {
-				// Mix small values with ones beyond the packed width.
-				if rng.IntN(10) == 0 {
-					tp[j] = math.MaxInt - rng.IntN(100)
-				} else {
-					tp[j] = rng.IntN(64)
-				}
-			}
-			wantNew := !ref[tp.Key()]
-			ref[tp.Key()] = true
-			if got := s.Add(tp); got != wantNew {
-				t.Fatalf("arity %d: Add(%v) = %v, want %v", arity, tp, got, wantNew)
+	draw := func(arity int, wide bool) Tuple {
+		tp := make(Tuple, arity)
+		for j := range tp {
+			switch r := rng.IntN(10); {
+			case wide && r == 0:
+				tp[j] = 1<<33 + rng.IntN(100)
+			case wide && r == 1:
+				tp[j] = -1 - rng.IntN(100)
+			default:
+				tp[j] = rng.IntN(16)
 			}
 		}
-		if s.Len() != len(ref) {
-			t.Fatalf("arity %d: Len = %d, want %d", arity, s.Len(), len(ref))
+		return tp
+	}
+	for arity := 1; arity <= 4; arity++ {
+		for _, wide := range []bool{false, true} {
+			var tuples []Tuple
+			ref := make(map[string]bool)
+			for i := 0; i < 2000; i++ {
+				tp := draw(arity, wide)
+				tuples = append(tuples, tp)
+				ref[tp.Key()] = true
+			}
+			s := RunOf(arity, tuples).Dedup()
+			if _, packed := s.Words(); packed == wide {
+				t.Fatalf("arity %d, wide %v: packed = %v", arity, wide, packed)
+			}
+			if s.Len() != len(ref) {
+				t.Fatalf("arity %d, wide %v: Len = %d, want %d", arity, wide, s.Len(), len(ref))
+			}
+			for i := 0; i < 2000; i++ {
+				tp := draw(arity, wide)
+				if got := s.Contains(tp); got != ref[tp.Key()] {
+					t.Fatalf("arity %d, wide %v: Contains(%v) = %v, want %v", arity, wide, tp, got, ref[tp.Key()])
+				}
+			}
 		}
 	}
 }

@@ -60,7 +60,8 @@ func (t Tuple) Clone() Tuple {
 
 // Key returns a canonical string key for map-based dedup. The values
 // are separated by '|', so keys are unambiguous for any arity. It
-// allocates per call; hot paths should prefer TupleSet or DedupSort.
+// allocates per call; hot paths should prefer a sealed Run (Contains,
+// Dedup) or DedupSort.
 func (t Tuple) Key() string {
 	var arr [64]byte
 	buf := arr[:0]

@@ -300,10 +300,30 @@ func (b *Run) Row(i int, dst Tuple) Tuple {
 	return dst
 }
 
+// Contains reports whether the sealed run holds t: one binary search over
+// its words, or over its rows on the flat layout. A nil run holds nothing.
+func (b *Run) Contains(t Tuple) bool {
+	n := b.Len()
+	if n == 0 || len(t) != b.arity {
+		return false
+	}
+	if b.packed {
+		key, ok := b.pack(t)
+		if !ok {
+			return false
+		}
+		_, found := slices.BinarySearch(b.words, key)
+		return found
+	}
+	a, row := b.arity, []int(t)
+	i := sort.Search(n, func(i int) bool { return compareRows(b.flat[i*a:(i+1)*a], row) >= 0 })
+	return i < n && slices.Equal(b.flat[i*a:(i+1)*a], row)
+}
+
 // Each calls yield with every tuple of the run in order, through one
-// reused scratch tuple that yield must not retain — how a gather folds a
-// merged answer into an Accumulator without materializing it. A nil run
-// yields nothing.
+// reused scratch tuple that yield must not retain — how Fold reads an
+// answer into an Accumulator without materializing it. A nil run yields
+// nothing.
 func (b *Run) Each(yield func(Tuple)) {
 	n := b.Len()
 	if n == 0 {

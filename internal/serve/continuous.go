@@ -257,7 +257,7 @@ func (cq *contQuery) infoLocked(dsVersion uint64) ContinuousInfo {
 		P:              cq.p,
 		Version:        cq.version,
 		DatasetVersion: dsVersion,
-		AnswerCount:    len(cq.m.Answers()),
+		AnswerCount:    cq.m.Answers().Len(),
 		TotalBits:      cq.m.Stats().TotalBits(),
 	}
 	if cq.err != nil {

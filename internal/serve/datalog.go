@@ -16,7 +16,8 @@ import (
 // whose program field is set (or whose query text contains ':-'/'?-')
 // is parsed by internal/datalog and evaluated stratum by stratum —
 // rule bodies through the planner, recursive strata semi-naive over
-// warm incremental maintenance, aggregate heads folded in the gather.
+// warm incremental maintenance, aggregate heads folded over the
+// gathered answer.
 // Programs are not plan-cached: a program is many plans, and the
 // recursive ones depend on derived statistics that only exist
 // mid-evaluation.
@@ -51,7 +52,7 @@ func (s *Server) resolveProgram(req QueryRequest) (*job, error) {
 			Engine:  "datalog",
 			Explain: prog.Describe(),
 		},
-		run: func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) ([]relation.Tuple, *mpc.Stats, error) {
+		run: func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) (*relation.Run, *mpc.Stats, error) {
 			opts := datalog.Options{P: p, Epsilon: eps, Seed: seed, Context: ctx, Trace: tc}
 			if s.pool != nil {
 				// One dialed session per execution the program opens; the

@@ -447,9 +447,10 @@ type job struct {
 	// query text, p, engine, plan identity, EXPLAIN, output schema.
 	reply QueryResponse
 	// run executes the job under ctx with the given seed, recording on
-	// tc, and returns the full answer set and the communication record;
-	// it fills in the reply fields only an execution knows.
-	run func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) ([]relation.Tuple, *mpc.Stats, error)
+	// tc, and returns the full answer as one sealed run and the
+	// communication record; it fills in the reply fields only an
+	// execution knows.
+	run func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) (*relation.Run, *mpc.Stats, error)
 }
 
 // resolveQuery resolves a conjunctive request: parse, bind to one
@@ -513,7 +514,7 @@ func (s *Server) resolveQuery(req QueryRequest) (*job, error) {
 			Explain:     pl.Explain(),
 			Vars:        q.Vars(),
 		},
-		run: func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) ([]relation.Tuple, *mpc.Stats, error) {
+		run: func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) (*relation.Run, *mpc.Stats, error) {
 			execOpts := plan.ExecOptions{Seed: seed, Context: ctx, Trace: tc}
 			if s.pool != nil {
 				// One dialed session per execution: the per-connection stores
@@ -530,12 +531,12 @@ func (s *Server) resolveQuery(req QueryRequest) (*job, error) {
 				defer func() { reply.ScatterResident = s.metrics.RecordScatters(snap) }()
 				execOpts.Snapshot = snap
 			}
-			res, err := pl.Execute(view, execOpts)
+			res, err := pl.ExecuteRun(view, execOpts)
 			if err != nil {
 				return nil, nil, errorf(http.StatusInternalServerError, "execution failed: %v", err)
 			}
 			reply.CapExceeded, reply.WorkerReplacements = res.CapExceeded, res.Replacements
-			return res.Answers, res.Stats, nil
+			return res.Run, res.Stats, nil
 		},
 	}, nil
 }
@@ -571,17 +572,22 @@ func (s *Server) admit(ctx context.Context, ten *Tenant, cost int64) (release fu
 	}, nil
 }
 
-// truncate returns the first limit answers in the JSON reply's shape;
-// a zero limit selects the service default, a negative one returns
-// none (the caller still reports the full count).
-func (s *Server) truncate(answers []relation.Tuple, limit int) [][]int {
+// truncate returns the first limit rows of the answer run in the JSON
+// reply's shape, decoding only those; a zero limit selects the service
+// default, a negative one returns none (the caller still reports the
+// full count).
+func (s *Server) truncate(answers *relation.Run, limit int) [][]int {
 	if limit == 0 {
 		limit = s.cfg.MaxAnswers
 	}
-	n := min(max(limit, 0), len(answers))
+	n := min(max(limit, 0), answers.Len())
 	out := make([][]int, n)
-	for i, t := range answers[:n] {
-		out[i] = []int(t)
+	if n > 0 {
+		a := answers.Arity()
+		backing := make([]int, n*a)
+		for i := range out {
+			out[i] = answers.Row(i, backing[i*a:(i+1)*a:(i+1)*a])
+		}
 	}
 	return out
 }
@@ -677,8 +683,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ten.QueriesServed.Add(1)
 		ten.AnswersReturned.Add(int64(len(reply.Answers)))
 	}
-	reply.AnswerCount = len(answers)
-	reply.Truncated = len(reply.Answers) < len(answers)
+	reply.AnswerCount = answers.Len()
+	reply.Truncated = len(reply.Answers) < reply.AnswerCount
 	reply.Rounds = stats.NumRounds()
 	reply.MaxLoadTuples = stats.MaxLoadTuples()
 	reply.TotalBits = stats.TotalBits()

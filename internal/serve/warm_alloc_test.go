@@ -15,22 +15,26 @@ import (
 )
 
 // TestWarmOpMaterializesNoRows: a warm op on a CSV-registered dataset —
-// whose relations are sealed runs — reads its input as runs. Two checks,
-// workers' share of the process included, over n = 10⁵ rows per
-// relation:
+// whose relations are sealed runs — reads its input as runs, and its
+// reply reads the answer run. Three checks, workers' share of the
+// process included, over n = 10⁵ rows per relation:
 //
 //   - A resident op (C3 on the hypercube engine, its scatters attached)
-//     allocates, beyond what its answer materializes (48 B per answer
-//     tuple: Result.Answers is still []relation.Tuple), less than 16 B
-//     per input row.
-//   - Any warm op (the same C3 query, and a skewed join on the skew
+//     allocates less than 16 B per input row.
+//   - Any warm op (the same C3 query, and skewed joins on the skew
 //     engine, whose scatter is never resident: it partitions its input
 //     afresh every op) allocates less than 16 B per input row more than
 //     the same op on a twin dataset registered through Tuples, where
 //     reading rows is free.
+//   - A warm skew join whose every S row joins (83 259 answers, of which
+//     the reply returns 100) allocates less than 280 B per answer. The
+//     reply decodes only the rows it returns: 254 B per answer (260 under
+//     -race). Materializing the answer as []relation.Tuple before
+//     truncating it, as the reply once did, adds 48 B per arity-3 answer:
+//     302 B (332 under -race).
 //
 // A per-op Rows() of a run-backed input costs ≥ 40 B per row and fails
-// both; the skew engine's split ranks cost 4.
+// the first two; the skew engine's split ranks cost 4.
 func TestWarmOpMaterializesNoRows(t *testing.T) {
 	const n = 100000
 	rng := rand.New(rand.NewPCG(29, 1))
@@ -47,15 +51,30 @@ func TestWarmOpMaterializesNoRows(t *testing.T) {
 	for i, y := range rng.Perm(n) {
 		r.MustAdd(relation.Tuple{1 + i, n/2 + 1 + y})
 	}
+	// skew_warm's shape: R's join column is a permutation of [1, n] and
+	// S's is Zipf over [1, n], so every S row joins exactly one R row and
+	// the answer has about n tuples (S's distinct rows). Zipf(2), not
+	// skew_warm's 1.3, makes the skew engine the planner's choice at p = 8.
+	zrng := rand.New(rand.NewPCG(30, 1))
+	rAll := relation.New("R", "x", "y")
+	for i, y := range zrng.Perm(n) {
+		rAll.MustAdd(relation.Tuple{1 + i, 1 + y})
+	}
+	sAll := relation.SkewedZipf(zrng, "S", []string{"y", "z"}, n, 2)
+	const join = "q(x,y,z) = R(x,y), S(y,z)"
 	cases := []struct {
 		name, engine string
 		rels         []*relation.Relation
 		req          serve.QueryRequest
+		// perAnswer, when set, bounds the op's allocation per answer.
+		perAnswer int64
 	}{
 		{"c3", "one-round hypercube", []*relation.Relation{matching("S1", "x1", "x2"), matching("S2", "x2", "x3"), matching("S3", "x3", "x1")},
-			serve.QueryRequest{Family: "C3"}},
+			serve.QueryRequest{Family: "C3"}, 0},
 		{"skew", "skew-aware routing", []*relation.Relation{r, s},
-			serve.QueryRequest{Query: "q(x,y,z) = R(x,y), S(y,z)"}},
+			serve.QueryRequest{Query: join}, 0},
+		{"skew-answers", "skew-aware routing", []*relation.Relation{rAll, sAll},
+			serve.QueryRequest{Query: join, MaxAnswers: 100}, 280},
 	}
 	srv := serve.New(serve.Config{WorkerAddrs: startWorkerPool(t, 8)})
 	h := srv.Handler()
@@ -77,7 +96,10 @@ func TestWarmOpMaterializesNoRows(t *testing.T) {
 	// attached — and returns the reply and the bytes allocated by a fourth.
 	warmOp := func(req serve.QueryRequest, dataset string) (serve.QueryResponse, int64) {
 		t.Helper()
-		req.Dataset, req.MaxAnswers = dataset, -1
+		req.Dataset = dataset
+		if req.MaxAnswers == 0 {
+			req.MaxAnswers = -1
+		}
 		var out serve.QueryResponse
 		for i := 0; i < 3; i++ {
 			post("/query", req, &out)
@@ -120,8 +142,17 @@ func TestWarmOpMaterializesNoRows(t *testing.T) {
 			if op-twinOp >= 16*int64(rows) {
 				t.Errorf("a warm op read its run-backed input for %d B more than the same op on Tuples, ≥ 16 B × %d input rows", op-twinOp, rows)
 			}
-			if rest := op - 48*int64(out.AnswerCount); out.ScatterResident > 0 && rest >= 16*int64(rows) {
-				t.Errorf("a resident op allocated %d B beyond its %d answers, ≥ 16 B × %d input rows", rest, out.AnswerCount, rows)
+			if out.ScatterResident > 0 && op >= 16*int64(rows) {
+				t.Errorf("a resident op allocated %d B, ≥ 16 B × %d input rows", op, rows)
+			}
+			if c.perAnswer > 0 {
+				t.Logf("%.1f B per answer", float64(op)/float64(out.AnswerCount))
+				if out.AnswerCount < n/2 || len(out.Answers) != 100 || !out.Truncated {
+					t.Fatalf("%d answers, %d returned; want ≥ %d, the first 100 returned", out.AnswerCount, len(out.Answers), n/2)
+				}
+				if op >= c.perAnswer*int64(out.AnswerCount) {
+					t.Errorf("a warm op returning 100 of %d answers allocated %d B, ≥ %d B per answer", out.AnswerCount, op, c.perAnswer)
+				}
 			}
 		})
 	}

@@ -71,12 +71,12 @@ func TestStandardBitsMatchPerTupleAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 		truth = relation.DedupSort(truth)
-		if len(res.Answers) != len(truth) {
-			t.Fatalf("skewed=%v: %d answers, want %d", skewed, len(res.Answers), len(truth))
+		if res.Answers.Len() != len(truth) {
+			t.Fatalf("skewed=%v: %d answers, want %d", skewed, res.Answers.Len(), len(truth))
 		}
-		for i := range truth {
-			if !res.Answers[i].Equal(truth[i]) {
-				t.Fatalf("skewed=%v: answer %d = %v, want %v", skewed, i, res.Answers[i], truth[i])
+		for i, got := range res.Answers.Tuples() {
+			if !got.Equal(truth[i]) {
+				t.Fatalf("skewed=%v: answer %d = %v, want %v", skewed, i, got, truth[i])
 			}
 		}
 	}
@@ -122,7 +122,7 @@ func TestResilientSplitSpreadsPeriodicHeavyValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Answers) != len(truth) {
-		t.Errorf("answers %d, want %d", len(res.Answers), len(truth))
+	if res.Answers.Len() != len(truth) {
+		t.Errorf("answers %d, want %d", res.Answers.Len(), len(truth))
 	}
 }

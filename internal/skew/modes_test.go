@@ -42,12 +42,12 @@ func TestAllModesMatchGroundTruth(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if len(res.Answers) != len(truth) {
-						t.Fatalf("%d answers, ground truth %d", len(res.Answers), len(truth))
+					if res.Answers.Len() != len(truth) {
+						t.Fatalf("%d answers, ground truth %d", res.Answers.Len(), len(truth))
 					}
-					for i := range truth {
-						if !res.Answers[i].Equal(truth[i]) {
-							t.Fatalf("answer[%d] = %v, want %v", i, res.Answers[i], truth[i])
+					for i, got := range res.Answers.Tuples() {
+						if !got.Equal(truth[i]) {
+							t.Fatalf("answer[%d] = %v, want %v", i, got, truth[i])
 						}
 					}
 				})

@@ -251,8 +251,9 @@ func (o Options) env() dist.Env {
 // Result reports a join run.
 type Result struct {
 	// Answers is the full join result in the query's Vars() order —
-	// (x,y,z) for RunJoin — deduplicated sorted.
-	Answers []relation.Tuple
+	// (x,y,z) for RunJoin — as one sealed, deduplicated run (nil when
+	// empty).
+	Answers *relation.Run
 	// Stats is the communication record.
 	Stats *mpc.Stats
 	// Replacements counts the workers replaced mid-query by the
@@ -375,7 +376,7 @@ func Execute(q *query.Query, r, s *relation.Relation, ry, sy int, rt *Routing, o
 	}
 
 	// Local joins at the workers over the sealed runs they hold, then a
-	// k-way merged gather that stays a run until its one materialization.
+	// k-way merged gather: the answer is that run.
 	if err := cluster.Join(ctx, q, nil, "skew!answers", 0); err != nil {
 		return nil, err
 	}

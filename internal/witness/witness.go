@@ -189,9 +189,9 @@ func RunOneRound(in *Input, p int, eps float64, seed uint64) (*Result, error) {
 		return nil, err
 	}
 	return &Result{
-		Witnesses: witnesses,
+		Witnesses: witnesses.Tuples(),
 		TrueCount: len(truth),
-		Found:     len(witnesses) > 0,
+		Found:     witnesses.Len() > 0,
 		Stats:     cluster.Stats(),
 	}, nil
 }
