@@ -13,8 +13,9 @@
 //
 // With -workers, cached plans execute against the distributed TCP
 // worker pool (cmd/mpcworker) instead of the in-process loopback: p
-// becomes the pool size and each query dials its own isolated worker
-// session, so concurrent queries share the pool safely. With -spares,
+// becomes the pool size and each query borrows an isolated worker session
+// of its own — one an earlier query parked after resetting it, or a new
+// dial — so concurrent queries share the pool safely. With -spares,
 // the pool self-heals: a worker that dies mid-query is replaced by a
 // standby, its slice of the query is replayed from the coordinator's
 // journal and the query resumes at the round it was in,

@@ -27,11 +27,20 @@ type Options struct {
 	CapConstant float64
 	// Seed drives every hash function of the run.
 	Seed uint64
-	// Dial returns a fresh transport for one execution session (a
-	// transport cannot be reused across sessions): one per rule-body
-	// plan execution, one per recursive-rule distribution. nil runs
-	// everything on in-process loopback pools.
+	// Dial returns the transport one execution runs on: one per
+	// rule-body plan execution, one per recursive-rule distribution, each
+	// closed when its execution is done. A session may outlive the
+	// execution — a dist.Registry parks it, reset, for the next one — but
+	// carries one at a time. nil runs everything on in-process loopback
+	// pools.
 	Dial func(p int) (dist.Transport, error)
+	// Plan returns the plan of the program's rule i (its index in
+	// Program.Rules), calling build — which plans the rule over this
+	// evaluation's statistics — when it has none; nil plans every rule
+	// afresh. What build returns is a function of the program, the
+	// database and P, Epsilon and CapConstant, so a service can keep a
+	// program's plans the way it keeps a query's.
+	Plan func(rule int, build func() (*plan.Plan, error)) (*plan.Plan, error)
 	// Context bounds distributed executions; nil selects
 	// context.Background().
 	Context context.Context
@@ -180,8 +189,8 @@ type evaluator struct {
 	replacements int
 }
 
-// dial returns the transport for one execution session (nil = the
-// engine's own loopback).
+// dial returns the transport for one execution (nil = the engine's own
+// loopback).
 func (e *evaluator) dial() (dist.Transport, error) {
 	if e.opts.Dial == nil {
 		return nil, nil
@@ -264,13 +273,23 @@ func (e *evaluator) record(stats *mpc.Stats, capExceeded bool, replacements int)
 	e.replacements += replacements
 }
 
-// evalRule plans and executes one non-recursive rule body end to end
-// and returns the head facts (projected, or aggregate-folded) as one
-// sealed run.
-func (e *evaluator) evalRule(r *Rule) (*relation.Run, error) {
-	pl, err := r.Plan(e.catalog(r), plan.Options{
-		P: e.opts.P, Epsilon: e.opts.Epsilon, CapFactor: e.opts.CapConstant,
-	})
+// evalRule plans and executes the program's rule ri — a non-recursive
+// rule body — end to end and returns the head facts (projected, or
+// aggregate-folded) as one sealed run.
+func (e *evaluator) evalRule(ri int) (*relation.Run, error) {
+	r := &e.prog.Rules[ri]
+	build := func() (*plan.Plan, error) {
+		return r.Plan(e.catalog(r), plan.Options{
+			P: e.opts.P, Epsilon: e.opts.Epsilon, CapFactor: e.opts.CapConstant,
+		})
+	}
+	var pl *plan.Plan
+	var err error
+	if e.opts.Plan != nil {
+		pl, err = e.opts.Plan(ri, build)
+	} else {
+		pl, err = build()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("datalog: rule for %s: %w", r.Head.Pred, err)
 	}
@@ -315,7 +334,7 @@ func (e *evaluator) install(pred string, run *relation.Run) {
 func (e *evaluator) evalStratum(s Stratum) error {
 	heads := make([]*relation.Run, 0, len(s.Rules))
 	for _, ri := range s.Rules {
-		head, err := e.evalRule(&e.prog.Rules[ri])
+		head, err := e.evalRule(ri)
 		if err != nil {
 			return err
 		}
@@ -338,7 +357,8 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 	for _, pred := range s.Preds {
 		inStratum[pred] = true
 	}
-	var baseRules, recRules []*Rule
+	var baseRules []int
+	var recRules []*Rule
 	for _, ri := range s.Rules {
 		r := &e.prog.Rules[ri]
 		rec := false
@@ -351,7 +371,7 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 		if rec {
 			recRules = append(recRules, r)
 		} else {
-			baseRules = append(baseRules, r)
+			baseRules = append(baseRules, ri)
 		}
 	}
 	if len(recRules) == 0 {
@@ -365,12 +385,13 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 	// delta hold each predicate's facts as one sealed run (nil = none),
 	// so an iteration is linear passes over words, not tuples.
 	known := make(map[string]*relation.Run, len(s.Preds))
-	for _, r := range baseRules {
-		head, err := e.evalRule(r)
+	for _, ri := range baseRules {
+		head, err := e.evalRule(ri)
 		if err != nil {
 			return err
 		}
-		known[r.Head.Pred] = union(known[r.Head.Pred], head)
+		pred := e.prog.Rules[ri].Head.Pred
+		known[pred] = union(known[pred], head)
 	}
 	for _, pred := range s.Preds {
 		e.install(pred, known[pred])

@@ -86,8 +86,8 @@ type Env struct {
 	// Transport is the worker pool: nil opens an in-process loopback
 	// of cfg.Workers workers, a *TCP runs the rounds against remote
 	// mpcworker processes. The pool size must equal cfg.Workers. A
-	// transport is one execution session — do not share one across
-	// concurrent executions.
+	// transport carries one execution at a time — do not share one
+	// across concurrent executions; a reset session may carry the next.
 	Transport Transport
 	// Context bounds the execution (cancellation, deadline); nil
 	// selects context.Background().

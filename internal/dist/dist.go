@@ -26,7 +26,9 @@
 //     like every script, under the policy's phase bound.
 //   - the worker session (Serve/ServeConn): the remote half. Each
 //     accepted connection is an isolated session with its own store,
-//     so one worker process can serve many concurrent executions. A
+//     so one worker process can serve many concurrent executions, and
+//     a session an OpReset emptied serves the next execution without a
+//     new dial (Registry parks such sessions between queries). A
 //     store holds sealed runs (relation.Run) and nothing else — what
 //     arrived, what the one local evaluator (localjoin.EvaluateRuns)
 //     produced, and per store one run of tombstones that reads
@@ -88,8 +90,9 @@ type DeltaDelivery struct {
 type OpKind uint8
 
 // The steps a script is made of. Deliver, delta and trace steps are
-// unacknowledged; a barrier, a join, an attach, a gather, an epoch and a
-// ping are each answered, so a script holding one of them is an exchange.
+// unacknowledged; a barrier, a join, an attach, a gather, an epoch, a
+// ping and a reset are each answered, so a script holding one of them is
+// an exchange.
 const (
 	// OpDeliver ships sealed runs to their destination workers.
 	OpDeliver OpKind = iota
@@ -116,6 +119,12 @@ const (
 	// on a session are processed in order, so the answer also proves the
 	// worker ingested everything sent before it.
 	OpPing
+	// OpReset returns every worker's session to its post-hello state: its
+	// stores — and the runs of a round whose barrier has not published them
+	// — dropped, epoch 0, no span context; what the process keeps beyond
+	// its sessions stays. Round carries a tag the acks echo. It ends an
+	// execution, so the next one can run on the same session.
+	OpReset
 )
 
 // String names the step.
@@ -126,7 +135,7 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("OpKind(%d)", uint8(k))
 }
 
-var opNames = [...]string{"deliver", "barrier", "join", "gather", "delta", "attach", "trace", "epoch", "ping"}
+var opNames = [...]string{"deliver", "barrier", "join", "gather", "delta", "attach", "trace", "epoch", "ping", "reset"}
 
 // Op is one step of a round script — what the coordinator journals for
 // replay, defers to the next fence, and hands to a Transport are all
@@ -134,7 +143,8 @@ var opNames = [...]string{"deliver", "barrier", "join", "gather", "delta", "atta
 type Op struct {
 	Kind OpKind
 	// Round is the round a delivery, delta or barrier belongs to, the
-	// epoch of an OpEpoch, the sequence number of an OpPing.
+	// epoch of an OpEpoch, the sequence number of an OpPing, the tag of an
+	// OpReset.
 	Round int
 	// Deliveries are the runs of an OpDeliver, Deltas those of an OpDelta.
 	Deliveries []exchange.Delivery
@@ -177,11 +187,12 @@ type Reply struct {
 // cancellation or deadline expiry surfaces as an error instead of a
 // hang, even when a worker is stuck or its connection has died.
 //
-// A Transport instance represents one execution session: workers
-// accumulate state (received runs, materialized views) across scripts
-// and drop it when the transport closes — all but the runs a Delivery
-// flagged to be retained, which a worker process keeps for later
-// sessions to attach to.
+// A Transport instance is a session: workers accumulate state (received
+// runs, materialized views) across scripts and drop it at an OpReset or
+// when the transport closes — all but the runs a Delivery flagged to be
+// retained, which a worker process keeps for later sessions to attach
+// to. One execution runs on a session at a time; a session reset after
+// one execution serves the next (Registry.Session).
 type Transport interface {
 	// Workers returns the pool size p.
 	Workers() int

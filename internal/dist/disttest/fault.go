@@ -1,10 +1,11 @@
 // Package disttest is test scaffolding for code that runs on
 // dist.Cluster: a Transport wrapper that meets every step of every
-// script — an execution's rounds and a heal's epoch step and replay alike
-// — with a deterministic, counter-keyed schedule of worker failures,
-// stalls, lies, delays and duplicate deliveries, and records the steps it
-// met, so that a net can enumerate them instead of naming them by hand
-// (internal/dist/explore_test.go). It is imported by tests only.
+// script — an execution's rounds, a heal's epoch step and replay, and the
+// reset that parks a session alike — with a deterministic, counter-keyed
+// schedule of worker failures, stalls, lies, delays and duplicate
+// deliveries, and records the steps it met, so that a net can enumerate
+// them instead of naming them by hand (internal/dist/explore_test.go). It
+// is imported by tests only.
 package disttest
 
 import (
@@ -39,7 +40,8 @@ const (
 	// dead until replaced. The context is the only clock in this package.
 	Stall
 	// Lie has the worker answer a gather with a well-formed run of
-	// another arity; on any other step it does nothing.
+	// another arity, and a reset with an ack the coordinator refuses; on
+	// any other step it does nothing.
 	Lie
 	// DelayToBarrier holds the worker's deliveries back until the next
 	// barrier step, which injects them before synchronizing — legal
@@ -121,6 +123,7 @@ var (
 	errFaultKilled  = errors.New("fault injected: connection killed")
 	errFaultDead    = errors.New("fault injected: worker is dead")
 	errFaultStalled = errors.New("fault injected: worker took the step and never answered")
+	errFaultLied    = errors.New("fault injected: worker acked the reset with a tag it was not sent")
 )
 
 // Schedule is a fault schedule, the per-(worker, step kind) counters it
@@ -334,8 +337,11 @@ func (ft *FaultTransport) meet(at Site, op dist.Op) (pass []dist.Op, liar int, s
 			s.kills++
 			errs = append(errs, &dist.WorkerError{Worker: w, Err: cause})
 		case Lie:
-			if op.Kind == dist.OpGather {
+			switch op.Kind {
+			case dist.OpGather:
 				liar = w
+			case dist.OpReset:
+				errs = append(errs, &dist.WorkerError{Worker: w, Err: errFaultLied})
 			}
 		case DelayToBarrier:
 			copies[w], late[w] = 0, 1

@@ -1,6 +1,7 @@
 package dist_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -10,6 +11,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -34,7 +36,9 @@ import (
 // invariants of exploration.holds. A heal's own scripts — the epoch step,
 // the replay — meet the schedule like any other, so "the replacement dies
 // during its replay" and "two workers die in one script" are pairs of
-// points, sampled by seed. The older tables (recovery_test.go,
+// points, sampled by seed; so does the reset that parks a session between
+// two executions (lend), where a fault must cost the next execution a dial
+// and nothing else. The older tables (recovery_test.go,
 // recovery_schedule_test.go, resident_test.go, wide_test.go) look their
 // points up in a recorded trace (disttest.Trace.At) and call holds too.
 //
@@ -49,13 +53,18 @@ import (
 //     in the fault-free run" — and nothing else, duplicates merge away;
 //   - heal skips the epoch step: every kill and stall of every kind fails
 //     "0 epoch steps for 1 replacements".
+//
+// A fourth guards the reset: a Registry that parks a session whose reset
+// failed fails all 16 points at the reuse kind's first reset over TCP,
+// "the pool opened 1 sessions, want 2".
 
 // outcome is what one execution computed: what a fault must not change,
 // and the replacement count. Only a resident execution fills snap. A trial
-// fills the other two from its trace: effects[w] is how many deliver,
-// delta, join and attach steps had something for worker w — the steps
-// that carry or build state; epochs counts the epoch steps, and fenced is
-// whether the last of them reached the whole pool.
+// fills the rest from its trace and its pool: effects[w] is how many
+// deliver, delta, join and attach steps had something for worker w — the
+// steps that carry or build state; epochs counts the epoch steps, and
+// fenced is whether the last of them reached the whole pool; dials is how
+// many sessions a lent execution's pool opened.
 type outcome struct {
 	answers []relation.Tuple
 	rounds  []mpc.RoundStats
@@ -64,15 +73,17 @@ type outcome struct {
 	effects []int
 	epochs  int
 	fenced  bool
+	dials   int
 }
 
 // exploration is one execution kind with its ground truth. run executes
 // it once: every session it opens is dial() behind s (see behind), under
-// the policy rec.
+// the policy rec. A lent kind borrows its sessions (lend).
 type exploration struct {
 	name  string
 	truth []relation.Tuple
 	run   func(dial func() dist.Transport, s *disttest.Schedule, rec dist.RecoveryOptions) (outcome, error)
+	lent  bool
 }
 
 // behind puts one session behind the schedule; none leaves it bare.
@@ -109,7 +120,14 @@ func (x exploration) trial(kind string, p int, faults ...disttest.Fault) (out ou
 		}
 	}
 	s = disttest.NewSchedule(faults...)
-	out, err = x.run(pool.session, s, rec)
+	dial, dialled, stop := pool.session, func() int { return 0 }, func() {}
+	if x.lent {
+		dial, dialled, stop = lend(pool, s)
+		defer stop()
+	}
+	out, err = x.run(dial, s, rec)
+	stop()
+	out.dials = dialled()
 	out.effects = make([]int, p)
 	for _, site := range s.Trace() {
 		reached := 0
@@ -139,17 +157,31 @@ func (x exploration) baseline(t *testing.T, kind string, p int) (outcome, distte
 	if !sameTuples(base.answers, x.truth) || base.repl != 0 {
 		t.Fatalf("%s: fault-free run has %d answers (ground truth %d) and %d replacements", x.name, len(base.answers), len(x.truth), base.repl)
 	}
+	if x.lent && base.dials != 1 {
+		t.Fatalf("%s: the fault-free run dialled %d sessions, want 1 reused", x.name, base.dials)
+	}
 	return base, s.Trace()
 }
 
 // holds runs x under the faults and reports how the run departs from the
-// invariants, nil when it does not. A lie must come back as the liar's
-// error about the arity; anything else must be invisible but for the
-// replacements, one per fault that takes a worker down.
+// invariants, nil when it does not. A lie at a gather must come back as
+// the liar's error about the arity; anything else must be invisible but
+// for the replacements, one per fault that takes a worker down — and, for
+// a fault at the reset between two executions, one dial more: a session
+// whose reset failed is closed, never lent again.
 func (x exploration) holds(kind string, p int, base outcome, faults ...disttest.Fault) (outcome, error) {
 	out, s, err := x.trial(kind, p, faults...)
-	down, lost := 0, make(map[int]bool)
+	down, resets, dials, lost := 0, 0, base.dials, make(map[int]bool)
 	for _, f := range faults {
+		if f.Op == dist.OpReset {
+			if f.N == 0 {
+				dials = base.dials + 1
+			}
+			if f.Kind <= disttest.Stall {
+				resets++
+			}
+			continue
+		}
 		if f.Kind == disttest.Lie {
 			var liar *dist.WorkerError
 			if !errors.As(err, &liar) || liar.Worker != f.Worker || !strings.Contains(liar.Err.Error(), "arity") {
@@ -169,8 +201,10 @@ func (x exploration) holds(kind string, p int, base outcome, faults ...disttest.
 		return out, fmt.Errorf("%d answers, ground truth %d", len(out.answers), len(x.truth))
 	case !reflect.DeepEqual(out.rounds, base.rounds):
 		return out, fmt.Errorf("round stats differ from the fault-free run:\n got %+v\nwant %+v", out.rounds, base.rounds)
-	case s.Kills() != down || out.repl != down:
-		return out, fmt.Errorf("%d faults took a worker down and %d workers were replaced, want %d and %d", s.Kills(), out.repl, down, down)
+	case s.Kills() != down+resets || out.repl != down:
+		return out, fmt.Errorf("%d faults took a worker down and %d workers were replaced, want %d and %d", s.Kills(), out.repl, down+resets, down)
+	case out.dials != dials:
+		return out, fmt.Errorf("the pool opened %d sessions, want %d", out.dials, dials)
 	case out.epochs != down || down > 0 && !out.fenced:
 		return out, fmt.Errorf("%d epoch steps for %d replacements, the last reaching the whole pool: %v", out.epochs, down, out.fenced)
 	}
@@ -190,8 +224,8 @@ type point struct {
 
 // explore puts a fault at every step x sends to every worker — every
 // keep-th of them when sampling — and at a few pairs drawn by rng, and
-// returns how many points it ran.
-func (x exploration) explore(t *testing.T, kind string, p int, rng *rand.Rand, keep int) int {
+// returns how many points it ran and how many of them fault a reset.
+func (x exploration) explore(t *testing.T, kind string, p int, rng *rand.Rand, keep int) (n, resets int) {
 	before := runtime.NumGoroutine()
 	base, trace := x.baseline(t, kind, p)
 	name := func(s disttest.Site, w int, k disttest.FaultKind) string {
@@ -201,7 +235,7 @@ func (x exploration) explore(t *testing.T, kind string, p int, rng *rand.Rand, k
 	for _, site := range trace {
 		for w, n := range site.N {
 			for k := disttest.KillBefore; k <= disttest.Lie; k++ {
-				if n >= 0 && (k != disttest.Lie || site.Kind == dist.OpGather) && rng.IntN(keep) == 0 {
+				if n >= 0 && (k != disttest.Lie || site.Kind == dist.OpGather || site.Kind == dist.OpReset) && rng.IntN(keep) == 0 {
 					points = append(points, point{name(site, w, k), []disttest.Fault{site.On(w, k)}})
 				}
 			}
@@ -222,6 +256,9 @@ func (x exploration) explore(t *testing.T, kind string, p int, rng *rand.Rand, k
 		}
 		if i%2 == 1 {
 			w = (w + 1 + rng.IntN(p-1)) % p
+		}
+		if len(sites) == 0 {
+			continue // a failed reset is not healed: there is no replay
 		}
 		if at := sites[rng.IntN(len(sites))]; at.N[w] >= 0 {
 			points = append(points, point{name(site, first.Worker, first.Kind) + "+" + name(at, w, k), []disttest.Fault{first, at.On(w, k)}})
@@ -259,12 +296,18 @@ func (x exploration) explore(t *testing.T, kind string, p int, rng *rand.Rand, k
 			break
 		}
 	}
-	return len(points)
+	for _, pt := range points {
+		if slices.ContainsFunc(pt.faults, func(f disttest.Fault) bool { return f.Op == dist.OpReset }) {
+			resets++
+		}
+	}
+	return len(points), resets
 }
 
-// explorations builds the six execution kinds at p workers and test
-// sizes: the three engines, a Datalog fixpoint, a maintainer batch, and a
-// warm operation on resident scatters.
+// explorations builds the seven execution kinds at p workers and test
+// sizes: the three engines, a Datalog fixpoint, a maintainer batch, two
+// executions on one reused session, and a warm operation on resident
+// scatters.
 func explorations(t *testing.T, p int) []exploration {
 	var xs []exploration
 	for _, eng := range recoveryEngines(t, p) {
@@ -286,7 +329,7 @@ func explorations(t *testing.T, p int) []exploration {
 	graph := relation.NewDatabase(nodes)
 	graph.AddRelation(edges)
 	tc := datalog.MustParse("tc(x, y) :- e(x, y). tc(x, z) :- tc(x, y), e(y, z). ?- tc(x, y).")
-	xs = append(xs, exploration{"datalog", closure, func(dial func() dist.Transport, s *disttest.Schedule, rec dist.RecoveryOptions) (outcome, error) {
+	xs = append(xs, exploration{name: "datalog", truth: closure, run: func(dial func() dist.Transport, s *disttest.Schedule, rec dist.RecoveryOptions) (outcome, error) {
 		res, err := datalog.Eval(tc, graph, datalog.Options{P: p, Seed: 5, Recovery: rec,
 			Dial: func(int) (dist.Transport, error) { return behind(s, dial()), nil }})
 		if err != nil {
@@ -316,7 +359,7 @@ func explorations(t *testing.T, p int) []exploration {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs = append(xs, exploration{"maintainer", maintained, func(dial func() dist.Transport, s *disttest.Schedule, rec dist.RecoveryOptions) (outcome, error) {
+	xs = append(xs, exploration{name: "maintainer", truth: maintained, run: func(dial func() dist.Transport, s *disttest.Schedule, rec dist.RecoveryOptions) (outcome, error) {
 		m, err := hypercube.NewMaintainer(mq, before, p, hypercube.Options{Seed: 23, Transport: behind(s, dial()), Recovery: rec})
 		if err != nil {
 			return outcome{}, err
@@ -328,6 +371,30 @@ func explorations(t *testing.T, p int) []exploration {
 		return outcome{answers: m.Answers().Tuples(), rounds: m.Stats().Rounds, repl: m.Replacements()}, nil
 	}})
 
+	// Reuse: the cold triangle on the maintainer's first database, then on
+	// its second — same stores, other runs — on one session a pool parks
+	// between them, behind a reset the schedule meets like any other step.
+	cold, err := core.GroundTruth(mq, before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs = append(xs, exploration{name: "reuse", truth: maintained, lent: true, run: func(dial func() dist.Transport, s *disttest.Schedule, rec dist.RecoveryOptions) (outcome, error) {
+		var out outcome
+		for i, db := range []*relation.Database{before, after} {
+			tr := behind(s, dial())
+			res, err := hypercube.Run(mq, db, p, hypercube.Options{Seed: 23, Transport: tr, Recovery: rec})
+			tr.Close()
+			if err != nil {
+				return outcome{}, err
+			}
+			out.answers, out.rounds, out.repl = res.Answers.Tuples(), append(out.rounds, res.Stats.Rounds...), out.repl+res.Replacements
+			if i == 0 && !sameTuples(out.answers, cold) {
+				return outcome{}, fmt.Errorf("the first execution has %d answers, ground truth %d", len(out.answers), len(cold))
+			}
+		}
+		return out, nil
+	}})
+
 	// Resident: the cold triangle again, as the third sighting of one
 	// dataset version (resident_test.go) — an attach script, then barrier,
 	// join and gather.
@@ -335,14 +402,79 @@ func explorations(t *testing.T, p int) []exploration {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := core.GroundTruth(mq, before)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return append(xs, residentCase{q: mq, db: before, pl: pl, truth: cold}.exploration())
 }
 
-// TestExplore runs the explorer over the six execution kinds on both
+// lend returns a dial that lends sessions on pool the way dist.Registry
+// does — the session the last execution closed, parked after a reset that
+// meets s like any other step, or a new one when there is none — how many
+// it opened, and a stop that returns once the last reset has settled.
+// Over TCP it is a Registry; a loopback pool has a parkingLot in its place.
+func lend(pool residentPool, s *disttest.Schedule) (dial func() dist.Transport, opened func() int, stop func()) {
+	tcp, ok := pool.(*tcpPool)
+	if !ok {
+		lot := &parkingLot{pool: pool, s: s}
+		return lot.borrow, func() int { return lot.opened }, func() {}
+	}
+	reg := dist.NewRegistry(tcp.addrs, nil)
+	reg.ResetBehind(func(tr dist.Transport) dist.Transport { return s.Wrap(tr) })
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		reg.Run(ctx, time.Hour)
+	}()
+	var n atomic.Int64
+	return func() dist.Transport {
+			tr, _, err := reg.Session(context.Background())
+			if err != nil {
+				panic(err)
+			}
+			if !tr.Reused() {
+				n.Add(1)
+			}
+			return tr
+		}, func() int { return int(n.Load()) }, sync.OnceFunc(func() {
+			cancel()
+			<-done
+		})
+}
+
+// parkingLot lends loopback sessions one execution at a time, as a
+// Registry lends TCP ones: closing a session resets it behind the
+// schedule, and parks it when the reset succeeded.
+type parkingLot struct {
+	pool   residentPool
+	s      *disttest.Schedule
+	parked *dist.Loopback
+	opened int
+}
+
+func (l *parkingLot) borrow() dist.Transport {
+	lb := l.parked
+	if l.parked = nil; lb == nil {
+		lb, l.opened = l.pool.session().(*dist.Loopback), l.opened+1
+	}
+	return parkedLoopback{lb, l}
+}
+
+// parkedLoopback is a session of a parkingLot.
+type parkedLoopback struct {
+	*dist.Loopback
+	lot *parkingLot
+}
+
+// Close resets the session, bounded like a stalled step, and parks it.
+func (lb parkedLoopback) Close() error {
+	ctx, cancel := context.WithTimeout(context.Background(), stallBound)
+	defer cancel()
+	if _, err := lb.lot.s.Wrap(lb.Loopback).Run(ctx, []dist.Op{{Kind: dist.OpReset}}); err == nil {
+		lb.lot.parked = lb.Loopback
+	}
+	return nil
+}
+
+// TestExplore runs the explorer over the seven execution kinds on both
 // transports at p = 4: every point, or under -short one in eight of them,
 // plus six sampled pairs per kind and transport. The seed is logged; a
 // failure names its point, and the exhaustive run is deterministic.
@@ -356,8 +488,8 @@ func TestExplore(t *testing.T) {
 	for _, x := range explorations(t, p) {
 		for _, kind := range []string{"loopback", "tcp"} {
 			t.Run(x.name+"/"+kind, func(t *testing.T) {
-				n := x.explore(t, kind, p, rand.New(rand.NewPCG(seed, 0)), keep)
-				t.Logf("%d points explored", n)
+				n, resets := x.explore(t, kind, p, rand.New(rand.NewPCG(seed, 0)), keep)
+				t.Logf("%d points explored, %d of them at a reset", n, resets)
 			})
 		}
 	}

@@ -61,3 +61,18 @@ func OpenStepped(env Env, cfg mpc.Config) (*Cluster, context.Context, error) {
 	}
 	return c, ctx, err
 }
+
+// ResetBehind has the registry send every reset through wrap: the fault
+// explorer puts a parked session's reset behind its schedule.
+func (r *Registry) ResetBehind(wrap func(Transport) Transport) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.resetVia = wrap
+}
+
+// Spares returns the addresses the session may promote.
+func (t *TCP) Spares() []string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([]string(nil), t.spares...)
+}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -635,4 +636,85 @@ func FuzzWorkerSession(f *testing.F) {
 			t.Fatalf("%d bytes of input made the session allocate %d, want ≤ %d", len(data), got, bound)
 		}
 	})
+}
+
+// TestResetDropsUnpublishedRetainedRuns: a reset between a round's data
+// and its barrier drops the runs flagged to be retained with the store
+// that held them, so the process keeps nothing of them — and never half a
+// run: what a later round retains under the same key is that round's
+// alone. On a worker session and on Loopback alike.
+func TestResetDropsUnpublishedRetainedRuns(t *testing.T) {
+	first := relation.RunOf(2, []relation.Tuple{{1, 2}, {3, 4}})
+	second := relation.RunOf(2, []relation.Tuple{{5, 6}})
+	data := func(run *relation.Run) *wire.Frame {
+		return &wire.Frame{Type: wire.TypeData, Data: wire.Data{Round: 1, Rel: "R", Retain: "k", Buf: run}}
+	}
+	attach := func(store string, tuples uint64) *wire.Frame {
+		return &wire.Frame{Type: wire.TypeAttach, Attach: wire.Attach{Key: "k", Store: store, Tuples: tuples}}
+	}
+	// Both halves are wanted; only the second is kept, once its barrier
+	// is in: the attaches miss, holding nothing and then one tuple.
+	want := []wire.Attach{{}, {Tuples: 1}}
+
+	rs := dist.NewResidentStore()
+	s := startSession(t, rs, time.Minute)
+	s.hello(t)
+	replies, served := s.run(t, encodeFrames(t,
+		data(first),
+		&wire.Frame{Type: wire.TypeReset, Round: 7},
+		&wire.Frame{Type: wire.TypeBarrier, Round: 1},
+		attach("A", 2),
+		data(second),
+		&wire.Frame{Type: wire.TypeBarrier, Round: 2},
+		attach("B", 3),
+		&wire.Frame{Type: wire.TypeGather, View: "R"},
+	))
+	if served != nil {
+		t.Fatal(served)
+	}
+	var got []wire.Attach
+	var kinds []wire.Type
+	for _, f := range replies {
+		kinds = append(kinds, f.Type)
+		if f.Type == wire.TypeAttach {
+			got = append(got, f.Attach)
+		}
+	}
+	wantKinds := []wire.Type{wire.TypeAck, wire.TypeAck, wire.TypeAttach, wire.TypeAck, wire.TypeAttach, wire.TypeData, wire.TypeDone}
+	if !slices.Equal(kinds, wantKinds) || replies[0].Round != 7 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("session replies %v (reset acked with %d), attaches %+v; want %v, 7, %+v", kinds, replies[0].Round, got, wantKinds, want)
+	}
+	if gathered := replies[5].Data.Buf.Tuples(); !reflect.DeepEqual(gathered, second.Tuples()) {
+		t.Errorf("the store reads %v after the reset, want the second round's %v", gathered, second.Tuples())
+	}
+	if rs.Entries() != 0 {
+		t.Errorf("the process keeps %d entries, want none: the attach that contradicted the second round's evicted it", rs.Entries())
+	}
+
+	ctx := context.Background()
+	rs = dist.NewResidentStore()
+	l := dist.NewLoopbackOn(1, rs)
+	flagged := func(run *relation.Run) dist.Op {
+		return dist.Op{Kind: dist.OpDeliver, Deliveries: []exchange.Delivery{{Rel: "R", Buf: run, Retain: "k"}}}
+	}
+	lookup := func(store string, tuples int64) dist.Op {
+		return dist.Op{Kind: dist.OpAttach, Attach: []dist.Attachment{{Key: "k", Store: store, Tuples: []int64{tuples}}}}
+	}
+	var attached []wire.Attach
+	for _, script := range [][]dist.Op{
+		{flagged(first), {Kind: dist.OpReset}, {Kind: dist.OpBarrier, Round: 1}, lookup("A", 2)},
+		{flagged(second), {Kind: dist.OpBarrier, Round: 2}, lookup("B", 3)},
+	} {
+		reply, err := l.Run(ctx, script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		attached = append(attached, reply.Attached[0]...)
+	}
+	if !reflect.DeepEqual(attached, want) || rs.Entries() != 0 {
+		t.Fatalf("loopback: attaches %+v with %d entries kept, want %+v and none", attached, rs.Entries(), want)
+	}
+	if runs, err := gather(ctx, l, "R"); err != nil || len(runs) != 1 || !reflect.DeepEqual(runs[0].Tuples(), second.Tuples()) {
+		t.Fatalf("loopback: store R reads %v, %v after the reset, want the second round's run", runs, err)
+	}
 }

@@ -137,6 +137,15 @@ func (l *Loopback) run(ctx context.Context, ops []Op, only int) (Reply, error) {
 			l.mu.Lock()
 			l.traceHdr, l.traced = op.Trace, true
 			l.mu.Unlock()
+		case OpReset:
+			// What a worker session does at a reset, to every store at once:
+			// fresh stores on the same homes, epoch 0, no span context.
+			l.mu.Lock()
+			for _, w := range ws {
+				l.ws[w.home.slot] = newWorkerStore(w.home)
+			}
+			l.epoch, l.traceHdr, l.traced = 0, wire.TraceHeader{}, false
+			l.mu.Unlock()
 		}
 		if err != nil {
 			return reply, err

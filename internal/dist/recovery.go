@@ -132,17 +132,15 @@ type recovery struct {
 // EnableRecovery arms the cluster's self-healing: every transport
 // failure attributable to specific workers (a *WorkerError anywhere in
 // the error tree) triggers replace-and-replay instead of aborting. The
-// transport must implement Replaceable; opts.Spares are handed to the
-// transport when it can accept them.
+// transport must implement Replaceable; opts.Spares become the
+// transport's spare list when it keeps one.
 func (c *Cluster) EnableRecovery(opts RecoveryOptions) error {
 	rt, ok := c.tr.(Replaceable)
 	if !ok {
 		return fmt.Errorf("dist: transport %T does not support recovery", c.tr)
 	}
-	if len(opts.Spares) > 0 {
-		if s, ok := c.tr.(interface{ AddSpares(addrs []string) }); ok {
-			s.AddSpares(opts.Spares)
-		}
+	if s, ok := c.tr.(interface{ SetSpares(addrs []string) }); ok {
+		s.SetSpares(opts.Spares)
 	}
 	c.rec = &recovery{opts: opts, rt: rt}
 	return nil

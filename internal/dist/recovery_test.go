@@ -35,7 +35,7 @@ type recEngine struct {
 
 // exploration runs the hand-written program on a cluster opened by open.
 func (pr program) exploration(name string, truth []relation.Tuple, open opener) exploration {
-	return exploration{name, truth, func(dial func() dist.Transport, s *disttest.Schedule, rec dist.RecoveryOptions) (outcome, error) {
+	return exploration{name: name, truth: truth, run: func(dial func() dist.Transport, s *disttest.Schedule, rec dist.RecoveryOptions) (outcome, error) {
 		cl, ctx, err := open(dist.Env{Transport: behind(s, dial()), Recovery: rec}, pr.cfg)
 		if err != nil {
 			return outcome{}, err
@@ -85,7 +85,7 @@ func recoveryEngines(t *testing.T, p int) []recEngine {
 	ry, sy := r.AttrIndex("y"), s.AttrIndex("y")
 
 	engine := func(name string, truth []relation.Tuple, prog program, run func(tr dist.Transport, rec dist.RecoveryOptions) (outcome, error)) recEngine {
-		return recEngine{exploration{name, truth, func(dial func() dist.Transport, s *disttest.Schedule, rec dist.RecoveryOptions) (outcome, error) {
+		return recEngine{exploration{name: name, truth: truth, run: func(dial func() dist.Transport, s *disttest.Schedule, rec dist.RecoveryOptions) (outcome, error) {
 			return run(behind(s, dial()), rec)
 		}}, prog}
 	}

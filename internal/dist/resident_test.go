@@ -171,7 +171,7 @@ func (c residentCase) execute(t *testing.T, tr dist.Transport, snap *dist.Snapsh
 // case fresh and retaining, bare, the third execution — the one that
 // attaches — runs behind the schedule.
 func (c residentCase) exploration() exploration {
-	return exploration{"resident", c.truth, func(dial func() dist.Transport, s *disttest.Schedule, rec dist.RecoveryOptions) (outcome, error) {
+	return exploration{name: "resident", truth: c.truth, run: func(dial func() dist.Transport, s *disttest.Schedule, rec dist.RecoveryOptions) (outcome, error) {
 		res, err := dist.NewResidency()
 		if err != nil {
 			return outcome{}, err

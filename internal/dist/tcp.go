@@ -16,11 +16,14 @@ import (
 )
 
 // TCP is the socket Transport: one connection per worker, wire frames
-// (internal/wire) for every step. A TCP value is one execution
-// session — the workers' per-connection stores live exactly as long
-// as it does — so callers that share a worker pool across concurrent
-// executions dial one TCP transport per execution. Only what a worker
-// process was asked to retain outlives it, for later sessions to attach to.
+// (internal/wire) for every step. A TCP value is a session: it carries
+// one execution at a time, and the workers' per-connection stores live
+// until an OpReset empties them or the connections close. Callers that
+// share a worker pool across concurrent executions borrow one session per
+// execution from a Registry, which dials a session only when none is
+// parked and parks each one, reset, when its execution is done (Close).
+// Only what a worker process was asked to retain outlives a reset, for
+// later executions to attach to.
 type TCP struct {
 	conns []*workerConn
 	// mu guards the address bookkeeping below, mutated only by the
@@ -33,20 +36,34 @@ type TCP struct {
 	// back of this list.
 	spares []string
 	// dials counts the pool-wide dials and worker replacements this
-	// session paid, exchanges its acknowledged pool-wide round trips; a
-	// service adds them up across executions.
+	// borrow of the session paid, exchanges its acknowledged pool-wide
+	// round trips; a service adds them up across executions.
 	dials, exchanges atomic.Int64
+	// reg is the Registry that lent the session (nil: DialTCP's own, hung
+	// up at Close); reused says it lent one it had parked.
+	reg    *Registry
+	reused bool
+	// failed is whether the last script, replay or replacement failed: a
+	// session whose execution ended there is in no known state. closed
+	// makes Close act once.
+	failed, closed atomic.Bool
 }
 
-// Dials returns how many times the session dialled: one for DialTCP,
+// Dials returns how many times this borrow of the session dialled: one
+// for DialTCP, none for a session a Registry lent out of its parked ones,
 // one per ReplaceWorker.
 func (t *TCP) Dials() int64 { return t.dials.Load() }
 
-// Exchanges returns how many acknowledged pool-wide round trips the
-// session made: every Run that reads a reply — one per fence, so a
-// one-shot round is one, a round that attaches to resident scatters two,
-// and the epoch step of a heal one more.
+// Exchanges returns how many acknowledged pool-wide round trips this
+// borrow of the session made: every Run that reads a reply — one per
+// fence, so a one-shot round is one, a round that attaches to resident
+// scatters two, and the epoch step of a heal one more. The reset that
+// parks a session is no borrower's.
 func (t *TCP) Exchanges() int64 { return t.exchanges.Load() }
+
+// Reused reports whether a Registry lent this session out of its parked
+// ones instead of dialling it.
+func (t *TCP) Reused() bool { return t.reused }
 
 // workerConn is the coordinator's end of one worker connection. The
 // mutex serializes frame traffic per worker; distinct workers proceed
@@ -194,13 +211,14 @@ func dialHandshake(ctx context.Context, i, p int, addr string) (*workerConn, err
 	return wc, nil
 }
 
-// AddSpares appends spare worker addresses available for promotion by
-// ReplaceWorker. Cluster.EnableRecovery calls this with
-// RecoveryOptions.Spares.
-func (t *TCP) AddSpares(addrs []string) {
+// SetSpares sets the spare worker addresses ReplaceWorker may promote.
+// Cluster.EnableRecovery calls it with RecoveryOptions.Spares once per
+// execution; the list is replaced, not extended, so a session that serves
+// execution after execution tries each spare once.
+func (t *TCP) SetSpares(addrs []string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.spares = append(t.spares, addrs...)
+	t.spares = append([]string(nil), addrs...)
 }
 
 // Workers implements Transport.
@@ -304,6 +322,8 @@ func (op *Op) frames(frames []*wire.Frame, w int) []*wire.Frame {
 		frames = append(frames, &wire.Frame{Type: wire.TypeEpoch, Round: uint32(op.Round)})
 	case OpPing:
 		frames = append(frames, &wire.Frame{Type: wire.TypePing, Round: uint32(op.Round)})
+	case OpReset:
+		frames = append(frames, &wire.Frame{Type: wire.TypeReset, Round: uint32(op.Round)})
 	}
 	return frames
 }
@@ -398,7 +418,7 @@ func (wc *workerConn) run(ctx context.Context, ops []Op) (runs []*relation.Run, 
 		for _, op := range ops {
 			var err error
 			switch op.Kind {
-			case OpBarrier, OpEpoch:
+			case OpBarrier, OpEpoch, OpReset:
 				err = wc.expect(wire.TypeAck, uint32(op.Round))
 			case OpPing:
 				err = wc.expect(wire.TypePong, uint32(op.Round))
@@ -432,9 +452,23 @@ func (wc *workerConn) run(ctx context.Context, ops []Op) (runs []*relation.Run, 
 	return runs, attached, nil
 }
 
+// errClosed refuses a script on a session that was closed: its
+// connections are hung up, or lent to another execution.
+var errClosed = errors.New("dist: session closed")
+
 // Run implements Transport: every connection runs its slice of the
 // script in parallel.
 func (t *TCP) Run(ctx context.Context, ops []Op) (Reply, error) {
+	if t.closed.Load() {
+		return Reply{}, errClosed
+	}
+	reply, err := t.runAll(ctx, ops)
+	t.failed.Store(err != nil)
+	return reply, err
+}
+
+// runAll is Run on an open session.
+func (t *TCP) runAll(ctx context.Context, ops []Op) (Reply, error) {
 	answered, attaches := false, false
 	for _, op := range ops {
 		for _, d := range op.Deliveries {
@@ -482,10 +516,14 @@ func (t *TCP) ReplaceWorker(ctx context.Context, w int) error {
 	if w < 0 || w >= len(t.conns) {
 		return fmt.Errorf("dist: replace worker %d out of range [0,%d)", w, len(t.conns))
 	}
+	if t.closed.Load() {
+		return errClosed
+	}
 	t.dials.Add(1)
 	old := t.conns[w]
 	wc, err := t.dialWorker(ctx, w)
 	if err != nil {
+		t.failed.Store(true)
 		return err
 	}
 	t.conns[w] = wc
@@ -501,13 +539,49 @@ func (t *TCP) RunOn(ctx context.Context, w int, ops []Op) error {
 	if w < 0 || w >= len(t.conns) {
 		return fmt.Errorf("dist: run on worker %d out of range [0,%d)", w, len(t.conns))
 	}
+	if t.closed.Load() {
+		return errClosed
+	}
 	_, _, err := t.conns[w].run(ctx, ops)
+	if err != nil {
+		t.failed.Store(true)
+	}
 	return err
 }
 
-// Close implements Transport: all connections are closed; workers
-// drop the session stores when they observe the close.
+// Close implements Transport; only the first call acts. A session a
+// Registry lent goes back to it when its last script succeeded: reset off
+// the caller's path and parked for the next borrower, as a new TCP value
+// on the same connections, so what this one counted stays its own. Any
+// other session is hung up; workers drop the session stores when they
+// observe the close.
 func (t *TCP) Close() error {
+	if t.closed.Swap(true) {
+		return nil
+	}
+	if t.reg != nil && !t.failed.Load() {
+		t.mu.Lock()
+		idle := &TCP{conns: t.conns, addrs: t.addrs}
+		t.mu.Unlock()
+		t.reg.release(idle)
+		return nil
+	}
+	return t.hangUp()
+}
+
+// whole reports whether every connection of a parked session held: no
+// worker hung up on it, reset it or spoke unasked while nobody listened.
+func (t *TCP) whole() bool {
+	for _, wc := range t.conns {
+		if !whole(wc.conn) {
+			return false
+		}
+	}
+	return true
+}
+
+// hangUp closes every connection of the session.
+func (t *TCP) hangUp() error {
 	var errs []error
 	for _, wc := range t.conns {
 		if wc != nil && wc.conn != nil {

@@ -46,7 +46,7 @@ const handshakeTimeout = 10 * time.Second
 // ServeConn runs one worker session over conn: it expects a Hello within
 // handshakeTimeout, acks it, then processes the coordinator's frames in
 // order — Data, Delta and Trace (unacknowledged; the barrier fences
-// them), Barrier, Join and Epoch (acked), Ping (a Pong), Attach (an
+// them), Barrier, Join, Epoch and Reset (acked), Ping (a Pong), Attach (an
 // Attach) and Gather (a Data stream closed by a Done) — until the
 // coordinator closes the connection. Every frame, the hello included, is
 // validated as it is decoded; whoever dialled is not authenticated.
@@ -217,6 +217,14 @@ func (s *session) handle(f *wire.Frame) error {
 		// A pong proves liveness and — frames being processed in order —
 		// ingestion of everything the coordinator sent before the ping.
 		return s.w.Queue(&wire.Frame{Type: wire.TypePong, Round: f.Round})
+	case wire.TypeReset:
+		// Back to what the hello left: a fresh store on the same home —
+		// what the process keeps beyond its sessions stays, and runs a
+		// barrier has not published yet are dropped with their store —
+		// epoch 0, no span context.
+		s.store = newWorkerStore(s.store.home)
+		s.epoch, s.trace = 0, wire.TraceHeader{}
+		return s.w.Queue(&wire.Frame{Type: wire.TypeAck, Round: f.Round})
 	case wire.TypeEpoch:
 		if f.Round < s.epoch {
 			return fmt.Errorf("stale epoch %d announced, session at %d", f.Round, s.epoch)

@@ -2,12 +2,17 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math/big"
 	"net/http"
 	"strings"
 
 	"repro/internal/datalog"
 	"repro/internal/dist"
 	"repro/internal/mpc"
+	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/trace"
 )
@@ -17,10 +22,10 @@ import (
 // is parsed by internal/datalog and evaluated stratum by stratum —
 // rule bodies through the planner, recursive strata semi-naive over
 // warm incremental maintenance, aggregate heads folded over the
-// gathered answer.
-// Programs are not plan-cached: a program is many plans, and the
-// recursive ones depend on derived statistics that only exist
-// mid-evaluation.
+// gathered answer. A rule body's plan is cached like a query's, under
+// the program, the rule's index, the dataset version, p and ε: the
+// statistics its planner reads — derived predicates included — are a
+// function of those.
 func (s *Server) resolveProgram(req QueryRequest) (*job, error) {
 	src := req.Program
 	if src == "" {
@@ -40,6 +45,7 @@ func (s *Server) resolveProgram(req QueryRequest) (*job, error) {
 		return nil, err
 	}
 	sn := ds.Snapshot()
+	text := prog.String()
 	return &job{
 		// A program has no single plan to cost, so the booked load is the
 		// dataset cardinality — every EDB tuple is shuffled at least once,
@@ -47,19 +53,34 @@ func (s *Server) resolveProgram(req QueryRequest) (*job, error) {
 		cost: int64(sn.DB.TotalTuples()) + 1,
 		reply: QueryResponse{
 			Dataset: ds.Name,
-			Query:   strings.TrimRight(prog.String(), "\n"),
+			Query:   strings.TrimRight(text, "\n"),
 			P:       p,
 			Engine:  "datalog",
 			Explain: prog.Describe(),
 		},
 		run: func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) (*relation.Run, *mpc.Stats, error) {
 			opts := datalog.Options{P: p, Epsilon: eps, Seed: seed, Context: ctx, Trace: tc}
+			opts.Plan = func(rule int, build func() (*plan.Plan, error)) (*plan.Plan, error) {
+				key := programPlanKey(text, rule, ds.Name, sn.Version, p, eps)
+				if pl, ok := s.cache.Get(key); ok {
+					s.metrics.PlanCacheHits.Add(1)
+					return pl, nil
+				}
+				s.metrics.PlanCacheMisses.Add(1)
+				pl, err := build()
+				if err == nil {
+					s.cache.Put(key, pl)
+				}
+				return pl, err
+			}
 			if s.pool != nil {
-				// One dialed session per execution the program opens; the
-				// evaluator closes them, the service counts what they cost.
+				// One borrowed session per execution the program opens; the
+				// evaluator closes them, the service counts what each borrow
+				// cost.
 				var sessions []*dist.TCP
 				opts.Dial = func(int) (dist.Transport, error) {
-					tr, err := s.dialPool(ctx)
+					tr, repaired, err := s.pool.Session(ctx)
+					s.metrics.PoolRepairs.Add(int64(repaired))
 					if err != nil {
 						return nil, err
 					}
@@ -82,4 +103,16 @@ func (s *Server) resolveProgram(req QueryRequest) (*job, error) {
 			return res.Answers, res.Stats, nil
 		},
 	}, nil
+}
+
+// programPlanKey is the plan-cache key of rule i of a program on a
+// dataset version at p and ε: a digest of all five, never equal to a
+// conjunctive query's key.
+func programPlanKey(program string, rule int, dataset string, version uint64, p int, eps *big.Rat) string {
+	text := fmt.Sprintf("program=%q|rule=%d|ds=%s|v=%d|p=%d", program, rule, dataset, version, p)
+	if eps != nil {
+		text += "|eps=" + eps.RatString()
+	}
+	sum := sha256.Sum256([]byte(text))
+	return hex.EncodeToString(sum[:8])
 }

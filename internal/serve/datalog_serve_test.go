@@ -11,8 +11,10 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // graphCSV renders the test graph as the CSV body of relation e: a
@@ -173,13 +175,29 @@ func TestServeDatalogWorkerPool(t *testing.T) {
 	if got := srv.Metrics().DistributedQueries.Load(); got < 1 {
 		t.Fatalf("DistributedQueries = %d, want ≥ 1", got)
 	}
-	// The program dialled two sessions (base rule, maintainer) and ran
-	// them fused: one acknowledged pool-wide exchange per model round.
-	if dials, ex := srv.Metrics().PoolDials.Load(), srv.Metrics().PoolExchanges.Load(); dials != 2 || ex != int64(out.Rounds) {
-		t.Fatalf("pool dials = %d, exchanges = %d; want 2 and %d (the rounds)", dials, ex, out.Rounds)
+	// The program borrowed two sessions (base rule, maintainer) — the
+	// second is the first, parked and reset — so it dialled at most two,
+	// and ran them fused: one acknowledged pool-wide exchange per model
+	// round.
+	m := srv.Metrics()
+	dials, ex := m.PoolDials.Load(), m.PoolExchanges.Load()
+	if dials < 1 || dials > 2 || ex != int64(out.Rounds) {
+		t.Fatalf("pool dials = %d, exchanges = %d; want at most 2 and %d (the rounds)", dials, ex, out.Rounds)
+	}
+	// An identical second program finds its sessions parked: it dials
+	// nothing, and its exchanges are still its rounds.
+	again, _ := postQuery(t, ts.URL, serve.QueryRequest{
+		Dataset: "graph", Program: tcServeProgram, MaxAnswers: 100000,
+	})
+	if !reflect.DeepEqual(again.Answers, want) {
+		t.Fatalf("second run: %d pairs, reference %d", len(again.Answers), len(want))
+	}
+	if d, e := m.PoolDials.Load()-dials, m.PoolExchanges.Load()-ex; d != 0 || e != int64(again.Rounds) {
+		t.Fatalf("the second program dialled %d sessions and made %d exchanges; want 0 and %d (the rounds)", d, e, again.Rounds)
 	}
 	// A one-shot query runs fused too: its one round is one exchange (a
-	// first sighting of the dataset version attaches to nothing).
+	// first sighting of the dataset version attaches to nothing), on a
+	// parked session.
 	q, _ := postQuery(t, ts.URL, serve.QueryRequest{Dataset: "graph", Query: "q(x,y) = e(x,y)"})
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -188,8 +206,9 @@ func TestServeDatalogWorkerPool(t *testing.T) {
 	defer resp.Body.Close()
 	text, _ := io.ReadAll(resp.Body)
 	for _, line := range []string{
-		"mpcserve_pool_dials_total 3\n",
-		fmt.Sprintf("mpcserve_pool_exchanges_total %d\n", out.Rounds+q.Rounds),
+		fmt.Sprintf("mpcserve_pool_dials_total %d\n", dials),
+		fmt.Sprintf("mpcserve_pool_exchanges_total %d\n", out.Rounds+again.Rounds+q.Rounds),
+		fmt.Sprintf("mpcserve_pool_sessions_reused_total %d\n", 5-dials),
 	} {
 		if !strings.Contains(string(text), line) {
 			t.Errorf("/metrics lacks %q", line)
@@ -215,13 +234,30 @@ func TestServeDatalogRecoversWorker(t *testing.T) {
 	_, ts := newGraphServer(t, serve.Config{WorkerAddrs: addrs[:p], SpareAddrs: addrs[p:]})
 	req := serve.QueryRequest{Dataset: "graph", Program: tcServeProgram, MaxAnswers: 100000}
 
-	// A program run dials twice: session 0 is the base rule's execution,
-	// session 1 the recursive rule's maintainer.
+	// A program run borrows two sessions — the base rule's execution,
+	// then the recursive rule's maintainer — and the second is the first,
+	// parked and reset: connection 0 of every worker carries the hello,
+	// the base rule, a reset, the maintainer and a reset.
 	ref, _ := postQuery(t, ts.URL, req)
 	if ref.WorkerReplacements != 0 || !reflect.DeepEqual(ref.Answers, closurePairs(graphEdges())) {
 		t.Fatalf("healthy run: %d replacements, %d answers", ref.WorkerReplacements, len(ref.Answers))
 	}
-	workers[1].cutSession(3, workers[1].sessionBytes(1)/2)
+	conn, accepted := workers[1].conn(0)
+	spans := conn.frames()
+	for deadline := time.Now().Add(10 * time.Second); len(spans[wire.TypeReset]) < 2; spans = conn.frames() {
+		if time.Now().After(deadline) { // the last reset is off the reply's path
+			t.Fatalf("connection 0 read %d resets, want 2", len(spans[wire.TypeReset]))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if accepted != 1 || len(spans[wire.TypeHello]) != 1 {
+		t.Fatalf("worker 1 accepted %d connections, the first read %d hellos; want 1 and 1", accepted, len(spans[wire.TypeHello]))
+	}
+	hello, first, last := spans[wire.TypeHello][0], spans[wire.TypeReset][0], spans[wire.TypeReset][1]
+	base, maintainer := first[0]-hello[1], last[0]-first[1]
+	// The second run is the first again on the same connection, without a
+	// hello: cut its maintainer off halfway.
+	conn.budget.Store(last[1] + base + (last[1] - last[0]) + maintainer/2)
 
 	out, _ := postQuery(t, ts.URL, req)
 	if out.WorkerReplacements != 1 {
@@ -284,5 +320,45 @@ func TestServeDatalogRejections(t *testing.T) {
 		} else if tc.frag != "" && !strings.Contains(msg, tc.frag) {
 			t.Errorf("%s: error %q does not contain %q", tc.name, msg, tc.frag)
 		}
+	}
+}
+
+// TestServeDatalogPlansCached: a program's rule plans are cached like a
+// query's. The closure's one non-recursive rule is a plan-cache miss on
+// the first run and a hit on the second, with the same answers and the
+// same communication record; a delta is a new dataset version, planned
+// afresh; a program that differs is keyed apart.
+func TestServeDatalogPlansCached(t *testing.T) {
+	srv, ts := newGraphServer(t, serve.Config{DefaultP: 4})
+	m := srv.Metrics()
+	lookups := func() [2]int64 { return [2]int64{m.PlanCacheHits.Load(), m.PlanCacheMisses.Load()} }
+	req := serve.QueryRequest{Dataset: "graph", Program: tcServeProgram, MaxAnswers: 100000}
+
+	first, _ := postQuery(t, ts.URL, req)
+	if got := lookups(); got != [2]int64{0, 1} {
+		t.Fatalf("first run: hits, misses = %v; want 0, 1", got)
+	}
+	second, _ := postQuery(t, ts.URL, req)
+	if got := lookups(); got != [2]int64{1, 1} {
+		t.Fatalf("second run: hits, misses = %v; want 1, 1", got)
+	}
+	if !reflect.DeepEqual(second.Answers, first.Answers) || second.TotalBits != first.TotalBits ||
+		!reflect.DeepEqual(second.PerRoundBits, first.PerRoundBits) {
+		t.Fatalf("the cached plan answered or charged differently: %d answers, %d bits; first run %d, %d",
+			len(second.Answers), second.TotalBits, len(first.Answers), first.TotalBits)
+	}
+
+	if code := postJSON(t, ts.URL+"/datasets/graph/delta", serve.DeltaRequest{
+		Appends: map[string][][]int{"e": {{12, 1}}},
+	}, &serve.DeltaResponse{}); code != http.StatusOK {
+		t.Fatalf("delta status %d", code)
+	}
+	if out, _ := postQuery(t, ts.URL, req); lookups() != [2]int64{1, 2} || len(out.Answers) != 12*12 {
+		t.Fatalf("after a delta closing the cycle: hits, misses = %v and %d answers; want 1, 2 and %d", lookups(), len(out.Answers), 12*12)
+	}
+	req.Program = "r(x,y) :- e(x,y)."
+	postQuery(t, ts.URL, req)
+	if got := lookups(); got != [2]int64{1, 3} {
+		t.Fatalf("another program: hits, misses = %v; want 1, 3", got)
 	}
 }

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net"
@@ -17,6 +18,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // startWorkerPool spins up n in-process TCP worker listeners (the
@@ -228,20 +230,16 @@ func TestWorkerPoolUnavailable(t *testing.T) {
 	}
 }
 
-// meteredWorker is a worker listener that counts the bytes every
-// session reads and can cut one chosen session off after a byte budget
+// meteredWorker is a worker listener that records the bytes every
+// connection reads and can cut one chosen connection off at a byte offset
 // — the deterministic stand-in for a process dying mid-query: what the
-// coordinator streams to a worker is a function of the program, the
-// data and the seed, so "session k dies b bytes in" is the same point
-// of the execution on every run, however TCP segments the stream.
+// coordinator streams to a worker is a function of the program, the data
+// and the seed, so "connection k dies b bytes in" is the same point of the
+// execution on every run, however TCP segments the stream. A connection
+// is a session, and carries one execution after another.
 type meteredWorker struct {
-	mu sync.Mutex
-	// read holds one byte counter per accepted session, in accept order.
-	read []*atomic.Int64
-	// cut is the session index to cut off after budget bytes; -1 cuts
-	// none.
-	cut    int
-	budget int64
+	mu    sync.Mutex
+	conns []*meteredConn // in accept order
 }
 
 // startMeteredWorker starts the listener and returns it with its
@@ -254,19 +252,17 @@ func startMeteredWorker(t *testing.T) (*meteredWorker, string) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(func() { cancel(); ln.Close() })
-	w := &meteredWorker{cut: -1}
+	w := &meteredWorker{}
 	go func() {
 		for {
 			c, err := ln.Accept()
 			if err != nil {
 				return
 			}
+			mc := &meteredConn{Conn: c}
+			mc.budget.Store(-1)
 			w.mu.Lock()
-			mc := &meteredConn{Conn: c, read: new(atomic.Int64), budget: -1}
-			if len(w.read) == w.cut {
-				mc.budget = w.budget
-			}
-			w.read = append(w.read, mc.read)
+			w.conns = append(w.conns, mc)
 			w.mu.Unlock()
 			go func() {
 				defer c.Close()
@@ -277,33 +273,26 @@ func startMeteredWorker(t *testing.T) (*meteredWorker, string) {
 	return w, ln.Addr().String()
 }
 
-// sessionBytes returns what session i has read so far.
-func (w *meteredWorker) sessionBytes(i int) int64 {
+// conn returns connection i, and how many were accepted.
+func (w *meteredWorker) conn(i int) (*meteredConn, int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.read[i].Load()
+	return w.conns[i], len(w.conns)
 }
 
-// cutSession arranges for the i-th accepted session to lose its
-// connection after reading budget bytes.
-func (w *meteredWorker) cutSession(i int, budget int64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.cut, w.budget = i, budget
-}
-
-// meteredConn counts the bytes read through it and, given a budget ≥ 0,
-// closes the connection once exactly that many have been read.
+// meteredConn records what is read through it and, given a budget ≥ 0,
+// closes the connection once exactly that many bytes have been read.
 type meteredConn struct {
 	net.Conn
-	read   *atomic.Int64
-	budget int64
+	mu     sync.Mutex
+	read   []byte
+	budget atomic.Int64
 }
 
 // Read implements net.Conn.
 func (c *meteredConn) Read(b []byte) (int, error) {
-	if c.budget >= 0 {
-		left := c.budget - c.read.Load()
+	if budget := c.budget.Load(); budget >= 0 {
+		left := budget - int64(len(c.bytes()))
 		if left <= 0 {
 			c.Conn.Close()
 			return 0, io.EOF
@@ -311,8 +300,33 @@ func (c *meteredConn) Read(b []byte) (int, error) {
 		b = b[:min(int64(len(b)), left)]
 	}
 	n, err := c.Conn.Read(b)
-	c.read.Add(int64(n))
+	c.mu.Lock()
+	c.read = append(c.read, b[:n]...)
+	c.mu.Unlock()
 	return n, err
+}
+
+// bytes returns what the connection has read so far.
+func (c *meteredConn) bytes() []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.read
+}
+
+// frames returns where each whole frame read so far starts and ends, by
+// type — the wire's header is a type byte and a big-endian length.
+func (c *meteredConn) frames() map[wire.Type][][2]int64 {
+	b := c.bytes()
+	spans := make(map[wire.Type][][2]int64)
+	for at := int64(0); int64(len(b)) >= at+5; {
+		end := at + 5 + int64(binary.BigEndian.Uint32(b[at+1:]))
+		if int64(len(b)) < end {
+			break
+		}
+		spans[wire.Type(b[at])] = append(spans[wire.Type(b[at])], [2]int64{at, end})
+		at = end
+	}
+	return spans
 }
 
 // TestWorkerPoolResidentScatter drives the resident scatter through the
@@ -459,5 +473,42 @@ func TestWorkerPoolSilentMemberBetweenQueries(t *testing.T) {
 	}
 	if got := srv.Pool().Members()[2]; got != live[2] || srv.Metrics().PoolRepairs.Load() != 1 {
 		t.Fatalf("member 2 = %s after %d repairs, want the spare %s after one", got, srv.Metrics().PoolRepairs.Load(), live[2])
+	}
+}
+
+// TestWorkerPoolParksSessions: warm queries run on the session the first
+// one dialled. The pool-dials counter stands still across them while the
+// reused-sessions counter counts them, the exchanges are still each
+// query's own, and every answer is the ground truth.
+func TestWorkerPoolParksSessions(t *testing.T) {
+	addrs := startWorkerPool(t, 3)
+	srv, ts := newTestServer(t, serve.Config{WorkerAddrs: addrs}, 200)
+	truth := triangleTruth(t, srv)
+	m := srv.Metrics()
+	counters := func() (dials, reused, exchanges int64) {
+		return m.PoolDials.Load(), m.PoolSessionsReused.Load(), m.PoolExchanges.Load()
+	}
+	ask := func() *serve.QueryResponse {
+		out, _ := postQuery(t, ts.URL, serve.QueryRequest{Dataset: "tri", Family: "C3", MaxAnswers: -1})
+		if out.AnswerCount != len(truth) {
+			t.Fatalf("%d answers, ground truth %d", out.AnswerCount, len(truth))
+		}
+		return out
+	}
+	ask()
+	dials, reused, exchanges := counters()
+	if dials != 1 || reused != 0 {
+		t.Fatalf("after the first query: %d dials, %d reused sessions; want 1 and 0", dials, reused)
+	}
+	rounds := 0
+	for i := 0; i < 4; i++ {
+		rounds += ask().Rounds
+	}
+	d, r, e := counters()
+	if d != dials || r != 4 {
+		t.Fatalf("four warm queries moved the dials %d → %d and reused %d sessions; want no dial and 4", dials, d, r)
+	}
+	if e-exchanges < int64(rounds) {
+		t.Fatalf("four warm queries of %d rounds made %d exchanges", rounds, e-exchanges)
 	}
 }

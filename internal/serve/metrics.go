@@ -50,9 +50,13 @@ type Metrics struct {
 	// PoolRepairs counts pool members swapped for spares by registry
 	// reconciliation (background heartbeats plus dial-failure repair).
 	PoolRepairs atomic.Int64
-	// PoolDials counts the sessions dialled against the worker pool (one
-	// per execution a request opens) plus mid-query worker replacements.
+	// PoolDials counts the sessions dialled against the worker pool — an
+	// execution that finds none parked dials one — plus mid-query worker
+	// replacements.
 	PoolDials atomic.Int64
+	// PoolSessionsReused counts executions that ran on a parked session
+	// instead of dialling one.
+	PoolSessionsReused atomic.Int64
 	// PoolExchanges counts acknowledged pool-wide round trips across all
 	// sessions; on the fused schedule it equals the rounds executed.
 	PoolExchanges atomic.Int64
@@ -80,11 +84,15 @@ type Metrics struct {
 	perRoundBits []int64
 }
 
-// RecordSession adds what one finished pool session cost the transport
-// — its dials and its acknowledged pool-wide exchanges.
+// RecordSession adds what one borrow of a pool session cost the
+// transport — its dials (none for a parked session) and its acknowledged
+// pool-wide exchanges — and whether it was a reuse.
 func (m *Metrics) RecordSession(tr *dist.TCP) {
 	m.PoolDials.Add(tr.Dials())
 	m.PoolExchanges.Add(tr.Exchanges())
+	if tr.Reused() {
+		m.PoolSessionsReused.Add(1)
+	}
 }
 
 // RecordScatters adds what one execution's keyed scatters came to (nil:
@@ -167,6 +175,7 @@ func (m *Metrics) WriteProm(w io.Writer) {
 	counter("mpcserve_worker_replacements_total", "Workers replaced mid-query by the recovery policy.", m.WorkerReplacements.Load())
 	counter("mpcserve_pool_repairs_total", "Pool members swapped for spares by reconciliation.", m.PoolRepairs.Load())
 	counter("mpcserve_pool_dials_total", "Worker-pool sessions dialled, plus mid-query worker replacements.", m.PoolDials.Load())
+	counter("mpcserve_pool_sessions_reused_total", "Executions that ran on a parked worker-pool session instead of dialling one.", m.PoolSessionsReused.Load())
 	counter("mpcserve_pool_exchanges_total", "Acknowledged pool-wide round trips across all sessions: one per fence, so a one-shot round is one and a resident one two.", m.PoolExchanges.Load())
 	counter("mpcserve_scatter_resident_hits_total", "Scatters the workers attached to instead of receiving.", m.ScatterHits.Load())
 	counter("mpcserve_scatter_resident_misses_total", "Per-worker attaches that missed and were re-sent.", m.ScatterMisses.Load())

@@ -88,8 +88,10 @@ type Config struct {
 	// distributed TCP worker pool at these mpcworker addresses
 	// (internal/dist) instead of the in-process loopback. The pool
 	// size replaces DefaultP; requests must leave p unset or set it to
-	// the pool size. Each execution dials its own session, so
-	// concurrent queries stay isolated on shared worker processes.
+	// the pool size. Each execution borrows a session of its own — a
+	// parked one, reset after an earlier execution, or a new dial — so
+	// concurrent queries stay isolated on shared worker processes and a
+	// warm query pays no dial.
 	WorkerAddrs []string
 	// SpareAddrs lists standby mpcworker addresses. A worker that dies
 	// mid-query is replaced by a spare and the query resumes; the
@@ -517,9 +519,10 @@ func (s *Server) resolveQuery(req QueryRequest) (*job, error) {
 		run: func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) (*relation.Run, *mpc.Stats, error) {
 			execOpts := plan.ExecOptions{Seed: seed, Context: ctx, Trace: tc}
 			if s.pool != nil {
-				// One dialed session per execution: the per-connection stores
+				// One borrowed session per execution: the per-connection stores
 				// on the shared mpcworker processes isolate concurrent queries.
-				tr, err := s.dialPool(ctx)
+				tr, repaired, err := s.pool.Session(ctx)
+				s.metrics.PoolRepairs.Add(int64(repaired))
 				if err != nil {
 					return nil, nil, errorf(http.StatusBadGateway, "worker pool unavailable: %v", err)
 				}
@@ -704,23 +707,6 @@ func (s *Server) recovery() dist.RecoveryOptions {
 		MaxReplacements: s.cfg.MaxReplacements,
 		Spares:          s.pool.Spares(),
 	}
-}
-
-// dialPool dials a session against the pool's current membership. A
-// dial failure usually means a member died since the last heartbeat:
-// reconcile the registry immediately (promoting a spare into the dead
-// slot) and retry once before giving up, so a single crashed worker
-// costs one repaired request instead of failing every query until the
-// background loop catches up.
-func (s *Server) dialPool(ctx context.Context) (*dist.TCP, error) {
-	tr, err := dist.DialTCP(ctx, s.pool.Members())
-	if err == nil {
-		return tr, nil
-	}
-	if n := s.pool.Reconcile(ctx); n > 0 {
-		s.metrics.PoolRepairs.Add(int64(n))
-	}
-	return dist.DialTCP(ctx, s.pool.Members())
 }
 
 // DatasetRequest is the POST /datasets body: a name plus exactly one

@@ -121,7 +121,7 @@ func appendFrame(dst []byte, f *Frame) ([]byte, []byte, error) {
 		w.str(f.Delta.View)
 		w.flag(f.Delta.Del)
 		seg = w.buffer(f.Delta.Buf)
-	case TypeBarrier, TypeAck, TypePing, TypePong, TypeEpoch:
+	case TypeBarrier, TypeAck, TypePing, TypePong, TypeEpoch, TypeReset:
 		w.u32(f.Round)
 	case TypeTrace:
 		w.u64(f.Trace.TraceID)
@@ -368,7 +368,7 @@ func decodePayload(typ Type, body []byte) (*Frame, error) {
 		f.Delta.View = p.str()
 		f.Delta.Del = p.flag()
 		f.Delta.Buf = p.buffer()
-	case TypeBarrier, TypeAck, TypePing, TypePong, TypeEpoch:
+	case TypeBarrier, TypeAck, TypePing, TypePong, TypeEpoch, TypeReset:
 		f.Round = p.u32()
 	case TypeTrace:
 		f.Trace.TraceID = p.u64()

@@ -69,6 +69,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	seed(&Frame{Type: TypePing, Round: 41})
 	seed(&Frame{Type: TypePong, Round: 41})
 	seed(&Frame{Type: TypeEpoch, Round: 3})
+	seed(&Frame{Type: TypeReset, Round: 1})
 	seed(&Frame{Type: TypeTrace, Trace: TraceHeader{TraceID: 1 << 40, Span: 3, Round: 2, QueryID: "q-7"}})
 	seed(&Frame{Type: TypeTrace, Trace: TraceHeader{}})
 	seed(&Frame{Type: TypeDelta, Delta: Delta{Round: 4, Dest: 1, Store: "R", View: "delta!R!7", Buf: packed}})

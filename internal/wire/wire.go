@@ -17,10 +17,10 @@
 // sequence for a buffer on the flat layout; a Delta frame carries a
 // maintenance run the same way. Control frames carry the BSP protocol
 // around the data (Hello, Barrier, Join, Gather, Ack, Done, Error), the
-// recovery handshake (Ping, Pong, Epoch), the tracing context (Trace)
-// and the resident scatter (Attach). Every frame type has a reader on
-// the receiving side: a frame nothing consumes does not belong in the
-// protocol.
+// recovery handshake (Ping, Pong, Epoch), the tracing context (Trace),
+// the resident scatter (Attach) and a session's reuse (Reset). Every
+// frame type has a reader on the receiving side: a frame nothing
+// consumes does not belong in the protocol.
 //
 // There is one codec. AppendFrames (behind Writer) is the only encoder:
 // it appends headers and inline payloads to one buffer and hands raw
@@ -49,8 +49,8 @@ import (
 type Type uint8
 
 // Frame types. The coordinator sends Hello, Data, Delta, Trace,
-// Barrier, Join, Gather, Ping, Epoch and Attach; a worker replies with
-// Ack, Data, Done, Pong, Attach and Error. The values are contiguous from 1 —
+// Barrier, Join, Gather, Ping, Epoch, Attach and Reset; a worker replies
+// with Ack, Data, Done, Pong, Attach and Error. The values are contiguous from 1 —
 // retiring a type renumbers the ones after it and bumps Version.
 const (
 	// TypeHello opens a session: protocol version, worker id, pool
@@ -70,9 +70,9 @@ const (
 	// TypeGather asks the worker to stream the runs it holds under a
 	// view name back as Data frames, terminated by a Done frame.
 	TypeGather
-	// TypeAck acknowledges a Hello, Barrier, Join or Epoch, echoing a
-	// tag: the round number for barriers, the epoch for announcements,
-	// zero otherwise.
+	// TypeAck acknowledges a Hello, Barrier, Join, Epoch or Reset, echoing
+	// a tag: the round number for barriers, the epoch for announcements,
+	// the reset's own tag for a reset, zero otherwise.
 	TypeAck
 	// TypeDone terminates a Gather stream and reports the number of
 	// Data frames that preceded it.
@@ -108,6 +108,11 @@ const (
 	// an opaque key into the session's store; the worker answers with an
 	// Attach of its own.
 	TypeAttach
+	// TypeReset returns the session to the state its hello left it in —
+	// no stores, epoch 0, no span context — so one connection serves one
+	// execution after another; what the process keeps beyond its sessions
+	// is untouched. The worker acks it, echoing the tag in Round.
+	TypeReset
 )
 
 // String names the frame type.
@@ -141,6 +146,8 @@ func (t Type) String() string {
 		return "trace"
 	case TypeAttach:
 		return "attach"
+	case TypeReset:
+		return "reset"
 	default:
 		return fmt.Sprintf("Type(%d)", uint8(t))
 	}
@@ -155,8 +162,9 @@ func (t Type) String() string {
 // the Attach frame and the Retain key of Data; version 7 retired the
 // big-endian packed encoding no sender emitted, and a receiver rejects
 // an unsorted or out-of-width run where version 6 re-sorted it; version
-// 8 dropped the strategy byte of Join — a worker has one evaluator.
-const Version = 8
+// 8 dropped the strategy byte of Join — a worker has one evaluator;
+// version 9 added the Reset frame, so a session outlives an execution.
+const Version = 9
 
 // MaxPayload bounds a frame's declared payload size (128 MiB). A
 // larger length prefix is rejected before any payload is read.
@@ -267,8 +275,8 @@ type Frame struct {
 	// Join is set for TypeJoin.
 	Join Join
 	// Round is set for TypeBarrier and TypeAck (the echoed tag), for
-	// TypePing and TypePong (the heartbeat sequence), and for TypeEpoch
-	// (the announced epoch).
+	// TypePing and TypePong (the heartbeat sequence), for TypeEpoch (the
+	// announced epoch) and for TypeReset (its tag).
 	Round uint32
 	// View is set for TypeGather.
 	View string

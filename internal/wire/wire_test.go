@@ -60,6 +60,7 @@ func sampleFrames(t *testing.T) []*Frame {
 		{Type: TypePing, Round: 19},
 		{Type: TypePong, Round: 19},
 		{Type: TypeEpoch, Round: 2},
+		{Type: TypeReset, Round: 5},
 		{Type: TypeTrace, Trace: TraceHeader{TraceID: 1 << 50, Span: 7, Round: 3, QueryID: "q-12"}},
 		{Type: TypeDelta, Delta: Delta{Round: 4, Dest: 1, Store: "R", View: "delta!R!7", Buf: packed}},
 		{Type: TypeDelta, Delta: Delta{Round: 4, Dest: 2, Store: "S", Del: true, Buf: flat}},
