@@ -24,7 +24,9 @@
 // every shuffle crosses TCP instead of process memory. Answers and
 // round statistics are identical to the in-process run by
 // construction (the differential tests in internal/dist hold both
-// paths to that).
+// paths to that). The run borrows its session from a dist.Registry over
+// -workers and -spares: a member already dead at the dial, or dying
+// mid-run, is replaced by the first live spare.
 //
 // A -query containing ':-' or '?-' is a Datalog program (internal/
 // datalog): rules compile onto the same planner, recursive predicates
@@ -75,7 +77,7 @@ func main() {
 		dataStr   = flag.String("data", "", "comma-separated Rel=file.csv pairs; omit to generate a matching database")
 		planStr   = flag.String("plan", "", "manual plan override: 'engine=one|multi|skew' and/or 'shares=x:4,y:4', semicolon-separated")
 		workers   = flag.String("workers", "", "comma-separated mpcworker addresses; run the rounds distributed over TCP (p becomes the pool size; the run is bounded by a 10-minute deadline)")
-		spares    = flag.String("spares", "", "comma-separated standby mpcworker addresses; a worker that dies mid-run is replaced and the query resumes (requires -workers)")
+		spares    = flag.String("spares", "", "comma-separated standby mpcworker addresses; a worker found dead at the dial or dying mid-run is replaced and the query resumes (requires -workers)")
 		maxRepl   = flag.Int("max-replace", 0, "max worker replacements for the run (0: pool size; requires -workers)")
 	)
 	flag.Parse()
@@ -170,21 +172,21 @@ func runPlanned(q *query.Query, db *relation.Database, p int, eps *big.Rat, seed
 	if len(addrs) > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 		defer cancel()
-		tr, err := dist.DialTCP(ctx, addrs)
+		pool := dist.NewRegistry(addrs, spareAddrs)
+		tr, repaired, err := pool.Session(ctx)
 		if err != nil {
 			return err
 		}
 		defer tr.Close()
 		opts.Transport = tr
 		opts.Context = ctx
-		opts.Recovery = dist.RecoveryOptions{
-			Enabled:         true,
-			MaxReplacements: maxRepl,
-			Spares:          spareAddrs,
+		opts.Recovery = dist.RecoveryOptions{Enabled: true, MaxReplacements: maxRepl}
+		fmt.Printf("distributed: %d TCP workers (%s)\n", len(addrs), strings.Join(pool.Members(), ", "))
+		if repaired > 0 {
+			fmt.Printf("repaired: %d dead worker(s) replaced by spares at the dial\n", repaired)
 		}
-		fmt.Printf("distributed: %d TCP workers (%s)\n", len(addrs), strings.Join(addrs, ", "))
 		if len(spareAddrs) > 0 {
-			fmt.Printf("spares: %s\n", strings.Join(spareAddrs, ", "))
+			fmt.Printf("spares: %s\n", strings.Join(pool.Spares(), ", "))
 		}
 	}
 	res, err := pl.ExecuteRun(db, opts)
@@ -357,7 +359,14 @@ func runDatalog(src string, n, p int, eps *big.Rat, seed uint64, capC float64, s
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 		defer cancel()
 		opts.Context = ctx
-		opts.Dial = func(int) (dist.Transport, error) { return dist.DialTCP(ctx, addrs) }
+		pool := dist.NewRegistry(addrs, nil)
+		opts.Dial = func(int) (dist.Transport, error) {
+			tr, _, err := pool.Session(ctx)
+			if err != nil {
+				return nil, err
+			}
+			return tr, nil
+		}
 		fmt.Printf("distributed: %d TCP workers (%s)\n", len(addrs), strings.Join(addrs, ", "))
 	}
 	res, err := datalog.Eval(prog, db, opts)

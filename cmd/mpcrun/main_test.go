@@ -2,9 +2,11 @@ package main
 
 import (
 	"context"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -17,6 +19,52 @@ func TestRunDistributed(t *testing.T) {
 	if err := run("", "C3", 150, 8, "", 1, 0, 0, "", "", startWorkers(t, 2), "", 0); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRunReplacesDeadMemberAtDial: a member whose address nobody listens
+// on any more when the run dials is replaced by the -spares worker, and
+// the run answers its ground truth.
+func TestRunReplacesDeadMemberAtDial(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	live := strings.Split(startWorkers(t, 2), ",")
+	out := stdout(t, func() error {
+		return run("", "C3", 150, 8, "", 1, 0, 0, "", "", live[0]+","+dead, live[1], 0)
+	})
+	if m := regexp.MustCompile(`answers: (\d+) / (\d+) ground truth`).FindStringSubmatch(out); m == nil || m[1] != m[2] {
+		t.Fatalf("no ground-truth answer line in:\n%s", out)
+	}
+	if !strings.Contains(out, "repaired: 1 dead worker(s) replaced by spares at the dial") {
+		t.Errorf("the run does not report the repair:\n%s", out)
+	}
+}
+
+// stdout returns what fn prints, and fails the test if fn fails.
+func stdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	read := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		read <- b
+	}()
+	err = fn()
+	os.Stdout = saved
+	w.Close()
+	out := string(<-read)
+	if err != nil {
+		t.Fatalf("%v; output:\n%s", err, out)
+	}
+	return out
 }
 
 // startWorkers serves n in-process TCP workers for the test's lifetime

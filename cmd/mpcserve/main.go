@@ -16,11 +16,13 @@
 // becomes the pool size and each query borrows an isolated worker session
 // of its own — one an earlier query parked after resetting it, or a new
 // dial — so concurrent queries share the pool safely. With -spares,
-// the pool self-heals: a worker that dies mid-query is replaced by a
-// standby, its slice of the query is replayed from the coordinator's
-// journal and the query resumes at the round it was in,
-// while a background reconciler (-reconcile) heartbeats the pool and
-// promotes spares for members that stop answering. The workers keep
+// the pool self-heals: a member already dead when a query dials is
+// replaced by a standby at the dial, and one that dies mid-query is
+// replaced too, its slice of the query replayed from the coordinator's
+// journal and the query resumed at the round it was in; a background
+// reconciler (-reconcile) heartbeats the pool and promotes spares for
+// members that stop answering. The pool registry records every
+// promotion, so each dead member is replaced once. The workers keep
 // the routed runs of a dataset version from its second query on, and
 // later queries attach to them ("scatterResident" in the reply).
 //
@@ -103,7 +105,7 @@ func main() {
 		cache     = flag.Int("cache", 128, "plan cache capacity (compiled plans)")
 		answers   = flag.Int("max-answers", 100, "default per-response answer cap")
 		pool      = flag.String("workers", "", "comma-separated mpcworker addresses; execute queries on this distributed TCP pool (p becomes the pool size)")
-		spares    = flag.String("spares", "", "comma-separated standby mpcworker addresses; dead pool members are replaced by spares mid-query and by the background reconciler")
+		spares    = flag.String("spares", "", "comma-separated standby mpcworker addresses; dead pool members are replaced by spares at a query's dial, mid-query and by the background reconciler")
 		maxRepl   = flag.Int("max-replace", 0, "max worker replacements per query execution (0: pool size)")
 		reconcile = flag.Duration("reconcile", 5*time.Second, "worker pool heartbeat interval (0 disables the background reconciler)")
 		datas     repeatableFlag

@@ -213,7 +213,8 @@ func TestDistributedWorkerKillRecovery(t *testing.T) {
 		t.Fatalf("chain plan ran %d rounds; the kill-point needs a multiround execution", local.Rounds)
 	}
 
-	tr, err := dist.DialTCP(ctx, members)
+	// The session is lent by a registry that owns the spare.
+	tr, _, err := dist.NewRegistry(members, []string{spare}).Session(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestDistributedWorkerKillRecovery(t *testing.T) {
 		Seed:      5,
 		Transport: killer,
 		Context:   ctx,
-		Recovery:  dist.RecoveryOptions{Enabled: true, Spares: []string{spare}},
+		Recovery:  dist.RecoveryOptions{Enabled: true},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -91,7 +91,7 @@ func TestChaosSilentMemberIsReplaced(t *testing.T) {
 	members := append(append([]string(nil), live[:p-1]...), silentWorker(t, 1))
 	eng := recoveryEngines(t, p)[0]
 	start := time.Now()
-	out, err := eng.on(dialPool(t, members), dist.RecoveryOptions{Enabled: true, Spares: live[p-1:], PhaseTimeout: bound})
+	out, err := eng.on(lentSession(t, members, live[p-1:]), dist.RecoveryOptions{Enabled: true, PhaseTimeout: bound})
 	took := time.Since(start)
 	if err != nil || !sameTuples(out.answers, eng.truth) || out.repl != 1 {
 		t.Fatalf("%d answers (ground truth %d), %d replacements, %v", len(out.answers), len(eng.truth), out.repl, err)

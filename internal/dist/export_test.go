@@ -69,10 +69,3 @@ func (r *Registry) ResetBehind(wrap func(Transport) Transport) {
 	defer r.mu.Unlock()
 	r.resetVia = wrap
 }
-
-// Spares returns the addresses the session may promote.
-func (t *TCP) Spares() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]string(nil), t.spares...)
-}

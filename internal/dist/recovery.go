@@ -65,16 +65,14 @@ func FailedWorkers(err error) []int {
 // value disables recovery (failures abort the execution exactly as
 // before); setting Enabled turns every worker-attributed transport
 // failure into a replace-and-replay cycle bounded by MaxReplacements.
+// Where a replacement comes from is the transport's business: a TCP
+// session a Registry lent takes the registry's spares.
 type RecoveryOptions struct {
 	// Enabled turns recovery on.
 	Enabled bool
 	// MaxReplacements bounds how many worker replacements one execution
 	// may perform; zero or negative means the pool size.
 	MaxReplacements int
-	// Spares are extra worker addresses a TCP transport may promote
-	// when replacing a failed worker; the failed address is recycled to
-	// the back of the spare list. Ignored by address-less transports.
-	Spares []string
 	// PhaseTimeout bounds each script the cluster sends (one step on a
 	// stepped cluster, a round up to its fence on a fused one) and each
 	// step of a heal — the replacement's dial and hello, the epoch step,
@@ -132,15 +130,12 @@ type recovery struct {
 // EnableRecovery arms the cluster's self-healing: every transport
 // failure attributable to specific workers (a *WorkerError anywhere in
 // the error tree) triggers replace-and-replay instead of aborting. The
-// transport must implement Replaceable; opts.Spares become the
-// transport's spare list when it keeps one.
+// transport must implement Replaceable; it alone knows what replaces a
+// worker (for a lent TCP session, its registry's dial).
 func (c *Cluster) EnableRecovery(opts RecoveryOptions) error {
 	rt, ok := c.tr.(Replaceable)
 	if !ok {
 		return fmt.Errorf("dist: transport %T does not support recovery", c.tr)
-	}
-	if s, ok := c.tr.(interface{ SetSpares(addrs []string) }); ok {
-		s.SetSpares(opts.Spares)
 	}
 	c.rec = &recovery{opts: opts, rt: rt}
 	return nil

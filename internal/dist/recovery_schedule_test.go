@@ -115,8 +115,8 @@ func TestRecoveryMidStreamTCPPipelined(t *testing.T) {
 			t.Run(sch.name+"/"+at.String(), func(t *testing.T) {
 				pool := startKillablePool(t, p+1)
 				members, spare := pool.addrs[:p], pool.addrs[p]
-				tr := &killAtStep{TCP: dialPool(t, members), kind: at, kill: func() { pool.kill(2) }}
-				env := dist.Env{Transport: tr, Recovery: dist.RecoveryOptions{Enabled: true, Spares: []string{spare}}}
+				tr := &killAtStep{TCP: lentSession(t, members, []string{spare}), kind: at, kill: func() { pool.kill(2) }}
+				env := dist.Env{Transport: tr, Recovery: dist.RecoveryOptions{Enabled: true}}
 				ans, cl := drive(t, sch.open, env, eng.prog)
 				if cl.Replacements() != 1 {
 					t.Fatalf("%d replacements for one killed worker process", cl.Replacements())

@@ -220,12 +220,12 @@ func TestRecoveryAnnouncesEpoch(t *testing.T) {
 func TestRecoverySparePromotionTCP(t *testing.T) {
 	const p = 4
 	pool := startKillablePool(t, p+1) // p members + 1 spare
-	eng, tr := recoveryEngines(t, p)[0], dialPool(t, pool.addrs[:p])
+	eng, tr := recoveryEngines(t, p)[0], lentSession(t, pool.addrs[:p], pool.addrs[p:])
 	// Kill member 2 outright — listener and established sessions — so
 	// the first phase that touches it fails and its address cannot be
 	// re-dialed; only the spare can fill the slot.
 	pool.kill(2)
-	out, err := eng.on(tr, dist.RecoveryOptions{Enabled: true, Spares: pool.addrs[p:]})
+	out, err := eng.on(tr, dist.RecoveryOptions{Enabled: true})
 	if err != nil {
 		t.Fatal(err)
 	}

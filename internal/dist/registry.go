@@ -4,19 +4,22 @@ import (
 	"context"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Registry is the coordinator-side view of a shared worker pool: p
-// member addresses, spare addresses that replace members found dead, and
-// the sessions on the members that no execution is using. It reconciles
-// desired state (p live members) with actual state (what a heartbeat
-// probe observes) — a thin controller loop — and lends sessions the way
-// it hands out members: an execution borrows one (Session) and gives it
-// back by closing it, and the registry parks it, reset, for the next.
-// mpcserve runs one Registry for its pool, so a crashed worker is swapped
-// out in the background instead of failing every query from then on, and
-// a warm query pays no dial.
+// Registry is the one owner of a shared worker pool's membership: p
+// member addresses, the spare addresses that replace members found dead,
+// and the sessions on the members that no execution is using. Every
+// worker connection of a session it lends is made by its one dial (dial):
+// a borrow's, a mid-query ReplaceWorker's and the heartbeat's (Reconcile),
+// so a spare promoted on any of the three paths is promoted here, for
+// every later borrower. It lends sessions the way it hands out members:
+// an execution borrows one (Session) and gives it back by closing it, and
+// the registry parks it, reset, for the next — a session healed mid-query
+// included. mpcserve and mpcrun run one Registry for their pool, so a
+// crashed worker is swapped out once instead of failing every query from
+// then on, and a warm query pays no dial.
 type Registry struct {
 	mu         sync.Mutex
 	members    []string
@@ -49,26 +52,60 @@ func NewRegistry(members, spares []string) *Registry {
 
 // Session lends one execution a session on the pool: a parked one if
 // there is one — waiting for a reset in flight rather than dialling beside
-// it — and otherwise a new dial of Members(). A dial that fails usually
-// means a member died since the last heartbeat: the registry reconciles
-// at once, promoting spares into dead slots, and dials once more, so one
-// crashed worker costs one repaired request instead of every query until
-// the background loop catches up; repaired is how many members that
-// swapped. Closing the session gives it back (TCP.Close).
+// it — and otherwise a new dial of every slot. A member that died since
+// the last heartbeat costs that dial a spare, so one crashed worker costs
+// one repaired request instead of every query until the background loop
+// catches up; repaired is how many spares the dial promoted. Closing the
+// session gives it back (TCP.Close).
 func (r *Registry) Session(ctx context.Context) (t *TCP, repaired int, err error) {
 	if t = r.unpark(ctx); t != nil {
 		return t, 0, nil
 	}
-	t, err = DialTCP(ctx, r.Members())
-	if err != nil {
-		repaired = r.Reconcile(ctx)
-		t, err = DialTCP(ctx, r.Members())
+	return dialTCP(ctx, r.Members(), r)
+}
+
+// dial connects slot i of t, a session the registry lent: the slot's
+// member first, then each spare in order (dialSlot bounds each
+// candidate). A spare that acks the hello is promoted: it leaves the
+// spare list, the member it replaces goes to the list's tail — a
+// restarted process there is promotable again — and the parked sessions,
+// which dial the old member, are hung up. A spare another dial promoted
+// meanwhile is passed over. The candidates are a snapshot: no lock is
+// held while dialling.
+func (r *Registry) dial(ctx context.Context, t *TCP, i int) (*workerConn, error) {
+	r.mu.Lock()
+	candidates := append([]string{r.members[i]}, r.spares...)
+	r.mu.Unlock()
+	return dialSlot(ctx, i, len(t.conns), candidates, func(addr string) bool {
+		if !r.promote(i, addr, &t.promoted) {
+			return false
+		}
+		t.mu.Lock()
+		t.addrs[i] = addr
+		t.mu.Unlock()
+		return true
+	})
+}
+
+// promote records that slot i answered at addr, counting a promotion in
+// promoted; false when addr is neither the slot's member nor still a
+// spare: another slot took it.
+func (r *Registry) promote(i int, addr string, promoted *atomic.Int64) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.members[i] == addr {
+		return true
 	}
-	if err != nil {
-		return nil, repaired, err
+	j := slices.Index(r.spares, addr)
+	if j < 0 {
+		return false
 	}
-	t.reg = r
-	return t, repaired, nil
+	r.spares = append(slices.Delete(r.spares, j, j+1), r.members[i])
+	r.members[i] = addr
+	r.generation++
+	r.dropIdle()
+	promoted.Add(1)
+	return true
 }
 
 // unpark takes a parked session whose connections all held while it was
@@ -104,8 +141,10 @@ func (r *Registry) unpark(ctx context.Context) *TCP {
 // release takes back a session whose execution is done. Its reset runs
 // off the borrower's path, bounded like a hello; the session is parked
 // when the reset succeeded, the registry is not closed and the session
-// still dials the current members — recovery may have promoted a spare
-// into it — and hung up otherwise.
+// still dials the current members — a spare promoted since, by another
+// session's dial, left it a connection to a former member — and hung up
+// otherwise. A spare this session's own recovery promoted is a member:
+// the healed session parks.
 func (r *Registry) release(t *TCP) {
 	r.mu.Lock()
 	if r.closed {
@@ -160,97 +199,36 @@ func (r *Registry) Spares() []string {
 	return append([]string(nil), r.spares...)
 }
 
-// Generation counts membership changes; it ticks once per Reconcile
-// that swapped at least one member.
+// Generation counts membership changes: one per promoted spare.
 func (r *Registry) Generation() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.generation
 }
 
-// probeTimeout bounds one liveness probe. A healthy worker answers in
-// milliseconds; one that accepts the connection and then says nothing
-// would otherwise hold its prober for as long as the caller's context
-// lives — a /query's whole request, when the probe is the repair a
-// failed dial triggers.
-const probeTimeout = 3 * time.Second
-
-// probe checks one worker for liveness: dial, handshake, a one-step
-// script holding a ping, close, all within probeTimeout. A worker that
-// completes it can serve a session.
-func probe(ctx context.Context, addr string) bool {
-	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
-	defer cancel()
-	t, err := DialTCP(ctx, []string{addr})
-	if err != nil {
-		return false
-	}
-	defer t.Close()
-	_, err = t.Run(ctx, []Op{{Kind: OpPing, Round: 1}})
-	return err == nil
-}
-
-// probeAll probes every address concurrently.
-func probeAll(ctx context.Context, addrs []string) []bool {
-	alive := make([]bool, len(addrs))
-	var wg sync.WaitGroup
-	for i, addr := range addrs {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			alive[i] = probe(ctx, addr)
-		}(i, addr)
-	}
-	wg.Wait()
-	return alive
-}
-
-// Reconcile probes every member and swaps each dead member for a live
-// spare; dead member addresses are recycled to the back of the spare
-// list (a restarted process at the old address becomes promotable
-// again). It returns how many members were swapped. Dead members with
-// no live spare left keep their slot — a later Reconcile retries them.
+// Reconcile is the heartbeat: a fresh dial of every slot through the
+// registry's one dial, a ping bounded by HelloTimeout, and a replacement
+// — the same dial again — of each worker that fails the ping; then the
+// session is hung up. It returns how many spares it promoted. A slot no
+// candidate answers keeps its member, for a later Reconcile to retry.
 //
-// Every probe runs on a snapshot, outside the registry lock: a worker
-// that accepts the connection and never answers stalls this call for
-// one probeTimeout per pass (members, then spares) or until ctx is done,
-// never Members or Spares, which every query takes.
+// Nothing is dialled under the registry lock: a worker that accepts the
+// connection and never answers stalls this call for its share of ctx (at
+// most HelloTimeout per candidate), never Members or Spares, which every
+// query takes.
 func (r *Registry) Reconcile(ctx context.Context) int {
-	members := r.Members()
-	alive := probeAll(ctx, members)
-	if !slices.Contains(alive, false) {
-		return 0
+	t, promoted, err := dialTCP(ctx, r.Members(), r)
+	if err != nil {
+		return promoted
 	}
-	spares := r.Spares()
-	promotable := make(map[string]bool, len(spares))
-	for i, ok := range probeAll(ctx, spares) {
-		promotable[spares[i]] = ok
+	defer t.hangUp()
+	pctx, cancel := context.WithTimeout(ctx, HelloTimeout)
+	_, err = t.Run(pctx, []Op{{Kind: OpPing, Round: 1}})
+	cancel()
+	for _, w := range FailedWorkers(err) {
+		_ = t.ReplaceWorker(ctx, w) // on failure the slot keeps its member
 	}
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	swapped := 0
-	for i, ok := range alive {
-		if ok || r.members[i] != members[i] {
-			continue // live, or someone else already swapped the slot
-		}
-		// Only spares still listed are candidates: a concurrent Reconcile
-		// may have promoted one since the snapshot.
-		for j, cand := range r.spares {
-			if promotable[cand] {
-				r.spares = append(slices.Delete(r.spares, j, j+1), r.members[i])
-				r.members[i] = cand
-				swapped++
-				break
-			}
-		}
-	}
-	if swapped > 0 {
-		// The parked sessions dial the old members.
-		r.generation++
-		r.dropIdle()
-	}
-	return swapped
+	return int(t.promoted.Load())
 }
 
 // Run reconciles every interval until ctx is done — the background

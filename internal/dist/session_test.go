@@ -112,28 +112,103 @@ func TestParkedSessionForgetsItsEpoch(t *testing.T) {
 	}
 }
 
-// TestSessionKeepsConfiguredSpares: arming recovery sets a session's
-// spare list, it does not extend it. One session serving three
-// executions, reset between them, holds exactly the configured spares
-// after each — not three copies of them for dialWorker to try in turn.
+// TestSessionKeepsConfiguredSpares: the spares a session may promote are
+// its registry's, and a promotion is the registry's. Member 1 dies under
+// a lent session; the query heals onto the spare, after which the
+// registry lists the spare as member 1 and the dead address as its one
+// spare — so the healed session parks, and the next borrow takes it with
+// no dial and nothing to repair. (When a session kept a spare list of its
+// own, the registry still named the dead member: the healed session was
+// hung up, and the next borrow dialled the dead member, reconciled and
+// dialled again, counting one death twice.)
 func TestSessionKeepsConfiguredSpares(t *testing.T) {
-	const p = 3
-	db := relation.IdentityDatabase(query.Cycle(3), 30)
-	spares := []string{"127.0.0.1:1", "127.0.0.1:2"}
-	tr := dialPool(t, startPool(t, p))
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		if _, err := hypercube.Run(query.Cycle(3), db, p, hypercube.Options{Seed: 23, Transport: tr,
-			Recovery: dist.RecoveryOptions{Enabled: true, Spares: spares}}); err != nil {
-			t.Fatal(err)
-		}
-		if got := tr.Spares(); !slices.Equal(got, spares) {
-			t.Fatalf("after execution %d the session's spares are %v, want %v", i, got, spares)
-		}
-		if _, err := tr.Run(ctx, []dist.Op{{Kind: dist.OpReset, Round: i + 1}}); err != nil {
-			t.Fatal(err)
-		}
+	const p = 2
+	q := query.Cycle(3)
+	db := relation.IdentityDatabase(q, 30)
+	pool := startKillablePool(t, p+1)
+	m0, m1, spare := pool.addrs[0], pool.addrs[1], pool.addrs[2]
+	reg := dist.NewRegistry([]string{m0, m1}, []string{spare})
+	runRegistry(t, reg)
+	tr := borrow(t, reg)
+	pool.kill(1)
+	res, err := hypercube.Run(q, db, p, hypercube.Options{Seed: 23, Transport: tr, Recovery: dist.RecoveryOptions{Enabled: true}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	truth, err := core.GroundTruth(q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Replacements != 1 || !sameTuples(res.Answers.Tuples(), truth) {
+		t.Fatalf("%d replacements, %d answers (ground truth %d); want one replacement", res.Replacements, res.Answers.Len(), len(truth))
+	}
+	tr.Close()
+	if members, spares := reg.Members(), reg.Spares(); !slices.Equal(members, []string{m0, spare}) || !slices.Equal(spares, []string{m1}) {
+		t.Fatalf("after the heal the registry lists members %v and spares %v; want [%s %s] and [%s]", members, spares, m0, spare, m1)
+	}
+	next, repaired, err := reg.Session(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer next.Close()
+	if !next.Reused() || next.Dials() != 0 || repaired != 0 {
+		t.Fatalf("the borrow after the heal: reused %v, %d dials, %d repaired; want the healed session, no dial, nothing repaired", next.Reused(), next.Dials(), repaired)
+	}
+}
+
+// TestRegistryConcurrentBorrowsPromoteOnce: borrows that all find the same
+// member dead at once each get a session, and between them promote one
+// spare — the first promotion makes it the slot's member for the others.
+func TestRegistryConcurrentBorrowsPromoteOnce(t *testing.T) {
+	pool := startKillablePool(t, 4) // two members and two spares
+	reg := dist.NewRegistry(pool.addrs[:2], pool.addrs[2:])
+	runRegistry(t, reg)
+	pool.kill(1)
+	sessions := make([]*dist.TCP, 8)
+	var repaired atomic.Int64
+	var wg sync.WaitGroup
+	for i := range sessions {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			tr, n, err := reg.Session(context.Background())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			repaired.Add(int64(n))
+			sessions[i] = tr
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for _, tr := range sessions {
+		if _, err := tr.Run(context.Background(), []dist.Op{{Kind: dist.OpPing, Round: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		tr.Close()
+	}
+	members, spares := reg.Members(), reg.Spares()
+	if repaired.Load() != 1 || reg.Generation() != 1 ||
+		!slices.Equal(members, []string{pool.addrs[0], pool.addrs[2]}) || !slices.Equal(spares, []string{pool.addrs[3], pool.addrs[1]}) {
+		t.Fatalf("%d repaired, generation %d, members %v, spares %v; want one promotion of the first spare", repaired.Load(), reg.Generation(), members, spares)
+	}
+}
+
+// lentSession borrows a session from a registry over members and spares
+// whose loop runs until the test ends.
+func lentSession(t *testing.T, members, spares []string) *dist.TCP {
+	t.Helper()
+	reg := dist.NewRegistry(members, spares)
+	runRegistry(t, reg)
+	tr, _, err := reg.Session(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	return tr
 }
 
 // accepted returns how many connections member i accepted.

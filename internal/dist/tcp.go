@@ -23,24 +23,24 @@ import (
 // execution from a Registry, which dials a session only when none is
 // parked and parks each one, reset, when its execution is done (Close).
 // Only what a worker process was asked to retain outlives a reset, for
-// later executions to attach to.
+// later executions to attach to. A session keeps no membership of its
+// own: a lent one dials every slot, first or as a replacement, through
+// its Registry, which may promote a spare; one DialTCP made re-dials
+// only its own addresses.
 type TCP struct {
 	conns []*workerConn
-	// mu guards the address bookkeeping below, mutated only by the
-	// (sequential) recovery path.
+	// mu guards addrs, which a lent session's slot dials update.
 	mu sync.Mutex
 	// addrs[i] is the address worker i currently runs at.
 	addrs []string
-	// spares are addresses of idle workers available for promotion when
-	// a member dies; a replaced member's old address is recycled to the
-	// back of this list.
-	spares []string
 	// dials counts the pool-wide dials and worker replacements this
 	// borrow of the session paid, exchanges its acknowledged pool-wide
-	// round trips; a service adds them up across executions.
-	dials, exchanges atomic.Int64
-	// reg is the Registry that lent the session (nil: DialTCP's own, hung
-	// up at Close); reused says it lent one it had parked.
+	// round trips; a service adds them up across executions. promoted
+	// counts the spares its dials promoted into the registry's members.
+	dials, exchanges, promoted atomic.Int64
+	// reg is the Registry that lent the session and dials its slots (nil:
+	// DialTCP's own, hung up at Close); reused says it lent one it had
+	// parked.
 	reg    *Registry
 	reused bool
 	// failed is whether the last script, replay or replacement failed: a
@@ -105,23 +105,32 @@ func ParseAddrs(s string) ([]string, error) {
 // connection that did open is closed and the error names each worker
 // that could not be reached.
 func DialTCP(ctx context.Context, addrs []string) (*TCP, error) {
+	t, _, err := dialTCP(ctx, addrs, nil)
+	return t, err
+}
+
+// dialTCP is DialTCP for a session reg lends (nil: none), whose slots
+// reg's dial connects; it also returns how many spares that promoted.
+func dialTCP(ctx context.Context, addrs []string, reg *Registry) (*TCP, int, error) {
 	if len(addrs) == 0 {
-		return nil, errors.New("dist: no worker addresses")
+		return nil, 0, errors.New("dist: no worker addresses")
 	}
 	t := &TCP{
 		conns: make([]*workerConn, len(addrs)),
 		addrs: append([]string(nil), addrs...),
+		reg:   reg,
 	}
 	t.dials.Add(1)
 	err := eachWorker(len(addrs), func(i int) (err error) {
 		t.conns[i], err = t.dialWorker(ctx, i)
 		return err
 	})
+	promoted := int(t.promoted.Load())
 	if err != nil {
-		t.Close()
-		return nil, err
+		t.hangUp()
+		return nil, promoted, err
 	}
-	return t, nil
+	return t, promoted, nil
 }
 
 // HelloTimeout bounds one candidate's connect and hello — a constant,
@@ -131,17 +140,22 @@ func DialTCP(ctx context.Context, addrs []string) (*TCP, error) {
 // /query whose client set no deadline is forever.
 const HelloTimeout = 3 * time.Second
 
-// dialWorker connects worker slot i to its current address, falling
-// back to spares (and recycling the dead address) when it is
-// unreachable. A candidate that accepts the connection and never acks
-// the hello — a stopped process — must not use up the time of those
-// behind it: each gets HelloTimeout, or less when an equal share of
-// what is left until ctx's deadline is less. The caller holds no lock;
-// t.mu guards slot bookkeeping.
+// dialWorker connects worker slot i: through the lending registry's dial,
+// or, for a session of its own, at the slot's address alone.
 func (t *TCP) dialWorker(ctx context.Context, i int) (*workerConn, error) {
-	t.mu.Lock()
-	candidates := append([]string{t.addrs[i]}, t.spares...)
-	t.mu.Unlock()
+	if t.reg != nil {
+		return t.reg.dial(ctx, t, i)
+	}
+	return dialSlot(ctx, i, len(t.conns), t.addrs[i:i+1], nil)
+}
+
+// dialSlot connects slot i of a pool of p to the first candidate, in
+// order, that acks the hello and that take (nil: any) accepts. A
+// candidate that accepts the connection and never acks the hello — a
+// stopped process — must not use up the time of those behind it: each
+// gets HelloTimeout, or less when an equal share of what is left until
+// ctx's deadline is less. The error is the first candidate's.
+func dialSlot(ctx context.Context, i, p int, candidates []string, take func(addr string) bool) (*workerConn, error) {
 	var firstErr error
 	for k, addr := range candidates {
 		bound := HelloTimeout
@@ -149,29 +163,18 @@ func (t *TCP) dialWorker(ctx context.Context, i int) (*workerConn, error) {
 			bound = min(bound, time.Until(deadline)/time.Duration(len(candidates)-k))
 		}
 		cctx, cancel := context.WithTimeout(ctx, bound)
-		wc, err := dialHandshake(cctx, i, len(t.conns), addr)
+		wc, err := dialHandshake(cctx, i, p, addr)
 		cancel()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+		if err == nil && take != nil && !take(addr) {
+			wc.conn.Close()
+			err = fmt.Errorf("dist: spare %s was promoted into another slot", addr)
 		}
-		t.mu.Lock()
-		if addr != t.addrs[i] {
-			// A spare was promoted: remove it from the spare list and
-			// recycle the dead member address behind the remaining spares.
-			for j, s := range t.spares {
-				if s == addr {
-					t.spares = append(t.spares[:j], t.spares[j+1:]...)
-					break
-				}
-			}
-			t.spares = append(t.spares, t.addrs[i])
-			t.addrs[i] = addr
+		if err == nil {
+			return wc, nil
 		}
-		t.mu.Unlock()
-		return wc, nil
+		if firstErr == nil {
+			firstErr = err
+		}
 	}
 	return nil, firstErr
 }
@@ -209,16 +212,6 @@ func dialHandshake(ctx context.Context, i, p int, addr string) (*workerConn, err
 		return nil, fmt.Errorf("dist: handshake with worker %d at %s: %w", i, addr, err)
 	}
 	return wc, nil
-}
-
-// SetSpares sets the spare worker addresses ReplaceWorker may promote.
-// Cluster.EnableRecovery calls it with RecoveryOptions.Spares once per
-// execution; the list is replaced, not extended, so a session that serves
-// execution after execution tries each spare once.
-func (t *TCP) SetSpares(addrs []string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.spares = append([]string(nil), addrs...)
 }
 
 // Workers implements Transport.
@@ -509,9 +502,10 @@ func (t *TCP) runAll(ctx context.Context, ops []Op) (Reply, error) {
 }
 
 // ReplaceWorker implements Replaceable: it closes worker w's dead
-// connection and installs a fresh session, re-dialing the worker's
-// address with spare fallback. The new session is empty; the caller
-// (Cluster.heal) replays journaled state into it.
+// connection and installs a fresh session, dialled the way the slot was
+// first dialled (dialWorker) — so a lent session may promote one of its
+// registry's spares. The new session is empty; the caller (Cluster.heal)
+// replays journaled state into it.
 func (t *TCP) ReplaceWorker(ctx context.Context, w int) error {
 	if w < 0 || w >= len(t.conns) {
 		return fmt.Errorf("dist: replace worker %d out of range [0,%d)", w, len(t.conns))

@@ -47,8 +47,10 @@ type Metrics struct {
 	// WorkerReplacements counts workers replaced mid-query by the
 	// recovery policy across all executions.
 	WorkerReplacements atomic.Int64
-	// PoolRepairs counts pool members swapped for spares by registry
-	// reconciliation (background heartbeats plus dial-failure repair).
+	// PoolRepairs counts pool members a query's dial found dead and
+	// replaced with a spare. A member replaced mid-query counts in
+	// WorkerReplacements instead, and one the heartbeat replaced in
+	// neither.
 	PoolRepairs atomic.Int64
 	// PoolDials counts the sessions dialled against the worker pool — an
 	// execution that finds none parked dials one — plus mid-query worker
@@ -173,7 +175,7 @@ func (m *Metrics) WriteProm(w io.Writer) {
 	counter("mpcserve_shuffle_bits_total", "Bits received by workers across all queries.", m.ShuffleBits.Load())
 	counter("mpcserve_distributed_queries_total", "Executions dispatched to the remote TCP worker pool.", m.DistributedQueries.Load())
 	counter("mpcserve_worker_replacements_total", "Workers replaced mid-query by the recovery policy.", m.WorkerReplacements.Load())
-	counter("mpcserve_pool_repairs_total", "Pool members swapped for spares by reconciliation.", m.PoolRepairs.Load())
+	counter("mpcserve_pool_repairs_total", "Pool members a query's dial found dead and replaced with a spare (mid-query replacements count in mpcserve_worker_replacements_total).", m.PoolRepairs.Load())
 	counter("mpcserve_pool_dials_total", "Worker-pool sessions dialled, plus mid-query worker replacements.", m.PoolDials.Load())
 	counter("mpcserve_pool_sessions_reused_total", "Executions that ran on a parked worker-pool session instead of dialling one.", m.PoolSessionsReused.Load())
 	counter("mpcserve_pool_exchanges_total", "Acknowledged pool-wide round trips across all sessions: one per fence, so a one-shot round is one and a resident one two.", m.PoolExchanges.Load())

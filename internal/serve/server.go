@@ -93,12 +93,13 @@ type Config struct {
 	// concurrent queries stay isolated on shared worker processes and a
 	// warm query pays no dial.
 	WorkerAddrs []string
-	// SpareAddrs lists standby mpcworker addresses. A worker that dies
-	// mid-query is replaced by a spare and the query resumes; the
-	// background pool registry also promotes spares for members that
-	// fail heartbeat probes, so the service heals instead of returning
-	// 502 until an operator intervenes. Only meaningful with
-	// WorkerAddrs.
+	// SpareAddrs lists standby mpcworker addresses, held by the pool
+	// registry with the members. A member found dead — by a query's
+	// dial, mid-query, or by the background heartbeat — is replaced by
+	// the first live spare, once, for every later query: the service
+	// heals instead of returning 502 until an operator intervenes, and a
+	// query healed mid-flight parks its session like any other. Only
+	// meaningful with WorkerAddrs.
 	SpareAddrs []string
 	// MaxReplacements bounds worker replacements per query execution;
 	// ≤ 0 selects the pool size.
@@ -700,13 +701,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // recovery is the self-healing policy of executions on the worker
-// pool: replace a dead worker from the pool's spares and replay.
+// pool: replace a dead worker and replay. The lent session replaces it
+// through the pool registry, which owns the spares.
 func (s *Server) recovery() dist.RecoveryOptions {
-	return dist.RecoveryOptions{
-		Enabled:         true,
-		MaxReplacements: s.cfg.MaxReplacements,
-		Spares:          s.pool.Spares(),
-	}
+	return dist.RecoveryOptions{Enabled: true, MaxReplacements: s.cfg.MaxReplacements}
 }
 
 // DatasetRequest is the POST /datasets body: a name plus exactly one
