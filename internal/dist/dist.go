@@ -10,11 +10,13 @@
 //
 //   - Transport: runs a round script — a list of Op steps — on the
 //     pool, every worker getting its slice as one ordered stream, and
-//     returns what the answered steps replied. Loopback keeps
-//     everything in-process (what the paper's experiments, the tests
-//     and an unconfigured engine run on); TCP ships length-prefixed
-//     wire frames (internal/wire) to cmd/mpcworker processes, one
-//     connection per worker.
+//     returns what the answered steps replied. Both links reach the
+//     same worker session: Loopback holds p of them in this process
+//     and hands them their frames unencoded (what the paper's
+//     experiments, the tests and an unconfigured engine run on); TCP
+//     ships length-prefixed wire frames (internal/wire) to
+//     cmd/mpcworker processes, one connection per worker. What
+//     answers are checked against is core.GroundTruth, not a link.
 //   - Cluster: the coordinator. It partitions relations through the
 //     columnar exchange layer, performs the per-round MPC(ε) receive
 //     accounting coordinator-side — so statistics are identical
@@ -24,9 +26,11 @@
 //     (a bare NewCluster). A failed worker is healed by more scripts —
 //     an epoch step, a replay closed by a ping (recovery.go) — each,
 //     like every script, under the policy's phase bound.
-//   - the worker session (Serve/ServeConn): the remote half. Each
-//     accepted connection is an isolated session with its own store,
-//     so one worker process can serve many concurrent executions, and
+//   - the worker session: the worker, and the only code that interprets
+//     a step (session.handle takes a frame and returns its answer).
+//     Serve/ServeConn put it behind a connection: each accepted
+//     connection is an isolated session with its own store, so one
+//     worker process can serve many concurrent executions, and
 //     a session an OpReset emptied serves the next execution without a
 //     new dial (Registry parks such sessions between queries). A
 //     store holds sealed runs (relation.Run) and nothing else — what
@@ -182,8 +186,12 @@ type Reply struct {
 // other step — as one stream, processed in order, and returns what the
 // answered steps replied. A worker that fails is named by a *WorkerError
 // in the returned error while the healthy pool runs its slices to the
-// end; an unattributed error (a destination out of range, a join the
-// workers reject) means the script was refused. Run must honor ctx:
+// end; an unattributed error (a destination out of range, checked
+// before any step runs) means the script was refused. A step a worker
+// refuses (a join it cannot parse, a run of the wrong arity) is
+// unattributed only in process, where the Loopback's sessions live on;
+// over TCP the worker's Error frame ends its session and the refusal is
+// that worker's *WorkerError. Run must honor ctx:
 // cancellation or deadline expiry surfaces as an error instead of a
 // hang, even when a worker is stuck or its connection has died.
 //

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/localjoin"
@@ -12,20 +13,20 @@ import (
 	"repro/internal/wire"
 )
 
-// Loopback is the in-process Transport: p worker states in this
-// process's memory, deliveries as pointer hand-offs with no
-// serialization, local joins as one goroutine per worker. It is what
-// Open uses when no transport is given, and the reference
-// implementation the TCP transport is differentially tested against.
+// Loopback is the in-process link to the pool: p worker sessions in this
+// process's memory — the same session, and so the same worker, a TCP
+// session reaches in an mpcworker process, not a second implementation
+// of it. Run hands each session its slice of every step as the frames
+// TCP would send, never encoded: a run crosses as a pointer. Local joins
+// run on every worker concurrently, every other step worker by worker.
+// It is what Open uses when no transport is given. What an execution's
+// answers are checked against is core.GroundTruth.
+//
+// One difference from TCP is kept on purpose: a step a worker refuses is
+// the script's unattributed error and the session lives on, where over
+// TCP the worker's Error frame ends the session.
 type Loopback struct {
-	ws []*workerStore
-	// mu guards the recovery bookkeeping (worker replacement, epoch)
-	// and the trace header; the data path goes through the per-store
-	// locks.
-	mu       sync.Mutex
-	epoch    uint32
-	traceHdr wire.TraceHeader
-	traced   bool
+	ss []session
 }
 
 // NewLoopback returns an in-process pool of p workers with empty
@@ -37,206 +38,146 @@ func NewLoopback(p int) *Loopback {
 // NewLoopbackOn is NewLoopback with the workers keeping retained runs
 // in rs, like sessions on one pool of worker processes (nil: nothing).
 func NewLoopbackOn(p int, rs *ResidentStore) *Loopback {
-	l := &Loopback{ws: make([]*workerStore, p)}
-	for i := range l.ws {
-		l.ws[i] = newWorkerStore(residentHome{rs, i, p})
+	l := &Loopback{ss: make([]session, p)}
+	for i := range l.ss {
+		l.ss[i] = newSession(residentHome{rs, i, p})
 	}
 	return l
 }
 
 // Workers implements Transport.
-func (l *Loopback) Workers() int { return len(l.ws) }
+func (l *Loopback) Workers() int { return len(l.ss) }
 
-// Run implements Transport: the steps act on the stores in script
-// order. Deliveries land immediately (a barrier only publishes the
-// round's retained runs), a join evaluates on every worker concurrently
-// and keeps the result as a sealed run under the view name.
+// Run implements Transport: the steps act on the sessions in script
+// order, each step on every worker before the next.
 func (l *Loopback) Run(ctx context.Context, ops []Op) (Reply, error) {
-	return l.run(ctx, ops, -1)
+	return l.run(ctx, ops, l.ss)
 }
 
-// run executes the script on the pool, or — the replay of a replaced
-// worker — on worker only alone when that is not negative.
-func (l *Loopback) run(ctx context.Context, ops []Op, only int) (Reply, error) {
+// run executes the script on the sessions ss — the pool, or a replaced
+// worker alone for its replay.
+func (l *Loopback) run(ctx context.Context, ops []Op, ss []session) (Reply, error) {
 	var reply Reply
 	if err := ctx.Err(); err != nil {
 		return reply, err
 	}
-	ws := l.ws
-	if only >= 0 {
-		ws = l.ws[only : only+1]
+	if err := checkDestinations(ops, len(l.ss)); err != nil {
+		return reply, err
 	}
-	// takes reports whether a delivery addressed to worker to is for ws.
-	takes := func(to int) (bool, error) {
-		if to < 0 || to >= len(l.ws) {
-			return false, fmt.Errorf("dist: loopback delivery to worker %d out of range [0,%d)", to, len(l.ws))
+	// frames is each worker's slice of the current step in turn, filled in
+	// place.
+	var frames []wire.Frame
+	for i := range ops {
+		if ops[i].Kind == OpJoin && len(ss) > 1 {
+			frames = ops[i].frames(frames[:0], 0)
+			if err := joinConcurrently(ss, &frames[0]); err != nil {
+				return reply, err
+			}
+			continue
 		}
-		return only < 0 || to == only, nil
-	}
-	for _, op := range ops {
-		var err error
-		switch op.Kind {
-		case OpDeliver:
-			for _, d := range op.Deliveries {
-				if ok, err := takes(d.To); err != nil {
-					return reply, err
-				} else if !ok {
-					continue
-				}
-				if err := l.ws[d.To].receive(d); err != nil {
+		for j := range ss {
+			s := &ss[j]
+			frames = ops[i].frames(frames[:0], int(s.id))
+			for k := range frames {
+				answer, runs, err := s.handle(&frames[k])
+				if err != nil {
 					return reply, err
 				}
+				reply.add(len(l.ss), int(s.id), &answer, runs)
 			}
-		case OpDelta:
-			for _, d := range op.Deltas {
-				if ok, err := takes(d.To); err != nil {
-					return reply, err
-				} else if !ok {
-					continue
-				}
-				if err := l.ws[d.To].applyDelta(d.Store, d.View, d.Del, d.Buf); err != nil {
-					return reply, err
-				}
-			}
-		case OpBarrier:
-			for _, w := range ws {
-				w.publish()
-			}
-		case OpJoin:
-			err = joinAll(ws, op.Join)
-		case OpAttach:
-			reply.Attached = make([][]wire.Attach, len(l.ws))
-			for _, w := range ws {
-				for _, a := range op.Attach {
-					r, err := w.attach(a.Key, a.Store, a.Tuples[w.home.slot])
-					if err != nil {
-						return reply, err
-					}
-					reply.Attached[w.home.slot] = append(reply.Attached[w.home.slot], r)
-				}
-			}
-		case OpGather:
-			for _, w := range ws {
-				for _, run := range w.runs(op.View) {
-					reply.Runs, reply.From = append(reply.Runs, run), append(reply.From, w.home.slot)
-				}
-			}
-		case OpEpoch:
-			// The pool's sessions as one: tests read it back through Epoch.
-			// An in-process worker is always live, so an OpPing does nothing.
-			l.mu.Lock()
-			if uint32(op.Round) < l.epoch {
-				err = fmt.Errorf("dist: loopback stale epoch %d announced, pool at %d", op.Round, l.epoch)
-			} else {
-				l.epoch = uint32(op.Round)
-			}
-			l.mu.Unlock()
-		case OpTrace:
-			// The in-process analogue of announcing the header to every
-			// worker; tests read it back through LastTrace.
-			l.mu.Lock()
-			l.traceHdr, l.traced = op.Trace, true
-			l.mu.Unlock()
-		case OpReset:
-			// What a worker session does at a reset, to every store at once:
-			// fresh stores on the same homes, epoch 0, no span context.
-			l.mu.Lock()
-			for _, w := range ws {
-				l.ws[w.home.slot] = newWorkerStore(w.home)
-			}
-			l.epoch, l.traceHdr, l.traced = 0, wire.TraceHeader{}, false
-			l.mu.Unlock()
-		}
-		if err != nil {
-			return reply, err
 		}
 	}
 	return reply, ctx.Err()
 }
 
-// joinAll evaluates spec on every given worker concurrently.
-func joinAll(ws []*workerStore, spec JoinSpec) error {
-	q, err := parseJoinSpec(spec, query.Parse)
-	if err != nil {
-		return err
-	}
-	errs := make([]error, len(ws))
+// joinConcurrently has every session handle the one join frame f, each on
+// a goroutine of its own, and joins the refusals.
+func joinConcurrently(ss []session, f *wire.Frame) error {
+	errs := make([]error, len(ss))
 	var wg sync.WaitGroup
-	for i, w := range ws {
+	for j := range ss {
 		wg.Add(1)
-		go func(i int, w *workerStore) {
+		go func(s *session, err *error) {
 			defer wg.Done()
-			errs[i] = w.join(q, spec.Bindings, spec.View)
-		}(i, w)
+			_, _, *err = s.handle(f)
+		}(&ss[j], &errs[j])
 	}
 	wg.Wait()
 	return errors.Join(errs...)
 }
 
+// add records worker w's answer to one frame in a pool of p: an attach
+// answer behind the worker's earlier ones, gathered runs behind every run
+// of the workers up to w — so a worker's runs stay together however many
+// gathers a script holds, as over TCP. Acks and pongs carry only an echo.
+func (r *Reply) add(p, w int, answer *wire.Frame, runs []*relation.Run) {
+	switch answer.Type {
+	case wire.TypeAttach:
+		if r.Attached == nil {
+			r.Attached = make([][]wire.Attach, p)
+		}
+		r.Attached[w] = append(r.Attached[w], answer.Attach)
+	case wire.TypeDone:
+		at := len(r.From)
+		for at > 0 && r.From[at-1] > w {
+			at--
+		}
+		for _, run := range runs {
+			r.Runs, r.From = slices.Insert(r.Runs, at, run), slices.Insert(r.From, at, w)
+			at++
+		}
+	}
+}
+
 // Close implements Transport.
 func (l *Loopback) Close() error { return nil }
 
-// ReplaceWorker implements Replaceable: the worker's store is swapped
-// for an empty one, the in-process equivalent of promoting a fresh
-// worker process.
+// ReplaceWorker implements Replaceable: the worker's session is swapped
+// for a fresh one, the in-process equivalent of promoting a fresh worker
+// process.
 func (l *Loopback) ReplaceWorker(ctx context.Context, w int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if w < 0 || w >= len(l.ws) {
-		return fmt.Errorf("dist: loopback replace worker %d out of range [0,%d)", w, len(l.ws))
+	if w < 0 || w >= len(l.ss) {
+		return fmt.Errorf("dist: loopback replace worker %d out of range [0,%d)", w, len(l.ss))
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.ws[w] = newWorkerStore(l.ws[w].home)
+	l.ss[w] = newSession(l.ss[w].store.home)
 	return nil
 }
 
 // RunOn implements Replaceable: the script on worker w only.
 func (l *Loopback) RunOn(ctx context.Context, w int, ops []Op) error {
-	if w < 0 || w >= len(l.ws) {
-		return fmt.Errorf("dist: loopback run on worker %d out of range [0,%d)", w, len(l.ws))
+	if w < 0 || w >= len(l.ss) {
+		return fmt.Errorf("dist: loopback run on worker %d out of range [0,%d)", w, len(l.ss))
 	}
-	_, err := l.run(ctx, ops, w)
+	_, err := l.run(ctx, ops, l.ss[w:w+1])
 	return err
 }
 
-// LastTrace returns the last announced trace header and whether any
-// was announced.
+// LastTrace returns the span context worker 0's session holds — the last
+// one announced since the session opened or was reset — and whether it
+// holds one.
 func (l *Loopback) LastTrace() (wire.TraceHeader, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.traceHdr, l.traced
+	h := l.ss[0].trace
+	return h, h != (wire.TraceHeader{})
 }
 
-// Epoch returns the last announced recovery epoch.
+// Epoch returns the highest recovery epoch a worker's session was last
+// announced.
 func (l *Loopback) Epoch() uint32 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.epoch
+	var epoch uint32
+	for i := range l.ss {
+		epoch = max(epoch, l.ss[i].epoch)
+	}
+	return epoch
 }
 
-// parseJoinSpec validates the pieces of a JoinSpec shared by the
-// loopback transport and the remote worker session; parse is query.Parse
-// or a session's memo of it.
-func parseJoinSpec(spec JoinSpec, parse func(string) (*query.Query, error)) (*query.Query, error) {
-	q, err := parse(spec.Query)
-	if err != nil {
-		return nil, fmt.Errorf("dist: join query: %w", err)
-	}
-	if spec.View == "" {
-		return nil, fmt.Errorf("dist: join with empty view name")
-	}
-	return q, nil
-}
-
-// workerStore is one worker's state: received runs grouped by store
-// name, in arrival order. It is the one worker store, shared between the
-// loopback transport and the remote worker session, and everything in it
-// is a sealed run: no tuple exists on a worker between wire decode and
-// wire encode.
+// workerStore is one worker session's state: received runs grouped by
+// store name, in arrival order. Everything in it is a sealed run — no
+// tuple exists on a worker between wire decode and wire encode — and only
+// its session touches it, one frame at a time.
 type workerStore struct {
-	mu    sync.Mutex
 	store map[string][]*relation.Run
 	// dead holds per-store tombstones — the tuples retracted by delta
 	// maintenance — as one sealed run. Runs are immutable once sealed, so
@@ -254,11 +195,10 @@ func newWorkerStore(home residentHome) *workerStore {
 	return &workerStore{store: make(map[string][]*relation.Run), home: home}
 }
 
-// fits reports, with w.mu held, whether run may land under the store
-// name. A store is read as one relation — its runs merged, its
-// tombstones subtracted, the result joined — so it holds one arity, as
-// runs and as tombstones, and a run of another is refused: what names a
-// store comes from the peer.
+// fits reports whether run may land under the store name. A store is
+// read as one relation — its runs merged, its tombstones subtracted, the
+// result joined — so it holds one arity, as runs and as tombstones, and a
+// run of another is refused: what names a store comes from the peer.
 func (w *workerStore) fits(rel string, run *relation.Run) error {
 	held := w.dead[rel]
 	if runs := w.store[rel]; len(runs) > 0 {
@@ -273,13 +213,6 @@ func (w *workerStore) fits(rel string, run *relation.Run) error {
 // add appends a run under the store name, sealing it if the sender did
 // not.
 func (w *workerStore) add(rel string, run *relation.Run) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.addLocked(rel, run)
-}
-
-// addLocked is add with w.mu held.
-func (w *workerStore) addLocked(rel string, run *relation.Run) error {
 	if err := w.fits(rel, run); err != nil {
 		return err
 	}
@@ -294,8 +227,6 @@ func (w *workerStore) addLocked(rel string, run *relation.Run) error {
 // run readable as a Δ-relation. A run that does not fit every name it
 // would land under is refused before anything is applied.
 func (w *workerStore) applyDelta(store, view string, del bool, run *relation.Run) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if err := w.fits(store, run); err != nil {
 		return err
 	}
@@ -328,8 +259,6 @@ func (w *workerStore) applyDelta(store, view string, del bool, run *relation.Run
 // tombstones are live for the store the run returned is the store less
 // the tombstones, so gathers and joins never see a retracted tuple.
 func (w *workerStore) runs(rel string) []*relation.Run {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	held := w.store[rel]
 	if len(held) > 1 {
 		merged := relation.Merge(held)
@@ -350,17 +279,20 @@ func (w *workerStore) runs(rel string) []*relation.Run {
 	return []*relation.Run{live}
 }
 
-// join evaluates q over the store (atom names mapped through
-// bindings) and stores the result as one sealed run under view. Every
-// atom is read as the sealed runs the store already holds — the local
-// join works on their packed words directly — and the answer comes
-// back as a sealed run.
-func (w *workerStore) join(q *query.Query, bindings map[string]string, view string) error {
+// join evaluates q over the store (an atom named by a binding's first
+// name reads the store its second names, the last such binding winning)
+// and stores the result as one sealed run under view. Every atom is read
+// as the sealed runs the store already holds — the local join works on
+// their packed words directly — and the answer comes back as a sealed
+// run.
+func (w *workerStore) join(q *query.Query, bindings [][2]string, view string) error {
 	runs := make(localjoin.Runs, len(q.Atoms))
 	for _, a := range q.Atoms {
 		src := a.Name
-		if mapped, ok := bindings[a.Name]; ok {
-			src = mapped
+		for _, b := range bindings {
+			if b[0] == a.Name {
+				src = b[1]
+			}
 		}
 		runs[a.Name] = w.runs(src)
 	}

@@ -318,13 +318,11 @@ type retainedRuns struct {
 // merged into one run, so it holds one arity, like a store: the peer names
 // both.
 func (w *workerStore) receive(d exchange.Delivery) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	r := w.retained[d.Retain]
 	if r != nil && r.runs[0].Arity() != d.Buf.Arity() {
 		return fmt.Errorf("dist: arity-%d run to be retained under a key that holds arity %d", d.Buf.Arity(), r.runs[0].Arity())
 	}
-	if err := w.addLocked(d.Rel, d.Buf); err != nil {
+	if err := w.add(d.Rel, d.Buf); err != nil {
 		return err
 	}
 	if d.Retain != "" && w.home.store != nil {
@@ -346,8 +344,6 @@ func (w *workerStore) receive(d exchange.Delivery) error {
 // takes the merged run in their place, so a cold scatter is merged once,
 // here, and not again at the join's read.
 func (w *workerStore) publish() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	for key, r := range w.retained {
 		var tuples int64
 		for _, run := range r.runs {

@@ -2,12 +2,16 @@ package dist_test
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/dist/disttest"
+	"repro/internal/exchange"
 	"repro/internal/relation"
+	"repro/internal/wire"
 )
 
 // scriptLog keeps every script an execution handed its session.
@@ -109,6 +113,88 @@ func TestScriptIsItsSteps(t *testing.T) {
 					if !kinds[k] {
 						t.Errorf("no %s step in any script: the net does not cover it", k)
 					}
+				}
+			})
+		}
+	}
+}
+
+// TestLinksAgreeOnAScript: the in-process link and a TCP session hand the
+// same worker the same script, and it means the same on both. A script
+// that delivers to a worker outside the pool is refused before any step
+// runs, so worker 0's store stays empty; two attach steps return both
+// answers per worker; two gathers keep each worker's runs together, in
+// worker order. At the commit before the loopback ran the worker session
+// it failed all three: the first delivery landed, only the second
+// attach's answers came back, and the runs came back gather by gather.
+func TestLinksAgreeOnAScript(t *testing.T) {
+	const p = 2
+	ctx := context.Background()
+	unary := func(v int) *relation.Run { return relation.RunOf(1, []relation.Tuple{{v}}) }
+	deliverTo := func(to, v int) dist.Op {
+		return dist.Op{Kind: dist.OpDeliver, Round: 1, Deliveries: []exchange.Delivery{{To: to, Rel: "R", Buf: unary(v)}}}
+	}
+	flat := func(runs []*relation.Run) [][]relation.Tuple {
+		if len(runs) == 0 {
+			return nil
+		}
+		return rows(runs)
+	}
+	nothing := []int64{0, 0}
+	hit := []wire.Attach{{Hit: true}, {Hit: true}}
+	pools := residentPools(t, p)
+	for _, row := range []struct {
+		name   string
+		script []dist.Op
+		err    string
+		// runs and from are the reply's gathered runs, held are what R
+		// reads once the script is done.
+		runs     [][]relation.Tuple
+		from     []int
+		attached [][]wire.Attach
+		held     [][]relation.Tuple
+	}{
+		{
+			name:   "out of range",
+			script: []dist.Op{deliverTo(0, 1), deliverTo(7, 2)},
+			err:    "delivery to worker 7 out of range [0,2)",
+		},
+		{
+			name: "two attaches",
+			script: []dist.Op{
+				{Kind: dist.OpAttach, Attach: []dist.Attachment{{Key: "k1", Store: "S", Tuples: nothing}}},
+				{Kind: dist.OpAttach, Attach: []dist.Attachment{{Key: "k2", Store: "T", Tuples: nothing}}},
+			},
+			attached: [][]wire.Attach{hit, hit},
+		},
+		{
+			name: "two gathers",
+			script: []dist.Op{deliverTo(1, 2), deliverTo(0, 1), {Kind: dist.OpBarrier, Round: 1},
+				{Kind: dist.OpGather, View: "R"}, {Kind: dist.OpGather, View: "R"}},
+			runs: [][]relation.Tuple{{{1}}, {{1}}, {{2}}, {{2}}},
+			from: []int{0, 0, 1, 1},
+			held: [][]relation.Tuple{{{1}}, {{2}}},
+		},
+	} {
+		for name, pool := range pools {
+			t.Run(row.name+"/"+name, func(t *testing.T) {
+				tr := pool.session()
+				reply, err := tr.Run(ctx, row.script)
+				if (row.err == "") != (err == nil) || !strings.Contains(fmt.Sprint(err), row.err) {
+					t.Fatalf("script: %v, want %q", err, row.err)
+				}
+				if got := flat(reply.Runs); !reflect.DeepEqual(got, row.runs) || !reflect.DeepEqual(reply.From, row.from) {
+					t.Errorf("gathered %v from %v, want %v from %v", got, reply.From, row.runs, row.from)
+				}
+				if !reflect.DeepEqual(reply.Attached, row.attached) {
+					t.Errorf("attach answers %v, want %v", reply.Attached, row.attached)
+				}
+				held, err := gather(ctx, tr, "R")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := flat(held); !reflect.DeepEqual(got, row.held) {
+					t.Errorf("store R holds %v after the script, want %v", got, row.held)
 				}
 			})
 		}

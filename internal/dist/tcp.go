@@ -281,42 +281,47 @@ func eachWorker(n int, fn func(i int) error) error {
 }
 
 // frames appends worker w's slice of op to frames: its own deliveries
-// and deltas, every other step.
-func (op *Op) frames(frames []*wire.Frame, w int) []*wire.Frame {
+// and deltas, every other step — what a TCP session writes to the
+// worker, and what a Loopback session handles unencoded.
+func (op *Op) frames(frames []wire.Frame, w int) []wire.Frame {
 	switch op.Kind {
 	case OpDeliver:
 		for _, d := range op.Deliveries {
 			if d.To == w {
-				frames = append(frames, &wire.Frame{Type: wire.TypeData, Data: wire.Data{
+				frames = append(frames, wire.Frame{Type: wire.TypeData, Data: wire.Data{
 					Round: uint32(op.Round), Dest: uint32(w), Rel: d.Rel, Retain: d.Retain, Buf: d.Buf}})
 			}
 		}
 	case OpDelta:
 		for _, d := range op.Deltas {
 			if d.To == w {
-				frames = append(frames, &wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{
+				frames = append(frames, wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{
 					Round: uint32(op.Round), Dest: uint32(w), Store: d.Store, View: d.View, Del: d.Del, Buf: d.Buf}})
 			}
 		}
 	case OpBarrier:
-		frames = append(frames, &wire.Frame{Type: wire.TypeBarrier, Round: uint32(op.Round)})
+		frames = append(frames, wire.Frame{Type: wire.TypeBarrier, Round: uint32(op.Round)})
 	case OpJoin:
-		frames = append(frames, joinFrame(op.Join))
+		f := wire.Frame{Type: wire.TypeJoin, Join: wire.Join{Query: op.Join.Query, View: op.Join.View}}
+		for atom, store := range op.Join.Bindings {
+			f.Join.Bindings = append(f.Join.Bindings, [2]string{atom, store})
+		}
+		frames = append(frames, f)
 	case OpTrace:
-		frames = append(frames, &wire.Frame{Type: wire.TypeTrace, Trace: op.Trace})
+		frames = append(frames, wire.Frame{Type: wire.TypeTrace, Trace: op.Trace})
 	case OpAttach:
 		for _, a := range op.Attach {
-			frames = append(frames, &wire.Frame{Type: wire.TypeAttach, Attach: wire.Attach{
+			frames = append(frames, wire.Frame{Type: wire.TypeAttach, Attach: wire.Attach{
 				Key: a.Key, Store: a.Store, Tuples: uint64(a.Tuples[w])}})
 		}
 	case OpGather:
-		frames = append(frames, &wire.Frame{Type: wire.TypeGather, View: op.View})
+		frames = append(frames, wire.Frame{Type: wire.TypeGather, View: op.View})
 	case OpEpoch:
-		frames = append(frames, &wire.Frame{Type: wire.TypeEpoch, Round: uint32(op.Round)})
+		frames = append(frames, wire.Frame{Type: wire.TypeEpoch, Round: uint32(op.Round)})
 	case OpPing:
-		frames = append(frames, &wire.Frame{Type: wire.TypePing, Round: uint32(op.Round)})
+		frames = append(frames, wire.Frame{Type: wire.TypePing, Round: uint32(op.Round)})
 	case OpReset:
-		frames = append(frames, &wire.Frame{Type: wire.TypeReset, Round: uint32(op.Round)})
+		frames = append(frames, wire.Frame{Type: wire.TypeReset, Round: uint32(op.Round)})
 	}
 	return frames
 }
@@ -326,16 +331,22 @@ func (k OpKind) answered() bool {
 	return k != OpDeliver && k != OpDelta && k != OpTrace
 }
 
-// joinFrame builds the wire frame for a local-evaluation command.
-func joinFrame(spec JoinSpec) *wire.Frame {
-	f := &wire.Frame{Type: wire.TypeJoin, Join: wire.Join{
-		Query: spec.Query,
-		View:  spec.View,
-	}}
-	for atom, store := range spec.Bindings {
-		f.Join.Bindings = append(f.Join.Bindings, [2]string{atom, store})
+// checkDestinations refuses a script that delivers to a worker outside
+// a pool of p before any of it runs, on either link.
+func checkDestinations(ops []Op, p int) error {
+	for _, op := range ops {
+		for _, d := range op.Deliveries {
+			if d.To < 0 || d.To >= p {
+				return fmt.Errorf("dist: delivery to worker %d out of range [0,%d)", d.To, p)
+			}
+		}
+		for _, d := range op.Deltas {
+			if d.To < 0 || d.To >= p {
+				return fmt.Errorf("dist: delta to worker %d out of range [0,%d)", d.To, p)
+			}
+		}
 	}
-	return f
+	return nil
 }
 
 // readGatherStream consumes one worker's gather reply — Data frames
@@ -385,11 +396,15 @@ func (wc *workerConn) readGatherStream(view string) ([]*relation.Run, error) {
 // wake every worker once just for the header — and leaves with the
 // connection's next write, at the latest the round barrier's.
 func (wc *workerConn) run(ctx context.Context, ops []Op) (runs []*relation.Run, attached []wire.Attach, err error) {
-	var frames []*wire.Frame
+	var slice []wire.Frame
 	queue := true
 	for i := range ops {
-		frames = ops[i].frames(frames, wc.id)
+		slice = ops[i].frames(slice, wc.id)
 		queue = queue && ops[i].Kind == OpTrace
+	}
+	frames := make([]*wire.Frame, len(slice))
+	for i := range slice {
+		frames[i] = &slice[i]
 	}
 	if queue {
 		wc.mu.Lock()
@@ -462,18 +477,11 @@ func (t *TCP) Run(ctx context.Context, ops []Op) (Reply, error) {
 
 // runAll is Run on an open session.
 func (t *TCP) runAll(ctx context.Context, ops []Op) (Reply, error) {
+	if err := checkDestinations(ops, len(t.conns)); err != nil {
+		return Reply{}, err
+	}
 	answered, attaches := false, false
 	for _, op := range ops {
-		for _, d := range op.Deliveries {
-			if d.To < 0 || d.To >= len(t.conns) {
-				return Reply{}, fmt.Errorf("dist: delivery to worker %d out of range [0,%d)", d.To, len(t.conns))
-			}
-		}
-		for _, d := range op.Deltas {
-			if d.To < 0 || d.To >= len(t.conns) {
-				return Reply{}, fmt.Errorf("dist: delta to worker %d out of range [0,%d)", d.To, len(t.conns))
-			}
-		}
 		answered = answered || op.Kind.answered()
 		attaches = attaches || op.Kind == OpAttach
 	}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/exchange"
 	"repro/internal/query"
+	"repro/internal/relation"
 	"repro/internal/wire"
 )
 
@@ -65,7 +66,23 @@ func serveConn(ctx context.Context, conn net.Conn, rs *ResidentStore, hello time
 	defer stop()
 	br := bufio.NewReaderSize(conn, 1<<16)
 	rd := wire.NewReader(br)
-	s := &session{w: wire.NewWriter(conn)}
+	// w queues the session's replies: they leave, in order, in the one
+	// vectored write of its next Flush.
+	w := wire.NewWriter(conn)
+	var s session
+	// abort reports err to the coordinator as an Error frame (best effort)
+	// and returns it, attributed to the traced query when the session has
+	// seen a span context.
+	abort := func(err error) error {
+		if s.trace.QueryID != "" {
+			err = fmt.Errorf("query %s: %w", s.trace.QueryID, err)
+		}
+		// The frame is cut to fit: a defect that quotes the peer's input (a
+		// query text) must not grow past what an Error frame can carry.
+		msg := err.Error()
+		_ = w.Flush(&wire.Frame{Type: wire.TypeError, Msg: msg[:min(len(msg), 1<<10)]})
+		return fmt.Errorf("dist: worker %d: %w", s.id, err)
+	}
 
 	// An idle connect must not pin a goroutine and a socket: a dialer that
 	// has not been acked in time is cut off the way a cancelled ctx cuts a
@@ -74,56 +91,73 @@ func serveConn(ctx context.Context, conn net.Conn, rs *ResidentStore, hello time
 	defer late.Stop()
 	f, err := rd.Next()
 	if err != nil {
-		return s.abort(fmt.Errorf("handshake: %w", err))
+		return abort(fmt.Errorf("handshake: %w", err))
 	}
 	if f.Type != wire.TypeHello {
-		return s.abort(fmt.Errorf("first frame is %s, want hello", f.Type))
+		return abort(fmt.Errorf("first frame is %s, want hello", f.Type))
 	}
 	if f.Hello.Version != wire.Version {
-		return s.abort(fmt.Errorf("protocol version %d, worker speaks %d", f.Hello.Version, wire.Version))
+		return abort(fmt.Errorf("protocol version %d, worker speaks %d", f.Hello.Version, wire.Version))
 	}
 	if f.Hello.P == 0 || f.Hello.Worker >= f.Hello.P {
-		return s.abort(fmt.Errorf("worker id %d out of pool [0,%d)", f.Hello.Worker, f.Hello.P))
+		return abort(fmt.Errorf("worker id %d out of pool [0,%d)", f.Hello.Worker, f.Hello.P))
 	}
-	s.id = f.Hello.Worker
-	s.store = newWorkerStore(residentHome{rs, int(s.id), int(f.Hello.P)})
-	if err := s.w.Flush(&wire.Frame{Type: wire.TypeAck}); err != nil {
+	s = newSession(residentHome{rs, int(f.Hello.Worker), int(f.Hello.P)})
+	if err := w.Flush(&wire.Frame{Type: wire.TypeAck}); err != nil {
 		return err
 	}
 	if !late.Stop() {
 		return fmt.Errorf("dist: worker %d: handshake timed out", s.id)
 	}
 
+	// reply is the session's answer to the frame in hand, declared once:
+	// its address reaches the encoder, which would otherwise put a fresh
+	// one on the heap for every frame.
+	var reply wire.Frame
+	var runs []*relation.Run
 	for {
 		f, err := rd.Next()
 		if errors.Is(err, io.EOF) {
 			return nil // coordinator closed the session
 		}
 		if err == nil {
-			err = s.handle(f)
+			reply, runs, err = s.handle(f)
+		}
+		switch {
+		case err != nil:
+		case reply.Type == wire.TypeDone:
+			// A gather streams its runs and its Done in one write, which
+			// carries the acks queued ahead of it.
+			frames := make([]*wire.Frame, 0, len(runs)+1)
+			for _, run := range runs {
+				frames = append(frames, &wire.Frame{Type: wire.TypeData, Data: wire.Data{Dest: s.id, Rel: f.View, Buf: run}})
+			}
+			err = w.Flush(append(frames, &reply)...)
+		case reply.Type != 0:
+			err = w.Queue(&reply)
 		}
 		if err != nil {
-			return s.abort(err)
+			return abort(err)
 		}
 		// Replies leave when the session is about to block for input. A
 		// step sent alone is followed by nothing until it is answered, so
 		// its ack goes out at once; the acks of a fused round script
 		// wait for the script's last frame and leave with the gather.
 		if br.Buffered() == 0 {
-			if err := s.w.Flush(); err != nil {
+			if err := w.Flush(); err != nil {
 				return err
 			}
 		}
 	}
 }
 
-// session is the per-connection worker state.
+// session is one worker: what it holds for one coordinator, and what a
+// frame from it does there. A worker process runs one per connection
+// (serveConn), the in-process Loopback p of them; handle is the only
+// place a step is interpreted.
 type session struct {
 	id    uint32
 	store *workerStore
-	// w queues the session's replies: they leave, in order, in the one
-	// vectored write of its next Flush.
-	w *wire.Writer
 	// epoch is the last recovery epoch the coordinator announced on
 	// this session; announcements may only grow it.
 	epoch uint32
@@ -134,6 +168,12 @@ type session struct {
 	// and what it parsed into.
 	joinText  string
 	joinQuery *query.Query
+}
+
+// newSession returns the session a hello opens for the slot home names:
+// an empty store, epoch 0, no span context.
+func newSession(home residentHome) session {
+	return session{id: uint32(home.slot), store: newWorkerStore(home)}
 }
 
 // parseQuery is query.Parse remembering its last result, matched by
@@ -149,102 +189,68 @@ func (s *session) parseQuery(text string) (*query.Query, error) {
 	return s.joinQuery, nil
 }
 
-// abort reports err to the coordinator as an Error frame (best
-// effort) and returns it, attributed to the traced query when the
-// session has seen a span context.
-func (s *session) abort(err error) error {
-	if s.trace.QueryID != "" {
-		err = fmt.Errorf("query %s: %w", s.trace.QueryID, err)
-	}
-	// The frame is cut to fit: a defect that quotes the peer's input (a
-	// query text) must not grow past what an Error frame can carry.
-	msg := err.Error()
-	_ = s.w.Flush(&wire.Frame{Type: wire.TypeError, Msg: msg[:min(len(msg), 1<<10)]})
-	return fmt.Errorf("dist: worker %d: %w", s.id, err)
-}
-
-// handle processes one post-handshake frame.
-func (s *session) handle(f *wire.Frame) error {
+// handle processes one post-handshake frame and returns the session's
+// answer to it: an Ack, a Pong or an Attach; for a gather the Done
+// closing the runs it returns; for the frames nothing answers (Data,
+// Delta, Trace) a reply of type zero. An error refuses the frame.
+func (s *session) handle(f *wire.Frame) (reply wire.Frame, runs []*relation.Run, err error) {
 	switch f.Type {
 	case wire.TypeData:
 		if f.Data.Dest != s.id {
-			return fmt.Errorf("data frame for shard %d delivered to worker %d", f.Data.Dest, s.id)
+			return reply, nil, fmt.Errorf("data frame for shard %d delivered to worker %d", f.Data.Dest, s.id)
 		}
-		return s.store.receive(exchange.Delivery{Rel: f.Data.Rel, Buf: f.Data.Buf, Retain: f.Data.Retain})
+		err = s.store.receive(exchange.Delivery{Rel: f.Data.Rel, Buf: f.Data.Buf, Retain: f.Data.Retain})
 	case wire.TypeAttach:
-		reply, err := s.store.attach(f.Attach.Key, f.Attach.Store, int64(f.Attach.Tuples))
-		if err != nil {
-			return err
-		}
-		return s.w.Queue(&wire.Frame{Type: wire.TypeAttach, Attach: reply})
+		reply.Type = wire.TypeAttach
+		reply.Attach, err = s.store.attach(f.Attach.Key, f.Attach.Store, int64(f.Attach.Tuples))
 	case wire.TypeDelta:
 		if f.Delta.Dest != s.id {
-			return fmt.Errorf("delta frame for shard %d delivered to worker %d", f.Delta.Dest, s.id)
+			return reply, nil, fmt.Errorf("delta frame for shard %d delivered to worker %d", f.Delta.Dest, s.id)
 		}
-		return s.store.applyDelta(f.Delta.Store, f.Delta.View, f.Delta.Del, f.Delta.Buf)
+		err = s.store.applyDelta(f.Delta.Store, f.Delta.View, f.Delta.Del, f.Delta.Buf)
 	case wire.TypeTrace:
 		// Unacknowledged, like Data: the session records the most recent
 		// span context so its work (and any failure) is attributable to
 		// the traced query; the round barrier is the fence.
 		s.trace = f.Trace
-		return nil
 	case wire.TypeBarrier:
 		// Frames on the connection are processed in order, so reaching
 		// the barrier means every preceding Data frame is ingested — and
 		// every run flagged to be retained is complete.
 		s.store.publish()
-		return s.w.Queue(&wire.Frame{Type: wire.TypeAck, Round: f.Round})
+		reply = wire.Frame{Type: wire.TypeAck, Round: f.Round}
 	case wire.TypeJoin:
-		spec := JoinSpec{
-			Query: f.Join.Query,
-			View:  f.Join.View,
+		var q *query.Query
+		if q, err = s.parseQuery(f.Join.Query); err != nil {
+			return reply, nil, fmt.Errorf("dist: join query: %w", err)
 		}
-		if len(f.Join.Bindings) > 0 {
-			spec.Bindings = make(map[string]string, len(f.Join.Bindings))
-			for _, b := range f.Join.Bindings {
-				spec.Bindings[b[0]] = b[1]
-			}
+		if f.Join.View == "" {
+			return reply, nil, errors.New("dist: join with empty view name")
 		}
-		q, err := parseJoinSpec(spec, s.parseQuery)
-		if err != nil {
-			return err
-		}
-		if err := s.store.join(q, spec.Bindings, spec.View); err != nil {
-			return err
-		}
-		return s.w.Queue(&wire.Frame{Type: wire.TypeAck})
+		reply.Type = wire.TypeAck
+		err = s.store.join(q, f.Join.Bindings, f.Join.View)
 	case wire.TypePing:
 		// A pong proves liveness and — frames being processed in order —
 		// ingestion of everything the coordinator sent before the ping.
-		return s.w.Queue(&wire.Frame{Type: wire.TypePong, Round: f.Round})
+		reply = wire.Frame{Type: wire.TypePong, Round: f.Round}
 	case wire.TypeReset:
 		// Back to what the hello left: a fresh store on the same home —
 		// what the process keeps beyond its sessions stays, and runs a
 		// barrier has not published yet are dropped with their store —
 		// epoch 0, no span context.
-		s.store = newWorkerStore(s.store.home)
-		s.epoch, s.trace = 0, wire.TraceHeader{}
-		return s.w.Queue(&wire.Frame{Type: wire.TypeAck, Round: f.Round})
+		*s = newSession(s.store.home)
+		reply = wire.Frame{Type: wire.TypeAck, Round: f.Round}
 	case wire.TypeEpoch:
 		if f.Round < s.epoch {
-			return fmt.Errorf("stale epoch %d announced, session at %d", f.Round, s.epoch)
+			return reply, nil, fmt.Errorf("stale epoch %d announced, session at %d", f.Round, s.epoch)
 		}
 		s.epoch = f.Round
-		return s.w.Queue(&wire.Frame{Type: wire.TypeAck, Round: f.Round})
+		reply = wire.Frame{Type: wire.TypeAck, Round: f.Round}
 	case wire.TypeGather:
-		runs := s.store.runs(f.View)
-		frames := make([]*wire.Frame, 0, len(runs)+1)
-		for _, run := range runs {
-			frames = append(frames, &wire.Frame{Type: wire.TypeData, Data: wire.Data{
-				Dest: s.id,
-				Rel:  f.View,
-				Buf:  run,
-			}})
-		}
-		frames = append(frames, &wire.Frame{Type: wire.TypeDone, Count: uint32(len(runs))})
-		// The reply carries the acks queued ahead of it in the same write.
-		return s.w.Flush(frames...)
+		runs = s.store.runs(f.View)
+		reply = wire.Frame{Type: wire.TypeDone, Count: uint32(len(runs))}
 	default:
-		return fmt.Errorf("unexpected %s frame", f.Type)
+		err = fmt.Errorf("unexpected %s frame", f.Type)
 	}
+	return reply, runs, err
 }

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"io"
 	"testing"
 
 	"repro/internal/relation"
@@ -14,12 +13,12 @@ import (
 // with a different text is parsed afresh and evaluated as what it says,
 // and so is the first text when it comes back.
 func TestSessionParsesJoinQueryOnce(t *testing.T) {
-	s := &session{store: newWorkerStore(residentHome{}), w: wire.NewWriter(io.Discard)}
+	s := &session{store: newWorkerStore(residentHome{})}
 	s.store.add("R", relation.RunOf(2, []relation.Tuple{{1, 2}, {3, 4}}))
 	s.store.add("S", relation.RunOf(2, []relation.Tuple{{2, 5}, {4, 6}}))
 	join := func(text, view string) {
 		t.Helper()
-		if err := s.handle(&wire.Frame{Type: wire.TypeJoin, Join: wire.Join{Query: text, View: view}}); err != nil {
+		if _, _, err := s.handle(&wire.Frame{Type: wire.TypeJoin, Join: wire.Join{Query: text, View: view}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,7 +52,7 @@ func TestSessionParsesJoinQueryOnce(t *testing.T) {
 	if arity("v4") != 3 {
 		t.Errorf("chain view after the switch has arity %d, want 3", arity("v4"))
 	}
-	if err := s.handle(&wire.Frame{Type: wire.TypeJoin, Join: wire.Join{Query: "R(x,", View: "v5"}}); err == nil {
+	if _, _, err := s.handle(&wire.Frame{Type: wire.TypeJoin, Join: wire.Join{Query: "R(x,", View: "v5"}}); err == nil {
 		t.Error("malformed query text accepted")
 	}
 	join(chain, "v6") // a failed parse leaves the memo usable

@@ -60,12 +60,18 @@ func newCQRegistry() *cqRegistry {
 	}
 }
 
-// add inserts cq, failing on a duplicate name.
-func (r *cqRegistry) add(cq *contQuery) error {
+// add inserts cq, refusing a duplicate name (409) and, when limit
+// queries are registered already, any name (503): the check and the
+// insert are one step under the lock, so concurrent registrations cannot
+// all pass the check.
+func (r *cqRegistry) add(cq *contQuery, limit int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, exists := r.byName[cq.name]; exists {
-		return fmt.Errorf("serve: continuous query %s already registered", cq.name)
+		return errorf(http.StatusConflict, "serve: continuous query %s already registered", cq.name)
+	}
+	if len(r.byName) >= limit {
+		return errorf(http.StatusServiceUnavailable, "continuous-query limit %d reached; delete one first", limit)
 	}
 	r.byName[cq.name] = cq
 	r.byDataset[cq.dataset] = append(r.byDataset[cq.dataset], cq)
@@ -119,13 +125,6 @@ func (r *cqRegistry) names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// count returns the number of registered queries.
-func (r *cqRegistry) count() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.byName)
 }
 
 // maintainContinuous folds one applied delta into every continuous
@@ -314,11 +313,6 @@ func (s *Server) handleContinuousRegister(w http.ResponseWriter, r *http.Request
 		writeFailure(w, err)
 		return
 	}
-	if s.continuous.count() >= s.cfg.MaxContinuous {
-		writeError(w, http.StatusServiceUnavailable,
-			"continuous-query limit %d reached; delete one first", s.cfg.MaxContinuous)
-		return
-	}
 	seed := req.Seed
 	if seed == 0 {
 		seed = 1
@@ -350,10 +344,10 @@ func (s *Server) handleContinuousRegister(w http.ResponseWriter, r *http.Request
 		m:       m,
 		version: sn.Version,
 	}
-	if err := s.continuous.add(cq); err != nil {
+	if err := s.continuous.add(cq, s.cfg.MaxContinuous); err != nil {
 		ds.mu.Unlock()
 		m.Close()
-		writeError(w, http.StatusConflict, "%v", err)
+		writeFailure(w, err)
 		return
 	}
 	ds.mu.Unlock()

@@ -59,7 +59,7 @@ func (s *Server) resolveProgram(req QueryRequest) (*job, error) {
 			Explain: prog.Describe(),
 		},
 		run: func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) (*relation.Run, *mpc.Stats, error) {
-			opts := datalog.Options{P: p, Epsilon: eps, Seed: seed, Context: ctx, Trace: tc}
+			opts := datalog.Options{P: p, Epsilon: eps, CapConstant: s.cfg.CapFactor, Seed: seed, Context: ctx, Trace: tc}
 			opts.Plan = func(rule int, build func() (*plan.Plan, error)) (*plan.Plan, error) {
 				key := programPlanKey(text, rule, ds.Name, sn.Version, p, eps)
 				if pl, ok := s.cache.Get(key); ok {

@@ -131,6 +131,27 @@ func TestServeDatalogRecursive(t *testing.T) {
 	}
 }
 
+// TestServeChecksCap: the cap a query plans with is the cap its
+// execution checks, and a Datalog program takes it too. C3 at n = 2000
+// on 8 workers sends 1,532 tuples to its busiest worker, past the budget
+// at c = 0.05, so the query and the one-rule program answering the same
+// triangles both report capExceeded; at c = 0 nothing is checked. Until
+// the service passed the cap to the execution, both read false at 0.05.
+func TestServeChecksCap(t *testing.T) {
+	for _, c := range []float64{0.05, 0} {
+		_, ts := newTestServer(t, serve.Config{DefaultP: 8, CapFactor: c}, 2000)
+		for _, req := range []serve.QueryRequest{
+			{Dataset: "tri", Family: "C3"},
+			{Dataset: "tri", Program: `q(x,y,z) :- S1(x,y), S2(y,z), S3(z,x).`},
+		} {
+			out, _ := postQuery(t, ts.URL, req)
+			if out.CapExceeded != (c > 0) {
+				t.Errorf("cap %g, %s: capExceeded %v at max load %d", c, out.Engine, out.CapExceeded, out.MaxLoadTuples)
+			}
+		}
+	}
+}
+
 // TestServeDatalogAggregate: an aggregate head folds in the gather and
 // matches per-group counts computed directly from the edge list.
 func TestServeDatalogAggregate(t *testing.T) {

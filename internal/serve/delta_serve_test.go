@@ -318,6 +318,44 @@ func TestContinuousQueryLifecycle(t *testing.T) {
 	}
 }
 
+// TestContinuousLimitUnderConcurrentRegistrations: MaxContinuous holds
+// when registrations race. Eight concurrent POST /continuous at a limit
+// of one give exactly one 201 and seven 503s, and the listing holds the
+// one query. While the limit was checked before the cold distribution
+// and the insert came after it, all eight were registered.
+func TestContinuousLimitUnderConcurrentRegistrations(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{DefaultP: 4, MaxContinuous: 1}, 200)
+	const n = 8
+	codes := make([]int, n)
+	var wg sync.WaitGroup
+	for i := range codes {
+		wg.Add(1)
+		body, _ := json.Marshal(serve.ContinuousRequest{Name: fmt.Sprintf("live-%d", i), Dataset: "tri", Family: "C3"})
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/continuous", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			codes[i] = resp.StatusCode
+		}()
+	}
+	wg.Wait()
+	count := map[int]int{}
+	for _, code := range codes {
+		count[code]++
+	}
+	if count[http.StatusCreated] != 1 || count[http.StatusServiceUnavailable] != n-1 {
+		t.Errorf("status codes %v, want one 201 and %d 503s", count, n-1)
+	}
+	var list []serve.ContinuousInfo
+	if code := getJSON(t, ts.URL+"/continuous", &list); code != http.StatusOK || len(list) != 1 {
+		t.Errorf("listing: code %d, %d entries, want one", code, len(list))
+	}
+}
+
 // TestPlannerSkewFlipUnderDeltas is the heavy-hitter drift property:
 // as deltas pile tuples onto one join value, the engine selected
 // through the incrementally maintained statistics must equal the

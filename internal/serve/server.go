@@ -70,8 +70,11 @@ type Config struct {
 	// MaxP bounds the per-query p (each simulated worker is a
 	// goroutine, so p is a real resource). ≤ 0 selects 1024.
 	MaxP int
-	// CapFactor is the planner budget constant c of c·N/p^{1−ε}
-	// forwarded to plan.Build; ≤ 0 selects the planner default.
+	// CapFactor is the constant c of the per-round receive budget
+	// c·N/p^{1−ε}. A query plans with it and a Datalog program's rules
+	// do, and both executions check it: a round past the budget sets the
+	// reply's capExceeded. ≤ 0 selects the planner default and checks
+	// nothing.
 	CapFactor float64
 	// MaxConcurrent is the admission gate's worker-pool size. ≤ 0
 	// selects 128.
@@ -518,7 +521,7 @@ func (s *Server) resolveQuery(req QueryRequest) (*job, error) {
 			Vars:        q.Vars(),
 		},
 		run: func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) (*relation.Run, *mpc.Stats, error) {
-			execOpts := plan.ExecOptions{Seed: seed, Context: ctx, Trace: tc}
+			execOpts := plan.ExecOptions{Seed: seed, Context: ctx, Trace: tc, CapConstant: s.cfg.CapFactor}
 			if s.pool != nil {
 				// One borrowed session per execution: the per-connection stores
 				// on the shared mpcworker processes isolate concurrent queries.
