@@ -3,6 +3,7 @@ package dist_test
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"runtime"
 	"slices"
@@ -17,9 +18,10 @@ import (
 )
 
 // The indexed ≡ fresh net. A worker store reads as one merged run that
-// takes its pieces' place, and a sealed run remembers the last level
-// order a join asked it for — state that outlives a join, within a
-// session and, on a resident entry, across sessions. Whatever happens to
+// takes its pieces' place, and a sealed run remembers the trie index joins
+// read of it — the last other level order asked for and the level-0
+// directories — state that outlives a join, within a session and, on a
+// resident entry, across sessions. Whatever happens to
 // a store between two joins, a session that has joined before must
 // answer exactly like one that never has.
 
@@ -255,7 +257,7 @@ func (s *indexedSession) check(step string, q *query.Query) int {
 //
 // Two planted mutations each fail it: workerStore.runs returning the
 // merged run it keeps without looking at what was appended beside it
-// (step a reads a stale store), and relation.Run.Reordered matching its
+// (step a reads a stale store), and relation.Run.Index matching its
 // remembered order on the columns without the repeated-variable pairs
 // (the repeated-variable case answers S2(x,y,y) from S2(x,y,x)'s rows).
 func TestIndexedEqualsFresh(t *testing.T) {
@@ -411,11 +413,22 @@ func twoRunStores(rng *rand.Rand, n int, retain string) []exchange.Delivery {
 	return ds
 }
 
+// directoryBytes is what the level-0 directory relation.Run.Index builds
+// over n rows costs: 2^(⌊log₂ n⌋−2) uint32 bucket starts from 64 rows on,
+// nothing below.
+func directoryBytes(n int64) int64 {
+	if n < 64 {
+		return 0
+	}
+	return 4 << (bits.Len64(uint64(n)) - 3)
+}
+
 // TestWarmJoinBuildsNoIndex: over two 2 000-row runs per store and a
-// permuted atom, a session's first join merges each store and sorts S
-// into level order; its second allocates nothing proportional to its
-// input — a few dozen small objects, and fewer bytes than one run's
-// words, where the first pays for the merged stores and the sorted copy.
+// permuted atom, a session's first join merges each store, sorts S into
+// level order and builds a directory over each; its second allocates
+// nothing proportional to its input — a few dozen small objects, and
+// fewer bytes than one run's words, where the first pays for the merged
+// stores, the sorted copy and the directories.
 func TestWarmJoinBuildsNoIndex(t *testing.T) {
 	const rows, warmAllocs = 2000, 64
 	ctx := context.Background()
@@ -462,10 +475,11 @@ func TestWarmJoinBuildsNoIndex(t *testing.T) {
 }
 
 // TestWarmJoinSharesOneIndex: eight sessions attach one resident entry
-// and join concurrently (run with -race: the order a sealed run remembers
-// is written after it was shared). All answers are equal, and the entry,
-// measured again at its next attach, has grown by exactly one sorted copy
-// of S — not one per session.
+// and join concurrently (run with -race: the trie index a sealed run
+// remembers is written after it was shared). All answers are equal, and
+// the entries, measured again at their next attach, have grown by exactly
+// one sorted copy of S and one directory per run — over that copy and
+// over R's own words — not one per session.
 func TestWarmJoinSharesOneIndex(t *testing.T) {
 	const rows, sessions = 2000, 8
 	ctx := context.Background()
@@ -515,15 +529,18 @@ func TestWarmJoinSharesOneIndex(t *testing.T) {
 	if _, err := attach(ctx, dist.NewLoopbackOn(1, rs), atts); err != nil {
 		t.Fatal(err)
 	}
-	if grown := rs.Bytes() - bare; grown != 8*counts["S"][0] {
-		t.Errorf("the entries grew by %d bytes over %d, want one sorted copy of S's %d rows", grown, bare, counts["S"][0])
+	want := 8*counts["S"][0] + directoryBytes(counts["S"][0]) + directoryBytes(counts["R"][0])
+	if grown := rs.Bytes() - bare; grown != want {
+		t.Errorf("the entries grew by %d bytes over %d, want one sorted copy of S's %d rows and a directory over it and over R's %d rows: %d",
+			grown, bare, counts["S"][0], counts["R"][0], want)
 	}
 }
 
 // TestResidentBudgetCountsIndexes: an index is built after publish sized
 // its entry, so attach measures the entry again — larger by exactly the
-// index — and a budget that fitted three bare entries evicts the least
-// recently attached one once an index stands.
+// index, a sorted copy and its directory — and a budget that fitted three
+// bare entries evicts the least recently attached one once an index
+// stands.
 func TestResidentBudgetCountsIndexes(t *testing.T) {
 	const rows = 1000
 	ctx := context.Background()
@@ -572,8 +589,8 @@ func TestResidentBudgetCountsIndexes(t *testing.T) {
 	if replies, err := attach(ctx, dist.NewLoopbackOn(1, rs), att("k1")); err != nil || !replies[0][0].Hit {
 		t.Fatalf("attach k1: %+v, %v", replies, err)
 	}
-	if rs.Bytes() != 3*bare || rs.Entries() != 2 {
-		t.Errorf("after the index was counted: %d bytes in %d entries, want k1 with its index and k3: %d in 2", rs.Bytes(), rs.Entries(), 3*bare)
+	if want := 3*bare + directoryBytes(rows); rs.Bytes() != want || rs.Entries() != 2 {
+		t.Errorf("after the index was counted: %d bytes in %d entries, want k1 with its sorted copy and directory, and k3: %d in 2", rs.Bytes(), rs.Entries(), want)
 	}
 	for key, hit := range map[string]bool{"k2": false, "k3": true} {
 		if replies, err := attach(ctx, dist.NewLoopbackOn(1, rs), att(key)); err != nil || replies[0][0].Hit != hit {

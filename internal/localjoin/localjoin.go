@@ -12,8 +12,9 @@
 // worker store already holds and whose output is a sealed run, so no
 // tuple is materialized between wire decode and gather encode
 // (ARCHITECTURE.md, "Worker data path"). What it derives from a sealed
-// run — the words in an atom's level order — the run remembers
-// (relation.Run.Reordered), so joining the same runs again only probes.
+// run — the words in an atom's level order and their level-0 directory —
+// the run remembers (relation.Run.Index), so joining the same runs again
+// only probes.
 // It is the only evaluator a
 // worker has: on cyclic queries it avoids the super-linear pairwise
 // intermediates of a hash join, and the model has no use for a choice

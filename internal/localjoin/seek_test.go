@@ -32,16 +32,47 @@ func fieldBound(keys []uint64, shift uint, mask uint64, i, hi, v int) int {
 	return lo
 }
 
+// wordTrie returns the m-level packed trie over sorted keys read in their
+// own order, with the level-0 directory the sealed run of those words
+// remembers (relation.Run.Index), or without one: every seek a gallop.
+func wordTrie(t *testing.T, m int, keys []uint64, directory bool) *trieRel {
+	t.Helper()
+	shift := relation.PackedShift(m)
+	tr := &trieRel{levels: make([]trieLevel, m), keys: keys, mask: relation.PackedMask(shift)}
+	if directory {
+		run, err := relation.NewRunFromWords(m, keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols := make([]int, m)
+		for d := range cols {
+			cols[d] = d
+		}
+		ix := run.Index(cols, nil)
+		tr.keys, tr.starts, tr.top = ix.Keys, ix.Starts, ix.Shift
+	}
+	for d := range tr.levels {
+		tr.levels[d].shift = uint(m-1-d) * shift
+	}
+	tr.levels[0].hi = len(keys)
+	return tr
+}
+
 // TestWordSeekMatchesFieldSeek walks random sorted packed tries the way
 // the leapfrog does — reset, non-decreasing seeks from math.MinInt, open,
 // descend — and holds every cursor, value and range the word-comparing
-// seek and open produce to the field-extracting reference. Field values
-// crowd both ends of the field (0, the mask), sought values stray below 0
-// and above the mask, and arity 1 runs on full 64-bit words up to
-// math.MaxInt.
+// seek and open produce, with the level-0 directory and without it, to the
+// field-extracting reference. Field values crowd both ends of the field
+// (0, the mask), sought values stray below 0, past the last bucket and
+// above the mask, and arity 1 runs on full 64-bit words up to
+// math.MaxInt. Three trials in four have 64 rows or more, so a directory:
+// one heavy level-0 value filling its bucket among values spread over the
+// field, a few level-0 values far apart with empty buckets between them,
+// or the small domain.
 func TestWordSeekMatchesFieldSeek(t *testing.T) {
-	for trial := 0; trial < 300; trial++ {
+	for trial := 0; trial < 400; trial++ {
 		rng := rand.New(rand.NewPCG(uint64(trial), 0x5eec))
+		kind := trial % 4
 		m := 1 + rng.IntN(3)
 		shift := relation.PackedShift(m)
 		mask := relation.PackedMask(shift)
@@ -49,7 +80,15 @@ func TestWordSeekMatchesFieldSeek(t *testing.T) {
 		if m == 1 {
 			top = math.MaxInt // what fits an int: a word above it takes the tuple trie
 		}
-		field := func() uint64 {
+		field := func(d int) uint64 {
+			switch {
+			case d == 0 && kind == 1 && rng.IntN(2) == 0:
+				return 5 // the heavy value
+			case d == 0 && kind == 1:
+				return rng.Uint64N(top)
+			case d == 0 && kind == 2:
+				return rng.Uint64N(6) * (top / 8)
+			}
 			switch rng.IntN(4) {
 			case 0:
 				return uint64(rng.IntN(3))
@@ -59,44 +98,54 @@ func TestWordSeekMatchesFieldSeek(t *testing.T) {
 				return uint64(rng.IntN(12))
 			}
 		}
-		keys := make([]uint64, rng.IntN(200))
+		n := rng.IntN(200)
+		if kind > 0 {
+			n = 64 + rng.IntN(1000)
+		}
+		keys := make([]uint64, n)
 		for i := range keys {
 			for d := 0; d < m; d++ {
-				keys[i] = keys[i]<<shift | field()
+				keys[i] = keys[i]<<shift | field(d)
 			}
 		}
 		slices.Sort(keys)
-		tr := &trieRel{levels: make([]trieLevel, m), keys: keys, mask: mask}
-		for d := range tr.levels {
-			tr.levels[d].shift = uint(m-1-d) * shift
+		tries := []*trieRel{wordTrie(t, m, keys, false), wordTrie(t, m, keys, true)}
+		if (tries[1].starts != nil) != (n >= 64) {
+			t.Fatalf("trial %d: %d rows have a directory of %d buckets", trial, n, len(tries[1].starts))
 		}
-		tr.levels[0].hi = len(keys)
 
 		var walk func(d int)
 		walk = func(d int) {
-			l := &tr.levels[d]
-			at := func(i int) int { return int(keys[i] >> l.shift & mask) }
-			tr.reset(d)
-			cur, v := l.lo, math.MinInt
+			lo, hi, fs := tries[0].levels[d].lo, tries[0].levels[d].hi, tries[0].levels[d].shift
+			at := func(i int) int { return int(keys[i] >> fs & mask) }
+			for _, tr := range tries {
+				tr.reset(d)
+			}
+			cur, v := lo, math.MinInt
 			for {
-				got, ok := tr.seek(d, v)
-				if cur < l.hi && at(cur) < v {
-					cur = fieldBound(keys, l.shift, mask, cur, l.hi, v)
+				if cur < hi && at(cur) < v {
+					cur = fieldBound(keys, fs, mask, cur, hi, v)
 				}
-				if ok != (cur < l.hi) {
-					t.Fatalf("trial %d level %d: seek(%d) ok=%v, reference cursor %d of [%d,%d)", trial, d, v, ok, cur, l.lo, l.hi)
+				for k, tr := range tries {
+					got, ok := tr.seek(d, v)
+					if ok != (cur < hi) {
+						t.Fatalf("trial %d trie %d level %d: seek(%d) ok=%v, reference cursor %d of [%d,%d)", trial, k, d, v, ok, cur, lo, hi)
+					}
+					if ok && (tr.levels[d].cur != cur || got != at(cur)) {
+						t.Fatalf("trial %d trie %d level %d: seek(%d) = %d at row %d, reference %d at row %d", trial, k, d, v, got, tr.levels[d].cur, at(cur), cur)
+					}
 				}
-				if !ok {
+				if cur == hi {
 					return
 				}
-				if l.cur != cur || got != at(cur) {
-					t.Fatalf("trial %d level %d: seek(%d) = %d at row %d, reference %d at row %d", trial, d, v, got, l.cur, at(cur), cur)
-				}
+				got := at(cur)
 				if d+1 < m && rng.IntN(2) == 0 {
-					tr.open(d, got)
-					next := tr.levels[d+1]
-					if end := fieldBound(keys, l.shift, mask, cur, l.hi, got+1); next.lo != cur || next.hi != end {
-						t.Fatalf("trial %d level %d: open(%d) = [%d,%d), reference [%d,%d)", trial, d, got, next.lo, next.hi, cur, end)
+					end := fieldBound(keys, fs, mask, cur, hi, got+1)
+					for k, tr := range tries {
+						tr.open(d, got)
+						if next := tr.levels[d+1]; next.lo != cur || next.hi != end {
+							t.Fatalf("trial %d trie %d level %d: open(%d) = [%d,%d), reference [%d,%d)", trial, k, d, got, next.lo, next.hi, cur, end)
+						}
 					}
 					walk(d + 1)
 				}
@@ -104,18 +153,22 @@ func TestWordSeekMatchesFieldSeek(t *testing.T) {
 					return
 				}
 				v = got + 1
-				switch rng.IntN(6) {
+				switch rng.IntN(7) {
 				case 0:
 					v = got // the leapfrog re-seeks the value another atom proposed
 				case 1:
 					v += rng.IntN(5)
 				case 2:
 					if uint64(v) <= top-2 {
-						v = int(top - 2) // towards the mask
+						v = int(top - 2) // towards the mask, past the last bucket
 					}
 				case 3:
 					if mask < math.MaxInt && rng.IntN(4) == 0 {
 						v = int(mask) + 1 + rng.IntN(3) // wider than the field
+					}
+				case 4:
+					if uint64(v) < top {
+						v += int(rng.Uint64N(top - uint64(v) + 1)) // anywhere up to the top
 					}
 				}
 			}

@@ -22,18 +22,19 @@ import (
 //
 // The data path is packed end to end. An atom's input is a sealed
 // relation.Run — one uint64 word per tuple; several runs are merged into
-// one first, which a worker store has already done — and the trie is a
-// sorted []uint64 of the same words: when the trie's level order is the
-// atom's column order the trie aliases the run (no work at all), and only
-// atoms whose level order differs (T(z,x) under the order x,z) or that
-// repeat a variable read the run's words with their bit-fields permuted
-// and re-sorted (Run.Reordered) — which a sealed run remembers, so a
-// second join over the same run builds nothing. Answers are appended to a
-// relation.Run the same way. Every seek is a search over contiguous
-// integers, compared as whole words — no per-tuple allocation, no
-// comparator indirection and no field extraction per probe. Runs holding a
-// value that does not fit a word (the run's flat layout) fall back to a
-// sorted []relation.Tuple trie with identical semantics.
+// one first, which a worker store has already done — and the trie is the
+// run's trie index in the atom's level order (Run.Index): the rows as
+// sorted words, which alias the run when the level order is the atom's
+// column order and are its bit-fields permuted and re-sorted when it is
+// not (T(z,x) under the order x,z) or when the atom repeats a variable,
+// plus a level-0 directory of bucket starts. A sealed run remembers its
+// index, so a second join over the same run builds nothing. Answers are
+// appended to a relation.Run the same way. Every seek is a search over
+// contiguous integers, compared as whole words — no per-tuple allocation,
+// no comparator indirection and no field extraction per probe — and one at
+// level 0 looks only inside its target's bucket. Runs holding a value that
+// does not fit a word (the run's flat layout) fall back to a sorted
+// []relation.Tuple trie with identical semantics.
 
 // trieRel is a sorted-trie view of one atom's tuples. Level d of the
 // trie is the atom's d-th distinct variable in global variable order.
@@ -42,9 +43,13 @@ type trieRel struct {
 
 	// Packed layout: row i is keys[i], level d the mask-wide field at
 	// bit offset levels[d].shift. keys may alias a sealed run, or the
-	// order it remembers: read-only.
-	keys []uint64
-	mask uint64
+	// order it remembers: read-only. starts and top are the level-0
+	// directory of relation.TrieIndex (nil under 64 rows): bucket b,
+	// the rows whose key>>top is b, starts at row starts[b].
+	keys   []uint64
+	mask   uint64
+	starts []uint32
+	top    uint
 
 	// Fallback layout: tuples sorted by the levels' positions col.
 	tuples []relation.Tuple
@@ -105,10 +110,8 @@ func newTrieRel(atom query.Atom, runs []*relation.Run, depthOf map[string]int) *
 	sort.Slice(pos, func(i, j int) bool { return depthOf[atom.Vars[pos[i]]] < depthOf[atom.Vars[pos[j]]] })
 	m := len(pos)
 	tr := &trieRel{levels: make([]trieLevel, m)}
-	inOrder := m == arity // level order = column order, nothing dropped
 	for d, j := range pos {
 		tr.levels[d].depth, tr.levels[d].col = depthOf[atom.Vars[j]], j
-		inOrder = inOrder && j == d
 	}
 
 	// A worker store reads as one run; whoever hands over several has
@@ -156,13 +159,12 @@ func newTrieRel(atom query.Atom, runs []*relation.Run, depthOf map[string]int) *
 	for d := range tr.levels {
 		tr.levels[d].shift = uint(m-1-d) * shift
 	}
-	if inOrder && run.Sealed() {
-		tr.keys = words
-	} else {
-		// The run's bit-fields permuted into level order (repeats checked
-		// on the words) and re-sorted — once per sealed run, not per join.
-		tr.keys = run.Reordered(pos, eq)
-	}
+	// The run's trie index in level order — its own words when that is its
+	// column order, else the bit-fields permuted (repeats checked on the
+	// words) and re-sorted — with the level-0 directory: once per sealed
+	// run, not per join.
+	ix := run.Index(pos, eq)
+	tr.keys, tr.starts, tr.top = ix.Keys, ix.Starts, ix.Shift
 	tr.levels[0].hi = len(tr.keys)
 	return tr
 }
@@ -187,6 +189,14 @@ func (tr *trieRel) reset(d int) { tr.levels[d].cur = tr.levels[d].lo }
 // extracts a field once, from the row it lands on. A v below every field
 // value seeks 0; one above the field mask — a wider value from an atom
 // of another arity — exhausts the range.
+//
+// Level 0 spans the whole relation, and when its variable is not the
+// first of the order its cursor restarts at row 0 under every binding of
+// the variables above it: a gallop from there would cost ≈ 2·log₂ n
+// scattered loads per probe. With a directory the search instead reads
+// the target's bucket bounds and looks only between the cursor (or the
+// bucket's first row, whichever is later) and the bucket's end — every
+// row before the bucket is below the target, every row after it above.
 func (tr *trieRel) seek(d, v int) (int, bool) {
 	l := &tr.levels[d]
 	i := l.cur
@@ -210,7 +220,21 @@ func (tr *trieRel) seek(d, v int) (int, bool) {
 		return 0, false
 	}
 	if target := l.pre | uint64(v)<<l.shift; tr.keys[i] < target {
-		i = boundWords(tr.keys, i, l.hi, target)
+		hi := l.hi
+		if d == 0 && tr.starts != nil {
+			b := target >> tr.top
+			if b >= uint64(len(tr.starts)) {
+				l.cur = l.hi
+				return 0, false
+			}
+			i = max(i, int(tr.starts[b]))
+			if b+1 < uint64(len(tr.starts)) {
+				hi = int(tr.starts[b+1])
+			}
+		}
+		if i < hi && tr.keys[i] < target {
+			i = boundWords(tr.keys, i, hi, target)
+		}
 		l.cur = i
 		if i == l.hi {
 			return 0, false

@@ -9,7 +9,8 @@
 // — same-arity tuples as sorted packed words, or sorted flat rows when
 // they do not pack — and its set algebra Merge, Diff and Project
 // (runalgebra.go), and the one index a sealed run remembers of itself
-// (Run.Reordered: immutable input, so never invalidated). Everything
+// (Run.Index, the trie index a join reads: immutable input, so never
+// invalidated). Everything
 // between a scatter and a gather is runs:
 // internal/exchange routes rows into them, internal/wire frames them,
 // workers store, join and return them, and the coordinator's views are

@@ -2,6 +2,8 @@ package relation
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -17,7 +19,7 @@ import (
 // order is lexicographic tuple order; otherwise it transparently
 // migrates to a flat row-major []int with stride = arity. A sealed run
 // is sorted lexicographically and immutable — which is what lets it
-// remember one index derived from itself (Reordered): nothing can
+// remember the trie index a join derives from it (Index): nothing can
 // invalidate it, and it is freed with the run.
 type Run struct {
 	arity  int
@@ -26,14 +28,55 @@ type Run struct {
 	flat   []int    // fallback path, row-major
 	packed bool
 	sealed bool
-	// index is the only field written after Seal: the last column order
-	// Reordered was asked for, under its own lock.
+	// index is the only field written after Seal, under its own lock: the
+	// trie index of the run's own column order (its keys are the words, so
+	// only its directory is built) and of the last other order Index was
+	// asked for.
 	index struct {
 		sync.Mutex
-		cols []int
-		eq   [][2]int
-		keys []uint64
+		own   TrieIndex
+		cols  []int
+		eq    [][2]int
+		other TrieIndex
 	}
+}
+
+// TrieIndex is what a trie reads of a packed run: the rows in one column
+// order, sorted (Keys), and a level-0 directory over them. The directory
+// splits the keys by their top bits, key>>Shift: Starts[b] is the first
+// row whose top bits are ≥ b, so bucket b holds the rows from Starts[b] up
+// to Starts[b+1] (the last bucket up to len(Keys)), and a search for a key
+// reads two entries and looks only inside that key's bucket. Under 64 rows
+// there is no directory (Starts is nil). Every slice is read-only.
+type TrieIndex struct {
+	Keys   []uint64
+	Starts []uint32
+	Shift  uint
+}
+
+// newTrieIndex returns sorted keys with their directory. The bucket count
+// follows from the row count n: 2^(⌊log₂ n⌋−2) buckets, 4–8 rows each when
+// the keys spread over their range, as uint32 row numbers — at most one
+// byte per row beside the keys' eight. Shift keeps as many top bits of the
+// largest key as there are buckets.
+func newTrieIndex(keys []uint64) TrieIndex {
+	n := len(keys)
+	if n < 64 || n > math.MaxUint32 {
+		return TrieIndex{Keys: keys}
+	}
+	k := bits.Len(uint(n)) - 3 // log₂ of the bucket count
+	shift := uint(max(bits.Len64(keys[n-1])-k, 0))
+	starts := make([]uint32, 1<<k)
+	b := 0
+	for i, key := range keys {
+		for top := int(key >> shift); b <= top; b++ {
+			starts[b] = uint32(i)
+		}
+	}
+	for ; b < len(starts); b++ {
+		starts[b] = uint32(n)
+	}
+	return TrieIndex{Keys: keys, Starts: starts, Shift: shift}
 }
 
 // NewRun returns an empty run for tuples of the given arity.
@@ -371,29 +414,52 @@ func (b *Run) Flat() []int {
 	return b.flat
 }
 
-// Reordered returns a packed run's rows in another column order, for a
-// reader whose sort order is not the run's: the rows holding equal values
-// at every position pair of eq, reduced to the positions cols in that
-// order — one word per row at the run's own field width, first of cols
-// most significant — and sorted, every occurrence kept. The slice is
-// read-only. A sealed run remembers the last (cols, eq) it was asked for,
-// so its readers — every session that attached it — sort it once between
-// them, and a run never holds more than one such slice: a peer varying
-// its atom patterns makes it rebuild, not grow.
-func (b *Run) Reordered(cols []int, eq [][2]int) []uint64 {
+// Index returns a packed run's trie index for one column order: the rows
+// holding equal values at every position pair of eq, reduced to the
+// positions cols in that order — one word per row at the run's own field
+// width, first of cols most significant — sorted, every occurrence kept,
+// with their level-0 directory. In a sealed run's own order (cols
+// 0…arity−1, no eq) the keys are its words. A sealed run remembers its own
+// order's directory and the last other (cols, eq) it was asked for, so its
+// readers — every session that attached it — build each once between
+// them, and a run never holds more than one permuted copy: a peer varying
+// its atom patterns makes it rebuild, not grow. An open run is sorted for
+// the caller and remembers nothing.
+func (b *Run) Index(cols []int, eq [][2]int) TrieIndex {
 	if !b.sealed {
-		return b.reorder(cols, eq)
+		return newTrieIndex(b.reorder(cols, eq))
 	}
 	ix := &b.index
 	ix.Lock()
 	defer ix.Unlock()
-	if ix.cols == nil || !slices.Equal(ix.cols, cols) || !slices.Equal(ix.eq, eq) {
-		ix.cols, ix.eq, ix.keys = slices.Clone(cols), slices.Clone(eq), b.reorder(cols, eq)
+	if b.ownOrder(cols, eq) {
+		if ix.own.Keys == nil {
+			ix.own = newTrieIndex(b.words)
+		}
+		return ix.own
 	}
-	return ix.keys
+	if ix.cols == nil || !slices.Equal(ix.cols, cols) || !slices.Equal(ix.eq, eq) {
+		ix.cols, ix.eq, ix.other = slices.Clone(cols), slices.Clone(eq), newTrieIndex(b.reorder(cols, eq))
+	}
+	return ix.other
 }
 
-// reorder builds what Reordered returns.
+// ownOrder reports whether (cols, eq) asks for the run's own order: every
+// column in place, no repeated-variable pair.
+func (b *Run) ownOrder(cols []int, eq [][2]int) bool {
+	if len(eq) > 0 || len(cols) != b.arity {
+		return false
+	}
+	for d, c := range cols {
+		if c != d {
+			return false
+		}
+	}
+	return true
+}
+
+// reorder builds the keys Index returns: a sorted copy, whatever the
+// order.
 func (b *Run) reorder(cols []int, eq [][2]int) []uint64 {
 	offset := func(col int) uint { return uint(b.arity-1-col) * b.shift }
 	from := make([]uint, len(cols))
@@ -424,11 +490,13 @@ rows:
 }
 
 // Bytes returns the payload bytes the run keeps alive: its words or flat
-// values, and the order a sealed run remembers.
+// values, and the trie indexes a sealed run remembers — the permuted
+// copy's keys and both directories.
 func (b *Run) Bytes() int64 {
-	b.index.Lock()
-	defer b.index.Unlock()
-	return 8 * int64(len(b.words)+len(b.flat)+len(b.index.keys))
+	ix := &b.index
+	ix.Lock()
+	defer ix.Unlock()
+	return 8*int64(len(b.words)+len(b.flat)+len(ix.other.Keys)) + 4*int64(len(ix.own.Starts)+len(ix.other.Starts))
 }
 
 // NewRunFromWords adopts a wire payload of one packed word per tuple as

@@ -209,7 +209,8 @@ func TestWorkerPoolHealsAfterMemberDeath(t *testing.T) {
 }
 
 // TestWorkerPoolUnavailable: a dead pool surfaces as 502, not a hang
-// or a fallback to in-process execution.
+// or a fallback to in-process execution — for a query, and for a Datalog
+// program, whose executions borrow their sessions inside the evaluator.
 func TestWorkerPoolUnavailable(t *testing.T) {
 	// Reserve an address and close it so nothing listens there.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -219,14 +220,18 @@ func TestWorkerPoolUnavailable(t *testing.T) {
 	dead := ln.Addr().String()
 	ln.Close()
 	_, ts := newTestServer(t, serve.Config{WorkerAddrs: []string{dead}}, 60)
-	body := strings.NewReader(`{"dataset":"tri","family":"C3"}`)
-	resp, err := http.Post(ts.URL+"/query", "application/json", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("status %d, want 502", resp.StatusCode)
+	for _, body := range []string{
+		`{"dataset":"tri","family":"C3"}`,
+		`{"dataset":"tri","program":"q(x,y,z) :- S1(x,y), S2(y,z), S3(z,x)."}`,
+	} {
+		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadGateway {
+			t.Errorf("%s: status %d, want 502", body, resp.StatusCode)
+		}
 	}
 }
 
