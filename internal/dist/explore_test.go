@@ -304,10 +304,10 @@ func (x exploration) explore(t *testing.T, kind string, p int, rng *rand.Rand, k
 	return len(points), resets
 }
 
-// explorations builds the seven execution kinds at p workers and test
+// explorations builds the eight execution kinds at p workers and test
 // sizes: the three engines, a Datalog fixpoint, a maintainer batch, two
 // executions on one reused session, and a warm operation on resident
-// scatters.
+// scatters under the grid and under the skew routing.
 func explorations(t *testing.T, p int) []exploration {
 	var xs []exploration
 	for _, eng := range recoveryEngines(t, p) {
@@ -395,14 +395,17 @@ func explorations(t *testing.T, p int) []exploration {
 		return out, nil
 	}})
 
-	// Resident: the cold triangle again, as the third sighting of one
-	// dataset version (resident_test.go) — an attach script, then barrier,
-	// join and gather.
+	// Resident: the cold triangle again, and the skew case's join, each as
+	// the third sighting of one dataset version (resident_test.go) — an
+	// attach script, then barrier, join and gather.
 	pl, err := plan.Build(mq, before.Stats(), plan.Options{P: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(xs, residentCase{q: mq, db: before, pl: pl, truth: cold}.exploration())
+	xs = append(xs, residentCase{q: mq, db: before, pl: pl, truth: cold}.exploration())
+	resident := residentCases(t, p)[3].exploration()
+	resident.name = "resident-skew"
+	return append(xs, resident)
 }
 
 // lend returns a dial that lends sessions on pool the way dist.Registry
@@ -474,7 +477,7 @@ func (lb parkedLoopback) Close() error {
 	return nil
 }
 
-// TestExplore runs the explorer over the seven execution kinds on both
+// TestExplore runs the explorer over the eight execution kinds on both
 // transports at p = 4: every point, or under -short one in eight of them,
 // plus six sampled pairs per kind and transport. The seed is logged; a
 // failure names its point, and the exhaustive run is deterministic.

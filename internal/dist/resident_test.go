@@ -19,6 +19,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/skew"
 	"repro/internal/wire"
 )
 
@@ -151,7 +152,37 @@ func residentCases(t *testing.T, p int) []residentCase {
 		// three gathers.
 		mk("L4-eps0", l4, relation.MatchingDatabase(rng, l4, 3000), new(big.Rat), plan.MultiRound, 4, 4),
 		mk("repeated-variable", rep, repDB, nil, plan.OneRound, 2, 2),
+		mk("skew", skewJoin(t), skewDatabase(rng), nil, plan.SkewJoin, 2, 2),
 	}
+}
+
+// skewJoin is q(x,y,z) = R(x,y), S(y,z), the skew engine's shape.
+func skewJoin(t *testing.T) *query.Query {
+	t.Helper()
+	q, err := query.Parse("q(x,y,z) = R(x,y), S(y,z)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// skewDatabase holds R(x,y) with y Zipf(2) over [1000] and S(y,z) with
+// y uniform over [1, 10]: y = 1 holds more than half of all rows, so
+// the compiled routing splits R's occurrences of it over a block of two
+// of four workers and broadcasts S's to both.
+func skewDatabase(rng *rand.Rand) *relation.Database {
+	const n = 1000
+	db := relation.NewDatabase(n)
+	r, s := relation.New("R", "x", "y"), relation.New("S", "y", "z")
+	for _, t := range relation.SkewedZipf(rng, "Ry", []string{"y", "x"}, n, 2).Tuples {
+		r.Tuples = append(r.Tuples, relation.Tuple{t[1], t[0]})
+	}
+	for i := 0; i < n/10; i++ {
+		s.Tuples = append(s.Tuples, relation.Tuple{1 + rng.IntN(10), 1 + rng.IntN(n)})
+	}
+	db.AddRelation(r)
+	db.AddRelation(s)
+	return db
 }
 
 // execute runs the case once on tr under snap and checks the answers.
@@ -268,29 +299,36 @@ func TestResidentDifferential(t *testing.T) {
 	}
 }
 
-// TestResidentFused: a resident round is a fused one. A resident C3
-// execution leaves as two scripts — the attach, which is a fence because
-// its answers decide what is sent, and everything else — and after one
-// worker lost what it kept, the slices re-sent to it ride the second.
+// TestResidentFused: a resident round is a fused one. A resident C3 or
+// skew execution leaves as two scripts — the attach, which is a fence
+// because its answers decide what is sent, and everything else — and
+// after one worker lost what it kept, the slices re-sent to it ride the
+// second.
 func TestResidentFused(t *testing.T) {
 	const p = 4
-	c := residentCases(t, p)[0]
-	rs := dist.NewResidentStore()
-	pool := &loopbackPool{p: p, rs: rs}
-	res := newResidency(t)
-	c.warm(t, pool, res)
-	scripts := func() (int, []string) {
-		rec := &recordingTransport{inner: dist.NewLoopbackOn(p, rs)}
-		c.execute(t, rec, res.Snapshot("d", 0), dist.RecoveryOptions{})
-		return rec.scripts, rec.calls
-	}
-	if n, calls := scripts(); n != 2 || !slices.Equal(calls, []string{"attach", "Barrier(1)", "Join", "Gather"}) {
-		t.Fatalf("resident round left as %d scripts of %v", n, calls)
-	}
-	pool.restart(2)
-	want := []string{"attach", "Deliver(1)", "Deliver(1)", "Deliver(1)", "Barrier(1)", "Join", "Gather"}
-	if n, calls := scripts(); n != 2 || !slices.Equal(calls, want) {
-		t.Fatalf("round with one worker's slices re-sent left as %d scripts of %v", n, calls)
+	cases := residentCases(t, p)
+	for _, c := range []residentCase{cases[0], cases[3]} {
+		rs := dist.NewResidentStore()
+		pool := &loopbackPool{p: p, rs: rs}
+		res := newResidency(t)
+		c.warm(t, pool, res)
+		scripts := func() (int, []string) {
+			rec := &recordingTransport{inner: dist.NewLoopbackOn(p, rs)}
+			c.execute(t, rec, res.Snapshot("d", 0), dist.RecoveryOptions{})
+			return rec.scripts, rec.calls
+		}
+		if n, calls := scripts(); n != 2 || !slices.Equal(calls, []string{"attach", "Barrier(1)", "Join", "Gather"}) {
+			t.Fatalf("%s: resident round left as %d scripts of %v", c.name, n, calls)
+		}
+		pool.restart(2)
+		want := []string{"attach"}
+		for range c.scatters {
+			want = append(want, "Deliver(1)")
+		}
+		want = append(want, "Barrier(1)", "Join", "Gather")
+		if n, calls := scripts(); n != 2 || !slices.Equal(calls, want) {
+			t.Fatalf("%s: round with one worker's slices re-sent left as %d scripts of %v", c.name, n, calls)
+		}
 	}
 }
 
@@ -321,41 +359,39 @@ func TestResidentRecovery(t *testing.T) {
 
 // TestResidentRecoveryAfterAttach: a worker that dies after the round
 // attached — at its join — is replaced and replay re-partitions its
-// slice of the resident scatters, which were never partitioned here.
+// slice of the resident scatters, which were never partitioned here:
+// under the skew routing, split ranks and all.
 func TestResidentRecoveryAfterAttach(t *testing.T) {
 	const p = 4
-	c := residentCases(t, p)[0]
-	x := c.exploration()
+	cases := residentCases(t, p)
 	for _, name := range []string{"loopback", "tcp"} {
 		t.Run(name, func(t *testing.T) {
-			base, trace := x.baseline(t, name, p)
-			got, err := x.holds(name, p, base, trace.At(dist.OpJoin, 0, 0, disttest.KillBefore)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.snap.Hits != c.scatters {
-				t.Fatalf("%+v; want %d hits", got.snap, c.scatters)
+			for _, c := range []residentCase{cases[0], cases[3]} {
+				t.Run(c.name, func(t *testing.T) {
+					x := c.exploration()
+					base, trace := x.baseline(t, name, p)
+					got, err := x.holds(name, p, base, trace.At(dist.OpJoin, 0, 0, disttest.KillBefore)...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.snap.Hits != c.scatters {
+						t.Fatalf("%+v; want %d hits", got.snap, c.scatters)
+					}
+				})
 			}
 		})
 	}
 }
 
 // joinCluster opens a cluster for R(x,y) ⋈ S(y,z) on tr, scatters both
-// relations through grid partitioners under snap, and leaves the round
-// closed: the caller joins and gathers.
-func joinCluster(t *testing.T, q *query.Query, db *relation.Database, tr dist.Transport, snap *dist.Snapshot, seed uint64) (*dist.Cluster, func(query.Atom) *hypercube.GridPartitioner) {
+// relations through part under snap, and leaves the round closed: the
+// caller joins and gathers.
+func joinCluster(t *testing.T, q *query.Query, db *relation.Database, tr dist.Transport, snap *dist.Snapshot, part func(query.Atom) exchange.Partitioner) *dist.Cluster {
 	t.Helper()
-	p := tr.Workers()
-	cl, ctx, err := dist.Open(dist.Env{Transport: tr, Snapshot: snap}, mpc.Config{Workers: p, DomainN: db.N, InputBits: db.InputBits()})
+	cl, ctx, err := dist.Open(dist.Env{Transport: tr, Snapshot: snap}, mpc.Config{Workers: tr.Workers(), DomainN: db.N, InputBits: db.InputBits()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shares, err := hypercube.SharesForQuery(q, p, hypercube.GreedyRounding)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hasher := hypercube.NewHasher(shares, seed)
-	part := func(a query.Atom) *hypercube.GridPartitioner { return hypercube.NewGridPartitioner(shares, hasher, a) }
 	cl.BeginRound()
 	for _, a := range q.Atoms {
 		rel, _ := db.Relation(a.Name)
@@ -366,7 +402,7 @@ func joinCluster(t *testing.T, q *query.Query, db *relation.Database, tr dist.Tr
 	if err := cl.EndRound(ctx); err != nil {
 		t.Fatal(err)
 	}
-	return cl, part
+	return cl
 }
 
 // joinAnswers joins and gathers on a cluster joinCluster prepared.
@@ -397,26 +433,28 @@ func joinInto(t *testing.T, cl *dist.Cluster, q *query.Query, view string) []rel
 // to the original runs, and -race sees no write to a published run. The
 // maintaining session goes on to re-append some of what it retracted and
 // to retract part of that again, and after every batch it joins to the
-// ground truth of, and gathers exactly, the live set — with R packed, and
-// with R on the flat layout (an x value ≥ 2³² at arity 2).
+// ground truth of, and gathers exactly, the live set — with R packed, with
+// R on the flat layout (an x value ≥ 2³² at arity 2), and with both
+// relations scattered under the skew engine's routing.
 func TestResidentIsolation(t *testing.T) {
 	const p = 4
-	q, err := query.Parse("q(x,y,z) = R(x,y), S(y,z)")
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := skewJoin(t)
 	for name, pool := range residentPools(t, p) {
 		t.Run(name, func(t *testing.T) {
-			for layout, offset := range map[string]int{"packed": 0, "flat": 1 << 33} {
-				t.Run(layout, func(t *testing.T) { residentIsolation(t, q, pool, offset) })
+			for layout, v := range map[string]struct {
+				offset int
+				skew   bool
+			}{"packed": {0, false}, "flat": {1 << 33, false}, "skew": {0, true}} {
+				t.Run(layout, func(t *testing.T) { residentIsolation(t, q, pool, p, v.offset, v.skew) })
 			}
 		})
 	}
 }
 
-// residentIsolation is TestResidentIsolation on one pool, every x value
-// of R raised by offset.
-func residentIsolation(t *testing.T, q *query.Query, pool residentPool, offset int) {
+// residentIsolation is TestResidentIsolation on one pool of p workers,
+// every x value of R raised by offset, routed by the grid or, under
+// skewed, by the skew routing.
+func residentIsolation(t *testing.T, q *query.Query, pool residentPool, p, offset int, skewed bool) {
 	rng := rand.New(rand.NewPCG(5, 5))
 	db := zipfDatabase(rng, q, 2000, 1.1)
 	relR, _ := db.Relation("R")
@@ -425,6 +463,31 @@ func residentIsolation(t *testing.T, q *query.Query, pool residentPool, offset i
 		tu[0] += offset
 	}
 	db.N += offset
+	// part routes the base scatters and maintain R's deltas: the grid's
+	// own partitioner, or — the skew routing's split ranks number the base
+	// run's rows, not a delta's — a broadcast.
+	var part func(query.Atom) exchange.Partitioner
+	var maintain exchange.Partitioner = exchange.Broadcast{P: p}
+	if skewed {
+		rt := skew.CompileFromData(relR, 1, relS, 0, p, 0.1)
+		if len(rt.Heavy) == 0 {
+			t.Fatal("no heavy value: the routing is plain hashing")
+		}
+		part = func(a query.Atom) exchange.Partitioner {
+			if a.Name == "R" {
+				return skew.NewPartitioner(rt, relR, 1, true, 9)
+			}
+			return skew.NewPartitioner(rt, relS, 0, false, 9)
+		}
+	} else {
+		shares, err := hypercube.SharesForQuery(q, p, hypercube.GreedyRounding)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hasher := hypercube.NewHasher(shares, 9)
+		part = func(a query.Atom) exchange.Partitioner { return hypercube.NewGridPartitioner(shares, hasher, a) }
+		maintain = part(q.Atoms[0])
+	}
 	// live is R as the maintaining session holds it; truthOf what the join
 	// must then answer. A retraction removes a tuple however often the
 	// relation lists it.
@@ -465,14 +528,14 @@ func residentIsolation(t *testing.T, q *query.Query, pool residentPool, offset i
 
 	res := newResidency(t)
 	for i := 0; i < 2; i++ {
-		cl, _ := joinCluster(t, q, db, pool.session(), res.Snapshot("d", 0), 9)
+		cl := joinCluster(t, q, db, pool.session(), res.Snapshot("d", 0), part)
 		if got := joinAnswers(t, cl, q); !sameTuples(got, truth) {
 			t.Fatalf("warm-up %d: %d answers, want %d", i, len(got), len(truth))
 		}
 	}
 	snapA, snapB := res.Snapshot("d", 0), res.Snapshot("d", 0)
-	a, part := joinCluster(t, q, db, pool.session(), snapA, 9)
-	b, _ := joinCluster(t, q, db, pool.session(), snapB, 9)
+	a := joinCluster(t, q, db, pool.session(), snapA, part)
+	b := joinCluster(t, q, db, pool.session(), snapB, part)
 	if snapA.Hits != 2 || snapB.Hits != 2 {
 		t.Fatalf("sessions did not attach: %+v %+v", snapA, snapB)
 	}
@@ -492,7 +555,7 @@ func residentIsolation(t *testing.T, q *query.Query, pool residentPool, offset i
 			if _, packed := run.Words(); packed != (offset == 0) {
 				t.Fatalf("batch %d: delta run packed = %v at offset %d", i, packed, offset)
 			}
-			if err := a.ScatterDelta(ctx, run, "R", "", side.del, part(q.Atoms[0])); err != nil {
+			if err := a.ScatterDelta(ctx, run, "R", "", side.del, maintain); err != nil {
 				t.Fatal(err)
 			}
 			apply(side.del, side.ts)
@@ -515,16 +578,42 @@ func residentIsolation(t *testing.T, q *query.Query, pool residentPool, offset i
 		t.Fatalf("the other session saw the delta: %d answers, want %d", len(got), len(truth))
 	}
 	snapC := res.Snapshot("d", 0)
-	c, _ := joinCluster(t, q, db, pool.session(), snapC, 9)
+	c := joinCluster(t, q, db, pool.session(), snapC, part)
 	if got := joinAnswers(t, c, q); snapC.Hits != 2 || !sameTuples(got, truth) {
 		t.Fatalf("a later session: %+v, %d answers, want 2 hits and %d", snapC, len(got), len(truth))
 	}
 }
 
+// firstSighting executes pl over c's data under snap and opts and fails
+// unless the answers are c's and the execution was a first sighting that
+// left rs holding the kept slices of the warm key.
+func firstSighting(t *testing.T, c residentCase, rs *dist.ResidentStore, kept int, name string, snap *dist.Snapshot, opts plan.ExecOptions, pl *plan.Plan) {
+	t.Helper()
+	opts.Snapshot = snap
+	got, err := pl.Execute(c.db, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameTuples(got.Answers, c.truth) {
+		t.Fatalf("%s: %d answers, ground truth %d", name, len(got.Answers), len(c.truth))
+	}
+	if snap.Hits != 0 || snap.Misses != 0 || snap.Retained != 0 {
+		t.Errorf("%s: %+v, want a first sighting", name, snap)
+	}
+	if rs.Entries() != kept {
+		t.Errorf("%s: %d resident slices, want the %d of the warm key", name, rs.Entries(), kept)
+	}
+}
+
 // TestResidentIdentity: what makes a scatter a different scatter — a
-// delta's version bump, another seed, other shares, another p — is never
+// delta's version bump, another seed, other shares, another p; under the
+// skew routing another seed, other blocks, the sides swapped — is never
 // served from the old key's runs; a partitioner that cannot describe
 // itself has no key at all.
+//
+// A skew key that leaves out HeavyValue.First and Size fails the row
+// whose routing has the warm one's threshold and heavy values and only
+// smaller blocks.
 func TestResidentIdentity(t *testing.T) {
 	const p = 4
 	c := residentCases(t, p)[0]
@@ -535,20 +624,7 @@ func TestResidentIdentity(t *testing.T) {
 	kept := rs.Entries()
 	run := func(name string, snap *dist.Snapshot, opts plan.ExecOptions, pl *plan.Plan) {
 		t.Helper()
-		opts.Snapshot = snap
-		got, err := pl.Execute(c.db, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameTuples(got.Answers, c.truth) {
-			t.Fatalf("%s: %d answers, ground truth %d", name, len(got.Answers), len(c.truth))
-		}
-		if snap.Hits != 0 || snap.Misses != 0 || snap.Retained != 0 {
-			t.Errorf("%s: %+v, want a first sighting", name, snap)
-		}
-		if rs.Entries() != kept {
-			t.Errorf("%s: %d resident slices, want the %d of the warm key", name, rs.Entries(), kept)
-		}
+		firstSighting(t, c, rs, kept, name, snap, opts, pl)
 	}
 	run("version bump", res.Snapshot("d", 1), plan.ExecOptions{Seed: 23, Transport: pool.session()}, c.pl)
 	run("other dataset", res.Snapshot("e", 0), plan.ExecOptions{Seed: 23, Transport: pool.session()}, c.pl)
@@ -582,6 +658,62 @@ func TestResidentIdentity(t *testing.T) {
 	}
 	if sampled.Hits != 0 || sampled.Misses != 0 || sampled.Retained != 0 {
 		t.Fatalf("a sampled grid was keyed: %+v", sampled)
+	}
+
+	// The skew routing, warm in a pool of its own.
+	sk := residentCases(t, p)[3]
+	skRS := dist.NewResidentStore()
+	skPool := &loopbackPool{p: p, rs: skRS}
+	sk.warm(t, skPool, res)
+	skKept := skRS.Entries()
+	// Each row is held to its own query's ground truth: a query with its
+	// atoms swapped answers in its own variable order.
+	skRun := func(name string, opts plan.ExecOptions, pl *plan.Plan) {
+		t.Helper()
+		truth, err := core.GroundTruth(pl.Query, sk.db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := sk
+		c.truth, opts.Transport = truth, skPool.session()
+		firstSighting(t, c, skRS, skKept, name, res.Snapshot("d", 0), opts, pl)
+	}
+	skRun("skew: other seed", plan.ExecOptions{Seed: 24}, sk.pl)
+	// Twice the cardinalities at half the heavy factor: the threshold and
+	// the heavy values stay, every block halves.
+	warm := sk.pl.Routing
+	r, _ := sk.db.Relation("R")
+	s, _ := sk.db.Relation("S")
+	halved := *sk.pl
+	halved.Routing = skew.Compile(relation.ColumnHistogram(r, 1), relation.ColumnHistogram(s, 0), 2*r.Size(), 2*s.Size(), p, 0.5)
+	unblocked := func(hv []skew.HeavyValue) []skew.HeavyValue {
+		out := slices.Clone(hv)
+		for i := range out {
+			out[i].First, out[i].Size = 0, 0
+		}
+		return out
+	}
+	if halved.Routing.Threshold != warm.Threshold || !reflect.DeepEqual(unblocked(halved.Routing.Heavy), unblocked(warm.Heavy)) ||
+		reflect.DeepEqual(halved.Routing.Heavy, warm.Heavy) {
+		t.Fatalf("routings %+v and %+v must differ in their blocks only", halved.Routing, warm)
+	}
+	skRun("skew: other blocks", plan.ExecOptions{Seed: 23}, &halved)
+	swapped, err := query.Parse("q(x,y,z) = S(y,z), R(x,y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sides, err := plan.Build(swapped, sk.db.Stats(), plan.Options{P: p})
+	if err == nil {
+		sides, err = sides.WithEngine(plan.SkewJoin)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	skRun("skew: sides swapped", plan.ExecOptions{Seed: 23}, sides)
+	skHit := res.Snapshot("d", 0)
+	sk.execute(t, skPool.session(), skHit, dist.RecoveryOptions{})
+	if skHit.Hits != sk.scatters {
+		t.Fatalf("the warm skew key stopped hitting: %+v", skHit)
 	}
 }
 

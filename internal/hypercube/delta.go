@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/dist"
+	"repro/internal/exchange"
 	"repro/internal/mpc"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -97,9 +98,9 @@ func Distribute(q *query.Query, db *relation.Database, p int, opts Options) (*Di
 	// Cold distribution: the ordinary one-round HC scatter and join,
 	// with the cluster kept open afterwards.
 	var cold *relation.Run
-	d.capSeen, err = coldRound(ctx, cluster, q, db, func(a query.Atom) *GridPartitioner { return d.parts[a.Name] })
+	d.capSeen, err = Round(ctx, cluster, q, db, func(a query.Atom) exchange.Partitioner { return d.parts[a.Name] })
 	if err == nil {
-		cold, err = cluster.Gather(ctx, answersView)
+		cold, err = cluster.Gather(ctx, AnswersView)
 	}
 	if err != nil {
 		cluster.Close()

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/dist/disttest"
+	"repro/internal/exchange"
 	"repro/internal/mpc"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -240,10 +241,10 @@ func distributeByHand(t *testing.T, sc *maintScenario, p int, seed uint64, tr di
 	for _, a := range sc.q.Atoms {
 		d.parts[a.Name] = NewGridPartitioner(shares, hasher, a)
 	}
-	if _, err := coldRound(ctx, cluster, sc.q, sc.db0, func(a query.Atom) *GridPartitioner { return d.parts[a.Name] }); err != nil {
+	if _, err := Round(ctx, cluster, sc.q, sc.db0, func(a query.Atom) exchange.Partitioner { return d.parts[a.Name] }); err != nil {
 		t.Fatal(err)
 	}
-	cold, err := cluster.Gather(ctx, answersView)
+	cold, err := cluster.Gather(ctx, AnswersView)
 	if err != nil {
 		t.Fatal(err)
 	}

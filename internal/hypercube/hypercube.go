@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/cover"
 	"repro/internal/dist"
+	"repro/internal/exchange"
 	"repro/internal/mpc"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -455,10 +456,10 @@ func RunSampled(q *query.Query, db *relation.Database, p int, opts Options) (*Re
 	return runWithShares(q, db, p, shares, opts, chosen)
 }
 
-// answersView is the reserved store name per-worker HC outputs land
-// under before the gather ("!" keeps it out of the query.Parse
+// AnswersView is the reserved store name per-worker outputs of Round
+// land under before the gather ("!" keeps it out of the query.Parse
 // identifier space, so it cannot collide with a relation name).
-const answersView = "hc!answers"
+const AnswersView = "hc!answers"
 
 // runWithShares is the shared core. sample, when non-nil, maps
 // materialized grid points to servers; nil materializes the whole grid
@@ -472,14 +473,14 @@ func runWithShares(q *query.Query, db *relation.Database, p int, shares *Shares,
 		return nil, err
 	}
 	hasher := NewHasher(shares, opts.Seed)
-	capExceeded, err := coldRound(ctx, cluster, q, db, func(a query.Atom) *GridPartitioner {
+	capExceeded, err := Round(ctx, cluster, q, db, func(a query.Atom) exchange.Partitioner {
 		return NewGridPartitioner(shares, hasher, a).WithSample(sample)
 	})
 	if err != nil {
 		return nil, err
 	}
 	// The sorted per-worker outputs k-way merge in the gather.
-	merged, err := cluster.Gather(ctx, answersView)
+	merged, err := cluster.Gather(ctx, AnswersView)
 	if err != nil {
 		return nil, err
 	}
@@ -499,14 +500,14 @@ func runWithShares(q *query.Query, db *relation.Database, p int, shares *Shares,
 	}, nil
 }
 
-// coldRound is the HC round itself, shared by a one-shot run and a
-// maintainer's cold distribution. Round 1: every input server scatters
-// its relation along the grid through the columnar exchange, one grid
-// partitioner per atom. Then local computation (free in the MPC cost
-// model): each worker joins what it received and keeps the result
-// under answersView. A broken receive budget is reported, not an
-// error.
-func coldRound(ctx context.Context, cluster *dist.Cluster, q *query.Query, db *relation.Database, part func(query.Atom) *GridPartitioner) (capExceeded bool, err error) {
+// Round is the one-round executor: a one-shot run, a maintainer's cold
+// distribution and the skew engine's round are each this round under
+// their own partitioners. Every input server scatters the relation db
+// binds to each atom through part(atom); then local computation (free
+// in the MPC cost model): each worker joins what it received and keeps
+// the result under AnswersView. A broken receive budget is reported,
+// not an error.
+func Round(ctx context.Context, cluster *dist.Cluster, q *query.Query, db *relation.Database, part func(query.Atom) exchange.Partitioner) (capExceeded bool, err error) {
 	cluster.BeginRound()
 	for _, a := range q.Atoms {
 		rel, ok := db.Relation(a.Name)
@@ -523,7 +524,7 @@ func coldRound(ctx context.Context, cluster *dist.Cluster, q *query.Query, db *r
 		}
 		capExceeded = true
 	}
-	return capExceeded, cluster.Join(ctx, q, nil, answersView, 0)
+	return capExceeded, cluster.Join(ctx, q, nil, AnswersView, 0)
 }
 
 // TheoreticalLoad returns the paper's per-server tuple bound for one

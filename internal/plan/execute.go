@@ -156,6 +156,7 @@ func (p *Plan) executeSkewJoin(db *relation.Database, opts ExecOptions) (*Result
 		Context:     opts.Context,
 		Recovery:    opts.Recovery,
 		Trace:       opts.Trace,
+		Snapshot:    opts.Snapshot,
 	})
 	if err != nil {
 		return nil, err

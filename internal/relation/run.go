@@ -28,7 +28,12 @@ type Run struct {
 	flat   []int    // fallback path, row-major
 	packed bool
 	sealed bool
-	// index is the only field written after Seal, under its own lock: the
+	// maxValue is MaxValue of a sealed run, computed on the first call.
+	maxValue struct {
+		sync.Once
+		v int
+	}
+	// index is the other field written after Seal, under its own lock: the
 	// trie index of the run's own column order (its keys are the words, so
 	// only its directory is built) and of the last other order Index was
 	// asked for.
@@ -220,8 +225,17 @@ func (b *Run) Seal() {
 }
 
 // MaxValue returns the largest value the run holds, or 0 when it holds
-// none.
+// none. A sealed run walks itself once and remembers the answer.
 func (b *Run) MaxValue() int {
+	if b == nil || !b.sealed {
+		return b.maxOf()
+	}
+	b.maxValue.Do(func() { b.maxValue.v = b.maxOf() })
+	return b.maxValue.v
+}
+
+// maxOf is MaxValue's walk.
+func (b *Run) maxOf() int {
 	if b.Len() == 0 {
 		return 0
 	}

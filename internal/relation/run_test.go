@@ -235,3 +235,35 @@ func TestReorderedIsBuiltOnce(t *testing.T) {
 		checkDirectory(t, fmt.Sprint(cols), got[i])
 	}
 }
+
+// TestRunMaxValueIsRemembered: a sealed run answers MaxValue from one
+// walk, whoever asks first and however many ask at once (-race); an
+// open run, which appends may still raise, walks every time.
+func TestRunMaxValueIsRemembered(t *testing.T) {
+	open := NewRun(2)
+	open.Append(Tuple{3, 9})
+	if got := open.MaxValue(); got != 9 {
+		t.Fatalf("open run: MaxValue %d, want 9", got)
+	}
+	open.Append(Tuple{12, 1})
+	if got := open.MaxValue(); got != 12 {
+		t.Fatalf("open run after an append: MaxValue %d, want 12", got)
+	}
+	for _, sealed := range []*Run{RunOf(2, []Tuple{{3, 9}, {12, 1}}), RunOf(2, []Tuple{{1 << 40, 3}, {2, 5}}), RunOf(2, nil)} {
+		want := sealed.maxOf()
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := sealed.MaxValue(); got != want {
+					t.Errorf("sealed run: MaxValue %d, want %d", got, want)
+				}
+			}()
+		}
+		wg.Wait()
+		if sealed.maxValue.v++; sealed.MaxValue() != want+1 {
+			t.Fatal("a sealed run walked itself again")
+		}
+	}
+}

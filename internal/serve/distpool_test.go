@@ -6,17 +6,23 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/plan"
+	"repro/internal/query"
+	"repro/internal/relation"
 	"repro/internal/serve"
 	"repro/internal/wire"
 )
@@ -348,7 +354,7 @@ func TestWorkerPoolResidentScatter(t *testing.T) {
 	}
 	counters := func() [3]int64 {
 		m := srv.Metrics()
-		return [3]int64{m.ScatterHits.Load(), m.ScatterMisses.Load(), m.ScatterRetained.Load()}
+		return [3]int64{m.ScatterHits[plan.OneRound].Load(), m.ScatterMisses.Load(), m.ScatterRetained.Load()}
 	}
 	first, second, third := ask(), ask(), ask()
 	if first.ScatterResident != 0 || second.ScatterResident != 0 || third.ScatterResident != 3 {
@@ -369,7 +375,12 @@ func TestWorkerPoolResidentScatter(t *testing.T) {
 	}
 	prom, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{"mpcserve_scatter_resident_hits_total 3\n", "mpcserve_scatter_resident_misses_total 0\n", "mpcserve_scatter_resident_retained_total "} {
+	for _, want := range []string{
+		`mpcserve_scatter_resident_hits_total{engine="one-round hypercube"} 3` + "\n",
+		`mpcserve_scatter_resident_hits_total{engine="skew-aware routing"} 0` + "\n",
+		"mpcserve_scatter_resident_misses_total 0\n",
+		"mpcserve_scatter_resident_retained_total ",
+	} {
 		if !strings.Contains(string(prom), want) {
 			t.Errorf("/metrics lacks %q", want)
 		}
@@ -411,6 +422,71 @@ func TestWorkerPoolResidentScatter(t *testing.T) {
 	if m := lsrv.Metrics(); m.ScatterRetained.Load() != 0 {
 		t.Fatal("the loopback service asked workers to retain")
 	}
+}
+
+// TestWorkerPoolResidentSkew: a skew join is resident like a HyperCube
+// one — its two scatters are keyed by the routing the plan compiled — so
+// over four ops the reply reads scatterResident 0, 0, 2, 2, /metrics
+// counts the hits under the skew engine, and a delta starts over. Every
+// reply holds the ground truth of the version it ran on.
+func TestWorkerPoolResidentSkew(t *testing.T) {
+	const n = 3000
+	srv := serve.New(serve.Config{WorkerAddrs: startWorkerPool(t, 8)})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	// R's join column is a permutation of [1, n] and S's is Zipf(2): its
+	// top value alone overloads hash routing on 8 workers.
+	rng := rand.New(rand.NewPCG(36, 1))
+	db := relation.NewDatabase(n)
+	r := relation.New("R", "x", "y")
+	for i, y := range rng.Perm(n) {
+		r.MustAdd(relation.Tuple{1 + i, 1 + y})
+	}
+	s := relation.SkewedZipf(rng, "S", []string{"y", "z"}, n, 2)
+	db.AddRelation(r)
+	db.AddRelation(s)
+	if _, err := srv.Registry().Add("zipf", db); err != nil {
+		t.Fatal(err)
+	}
+	q, err := query.Parse("q(x,y,z) = R(x,y), S(y,z)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ask := func(want int) {
+		t.Helper()
+		out, _ := postQuery(t, ts.URL, serve.QueryRequest{Dataset: "zipf", Query: q.String(), MaxAnswers: 1 << 20})
+		ds, _ := srv.Registry().Get("zipf")
+		truth, err := core.GroundTruth(q, ds.DB())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]relation.Tuple, len(out.Answers))
+		for i, a := range out.Answers {
+			got[i] = a
+		}
+		if out.Engine != plan.SkewJoin.String() || out.ScatterResident != want || !reflect.DeepEqual(got, truth) {
+			t.Fatalf("%s, %d resident scatters, %d answers; want %s, %d, the %d of ground truth",
+				out.Engine, out.ScatterResident, len(got), plan.SkewJoin, want, len(truth))
+		}
+	}
+	for _, want := range []int{0, 0, 2, 2} {
+		ask(want)
+	}
+	if m := srv.Metrics(); m.ScatterHits[plan.SkewJoin].Load() != 4 || m.ScatterHits[plan.OneRound].Load() != 0 {
+		t.Fatalf("hits by engine %d, %d, %d; want 4 under the skew engine only",
+			m.ScatterHits[0].Load(), m.ScatterHits[1].Load(), m.ScatterHits[2].Load())
+	}
+	// One more occurrence of the heaviest value, y = 1.
+	z := 1
+	for slices.ContainsFunc(s.Tuples, func(t relation.Tuple) bool { return t[0] == 1 && t[1] == z }) {
+		z++
+	}
+	if code := postJSON(t, ts.URL+"/datasets/zipf/delta", serve.DeltaRequest{
+		Appends: map[string][][]int{"S": {{1, z}}},
+	}, &serve.DeltaResponse{}); code != http.StatusOK {
+		t.Fatalf("delta status %d", code)
+	}
+	ask(0)
 }
 
 // silentWorker listens like a worker, accepts every connection and

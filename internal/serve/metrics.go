@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/mpc"
+	"repro/internal/plan"
 )
 
 // Metrics aggregates the service's operational counters. All fields
@@ -62,10 +63,12 @@ type Metrics struct {
 	// PoolExchanges counts acknowledged pool-wide round trips across all
 	// sessions; on the fused schedule it equals the rounds executed.
 	PoolExchanges atomic.Int64
-	// ScatterHits counts scatters the pool's workers attached to instead
-	// of receiving, ScatterMisses the per-worker attaches that missed and
-	// were re-sent, ScatterRetained the per-worker slices asked to be kept.
-	ScatterHits, ScatterMisses, ScatterRetained atomic.Int64
+	// ScatterHits counts, indexed by the plan.Engine that ran, the
+	// scatters the pool's workers attached to instead of receiving;
+	// ScatterMisses the per-worker attaches that missed and were re-sent,
+	// ScatterRetained the per-worker slices asked to be kept.
+	ScatterHits                    [plan.SkewJoin + 1]atomic.Int64
+	ScatterMisses, ScatterRetained atomic.Int64
 	// DeltasTotal counts successfully applied delta batches
 	// (POST /datasets/{name}/delta).
 	DeltasTotal atomic.Int64
@@ -97,13 +100,13 @@ func (m *Metrics) RecordSession(tr *dist.TCP) {
 	}
 }
 
-// RecordScatters adds what one execution's keyed scatters came to (nil:
-// nothing) and returns its hits.
-func (m *Metrics) RecordScatters(snap *dist.Snapshot) int {
+// RecordScatters adds what one execution of engine e's keyed scatters
+// came to (nil: nothing) and returns its hits.
+func (m *Metrics) RecordScatters(e plan.Engine, snap *dist.Snapshot) int {
 	if snap == nil {
 		return 0
 	}
-	m.ScatterHits.Add(int64(snap.Hits))
+	m.ScatterHits[e].Add(int64(snap.Hits))
 	m.ScatterMisses.Add(int64(snap.Misses))
 	m.ScatterRetained.Add(int64(snap.Retained))
 	return snap.Hits
@@ -179,7 +182,10 @@ func (m *Metrics) WriteProm(w io.Writer) {
 	counter("mpcserve_pool_dials_total", "Worker-pool sessions dialled, plus mid-query worker replacements.", m.PoolDials.Load())
 	counter("mpcserve_pool_sessions_reused_total", "Executions that ran on a parked worker-pool session instead of dialling one.", m.PoolSessionsReused.Load())
 	counter("mpcserve_pool_exchanges_total", "Acknowledged pool-wide round trips across all sessions: one per fence, so a one-shot round is one and a resident one two.", m.PoolExchanges.Load())
-	counter("mpcserve_scatter_resident_hits_total", "Scatters the workers attached to instead of receiving.", m.ScatterHits.Load())
+	fmt.Fprintf(w, "# HELP mpcserve_scatter_resident_hits_total Scatters the workers attached to instead of receiving, by engine.\n# TYPE mpcserve_scatter_resident_hits_total counter\n")
+	for e := range m.ScatterHits {
+		fmt.Fprintf(w, "mpcserve_scatter_resident_hits_total{engine=%q} %d\n", plan.Engine(e).String(), m.ScatterHits[e].Load())
+	}
 	counter("mpcserve_scatter_resident_misses_total", "Per-worker attaches that missed and were re-sent.", m.ScatterMisses.Load())
 	counter("mpcserve_scatter_resident_retained_total", "Per-worker scatter slices workers were asked to keep.", m.ScatterRetained.Load())
 	counter("mpcserve_deltas_total", "Delta batches applied to datasets.", m.DeltasTotal.Load())

@@ -535,7 +535,7 @@ func (s *Server) resolveQuery(req QueryRequest) (*job, error) {
 				execOpts.Transport, execOpts.Recovery = tr, s.recovery()
 				// Its identity lets workers attach to what they kept of it.
 				snap := s.residency.Snapshot(ds.Name, sn.Version)
-				defer func() { reply.ScatterResident = s.metrics.RecordScatters(snap) }()
+				defer func() { reply.ScatterResident = s.metrics.RecordScatters(pl.Engine, snap) }()
 				execOpts.Snapshot = snap
 			}
 			res, err := pl.ExecuteRun(view, execOpts)

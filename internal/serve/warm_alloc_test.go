@@ -19,22 +19,22 @@ import (
 // reply reads the answer run. Three checks, workers' share of the
 // process included, over n = 10⁵ rows per relation:
 //
-//   - A resident op (C3 on the hypercube engine, its scatters attached)
-//     allocates less than 16 B per input row.
-//   - Any warm op (the same C3 query, and skewed joins on the skew
-//     engine, whose scatter is never resident: it partitions its input
-//     afresh every op) allocates less than 16 B per input row more than
-//     the same op on a twin dataset registered through Tuples, where
-//     reading rows is free.
+//   - A resident op — C3 on the hypercube engine and both skewed joins
+//     on the skew engine, every scatter attached — allocates less than
+//     16 B per input row plus its answers' allowance.
+//   - Any warm op allocates less than 16 B per input row more than the
+//     same op on a twin dataset registered through Tuples, where reading
+//     rows is free.
 //   - A warm skew join whose every S row joins (83 259 answers, of which
-//     the reply returns 100) allocates less than 280 B per answer. The
-//     reply decodes only the rows it returns: 254 B per answer (260 under
-//     -race). Materializing the answer as []relation.Tuple before
-//     truncating it, as the reply once did, adds 48 B per arity-3 answer:
-//     302 B (332 under -race).
+//     the reply returns 100) allocates less than 96 B per answer. The
+//     reply decodes only the rows it returns: 71 B per answer, under
+//     -race too. Materializing the answer as []relation.Tuple before
+//     truncating it, as the reply once did, adds 48 B per arity-3 answer.
 //
 // A per-op Rows() of a run-backed input costs ≥ 40 B per row and fails
-// the first two; the skew engine's split ranks cost 4.
+// the first two. A skew op that partitions its input afresh — every
+// skew op, before its routing had a key — costs ≈ 53 B per row and
+// fails the first.
 func TestWarmOpMaterializesNoRows(t *testing.T) {
 	const n = 100000
 	rng := rand.New(rand.NewPCG(29, 1))
@@ -66,15 +66,17 @@ func TestWarmOpMaterializesNoRows(t *testing.T) {
 		name, engine string
 		rels         []*relation.Relation
 		req          serve.QueryRequest
+		// resident is the scatters a warm op attaches to.
+		resident int
 		// perAnswer, when set, bounds the op's allocation per answer.
 		perAnswer int64
 	}{
 		{"c3", "one-round hypercube", []*relation.Relation{matching("S1", "x1", "x2"), matching("S2", "x2", "x3"), matching("S3", "x3", "x1")},
-			serve.QueryRequest{Family: "C3"}, 0},
+			serve.QueryRequest{Family: "C3"}, 3, 0},
 		{"skew", "skew-aware routing", []*relation.Relation{r, s},
-			serve.QueryRequest{Query: join}, 0},
+			serve.QueryRequest{Query: join}, 2, 0},
 		{"skew-answers", "skew-aware routing", []*relation.Relation{rAll, sAll},
-			serve.QueryRequest{Query: join, MaxAnswers: 100}, 280},
+			serve.QueryRequest{Query: join, MaxAnswers: 100}, 2, 96},
 	}
 	srv := serve.New(serve.Config{WorkerAddrs: startWorkerPool(t, 8)})
 	h := srv.Handler()
@@ -142,8 +144,11 @@ func TestWarmOpMaterializesNoRows(t *testing.T) {
 			if op-twinOp >= 16*int64(rows) {
 				t.Errorf("a warm op read its run-backed input for %d B more than the same op on Tuples, ≥ 16 B × %d input rows", op-twinOp, rows)
 			}
-			if out.ScatterResident > 0 && op >= 16*int64(rows) {
-				t.Errorf("a resident op allocated %d B, ≥ 16 B × %d input rows", op, rows)
+			if out.ScatterResident != c.resident {
+				t.Fatalf("%d resident scatters, want %d", out.ScatterResident, c.resident)
+			}
+			if bound := 16*int64(rows) + c.perAnswer*int64(out.AnswerCount); op >= bound {
+				t.Errorf("a resident op allocated %d B, ≥ 16 B × %d input rows + %d B × %d answers", op, rows, c.perAnswer, out.AnswerCount)
 			}
 			if c.perAnswer > 0 {
 				t.Logf("%.1f B per answer", float64(op)/float64(out.AnswerCount))

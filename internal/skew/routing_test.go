@@ -5,8 +5,10 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
+	"repro/internal/exchange"
 	"repro/internal/relation"
 )
 
@@ -93,7 +95,7 @@ func TestCompiledRoutingMatchesOracle(t *testing.T) {
 						split map[int]bool
 					}{{r, ry, true, splitR}, {s, sy, false, splitS}}
 					for _, side := range sides {
-						got := newJoinPartitioner(cat, side.rel, side.col, side.sideR, 9)
+						got := NewPartitioner(cat, side.rel, side.col, side.sideR, 9)
 						want := newOraclePartitioner(side.rel, side.col, p, 9, blocks, side.split)
 						for i, tu := range side.rel.Run().Tuples() {
 							if g, w := got.Route(i, tu, nil), want.Route(i, tu, nil); !slices.Equal(g, w) {
@@ -120,4 +122,68 @@ func TestPredictedLoadIsExactOnAllEqual(t *testing.T) {
 	if want := 400.0/8 + 400; rt.PredictedLoad() != want || float64(res.MaxLoadTuples) != want {
 		t.Errorf("predicted %v, measured %d, want %v", rt.PredictedLoad(), res.MaxLoadTuples, want)
 	}
+}
+
+// TestPartitionerKey: a partitioner's key is equal exactly when its
+// routing, seed, side and column are — a routing compiled again from the
+// same counts included, one whose blocks alone differ excluded.
+func TestPartitionerKey(t *testing.T) {
+	in := routingInputs()["zipf1.3"]
+	r, s := in[0], in[1]
+	histR, histS := relation.ColumnHistogram(r, 1), relation.ColumnHistogram(s, 0)
+	rt := Compile(histR, histS, r.Size(), s.Size(), 16, 1)
+	key := func(rt *Routing, col int, sideR bool, seed uint64) string {
+		return NewPartitioner(rt, r, col, sideR, seed).(exchange.Keyed).Key()
+	}
+	warm := key(rt, 1, true, 9)
+	if got := key(Compile(histR, histS, r.Size(), s.Size(), 16, 1), 1, true, 9); got != warm {
+		t.Fatalf("a routing compiled again keys %q, want %q", got, warm)
+	}
+	halved := Compile(histR, histS, 2*r.Size(), 2*s.Size(), 16, 0.5)
+	if halved.Threshold != rt.Threshold || len(halved.Heavy) != len(rt.Heavy) {
+		t.Fatalf("halved routing: threshold %d, %d heavy; want %d, %d", halved.Threshold, len(halved.Heavy), rt.Threshold, len(rt.Heavy))
+	}
+	for name, other := range map[string]string{
+		"other seed":   key(rt, 1, true, 10),
+		"other side":   key(rt, 1, false, 9),
+		"other column": key(rt, 0, true, 9),
+		"other blocks": key(halved, 1, true, 9),
+		"other p":      key(Compile(histR, histS, r.Size(), s.Size(), 8, 1), 1, true, 9),
+	} {
+		if other == warm {
+			t.Errorf("%s keys like the warm partitioner: %q", name, other)
+		}
+	}
+}
+
+// TestPartitionerRanksOnce: sender shards route in parallel from their
+// first tuple on, so whichever asks first numbers the split ranks, once,
+// for all of them (run under -race): every tuple goes where a partitioner
+// routing alone sends it.
+func TestPartitionerRanksOnce(t *testing.T) {
+	in := routingInputs()["zipf1.3"]
+	r, s := in[0], in[1]
+	rt := CompileFromData(r, 1, s, 0, 16, 1)
+	tuples := r.Run().Tuples()
+	alone := NewPartitioner(rt, r, 1, true, 9)
+	want := make([][]int, len(tuples))
+	for i, tu := range tuples {
+		want[i] = alone.Route(i, tu, nil)
+	}
+	const shards = 4
+	shared := NewPartitioner(rt, r, 1, true, 9)
+	var wg sync.WaitGroup
+	for g := 0; g < shards; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < len(tuples); i += shards {
+				if got := shared.Route(i, tuples[i], nil); !slices.Equal(got, want[i]) {
+					t.Errorf("tuple %d %v routes to %v, alone to %v", i, tuples[i], got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

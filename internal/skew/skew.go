@@ -30,14 +30,15 @@ package skew
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"sort"
+	"sync"
 
 	"repro/internal/dist"
 	"repro/internal/exchange"
+	"repro/internal/hypercube"
 	"repro/internal/localjoin"
 	"repro/internal/mpc"
 	"repro/internal/query"
@@ -234,18 +235,15 @@ type Options struct {
 	Seed uint64
 	// CapConstant enables receive-cap enforcement when positive.
 	CapConstant float64
-	// Transport, Context, Recovery and Trace are the fields of dist.Env
-	// (documented there): where and how the round runs. The zero values
-	// are the in-process loopback, no deadline, no recovery, untraced.
+	// Transport, Context, Recovery, Trace and Snapshot are the fields of
+	// dist.Env (documented there): where and how the round runs. The zero
+	// values are the in-process loopback, no deadline, no recovery,
+	// untraced, every scatter fresh.
 	Transport dist.Transport
 	Context   context.Context
 	Recovery  dist.RecoveryOptions
 	Trace     *trace.Trace
-}
-
-// env bundles the options' execution environment for dist.Open.
-func (o Options) env() dist.Env {
-	return dist.Env{Transport: o.Transport, Context: o.Context, Recovery: o.Recovery, Trace: o.Trace}
+	Snapshot  *dist.Snapshot
 }
 
 // Result reports a join run.
@@ -271,35 +269,48 @@ type Result struct {
 // joinPartitioner is one side of the skew-aware routing discipline as
 // an exchange.Partitioner: light values hash to one server, heavy
 // values either split round-robin across their block or broadcast to
-// the whole block. The round-robin position of each tuple is precomputed
-// per heavy value (splitRank), so routing is stateless at Route time —
-// parallel sender shards need no shared counters — while every heavy
-// value still spreads exactly evenly over its block regardless of how
-// its occurrences are laid out in the source relation.
+// the whole block. Each tuple's round-robin position (splitRank) is
+// numbered over the whole run at the first Route: parallel sender
+// shards share no counters, an attached scatter, which never routes,
+// never pays for it, and a heavy value spreads exactly evenly over its
+// block however its occurrences lie in the run.
 type joinPartitioner struct {
 	col       int
 	seed      uint64
 	rt        *Routing
-	sideR     bool    // this side splits the values whose SplitR is set
+	sideR     bool // this side splits the values whose SplitR is set
+	run       *relation.Run
+	ranked    sync.Once
 	splitRank []int32 // tuple index → rank among its value's occurrences
 }
 
-// newJoinPartitioner numbers each split-side heavy tuple of rel among
-// the occurrences of its join value, in the order of rel's run — the
-// order Cluster.Scatter routes it in.
-func newJoinPartitioner(rt *Routing, rel *relation.Relation, col int, sideR bool, seed uint64) *joinPartitioner {
-	run := rel.Run()
-	j := &joinPartitioner{col: col, seed: seed, rt: rt, sideR: sideR, splitRank: make([]int32, run.Len())}
-	counter := make([]int32, len(rt.Heavy))
+// NewPartitioner routes rel's side of the join on column col under rt:
+// sideR for the side that splits the values whose SplitR is set.
+func NewPartitioner(rt *Routing, rel *relation.Relation, col int, sideR bool, seed uint64) exchange.Partitioner {
+	return &joinPartitioner{col: col, seed: seed, rt: rt, sideR: sideR, run: rel.Run()}
+}
+
+// rank numbers each split-side heavy tuple among the occurrences of its
+// join value, in the order of the run — the order Cluster.Scatter
+// routes it in.
+func (j *joinPartitioner) rank() {
+	j.splitRank = make([]int32, j.run.Len())
+	counter := make([]int32, len(j.rt.Heavy))
 	i := 0
-	run.Each(func(t relation.Tuple) {
-		if h := rt.find(t[col]); h >= 0 && rt.Heavy[h].SplitR == sideR {
+	j.run.Each(func(t relation.Tuple) {
+		if h := j.rt.find(t[j.col]); h >= 0 && j.rt.Heavy[h].SplitR == j.sideR {
 			j.splitRank[i] = counter[h]
 			counter[h]++
 		}
 		i++
 	})
-	return j
+}
+
+// Key implements exchange.Keyed: the routing's P, Threshold and every
+// heavy value's fields, the seed, the side and the join column. The
+// split ranks follow from these and the run, which the snapshot pins.
+func (j *joinPartitioner) Key() string {
+	return fmt.Sprint("skew", j.rt.P, j.rt.Threshold, j.rt.Heavy, j.seed, j.sideR, j.col)
 }
 
 // Route implements exchange.Partitioner.
@@ -311,6 +322,7 @@ func (j *joinPartitioner) Route(i int, t relation.Tuple, buf []int) []int {
 	}
 	hv := &j.rt.Heavy[h]
 	if hv.SplitR == j.sideR {
+		j.ranked.Do(j.rank)
 		return append(buf, (hv.First+int(j.splitRank[i])%hv.Size)%j.rt.P)
 	}
 	for k := 0; k < hv.Size; k++ {
@@ -340,47 +352,31 @@ func RunJoin(r, s *relation.Relation, p int, mode Mode, opts Options) (*Result, 
 
 // Execute runs the two-atom join q on rt.P servers, run-native on q's
 // own atoms: r and s (bound to q's first and second atom, whatever
-// their names and column order) scatter as they are, partitioned on
-// columns ry and sy under rt; the workers join q itself and the gather
-// merge returns the answers in q.Vars() order, sorted and deduplicated.
+// their names and column order) scatter as they are in HyperCube's one
+// round, partitioned on columns ry and sy under rt; the workers join q
+// itself and the gather merge returns the answers in q.Vars() order,
+// sorted and deduplicated.
 func Execute(q *query.Query, r, s *relation.Relation, ry, sy int, rt *Routing, opts Options) (*Result, error) {
 	domain := max(1, r.Run().MaxValue(), s.Run().MaxValue())
 	inputBits := int64(r.Size()+s.Size()) * 2 * int64(relation.BitsPerValue(domain))
-	cluster, ctx, err := dist.Open(opts.env(), mpc.Config{
-		Workers:     rt.P,
-		Epsilon:     0,
-		InputBits:   inputBits,
-		CapConstant: opts.CapConstant,
-		DomainN:     domain,
+	cluster, ctx, err := dist.Open(dist.Env{Transport: opts.Transport, Context: opts.Context, Recovery: opts.Recovery, Trace: opts.Trace, Snapshot: opts.Snapshot},
+		mpc.Config{Workers: rt.P, InputBits: inputBits, CapConstant: opts.CapConstant, DomainN: domain})
+	if err != nil {
+		return nil, err
+	}
+	// One partitioner per side; the split/broadcast decision flips
+	// between R and S for each heavy value.
+	in := &relation.Database{Relations: map[string]*relation.Relation{q.Atoms[0].Name: r, q.Atoms[1].Name: s}}
+	capExceeded, err := hypercube.Round(ctx, cluster, q, in, func(a query.Atom) exchange.Partitioner {
+		if a.Name == q.Atoms[0].Name {
+			return NewPartitioner(rt, r, ry, true, opts.Seed)
+		}
+		return NewPartitioner(rt, s, sy, false, opts.Seed)
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	// One partitioner per side; the split/broadcast decision flips
-	// between R and S for each heavy value.
-	capExceeded := false
-	cluster.BeginRound()
-	if err := cluster.Scatter(ctx, r, q.Atoms[0].Name, newJoinPartitioner(rt, r, ry, true, opts.Seed)); err != nil && !errors.Is(err, mpc.ErrCapExceeded) {
-		return nil, err
-	}
-	if err := cluster.Scatter(ctx, s, q.Atoms[1].Name, newJoinPartitioner(rt, s, sy, false, opts.Seed)); err != nil && !errors.Is(err, mpc.ErrCapExceeded) {
-		return nil, err
-	}
-	if err := cluster.EndRound(ctx); err != nil {
-		if errors.Is(err, mpc.ErrCapExceeded) {
-			capExceeded = true
-		} else {
-			return nil, err
-		}
-	}
-
-	// Local joins at the workers over the sealed runs they hold, then a
-	// k-way merged gather: the answer is that run.
-	if err := cluster.Join(ctx, q, nil, "skew!answers", 0); err != nil {
-		return nil, err
-	}
-	answers, err := cluster.Gather(ctx, "skew!answers")
+	answers, err := cluster.Gather(ctx, hypercube.AnswersView)
 	if err != nil {
 		return nil, err
 	}
