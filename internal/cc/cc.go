@@ -187,10 +187,9 @@ type Result struct {
 	// Rounds is the number of communication rounds used, including the
 	// initial edge distribution round.
 	Rounds int
-	// Stats is the engine's communication record.
-	Stats *mpc.Stats
-	// CapExceeded reports whether the receive budget was violated.
-	CapExceeded bool
+	// Outcome holds the communication record and whether the receive
+	// budget was violated.
+	dist.Outcome
 }
 
 // Run executes the chosen algorithm on g in the tuple-based MPC(ε)
@@ -211,13 +210,12 @@ func Run(g *Graph, algo Algorithm, opts Options) (*Result, error) {
 
 // session is one execution on the cluster. Every communication round
 // is one lone scatter of that round's messages; a receive-cap violation
-// is recorded instead of ending the run, so experiments can report the
-// loads of an over-budget algorithm.
+// does not end the run — the cluster's Outcome records it — so
+// experiments can report the loads of an over-budget algorithm.
 type session struct {
-	cluster     *dist.Cluster
-	ctx         context.Context
-	opts        Options
-	capExceeded bool
+	cluster *dist.Cluster
+	ctx     context.Context
+	opts    Options
 }
 
 func open(g *Graph, opts Options) (*session, error) {
@@ -249,20 +247,17 @@ func (s *session) toOwner() exchange.Partitioner {
 
 // round sends msgs through part as one communication round.
 func (s *session) round(msgs *relation.Relation, part exchange.Partitioner) error {
-	err := s.cluster.Scatter(s.ctx, msgs, "", part)
-	if errors.Is(err, mpc.ErrCapExceeded) {
-		s.capExceeded = true
-		return nil
+	if err := s.cluster.Scatter(s.ctx, msgs, "", part); !errors.Is(err, mpc.ErrCapExceeded) {
+		return err
 	}
-	return err
+	return nil
 }
 
 func (s *session) result(labels map[int]int) *Result {
 	return &Result{
-		Labels:      labels,
-		Rounds:      s.cluster.Stats().NumRounds(),
-		Stats:       s.cluster.Stats(),
-		CapExceeded: s.capExceeded,
+		Labels:  labels,
+		Rounds:  s.cluster.Stats().NumRounds(),
+		Outcome: s.cluster.Outcome(),
 	}
 }
 

@@ -74,17 +74,12 @@ type Result struct {
 	// Iterations is the total number of semi-naive delta iterations
 	// across all recursive strata (0 for a non-recursive program).
 	Iterations int
-	// Stats concatenates the round records of every execution the
-	// program ran — rule bodies in stratum order, then each recursive
-	// rule's maintenance rounds — so two transports that execute the
-	// same program produce identical records.
-	Stats *mpc.Stats
-	// CapExceeded reports whether any worker broke the receive budget
-	// in any execution.
-	CapExceeded bool
-	// Replacements counts workers replaced by recovery across all
-	// executions.
-	Replacements int
+	// Outcome sums up every execution the program ran. Its Stats
+	// concatenates their round records — rule bodies in stratum order,
+	// then each recursive rule's maintenance rounds — so two transports
+	// that execute the same program produce identical records; a broken
+	// budget or a replacement in any execution is the program's.
+	dist.Outcome
 }
 
 // Eval runs the program over db on the simulated MPC(ε) cluster. The
@@ -120,6 +115,7 @@ func Eval(prog *Program, db *relation.Database, opts Options) (*Result, error) {
 		prog: prog, opts: opts,
 		facts: make(map[string]*relation.Run),
 		stats: make(map[string]*relation.RelationStats),
+		sum:   dist.Outcome{Stats: &mpc.Stats{}},
 	}
 	// The working database: shared EDB relations plus the IDB
 	// relations as strata complete.
@@ -143,13 +139,11 @@ func Eval(prog *Program, db *relation.Database, opts Options) (*Result, error) {
 
 	out := prog.OutputPred()
 	return &Result{
-		Answers:      e.facts[out],
-		Vars:         prog.outputVars(),
-		Facts:        e.facts,
-		Iterations:   e.iterations,
-		Stats:        &mpc.Stats{Rounds: e.rounds},
-		CapExceeded:  e.capSeen,
-		Replacements: e.replacements,
+		Answers:    e.facts[out],
+		Vars:       prog.outputVars(),
+		Facts:      e.facts,
+		Iterations: e.iterations,
+		Outcome:    e.sum,
 	}, nil
 }
 
@@ -183,10 +177,9 @@ type evaluator struct {
 	// relation's entry.
 	stats map[string]*relation.RelationStats
 
-	iterations   int
-	rounds       []mpc.RoundStats
-	capSeen      bool
-	replacements int
+	iterations int
+	// sum accumulates the executions' outcomes into the program's.
+	sum dist.Outcome
 }
 
 // dial returns the transport for one execution (nil = the engine's own
@@ -266,11 +259,11 @@ func (e *evaluator) catalog(r *Rule) *relation.Stats {
 	return cat
 }
 
-// record accumulates one execution's communication record.
-func (e *evaluator) record(stats *mpc.Stats, capExceeded bool, replacements int) {
-	e.rounds = append(e.rounds, stats.Rounds...)
-	e.capSeen = e.capSeen || capExceeded
-	e.replacements += replacements
+// record accumulates one execution's outcome.
+func (e *evaluator) record(o dist.Outcome) {
+	e.sum.Stats.Rounds = append(e.sum.Stats.Rounds, o.Stats.Rounds...)
+	e.sum.CapExceeded = e.sum.CapExceeded || o.CapExceeded
+	e.sum.Replacements += o.Replacements
 }
 
 // evalRule plans and executes the program's rule ri — a non-recursive
@@ -312,7 +305,7 @@ func (e *evaluator) evalRule(ri int) (*relation.Run, error) {
 	if err != nil {
 		return nil, fmt.Errorf("datalog: rule for %s: %w", r.Head.Pred, err)
 	}
-	e.record(res.Stats, res.CapExceeded, res.Replacements)
+	e.record(res.Outcome)
 	if r.HasAggregate() {
 		// Already one row per group, in head order.
 		return res.Run, nil
@@ -500,7 +493,7 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 	}
 
 	for _, x := range xs {
-		e.record(x.d.Stats(), x.d.CapExceeded(), x.d.Replacements())
+		e.record(x.d.Outcome())
 		x.d.Close()
 	}
 	for _, pred := range s.Preds {

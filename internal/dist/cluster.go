@@ -31,6 +31,9 @@ type Cluster struct {
 	stats mpc.Stats
 	round int
 	open  bool
+	// capExceeded latches whether a round this cluster closed broke the
+	// receive budget.
+	capExceeded bool
 	// rec is the self-healing state; nil until EnableRecovery.
 	rec *recovery
 	// fused defers the round script to the next fence — a step whose
@@ -156,6 +159,25 @@ func (c *Cluster) Workers() int { return c.cfg.Workers }
 
 // Stats returns the accumulated per-round communication record.
 func (c *Cluster) Stats() *mpc.Stats { return &c.stats }
+
+// Outcome is what an execution reports besides its answer; every
+// engine's result embeds it.
+type Outcome struct {
+	// Stats is the communication record.
+	Stats *mpc.Stats
+	// CapExceeded reports whether some round broke the per-worker
+	// receive budget — informational, the round still ran.
+	CapExceeded bool
+	// Replacements counts the workers the recovery policy replaced (0
+	// when recovery is off or nothing failed).
+	Replacements int
+}
+
+// Outcome returns the cluster's record so far: its statistics, whether
+// a round it closed broke the budget, and its replacements.
+func (c *Cluster) Outcome() Outcome {
+	return Outcome{Stats: &c.stats, CapExceeded: c.capExceeded, Replacements: c.Replacements()}
+}
 
 // BeginRound opens a communication round into which subsequent
 // Scatter calls accumulate (all input servers transmit in one round).
@@ -340,13 +362,15 @@ func (c *Cluster) closeRound(ctx context.Context, rs *mpc.RoundStats) error {
 	if err := c.submit(ctx, Op{Kind: OpBarrier, Round: c.round}); err != nil {
 		return err
 	}
-	return rs.CheckCap(c.cfg.ReceiveCap())
+	err := rs.CheckCap(c.cfg.ReceiveCap())
+	c.capExceeded = c.capExceeded || err != nil
+	return err
 }
 
 // EndRound closes the round opened by BeginRound: it synchronizes the
 // pool (every worker has ingested the round's runs) and enforces the
 // receive budget, returning an mpc.ErrCapExceeded-wrapping error on a
-// violation.
+// violation — which Outcome remembers, so a caller may go on past it.
 func (c *Cluster) EndRound(ctx context.Context) error {
 	if !c.open {
 		return fmt.Errorf("dist: EndRound without BeginRound")

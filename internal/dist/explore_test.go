@@ -304,10 +304,11 @@ func (x exploration) explore(t *testing.T, kind string, p int, rng *rand.Rand, k
 	return len(points), resets
 }
 
-// explorations builds the eight execution kinds at p workers and test
+// explorations builds the nine execution kinds at p workers and test
 // sizes: the three engines, a Datalog fixpoint, a maintainer batch, two
-// executions on one reused session, and a warm operation on resident
-// scatters under the grid and under the skew routing.
+// executions on one reused session, a maintainer batch on the session a
+// query parked, and a warm operation on resident scatters under the grid
+// and under the skew routing.
 func explorations(t *testing.T, p int) []exploration {
 	var xs []exploration
 	for _, eng := range recoveryEngines(t, p) {
@@ -395,6 +396,31 @@ func explorations(t *testing.T, p int) []exploration {
 		return out, nil
 	}})
 
+	// Maintainer on a lent session: the reuse kind's lending, the
+	// maintainer kind's script — its cold round and batch run on the
+	// session the query before it parked, as a service's continuous query
+	// does on a worker pool.
+	xs = append(xs, exploration{name: "maintainer-reuse", truth: maintained, lent: true, run: func(dial func() dist.Transport, s *disttest.Schedule, rec dist.RecoveryOptions) (outcome, error) {
+		tr := behind(s, dial())
+		res, err := hypercube.Run(mq, before, p, hypercube.Options{Seed: 23, Transport: tr, Recovery: rec})
+		tr.Close()
+		if err != nil {
+			return outcome{}, err
+		}
+		if got := res.Answers.Tuples(); !sameTuples(got, cold) {
+			return outcome{}, fmt.Errorf("the query has %d answers, ground truth %d", len(got), len(cold))
+		}
+		m, err := hypercube.NewMaintainer(mq, before, p, hypercube.Options{Seed: 23, Transport: behind(s, dial()), Recovery: rec})
+		if err != nil {
+			return outcome{}, err
+		}
+		defer m.Close()
+		if _, err := m.ApplyDelta(batch); err != nil {
+			return outcome{}, err
+		}
+		return outcome{answers: m.Answers().Tuples(), rounds: append(res.Stats.Rounds, m.Stats().Rounds...), repl: res.Replacements + m.Replacements()}, nil
+	}})
+
 	// Resident: the cold triangle again, and the skew case's join, each as
 	// the third sighting of one dataset version (resident_test.go) — an
 	// attach script, then barrier, join and gather.
@@ -477,7 +503,7 @@ func (lb parkedLoopback) Close() error {
 	return nil
 }
 
-// TestExplore runs the explorer over the eight execution kinds on both
+// TestExplore runs the explorer over the nine execution kinds on both
 // transports at p = 4: every point, or under -short one in eight of them,
 // plus six sampled pairs per kind and transport. The seed is logged; a
 // failure names its point, and the exhaustive run is deterministic.

@@ -39,6 +39,27 @@ type Registry struct {
 	// resetVia is what a reset is sent through: the session itself, or —
 	// in the fault explorer — the session behind a fault schedule.
 	resetVia func(Transport) Transport
+	// dials, exchanges and reused total Usage; a lent session adds to
+	// them where it counts its own.
+	dials, exchanges, reused atomic.Int64
+}
+
+// Usage totals what the sessions a Registry lent cost the transport,
+// counted as they go — a session held for a long time is no exception.
+type Usage struct {
+	// Dials counts the sessions dialled for a borrower — none for a
+	// parked one — plus the workers they replaced.
+	Dials int64
+	// Exchanges counts their acknowledged pool-wide round trips; the
+	// reset that parks a session is no borrower's.
+	Exchanges int64
+	// Reused counts the borrows a parked session served.
+	Reused int64
+}
+
+// Usage returns the running totals of the sessions the registry lent.
+func (r *Registry) Usage() Usage {
+	return Usage{Dials: r.dials.Load(), Exchanges: r.exchanges.Load(), Reused: r.reused.Load()}
 }
 
 // NewRegistry returns a registry over the member and spare addresses.
@@ -59,9 +80,14 @@ func NewRegistry(members, spares []string) *Registry {
 // session gives it back (TCP.Close).
 func (r *Registry) Session(ctx context.Context) (t *TCP, repaired int, err error) {
 	if t = r.unpark(ctx); t != nil {
+		r.reused.Add(1)
 		return t, 0, nil
 	}
-	return dialTCP(ctx, r.Members(), r)
+	if t, repaired, err = dialTCP(ctx, r.Members(), r); err == nil {
+		t.lent = true
+		r.dials.Add(1)
+	}
+	return t, repaired, err
 }
 
 // dial connects slot i of t, a session the registry lent: the slot's
@@ -120,7 +146,7 @@ func (r *Registry) unpark(ctx context.Context) *TCP {
 			r.idle = r.idle[:n-1]
 			r.mu.Unlock()
 			if t.whole() {
-				return &TCP{conns: t.conns, addrs: t.addrs, reg: r, reused: true}
+				return &TCP{conns: t.conns, addrs: t.addrs, reg: r, lent: true, reused: true}
 			}
 			t.hangUp()
 			continue

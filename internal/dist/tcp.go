@@ -35,14 +35,15 @@ type TCP struct {
 	addrs []string
 	// dials counts the pool-wide dials and worker replacements this
 	// borrow of the session paid, exchanges its acknowledged pool-wide
-	// round trips; a service adds them up across executions. promoted
-	// counts the spares its dials promoted into the registry's members.
+	// round trips; a lent session adds both to its registry's Usage too.
+	// promoted counts the spares its dials promoted into the registry's
+	// members.
 	dials, exchanges, promoted atomic.Int64
-	// reg is the Registry that lent the session and dials its slots (nil:
-	// DialTCP's own, hung up at Close); reused says it lent one it had
-	// parked.
-	reg    *Registry
-	reused bool
+	// reg is the Registry that dials the session's slots (nil: DialTCP's
+	// own, hung up at Close); lent says it lent the session to a borrower
+	// and reused that it lent one it had parked.
+	reg          *Registry
+	lent, reused bool
 	// failed is whether the last script, replay or replacement failed: a
 	// session whose execution ended there is in no known state. closed
 	// makes Close act once.
@@ -487,6 +488,9 @@ func (t *TCP) runAll(ctx context.Context, ops []Op) (Reply, error) {
 	}
 	if answered {
 		t.exchanges.Add(1)
+		if t.lent {
+			t.reg.exchanges.Add(1)
+		}
 	}
 	perWorker := make([][]*relation.Run, len(t.conns))
 	attached := make([][]wire.Attach, len(t.conns))
@@ -522,6 +526,9 @@ func (t *TCP) ReplaceWorker(ctx context.Context, w int) error {
 		return errClosed
 	}
 	t.dials.Add(1)
+	if t.lent {
+		t.reg.dials.Add(1)
+	}
 	old := t.conns[w]
 	wc, err := t.dialWorker(ctx, w)
 	if err != nil {

@@ -58,8 +58,6 @@ type Distribution struct {
 	// seq numbers maintenance batches; Δ view names embed it so no
 	// two batches share worker-side view state.
 	seq int
-	// capSeen latches whether any round exceeded the receive budget.
-	capSeen bool
 }
 
 // Distribute runs the cold HC distribution of q over db on p workers and
@@ -98,7 +96,7 @@ func Distribute(q *query.Query, db *relation.Database, p int, opts Options) (*Di
 	// Cold distribution: the ordinary one-round HC scatter and join,
 	// with the cluster kept open afterwards.
 	var cold *relation.Run
-	d.capSeen, err = Round(ctx, cluster, q, db, func(a query.Atom) exchange.Partitioner { return d.parts[a.Name] })
+	err = Round(ctx, cluster, q, db, func(a query.Atom) exchange.Partitioner { return d.parts[a.Name] })
 	if err == nil {
 		cold, err = cluster.Gather(ctx, AnswersView)
 	}
@@ -117,9 +115,9 @@ func (d *Distribution) Stats() *mpc.Stats { return d.cluster.Stats() }
 // the distribution's lifetime.
 func (d *Distribution) Replacements() int { return d.cluster.Replacements() }
 
-// CapExceeded reports whether any round so far, the cold one included,
-// exceeded the per-worker receive budget.
-func (d *Distribution) CapExceeded() bool { return d.capSeen }
+// Outcome returns the distribution's record so far, the cold round
+// included: statistics, a broken receive budget, replacements.
+func (d *Distribution) Outcome() dist.Outcome { return d.cluster.Outcome() }
 
 // Fanout returns the replication factor of the named atom — how many
 // grid points each of its tuples is sent to — or 0 for an unknown
@@ -170,11 +168,8 @@ func (d *Distribution) Apply(removed, added map[string]*relation.Run) (*relation
 			}
 		}
 	}
-	if err := d.cluster.EndRound(d.ctx); err != nil {
-		if !errors.Is(err, mpc.ErrCapExceeded) {
-			return nil, err
-		}
-		d.capSeen = true
+	if err := d.cluster.EndRound(d.ctx); err != nil && !errors.Is(err, mpc.ErrCapExceeded) {
+		return nil, err
 	}
 
 	// Insertion: one delta join per extended atom — the atom bound to

@@ -241,7 +241,7 @@ func distributeByHand(t *testing.T, sc *maintScenario, p int, seed uint64, tr di
 	for _, a := range sc.q.Atoms {
 		d.parts[a.Name] = NewGridPartitioner(shares, hasher, a)
 	}
-	if _, err := Round(ctx, cluster, sc.q, sc.db0, func(a query.Atom) exchange.Partitioner { return d.parts[a.Name] }); err != nil {
+	if err := Round(ctx, cluster, sc.q, sc.db0, func(a query.Atom) exchange.Partitioner { return d.parts[a.Name] }); err != nil {
 		t.Fatal(err)
 	}
 	cold, err := cluster.Gather(ctx, AnswersView)

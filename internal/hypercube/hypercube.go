@@ -387,17 +387,11 @@ type Result struct {
 	// Answers is the union of the tuples output by all servers, as the
 	// one sealed run the gather merged (nil when empty).
 	Answers *relation.Run
-	// Stats is the engine's communication record.
-	Stats *mpc.Stats
-	// Replacements counts the workers replaced mid-query by the
-	// recovery policy (0 when recovery is off or nothing failed).
-	Replacements int
+	dist.Outcome
 	// Shares is the grid geometry used.
 	Shares *Shares
 	// ReceiveCap is the enforced per-worker budget in bits (0 = off).
 	ReceiveCap int64
-	// CapExceeded reports whether some worker exceeded the budget.
-	CapExceeded bool
 	// GridPoints is the number of materialized grid points (= servers
 	// used; less than p when shares round down, p in RunSampled).
 	GridPoints int
@@ -473,7 +467,7 @@ func runWithShares(q *query.Query, db *relation.Database, p int, shares *Shares,
 		return nil, err
 	}
 	hasher := NewHasher(shares, opts.Seed)
-	capExceeded, err := Round(ctx, cluster, q, db, func(a query.Atom) exchange.Partitioner {
+	err = Round(ctx, cluster, q, db, func(a query.Atom) exchange.Partitioner {
 		return NewGridPartitioner(shares, hasher, a).WithSample(sample)
 	})
 	if err != nil {
@@ -490,13 +484,11 @@ func runWithShares(q *query.Query, db *relation.Database, p int, shares *Shares,
 		grid = p
 	}
 	return &Result{
-		Answers:      merged,
-		Stats:        cluster.Stats(),
-		Replacements: cluster.Replacements(),
-		Shares:       shares,
-		ReceiveCap:   cluster.Config().ReceiveCap(),
-		CapExceeded:  capExceeded,
-		GridPoints:   grid,
+		Answers:    merged,
+		Outcome:    cluster.Outcome(),
+		Shares:     shares,
+		ReceiveCap: cluster.Config().ReceiveCap(),
+		GridPoints: grid,
 	}, nil
 }
 
@@ -505,26 +497,23 @@ func runWithShares(q *query.Query, db *relation.Database, p int, shares *Shares,
 // their own partitioners. Every input server scatters the relation db
 // binds to each atom through part(atom); then local computation (free
 // in the MPC cost model): each worker joins what it received and keeps
-// the result under AnswersView. A broken receive budget is reported,
-// not an error.
-func Round(ctx context.Context, cluster *dist.Cluster, q *query.Query, db *relation.Database, part func(query.Atom) exchange.Partitioner) (capExceeded bool, err error) {
+// the result under AnswersView. A broken receive budget is the
+// cluster's Outcome, not an error.
+func Round(ctx context.Context, cluster *dist.Cluster, q *query.Query, db *relation.Database, part func(query.Atom) exchange.Partitioner) error {
 	cluster.BeginRound()
 	for _, a := range q.Atoms {
 		rel, ok := db.Relation(a.Name)
 		if !ok {
-			return false, fmt.Errorf("hypercube: database missing relation %s", a.Name)
+			return fmt.Errorf("hypercube: database missing relation %s", a.Name)
 		}
 		if err := cluster.Scatter(ctx, rel, a.Name, part(a)); err != nil {
-			return false, err
+			return err
 		}
 	}
-	if err := cluster.EndRound(ctx); err != nil {
-		if !errors.Is(err, mpc.ErrCapExceeded) {
-			return false, err
-		}
-		capExceeded = true
+	if err := cluster.EndRound(ctx); err != nil && !errors.Is(err, mpc.ErrCapExceeded) {
+		return err
 	}
-	return capExceeded, cluster.Join(ctx, q, nil, AnswersView, 0)
+	return cluster.Join(ctx, q, nil, AnswersView, 0)
 }
 
 // TheoreticalLoad returns the paper's per-server tuple bound for one

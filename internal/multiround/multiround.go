@@ -252,13 +252,7 @@ type Result struct {
 	Answers *relation.Run
 	// Rounds is the number of communication rounds used.
 	Rounds int
-	// Stats is the engine's communication record.
-	Stats *mpc.Stats
-	// CapExceeded reports whether any round broke the receive budget.
-	CapExceeded bool
-	// Replacements counts the workers replaced mid-query by the
-	// recovery policy.
-	Replacements int
+	dist.Outcome
 }
 
 // Execute runs the plan on db with p servers. Each step is one
@@ -297,9 +291,8 @@ func Execute(plan *Plan, db *relation.Database, p int, opts Options) (*Result, e
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Answers: answers, Rounds: 0, Stats: cluster.Stats()}, nil
+		return &Result{Answers: answers, Outcome: cluster.Outcome()}, nil
 	}
-	capExceeded := false
 	seedCounter := opts.Seed
 
 	for _, step := range plan.Steps {
@@ -348,12 +341,8 @@ func Execute(plan *Plan, db *relation.Database, p int, opts Options) (*Result, e
 					}
 				}
 			}
-			if err := cluster.EndRound(ctx); err != nil {
-				if errors.Is(err, mpc.ErrCapExceeded) {
-					capExceeded = true
-				} else {
-					return nil, err
-				}
+			if err := cluster.EndRound(ctx); err != nil && !errors.Is(err, mpc.ErrCapExceeded) {
+				return nil, err
 			}
 			// Local joins: gather each view as one sealed run.
 			for _, w := range work {
@@ -391,11 +380,9 @@ func Execute(plan *Plan, db *relation.Database, p int, opts Options) (*Result, e
 		return nil, err
 	}
 	return &Result{
-		Answers:      answers,
-		Rounds:       cluster.Stats().NumRounds(),
-		Stats:        cluster.Stats(),
-		CapExceeded:  capExceeded,
-		Replacements: cluster.Replacements(),
+		Answers: answers,
+		Rounds:  cluster.Stats().NumRounds(),
+		Outcome: cluster.Outcome(),
 	}, nil
 }
 

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/dist"
 	"repro/internal/hypercube"
-	"repro/internal/mpc"
 	"repro/internal/multiround"
 	"repro/internal/relation"
 	"repro/internal/skew"
@@ -30,13 +30,7 @@ type Result struct {
 	Engine Engine
 	// Rounds is the number of communication rounds used.
 	Rounds int
-	// Stats is the engine's communication record.
-	Stats *mpc.Stats
-	// CapExceeded reports whether any worker broke the receive budget.
-	CapExceeded bool
-	// Replacements counts the workers replaced mid-query by the
-	// recovery policy.
-	Replacements int
+	dist.Outcome
 	// Shares is the grid geometry (one-round engine only, nil
 	// otherwise).
 	Shares *hypercube.Shares
@@ -99,15 +93,7 @@ func (p *Plan) executeOneRound(db *relation.Database, opts ExecOptions) (*Result
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Run:          res.Answers,
-		Engine:       OneRound,
-		Rounds:       res.Stats.NumRounds(),
-		Stats:        res.Stats,
-		CapExceeded:  res.CapExceeded,
-		Replacements: res.Replacements,
-		Shares:       res.Shares,
-	}, nil
+	return &Result{Run: res.Answers, Engine: OneRound, Rounds: res.Stats.NumRounds(), Outcome: res.Outcome, Shares: res.Shares}, nil
 }
 
 func (p *Plan) executeMultiRound(db *relation.Database, opts ExecOptions) (*Result, error) {
@@ -118,14 +104,7 @@ func (p *Plan) executeMultiRound(db *relation.Database, opts ExecOptions) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Run:          res.Answers,
-		Engine:       MultiRound,
-		Rounds:       res.Rounds,
-		Stats:        res.Stats,
-		CapExceeded:  res.CapExceeded,
-		Replacements: res.Replacements,
-	}, nil
+	return &Result{Run: res.Answers, Engine: MultiRound, Rounds: res.Rounds, Outcome: res.Outcome}, nil
 }
 
 // executeSkewJoin runs the resilient heavy-hitter discipline on the
@@ -161,14 +140,7 @@ func (p *Plan) executeSkewJoin(db *relation.Database, opts ExecOptions) (*Result
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Run:          res.Answers,
-		Engine:       SkewJoin,
-		Rounds:       res.Stats.NumRounds(),
-		Stats:        res.Stats,
-		CapExceeded:  res.CapExceeded,
-		Replacements: res.Replacements,
-	}, nil
+	return &Result{Run: res.Answers, Engine: SkewJoin, Rounds: res.Stats.NumRounds(), Outcome: res.Outcome}, nil
 }
 
 // WithShares returns a copy of the plan forced onto the one-round

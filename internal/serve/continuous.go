@@ -2,17 +2,19 @@ package serve
 
 // This file is the continuous-query surface of the service: a
 // registered continuous query keeps a hypercube.Maintainer alive — the
-// grid distribution of its dataset's relations on a resident loopback
-// cluster plus the materialized answer — and every delta batch applied
-// to the dataset maintains it synchronously, under the dataset's
-// mutation lock. Reads (GET /continuous/{name}) are warm: they return
-// the materialized answer without planning, shuffling, or joining
-// anything. Maintainers run on the in-process loopback even when the
-// service executes ad-hoc queries on a distributed pool: residency is
-// the point, and pool sessions are per-connection, so a long-lived
-// distribution would pin a connection per query for its lifetime.
+// grid distribution of its dataset's relations, held on the workers
+// where every query runs, plus the materialized answer — and every
+// delta batch applied to the dataset maintains it synchronously, under
+// the dataset's mutation lock. On a worker pool the maintainer holds
+// one borrowed session: the workers keep what they received between
+// batches, as the p servers of MPC(ε) keep it between rounds, a batch
+// that fails builds the maintainer again as registration built it, and
+// DELETE parks the session for the next execution. Reads
+// (GET /continuous/{name}) are warm: they return the materialized answer
+// without planning, shuffling, or joining anything.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -32,6 +34,7 @@ type contQuery struct {
 	dataset string
 	q       *query.Query
 	p       int
+	seed    uint64
 	created time.Time
 
 	// mu guards the maintainer (single-caller) and the version/error
@@ -40,41 +43,39 @@ type contQuery struct {
 	m  *hypercube.Maintainer
 	// version is the dataset version the materialized answer reflects.
 	version uint64
-	// err records a maintenance failure; the answer then lags the
-	// dataset until the query is re-registered.
+	// err records why a failed batch's rebuild failed; the answer lags
+	// the dataset until a later batch's rebuild succeeds.
 	err error
 }
 
 // cqRegistry is the server's continuous-query catalog.
 type cqRegistry struct {
-	mu        sync.RWMutex
-	byName    map[string]*contQuery
-	byDataset map[string][]*contQuery
+	mu     sync.RWMutex
+	byName map[string]*contQuery
 }
 
 // newCQRegistry returns an empty catalog.
 func newCQRegistry() *cqRegistry {
-	return &cqRegistry{
-		byName:    make(map[string]*contQuery),
-		byDataset: make(map[string][]*contQuery),
-	}
+	return &cqRegistry{byName: make(map[string]*contQuery)}
 }
 
 // add inserts cq, refusing a duplicate name (409) and, when limit
 // queries are registered already, any name (503): the check and the
 // insert are one step under the lock, so concurrent registrations cannot
-// all pass the check.
-func (r *cqRegistry) add(cq *contQuery, limit int) error {
+// all pass the check. With cq nil it only checks, which a registration
+// does before it spends a session and a cold distribution.
+func (r *cqRegistry) add(name string, cq *contQuery, limit int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, exists := r.byName[cq.name]; exists {
-		return errorf(http.StatusConflict, "serve: continuous query %s already registered", cq.name)
+	if _, exists := r.byName[name]; exists {
+		return errorf(http.StatusConflict, "serve: continuous query %s already registered", name)
 	}
 	if len(r.byName) >= limit {
 		return errorf(http.StatusServiceUnavailable, "continuous-query limit %d reached; delete one first", limit)
 	}
-	r.byName[cq.name] = cq
-	r.byDataset[cq.dataset] = append(r.byDataset[cq.dataset], cq)
+	if cq != nil {
+		r.byName[name] = cq
+	}
 	return nil
 }
 
@@ -87,13 +88,6 @@ func (r *cqRegistry) remove(name string) *contQuery {
 		return nil
 	}
 	delete(r.byName, name)
-	list := r.byDataset[cq.dataset]
-	for i, c := range list {
-		if c == cq {
-			r.byDataset[cq.dataset] = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
 	return cq
 }
 
@@ -106,11 +100,17 @@ func (r *cqRegistry) get(name string) (*contQuery, bool) {
 }
 
 // onDataset returns the queries registered on the dataset, in
-// name order (deterministic maintenance and listing order).
+// name order (deterministic maintenance and listing order). The catalog
+// holds at most MaxContinuous queries, so it is scanned.
 func (r *cqRegistry) onDataset(dataset string) []*contQuery {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := append([]*contQuery(nil), r.byDataset[dataset]...)
+	var out []*contQuery
+	for _, cq := range r.byName {
+		if cq.dataset == dataset {
+			out = append(out, cq)
+		}
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }
@@ -132,46 +132,80 @@ func (r *cqRegistry) names() []string {
 // observes versions in application order and a second delta cannot
 // interleave. Effects are filtered to each query's atoms; a query
 // whose relations the batch did not touch just advances its version.
-func (s *Server) maintainContinuous(ds *Dataset, version uint64, effects map[string]relation.Effect) []MaintainedQuery {
+func (s *Server) maintainContinuous(ds *Dataset, effects map[string]relation.Effect) []MaintainedQuery {
 	var out []MaintainedQuery
 	for _, cq := range s.continuous.onDataset(ds.Name) {
-		out = append(out, cq.maintain(s, version, effects))
+		out = append(out, cq.maintain(s, ds.Snapshot(), effects))
 	}
 	return out
 }
 
-// maintain folds one delta's effects into this query's maintainer.
-func (cq *contQuery) maintain(s *Server, version uint64, effects map[string]relation.Effect) MaintainedQuery {
+// maintain folds one delta's effects into this query's maintainer,
+// whose answer then reflects sn. A batch that fails, and every batch
+// after a rebuild that failed, builds the maintainer again from sn on a
+// fresh borrow instead: that borrow's dial replaces a dead member with a
+// spare, and the rebuilt answer is the batch's.
+func (cq *contQuery) maintain(s *Server, sn *Snapshot, effects map[string]relation.Effect) MaintainedQuery {
 	cq.mu.Lock()
 	defer cq.mu.Unlock()
-	mq := MaintainedQuery{Name: cq.name}
-	if cq.err != nil {
-		// Already broken: don't advance the version, keep reporting.
-		mq.Error = cq.err.Error()
-		return mq
-	}
-	scoped := make(map[string]relation.Effect, len(effects))
-	for name, eff := range effects {
-		if cq.m.Fanout(name) > 0 && (len(eff.Added) > 0 || len(eff.Removed) > 0) {
-			scoped[name] = eff
+	rep, err := &hypercube.Report{}, cq.err
+	if err == nil {
+		scoped := make(map[string]relation.Effect, len(effects))
+		for name, eff := range effects {
+			if cq.m.Fanout(name) > 0 && (len(eff.Added) > 0 || len(eff.Removed) > 0) {
+				scoped[name] = eff
+			}
+		}
+		if len(scoped) > 0 {
+			rep, err = cq.m.ApplyDelta(scoped)
 		}
 	}
-	if len(scoped) > 0 {
-		rep, err := cq.m.ApplyDelta(scoped)
-		if err != nil {
-			cq.err = err
-			mq.Error = err.Error()
-			s.metrics.QueryErrors.Add(1)
-			return mq
+	if err != nil {
+		old := cq.m.Answers()
+		cq.m.Close() // a session the failure left in no known state is hung up
+		var m *hypercube.Maintainer
+		if m, err = s.maintainer(context.Background(), cq.q, cq.p, cq.seed, sn); err == nil {
+			cq.m = m
+			rep = &hypercube.Report{Bits: m.Stats().TotalBits(),
+				AnswersAdded: relation.Diff(m.Answers(), old).Len(), AnswersRemoved: relation.Diff(old, m.Answers()).Len()}
 		}
-		mq.AnswersAdded = rep.AnswersAdded
-		mq.AnswersRemoved = rep.AnswersRemoved
-		mq.Bits = rep.Bits
-		mq.RoutedTuples = rep.RoutedTuples
-		s.metrics.MaintenanceBits.Add(rep.Bits)
 	}
-	cq.version = version
-	return mq
+	if cq.err = err; err != nil { // the version stays; the next batch rebuilds
+		s.metrics.QueryErrors.Add(1)
+		return MaintainedQuery{Name: cq.name, Error: err.Error()}
+	}
+	cq.version = sn.Version
+	s.metrics.MaintenanceBits.Add(rep.Bits)
+	return MaintainedQuery{Name: cq.name, AnswersAdded: rep.AnswersAdded, AnswersRemoved: rep.AnswersRemoved,
+		Bits: rep.Bits, RoutedTuples: rep.RoutedTuples}
+}
+
+// maintainer cold-distributes q over sn's relations on a borrowed
+// execution site, which the maintainer keeps until it is closed. It has
+// no recovery policy: healing by replay would journal every batch for
+// the maintainer's life. The caller holds the dataset's lock.
+func (s *Server) maintainer(ctx context.Context, q *query.Query, p int, seed uint64, sn *Snapshot) (*hypercube.Maintainer, error) {
+	view, err := sn.Bind(q)
+	if err != nil {
+		return nil, errorf(http.StatusBadRequest, "%v", err)
+	}
+	tr, _, err := s.borrow(ctx)
+	if err != nil {
+		return nil, err
+	}
+	// No Context: the distribution runs every later batch under the one
+	// it is given, and a request's ends with its reply. No Snapshot:
+	// batches mutate the stores, and resident runs are immutable.
+	m, err := hypercube.NewMaintainer(q, view, p, hypercube.Options{Seed: seed, Transport: tr})
+	if err != nil {
+		if tr != nil {
+			// Distribute leaves the session open when it fails before its
+			// cluster owns it; closing twice is safe.
+			tr.Close()
+		}
+		return nil, errorf(http.StatusUnprocessableEntity, "%v", err)
+	}
+	return m, nil
 }
 
 // staleness returns how many dataset versions the query's answer
@@ -196,8 +230,9 @@ type ContinuousRequest struct {
 	Query string `json:"query,omitempty"`
 	// Family is a query family name (C3, L4, …).
 	Family string `json:"family,omitempty"`
-	// P is the number of simulated workers holding the distribution; 0
-	// selects the service default.
+	// P is the number of workers holding the distribution; 0 selects the
+	// service default. On a worker pool it must be unset or the pool
+	// size.
 	P int `json:"p,omitempty"`
 	// Seed drives the maintainer's hash functions; 0 selects 1.
 	Seed uint64 `json:"seed,omitempty"`
@@ -221,10 +256,10 @@ type ContinuousInfo struct {
 	DatasetVersion uint64 `json:"datasetVersion"`
 	// AnswerCount is the materialized answer cardinality.
 	AnswerCount int `json:"answerCount"`
-	// TotalBits is the maintainer's lifetime communication: the cold
-	// distribution plus every maintenance batch.
+	// TotalBits is the maintainer's communication: its cold
+	// distribution (or last rebuild) plus every batch since.
 	TotalBits int64 `json:"totalBits"`
-	// Error reports a maintenance failure, if any.
+	// Error reports a failed batch whose rebuild failed too, if any.
 	Error string `json:"error,omitempty"`
 }
 
@@ -289,8 +324,8 @@ func (s *Server) handleContinuous(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleContinuousRegister is POST /continuous: cold-distribute the
-// query's relations on a resident loopback cluster and register the
-// maintainer.
+// query's relations on a borrowed execution site and register the
+// maintainer, which keeps the site until DELETE.
 func (s *Server) handleContinuousRegister(w http.ResponseWriter, r *http.Request) {
 	var req ContinuousRequest
 	if err := decodeJSONBody(w, r, &req); err != nil {
@@ -306,9 +341,7 @@ func (s *Server) handleContinuousRegister(w http.ResponseWriter, r *http.Request
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Maintainers live on the in-process loopback, so p is not pinned to
-	// the worker pool's size.
-	p, _, ds, err := s.target(req.P, "", req.Dataset, false)
+	p, _, ds, err := s.target(req.P, "", req.Dataset)
 	if err != nil {
 		writeFailure(w, err)
 		return
@@ -317,22 +350,20 @@ func (s *Server) handleContinuousRegister(w http.ResponseWriter, r *http.Request
 	if seed == 0 {
 		seed = 1
 	}
+	if err := s.continuous.add(req.Name, nil, s.cfg.MaxContinuous); err != nil {
+		writeFailure(w, err)
+		return
+	}
 
 	// Registration happens under the dataset lock: the cold
 	// distribution sees one version, and no delta can slip between
 	// that snapshot and the subscription.
 	ds.mu.Lock()
 	sn := ds.Snapshot()
-	view, err := sn.Bind(q)
+	m, err := s.maintainer(r.Context(), q, p, seed, sn)
 	if err != nil {
 		ds.mu.Unlock()
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	m, err := hypercube.NewMaintainer(q, view, p, hypercube.Options{Seed: seed})
-	if err != nil {
-		ds.mu.Unlock()
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
+		writeFailure(w, err)
 		return
 	}
 	cq := &contQuery{
@@ -340,11 +371,12 @@ func (s *Server) handleContinuousRegister(w http.ResponseWriter, r *http.Request
 		dataset: ds.Name,
 		q:       q,
 		p:       p,
+		seed:    seed,
 		created: time.Now(),
 		m:       m,
 		version: sn.Version,
 	}
-	if err := s.continuous.add(cq, s.cfg.MaxContinuous); err != nil {
+	if err := s.continuous.add(cq.name, cq, s.cfg.MaxContinuous); err != nil {
 		ds.mu.Unlock()
 		m.Close()
 		writeFailure(w, err)

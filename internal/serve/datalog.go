@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math/big"
 	"net/http"
@@ -40,7 +41,7 @@ func (s *Server) resolveProgram(req QueryRequest) (*job, error) {
 	if err != nil {
 		return nil, errorf(http.StatusBadRequest, "%v", err)
 	}
-	p, eps, ds, err := s.target(req.P, req.Epsilon, req.Dataset, true)
+	p, eps, ds, err := s.target(req.P, req.Epsilon, req.Dataset)
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +61,6 @@ func (s *Server) resolveProgram(req QueryRequest) (*job, error) {
 		},
 		run: func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) (*relation.Run, *mpc.Stats, error) {
 			opts := datalog.Options{P: p, Epsilon: eps, CapConstant: s.cfg.CapFactor, Seed: seed, Context: ctx, Trace: tc}
-			var unavailable error // a failed borrow of a pool session
 			opts.Plan = func(rule int, build func() (*plan.Plan, error)) (*plan.Plan, error) {
 				key := programPlanKey(text, rule, ds.Name, sn.Version, p, eps)
 				if pl, ok := s.cache.Get(key); ok {
@@ -76,30 +76,17 @@ func (s *Server) resolveProgram(req QueryRequest) (*job, error) {
 			}
 			if s.pool != nil {
 				// One borrowed session per execution the program opens; the
-				// evaluator closes them, the service counts what each borrow
-				// cost. A borrow that fails is the pool's failure, not the
-				// program's: the reply is a 502, as for a query.
-				var sessions []*dist.TCP
+				// evaluator closes them, and hands a failed borrow back as is.
 				opts.Dial = func(int) (dist.Transport, error) {
-					tr, repaired, err := s.pool.Session(ctx)
-					s.metrics.PoolRepairs.Add(int64(repaired))
-					if err != nil {
-						unavailable = err
-						return nil, err
-					}
-					sessions = append(sessions, tr)
-					return tr, nil
+					tr, _, err := s.borrow(ctx)
+					return tr, err
 				}
-				defer func() {
-					for _, tr := range sessions {
-						s.metrics.RecordSession(tr)
-					}
-				}()
 				opts.Recovery = s.recovery()
 			}
 			res, err := datalog.Eval(prog, sn.DB, opts)
-			if unavailable != nil {
-				return nil, nil, errorf(http.StatusBadGateway, "worker pool unavailable: %v", unavailable)
+			var he *httpError
+			if errors.As(err, &he) {
+				return nil, nil, he
 			}
 			if err != nil {
 				return nil, nil, errorf(http.StatusUnprocessableEntity, "evaluation failed: %v", err)

@@ -200,8 +200,8 @@ func TestServeDatalogWorkerPool(t *testing.T) {
 	// second is the first, parked and reset — so it dialled at most two,
 	// and ran them fused: one acknowledged pool-wide exchange per model
 	// round.
-	m := srv.Metrics()
-	dials, ex := m.PoolDials.Load(), m.PoolExchanges.Load()
+	pool := srv.Pool()
+	dials, ex := pool.Usage().Dials, pool.Usage().Exchanges
 	if dials < 1 || dials > 2 || ex != int64(out.Rounds) {
 		t.Fatalf("pool dials = %d, exchanges = %d; want at most 2 and %d (the rounds)", dials, ex, out.Rounds)
 	}
@@ -213,7 +213,7 @@ func TestServeDatalogWorkerPool(t *testing.T) {
 	if !reflect.DeepEqual(again.Answers, want) {
 		t.Fatalf("second run: %d pairs, reference %d", len(again.Answers), len(want))
 	}
-	if d, e := m.PoolDials.Load()-dials, m.PoolExchanges.Load()-ex; d != 0 || e != int64(again.Rounds) {
+	if d, e := pool.Usage().Dials-dials, pool.Usage().Exchanges-ex; d != 0 || e != int64(again.Rounds) {
 		t.Fatalf("the second program dialled %d sessions and made %d exchanges; want 0 and %d (the rounds)", d, e, again.Rounds)
 	}
 	// A one-shot query runs fused too: its one round is one exchange (a

@@ -135,8 +135,8 @@ type MaintainedQuery struct {
 	// workers — the replication-factor-per-tuple maintenance bound,
 	// measured.
 	RoutedTuples int64 `json:"routedTuples"`
-	// Error reports a maintenance failure; the query's answers then
-	// lag the dataset until re-registration.
+	// Error reports a failed batch whose rebuild failed too; the query's
+	// answers lag the dataset until a later batch rebuilds it.
 	Error string `json:"error,omitempty"`
 }
 
@@ -226,7 +226,7 @@ func (s *Server) handleDatasetDelta(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	maintained := s.maintainContinuous(ds, version, effects)
+	maintained := s.maintainContinuous(ds, effects)
 	ds.mu.Unlock()
 	if ten != nil && deleteBytes > 0 {
 		ten.ReleaseBytes(deleteBytes)

@@ -91,7 +91,7 @@ func freshTriangle(t *testing.T, db *relation.Database, n int) (int, int, int) {
 		if !ok {
 			t.Fatalf("relation %s missing", rel)
 		}
-		for _, tup := range r.Tuples {
+		for _, tup := range r.Rows() {
 			if tup[0] == x && tup[1] == y {
 				return true
 			}

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -565,9 +566,9 @@ func TestWorkerPoolParksSessions(t *testing.T) {
 	addrs := startWorkerPool(t, 3)
 	srv, ts := newTestServer(t, serve.Config{WorkerAddrs: addrs}, 200)
 	truth := triangleTruth(t, srv)
-	m := srv.Metrics()
 	counters := func() (dials, reused, exchanges int64) {
-		return m.PoolDials.Load(), m.PoolSessionsReused.Load(), m.PoolExchanges.Load()
+		u := srv.Pool().Usage()
+		return u.Dials, u.Reused, u.Exchanges
 	}
 	ask := func() *serve.QueryResponse {
 		out, _ := postQuery(t, ts.URL, serve.QueryRequest{Dataset: "tri", Family: "C3", MaxAnswers: -1})
@@ -592,4 +593,172 @@ func TestWorkerPoolParksSessions(t *testing.T) {
 	if e-exchanges < int64(rounds) {
 		t.Fatalf("four warm queries of %d rounds made %d exchanges", rounds, e-exchanges)
 	}
+}
+
+// poolCounters reads the pool's dials, exchanges and reused sessions off
+// /metrics, the way an operator sees them.
+func poolCounters(t *testing.T, url string) (dials, exchanges, reused int64) {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, _ := io.ReadAll(resp.Body)
+	for _, line := range strings.Split(string(text), "\n") {
+		name, value, _ := strings.Cut(line, " ")
+		n, _ := strconv.ParseInt(value, 10, 64)
+		switch name {
+		case "mpcserve_pool_dials_total":
+			dials = n
+		case "mpcserve_pool_exchanges_total":
+			exchanges = n
+		case "mpcserve_pool_sessions_reused_total":
+			reused = n
+		}
+	}
+	return dials, exchanges, reused
+}
+
+// TestWorkerPoolContinuous: a pool-backed service maintains its
+// continuous queries on the pool. Two of them on one dataset — the
+// triangle and a two-atom join — hold one session each; three batches
+// of appends and deletes dial nothing, cost one pool-wide exchange per
+// maintained query, and leave every warm answer at the ground truth of
+// the version it reports. A p other than the pool size is refused like a
+// query's, DELETE parks both sessions, and the query after it dials
+// nothing. When a member with a spare dies between two batches, the next
+// batch builds each maintainer again on a fresh session, whose dial
+// promotes the spare; that holds for more deaths than the pool has
+// workers, because no replacement budget spans batches.
+func TestWorkerPoolContinuous(t *testing.T) {
+	const n = 200
+	c3, err := query.ParseFamily("C3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	join, err := query.Parse("q(x,y,z) = S1(x,y), S2(y,z)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := map[string]*query.Query{"tri-live": c3, "join-live": join}
+	register := func(t *testing.T, url string) {
+		t.Helper()
+		for name, q := range queries {
+			if code := postJSON(t, url+"/continuous", serve.ContinuousRequest{Name: name, Dataset: "tri", Query: q.String()}, nil); code != http.StatusCreated {
+				t.Fatalf("register %s: status %d", name, code)
+			}
+		}
+	}
+	// batch appends a fresh triangle and deletes a tuple of S1 and of S3,
+	// then holds both warm answers to the ground truth of the new version.
+	batch := func(t *testing.T, srv *serve.Server, url string, version uint64) {
+		t.Helper()
+		ds, _ := srv.Registry().Get("tri")
+		db := ds.DB()
+		a, b, c := freshTriangle(t, db, n)
+		s1, s3 := db.Relations["S1"].Rows()[0], db.Relations["S3"].Rows()[0]
+		var dr serve.DeltaResponse
+		if code := postJSON(t, url+"/datasets/tri/delta", serve.DeltaRequest{
+			Appends: map[string][][]int{"S1": {{a, b}}, "S2": {{b, c}}, "S3": {{c, a}}},
+			Deletes: map[string][][]int{"S1": {s1}, "S3": {s3}},
+		}, &dr); code != http.StatusOK || dr.Version != version || len(dr.Maintained) != len(queries) {
+			t.Fatalf("delta: status %d, version %d, %d queries maintained; want 200, %d, %d", code, dr.Version, len(dr.Maintained), version, len(queries))
+		}
+		for name, q := range queries {
+			truth, err := core.GroundTruth(q, ds.DB())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ans serve.ContinuousAnswers
+			if code := getJSON(t, url+"/continuous/"+name, &ans); code != http.StatusOK {
+				t.Fatalf("%s: warm read status %d", name, code)
+			}
+			if ans.Error != "" || ans.Version != version || !answersMatch(ans.Answers, truth) {
+				t.Fatalf("%s at version %d (error %q): %d answers, ground truth %d at version %d",
+					name, ans.Version, ans.Error, len(ans.Answers), len(truth), version)
+			}
+		}
+	}
+
+	t.Run("batches", func(t *testing.T) {
+		srv, ts := newTestServer(t, serve.Config{WorkerAddrs: startWorkerPool(t, 4), MaxAnswers: 100000}, n)
+		register(t, ts.URL)
+		dials, exchanges, _ := poolCounters(t, ts.URL)
+		if dials != 2 {
+			t.Fatalf("two registrations dialled %d sessions, want 2", dials)
+		}
+		for v := uint64(1); v <= 3; v++ {
+			batch(t, srv, ts.URL, v)
+			d, e, _ := poolCounters(t, ts.URL)
+			if d != dials || e != exchanges+int64(len(queries)) {
+				t.Fatalf("batch %d: pool dials %d → %d, exchanges %d → %d; want no dial and one exchange per maintained query",
+					v, dials, d, exchanges, e)
+			}
+			exchanges = e
+		}
+		if code := postJSON(t, ts.URL+"/continuous", serve.ContinuousRequest{Name: "p8", Dataset: "tri", Family: "C3", P: 8}, nil); code != http.StatusBadRequest {
+			t.Fatalf("a registration at p = 8 on a pool of 4: status %d, want 400", code)
+		}
+		for name := range queries {
+			req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/continuous/"+name, nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("delete %s: status %d", name, resp.StatusCode)
+			}
+		}
+		postQuery(t, ts.URL, serve.QueryRequest{Dataset: "tri", Family: "C3"})
+		if d, _, reused := poolCounters(t, ts.URL); d != dials || reused != 1 {
+			t.Fatalf("the query after DELETE: pool dials %d → %d, %d reused sessions; want a parked session", dials, d, reused)
+		}
+	})
+
+	// killablePool starts members + spares killable workers and a server
+	// on them, with both continuous queries registered.
+	killablePool := func(t *testing.T, members, spares int) (*serve.Server, string, map[string]*killableWorker, []string) {
+		workers := map[string]*killableWorker{}
+		var addrs []string
+		for i := 0; i < members+spares; i++ {
+			w, addr := startKillableWorker(t)
+			workers[addr], addrs = w, append(addrs, addr)
+		}
+		srv, ts := newTestServer(t, serve.Config{WorkerAddrs: addrs[:members], SpareAddrs: addrs[members:], MaxAnswers: 100000}, n)
+		register(t, ts.URL)
+		return srv, ts.URL, workers, addrs
+	}
+
+	t.Run("member dies between batches", func(t *testing.T) {
+		srv, url, workers, addrs := killablePool(t, 4, 1)
+		batch(t, srv, url, 1)
+		batch(t, srv, url, 2)
+		dials, _, _ := poolCounters(t, url)
+		workers[addrs[1]].kill()
+		batch(t, srv, url, 3)
+		if got := srv.Metrics().PoolRepairs.Load(); got != 1 {
+			t.Fatalf("%d pool members repaired, want the one that died", got)
+		}
+		if d, _, _ := poolCounters(t, url); d != dials+int64(len(queries)) || srv.Pool().Members()[1] != addrs[4] {
+			t.Fatalf("pool dials %d → %d, member 1 at %s; want one dial per rebuilt maintainer and the spare %s",
+				dials, d, srv.Pool().Members()[1], addrs[4])
+		}
+	})
+
+	t.Run("more deaths than workers", func(t *testing.T) {
+		const members, deaths = 2, 3
+		srv, url, workers, _ := killablePool(t, members, deaths)
+		batch(t, srv, url, 1)
+		for v := uint64(2); v <= deaths+2; v++ {
+			if v <= deaths+1 {
+				workers[srv.Pool().Members()[int(v)%members]].kill()
+			}
+			batch(t, srv, url, v)
+		}
+		if got := srv.Metrics().PoolRepairs.Load(); got != deaths {
+			t.Fatalf("%d pool members repaired, want %d", got, deaths)
+		}
+	})
 }

@@ -53,16 +53,6 @@ type Metrics struct {
 	// WorkerReplacements instead, and one the heartbeat replaced in
 	// neither.
 	PoolRepairs atomic.Int64
-	// PoolDials counts the sessions dialled against the worker pool — an
-	// execution that finds none parked dials one — plus mid-query worker
-	// replacements.
-	PoolDials atomic.Int64
-	// PoolSessionsReused counts executions that ran on a parked session
-	// instead of dialling one.
-	PoolSessionsReused atomic.Int64
-	// PoolExchanges counts acknowledged pool-wide round trips across all
-	// sessions; on the fused schedule it equals the rounds executed.
-	PoolExchanges atomic.Int64
 	// ScatterHits counts, indexed by the plan.Engine that ran, the
 	// scatters the pool's workers attached to instead of receiving;
 	// ScatterMisses the per-worker attaches that missed and were re-sent,
@@ -87,17 +77,6 @@ type Metrics struct {
 
 	mu           sync.Mutex
 	perRoundBits []int64
-}
-
-// RecordSession adds what one borrow of a pool session cost the
-// transport — its dials (none for a parked session) and its acknowledged
-// pool-wide exchanges — and whether it was a reuse.
-func (m *Metrics) RecordSession(tr *dist.TCP) {
-	m.PoolDials.Add(tr.Dials())
-	m.PoolExchanges.Add(tr.Exchanges())
-	if tr.Reused() {
-		m.PoolSessionsReused.Add(1)
-	}
 }
 
 // RecordScatters adds what one execution of engine e's keyed scatters
@@ -157,9 +136,10 @@ func (m *Metrics) StatsCacheHitRate() float64 {
 	return float64(h) / float64(s)
 }
 
-// WriteProm renders every counter in the Prometheus text exposition
-// format (one HELP/TYPE header per metric, then the sample).
-func (m *Metrics) WriteProm(w io.Writer) {
+// WriteProm renders every counter, and the worker pool's usage (zero
+// without a pool), in the Prometheus text exposition format (one
+// HELP/TYPE header per metric, then the sample).
+func (m *Metrics) WriteProm(w io.Writer, pool dist.Usage) {
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
@@ -179,9 +159,9 @@ func (m *Metrics) WriteProm(w io.Writer) {
 	counter("mpcserve_distributed_queries_total", "Executions dispatched to the remote TCP worker pool.", m.DistributedQueries.Load())
 	counter("mpcserve_worker_replacements_total", "Workers replaced mid-query by the recovery policy.", m.WorkerReplacements.Load())
 	counter("mpcserve_pool_repairs_total", "Pool members a query's dial found dead and replaced with a spare (mid-query replacements count in mpcserve_worker_replacements_total).", m.PoolRepairs.Load())
-	counter("mpcserve_pool_dials_total", "Worker-pool sessions dialled, plus mid-query worker replacements.", m.PoolDials.Load())
-	counter("mpcserve_pool_sessions_reused_total", "Executions that ran on a parked worker-pool session instead of dialling one.", m.PoolSessionsReused.Load())
-	counter("mpcserve_pool_exchanges_total", "Acknowledged pool-wide round trips across all sessions: one per fence, so a one-shot round is one and a resident one two.", m.PoolExchanges.Load())
+	counter("mpcserve_pool_dials_total", "Worker-pool sessions dialled, plus mid-query worker replacements.", pool.Dials)
+	counter("mpcserve_pool_sessions_reused_total", "Executions that ran on a parked worker-pool session instead of dialling one.", pool.Reused)
+	counter("mpcserve_pool_exchanges_total", "Acknowledged pool-wide round trips across all sessions: one per fence, so a one-shot round is one and a resident one two.", pool.Exchanges)
 	fmt.Fprintf(w, "# HELP mpcserve_scatter_resident_hits_total Scatters the workers attached to instead of receiving, by engine.\n# TYPE mpcserve_scatter_resident_hits_total counter\n")
 	for e := range m.ScatterHits {
 		fmt.Fprintf(w, "mpcserve_scatter_resident_hits_total{engine=%q} %d\n", plan.Engine(e).String(), m.ScatterHits[e].Load())

@@ -87,14 +87,15 @@ type Config struct {
 	// MaxAnswers caps answers returned per response when the request
 	// does not set its own cap. ≤ 0 selects 100.
 	MaxAnswers int
-	// WorkerAddrs, when non-empty, executes every query against the
-	// distributed TCP worker pool at these mpcworker addresses
-	// (internal/dist) instead of the in-process loopback. The pool
-	// size replaces DefaultP; requests must leave p unset or set it to
-	// the pool size. Each execution borrows a session of its own — a
-	// parked one, reset after an earlier execution, or a new dial — so
-	// concurrent queries stay isolated on shared worker processes and a
-	// warm query pays no dial.
+	// WorkerAddrs, when non-empty, executes every query, Datalog
+	// program and continuous query against the distributed TCP worker
+	// pool at these mpcworker addresses (internal/dist) instead of the
+	// in-process loopback. The pool size replaces DefaultP; requests
+	// must leave p unset or set it to the pool size. Each execution
+	// borrows a session of its own — a parked one, reset after an
+	// earlier execution, or a new dial — so concurrent queries stay
+	// isolated on shared worker processes and a warm query pays no dial.
+	// A continuous query's maintainer holds its session until DELETE.
 	WorkerAddrs []string
 	// SpareAddrs lists standby mpcworker addresses, held by the pool
 	// registry with the members. A member found dead — by a query's
@@ -105,10 +106,12 @@ type Config struct {
 	// meaningful with WorkerAddrs.
 	SpareAddrs []string
 	// MaxReplacements bounds worker replacements per query execution;
-	// ≤ 0 selects the pool size.
+	// ≤ 0 selects the pool size. A maintainer a worker failure breaks
+	// is built again on a fresh session instead.
 	MaxReplacements int
 	// MaxContinuous bounds the registered continuous queries (each one
-	// keeps a maintained grid distribution resident). ≤ 0 selects 16.
+	// keeps a maintained grid distribution resident — on a worker pool,
+	// one session held per query). ≤ 0 selects 16.
 	MaxContinuous int
 	// Tenants, when non-empty, switches the service to multi-tenant
 	// mode: data-plane endpoints (/query, /datasets, deltas,
@@ -405,11 +408,11 @@ func writeFailure(w http.ResponseWriter, err error) {
 }
 
 // target validates the (p, ε, dataset) triple every execution request
-// names and resolves it: p defaulted and bounded — and, when pooled,
-// pinned to the size of the worker pool the service executes on — ε a
+// names and resolves it: p defaulted and bounded — and pinned to the
+// size of the worker pool the service executes on, if it has one — ε a
 // rational in [0,1) or nil when left to the query, the dataset
 // registered.
-func (s *Server) target(p int, epsilon, dataset string, pooled bool) (int, *big.Rat, *Dataset, error) {
+func (s *Server) target(p int, epsilon, dataset string) (int, *big.Rat, *Dataset, error) {
 	if p == 0 {
 		p = s.cfg.DefaultP
 	}
@@ -419,7 +422,7 @@ func (s *Server) target(p int, epsilon, dataset string, pooled bool) (int, *big.
 	if p > s.cfg.MaxP {
 		return 0, nil, nil, errorf(http.StatusBadRequest, "p = %d exceeds server limit %d", p, s.cfg.MaxP)
 	}
-	if pooled && s.pool != nil && p != len(s.cfg.WorkerAddrs) {
+	if s.pool != nil && p != len(s.cfg.WorkerAddrs) {
 		return 0, nil, nil, errorf(http.StatusBadRequest,
 			"p = %d, but this service executes on a fixed pool of %d workers (leave p unset)",
 			p, len(s.cfg.WorkerAddrs))
@@ -466,7 +469,7 @@ func (s *Server) resolveQuery(req QueryRequest) (*job, error) {
 	if err != nil {
 		return nil, errorf(http.StatusBadRequest, "%v", err)
 	}
-	p, eps, ds, err := s.target(req.P, req.Epsilon, req.Dataset, true)
+	p, eps, ds, err := s.target(req.P, req.Epsilon, req.Dataset)
 	if err != nil {
 		return nil, err
 	}
@@ -521,18 +524,13 @@ func (s *Server) resolveQuery(req QueryRequest) (*job, error) {
 			Vars:        q.Vars(),
 		},
 		run: func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) (*relation.Run, *mpc.Stats, error) {
-			execOpts := plan.ExecOptions{Seed: seed, Context: ctx, Trace: tc, CapConstant: s.cfg.CapFactor}
-			if s.pool != nil {
-				// One borrowed session per execution: the per-connection stores
-				// on the shared mpcworker processes isolate concurrent queries.
-				tr, repaired, err := s.pool.Session(ctx)
-				s.metrics.PoolRepairs.Add(int64(repaired))
-				if err != nil {
-					return nil, nil, errorf(http.StatusBadGateway, "worker pool unavailable: %v", err)
-				}
+			tr, rec, err := s.borrow(ctx)
+			if err != nil {
+				return nil, nil, err
+			}
+			execOpts := plan.ExecOptions{Seed: seed, Context: ctx, Trace: tc, CapConstant: s.cfg.CapFactor, Transport: tr, Recovery: rec}
+			if tr != nil {
 				defer tr.Close()
-				defer s.metrics.RecordSession(tr)
-				execOpts.Transport, execOpts.Recovery = tr, s.recovery()
 				// Its identity lets workers attach to what they kept of it.
 				snap := s.residency.Snapshot(ds.Name, sn.Version)
 				defer func() { reply.ScatterResident = s.metrics.RecordScatters(pl.Engine, snap) }()
@@ -703,6 +701,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, reply)
 }
 
+// borrow lends one execution — a query, a session a Datalog program
+// opens, a continuous query's maintainer — a session of its own on the
+// worker pool and the pool's recovery policy; without a pool, nothing:
+// the in-process loopback. Closing the session gives it back. A failed
+// borrow is the pool's failure, not the execution's: a 502.
+func (s *Server) borrow(ctx context.Context) (dist.Transport, dist.RecoveryOptions, error) {
+	if s.pool == nil {
+		return nil, dist.RecoveryOptions{}, nil
+	}
+	tr, repaired, err := s.pool.Session(ctx)
+	s.metrics.PoolRepairs.Add(int64(repaired))
+	if err != nil {
+		return nil, dist.RecoveryOptions{}, errorf(http.StatusBadGateway, "worker pool unavailable: %v", err)
+	}
+	return tr, s.recovery(), nil
+}
+
 // recovery is the self-healing policy of executions on the worker
 // pool: replace a dead worker and replay. The lent session replaces it
 // through the pool registry, which owns the spares.
@@ -843,7 +858,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	fmt.Fprintf(w, "# mpcserve up %.0fs, datasets %d, cached plans %d/%d\n",
 		time.Since(s.started).Seconds(), len(s.registry.Names()), s.cache.Len(), s.cache.Capacity())
-	s.metrics.WriteProm(w)
+	var pool dist.Usage
+	if s.pool != nil {
+		pool = s.pool.Usage()
+	}
+	s.metrics.WriteProm(w, pool)
 	s.writeContinuousProm(w)
 	if s.tenants != nil {
 		s.tenants.WriteProm(w)

@@ -252,18 +252,12 @@ type Result struct {
 	// (x,y,z) for RunJoin — as one sealed, deduplicated run (nil when
 	// empty).
 	Answers *relation.Run
-	// Stats is the communication record.
-	Stats *mpc.Stats
-	// Replacements counts the workers replaced mid-query by the
-	// recovery policy.
-	Replacements int
+	dist.Outcome
 	// MaxLoadTuples is the maximum per-server received tuple count.
 	MaxLoadTuples int64
 	// Heavy lists the heavy hitters the run routed by (none under plain
 	// hashing).
 	Heavy []HeavyValue
-	// CapExceeded reports receive-budget violations.
-	CapExceeded bool
 }
 
 // joinPartitioner is one side of the skew-aware routing discipline as
@@ -367,7 +361,7 @@ func Execute(q *query.Query, r, s *relation.Relation, ry, sy int, rt *Routing, o
 	// One partitioner per side; the split/broadcast decision flips
 	// between R and S for each heavy value.
 	in := &relation.Database{Relations: map[string]*relation.Relation{q.Atoms[0].Name: r, q.Atoms[1].Name: s}}
-	capExceeded, err := hypercube.Round(ctx, cluster, q, in, func(a query.Atom) exchange.Partitioner {
+	err = hypercube.Round(ctx, cluster, q, in, func(a query.Atom) exchange.Partitioner {
 		if a.Name == q.Atoms[0].Name {
 			return NewPartitioner(rt, r, ry, true, opts.Seed)
 		}
@@ -382,11 +376,9 @@ func Execute(q *query.Query, r, s *relation.Relation, ry, sy int, rt *Routing, o
 	}
 	return &Result{
 		Answers:       answers,
-		Stats:         cluster.Stats(),
-		Replacements:  cluster.Replacements(),
+		Outcome:       cluster.Outcome(),
 		MaxLoadTuples: cluster.Stats().MaxLoadTuples(),
 		Heavy:         rt.Heavy,
-		CapExceeded:   capExceeded,
 	}, nil
 }
 
