@@ -43,13 +43,12 @@ type Cluster struct {
 	fused bool
 	// pending is the round script not yet sent.
 	pending []Op
-	// trace is the per-query span recorder; nil until EnableTracing.
+	// trace is the per-query span recorder; nil (recording nothing)
+	// until EnableTracing.
 	trace *trace.Trace
-	// roundSpan is the open round's span id (0 between rounds).
+	// roundSpan is the open round's span id (0 between rounds, and
+	// always when untraced).
 	roundSpan uint64
-	// traceSent is the last round whose span context was announced to
-	// the workers.
-	traceSent int
 	// snap is Env.Snapshot; attaching holds the open round's scatters
 	// believed resident until its barrier (resident.go).
 	snap      *Snapshot
@@ -144,11 +143,32 @@ func Open(env Env, cfg mpc.Config) (*Cluster, context.Context, error) {
 		}
 	}
 	c.fused = true
-	if env.Trace != nil {
-		c.EnableTracing(env.Trace)
-	}
+	c.EnableTracing(env.Trace)
 	c.snap = env.Snapshot
 	return c, ctx, nil
+}
+
+// EnableTracing attaches a per-query trace to the cluster: every round
+// records one "round" span plus one "worker" child span per worker
+// carrying the actual received load (tuples and bits) that the
+// planner's predicted L bounds, joins and gathers record phase spans,
+// and recovery replacements record events. Call it before the first
+// round; a nil trace records nothing.
+//
+// The trace is the coordinator's: nothing of it is sent to a worker,
+// and a worker's failure is attributed where the trace is kept. A
+// "join" span covers submitting the join: on a fused cluster the
+// workers evaluate it at the next fence, so its time shows under
+// "gather".
+//
+// Span ids are assigned in coordinator call order, so identical
+// executions over different transports produce identical span trees —
+// the same by-construction argument as the cluster's statistics.
+func (c *Cluster) EnableTracing(t *trace.Trace) {
+	c.trace = t
+	if t != nil && t.P == 0 {
+		t.P = c.cfg.Workers
+	}
 }
 
 // Config returns the cluster configuration.
@@ -189,7 +209,7 @@ func (c *Cluster) BeginRound() {
 		PerWorkerBits:   make([]int64, c.cfg.Workers),
 		PerWorkerTuples: make([]int64, c.cfg.Workers),
 	})
-	c.traceBeginRound()
+	c.roundSpan = c.trace.StartSpan(0, "round", c.round, -1)
 }
 
 // Scatter partitions rel's sealed run through part into per-destination
@@ -304,10 +324,7 @@ func (c *Cluster) receivingRound() (rs *mpc.RoundStats, lone bool) {
 // closes it.
 func (c *Cluster) ship(ctx context.Context, rs *mpc.RoundStats, lone bool, op Op) error {
 	if lone {
-		defer c.traceCloseRound(rs)
-	}
-	if err := c.traceAnnounce(ctx); err != nil {
-		return err
+		defer c.endRoundSpan(rs)
 	}
 	if op.lazy != nil {
 		// Believed resident: the round's close asks the workers, and
@@ -377,8 +394,26 @@ func (c *Cluster) EndRound(ctx context.Context) error {
 	}
 	c.open = false
 	rs := &c.stats.Rounds[len(c.stats.Rounds)-1]
-	defer c.traceCloseRound(rs)
+	defer c.endRoundSpan(rs)
 	return c.closeRound(ctx, rs)
+}
+
+// endRoundSpan records one "worker" span per worker carrying the
+// round's actual received load from the coordinator-side accounting,
+// then closes the round span. Zero-load workers get a span too: the
+// trace answers "what did every worker receive this round", and a zero
+// is an answer.
+func (c *Cluster) endRoundSpan(rs *mpc.RoundStats) {
+	if c.roundSpan == 0 {
+		return
+	}
+	for w := 0; w < c.cfg.Workers; w++ {
+		id := c.trace.StartSpan(c.roundSpan, "worker", rs.Round, w)
+		c.trace.SetSpanLoad(id, rs.PerWorkerTuples[w], rs.PerWorkerBits[w])
+		c.trace.EndSpan(id)
+	}
+	c.trace.EndSpan(c.roundSpan)
+	c.roundSpan = 0
 }
 
 // Join has every worker evaluate q over its stored runs — local
@@ -387,8 +422,7 @@ func (c *Cluster) EndRound(ctx context.Context) error {
 // maps atom names to store names when they differ. The last parameter is
 // inert; callers pass 0.
 func (c *Cluster) Join(ctx context.Context, q *query.Query, bindings map[string]string, view string, _ localjoin.Strategy /* pinned by bench/probes.go:474 */) error {
-	span := c.tracePhase("join")
-	defer c.tracePhaseEnd(span)
+	defer c.trace.EndSpan(c.trace.StartSpan(0, "join", c.round, -1))
 	c.arity[view] = q.NumVars()
 	return c.submit(ctx, Op{Kind: OpJoin, Join: JoinSpec{Query: q.String(), View: view, Bindings: bindings}})
 }
@@ -401,8 +435,7 @@ func (c *Cluster) Join(ctx context.Context, q *query.Query, bindings map[string]
 // building tuples. The run is nil when no worker holds anything under
 // view.
 func (c *Cluster) Gather(ctx context.Context, view string) (*relation.Run, error) {
-	span := c.tracePhase("gather")
-	defer c.tracePhaseEnd(span)
+	defer c.trace.EndSpan(c.trace.StartSpan(0, "gather", c.round, -1))
 	runs, err := c.gatherRuns(ctx, view)
 	if err != nil {
 		return nil, err

@@ -93,7 +93,7 @@ type DeltaDelivery struct {
 // OpKind names one step of a round script.
 type OpKind uint8
 
-// The steps a script is made of. Deliver, delta and trace steps are
+// The steps a script is made of. Deliver and delta steps are
 // unacknowledged; a barrier, a join, an attach, a gather, an epoch, a
 // ping and a reset are each answered, so a script holding one of them is
 // an exchange.
@@ -113,8 +113,6 @@ const (
 	// OpAttach asks every worker to bind the runs it keeps beyond its
 	// sessions into this session's store (resident.go).
 	OpAttach
-	// OpTrace announces the round's span context.
-	OpTrace
 	// OpEpoch announces the coordinator's recovery epoch, carried in
 	// Round: a worker acks it, or refuses one lower than it was last told
 	// as a stale coordinator's.
@@ -125,9 +123,9 @@ const (
 	OpPing
 	// OpReset returns every worker's session to its post-hello state: its
 	// stores — and the runs of a round whose barrier has not published them
-	// — dropped, epoch 0, no span context; what the process keeps beyond
-	// its sessions stays. Round carries a tag the acks echo. It ends an
-	// execution, so the next one can run on the same session.
+	// — dropped, epoch 0; what the process keeps beyond its sessions
+	// stays. Round carries a tag the acks echo. It ends an execution, so
+	// the next one can run on the same session.
 	OpReset
 )
 
@@ -139,7 +137,7 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("OpKind(%d)", uint8(k))
 }
 
-var opNames = [...]string{"deliver", "barrier", "join", "gather", "delta", "attach", "trace", "epoch", "ping", "reset"}
+var opNames = [...]string{"deliver", "barrier", "join", "gather", "delta", "attach", "epoch", "ping", "reset"}
 
 // Op is one step of a round script — what the coordinator journals for
 // replay, defers to the next fence, and hands to a Transport are all
@@ -160,8 +158,6 @@ type Op struct {
 	// Attach lists what an OpAttach binds, every attachment of the round
 	// in the one step.
 	Attach []Attachment
-	// Trace is the span context of an OpTrace.
-	Trace wire.TraceHeader
 	// lazy stands in for Deliveries in the journal entry of a resident
 	// scatter: nothing was partitioned, so replay partitions the replaced
 	// worker's slice.

@@ -505,6 +505,36 @@ func TestWorkerAllocationFollowsArrival(t *testing.T) {
 	})
 }
 
+// retiredFrames are frames version 9 sent under type bytes version 10
+// renumbered: the Trace frame it retired (byte 13, now Attach, whose
+// payload this is not), and the Reset frame under what is now the first
+// byte past the last type.
+var retiredFrames = []struct {
+	name  string
+	frame []byte
+}{
+	{"trace", []byte{13, 0, 0, 0, 25, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 3, 'q', '-', '1'}},
+	{"reset", []byte{15, 0, 0, 0, 4, 0, 0, 0, 1}},
+}
+
+// TestWorkerRefusesRetiredFrames: a version-9 frame under a type byte
+// version 10 retired or renumbered is refused where it arrives — an
+// Error frame ends the session, and the barrier behind it is never acked.
+// A version-9 worker took the trace frame silently and acked the reset.
+func TestWorkerRefusesRetiredFrames(t *testing.T) {
+	barrier := encodeFrames(t, &wire.Frame{Type: wire.TypeBarrier, Round: 1})
+	for _, r := range retiredFrames {
+		t.Run(r.name, func(t *testing.T) {
+			s := startSession(t, nil, time.Minute)
+			s.hello(t)
+			replies, served := s.run(t, append(slices.Clip(r.frame), barrier...))
+			if len(replies) != 1 || replies[0].Type != wire.TypeError || served == nil {
+				t.Fatalf("replies %+v, served %v, want one error frame ending the session", replies, served)
+			}
+		})
+	}
+}
+
 // TestWorkerHangsUpOnSilentDialer: a connection that never says hello is
 // closed when the handshake window ends; one that says it late but
 // inside the window gets a session that outlives the window.
@@ -556,7 +586,6 @@ func recordedScript(t testing.TB) []byte {
 	wide.Append(relation.Tuple{1 << 40, 2})
 	wide.Seal()
 	return encodeFrames(t,
-		&wire.Frame{Type: wire.TypeTrace, Trace: wire.TraceHeader{TraceID: 9, Span: 1, Round: 1, QueryID: "q-1"}},
 		&wire.Frame{Type: wire.TypeEpoch, Round: 1},
 		&wire.Frame{Type: wire.TypeAttach, Attach: wire.Attach{Key: "k", Store: "R", Tuples: 40}},
 		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Round: 1, Rel: "R", Retain: "k", Buf: run(2, 40, 9)}},
@@ -591,6 +620,9 @@ func FuzzWorkerSession(f *testing.F) {
 		f.Add(append(script[:0:0], append(script, h.frame("S", "")...)...))
 	}
 	f.Add(mixedArityScript(f))
+	for _, r := range retiredFrames {
+		f.Add(append(script[:0:0], append(script, r.frame...)...))
+	}
 	pair := relation.RunOf(2, []relation.Tuple{{1, 2}})
 	f.Add(encodeFrames(f, // retract, re-append, gather: tombstones set and cleared
 		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", Buf: relation.RunOf(2, []relation.Tuple{{1, 2}, {3, 4}})}},

@@ -155,14 +155,6 @@ func (l *Loopback) RunOn(ctx context.Context, w int, ops []Op) error {
 	return err
 }
 
-// LastTrace returns the span context worker 0's session holds — the last
-// one announced since the session opened or was reset — and whether it
-// holds one.
-func (l *Loopback) LastTrace() (wire.TraceHeader, bool) {
-	h := l.ss[0].trace
-	return h, h != (wire.TraceHeader{})
-}
-
 // Epoch returns the highest recovery epoch a worker's session was last
 // announced.
 func (l *Loopback) Epoch() uint32 {

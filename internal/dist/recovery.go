@@ -141,15 +141,6 @@ func (c *Cluster) EnableRecovery(opts RecoveryOptions) error {
 	return nil
 }
 
-// Epoch returns the recovery epoch: 0 until the first replacement,
-// then incremented once per heal cycle.
-func (c *Cluster) Epoch() uint32 {
-	if c.rec == nil {
-		return 0
-	}
-	return c.rec.epoch
-}
-
 // Replacements returns how many workers this execution has replaced.
 func (c *Cluster) Replacements() int {
 	if c.rec == nil {
@@ -247,7 +238,7 @@ func (c *Cluster) heal(ctx context.Context, failed []int) error {
 		}
 		rec.replaced++
 		rec.epoch++
-		c.traceEvent("replace-worker", w, fmt.Sprintf("epoch %d: session replaced, journal replayed", rec.epoch))
+		c.trace.Event(0, "replace-worker", w, fmt.Sprintf("epoch %d: session replaced, journal replayed", rec.epoch))
 		if err := bounded(func(ctx context.Context) error { return rec.rt.ReplaceWorker(ctx, w) }); err != nil {
 			return fmt.Errorf("dist: replace worker %d: %w", w, err)
 		}

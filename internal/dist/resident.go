@@ -209,9 +209,7 @@ func (c *Cluster) attach(ctx context.Context) error {
 			return err
 		}
 	}
-	if c.trace != nil {
-		c.trace.Event(c.roundSpan, "scatter-resident", -1, strings.TrimSuffix(note.String(), "; "))
-	}
+	c.trace.Event(c.roundSpan, "scatter-resident", -1, strings.TrimSuffix(note.String(), "; "))
 	return nil
 }
 

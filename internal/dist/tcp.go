@@ -76,8 +76,7 @@ type workerConn struct {
 	// rd validates every frame the worker sends: a reply is input from
 	// another process, whoever is expected to be running there.
 	rd *wire.Reader
-	// w queues and writes frames: whatever is queued leaves, in order, in
-	// the one vectored write of the next Flush.
+	// w writes a script slice's frames in one vectored write.
 	w *wire.Writer
 }
 
@@ -308,8 +307,6 @@ func (op *Op) frames(frames []wire.Frame, w int) []wire.Frame {
 			f.Join.Bindings = append(f.Join.Bindings, [2]string{atom, store})
 		}
 		frames = append(frames, f)
-	case OpTrace:
-		frames = append(frames, wire.Frame{Type: wire.TypeTrace, Trace: op.Trace})
 	case OpAttach:
 		for _, a := range op.Attach {
 			frames = append(frames, wire.Frame{Type: wire.TypeAttach, Attach: wire.Attach{
@@ -329,7 +326,7 @@ func (op *Op) frames(frames []wire.Frame, w int) []wire.Frame {
 
 // answered reports whether the worker replies to the step.
 func (k OpKind) answered() bool {
-	return k != OpDeliver && k != OpDelta && k != OpTrace
+	return k != OpDeliver && k != OpDelta
 }
 
 // checkDestinations refuses a script that delivers to a worker outside
@@ -390,32 +387,15 @@ func (wc *workerConn) readGatherStream(view string) ([]*relation.Run, error) {
 // completion fence inside each worker's stream, not a pool-wide stall.
 // Acks are tiny, so reading them only after the full write cannot
 // deadlock; a gather reply starts only after the worker consumed the
-// whole script.
-//
-// A slice nothing answers is only written. One of span contexts alone is
-// queued, costing no write of its own — a thin round would otherwise
-// wake every worker once just for the header — and leaves with the
-// connection's next write, at the latest the round barrier's.
+// whole script. A slice nothing answers is only written.
 func (wc *workerConn) run(ctx context.Context, ops []Op) (runs []*relation.Run, attached []wire.Attach, err error) {
 	var slice []wire.Frame
-	queue := true
 	for i := range ops {
 		slice = ops[i].frames(slice, wc.id)
-		queue = queue && ops[i].Kind == OpTrace
 	}
 	frames := make([]*wire.Frame, len(slice))
 	for i := range slice {
 		frames[i] = &slice[i]
-	}
-	if queue {
-		wc.mu.Lock()
-		defer wc.mu.Unlock()
-		for _, f := range frames {
-			if err := wc.w.Queue(f); err != nil {
-				return nil, nil, &WorkerError{Worker: wc.id, Err: err}
-			}
-		}
-		return nil, nil, nil
 	}
 	if len(frames) == 0 {
 		return nil, nil, nil

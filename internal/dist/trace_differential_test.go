@@ -3,10 +3,13 @@ package dist_test
 import (
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/dist/disttest"
+	"repro/internal/mpc"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -29,24 +32,32 @@ func spanTree(tr *trace.Trace) string {
 	return b.String()
 }
 
-// tracedRun plans q over db and runs the plan with tracing enabled —
-// fused: Plan.Execute itself; stepped: the plan's round program driven by
-// hand on a stepped cluster — and returns the trace.
-func tracedRun(t *testing.T, q *query.Query, db *relation.Database, p int, tr dist.Transport, fused bool) *trace.Trace {
+// runPlan plans q over db and runs the plan on tr, traced by tc (nil:
+// untraced) — fused: Plan.Execute itself; stepped: the plan's round
+// program driven by hand on a stepped cluster — and returns its round
+// statistics.
+func runPlan(t *testing.T, q *query.Query, db *relation.Database, p int, tr dist.Transport, fused bool, tc *trace.Trace) *mpc.Stats {
 	t.Helper()
 	pl, err := plan.Build(q, relation.CollectStats(db), plan.Options{P: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := trace.New("q-diff", 77)
-	if fused {
-		_, err = pl.Execute(db, plan.ExecOptions{Seed: 23, Transport: tr, Trace: tc})
-		if err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		drive(t, dist.OpenStepped, dist.Env{Transport: tr, Trace: tc}, planProgram(t, pl, db, 23))
+	if !fused {
+		_, cl := drive(t, dist.OpenStepped, dist.Env{Transport: tr, Trace: tc}, planProgram(t, pl, db, 23))
+		return cl.Stats()
 	}
+	res, err := pl.Execute(db, plan.ExecOptions{Seed: 23, Transport: tr, Trace: tc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Stats
+}
+
+// tracedRun is runPlan with tracing enabled; it returns the trace.
+func tracedRun(t *testing.T, q *query.Query, db *relation.Database, p int, tr dist.Transport, fused bool) *trace.Trace {
+	t.Helper()
+	tc := trace.New("q-diff", 77)
+	runPlan(t, q, db, p, tr, fused, tc)
 	tc.Finish()
 	return tc
 }
@@ -104,10 +115,11 @@ func TestTraceDifferentialTransports(t *testing.T) {
 	}
 }
 
-// TestTraceHeaderPropagation asserts the coordinator announces the
-// span context to the transport: the loopback records the last header,
-// which must carry the trace id, query id, and a round the trace
-// actually recorded.
+// TestTraceHeaderPropagation: the trace stays on the coordinator. A
+// traced execution sends the workers exactly the steps an untraced one
+// sends — until wire version 10 every traced round also sent each worker
+// its span context — and its trace still records every round the
+// execution ran, one worker span per worker each.
 func TestTraceHeaderPropagation(t *testing.T) {
 	q := query.Cycle(3)
 	db := relation.MatchingDatabase(rand.New(rand.NewPCG(9, 9)), q, 200)
@@ -118,17 +130,31 @@ func TestTraceHeaderPropagation(t *testing.T) {
 			name = "pipelined"
 		}
 		t.Run(name, func(t *testing.T) {
-			lb := dist.NewLoopback(p)
-			tc := tracedRun(t, q, db, p, lb, fused)
-			h, ok := lb.LastTrace()
-			if !ok {
-				t.Fatal("no trace header announced to the transport")
+			run := func(tc *trace.Trace) (disttest.Trace, *mpc.Stats) {
+				s := disttest.NewSchedule()
+				stats := runPlan(t, q, db, p, s.Wrap(dist.NewLoopback(p)), fused, tc)
+				return s.Trace(), stats
 			}
-			if h.TraceID != tc.TraceID || h.QueryID != tc.QueryID {
-				t.Errorf("header identifies (%d, %q), trace is (%d, %q)", h.TraceID, h.QueryID, tc.TraceID, tc.QueryID)
+			kinds := func(steps disttest.Trace) (out []dist.OpKind) {
+				for _, s := range steps {
+					out = append(out, s.Kind)
+				}
+				return out
 			}
-			if int(h.Round) > tc.Rounds() || h.Round == 0 {
-				t.Errorf("header announces round %d, trace recorded %d rounds", h.Round, tc.Rounds())
+			untraced, _ := run(nil)
+			tc := trace.New("q-steps", 78)
+			traced, stats := run(tc)
+			if !reflect.DeepEqual(traced, untraced) {
+				t.Errorf("a traced execution sent the steps %v, an untraced one %v", kinds(traced), kinds(untraced))
+			}
+			workers := 0
+			for _, s := range tc.Spans {
+				if s.Name == "worker" {
+					workers++
+				}
+			}
+			if n := stats.NumRounds(); n == 0 || tc.Rounds() != n || workers != n*p {
+				t.Errorf("the trace recorded %d rounds and %d worker spans, the execution ran %d rounds on %d workers", tc.Rounds(), workers, n, p)
 			}
 		})
 	}

@@ -46,15 +46,17 @@ const handshakeTimeout = 10 * time.Second
 
 // ServeConn runs one worker session over conn: it expects a Hello within
 // handshakeTimeout, acks it, then processes the coordinator's frames in
-// order — Data, Delta and Trace (unacknowledged; the barrier fences
-// them), Barrier, Join, Epoch and Reset (acked), Ping (a Pong), Attach (an
+// order — Data and Delta (unacknowledged; the barrier fences them),
+// Barrier, Join, Epoch and Reset (acked), Ping (a Pong), Attach (an
 // Attach) and Gather (a Data stream closed by a Done) — until the
 // coordinator closes the connection. Every frame, the hello included, is
 // validated as it is decoded; whoever dialled is not authenticated.
 // Cancelling ctx aborts the session by poisoning the connection
 // deadline. Malformed frames, protocol violations and evaluation
 // failures are reported to the peer as an Error frame and returned, and
-// end the session. A session served alone keeps nothing beyond itself.
+// end the session; the session knows no query, so the coordinator that
+// reads the Error frame attributes it. A session served alone keeps
+// nothing beyond itself.
 func ServeConn(ctx context.Context, conn net.Conn) error {
 	return serveConn(ctx, conn, nil, handshakeTimeout)
 }
@@ -71,12 +73,8 @@ func serveConn(ctx context.Context, conn net.Conn, rs *ResidentStore, hello time
 	w := wire.NewWriter(conn)
 	var s session
 	// abort reports err to the coordinator as an Error frame (best effort)
-	// and returns it, attributed to the traced query when the session has
-	// seen a span context.
+	// and returns it.
 	abort := func(err error) error {
-		if s.trace.QueryID != "" {
-			err = fmt.Errorf("query %s: %w", s.trace.QueryID, err)
-		}
 		// The frame is cut to fit: a defect that quotes the peer's input (a
 		// query text) must not grow past what an Error frame can carry.
 		msg := err.Error()
@@ -161,9 +159,6 @@ type session struct {
 	// epoch is the last recovery epoch the coordinator announced on
 	// this session; announcements may only grow it.
 	epoch uint32
-	// trace is the most recent span context the coordinator announced;
-	// worker-side failures are attributed to its query id.
-	trace wire.TraceHeader
 	// joinText and joinQuery are the query text of the last join frame
 	// and what it parsed into.
 	joinText  string
@@ -171,7 +166,7 @@ type session struct {
 }
 
 // newSession returns the session a hello opens for the slot home names:
-// an empty store, epoch 0, no span context.
+// an empty store, epoch 0.
 func newSession(home residentHome) session {
 	return session{id: uint32(home.slot), store: newWorkerStore(home)}
 }
@@ -192,7 +187,7 @@ func (s *session) parseQuery(text string) (*query.Query, error) {
 // handle processes one post-handshake frame and returns the session's
 // answer to it: an Ack, a Pong or an Attach; for a gather the Done
 // closing the runs it returns; for the frames nothing answers (Data,
-// Delta, Trace) a reply of type zero. An error refuses the frame.
+// Delta) a reply of type zero. An error refuses the frame.
 func (s *session) handle(f *wire.Frame) (reply wire.Frame, runs []*relation.Run, err error) {
 	switch f.Type {
 	case wire.TypeData:
@@ -208,11 +203,6 @@ func (s *session) handle(f *wire.Frame) (reply wire.Frame, runs []*relation.Run,
 			return reply, nil, fmt.Errorf("delta frame for shard %d delivered to worker %d", f.Delta.Dest, s.id)
 		}
 		err = s.store.applyDelta(f.Delta.Store, f.Delta.View, f.Delta.Del, f.Delta.Buf)
-	case wire.TypeTrace:
-		// Unacknowledged, like Data: the session records the most recent
-		// span context so its work (and any failure) is attributable to
-		// the traced query; the round barrier is the fence.
-		s.trace = f.Trace
 	case wire.TypeBarrier:
 		// Frames on the connection are processed in order, so reaching
 		// the barrier means every preceding Data frame is ingested — and
@@ -237,7 +227,7 @@ func (s *session) handle(f *wire.Frame) (reply wire.Frame, runs []*relation.Run,
 		// Back to what the hello left: a fresh store on the same home —
 		// what the process keeps beyond its sessions stays, and runs a
 		// barrier has not published yet are dropped with their store —
-		// epoch 0, no span context.
+		// epoch 0.
 		*s = newSession(s.store.home)
 		reply = wire.Frame{Type: wire.TypeAck, Round: f.Round}
 	case wire.TypeEpoch:

@@ -328,7 +328,7 @@ func (s *Server) handleContinuous(w http.ResponseWriter, r *http.Request) {
 // maintainer, which keeps the site until DELETE.
 func (s *Server) handleContinuousRegister(w http.ResponseWriter, r *http.Request) {
 	var req ContinuousRequest
-	if err := decodeJSONBody(w, r, &req); err != nil {
+	if err := decodeJSONBody(w, r, &req, 1<<20); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -343,7 +343,7 @@ func (s *Server) handleContinuousRegister(w http.ResponseWriter, r *http.Request
 	}
 	p, _, ds, err := s.target(req.P, "", req.Dataset)
 	if err != nil {
-		writeFailure(w, err)
+		writeFailure(w, err, "")
 		return
 	}
 	seed := req.Seed
@@ -351,7 +351,7 @@ func (s *Server) handleContinuousRegister(w http.ResponseWriter, r *http.Request
 		seed = 1
 	}
 	if err := s.continuous.add(req.Name, nil, s.cfg.MaxContinuous); err != nil {
-		writeFailure(w, err)
+		writeFailure(w, err, "")
 		return
 	}
 
@@ -363,7 +363,7 @@ func (s *Server) handleContinuousRegister(w http.ResponseWriter, r *http.Request
 	m, err := s.maintainer(r.Context(), q, p, seed, sn)
 	if err != nil {
 		ds.mu.Unlock()
-		writeFailure(w, err)
+		writeFailure(w, err, "")
 		return
 	}
 	cq := &contQuery{
@@ -379,7 +379,7 @@ func (s *Server) handleContinuousRegister(w http.ResponseWriter, r *http.Request
 	if err := s.continuous.add(cq.name, cq, s.cfg.MaxContinuous); err != nil {
 		ds.mu.Unlock()
 		m.Close()
-		writeFailure(w, err)
+		writeFailure(w, err, "")
 		return
 	}
 	ds.mu.Unlock()
@@ -450,9 +450,10 @@ func (s *Server) writeContinuousProm(w io.Writer) {
 	fmt.Fprintf(w, "# HELP mpcserve_continuous_staleness Summed dataset versions continuous answers lag behind.\n# TYPE mpcserve_continuous_staleness gauge\nmpcserve_continuous_staleness %d\n", stale)
 }
 
-// decodeJSONBody decodes a bounded JSON request body into v.
-func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) error {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(v); err != nil {
+// decodeJSONBody decodes a JSON request body of at most limit bytes
+// into v.
+func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
 		return fmt.Errorf("bad JSON body: %w", err)
 	}
 	return nil

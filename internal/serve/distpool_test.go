@@ -25,6 +25,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/serve"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -218,6 +219,8 @@ func TestWorkerPoolHealsAfterMemberDeath(t *testing.T) {
 // TestWorkerPoolUnavailable: a dead pool surfaces as 502, not a hang
 // or a fallback to in-process execution — for a query, and for a Datalog
 // program, whose executions borrow their sessions inside the evaluator.
+// The failure comes after admission, so the reply names the query's
+// trace, and that trace holds the failure as its "error" event.
 func TestWorkerPoolUnavailable(t *testing.T) {
 	// Reserve an address and close it so nothing listens there.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -235,9 +238,27 @@ func TestWorkerPoolUnavailable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var reply struct {
+			Error   string `json:"error"`
+			QueryID string `json:"queryID"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&reply)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadGateway {
-			t.Errorf("%s: status %d, want 502", body, resp.StatusCode)
+		if err != nil || resp.StatusCode != http.StatusBadGateway || reply.QueryID == "" {
+			t.Fatalf("%s: status %d, reply %+v (%v); want 502 naming the query", body, resp.StatusCode, reply, err)
+		}
+		var tr trace.Trace
+		if code := getJSON(t, ts.URL+"/trace/"+reply.QueryID, &tr); code != http.StatusOK {
+			t.Fatalf("GET /trace/%s: status %d", reply.QueryID, code)
+		}
+		events := 0
+		for _, s := range tr.Spans {
+			if s.Name == "error" && s.Note != "" && strings.Contains(reply.Error, s.Note) {
+				events++
+			}
+		}
+		if events != 1 {
+			t.Errorf("%s: trace %s holds %d error events matching %q, want 1", body, reply.QueryID, events, reply.Error)
 		}
 	}
 }

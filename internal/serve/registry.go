@@ -98,21 +98,14 @@ func (sn *Snapshot) Bind(q *query.Query) (*relation.Database, error) {
 	return view, nil
 }
 
-// ApplyDelta applies one delta batch to the dataset: it validates the
-// delta against the current snapshot, builds the next snapshot with
+// applyDeltaLocked applies one delta batch to the dataset: it validates
+// the delta against the current snapshot, builds the next snapshot with
 // the incrementally maintained statistics catalog pre-installed (no
 // re-scan — the batch's values are merged into the column histograms
 // of the relations it touches), and returns the new version plus the
-// set-level effect per changed relation.
-func (d *Dataset) ApplyDelta(delta relation.Delta) (uint64, map[string]relation.Effect, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.applyDeltaLocked(delta)
-}
-
-// applyDeltaLocked is ApplyDelta under d.mu — the delta handler holds
-// the lock across application and continuous-query maintenance so no
-// second delta can interleave between them.
+// set-level effect per changed relation. The caller holds d.mu: the
+// delta handler holds it across application and continuous-query
+// maintenance so no second delta can interleave between them.
 func (d *Dataset) applyDeltaLocked(delta relation.Delta) (uint64, map[string]relation.Effect, error) {
 	cur := d.snap.Load()
 	ndb, effects, err := relation.ApplyDelta(cur.DB, delta)

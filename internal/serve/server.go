@@ -236,11 +236,6 @@ func (s *Server) Pool() *dist.Registry { return s.pool }
 // mode.
 func (s *Server) Tenants() *Tenants { return s.tenants }
 
-// Traces returns the in-memory trace ring. Executions are added on
-// admission, so in-flight queries are visible (with open spans)
-// before they finish.
-func (s *Server) Traces() *trace.Ring { return s.traces }
-
 // Handler returns the service's HTTP routes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -361,6 +356,9 @@ type QueryResponse struct {
 type errorReply struct {
 	// Error is the human-readable failure.
 	Error string `json:"error"`
+	// QueryID names the trace of a query that failed after admission;
+	// GET /trace/{queryID} holds the failure's "error" event.
+	QueryID string `json:"queryID,omitempty"`
 }
 
 // writeJSON renders v with status code.
@@ -393,18 +391,21 @@ func errorf(code int, format string, args ...any) *httpError {
 }
 
 // writeFailure renders a pipeline error: a tenant quota error as its
-// structured 429, an httpError under its own status code.
-func writeFailure(w http.ResponseWriter, err error) {
+// structured 429, an httpError under its own status code, anything else
+// as a 500. A non-empty queryID names the trace the failure was
+// recorded on.
+func writeFailure(w http.ResponseWriter, err error, queryID string) {
 	var qe *QuotaError
-	var he *httpError
-	switch {
-	case errors.As(err, &qe):
+	if errors.As(err, &qe) {
 		writeQuotaError(w, qe)
-	case errors.As(err, &he):
-		writeError(w, he.code, "%s", he.msg)
-	default:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
 	}
+	code, msg := http.StatusInternalServerError, err.Error()
+	var he *httpError
+	if errors.As(err, &he) {
+		code, msg = he.code, he.msg
+	}
+	writeJSON(w, code, errorReply{Error: msg, QueryID: queryID})
 }
 
 // target validates the (p, ε, dataset) triple every execution request
@@ -622,7 +623,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var req QueryRequest
-	if err := decodeJSONBody(w, r, &req); err != nil {
+	if err := decodeJSONBody(w, r, &req, 1<<20); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -632,12 +633,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	j, err := resolve(req)
 	if err != nil {
-		writeFailure(w, err)
+		writeFailure(w, err, "")
 		return
 	}
 	release, err := s.admit(r.Context(), ten, j.cost)
 	if err != nil {
-		writeFailure(w, err)
+		writeFailure(w, err, "")
 		return
 	}
 
@@ -673,7 +674,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		tc.Event(tc.Root(), "error", -1, err.Error())
 		tc.Finish()
-		writeFailure(w, err)
+		writeFailure(w, err, reply.QueryID)
 		return
 	}
 	tc.Replacements = reply.WorkerReplacements
@@ -781,8 +782,8 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, out)
 	case http.MethodPost:
 		var req DatasetRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad JSON body: %v", err)
+		if err := decodeJSONBody(w, r, &req, 64<<20); err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		var db *relation.Database

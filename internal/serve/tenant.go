@@ -117,11 +117,6 @@ func (t *Tenant) Name() string { return t.cfg.Name }
 // Config returns the tenant's quota configuration.
 func (t *Tenant) Config() TenantConfig { return t.cfg }
 
-// Rejected returns the tenant's total 429 count across all reasons.
-func (t *Tenant) Rejected() int64 {
-	return t.RejectedRate.Load() + t.RejectedLoad.Load() + t.RejectedBytes.Load()
-}
-
 // InFlightLoad returns the summed predicted load of the tenant's
 // currently admitted queries, in tuples.
 func (t *Tenant) InFlightLoad() int64 {

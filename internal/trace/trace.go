@@ -87,8 +87,13 @@ func (t *Trace) Root() uint64 {
 }
 
 // StartSpan opens a span under parent (0 means the root) and returns
-// its id. Safe for concurrent use.
+// its id. Safe for concurrent use. A nil trace records nothing and
+// returns 0, as do EndSpan, SetSpanLoad and Event: an untraced
+// execution calls them all the same.
 func (t *Trace) StartSpan(parent uint64, name string, round, worker int) uint64 {
+	if t == nil {
+		return 0
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.nextID++
@@ -109,6 +114,9 @@ func (t *Trace) StartSpan(parent uint64, name string, round, worker int) uint64 
 
 // EndSpan closes the span with the given id. Unknown ids are ignored.
 func (t *Trace) EndSpan(id uint64) {
+	if t == nil {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if s := t.find(id); s != nil && s.DurationNs == 0 {
@@ -119,6 +127,9 @@ func (t *Trace) EndSpan(id uint64) {
 // SetSpanLoad records the actual received load on the span with the
 // given id.
 func (t *Trace) SetSpanLoad(id uint64, tuples, bits int64) {
+	if t == nil {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if s := t.find(id); s != nil {
@@ -130,6 +141,9 @@ func (t *Trace) SetSpanLoad(id uint64, tuples, bits int64) {
 // Event records an instantaneous span (duration 0 is kept) under
 // parent, used for recovery/replacement events.
 func (t *Trace) Event(parent uint64, name string, worker int, note string) {
+	if t == nil {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.nextID++

@@ -44,6 +44,19 @@ func TestTraceSpanTree(t *testing.T) {
 	}
 }
 
+// TestNilTraceRecordsNothing: an untraced execution calls the recording
+// methods on a nil trace, which records nothing and hands out span id 0.
+func TestNilTraceRecordsNothing(t *testing.T) {
+	var tr *Trace
+	id := tr.StartSpan(0, "round", 1, -1)
+	tr.SetSpanLoad(id, 10, 640)
+	tr.EndSpan(id)
+	tr.Event(id, "replace-worker", 2, "timeout")
+	if id != 0 {
+		t.Fatalf("a nil trace opened span %d, want 0", id)
+	}
+}
+
 func TestTraceWorkerLoadAndRounds(t *testing.T) {
 	tr := New("q-2", 1)
 	tr.P = 3

@@ -123,11 +123,6 @@ func appendFrame(dst []byte, f *Frame) ([]byte, []byte, error) {
 		seg = w.buffer(f.Delta.Buf)
 	case TypeBarrier, TypeAck, TypePing, TypePong, TypeEpoch, TypeReset:
 		w.u32(f.Round)
-	case TypeTrace:
-		w.u64(f.Trace.TraceID)
-		w.u64(f.Trace.Span)
-		w.u32(f.Trace.Round)
-		w.str(f.Trace.QueryID)
 	case TypeAttach:
 		w.str(f.Attach.Key)
 		w.str(f.Attach.Store)
@@ -370,11 +365,6 @@ func decodePayload(typ Type, body []byte) (*Frame, error) {
 		f.Delta.Buf = p.buffer()
 	case TypeBarrier, TypeAck, TypePing, TypePong, TypeEpoch, TypeReset:
 		f.Round = p.u32()
-	case TypeTrace:
-		f.Trace.TraceID = p.u64()
-		f.Trace.Span = p.u64()
-		f.Trace.Round = p.u32()
-		f.Trace.QueryID = p.str()
 	case TypeAttach:
 		f.Attach.Key, f.Attach.Store = p.str(), p.str()
 		f.Attach.Tuples = p.u64()

@@ -70,8 +70,6 @@ func FuzzDecodeFrame(f *testing.F) {
 	seed(&Frame{Type: TypePong, Round: 41})
 	seed(&Frame{Type: TypeEpoch, Round: 3})
 	seed(&Frame{Type: TypeReset, Round: 1})
-	seed(&Frame{Type: TypeTrace, Trace: TraceHeader{TraceID: 1 << 40, Span: 3, Round: 2, QueryID: "q-7"}})
-	seed(&Frame{Type: TypeTrace, Trace: TraceHeader{}})
 	seed(&Frame{Type: TypeDelta, Delta: Delta{Round: 4, Dest: 1, Store: "R", View: "delta!R!7", Buf: packed}})
 	seed(&Frame{Type: TypeDelta, Delta: Delta{Round: 4, Dest: 2, Store: "S", Del: true, Buf: flat}})
 	seed(&Frame{Type: TypeData, Data: Data{Round: 1, Dest: 2, Rel: "R", Retain: "\x00key\xff", Buf: packed}})
@@ -96,11 +94,15 @@ func FuzzDecodeFrame(f *testing.F) {
 	hostile([]byte{byte(TypeData), 0xFF, 0xFF, 0xFF, 0xFF})
 	hostile([]byte{byte(TypeData), 0, 0, 0, 30, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 3, 0, 0, 0, 0, 2})
 	hostile([]byte{0xEE, 0, 0, 0, 0})
-	// Version-4 frames under bytes that changed meaning in version 5:
-	// the first byte past the last type, and a 12-byte payload under the
-	// byte that now means Delta.
-	hostile([]byte{byte(TypeTrace) + 1, 0, 0, 0, 22, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 2, 0, 0})
+	// Version-4 frames under bytes that changed meaning in version 5: a
+	// trace frame under what was then the first byte past the last type,
+	// and a 12-byte payload under the byte that now means Delta.
+	hostile([]byte{14, 0, 0, 0, 22, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 2, 0, 0})
 	hostile([]byte{byte(TypeDelta), 0, 0, 0, 12, 0, 0, 0, 2, 0, 0, 0, 5, 0, 0, 0, 0})
+	// Version-9 frames under the bytes version 10 renumbered: the retired
+	// trace frame, and the byte that meant Reset, now past the last type.
+	hostile(v9Trace)
+	hostile([]byte{15, 0, 0, 0, 4, 0, 0, 0, 1})
 	// Hostile fast shapes: unsorted raw words, a delta payload whose
 	// first word sets bits above the packed width, a truncated delta
 	// varint, and a lying delta count.

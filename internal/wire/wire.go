@@ -17,10 +17,10 @@
 // sequence for a buffer on the flat layout; a Delta frame carries a
 // maintenance run the same way. Control frames carry the BSP protocol
 // around the data (Hello, Barrier, Join, Gather, Ack, Done, Error), the
-// recovery handshake (Ping, Pong, Epoch), the tracing context (Trace),
-// the resident scatter (Attach) and a session's reuse (Reset). Every
-// frame type has a reader on the receiving side: a frame nothing
-// consumes does not belong in the protocol.
+// recovery handshake (Ping, Pong, Epoch), the resident scatter (Attach)
+// and a session's reuse (Reset). Every frame type has a reader on the
+// receiving side: a frame nothing consumes does not belong in the
+// protocol.
 //
 // There is one codec. AppendFrames (behind Writer) is the only encoder:
 // it appends headers and inline payloads to one buffer and hands raw
@@ -48,9 +48,9 @@ import (
 // Type enumerates the frame kinds of the protocol.
 type Type uint8
 
-// Frame types. The coordinator sends Hello, Data, Delta, Trace,
-// Barrier, Join, Gather, Ping, Epoch, Attach and Reset; a worker replies
-// with Ack, Data, Done, Pong, Attach and Error. The values are contiguous from 1 —
+// Frame types. The coordinator sends Hello, Data, Delta, Barrier, Join,
+// Gather, Ping, Epoch, Attach and Reset; a worker replies with Ack,
+// Data, Done, Pong, Attach and Error. The values are contiguous from 1 —
 // retiring a type renumbers the ones after it and bumps Version.
 const (
 	// TypeHello opens a session: protocol version, worker id, pool
@@ -97,19 +97,12 @@ const (
 	// Δ-relation the maintenance join reads). Like Data, Delta frames
 	// are unacknowledged — the round barrier is the ingestion fence.
 	TypeDelta
-	// TypeTrace carries a distributed-tracing span context
-	// coordinator→worker: the trace id, the coordinator-side span the
-	// round's work parents under, the round number, and the query id.
-	// Trace frames are unacknowledged (the round barrier fences them
-	// like Data); a worker simply records the most recent header so its
-	// session can attribute work to the query being traced.
-	TypeTrace
 	// TypeAttach asks a worker to bind the runs its process keeps under
 	// an opaque key into the session's store; the worker answers with an
 	// Attach of its own.
 	TypeAttach
 	// TypeReset returns the session to the state its hello left it in —
-	// no stores, epoch 0, no span context — so one connection serves one
+	// no stores, epoch 0 — so one connection serves one
 	// execution after another; what the process keeps beyond its sessions
 	// is untouched. The worker acks it, echoing the tag in Round.
 	TypeReset
@@ -142,8 +135,6 @@ func (t Type) String() string {
 		return "epoch"
 	case TypeDelta:
 		return "delta"
-	case TypeTrace:
-		return "trace"
 	case TypeAttach:
 		return "attach"
 	case TypeReset:
@@ -163,8 +154,10 @@ func (t Type) String() string {
 // big-endian packed encoding no sender emitted, and a receiver rejects
 // an unsorted or out-of-width run where version 6 re-sorted it; version
 // 8 dropped the strategy byte of Join — a worker has one evaluator;
-// version 9 added the Reset frame, so a session outlives an execution.
-const Version = 9
+// version 9 added the Reset frame, so a session outlives an execution;
+// version 10 retired the Trace frame — a trace stays on the coordinator —
+// renumbering Attach and Reset.
+const Version = 10
 
 // MaxPayload bounds a frame's declared payload size (128 MiB). A
 // larger length prefix is rejected before any payload is read.
@@ -235,20 +228,6 @@ type Delta struct {
 	Buf *relation.Run
 }
 
-// TraceHeader is the span context a Trace frame propagates
-// coordinator→worker.
-type TraceHeader struct {
-	// TraceID identifies the trace the coming round belongs to.
-	TraceID uint64
-	// Span is the coordinator-side span id the round's worker-side
-	// work parents under.
-	Span uint64
-	// Round is the communication round the header announces.
-	Round uint32
-	// QueryID is the serving-layer query id the trace belongs to.
-	QueryID string
-}
-
 // Join is the local-evaluation command.
 type Join struct {
 	// Query is the conjunctive query in query.Parse syntax.
@@ -284,8 +263,6 @@ type Frame struct {
 	Count uint32
 	// Msg is set for TypeError.
 	Msg string
-	// Trace is set for TypeTrace.
-	Trace TraceHeader
 	// Attach is set for TypeAttach.
 	Attach Attach
 }

@@ -61,7 +61,6 @@ func sampleFrames(t *testing.T) []*Frame {
 		{Type: TypePong, Round: 19},
 		{Type: TypeEpoch, Round: 2},
 		{Type: TypeReset, Round: 5},
-		{Type: TypeTrace, Trace: TraceHeader{TraceID: 1 << 50, Span: 7, Round: 3, QueryID: "q-12"}},
 		{Type: TypeDelta, Delta: Delta{Round: 4, Dest: 1, Store: "R", View: "delta!R!7", Buf: packed}},
 		{Type: TypeDelta, Delta: Delta{Round: 4, Dest: 2, Store: "S", Del: true, Buf: flat}},
 		{Type: TypeData, Data: Data{Round: 1, Dest: 3, Rel: "V1_1/S1", Retain: "\x00opaque\xffkey", Buf: packed}},
@@ -166,9 +165,9 @@ func TestRoundTrip(t *testing.T) {
 }
 
 // TestDecodeRejectsUnnamedTypes: byte 0 and every byte past the last
-// named type — the first of which version 4 still used, for the frame
-// type version 5 retired — is refused, with or without a payload behind
-// it, and never panics.
+// named type — the first of which version 9 still used, for Reset,
+// before version 10 retired Trace — is refused, with or without a
+// payload behind it, and never panics.
 func TestDecodeRejectsUnnamedTypes(t *testing.T) {
 	payloads := [][]byte{nil, make([]byte, 12)}
 	unnamed := []int{0}
@@ -231,6 +230,12 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 }
 
+// v9Trace is a Trace frame as version 9 sent it: type byte 13, then
+// the trace id 9, span 1, round 1 and query id "q-1". Version 10 retired
+// the type, and byte 13 now names Attach, whose payload this is not.
+var v9Trace = []byte{13, 0, 0, 0, 25,
+	0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 3, 'q', '-', '1'}
+
 func TestDecodeMalformed(t *testing.T) {
 	packed := buildBuffer(t, 3, 4, 100, 9)
 	enc := func(f *Frame) []byte {
@@ -246,6 +251,8 @@ func TestDecodeMalformed(t *testing.T) {
 		want string
 	}{
 		{"unknown type", []byte{0xEE, 0, 0, 0, 0}, "unknown frame type"},
+		{"version-9 trace frame", v9Trace, "trailing"},
+		{"version-9 reset frame", []byte{15, 0, 0, 0, 4, 0, 0, 0, 1}, "unknown frame type"},
 		{"oversized length", []byte{byte(TypeData), 0xFF, 0xFF, 0xFF, 0xFF}, "exceeds"},
 		// A barrier payload is exactly 4 bytes; declaring 6 leaves
 		// trailing payload the parser must reject.
@@ -382,7 +389,7 @@ func TestReaderAllocationFollowsArrival(t *testing.T) {
 func TestWriterQueuesBehindOneWrite(t *testing.T) {
 	var out countingWriter
 	w := NewWriter(&out)
-	if err := w.Queue(&Frame{Type: TypeTrace, Trace: TraceHeader{TraceID: 7, QueryID: "q-1"}}); err != nil {
+	if err := w.Queue(&Frame{Type: TypePong, Round: 7}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Queue(&Frame{Type: TypeAck, Round: 3}); err != nil {
@@ -409,7 +416,7 @@ func TestWriterQueuesBehindOneWrite(t *testing.T) {
 		t.Fatalf("queue and flush left in %d writes, want 1", out.writes)
 	}
 	rd := NewReader(&out.Buffer)
-	for i, want := range []Type{TypeTrace, TypeAck, TypeBarrier} {
+	for i, want := range []Type{TypePong, TypeAck, TypeBarrier} {
 		f, err := rd.Next()
 		if err != nil || f.Type != want {
 			t.Fatalf("frame %d: %+v, %v, want %s", i, f, err, want)
