@@ -23,7 +23,8 @@ import (
 	"repro/internal/wire"
 )
 
-// The wire's run encodings, as a hostile peer writes them by hand.
+// The wire's run encodings, as a hostile peer writes them by hand;
+// encDelta is the delta-varint encoding version 11 retired.
 const (
 	encFlat  = 1
 	encRaw   = 2
@@ -63,7 +64,7 @@ var hostileRuns = []hostileRun{
 	{"unsorted raw words", 2, encRaw, 2, le(9, 1), "not sorted"},
 	{"raw word above the packed width", 3, encRaw, 1, le(1 << 63), "bits above"},
 	{"delta first word above the packed width", 3, encDelta, 1,
-		binary.AppendUvarint(nil, 1<<63), "bits above"},
+		binary.AppendUvarint(nil, 1<<63), "unknown buffer encoding 3"},
 	{"negative flat value", 1, encFlat, 1, be(1 << 63), "negative"},
 	{"unsorted flat rows", 1, encFlat, 2, be(9, 1), "not sorted"},
 	{"count larger than the payload", 2, encRaw, 5, le(1), "truncated"},
@@ -505,22 +506,27 @@ func TestWorkerAllocationFollowsArrival(t *testing.T) {
 	})
 }
 
-// retiredFrames are frames version 9 sent under type bytes version 10
-// renumbered: the Trace frame it retired (byte 13, now Attach, whose
-// payload this is not), and the Reset frame under what is now the first
-// byte past the last type.
+// retiredFrames are frames an earlier version sent that this one does
+// not speak: under type bytes version 10 renumbered, version 9's Trace
+// frame (byte 13, now Attach, whose payload this is not) and its Reset
+// frame (now the first byte past the last type); under the encoding byte
+// version 11 retired, a Data and a Delta frame carrying the arity-2 run
+// 5, 6 as version 10's delta varints.
 var retiredFrames = []struct {
 	name  string
 	frame []byte
 }{
 	{"trace", []byte{13, 0, 0, 0, 25, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 3, 'q', '-', '1'}},
 	{"reset", []byte{15, 0, 0, 0, 4, 0, 0, 0, 1}},
+	{"delta-varint data", hostileRun{arity: 2, enc: encDelta, count: 2, body: []byte{5, 1}}.frame("R", "")},
+	{"delta-varint delta", []byte{byte(wire.TypeDelta), 0, 0, 0, 23, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 'R', 0, 0, 0, 0, 2, encDelta, 0, 0, 0, 2, 5, 1}},
 }
 
-// TestWorkerRefusesRetiredFrames: a version-9 frame under a type byte
-// version 10 retired or renumbered is refused where it arrives — an
-// Error frame ends the session, and the barrier behind it is never acked.
-// A version-9 worker took the trace frame silently and acked the reset.
+// TestWorkerRefusesRetiredFrames: a frame of an earlier version that
+// this one retired or renumbered is refused where it arrives — an Error
+// frame ends the session, and the barrier behind it is never acked.
+// Version 9 took the trace frame silently and acked the reset; version
+// 10 stored the delta-varint runs.
 func TestWorkerRefusesRetiredFrames(t *testing.T) {
 	barrier := encodeFrames(t, &wire.Frame{Type: wire.TypeBarrier, Round: 1})
 	for _, r := range retiredFrames {

@@ -17,9 +17,9 @@
 // accounting.
 //
 // What is routed — the run, its packed and flat layouts, its sort and
-// its set algebra — belongs to internal/relation. This package keeps one
-// thing next to the routing: the delta-varint codec for a sorted word
-// payload (delta.go), which internal/wire frames.
+// its set algebra — belongs to internal/relation; what carries it
+// between processes belongs to internal/wire. Besides the routing, the
+// package keeps three one-line aliases that bench/probes.go pins.
 package exchange
 
 import "repro/internal/relation"

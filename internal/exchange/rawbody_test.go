@@ -1,6 +1,8 @@
 package exchange
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -9,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/relation"
+	"repro/internal/wire"
 )
 
 // sortedWords builds n sorted words with geometric-ish gaps, covering
@@ -32,61 +35,88 @@ func sortedWords(n int, seed uint64) []uint64 {
 	return words
 }
 
+// shipWords sends the sealed packed run of arity that words spell
+// through a wire Data frame and returns the stream and what the Reader
+// decodes from it.
+func shipWords(t *testing.T, arity int, words []uint64) ([]byte, []uint64) {
+	t.Helper()
+	run, err := relation.NewRunFromWords(arity, slices.Clone(words))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream bytes.Buffer
+	if err := wire.NewWriter(&stream).Flush(&wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", Buf: run}}); err != nil {
+		t.Fatal(err)
+	}
+	sent := slices.Clone(stream.Bytes())
+	f, err := wire.NewReader(&stream).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, packed := f.Data.Buf.Words()
+	if !packed || f.Data.Buf.Arity() != arity {
+		t.Fatalf("decoded arity %d, packed %v; sent arity %d packed", f.Data.Buf.Arity(), packed, arity)
+	}
+	return sent, got
+}
+
+// TestDeltaWordsRoundTrip: a packed run's words cross a Data frame as
+// their raw body and arrive as they left.
 func TestDeltaWordsRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 100, 4096} {
 		words := sortedWords(n, uint64(n)+3)
-		enc := AppendDeltaWords(nil, words)
-		if got, want := len(enc), DeltaWordsSize(words); got != want {
-			t.Fatalf("n=%d: encoded %d bytes, DeltaWordsSize says %d", n, got, want)
-		}
-		dec, err := DecodeDeltaWords(enc, n)
-		if err != nil {
-			t.Fatalf("n=%d: decode: %v", n, err)
-		}
-		if n == 0 {
-			if len(dec) != 0 {
-				t.Fatalf("n=0 decoded %d words", len(dec))
-			}
-			continue
-		}
-		if !reflect.DeepEqual(words, dec) {
+		if _, dec := shipWords(t, 2, words); !slices.Equal(words, dec) {
 			t.Fatalf("n=%d: round trip mismatch", n)
 		}
 	}
 }
 
-// TestDeltaWordsExtremes: boundary values survive the codec.
+// TestDeltaWordsExtremes: boundary values survive the frame, which costs
+// exactly 8 bytes per word.
 func TestDeltaWordsExtremes(t *testing.T) {
 	words := []uint64{0, 0, 1, math.MaxUint64 - 1, math.MaxUint64, math.MaxUint64}
-	dec, err := DecodeDeltaWords(AppendDeltaWords(nil, words), len(words))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(words, dec) {
+	stream, dec := shipWords(t, 1, words)
+	if !slices.Equal(words, dec) {
 		t.Fatalf("got %v, want %v", dec, words)
+	}
+	if empty, _ := shipWords(t, 1, nil); len(stream)-len(empty) != 8*len(words) {
+		t.Fatalf("%d words cost %d frame bytes, want %d", len(words), len(stream)-len(empty), 8*len(words))
 	}
 }
 
+// rawFrame is a Data frame whose arity-2 run claims count words and
+// carries body, written by hand as a hostile peer would.
+func rawFrame(count uint32, body []byte) []byte {
+	p := []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'R', 0, 0, 0, 2, 2} // round, dest, "R", no retain key, arity 2, enc 2
+	p = binary.BigEndian.AppendUint32(p, count)
+	p = append(p, body...)
+	return append(binary.BigEndian.AppendUint32([]byte{byte(wire.TypeData)}, uint32(len(p))), p...)
+}
+
+// TestDecodeDeltaWordsRejects: a raw body whose count and bytes disagree
+// is refused, and no count makes the Reader allocate past what arrived.
 func TestDecodeDeltaWordsRejects(t *testing.T) {
-	good := AppendDeltaWords(nil, sortedWords(50, 9))
+	var good []byte
+	for _, w := range sortedWords(50, 9) {
+		good = binary.LittleEndian.AppendUint64(good, w)
+	}
 	cases := []struct {
 		name  string
 		data  []byte
-		count int
+		count uint32
 		want  string
 	}{
-		{"truncated", good[:len(good)-1], 50, "varint"},
+		{"truncated", good[:len(good)-1], 50, "truncated"},
 		{"trailing", append(slices.Clone(good), 0), 50, "trailing"},
-		{"count exceeds bytes", good, len(good) + 1, "exceeds"},
+		{"count exceeds bytes", good, 51, "truncated"},
 		{"count too low leaves trailing", good, 10, "trailing"},
-		{"negative count", good, -1, "count"},
+		{"negative count", good, 1<<31 | 50, "truncated"},
 		{"nonempty at count zero", good, 0, "trailing"},
-		// MaxUint64 then a delta of 1 wraps.
-		{"overflow", AppendDeltaWords(AppendDeltaWords(nil, []uint64{math.MaxUint64}), []uint64{1}), 2, "overflow"},
+		{"overflow", good, wire.MaxPayload/8 + 1, "truncated"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := DecodeDeltaWords(c.data, c.count)
+			_, err := wire.NewReader(bytes.NewReader(rawFrame(c.count, c.data))).Next()
 			if err == nil {
 				t.Fatal("want error, got nil")
 			}
@@ -97,21 +127,28 @@ func TestDecodeDeltaWordsRejects(t *testing.T) {
 	}
 }
 
-// TestDecodeDeltaWordsSortedByConstruction: whatever bytes decode
-// successfully yield a non-decreasing sequence.
+// TestDecodeDeltaWordsSortedByConstruction: whatever raw body decodes
+// yields a non-decreasing run.
 func TestDecodeDeltaWordsSortedByConstruction(t *testing.T) {
 	rng := rand.New(rand.NewPCG(77, 5))
 	for trial := 0; trial < 200; trial++ {
-		b := make([]byte, rng.IntN(64))
-		for i := range b {
-			b[i] = byte(rng.Uint32())
+		count := rng.IntN(4)
+		body := make([]byte, 8*count)
+		for i := range body {
+			body[i] = byte(rng.Uint32())
 		}
-		count := rng.IntN(len(b) + 1)
-		words, err := DecodeDeltaWords(b, count)
+		if trial%2 == 0 { // small words, so that some bodies are in order
+			for i := 1; i < len(body); i++ {
+				if i%8 != 0 {
+					body[i] = 0
+				}
+			}
+		}
+		f, err := wire.NewReader(bytes.NewReader(rawFrame(uint32(count), body))).Next()
 		if err != nil {
 			continue
 		}
-		if !slices.IsSorted(words) {
+		if words, _ := f.Data.Buf.Words(); !slices.IsSorted(words) {
 			t.Fatalf("trial %d: decoded unsorted words %v", trial, words)
 		}
 	}

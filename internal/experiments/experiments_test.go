@@ -107,6 +107,23 @@ func TestLBFraction(t *testing.T) {
 	if rows[1].PredictedFraction >= rows[0].PredictedFraction {
 		t.Error("prediction should decay with p")
 	}
+
+	// C3 on random matchings has about one triangle per database, too few
+	// to measure a fraction; L3 has exactly n answers per database, so its
+	// measured fraction is held to the Theorem 3.3 ceiling within 4σ of
+	// sampling noise over the 3n answers.
+	const n, trials = 10000, 3
+	rows, err = LBFraction(&buf, query.Chain(3), n, 0, []int{4, 16, 64}, trials, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		f := r.PredictedFraction
+		sigma := math.Sqrt(f * (1 - f) / (trials * n))
+		if z := (r.MeasuredFraction - f) / sigma; math.Abs(z) > 4 {
+			t.Errorf("L3 at p=%d: measured fraction %.4f, ceiling %.4f: z = %.1f", r.P, r.MeasuredFraction, f, z)
+		}
+	}
 }
 
 func TestRounds(t *testing.T) {

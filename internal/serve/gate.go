@@ -81,6 +81,8 @@ func (g *Gate) Acquire(ctx context.Context, cost int64) error {
 				break
 			}
 		}
+		// A waiter queued behind this one may fit now that it is gone.
+		g.admitWaiters()
 		g.mu.Unlock()
 		return ctx.Err()
 	}
@@ -100,9 +102,15 @@ func (g *Gate) Release(cost int64) {
 }
 
 // releaseLocked un-books an execution and admits as many queued
-// waiters as now fit, FIFO. Callers hold g.mu.
+// waiters as now fit. Callers hold g.mu.
 func (g *Gate) releaseLocked(cost int64) {
 	g.release(cost)
+	g.admitWaiters()
+}
+
+// admitWaiters admits queued waiters in FIFO order for as long as the
+// head of the queue fits. Callers hold g.mu.
+func (g *Gate) admitWaiters() {
 	for len(g.waiters) > 0 && g.fits(g.waiters[0].cost) {
 		w := g.waiters[0]
 		g.waiters = g.waiters[1:]

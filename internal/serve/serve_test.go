@@ -425,6 +425,44 @@ func TestGateAdmission(t *testing.T) {
 	g.Release(100)
 }
 
+// TestGateCancelledHeadAdmitsFollowers: when the head of the queue is
+// cancelled, a cheaper waiter behind it that fits is admitted at once,
+// not at the next unrelated Release.
+func TestGateCancelledHeadAdmitsFollowers(t *testing.T) {
+	g := serve.NewGate(4, 100)
+	if err := g.Acquire(context.Background(), 60); err != nil {
+		t.Fatal(err)
+	}
+	actx, cancel := context.WithCancel(context.Background())
+	aErr := make(chan error, 1)
+	go func() { aErr <- g.Acquire(actx, 80) }()
+	for g.Queued() < 1 {
+		runtime.Gosched()
+	}
+	bErr := make(chan error, 1)
+	go func() { bErr <- g.Acquire(context.Background(), 10) }()
+	for g.Queued() < 2 {
+		runtime.Gosched()
+	}
+	cancel()
+	if err := <-aErr; err == nil {
+		t.Fatal("the cancelled acquire succeeded")
+	}
+	select {
+	case err := <-bErr:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("a 10-tuple waiter is still queued with %d of 100 in use", g.Load())
+	}
+	if g.InFlight() != 2 || g.Load() != 70 || g.Queued() != 0 {
+		t.Fatalf("in flight %d, load %d, queued %d; want 2, 70, 0", g.InFlight(), g.Load(), g.Queued())
+	}
+	g.Release(10)
+	g.Release(60)
+}
+
 // TestPlanCacheLRU unit-tests the cache eviction order.
 func TestPlanCacheLRU(t *testing.T) {
 	c := serve.NewPlanCache(2)

@@ -8,29 +8,18 @@ import (
 	"slices"
 	"unsafe"
 
-	"repro/internal/exchange"
 	"repro/internal/relation"
 )
 
-// Buffer-body encodings inside Data and Delta payloads. The encoder
-// picks: a packed buffer ships its words raw, or as delta varints when
-// the column compresses; a flat-layout buffer ships row-major. Byte 0
-// was the big-endian packed encoding version 7 retired and stays
+// Buffer-body encodings inside Data and Delta payloads, one per run
+// layout: a packed run ships its words raw, a flat-layout run ships
+// row-major. Bytes 0 and 3 were the big-endian packed encoding version 7
+// retired and the delta-varint encoding version 11 retired; both stay
 // unassigned.
 const (
-	encFlat  = 1 // row-major big-endian int64 values
-	encRaw   = 2 // packed words as little-endian memory, sent zero-copy
-	encDelta = 3 // first packed word, then uvarint differences
+	encFlat = 1 // row-major big-endian int64 values
+	encRaw  = 2 // packed words as little-endian memory, sent zero-copy
 )
-
-// deltaMinWords is the smallest packed run the encoder considers
-// delta-compressing; below it the size probe costs more than the copy.
-const deltaMinWords = 32
-
-// deltaMaxRatio gates delta compression: the encoded payload must be
-// at most 3/4 of the raw 8 bytes per word, so nearly-incompressible
-// columns keep the zero-copy raw path.
-const deltaMaxRatio = 0.75
 
 // hostLittleEndian reports whether native uint64 memory order matches
 // the encRaw wire order; a big-endian host swap-copies its words into
@@ -53,10 +42,10 @@ func wordsLE(words []uint64) (b []byte, ok bool) {
 }
 
 // AppendFrames encodes frames for one connection. Frame headers,
-// control payloads and compressed or flat run payloads are appended to
-// head (which may be nil; the grown slice is returned for reuse); raw
-// packed payloads are returned as separate zero-copy segments aliasing
-// the buffers' word memory. The segments slot into the returned write
+// control payloads and flat run payloads are appended to head (which
+// may be nil; the grown slice is returned for reuse); raw packed
+// payloads are returned as separate zero-copy segments aliasing the
+// buffers' word memory. The segments slot into the returned write
 // list in wire order, ready for a vectored send (net.Buffers). Callers
 // must not mutate the frames' buffers until the write completes —
 // sealed buffers are immutable, so this holds by construction. If a
@@ -196,9 +185,9 @@ func (w *payloadWriter) str(s string) {
 }
 
 // buffer appends one sealed run — arity u16, encoding byte, tuple count
-// u32, values — choosing the encoding, and returns the raw word segment
-// when there is one. Only a sealed run is sent: the receiver rejects
-// words out of order, and delta varints cannot represent them.
+// u32, values — in the encoding of its layout, and returns the raw word
+// segment when there is one. Only a sealed run is sent: the receiver
+// rejects words out of order.
 func (w *payloadWriter) buffer(buf *relation.Run) (seg []byte) {
 	if !buf.Sealed() {
 		w.fail(fmt.Errorf("unsealed buffer"))
@@ -219,14 +208,6 @@ func (w *payloadWriter) buffer(buf *relation.Run) (seg []byte) {
 			w.u64(uint64(int64(v)))
 		}
 		return nil
-	}
-	if len(words) >= deltaMinWords {
-		if size := exchange.DeltaWordsSize(words); float64(size) <= deltaMaxRatio*float64(len(words)*8) {
-			w.b = append(w.b, encDelta)
-			w.u32(uint32(len(words)))
-			w.b = exchange.AppendDeltaWords(w.b, words)
-			return nil
-		}
 	}
 	w.b = append(w.b, encRaw)
 	w.u32(uint32(len(words)))
@@ -487,11 +468,6 @@ func (p *payloadReader) buffer() *relation.Run {
 			}
 		}
 		buf, err = relation.NewRunFromWords(arity, words)
-	case encDelta:
-		var words []uint64
-		if words, err = exchange.DecodeDeltaWords(p.take(len(p.b)-p.off), count); err == nil {
-			buf, err = relation.NewRunFromWords(arity, words)
-		}
 	case encFlat:
 		raw := p.take(count * arity * 8)
 		flat := make([]int, len(raw)/8)

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/exchange"
 	"repro/internal/relation"
 )
 
@@ -29,7 +28,7 @@ func fastEncode(t *testing.T, frames []*Frame) []byte {
 }
 
 // zipfBuffer builds a sealed packed buffer whose first column is
-// heavily skewed, the shape delta compression exists for.
+// heavily skewed: long runs of nearly equal words.
 func zipfBuffer(t *testing.T, n int, seed uint64) *relation.Run {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, 7))
@@ -74,11 +73,15 @@ func TestFastRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFastEncodingChoice: a skewed sorted column ships as encDelta and
-// is materially smaller than raw; incompressible random words stay on
-// the zero-copy raw path.
+// TestFastEncodingChoice: a packed run ships as its words' memory
+// whatever its shape — the skewed column the delta-varint encoding of
+// version 10 existed for as well as random words — at 8 bytes a word, its
+// segment aliasing the run's words on little-endian hosts.
 func TestFastEncodingChoice(t *testing.T) {
-	encodingOf := func(buf *relation.Run) (byte, int) {
+	for name, buf := range map[string]*relation.Run{
+		"skewed": zipfBuffer(t, 4096, 11),
+		"random": buildBuffer(t, 3, 4096, 1<<20, 17),
+	} {
 		_, bufs, err := AppendFrames(nil, []*Frame{{Type: TypeData, Data: Data{Rel: "R", Buf: buf}}})
 		if err != nil {
 			t.Fatal(err)
@@ -87,25 +90,19 @@ func TestFastEncodingChoice(t *testing.T) {
 		for _, b := range bufs {
 			out.Write(b)
 		}
-		stream := out.Bytes()
 		// enc byte sits after 5 hdr + 4 round + 4 dest + 2 len + 1 "R" +
-		// 2 len (no retain key) + 2 arity.
-		return stream[20], out.Len()
-	}
-
-	skewed := zipfBuffer(t, 4096, 11)
-	enc, size := encodingOf(skewed)
-	if enc != encDelta {
-		t.Fatalf("skewed column encoded as %d, want encDelta", enc)
-	}
-	raw := skewed.Len() * 8
-	if size >= raw*3/4 {
-		t.Fatalf("delta payload %d bytes, want < 3/4 of raw %d", size, raw)
-	}
-
-	random := buildBuffer(t, 3, 4096, 1<<20, 17)
-	if enc, _ := encodingOf(random); enc != encRaw {
-		t.Fatalf("random column encoded as %d, want encRaw", enc)
+		// 2 len (no retain key) + 2 arity; the body starts after the
+		// 4-byte count.
+		if enc := out.Bytes()[20]; enc != encRaw {
+			t.Errorf("%s column encoded as %d, want encRaw", name, enc)
+		}
+		if body := out.Len() - 25; body != 8*buf.Len() {
+			t.Errorf("%s column: %d body bytes for %d words, want 8 a word", name, body, buf.Len())
+		}
+		words, _ := buf.Words()
+		if seg, ok := wordsLE(words); ok && (len(bufs) != 2 || &bufs[1][0] != &seg[0] || len(bufs[1]) != len(seg)) {
+			t.Errorf("%s column: the body is not the run's word memory", name)
+		}
 	}
 }
 
@@ -137,7 +134,7 @@ func TestFastZeroCopySegments(t *testing.T) {
 }
 
 // TestFastRejectsUnsealed: the encoder refuses unsealed buffers — the
-// receiver would reject their words, and delta varints cannot carry them.
+// receiver would reject their words.
 func TestFastRejectsUnsealed(t *testing.T) {
 	b := relation.NewRun(2)
 	b.Append(relation.Tuple{9, 1})
@@ -173,26 +170,33 @@ func TestValidatingRejectsDirtyRawWords(t *testing.T) {
 	}
 }
 
-// TestValidatingRejectsDirtyDeltaWords: a delta payload whose first
-// word already exceeds the packed width is rejected.
+// TestValidatingRejectsDirtyDeltaWords: a raw body whose last word sets
+// bits above the packed width is refused, and so is the delta-varint
+// body version 11 retired, as an unknown encoding.
 func TestValidatingRejectsDirtyDeltaWords(t *testing.T) {
-	words := make([]uint64, 64)
-	words[0] = 1 << 63 // arity-2 packing uses all 64 bits; use arity 3 (63 bits)
-	for i := 1; i < len(words); i++ {
-		words[i] = words[i-1] + 1
+	frame := func(enc byte, count int, body []byte) []byte {
+		w := payloadWriter{}
+		w.u32(0) // round
+		w.u32(0) // dest
+		w.str("R")
+		w.str("") // retain
+		w.u16(3)  // arity 3 → 21 bits/value, 63 used
+		w.b = append(w.b, enc)
+		w.u32(uint32(count))
+		w.b = append(w.b, body...)
+		return append(binary.BigEndian.AppendUint32([]byte{byte(TypeData)}, uint32(len(w.b))), w.b...)
 	}
-	body := payloadWriter{}
-	body.u32(0) // round
-	body.u32(0) // dest
-	body.str("R")
-	body.str("") // retain
-	body.u16(3)  // arity 3 → 21 bits/value, 63 used
-	body.b = append(body.b, encDelta)
-	body.u32(uint32(len(words)))
-	body.b = exchange.AppendDeltaWords(body.b, words)
-	stream := binary.BigEndian.AppendUint32([]byte{byte(TypeData)}, uint32(len(body.b)))
-	stream = append(stream, body.b...)
-	if _, err := Decode(bytes.NewReader(stream)); err == nil || !strings.Contains(err.Error(), "bits above") {
-		t.Fatalf("dirty delta word: %v, want high-bit rejection", err)
+	var raw []byte
+	for i := uint64(0); i < 64; i++ {
+		raw = binary.LittleEndian.AppendUint64(raw, i)
+	}
+	raw[len(raw)-1] |= 0x80 // bit 63 of the last word
+	if _, err := Decode(bytes.NewReader(frame(encRaw, 64, raw))); err == nil || !strings.Contains(err.Error(), "bits above") {
+		t.Fatalf("dirty raw word: %v, want high-bit rejection", err)
+	}
+	// The first word 1 then 63 differences of 1, as uvarints.
+	delta := bytes.Repeat([]byte{1}, 64)
+	if _, err := Decode(bytes.NewReader(frame(3, 64, delta))); err == nil || !strings.Contains(err.Error(), "unknown buffer encoding 3") {
+		t.Fatalf("delta-varint body: %v, want an unknown-encoding rejection", err)
 	}
 }

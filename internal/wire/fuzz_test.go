@@ -8,15 +8,19 @@ import (
 	"repro/internal/relation"
 )
 
-// encPacked is the big-endian packed encoding version 7 retired; the
-// seeds that carry it stay in the corpus as inputs that must be refused.
-const encPacked = 0
+// encPacked and encDelta are the big-endian packed encoding version 7
+// retired and the delta-varint encoding version 11 retired; the seeds
+// that carry them stay in the corpus as inputs that must be refused.
+const (
+	encPacked = 0
+	encDelta  = 3
+)
 
 // FuzzDecodeFrame holds the decoder to its safety contract on
 // arbitrary input: it must return an error or a valid frame — never
 // panic — and anything it accepts must re-encode to a stream that
 // decodes to an equal frame. The seed corpus is real encoded frames of
-// every type, all three buffer encodings included, so the fuzzer starts
+// every type, both buffer encodings included, so the fuzzer starts
 // from deep in the valid format; its hostile entries must be refused.
 func FuzzDecodeFrame(f *testing.F) {
 	seed := func(fr *Frame) {
@@ -75,9 +79,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	seed(&Frame{Type: TypeData, Data: Data{Round: 1, Dest: 2, Rel: "R", Retain: "\x00key\xff", Buf: packed}})
 	seed(&Frame{Type: TypeAttach, Attach: Attach{Key: "\x00key\xff", Store: "V1_1/S1", Tuples: 200}})
 	seed(&Frame{Type: TypeAttach, Attach: Attach{Tuples: 200, Hit: true}})
-	// The encoder's choices inside one run type: an empty run, delta
-	// varints for a skewed column (plain, retained, as a maintenance
-	// delete), a flat maintenance append.
+	// Runs of every shape: an empty run, a skewed column (plain,
+	// retained, as a maintenance delete), a flat maintenance append.
 	seed(&Frame{Type: TypeData, Data: Data{Round: 1, Dest: 2, Rel: "R", Buf: relation.RunOf(3, nil)}})
 	seed(&Frame{Type: TypeDelta, Delta: Delta{Round: 6, Dest: 3, Store: "S", View: "delta!S!2", Buf: flat}})
 	skewed := relation.NewRun(2)
@@ -103,9 +106,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	// trace frame, and the byte that meant Reset, now past the last type.
 	hostile(v9Trace)
 	hostile([]byte{15, 0, 0, 0, 4, 0, 0, 0, 1})
-	// Hostile fast shapes: unsorted raw words, a delta payload whose
-	// first word sets bits above the packed width, a truncated delta
-	// varint, and a lying delta count.
+	// Hostile fast shapes: unsorted raw words, then three version-10
+	// delta-varint bodies — a first word above the packed width, a
+	// truncated varint, a lying count.
 	hostile([]byte{
 		byte(TypeData), 0, 0, 0, 36,
 		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 3, encRaw, 0, 0, 0, 2,
@@ -172,6 +175,10 @@ func FuzzDecodeFrame(f *testing.F) {
 		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 3, encRaw, 0, 0, 0, 1,
 		1, 0, 0, 0, 0, 0, 0, 0, 0xAA,
 	})
+	// Well-formed version-10 delta-varint runs, which that version
+	// decoded: a Data frame and a Delta frame.
+	hostile(v10DeltaData)
+	hostile(v10DeltaDelta)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := Decode(bytes.NewReader(data))

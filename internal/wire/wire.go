@@ -11,9 +11,8 @@
 // The payload that matters is the columnar one: a Data frame carries
 // one sealed relation.Run — the unit the exchange layer ships
 // between workers — as the round id, the destination shard, the store
-// name, and the buffer body in one of three encodings: the packed words
-// as raw little-endian memory, the same words as delta varints when
-// that is at most 3/4 the size, or a row-major big-endian int64
+// name, and the buffer body in the encoding of its layout: the packed
+// words as raw little-endian memory, or a row-major big-endian int64
 // sequence for a buffer on the flat layout; a Delta frame carries a
 // maintenance run the same way. Control frames carry the BSP protocol
 // around the data (Hello, Barrier, Join, Gather, Ack, Done, Error), the
@@ -156,8 +155,9 @@ func (t Type) String() string {
 // 8 dropped the strategy byte of Join — a worker has one evaluator;
 // version 9 added the Reset frame, so a session outlives an execution;
 // version 10 retired the Trace frame — a trace stays on the coordinator —
-// renumbering Attach and Reset.
-const Version = 10
+// renumbering Attach and Reset; version 11 retired the delta-varint
+// encoding.
+const Version = 11
 
 // MaxPayload bounds a frame's declared payload size (128 MiB). A
 // larger length prefix is rejected before any payload is read.

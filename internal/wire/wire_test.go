@@ -236,6 +236,16 @@ func TestDecodeTruncated(t *testing.T) {
 var v9Trace = []byte{13, 0, 0, 0, 25,
 	0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 3, 'q', '-', '1'}
 
+// v10DeltaData and v10DeltaDelta are a Data and a Delta frame as version
+// 10 sent a packed arity-3 run under encoding byte 3: the first word 5,
+// then the difference 1, as uvarints. Version 11 retired the encoding.
+var (
+	v10DeltaData = []byte{byte(TypeData), 0, 0, 0, 22,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 3, 3, 0, 0, 0, 2, 5, 1}
+	v10DeltaDelta = []byte{byte(TypeDelta), 0, 0, 0, 23,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 3, 3, 0, 0, 0, 2, 5, 1}
+)
+
 func TestDecodeMalformed(t *testing.T) {
 	packed := buildBuffer(t, 3, 4, 100, 9)
 	enc := func(f *Frame) []byte {
@@ -254,6 +264,8 @@ func TestDecodeMalformed(t *testing.T) {
 		{"version-9 trace frame", v9Trace, "trailing"},
 		{"version-9 reset frame", []byte{15, 0, 0, 0, 4, 0, 0, 0, 1}, "unknown frame type"},
 		{"oversized length", []byte{byte(TypeData), 0xFF, 0xFF, 0xFF, 0xFF}, "exceeds"},
+		{"version-10 delta-varint data", v10DeltaData, "unknown buffer encoding 3"},
+		{"version-10 delta-varint delta", v10DeltaDelta, "unknown buffer encoding 3"},
 		// A barrier payload is exactly 4 bytes; declaring 6 leaves
 		// trailing payload the parser must reject.
 		{"trailing bytes", []byte{byte(TypeBarrier), 0, 0, 0, 6, 0, 0, 0, 1, 0xAA, 0xBB}, "trailing"},
