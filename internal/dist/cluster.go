@@ -56,6 +56,8 @@ type Cluster struct {
 	// arity is what Join said each view not yet gathered holds: what a
 	// gather reply is checked against.
 	arity map[string]int
+	// gathered is how many rows the last gather shipped.
+	gathered int
 }
 
 // NewCluster validates cfg against the transport's pool and returns
@@ -191,12 +193,17 @@ type Outcome struct {
 	// Replacements counts the workers the recovery policy replaced (0
 	// when recovery is off or nothing failed).
 	Replacements int
+	// Gathered is how many rows the last gather shipped to the
+	// coordinator — an engine's answer gather, which a limit bounds by p
+	// times the limit.
+	Gathered int
 }
 
 // Outcome returns the cluster's record so far: its statistics, whether
-// a round it closed broke the budget, and its replacements.
+// a round it closed broke the budget, its replacements and the rows its
+// last gather shipped.
 func (c *Cluster) Outcome() Outcome {
-	return Outcome{Stats: &c.stats, CapExceeded: c.capExceeded, Replacements: c.Replacements()}
+	return Outcome{Stats: &c.stats, CapExceeded: c.capExceeded, Replacements: c.Replacements(), Gathered: c.gathered}
 }
 
 // BeginRound opens a communication round into which subsequent
@@ -433,28 +440,66 @@ func (c *Cluster) Join(ctx context.Context, q *query.Query, bindings map[string]
 // k-way merge (relation.Merge, on either layout), and the coordinator
 // diffs, projects, folds, re-scatters or replies from that run without
 // building tuples. The run is nil when no worker holds anything under
-// view.
+// view. It is GatherPrefix with no limit.
 func (c *Cluster) Gather(ctx context.Context, view string) (*relation.Run, error) {
-	defer c.trace.EndSpan(c.trace.StartSpan(0, "gather", c.round, -1))
-	runs, err := c.gatherRuns(ctx, view)
-	if err != nil {
-		return nil, err
-	}
-	return relation.Merge(runs), nil
+	run, _, err := c.GatherPrefix(ctx, view, 0)
+	return run, err
 }
 
-// gatherRuns fetches the sealed runs every worker holds under view, in
-// worker order, behind whatever the round script still holds. The reply
-// is input: every run must have the arity a Join of this cluster gave
-// the view — or, for a view no Join filled, the arity of the others —
-// before anything merges them.
-func (c *Cluster) gatherRuns(ctx context.Context, view string) ([]*relation.Run, error) {
-	reply, err := c.run(ctx, Op{Kind: OpGather, View: view})
+// GatherPrefix is the one gather: the first limit rows of the union of
+// what every worker holds under view, and how many rows that union
+// holds. A zero limit gathers every row, as Gather, and counts the merged
+// run. A positive limit has each worker stream only the first limit rows
+// of its sealed view and report its full row count: the coordinator
+// merges at most p·limit rows, keeps the first limit, and sums the
+// counts. A negative limit gathers no row, only the counts.
+//
+// Under a limit the sum is the union's size, and the first rows of the
+// union lie among the workers' first rows, only when no row is held by
+// two workers. A grid engine's join output is such a view — an answer
+// exists only at the grid point its values hash to, whatever the input
+// repeats — and a view whose workers may overlap is gathered whole.
+func (c *Cluster) GatherPrefix(ctx context.Context, view string, limit int) (*relation.Run, int, error) {
+	span := c.trace.StartSpan(0, "gather", c.round, -1)
+	defer c.trace.EndSpan(span)
+	reply, err := c.gatherRuns(ctx, view, limit)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
+	}
+	merged := relation.Merge(reply.Runs)
+	shipped, held := 0, 0
+	for _, run := range reply.Runs {
+		shipped += run.Len()
+	}
+	for _, n := range reply.Rows {
+		held += n
+	}
+	c.gathered = shipped
+	if c.trace != nil {
+		c.trace.SetSpanLoad(span, int64(shipped), 0)
+		c.trace.SetSpanNote(span, fmt.Sprintf("%d of %d rows shipped", shipped, held))
+	}
+	if limit == 0 {
+		return merged, merged.Len(), nil
+	}
+	return merged.Prefix(limit), held, nil
+}
+
+// gatherRuns fetches the sealed runs every worker holds under view — at
+// most limit rows from each, none for a negative limit — in worker
+// order, behind whatever the round script still holds. The reply is
+// input: every run must have the arity a Join of this cluster gave the
+// view — or, for a view no Join filled, the arity of the others — before
+// anything merges them, and no worker may stream more rows than it was
+// asked for or than it counts.
+func (c *Cluster) gatherRuns(ctx context.Context, view string, limit int) (Reply, error) {
+	reply, err := c.run(ctx, Op{Kind: OpGather, View: view, Limit: limit})
+	if err != nil {
+		return Reply{}, err
 	}
 	want, joined := c.arity[view]
 	delete(c.arity, view)
+	streamed := make([]int, c.cfg.Workers)
 	for i, run := range reply.Runs {
 		if !joined {
 			want, joined = run.Arity(), true
@@ -464,10 +509,28 @@ func (c *Cluster) gatherRuns(ctx context.Context, view string) ([]*relation.Run,
 			if i < len(reply.From) {
 				err = &WorkerError{Worker: reply.From[i], Err: err}
 			}
-			return nil, err
+			return Reply{}, err
+		}
+		if i < len(reply.From) {
+			streamed[reply.From[i]] += run.Len()
 		}
 	}
-	return reply.Runs, nil
+	for w, n := range streamed {
+		counted := 0
+		if w < len(reply.Rows) {
+			counted = reply.Rows[w]
+		}
+		switch {
+		case limit > 0 && n > limit, limit < 0 && n > 0:
+			err = fmt.Errorf("dist: gather of %q with a limit of %d rows answered with %d", view, max(limit, 0), n)
+		case n > counted:
+			err = fmt.Errorf("dist: gather of %q answered with %d rows, the worker counts %d", view, n, counted)
+		default:
+			continue
+		}
+		return Reply{}, &WorkerError{Worker: w, Err: err}
+	}
+	return reply, nil
 }
 
 // Flush sends the round script without gathering anything: the fence of

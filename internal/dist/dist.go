@@ -105,7 +105,9 @@ const (
 	OpBarrier
 	// OpJoin runs the local-evaluation command on every worker.
 	OpJoin
-	// OpGather fetches the sealed runs every worker holds under a view.
+	// OpGather fetches the sealed runs every worker holds under a view —
+	// all of them, or under a row limit a prefix of each worker's — and
+	// each worker's full row count.
 	OpGather
 	// OpDelta ships delta runs: retractions tombstone tuples out of
 	// their store, extensions append (and register the Δ view).
@@ -153,8 +155,11 @@ type Op struct {
 	Deltas     []DeltaDelivery
 	// Join is the command of an OpJoin.
 	Join JoinSpec
-	// View is the store an OpGather reads.
-	View string
+	// View is the store an OpGather reads, Limit how many rows of it each
+	// worker streams: 0 all, k > 0 the first k of its sealed run, a
+	// negative limit none (the worker still counts them).
+	View  string
+	Limit int
 	// Attach lists what an OpAttach binds, every attachment of the round
 	// in the one step.
 	Attach []Attachment
@@ -172,6 +177,10 @@ type Reply struct {
 	// From[i] is the worker Runs[i] came from; a gather reply is input,
 	// and this is who to hold to it.
 	From []int
+	// Rows[w] is how many rows the views worker w gathered hold in full —
+	// what it streamed, or more under a limit; nil when nothing was
+	// gathered.
+	Rows []int
 	// Attached[w][i] is worker w's answer to the i-th attachment; nil for
 	// a worker that failed the script.
 	Attached [][]wire.Attach

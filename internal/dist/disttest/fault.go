@@ -249,8 +249,8 @@ func (ft *FaultTransport) run(ctx context.Context, ops []dist.Op, only int) (rep
 		if liar >= 0 {
 			lie(&r, liar)
 		}
-		if r.Runs != nil {
-			reply.Runs, reply.From = r.Runs, r.From
+		if r.Runs != nil || r.Rows != nil {
+			reply.Runs, reply.From, reply.Rows = r.Runs, r.From, r.Rows
 		}
 		if r.Attached != nil {
 			reply.Attached = r.Attached

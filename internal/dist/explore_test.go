@@ -304,11 +304,12 @@ func (x exploration) explore(t *testing.T, kind string, p int, rng *rand.Rand, k
 	return len(points), resets
 }
 
-// explorations builds the nine execution kinds at p workers and test
+// explorations builds the eleven execution kinds at p workers and test
 // sizes: the three engines, a Datalog fixpoint, a maintainer batch, two
 // executions on one reused session, a maintainer batch on the session a
-// query parked, and a warm operation on resident scatters under the grid
-// and under the skew routing.
+// query parked, a warm operation on resident scatters under the grid
+// and under the skew routing, and the two grid engines gathering only
+// the first rows of their answers.
 func explorations(t *testing.T, p int) []exploration {
 	var xs []exploration
 	for _, eng := range recoveryEngines(t, p) {
@@ -431,7 +432,22 @@ func explorations(t *testing.T, p int) []exploration {
 	xs = append(xs, residentCase{q: mq, db: before, pl: pl, truth: cold}.exploration())
 	resident := residentCases(t, p)[3].exploration()
 	resident.name = "resident-skew"
-	return append(xs, resident)
+	xs = append(xs, resident)
+
+	// Prefix: L4 at ε = 0 on the multiround engine and C3 on one round,
+	// each asked for its first three answers — the workers stream three
+	// rows each at the answer gather and count the rest; what comes back
+	// must be the ground truth's count and first three rows.
+	for _, c := range prefixCases(t, p) {
+		if c.name != "L4/matching" && c.name != "C3/matching" {
+			continue
+		}
+		const limit = 3
+		xs = append(xs, exploration{name: "prefix-" + c.name[:2], truth: firstRows(c.truth, limit), run: func(dial func() dist.Transport, s *disttest.Schedule, rec dist.RecoveryOptions) (outcome, error) {
+			return c.execute(behind(s, dial()), rec, limit)
+		}})
+	}
+	return xs
 }
 
 // lend returns a dial that lends sessions on pool the way dist.Registry
@@ -503,7 +519,7 @@ func (lb parkedLoopback) Close() error {
 	return nil
 }
 
-// TestExplore runs the explorer over the nine execution kinds on both
+// TestExplore runs the explorer over the eleven execution kinds on both
 // transports at p = 4: every point, or under -short one in eight of them,
 // plus six sampled pairs per kind and transport. The seed is logged; a
 // failure names its point, and the exhaustive run is deterministic.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -353,25 +354,51 @@ func TestWorkerRejectsMixedArityRetainedKey(t *testing.T) {
 // TestCoordinatorRejectsHostileRuns: the same table from the other side.
 // A worker that answers a gather with a malformed run fails the gather
 // as that worker's error; the run is not merged into an answer.
+// TestCoordinatorRejectsHostileRuns: the coordinator holds a gather reply
+// to what the worker holds it to — every malformed run of the table — and
+// to what it asked: a worker may stream no more rows than the gather's
+// limit, nor more than the view's row count it reports. Each is refused as
+// that worker's error.
 func TestCoordinatorRejectsHostileRuns(t *testing.T) {
+	type reply struct {
+		name  string
+		run   []byte
+		rows  uint64
+		limit int
+		want  string
+	}
+	var replies []reply
 	for _, h := range hostileRuns {
-		t.Run(h.name, func(t *testing.T) {
+		replies = append(replies, reply{h.name, h.frame("v", ""), 1, 0, h.want})
+	}
+	three := encodeFrames(t, &wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "v",
+		Buf: relation.RunOf(2, []relation.Tuple{{1, 2}, {3, 4}, {5, 6}})}})
+	replies = append(replies,
+		reply{"rows past the limit", three, 3, 2, "limit of 2 rows answered with 3"},
+		reply{"no rows asked for", three, 3, -1, "limit of 0 rows answered with 3"},
+		reply{"count below the rows streamed", three, 2, 5, "answered with 3 rows, the worker counts 2"})
+	for _, r := range replies {
+		t.Run(r.name, func(t *testing.T) {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer ln.Close()
 			faked := make(chan error, 1)
-			go func() { faked <- fakeWorker(ln, h.frame("v", "")) }()
+			go func() { faked <- fakeWorker(ln, r.run, r.rows) }()
 			tr, err := dist.DialTCP(context.Background(), []string{ln.Addr().String()})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer tr.Close()
-			runs, err := gather(context.Background(), tr, "v")
+			cl, err := dist.NewCluster(mpc.Config{Workers: 1, DomainN: 64, InputBits: 1}, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers, count, err := cl.GatherPrefix(context.Background(), "v", r.limit)
 			var we *dist.WorkerError
-			if !errors.As(err, &we) || we.Worker != 0 || !strings.Contains(err.Error(), h.want) {
-				t.Fatalf("gather returned %d runs and %v, want worker 0's error naming %q", len(runs), err, h.want)
+			if !errors.As(err, &we) || we.Worker != 0 || !strings.Contains(err.Error(), r.want) {
+				t.Fatalf("gather returned %d of %d answers and %v, want worker 0's error naming %q", answers.Len(), count, err, r.want)
 			}
 			if err := <-faked; err != nil {
 				t.Fatal(err)
@@ -399,7 +426,7 @@ func TestCoordinatorRejectsMixedArityGather(t *testing.T) {
 		run.Append(make(relation.Tuple, 2+w))
 		run.Seal()
 		data := encodeFrames(t, &wire.Frame{Type: wire.TypeData, Data: wire.Data{Dest: uint32(w), Rel: "v", Buf: run}})
-		go func() { faked <- fakeWorker(ln, data) }()
+		go func() { faked <- fakeWorker(ln, data, 1) }()
 	}
 	tr := dialPool(t, addrs)
 	cl, err := dist.NewCluster(mpc.Config{Workers: 2, DomainN: 64, InputBits: 1}, tr)
@@ -420,8 +447,8 @@ func TestCoordinatorRejectsMixedArityGather(t *testing.T) {
 }
 
 // fakeWorker accepts one session on ln, acks its hello, and answers its
-// first gather with run and a Done counting it.
-func fakeWorker(ln net.Listener, run []byte) error {
+// first gather with run and a Done counting it as one frame of rows rows.
+func fakeWorker(ln net.Listener, run []byte, rows uint64) error {
 	conn, err := ln.Accept()
 	if err != nil {
 		return err
@@ -440,7 +467,7 @@ func fakeWorker(ln net.Listener, run []byte) error {
 	if _, err := conn.Write(run); err != nil {
 		return err
 	}
-	return w.Flush(&wire.Frame{Type: wire.TypeDone, Count: 1})
+	return w.Flush(&wire.Frame{Type: wire.TypeDone, Count: 1, Rows: rows})
 }
 
 // TestWorkerAllocationFollowsArrival: a header is a claim. One declaring
@@ -511,7 +538,8 @@ func TestWorkerAllocationFollowsArrival(t *testing.T) {
 // frame (byte 13, now Attach, whose payload this is not) and its Reset
 // frame (now the first byte past the last type); under the encoding byte
 // version 11 retired, a Data and a Delta frame carrying the arity-2 run
-// 5, 6 as version 10's delta varints.
+// 5, 6 as version 10's delta varints; and version 11's Gather of view R,
+// short of the row limit version 12 added.
 var retiredFrames = []struct {
 	name  string
 	frame []byte
@@ -520,6 +548,7 @@ var retiredFrames = []struct {
 	{"reset", []byte{15, 0, 0, 0, 4, 0, 0, 0, 1}},
 	{"delta-varint data", hostileRun{arity: 2, enc: encDelta, count: 2, body: []byte{5, 1}}.frame("R", "")},
 	{"delta-varint delta", []byte{byte(wire.TypeDelta), 0, 0, 0, 23, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 'R', 0, 0, 0, 0, 2, encDelta, 0, 0, 0, 2, 5, 1}},
+	{"version-11 gather", []byte{byte(wire.TypeGather), 0, 0, 0, 3, 0, 1, 'R'}},
 }
 
 // TestWorkerRefusesRetiredFrames: a frame of an earlier version that
@@ -572,6 +601,43 @@ func TestWorkerHangsUpOnSilentDialer(t *testing.T) {
 	})
 }
 
+// TestWorkerGatherShipsPrefix: a gather under a row limit streams the
+// first rows of the view's one sealed run, and its Done counts every row
+// the view holds — with no limit all of them stream, with a negative one
+// none.
+func TestWorkerGatherShipsPrefix(t *testing.T) {
+	run := relation.RunOf(2, []relation.Tuple{{9, 1}, {1, 2}, {5, 5}, {3, 3}, {1, 1}})
+	s := startSession(t, nil, time.Minute)
+	s.hello(t)
+	replies, served := s.run(t, encodeFrames(t,
+		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Round: 1, Rel: "R", Buf: run}},
+		&wire.Frame{Type: wire.TypeBarrier, Round: 1},
+		&wire.Frame{Type: wire.TypeGather, View: "R", Limit: 2},
+		&wire.Frame{Type: wire.TypeGather, View: "R", Limit: -1},
+		&wire.Frame{Type: wire.TypeGather, View: "R", Limit: 9},
+		&wire.Frame{Type: wire.TypeGather, View: "R"},
+	))
+	if served != nil {
+		t.Fatal(served)
+	}
+	var got []string
+	for _, f := range replies {
+		switch f.Type {
+		case wire.TypeData:
+			got = append(got, fmt.Sprint(f.Data.Buf.Tuples()))
+		case wire.TypeDone:
+			got = append(got, fmt.Sprintf("done %d/%d", f.Count, f.Rows))
+		default:
+			got = append(got, f.Type.String())
+		}
+	}
+	all := fmt.Sprint(run.Tuples())
+	want := []string{"ack", "[[1 1] [1 2]]", "done 1/5", "done 0/5", all, "done 1/5", all, "done 1/5"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("replies %q, want %q", got, want)
+	}
+}
+
 // recordedScript is every kind of frame a coordinator sends after its
 // hello, in the order a round sends them, to worker 0 of 1.
 func recordedScript(t testing.TB) []byte {
@@ -605,8 +671,8 @@ func recordedScript(t testing.TB) []byte {
 		&wire.Frame{Type: wire.TypeJoin, Join: wire.Join{Query: "q(x,y,z) = D(x,y), S(y,z)", View: "dv", Bindings: [][2]string{{"D", "delta!R"}}}},
 		&wire.Frame{Type: wire.TypePing, Round: 7},
 		&wire.Frame{Type: wire.TypeGather, View: "v"},
-		&wire.Frame{Type: wire.TypeGather, View: "S"},
-		&wire.Frame{Type: wire.TypeGather, View: "W"},
+		&wire.Frame{Type: wire.TypeGather, View: "S", Limit: 7},
+		&wire.Frame{Type: wire.TypeGather, View: "W", Limit: -1},
 	)
 }
 
@@ -643,6 +709,15 @@ func FuzzWorkerSession(f *testing.F) {
 	f.Add(binary.BigEndian.AppendUint32([]byte{byte(wire.TypeData)}, wire.MaxPayload-1))
 	f.Add(binary.BigEndian.AppendUint32([]byte{byte(wire.TypeData)}, wire.MaxPayload+1))
 	f.Add(encodeFrames(f, &wire.Frame{Type: wire.TypeHello, Hello: wire.Hello{Version: wire.Version, P: 1}}))
+	// Version 12's gather limits, and a done frame, which only a worker
+	// sends: the session refuses it.
+	f.Add(encodeFrames(f,
+		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", Buf: relation.RunOf(2, []relation.Tuple{{1, 2}, {3, 4}, {5, 6}})}},
+		&wire.Frame{Type: wire.TypeGather, View: "R", Limit: 1},
+		&wire.Frame{Type: wire.TypeGather, View: "R", Limit: -1},
+		&wire.Frame{Type: wire.TypeGather, View: "R", Limit: 1 << 40},
+	))
+	f.Add(append(script[:0:0], append(script, encodeFrames(f, &wire.Frame{Type: wire.TypeDone, Count: 1, Rows: 3})...)...))
 	f.Add(encodeFrames(f, &wire.Frame{Type: wire.TypeEpoch, Round: 3}, &wire.Frame{Type: wire.TypeEpoch, Round: 2}))
 	f.Add(encodeFrames(f, &wire.Frame{Type: wire.TypeJoin, Join: wire.Join{Query: "q(x = R(x", View: "v"}}))
 

@@ -109,7 +109,8 @@ func joinConcurrently(ss []session, f *wire.Frame) error {
 // add records worker w's answer to one frame in a pool of p: an attach
 // answer behind the worker's earlier ones, gathered runs behind every run
 // of the workers up to w — so a worker's runs stay together however many
-// gathers a script holds, as over TCP. Acks and pongs carry only an echo.
+// gathers a script holds, as over TCP — and the rows the gathered view
+// holds onto the worker's count. Acks and pongs carry only an echo.
 func (r *Reply) add(p, w int, answer *wire.Frame, runs []*relation.Run) {
 	switch answer.Type {
 	case wire.TypeAttach:
@@ -118,6 +119,10 @@ func (r *Reply) add(p, w int, answer *wire.Frame, runs []*relation.Run) {
 		}
 		r.Attached[w] = append(r.Attached[w], answer.Attach)
 	case wire.TypeDone:
+		if r.Rows == nil {
+			r.Rows = make([]int, p)
+		}
+		r.Rows[w] += int(answer.Rows)
 		at := len(r.From)
 		for at > 0 && r.From[at-1] > w {
 			at--

@@ -313,7 +313,7 @@ func (op *Op) frames(frames []wire.Frame, w int) []wire.Frame {
 				Key: a.Key, Store: a.Store, Tuples: uint64(a.Tuples[w])}})
 		}
 	case OpGather:
-		frames = append(frames, wire.Frame{Type: wire.TypeGather, View: op.View})
+		frames = append(frames, wire.Frame{Type: wire.TypeGather, View: op.View, Limit: int64(op.Limit)})
 	case OpEpoch:
 		frames = append(frames, wire.Frame{Type: wire.TypeEpoch, Round: uint32(op.Round)})
 	case OpPing:
@@ -348,31 +348,32 @@ func checkDestinations(ops []Op, p int) error {
 }
 
 // readGatherStream consumes one worker's gather reply — Data frames
-// terminated by a Done carrying the run count — and returns the runs.
-// The caller holds wc.mu via roundTrip.
-func (wc *workerConn) readGatherStream(view string) ([]*relation.Run, error) {
+// terminated by a Done carrying the run count and the view's row count —
+// and returns the runs and the row count. The caller holds wc.mu via
+// roundTrip.
+func (wc *workerConn) readGatherStream(view string) ([]*relation.Run, int, error) {
 	var runs []*relation.Run
 	for {
 		f, err := wc.rd.Next()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		switch f.Type {
 		case wire.TypeData:
 			if f.Data.Rel != view {
-				return nil, fmt.Errorf("gather of %q answered with run for %q", view, f.Data.Rel)
+				return nil, 0, fmt.Errorf("gather of %q answered with run for %q", view, f.Data.Rel)
 			}
 			runs = append(runs, f.Data.Buf)
 		case wire.TypeDone:
 			if int(f.Count) != len(runs) {
-				return nil, fmt.Errorf("gather of %q: %d runs streamed, done frame says %d",
+				return nil, 0, fmt.Errorf("gather of %q: %d runs streamed, done frame says %d",
 					view, len(runs), f.Count)
 			}
-			return runs, nil
+			return runs, int(f.Rows), nil
 		case wire.TypeError:
-			return nil, fmt.Errorf("worker error: %s", f.Msg)
+			return nil, 0, fmt.Errorf("worker error: %s", f.Msg)
 		default:
-			return nil, fmt.Errorf("unexpected %s frame in gather stream", f.Type)
+			return nil, 0, fmt.Errorf("unexpected %s frame in gather stream", f.Type)
 		}
 	}
 }
@@ -388,7 +389,7 @@ func (wc *workerConn) readGatherStream(view string) ([]*relation.Run, error) {
 // Acks are tiny, so reading them only after the full write cannot
 // deadlock; a gather reply starts only after the worker consumed the
 // whole script. A slice nothing answers is only written.
-func (wc *workerConn) run(ctx context.Context, ops []Op) (runs []*relation.Run, attached []wire.Attach, err error) {
+func (wc *workerConn) run(ctx context.Context, ops []Op) (runs []*relation.Run, rows int, attached []wire.Attach, err error) {
 	var slice []wire.Frame
 	for i := range ops {
 		slice = ops[i].frames(slice, wc.id)
@@ -398,7 +399,7 @@ func (wc *workerConn) run(ctx context.Context, ops []Op) (runs []*relation.Run, 
 		frames[i] = &slice[i]
 	}
 	if len(frames) == 0 {
-		return nil, nil, nil
+		return nil, 0, nil, nil
 	}
 	err = wc.roundTrip(ctx, func() error {
 		if err := wc.w.Flush(frames...); err != nil {
@@ -426,8 +427,9 @@ func (wc *workerConn) run(ctx context.Context, ops []Op) (runs []*relation.Run, 
 				}
 			case OpGather:
 				var got []*relation.Run
-				got, err = wc.readGatherStream(op.View)
-				runs = append(runs, got...)
+				var n int
+				got, n, err = wc.readGatherStream(op.View)
+				runs, rows = append(runs, got...), rows+n
 			}
 			if err != nil {
 				return err
@@ -436,9 +438,9 @@ func (wc *workerConn) run(ctx context.Context, ops []Op) (runs []*relation.Run, 
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err // half a reply is none
+		return nil, 0, nil, err // half a reply is none
 	}
-	return runs, attached, nil
+	return runs, rows, attached, nil
 }
 
 // errClosed refuses a script on a session that was closed: its
@@ -461,10 +463,11 @@ func (t *TCP) runAll(ctx context.Context, ops []Op) (Reply, error) {
 	if err := checkDestinations(ops, len(t.conns)); err != nil {
 		return Reply{}, err
 	}
-	answered, attaches := false, false
+	answered, attaches, gathers := false, false, false
 	for _, op := range ops {
 		answered = answered || op.Kind.answered()
 		attaches = attaches || op.Kind == OpAttach
+		gathers = gathers || op.Kind == OpGather
 	}
 	if answered {
 		t.exchanges.Add(1)
@@ -473,9 +476,10 @@ func (t *TCP) runAll(ctx context.Context, ops []Op) (Reply, error) {
 		}
 	}
 	perWorker := make([][]*relation.Run, len(t.conns))
+	rows := make([]int, len(t.conns))
 	attached := make([][]wire.Attach, len(t.conns))
 	err := eachWorker(len(t.conns), func(w int) (err error) {
-		perWorker[w], attached[w], err = t.conns[w].run(ctx, ops)
+		perWorker[w], rows[w], attached[w], err = t.conns[w].run(ctx, ops)
 		return err
 	})
 	var reply Reply
@@ -484,6 +488,9 @@ func (t *TCP) runAll(ctx context.Context, ops []Op) (Reply, error) {
 	}
 	if err != nil {
 		return reply, err
+	}
+	if gathers {
+		reply.Rows = rows
 	}
 	for w, rs := range perWorker {
 		for _, run := range rs {
@@ -531,7 +538,7 @@ func (t *TCP) RunOn(ctx context.Context, w int, ops []Op) error {
 	if t.closed.Load() {
 		return errClosed
 	}
-	_, _, err := t.conns[w].run(ctx, ops)
+	_, _, _, err := t.conns[w].run(ctx, ops)
 	if err != nil {
 		t.failed.Store(true)
 	}

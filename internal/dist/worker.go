@@ -238,9 +238,25 @@ func (s *session) handle(f *wire.Frame) (reply wire.Frame, runs []*relation.Run,
 		reply = wire.Frame{Type: wire.TypeAck, Round: f.Round}
 	case wire.TypeGather:
 		runs = s.store.runs(f.View)
-		reply = wire.Frame{Type: wire.TypeDone, Count: uint32(len(runs))}
+		rows := 0
+		for _, run := range runs {
+			rows += run.Len()
+		}
+		if f.Limit != 0 {
+			runs = prefix(runs, f.Limit)
+		}
+		reply = wire.Frame{Type: wire.TypeDone, Count: uint32(len(runs)), Rows: uint64(rows)}
 	default:
 		err = fmt.Errorf("unexpected %s frame", f.Type)
 	}
 	return reply, runs, err
+}
+
+// prefix returns the first limit rows of a store read as at most one
+// sealed run — none for a negative limit — sharing the run's memory.
+func prefix(runs []*relation.Run, limit int64) []*relation.Run {
+	if limit < 0 || len(runs) == 0 {
+		return nil
+	}
+	return []*relation.Run{runs[0].Prefix(int(limit))}
 }

@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"math"
 	"math/big"
+	"math/rand/v2"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/cover"
+	"repro/internal/hypercube"
 	"repro/internal/query"
+	"repro/internal/witness"
 )
 
 func rat(a, b int64) *big.Rat { return big.NewRat(a, b) }
@@ -185,16 +190,99 @@ func TestCC(t *testing.T) {
 	}
 }
 
+// TestWitnessExperiment: E-WIT on both sides of ε = 1/2 (Prop. 3.12).
+// At ε = 1/2 the one round finds every witness that exists. At ε = 0 it
+// shards the chain S1, S2, S3 over a virtual grid of about p² points
+// and materializes p of them: a lone witness is found exactly when its
+// grid point is among those p, at the rate f = p/|grid|. The rate
+// measured over the T lone-witness instances of a run must lie within
+// 4σ of f, σ = √(f(1−f)/T). An instance with more witnesses has more
+// grid points to be found at and only raises the rate, so those are
+// counted apart, and their rate may not fall below f − 4σ of their own.
+// At n = 100, 1,500 instances at p = 64 and 500 at p = 256 hold T = 601
+// and 201 lone witnesses; the test takes about 4 s on two cores, 22 s
+// under -race.
 func TestWitnessExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	rows, err := Witness(&buf, 100, []int{16}, []float64{0.5}, 4, 23)
+	rows, err := Witness(&buf, 100, []int{16, 64, 256}, []float64{0.5}, 4, 23)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 {
+	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	if rows[0].SuccessProb < 0.99 {
-		t.Errorf("at ε=1/2 success = %v, want 1", rows[0].SuccessProb)
+	for _, r := range rows {
+		if r.SuccessProb < 0.99 {
+			t.Errorf("p=%d at ε=1/2: success %v, want 1", r.P, r.SuccessProb)
+		}
 	}
+
+	const n = 100
+	for _, c := range []struct{ p, instances int }{{64, 1500}, {256, 500}} {
+		start := time.Now()
+		grid, err := witnessGrid(c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := float64(c.p) / float64(grid)
+		rng := rand.New(rand.NewPCG(23, uint64(c.p)))
+		var lone, loneFound, multi, multiFound int
+		for i := 0; i < c.instances; i++ {
+			in, err := witness.Generate(rng, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			truth, err := witness.TrueWitnesses(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(truth) == 0 {
+				continue
+			}
+			res, err := witness.RunOneRound(in, c.p, 0, rng.Uint64())
+			if err != nil {
+				t.Fatal(err)
+			}
+			found := 0
+			if res.Found {
+				found = 1
+			}
+			if len(truth) == 1 {
+				lone, loneFound = lone+1, loneFound+found
+			} else {
+				multi, multiFound = multi+1, multiFound+found
+			}
+		}
+		sigma := func(T int) float64 { return math.Sqrt(f * (1 - f) / float64(T)) }
+		rate, multiRate := float64(loneFound)/float64(lone), float64(multiFound)/float64(multi)
+		t.Logf("p=%d at ε=0: |grid| %d, f = %.4f; %d of T = %d lone witnesses found (%.4f ± 4σ = %.4f); %d of %d multi-witness instances (%.4f); %v",
+			c.p, grid, f, loneFound, lone, rate, 4*sigma(lone), multiFound, multi, multiRate, time.Since(start).Round(time.Millisecond))
+		if math.Abs(rate-f) > 4*sigma(lone) {
+			t.Errorf("p=%d at ε=0: lone witnesses found at rate %.4f, want %.4f within 4σ = %.4f", c.p, rate, f, 4*sigma(lone))
+		}
+		if multiRate < f-4*sigma(multi) {
+			t.Errorf("p=%d at ε=0: multi-witness instances found at rate %.4f, below %.4f − 4σ = %.4f", c.p, multiRate, f, 4*sigma(multi))
+		}
+	}
+}
+
+// witnessGrid is the size of the virtual grid the one-round witness
+// algorithm shards the chain over at ε = 0 on p servers: shares from the
+// exponents (1 − ε)·v of the chain's vertex cover, as RunOneRound
+// computes them.
+func witnessGrid(p int) (int, error) {
+	chain := witness.ChainSubquery()
+	cr, err := cover.Solve(chain)
+	if err != nil {
+		return 0, err
+	}
+	exps := make([]float64, chain.NumVars())
+	for i, v := range cr.VertexCover {
+		exps[i], _ = v.Float64()
+	}
+	shares, err := hypercube.ComputeShares(chain.Vars(), exps, p, hypercube.GreedyRounding)
+	if err != nil {
+		return 0, err
+	}
+	return shares.GridSize(), nil
 }

@@ -385,8 +385,11 @@ func (o Options) open(p int, db *relation.Database) (*dist.Cluster, context.Cont
 // Result reports a HyperCube execution.
 type Result struct {
 	// Answers is the union of the tuples output by all servers, as the
-	// one sealed run the gather merged (nil when empty).
+	// one sealed run the gather merged (nil when empty) — under a limit,
+	// its first rows only.
 	Answers *relation.Run
+	// Count is how many rows the union holds, Answers or not.
+	Count int
 	dist.Outcome
 	// Shares is the grid geometry used.
 	Shares *Shares
@@ -405,13 +408,15 @@ func Run(q *query.Query, db *relation.Database, p int, opts Options) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	return runWithShares(q, db, p, shares, opts, nil)
+	return runWithShares(q, db, p, shares, opts, nil, 0)
 }
 
-// RunWithShares is Run with caller-provided shares (used by tests and
-// by the multiround executor, which computes shares per plan operator).
-func RunWithShares(q *query.Query, db *relation.Database, p int, shares *Shares, opts Options) (*Result, error) {
-	return runWithShares(q, db, p, shares, opts, nil)
+// RunWithShares is Run with caller-provided shares (the planner's, or a
+// test's) that gathers only the first limit rows of the answer, as
+// dist.Cluster.GatherPrefix does: 0 all of them, a negative limit none.
+// Result.Count counts every answer either way.
+func RunWithShares(q *query.Query, db *relation.Database, p int, shares *Shares, opts Options, limit int) (*Result, error) {
+	return runWithShares(q, db, p, shares, opts, nil, limit)
 }
 
 // RunSampled executes the Proposition 3.11 algorithm: shares use the
@@ -447,7 +452,7 @@ func RunSampled(q *query.Query, db *relation.Database, p int, opts Options) (*Re
 			chosen[perm[srv]] = srv
 		}
 	}
-	return runWithShares(q, db, p, shares, opts, chosen)
+	return runWithShares(q, db, p, shares, opts, chosen, 0)
 }
 
 // AnswersView is the reserved store name per-worker outputs of Round
@@ -457,8 +462,8 @@ const AnswersView = "hc!answers"
 
 // runWithShares is the shared core. sample, when non-nil, maps
 // materialized grid points to servers; nil materializes the whole grid
-// (which must then fit in p).
-func runWithShares(q *query.Query, db *relation.Database, p int, shares *Shares, opts Options, sample map[int]int) (*Result, error) {
+// (which must then fit in p). limit is the answer rows gathered.
+func runWithShares(q *query.Query, db *relation.Database, p int, shares *Shares, opts Options, sample map[int]int, limit int) (*Result, error) {
 	if sample == nil && shares.GridSize() > p {
 		return nil, fmt.Errorf("hypercube: grid size %d exceeds %d servers", shares.GridSize(), p)
 	}
@@ -473,8 +478,11 @@ func runWithShares(q *query.Query, db *relation.Database, p int, shares *Shares,
 	if err != nil {
 		return nil, err
 	}
-	// The sorted per-worker outputs k-way merge in the gather.
-	merged, err := cluster.Gather(ctx, AnswersView)
+	// The sorted per-worker outputs k-way merge in the gather. Every
+	// server outputs only answers that hash to its own grid point (a
+	// sampled one included), so the outputs are disjoint and a prefix
+	// gather counts and orders them right.
+	merged, count, err := cluster.GatherPrefix(ctx, AnswersView, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -485,6 +493,7 @@ func runWithShares(q *query.Query, db *relation.Database, p int, shares *Shares,
 	}
 	return &Result{
 		Answers:    merged,
+		Count:      count,
 		Outcome:    cluster.Outcome(),
 		Shares:     shares,
 		ReceiveCap: cluster.Config().ReceiveCap(),

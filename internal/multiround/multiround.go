@@ -238,6 +238,14 @@ type Options struct {
 	// type and bench/probes.go, which this PR may not edit, sets it;
 	// ROADMAP item 2 deletes it.
 	Pipeline bool
+	// AnswerLimit is how many rows of the answer reach the coordinator:
+	// 0 all of them, k > 0 the first k in the answer's order, a negative
+	// limit none. Result.Count counts every answer either way. The grid
+	// engines honor it — HyperCube's one round, and this engine's last
+	// round when its view is already in the query's variable order — by
+	// leaving the rest on the workers; where the rows must be re-sorted
+	// or folded first, everything is gathered.
+	AnswerLimit int
 }
 
 // env bundles the options' execution environment for dist.Open.
@@ -248,8 +256,11 @@ func (o Options) env() dist.Env {
 // Result reports a plan execution.
 type Result struct {
 	// Answers is the final answer, in the original query's variable
-	// order, as one sealed, deduplicated run (nil when empty).
+	// order, as one sealed, deduplicated run (nil when empty) — its first
+	// rows only, when AnswerLimit cut it short.
 	Answers *relation.Run
+	// Count is how many rows the final answer holds, Answers or not.
+	Count int
 	// Rounds is the number of communication rounds used.
 	Rounds int
 	dist.Outcome
@@ -291,11 +302,11 @@ func Execute(plan *Plan, db *relation.Database, p int, opts Options) (*Result, e
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Answers: answers, Outcome: cluster.Outcome()}, nil
+		return &Result{Answers: answers, Count: answers.Len(), Outcome: cluster.Outcome()}, nil
 	}
 	seedCounter := opts.Seed
 
-	for _, step := range plan.Steps {
+	for i, step := range plan.Steps {
 		// Map each group's atoms (names in step.Current) to relations.
 		type pending struct {
 			group  Group
@@ -344,13 +355,19 @@ func Execute(plan *Plan, db *relation.Database, p int, opts Options) (*Result, e
 			if err := cluster.EndRound(ctx); err != nil && !errors.Is(err, mpc.ErrCapExceeded) {
 				return nil, err
 			}
-			// Local joins: gather each view as one sealed run.
+			// Local joins: gather each view as one sealed run — the final
+			// view, when it needs no re-sorting, only as far as the answer
+			// limit.
 			for _, w := range work {
-				run, err := gatherView(ctx, cluster, w.group)
+				limit := 0
+				if i == len(plan.Steps)-1 && slices.Equal(w.group.Query.Vars(), plan.Query.Vars()) {
+					limit = opts.AnswerLimit
+				}
+				run, rows, err := gatherView(ctx, cluster, w.group, limit)
 				if err != nil {
 					return nil, err
 				}
-				env[w.group.View] = source{attrs: w.group.Query.Vars(), run: run}
+				env[w.group.View] = source{attrs: w.group.Query.Vars(), run: run, rows: rows}
 			}
 		}
 		// Passthrough renames: sources are read-only, so the view shares
@@ -381,6 +398,7 @@ func Execute(plan *Plan, db *relation.Database, p int, opts Options) (*Result, e
 	}
 	return &Result{
 		Answers: answers,
+		Count:   final.rows,
 		Rounds:  cluster.Stats().NumRounds(),
 		Outcome: cluster.Outcome(),
 	}, nil
@@ -389,18 +407,22 @@ func Execute(plan *Plan, db *relation.Database, p int, opts Options) (*Result, e
 // source is one entry of the executor's environment: the schema of an
 // atom plus its data, either a base relation (rel) or a view gathered
 // from an earlier round and kept as a sealed run (rel nil; a nil run is
-// an empty view).
+// an empty view) with the rows the view holds — more than the run's when
+// the gather was cut short.
 type source struct {
 	attrs []string
 	rel   *relation.Relation
 	run   *relation.Run
+	rows  int
 }
 
 // gatherView joins one group's inputs at the workers and gathers the
-// results as one sealed run over the group query's variables: the
+// results as one sealed run over the group query's variables, its first
+// limit rows only when limit is not 0, and the rows the view holds: the
 // workers join concurrently (local computation is free in the model)
-// and their sorted outputs k-way merge in the gather.
-func gatherView(ctx context.Context, cluster *dist.Cluster, g Group) (*relation.Run, error) {
+// and their sorted outputs k-way merge in the gather. A view is one
+// HyperCube round's join, so its workers' outputs are disjoint.
+func gatherView(ctx context.Context, cluster *dist.Cluster, g Group, limit int) (*relation.Run, int, error) {
 	prefix := g.View + "/"
 	bindings := make(map[string]string, len(g.Query.Atoms))
 	for _, atom := range g.Query.Atoms {
@@ -410,9 +432,9 @@ func gatherView(ctx context.Context, cluster *dist.Cluster, g Group) (*relation.
 	// and the "view/atom" input keys.
 	store := g.View + "!out"
 	if err := cluster.Join(ctx, g.Query, bindings, store, 0); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return cluster.Gather(ctx, store)
+	return cluster.GatherPrefix(ctx, store, limit)
 }
 
 // reorder returns the final view in the requested variable order (the

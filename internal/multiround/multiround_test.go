@@ -306,3 +306,44 @@ func TestReorder(t *testing.T) {
 		}
 	}
 }
+
+// TestAnswerLimitOnlyInQueryOrder: the last round's view is gathered
+// only as far as AnswerLimit when it is already in the query's variable
+// order — L4, whose last view joins (x1,x2,x3) with (x3,x4,x5). The tree
+// below has a last view over (a,b,d,c,e,f), which must be re-sorted into
+// (a,b,c,d,e,f) before its first rows mean anything: it is gathered
+// whole. Either way the count is the ground truth's, and the first rows
+// of the answer are its first rows.
+func TestAnswerLimitOnlyInQueryOrder(t *testing.T) {
+	const p, limit = 8, 3
+	tree, err := query.Parse("q(a,b,c,d,e,f) = A(a,b), B(c,d), C(b,d), D(e,c), E(c,f)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		q       *query.Query
+		limited bool
+	}{{query.Chain(4), true}, {tree, false}} {
+		db := relation.MatchingDatabase(rand.New(rand.NewPCG(3, 3)), c.q, 200)
+		truth := groundTruth(t, c.q, db)
+		plan, err := Build(c.q, rat(0, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Execute(plan, db, p, Options{Seed: 42, AnswerLimit: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.Answers.Tuples()
+		if res.Count != len(truth) || len(got) < limit {
+			t.Fatalf("%s: count %d, %d rows; want %d and at least %d", c.q.Name, res.Count, len(got), len(truth), limit)
+		}
+		assertSameTuples(t, got[:limit], truth[:limit])
+		if c.limited && (len(got) != limit || res.Gathered > p*limit) {
+			t.Fatalf("%s: %d rows, %d gathered; want %d of at most %d", c.q.Name, len(got), res.Gathered, limit, p*limit)
+		}
+		if !c.limited && (len(got) != len(truth) || res.Gathered < len(truth)) {
+			t.Fatalf("%s: %d rows, %d gathered; want all %d", c.q.Name, len(got), res.Gathered, len(truth))
+		}
+	}
+}

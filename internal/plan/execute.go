@@ -12,8 +12,9 @@ import (
 )
 
 // ExecOptions configures Plan.ExecuteRun: the hash seed, the
-// receive-cap constant and the execution environment (worker pool,
-// context, recovery policy, trace, snapshot).
+// receive-cap constant, the execution environment (worker pool,
+// context, recovery policy, trace, snapshot) and how many answer rows
+// to gather (AnswerLimit; the zero value gathers all of them).
 // It is the multiround engine's option set — the planner adds nothing
 // to it, and hands it to that engine as is.
 type ExecOptions = multiround.Options
@@ -22,8 +23,12 @@ type ExecOptions = multiround.Options
 type Result struct {
 	// Run is the answer in OutputVars() order as one sealed,
 	// deduplicated run (nil when empty): the run the engine gathered,
-	// folded into one row per group under WithAggregate.
+	// folded into one row per group under WithAggregate — under
+	// ExecOptions.AnswerLimit, perhaps only its first rows.
 	Run *relation.Run
+	// Count is how many rows the answer holds: Run's, or more when the
+	// engine left the rest of them on the workers.
+	Count int
 	// Answers is Run materialized as tuples; only Execute fills it.
 	Answers []relation.Tuple
 	// Engine is the strategy that actually ran.
@@ -37,8 +42,10 @@ type Result struct {
 }
 
 // Execute is ExecuteRun with the answer also materialized as tuples in
-// Result.Answers, for callers that want a slice.
+// Result.Answers, for callers that want a slice: all of them, whatever
+// opts.AnswerLimit says.
 func (p *Plan) Execute(db *relation.Database, opts ExecOptions) (*Result, error) {
+	opts.AnswerLimit = 0
 	res, err := p.ExecuteRun(db, opts)
 	if err == nil {
 		res.Answers = res.Run.Tuples()
@@ -50,7 +57,10 @@ func (p *Plan) Execute(db *relation.Database, opts ExecOptions) (*Result, error)
 // columnar exchange layer and returns the answer as the run the engine
 // gathered, in the original query's variable order — or, under
 // WithAggregate, that run folded once into grouped aggregates, whichever
-// engine ran.
+// engine ran. A grid engine gathers only the first opts.AnswerLimit
+// rows and counts the rest where they are; the skew engine, whose
+// workers' outputs overlap, and a fold, which needs every row, gather
+// them all.
 //
 // ExecuteRun is safe for concurrent use: it treats both the plan and db
 // as read-only and allocates per-call state (cluster, hash functions,
@@ -59,6 +69,9 @@ func (p *Plan) Execute(db *relation.Database, opts ExecOptions) (*Result, error)
 func (p *Plan) ExecuteRun(db *relation.Database, opts ExecOptions) (*Result, error) {
 	var res *Result
 	var err error
+	if p.Aggregate != nil {
+		opts.AnswerLimit = 0
+	}
 	switch p.Engine {
 	case OneRound:
 		res, err = p.executeOneRound(db, opts)
@@ -74,6 +87,7 @@ func (p *Plan) ExecuteRun(db *relation.Database, opts ExecOptions) (*Result, err
 	}
 	if p.Aggregate != nil {
 		res.Run = relation.Fold(res.Run, *p.Aggregate)
+		res.Count = res.Run.Len()
 	}
 	return res, nil
 }
@@ -89,11 +103,11 @@ func (p *Plan) executeOneRound(db *relation.Database, opts ExecOptions) (*Result
 		Recovery:    opts.Recovery,
 		Trace:       opts.Trace,
 		Snapshot:    opts.Snapshot,
-	})
+	}, opts.AnswerLimit)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Run: res.Answers, Engine: OneRound, Rounds: res.Stats.NumRounds(), Outcome: res.Outcome, Shares: res.Shares}, nil
+	return &Result{Run: res.Answers, Count: res.Count, Engine: OneRound, Rounds: res.Stats.NumRounds(), Outcome: res.Outcome, Shares: res.Shares}, nil
 }
 
 func (p *Plan) executeMultiRound(db *relation.Database, opts ExecOptions) (*Result, error) {
@@ -104,7 +118,7 @@ func (p *Plan) executeMultiRound(db *relation.Database, opts ExecOptions) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Run: res.Answers, Engine: MultiRound, Rounds: res.Rounds, Outcome: res.Outcome}, nil
+	return &Result{Run: res.Answers, Count: res.Count, Engine: MultiRound, Rounds: res.Rounds, Outcome: res.Outcome}, nil
 }
 
 // executeSkewJoin runs the resilient heavy-hitter discipline on the
@@ -140,7 +154,7 @@ func (p *Plan) executeSkewJoin(db *relation.Database, opts ExecOptions) (*Result
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Run: res.Answers, Engine: SkewJoin, Rounds: res.Stats.NumRounds(), Outcome: res.Outcome}, nil
+	return &Result{Run: res.Answers, Count: res.Answers.Len(), Engine: SkewJoin, Rounds: res.Stats.NumRounds(), Outcome: res.Outcome}, nil
 }
 
 // WithShares returns a copy of the plan forced onto the one-round

@@ -309,7 +309,7 @@ func TestPlannerEquivalenceVsHandPickedShares(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := hypercube.RunWithShares(q, db, p, hand, hypercube.Options{Seed: 5})
+			ref, err := hypercube.RunWithShares(q, db, p, hand, hypercube.Options{Seed: 5}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -301,6 +301,25 @@ func (b *Run) Dedup() *Run {
 	return b
 }
 
+// Prefix returns the sealed run's first k rows as a sealed run sharing
+// its memory — a sealed run is immutable, so nothing is copied; the run
+// itself when it holds no more than k, nil when k ≤ 0.
+func (b *Run) Prefix(k int) *Run {
+	if k <= 0 {
+		return nil
+	}
+	if k >= b.Len() {
+		return b
+	}
+	if !b.sealed {
+		panic("relation: prefix of an unsealed run")
+	}
+	if b.packed {
+		return &Run{arity: b.arity, shift: b.shift, words: b.words[:k:k], packed: true, sealed: true}
+	}
+	return &Run{arity: b.arity, flat: b.flat[: k*b.arity : k*b.arity], sealed: true}
+}
+
 // AppendTuples materializes the run's tuples onto dst. Every call
 // allocates fresh backing storage, so callers receive stable views:
 // mutating the returned tuples, or appending to one, cannot corrupt the

@@ -267,3 +267,29 @@ func TestRunMaxValueIsRemembered(t *testing.T) {
 		}
 	}
 }
+
+// TestRunPrefix: a prefix of a sealed run is its first k rows, sealed,
+// on the run's own memory — on both layouts, and at every edge of k.
+func TestRunPrefix(t *testing.T) {
+	packed := RunOf(2, []Tuple{{5, 1}, {1, 2}, {3, 3}, {1, 2}, {9, 0}})
+	flat := RunOf(2, []Tuple{{1 << 40, 1}, {2, 2}, {3, 1 << 41}, {2, 2}})
+	for _, run := range []*Run{packed, flat} {
+		all := run.Tuples()
+		for _, k := range []int{-1, 0, 1, run.Len() - 1, run.Len(), run.Len() + 5} {
+			got := run.Prefix(k)
+			want := all[:min(max(k, 0), len(all))]
+			if !slices.EqualFunc(got.Tuples(), want, Tuple.Equal) || got.Len() != len(want) {
+				t.Fatalf("packed=%v k=%d: prefix %v, want %v", run.packed, k, got.Tuples(), want)
+			}
+			if got == nil {
+				continue
+			}
+			if !got.Sealed() || got.Arity() != run.Arity() {
+				t.Fatalf("packed=%v k=%d: sealed %v arity %d", run.packed, k, got.Sealed(), got.Arity())
+			}
+			if run.packed && &got.words[0] != &run.words[0] || !run.packed && &got.flat[0] != &run.flat[0] {
+				t.Fatalf("packed=%v k=%d: the prefix copied the run", run.packed, k)
+			}
+		}
+	}
+}

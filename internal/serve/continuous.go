@@ -402,7 +402,7 @@ func (s *Server) handleContinuousOne(w http.ResponseWriter, r *http.Request) {
 		}
 		cq.mu.Lock()
 		resp := ContinuousAnswers{ContinuousInfo: cq.infoLocked(s.datasetVersion(cq.dataset)), Vars: cq.q.Vars()}
-		resp.Answers = s.truncate(cq.m.Answers(), 0)
+		resp.Answers = s.truncate(cq.m.Answers(), s.cfg.MaxAnswers)
 		cq.mu.Unlock()
 		resp.Truncated = len(resp.Answers) < resp.AnswerCount
 		s.metrics.ContinuousReads.Add(1)

@@ -12,9 +12,7 @@ import (
 
 	"repro/internal/datalog"
 	"repro/internal/dist"
-	"repro/internal/mpc"
 	"repro/internal/plan"
-	"repro/internal/relation"
 	"repro/internal/trace"
 )
 
@@ -59,7 +57,7 @@ func (s *Server) resolveProgram(req QueryRequest) (*job, error) {
 			Engine:  "datalog",
 			Explain: prog.Describe(),
 		},
-		run: func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) (*relation.Run, *mpc.Stats, error) {
+		run: func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) (answer, error) {
 			opts := datalog.Options{P: p, Epsilon: eps, CapConstant: s.cfg.CapFactor, Seed: seed, Context: ctx, Trace: tc}
 			opts.Plan = func(rule int, build func() (*plan.Plan, error)) (*plan.Plan, error) {
 				key := programPlanKey(text, rule, ds.Name, sn.Version, p, eps)
@@ -86,14 +84,17 @@ func (s *Server) resolveProgram(req QueryRequest) (*job, error) {
 			res, err := datalog.Eval(prog, sn.DB, opts)
 			var he *httpError
 			if errors.As(err, &he) {
-				return nil, nil, he
+				return answer{}, he
 			}
 			if err != nil {
-				return nil, nil, errorf(http.StatusUnprocessableEntity, "evaluation failed: %v", err)
+				return answer{}, errorf(http.StatusUnprocessableEntity, "evaluation failed: %v", err)
 			}
 			reply.Vars, reply.Iterations = res.Vars, res.Iterations
 			reply.CapExceeded, reply.WorkerReplacements = res.CapExceeded, res.Replacements
-			return res.Answers, res.Stats, nil
+			// The closure is held on the coordinator (ROADMAP item 2): every
+			// row of the answer was gathered to it.
+			n := res.Answers.Len()
+			return answer{run: res.Answers, count: n, gathered: n, stats: res.Stats}, nil
 		},
 	}, nil
 }

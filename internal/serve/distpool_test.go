@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand/v2"
 	"net"
@@ -782,4 +783,87 @@ func TestWorkerPoolContinuous(t *testing.T) {
 			t.Fatalf("%d pool members repaired, want %d", got, deaths)
 		}
 	})
+}
+
+// TestWorkerPoolGathersOnlyTheReply: on a pool of four workers an L4
+// query at ε = 0 asked for five answers ships at most 4·5 answer rows to
+// the coordinator (a budget constant of 1.5 keeps the one-round load,
+// which meets the default budget exactly at p = 4, out of the plan, so
+// the multiround engine's last round is what gathers) — mpcserve_answer_rows_gathered_total and the answer
+// gather's span both say how many — while answerCount is every answer
+// and the five rows are the ground truth's first. A query asking for the
+// count alone ships none. A Datalog program, whose answer the
+// coordinator holds, and a continuous query's maintainer still gather
+// every row.
+func TestWorkerPoolGathersOnlyTheReply(t *testing.T) {
+	const n = 2000
+	addrs := startWorkerPool(t, 4)
+	srv, ts := newTestServer(t, serve.Config{WorkerAddrs: addrs, CapFactor: 1.5}, 200)
+	db, err := serve.Generate(serve.GeneratorSpec{Family: "L4", N: n, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Registry().Add("chain", db); err != nil {
+		t.Fatal(err)
+	}
+	truth, err := core.GroundTruth(query.Chain(4), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gathered := func() int64 { return srv.Metrics().AnswerRowsGathered.Load() }
+
+	before := gathered()
+	out, _ := postQuery(t, ts.URL, serve.QueryRequest{Dataset: "chain", Family: "L4", Epsilon: "0", MaxAnswers: 5})
+	shipped := gathered() - before
+	if out.Engine != plan.MultiRound.String() || out.AnswerCount != n || len(truth) != n {
+		t.Fatalf("engine %q, answerCount %d, ground truth %d; want %q and %d", out.Engine, out.AnswerCount, len(truth), plan.MultiRound, n)
+	}
+	if !answersMatch(out.Answers, truth[:5]) || !out.Truncated {
+		t.Fatalf("answers %v (truncated %v), want the ground truth's first five %v", out.Answers, out.Truncated, truth[:5])
+	}
+	if shipped < 5 || shipped > 4*5 {
+		t.Fatalf("the answer gather shipped %d rows, want 5 to 20", shipped)
+	}
+	var tr trace.Trace
+	if code := getJSON(t, ts.URL+"/trace/"+out.QueryID, &tr); code != http.StatusOK {
+		t.Fatalf("GET /trace/%s: status %d", out.QueryID, code)
+	}
+	var last *trace.Span
+	for _, s := range tr.Spans {
+		if s.Name == "gather" {
+			last = s
+		}
+	}
+	if want := fmt.Sprintf("%d of %d rows shipped", shipped, n); last == nil || last.LoadTuples != shipped || last.Note != want {
+		t.Fatalf("the answer gather's span is %+v, want %d rows and the note %q", last, shipped, want)
+	}
+
+	before = gathered()
+	out, _ = postQuery(t, ts.URL, serve.QueryRequest{Dataset: "chain", Family: "L4", Epsilon: "0", MaxAnswers: -1})
+	if out.AnswerCount != n || len(out.Answers) != 0 || gathered() != before {
+		t.Fatalf("count only: answerCount %d, %d answers, %d rows gathered; want %d, 0, 0", out.AnswerCount, len(out.Answers), gathered()-before, n)
+	}
+
+	before = gathered()
+	out, _ = postQuery(t, ts.URL, serve.QueryRequest{Dataset: "chain", Program: "p(a, b) :- S1(a, b), S2(b, c). ?- p(a, b).", MaxAnswers: 1})
+	if out.AnswerCount != n || len(out.Answers) != 1 || gathered()-before != n {
+		t.Fatalf("program: answerCount %d, %d answers, %d rows gathered; want %d, 1, %d", out.AnswerCount, len(out.Answers), gathered()-before, n, n)
+	}
+
+	if code := postJSON(t, ts.URL+"/continuous", serve.ContinuousRequest{Name: "chain-live", Dataset: "chain", Query: "q(a, b, c) = S1(a, b), S2(b, c)"}, nil); code != http.StatusCreated {
+		t.Fatalf("register: status %d", code)
+	}
+	var ans serve.ContinuousAnswers
+	if code := getJSON(t, ts.URL+"/continuous/chain-live", &ans); code != http.StatusOK || ans.AnswerCount != n {
+		t.Fatalf("continuous: status %d, answerCount %d, want %d", code, ans.AnswerCount, n)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := fmt.Sprintf("mpcserve_answer_rows_gathered_total %d\n", gathered()); !strings.Contains(string(prom), want) {
+		t.Fatalf("/metrics lacks %q", want)
+	}
 }

@@ -38,6 +38,11 @@ type Metrics struct {
 	// AnswersReturned counts answer tuples shipped to clients (after
 	// per-response truncation).
 	AnswersReturned atomic.Int64
+	// AnswerRowsGathered counts the answer rows the coordinator gathered
+	// from the workers for the replies it served: what a query's answer
+	// gather shipped — on a grid engine at most p times the rows the
+	// reply returns — or a program's whole answer.
+	AnswerRowsGathered atomic.Int64
 	// ShuffleBits is the total number of bits received by workers
 	// across all executed queries, as accounted by the coordinator.
 	ShuffleBits atomic.Int64
@@ -155,6 +160,7 @@ func (m *Metrics) WriteProm(w io.Writer, pool dist.Usage) {
 	counter("mpcserve_stats_cache_hits_total", "Plan builds that reused memoized dataset statistics.", m.StatsCacheHits.Load())
 	counter("mpcserve_stats_cache_misses_total", "Plan builds that collected dataset statistics.", m.StatsCacheMisses.Load())
 	counter("mpcserve_answers_returned_total", "Answer tuples returned to clients.", m.AnswersReturned.Load())
+	counter("mpcserve_answer_rows_gathered_total", "Answer rows gathered from the workers for the replies served.", m.AnswerRowsGathered.Load())
 	counter("mpcserve_shuffle_bits_total", "Bits received by workers across all queries.", m.ShuffleBits.Load())
 	counter("mpcserve_distributed_queries_total", "Executions dispatched to the remote TCP worker pool.", m.DistributedQueries.Load())
 	counter("mpcserve_worker_replacements_total", "Workers replaced mid-query by the recovery policy.", m.WorkerReplacements.Load())

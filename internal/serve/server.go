@@ -457,10 +457,20 @@ type job struct {
 	// query text, p, engine, plan identity, EXPLAIN, output schema.
 	reply QueryResponse
 	// run executes the job under ctx with the given seed, recording on
-	// tc, and returns the full answer as one sealed run and the
-	// communication record; it fills in the reply fields only an
+	// tc, and returns its answer; it fills in the reply fields only an
 	// execution knows.
-	run func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) (*relation.Run, *mpc.Stats, error)
+	run func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) (answer, error)
+}
+
+// answer is what an execution hands the reply: the answer as one sealed
+// run — every row, or at least the first the request asked for — how many
+// rows the answer holds, how many rows its gather shipped to the
+// coordinator, and the communication record.
+type answer struct {
+	run      *relation.Run
+	count    int
+	gathered int
+	stats    *mpc.Stats
 }
 
 // resolveQuery resolves a conjunctive request: parse, bind to one
@@ -487,6 +497,7 @@ func (s *Server) resolveQuery(req QueryRequest) (*job, error) {
 	// fingerprint — a delta bumps the version, so stale-statistics
 	// plans age out of the cache by key instead of by invalidation.
 	opts := plan.Options{P: p, Epsilon: eps, CapFactor: s.cfg.CapFactor}
+	limit := s.answerLimit(req.MaxAnswers)
 	key := plan.CacheKey{Query: q, Dataset: ds.Name, Version: sn.Version, Opts: opts}.Fingerprint()
 	pl, planCached := s.cache.Get(key)
 	statsCached := ds.statsSeen.Load()
@@ -524,12 +535,14 @@ func (s *Server) resolveQuery(req QueryRequest) (*job, error) {
 			Explain:     pl.Explain(),
 			Vars:        q.Vars(),
 		},
-		run: func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) (*relation.Run, *mpc.Stats, error) {
+		run: func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) (answer, error) {
 			tr, rec, err := s.borrow(ctx)
 			if err != nil {
-				return nil, nil, err
+				return answer{}, err
 			}
-			execOpts := plan.ExecOptions{Seed: seed, Context: ctx, Trace: tc, CapConstant: s.cfg.CapFactor, Transport: tr, Recovery: rec}
+			// The reply's rows are all the coordinator gathers: a grid
+			// engine leaves the rest on the workers and counts them there.
+			execOpts := plan.ExecOptions{Seed: seed, Context: ctx, Trace: tc, CapConstant: s.cfg.CapFactor, Transport: tr, Recovery: rec, AnswerLimit: limit}
 			if tr != nil {
 				defer tr.Close()
 				// Its identity lets workers attach to what they kept of it.
@@ -539,10 +552,10 @@ func (s *Server) resolveQuery(req QueryRequest) (*job, error) {
 			}
 			res, err := pl.ExecuteRun(view, execOpts)
 			if err != nil {
-				return nil, nil, errorf(http.StatusInternalServerError, "execution failed: %v", err)
+				return answer{}, errorf(http.StatusInternalServerError, "execution failed: %v", err)
 			}
 			reply.CapExceeded, reply.WorkerReplacements = res.CapExceeded, res.Replacements
-			return res.Run, res.Stats, nil
+			return answer{run: res.Run, count: res.Count, gathered: res.Gathered, stats: res.Stats}, nil
 		},
 	}, nil
 }
@@ -578,14 +591,19 @@ func (s *Server) admit(ctx context.Context, ten *Tenant, cost int64) (release fu
 	}, nil
 }
 
-// truncate returns the first limit rows of the answer run in the JSON
-// reply's shape, decoding only those; a zero limit selects the service
-// default, a negative one returns none (the caller still reports the
-// full count).
-func (s *Server) truncate(answers *relation.Run, limit int) [][]int {
-	if limit == 0 {
-		limit = s.cfg.MaxAnswers
+// answerLimit resolves a request's maxAnswers: 0 selects the service
+// default, a negative one asks for the count alone.
+func (s *Server) answerLimit(maxAnswers int) int {
+	if maxAnswers == 0 {
+		return s.cfg.MaxAnswers
 	}
+	return maxAnswers
+}
+
+// truncate returns the first limit rows of the answer run in the JSON
+// reply's shape, decoding only those; a negative limit returns none (the
+// caller still reports the full count).
+func (s *Server) truncate(answers *relation.Run, limit int) [][]int {
 	n := min(max(limit, 0), answers.Len())
 	out := make([][]int, n)
 	if n > 0 {
@@ -664,7 +682,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		seed = 1
 	}
 	start := time.Now()
-	answers, stats, err := j.run(r.Context(), seed, tc, &reply)
+	ans, err := j.run(r.Context(), seed, tc, &reply)
 	elapsed := time.Since(start)
 	release()
 	if err != nil {
@@ -680,22 +698,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	tc.Replacements = reply.WorkerReplacements
 	tc.Finish()
 	s.metrics.QueriesServed.Add(1)
-	s.metrics.RecordExecution(stats)
+	s.metrics.RecordExecution(ans.stats)
 	s.metrics.WorkerReplacements.Add(int64(reply.WorkerReplacements))
 
-	reply.Answers = s.truncate(answers, req.MaxAnswers)
+	reply.Answers = s.truncate(ans.run, s.answerLimit(req.MaxAnswers))
 	s.metrics.AnswersReturned.Add(int64(len(reply.Answers)))
+	s.metrics.AnswerRowsGathered.Add(int64(ans.gathered))
 	if ten != nil {
 		ten.QueriesServed.Add(1)
 		ten.AnswersReturned.Add(int64(len(reply.Answers)))
 	}
-	reply.AnswerCount = answers.Len()
+	reply.AnswerCount = ans.count
 	reply.Truncated = len(reply.Answers) < reply.AnswerCount
-	reply.Rounds = stats.NumRounds()
-	reply.MaxLoadTuples = stats.MaxLoadTuples()
-	reply.TotalBits = stats.TotalBits()
-	reply.PerRoundBits = make([]int64, 0, len(stats.Rounds))
-	for _, rs := range stats.Rounds {
+	reply.Rounds = ans.stats.NumRounds()
+	reply.MaxLoadTuples = ans.stats.MaxLoadTuples()
+	reply.TotalBits = ans.stats.TotalBits()
+	reply.PerRoundBits = make([]int64, 0, len(ans.stats.Rounds))
+	for _, rs := range ans.stats.Rounds {
 		reply.PerRoundBits = append(reply.PerRoundBits, rs.TotalBits)
 	}
 	reply.ElapsedMs = float64(elapsed.Microseconds()) / 1000

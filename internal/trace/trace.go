@@ -23,7 +23,9 @@ import (
 // destination worker index for per-worker spans and -1 for
 // coordinator-side spans. LoadTuples and LoadBits are the actual
 // received load recorded for per-worker round spans; they are the
-// observable the planner's predicted L bounds.
+// observable the planner's predicted L bounds. A gather span records the
+// rows it shipped to the coordinator in LoadTuples, and in its Note
+// those rows against the view's full count.
 type Span struct {
 	ID          uint64 `json:"id"`
 	Parent      uint64 `json:"parent"`
@@ -135,6 +137,18 @@ func (t *Trace) SetSpanLoad(id uint64, tuples, bits int64) {
 	if s := t.find(id); s != nil {
 		s.LoadTuples = tuples
 		s.LoadBits = bits
+	}
+}
+
+// SetSpanNote records a note on the span with the given id.
+func (t *Trace) SetSpanNote(id uint64, note string) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if s := t.find(id); s != nil {
+		s.Note = note
 	}
 }
 

@@ -130,8 +130,10 @@ func appendFrame(dst []byte, f *Frame) ([]byte, []byte, error) {
 		}
 	case TypeGather:
 		w.str(f.View)
+		w.u64(uint64(f.Limit))
 	case TypeDone:
 		w.u32(f.Count)
+		w.u64(f.Rows)
 	case TypeError:
 		w.str(f.Msg)
 	default:
@@ -359,8 +361,10 @@ func decodePayload(typ Type, body []byte) (*Frame, error) {
 		}
 	case TypeGather:
 		f.View = p.str()
+		f.Limit = int64(p.u64())
 	case TypeDone:
 		f.Count = p.u32()
+		f.Rows = p.u64()
 	case TypeError:
 		f.Msg = p.str()
 	default:

@@ -67,8 +67,11 @@ func FuzzDecodeFrame(f *testing.F) {
 		Bindings: [][2]string{{"R", "V/R"}},
 	}})
 	seed(&Frame{Type: TypeGather, View: "out"})
+	seed(&Frame{Type: TypeGather, View: "out", Limit: 100})
+	seed(&Frame{Type: TypeGather, View: "out", Limit: -1})
 	seed(&Frame{Type: TypeAck, Round: 2})
 	seed(&Frame{Type: TypeDone, Count: 3})
+	seed(&Frame{Type: TypeDone, Count: 1, Rows: 40000})
 	seed(&Frame{Type: TypeError, Msg: "boom"})
 	seed(&Frame{Type: TypePing, Round: 41})
 	seed(&Frame{Type: TypePong, Round: 41})
@@ -179,6 +182,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	// decoded: a Data frame and a Delta frame.
 	hostile(v10DeltaData)
 	hostile(v10DeltaDelta)
+	// Version-11 gather and done frames, short of the row limit and the
+	// row count version 12 added.
+	hostile(v11Gather)
+	hostile(v11Done)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := Decode(bytes.NewReader(data))

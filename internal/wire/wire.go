@@ -67,14 +67,15 @@ const (
 	// over its stored relations and store the result under a view name.
 	TypeJoin
 	// TypeGather asks the worker to stream the runs it holds under a
-	// view name back as Data frames, terminated by a Done frame.
+	// view name back as Data frames, terminated by a Done frame — all of
+	// them, or under a row limit a prefix of the view's one sealed run.
 	TypeGather
 	// TypeAck acknowledges a Hello, Barrier, Join, Epoch or Reset, echoing
 	// a tag: the round number for barriers, the epoch for announcements,
 	// the reset's own tag for a reset, zero otherwise.
 	TypeAck
 	// TypeDone terminates a Gather stream and reports the number of
-	// Data frames that preceded it.
+	// Data frames that preceded it and the view's full row count.
 	TypeDone
 	// TypeError reports a worker-side failure; the session is dead
 	// afterwards.
@@ -156,8 +157,9 @@ func (t Type) String() string {
 // version 9 added the Reset frame, so a session outlives an execution;
 // version 10 retired the Trace frame — a trace stays on the coordinator —
 // renumbering Attach and Reset; version 11 retired the delta-varint
-// encoding.
-const Version = 11
+// encoding; version 12 added the row limit of Gather and the row count
+// of Done, so a view's rows may stay on the worker that holds them.
+const Version = 12
 
 // MaxPayload bounds a frame's declared payload size (128 MiB). A
 // larger length prefix is rejected before any payload is read.
@@ -257,10 +259,16 @@ type Frame struct {
 	// TypePing and TypePong (the heartbeat sequence), for TypeEpoch (the
 	// announced epoch) and for TypeReset (its tag).
 	Round uint32
-	// View is set for TypeGather.
-	View string
-	// Count is set for TypeDone: the number of Data frames streamed.
+	// View and Limit are set for TypeGather: the view to stream, and how
+	// many rows of it — 0 all of them, k > 0 the first k rows of its
+	// sealed run, a negative limit none (the Done frame still counts them).
+	View  string
+	Limit int64
+	// Count and Rows are set for TypeDone: the number of Data frames
+	// streamed, and the rows the gathered view holds — every one of them,
+	// however many the frames carried.
 	Count uint32
+	Rows  uint64
 	// Msg is set for TypeError.
 	Msg string
 	// Attach is set for TypeAttach.

@@ -54,8 +54,11 @@ func sampleFrames(t *testing.T) []*Frame {
 			Bindings: [][2]string{{"R", "V1_1/R"}, {"S", "V1_1/S"}},
 		}},
 		{Type: TypeGather, View: "hc!answers"},
+		{Type: TypeGather, View: "hc!answers", Limit: 100},
+		{Type: TypeGather, View: "V2_1!out", Limit: -1},
 		{Type: TypeAck, Round: 7},
 		{Type: TypeDone, Count: 4},
+		{Type: TypeDone, Count: 1, Rows: 1 << 33},
 		{Type: TypeError, Msg: "worker 3: no such view"},
 		{Type: TypePing, Round: 19},
 		{Type: TypePong, Round: 19},
@@ -246,6 +249,14 @@ var (
 		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 3, 3, 0, 0, 0, 2, 5, 1}
 )
 
+// A version-11 gather of view "out" and a version-11 done counting one
+// frame: version 12 added the gather's row limit and the done's row
+// count, so both payloads are short of them.
+var (
+	v11Gather = []byte{byte(TypeGather), 0, 0, 0, 5, 0, 3, 'o', 'u', 't'}
+	v11Done   = []byte{byte(TypeDone), 0, 0, 0, 4, 0, 0, 0, 1}
+)
+
 func TestDecodeMalformed(t *testing.T) {
 	packed := buildBuffer(t, 3, 4, 100, 9)
 	enc := func(f *Frame) []byte {
@@ -266,6 +277,8 @@ func TestDecodeMalformed(t *testing.T) {
 		{"oversized length", []byte{byte(TypeData), 0xFF, 0xFF, 0xFF, 0xFF}, "exceeds"},
 		{"version-10 delta-varint data", v10DeltaData, "unknown buffer encoding 3"},
 		{"version-10 delta-varint delta", v10DeltaDelta, "unknown buffer encoding 3"},
+		{"version-11 gather frame", v11Gather, "truncated"},
+		{"version-11 done frame", v11Done, "truncated"},
 		// A barrier payload is exactly 4 bytes; declaring 6 leaves
 		// trailing payload the parser must reject.
 		{"trailing bytes", []byte{byte(TypeBarrier), 0, 0, 0, 6, 0, 0, 0, 1, 0xAA, 0xBB}, "trailing"},
