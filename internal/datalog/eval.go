@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"slices"
 
 	"repro/internal/cover"
 	"repro/internal/dist"
+	"repro/internal/exchange"
 	"repro/internal/hypercube"
 	"repro/internal/mpc"
 	"repro/internal/plan"
@@ -57,28 +59,40 @@ type Options struct {
 	// ≤ 0 means no bound (the loop terminates anyway: the domain is
 	// finite and every iteration adds facts).
 	MaxIterations int
+	// AnswerLimit is how many of the output predicate's facts reach the
+	// coordinator when a recursive stratum derives them and no later
+	// stratum reads them: 0 all of them, k > 0 the first k, a negative
+	// limit none. Result.Count counts them either way. It mirrors
+	// plan.ExecOptions.AnswerLimit; every other predicate is gathered
+	// whole.
+	AnswerLimit int
 }
 
 // Result reports a Datalog evaluation.
 type Result struct {
 	// Answers is the output predicate's fact set, in head-term order, as
-	// one sealed, deduplicated run (nil when empty).
+	// one sealed, deduplicated run (nil when empty) — its first
+	// Options.AnswerLimit facts when the limit applies.
 	Answers *relation.Run
+	// Count is the number of the output predicate's facts, gathered or
+	// not.
+	Count int
 	// Vars labels the answer columns: the goal's variables when a goal
 	// was declared, otherwise the output predicate's head terms
 	// rendered as written ("x", "count(y)").
 	Vars []string
 	// Facts holds every IDB predicate's derived fact set as one sealed
-	// run (nil when empty).
+	// run (nil when empty); the output predicate's is Answers.
 	Facts map[string]*relation.Run
 	// Iterations is the total number of semi-naive delta iterations
 	// across all recursive strata (0 for a non-recursive program).
 	Iterations int
 	// Outcome sums up every execution the program ran. Its Stats
 	// concatenates their round records — rule bodies in stratum order,
-	// then each recursive rule's maintenance rounds — so two transports
-	// that execute the same program produce identical records; a broken
-	// budget or a replacement in any execution is the program's.
+	// then each recursive rule's rounds — so two transports that execute
+	// the same program produce identical records; a broken budget or a
+	// replacement in any execution is the program's. Gathered is the rows
+	// the output predicate's gathers shipped.
 	dist.Outcome
 }
 
@@ -86,11 +100,13 @@ type Result struct {
 // database must hold exactly the EDB predicates (IDB predicates are
 // derived and may not be pre-populated). Each rule body is planned and
 // executed as a conjunctive query through internal/plan; recursive
-// strata run a semi-naive fixpoint in which every delta iteration is
-// an incremental-maintenance batch (hypercube.Distribution.Apply) on a
-// warm cluster, so iteration cost is delta routing, not a rescatter. A
-// program's round count grows with its data; over TCP each round is one
-// exchange per worker (dist.Open's fused schedule).
+// strata run a semi-naive fixpoint whose state lives on the workers:
+// each recursive rule holds a warm grid distribution, and every delta
+// iteration relays what the workers derived to the grid points that keep
+// it, where only what is new stays and is joined next — so iteration cost
+// is routing the derivations, not a rescatter, and the coordinator merges
+// no closure. A program's round count grows with its data; over TCP each
+// round is one exchange per worker (dist.Open's fused schedule).
 func Eval(prog *Program, db *relation.Database, opts Options) (*Result, error) {
 	if opts.P < 1 {
 		return nil, fmt.Errorf("datalog: p = %d, need ≥ 1", opts.P)
@@ -140,6 +156,7 @@ func Eval(prog *Program, db *relation.Database, opts Options) (*Result, error) {
 	out := prog.OutputPred()
 	return &Result{
 		Answers:    e.facts[out],
+		Count:      e.count,
 		Vars:       prog.outputVars(),
 		Facts:      e.facts,
 		Iterations: e.iterations,
@@ -178,6 +195,8 @@ type evaluator struct {
 	stats map[string]*relation.RelationStats
 
 	iterations int
+	// count is the output predicate's fact count.
+	count int
 	// sum accumulates the executions' outcomes into the program's.
 	sum dist.Outcome
 }
@@ -268,8 +287,8 @@ func (e *evaluator) record(o dist.Outcome) {
 
 // evalRule plans and executes the program's rule ri — a non-recursive
 // rule body — end to end and returns the head facts (projected, or
-// aggregate-folded) as one sealed run.
-func (e *evaluator) evalRule(ri int) (*relation.Run, error) {
+// aggregate-folded) as one sealed run, and the rows its gather shipped.
+func (e *evaluator) evalRule(ri int) (*relation.Run, int, error) {
 	r := &e.prog.Rules[ri]
 	build := func() (*plan.Plan, error) {
 		return r.Plan(e.catalog(r), plan.Options{
@@ -284,12 +303,12 @@ func (e *evaluator) evalRule(ri int) (*relation.Run, error) {
 		pl, err = build()
 	}
 	if err != nil {
-		return nil, fmt.Errorf("datalog: rule for %s: %w", r.Head.Pred, err)
+		return nil, 0, fmt.Errorf("datalog: rule for %s: %w", r.Head.Pred, err)
 	}
 	q := pl.Query
 	tr, err := e.dial()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	res, err := pl.ExecuteRun(e.wdb, plan.ExecOptions{
 		Seed:        e.opts.Seed,
@@ -303,14 +322,25 @@ func (e *evaluator) evalRule(ri int) (*relation.Run, error) {
 		tr.Close()
 	}
 	if err != nil {
-		return nil, fmt.Errorf("datalog: rule for %s: %w", r.Head.Pred, err)
+		return nil, 0, fmt.Errorf("datalog: rule for %s: %w", r.Head.Pred, err)
 	}
 	e.record(res.Outcome)
-	if r.HasAggregate() {
-		// Already one row per group, in head order.
-		return res.Run, nil
+	pos := headPositions(r, q)
+	if r.HasAggregate() || slices.Equal(pos, identity(q.NumVars())) {
+		// Already the head's rows: one per group in head order, or the
+		// body's own, sealed and deduplicated.
+		return res.Run, res.Gathered, nil
 	}
-	return relation.Project(res.Run, headPositions(r, q)), nil
+	return relation.Project(res.Run, pos), res.Gathered, nil
+}
+
+// identity returns the positions 0 … n−1.
+func identity(n int) []int {
+	pos := make([]int, n)
+	for i := range pos {
+		pos[i] = i
+	}
+	return pos
 }
 
 // install publishes a completed predicate's fact run into the working
@@ -326,25 +356,34 @@ func (e *evaluator) install(pred string, run *relation.Run) {
 // singletons).
 func (e *evaluator) evalStratum(s Stratum) error {
 	heads := make([]*relation.Run, 0, len(s.Rules))
+	gathered := 0
 	for _, ri := range s.Rules {
-		head, err := e.evalRule(ri)
+		head, n, err := e.evalRule(ri)
 		if err != nil {
 			return err
 		}
-		heads = append(heads, head)
+		heads, gathered = append(heads, head), gathered+n
 	}
-	e.install(s.Preds[0], relation.Merge(heads))
+	facts := relation.Merge(heads)
+	e.install(s.Preds[0], facts)
+	if s.Preds[0] == e.prog.OutputPred() {
+		e.count, e.sum.Gathered = facts.Len(), gathered
+	}
 	return nil
 }
 
-// evalRecursive runs the semi-naive fixpoint of one recursive
-// stratum. Base rules (no stratum predicate in the body) seed the
-// iteration; each recursive rule becomes a warm grid distribution whose
-// cold run is iteration zero, and each subsequent iteration feeds the
-// per-predicate delta into every distribution reading it as an
-// incremental batch — replication-factor routing, answers gathered
-// from the delta join only. The coordinator keeps the closure once, in
-// known; a rule's body answer is materialized nowhere.
+// evalRecursive runs the semi-naive fixpoint of one recursive stratum.
+// Base rules (no stratum predicate in the body) seed it; each recursive
+// rule holds a grid distribution whose cold run joins the seeds. Each
+// (distribution, atom) of the stratum that reads a predicate keeps that
+// predicate's facts its grid routes to each worker — the closure lives
+// there, partitioned, and nowhere else. An iteration is one round per
+// distribution: the pieces the last one's workers derived are relayed to
+// the workers that keep them, each receiver keeps only what its store
+// lacks — exact, because every copy of a fact is routed alike — and joins
+// that as the next Δ, and its workers route what that derived. The loop
+// ends when nothing was derived; each predicate is then gathered from the
+// canonical cells of one routing that keeps all of it.
 func (e *evaluator) evalRecursive(s Stratum) error {
 	inStratum := make(map[string]bool, len(s.Preds))
 	for _, pred := range s.Preds {
@@ -374,25 +413,25 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 	}
 
 	// Seed: base-rule facts become the initial stores the distributions
-	// scatter. Predicates with no base rule start empty. known and
-	// delta hold each predicate's facts as one sealed run (nil = none),
-	// so an iteration is linear passes over words, not tuples.
-	known := make(map[string]*relation.Run, len(s.Preds))
+	// scatter. Predicates with no base rule start empty.
+	seeds := make(map[string][]*relation.Run, len(s.Preds))
 	for _, ri := range baseRules {
-		head, err := e.evalRule(ri)
+		head, _, err := e.evalRule(ri)
 		if err != nil {
 			return err
 		}
 		pred := e.prog.Rules[ri].Head.Pred
-		known[pred] = union(known[pred], head)
+		seeds[pred] = append(seeds[pred], head)
 	}
+	seed := make(map[string]*relation.Run, len(s.Preds))
 	for _, pred := range s.Preds {
-		e.install(pred, known[pred])
+		seed[pred] = relation.Merge(seeds[pred])
+		e.install(pred, seed[pred])
 	}
 
-	// One warm grid distribution per recursive rule; its cold run already
-	// joins the seeds, so what it returns are the iteration-zero
-	// derivations.
+	// One held grid distribution per recursive rule; its cold run already
+	// joins the seeds and leaves the iteration-zero derivations on its
+	// workers.
 	type exec struct {
 		rule *Rule
 		d    *hypercube.Distribution
@@ -404,10 +443,10 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 			x.d.Close()
 		}
 	}
-	delta := make(map[string]*relation.Run, len(s.Preds))
 	for _, r := range recRules {
 		q, err := r.BodyQuery()
 		if err != nil {
+			closeAll()
 			return fmt.Errorf("datalog: rule for %s: %w", r.Head.Pred, err)
 		}
 		var epsF float64
@@ -428,7 +467,7 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 			closeAll()
 			return err
 		}
-		d, cold, err := hypercube.Distribute(q, e.wdb, e.opts.P, hypercube.Options{
+		d, err := hypercube.Hold(q, e.wdb, e.opts.P, hypercube.Options{
 			Epsilon:     epsF,
 			CapConstant: e.opts.CapConstant,
 			Seed:        e.opts.Seed,
@@ -444,82 +483,153 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 			closeAll()
 			return fmt.Errorf("datalog: rule for %s: %w", r.Head.Pred, err)
 		}
-		pos := headPositions(r, q)
-		xs = append(xs, exec{rule: r, d: d, pos: pos})
-		fresh := relation.Diff(relation.Project(cold, pos), known[r.Head.Pred])
-		delta[r.Head.Pred] = union(delta[r.Head.Pred], fresh)
-	}
-	for pred, d := range delta {
-		known[pred] = union(known[pred], d)
+		xs = append(xs, exec{rule: r, d: d, pos: headPositions(r, q)})
 	}
 
-	// The fixpoint loop: every iteration hands each rule the Δ runs of
-	// the predicates it reads, as they are, in one batch per rule. What
-	// the batch gathers is every derivation through a Δ fact, old or new;
-	// projected onto the head and diffed against known — the one copy of
-	// the closure there is — it is the rule's share of the next Δ.
-	for iter := 1; hasFacts(delta); iter++ {
+	// Where each predicate's facts are kept: every (distribution, atom)
+	// of the stratum that reads it, through that atom's grid. A
+	// predicate no atom keeps whole — every reading atom repeats a
+	// variable on a dimension of several points, so its grid drops the
+	// facts whose values hash apart — gets a store of its own on the
+	// first distribution, hashed on its first column and seeded like the
+	// others; the answer is gathered from it.
+	type keeper struct {
+		x     int
+		store string
+		grid  *exchange.Grid
+	}
+	keepers := make(map[string][]keeper, len(s.Preds))
+	for i, x := range xs {
+		for _, a := range x.rule.Body {
+			if inStratum[a.Name] {
+				keepers[a.Name] = append(keepers[a.Name], keeper{i, a.Name, x.d.Grid(a.Name)})
+			}
+		}
+	}
+	inbox := make([]map[string][]dist.Piece, len(xs))
+	post := func(pred string, pieces []dist.Piece) {
+		for _, pc := range pieces {
+			k := keepers[pred][pc.Target]
+			if inbox[k.x] == nil {
+				inbox[k.x] = make(map[string][]dist.Piece)
+			}
+			inbox[k.x][k.store] = append(inbox[k.x][k.store], pc)
+		}
+	}
+	whole := make(map[string]keeper, len(s.Preds))
+	for _, pred := range s.Preds {
+		for _, k := range keepers[pred] {
+			if k.grid.Total() {
+				whole[pred] = k
+				break
+			}
+		}
+		if _, ok := whole[pred]; ok {
+			continue
+		}
+		grid, err := exchange.NewGrid([]int{e.opts.P}, []uint64{exchange.Mix(1, e.opts.Seed)}, []exchange.GridBind{{Pos: 0, Dim: 0}})
+		if err != nil {
+			closeAll()
+			return err
+		}
+		k := keeper{0, "keep!" + pred, grid}
+		whole[pred] = k
+		keepers[pred] = append(keepers[pred], k)
+		ds, err := exchange.PartitionRun(k.store, seed[pred], e.opts.P, grid)
+		if err != nil {
+			closeAll()
+			return err
+		}
+		seeded := make([]dist.Piece, len(ds))
+		for j, d := range ds {
+			seeded[j] = dist.Piece{From: -1, Target: len(keepers[pred]) - 1, To: d.To, Buf: d.Buf}
+		}
+		post(pred, seeded)
+	}
+	grids := make(map[string][]*exchange.Grid, len(s.Preds))
+	for _, pred := range s.Preds {
+		for _, k := range keepers[pred] {
+			grids[pred] = append(grids[pred], k.grid)
+		}
+	}
+	route := func(x exec) error {
+		pieces, err := x.d.Route(x.pos, grids[x.rule.Head.Pred])
+		if err != nil {
+			return fmt.Errorf("datalog: rule for %s: %w", x.rule.Head.Pred, err)
+		}
+		post(x.rule.Head.Pred, pieces)
+		return nil
+	}
+	for _, x := range xs {
+		if err := route(x); err != nil {
+			closeAll()
+			return err
+		}
+	}
+
+	// The fixpoint loop: every iteration each distribution absorbs what
+	// was routed to it last, joins what was new and routes what that
+	// derived — one exchange per distribution, none of it merged here.
+	for iter := 1; slices.ContainsFunc(inbox, func(box map[string][]dist.Piece) bool { return len(box) > 0 }); iter++ {
 		e.iterations++
 		if e.opts.MaxIterations > 0 && iter > e.opts.MaxIterations {
 			closeAll()
 			return fmt.Errorf("datalog: stratum %v exceeded %d fixpoint iterations", s.Preds, e.opts.MaxIterations)
 		}
-		next := make(map[string]*relation.Run, len(s.Preds))
-		for _, x := range xs {
-			added := make(map[string]*relation.Run)
-			for _, a := range x.rule.Body {
-				if d := delta[a.Name]; d.Len() > 0 {
-					added[a.Name] = d
-				}
-			}
-			if len(added) == 0 {
+		boxes := inbox
+		inbox = make([]map[string][]dist.Piece, len(xs))
+		for i, x := range xs {
+			if len(boxes[i]) == 0 {
 				continue
 			}
-			gathered, err := x.d.Apply(nil, added)
-			if err != nil {
+			if err := x.d.Absorb(boxes[i]); err != nil {
 				closeAll()
 				return fmt.Errorf("datalog: rule for %s: %w", x.rule.Head.Pred, err)
 			}
-			fresh := relation.Diff(relation.Project(gathered, x.pos), known[x.rule.Head.Pred])
-			next[x.rule.Head.Pred] = union(next[x.rule.Head.Pred], fresh)
+			if err := route(x); err != nil {
+				closeAll()
+				return err
+			}
 		}
-		// Deltas are measured against known before this iteration's
-		// merge, so two rules deriving the same new fact contribute it
-		// once (the union dedups) and nothing re-enters later rounds.
-		for pred, d := range next {
-			known[pred] = union(known[pred], d)
-		}
-		delta = next
 	}
 
+	// The answer: each predicate from the canonical cells of a routing
+	// that keeps all of it — the output, when nothing later reads it, only
+	// as far as the answer limit.
+	for _, pred := range s.Preds {
+		k, limit := whole[pred], 0
+		out := pred == e.prog.OutputPred()
+		if out && !e.readLater(s, pred) {
+			limit = e.opts.AnswerLimit
+		}
+		facts, count, err := xs[k.x].d.Closure(k.store, k.grid, limit)
+		if err != nil {
+			closeAll()
+			return fmt.Errorf("datalog: closure of %s: %w", pred, err)
+		}
+		e.install(pred, facts)
+		if out {
+			e.count, e.sum.Gathered = count, xs[k.x].d.Outcome().Gathered
+		}
+	}
 	for _, x := range xs {
 		e.record(x.d.Outcome())
 		x.d.Close()
 	}
-	for _, pred := range s.Preds {
-		e.install(pred, known[pred])
-	}
 	return nil
 }
 
-// hasFacts reports whether any delta is nonempty.
-func hasFacts(delta map[string]*relation.Run) bool {
-	for _, d := range delta {
-		if d.Len() > 0 {
-			return true
+// readLater reports whether a rule outside stratum s reads pred.
+func (e *evaluator) readLater(s Stratum, pred string) bool {
+	for ri := range e.prog.Rules {
+		if slices.Contains(s.Rules, ri) {
+			continue
+		}
+		for _, a := range e.prog.Rules[ri].Body {
+			if a.Name == pred {
+				return true
+			}
 		}
 	}
 	return false
-}
-
-// union merges two sorted, deduplicated runs into one; either may be
-// nil or empty, and is then not copied.
-func union(a, b *relation.Run) *relation.Run {
-	if a.Len() == 0 {
-		return b
-	}
-	if b.Len() == 0 {
-		return a
-	}
-	return relation.Merge([]*relation.Run{a, b})
 }

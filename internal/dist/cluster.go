@@ -10,6 +10,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // Cluster drives MPC(ε) bulk-synchronous rounds against a worker pool
@@ -53,8 +54,8 @@ type Cluster struct {
 	// believed resident until its barrier (resident.go).
 	snap      *Snapshot
 	attaching []*residentScatter
-	// arity is what Join said each view not yet gathered holds: what a
-	// gather reply is checked against.
+	// arity is what Join said each view not yet gathered holds, or a
+	// scatter each store: what a gather reply is checked against.
 	arity map[string]int
 	// gathered is how many rows the last gather shipped.
 	gathered int
@@ -315,6 +316,40 @@ func (c *Cluster) ScatterDelta(ctx context.Context, run *relation.Run, store, vi
 	return c.ship(ctx, rs, lone, Op{Kind: OpDelta, Round: c.round, Deltas: dds})
 }
 
+// Absorb relays pieces a Route returned to the workers they are for, as
+// absorbing deltas of store: each receiver keeps the rows its store does
+// not hold yet and registers those under view. What a worker's store
+// holds is what the store's routing sent it, so the rows a receiver keeps
+// are exactly the new ones. The pieces bound for one worker cross as one
+// run, their sorted union — a merge of what p senders derived for it, the
+// one thing the coordinator does to them: p² frames a round cost the
+// workers more than the merge costs here. Receipt is accounted against
+// the open round exactly like ScatterDelta's, and the deltas are
+// journaled for replay like any delta.
+func (c *Cluster) Absorb(ctx context.Context, pieces []Piece, store, view string) error {
+	rs, lone := c.receivingRound()
+	bitsPer := relation.BitsPerValue(c.cfg.DomainN)
+	byDest := make([][]*relation.Run, c.cfg.Workers)
+	for _, pc := range pieces {
+		byDest[pc.To] = append(byDest[pc.To], pc.Buf)
+	}
+	dds := make([]DeltaDelivery, 0, len(byDest))
+	for to, runs := range byDest {
+		if len(runs) == 0 {
+			continue
+		}
+		run := runs[0]
+		if len(runs) > 1 {
+			run = relation.Merge(runs)
+		}
+		if n := int64(run.Len()); n > 0 {
+			rs.Account(to, n, run.Bits(bitsPer))
+			dds = append(dds, DeltaDelivery{To: to, Store: store, View: view, Absorb: true, Buf: run})
+		}
+	}
+	return c.ship(ctx, rs, lone, Op{Kind: OpDelta, Round: c.round, Deltas: dds})
+}
+
 // receivingRound returns the record of the round a scatter is received
 // in: the open round, or a lone round of its own — which ship then
 // closes — when none is.
@@ -333,9 +368,16 @@ func (c *Cluster) ship(ctx context.Context, rs *mpc.RoundStats, lone bool, op Op
 	if lone {
 		defer c.endRoundSpan(rs)
 	}
+	for _, d := range op.Deliveries {
+		c.arity[d.Rel] = d.Buf.Arity()
+	}
+	for _, d := range op.Deltas {
+		c.arity[d.Store] = d.Buf.Arity()
+	}
 	if op.lazy != nil {
 		// Believed resident: the round's close asks the workers, and
 		// journals the scatter once it has.
+		c.arity[op.lazy.as] = op.lazy.rel.Arity()
 		c.attaching = append(c.attaching, op.lazy)
 	} else if err := c.submit(ctx, op); err != nil {
 		return err
@@ -434,6 +476,45 @@ func (c *Cluster) Join(ctx context.Context, q *query.Query, bindings map[string]
 	return c.submit(ctx, Op{Kind: OpJoin, Join: JoinSpec{Query: q.String(), View: view, Bindings: bindings}})
 }
 
+// Route has every worker project what it holds under view onto cols,
+// drop the repeats and partition the rest through each of grids, and
+// returns what that derived: one piece per worker, grid and destination
+// that received rows, in worker order. It is a fence like a gather and
+// charges nothing — a piece is paid for where it is received (Absorb).
+// The reply is input: a piece for a grid the step did not name, for a
+// point outside its grid, of another arity than cols, or not sealed is
+// its sender's *WorkerError.
+func (c *Cluster) Route(ctx context.Context, view string, cols []int, grids []*exchange.Grid) ([]Piece, error) {
+	span := c.trace.StartSpan(0, "route", c.round, -1)
+	defer c.trace.EndSpan(span)
+	reply, err := c.run(ctx, Op{Kind: OpRoute, Route: wire.Route{View: view, Cols: cols, Grids: grids}})
+	if err != nil {
+		return nil, err
+	}
+	delete(c.arity, view)
+	rows := 0
+	for _, pc := range reply.Pieces {
+		switch {
+		case pc.Target < 0 || pc.Target >= len(grids):
+			err = fmt.Errorf("dist: route of %q answered with a piece for grid %d of %d", view, pc.Target, len(grids))
+		case pc.To < 0 || pc.To >= grids[pc.Target].Size():
+			err = fmt.Errorf("dist: route of %q answered with a piece for point %d of a %d-point grid", view, pc.To, grids[pc.Target].Size())
+		case pc.Buf == nil || pc.Buf.Arity() != len(cols):
+			err = fmt.Errorf("dist: route of %q onto %d columns answered with a piece of another arity", view, len(cols))
+		case !pc.Buf.Sealed():
+			err = fmt.Errorf("dist: route of %q answered with an unsealed piece", view)
+		default:
+			rows += pc.Buf.Len()
+			continue
+		}
+		return nil, &WorkerError{Worker: pc.From, Err: err}
+	}
+	if c.trace != nil {
+		c.trace.SetSpanLoad(span, int64(rows), 0)
+	}
+	return reply.Pieces, nil
+}
+
 // Gather returns the union of what every worker holds under view — the
 // cluster-wide answer of a query whose per-worker outputs were stored by
 // Join — as one sealed, deduplicated run: the per-worker sorted runs
@@ -460,9 +541,17 @@ func (c *Cluster) Gather(ctx context.Context, view string) (*relation.Run, error
 // exists only at the grid point its values hash to, whatever the input
 // repeats — and a view whose workers may overlap is gathered whole.
 func (c *Cluster) GatherPrefix(ctx context.Context, view string, limit int) (*relation.Run, int, error) {
+	return c.GatherCells(ctx, view, limit, nil)
+}
+
+// GatherCells is GatherPrefix reading only the workers cells names (nil:
+// every worker): the canonical cells of a grid, whose stores hold each
+// row the grid placed exactly once, answer for the whole store under a
+// limit.
+func (c *Cluster) GatherCells(ctx context.Context, view string, limit int, cells []int) (*relation.Run, int, error) {
 	span := c.trace.StartSpan(0, "gather", c.round, -1)
 	defer c.trace.EndSpan(span)
-	reply, err := c.gatherRuns(ctx, view, limit)
+	reply, err := c.gatherRuns(ctx, view, limit, cells)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -492,8 +581,8 @@ func (c *Cluster) GatherPrefix(ctx context.Context, view string, limit int) (*re
 // view — or, for a view no Join filled, the arity of the others — before
 // anything merges them, and no worker may stream more rows than it was
 // asked for or than it counts.
-func (c *Cluster) gatherRuns(ctx context.Context, view string, limit int) (Reply, error) {
-	reply, err := c.run(ctx, Op{Kind: OpGather, View: view, Limit: limit})
+func (c *Cluster) gatherRuns(ctx context.Context, view string, limit int, cells []int) (Reply, error) {
+	reply, err := c.run(ctx, Op{Kind: OpGather, View: view, Limit: limit, Cells: cells})
 	if err != nil {
 		return Reply{}, err
 	}

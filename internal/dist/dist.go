@@ -86,8 +86,19 @@ type DeltaDelivery struct {
 	View string
 	// Del marks a retraction: the tuples are tombstoned out of Store.
 	Del bool
+	// Absorb marks an extension that keeps only what Store does not hold
+	// yet: the receiver merges the round's absorbed runs of Store, keeps
+	// the rows its store lacks, and registers those under View.
+	Absorb bool
 	// Buf is the sealed columnar run of delta tuples.
 	Buf *relation.Run
+}
+
+// Piece is one sealed run a route step derived: the rows the step's
+// grid Target sends to worker To, as worker From projected them.
+type Piece struct {
+	From, Target, To int
+	Buf              *relation.Run
 }
 
 // OpKind names one step of a round script.
@@ -95,8 +106,8 @@ type OpKind uint8
 
 // The steps a script is made of. Deliver and delta steps are
 // unacknowledged; a barrier, a join, an attach, a gather, an epoch, a
-// ping and a reset are each answered, so a script holding one of them is
-// an exchange.
+// ping, a reset and a route are each answered, so a script holding one of
+// them is an exchange.
 const (
 	// OpDeliver ships sealed runs to their destination workers.
 	OpDeliver OpKind = iota
@@ -129,6 +140,11 @@ const (
 	// stays. Round carries a tag the acks echo. It ends an execution, so
 	// the next one can run on the same session.
 	OpReset
+	// OpRoute has every worker project a view, drop the repeats and
+	// partition the rest through a list of grids, and answer with the
+	// pieces: a fixpoint's derivations on their way to the workers that
+	// keep them.
+	OpRoute
 )
 
 // String names the step.
@@ -139,7 +155,7 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("OpKind(%d)", uint8(k))
 }
 
-var opNames = [...]string{"deliver", "barrier", "join", "gather", "delta", "attach", "epoch", "ping", "reset"}
+var opNames = [...]string{"deliver", "barrier", "join", "gather", "delta", "attach", "epoch", "ping", "reset", "route"}
 
 // Op is one step of a round script — what the coordinator journals for
 // replay, defers to the next fence, and hands to a Transport are all
@@ -157,9 +173,13 @@ type Op struct {
 	Join JoinSpec
 	// View is the store an OpGather reads, Limit how many rows of it each
 	// worker streams: 0 all, k > 0 the first k of its sealed run, a
-	// negative limit none (the worker still counts them).
+	// negative limit none (the worker still counts them). Cells, when not
+	// nil, are the only workers the gather reads.
 	View  string
 	Limit int
+	Cells []int
+	// Route is the command of an OpRoute.
+	Route wire.Route
 	// Attach lists what an OpAttach binds, every attachment of the round
 	// in the one step.
 	Attach []Attachment
@@ -184,6 +204,8 @@ type Reply struct {
 	// Attached[w][i] is worker w's answer to the i-th attachment; nil for
 	// a worker that failed the script.
 	Attached [][]wire.Attach
+	// Pieces are what the script's route steps derived, in worker order.
+	Pieces []Piece
 }
 
 // Transport carries round scripts to a pool of workers: Run gives every

@@ -252,6 +252,9 @@ func (ft *FaultTransport) run(ctx context.Context, ops []dist.Op, only int) (rep
 		if r.Runs != nil || r.Rows != nil {
 			reply.Runs, reply.From, reply.Rows = r.Runs, r.From, r.Rows
 		}
+		if r.Pieces != nil {
+			reply.Pieces = r.Pieces
+		}
 		if r.Attached != nil {
 			reply.Attached = r.Attached
 		}
@@ -362,9 +365,10 @@ func (ft *FaultTransport) meet(at Site, op dist.Op) (pass []dist.Op, liar int, s
 		// Held deliveries are injected first: the BSP contract only
 		// promises ingestion at the barrier.
 		pass, ft.held = ft.held, nil
-	case op.Kind == dist.OpGather && lost:
+	case (op.Kind == dist.OpGather || op.Kind == dist.OpRoute) && lost:
 		// The coordinator cannot use a stream a lost worker never finished,
-		// so the whole gather is lost: the caller heals and gathers again.
+		// so the whole gather or route is lost: the caller heals and sends
+		// it again.
 		return nil, liar, stalled, errs
 	}
 	// Any other step the healthy pool still runs while a fault reports its

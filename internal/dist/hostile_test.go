@@ -171,7 +171,8 @@ func (s *workerSession) run(t testing.TB, stream []byte) (replies []*wire.Frame,
 			}
 			return replies, <-s.done
 		}
-		replies = append(replies, f)
+		kept := *f // the reader's frame until its next call
+		replies = append(replies, &kept)
 	}
 }
 
@@ -357,8 +358,10 @@ func TestWorkerRejectsMixedArityRetainedKey(t *testing.T) {
 // TestCoordinatorRejectsHostileRuns: the coordinator holds a gather reply
 // to what the worker holds it to — every malformed run of the table — and
 // to what it asked: a worker may stream no more rows than the gather's
-// limit, nor more than the view's row count it reports. Each is refused as
-// that worker's error.
+// limit, nor more than the view's row count it reports. A route reply is
+// held to the route: a piece for a point outside its grid, of another
+// arity than the projection, unsorted, or for a grid the route did not
+// name. Each is refused as that worker's error.
 func TestCoordinatorRejectsHostileRuns(t *testing.T) {
 	type reply struct {
 		name  string
@@ -366,17 +369,38 @@ func TestCoordinatorRejectsHostileRuns(t *testing.T) {
 		rows  uint64
 		limit int
 		want  string
+		route bool
 	}
 	var replies []reply
 	for _, h := range hostileRuns {
-		replies = append(replies, reply{h.name, h.frame("v", ""), 1, 0, h.want})
+		replies = append(replies, reply{h.name, h.frame("v", ""), 1, 0, h.want, false})
 	}
 	three := encodeFrames(t, &wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "v",
 		Buf: relation.RunOf(2, []relation.Tuple{{1, 2}, {3, 4}, {5, 6}})}})
 	replies = append(replies,
-		reply{"rows past the limit", three, 3, 2, "limit of 2 rows answered with 3"},
-		reply{"no rows asked for", three, 3, -1, "limit of 0 rows answered with 3"},
-		reply{"count below the rows streamed", three, 2, 5, "answered with 3 rows, the worker counts 2"})
+		reply{"rows past the limit", three, 3, 2, "limit of 2 rows answered with 3", false},
+		reply{"no rows asked for", three, 3, -1, "limit of 0 rows answered with 3", false},
+		reply{"count below the rows streamed", three, 2, 5, "answered with 3 rows, the worker counts 2", false})
+	piece := func(target, dest uint32, run *relation.Run) []byte {
+		return encodeFrames(t, &wire.Frame{Type: wire.TypePiece, Piece: wire.Piece{Target: target, Dest: dest, Buf: run}})
+	}
+	pair := relation.RunOf(2, []relation.Tuple{{1, 2}})
+	unsorted := binary.BigEndian.AppendUint32(nil, 0) // target
+	unsorted = binary.BigEndian.AppendUint32(unsorted, 0)
+	unsorted = binary.BigEndian.AppendUint16(unsorted, 2) // arity
+	unsorted = append(unsorted, encRaw)
+	unsorted = binary.BigEndian.AppendUint32(unsorted, 2)
+	unsorted = append(unsorted, le(9, 1)...)
+	unsorted = append(binary.BigEndian.AppendUint32([]byte{byte(wire.TypePiece)}, uint32(len(unsorted))), unsorted...)
+	replies = append(replies,
+		reply{"route piece for a point outside its grid", piece(0, 3, pair), 1, 0, "point 3 of a 1-point grid", true},
+		reply{"route piece of another arity", piece(0, 0, relation.RunOf(3, []relation.Tuple{{1, 2, 3}})), 1, 0, "another arity", true},
+		reply{"unsorted route piece", unsorted, 1, 0, "not sorted", true},
+		reply{"route piece for a grid not asked for", piece(2, 0, pair), 1, 0, "grid 2 of 1", true})
+	grid, err := exchange.NewGrid([]int{1}, []uint64{7}, []exchange.GridBind{{Pos: 0, Dim: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range replies {
 		t.Run(r.name, func(t *testing.T) {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -395,10 +419,17 @@ func TestCoordinatorRejectsHostileRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			answers, count, err := cl.GatherPrefix(context.Background(), "v", r.limit)
 			var we *dist.WorkerError
-			if !errors.As(err, &we) || we.Worker != 0 || !strings.Contains(err.Error(), r.want) {
-				t.Fatalf("gather returned %d of %d answers and %v, want worker 0's error naming %q", answers.Len(), count, err, r.want)
+			if r.route {
+				pieces, err := cl.Route(context.Background(), "v", []int{0, 1}, []*exchange.Grid{grid})
+				if !errors.As(err, &we) || we.Worker != 0 || !strings.Contains(err.Error(), r.want) {
+					t.Fatalf("route returned %d pieces and %v, want worker 0's error naming %q", len(pieces), err, r.want)
+				}
+			} else {
+				answers, count, err := cl.GatherPrefix(context.Background(), "v", r.limit)
+				if !errors.As(err, &we) || we.Worker != 0 || !strings.Contains(err.Error(), r.want) {
+					t.Fatalf("gather returned %d of %d answers and %v, want worker 0's error naming %q", answers.Len(), count, err, r.want)
+				}
 			}
 			if err := <-faked; err != nil {
 				t.Fatal(err)
@@ -447,7 +478,8 @@ func TestCoordinatorRejectsMixedArityGather(t *testing.T) {
 }
 
 // fakeWorker accepts one session on ln, acks its hello, and answers its
-// first gather with run and a Done counting it as one frame of rows rows.
+// first gather or route with run and a Done counting it as one frame of
+// rows rows.
 func fakeWorker(ln net.Listener, run []byte, rows uint64) error {
 	conn, err := ln.Accept()
 	if err != nil {
@@ -461,8 +493,8 @@ func fakeWorker(ln net.Listener, run []byte, rows uint64) error {
 	if err := w.Flush(&wire.Frame{Type: wire.TypeAck}); err != nil {
 		return err
 	}
-	if f, err := rd.Next(); err != nil || f.Type != wire.TypeGather {
-		return errors.New("fake worker: no gather")
+	if f, err := rd.Next(); err != nil || f.Type != wire.TypeGather && f.Type != wire.TypeRoute {
+		return errors.New("fake worker: no gather or route")
 	}
 	if _, err := conn.Write(run); err != nil {
 		return err
@@ -536,10 +568,11 @@ func TestWorkerAllocationFollowsArrival(t *testing.T) {
 // retiredFrames are frames an earlier version sent that this one does
 // not speak: under type bytes version 10 renumbered, version 9's Trace
 // frame (byte 13, now Attach, whose payload this is not) and its Reset
-// frame (now the first byte past the last type); under the encoding byte
-// version 11 retired, a Data and a Delta frame carrying the arity-2 run
-// 5, 6 as version 10's delta varints; and version 11's Gather of view R,
-// short of the row limit version 12 added.
+// frame (byte 15, now Route's, whose payload this is not either); under
+// the encoding byte version 11 retired, a Data and a Delta frame carrying
+// the arity-2 run 5, 6 as version 10's delta varints; version 11's Gather
+// of view R, short of the row limit version 12 added; and version 12's
+// hello, which a session opened at version 13 does not take again.
 var retiredFrames = []struct {
 	name  string
 	frame []byte
@@ -549,6 +582,7 @@ var retiredFrames = []struct {
 	{"delta-varint data", hostileRun{arity: 2, enc: encDelta, count: 2, body: []byte{5, 1}}.frame("R", "")},
 	{"delta-varint delta", []byte{byte(wire.TypeDelta), 0, 0, 0, 23, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 'R', 0, 0, 0, 0, 2, encDelta, 0, 0, 0, 2, 5, 1}},
 	{"version-11 gather", []byte{byte(wire.TypeGather), 0, 0, 0, 3, 0, 1, 'R'}},
+	{"version-12 hello", []byte{byte(wire.TypeHello), 0, 0, 0, 10, 0, 12, 0, 0, 0, 0, 0, 0, 0, 1}},
 }
 
 // TestWorkerRefusesRetiredFrames: a frame of an earlier version that
@@ -682,7 +716,7 @@ func recordedScript(t testing.TB) []byte {
 // frame, then EOF — or with one Error frame last, and, while all it does
 // is decode and store, allocates no more than a small multiple of what
 // it was sent. (What a join may allocate is bounded by the model's cap,
-// not by the codec; enforcing that on the worker is ROADMAP item 6.)
+// not by the codec; enforcing that on the worker is ROADMAP item 1.)
 func FuzzWorkerSession(f *testing.F) {
 	script := recordedScript(f)
 	f.Add(script)
@@ -720,6 +754,22 @@ func FuzzWorkerSession(f *testing.F) {
 	f.Add(append(script[:0:0], append(script, encodeFrames(f, &wire.Frame{Type: wire.TypeDone, Count: 1, Rows: 3})...)...))
 	f.Add(encodeFrames(f, &wire.Frame{Type: wire.TypeEpoch, Round: 3}, &wire.Frame{Type: wire.TypeEpoch, Round: 2}))
 	f.Add(encodeFrames(f, &wire.Frame{Type: wire.TypeJoin, Join: wire.Join{Query: "q(x = R(x", View: "v"}}))
+	// Version 13's fixpoint steps on a pool of one: absorbs into a store
+	// (one already held, one new, one repeated), their Δ gathered, the
+	// store routed to the one cell there is — and a route onto a column
+	// the view does not have.
+	cell, err := exchange.NewGrid([]int{1}, []uint64{3}, []exchange.GridBind{{Pos: 0, Dim: 0}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(encodeFrames(f,
+		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", Buf: relation.RunOf(2, []relation.Tuple{{1, 2}, {3, 4}})}},
+		&wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{Store: "R", View: "d", Absorb: true, Buf: relation.RunOf(2, []relation.Tuple{{1, 2}, {5, 6}})}},
+		&wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{Store: "R", View: "d", Absorb: true, Buf: relation.RunOf(2, []relation.Tuple{{5, 6}})}},
+		&wire.Frame{Type: wire.TypeGather, View: "d"},
+		&wire.Frame{Type: wire.TypeRoute, Route: wire.Route{View: "R", Cols: []int{1, 0}, Grids: []*exchange.Grid{cell}}},
+		&wire.Frame{Type: wire.TypeRoute, Route: wire.Route{View: "R", Cols: []int{2}, Grids: []*exchange.Grid{cell}}},
+	))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		joins := false

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
+	"repro/internal/exchange"
 	"repro/internal/localjoin"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -68,10 +70,14 @@ func (l *Loopback) run(ctx context.Context, ops []Op, ss []session) (Reply, erro
 	// place.
 	var frames []wire.Frame
 	for i := range ops {
-		if ops[i].Kind == OpJoin && len(ss) > 1 {
+		if k := ops[i].Kind; (k == OpJoin || k == OpRoute) && len(ss) > 1 {
 			frames = ops[i].frames(frames[:0], 0)
-			if err := joinConcurrently(ss, &frames[0]); err != nil {
+			answers, streams, err := concurrently(ss, &frames[0])
+			if err != nil {
 				return reply, err
+			}
+			for j := range ss {
+				reply.add(len(l.ss), int(ss[j].id), frames[0].Type, &answers[j], streams[j])
 			}
 			continue
 		}
@@ -79,46 +85,60 @@ func (l *Loopback) run(ctx context.Context, ops []Op, ss []session) (Reply, erro
 			s := &ss[j]
 			frames = ops[i].frames(frames[:0], int(s.id))
 			for k := range frames {
-				answer, runs, err := s.handle(&frames[k])
+				answer, stream, err := s.handle(&frames[k])
 				if err != nil {
 					return reply, err
 				}
-				reply.add(len(l.ss), int(s.id), &answer, runs)
+				reply.add(len(l.ss), int(s.id), frames[k].Type, &answer, stream)
 			}
 		}
 	}
 	return reply, ctx.Err()
 }
 
-// joinConcurrently has every session handle the one join frame f, each on
-// a goroutine of its own, and joins the refusals.
-func joinConcurrently(ss []session, f *wire.Frame) error {
-	errs := make([]error, len(ss))
+// concurrently has every session handle the one frame f — a join or a
+// route, the steps that compute — each on a goroutine of its own, and
+// returns their answers and streams in session order, and the refusals
+// joined.
+func concurrently(ss []session, f *wire.Frame) ([]wire.Frame, [][]wire.Frame, error) {
+	answers, streams, errs := make([]wire.Frame, len(ss)), make([][]wire.Frame, len(ss)), make([]error, len(ss))
 	var wg sync.WaitGroup
 	for j := range ss {
 		wg.Add(1)
-		go func(s *session, err *error) {
+		go func(j int) {
 			defer wg.Done()
-			_, _, *err = s.handle(f)
-		}(&ss[j], &errs[j])
+			answers[j], streams[j], errs[j] = ss[j].handle(f)
+		}(j)
 	}
 	wg.Wait()
-	return errors.Join(errs...)
+	return answers, streams, errors.Join(errs...)
 }
 
-// add records worker w's answer to one frame in a pool of p: an attach
-// answer behind the worker's earlier ones, gathered runs behind every run
-// of the workers up to w — so a worker's runs stay together however many
-// gathers a script holds, as over TCP — and the rows the gathered view
-// holds onto the worker's count. Acks and pongs carry only an echo.
-func (r *Reply) add(p, w int, answer *wire.Frame, runs []*relation.Run) {
-	switch answer.Type {
+// add records worker w's answer to one frame of type req in a pool of p,
+// and the frames it streamed ahead of it: an attach answer behind the worker's
+// earlier ones; gathered runs behind every run of the workers up to w —
+// so a worker's runs stay together however many gathers a script holds,
+// as over TCP — and the rows the gathered view holds onto the worker's
+// count; a route's pieces behind the pieces of the workers up to w. Acks
+// and pongs carry only an echo.
+func (r *Reply) add(p, w int, req wire.Type, answer *wire.Frame, stream []wire.Frame) {
+	switch req {
 	case wire.TypeAttach:
 		if r.Attached == nil {
 			r.Attached = make([][]wire.Attach, p)
 		}
 		r.Attached[w] = append(r.Attached[w], answer.Attach)
-	case wire.TypeDone:
+	case wire.TypeRoute:
+		at := len(r.Pieces)
+		for at > 0 && r.Pieces[at-1].From > w {
+			at--
+		}
+		for i := range stream {
+			pc := &stream[i].Piece
+			r.Pieces = slices.Insert(r.Pieces, at, Piece{From: w, Target: int(pc.Target), To: int(pc.Dest), Buf: pc.Buf})
+			at++
+		}
+	case wire.TypeGather:
 		if r.Rows == nil {
 			r.Rows = make([]int, p)
 		}
@@ -127,8 +147,8 @@ func (r *Reply) add(p, w int, answer *wire.Frame, runs []*relation.Run) {
 		for at > 0 && r.From[at-1] > w {
 			at--
 		}
-		for _, run := range runs {
-			r.Runs, r.From = slices.Insert(r.Runs, at, run), slices.Insert(r.From, at, w)
+		for i := range stream {
+			r.Runs, r.From = slices.Insert(r.Runs, at, stream[i].Data.Buf), slices.Insert(r.From, at, w)
 			at++
 		}
 	}
@@ -186,6 +206,19 @@ type workerStore struct {
 	// holds the open round's flagged runs until its barrier.
 	home     residentHome
 	retained map[string]*retainedRuns
+	// absorbing holds, per store, the absorb deltas not yet settled: the
+	// next read of any store keeps what the store lacks of them and
+	// registers it under their view. filters holds the filter of each
+	// packed store absorbed into.
+	absorbing map[string]*absorbRuns
+	filters   map[string]*wordFilter
+}
+
+// absorbRuns are the unsettled absorb deltas of one store, all for one
+// Δ view.
+type absorbRuns struct {
+	view string
+	runs []*relation.Run
 }
 
 func newWorkerStore(home residentHome) *workerStore {
@@ -213,6 +246,8 @@ func (w *workerStore) add(rel string, run *relation.Run) error {
 	if err := w.fits(rel, run); err != nil {
 		return err
 	}
+	w.settle()
+	delete(w.filters, rel)
 	run.Seal()
 	w.store[rel] = append(w.store[rel], run)
 	return nil
@@ -221,13 +256,38 @@ func (w *workerStore) add(rel string, run *relation.Run) error {
 // applyDelta ingests one delta run: a retraction merges into store's
 // tombstones; an extension is subtracted from them and appended under
 // store — and, when view is non-empty, under view as well, making the
-// run readable as a Δ-relation. A run that does not fit every name it
-// would land under is refused before anything is applied.
-func (w *workerStore) applyDelta(store, view string, del bool, run *relation.Run) error {
+// run readable as a Δ-relation; an absorbing extension waits to be
+// settled with the others of its store. A run that does not fit every
+// name it would land under is refused before anything is applied.
+func (w *workerStore) applyDelta(d wire.Delta) error {
+	store, view, del, run := d.Store, d.View, d.Del, d.Buf
 	if err := w.fits(store, run); err != nil {
 		return err
 	}
+	if view != "" {
+		if err := w.fits(view, run); err != nil {
+			return err
+		}
+	}
 	run.Seal()
+	if d.Absorb {
+		a := w.absorbing[store]
+		if a != nil && a.view != view {
+			w.settle()
+			a = nil
+		}
+		if a == nil {
+			if w.absorbing == nil {
+				w.absorbing = make(map[string]*absorbRuns)
+			}
+			a = &absorbRuns{view: view}
+			w.absorbing[store] = a
+		}
+		a.runs = append(a.runs, run)
+		return nil
+	}
+	w.settle()
+	delete(w.filters, store)
 	if del {
 		if w.dead == nil {
 			w.dead = make(map[string]*relation.Run)
@@ -235,17 +295,206 @@ func (w *workerStore) applyDelta(store, view string, del bool, run *relation.Run
 		w.dead[store] = relation.Merge([]*relation.Run{w.dead[store], run})
 		return nil
 	}
+	w.extend(store, view, run)
+	return nil
+}
+
+// extend appends a sealed run under store, un-tombstoning its rows, and
+// under view when there is one.
+func (w *workerStore) extend(store, view string, run *relation.Run) {
 	if view != "" {
-		if err := w.fits(view, run); err != nil {
-			return err
-		}
 		w.store[view] = append(w.store[view], run)
 	}
 	if dead := w.dead[store]; dead.Len() > 0 {
 		w.dead[store] = relation.Diff(dead, run)
 	}
 	w.store[store] = append(w.store[store], run)
-	return nil
+}
+
+// settle absorbs the waiting absorb deltas: per store, the rows of their
+// runs the store does not hold extend it, as one more run, and are
+// registered under the deltas' view. What a store holds is what its
+// routing sent it — the same for every worker a row reaches — so a row
+// is new here exactly when it is new everywhere it is kept.
+func (w *workerStore) settle() {
+	absorbing := w.absorbing
+	w.absorbing = nil
+	for store, a := range absorbing {
+		// A run from the peer is sorted, not necessarily free of repeats.
+		in := a.runs[0]
+		if words, ok := in.Words(); len(a.runs) > 1 || !ok || !increasing(words) {
+			in = relation.Merge(a.runs)
+		}
+		if fresh := w.unheld(store, in); fresh.Len() > 0 {
+			w.extend(store, a.view, fresh)
+			if f := w.filters[store]; f != nil {
+				words, _ := fresh.Words()
+				f.addAll(words)
+			}
+		}
+	}
+}
+
+// unheld returns the rows of in that store does not hold. A store stays
+// the runs it arrived as — a fixpoint that merged it every iteration
+// would rewrite all of it every iteration — and, on the packed layout, a
+// Bloom filter of its words answers for most rows: only those it may
+// hold are looked up in the runs. Other stores, and stores with
+// tombstones, are subtracted as one merged read.
+func (w *workerStore) unheld(store string, in *relation.Run) *relation.Run {
+	held := w.store[store]
+	f := w.filters[store]
+	if f == nil && w.dead[store].Len() == 0 && packed(held) {
+		if len(held) > 1 {
+			// The runs the store arrived as become one, so that from here
+			// on each of its rows is in one run (gather).
+			held = w.runs(store)
+		}
+		f = newWordFilter(held, 0)
+		if w.filters == nil {
+			w.filters = make(map[string]*wordFilter)
+		}
+		w.filters[store] = f
+	}
+	words, ok := in.Words()
+	if f == nil || !ok {
+		delete(w.filters, store)
+		if runs := w.runs(store); len(runs) > 0 {
+			return relation.Diff(in, runs[0])
+		}
+		return in
+	}
+	if f.n+len(words) > f.limit {
+		f = newWordFilter(held, len(words))
+		w.filters[store] = f
+	}
+	var maybe []uint64
+	for _, x := range words {
+		if f.has(x) {
+			maybe = append(maybe, x)
+		}
+	}
+	if len(maybe) == 0 {
+		return in
+	}
+	known, err := relation.NewRunFromWords(in.Arity(), maybe)
+	if err != nil {
+		panic(err) // a subsequence of a sealed run's words
+	}
+	fresh := known
+	for _, run := range held {
+		fresh = relation.Diff(fresh, run)
+	}
+	return relation.Diff(in, relation.Diff(known, fresh))
+}
+
+// increasing reports whether sorted words repeat none.
+func increasing(words []uint64) bool {
+	for i := 1; i < len(words); i++ {
+		if words[i] == words[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// packed reports whether every run is on the packed layout.
+func packed(runs []*relation.Run) bool {
+	for _, run := range runs {
+		if _, ok := run.Words(); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// wordFilter is a Bloom filter of packed words — 16 bits a word, two
+// probes — that says of almost every word it was not given that it was
+// not: the test a settle makes of each row before looking it up in a
+// store's runs.
+type wordFilter struct {
+	bits     []uint64
+	shift    uint // 64 − log₂ of the filter's width in bits
+	n, limit int  // words added; words it takes at its false-positive rate
+}
+
+// newWordFilter returns a filter of the words of runs, with room for as
+// many again and more besides.
+func newWordFilter(runs []*relation.Run, more int) *wordFilter {
+	n := more
+	for _, run := range runs {
+		n += run.Len()
+	}
+	limit := max(1024, 2*n)
+	width := 64
+	for width < 16*limit {
+		width *= 2
+	}
+	f := &wordFilter{bits: make([]uint64, width/64), shift: uint(64 - bits.TrailingZeros(uint(width))), limit: limit}
+	for _, run := range runs {
+		words, _ := run.Words()
+		f.addAll(words)
+	}
+	return f
+}
+
+// probes returns the two bit positions of x.
+func (f *wordFilter) probes(x uint64) (uint64, uint64) {
+	h := x * 0x9e3779b97f4a7c15
+	return h >> f.shift, (h ^ h>>29) * 0xbf58476d1ce4e5b9 >> f.shift
+}
+
+// addAll adds words.
+func (f *wordFilter) addAll(words []uint64) {
+	for _, x := range words {
+		i, j := f.probes(x)
+		f.bits[i/64] |= 1 << (i % 64)
+		f.bits[j/64] |= 1 << (j % 64)
+	}
+	f.n += len(words)
+}
+
+// has reports whether x may have been added; false is certain.
+func (f *wordFilter) has(x uint64) bool {
+	i, j := f.probes(x)
+	return f.bits[i/64]&(1<<(i%64)) != 0 && f.bits[j/64]&(1<<(j%64)) != 0
+}
+
+// route is the route step: the rows held under r.View, projected onto
+// r.Cols and deduplicated, partitioned through each of r.Grids, appended
+// to pieces as one Piece frame per grid and destination that receives
+// rows — and the number of distinct rows. The step is input like any frame: columns the
+// view does not have and grids wider than the projection or the pool are
+// refused.
+func (w *workerStore) route(pieces []wire.Frame, r *wire.Route) (_ []wire.Frame, rows int, err error) {
+	if len(r.Cols) == 0 {
+		return nil, 0, errors.New("no columns to project onto")
+	}
+	for i, g := range r.Grids {
+		if g.Size() > w.home.p || g.Width() > len(r.Cols) {
+			return nil, 0, fmt.Errorf("grid %d of %d points routes %d columns; the pool has %d workers, the projection %d columns", i, g.Size(), g.Width(), w.home.p, len(r.Cols))
+		}
+	}
+	held := w.runs(r.View)
+	if len(held) == 0 {
+		return pieces, 0, nil
+	}
+	for _, c := range r.Cols {
+		if c >= held[0].Arity() {
+			return nil, 0, fmt.Errorf("column %d of an arity-%d view", c, held[0].Arity())
+		}
+	}
+	derived := relation.Project(held[0], r.Cols)
+	for i, g := range r.Grids {
+		ds, err := exchange.PartitionRun(r.View, derived, w.home.p, g)
+		if err != nil {
+			return nil, 0, err
+		}
+		for _, d := range ds {
+			pieces = append(pieces, wire.Frame{Type: wire.TypePiece, Piece: wire.Piece{Target: uint32(i), Dest: uint32(d.To), Buf: d.Buf}})
+		}
+	}
+	return pieces, derived.Len(), nil
 }
 
 // runs returns what is stored under rel as at most one sealed run. A
@@ -256,6 +505,7 @@ func (w *workerStore) applyDelta(store, view string, del bool, run *relation.Run
 // tombstones are live for the store the run returned is the store less
 // the tombstones, so gathers and joins never see a retracted tuple.
 func (w *workerStore) runs(rel string) []*relation.Run {
+	w.settle()
 	held := w.store[rel]
 	if len(held) > 1 {
 		merged := relation.Merge(held)
@@ -274,6 +524,35 @@ func (w *workerStore) runs(rel string) []*relation.Run {
 		return nil
 	}
 	return []*relation.Run{live}
+}
+
+// gather returns what a gather of rel streams under limit — every row
+// of the store read as one sealed run, its first limit rows, or none for
+// a negative limit — and how many rows the read holds. A store absorbed
+// into holds each row in one of its runs, so under a limit it is counted
+// and cut from its runs' first rows, and never merged whole.
+func (w *workerStore) gather(rel string, limit int64) ([]*relation.Run, int) {
+	var runs []*relation.Run
+	rows := 0
+	if w.settle(); limit != 0 && w.filters[rel] != nil {
+		for _, run := range w.store[rel] {
+			rows += run.Len()
+			runs = append(runs, run.Prefix(int(max(limit, 0))))
+		}
+		runs = []*relation.Run{relation.Merge(runs)}
+	} else {
+		runs = w.runs(rel)
+		for _, run := range runs {
+			rows += run.Len()
+		}
+	}
+	if limit < 0 || len(runs) == 0 || runs[0] == nil {
+		return nil, rows
+	}
+	if limit > 0 {
+		runs = []*relation.Run{runs[0].Prefix(int(limit))}
+	}
+	return runs, rows
 }
 
 // join evaluates q over the store (an atom named by a binding's first

@@ -171,15 +171,15 @@ func (c *Cluster) phaseCtx(ctx context.Context) (context.Context, context.Cancel
 // the replacement budget runs out, is the script's idempotent suffix:
 // the barriers and the gather behind its last delivery, delta, join or
 // attach. The reply keeps the attach answers of the first send, with
-// those of the workers it failed on dropped, and the runs and row counts
-// of the last.
+// those of the workers it failed on dropped, and the runs, row counts and
+// pieces of the last.
 func (c *Cluster) attempt(ctx context.Context, ops []Op) (Reply, error) {
 	var reply Reply
 	for {
 		pctx, cancel := c.phaseCtx(ctx)
 		r, err := c.tr.Run(pctx, ops)
 		cancel()
-		reply.Runs, reply.From, reply.Rows = r.Runs, r.From, r.Rows
+		reply.Runs, reply.From, reply.Rows, reply.Pieces = r.Runs, r.From, r.Rows, r.Pieces
 		if r.Attached != nil {
 			reply.Attached = r.Attached
 		}

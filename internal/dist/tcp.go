@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -78,6 +79,10 @@ type workerConn struct {
 	rd *wire.Reader
 	// w writes a script slice's frames in one vectored write.
 	w *wire.Writer
+	// slice and out are the scratch a script slice's frames are built in;
+	// a connection runs one script at a time.
+	slice []wire.Frame
+	out   []*wire.Frame
 }
 
 // ParseAddrs splits a comma-separated worker address list (the
@@ -296,7 +301,7 @@ func (op *Op) frames(frames []wire.Frame, w int) []wire.Frame {
 		for _, d := range op.Deltas {
 			if d.To == w {
 				frames = append(frames, wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{
-					Round: uint32(op.Round), Dest: uint32(w), Store: d.Store, View: d.View, Del: d.Del, Buf: d.Buf}})
+					Round: uint32(op.Round), Dest: uint32(w), Store: d.Store, View: d.View, Del: d.Del, Absorb: d.Absorb, Buf: d.Buf}})
 			}
 		}
 	case OpBarrier:
@@ -313,7 +318,11 @@ func (op *Op) frames(frames []wire.Frame, w int) []wire.Frame {
 				Key: a.Key, Store: a.Store, Tuples: uint64(a.Tuples[w])}})
 		}
 	case OpGather:
-		frames = append(frames, wire.Frame{Type: wire.TypeGather, View: op.View, Limit: int64(op.Limit)})
+		if op.reaches(w) {
+			frames = append(frames, wire.Frame{Type: wire.TypeGather, View: op.View, Limit: int64(op.Limit)})
+		}
+	case OpRoute:
+		frames = append(frames, wire.Frame{Type: wire.TypeRoute, Route: op.Route})
 	case OpEpoch:
 		frames = append(frames, wire.Frame{Type: wire.TypeEpoch, Round: uint32(op.Round)})
 	case OpPing:
@@ -327,6 +336,11 @@ func (op *Op) frames(frames []wire.Frame, w int) []wire.Frame {
 // answered reports whether the worker replies to the step.
 func (k OpKind) answered() bool {
 	return k != OpDeliver && k != OpDelta
+}
+
+// reaches reports whether a gather reads worker w.
+func (op *Op) reaches(w int) bool {
+	return op.Cells == nil || slices.Contains(op.Cells, w)
 }
 
 // checkDestinations refuses a script that delivers to a worker outside
@@ -378,6 +392,42 @@ func (wc *workerConn) readGatherStream(view string) ([]*relation.Run, int, error
 	}
 }
 
+// readPieceStream consumes one worker's route reply — Piece frames
+// terminated by a Done carrying their count — and returns the pieces.
+// The caller holds wc.mu via roundTrip.
+func (wc *workerConn) readPieceStream() ([]Piece, error) {
+	var pieces []Piece
+	for {
+		f, err := wc.rd.Next()
+		if err != nil {
+			return nil, err
+		}
+		switch f.Type {
+		case wire.TypePiece:
+			pieces = append(pieces, Piece{From: wc.id, Target: int(f.Piece.Target), To: int(f.Piece.Dest), Buf: f.Piece.Buf})
+		case wire.TypeDone:
+			if int(f.Count) != len(pieces) {
+				return nil, fmt.Errorf("route: %d pieces streamed, done frame says %d", len(pieces), f.Count)
+			}
+			return pieces, nil
+		case wire.TypeError:
+			return nil, fmt.Errorf("worker error: %s", f.Msg)
+		default:
+			return nil, fmt.Errorf("unexpected %s frame in route stream", f.Type)
+		}
+	}
+}
+
+// answers is what one worker replied to its slice of a script: the runs
+// its gathers streamed and the rows their views hold, its attach answers
+// and the pieces its routes derived.
+type answers struct {
+	runs     []*relation.Run
+	rows     int
+	attached []wire.Attach
+	pieces   []Piece
+}
+
 // run is one worker's half of a script: its whole slice — data frames,
 // barriers, joins, the gather — leaves as one vectored write (raw word
 // payloads as segments aliasing the buffers) with no round trip in
@@ -389,17 +439,17 @@ func (wc *workerConn) readGatherStream(view string) ([]*relation.Run, int, error
 // Acks are tiny, so reading them only after the full write cannot
 // deadlock; a gather reply starts only after the worker consumed the
 // whole script. A slice nothing answers is only written.
-func (wc *workerConn) run(ctx context.Context, ops []Op) (runs []*relation.Run, rows int, attached []wire.Attach, err error) {
-	var slice []wire.Frame
+func (wc *workerConn) run(ctx context.Context, ops []Op) (ans answers, err error) {
+	wc.slice, wc.out = wc.slice[:0], wc.out[:0]
 	for i := range ops {
-		slice = ops[i].frames(slice, wc.id)
+		wc.slice = ops[i].frames(wc.slice, wc.id)
 	}
-	frames := make([]*wire.Frame, len(slice))
-	for i := range slice {
-		frames[i] = &slice[i]
+	for i := range wc.slice {
+		wc.out = append(wc.out, &wc.slice[i])
 	}
+	frames := wc.out
 	if len(frames) == 0 {
-		return nil, 0, nil, nil
+		return ans, nil
 	}
 	err = wc.roundTrip(ctx, func() error {
 		if err := wc.w.Flush(frames...); err != nil {
@@ -423,13 +473,20 @@ func (wc *workerConn) run(ctx context.Context, ops []Op) (runs []*relation.Run, 
 					if err != nil {
 						return err
 					}
-					attached = append(attached, f.Attach)
+					ans.attached = append(ans.attached, f.Attach)
 				}
 			case OpGather:
+				if !op.reaches(wc.id) {
+					continue
+				}
 				var got []*relation.Run
 				var n int
 				got, n, err = wc.readGatherStream(op.View)
-				runs, rows = append(runs, got...), rows+n
+				ans.runs, ans.rows = append(ans.runs, got...), ans.rows+n
+			case OpRoute:
+				var got []Piece
+				got, err = wc.readPieceStream()
+				ans.pieces = append(ans.pieces, got...)
 			}
 			if err != nil {
 				return err
@@ -438,9 +495,9 @@ func (wc *workerConn) run(ctx context.Context, ops []Op) (runs []*relation.Run, 
 		return nil
 	})
 	if err != nil {
-		return nil, 0, nil, err // half a reply is none
+		return answers{}, err // half a reply is none
 	}
-	return runs, rows, attached, nil
+	return ans, nil
 }
 
 // errClosed refuses a script on a session that was closed: its
@@ -475,27 +532,32 @@ func (t *TCP) runAll(ctx context.Context, ops []Op) (Reply, error) {
 			t.reg.exchanges.Add(1)
 		}
 	}
-	perWorker := make([][]*relation.Run, len(t.conns))
-	rows := make([]int, len(t.conns))
-	attached := make([][]wire.Attach, len(t.conns))
+	perWorker := make([]answers, len(t.conns))
 	err := eachWorker(len(t.conns), func(w int) (err error) {
-		perWorker[w], rows[w], attached[w], err = t.conns[w].run(ctx, ops)
+		perWorker[w], err = t.conns[w].run(ctx, ops)
 		return err
 	})
 	var reply Reply
 	if attaches {
-		reply.Attached = attached
+		reply.Attached = make([][]wire.Attach, len(t.conns))
+		for w := range perWorker {
+			reply.Attached[w] = perWorker[w].attached
+		}
 	}
 	if err != nil {
 		return reply, err
 	}
 	if gathers {
-		reply.Rows = rows
+		reply.Rows = make([]int, len(t.conns))
 	}
-	for w, rs := range perWorker {
-		for _, run := range rs {
+	for w, ans := range perWorker {
+		if gathers {
+			reply.Rows[w] = ans.rows
+		}
+		for _, run := range ans.runs {
 			reply.Runs, reply.From = append(reply.Runs, run), append(reply.From, w)
 		}
+		reply.Pieces = append(reply.Pieces, ans.pieces...)
 	}
 	return reply, nil
 }
@@ -538,7 +600,7 @@ func (t *TCP) RunOn(ctx context.Context, w int, ops []Op) error {
 	if t.closed.Load() {
 		return errClosed
 	}
-	_, _, _, err := t.conns[w].run(ctx, ops)
+	_, err := t.conns[w].run(ctx, ops)
 	if err != nil {
 		t.failed.Store(true)
 	}

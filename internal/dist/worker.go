@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/exchange"
 	"repro/internal/query"
-	"repro/internal/relation"
 	"repro/internal/wire"
 )
 
@@ -112,23 +111,23 @@ func serveConn(ctx context.Context, conn net.Conn, rs *ResidentStore, hello time
 	// its address reaches the encoder, which would otherwise put a fresh
 	// one on the heap for every frame.
 	var reply wire.Frame
-	var runs []*relation.Run
+	var stream []wire.Frame
 	for {
 		f, err := rd.Next()
 		if errors.Is(err, io.EOF) {
 			return nil // coordinator closed the session
 		}
 		if err == nil {
-			reply, runs, err = s.handle(f)
+			reply, stream, err = s.handle(f)
 		}
 		switch {
 		case err != nil:
 		case reply.Type == wire.TypeDone:
-			// A gather streams its runs and its Done in one write, which
-			// carries the acks queued ahead of it.
-			frames := make([]*wire.Frame, 0, len(runs)+1)
-			for _, run := range runs {
-				frames = append(frames, &wire.Frame{Type: wire.TypeData, Data: wire.Data{Dest: s.id, Rel: f.View, Buf: run}})
+			// A gather or a route streams its runs and its Done in one
+			// write, which carries the acks queued ahead of it.
+			frames := make([]*wire.Frame, 0, len(stream)+1)
+			for i := range stream {
+				frames = append(frames, &stream[i])
 			}
 			err = w.Flush(append(frames, &reply)...)
 		case reply.Type != 0:
@@ -163,6 +162,9 @@ type session struct {
 	// and what it parsed into.
 	joinText  string
 	joinQuery *query.Query
+	// stream is the scratch the frames of a gather or route reply are
+	// built in: they are sent, or copied out, before the next frame.
+	stream []wire.Frame
 }
 
 // newSession returns the session a hello opens for the slot home names:
@@ -185,10 +187,11 @@ func (s *session) parseQuery(text string) (*query.Query, error) {
 }
 
 // handle processes one post-handshake frame and returns the session's
-// answer to it: an Ack, a Pong or an Attach; for a gather the Done
-// closing the runs it returns; for the frames nothing answers (Data,
-// Delta) a reply of type zero. An error refuses the frame.
-func (s *session) handle(f *wire.Frame) (reply wire.Frame, runs []*relation.Run, err error) {
+// answer to it: an Ack, a Pong or an Attach; for a gather or a route the
+// Done closing the Data or Piece frames it streams ahead of it; for the
+// frames nothing answers (Data, Delta) a reply of type zero. An error
+// refuses the frame.
+func (s *session) handle(f *wire.Frame) (reply wire.Frame, stream []wire.Frame, err error) {
 	switch f.Type {
 	case wire.TypeData:
 		if f.Data.Dest != s.id {
@@ -202,7 +205,7 @@ func (s *session) handle(f *wire.Frame) (reply wire.Frame, runs []*relation.Run,
 		if f.Delta.Dest != s.id {
 			return reply, nil, fmt.Errorf("delta frame for shard %d delivered to worker %d", f.Delta.Dest, s.id)
 		}
-		err = s.store.applyDelta(f.Delta.Store, f.Delta.View, f.Delta.Del, f.Delta.Buf)
+		err = s.store.applyDelta(f.Delta)
 	case wire.TypeBarrier:
 		// Frames on the connection are processed in order, so reaching
 		// the barrier means every preceding Data frame is ingested — and
@@ -237,26 +240,22 @@ func (s *session) handle(f *wire.Frame) (reply wire.Frame, runs []*relation.Run,
 		s.epoch = f.Round
 		reply = wire.Frame{Type: wire.TypeAck, Round: f.Round}
 	case wire.TypeGather:
-		runs = s.store.runs(f.View)
-		rows := 0
+		runs, rows := s.store.gather(f.View, f.Limit)
+		stream = s.stream[:0]
 		for _, run := range runs {
-			rows += run.Len()
+			stream = append(stream, wire.Frame{Type: wire.TypeData, Data: wire.Data{Dest: s.id, Rel: f.View, Buf: run}})
 		}
-		if f.Limit != 0 {
-			runs = prefix(runs, f.Limit)
+		s.stream = stream
+		reply = wire.Frame{Type: wire.TypeDone, Count: uint32(len(stream)), Rows: uint64(rows)}
+	case wire.TypeRoute:
+		var rows int
+		if stream, rows, err = s.store.route(s.stream[:0], &f.Route); err != nil {
+			return reply, nil, fmt.Errorf("dist: route of %q: %w", f.Route.View, err)
 		}
-		reply = wire.Frame{Type: wire.TypeDone, Count: uint32(len(runs)), Rows: uint64(rows)}
+		s.stream = stream
+		reply = wire.Frame{Type: wire.TypeDone, Count: uint32(len(stream)), Rows: uint64(rows)}
 	default:
 		err = fmt.Errorf("unexpected %s frame", f.Type)
 	}
-	return reply, runs, err
-}
-
-// prefix returns the first limit rows of a store read as at most one
-// sealed run — none for a negative limit — sharing the run's memory.
-func prefix(runs []*relation.Run, limit int64) []*relation.Run {
-	if limit < 0 || len(runs) == 0 {
-		return nil
-	}
-	return []*relation.Run{runs[0].Prefix(int(limit))}
+	return reply, stream, err
 }

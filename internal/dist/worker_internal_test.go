@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/relation"
@@ -79,7 +81,7 @@ func TestTombstonedReadBuildsNoTuples(t *testing.T) {
 		}
 		dead = append(dead, rows[:25]...)
 	}
-	if err := w.applyDelta("R", "", true, relation.RunOf(2, dead)); err != nil {
+	if err := w.applyDelta(wire.Delta{Store: "R", Del: true, Buf: relation.RunOf(2, dead)}); err != nil {
 		t.Fatal(err)
 	}
 	var live []*relation.Run
@@ -89,5 +91,54 @@ func TestTombstonedReadBuildsNoTuples(t *testing.T) {
 	}
 	if allocs > 12 { // 9 when written: the merge's arenas, the diff's output, their headers
 		t.Errorf("a tombstoned read allocated %.0f times, want a small constant", allocs)
+	}
+}
+
+// TestAbsorbKeepsEachRowOnce: an absorbing delta keeps only what its
+// store lacks and registers that as the Δ view — whether the rows repeat
+// within a run (a sealed run from a peer may), arrive in two runs of one
+// round, or were held already — and a store absorbed into is counted
+// and cut under a gather limit without being merged, so each row must be
+// in one of its runs: the count is the distinct rows, the prefix theirs.
+func TestAbsorbKeepsEachRowOnce(t *testing.T) {
+	w := newWorkerStore(residentHome{})
+	pack := func(rows ...relation.Tuple) []uint64 {
+		words, _ := relation.RunOf(2, rows).Words()
+		return words
+	}
+	if err := w.add("R", relation.RunOf(2, []relation.Tuple{{1, 1}, {3, 3}})); err != nil {
+		t.Fatal(err)
+	}
+	repeats, err := relation.NewRunFromWords(2, append(pack(relation.Tuple{2, 2}), pack(relation.Tuple{2, 2}, relation.Tuple{3, 3})...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, round := range []struct {
+		runs []*relation.Run
+		want []relation.Tuple
+	}{
+		{[]*relation.Run{repeats}, []relation.Tuple{{2, 2}}},
+		{[]*relation.Run{relation.RunOf(2, []relation.Tuple{{2, 2}, {5, 5}}), relation.RunOf(2, []relation.Tuple{{4, 4}, {5, 5}})}, []relation.Tuple{{4, 4}, {5, 5}}},
+	} {
+		view := fmt.Sprint("d", i)
+		for _, run := range round.runs {
+			if err := w.applyDelta(wire.Delta{Store: "R", View: view, Absorb: true, Buf: run}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if d := w.runs(view); len(d) != 1 || !reflect.DeepEqual(d[0].Tuples(), round.want) {
+			t.Fatalf("round %d: the Δ view holds %v, want the rows the store lacked, %v", i, d, round.want)
+		}
+	}
+	for _, limit := range []int64{1, 3, -1} {
+		runs, rows := w.gather("R", limit)
+		want := []relation.Tuple{{1, 1}, {2, 2}, {3, 3}, {4, 4}, {5, 5}}[:max(limit, 0)]
+		var got []relation.Tuple
+		if len(runs) == 1 {
+			got = runs[0].Tuples()
+		}
+		if rows != 5 || len(runs) > 1 || !reflect.DeepEqual(got, want) && len(want) > 0 {
+			t.Errorf("gather under limit %d: %d rows counted, %v; want 5 and %v", limit, rows, got, want)
+		}
 	}
 }

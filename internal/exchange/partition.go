@@ -28,10 +28,7 @@ type Keyed interface{ Key() string }
 // plain-hash disciplines (skew routing, cc vertex ownership): the
 // worker owning value v under the given seed, in [0, p).
 func HashDest(v int, seed uint64, p int) int {
-	z := uint64(v) + seed + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int((z ^ (z >> 31)) % uint64(p))
+	return int(Mix(uint64(v), seed) % uint64(p))
 }
 
 // HashPartitioner hashes one column to a single destination — the
@@ -121,9 +118,7 @@ func PartitionRun(rel string, run *relation.Run, p int, part Partitioner) ([]Del
 		if lo >= hi {
 			continue
 		}
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
+		shard := func(s, lo, hi int) {
 			bufs := make([]*relation.Run, p)
 			row, reserve := make(relation.Tuple, run.Arity()), perDestination(part, hi-lo)
 			var dsts []int
@@ -147,6 +142,15 @@ func PartitionRun(rel string, run *relation.Run, p int, part Partitioner) ([]Del
 				}
 			}
 			per[s] = bufs
+		}
+		if shards == 1 {
+			shard(s, lo, hi) // one shard is routed where it is asked for
+			break
+		}
+		wg.Add(1)
+		go func(s, lo, hi int) {
+			defer wg.Done()
+			shard(s, lo, hi)
 		}(s, lo, hi)
 	}
 	wg.Wait()

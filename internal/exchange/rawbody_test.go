@@ -1,4 +1,4 @@
-package exchange
+package exchange_test
 
 import (
 	"bytes"
@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exchange"
 	"repro/internal/relation"
 	"repro/internal/wire"
 )
@@ -158,7 +159,7 @@ func TestDecodeDeltaWordsSortedByConstruction(t *testing.T) {
 // arrives in order and in range — sealed, same storage, nothing moved —
 // and refuse every other: they check, they never reorder or repair.
 func TestNewBufferFromSortedWords(t *testing.T) {
-	src := NewBuffer(3)
+	src := exchange.NewBuffer(3)
 	rng := rand.New(rand.NewPCG(13, 2))
 	for i := 0; i < 100; i++ {
 		src.Append(relation.Tuple{rng.IntN(1000), rng.IntN(1000), rng.IntN(1000)})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 
 	"repro/internal/dist"
 	"repro/internal/exchange"
@@ -26,9 +27,12 @@ import (
 // conjunctive query without projection determines each answer's witness
 // in atom S_j uniquely (it is the answer's projection onto vars(S_j)),
 // so an answer dies exactly when one of its projections was retracted.
-// The Distribution hands back what the workers joined, undiffed:
-// datalog's fixpoint diffs head facts against the closure it keeps and
-// drives it directly; serve's continuous queries use a Maintainer.
+// Apply hands back what the workers joined, undiffed, and a Maintainer
+// diffs it against the answer it keeps — serve's continuous queries. A
+// Datalog fixpoint keeps nothing on the coordinator: it holds a
+// Distribution open (Hold) and drives Route, Absorb and Closure, so each
+// iteration's derivations travel from the workers that derived them to
+// the grid points that keep them, and only what is new stays.
 
 // Report describes what one maintenance batch cost and changed.
 type Report struct {
@@ -58,6 +62,9 @@ type Distribution struct {
 	// seq numbers maintenance batches; Δ view names embed it so no
 	// two batches share worker-side view state.
 	seq int
+	// derived is the view the last join filled — the cold answer, then
+	// each Absorb's delta joins — and "" when an Absorb joined nothing.
+	derived string
 }
 
 // Distribute runs the cold HC distribution of q over db on p workers and
@@ -69,25 +76,41 @@ type Distribution struct {
 // joins, gather — and leaves fused: one exchange per worker and batch
 // over TCP.
 func Distribute(q *query.Query, db *relation.Database, p int, opts Options) (*Distribution, *relation.Run, error) {
+	d, err := Hold(q, db, p, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	cold, err := d.cluster.Gather(d.ctx, AnswersView)
+	if err != nil {
+		d.Close()
+		return nil, nil, err
+	}
+	return d, cold, nil
+}
+
+// Hold is Distribute leaving the cold round's answer on the workers,
+// under AnswersView, for Route to read; the round is queued, and leaves
+// with the next fence.
+func Hold(q *query.Query, db *relation.Database, p int, opts Options) (*Distribution, error) {
 	seen := make(map[string]bool, len(q.Atoms))
 	for _, a := range q.Atoms {
 		if seen[a.Name] {
-			return nil, nil, fmt.Errorf("hypercube: maintenance of self-join atom %s not supported", a.Name)
+			return nil, fmt.Errorf("hypercube: maintenance of self-join atom %s not supported", a.Name)
 		}
 		seen[a.Name] = true
 	}
 	shares, err := SharesForQuery(q, p, GreedyRounding)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if shares.GridSize() > p {
-		return nil, nil, fmt.Errorf("hypercube: grid size %d exceeds %d servers", shares.GridSize(), p)
+		return nil, fmt.Errorf("hypercube: grid size %d exceeds %d servers", shares.GridSize(), p)
 	}
 	cluster, ctx, err := opts.open(p, db)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	d := &Distribution{q: q, cluster: cluster, ctx: ctx, parts: make(map[string]*GridPartitioner, len(q.Atoms))}
+	d := &Distribution{q: q, cluster: cluster, ctx: ctx, parts: make(map[string]*GridPartitioner, len(q.Atoms)), derived: AnswersView}
 	hasher := NewHasher(shares, opts.Seed)
 	for _, a := range q.Atoms {
 		d.parts[a.Name] = NewGridPartitioner(shares, hasher, a)
@@ -95,16 +118,11 @@ func Distribute(q *query.Query, db *relation.Database, p int, opts Options) (*Di
 
 	// Cold distribution: the ordinary one-round HC scatter and join,
 	// with the cluster kept open afterwards.
-	var cold *relation.Run
-	err = Round(ctx, cluster, q, db, func(a query.Atom) exchange.Partitioner { return d.parts[a.Name] })
-	if err == nil {
-		cold, err = cluster.Gather(ctx, AnswersView)
-	}
-	if err != nil {
+	if err := Round(ctx, cluster, q, db, func(a query.Atom) exchange.Partitioner { return d.parts[a.Name] }); err != nil {
 		cluster.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	return d, cold, nil
+	return d, nil
 }
 
 // Stats returns the cluster's communication record, cold distribution
@@ -132,6 +150,72 @@ func (d *Distribution) Fanout(atom string) int {
 
 // Close releases the cluster.
 func (d *Distribution) Close() error { return d.cluster.Close() }
+
+// Grid returns the routing of the named atom's tuples, or nil for an
+// atom outside the query.
+func (d *Distribution) Grid(atom string) *exchange.Grid {
+	if part := d.parts[atom]; part != nil {
+		return part.Grid
+	}
+	return nil
+}
+
+// Route sends what the last join derived — the cold answer, then each
+// Absorb's — on its way: every worker projects it onto cols and
+// partitions the distinct rows through each of grids (Cluster.Route),
+// in the fused script that still holds the iteration's deliveries,
+// barrier and joins. It returns the pieces, none when the last Absorb
+// joined nothing.
+func (d *Distribution) Route(cols []int, grids []*exchange.Grid) ([]dist.Piece, error) {
+	if d.derived == "" {
+		return nil, d.cluster.Flush(d.ctx)
+	}
+	return d.cluster.Route(d.ctx, d.derived, cols, grids)
+}
+
+// Absorb runs one fixpoint iteration's round on the distribution: per
+// store, the pieces routed to it (Cluster.Absorb) — each receiver keeps
+// only the rows its store lacks, and registers those as the store's Δ —
+// then, for every atom of the query that received pieces, a delta join
+// binding the atom to its Δ and every other atom to its store. A store
+// outside the query only keeps what it is sent. What the joins derived
+// is what the next Route sends; the round leaves with it.
+func (d *Distribution) Absorb(pieces map[string][]dist.Piece) error {
+	d.seq++
+	d.cluster.BeginRound()
+	stores := make([]string, 0, len(pieces))
+	for store := range pieces {
+		stores = append(stores, store)
+	}
+	sort.Strings(stores)
+	for _, store := range stores {
+		if err := d.cluster.Absorb(d.ctx, pieces[store], store, deltaView(store, d.seq)); err != nil {
+			return err
+		}
+	}
+	if err := d.cluster.EndRound(d.ctx); err != nil && !errors.Is(err, mpc.ErrCapExceeded) {
+		return err
+	}
+	d.derived = ""
+	view := fmt.Sprintf("hc!delta!%d", d.seq)
+	for _, a := range d.q.Atoms {
+		if len(pieces[a.Name]) == 0 {
+			continue
+		}
+		if err := d.cluster.Join(d.ctx, d.q, map[string]string{a.Name: deltaView(a.Name, d.seq)}, view, 0); err != nil {
+			return err
+		}
+		d.derived = view
+	}
+	return nil
+}
+
+// Closure gathers what store holds from the canonical cells of grid, the
+// routing its rows arrived by: each row once, so under a limit the first
+// limit rows and the summed count are exact (Cluster.GatherCells).
+func (d *Distribution) Closure(store string, grid *exchange.Grid, limit int) (*relation.Run, int, error) {
+	return d.cluster.GatherCells(d.ctx, store, limit, grid.Canonical())
+}
 
 // deltaView names the Δ-relation view of one atom in one batch.
 func deltaView(atom string, seq int) string {

@@ -174,15 +174,6 @@ func SharesForQuery(q *query.Query, p int, mode RoundingMode) (*Shares, error) {
 	return ComputeShares(q.Vars(), r.ShareExponentFloats(), p, mode)
 }
 
-// hash64 is a splitmix64-style mixer: an independent-looking hash per
-// (value, dimension-seed) pair.
-func hash64(x, seed uint64) uint64 {
-	z := x + seed + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // Hasher maps domain values to grid coordinates, one independent hash
 // per dimension.
 type Hasher struct {
@@ -194,7 +185,7 @@ type Hasher struct {
 func NewHasher(s *Shares, seed uint64) *Hasher {
 	h := &Hasher{dims: s.Dims, seeds: make([]uint64, len(s.Dims))}
 	for i := range h.seeds {
-		h.seeds[i] = hash64(uint64(i)+1, seed)
+		h.seeds[i] = exchange.Mix(uint64(i)+1, seed)
 	}
 	return h
 }
@@ -204,7 +195,7 @@ func (h *Hasher) Coord(dim, value int) int {
 	if h.dims[dim] == 1 {
 		return 0
 	}
-	return int(hash64(uint64(value), h.seeds[dim]) % uint64(h.dims[dim]))
+	return int(exchange.Mix(uint64(value), h.seeds[dim]) % uint64(h.dims[dim]))
 }
 
 // Destinations lists the grid points that must receive a tuple of
@@ -221,48 +212,28 @@ func Destinations(s *Shares, h *Hasher, atom query.Atom, t relation.Tuple) []int
 }
 
 // GridPartitioner routes the tuples of one atom onto the hypercube
-// grid — the exchange.Partitioner form of Destinations. The variable →
-// dimension bindings are resolved once at construction, and grid-point
-// enumeration is iterative (mixed-radix expansion over the free
-// dimensions into the caller's buffer) instead of the historic
-// recursive closure, so routing a tuple allocates nothing once the
-// buffer has capacity.
+// grid — the exchange.Partitioner form of Destinations. Its routing is
+// the atom's exchange.Grid, the one a worker builds from the same spec;
+// a sampled grid projects what the grid routes through the sample.
 type GridPartitioner struct {
-	dims    []int
-	strides []int // stride[d] = ∏_{d' > d} dims[d']
-	hasher  *Hasher
-	binds   []gridBind
-	free    []int       // free dims with dims[d] > 1, in dimension order
-	fanout  int         // ∏ dims[free]
-	sample  map[int]int // optional grid point → server projection
+	*exchange.Grid
+	sample map[int]int // optional grid point → server projection
 }
 
-// gridBind fixes grid dimension dim from tuple position pos.
-type gridBind struct{ pos, dim int }
-
-// NewGridPartitioner precomputes the routing state for one atom.
+// NewGridPartitioner precomputes the routing state for one atom: its
+// variables' positions bind the dimensions the shares give them.
 func NewGridPartitioner(s *Shares, h *Hasher, atom query.Atom) *GridPartitioner {
-	k := len(s.Dims)
-	g := &GridPartitioner{dims: s.Dims, hasher: h, strides: make([]int, k), fanout: 1}
-	stride := 1
-	for d := k - 1; d >= 0; d-- {
-		g.strides[d] = stride
-		stride *= s.Dims[d]
-	}
-	bound := make([]bool, k)
+	var binds []exchange.GridBind
 	for pos, v := range atom.Vars {
 		if d := s.DimOf(v); d >= 0 {
-			g.binds = append(g.binds, gridBind{pos: pos, dim: d})
-			bound[d] = true
+			binds = append(binds, exchange.GridBind{Pos: pos, Dim: d})
 		}
 	}
-	for d := 0; d < k; d++ {
-		if !bound[d] && s.Dims[d] > 1 {
-			g.free = append(g.free, d)
-			g.fanout *= s.Dims[d]
-		}
+	g, err := exchange.NewGrid(s.Dims, h.seeds, binds)
+	if err != nil {
+		panic(fmt.Sprintf("hypercube: shares %v: %v", s.Dims, err))
 	}
-	return g
+	return &GridPartitioner{Grid: g}
 }
 
 // WithSample restricts routing to the materialized grid points of the
@@ -273,71 +244,29 @@ func (g *GridPartitioner) WithSample(sample map[int]int) *GridPartitioner {
 	return g
 }
 
-// Fanout returns the number of grid points a tuple replicates to
-// (before sampling).
-func (g *GridPartitioner) Fanout() int { return g.fanout }
-
 // PerDestination returns the tuples one grid point should expect of
 // rows, each reaching Fanout of the grid's points; 0 on a sampled grid.
 func (g *GridPartitioner) PerDestination(rows int) int {
 	if g.sample != nil {
 		return 0
 	}
-	grid := g.strides[0] * g.dims[0]
-	return (rows*g.fanout + grid - 1) / grid
+	return g.Grid.PerDestination(rows)
 }
 
-// Key implements exchange.Keyed: shares, per-dimension hash seeds and
-// position → dimension bindings. A sampled grid has no key.
+// Key implements exchange.Keyed: the grid's key. A sampled grid has no
+// key.
 func (g *GridPartitioner) Key() string {
 	if g.sample != nil {
 		return ""
 	}
-	return fmt.Sprint("grid", g.dims, g.hasher.seeds, g.binds)
+	return g.Grid.Key()
 }
 
 // Route implements exchange.Partitioner. It is stateless and safe for
 // concurrent senders.
-func (g *GridPartitioner) Route(_ int, t relation.Tuple, buf []int) []int {
-	const maxStackDims = 16
-	var setArr [maxStackDims]bool
-	var coordArr [maxStackDims]int
-	set, coord := setArr[:], coordArr[:]
-	if len(g.dims) > maxStackDims {
-		set = make([]bool, len(g.dims))
-		coord = make([]int, len(g.dims))
-	}
-	base := 0
-	for _, b := range g.binds {
-		c := g.hasher.Coord(b.dim, t[b.pos])
-		if set[b.dim] {
-			if coord[b.dim] != c {
-				// A repeated variable hashes consistently (same value,
-				// same hash); conflicting values mean the tuple can
-				// never participate in an answer.
-				return buf
-			}
-			continue
-		}
-		set[b.dim] = true
-		coord[b.dim] = c
-		base += c * g.strides[b.dim]
-	}
+func (g *GridPartitioner) Route(i int, t relation.Tuple, buf []int) []int {
 	start := len(buf)
-	buf = append(buf, base)
-	// Expand the free dimensions innermost-first, so the result order
-	// matches the historic recursive enumeration (first free dimension
-	// outermost).
-	for i := len(g.free) - 1; i >= 0; i-- {
-		d := g.free[i]
-		m := len(buf)
-		for c := 1; c < g.dims[d]; c++ {
-			off := c * g.strides[d]
-			for j := start; j < m; j++ {
-				buf = append(buf, buf[j]+off)
-			}
-		}
-	}
+	buf = g.Grid.Route(i, t, buf)
 	if g.sample == nil {
 		return buf
 	}

@@ -235,8 +235,8 @@ type Options struct {
 	Snapshot  *dist.Snapshot
 	// Pipeline is read by nothing: there is one round schedule, and
 	// dist.Open runs it. The name stays because plan.ExecOptions is this
-	// type and bench/probes.go, which this PR may not edit, sets it;
-	// ROADMAP item 2 deletes it.
+	// type and bench/probes.go, which changes only with the benchmark,
+	// sets it; ROADMAP item 7 deletes it.
 	Pipeline bool
 	// AnswerLimit is how many rows of the answer reach the coordinator:
 	// 0 all of them, k > 0 the first k in the answer's order, a negative

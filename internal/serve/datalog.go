@@ -19,9 +19,9 @@ import (
 // resolveProgram resolves the Datalog kind of POST /query: a request
 // whose program field is set (or whose query text contains ':-'/'?-')
 // is parsed by internal/datalog and evaluated stratum by stratum —
-// rule bodies through the planner, recursive strata semi-naive over
-// warm incremental maintenance, aggregate heads folded over the
-// gathered answer. A rule body's plan is cached like a query's, under
+// rule bodies through the planner, recursive strata semi-naive with the
+// closure kept on the workers and gathered only as far as the reply
+// goes, aggregate heads folded over the gathered answer. A rule body's plan is cached like a query's, under
 // the program, the rule's index, the dataset version, p and ε: the
 // statistics its planner reads — derived predicates included — are a
 // function of those.
@@ -58,7 +58,10 @@ func (s *Server) resolveProgram(req QueryRequest) (*job, error) {
 			Explain: prog.Describe(),
 		},
 		run: func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) (answer, error) {
-			opts := datalog.Options{P: p, Epsilon: eps, CapConstant: s.cfg.CapFactor, Seed: seed, Context: ctx, Trace: tc}
+			// A recursive output is gathered as far as the reply goes: the
+			// rest of the closure stays on the workers, which count it.
+			opts := datalog.Options{P: p, Epsilon: eps, CapConstant: s.cfg.CapFactor, Seed: seed, Context: ctx, Trace: tc,
+				AnswerLimit: s.answerLimit(req.MaxAnswers)}
 			opts.Plan = func(rule int, build func() (*plan.Plan, error)) (*plan.Plan, error) {
 				key := programPlanKey(text, rule, ds.Name, sn.Version, p, eps)
 				if pl, ok := s.cache.Get(key); ok {
@@ -91,10 +94,7 @@ func (s *Server) resolveProgram(req QueryRequest) (*job, error) {
 			}
 			reply.Vars, reply.Iterations = res.Vars, res.Iterations
 			reply.CapExceeded, reply.WorkerReplacements = res.CapExceeded, res.Replacements
-			// The closure is held on the coordinator (ROADMAP item 2): every
-			// row of the answer was gathered to it.
-			n := res.Answers.Len()
-			return answer{run: res.Answers, count: n, gathered: n, stats: res.Stats}, nil
+			return answer{run: res.Answers, count: res.Count, gathered: res.Gathered, stats: res.Stats}, nil
 		},
 	}, nil
 }

@@ -792,9 +792,10 @@ func TestWorkerPoolContinuous(t *testing.T) {
 // the multiround engine's last round is what gathers) — mpcserve_answer_rows_gathered_total and the answer
 // gather's span both say how many — while answerCount is every answer
 // and the five rows are the ground truth's first. A query asking for the
-// count alone ships none. A Datalog program, whose answer the
-// coordinator holds, and a continuous query's maintainer still gather
-// every row.
+// count alone ships none. A non-recursive Datalog program, whose rule
+// body is gathered and projected on the coordinator, and a continuous
+// query's maintainer still gather every row (a recursive program's reply
+// is TestRecursiveProgramGathersOnlyTheReply's).
 func TestWorkerPoolGathersOnlyTheReply(t *testing.T) {
 	const n = 2000
 	addrs := startWorkerPool(t, 4)
@@ -865,5 +866,48 @@ func TestWorkerPoolGathersOnlyTheReply(t *testing.T) {
 	resp.Body.Close()
 	if want := fmt.Sprintf("mpcserve_answer_rows_gathered_total %d\n", gathered()); !strings.Contains(string(prom), want) {
 		t.Fatalf("/metrics lacks %q", want)
+	}
+}
+
+// TestRecursiveProgramGathersOnlyTheReply: the transitive closure of a
+// 40-vertex chain stays on a 4-worker pool's grid cells. A reply of five
+// answers gathers at most five rows from each worker —
+// mpcserve_answer_rows_gathered_total moves by at most 4·5 — and its
+// answerCount is still the closure's 780 pairs, the first five of them in
+// order; a request for the count alone gathers no row.
+func TestRecursiveProgramGathersOnlyTheReply(t *testing.T) {
+	const n = 40
+	srv, ts := newTestServer(t, serve.Config{WorkerAddrs: startWorkerPool(t, 4)}, 100)
+	chain := relation.New("e", "a", "b")
+	var edges [][2]int
+	for v := 1; v < n; v++ {
+		chain.Tuples = append(chain.Tuples, relation.Tuple{v, v + 1})
+		edges = append(edges, [2]int{v, v + 1})
+	}
+	db := relation.NewDatabase(n)
+	db.AddRelation(chain)
+	if _, err := srv.Registry().Add("chain", db); err != nil {
+		t.Fatal(err)
+	}
+	want := closurePairs(edges)
+	if len(want) != n*(n-1)/2 {
+		t.Fatalf("reference closure has %d pairs", len(want))
+	}
+	gathered := func() int64 { return srv.Metrics().AnswerRowsGathered.Load() }
+
+	before := gathered()
+	out, _ := postQuery(t, ts.URL, serve.QueryRequest{Dataset: "chain", Program: tcServeProgram, MaxAnswers: 5})
+	shipped := gathered() - before
+	if out.AnswerCount != len(want) || !reflect.DeepEqual(out.Answers, want[:5]) || !out.Truncated {
+		t.Fatalf("answerCount %d, answers %v (truncated %v); want %d and %v", out.AnswerCount, out.Answers, out.Truncated, len(want), want[:5])
+	}
+	if shipped < 5 || shipped > 4*5 {
+		t.Fatalf("the closure's gather shipped %d rows, want 5 to 20", shipped)
+	}
+
+	before = gathered()
+	out, _ = postQuery(t, ts.URL, serve.QueryRequest{Dataset: "chain", Program: tcServeProgram, MaxAnswers: -1})
+	if out.AnswerCount != len(want) || len(out.Answers) != 0 || gathered() != before {
+		t.Fatalf("count only: answerCount %d, %d answers, %d rows gathered; want %d, 0, 0", out.AnswerCount, len(out.Answers), gathered()-before, len(want))
 	}
 }

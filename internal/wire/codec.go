@@ -8,6 +8,7 @@ import (
 	"slices"
 	"unsafe"
 
+	"repro/internal/exchange"
 	"repro/internal/relation"
 )
 
@@ -20,6 +21,10 @@ const (
 	encFlat = 1 // row-major big-endian int64 values
 	encRaw  = 2 // packed words as little-endian memory, sent zero-copy
 )
+
+// deltaAbsorb is the mode byte of an absorbing Delta, beside 0 (append)
+// and 1 (retract).
+const deltaAbsorb = 2
 
 // hostLittleEndian reports whether native uint64 memory order matches
 // the encRaw wire order; a big-endian host swap-copies its words into
@@ -108,8 +113,37 @@ func appendFrame(dst []byte, f *Frame) ([]byte, []byte, error) {
 		w.u32(f.Delta.Dest)
 		w.str(f.Delta.Store)
 		w.str(f.Delta.View)
-		w.flag(f.Delta.Del)
+		switch {
+		case f.Delta.Del && f.Delta.Absorb:
+			w.fail(fmt.Errorf("delta both retracts and absorbs"))
+		case f.Delta.Absorb:
+			w.b = append(w.b, deltaAbsorb)
+		default:
+			w.flag(f.Delta.Del)
+		}
 		seg = w.buffer(f.Delta.Buf)
+	case TypeRoute:
+		w.str(f.Route.View)
+		w.ints(f.Route.Cols)
+		w.count(len(f.Route.Grids))
+		for _, g := range f.Route.Grids {
+			w.count(len(g.Dims()))
+			for _, d := range g.Dims() {
+				w.u32(uint32(d))
+			}
+			for _, seed := range g.Seeds() {
+				w.u64(seed)
+			}
+			w.count(len(g.Binds()))
+			for _, b := range g.Binds() {
+				w.u16(uint16(b.Pos))
+				w.u16(uint16(b.Dim))
+			}
+		}
+	case TypePiece:
+		w.u32(f.Piece.Target)
+		w.u32(f.Piece.Dest)
+		seg = w.buffer(f.Piece.Buf)
 	case TypeBarrier, TypeAck, TypePing, TypePong, TypeEpoch, TypeReset:
 		w.u32(f.Round)
 	case TypeAttach:
@@ -173,6 +207,25 @@ func (w *payloadWriter) flag(v bool) {
 		w.b = append(w.b, 1)
 	} else {
 		w.b = append(w.b, 0)
+	}
+}
+
+// count appends a uint16 element count.
+func (w *payloadWriter) count(n int) {
+	if n > maxName {
+		w.fail(fmt.Errorf("%d elements exceed %d", n, maxName))
+	}
+	w.u16(uint16(n))
+}
+
+// ints appends a uint16-counted list of uint16 values.
+func (w *payloadWriter) ints(vs []int) {
+	w.count(len(vs))
+	for _, v := range vs {
+		if v < 0 || v > maxName {
+			w.fail(fmt.Errorf("value %d out of range", v))
+		}
+		w.u16(uint16(v))
 	}
 }
 
@@ -263,7 +316,7 @@ func (w *Writer) Flush(frames ...*Frame) error {
 }
 
 // Encode writes one frame to w: a one-frame Flush. It stays for bench/,
-// which this PR may not edit; ROADMAP item 2 deletes it.
+// which changes only with the benchmark; ROADMAP item 7 deletes it.
 func Encode(w io.Writer, f *Frame) error { return NewWriter(w).Flush(f) }
 
 // Reader is the receiving half of a connection and the only decoder:
@@ -276,6 +329,8 @@ type Reader struct {
 	r   io.Reader
 	hdr [5]byte
 	buf []byte
+	// f is the frame Next decodes into and returns.
+	f Frame
 }
 
 // readChunk is the first allocation step of a Reader's payload scratch.
@@ -286,16 +341,17 @@ const readChunk = 1 << 16
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
 // NewTrustedReader is NewReader under the name bench/ compiles against;
-// nothing is trusted. ROADMAP item 2 deletes it.
+// nothing is trusted. ROADMAP item 7 deletes it.
 func NewTrustedReader(r io.Reader) *Reader { return NewReader(r) }
 
 // Decode reads one frame from r through a Reader of its own. It stays
-// for bench/; ROADMAP item 2 deletes it.
+// for bench/; ROADMAP item 7 deletes it.
 func Decode(r io.Reader) (*Frame, error) { return NewReader(r).Next() }
 
 // Next reads and decodes one frame. It returns io.EOF when the stream
 // ends cleanly between frames and io.ErrUnexpectedEOF on a truncated
-// one.
+// one. The frame is the Reader's, valid until the next call, so a caller
+// copies what it keeps of it; the runs and strings it holds are fresh.
 func (rd *Reader) Next() (*Frame, error) {
 	if _, err := io.ReadFull(rd.r, rd.hdr[:1]); err != nil {
 		return nil, err
@@ -321,14 +377,18 @@ func (rd *Reader) Next() (*Frame, error) {
 		}
 	}
 	rd.buf = body
-	return decodePayload(typ, body)
+	rd.f = Frame{Type: typ}
+	if err := decodePayload(&rd.f, body); err != nil {
+		return nil, err
+	}
+	return &rd.f, nil
 }
 
-// decodePayload parses and validates one frame payload.
-func decodePayload(typ Type, body []byte) (*Frame, error) {
+// decodePayload parses and validates one frame payload into f, whose
+// Type it reads.
+func decodePayload(f *Frame, body []byte) error {
 	p := &payloadReader{b: body}
-	f := &Frame{Type: typ}
-	switch typ {
+	switch typ := f.Type; typ {
 	case TypeHello:
 		f.Hello.Version = p.u16()
 		f.Hello.Worker = p.u32()
@@ -344,8 +404,26 @@ func decodePayload(typ Type, body []byte) (*Frame, error) {
 		f.Delta.Dest = p.u32()
 		f.Delta.Store = p.str()
 		f.Delta.View = p.str()
-		f.Delta.Del = p.flag()
+		switch mode := p.u8(); mode {
+		case 0, 1:
+			f.Delta.Del = mode == 1
+		case deltaAbsorb:
+			f.Delta.Absorb = true
+		default:
+			p.fail(fmt.Errorf("delta mode byte %d", mode))
+		}
 		f.Delta.Buf = p.buffer()
+	case TypeRoute:
+		f.Route.View = p.str()
+		f.Route.Cols = p.ints()
+		n := int(p.u16())
+		for i := 0; i < n && p.err == nil; i++ {
+			f.Route.Grids = append(f.Route.Grids, p.grid())
+		}
+	case TypePiece:
+		f.Piece.Target = p.u32()
+		f.Piece.Dest = p.u32()
+		f.Piece.Buf = p.buffer()
 	case TypeBarrier, TypeAck, TypePing, TypePong, TypeEpoch, TypeReset:
 		f.Round = p.u32()
 	case TypeAttach:
@@ -368,15 +446,15 @@ func decodePayload(typ Type, body []byte) (*Frame, error) {
 	case TypeError:
 		f.Msg = p.str()
 	default:
-		return nil, fmt.Errorf("wire: unknown frame type %d", uint8(typ))
+		return fmt.Errorf("wire: unknown frame type %d", uint8(typ))
 	}
 	if p.err != nil {
-		return nil, fmt.Errorf("wire: %s frame: %w", typ, p.err)
+		return fmt.Errorf("wire: %s frame: %w", f.Type, p.err)
 	}
 	if len(p.b) != p.off {
-		return nil, fmt.Errorf("wire: %s frame has %d trailing payload bytes", typ, len(p.b)-p.off)
+		return fmt.Errorf("wire: %s frame has %d trailing payload bytes", f.Type, len(p.b)-p.off)
 	}
-	return f, nil
+	return nil
 }
 
 // payloadReader is a bounds-checked cursor over a payload; the first
@@ -447,6 +525,42 @@ func (p *payloadReader) u64() uint64 {
 // str reads a uint16-length-prefixed string.
 func (p *payloadReader) str() string {
 	return string(p.take(int(p.u16())))
+}
+
+// ints reads a uint16-counted list of uint16 values.
+func (p *payloadReader) ints() []int {
+	n := int(p.u16())
+	var vs []int
+	for i := 0; i < n && p.err == nil; i++ {
+		vs = append(vs, int(p.u16()))
+	}
+	return vs
+}
+
+// grid reads one grid spec and has exchange.NewGrid check it.
+func (p *payloadReader) grid() *exchange.Grid {
+	k := int(p.u16())
+	var dims []int
+	var seeds []uint64
+	for i := 0; i < k && p.err == nil; i++ {
+		dims = append(dims, int(p.u32()))
+	}
+	for i := 0; i < k && p.err == nil; i++ {
+		seeds = append(seeds, p.u64())
+	}
+	nb := int(p.u16())
+	var binds []exchange.GridBind
+	for i := 0; i < nb && p.err == nil; i++ {
+		binds = append(binds, exchange.GridBind{Pos: int(p.u16()), Dim: int(p.u16())})
+	}
+	if p.err != nil {
+		return nil
+	}
+	g, err := exchange.NewGrid(dims, seeds, binds)
+	if err != nil {
+		p.fail(err)
+	}
+	return g
 }
 
 // buffer reads one run — the body appendFrame's buffer wrote — into

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/exchange"
 	"repro/internal/relation"
 )
 
@@ -96,6 +97,22 @@ func FuzzDecodeFrame(f *testing.F) {
 	seed(&Frame{Type: TypeData, Data: Data{Round: 2, Dest: 1, Rel: "Z", Retain: "\x00key\xff", Buf: skewed}})
 	seed(&Frame{Type: TypeDelta, Delta: Delta{Round: 5, Dest: 0, Store: "R", View: "delta!R!1", Buf: wide}})
 	seed(&Frame{Type: TypeDelta, Delta: Delta{Round: 5, Dest: 1, Store: "Z", Del: true, Buf: skewed}})
+	// Version 13's fixpoint steps: an absorbing delta, a route through two
+	// grids, and the pieces a route answers with.
+	seed(&Frame{Type: TypeDelta, Delta: Delta{Round: 7, Dest: 2, Store: "tc", View: "delta!tc!3", Absorb: true, Buf: wide}})
+	grid := func(dims []int, binds ...exchange.GridBind) *exchange.Grid {
+		g, err := exchange.NewGrid(dims, make([]uint64, len(dims)), binds)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return g
+	}
+	seed(&Frame{Type: TypeRoute, Route: Route{View: "hc!delta!3", Cols: []int{0, 2}, Grids: []*exchange.Grid{
+		grid([]int{1, 4, 1}, exchange.GridBind{Pos: 1, Dim: 1}),
+		grid([]int{2, 2}, exchange.GridBind{Pos: 0, Dim: 0}, exchange.GridBind{Pos: 1, Dim: 0}),
+	}}})
+	seed(&Frame{Type: TypePiece, Piece: Piece{Target: 1, Dest: 3, Buf: packed}})
+	seed(&Frame{Type: TypePiece, Piece: Piece{Dest: 0, Buf: flat}})
 	// Hostile shapes: lying lengths, dirty high bits, truncation.
 	hostile([]byte{byte(TypeData), 0xFF, 0xFF, 0xFF, 0xFF})
 	hostile([]byte{byte(TypeData), 0, 0, 0, 30, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 3, 0, 0, 0, 0, 2})
@@ -106,9 +123,16 @@ func FuzzDecodeFrame(f *testing.F) {
 	hostile([]byte{14, 0, 0, 0, 22, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 2, 0, 0})
 	hostile([]byte{byte(TypeDelta), 0, 0, 0, 12, 0, 0, 0, 2, 0, 0, 0, 5, 0, 0, 0, 0})
 	// Version-9 frames under the bytes version 10 renumbered: the retired
-	// trace frame, and the byte that meant Reset, now past the last type.
+	// trace frame, and the byte that meant Reset, now Route's, whose
+	// payload this is not.
 	hostile(v9Trace)
 	hostile([]byte{15, 0, 0, 0, 4, 0, 0, 0, 1})
+	// Hostile routes: a grid of no points, a bind to a dimension the grid
+	// does not have.
+	hostile([]byte{byte(TypeRoute), 0, 0, 0, 22,
+		0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	hostile([]byte{byte(TypeRoute), 0, 0, 0, 26,
+		0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1})
 	// Hostile fast shapes: unsorted raw words, then three version-10
 	// delta-varint bodies — a first word above the packed width, a
 	// truncated varint, a lying count.
@@ -136,13 +160,13 @@ func FuzzDecodeFrame(f *testing.F) {
 	// overruns the payload.
 	hostile([]byte{byte(TypeAttach), 0, 0, 0, 13, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 2})
 	hostile([]byte{byte(TypeAttach), 0, 0, 0, 13, 0xFF, 0xFF, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 1})
-	// Hostile delta frames: a dirty op byte (only 0 and 1 are legal), a
+	// Hostile delta frames: a dirty mode byte (0, 1 and 2 are legal), a
 	// lying tuple count with almost no payload behind it, and a
 	// truncated delta-varint body — all must reject without
 	// over-allocating.
 	hostile([]byte{
 		byte(TypeDelta), 0, 0, 0, 21,
-		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 2, 0, 1, encPacked, 0, 0, 0, 0,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 3, 0, 1, encPacked, 0, 0, 0, 0,
 	})
 	hostile([]byte{
 		byte(TypeDelta), 0, 0, 0, 23,
@@ -203,7 +227,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if !sameFrame(fr, again) {
 			t.Fatalf("round trip changed the frame:\n was %+v\n now %+v", fr, again)
 		}
-		for _, run := range []*relation.Run{fr.Data.Buf, fr.Delta.Buf} {
+		for _, run := range []*relation.Run{fr.Data.Buf, fr.Delta.Buf, fr.Piece.Buf} {
 			if run != nil && !run.Sealed() {
 				t.Fatalf("accepted %s frame carries an unsealed run", fr.Type)
 			}

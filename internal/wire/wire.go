@@ -14,10 +14,11 @@
 // name, and the buffer body in the encoding of its layout: the packed
 // words as raw little-endian memory, or a row-major big-endian int64
 // sequence for a buffer on the flat layout; a Delta frame carries a
-// maintenance run the same way. Control frames carry the BSP protocol
-// around the data (Hello, Barrier, Join, Gather, Ack, Done, Error), the
-// recovery handshake (Ping, Pong, Epoch), the resident scatter (Attach)
-// and a session's reuse (Reset). Every frame type has a reader on the
+// maintenance run the same way, and a Piece what a worker's route step
+// derived for one destination. Control frames carry the BSP protocol
+// around the data (Hello, Barrier, Join, Gather, Route, Ack, Done,
+// Error), the recovery handshake (Ping, Pong, Epoch), the resident
+// scatter (Attach) and a session's reuse (Reset). Every frame type has a reader on the
 // receiving side: a frame nothing consumes does not belong in the
 // protocol.
 //
@@ -41,6 +42,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/exchange"
 	"repro/internal/relation"
 )
 
@@ -48,8 +50,8 @@ import (
 type Type uint8
 
 // Frame types. The coordinator sends Hello, Data, Delta, Barrier, Join,
-// Gather, Ping, Epoch, Attach and Reset; a worker replies with Ack,
-// Data, Done, Pong, Attach and Error. The values are contiguous from 1 —
+// Gather, Route, Ping, Epoch, Attach and Reset; a worker replies with
+// Ack, Data, Piece, Done, Pong, Attach and Error. The values are contiguous from 1 —
 // retiring a type renumbers the ones after it and bumps Version.
 const (
 	// TypeHello opens a session: protocol version, worker id, pool
@@ -94,8 +96,10 @@ const (
 	// worker. A delete delta tombstones the run's tuples in the named
 	// store; an append delta registers the run under the store and,
 	// when a view name is present, under that view as well (the
-	// Δ-relation the maintenance join reads). Like Data, Delta frames
-	// are unacknowledged — the round barrier is the ingestion fence.
+	// Δ-relation the maintenance join reads); an absorb delta keeps only
+	// the tuples the store does not hold yet, and registers those. Like
+	// Data, Delta frames are unacknowledged — the round barrier is the
+	// ingestion fence.
 	TypeDelta
 	// TypeAttach asks a worker to bind the runs its process keeps under
 	// an opaque key into the session's store; the worker answers with an
@@ -106,6 +110,14 @@ const (
 	// execution after another; what the process keeps beyond its sessions
 	// is untouched. The worker acks it, echoing the tag in Round.
 	TypeReset
+	// TypeRoute asks the worker to project the run it holds under a view
+	// onto some of its columns and partition the distinct rows through
+	// each of a list of grids; the worker answers with one Piece per
+	// (grid, destination) that received rows, terminated by a Done.
+	TypeRoute
+	// TypePiece carries one sealed run a route step derived for one
+	// destination of one of the route's grids.
+	TypePiece
 )
 
 // String names the frame type.
@@ -139,6 +151,10 @@ func (t Type) String() string {
 		return "attach"
 	case TypeReset:
 		return "reset"
+	case TypeRoute:
+		return "route"
+	case TypePiece:
+		return "piece"
 	default:
 		return fmt.Sprintf("Type(%d)", uint8(t))
 	}
@@ -158,8 +174,10 @@ func (t Type) String() string {
 // version 10 retired the Trace frame — a trace stays on the coordinator —
 // renumbering Attach and Reset; version 11 retired the delta-varint
 // encoding; version 12 added the row limit of Gather and the row count
-// of Done, so a view's rows may stay on the worker that holds them.
-const Version = 12
+// of Done, so a view's rows may stay on the worker that holds them;
+// version 13 added the Route step, its Piece reply and the absorb flag of
+// Delta, so a fixpoint's state stays on the workers.
+const Version = 13
 
 // MaxPayload bounds a frame's declared payload size (128 MiB). A
 // larger length prefix is rejected before any payload is read.
@@ -226,8 +244,27 @@ type Delta struct {
 	View string
 	// Del discriminates delete (tombstone) from append deltas.
 	Del bool
+	// Absorb marks an append that keeps, and registers under View, only
+	// the tuples Store does not hold yet; never set with Del.
+	Absorb bool
 	// Buf is the run itself.
 	Buf *relation.Run
+}
+
+// Route is the route step: the rows a worker holds under View,
+// projected onto Cols and deduplicated, partitioned through each of
+// Grids.
+type Route struct {
+	View  string
+	Cols  []int
+	Grids []*exchange.Grid
+}
+
+// Piece is what a route step derived for one destination: the rows of
+// the projection that grid Target of the route sends to worker Dest.
+type Piece struct {
+	Target, Dest uint32
+	Buf          *relation.Run
 }
 
 // Join is the local-evaluation command.
@@ -255,6 +292,9 @@ type Frame struct {
 	Delta Delta
 	// Join is set for TypeJoin.
 	Join Join
+	// Route is set for TypeRoute, Piece for TypePiece.
+	Route Route
+	Piece Piece
 	// Round is set for TypeBarrier and TypeAck (the echoed tag), for
 	// TypePing and TypePong (the heartbeat sequence), for TypeEpoch (the
 	// announced epoch) and for TypeReset (its tag).
@@ -264,9 +304,10 @@ type Frame struct {
 	// sealed run, a negative limit none (the Done frame still counts them).
 	View  string
 	Limit int64
-	// Count and Rows are set for TypeDone: the number of Data frames
-	// streamed, and the rows the gathered view holds — every one of them,
-	// however many the frames carried.
+	// Count and Rows are set for TypeDone: the number of Data (or Piece)
+	// frames streamed, and the rows the gathered view holds — every one of
+	// them, however many the frames carried — or the distinct rows a route
+	// projected.
 	Count uint32
 	Rows  uint64
 	// Msg is set for TypeError.

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exchange"
 	"repro/internal/relation"
 )
 
@@ -69,7 +70,28 @@ func sampleFrames(t *testing.T) []*Frame {
 		{Type: TypeData, Data: Data{Round: 1, Dest: 3, Rel: "V1_1/S1", Retain: "\x00opaque\xffkey", Buf: packed}},
 		{Type: TypeAttach, Attach: Attach{Key: "\x00opaque\xffkey", Store: "V1_1/S1", Tuples: 1 << 40}},
 		{Type: TypeAttach, Attach: Attach{Tuples: 58733, Hit: true}},
+		{Type: TypeDelta, Delta: Delta{Round: 5, Dest: 3, Store: "tc", View: "delta!tc!2", Absorb: true, Buf: packed}},
+		{Type: TypeRoute, Route: Route{View: "hc!delta!2", Cols: []int{0, 2}, Grids: []*exchange.Grid{
+			sampleGrid(t, []int{1, 4, 2}, []exchange.GridBind{{Pos: 0, Dim: 1}, {Pos: 1, Dim: 2}}),
+			sampleGrid(t, []int{8}, nil),
+		}}},
+		{Type: TypePiece, Piece: Piece{Target: 1, Dest: 6, Buf: packed}},
+		{Type: TypePiece, Piece: Piece{Dest: 2, Buf: flat}},
 	}
+}
+
+// sampleGrid builds a grid over dims with seeds 1, 2, …
+func sampleGrid(t *testing.T, dims []int, binds []exchange.GridBind) *exchange.Grid {
+	t.Helper()
+	seeds := make([]uint64, len(dims))
+	for i := range seeds {
+		seeds[i] = uint64(i + 1)
+	}
+	g, err := exchange.NewGrid(dims, seeds, binds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // lastType walks the Type values from 1 until String falls through to
@@ -93,10 +115,11 @@ func sameFrame(a, b *Frame) bool {
 		return buf.AppendTuples(nil)
 	}
 	ha, hb := *a, *b
-	ha.Data.Buf, hb.Data.Buf, ha.Delta.Buf, hb.Delta.Buf = nil, nil, nil, nil
+	ha.Data.Buf, hb.Data.Buf, ha.Delta.Buf, hb.Delta.Buf, ha.Piece.Buf, hb.Piece.Buf = nil, nil, nil, nil, nil, nil
 	return reflect.DeepEqual(ha, hb) &&
 		reflect.DeepEqual(tuples(a.Data.Buf), tuples(b.Data.Buf)) &&
-		reflect.DeepEqual(tuples(a.Delta.Buf), tuples(b.Delta.Buf))
+		reflect.DeepEqual(tuples(a.Delta.Buf), tuples(b.Delta.Buf)) &&
+		reflect.DeepEqual(tuples(a.Piece.Buf), tuples(b.Piece.Buf))
 }
 
 // TestRoundTrip: every frame type the protocol names survives the codec
@@ -273,7 +296,7 @@ func TestDecodeMalformed(t *testing.T) {
 	}{
 		{"unknown type", []byte{0xEE, 0, 0, 0, 0}, "unknown frame type"},
 		{"version-9 trace frame", v9Trace, "trailing"},
-		{"version-9 reset frame", []byte{15, 0, 0, 0, 4, 0, 0, 0, 1}, "unknown frame type"},
+		{"version-9 reset frame", []byte{15, 0, 0, 0, 4, 0, 0, 0, 1}, "route frame: truncated"},
 		{"oversized length", []byte{byte(TypeData), 0xFF, 0xFF, 0xFF, 0xFF}, "exceeds"},
 		{"version-10 delta-varint data", v10DeltaData, "unknown buffer encoding 3"},
 		{"version-10 delta-varint delta", v10DeltaDelta, "unknown buffer encoding 3"},
@@ -290,6 +313,17 @@ func TestDecodeMalformed(t *testing.T) {
 		{"bad encoding byte", mutate(enc(&Frame{Type: TypeData, Data: Data{Rel: "R", Buf: packed}}), func(b []byte) {
 			b[20] = 9
 		}), "encoding"},
+		{"delta mode byte", mutate(enc(&Frame{Type: TypeDelta, Delta: Delta{Store: "R", Buf: packed}}), func(b []byte) {
+			// mode byte after 5 hdr + 4 round + 4 dest + 3 "R" + 2 (no view).
+			b[18] = 3
+		}), "delta mode byte 3"},
+		// A route of view "", no columns and one grid: one dimension of
+		// share 0 and seed 0, no binds — then of share 4, bound from
+		// position 0 to a dimension it does not have.
+		{"route grid of no points", []byte{byte(TypeRoute), 0, 0, 0, 22,
+			0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, "exceed"},
+		{"route bind outside the grid", []byte{byte(TypeRoute), 0, 0, 0, 26,
+			0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1}, "outside"},
 		{"count overflows payload", mutate(enc(&Frame{Type: TypeData, Data: Data{Rel: "R", Buf: packed}}), func(b []byte) {
 			b[21], b[22], b[23], b[24] = 0xFF, 0xFF, 0xFF, 0xFF
 		}), "truncated payload"},
