@@ -438,6 +438,68 @@ func BenchmarkWorkerJoinTriangle(b *testing.B) {
 	})
 }
 
+// BenchmarkWorkerJoinChain times the worker stage of the end-to-end
+// benchmark's chain4_warm workload's second round in isolation: 16
+// Loopback workers, each holding its slice — 2 500 rows, routed on x2 — of
+// V1(x0,x1,x2) and V2(x2,x3,x4), the two halves of an n = 40 000 matching
+// chain, and every iteration one join plus a count-only gather (Limit −1).
+// Each iteration delivers runs nobody has read, re-adopted from the same
+// words outside the timer to a fresh pool, as the workload re-scatters its
+// views every op. The answer's five 16-bit columns do not fit a word, so
+// it is on the flat layout; B/op is what the join writes across the pool.
+func BenchmarkWorkerJoinChain(b *testing.B) {
+	const n, p = 40000, 16
+	rng := rand.New(rand.NewPCG(43, 43))
+	col := func() []int { return rng.Perm(n) }
+	x0, x1, x2, x3, x4 := col(), col(), col(), col(), col()
+	q := query.MustParse("q(x0,x1,x2,x3,x4) = V1(x0,x1,x2), V2(x2,x3,x4)")
+	cells := make([][2][]relation.Tuple, p)
+	for i := 0; i < n; i++ {
+		w := x2[i] % p
+		cells[w][0] = append(cells[w][0], relation.Tuple{x0[i], x1[i], x2[i]})
+		cells[w][1] = append(cells[w][1], relation.Tuple{x2[i], x3[i], x4[i]})
+	}
+	var ds []exchange.Delivery
+	for w, s := range cells {
+		for j, rel := range []string{"V1", "V2"} {
+			ds = append(ds, exchange.Delivery{To: w, Rel: rel, Buf: relation.RunOf(3, s[j])})
+		}
+	}
+	joinCount := []dist.Op{
+		{Kind: dist.OpJoin, Join: dist.JoinSpec{Query: q.String(), View: "out"}},
+		{Kind: dist.OpGather, View: "out", Limit: -1},
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	answers := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		unread := slices.Clone(ds)
+		for j, d := range ds {
+			words, _ := d.Buf.Words()
+			var err error
+			if unread[j].Buf, err = relation.NewRunFromWords(3, words); err != nil {
+				b.Fatal(err)
+			}
+		}
+		l := dist.NewLoopback(p)
+		if _, err := l.Run(ctx, []dist.Op{{Kind: dist.OpDeliver, Round: 1, Deliveries: unread}}); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		reply, err := l.Run(ctx, joinCount)
+		if err != nil {
+			b.Fatal(err)
+		}
+		answers = 0
+		for _, rows := range reply.Rows {
+			answers += rows
+		}
+	}
+	b.ReportMetric(float64(answers), "answers")
+}
+
 // BenchmarkGatherWide times the coordinator's gather of a wide answer:
 // 16 workers each hold a sealed run of 2 500 five-column tuples over a
 // 16-bit domain — the final answer of the end-to-end benchmark's

@@ -474,6 +474,64 @@ func TestWarmJoinBuildsNoIndex(t *testing.T) {
 	}
 }
 
+// TestWarmJoinWritesItsAnswerOnce: a join whose answer is on the flat
+// layout — five 16-bit columns do not fit a word, the shape of a chain's
+// second round — allocates, after its first run, the answer's bytes once
+// and a constant more. The leapfrog appends to a scratch that outlives the
+// join and keeps an exact-size copy; appending to a fresh run, grown a
+// quarter at a time, allocated about four times the answer (484 kB for
+// this one's 120 kB); the constant is ≈ 5.3 kB on go1.24, linux/amd64.
+func TestWarmJoinWritesItsAnswerOnce(t *testing.T) {
+	const rows, overhead = 3000, 8 << 10
+	// One P, as testing.AllocsPerRun measures: the pool keeps a scratch
+	// per P, so every join finds the one the join before it handed back.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ctx := context.Background()
+	rng := rand.New(rand.NewPCG(9, 11))
+	v1, v2 := make([]relation.Tuple, rows), make([]relation.Tuple, rows)
+	for i := range v1 {
+		v1[i] = relation.Tuple{rng.IntN(1 << 16), rng.IntN(1 << 16), i}
+		v2[i] = relation.Tuple{i, rng.IntN(1 << 16), rng.IntN(1 << 16)}
+	}
+	l := dist.NewLoopback(1)
+	ds := append(deliveries("V1", sealedRuns(rng, 3, 2, v1)), deliveries("V2", sealedRuns(rng, 3, 2, v2))...)
+	if err := deliver(ctx, l, 1, ds); err != nil {
+		t.Fatal(err)
+	}
+	q := query.MustParse("q(x0,x1,x2,x3,x4) = V1(x0,x1,x2), V2(x2,x3,x4)")
+	step := []dist.Op{{Kind: dist.OpJoin, Join: dist.JoinSpec{Query: q.String(), View: "out"}}}
+	joinOnce := func() {
+		if err := l.RunOn(ctx, 0, step); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Each join after the first is measured alone and the least of them is
+	// held to the bound: under the race detector a sync.Pool drops a
+	// quarter of what is handed back at random, and the join after a drop
+	// grows a new scratch. Without it the pool drops nothing and all the
+	// joins allocate alike; a join that grows its answer fails every one.
+	joinOnce()
+	warm := make([]uint64, 21)
+	for i := range warm {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		joinOnce()
+		runtime.ReadMemStats(&after)
+		warm[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	answer := uint64(rows * q.NumVars() * 8)
+	if least := slices.Min(warm); least > answer+overhead {
+		t.Errorf("a warm join allocated %d bytes, want at most the answer's %d and %d more", least, answer, overhead)
+	}
+	out, err := gather(ctx, l, "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := relation.Merge(out); got.Len() != rows || got.Flat() == nil {
+		t.Fatalf("the join has %d answers (flat: %v), want %d on the flat layout", got.Len(), got.Flat() != nil, rows)
+	}
+}
+
 // TestWarmJoinSharesOneIndex: eight sessions attach one resident entry
 // and join concurrently (run with -race: the trie index a sealed run
 // remembers is written after it was shared). All answers are equal, and

@@ -294,10 +294,12 @@ func TestJoinNeverMutatesSealedRuns(t *testing.T) {
 // worker's only evaluator (the tuple fallback this test was written for,
 // 95, is gone). Since a store is merged into a run that stays (a run
 // header and a one-run slice more per store) and a trie keeps its levels
-// in one slice (five fewer per atom) it allocates 99, and must not
-// allocate more.
+// in one slice (five fewer per atom) it allocated 99. Since the answer is
+// appended to a reused scratch and kept as one exact-size copy, not grown
+// a quarter at a time, it allocates 84, and must not allocate more (the
+// race detector's pool adds raceSlackAllocs).
 func TestHashJoinWorkerAllocs(t *testing.T) {
-	const parentAllocs = 99
+	const maxAllocs = 84
 	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(3, 3))
 	q := query.MustParse("q(x,y,z) = R(x,y), S(y,z)")
@@ -319,7 +321,7 @@ func TestHashJoinWorkerAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > parentAllocs {
-		t.Errorf("worker join: %.0f allocs per run, parent commit %d", allocs, parentAllocs)
+	if allocs > maxAllocs+raceSlackAllocs {
+		t.Errorf("worker join: %.0f allocs per run, want at most %d", allocs, maxAllocs+raceSlackAllocs)
 	}
 }

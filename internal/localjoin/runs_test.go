@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/query"
@@ -208,15 +209,108 @@ func TestEvaluateRunsEdges(t *testing.T) {
 	}
 }
 
+// TestEvaluateRunsAnswersOwnTheirMemory: eight goroutines join the same
+// sealed runs over and over — answers packed and flat, in and out of the
+// level order — while the scratch the answers are built in passes from
+// join to join. Every answer equals the hash-join oracle, its payload is
+// exactly its rows' size, and it is still equal once every later join
+// has run: no answer shares memory with a scratch.
+func TestEvaluateRunsAnswersOwnTheirMemory(t *testing.T) {
+	const goroutines, calls = 8, 24
+	rng := rand.New(rand.NewPCG(42, 42))
+	draw := func(arity, rows, domain, col, keys int) []relation.Tuple {
+		out := make([]relation.Tuple, rows)
+		for i := range out {
+			out[i] = make(relation.Tuple, arity)
+			for j := range out[i] {
+				out[i][j] = rng.IntN(domain)
+			}
+			out[i][col] = rng.IntN(keys)
+		}
+		return out
+	}
+	type joinCase struct {
+		q    *query.Query
+		runs Runs
+		want []relation.Tuple
+	}
+	var cases []joinCase
+	for _, c := range []struct {
+		text string
+		b    Bindings
+	}{
+		// 5 × 16-bit values do not fit a word: the answer is flat.
+		{"q(a,b,c,d,e) = A(a,b,c), B(c,d,e)", Bindings{"A": draw(3, 300, 1<<16, 2, 40), "B": draw(3, 300, 1<<16, 0, 40)}},
+		{"q(a,b,c) = A(a,b), B(b,c)", Bindings{"A": draw(2, 400, 1000, 1, 60), "B": draw(2, 400, 1000, 0, 60)}},
+		{"q(c,a,b) = A(a,b), B(b,c)", Bindings{"A": draw(2, 400, 1000, 1, 60), "B": draw(2, 400, 1000, 0, 60)}},
+		{"q(x,y,z) = A(x,y), B(y,z), C(z,x)", Bindings{"A": draw(2, 500, 30, 0, 30), "B": draw(2, 500, 30, 0, 30), "C": draw(2, 500, 30, 0, 30)}},
+	} {
+		q := query.MustParse(c.text)
+		want, err := Evaluate(q, c.b, HashJoin)
+		if err != nil || len(want) == 0 {
+			t.Fatalf("%s: oracle: %d answers, %v", q, len(want), err)
+		}
+		cases = append(cases, joinCase{q, runsOf(rng, q, c.b), want})
+	}
+	type kept struct {
+		c   int
+		out *relation.Run
+	}
+	answers := make([][]kept, goroutines)
+	var wg sync.WaitGroup
+	for g := range answers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				c := (g + i) % len(cases)
+				out, err := EvaluateRuns(cases[c].q, cases[c].runs)
+				if err != nil {
+					t.Errorf("%s: %v", cases[c].q, err)
+					return
+				}
+				if got := out.Tuples(); !out.Sealed() || !reflect.DeepEqual(got, cases[c].want) {
+					t.Errorf("%s: sealed=%v, %d answers, want %d", cases[c].q, out.Sealed(), len(got), len(cases[c].want))
+					return
+				}
+				if words, packed := out.Words(); packed && cap(words) != len(words) || !packed && cap(out.Flat()) != len(out.Flat()) {
+					t.Errorf("%s: the answer's payload is not its rows' size", cases[c].q)
+					return
+				}
+				answers[g] = append(answers[g], kept{c, out})
+			}
+		}()
+	}
+	wg.Wait()
+	flat := 0
+	for _, ks := range answers {
+		for _, k := range ks {
+			if got := k.out.Tuples(); !reflect.DeepEqual(got, cases[k.c].want) {
+				t.Fatalf("%s: an answer changed after later joins", cases[k.c].q)
+			}
+			if _, packed := k.out.Words(); !packed {
+				flat++
+			}
+		}
+	}
+	if flat == 0 {
+		t.Fatal("no answer was on the flat layout")
+	}
+}
+
 // fuzzQueries are the shapes FuzzEvaluateRuns draws from: word runs at
 // arity 1 (full 64-bit words, top bit included), 2 and 3, in and out of
-// level order, with and without repeats.
+// level order, with and without repeats, and chains whose outer variables
+// one atom alone binds (the walk in place). New shapes go at the end, so
+// the seeds keep theirs.
 var fuzzQueries = []string{
 	"q(x,y,z) = A(x,y), B(y,z), C(z,x)",
 	"q(x) = A(x), B(x)",
 	"q(x,y) = A(x,x), B(y,x)",
 	"q(x,y,z) = A(z,y,x), B(x,z)",
 	"q(x,y) = A(x,y,x), B(y)",
+	"q(a,b,c) = A(a,b), B(b,c)",
+	"q(a,b,c,d,e) = A(a,b,c), B(c,d,e)",
 }
 
 // FuzzEvaluateRuns feeds arbitrary word runs — as a foreign peer could
@@ -243,6 +337,15 @@ func FuzzEvaluateRuns(f *testing.F) {
 	f.Add(uint8(1), uint8(0), words(math.MaxInt, math.MaxInt, 0, 0, 1<<62, 1<<62))
 	f.Add(uint8(2), uint8(1), words(0xffffffff<<32|0xffffffff, 0xffffffff<<32|0xffffffff, 0, 0, 0xffffffff<<32, 0xffffffff)) // the mask above the last level
 	f.Add(uint8(0), uint8(0), []byte{})
+	// The chains, dealt A, B, A, B, …: repeated rows inside one run and
+	// across runs, and a lone atom's field at the mask — a first level
+	// whose last value open leaves unbounded, a last level ending on a
+	// word with every bit set.
+	f.Add(uint8(5), uint8(0), words(1<<32|2, 2<<32|3, 1<<32|2, 2<<32|3, 1<<32|2, 2<<32|9, 4<<32|2, 2<<32|3))
+	f.Add(uint8(5), uint8(2), words(1<<32|2, 2<<32|3, 1<<32|2, 2<<32|3, 1<<32|2, 2<<32|3, 4<<32|2, 2<<32|9))
+	f.Add(uint8(5), uint8(0), words(0xffffffff<<32|2, 2<<32|0xffffffff, 0xffffffff<<32|5, 5<<32|1, 0xffffffff<<32|0xffffffff, 0xffffffff<<32|0xffffffff, 0xffffffff<<32|0xffffffff, 0xffffffff<<32|0xffffffff))
+	f.Add(uint8(6), uint8(0), words(0x1fffff<<42|0x1fffff<<21|7, 7<<42|0x1fffff<<21|0x1fffff, 0x1fffff<<42|0x1fffff<<21|7, 7<<42|0x1fffff<<21|0x1fffff, 3<<42|0x1fffff<<21|7, 7<<42|1<<21|2))
+	f.Add(uint8(6), uint8(1), words(1<<42|2<<21|3, 3<<42|4<<21|5, 1<<42|2<<21|3, 3<<42|4<<21|5, 1<<42|2<<21|3, 3<<42|4<<21|6, 0x1fffff<<42|0x1fffff<<21|0x1fffff, 0x1fffff<<42|0x1fffff<<21|0x1fffff))
 	f.Fuzz(func(t *testing.T, shape, split uint8, data []byte) {
 		q := query.MustParse(fuzzQueries[int(shape)%len(fuzzQueries)])
 		var ws []uint64

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -28,13 +29,19 @@ import (
 // column order and are its bit-fields permuted and re-sorted when it is
 // not (T(z,x) under the order x,z) or when the atom repeats a variable,
 // plus a level-0 directory of bucket starts. A sealed run remembers its
-// index, so a second join over the same run builds nothing. Answers are
-// appended to a relation.Run the same way. Every seek is a search over
-// contiguous integers, compared as whole words — no per-tuple allocation,
-// no comparator indirection and no field extraction per probe — and one at
-// level 0 looks only inside its target's bucket. Runs holding a value that
-// does not fit a word (the run's flat layout) fall back to a sorted
-// []relation.Tuple trie with identical semantics.
+// index, so a second join over the same run builds nothing. Every seek is
+// a search over contiguous integers, compared as whole words — no
+// per-tuple allocation, no comparator indirection and no field extraction
+// per probe — and one at level 0 looks only inside its target's bucket. A
+// variable that one atom alone binds is not searched at all: that atom's
+// distinct values are read in place, each starting where open bounded the
+// one before. Runs holding a value that does not fit a word (the run's
+// flat layout) fall back to a sorted []relation.Tuple trie with identical
+// semantics, always leapfrogged.
+//
+// Answers are appended to a scratch run drawn from a pool, whose memory
+// outlives the join, and kept as one exact-size copy: an answer's memory
+// is allocated once, at its size, not grown a quarter at a time.
 
 // trieRel is a sorted-trie view of one atom's tuples. Level d of the
 // trie is the atom's d-th distinct variable in global variable order.
@@ -266,6 +273,26 @@ func (tr *trieRel) open(d, v int) {
 	}
 }
 
+// next returns the first row of level d's range past the value its
+// cursor sits on, on the packed layout: where open bounded the level
+// below, or — on the last level, which open leaves unbounded — past the
+// cursor row's repeats. The last level's field is the word's lowest and
+// the range shares every bit above it, so a repeat is an equal word.
+func (tr *trieRel) next(d int) int {
+	if d+1 < len(tr.levels) {
+		return tr.levels[d+1].hi
+	}
+	l := &tr.levels[d]
+	i, key := l.cur+1, tr.keys[l.cur]
+	if i < l.hi && tr.keys[i] == key {
+		if key == math.MaxUint64 {
+			return l.hi
+		}
+		i = boundWords(tr.keys, i, l.hi, key+1)
+	}
+	return i
+}
+
 // bound returns the first row in (i, hi] of the tuple layout whose
 // level-d value is ≥ v (hi when there is none), given that row i's value
 // is below v: gallop from i in doubling strides to bracket the row, then
@@ -316,11 +343,15 @@ type participant struct {
 }
 
 // EvaluateRuns computes q over sealed runs by leapfrog intersection
-// along the global variable order and returns the answers — in the
-// variable order q.Vars(), deduplicated — as one sealed run, or nil when
-// there are none. A relation without runs is empty. The runs are only
-// read: a trie may alias a run's words, and the same runs can be joined
-// again (or re-sent by a recovery journal) after the call.
+// along the global variable order — walking in place the values of a
+// variable only one atom binds — and returns the answers, in the variable
+// order q.Vars(), deduplicated, as one sealed run whose payload is
+// exactly their size, or nil when there are none. The answers are built
+// in a pooled scratch run and copied out, so the returned run shares no
+// memory with it or with any other call's. A relation without runs is
+// empty. The runs are only read: a trie may alias a run's words, and the
+// same runs can be joined again (or re-sent by a recovery journal) after
+// the call.
 func EvaluateRuns(q *query.Query, runs Runs) (*relation.Run, error) {
 	// Validate every atom before the empty-input shortcut, so an arity
 	// mismatch is reported whatever the other atoms hold.
@@ -361,7 +392,8 @@ func EvaluateRuns(q *query.Query, runs Runs) (*relation.Run, error) {
 
 	binding := make([]int, k)
 	row := make(relation.Tuple, len(outCol))
-	out := relation.NewRun(len(outCol))
+	out := scratch.Get().(*relation.Run)
+	out.Reset(len(outCol))
 	var rec func(g int)
 	rec = func(g int) {
 		if g == k {
@@ -372,6 +404,22 @@ func EvaluateRuns(q *query.Query, runs Runs) (*relation.Run, error) {
 			return
 		}
 		ps := parts[g]
+		if p := ps[0]; len(ps) == 1 && p.tr.tuples == nil {
+			// One atom alone binds the variable: there is nothing to
+			// intersect, so its distinct values are read in place, each
+			// starting where the last one's rows end. A one-participant
+			// leapfrog finds the same values, but its per-value bookkeeping
+			// costs BenchmarkWorkerJoinChain about a quarter more time.
+			tr, l := p.tr, &p.tr.levels[p.d]
+			for i := l.lo; i < l.hi; i = tr.next(p.d) {
+				l.cur = i
+				v := int(tr.keys[i] >> l.shift & tr.mask)
+				tr.open(p.d, v)
+				binding[g] = v
+				rec(g + 1)
+			}
+			return
+		}
 		// Leapfrog: cycle through the participants, raising the target
 		// value to each one's next feasible value until all agree.
 		for _, p := range ps {
@@ -398,6 +446,13 @@ func EvaluateRuns(q *query.Query, runs Runs) (*relation.Run, error) {
 				if v == math.MaxInt {
 					return
 				}
+				// open bounded v's rows: the next seek starts past them
+				// instead of galloping over them again.
+				for _, p := range ps {
+					if p.d+1 < len(p.tr.levels) {
+						p.tr.levels[p.d].cur = p.tr.levels[p.d+1].hi
+					}
+				}
 				v, agree = v+1, 0
 			}
 			i++
@@ -407,11 +462,20 @@ func EvaluateRuns(q *query.Query, runs Runs) (*relation.Run, error) {
 		}
 	}
 	rec(0)
-	if out.Len() == 0 {
-		return nil, nil
+	var answers *relation.Run
+	if out.Len() > 0 {
+		answers = out.Clone().Dedup()
 	}
-	return out.Dedup(), nil
+	scratch.Put(out)
+	return answers, nil
 }
+
+// scratch holds the runs EvaluateRuns appends its answers to. A scratch
+// outlives the join that filled it, so its payload grows once over many
+// joins instead of a quarter at a time in each, and every join keeps an
+// exact-size copy and hands the scratch back. The pool is safe under the
+// concurrent joins a Loopback runs, one per worker.
+var scratch = sync.Pool{New: func() any { return new(relation.Run) }}
 
 // arityError is the error every strategy reports for a tuple (or run)
 // whose arity differs from its atom's.

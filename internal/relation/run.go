@@ -24,7 +24,7 @@ import (
 type Run struct {
 	arity  int
 	shift  uint
-	words  []uint64 // packed path (nil after migration)
+	words  []uint64 // packed path; after migration empty, its capacity kept for Reset until Seal drops it
 	flat   []int    // fallback path, row-major
 	packed bool
 	sealed bool
@@ -86,12 +86,37 @@ func newTrieIndex(keys []uint64) TrieIndex {
 
 // NewRun returns an empty run for tuples of the given arity.
 func NewRun(arity int) *Run {
-	b := &Run{arity: arity}
+	b := new(Run)
+	b.Reset(arity)
+	return b
+}
+
+// Reset empties the run for tuples of the given arity — open, on the
+// packed path when the arity admits it — keeping the capacity of both
+// layouts' payloads, so a scratch run reused from one build to the next
+// grows once. It forgets whatever a sealed run remembered: only a run no
+// one else reads may be reset.
+func (b *Run) Reset(arity int) {
+	*b = Run{arity: arity, words: b.words[:0], flat: b.flat[:0]}
 	if shift := PackedShift(arity); shift > 0 {
 		b.shift = shift
 		b.packed = true
 	}
-	return b
+}
+
+// Clone returns a copy of the run that shares no memory with it, sealed
+// when b is, whose payload is exactly the size of its rows (cap = len) —
+// how a run built in a reused scratch is kept.
+func (b *Run) Clone() *Run {
+	c := &Run{arity: b.arity, shift: b.shift, packed: b.packed, sealed: b.sealed}
+	if b.packed {
+		c.words = make([]uint64, len(b.words))
+		copy(c.words, b.words)
+	} else {
+		c.flat = make([]int, len(b.flat))
+		copy(c.flat, b.flat)
+	}
+	return c
 }
 
 // RunOf returns the tuples as one sealed run: sorted, every occurrence
@@ -186,19 +211,16 @@ func (b *Run) pack(t Tuple) (uint64, bool) {
 }
 
 // migrate switches to the flat path, decoding all packed words (packing
-// is exact, so nothing is lost).
+// is exact, so nothing is lost) into the flat payload's capacity, with
+// room for the row that did not pack. The words' capacity stays for a
+// Reset; Seal lets it go.
 func (b *Run) migrate() {
-	b.flat = make([]int, 0, (len(b.words)+1)*b.arity)
-	mask := PackedMask(b.shift)
-	for _, key := range b.words {
-		base := len(b.flat)
-		b.flat = append(b.flat, make([]int, b.arity)...)
-		for i := b.arity - 1; i >= 0; i-- {
-			b.flat[base+i] = int(key & mask)
-			key >>= b.shift
-		}
+	n := len(b.words)
+	b.flat = slices.Grow(b.flat[:0], (n+1)*b.arity)[:n*b.arity]
+	for i := range n {
+		b.Row(i, b.flat[i*b.arity:(i+1)*b.arity])
 	}
-	b.words = nil
+	b.words = b.words[:0]
 	b.packed = false
 }
 
@@ -218,8 +240,11 @@ func (b *Run) Seal() {
 		if !slices.IsSorted(b.words) {
 			SortWords(b.words)
 		}
-	} else if fs := (&flatSorter{flat: b.flat, stride: b.arity, n: b.Len()}); !sort.IsSorted(fs) {
-		sort.Sort(fs)
+	} else {
+		if fs := (&flatSorter{flat: b.flat, stride: b.arity, n: b.Len()}); !sort.IsSorted(fs) {
+			sort.Sort(fs)
+		}
+		b.words = nil // what migrate kept for a Reset
 	}
 	b.sealed = true
 }

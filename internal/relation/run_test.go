@@ -293,3 +293,42 @@ func TestRunPrefix(t *testing.T) {
 		}
 	}
 }
+
+// TestRunResetKeepsCapacity: a scratch run that alternates between an
+// answer that packs and one that migrates to the flat layout keeps both
+// payloads' capacity through Reset, so once it has held each it builds
+// either again without allocating; a Clone of it is exact-size and
+// unaffected by what the scratch holds next; a sealed flat run lets the
+// packed capacity go.
+func TestRunResetKeepsCapacity(t *testing.T) {
+	narrow := []Tuple{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
+	wide := []Tuple{{1, 2, 3, 4, 5}, {1 << 16, 2, 3, 4, 5}, {6, 7, 8, 9, 10}}
+	s := new(Run)
+	fill := func(tuples []Tuple) {
+		s.Reset(len(tuples[0]))
+		for _, tu := range tuples {
+			s.Append(tu)
+		}
+	}
+	fill(narrow)
+	fill(wide)
+	if _, packed := s.Words(); packed || !slices.EqualFunc(s.Tuples(), wide, slices.Equal) {
+		t.Fatalf("after a migration: packed %v, %v", packed, s.Tuples())
+	}
+	kept := s.Clone()
+	if allocs := testing.AllocsPerRun(20, func() { fill(narrow); fill(wide) }); allocs != 0 {
+		t.Errorf("refilling a scratch allocated %.0f times", allocs)
+	}
+	flat := kept.Flat()
+	if kept.Sealed() || cap(flat) != len(flat) || !slices.EqualFunc(kept.Tuples(), wide, slices.Equal) {
+		t.Errorf("clone: sealed %v, cap %d len %d, %v", kept.Sealed(), cap(flat), len(flat), kept.Tuples())
+	}
+	fill(narrow)
+	if words, _ := s.Words(); len(words) != len(narrow) || !slices.EqualFunc(kept.Tuples(), wide, slices.Equal) {
+		t.Errorf("the scratch's next fill reached its clone: %v", kept.Tuples())
+	}
+	fill(wide)
+	if s.Seal(); cap(s.words) != 0 {
+		t.Errorf("a sealed flat run keeps %d packed words of capacity", cap(s.words))
+	}
+}
