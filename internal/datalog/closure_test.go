@@ -187,7 +187,7 @@ func TestClosureOnWorkersDifferential(t *testing.T) {
 					name  string
 					fault []disttest.Fault
 				}{
-					{"absorb", clean.Trace().At(dist.OpDelta, 1, 1, disttest.KillBefore)},
+					{"absorb", killAtAbsorb(clean.Trace(), 2)},
 					{"route", clean.Trace().At(dist.OpRoute, 1, 1, disttest.KillAfter)},
 				} {
 					if at.fault == nil {

@@ -438,15 +438,14 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 		pos  []int
 	}
 	xs := make([]exec, 0, len(recRules))
-	closeAll := func() {
+	defer func() {
 		for _, x := range xs {
 			x.d.Close()
 		}
-	}
+	}()
 	for _, r := range recRules {
 		q, err := r.BodyQuery()
 		if err != nil {
-			closeAll()
 			return fmt.Errorf("datalog: rule for %s: %w", r.Head.Pred, err)
 		}
 		var epsF float64
@@ -455,7 +454,6 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 		} else {
 			cr, err := cover.Solve(q)
 			if err != nil {
-				closeAll()
 				return fmt.Errorf("datalog: rule for %s: %w", r.Head.Pred, err)
 			}
 			epsF = cr.SpaceExponentFloat()
@@ -464,7 +462,6 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 		// and the distribution that takes ownership of the session.
 		tr, err := e.dial()
 		if err != nil {
-			closeAll()
 			return err
 		}
 		d, err := hypercube.Hold(q, e.wdb, e.opts.P, hypercube.Options{
@@ -480,7 +477,6 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 			if tr != nil {
 				tr.Close()
 			}
-			closeAll()
 			return fmt.Errorf("datalog: rule for %s: %w", r.Head.Pred, err)
 		}
 		xs = append(xs, exec{rule: r, d: d, pos: headPositions(r, q)})
@@ -529,7 +525,6 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 		}
 		grid, err := exchange.NewGrid([]int{e.opts.P}, []uint64{exchange.Mix(1, e.opts.Seed)}, []exchange.GridBind{{Pos: 0, Dim: 0}})
 		if err != nil {
-			closeAll()
 			return err
 		}
 		k := keeper{0, "keep!" + pred, grid}
@@ -537,7 +532,6 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 		keepers[pred] = append(keepers[pred], k)
 		ds, err := exchange.PartitionRun(k.store, seed[pred], e.opts.P, grid)
 		if err != nil {
-			closeAll()
 			return err
 		}
 		seeded := make([]dist.Piece, len(ds))
@@ -562,7 +556,6 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 	}
 	for _, x := range xs {
 		if err := route(x); err != nil {
-			closeAll()
 			return err
 		}
 	}
@@ -573,7 +566,6 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 	for iter := 1; slices.ContainsFunc(inbox, func(box map[string][]dist.Piece) bool { return len(box) > 0 }); iter++ {
 		e.iterations++
 		if e.opts.MaxIterations > 0 && iter > e.opts.MaxIterations {
-			closeAll()
 			return fmt.Errorf("datalog: stratum %v exceeded %d fixpoint iterations", s.Preds, e.opts.MaxIterations)
 		}
 		boxes := inbox
@@ -583,11 +575,9 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 				continue
 			}
 			if err := x.d.Absorb(boxes[i]); err != nil {
-				closeAll()
 				return fmt.Errorf("datalog: rule for %s: %w", x.rule.Head.Pred, err)
 			}
 			if err := route(x); err != nil {
-				closeAll()
 				return err
 			}
 		}
@@ -604,7 +594,6 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 		}
 		facts, count, err := xs[k.x].d.Closure(k.store, k.grid, limit)
 		if err != nil {
-			closeAll()
 			return fmt.Errorf("datalog: closure of %s: %w", pred, err)
 		}
 		e.install(pred, facts)
@@ -614,7 +603,6 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 	}
 	for _, x := range xs {
 		e.record(x.d.Outcome())
-		x.d.Close()
 	}
 	return nil
 }

@@ -180,11 +180,25 @@ func killAtSecondDelta(t *testing.T, prog *Program, db *relation.Database, p, se
 	if _, err := Eval(prog, db, Options{P: p, Seed: 5, Dial: onSession(session, clean)}); err != nil {
 		t.Fatal(err)
 	}
-	kill := clean.Trace().At(dist.OpDelta, 1, 1, disttest.KillBefore)
+	kill := killAtAbsorb(clean.Trace(), 2)
 	if kill == nil {
 		t.Fatalf("session %d has no second delta round", session)
 	}
 	return kill
+}
+
+// killAtAbsorb is worker 1 dying ahead of the n-th (from 1) absorbed
+// delivery of a traced evaluation — the n-th relay of what the workers
+// derived.
+func killAtAbsorb(tr disttest.Trace, n int) []disttest.Fault {
+	for _, site := range tr {
+		if site.Kind == dist.OpDeliver && site.Absorb {
+			if n--; n == 0 {
+				return []disttest.Fault{site.On(1, disttest.KillBefore)}
+			}
+		}
+	}
+	return nil
 }
 
 // TestDatalogRecoversWorker: a worker that dies in the middle of the

@@ -241,14 +241,7 @@ func (c *Cluster) Scatter(ctx context.Context, rel *relation.Relation, as string
 	if key != "" {
 		var tuples []int64
 		if tuples, retain = c.snap.res.sight(key); tuples != nil {
-			rs, lone := c.receivingRound()
-			bits := int64(rel.Arity() * relation.BitsPerValue(c.cfg.DomainN))
-			for w, n := range tuples {
-				if n > 0 {
-					rs.Account(w, n, n*bits)
-				}
-			}
-			return c.ship(ctx, rs, lone, Op{Kind: OpDeliver, Round: c.round,
+			return c.ship(ctx, Op{Kind: OpDeliver,
 				lazy: &residentScatter{rel: rel, as: as, key: key, part: part, tuples: tuples}})
 		}
 	}
@@ -259,7 +252,7 @@ func (c *Cluster) Scatter(ctx context.Context, rel *relation.Relation, as string
 	if retain {
 		c.retain(key, ds)
 	}
-	return c.deliver(ctx, ds)
+	return c.ship(ctx, Op{Kind: OpDeliver, Deliveries: ds})
 }
 
 // ScatterRun is Scatter from a sealed run — a view gathered by
@@ -269,71 +262,43 @@ func (c *Cluster) Scatter(ctx context.Context, rel *relation.Relation, as string
 // materialized tuples. A nil run scatters nothing (the round still
 // opens and closes as it would for an empty relation).
 func (c *Cluster) ScatterRun(ctx context.Context, run *relation.Run, as string, part exchange.Partitioner) error {
-	ds, err := exchange.PartitionRun(as, run, c.cfg.Workers, part)
-	if err != nil {
-		return fmt.Errorf("dist: scatter: %w", err)
-	}
-	return c.deliver(ctx, ds)
-}
-
-// deliver accounts the partitioned runs' receipt against the open
-// round (opening a lone round if none is) and ships them.
-func (c *Cluster) deliver(ctx context.Context, ds []exchange.Delivery) error {
-	rs, lone := c.receivingRound()
-	bitsPer := relation.BitsPerValue(c.cfg.DomainN)
-	for _, d := range ds {
-		if n := int64(d.Buf.Len()); n > 0 {
-			rs.Account(d.To, n, d.Buf.Bits(bitsPer))
-		}
-	}
-	return c.ship(ctx, rs, lone, Op{Kind: OpDeliver, Round: c.round, Deliveries: ds})
+	return c.ScatterDelta(ctx, run, as, "", false, part)
 }
 
 // ScatterDelta partitions a sealed run of delta tuples through part —
 // the same partitioner as the base scatter, so each delta tuple reaches
-// exactly the workers that replicate it — and ships them as delta
-// deliveries maintaining store: retractions (del) tombstone, and
-// extensions append, additionally registering under view when it is
-// non-empty. The run is routed as it is (exchange.PartitionRun), every
-// row received, a repeated one once per occurrence. Receipt is accounted
-// against the open round exactly like Scatter; the
-// incremental-maintenance cost bound (replication factor per tuple, not
-// O(N)) is thereby measured, not assumed.
+// exactly the workers that replicate it — and ships them maintaining
+// store: retractions (del) tombstone, and extensions append,
+// additionally registering under view when it is non-empty. The run is
+// routed as it is (exchange.PartitionRun), every row received, a
+// repeated one once per occurrence. Receipt is accounted against the
+// open round exactly like Scatter; the incremental-maintenance cost bound
+// (replication factor per tuple, not O(N)) is thereby measured, not
+// assumed.
 func (c *Cluster) ScatterDelta(ctx context.Context, run *relation.Run, store, view string, del bool, part exchange.Partitioner) error {
 	ds, err := exchange.PartitionRun(store, run, c.cfg.Workers, part)
 	if err != nil {
-		return fmt.Errorf("dist: scatter delta: %w", err)
+		return fmt.Errorf("dist: scatter: %w", err)
 	}
-	rs, lone := c.receivingRound()
-	bitsPer := relation.BitsPerValue(c.cfg.DomainN)
-	dds := make([]DeltaDelivery, 0, len(ds))
-	for _, d := range ds {
-		if n := int64(d.Buf.Len()); n > 0 {
-			rs.Account(d.To, n, d.Buf.Bits(bitsPer))
-			dds = append(dds, DeltaDelivery{To: d.To, Store: store, View: view, Del: del, Buf: d.Buf})
-		}
-	}
-	return c.ship(ctx, rs, lone, Op{Kind: OpDelta, Round: c.round, Deltas: dds})
+	return c.ship(ctx, Op{Kind: OpDeliver, Deliveries: ds, View: view, Del: del})
 }
 
-// Absorb relays pieces a Route returned to the workers they are for, as
-// absorbing deltas of store: each receiver keeps the rows its store does
-// not hold yet and registers those under view. What a worker's store
-// holds is what the store's routing sent it, so the rows a receiver keeps
-// are exactly the new ones. The pieces bound for one worker cross as one
+// Absorb relays pieces a Route returned to the workers they are for,
+// absorbed into store: each receiver keeps the rows its store does not
+// hold yet and registers those under view. What a worker's store holds
+// is what the store's routing sent it, so the rows a receiver keeps are
+// exactly the new ones. The pieces bound for one worker cross as one
 // run, their sorted union — a merge of what p senders derived for it, the
 // one thing the coordinator does to them: p² frames a round cost the
 // workers more than the merge costs here. Receipt is accounted against
-// the open round exactly like ScatterDelta's, and the deltas are
-// journaled for replay like any delta.
+// the open round exactly like ScatterDelta's, and the runs are journaled
+// for replay like any delivery.
 func (c *Cluster) Absorb(ctx context.Context, pieces []Piece, store, view string) error {
-	rs, lone := c.receivingRound()
-	bitsPer := relation.BitsPerValue(c.cfg.DomainN)
 	byDest := make([][]*relation.Run, c.cfg.Workers)
 	for _, pc := range pieces {
 		byDest[pc.To] = append(byDest[pc.To], pc.Buf)
 	}
-	dds := make([]DeltaDelivery, 0, len(byDest))
+	ds := make([]exchange.Delivery, 0, len(byDest))
 	for to, runs := range byDest {
 		if len(runs) == 0 {
 			continue
@@ -342,45 +307,50 @@ func (c *Cluster) Absorb(ctx context.Context, pieces []Piece, store, view string
 		if len(runs) > 1 {
 			run = relation.Merge(runs)
 		}
-		if n := int64(run.Len()); n > 0 {
-			rs.Account(to, n, run.Bits(bitsPer))
-			dds = append(dds, DeltaDelivery{To: to, Store: store, View: view, Absorb: true, Buf: run})
+		if run.Len() > 0 {
+			ds = append(ds, exchange.Delivery{To: to, Rel: store, Buf: run})
 		}
 	}
-	return c.ship(ctx, rs, lone, Op{Kind: OpDelta, Round: c.round, Deltas: dds})
+	return c.ship(ctx, Op{Kind: OpDeliver, Deliveries: ds, View: view, Absorb: true})
 }
 
-// receivingRound returns the record of the round a scatter is received
-// in: the open round, or a lone round of its own — which ship then
-// closes — when none is.
-func (c *Cluster) receivingRound() (rs *mpc.RoundStats, lone bool) {
-	if lone = !c.open; lone {
+// ship charges one scatter to the round it is received in — what op
+// carries, or a resident scatter's recorded counts — and submits it: the
+// one place a scatter is accounted. The round is the open one, or a lone
+// round of its own when none is, which ship then closes.
+func (c *Cluster) ship(ctx context.Context, op Op) error {
+	lone := !c.open
+	if lone {
 		c.BeginRound()
 		c.open = false
 	}
-	return &c.stats.Rounds[len(c.stats.Rounds)-1], lone
-}
-
-// ship submits one already-accounted scatter of the current round — a
-// delivery or a delta. A lone scatter is a round of its own, so it also
-// closes it.
-func (c *Cluster) ship(ctx context.Context, rs *mpc.RoundStats, lone bool, op Op) error {
+	rs := &c.stats.Rounds[len(c.stats.Rounds)-1]
 	if lone {
 		defer c.endRoundSpan(rs)
 	}
-	for _, d := range op.Deliveries {
-		c.arity[d.Rel] = d.Buf.Arity()
-	}
-	for _, d := range op.Deltas {
-		c.arity[d.Store] = d.Buf.Arity()
-	}
-	if op.lazy != nil {
+	op.Round = c.round
+	bitsPer := relation.BitsPerValue(c.cfg.DomainN)
+	if s := op.lazy; s != nil {
 		// Believed resident: the round's close asks the workers, and
 		// journals the scatter once it has.
-		c.arity[op.lazy.as] = op.lazy.rel.Arity()
-		c.attaching = append(c.attaching, op.lazy)
-	} else if err := c.submit(ctx, op); err != nil {
-		return err
+		bits := int64(s.rel.Arity() * bitsPer)
+		for w, n := range s.tuples {
+			if n > 0 {
+				rs.Account(w, n, n*bits)
+			}
+		}
+		c.arity[s.as] = s.rel.Arity()
+		c.attaching = append(c.attaching, s)
+	} else {
+		for _, d := range op.Deliveries {
+			if n := int64(d.Buf.Len()); n > 0 {
+				rs.Account(d.To, n, d.Buf.Bits(bitsPer))
+			}
+			c.arity[d.Rel] = d.Buf.Arity()
+		}
+		if err := c.submit(ctx, op); err != nil {
+			return err
+		}
 	}
 	if !lone {
 		return nil

@@ -70,30 +70,6 @@ type JoinSpec struct {
 	Bindings map[string]string
 }
 
-// DeltaDelivery ships one sealed delta run to one worker as part of
-// incremental view maintenance: the tuples either retract from (Del)
-// or extend the store named Store. An extending delta additionally
-// registers its run under View when View is non-empty, so a
-// maintenance join can bind one atom to exactly the fresh tuples
-// without rescanning the store.
-type DeltaDelivery struct {
-	// To is the destination worker.
-	To int
-	// Store is the store name the delta maintains.
-	Store string
-	// View, when non-empty and Del is false, is an extra store name the
-	// run is also registered under (the Δ-relation of a delta join).
-	View string
-	// Del marks a retraction: the tuples are tombstoned out of Store.
-	Del bool
-	// Absorb marks an extension that keeps only what Store does not hold
-	// yet: the receiver merges the round's absorbed runs of Store, keeps
-	// the rows its store lacks, and registers those under View.
-	Absorb bool
-	// Buf is the sealed columnar run of delta tuples.
-	Buf *relation.Run
-}
-
 // Piece is one sealed run a route step derived: the rows the step's
 // grid Target sends to worker To, as worker From projected them.
 type Piece struct {
@@ -104,12 +80,13 @@ type Piece struct {
 // OpKind names one step of a round script.
 type OpKind uint8
 
-// The steps a script is made of. Deliver and delta steps are
-// unacknowledged; a barrier, a join, an attach, a gather, an epoch, a
-// ping, a reset and a route are each answered, so a script holding one of
-// them is an exchange.
+// The steps a script is made of. A delivery is unacknowledged; a
+// barrier, a join, an attach, a gather, an epoch, a ping, a reset and a
+// route are each answered, so a script holding one of them is an
+// exchange.
 const (
-	// OpDeliver ships sealed runs to their destination workers.
+	// OpDeliver ships sealed runs to their destination workers: every
+	// run of the step lands as its View, Del and Absorb say.
 	OpDeliver OpKind = iota
 	// OpBarrier fences the round: every worker has ingested what was
 	// delivered for it and publishes the runs it was asked to retain.
@@ -120,9 +97,6 @@ const (
 	// all of them, or under a row limit a prefix of each worker's — and
 	// each worker's full row count.
 	OpGather
-	// OpDelta ships delta runs: retractions tombstone tuples out of
-	// their store, extensions append (and register the Δ view).
-	OpDelta
 	// OpAttach asks every worker to bind the runs it keeps beyond its
 	// sessions into this session's store (resident.go).
 	OpAttach
@@ -155,26 +129,29 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("OpKind(%d)", uint8(k))
 }
 
-var opNames = [...]string{"deliver", "barrier", "join", "gather", "delta", "attach", "epoch", "ping", "reset", "route"}
+var opNames = [...]string{"deliver", "barrier", "join", "gather", "attach", "epoch", "ping", "reset", "route"}
 
 // Op is one step of a round script — what the coordinator journals for
 // replay, defers to the next fence, and hands to a Transport are all
 // lists of these. Kind says which of the other fields the step reads.
 type Op struct {
 	Kind OpKind
-	// Round is the round a delivery, delta or barrier belongs to, the
-	// epoch of an OpEpoch, the sequence number of an OpPing, the tag of an
-	// OpReset.
+	// Round is the round a delivery or barrier belongs to, the epoch of an
+	// OpEpoch, the sequence number of an OpPing, the tag of an OpReset.
 	Round int
-	// Deliveries are the runs of an OpDeliver, Deltas those of an OpDelta.
-	Deliveries []exchange.Delivery
-	Deltas     []DeltaDelivery
+	// Deliveries are the runs of an OpDeliver. Each is appended to its
+	// store — and registered under View when that is not empty — unless
+	// Del retracts them (tombstones) or Absorb has the receiver keep only
+	// the rows its store does not hold yet.
+	Deliveries  []exchange.Delivery
+	Del, Absorb bool
 	// Join is the command of an OpJoin.
 	Join JoinSpec
-	// View is the store an OpGather reads, Limit how many rows of it each
-	// worker streams: 0 all, k > 0 the first k of its sealed run, a
-	// negative limit none (the worker still counts them). Cells, when not
-	// nil, are the only workers the gather reads.
+	// View is the store an OpGather reads, or the Δ view an OpDeliver's
+	// runs are also registered under. Limit is how many rows of a gathered
+	// view each worker streams: 0 all, k > 0 the first k of its sealed
+	// run, a negative limit none (the worker still counts them). Cells,
+	// when not nil, are the only workers the gather reads.
 	View  string
 	Limit int
 	Cells []int
@@ -209,9 +186,9 @@ type Reply struct {
 }
 
 // Transport carries round scripts to a pool of workers: Run gives every
-// worker its slice of the script — its own deliveries and deltas, every
-// other step — as one stream, processed in order, and returns what the
-// answered steps replied. A worker that fails is named by a *WorkerError
+// worker its slice of the script — its own deliveries, every other step —
+// as one stream, processed in order, and returns what the answered steps
+// replied. A worker that fails is named by a *WorkerError
 // in the returned error while the healthy pool runs its slices to the
 // end; an unattributed error (a destination out of range, checked
 // before any step runs) means the script was refused. A step a worker

@@ -24,7 +24,7 @@ type FaultKind uint8
 
 // Fault behaviors. The first four are what a worker can do to any step
 // and what the explorer puts at every one; the last two are what the
-// network may do to a delivery or a delta without changing any result.
+// network may do to a delivery without changing any result.
 const (
 	// KillBefore kills the worker's connection before the step acts:
 	// the worker's slice of the step is lost and the worker is dead
@@ -86,9 +86,12 @@ type Site struct {
 	Only          int
 	// N[w] is which of worker w's steps of this kind it was — what a Fault
 	// names — or -1 for a worker the step did not reach: not Only, or dead.
-	// For[w] is false where a deliver or delta step carried nothing for w.
+	// For[w] is false where a deliver step carried nothing for w.
 	N   []int
 	For []bool
+	// Absorb is whether a delivery relays a fixpoint's derivations: a
+	// delivery step's kind does not say its mode.
+	Absorb bool
 }
 
 // On is the fault that has kind happen to worker w at this step.
@@ -296,7 +299,7 @@ func (ft *FaultTransport) meet(at Site, op dist.Op) (pass []dist.Op, liar int, s
 	}
 	at.Script = s.scripts - 1
 	p := ft.Workers()
-	scatter := op.Kind == dist.OpDeliver || op.Kind == dist.OpDelta
+	scatter := op.Kind == dist.OpDeliver
 	// copies[w] is how often worker w's deliveries pass now, late[w] at
 	// the next barrier; a dead worker only fails a scatter that has
 	// something for it.
@@ -304,11 +307,8 @@ func (ft *FaultTransport) meet(at Site, op dist.Op) (pass []dist.Op, liar int, s
 	for _, d := range op.Deliveries {
 		mine[d.To] = true
 	}
-	for _, d := range op.Deltas {
-		mine[d.To] = true
-	}
 	lost := false
-	at.N, at.For, liar = make([]int, p), make([]bool, p), -1
+	at.N, at.For, at.Absorb, liar = make([]int, p), make([]bool, p), op.Absorb, -1
 	for w := range at.N {
 		at.N[w], at.For[w] = -1, mine[w] || !scatter
 		switch {
@@ -355,10 +355,10 @@ func (ft *FaultTransport) meet(at Site, op dist.Op) (pass []dist.Op, liar int, s
 	s.trace = append(s.trace, at)
 	switch {
 	case scatter:
-		if held := slice(op, late); len(held.Deliveries)+len(held.Deltas) > 0 {
+		if held := slice(op, late); len(held.Deliveries) > 0 {
 			ft.held = append(ft.held, held)
 		}
-		if op = slice(op, copies); len(op.Deliveries)+len(op.Deltas) == 0 {
+		if op = slice(op, copies); len(op.Deliveries) == 0 {
 			return nil, liar, stalled, errs
 		}
 	case op.Kind == dist.OpBarrier:
@@ -377,19 +377,13 @@ func (ft *FaultTransport) meet(at Site, op dist.Op) (pass []dist.Op, liar int, s
 	return append(pass, op), liar, stalled, errs
 }
 
-// slice returns op with every delivery and delta of worker w copies[w]
-// times.
+// slice returns op with every delivery of worker w copies[w] times.
 func slice(op dist.Op, copies map[int]int) dist.Op {
-	ds, dds := op.Deliveries, op.Deltas
-	op.Deliveries, op.Deltas = nil, nil
+	ds := op.Deliveries
+	op.Deliveries = nil
 	for _, d := range ds {
 		for i := 0; i < copies[d.To]; i++ {
 			op.Deliveries = append(op.Deliveries, d)
-		}
-	}
-	for _, d := range dds {
-		for i := 0; i < copies[d.To]; i++ {
-			op.Deltas = append(op.Deltas, d)
 		}
 	}
 	return op

@@ -134,7 +134,7 @@ func (x exploration) trial(kind string, p int, faults ...disttest.Fault) (out ou
 		for w, n := range site.N {
 			if n >= 0 && site.For[w] {
 				reached++
-				if k := site.Kind; k == dist.OpDeliver || k == dist.OpDelta || k == dist.OpJoin || k == dist.OpAttach {
+				if k := site.Kind; k == dist.OpDeliver || k == dist.OpJoin || k == dist.OpAttach {
 					out.effects[w]++
 				}
 			}

@@ -72,16 +72,18 @@ var hostileRuns = []hostileRun{
 	{"trailing bytes", 2, encRaw, 1, append(le(1), 0xAA), "trailing"},
 }
 
-// frame is a Data frame for shard 0 carrying the run under rel, retained
+// frame is a Data frame for shard 0 appending the run under rel, retained
 // under key when that is not empty.
 func (h hostileRun) frame(rel, key string) []byte {
 	var p []byte
 	p = binary.BigEndian.AppendUint32(p, 1) // round
 	p = binary.BigEndian.AppendUint32(p, 0) // dest
-	for _, s := range []string{rel, key} {
+	// The store, no view, the retain key.
+	for _, s := range []string{rel, "", key} {
 		p = binary.BigEndian.AppendUint16(p, uint16(len(s)))
 		p = append(p, s...)
 	}
+	p = append(p, 0) // mode: append
 	p = binary.BigEndian.AppendUint16(p, h.arity)
 	p = append(p, h.enc)
 	p = binary.BigEndian.AppendUint32(p, h.count)
@@ -208,7 +210,7 @@ func mixedArityScript(t testing.TB) []byte {
 	return encodeFrames(t,
 		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", Buf: relation.RunOf(1, []relation.Tuple{{1}})}},
 		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", Buf: relation.RunOf(2, []relation.Tuple{{1, 2}})}},
-		&wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{Store: "R", Del: true, Buf: relation.RunOf(1, []relation.Tuple{{5}})}},
+		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", Del: true, Buf: relation.RunOf(1, []relation.Tuple{{5}})}},
 		&wire.Frame{Type: wire.TypeGather, View: "R"},
 	)
 }
@@ -221,7 +223,8 @@ func mixedArityScript(t testing.TB) []byte {
 // panicked the worker process; until version 8 a retraction of another
 // arity was accepted silently, and an extension that fit its store but
 // not its view left the store changed), and on a pool that lives on
-// every store reads as it did before.
+// every store reads as it did before — its rows and its tombstones: the
+// rows a retraction hid were delivered ahead of it, and stay hidden.
 func TestWorkerRejectsMixedArityStore(t *testing.T) {
 	unary := func(vs ...int) *relation.Run {
 		ts := make([]relation.Tuple, len(vs))
@@ -235,17 +238,16 @@ func TestWorkerRejectsMixedArityStore(t *testing.T) {
 		return dist.Op{Kind: dist.OpDeliver, Deliveries: []exchange.Delivery{{Rel: rel, Buf: run}}}
 	}
 	delta := func(store, view string, del bool, run *relation.Run) dist.Op {
-		return dist.Op{Kind: dist.OpDelta, Deltas: []dist.DeltaDelivery{{Store: store, View: view, Del: del, Buf: run}}}
+		op := deliver(store, run)
+		op.View, op.Del = view, del
+		return op
 	}
 	for _, row := range []struct {
 		name    string
 		held    []dist.Op // accepted
 		refused dist.Op
 		want    string
-		// after is delivered once the refusal is in, so that tombstones show
-		// in what the stores then read as.
-		after  []dist.Op
-		stores map[string][]relation.Tuple
+		stores  map[string][]relation.Tuple
 	}{
 		{
 			name: "delivery vs store", held: []dist.Op{deliver("R", unary(1))},
@@ -258,21 +260,18 @@ func TestWorkerRejectsMixedArityStore(t *testing.T) {
 			stores: map[string][]relation.Tuple{"R": {{1}, {5}}},
 		},
 		{
-			name: "retraction vs earlier tombstones", held: []dist.Op{delta("R", "", true, unary(5))},
+			name: "retraction vs earlier tombstones", held: []dist.Op{deliver("R", unary(5, 6)), delta("R", "", true, unary(5))},
 			refused: delta("R", "", true, binary), want: `store "R", which holds arity 1`,
-			after:  []dist.Op{deliver("R", unary(5, 6))},
 			stores: map[string][]relation.Tuple{"R": {{6}}},
 		},
 		{
-			name: "delivery vs earlier tombstones", held: []dist.Op{delta("R", "", true, unary(5))},
+			name: "delivery vs earlier tombstones", held: []dist.Op{deliver("R", unary(5, 6)), delta("R", "", true, unary(5))},
 			refused: deliver("R", binary), want: `store "R", which holds arity 1`,
-			after:  []dist.Op{deliver("R", unary(5, 6))},
 			stores: map[string][]relation.Tuple{"R": {{6}}},
 		},
 		{
-			name: "extension vs view", held: []dist.Op{deliver("R", binary), deliver("V", unary(9)), delta("R", "", true, relation.RunOf(2, []relation.Tuple{{3, 4}}))},
+			name: "extension vs view", held: []dist.Op{deliver("R", relation.RunOf(2, []relation.Tuple{{1, 2}, {3, 4}})), deliver("V", unary(9)), delta("R", "", true, relation.RunOf(2, []relation.Tuple{{3, 4}}))},
 			refused: delta("R", "V", false, relation.RunOf(2, []relation.Tuple{{3, 4}})), want: `store "V", which holds arity 1`,
-			after:  []dist.Op{deliver("R", relation.RunOf(2, []relation.Tuple{{3, 4}}))},
 			stores: map[string][]relation.Tuple{"R": {{1, 2}}, "V": {{9}}}, // (3,4) is still tombstoned
 		},
 	} {
@@ -284,9 +283,6 @@ func TestWorkerRejectsMixedArityStore(t *testing.T) {
 			}
 			if _, err := l.Run(ctx, []dist.Op{row.refused}); err == nil || !strings.Contains(err.Error(), row.want) {
 				t.Fatalf("loopback: %v, want an error naming %s", err, row.want)
-			}
-			if _, err := l.Run(ctx, row.after); err != nil {
-				t.Fatal(err)
 			}
 			for store, want := range row.stores {
 				runs, err := gather(ctx, l, store)
@@ -301,10 +297,7 @@ func TestWorkerRejectsMixedArityStore(t *testing.T) {
 			var frames []*wire.Frame
 			for _, op := range append(row.held[:len(row.held):len(row.held)], row.refused) {
 				for _, d := range op.Deliveries {
-					frames = append(frames, &wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: d.Rel, Buf: d.Buf}})
-				}
-				for _, d := range op.Deltas {
-					frames = append(frames, &wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{Store: d.Store, View: d.View, Del: d.Del, Buf: d.Buf}})
+					frames = append(frames, &wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: d.Rel, View: op.View, Del: op.Del, Buf: d.Buf}})
 				}
 			}
 			s := startSession(t, nil, time.Minute)
@@ -352,6 +345,59 @@ func TestWorkerRejectsMixedArityRetainedKey(t *testing.T) {
 	}
 }
 
+// TestWorkerRefusesRetainedModes: a run flagged to be retained is what a
+// later session attaches as the scatter's slice, so it lands appended or
+// not at all — a Data frame that also retracts or absorbs is refused
+// before anything is applied, on both links: the store reads as it did,
+// and the barrier behind the refusal publishes nothing.
+func TestWorkerRefusesRetainedModes(t *testing.T) {
+	held := relation.RunOf(2, []relation.Tuple{{1, 2}, {3, 4}})
+	flagged := relation.RunOf(2, []relation.Tuple{{1, 2}})
+	const want = "retained under a key is appended"
+	for _, mode := range []struct {
+		name        string
+		del, absorb bool
+	}{{"retracted", true, false}, {"absorbed", false, true}} {
+		t.Run(mode.name, func(t *testing.T) {
+			ctx := context.Background()
+			rs := dist.NewResidentStore()
+			l := dist.NewLoopbackOn(1, rs)
+			if err := deliver(ctx, l, 1, []exchange.Delivery{{Rel: "R", Buf: held}}); err != nil {
+				t.Fatal(err)
+			}
+			refused := dist.Op{Kind: dist.OpDeliver, Round: 1, View: "d", Del: mode.del, Absorb: mode.absorb,
+				Deliveries: []exchange.Delivery{{Rel: "R", Buf: flagged, Retain: "k"}}}
+			if _, err := l.Run(ctx, []dist.Op{refused}); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("loopback: %v, want a refusal naming the retain key", err)
+			}
+			if err := barrier(ctx, l, 1); err != nil {
+				t.Fatal(err)
+			}
+			if runs, err := gather(ctx, l, "R"); err != nil || !reflect.DeepEqual(relation.Merge(runs).Tuples(), held.Tuples()) {
+				t.Errorf("loopback: store R reads %v, %v after the refusal, want what it held", runs, err)
+			}
+			if runs, err := gather(ctx, l, "d"); err != nil || len(runs) != 0 {
+				t.Errorf("loopback: view d reads %v, %v after the refusal, want nothing", runs, err)
+			}
+
+			tcp := dist.NewResidentStore()
+			s := startSession(t, tcp, time.Minute)
+			s.hello(t)
+			replies, served := s.run(t, encodeFrames(t,
+				&wire.Frame{Type: wire.TypeData, Data: wire.Data{Round: 1, Rel: "R", Buf: held}},
+				&wire.Frame{Type: wire.TypeData, Data: wire.Data{Round: 1, Rel: "R", View: "d", Retain: "k", Del: mode.del, Absorb: mode.absorb, Buf: flagged}},
+				&wire.Frame{Type: wire.TypeBarrier, Round: 1},
+			))
+			if len(replies) != 1 || replies[0].Type != wire.TypeError || !strings.Contains(replies[0].Msg, want) || served == nil {
+				t.Fatalf("session: replies %+v, served %v, want one error frame naming the retain key", replies, served)
+			}
+			if rs.Entries()+tcp.Entries() != 0 {
+				t.Errorf("the resident stores keep %d and %d entries, want none", rs.Entries(), tcp.Entries())
+			}
+		})
+	}
+}
+
 // TestCoordinatorRejectsHostileRuns: the same table from the other side.
 // A worker that answers a gather with a malformed run fails the gather
 // as that worker's error; the run is not merged into an answer.
@@ -381,6 +427,17 @@ func TestCoordinatorRejectsHostileRuns(t *testing.T) {
 		reply{"rows past the limit", three, 3, 2, "limit of 2 rows answered with 3", false},
 		reply{"no rows asked for", three, 3, -1, "limit of 0 rows answered with 3", false},
 		reply{"count below the rows streamed", three, 2, 5, "answered with 3 rows, the worker counts 2", false})
+	// A gathered run is the view's: what says how a delivered run lands —
+	// a view, a retain key, a mode — has no business in a reply.
+	for name, d := range map[string]wire.Data{
+		"gathered run with a view":       {View: "d"},
+		"gathered run with a retain key": {Retain: "k"},
+		"gathered run retracted":         {Del: true},
+		"gathered run absorbed":          {Absorb: true},
+	} {
+		d.Rel, d.Buf = "v", relation.RunOf(2, []relation.Tuple{{1, 2}})
+		replies = append(replies, reply{name, encodeFrames(t, &wire.Frame{Type: wire.TypeData, Data: d}), 1, 0, "flagged to land in a store", false})
+	}
 	piece := func(target, dest uint32, run *relation.Run) []byte {
 		return encodeFrames(t, &wire.Frame{Type: wire.TypePiece, Piece: wire.Piece{Target: target, Dest: dest, Buf: run}})
 	}
@@ -567,12 +624,14 @@ func TestWorkerAllocationFollowsArrival(t *testing.T) {
 
 // retiredFrames are frames an earlier version sent that this one does
 // not speak: under type bytes version 10 renumbered, version 9's Trace
-// frame (byte 13, now Attach, whose payload this is not) and its Reset
-// frame (byte 15, now Route's, whose payload this is not either); under
-// the encoding byte version 11 retired, a Data and a Delta frame carrying
-// the arity-2 run 5, 6 as version 10's delta varints; version 11's Gather
-// of view R, short of the row limit version 12 added; and version 12's
-// hello, which a session opened at version 13 does not take again.
+// frame (byte 13, now Reset, whose payload this is not) and its Reset
+// frame (byte 15, now Piece, which only a worker sends); under the
+// encoding byte version 11 retired, a Data and a Delta frame carrying the
+// arity-2 run 5, 6 as version 10's delta varints; version 11's Gather of
+// view R, short of the row limit version 12 added; version 12's hello,
+// which a session opened at version 14 does not take again; and version
+// 13's Delta frame (byte 12, now Attach, whose payload this is not) and
+// its Data frame, short of the view and the mode version 14 added.
 var retiredFrames = []struct {
 	name  string
 	frame []byte
@@ -580,9 +639,11 @@ var retiredFrames = []struct {
 	{"trace", []byte{13, 0, 0, 0, 25, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 3, 'q', '-', '1'}},
 	{"reset", []byte{15, 0, 0, 0, 4, 0, 0, 0, 1}},
 	{"delta-varint data", hostileRun{arity: 2, enc: encDelta, count: 2, body: []byte{5, 1}}.frame("R", "")},
-	{"delta-varint delta", []byte{byte(wire.TypeDelta), 0, 0, 0, 23, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 'R', 0, 0, 0, 0, 2, encDelta, 0, 0, 0, 2, 5, 1}},
+	{"delta-varint delta", []byte{12, 0, 0, 0, 23, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 'R', 0, 0, 0, 0, 2, encDelta, 0, 0, 0, 2, 5, 1}},
 	{"version-11 gather", []byte{byte(wire.TypeGather), 0, 0, 0, 3, 0, 1, 'R'}},
 	{"version-12 hello", []byte{byte(wire.TypeHello), 0, 0, 0, 10, 0, 12, 0, 0, 0, 0, 0, 0, 0, 1}},
+	{"version-13 delta", []byte{12, 0, 0, 0, 29, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 'R', 0, 0, 0, 0, 2, encRaw, 0, 0, 0, 1, 5, 0, 0, 0, 0, 0, 0, 0}},
+	{"version-13 data", []byte{byte(wire.TypeData), 0, 0, 0, 28, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 'R', 0, 0, 0, 2, encRaw, 0, 0, 0, 1, 5, 0, 0, 0, 0, 0, 0, 0}},
 }
 
 // TestWorkerRefusesRetiredFrames: a frame of an earlier version that
@@ -699,8 +760,8 @@ func recordedScript(t testing.TB) []byte {
 		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Round: 1, Rel: "W", Buf: wide}},
 		&wire.Frame{Type: wire.TypeBarrier, Round: 1},
 		&wire.Frame{Type: wire.TypeJoin, Join: wire.Join{Query: "q(x,y,z) = R(x,y), T(y,z)", View: "v", Bindings: [][2]string{{"T", "S"}}}},
-		&wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{Round: 2, Store: "R", View: "delta!R", Buf: run(2, 3, 5)}},
-		&wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{Round: 2, Store: "S", Del: true, Buf: run(2, 5, 3)}},
+		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Round: 2, Rel: "R", View: "delta!R", Buf: run(2, 3, 5)}},
+		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Round: 2, Rel: "S", Del: true, Buf: run(2, 5, 3)}},
 		&wire.Frame{Type: wire.TypeBarrier, Round: 2},
 		&wire.Frame{Type: wire.TypeJoin, Join: wire.Join{Query: "q(x,y,z) = D(x,y), S(y,z)", View: "dv", Bindings: [][2]string{{"D", "delta!R"}}}},
 		&wire.Frame{Type: wire.TypePing, Round: 7},
@@ -732,12 +793,16 @@ func FuzzWorkerSession(f *testing.F) {
 	pair := relation.RunOf(2, []relation.Tuple{{1, 2}})
 	f.Add(encodeFrames(f, // retract, re-append, gather: tombstones set and cleared
 		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", Buf: relation.RunOf(2, []relation.Tuple{{1, 2}, {3, 4}})}},
-		&wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{Store: "R", Del: true, Buf: pair}},
-		&wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{Store: "R", Buf: pair}},
+		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", Del: true, Buf: pair}},
+		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", Buf: pair}},
 		&wire.Frame{Type: wire.TypeGather, View: "R"},
 	))
+	for _, mode := range []wire.Data{{}, {Del: true}, {Absorb: true}} { // each mode, retained: refused
+		mode.Rel, mode.View, mode.Retain, mode.Buf = "R", "d", "key", pair
+		f.Add(append(script[:0:0], append(script, encodeFrames(f, &wire.Frame{Type: wire.TypeData, Data: mode})...)...))
+	}
 	f.Add(append(script[:0:0], append(script, encodeFrames(f, // a retraction of an arity its store does not hold
-		&wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{Store: "R", Del: true, Buf: relation.RunOf(3, []relation.Tuple{{1, 2, 3}})}},
+		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", Del: true, Buf: relation.RunOf(3, []relation.Tuple{{1, 2, 3}})}},
 		&wire.Frame{Type: wire.TypeGather, View: "R"},
 	)...)...))
 	f.Add(binary.BigEndian.AppendUint32([]byte{byte(wire.TypeData)}, wire.MaxPayload-1))
@@ -764,8 +829,8 @@ func FuzzWorkerSession(f *testing.F) {
 	}
 	f.Add(encodeFrames(f,
 		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", Buf: relation.RunOf(2, []relation.Tuple{{1, 2}, {3, 4}})}},
-		&wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{Store: "R", View: "d", Absorb: true, Buf: relation.RunOf(2, []relation.Tuple{{1, 2}, {5, 6}})}},
-		&wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{Store: "R", View: "d", Absorb: true, Buf: relation.RunOf(2, []relation.Tuple{{5, 6}})}},
+		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", View: "d", Absorb: true, Buf: relation.RunOf(2, []relation.Tuple{{1, 2}, {5, 6}})}},
+		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", View: "d", Absorb: true, Buf: relation.RunOf(2, []relation.Tuple{{5, 6}})}},
 		&wire.Frame{Type: wire.TypeGather, View: "d"},
 		&wire.Frame{Type: wire.TypeRoute, Route: wire.Route{View: "R", Cols: []int{1, 0}, Grids: []*exchange.Grid{cell}}},
 		&wire.Frame{Type: wire.TypeRoute, Route: wire.Route{View: "R", Cols: []int{2}, Grids: []*exchange.Grid{cell}}},

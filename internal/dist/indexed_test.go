@@ -175,13 +175,13 @@ func (s *indexedSession) deliver(rng *rand.Rand, store string, arity int, tuples
 // delta retracts or re-appends tuples of store, routed.
 func (s *indexedSession) delta(rng *rand.Rand, store string, arity int, del bool, tuples []relation.Tuple) {
 	s.t.Helper()
-	var ds []dist.DeltaDelivery
+	var ds []exchange.Delivery
 	for w := 0; w < indexedP; w++ {
 		if slice := routed(w, tuples); len(slice) > 0 {
-			ds = append(ds, dist.DeltaDelivery{To: w, Store: store, Del: del, Buf: sealedRuns(rng, arity, 1, slice)[0]})
+			ds = append(ds, exchange.Delivery{To: w, Rel: store, Buf: sealedRuns(rng, arity, 1, slice)[0]})
 		}
 	}
-	s.send(dist.Op{Kind: dist.OpDelta, Round: 3, Deltas: ds})
+	s.send(dist.Op{Kind: dist.OpDeliver, Round: 3, Del: del, Deliveries: ds})
 	for _, tu := range tuples {
 		if del {
 			delete(s.live[store], tu.Key())
@@ -228,10 +228,6 @@ func (s *indexedSession) check(step string, q *query.Query) int {
 		op.Deliveries = slices.Clone(op.Deliveries)
 		for i := range op.Deliveries {
 			op.Deliveries[i].Buf, op.Deliveries[i].Retain = cloneRun(s.t, op.Deliveries[i].Buf), ""
-		}
-		op.Deltas = slices.Clone(op.Deltas)
-		for i := range op.Deltas {
-			op.Deltas[i].Buf = cloneRun(s.t, op.Deltas[i].Buf)
 		}
 		if _, err := fresh.Run(context.Background(), []dist.Op{op}); err != nil {
 			s.t.Fatal(err)

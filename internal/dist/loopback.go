@@ -206,7 +206,7 @@ type workerStore struct {
 	// holds the open round's flagged runs until its barrier.
 	home     residentHome
 	retained map[string]*retainedRuns
-	// absorbing holds, per store, the absorb deltas not yet settled: the
+	// absorbing holds, per store, the absorbed runs not yet settled: the
 	// next read of any store keeps what the store lacks of them and
 	// registers it under their view. filters holds the filter of each
 	// packed store absorbed into.
@@ -214,7 +214,7 @@ type workerStore struct {
 	filters   map[string]*wordFilter
 }
 
-// absorbRuns are the unsettled absorb deltas of one store, all for one
+// absorbRuns are the unsettled absorbed runs of one store, all for one
 // Δ view.
 type absorbRuns struct {
 	view string
@@ -240,7 +240,8 @@ func (w *workerStore) fits(rel string, run *relation.Run) error {
 	return nil
 }
 
-// add appends a run under the store name, sealing it if the sender did
+// add appends a run the worker came by itself — a join's answer, a
+// resident slice it attached — under the store name, sealing it if it is
 // not.
 func (w *workerStore) add(rel string, run *relation.Run) error {
 	if err := w.fits(rel, run); err != nil {
@@ -253,14 +254,23 @@ func (w *workerStore) add(rel string, run *relation.Run) error {
 	return nil
 }
 
-// applyDelta ingests one delta run: a retraction merges into store's
-// tombstones; an extension is subtracted from them and appended under
-// store — and, when view is non-empty, under view as well, making the
-// run readable as a Δ-relation; an absorbing extension waits to be
-// settled with the others of its store. A run that does not fit every
-// name it would land under is refused before anything is applied.
-func (w *workerStore) applyDelta(d wire.Delta) error {
-	store, view, del, run := d.Store, d.View, d.Del, d.Buf
+// receive ingests one delivered run as its frame says: appended under
+// its store name — un-tombstoning its rows — and under its Δ view when it
+// names one; retracted (Del) into the store's tombstones; or absorbed,
+// waiting to be settled with the store's other absorbed runs. A run
+// flagged to be retained is appended and noted to be published at the
+// round's barrier. A run that does not fit every name it would land
+// under is refused before anything is applied. This is the one way a
+// run reaches a worker from its peer.
+func (w *workerStore) receive(d *wire.Data) error {
+	store, view, run := d.Rel, d.View, d.Buf
+	if d.Retain != "" && (d.Del || d.Absorb) {
+		return fmt.Errorf("dist: a run retained under a key is appended, not retracted or absorbed")
+	}
+	r := w.retained[d.Retain]
+	if r != nil && r.runs[0].Arity() != run.Arity() {
+		return fmt.Errorf("dist: arity-%d run to be retained under a key that holds arity %d", run.Arity(), r.runs[0].Arity())
+	}
 	if err := w.fits(store, run); err != nil {
 		return err
 	}
@@ -288,7 +298,7 @@ func (w *workerStore) applyDelta(d wire.Delta) error {
 	}
 	w.settle()
 	delete(w.filters, store)
-	if del {
+	if d.Del {
 		if w.dead == nil {
 			w.dead = make(map[string]*relation.Run)
 		}
@@ -296,6 +306,16 @@ func (w *workerStore) applyDelta(d wire.Delta) error {
 		return nil
 	}
 	w.extend(store, view, run)
+	if d.Retain != "" && w.home.store != nil {
+		if r == nil {
+			if w.retained == nil {
+				w.retained = make(map[string]*retainedRuns)
+			}
+			r = &retainedRuns{rel: store}
+			w.retained[d.Retain] = r
+		}
+		r.runs = append(r.runs, run)
+	}
 	return nil
 }
 
@@ -311,9 +331,9 @@ func (w *workerStore) extend(store, view string, run *relation.Run) {
 	w.store[store] = append(w.store[store], run)
 }
 
-// settle absorbs the waiting absorb deltas: per store, the rows of their
+// settle absorbs the waiting absorbed runs: per store, the rows of their
 // runs the store does not hold extend it, as one more run, and are
-// registered under the deltas' view. What a store holds is what its
+// registered under the runs' view. What a store holds is what its
 // routing sent it — the same for every worker a row reaches — so a row
 // is new here exactly when it is new everywhere it is kept.
 func (w *workerStore) settle() {
@@ -500,7 +520,7 @@ func (w *workerStore) route(pieces []wire.Frame, r *wire.Route) (_ []wire.Frame,
 // runs returns what is stored under rel as at most one sealed run. A
 // store that holds several is merged here, once: the merged run takes
 // its pieces' place, so the next read — and whatever index the join
-// hangs on the run — finds it standing; a later delivery or delta
+// hangs on the run — finds it standing; a later delivery
 // appends a piece beside it and the next read merges again. While
 // tombstones are live for the store the run returned is the store less
 // the tombstones, so gathers and joins never see a retracted tuple.

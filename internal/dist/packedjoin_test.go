@@ -151,7 +151,8 @@ func TestPackedJoinMatchesReferences(t *testing.T) {
 				// some of them back (an absent one is then simply stored).
 				apply := func(del bool, ts []relation.Tuple) {
 					run := sealedRuns(rng, a.Arity(), 1, ts)[0]
-					if err := applyDelta(ctx, l, 2, []dist.DeltaDelivery{{To: 0, Store: a.Name, Del: del, Buf: run}}); err != nil {
+					op := dist.Op{Kind: dist.OpDeliver, Round: 2, Del: del, Deliveries: deliveries(a.Name, []*relation.Run{run})}
+					if _, err := l.Run(ctx, []dist.Op{op}); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -43,9 +43,14 @@ func (r *recordingTransport) Run(ctx context.Context, ops []dist.Op) (dist.Reply
 	for _, op := range ops {
 		switch op.Kind {
 		case dist.OpDeliver:
-			r.log("Deliver(%d)", op.Round)
-		case dist.OpDelta:
-			r.log("ApplyDelta(%d)", op.Round)
+			switch {
+			case op.Del:
+				r.log("Retract(%d)", op.Round)
+			case op.Absorb:
+				r.log("Absorb(%d)", op.Round)
+			default:
+				r.log("Deliver(%d)", op.Round)
+			}
 		case dist.OpBarrier:
 			r.log("Barrier(%d)", op.Round)
 		case dist.OpJoin:
@@ -99,7 +104,7 @@ func TestRecoveryArmedCostsNoTraffic(t *testing.T) {
 			}
 
 			scatter := func(call string) bool {
-				return strings.HasPrefix(call, "Deliver(") || strings.HasPrefix(call, "ApplyDelta(")
+				return strings.HasPrefix(call, "Deliver(") || strings.HasPrefix(call, "Retract(") || strings.HasPrefix(call, "Absorb(")
 			}
 			rounds := 0
 			for i, call := range on.calls {

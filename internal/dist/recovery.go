@@ -169,7 +169,7 @@ func (c *Cluster) phaseCtx(ctx context.Context) (context.Context, context.Cancel
 // their slices to the end — already hold theirs: sending such a step
 // again would duplicate state. What is sent again, until it succeeds or
 // the replacement budget runs out, is the script's idempotent suffix:
-// the barriers and the gather behind its last delivery, delta, join or
+// the barriers and the gather behind its last delivery, join or
 // attach. The reply keeps the attach answers of the first send, with
 // those of the workers it failed on dropped, and the runs, row counts and
 // pieces of the last.
@@ -199,7 +199,7 @@ func (c *Cluster) attempt(ctx context.Context, ops []Op) (Reply, error) {
 			return reply, herr
 		}
 		for i := len(ops) - 1; i >= 0; i-- {
-			if k := ops[i].Kind; k == OpDeliver || k == OpDelta || k == OpJoin || k == OpAttach {
+			if k := ops[i].Kind; k == OpDeliver || k == OpJoin || k == OpAttach {
 				ops = ops[i+1:]
 				break
 			}

@@ -311,31 +311,6 @@ type retainedRuns struct {
 	runs []*relation.Run
 }
 
-// receive ingests one delivered run: under its store name, and — flagged
-// — noted to be published at the round's barrier. What a key keeps is
-// merged into one run, so it holds one arity, like a store: the peer names
-// both.
-func (w *workerStore) receive(d exchange.Delivery) error {
-	r := w.retained[d.Retain]
-	if r != nil && r.runs[0].Arity() != d.Buf.Arity() {
-		return fmt.Errorf("dist: arity-%d run to be retained under a key that holds arity %d", d.Buf.Arity(), r.runs[0].Arity())
-	}
-	if err := w.add(d.Rel, d.Buf); err != nil {
-		return err
-	}
-	if d.Retain != "" && w.home.store != nil {
-		if r == nil {
-			if w.retained == nil {
-				w.retained = make(map[string]*retainedRuns)
-			}
-			r = &retainedRuns{rel: d.Rel}
-			w.retained[d.Retain] = r
-		}
-		r.runs = append(r.runs, d.Buf)
-	}
-	return nil
-}
-
 // publish hands the round's flagged runs — complete, now that its
 // barrier has come — to the process's resident store, merged into the one
 // run later sessions attach. A session store holding exactly those runs

@@ -16,7 +16,7 @@ import (
 )
 
 // deltaCapture is a loopback pool that also notes, per destination, the
-// tuples every delta delivery carried.
+// tuples every delivery carried.
 type deltaCapture struct {
 	*dist.Loopback
 	got [][]relation.Tuple
@@ -24,7 +24,7 @@ type deltaCapture struct {
 
 func (c *deltaCapture) Run(ctx context.Context, ops []dist.Op) (dist.Reply, error) {
 	for _, op := range ops {
-		for _, d := range op.Deltas {
+		for _, d := range op.Deliveries {
 			c.got[d.To] = d.Buf.AppendTuples(c.got[d.To])
 		}
 	}

@@ -17,11 +17,6 @@ func deliver(ctx context.Context, tr dist.Transport, round int, ds []exchange.De
 	return err
 }
 
-func applyDelta(ctx context.Context, tr dist.Transport, round int, ds []dist.DeltaDelivery) error {
-	_, err := tr.Run(ctx, []dist.Op{{Kind: dist.OpDelta, Round: round, Deltas: ds}})
-	return err
-}
-
 func barrier(ctx context.Context, tr dist.Transport, round int) error {
 	_, err := tr.Run(ctx, []dist.Op{{Kind: dist.OpBarrier, Round: round}})
 	return err

@@ -285,23 +285,17 @@ func eachWorker(n int, fn func(i int) error) error {
 	return errors.Join(errs...)
 }
 
-// frames appends worker w's slice of op to frames: its own deliveries
-// and deltas, every other step — what a TCP session writes to the
-// worker, and what a Loopback session handles unencoded.
+// frames appends worker w's slice of op to frames: its own deliveries,
+// every other step — what a TCP session writes to the worker, and what a
+// Loopback session handles unencoded.
 func (op *Op) frames(frames []wire.Frame, w int) []wire.Frame {
 	switch op.Kind {
 	case OpDeliver:
 		for _, d := range op.Deliveries {
 			if d.To == w {
 				frames = append(frames, wire.Frame{Type: wire.TypeData, Data: wire.Data{
-					Round: uint32(op.Round), Dest: uint32(w), Rel: d.Rel, Retain: d.Retain, Buf: d.Buf}})
-			}
-		}
-	case OpDelta:
-		for _, d := range op.Deltas {
-			if d.To == w {
-				frames = append(frames, wire.Frame{Type: wire.TypeDelta, Delta: wire.Delta{
-					Round: uint32(op.Round), Dest: uint32(w), Store: d.Store, View: d.View, Del: d.Del, Absorb: d.Absorb, Buf: d.Buf}})
+					Round: uint32(op.Round), Dest: uint32(w), Rel: d.Rel, View: op.View, Retain: d.Retain,
+					Del: op.Del, Absorb: op.Absorb, Buf: d.Buf}})
 			}
 		}
 	case OpBarrier:
@@ -335,7 +329,7 @@ func (op *Op) frames(frames []wire.Frame, w int) []wire.Frame {
 
 // answered reports whether the worker replies to the step.
 func (k OpKind) answered() bool {
-	return k != OpDeliver && k != OpDelta
+	return k != OpDeliver
 }
 
 // reaches reports whether a gather reads worker w.
@@ -352,69 +346,55 @@ func checkDestinations(ops []Op, p int) error {
 				return fmt.Errorf("dist: delivery to worker %d out of range [0,%d)", d.To, p)
 			}
 		}
-		for _, d := range op.Deltas {
-			if d.To < 0 || d.To >= p {
-				return fmt.Errorf("dist: delta to worker %d out of range [0,%d)", d.To, p)
-			}
-		}
 	}
 	return nil
 }
 
-// readGatherStream consumes one worker's gather reply — Data frames
-// terminated by a Done carrying the run count and the view's row count —
-// and returns the runs and the row count. The caller holds wc.mu via
-// roundTrip.
-func (wc *workerConn) readGatherStream(view string) ([]*relation.Run, int, error) {
-	var runs []*relation.Run
-	for {
-		f, err := wc.rd.Next()
-		if err != nil {
-			return nil, 0, err
-		}
-		switch f.Type {
-		case wire.TypeData:
-			if f.Data.Rel != view {
-				return nil, 0, fmt.Errorf("gather of %q answered with run for %q", view, f.Data.Rel)
-			}
-			runs = append(runs, f.Data.Buf)
-		case wire.TypeDone:
-			if int(f.Count) != len(runs) {
-				return nil, 0, fmt.Errorf("gather of %q: %d runs streamed, done frame says %d",
-					view, len(runs), f.Count)
-			}
-			return runs, int(f.Rows), nil
-		case wire.TypeError:
-			return nil, 0, fmt.Errorf("worker error: %s", f.Msg)
-		default:
-			return nil, 0, fmt.Errorf("unexpected %s frame in gather stream", f.Type)
-		}
+// readStream consumes one worker's reply to a gather or a route — Data or
+// Piece frames, terminated by a Done that counts them and carries the
+// gathered view's row count — into ans. A gathered run is the view's, and
+// carries nothing that says how a delivered run lands. The caller holds
+// wc.mu via roundTrip.
+func (wc *workerConn) readStream(op *Op, ans *answers) error {
+	want, stream := wire.TypeData, "gather"
+	if op.Kind == OpRoute {
+		want, stream = wire.TypePiece, "route"
 	}
-}
-
-// readPieceStream consumes one worker's route reply — Piece frames
-// terminated by a Done carrying their count — and returns the pieces.
-// The caller holds wc.mu via roundTrip.
-func (wc *workerConn) readPieceStream() ([]Piece, error) {
-	var pieces []Piece
+	n := 0
 	for {
 		f, err := wc.rd.Next()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		switch f.Type {
-		case wire.TypePiece:
-			pieces = append(pieces, Piece{From: wc.id, Target: int(f.Piece.Target), To: int(f.Piece.Dest), Buf: f.Piece.Buf})
-		case wire.TypeDone:
-			if int(f.Count) != len(pieces) {
-				return nil, fmt.Errorf("route: %d pieces streamed, done frame says %d", len(pieces), f.Count)
+		switch {
+		case f.Type == want && want == wire.TypePiece:
+			ans.pieces = append(ans.pieces, Piece{From: wc.id, Target: int(f.Piece.Target), To: int(f.Piece.Dest), Buf: f.Piece.Buf})
+		case f.Type == want:
+			d := &f.Data
+			if d.Rel != op.View {
+				return fmt.Errorf("gather of %q answered with run for %q", op.View, d.Rel)
 			}
-			return pieces, nil
-		case wire.TypeError:
-			return nil, fmt.Errorf("worker error: %s", f.Msg)
+			if d.View != "" || d.Retain != "" || d.Del || d.Absorb {
+				return fmt.Errorf("gather of %q answered with a run flagged to land in a store", op.View)
+			}
+			ans.runs = append(ans.runs, d.Buf)
+		case f.Type == wire.TypeDone:
+			if int(f.Count) != n && want == wire.TypePiece {
+				return fmt.Errorf("route: %d pieces streamed, done frame says %d", n, f.Count)
+			}
+			if int(f.Count) != n {
+				return fmt.Errorf("gather of %q: %d runs streamed, done frame says %d", op.View, n, f.Count)
+			}
+			if want == wire.TypeData {
+				ans.rows += int(f.Rows)
+			}
+			return nil
+		case f.Type == wire.TypeError:
+			return fmt.Errorf("worker error: %s", f.Msg)
 		default:
-			return nil, fmt.Errorf("unexpected %s frame in route stream", f.Type)
+			return fmt.Errorf("unexpected %s frame in %s stream", f.Type, stream)
 		}
+		n++
 	}
 }
 
@@ -475,18 +455,10 @@ func (wc *workerConn) run(ctx context.Context, ops []Op) (ans answers, err error
 					}
 					ans.attached = append(ans.attached, f.Attach)
 				}
-			case OpGather:
-				if !op.reaches(wc.id) {
-					continue
+			case OpGather, OpRoute:
+				if op.reaches(wc.id) {
+					err = wc.readStream(&op, &ans)
 				}
-				var got []*relation.Run
-				var n int
-				got, n, err = wc.readGatherStream(op.View)
-				ans.runs, ans.rows = append(ans.runs, got...), ans.rows+n
-			case OpRoute:
-				var got []Piece
-				got, err = wc.readPieceStream()
-				ans.pieces = append(ans.pieces, got...)
 			}
 			if err != nil {
 				return err

@@ -225,7 +225,7 @@ func TestRetractionOnlyBatchIsFenced(t *testing.T) {
 			if _, err := m.ApplyDelta(batch); err != nil {
 				t.Fatal(err)
 			}
-			if got, want := rec.calls[cold:], []string{"ApplyDelta(2)", "Barrier(2)"}; !slices.Equal(got, want) {
+			if got, want := rec.calls[cold:], []string{"Retract(2)", "Barrier(2)"}; !slices.Equal(got, want) {
 				t.Fatalf("transport calls of a retraction-only batch = %v, want %v before ApplyDelta returns", got, want)
 			}
 			if !sameTuples(m.Answers().Tuples(), truth) {

@@ -9,7 +9,6 @@ import (
 	"net"
 	"time"
 
-	"repro/internal/exchange"
 	"repro/internal/query"
 	"repro/internal/wire"
 )
@@ -45,7 +44,7 @@ const handshakeTimeout = 10 * time.Second
 
 // ServeConn runs one worker session over conn: it expects a Hello within
 // handshakeTimeout, acks it, then processes the coordinator's frames in
-// order — Data and Delta (unacknowledged; the barrier fences them),
+// order — Data (unacknowledged; the barrier fences it),
 // Barrier, Join, Epoch and Reset (acked), Ping (a Pong), Attach (an
 // Attach) and Gather (a Data stream closed by a Done) — until the
 // coordinator closes the connection. Every frame, the hello included, is
@@ -188,8 +187,8 @@ func (s *session) parseQuery(text string) (*query.Query, error) {
 
 // handle processes one post-handshake frame and returns the session's
 // answer to it: an Ack, a Pong or an Attach; for a gather or a route the
-// Done closing the Data or Piece frames it streams ahead of it; for the
-// frames nothing answers (Data, Delta) a reply of type zero. An error
+// Done closing the Data or Piece frames it streams ahead of it; for a
+// Data frame, which nothing answers, a reply of type zero. An error
 // refuses the frame.
 func (s *session) handle(f *wire.Frame) (reply wire.Frame, stream []wire.Frame, err error) {
 	switch f.Type {
@@ -197,15 +196,10 @@ func (s *session) handle(f *wire.Frame) (reply wire.Frame, stream []wire.Frame, 
 		if f.Data.Dest != s.id {
 			return reply, nil, fmt.Errorf("data frame for shard %d delivered to worker %d", f.Data.Dest, s.id)
 		}
-		err = s.store.receive(exchange.Delivery{Rel: f.Data.Rel, Buf: f.Data.Buf, Retain: f.Data.Retain})
+		err = s.store.receive(&f.Data)
 	case wire.TypeAttach:
 		reply.Type = wire.TypeAttach
 		reply.Attach, err = s.store.attach(f.Attach.Key, f.Attach.Store, int64(f.Attach.Tuples))
-	case wire.TypeDelta:
-		if f.Delta.Dest != s.id {
-			return reply, nil, fmt.Errorf("delta frame for shard %d delivered to worker %d", f.Delta.Dest, s.id)
-		}
-		err = s.store.applyDelta(f.Delta)
 	case wire.TypeBarrier:
 		// Frames on the connection are processed in order, so reaching
 		// the barrier means every preceding Data frame is ingested — and

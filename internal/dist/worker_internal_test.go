@@ -81,7 +81,7 @@ func TestTombstonedReadBuildsNoTuples(t *testing.T) {
 		}
 		dead = append(dead, rows[:25]...)
 	}
-	if err := w.applyDelta(wire.Delta{Store: "R", Del: true, Buf: relation.RunOf(2, dead)}); err != nil {
+	if err := w.receive(&wire.Data{Rel: "R", Del: true, Buf: relation.RunOf(2, dead)}); err != nil {
 		t.Fatal(err)
 	}
 	var live []*relation.Run
@@ -122,7 +122,7 @@ func TestAbsorbKeepsEachRowOnce(t *testing.T) {
 	} {
 		view := fmt.Sprint("d", i)
 		for _, run := range round.runs {
-			if err := w.applyDelta(wire.Delta{Store: "R", View: view, Absorb: true, Buf: run}); err != nil {
+			if err := w.receive(&wire.Data{Rel: "R", View: view, Absorb: true, Buf: run}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -88,7 +88,7 @@ func TestDeltaWordsExtremes(t *testing.T) {
 // rawFrame is a Data frame whose arity-2 run claims count words and
 // carries body, written by hand as a hostile peer would.
 func rawFrame(count uint32, body []byte) []byte {
-	p := []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'R', 0, 0, 0, 2, 2} // round, dest, "R", no retain key, arity 2, enc 2
+	p := []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'R', 0, 0, 0, 0, 0, 0, 2, 2} // round, dest, "R", no view, no retain key, append, arity 2, enc 2
 	p = binary.BigEndian.AppendUint32(p, count)
 	p = append(p, body...)
 	return append(binary.BigEndian.AppendUint32([]byte{byte(wire.TypeData)}, uint32(len(p))), p...)

@@ -454,7 +454,9 @@ func TestMaintainerTraced(t *testing.T) {
 func TestMaintainerFaultInjection(t *testing.T) {
 	q := query.Triangle()
 	const n, p = 30, 4
-	// Worker w at the n-th step of kind op of the fault-free run.
+	// Worker w at the n-th step of kind op of the fault-free run: the
+	// cold round's three scatters are deliveries 0 to 2, the batches' from
+	// 3 on.
 	type point struct {
 		op   dist.OpKind
 		n, w int
@@ -465,12 +467,12 @@ func TestMaintainerFaultInjection(t *testing.T) {
 		points []point
 		kills  int
 	}{
-		{"kill-before-delta", []point{{dist.OpDelta, 0, 1, disttest.KillBefore}}, 1},
-		{"kill-after-delta", []point{{dist.OpDelta, 1, 2, disttest.KillAfter}}, 1},
+		{"kill-before-delta", []point{{dist.OpDeliver, 3, 1, disttest.KillBefore}}, 1},
+		{"kill-after-delta", []point{{dist.OpDeliver, 4, 2, disttest.KillAfter}}, 1},
 		{"kill-at-maintenance-join", []point{{dist.OpJoin, 1, 0, disttest.KillBefore}}, 1},
-		{"delay-delta-to-barrier", []point{{dist.OpDelta, 0, 3, disttest.DelayToBarrier}}, 0},
-		{"duplicate-delta", []point{{dist.OpDelta, 0, 0, disttest.DuplicateDelivery}}, 0},
-		{"double-kill", []point{{dist.OpDelta, 0, 1, disttest.KillBefore}, {dist.OpJoin, 2, 2, disttest.KillAfter}}, 2},
+		{"delay-delta-to-barrier", []point{{dist.OpDeliver, 3, 3, disttest.DelayToBarrier}}, 0},
+		{"duplicate-delta", []point{{dist.OpDeliver, 3, 0, disttest.DuplicateDelivery}}, 0},
+		{"double-kill", []point{{dist.OpDeliver, 3, 1, disttest.KillBefore}, {dist.OpJoin, 2, 2, disttest.KillAfter}}, 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -479,6 +481,18 @@ func TestMaintainerFaultInjection(t *testing.T) {
 			sc := buildScenario(t, rng, q, db0, 4)
 			clean := disttest.NewSchedule()
 			runMaintainer(t, sc, p, Options{Seed: 9, Transport: clean.Wrap(dist.NewLoopback(p))}, false)
+			cold := 0
+			for _, site := range clean.Trace() {
+				if site.Kind == dist.OpBarrier {
+					break
+				}
+				if site.Kind == dist.OpDeliver {
+					cold++
+				}
+			}
+			if cold != len(q.Atoms) {
+				t.Fatalf("the cold round has %d deliveries, want one per atom", cold)
+			}
 			var faults []disttest.Fault
 			for _, pt := range c.points {
 				at := clean.Trace().At(pt.op, pt.n, pt.w, pt.kind)

@@ -217,7 +217,7 @@ func (s *Server) handleDatasetDelta(w http.ResponseWriter, r *http.Request) {
 	// already caught up, so an acknowledged delta is never invisible
 	// to a subsequent warm read.
 	ds.mu.Lock()
-	version, effects, err := ds.applyDeltaLocked(delta)
+	version, effects, err := ds.applyBatchLocked(delta)
 	if err != nil {
 		ds.mu.Unlock()
 		if ten != nil {

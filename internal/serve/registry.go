@@ -98,7 +98,7 @@ func (sn *Snapshot) Bind(q *query.Query) (*relation.Database, error) {
 	return view, nil
 }
 
-// applyDeltaLocked applies one delta batch to the dataset: it validates
+// applyBatchLocked applies one delta batch to the dataset: it validates
 // the delta against the current snapshot, builds the next snapshot with
 // the incrementally maintained statistics catalog pre-installed (no
 // re-scan — the batch's values are merged into the column histograms
@@ -106,7 +106,7 @@ func (sn *Snapshot) Bind(q *query.Query) (*relation.Database, error) {
 // set-level effect per changed relation. The caller holds d.mu: the
 // delta handler holds it across application and continuous-query
 // maintenance so no second delta can interleave between them.
-func (d *Dataset) applyDeltaLocked(delta relation.Delta) (uint64, map[string]relation.Effect, error) {
+func (d *Dataset) applyBatchLocked(delta relation.Delta) (uint64, map[string]relation.Effect, error) {
 	cur := d.snap.Load()
 	ndb, effects, err := relation.ApplyDelta(cur.DB, delta)
 	if err != nil {

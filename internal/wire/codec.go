@@ -12,7 +12,7 @@ import (
 	"repro/internal/relation"
 )
 
-// Buffer-body encodings inside Data and Delta payloads, one per run
+// Buffer-body encodings inside Data and Piece payloads, one per run
 // layout: a packed run ships its words raw, a flat-layout run ships
 // row-major. Bytes 0 and 3 were the big-endian packed encoding version 7
 // retired and the delta-varint encoding version 11 retired; both stay
@@ -22,9 +22,9 @@ const (
 	encRaw  = 2 // packed words as little-endian memory, sent zero-copy
 )
 
-// deltaAbsorb is the mode byte of an absorbing Delta, beside 0 (append)
+// modeAbsorb is the mode byte of an absorbed Data run, beside 0 (append)
 // and 1 (retract).
-const deltaAbsorb = 2
+const modeAbsorb = 2
 
 // hostLittleEndian reports whether native uint64 memory order matches
 // the encRaw wire order; a big-endian host swap-copies its words into
@@ -106,22 +106,17 @@ func appendFrame(dst []byte, f *Frame) ([]byte, []byte, error) {
 		w.u32(f.Data.Round)
 		w.u32(f.Data.Dest)
 		w.str(f.Data.Rel)
+		w.str(f.Data.View)
 		w.str(f.Data.Retain)
-		seg = w.buffer(f.Data.Buf)
-	case TypeDelta:
-		w.u32(f.Delta.Round)
-		w.u32(f.Delta.Dest)
-		w.str(f.Delta.Store)
-		w.str(f.Delta.View)
 		switch {
-		case f.Delta.Del && f.Delta.Absorb:
-			w.fail(fmt.Errorf("delta both retracts and absorbs"))
-		case f.Delta.Absorb:
-			w.b = append(w.b, deltaAbsorb)
+		case f.Data.Del && f.Data.Absorb:
+			w.fail(fmt.Errorf("data both retracts and absorbs"))
+		case f.Data.Absorb:
+			w.b = append(w.b, modeAbsorb)
 		default:
-			w.flag(f.Delta.Del)
+			w.flag(f.Data.Del)
 		}
-		seg = w.buffer(f.Delta.Buf)
+		seg = w.buffer(f.Data.Buf)
 	case TypeRoute:
 		w.str(f.Route.View)
 		w.ints(f.Route.Cols)
@@ -397,22 +392,17 @@ func decodePayload(f *Frame, body []byte) error {
 		f.Data.Round = p.u32()
 		f.Data.Dest = p.u32()
 		f.Data.Rel = p.str()
+		f.Data.View = p.str()
 		f.Data.Retain = p.str()
-		f.Data.Buf = p.buffer()
-	case TypeDelta:
-		f.Delta.Round = p.u32()
-		f.Delta.Dest = p.u32()
-		f.Delta.Store = p.str()
-		f.Delta.View = p.str()
 		switch mode := p.u8(); mode {
 		case 0, 1:
-			f.Delta.Del = mode == 1
-		case deltaAbsorb:
-			f.Delta.Absorb = true
+			f.Data.Del = mode == 1
+		case modeAbsorb:
+			f.Data.Absorb = true
 		default:
-			p.fail(fmt.Errorf("delta mode byte %d", mode))
+			p.fail(fmt.Errorf("data mode byte %d", mode))
 		}
-		f.Delta.Buf = p.buffer()
+		f.Data.Buf = p.buffer()
 	case TypeRoute:
 		f.Route.View = p.str()
 		f.Route.Cols = p.ints()

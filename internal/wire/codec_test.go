@@ -91,12 +91,12 @@ func TestFastEncodingChoice(t *testing.T) {
 			out.Write(b)
 		}
 		// enc byte sits after 5 hdr + 4 round + 4 dest + 2 len + 1 "R" +
-		// 2 len (no retain key) + 2 arity; the body starts after the
-		// 4-byte count.
-		if enc := out.Bytes()[20]; enc != encRaw {
+		// 2 len (no view) + 2 len (no retain key) + 1 mode + 2 arity; the
+		// body starts after the 4-byte count.
+		if enc := out.Bytes()[23]; enc != encRaw {
 			t.Errorf("%s column encoded as %d, want encRaw", name, enc)
 		}
-		if body := out.Len() - 25; body != 8*buf.Len() {
+		if body := out.Len() - 28; body != 8*buf.Len() {
 			t.Errorf("%s column: %d body bytes for %d words, want 8 a word", name, body, buf.Len())
 		}
 		words, _ := buf.Words()
@@ -179,8 +179,10 @@ func TestValidatingRejectsDirtyDeltaWords(t *testing.T) {
 		w.u32(0) // round
 		w.u32(0) // dest
 		w.str("R")
-		w.str("") // retain
-		w.u16(3)  // arity 3 → 21 bits/value, 63 used
+		w.str("")     // view
+		w.str("")     // retain
+		w.flag(false) // mode: append
+		w.u16(3)      // arity 3 → 21 bits/value, 63 used
 		w.b = append(w.b, enc)
 		w.u32(uint32(count))
 		w.b = append(w.b, body...)

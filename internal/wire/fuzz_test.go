@@ -78,15 +78,15 @@ func FuzzDecodeFrame(f *testing.F) {
 	seed(&Frame{Type: TypePong, Round: 41})
 	seed(&Frame{Type: TypeEpoch, Round: 3})
 	seed(&Frame{Type: TypeReset, Round: 1})
-	seed(&Frame{Type: TypeDelta, Delta: Delta{Round: 4, Dest: 1, Store: "R", View: "delta!R!7", Buf: packed}})
-	seed(&Frame{Type: TypeDelta, Delta: Delta{Round: 4, Dest: 2, Store: "S", Del: true, Buf: flat}})
+	seed(&Frame{Type: TypeData, Data: Data{Round: 4, Dest: 1, Rel: "R", View: "delta!R!7", Buf: packed}})
+	seed(&Frame{Type: TypeData, Data: Data{Round: 4, Dest: 2, Rel: "S", Del: true, Buf: flat}})
 	seed(&Frame{Type: TypeData, Data: Data{Round: 1, Dest: 2, Rel: "R", Retain: "\x00key\xff", Buf: packed}})
 	seed(&Frame{Type: TypeAttach, Attach: Attach{Key: "\x00key\xff", Store: "V1_1/S1", Tuples: 200}})
 	seed(&Frame{Type: TypeAttach, Attach: Attach{Tuples: 200, Hit: true}})
 	// Runs of every shape: an empty run, a skewed column (plain,
 	// retained, as a maintenance delete), a flat maintenance append.
 	seed(&Frame{Type: TypeData, Data: Data{Round: 1, Dest: 2, Rel: "R", Buf: relation.RunOf(3, nil)}})
-	seed(&Frame{Type: TypeDelta, Delta: Delta{Round: 6, Dest: 3, Store: "S", View: "delta!S!2", Buf: flat}})
+	seed(&Frame{Type: TypeData, Data: Data{Round: 6, Dest: 3, Rel: "S", View: "delta!S!2", Buf: flat}})
 	skewed := relation.NewRun(2)
 	z := rand.NewZipf(rng, 1.2, 1, 1<<16)
 	for i := 0; i < 512; i++ {
@@ -95,11 +95,14 @@ func FuzzDecodeFrame(f *testing.F) {
 	skewed.Seal()
 	seed(&Frame{Type: TypeData, Data: Data{Round: 2, Dest: 1, Rel: "Z", Buf: skewed}})
 	seed(&Frame{Type: TypeData, Data: Data{Round: 2, Dest: 1, Rel: "Z", Retain: "\x00key\xff", Buf: skewed}})
-	seed(&Frame{Type: TypeDelta, Delta: Delta{Round: 5, Dest: 0, Store: "R", View: "delta!R!1", Buf: wide}})
-	seed(&Frame{Type: TypeDelta, Delta: Delta{Round: 5, Dest: 1, Store: "Z", Del: true, Buf: skewed}})
-	// Version 13's fixpoint steps: an absorbing delta, a route through two
+	seed(&Frame{Type: TypeData, Data: Data{Round: 5, Dest: 0, Rel: "R", View: "delta!R!1", Buf: wide}})
+	seed(&Frame{Type: TypeData, Data: Data{Round: 5, Dest: 1, Rel: "Z", Del: true, Buf: skewed}})
+	// A mode and a retain key together: the codec carries it, a worker
+	// refuses it.
+	seed(&Frame{Type: TypeData, Data: Data{Round: 5, Dest: 1, Rel: "Z", Retain: "\x00key\xff", Del: true, Buf: skewed}})
+	// Version 13's fixpoint steps: an absorbed run, a route through two
 	// grids, and the pieces a route answers with.
-	seed(&Frame{Type: TypeDelta, Delta: Delta{Round: 7, Dest: 2, Store: "tc", View: "delta!tc!3", Absorb: true, Buf: wide}})
+	seed(&Frame{Type: TypeData, Data: Data{Round: 7, Dest: 2, Rel: "tc", View: "delta!tc!3", Absorb: true, Buf: wide}})
 	grid := func(dims []int, binds ...exchange.GridBind) *exchange.Grid {
 		g, err := exchange.NewGrid(dims, make([]uint64, len(dims)), binds)
 		if err != nil {
@@ -115,15 +118,16 @@ func FuzzDecodeFrame(f *testing.F) {
 	seed(&Frame{Type: TypePiece, Piece: Piece{Dest: 0, Buf: flat}})
 	// Hostile shapes: lying lengths, dirty high bits, truncation.
 	hostile([]byte{byte(TypeData), 0xFF, 0xFF, 0xFF, 0xFF})
-	hostile([]byte{byte(TypeData), 0, 0, 0, 30, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 3, 0, 0, 0, 0, 2})
+	hostile([]byte{byte(TypeData), 0, 0, 0, 33, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 2})
 	hostile([]byte{0xEE, 0, 0, 0, 0})
 	// Version-4 frames under bytes that changed meaning in version 5: a
 	// trace frame under what was then the first byte past the last type,
-	// and a 12-byte payload under the byte that now means Delta.
+	// and a 12-byte payload under the byte that meant Delta until version
+	// 14, now Attach's.
 	hostile([]byte{14, 0, 0, 0, 22, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 2, 0, 0})
-	hostile([]byte{byte(TypeDelta), 0, 0, 0, 12, 0, 0, 0, 2, 0, 0, 0, 5, 0, 0, 0, 0})
+	hostile([]byte{12, 0, 0, 0, 12, 0, 0, 0, 2, 0, 0, 0, 5, 0, 0, 0, 0})
 	// Version-9 frames under the bytes version 10 renumbered: the retired
-	// trace frame, and the byte that meant Reset, now Route's, whose
+	// trace frame, and the byte that meant Reset, now Piece's, whose
 	// payload this is not.
 	hostile(v9Trace)
 	hostile([]byte{15, 0, 0, 0, 4, 0, 0, 0, 1})
@@ -137,45 +141,45 @@ func FuzzDecodeFrame(f *testing.F) {
 	// delta-varint bodies — a first word above the packed width, a
 	// truncated varint, a lying count.
 	hostile([]byte{
-		byte(TypeData), 0, 0, 0, 36,
-		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 3, encRaw, 0, 0, 0, 2,
+		byte(TypeData), 0, 0, 0, 39,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 0, 0, 3, encRaw, 0, 0, 0, 2,
 		9, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
 	})
 	hostile([]byte{
-		byte(TypeData), 0, 0, 0, 31,
-		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 3, encDelta, 0, 0, 0, 2,
+		byte(TypeData), 0, 0, 0, 34,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 0, 0, 3, encDelta, 0, 0, 0, 2,
 		0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0, // 1<<63, +0
 	})
 	hostile([]byte{
-		byte(TypeData), 0, 0, 0, 21,
-		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 3, encDelta, 0, 0, 0, 2,
+		byte(TypeData), 0, 0, 0, 24,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 0, 0, 3, encDelta, 0, 0, 0, 2,
 		0x80,
 	})
 	hostile([]byte{
-		byte(TypeData), 0, 0, 0, 22,
-		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 3, encDelta, 0xFF, 0xFF, 0xFF, 0xFF,
+		byte(TypeData), 0, 0, 0, 25,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 0, 0, 3, encDelta, 0xFF, 0xFF, 0xFF, 0xFF,
 		1, 2,
 	})
 	// Hostile attach frames: a dirty hit byte, and a key length that
 	// overruns the payload.
 	hostile([]byte{byte(TypeAttach), 0, 0, 0, 13, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 2})
 	hostile([]byte{byte(TypeAttach), 0, 0, 0, 13, 0xFF, 0xFF, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 1})
-	// Hostile delta frames: a dirty mode byte (0, 1 and 2 are legal), a
-	// lying tuple count with almost no payload behind it, and a
-	// truncated delta-varint body — all must reject without
-	// over-allocating.
+	// Hostile Data frames in the modes a maintenance batch ships: a dirty
+	// mode byte (0, 1 and 2 are legal), a lying tuple count with almost no
+	// payload behind it, and a truncated delta-varint body — all must
+	// reject without over-allocating.
 	hostile([]byte{
-		byte(TypeDelta), 0, 0, 0, 21,
-		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 3, 0, 1, encPacked, 0, 0, 0, 0,
+		byte(TypeData), 0, 0, 0, 23,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 3, 0, 1, encPacked, 0, 0, 0, 0,
 	})
 	hostile([]byte{
-		byte(TypeDelta), 0, 0, 0, 23,
-		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 1, encPacked, 0xFF, 0xFF, 0xFF, 0xFF,
+		byte(TypeData), 0, 0, 0, 25,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 1, 0, 1, encPacked, 0xFF, 0xFF, 0xFF, 0xFF,
 		1, 2,
 	})
 	hostile([]byte{
-		byte(TypeDelta), 0, 0, 0, 22,
-		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 1, encDelta, 0, 0, 0, 2,
+		byte(TypeData), 0, 0, 0, 24,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 1, 0, 1, encDelta, 0, 0, 0, 2,
 		0x80,
 	})
 
@@ -183,27 +187,27 @@ func FuzzDecodeFrame(f *testing.F) {
 	// flat rows out of order, a raw count larger than its payload, bytes
 	// trailing a raw run.
 	hostile([]byte{
-		byte(TypeData), 0, 0, 0, 28,
-		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 1, encFlat, 0, 0, 0, 1,
+		byte(TypeData), 0, 0, 0, 31,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 0, 0, 1, encFlat, 0, 0, 0, 1,
 		0x80, 0, 0, 0, 0, 0, 0, 1,
 	})
 	hostile([]byte{
-		byte(TypeData), 0, 0, 0, 36,
-		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 1, encFlat, 0, 0, 0, 2,
+		byte(TypeData), 0, 0, 0, 39,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 0, 0, 1, encFlat, 0, 0, 0, 2,
 		0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 1,
 	})
 	hostile([]byte{
-		byte(TypeData), 0, 0, 0, 28,
-		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 3, encRaw, 0, 0, 0, 2,
+		byte(TypeData), 0, 0, 0, 31,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 0, 0, 3, encRaw, 0, 0, 0, 2,
 		1, 0, 0, 0, 0, 0, 0, 0,
 	})
 	hostile([]byte{
-		byte(TypeData), 0, 0, 0, 29,
-		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 3, encRaw, 0, 0, 0, 1,
+		byte(TypeData), 0, 0, 0, 32,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 0, 0, 3, encRaw, 0, 0, 0, 1,
 		1, 0, 0, 0, 0, 0, 0, 0, 0xAA,
 	})
 	// Well-formed version-10 delta-varint runs, which that version
-	// decoded: a Data frame and a Delta frame.
+	// decoded: appended and retracted.
 	hostile(v10DeltaData)
 	hostile(v10DeltaDelta)
 	// Version-11 gather and done frames, short of the row limit and the
@@ -227,7 +231,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if !sameFrame(fr, again) {
 			t.Fatalf("round trip changed the frame:\n was %+v\n now %+v", fr, again)
 		}
-		for _, run := range []*relation.Run{fr.Data.Buf, fr.Delta.Buf, fr.Piece.Buf} {
+		for _, run := range []*relation.Run{fr.Data.Buf, fr.Piece.Buf} {
 			if run != nil && !run.Sealed() {
 				t.Fatalf("accepted %s frame carries an unsealed run", fr.Type)
 			}

@@ -11,11 +11,12 @@
 // The payload that matters is the columnar one: a Data frame carries
 // one sealed relation.Run — the unit the exchange layer ships
 // between workers — as the round id, the destination shard, the store
-// name, and the buffer body in the encoding of its layout: the packed
-// words as raw little-endian memory, or a row-major big-endian int64
-// sequence for a buffer on the flat layout; a Delta frame carries a
-// maintenance run the same way, and a Piece what a worker's route step
-// derived for one destination. Control frames carry the BSP protocol
+// name, the Δ view and retain key it may also land under, how it lands
+// (appended, retracted or absorbed), and the buffer body in the encoding
+// of its layout: the packed words as raw little-endian memory, or a
+// row-major big-endian int64 sequence for a buffer on the flat layout; a
+// Piece carries what a worker's route step derived for one destination
+// the same way. Control frames carry the BSP protocol
 // around the data (Hello, Barrier, Join, Gather, Route, Ack, Done,
 // Error), the recovery handshake (Ping, Pong, Epoch), the resident
 // scatter (Attach) and a session's reuse (Reset). Every frame type has a reader on the
@@ -49,7 +50,7 @@ import (
 // Type enumerates the frame kinds of the protocol.
 type Type uint8
 
-// Frame types. The coordinator sends Hello, Data, Delta, Barrier, Join,
+// Frame types. The coordinator sends Hello, Data, Barrier, Join,
 // Gather, Route, Ping, Epoch, Attach and Reset; a worker replies with
 // Ack, Data, Piece, Done, Pong, Attach and Error. The values are contiguous from 1 —
 // retiring a type renumbers the ones after it and bumps Version.
@@ -58,8 +59,10 @@ const (
 	// size. The worker replies with an Ack.
 	TypeHello Type = 1 + iota
 	// TypeData carries one sealed columnar run for one destination
-	// shard. Sent coordinator→worker during scatter rounds and
-	// worker→coordinator while answering a Gather.
+	// shard. Sent coordinator→worker during scatter rounds — a base
+	// scatter, a maintenance batch, a fixpoint's relay alike; its mode
+	// says how the run lands — and worker→coordinator while answering a
+	// Gather.
 	TypeData
 	// TypeBarrier ends a communication round; the worker acks it after
 	// it has ingested every preceding Data frame (frames on one
@@ -91,16 +94,6 @@ const (
 	// Epochs only ever grow: a worker rejects a decreasing epoch as a
 	// stale coordinator and acks an accepted one, echoing the epoch.
 	TypeEpoch
-	// TypeDelta carries one sealed delta run for incremental view
-	// maintenance: the tuples of a maintenance batch routed to one
-	// worker. A delete delta tombstones the run's tuples in the named
-	// store; an append delta registers the run under the store and,
-	// when a view name is present, under that view as well (the
-	// Δ-relation the maintenance join reads); an absorb delta keeps only
-	// the tuples the store does not hold yet, and registers those. Like
-	// Data, Delta frames are unacknowledged — the round barrier is the
-	// ingestion fence.
-	TypeDelta
 	// TypeAttach asks a worker to bind the runs its process keeps under
 	// an opaque key into the session's store; the worker answers with an
 	// Attach of its own.
@@ -145,8 +138,6 @@ func (t Type) String() string {
 		return "pong"
 	case TypeEpoch:
 		return "epoch"
-	case TypeDelta:
-		return "delta"
 	case TypeAttach:
 		return "attach"
 	case TypeReset:
@@ -176,8 +167,10 @@ func (t Type) String() string {
 // encoding; version 12 added the row limit of Gather and the row count
 // of Done, so a view's rows may stay on the worker that holds them;
 // version 13 added the Route step, its Piece reply and the absorb flag of
-// Delta, so a fixpoint's state stays on the workers.
-const Version = 13
+// Delta, so a fixpoint's state stays on the workers; version 14 folded
+// Delta into Data — a Data frame carries Delta's view and mode byte — and
+// renumbered the four types after it.
+const Version = 14
 
 // MaxPayload bounds a frame's declared payload size (128 MiB). A
 // larger length prefix is rejected before any payload is read.
@@ -198,7 +191,8 @@ type Hello struct {
 	P uint32
 }
 
-// Data is one sealed columnar run in flight.
+// Data is one sealed columnar run in flight. A gathered run carries no
+// view, retain key or mode: those say how a delivered run lands.
 type Data struct {
 	// Round is the communication round the run belongs to (0 for
 	// gather replies).
@@ -209,9 +203,16 @@ type Data struct {
 	Dest uint32
 	// Rel is the store name the run lands under.
 	Rel string
+	// View, when non-empty, is the Δ-relation an appended or absorbed run
+	// is also registered under — what a maintenance join reads.
+	View string
 	// Retain, when non-empty, is the key the worker also keeps the run
 	// under for later sessions to Attach to, from the round's barrier on.
 	Retain string
+	// Del and Absorb are the mode (byte 0 append, 1 retract, 2 absorb):
+	// a retraction tombstones the run's rows out of Rel; an absorbed run
+	// keeps only the rows Rel does not hold yet. Never both.
+	Del, Absorb bool
 	// Buf is the run itself.
 	Buf *relation.Run
 }
@@ -226,29 +227,6 @@ type Attach struct {
 	Tuples uint64
 	// Hit reports, in a reply, that the runs are bound.
 	Hit bool
-}
-
-// Delta is one sealed maintenance run in flight. Its buffer body uses
-// the same encodings as Data.
-type Delta struct {
-	// Round is the communication round the delta belongs to.
-	Round uint32
-	// Dest is the destination shard (worker id); workers reject
-	// mis-routed deltas like mis-routed Data.
-	Dest uint32
-	// Store is the resident store the delta applies to.
-	Store string
-	// View is the Δ-relation view name an append delta also registers
-	// its run under; empty for delete deltas (and for appends that no
-	// maintenance join will read).
-	View string
-	// Del discriminates delete (tombstone) from append deltas.
-	Del bool
-	// Absorb marks an append that keeps, and registers under View, only
-	// the tuples Store does not hold yet; never set with Del.
-	Absorb bool
-	// Buf is the run itself.
-	Buf *relation.Run
 }
 
 // Route is the route step: the rows a worker holds under View,
@@ -288,8 +266,6 @@ type Frame struct {
 	Hello Hello
 	// Data is set for TypeData.
 	Data Data
-	// Delta is set for TypeDelta.
-	Delta Delta
 	// Join is set for TypeJoin.
 	Join Join
 	// Route is set for TypeRoute, Piece for TypePiece.

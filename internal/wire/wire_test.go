@@ -65,12 +65,12 @@ func sampleFrames(t *testing.T) []*Frame {
 		{Type: TypePong, Round: 19},
 		{Type: TypeEpoch, Round: 2},
 		{Type: TypeReset, Round: 5},
-		{Type: TypeDelta, Delta: Delta{Round: 4, Dest: 1, Store: "R", View: "delta!R!7", Buf: packed}},
-		{Type: TypeDelta, Delta: Delta{Round: 4, Dest: 2, Store: "S", Del: true, Buf: flat}},
+		{Type: TypeData, Data: Data{Round: 4, Dest: 1, Rel: "R", View: "delta!R!7", Buf: packed}},
+		{Type: TypeData, Data: Data{Round: 4, Dest: 2, Rel: "S", Del: true, Buf: flat}},
 		{Type: TypeData, Data: Data{Round: 1, Dest: 3, Rel: "V1_1/S1", Retain: "\x00opaque\xffkey", Buf: packed}},
 		{Type: TypeAttach, Attach: Attach{Key: "\x00opaque\xffkey", Store: "V1_1/S1", Tuples: 1 << 40}},
 		{Type: TypeAttach, Attach: Attach{Tuples: 58733, Hit: true}},
-		{Type: TypeDelta, Delta: Delta{Round: 5, Dest: 3, Store: "tc", View: "delta!tc!2", Absorb: true, Buf: packed}},
+		{Type: TypeData, Data: Data{Round: 5, Dest: 3, Rel: "tc", View: "delta!tc!2", Absorb: true, Buf: packed}},
 		{Type: TypeRoute, Route: Route{View: "hc!delta!2", Cols: []int{0, 2}, Grids: []*exchange.Grid{
 			sampleGrid(t, []int{1, 4, 2}, []exchange.GridBind{{Pos: 0, Dim: 1}, {Pos: 1, Dim: 2}}),
 			sampleGrid(t, []int{8}, nil),
@@ -115,10 +115,9 @@ func sameFrame(a, b *Frame) bool {
 		return buf.AppendTuples(nil)
 	}
 	ha, hb := *a, *b
-	ha.Data.Buf, hb.Data.Buf, ha.Delta.Buf, hb.Delta.Buf, ha.Piece.Buf, hb.Piece.Buf = nil, nil, nil, nil, nil, nil
+	ha.Data.Buf, hb.Data.Buf, ha.Piece.Buf, hb.Piece.Buf = nil, nil, nil, nil
 	return reflect.DeepEqual(ha, hb) &&
 		reflect.DeepEqual(tuples(a.Data.Buf), tuples(b.Data.Buf)) &&
-		reflect.DeepEqual(tuples(a.Delta.Buf), tuples(b.Delta.Buf)) &&
 		reflect.DeepEqual(tuples(a.Piece.Buf), tuples(b.Piece.Buf))
 }
 
@@ -258,18 +257,20 @@ func TestDecodeTruncated(t *testing.T) {
 
 // v9Trace is a Trace frame as version 9 sent it: type byte 13, then
 // the trace id 9, span 1, round 1 and query id "q-1". Version 10 retired
-// the type, and byte 13 now names Attach, whose payload this is not.
+// the type, and byte 13 now names Reset, whose payload this is not.
 var v9Trace = []byte{13, 0, 0, 0, 25,
 	0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 3, 'q', '-', '1'}
 
-// v10DeltaData and v10DeltaDelta are a Data and a Delta frame as version
-// 10 sent a packed arity-3 run under encoding byte 3: the first word 5,
-// then the difference 1, as uvarints. Version 11 retired the encoding.
+// v10DeltaData and v10DeltaDelta carry a packed arity-3 run under
+// encoding byte 3 as version 10 sent it — the first word 5, then the
+// difference 1, as uvarints — in an appended and a retracted Data frame
+// (version 14 folded the Delta frame into Data). Version 11 retired the
+// encoding.
 var (
-	v10DeltaData = []byte{byte(TypeData), 0, 0, 0, 22,
-		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 3, 3, 0, 0, 0, 2, 5, 1}
-	v10DeltaDelta = []byte{byte(TypeDelta), 0, 0, 0, 23,
-		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 3, 3, 0, 0, 0, 2, 5, 1}
+	v10DeltaData = []byte{byte(TypeData), 0, 0, 0, 25,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 0, 0, 3, 3, 0, 0, 0, 2, 5, 1}
+	v10DeltaDelta = []byte{byte(TypeData), 0, 0, 0, 25,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 1, 0, 3, 3, 0, 0, 0, 2, 5, 1}
 )
 
 // A version-11 gather of view "out" and a version-11 done counting one
@@ -296,7 +297,7 @@ func TestDecodeMalformed(t *testing.T) {
 	}{
 		{"unknown type", []byte{0xEE, 0, 0, 0, 0}, "unknown frame type"},
 		{"version-9 trace frame", v9Trace, "trailing"},
-		{"version-9 reset frame", []byte{15, 0, 0, 0, 4, 0, 0, 0, 1}, "route frame: truncated"},
+		{"version-9 reset frame", []byte{15, 0, 0, 0, 4, 0, 0, 0, 1}, "piece frame: truncated"},
 		{"oversized length", []byte{byte(TypeData), 0xFF, 0xFF, 0xFF, 0xFF}, "exceeds"},
 		{"version-10 delta-varint data", v10DeltaData, "unknown buffer encoding 3"},
 		{"version-10 delta-varint delta", v10DeltaDelta, "unknown buffer encoding 3"},
@@ -307,16 +308,17 @@ func TestDecodeMalformed(t *testing.T) {
 		{"trailing bytes", []byte{byte(TypeBarrier), 0, 0, 0, 6, 0, 0, 0, 1, 0xAA, 0xBB}, "trailing"},
 		{"zero arity", mutate(enc(&Frame{Type: TypeData, Data: Data{Rel: "R", Buf: packed}}), func(b []byte) {
 			// arity field sits after 5 hdr + 4 round + 4 dest + 2 len + 1 "R"
-			// + 2 len (no retain key).
-			b[18], b[19] = 0, 0
+			// + 2 len (no view) + 2 len (no retain key) + 1 mode.
+			b[21], b[22] = 0, 0
 		}), "arity"},
 		{"bad encoding byte", mutate(enc(&Frame{Type: TypeData, Data: Data{Rel: "R", Buf: packed}}), func(b []byte) {
-			b[20] = 9
+			b[23] = 9
 		}), "encoding"},
-		{"delta mode byte", mutate(enc(&Frame{Type: TypeDelta, Delta: Delta{Store: "R", Buf: packed}}), func(b []byte) {
-			// mode byte after 5 hdr + 4 round + 4 dest + 3 "R" + 2 (no view).
-			b[18] = 3
-		}), "delta mode byte 3"},
+		{"delta mode byte", mutate(enc(&Frame{Type: TypeData, Data: Data{Rel: "R", Buf: packed}}), func(b []byte) {
+			// mode byte after 5 hdr + 4 round + 4 dest + 3 "R" + 2 (no view)
+			// + 2 (no retain key).
+			b[20] = 3
+		}), "data mode byte 3"},
 		// A route of view "", no columns and one grid: one dimension of
 		// share 0 and seed 0, no binds — then of share 4, bound from
 		// position 0 to a dimension it does not have.
@@ -325,7 +327,7 @@ func TestDecodeMalformed(t *testing.T) {
 		{"route bind outside the grid", []byte{byte(TypeRoute), 0, 0, 0, 26,
 			0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1}, "outside"},
 		{"count overflows payload", mutate(enc(&Frame{Type: TypeData, Data: Data{Rel: "R", Buf: packed}}), func(b []byte) {
-			b[21], b[22], b[23], b[24] = 0xFF, 0xFF, 0xFF, 0xFF
+			b[24], b[25], b[26], b[27] = 0xFF, 0xFF, 0xFF, 0xFF
 		}), "truncated payload"},
 	}
 	for _, c := range cases {
