@@ -308,19 +308,17 @@ func loadDatabase(specs []relSpec, dataStr string) (*relation.Database, error) {
 		}
 		files[strings.TrimSpace(pair[:eq])] = strings.TrimSpace(pair[eq+1:])
 	}
-	maxVal := 1
 	var rels []*relation.Relation
 	for _, spec := range specs {
 		path, ok := files[spec.name]
 		if !ok {
 			return nil, fmt.Errorf("-data missing relation %s", spec.name)
 		}
-		f, err := os.Open(path)
+		text, err := os.ReadFile(path)
 		if err != nil {
 			return nil, err
 		}
-		rel, err := relation.ReadCSV(f, spec.name)
-		f.Close()
+		rel, err := relation.ReadCSV(text, spec.name)
 		if err != nil {
 			return nil, err
 		}
@@ -329,14 +327,9 @@ func loadDatabase(specs []relSpec, dataStr string) (*relation.Database, error) {
 				spec.name, path, rel.Arity(), len(spec.attrs))
 		}
 		rel.Attrs = append([]string(nil), spec.attrs...)
-		maxVal = max(maxVal, rel.MaxValue())
 		rels = append(rels, rel)
 	}
-	db := relation.NewDatabase(maxVal)
-	for _, rel := range rels {
-		db.AddRelation(rel)
-	}
-	return db, nil
+	return relation.DatabaseOf(rels...), nil
 }
 
 // runDatalog evaluates a Datalog program: EDB relations from -data

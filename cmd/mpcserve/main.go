@@ -72,6 +72,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -256,30 +257,39 @@ func build(p, maxP int, capC float64, workers int, budget int64, cache, answers 
 	return srv, nil
 }
 
-// loadCSVDataset parses 'name:R=file.csv,S=file.csv' and loads every
-// file.
+// loadCSVDataset parses 'name:R=file.csv,S=file.csv' and reads every
+// file once, straight into its relation's run. The relations are read
+// and registered in name order, as serve.RunsFromCSV reads the same
+// texts.
 func loadCSVDataset(spec string) (string, *relation.Database, error) {
 	name, rest, ok := strings.Cut(spec, ":")
 	if !ok || name == "" || rest == "" {
 		return "", nil, fmt.Errorf("want 'name:R=file.csv,…'")
 	}
-	csvs := map[string]string{}
+	paths := map[string]string{}
 	for _, pair := range strings.Split(rest, ",") {
 		rel, path, ok := strings.Cut(pair, "=")
 		if !ok || rel == "" || path == "" {
 			return "", nil, fmt.Errorf("bad relation entry %q (want R=file.csv)", pair)
 		}
-		text, err := os.ReadFile(strings.TrimSpace(path))
+		paths[strings.TrimSpace(rel)] = strings.TrimSpace(path)
+	}
+	names := make([]string, 0, len(paths))
+	for rel := range paths {
+		names = append(names, rel)
+	}
+	sort.Strings(names)
+	rels := make([]*relation.Relation, len(names))
+	for i, rel := range names {
+		text, err := os.ReadFile(paths[rel])
 		if err != nil {
 			return "", nil, err
 		}
-		csvs[strings.TrimSpace(rel)] = string(text)
+		if rels[i], err = relation.ReadCSV(text, rel); err != nil {
+			return "", nil, fmt.Errorf("relation %s: %w", rel, err)
+		}
 	}
-	db, err := serve.RunsFromCSV(csvs)
-	if err != nil {
-		return "", nil, err
-	}
-	return name, db, nil
+	return name, relation.DatabaseOf(rels...), nil
 }
 
 // generateDataset parses 'name:family=C3,n=10000,…' into a

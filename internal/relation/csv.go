@@ -13,29 +13,33 @@ import (
 // This file reads and writes the integer CSV a relation is uploaded as:
 // what encoding/csv reads with TrimLeadingSpace, every field of a record
 // a decimal integer ≥ 1 as strconv.Atoi reads it (README.md, "Uploading
-// a dataset"). encoding/csv reads the header; the records are scanned
-// byte by byte into one array, except one quoted as no integer needs (an
-// escaped quote, a quote open past its line, text after a closing
-// quote), which encoding/csv reads too — and so rejects as it always did.
+// a dataset"). encoding/csv reads the header. A plain record — at most
+// 18 decimal digits per field, no zero value, commas between fields and
+// a bare \n or the end of the input after the last — is read into the
+// row as its digits are scanned. Any other record is split into fields
+// byte by byte and each is read with strconv.Atoi, except one quoted as
+// no integer needs (an escaped quote, a quote open past its line, text
+// after a closing quote), which encoding/csv reads too — and so rejects
+// as it always did.
 
-// ReadCSV parses a relation from CSV: the first record is the header
-// naming the attributes, each further record is one tuple of positive
-// integers. The relation name is supplied by the caller (CSV has no
-// natural place for it). The relation holds one sealed run, every
+// ReadCSV parses a relation from CSV text: the first record is the
+// header naming the attributes, each further record is one tuple of
+// positive integers. The relation name is supplied by the caller (CSV
+// has no natural place for it). The relation holds one sealed run, every
 // occurrence kept: its rows come back in sorted order, not file order.
-func ReadCSV(r io.Reader, name string) (*Relation, error) {
-	attrs, flat, err := scanCSV(r)
+// The run keeps nothing of data.
+func ReadCSV(data []byte, name string) (*Relation, error) {
+	s, err := newCSVScanner(data)
 	if err != nil {
 		return nil, err
 	}
-	a := len(attrs)
-	run := NewRun(a)
-	run.Grow(len(flat) / a)
-	for x := 0; x < len(flat); x += a {
-		run.Append(flat[x : x+a])
+	run := NewRun(len(s.row))
+	run.Grow(s.rows)
+	if err := s.each(run.Append); err != nil {
+		return nil, err
 	}
 	run.Seal() // a file already in order costs one linear check
-	return FromRun(name, attrs, run), nil
+	return FromRun(name, s.attrs, run), nil
 }
 
 // ReadCSVTuples is ReadCSV keeping the file's order: the rows are Tuples
@@ -43,55 +47,22 @@ func ReadCSV(r io.Reader, name string) (*Relation, error) {
 // caller that addresses rows by their position in the file —
 // serve.DatabaseFromCSV, through which bench/ draws its deltas by row
 // index.
-func ReadCSVTuples(r io.Reader, name string) (*Relation, error) {
-	attrs, flat, err := scanCSV(r)
+func ReadCSVTuples(data []byte, name string) (*Relation, error) {
+	s, err := newCSVScanner(data)
 	if err != nil {
 		return nil, err
 	}
-	rel, a := New(name, attrs...), len(attrs)
+	a := len(s.row)
+	flat := make([]int, 0, a*s.rows)
+	if err := s.each(func(row Tuple) { flat = append(flat, row...) }); err != nil {
+		return nil, err
+	}
+	rel := New(name, s.attrs...)
 	rel.Tuples = make([]Tuple, len(flat)/a)
 	for i := range rel.Tuples {
 		rel.Tuples[i] = Tuple(flat[i*a : (i+1)*a : (i+1)*a])
 	}
 	return rel, nil
-}
-
-// scanCSV reads the header and every record, row-major in file order,
-// into one array presized by the line count.
-func scanCSV(r io.Reader) ([]string, []int, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("relation: reading CSV: %w", err)
-	}
-	attrs, pos, err := csvRecord(data, 0)
-	if err != nil {
-		return nil, nil, fmt.Errorf("relation: reading CSV header: %w", err)
-	}
-	s := &csvScanner{data: data, pos: pos}
-	flat := make([]int, 0, len(attrs)*(bytes.Count(data[pos:], []byte{'\n'})+1))
-	for line := 2; ; line++ {
-		ok, err := s.next()
-		if err != nil {
-			return nil, nil, fmt.Errorf("relation: reading CSV line %d: %w", line, err)
-		}
-		if !ok {
-			return attrs, flat, nil
-		}
-		if len(s.fields) != len(attrs) {
-			return nil, nil, fmt.Errorf("relation: CSV line %d has %d fields, header has %d: %w",
-				line, len(s.fields), len(attrs), csv.ErrFieldCount)
-		}
-		for i, f := range s.fields {
-			v, err := strconv.Atoi(string(f)) // no allocation: the string does not escape
-			if err != nil {
-				return nil, nil, fmt.Errorf("relation: CSV line %d field %d: %w", line, i+1, err)
-			}
-			if v < 1 {
-				return nil, nil, fmt.Errorf("relation: CSV line %d field %d: value %d outside domain [n]", line, i+1, v)
-			}
-			flat = append(flat, v)
-		}
-	}
 }
 
 // csvRecord reads the one record at data[pos:] with encoding/csv and
@@ -103,11 +74,111 @@ func csvRecord(data []byte, pos int) ([]string, int, error) {
 	return record, pos + int(cr.InputOffset()), err
 }
 
-// csvScanner reads the records after the header.
+// csvScanner reads the records after the header, one row at a time.
 type csvScanner struct {
-	data   []byte
-	pos    int
-	fields [][]byte // the last record's fields, reused
+	data  []byte
+	pos   int
+	attrs []string
+	// rows bounds the record count from above: one per line end, and one
+	// more for a last line without one.
+	rows int
+	// row is the last record's values, reused; its length is the arity.
+	row Tuple
+	// line numbers the last record as errors name it: the header is 1.
+	line   int
+	fields [][]byte // the last general record's fields, reused
+}
+
+// newCSVScanner reads the header of data.
+func newCSVScanner(data []byte) (*csvScanner, error) {
+	attrs, pos, err := csvRecord(data, 0)
+	if err != nil {
+		return nil, fmt.Errorf("relation: reading CSV header: %w", err)
+	}
+	return &csvScanner{
+		data: data, pos: pos, attrs: attrs, line: 1,
+		rows: bytes.Count(data[pos:], []byte{'\n'}) + 1,
+		row:  make(Tuple, len(attrs)),
+	}, nil
+}
+
+// each calls yield with every record's row, in file order; the row is
+// reused from one call to the next.
+func (s *csvScanner) each(yield func(row Tuple)) error {
+	for {
+		ok, err := s.record()
+		if !ok {
+			return err
+		}
+		yield(s.row)
+	}
+}
+
+// record reads the next record into row and reports false at the end of
+// the input.
+func (s *csvScanner) record() (bool, error) {
+	s.line++
+	if s.plain() {
+		return true, nil
+	}
+	ok, err := s.next()
+	if err != nil {
+		return false, fmt.Errorf("relation: reading CSV line %d: %w", s.line, err)
+	}
+	if !ok {
+		return false, nil
+	}
+	if len(s.fields) != len(s.row) {
+		return false, fmt.Errorf("relation: CSV line %d has %d fields, header has %d: %w",
+			s.line, len(s.fields), len(s.row), csv.ErrFieldCount)
+	}
+	for i, f := range s.fields {
+		v, err := strconv.Atoi(string(f)) // no allocation: the string does not escape
+		if err != nil {
+			return false, fmt.Errorf("relation: CSV line %d field %d: %w", s.line, i+1, err)
+		}
+		if v < 1 {
+			return false, fmt.Errorf("relation: CSV line %d field %d: value %d outside domain [n]", s.line, i+1, v)
+		}
+		s.row[i] = v
+	}
+	return true, nil
+}
+
+// plain reads the record at pos into row when it is plain — every field
+// 1 to 18 decimal digits of a value ≥ 1, one comma between fields, a \n
+// or the end of the input after the last — and reports whether it was.
+// Eighteen digits cannot overflow an int, and such a record reads the
+// same through next and strconv.Atoi. Anything else moves nothing.
+func (s *csvScanner) plain() bool {
+	data, pos := s.data, s.pos
+	if pos >= len(data) {
+		return false
+	}
+	for i := range s.row {
+		if i > 0 {
+			if pos >= len(data) || data[pos] != ',' {
+				return false
+			}
+			pos++
+		}
+		v, start := 0, pos
+		for ; pos < len(data) && data[pos]-'0' <= 9; pos++ {
+			v = v*10 + int(data[pos]-'0')
+		}
+		if n := pos - start; n == 0 || n > 18 || v == 0 {
+			return false
+		}
+		s.row[i] = v
+	}
+	if pos < len(data) {
+		if data[pos] != '\n' {
+			return false
+		}
+		pos++
+	}
+	s.pos = pos
+	return true
 }
 
 // next reads the next record's fields, skipping blank lines, and reports

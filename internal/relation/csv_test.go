@@ -16,7 +16,7 @@ import (
 
 func TestReadCSV(t *testing.T) {
 	in := "x,y\n3,4\n1,2\n"
-	rel, err := ReadCSV(strings.NewReader(in), "R")
+	rel, err := ReadCSV([]byte(in), "R")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestReadCSV(t *testing.T) {
 	if got := rel.Rows(); len(got) != 2 || !got[0].Equal(Tuple{1, 2}) || !got[1].Equal(Tuple{3, 4}) {
 		t.Errorf("rows = %v, want the file's rows sorted", got)
 	}
-	inOrder, err := ReadCSVTuples(strings.NewReader(in), "R")
+	inOrder, err := ReadCSVTuples([]byte(in), "R")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestReadCSVErrors(t *testing.T) {
 		"x,y\n-1,2\n", // negative
 	}
 	for _, in := range bad {
-		if _, err := ReadCSV(strings.NewReader(in), "R"); err == nil {
+		if _, err := ReadCSV([]byte(in), "R"); err == nil {
 			t.Errorf("ReadCSV(%q): want error", in)
 		}
 	}
@@ -64,7 +64,7 @@ func TestReadCSVChunkedTuples(t *testing.T) {
 	for i := rows; i >= 1; i-- { // descending: the run must sort it
 		fmt.Fprintf(&sb, "%d, %d,%d\n", i, 2*i, 3*i)
 	}
-	rel, err := ReadCSV(strings.NewReader(sb.String()), "R")
+	rel, err := ReadCSV([]byte(sb.String()), "R")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestReadCSVChunkedTuples(t *testing.T) {
 			t.Fatalf("row %d = %v", i, tup)
 		}
 	}
-	inOrder, err := ReadCSVTuples(strings.NewReader(sb.String()), "R")
+	inOrder, err := ReadCSVTuples([]byte(sb.String()), "R")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestReadCSVChunkedTuples(t *testing.T) {
 		}
 	}
 	sb.WriteString("5,x,6\n")
-	_, err = ReadCSV(strings.NewReader(sb.String()), "R")
+	_, err = ReadCSV([]byte(sb.String()), "R")
 	if want := fmt.Sprintf("CSV line %d field 2", rows+2); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %v, want one naming %q", err, want)
 	}
@@ -106,7 +106,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := buf.String()
-	back, err := ReadCSVTuples(strings.NewReader(text), "S")
+	back, err := ReadCSVTuples([]byte(text), "S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if !back.IsMatching(30) {
 		t.Error("round-tripped matching should still be a matching")
 	}
-	run, err := ReadCSV(strings.NewReader(text), "S")
+	run, err := ReadCSV([]byte(text), "S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,13 +223,28 @@ func FuzzReadCSV(f *testing.F) {
 		"x,y\n1,\"2\"\n",
 		"x,y\n1,\"2\" \n",
 		"",
+		// The edges of the plain-record path: 18 and 19 digits, a zero
+		// however spelled, a space beside a comma or before the line end,
+		// a CR ending a record, no final newline, and a value ≥ 2³² at
+		// arity 2 after packed rows, so the run migrates to flat storage
+		// midway.
+		"x,y\n123456789012345678,1\n",
+		"x,y\n1234567890123456789,1\n",
+		"x,y\n0,1\n",
+		"x,y\n00,1\n",
+		"x,y\n1 ,2\n",
+		"x,y\n1,2 \n",
+		"x,y\n1,2\r3,4\n",
+		"x,y\n1,2\n3,4\r",
+		"x,y\n1,2\n3,4",
+		"x,y\n1,2\n3,4\n4294967296,5\n6,7\n",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
 		ref, refErr := refReadCSV(strings.NewReader(text), "R")
-		run, runErr := ReadCSV(strings.NewReader(text), "R")
-		tup, tupErr := ReadCSVTuples(strings.NewReader(text), "R")
+		run, runErr := ReadCSV([]byte(text), "R")
+		tup, tupErr := ReadCSVTuples([]byte(text), "R")
 		for _, err := range []error{runErr, tupErr} {
 			if (err == nil) != (refErr == nil) {
 				t.Fatalf("%q: error %v, reference %v", text, err, refErr)

@@ -17,7 +17,7 @@
 // kept as them. The package imports none of those layers.
 //
 // The catalog holds runs too. A Relation is one sealed run (Run, Size):
-// an uploaded CSV is scanned byte by byte into one (ReadCSV),
+// an uploaded CSV's bytes are scanned straight into one (ReadCSV),
 // a delta batch is one occurrence-exact merge over it (ApplyDelta), the
 // statistics are read off its columns, and a scatter partitions it.
 // Tuples stays the interchange form tests, generators and bench/ write:
@@ -373,6 +373,21 @@ type Database struct {
 // NewDatabase returns an empty database over domain [n].
 func NewDatabase(n int) *Database {
 	return &Database{N: n, Relations: make(map[string]*Relation)}
+}
+
+// DatabaseOf returns the relations, in the order given, over the
+// smallest domain [n] holding every value they hold (n ≥ 1) — the
+// database an upload of them registers.
+func DatabaseOf(rels ...*Relation) *Database {
+	n := 1
+	for _, r := range rels {
+		n = max(n, r.MaxValue())
+	}
+	db := NewDatabase(n)
+	for _, r := range rels {
+		db.AddRelation(r)
+	}
+	return db
 }
 
 // AddRelation inserts a relation, replacing any with the same name.

@@ -14,7 +14,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -111,15 +110,6 @@ func ParseDeltaRequest(body []byte) (relation.Delta, error) {
 	return d, nil
 }
 
-// readBody drains at most limit bytes of the request body.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
-		return nil, fmt.Errorf("serve: reading body: %w", err)
-	}
-	return body, nil
-}
-
 // MaintainedQuery reports one continuous query's maintenance under a
 // delta batch, inside the DeltaResponse.
 type MaintainedQuery struct {
@@ -195,7 +185,7 @@ func (s *Server) handleDatasetDelta(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := readBody(w, r, 64<<20)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, http.StatusBadRequest, "serve: reading body: %v", err)
 		return
 	}
 	delta, err := ParseDeltaRequest(body)

@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"sort"
 	"strings"
@@ -188,8 +187,8 @@ func (r *Registry) Names() []string {
 // relation (header = attribute names, rows = positive integers; the
 // grammar is relation.ReadCSV's). Each relation holds one sealed run,
 // every occurrence kept, read straight from the bytes. The domain size
-// is the largest value appearing in any relation. It is what POST
-// /datasets and mpcserve -dataset register.
+// is the largest value appearing in any relation. It is what a POST
+// /datasets body that takes the general decoder registers.
 func RunsFromCSV(csvs map[string]string) (*relation.Database, error) {
 	return databaseFromCSV(csvs, relation.ReadCSV)
 }
@@ -202,32 +201,16 @@ func DatabaseFromCSV(csvs map[string]string) (*relation.Database, error) {
 	return databaseFromCSV(csvs, relation.ReadCSVTuples)
 }
 
-func databaseFromCSV(csvs map[string]string, read func(io.Reader, string) (*relation.Relation, error)) (*relation.Database, error) {
+func databaseFromCSV(csvs map[string]string, read func([]byte, string) (*relation.Relation, error)) (*relation.Database, error) {
 	if len(csvs) == 0 {
 		return nil, fmt.Errorf("serve: no relations supplied")
 	}
-	names := make([]string, 0, len(csvs))
-	for name := range csvs {
-		names = append(names, name)
+	out := make([]readCSV, 0, len(csvs))
+	for name, text := range csvs {
+		rel, err := read([]byte(text), name)
+		out = append(out, readCSV{name: name, rel: rel, err: err})
 	}
-	sort.Strings(names)
-	maxVal := 1
-	rels := make([]*relation.Relation, 0, len(names))
-	for _, name := range names {
-		rel, err := read(strings.NewReader(csvs[name]), name)
-		if err != nil {
-			return nil, fmt.Errorf("relation %s: %w", name, err)
-		}
-		if mv := rel.MaxValue(); mv > maxVal {
-			maxVal = mv
-		}
-		rels = append(rels, rel)
-	}
-	db := relation.NewDatabase(maxVal)
-	for _, rel := range rels {
-		db.AddRelation(rel)
-	}
-	return db, nil
+	return databaseOf(out)
 }
 
 // GeneratorSpec describes a synthetic dataset: the relations of a

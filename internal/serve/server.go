@@ -8,8 +8,9 @@
 // workload needs:
 //
 //   - a named-dataset Registry keeps relations resident across
-//     requests as sealed runs — an inline CSV upload is scanned straight
-//     into one run per relation (RunsFromCSV), and every query binds a
+//     requests as sealed runs — an inline CSV upload's body is read
+//     once and each relation's text scanned straight into one run
+//     (upload.go), and every query binds a
 //     schema-only view that shares them — with the statistics catalog
 //     read off the runs and memoized on first use
 //     (relation.Database.Stats);
@@ -800,25 +801,12 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, out)
 	case http.MethodPost:
-		var req DatasetRequest
-		if err := decodeJSONBody(w, r, &req, 64<<20); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+		body, err := readBody(w, r, uploadLimit)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "bad JSON body: %v", err)
 			return
 		}
-		var db *relation.Database
-		var err error
-		switch {
-		case len(req.CSV) > 0 && req.Generator != nil:
-			writeError(w, http.StatusBadRequest, "use csv or generator, not both")
-			return
-		case len(req.CSV) > 0:
-			db, err = RunsFromCSV(req.CSV)
-		case req.Generator != nil:
-			db, err = Generate(*req.Generator)
-		default:
-			writeError(w, http.StatusBadRequest, "one of csv or generator is required")
-			return
-		}
+		name, db, err := datasetFromBody(body)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
@@ -830,7 +818,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		ds, err := s.registry.Add(req.Name, db)
+		ds, err := s.registry.Add(name, db)
 		if err != nil {
 			if ten != nil {
 				ten.ReleaseBytes(bytes)
