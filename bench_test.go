@@ -793,8 +793,11 @@ func BenchmarkSkewJoin(b *testing.B) {
 // end-to-end benchmark's skew_warm workload: R(x,y), S(y,z) at
 // n = 100 000 with Zipf(1.3) first columns and R.y a permutation (so
 // the join value is heavy in S alone), p = 16, plan built once outside
-// the timer, every iteration one Plan.Execute on loopback — scatter,
-// local joins, gather and the one materialization of the ≈ n answers.
+// the timer, every iteration one execution on loopback. "full" is one
+// Plan.Execute — scatter, local joins, the gather of all ≈ n answers and
+// their one materialization; "reply" is skew_warm's warm op, one
+// ExecuteRun with an answer limit of 100, which gathers at most 16·100
+// rows and counts the rest on the workers.
 func BenchmarkSkewExecute(b *testing.B) {
 	const n, p = 100000, 16
 	rng := rand.New(rand.NewPCG(61, 61))
@@ -812,16 +815,29 @@ func BenchmarkSkewExecute(b *testing.B) {
 	if pl.Engine != plan.SkewJoin {
 		b.Fatalf("planner picked %v; the benchmark is about the skew engine", pl.Engine)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var res *plan.Result
-	for i := 0; i < b.N; i++ {
-		if res, err = pl.Execute(db, plan.ExecOptions{Seed: 7}); err != nil {
-			b.Fatal(err)
+	b.Run("full", func(b *testing.B) {
+		b.ReportAllocs()
+		var res *plan.Result
+		for i := 0; i < b.N; i++ {
+			if res, err = pl.Execute(db, plan.ExecOptions{Seed: 7}); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
-	b.ReportMetric(float64(len(res.Answers)), "answers")
-	b.ReportMetric(float64(res.Stats.MaxLoadTuples()), "max-load")
+		b.ReportMetric(float64(len(res.Answers)), "answers")
+		b.ReportMetric(float64(res.Stats.MaxLoadTuples()), "max-load")
+	})
+	b.Run("reply", func(b *testing.B) {
+		b.ReportAllocs()
+		var res *plan.Result
+		for i := 0; i < b.N; i++ {
+			if res, err = pl.ExecuteRun(db, plan.ExecOptions{Seed: 7, AnswerLimit: 100}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(res.Count), "answers")
+		b.ReportMetric(float64(res.Gathered), "gathered")
+		b.ReportMetric(float64(res.Stats.MaxLoadTuples()), "max-load")
+	})
 }
 
 // BenchmarkOptimalShares times the exhaustive size-aware share search

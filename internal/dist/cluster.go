@@ -507,9 +507,11 @@ func (c *Cluster) Gather(ctx context.Context, view string) (*relation.Run, error
 //
 // Under a limit the sum is the union's size, and the first rows of the
 // union lie among the workers' first rows, only when no row is held by
-// two workers. A grid engine's join output is such a view — an answer
-// exists only at the grid point its values hash to, whatever the input
-// repeats — and a view whose workers may overlap is gathered whole.
+// two workers. Every engine's join output is such a view — an answer
+// exists only at the grid point its values hash to, or, under the skew
+// engine, on the one server its split-side tuple was dealt to, whatever
+// the input repeats — and a view whose workers may overlap is gathered
+// whole.
 func (c *Cluster) GatherPrefix(ctx context.Context, view string, limit int) (*relation.Run, int, error) {
 	return c.GatherCells(ctx, view, limit, nil)
 }

@@ -211,8 +211,9 @@ func multiProgram(pl *multiround.Plan, db *relation.Database, p int, seed uint64
 
 // heavyRoute is one side of the skew engine's routing discipline,
 // written against the exported Routing: light values hash to one
-// server, a heavy value splits round-robin over its block on one side
-// and is broadcast to the block on the other.
+// server, a heavy value splits round-robin over its block on one side —
+// every copy of a row to where its first copy goes — and is broadcast to
+// the block on the other.
 type heavyRoute struct {
 	rt    *skew.Routing
 	col   int
@@ -228,10 +229,14 @@ func newHeavyRoute(rt *skew.Routing, rel *relation.Relation, col int, sideR bool
 	for i, hv := range rt.Heavy {
 		h.heavy[hv.Value] = i
 	}
-	seen := make([]int, len(rt.Heavy))
+	seen, first := make([]int, len(rt.Heavy)), map[string]int{}
 	for i, t := range rows {
 		if k, ok := h.heavy[t[col]]; ok {
-			h.rank[i] = seen[k]
+			key := fmt.Sprint(t)
+			if _, dup := first[key]; !dup {
+				first[key] = seen[k]
+			}
+			h.rank[i] = first[key]
 			seen[k]++
 		}
 	}

@@ -57,10 +57,9 @@ func (p *Plan) Execute(db *relation.Database, opts ExecOptions) (*Result, error)
 // columnar exchange layer and returns the answer as the run the engine
 // gathered, in the original query's variable order — or, under
 // WithAggregate, that run folded once into grouped aggregates, whichever
-// engine ran. A grid engine gathers only the first opts.AnswerLimit
-// rows and counts the rest where they are; the skew engine, whose
-// workers' outputs overlap, and a fold, which needs every row, gather
-// them all.
+// engine ran. Every engine's workers output disjoint answers, so each
+// gathers only the first opts.AnswerLimit rows and counts the rest
+// where they are; a fold, which needs every row, gathers them all.
 //
 // ExecuteRun is safe for concurrent use: it treats both the plan and db
 // as read-only and allocates per-call state (cluster, hash functions,
@@ -150,11 +149,11 @@ func (p *Plan) executeSkewJoin(db *relation.Database, opts ExecOptions) (*Result
 		Recovery:    opts.Recovery,
 		Trace:       opts.Trace,
 		Snapshot:    opts.Snapshot,
-	})
+	}, opts.AnswerLimit)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Run: res.Answers, Count: res.Answers.Len(), Engine: SkewJoin, Rounds: res.Stats.NumRounds(), Outcome: res.Outcome}, nil
+	return &Result{Run: res.Answers, Count: res.Count, Engine: SkewJoin, Rounds: res.Stats.NumRounds(), Outcome: res.Outcome}, nil
 }
 
 // WithShares returns a copy of the plan forced onto the one-round

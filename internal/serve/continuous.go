@@ -359,6 +359,11 @@ func (s *Server) handleContinuousRegister(w http.ResponseWriter, r *http.Request
 	// distribution sees one version, and no delta can slip between
 	// that snapshot and the subscription.
 	ds.mu.Lock()
+	if ds.dropped {
+		ds.mu.Unlock()
+		writeError(w, http.StatusNotFound, "unknown dataset %q", ds.Name)
+		return
+	}
 	sn := ds.Snapshot()
 	m, err := s.maintainer(r.Context(), q, p, seed, sn)
 	if err != nil {
@@ -423,7 +428,8 @@ func (s *Server) handleContinuousOne(w http.ResponseWriter, r *http.Request) {
 }
 
 // datasetVersion returns the named dataset's current version (0 if it
-// vanished, which Registry does not allow).
+// vanished, which DELETE /datasets/{name} refuses while a continuous
+// query is registered on it).
 func (s *Server) datasetVersion(name string) uint64 {
 	ds, ok := s.registry.Get(name)
 	if !ok {

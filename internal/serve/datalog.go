@@ -63,7 +63,7 @@ func (s *Server) resolveProgram(req QueryRequest) (*job, error) {
 			opts := datalog.Options{P: p, Epsilon: eps, CapConstant: s.cfg.CapFactor, Seed: seed, Context: ctx, Trace: tc,
 				AnswerLimit: s.answerLimit(req.MaxAnswers)}
 			opts.Plan = func(rule int, build func() (*plan.Plan, error)) (*plan.Plan, error) {
-				key := programPlanKey(text, rule, ds.Name, sn.Version, p, eps)
+				key := programPlanKey(text, rule, ds.identity(), sn.Version, p, eps)
 				if pl, ok := s.cache.Get(key); ok {
 					s.metrics.PlanCacheHits.Add(1)
 					return pl, nil

@@ -207,6 +207,14 @@ func (s *Server) handleDatasetDelta(w http.ResponseWriter, r *http.Request) {
 	// already caught up, so an acknowledged delta is never invisible
 	// to a subsequent warm read.
 	ds.mu.Lock()
+	if ds.dropped {
+		ds.mu.Unlock()
+		if ten != nil {
+			ten.ReleaseBytes(appendBytes)
+		}
+		writeError(w, http.StatusNotFound, "unknown dataset %q", name)
+		return
+	}
 	version, effects, err := ds.applyBatchLocked(delta)
 	if err != nil {
 		ds.mu.Unlock()

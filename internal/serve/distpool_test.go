@@ -26,6 +26,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/serve"
+	"repro/internal/skew"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -792,10 +793,12 @@ func TestWorkerPoolContinuous(t *testing.T) {
 // the multiround engine's last round is what gathers) — mpcserve_answer_rows_gathered_total and the answer
 // gather's span both say how many — while answerCount is every answer
 // and the five rows are the ground truth's first. A query asking for the
-// count alone ships none. A non-recursive Datalog program, whose rule
-// body is gathered and projected on the coordinator, and a continuous
-// query's maintainer still gather every row (a recursive program's reply
-// is TestRecursiveProgramGathersOnlyTheReply's).
+// count alone ships none. A skew join whose split side repeats rows
+// ships at most 4·5 rows for five answers too, and counts them all. A
+// non-recursive Datalog program, whose rule body is gathered and
+// projected on the coordinator, and a continuous query's maintainer
+// still gather every row (a recursive program's reply is
+// TestRecursiveProgramGathersOnlyTheReply's).
 func TestWorkerPoolGathersOnlyTheReply(t *testing.T) {
 	const n = 2000
 	addrs := startWorkerPool(t, 4)
@@ -843,6 +846,41 @@ func TestWorkerPoolGathersOnlyTheReply(t *testing.T) {
 	out, _ = postQuery(t, ts.URL, serve.QueryRequest{Dataset: "chain", Family: "L4", Epsilon: "0", MaxAnswers: -1})
 	if out.AnswerCount != n || len(out.Answers) != 0 || gathered() != before {
 		t.Fatalf("count only: answerCount %d, %d answers, %d rows gathered; want %d, 0, 0", out.AnswerCount, len(out.Answers), gathered()-before, n)
+	}
+
+	// The skew engine: S's join column is Zipf(3) and its z uniform, and R
+	// is a quarter of S's size, so S splits its heavy value over more than
+	// one server and repeats rows of it; each copy joins on the server its
+	// first copy went to, so the outputs are disjoint and the reply's rows
+	// are all that ship.
+	rng := rand.New(rand.NewPCG(45, 1))
+	zipf := relation.NewDatabase(n)
+	r := relation.New("R", "x", "y")
+	for i, y := range rng.Perm(n / 4) {
+		r.MustAdd(relation.Tuple{1 + i, 1 + y})
+	}
+	zs := relation.SkewedZipf(rng, "S", []string{"y", "z"}, n, 3)
+	zipf.AddRelation(r)
+	zipf.AddRelation(zs)
+	if _, err := srv.Registry().Add("zipf", zipf); err != nil {
+		t.Fatal(err)
+	}
+	if rows := zs.Run(); rows.Len() == rows.Clone().Dedup().Len() {
+		t.Fatal("the Zipf relation repeats no row")
+	}
+	if hv := skew.CompileFromData(r, 1, zs, 0, 4, 1).Heavy; len(hv) == 0 || hv[0].Size < 2 || hv[0].SplitR {
+		t.Fatalf("the heavy values %+v: want the top one split by S over more than one server", hv)
+	}
+	sq := query.MustParse("q(x,y,z) = R(x,y), S(y,z)")
+	skewTruth, err := core.GroundTruth(sq, zipf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = gathered()
+	out, _ = postQuery(t, ts.URL, serve.QueryRequest{Dataset: "zipf", Query: sq.String(), Epsilon: "0", MaxAnswers: 5})
+	if shipped := gathered() - before; out.Engine != plan.SkewJoin.String() || out.AnswerCount != len(skewTruth) || shipped > 4*5 || !answersMatch(out.Answers, skewTruth[:5]) {
+		t.Fatalf("skew: engine %q, answerCount %d, %d rows gathered, answers %v; want %q, %d, at most 20, %v",
+			out.Engine, out.AnswerCount, shipped, out.Answers, plan.SkewJoin, len(skewTruth), skewTruth[:5])
 	}
 
 	before = gathered()
@@ -910,4 +948,137 @@ func TestRecursiveProgramGathersOnlyTheReply(t *testing.T) {
 	if out.AnswerCount != len(want) || len(out.Answers) != 0 || gathered() != before {
 		t.Fatalf("count only: answerCount %d, %d answers, %d rows gathered; want %d, 0, 0", out.AnswerCount, len(out.Answers), gathered()-before, len(want))
 	}
+}
+
+// TestDatasetDelete: DELETE /datasets/{name} drops a dataset and returns
+// its bytes to the tenant that asks. It is refused with 409 while a
+// continuous query is registered on the dataset and with 404 for a name
+// not registered. Afterwards GET /datasets does not list the name, a
+// delta and a query on it answer 404, and the name registers again as a
+// new dataset at version 0: its queries plan afresh and meet none of the
+// runs the workers kept of the old one, though the old dataset's third
+// query attached to them.
+func TestDatasetDelete(t *testing.T) {
+	srv := serve.New(serve.Config{WorkerAddrs: startWorkerPool(t, 4), Tenants: []serve.TenantConfig{{Name: "a", Key: "k"}}})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	ten, _ := srv.Tenants().Get("a")
+	call := func(method, path string, body, out any) int {
+		t.Helper()
+		var rd io.Reader
+		if body != nil {
+			b, err := json.Marshal(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rd = bytes.NewReader(b)
+		}
+		req, err := http.NewRequest(method, ts.URL+path, rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-API-Key", "k")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if out != nil && resp.StatusCode < 300 {
+			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode
+	}
+	listed := func() []string {
+		t.Helper()
+		var infos []serve.DatasetInfo
+		if code := call(http.MethodGet, "/datasets", nil, &infos); code != http.StatusOK {
+			t.Fatalf("GET /datasets: status %d", code)
+		}
+		var names []string
+		for _, info := range infos {
+			names = append(names, info.Name)
+		}
+		return names
+	}
+	register := func(seed uint64) *relation.Database {
+		t.Helper()
+		spec := serve.GeneratorSpec{Family: "L3", N: 60, Seed: seed}
+		var info serve.DatasetInfo
+		if code := call(http.MethodPost, "/datasets", serve.DatasetRequest{Name: "chain", Generator: &spec}, &info); code != http.StatusCreated || info.Version != 0 {
+			t.Fatalf("register seed %d: status %d, version %d", seed, code, info.Version)
+		}
+		db, err := serve.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := ten.ResidentBytes(), serve.DatasetBytes(db); got != want {
+			t.Fatalf("the tenant holds %d resident bytes, want %d", got, want)
+		}
+		return db
+	}
+	// ask runs L3 three times — the third attaches to the runs the workers
+	// kept — and checks every reply against db's ground truth.
+	ask := func(db *relation.Database) {
+		t.Helper()
+		truth, err := core.GroundTruth(query.Chain(3), db)
+		if err != nil || len(truth) == 0 {
+			t.Fatalf("ground truth: %d answers, %v", len(truth), err)
+		}
+		for i := 0; i < 3; i++ {
+			var out serve.QueryResponse
+			if code := call(http.MethodPost, "/query", serve.QueryRequest{Dataset: "chain", Family: "L3"}, &out); code != http.StatusOK {
+				t.Fatalf("query %d: status %d", i, code)
+			}
+			if !answersMatch(out.Answers, truth) || out.PlanCached != (i > 0) || (out.ScatterResident > 0) != (i == 2) {
+				t.Fatalf("query %d: %d answers (ground truth %d), plan cached %v, %d resident scatters",
+					i, len(out.Answers), len(truth), out.PlanCached, out.ScatterResident)
+			}
+		}
+	}
+
+	first := register(1)
+	ask(first)
+	if code := call(http.MethodPost, "/continuous", serve.ContinuousRequest{Name: "live", Dataset: "chain", Family: "L3"}, nil); code != http.StatusCreated {
+		t.Fatalf("register the continuous query: status %d", code)
+	}
+	if code := call(http.MethodDelete, "/datasets/chain", nil, nil); code != http.StatusConflict {
+		t.Fatalf("DELETE under a continuous query: status %d, want 409", code)
+	}
+	if code := call(http.MethodDelete, "/continuous/live", nil, nil); code != http.StatusOK {
+		t.Fatalf("DELETE /continuous/live: status %d", code)
+	}
+	if code := call(http.MethodDelete, "/datasets/chain", nil, nil); code != http.StatusOK {
+		t.Fatalf("DELETE /datasets/chain: status %d", code)
+	}
+	if got := ten.ResidentBytes(); got != 0 {
+		t.Fatalf("the tenant holds %d resident bytes after the delete, want 0", got)
+	}
+	if names := listed(); slices.Contains(names, "chain") {
+		t.Fatalf("GET /datasets lists %v after the delete", names)
+	}
+	for _, c := range []struct {
+		method, path string
+		body         any
+	}{
+		{http.MethodDelete, "/datasets/chain", nil},
+		{http.MethodPost, "/datasets/chain/delta", serve.DeltaRequest{Appends: map[string][][]int{"S1": {{1, 2}}}}},
+		{http.MethodPost, "/query", serve.QueryRequest{Dataset: "chain", Family: "L3"}},
+		{http.MethodGet, "/datasets/chain", nil},
+	} {
+		want := http.StatusNotFound
+		if c.method == http.MethodGet {
+			want = http.StatusMethodNotAllowed
+		}
+		if code := call(c.method, c.path, c.body, nil); code != want {
+			t.Errorf("%s %s after the delete: status %d, want %d", c.method, c.path, code, want)
+		}
+	}
+
+	second := register(2)
+	if names := listed(); !slices.Equal(names, []string{"chain"}) {
+		t.Fatalf("GET /datasets lists %v, want [chain]", names)
+	}
+	ask(second)
 }

@@ -40,8 +40,8 @@ type Metrics struct {
 	AnswersReturned atomic.Int64
 	// AnswerRowsGathered counts the answer rows the coordinator gathered
 	// from the workers for the replies it served: what a query's answer
-	// gather shipped — on a grid engine at most p times the rows the
-	// reply returns — or a program's whole answer.
+	// gather shipped — at most p times the rows the reply returns — or
+	// the whole answer of an aggregate or a non-recursive program.
 	AnswerRowsGathered atomic.Int64
 	// ShuffleBits is the total number of bits received by workers
 	// across all executed queries, as accounted by the coordinator.

@@ -25,12 +25,17 @@ import (
 type Dataset struct {
 	// Name is the registry key.
 	Name string
+	// epoch counts the datasets of this name removed before this one was
+	// registered (see identity).
+	epoch uint64
 
 	// mu serializes mutation: delta application and the continuous-
-	// query maintenance that must observe versions in order. Readers
-	// never take it — they load the current snapshot atomically.
-	mu   sync.Mutex
-	snap atomic.Pointer[Snapshot]
+	// query maintenance that must observe versions in order, and the
+	// removal, which sets dropped. Readers never take it — they load the
+	// current snapshot atomically.
+	mu      sync.Mutex
+	dropped bool
+	snap    atomic.Pointer[Snapshot]
 	// inc incrementally maintains the statistics catalog across the
 	// delta stream (guarded by mu). It is seeded on the first delta,
 	// from the histograms version 0's Stats() kept when a query got
@@ -51,6 +56,19 @@ type Snapshot struct {
 	Version uint64
 
 	ds *Dataset
+}
+
+// identity names this registration of the dataset to what outlives it —
+// cached plans and the workers' resident scatters, both keyed by the
+// identity and a version: the name itself, and for a name registered
+// again after a DELETE the name and its epoch, so a new dataset never
+// meets the plans or the runs of the one it replaced. Names hold no NUL
+// byte (Registry.Add), so no identity is another dataset's name.
+func (d *Dataset) identity() string {
+	if d.epoch == 0 {
+		return d.Name
+	}
+	return fmt.Sprintf("%s\x00%d", d.Name, d.epoch)
 }
 
 // Snapshot returns the dataset's current version.
@@ -128,26 +146,32 @@ func (d *Dataset) applyBatchLocked(delta relation.Delta) (uint64, map[string]rel
 // Registry is the named-dataset catalog of the service. It is safe
 // for concurrent use.
 type Registry struct {
-	mu   sync.RWMutex
-	sets map[string]*Dataset
+	mu    sync.RWMutex
+	sets  map[string]*Dataset
+	drops map[string]uint64 // name → datasets of that name removed
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{sets: make(map[string]*Dataset)}
+	return &Registry{sets: make(map[string]*Dataset), drops: make(map[string]uint64)}
 }
 
 // ErrDuplicateDataset reports an Add under an already-registered
-// name. A dataset evolves only through its own delta stream, so the
-// name cannot be rebound (a silent replace would reset the version
-// sequence cached plans and continuous queries are keyed by).
+// name. A dataset evolves only through its own delta stream, so a
+// registered name is not rebound in place (a silent replace would reset
+// the version sequence cached plans and continuous queries are keyed
+// by); DELETE /datasets/{name} it first.
 var ErrDuplicateDataset = errors.New("serve: dataset already registered")
 
 // Add registers db under name. Re-registering an existing name fails
-// with ErrDuplicateDataset; callers pick a new name instead.
+// with ErrDuplicateDataset; callers pick a new name or drop the old
+// dataset first (DELETE /datasets/{name}).
 func (r *Registry) Add(name string, db *relation.Database) (*Dataset, error) {
 	if name == "" {
 		return nil, fmt.Errorf("serve: empty dataset name")
+	}
+	if strings.ContainsRune(name, 0) {
+		return nil, fmt.Errorf("serve: dataset name %q holds a NUL byte", name)
 	}
 	if db == nil || len(db.Relations) == 0 {
 		return nil, fmt.Errorf("serve: dataset %s has no relations", name)
@@ -157,10 +181,26 @@ func (r *Registry) Add(name string, db *relation.Database) (*Dataset, error) {
 	if _, exists := r.sets[name]; exists {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateDataset, name)
 	}
-	d := &Dataset{Name: name}
+	d := &Dataset{Name: name, epoch: r.drops[name]}
 	d.snap.Store(&Snapshot{DB: db, ds: d})
 	r.sets[name] = d
 	return d, nil
+}
+
+// remove unregisters d and marks it dropped, and reports whether d was
+// still the dataset registered under its name. The caller holds d.mu, so
+// no delta or continuous registration is midway on d; one that takes the
+// lock after remove finds d dropped.
+func (r *Registry) remove(d *Dataset) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.sets[d.Name] != d {
+		return false
+	}
+	delete(r.sets, d.Name)
+	r.drops[d.Name]++
+	d.dropped = true
+	return true
 }
 
 // Get returns the named dataset.

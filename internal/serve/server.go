@@ -242,6 +242,7 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.handleQuery)
 	mux.HandleFunc("/datasets", s.handleDatasets)
+	mux.HandleFunc("/datasets/{name}", s.handleDatasetOne)
 	mux.HandleFunc("/datasets/{name}/delta", s.handleDatasetDelta)
 	mux.HandleFunc("/continuous", s.handleContinuous)
 	mux.HandleFunc("/continuous/{name}", s.handleContinuousOne)
@@ -499,7 +500,7 @@ func (s *Server) resolveQuery(req QueryRequest) (*job, error) {
 	// plans age out of the cache by key instead of by invalidation.
 	opts := plan.Options{P: p, Epsilon: eps, CapFactor: s.cfg.CapFactor}
 	limit := s.answerLimit(req.MaxAnswers)
-	key := plan.CacheKey{Query: q, Dataset: ds.Name, Version: sn.Version, Opts: opts}.Fingerprint()
+	key := plan.CacheKey{Query: q, Dataset: ds.identity(), Version: sn.Version, Opts: opts}.Fingerprint()
 	pl, planCached := s.cache.Get(key)
 	statsCached := ds.statsSeen.Load()
 	if planCached {
@@ -541,13 +542,13 @@ func (s *Server) resolveQuery(req QueryRequest) (*job, error) {
 			if err != nil {
 				return answer{}, err
 			}
-			// The reply's rows are all the coordinator gathers: a grid
-			// engine leaves the rest on the workers and counts them there.
+			// The reply's rows are all the coordinator gathers: the engine
+			// leaves the rest on the workers and counts them there.
 			execOpts := plan.ExecOptions{Seed: seed, Context: ctx, Trace: tc, CapConstant: s.cfg.CapFactor, Transport: tr, Recovery: rec, AnswerLimit: limit}
 			if tr != nil {
 				defer tr.Close()
 				// Its identity lets workers attach to what they kept of it.
-				snap := s.residency.Snapshot(ds.Name, sn.Version)
+				snap := s.residency.Snapshot(ds.identity(), sn.Version)
 				defer func() { reply.ScatterResident = s.metrics.RecordScatters(pl.Engine, snap) }()
 				execOpts.Snapshot = snap
 			}
@@ -834,6 +835,47 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeError(w, http.StatusMethodNotAllowed, "GET or POST required")
 	}
+}
+
+// handleDatasetOne is DELETE /datasets/{name}: the dataset leaves the
+// registry and, in multi-tenant mode, its current snapshot's bytes go
+// back to the authenticated tenant's resident-bytes quota. A dataset a
+// continuous query is registered on is refused with 409: DELETE the
+// query first. Queries already running finish on the snapshot they
+// hold; the name may be registered again, as a new dataset.
+func (s *Server) handleDatasetOne(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodDelete {
+		writeError(w, http.StatusMethodNotAllowed, "DELETE required")
+		return
+	}
+	ten, handled := s.authorize(w, r)
+	if handled {
+		return
+	}
+	name := r.PathValue("name")
+	ds, ok := s.registry.Get(name)
+	if !ok {
+		writeError(w, http.StatusNotFound, "unknown dataset %q (registered: %v)", name, s.registry.Names())
+		return
+	}
+	// The dataset lock holds off a delta and a continuous registration,
+	// both of which take it and then find the dataset dropped.
+	ds.mu.Lock()
+	if cqs := s.continuous.onDataset(name); len(cqs) > 0 {
+		ds.mu.Unlock()
+		writeError(w, http.StatusConflict, "dataset %s has %d continuous queries registered (%s first); delete them first", name, len(cqs), cqs[0].name)
+		return
+	}
+	removed := s.registry.remove(ds)
+	ds.mu.Unlock()
+	if !removed {
+		writeError(w, http.StatusNotFound, "unknown dataset %q", name)
+		return
+	}
+	if ten != nil {
+		ten.ReleaseBytes(DatasetBytes(ds.DB()))
+	}
+	writeJSON(w, http.StatusOK, map[string]string{"deleted": name})
 }
 
 // describe renders a dataset summary of its current snapshot.

@@ -91,7 +91,9 @@ func oracleRouting(r, s *relation.Relation, ry, sy, p int, factor float64) (heav
 }
 
 // oraclePartitioner is the map-probing partitioner the engine routed
-// with before the compiler, over the oracle's heavy set.
+// with before the compiler, over the oracle's heavy set, with the
+// first-copy rule: every copy of a split-side row takes the rank of the
+// row's first occurrence.
 type oraclePartitioner struct {
 	col, p    int
 	seed      uint64
@@ -103,10 +105,14 @@ type oraclePartitioner struct {
 func newOraclePartitioner(rel *relation.Relation, col, p int, seed uint64, blocks map[int][]int, split map[int]bool) *oraclePartitioner {
 	rows := rel.Run().Tuples() // the order Cluster.Scatter routes in
 	o := &oraclePartitioner{col: col, p: p, seed: seed, block: blocks, split: split, splitRank: make([]int32, len(rows))}
-	counter := map[int]int32{}
+	counter, first := map[int]int32{}, map[string]int32{}
 	for i, t := range rows {
 		if v := t[col]; blocks[v] != nil && split[v] {
-			o.splitRank[i] = counter[v]
+			key := fmt.Sprint(t)
+			if _, seen := first[key]; !seen {
+				first[key] = counter[v]
+			}
+			o.splitRank[i] = first[key]
 			counter[v]++
 		}
 	}

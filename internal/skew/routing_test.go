@@ -187,3 +187,51 @@ func TestPartitionerRanksOnce(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestOutputsAreDisjoint: on inputs whose split side repeats rows of a
+// heavy value spread over more than one server, the per-worker answer
+// counts sum to the size of their union — a count-only gather (limit −1)
+// and a full merge (limit 0) agree — because every copy of a split-side
+// row joins on the one server its first copy went to.
+func TestOutputsAreDisjoint(t *testing.T) {
+	in := routingInputs()
+	allR, allS := in["all-equal"][0], in["all-equal"][1]
+	doubled := relation.New(allR.Name, allR.Attrs...)
+	for _, row := range allR.Rows() {
+		doubled.Tuples = append(doubled.Tuples, row, row)
+	}
+	in["all-equal-doubled"] = [2]*relation.Relation{doubled, allS}
+	for _, c := range []struct {
+		name string
+		p    int
+	}{{"zipf1.3", 16}, {"all-equal-doubled", 4}, {"all-equal-doubled", 16}} {
+		r, s := in[c.name][0], in[c.name][1]
+		rt := CompileFromData(r, 1, s, 0, c.p, 1)
+		repeats := 0
+		for side, rel := range []*relation.Relation{r, s} {
+			col := 1 - side // R(x,y) joins on column 1, S(y,z) on column 0
+			rows := rel.Run().Tuples()
+			for i := 1; i < len(rows); i++ {
+				h := rt.find(rows[i][col])
+				if h >= 0 && rt.Heavy[h].SplitR == (side == 0) && rt.Heavy[h].Size > 1 && slices.Equal(rows[i], rows[i-1]) {
+					repeats++
+				}
+			}
+		}
+		if repeats == 0 {
+			t.Fatalf("%s/p=%d: no split-side row of a multi-server block repeats", c.name, c.p)
+		}
+		full, err := Execute(JoinQuery(), r, s, 1, 0, rt, Options{Seed: 3}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counted, err := Execute(JoinQuery(), r, s, 1, 0, rt, Options{Seed: 3}, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if counted.Count != full.Answers.Len() || counted.Answers.Len() != 0 {
+			t.Errorf("%s/p=%d: the workers count %d answers, their union holds %d (%d repeated split-side rows)",
+				c.name, c.p, counted.Count, full.Answers.Len(), repeats)
+		}
+	}
+}

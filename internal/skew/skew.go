@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"sync"
 
@@ -248,10 +249,12 @@ type Options struct {
 
 // Result reports a join run.
 type Result struct {
-	// Answers is the full join result in the query's Vars() order —
-	// (x,y,z) for RunJoin — as one sealed, deduplicated run (nil when
-	// empty).
+	// Answers is the join result in the query's Vars() order — (x,y,z)
+	// for RunJoin — as one sealed, deduplicated run (nil when empty):
+	// all of it, or its first rows under Execute's limit.
 	Answers *relation.Run
+	// Count is how many rows the whole join result holds.
+	Count int
 	dist.Outcome
 	// MaxLoadTuples is the maximum per-server received tuple count.
 	MaxLoadTuples int64
@@ -266,8 +269,8 @@ type Result struct {
 // the whole block. Each tuple's round-robin position (splitRank) is
 // numbered over the whole run at the first Route: parallel sender
 // shards share no counters, an attached scatter, which never routes,
-// never pays for it, and a heavy value spreads exactly evenly over its
-// block however its occurrences lie in the run.
+// never pays for it, and a heavy value's occurrences deal out over its
+// block in run order whichever shard routes them.
 type joinPartitioner struct {
 	col       int
 	seed      uint64
@@ -286,18 +289,29 @@ func NewPartitioner(rt *Routing, rel *relation.Relation, col int, sideR bool, se
 
 // rank numbers each split-side heavy tuple among the occurrences of its
 // join value, in the order of the run — the order Cluster.Scatter
-// routes it in.
+// routes it in. A sealed run puts equal tuples next to each other, and a
+// repeat takes the rank of the copy before it: every copy still ships,
+// but all of them to the server the first one goes to, so each distinct
+// split-side tuple, and with it every answer it joins into, lives on one
+// server of its block. The counter advances on every copy, so a tuple
+// that is not a repeat keeps its position among all of its value's
+// occurrences.
 func (j *joinPartitioner) rank() {
-	j.splitRank = make([]int32, j.run.Len())
+	n := j.run.Len()
+	j.splitRank = make([]int32, n)
 	counter := make([]int32, len(j.rt.Heavy))
-	i := 0
-	j.run.Each(func(t relation.Tuple) {
+	t, prev := make(relation.Tuple, j.run.Arity()), make(relation.Tuple, j.run.Arity())
+	for i := 0; i < n; i++ {
+		j.run.Row(i, t)
 		if h := j.rt.find(t[j.col]); h >= 0 && j.rt.Heavy[h].SplitR == j.sideR {
 			j.splitRank[i] = counter[h]
+			if i > 0 && slices.Equal(t, prev) {
+				j.splitRank[i] = j.splitRank[i-1]
+			}
 			counter[h]++
 		}
-		i++
-	})
+		t, prev = prev, t
+	}
 }
 
 // Key implements exchange.Keyed: the routing's P, Threshold and every
@@ -341,16 +355,18 @@ func RunJoin(r, s *relation.Relation, p int, mode Mode, opts Options) (*Result, 
 	if mode == Resilient {
 		rt = CompileFromData(r, ry, s, sy, p, 1)
 	}
-	return Execute(JoinQuery(), r, s, ry, sy, rt, opts)
+	return Execute(JoinQuery(), r, s, ry, sy, rt, opts, 0)
 }
 
 // Execute runs the two-atom join q on rt.P servers, run-native on q's
 // own atoms: r and s (bound to q's first and second atom, whatever
 // their names and column order) scatter as they are in HyperCube's one
 // round, partitioned on columns ry and sy under rt; the workers join q
-// itself and the gather merge returns the answers in q.Vars() order,
-// sorted and deduplicated.
-func Execute(q *query.Query, r, s *relation.Relation, ry, sy int, rt *Routing, opts Options) (*Result, error) {
+// itself and the gather returns the first limit answers in q.Vars()
+// order, sorted and deduplicated, as dist.Cluster.GatherPrefix does: 0
+// all of them, a negative limit none. Result.Count counts every answer
+// either way.
+func Execute(q *query.Query, r, s *relation.Relation, ry, sy int, rt *Routing, opts Options, limit int) (*Result, error) {
 	domain := max(1, r.Run().MaxValue(), s.Run().MaxValue())
 	inputBits := int64(r.Size()+s.Size()) * 2 * int64(relation.BitsPerValue(domain))
 	cluster, ctx, err := dist.Open(dist.Env{Transport: opts.Transport, Context: opts.Context, Recovery: opts.Recovery, Trace: opts.Trace, Snapshot: opts.Snapshot},
@@ -370,12 +386,17 @@ func Execute(q *query.Query, r, s *relation.Relation, ry, sy int, rt *Routing, o
 	if err != nil {
 		return nil, err
 	}
-	answers, err := cluster.Gather(ctx, hypercube.AnswersView)
+	// A split-side tuple lives, with every copy of it, on one server of
+	// its block (rank), and q outputs all its variables, so each answer
+	// is output by exactly one server: the outputs are disjoint and a
+	// prefix gather counts and orders them right.
+	answers, count, err := cluster.GatherPrefix(ctx, hypercube.AnswersView, limit)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{
 		Answers:       answers,
+		Count:         count,
 		Outcome:       cluster.Outcome(),
 		MaxLoadTuples: cluster.Stats().MaxLoadTuples(),
 		Heavy:         rt.Heavy,
