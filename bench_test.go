@@ -414,9 +414,8 @@ func BenchmarkWorkerJoinTriangle(b *testing.B) {
 			b.StopTimer()
 			unread := slices.Clone(ds)
 			for j, d := range ds {
-				words, _ := d.Buf.Words()
 				var err error
-				if unread[j].Buf, err = relation.NewRunFromWords(d.Buf.Arity(), words); err != nil {
+				if unread[j].Buf, err = relation.NewRunFromWords(d.Buf.Arity(), d.Buf.Stride(), d.Buf.Words()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -446,7 +445,7 @@ func BenchmarkWorkerJoinTriangle(b *testing.B) {
 // Each iteration delivers runs nobody has read, re-adopted from the same
 // words outside the timer to a fresh pool, as the workload re-scatters its
 // views every op. The answer's five 16-bit columns do not fit a word, so
-// it is on the flat layout; B/op is what the join writes across the pool.
+// it takes two words a row; B/op is what the join writes across the pool.
 func BenchmarkWorkerJoinChain(b *testing.B) {
 	const n, p = 40000, 16
 	rng := rand.New(rand.NewPCG(43, 43))
@@ -477,9 +476,8 @@ func BenchmarkWorkerJoinChain(b *testing.B) {
 		b.StopTimer()
 		unread := slices.Clone(ds)
 		for j, d := range ds {
-			words, _ := d.Buf.Words()
 			var err error
-			if unread[j].Buf, err = relation.NewRunFromWords(3, words); err != nil {
+			if unread[j].Buf, err = relation.NewRunFromWords(3, d.Buf.Stride(), d.Buf.Words()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -500,12 +498,47 @@ func BenchmarkWorkerJoinChain(b *testing.B) {
 	b.ReportMetric(float64(answers), "answers")
 }
 
+// BenchmarkWorkerJoinWide times one worker's join of V1(a,b,c) and
+// V2(c,d,e), 40 000 rows each — the halves of a matching chain, so 40 000
+// answers — on values below 2¹⁶ (packed: one word an input row) and on the
+// same values offset by 2²² (wide: two words an input row, three an
+// answer's). Each iteration joins fresh sealed runs, built outside the
+// timer, so it builds the trie indexes a worker builds for runs it has
+// just received.
+func BenchmarkWorkerJoinWide(b *testing.B) {
+	const n = 40000
+	rng := rand.New(rand.NewPCG(46, 46))
+	x0, x1, x2, x3, x4 := rng.Perm(n), rng.Perm(n), rng.Perm(n), rng.Perm(n), rng.Perm(n)
+	q := query.MustParse("q(a,b,c,d,e) = V1(a,b,c), V2(c,d,e)")
+	for _, c := range []struct {
+		name   string
+		offset int
+	}{{"packed", 0}, {"wide", 1 << 22}} {
+		v1, v2 := make([]relation.Tuple, n), make([]relation.Tuple, n)
+		for i := range n {
+			v1[i] = relation.Tuple{c.offset + x0[i], c.offset + x1[i], c.offset + x2[i]}
+			v2[i] = relation.Tuple{c.offset + x2[i], c.offset + x3[i], c.offset + x4[i]}
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runs := localjoin.Runs{"V1": {relation.RunOf(3, v1)}, "V2": {relation.RunOf(3, v2)}}
+				b.StartTimer()
+				if out, err := localjoin.EvaluateRuns(q, runs); err != nil || out.Len() != n {
+					b.Fatalf("%d answers, %v; want %d", out.Len(), err, n)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkGatherWide times the coordinator's gather of a wide answer:
 // 16 workers each hold a sealed run of 2 500 five-column tuples over a
 // 16-bit domain — the final answer of the end-to-end benchmark's
-// chain4_warm workload, 5 × 16 bits being more than one packed word —
+// chain4_warm workload, 5 × 16 bits being more than one word holds —
 // and every iteration is one Cluster.Gather on loopback: the k-way
-// merge of the flat runs plus the one materialization of the answer.
+// merge of the two-word runs plus the one materialization of the answer.
 func BenchmarkGatherWide(b *testing.B) {
 	const p, per, arity, n = 16, 2500, 5, 40000
 	rng := rand.New(rand.NewPCG(41, 41))
@@ -520,8 +553,8 @@ func BenchmarkGatherWide(b *testing.B) {
 			run.Append(row)
 		}
 		run.Seal()
-		if _, packed := run.Words(); packed {
-			b.Fatal("fixture run is packed; the benchmark is about the flat layout")
+		if run.Stride() == 1 {
+			b.Fatal("fixture run is one word a row; the benchmark is about wider rows")
 		}
 		ds[w] = exchange.Delivery{To: w, Rel: "wide", Buf: run}
 	}

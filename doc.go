@@ -22,8 +22,9 @@
 // compare the two head to head on triangle and Zipf inputs.
 //
 // All inter-worker communication is one type, the sealed run
-// (relation.Run: one uint64 word per tuple when the arity admits it,
-// flat rows otherwise, sorted; with its algebra Merge, Diff, Project),
+// (relation.Run: rows of as many uint64 words as its fields need —
+// one per tuple while every value fits — sorted; with its algebra Merge,
+// Diff, Project),
 // routed by one subsystem, internal/exchange: senders partition source
 // shards in parallel into one run per destination, routing policy is a
 // pluggable Partitioner (plain hash, hypercube grid replication,

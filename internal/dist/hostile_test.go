@@ -24,13 +24,19 @@ import (
 	"repro/internal/wire"
 )
 
-// The wire's run encodings, as a hostile peer writes them by hand;
-// encDelta is the delta-varint encoding version 11 retired.
+// The wire's run encodings, as a hostile peer writes them by hand:
+// encRaw is the one that stays; encFlat is the row-major encoding
+// version 15 retired, encDelta the delta-varint encoding version 11
+// retired.
 const (
 	encFlat  = 1
 	encRaw   = 2
 	encDelta = 3
 )
+
+// flip is a 64-bit field's zero: a value's code is the value with its
+// sign bit flipped.
+const flip = 1 << 63
 
 // be and le spell 64-bit values big- and little-endian.
 func be(vs ...uint64) (b []byte) {
@@ -50,26 +56,31 @@ func le(vs ...uint64) (b []byte) {
 // hostileRun is one malformed run body and the word the receiver must
 // use to name what is wrong with it.
 type hostileRun struct {
-	name  string
-	arity uint16
-	enc   byte
-	count uint32
-	body  []byte
-	want  string
+	name   string
+	arity  uint16
+	enc    byte
+	stride byte
+	count  uint32
+	body   []byte
+	want   string
 }
 
 // hostileRuns is the table both ends are held to: each entry is a run no
 // sealed buffer encodes to. Version 6 acked the first five at the
-// barrier — re-sorted, or stored as they came.
+// barrier — re-sorted, or stored as they came. The two named flat are
+// rows of two 64-bit fields since version 15 retired the flat body.
 var hostileRuns = []hostileRun{
-	{"unsorted raw words", 2, encRaw, 2, le(9, 1), "not sorted"},
-	{"raw word above the packed width", 3, encRaw, 1, le(1 << 63), "bits above"},
-	{"delta first word above the packed width", 3, encDelta, 1,
+	{"unsorted raw words", 2, encRaw, 1, 2, le(9, 1), "not sorted"},
+	{"raw word above the packed width", 3, encRaw, 1, 1, le(1 << 63), "bits above"},
+	{"delta first word above the packed width", 3, encDelta, 1, 1,
 		binary.AppendUvarint(nil, 1<<63), "unknown buffer encoding 3"},
-	{"negative flat value", 1, encFlat, 1, be(1 << 63), "negative"},
-	{"unsorted flat rows", 1, encFlat, 2, be(9, 1), "not sorted"},
-	{"count larger than the payload", 2, encRaw, 5, le(1), "truncated"},
-	{"trailing bytes", 2, encRaw, 1, append(le(1), 0xAA), "trailing"},
+	{"negative flat value", 2, encRaw, 2, 1, le(flip|1, 5), "negative"},
+	{"unsorted flat rows", 2, encRaw, 2, 2, le(flip|9, flip|1, flip|1, flip|1), "not sorted"},
+	{"count larger than the payload", 2, encRaw, 1, 5, le(1), "truncated"},
+	{"trailing bytes", 2, encRaw, 1, 1, append(le(1), 0xAA), "trailing"},
+	{"retired flat body", 1, encFlat, 1, 1, be(1), "unknown buffer encoding 1"},
+	{"padding bit of a two-word row", 3, encRaw, 2, 1, le(1<<32|1, 1<<32), "bits above"},
+	{"stride that lays out no row", 5, encRaw, 4, 1, le(1, 1, 1, 1), "layout"},
 }
 
 // frame is a Data frame for shard 0 appending the run under rel, retained
@@ -85,7 +96,7 @@ func (h hostileRun) frame(rel, key string) []byte {
 	}
 	p = append(p, 0) // mode: append
 	p = binary.BigEndian.AppendUint16(p, h.arity)
-	p = append(p, h.enc)
+	p = append(p, h.enc, h.stride)
 	p = binary.BigEndian.AppendUint32(p, h.count)
 	p = append(p, h.body...)
 	return append(binary.BigEndian.AppendUint32([]byte{byte(wire.TypeData)}, uint32(len(p))), p...)
@@ -445,7 +456,7 @@ func TestCoordinatorRejectsHostileRuns(t *testing.T) {
 	unsorted := binary.BigEndian.AppendUint32(nil, 0) // target
 	unsorted = binary.BigEndian.AppendUint32(unsorted, 0)
 	unsorted = binary.BigEndian.AppendUint16(unsorted, 2) // arity
-	unsorted = append(unsorted, encRaw)
+	unsorted = append(unsorted, encRaw, 1)
 	unsorted = binary.BigEndian.AppendUint32(unsorted, 2)
 	unsorted = append(unsorted, le(9, 1)...)
 	unsorted = append(binary.BigEndian.AppendUint32([]byte{byte(wire.TypePiece)}, uint32(len(unsorted))), unsorted...)
@@ -629,21 +640,25 @@ func TestWorkerAllocationFollowsArrival(t *testing.T) {
 // encoding byte version 11 retired, a Data and a Delta frame carrying the
 // arity-2 run 5, 6 as version 10's delta varints; version 11's Gather of
 // view R, short of the row limit version 12 added; version 12's hello,
-// which a session opened at version 14 does not take again; and version
-// 13's Delta frame (byte 12, now Attach, whose payload this is not) and
-// its Data frame, short of the view and the mode version 14 added.
+// which a session opened at version 15 does not take again; version 13's
+// Delta frame (byte 12, now Attach, whose payload this is not) and its
+// Data frame, short of the view and the mode version 14 added; version
+// 14's hello, and its Data frame of the arity-2 run 5, 6 in the flat
+// body version 15 retired.
 var retiredFrames = []struct {
 	name  string
 	frame []byte
 }{
 	{"trace", []byte{13, 0, 0, 0, 25, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 3, 'q', '-', '1'}},
 	{"reset", []byte{15, 0, 0, 0, 4, 0, 0, 0, 1}},
-	{"delta-varint data", hostileRun{arity: 2, enc: encDelta, count: 2, body: []byte{5, 1}}.frame("R", "")},
+	{"delta-varint data", hostileRun{arity: 2, enc: encDelta, stride: 1, count: 2, body: []byte{5, 1}}.frame("R", "")},
 	{"delta-varint delta", []byte{12, 0, 0, 0, 23, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 'R', 0, 0, 0, 0, 2, encDelta, 0, 0, 0, 2, 5, 1}},
 	{"version-11 gather", []byte{byte(wire.TypeGather), 0, 0, 0, 3, 0, 1, 'R'}},
 	{"version-12 hello", []byte{byte(wire.TypeHello), 0, 0, 0, 10, 0, 12, 0, 0, 0, 0, 0, 0, 0, 1}},
 	{"version-13 delta", []byte{12, 0, 0, 0, 29, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 'R', 0, 0, 0, 0, 2, encRaw, 0, 0, 0, 1, 5, 0, 0, 0, 0, 0, 0, 0}},
 	{"version-13 data", []byte{byte(wire.TypeData), 0, 0, 0, 28, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 'R', 0, 0, 0, 2, encRaw, 0, 0, 0, 1, 5, 0, 0, 0, 0, 0, 0, 0}},
+	{"version-14 hello", []byte{byte(wire.TypeHello), 0, 0, 0, 10, 0, 14, 0, 0, 0, 0, 0, 0, 0, 1}},
+	{"version-14 flat data", append([]byte{byte(wire.TypeData), 0, 0, 0, 39, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 'R', 0, 0, 0, 0, 0, 0, 2, encFlat, 0, 0, 0, 1}, be(5, 6)...)},
 }
 
 // TestWorkerRefusesRetiredFrames: a frame of an earlier version that
@@ -808,6 +823,16 @@ func FuzzWorkerSession(f *testing.F) {
 	f.Add(binary.BigEndian.AppendUint32([]byte{byte(wire.TypeData)}, wire.MaxPayload-1))
 	f.Add(binary.BigEndian.AppendUint32([]byte{byte(wire.TypeData)}, wire.MaxPayload+1))
 	f.Add(encodeFrames(f, &wire.Frame{Type: wire.TypeHello, Hello: wire.Hello{Version: wire.Version, P: 1}}))
+	// Runs of arity 3 at strides 1, 2 and 3 into one store, joined and
+	// gathered: the store meets them at the widest.
+	var strided []*wire.Frame
+	for _, top := range []int{1 << 20, 1 << 30, 1 << 40} {
+		strided = append(strided, &wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", Buf: relation.RunOf(3, []relation.Tuple{{1, 2, top}, {top, 2, 1}, {1, 2, top}})}})
+	}
+	strided = append(strided,
+		&wire.Frame{Type: wire.TypeJoin, Join: wire.Join{Query: "q(x,y,z) = R(x,y,z)", View: "v"}},
+		&wire.Frame{Type: wire.TypeGather, View: "v"})
+	f.Add(encodeFrames(f, strided...))
 	// Version 12's gather limits, and a done frame, which only a worker
 	// sends: the session refuses it.
 	f.Add(encodeFrames(f,

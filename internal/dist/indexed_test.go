@@ -83,12 +83,7 @@ func indexedCases() []indexedCase {
 // cloneRun re-adopts a sealed run's payload as a run nobody has read.
 func cloneRun(t *testing.T, run *relation.Run) *relation.Run {
 	t.Helper()
-	var err error
-	if words, packed := run.Words(); packed {
-		run, err = relation.NewRunFromWords(run.Arity(), slices.Clone(words))
-	} else {
-		run, err = relation.NewRunFromFlat(run.Arity(), slices.Clone(run.Flat()))
-	}
+	run, err := relation.NewRunFromWords(run.Arity(), run.Stride(), slices.Clone(run.Words()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,13 +465,14 @@ func TestWarmJoinBuildsNoIndex(t *testing.T) {
 	}
 }
 
-// TestWarmJoinWritesItsAnswerOnce: a join whose answer is on the flat
-// layout — five 16-bit columns do not fit a word, the shape of a chain's
+// TestWarmJoinWritesItsAnswerOnce: a join whose answer takes more than a
+// word a row — five 16-bit columns do not fit one, the shape of a chain's
 // second round — allocates, after its first run, the answer's bytes once
 // and a constant more. The leapfrog appends to a scratch that outlives the
 // join and keeps an exact-size copy; appending to a fresh run, grown a
 // quarter at a time, allocated about four times the answer (484 kB for
-// this one's 120 kB); the constant is ≈ 5.3 kB on go1.24, linux/amd64.
+// its 120 kB when such an answer was five words a row; it is two now);
+// the constant is ≈ 5.3 kB on go1.24, linux/amd64.
 func TestWarmJoinWritesItsAnswerOnce(t *testing.T) {
 	const rows, overhead = 3000, 8 << 10
 	// One P, as testing.AllocsPerRun measures: the pool keeps a scratch
@@ -515,16 +511,17 @@ func TestWarmJoinWritesItsAnswerOnce(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		warm[i] = after.TotalAlloc - before.TotalAlloc
 	}
-	answer := uint64(rows * q.NumVars() * 8)
-	if least := slices.Min(warm); least > answer+overhead {
-		t.Errorf("a warm join allocated %d bytes, want at most the answer's %d and %d more", least, answer, overhead)
-	}
 	out, err := gather(ctx, l, "out")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := relation.Merge(out); got.Len() != rows || got.Flat() == nil {
-		t.Fatalf("the join has %d answers (flat: %v), want %d on the flat layout", got.Len(), got.Flat() != nil, rows)
+	got := relation.Merge(out)
+	if got.Len() != rows || got.Stride() < 2 {
+		t.Fatalf("the join has %d answers at %d words a row, want %d at more than one", got.Len(), got.Stride(), rows)
+	}
+	answer := uint64(rows * got.Stride() * 8)
+	if least := slices.Min(warm); least > answer+overhead {
+		t.Errorf("a warm join allocated %d bytes, want at most the answer's %d and %d more", least, answer, overhead)
 	}
 }
 

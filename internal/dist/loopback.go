@@ -209,7 +209,7 @@ type workerStore struct {
 	// absorbing holds, per store, the absorbed runs not yet settled: the
 	// next read of any store keeps what the store lacks of them and
 	// registers it under their view. filters holds the filter of each
-	// packed store absorbed into.
+	// store of one-word rows absorbed into.
 	absorbing map[string]*absorbRuns
 	filters   map[string]*wordFilter
 }
@@ -342,14 +342,13 @@ func (w *workerStore) settle() {
 	for store, a := range absorbing {
 		// A run from the peer is sorted, not necessarily free of repeats.
 		in := a.runs[0]
-		if words, ok := in.Words(); len(a.runs) > 1 || !ok || !increasing(words) {
+		if len(a.runs) > 1 || in.Stride() > 1 || !increasing(in.Words()) {
 			in = relation.Merge(a.runs)
 		}
 		if fresh := w.unheld(store, in); fresh.Len() > 0 {
 			w.extend(store, a.view, fresh)
 			if f := w.filters[store]; f != nil {
-				words, _ := fresh.Words()
-				f.addAll(words)
+				f.addAll(fresh.Words())
 			}
 		}
 	}
@@ -357,14 +356,14 @@ func (w *workerStore) settle() {
 
 // unheld returns the rows of in that store does not hold. A store stays
 // the runs it arrived as — a fixpoint that merged it every iteration
-// would rewrite all of it every iteration — and, on the packed layout, a
-// Bloom filter of its words answers for most rows: only those it may
-// hold are looked up in the runs. Other stores, and stores with
-// tombstones, are subtracted as one merged read.
+// would rewrite all of it every iteration — and, while its rows are one
+// word each, a Bloom filter of its words answers for most rows: only
+// those it may hold are looked up in the runs. Other stores, and stores
+// with tombstones, are subtracted as one merged read.
 func (w *workerStore) unheld(store string, in *relation.Run) *relation.Run {
 	held := w.store[store]
 	f := w.filters[store]
-	if f == nil && w.dead[store].Len() == 0 && packed(held) {
+	if f == nil && w.dead[store].Len() == 0 && oneWord(held) {
 		if len(held) > 1 {
 			// The runs the store arrived as become one, so that from here
 			// on each of its rows is in one run (gather).
@@ -376,8 +375,8 @@ func (w *workerStore) unheld(store string, in *relation.Run) *relation.Run {
 		}
 		w.filters[store] = f
 	}
-	words, ok := in.Words()
-	if f == nil || !ok {
+	words := in.Words()
+	if f == nil || in.Stride() > 1 || !oneWord(held) {
 		delete(w.filters, store)
 		if runs := w.runs(store); len(runs) > 0 {
 			return relation.Diff(in, runs[0])
@@ -397,7 +396,7 @@ func (w *workerStore) unheld(store string, in *relation.Run) *relation.Run {
 	if len(maybe) == 0 {
 		return in
 	}
-	known, err := relation.NewRunFromWords(in.Arity(), maybe)
+	known, err := relation.NewRunFromWords(in.Arity(), 1, maybe)
 	if err != nil {
 		panic(err) // a subsequence of a sealed run's words
 	}
@@ -418,17 +417,17 @@ func increasing(words []uint64) bool {
 	return true
 }
 
-// packed reports whether every run is on the packed layout.
-func packed(runs []*relation.Run) bool {
+// oneWord reports whether every run's rows are one word each.
+func oneWord(runs []*relation.Run) bool {
 	for _, run := range runs {
-		if _, ok := run.Words(); !ok {
+		if run.Stride() > 1 {
 			return false
 		}
 	}
 	return true
 }
 
-// wordFilter is a Bloom filter of packed words — 16 bits a word, two
+// wordFilter is a Bloom filter of one-word rows — 16 bits a word, two
 // probes — that says of almost every word it was not given that it was
 // not: the test a settle makes of each row before looking it up in a
 // store's runs.
@@ -452,8 +451,7 @@ func newWordFilter(runs []*relation.Run, more int) *wordFilter {
 	}
 	f := &wordFilter{bits: make([]uint64, width/64), shift: uint(64 - bits.TrailingZeros(uint(width))), limit: limit}
 	for _, run := range runs {
-		words, _ := run.Words()
-		f.addAll(words)
+		f.addAll(run.Words())
 	}
 	return f
 }

@@ -552,8 +552,8 @@ func residentIsolation(t *testing.T, q *query.Query, pool residentPool, p, offse
 				continue
 			}
 			run := relation.RunOf(2, side.ts)
-			if _, packed := run.Words(); packed != (offset == 0) {
-				t.Fatalf("batch %d: delta run packed = %v at offset %d", i, packed, offset)
+			if (run.Stride() == 1) != (offset == 0) {
+				t.Fatalf("batch %d: delta run %d words a row at offset %d", i, run.Stride(), offset)
 			}
 			if err := a.ScatterDelta(ctx, run, "R", "", side.del, maintain); err != nil {
 				t.Fatal(err)

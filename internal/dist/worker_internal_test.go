@@ -103,13 +103,12 @@ func TestTombstonedReadBuildsNoTuples(t *testing.T) {
 func TestAbsorbKeepsEachRowOnce(t *testing.T) {
 	w := newWorkerStore(residentHome{})
 	pack := func(rows ...relation.Tuple) []uint64 {
-		words, _ := relation.RunOf(2, rows).Words()
-		return words
+		return relation.RunOf(2, rows).Words()
 	}
 	if err := w.add("R", relation.RunOf(2, []relation.Tuple{{1, 1}, {3, 3}})); err != nil {
 		t.Fatal(err)
 	}
-	repeats, err := relation.NewRunFromWords(2, append(pack(relation.Tuple{2, 2}), pack(relation.Tuple{2, 2}, relation.Tuple{3, 3})...))
+	repeats, err := relation.NewRunFromWords(2, 1, append(pack(relation.Tuple{2, 2}), pack(relation.Tuple{2, 2}, relation.Tuple{3, 3})...))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,40 +10,25 @@ import (
 	"repro/internal/relation"
 )
 
-// snapshot copies a run's payload so a test can check the algebra left
-// it bit-identical.
-type snapshot struct {
-	words []uint64
-	flat  []int
-}
-
-func snap(runs []*Buffer) []snapshot {
-	out := make([]snapshot, len(runs))
+// snap copies the runs' payloads so a test can check the algebra left
+// them bit-identical.
+func snap(runs []*Buffer) [][]uint64 {
+	out := make([][]uint64, len(runs))
 	for i, r := range runs {
 		if r != nil {
-			words, _ := r.Words()
-			out[i] = snapshot{words: slices.Clone(words), flat: slices.Clone(r.Flat())}
+			out[i] = slices.Clone(r.Words())
 		}
 	}
 	return out
 }
 
-func checkUntouched(t *testing.T, what string, runs []*Buffer, before []snapshot) {
+func checkUntouched(t *testing.T, what string, runs []*Buffer, before [][]uint64) {
 	t.Helper()
 	for i, r := range runs {
-		if r == nil {
-			continue
-		}
-		if words, _ := r.Words(); !slices.Equal(words, before[i].words) || !slices.Equal(r.Flat(), before[i].flat) {
+		if r != nil && !slices.Equal(r.Words(), before[i]) {
 			t.Fatalf("%s modified input run %d", what, i)
 		}
 	}
-}
-
-// isPacked reports the run's layout through the exported surface.
-func isPacked(r *Buffer) bool {
-	_, packed := r.Words()
-	return packed
 }
 
 // tuplesOf materializes runs tuple by tuple — the reference side reads
@@ -75,8 +60,8 @@ func sameTuples(t *testing.T, what string, got *Buffer, want []relation.Tuple) {
 }
 
 // randomRun draws a sealed run of the arity with values below dom; a
-// wide run additionally carries values past the packed width, which
-// puts it on the flat layout.
+// wide run additionally carries values past a one-word row's field
+// width, which widens its rows.
 func randomRun(rng *rand.Rand, arity, size, dom int, wide bool) *Buffer {
 	b := NewBuffer(arity)
 	row := make(relation.Tuple, arity)
@@ -84,7 +69,7 @@ func randomRun(rng *rand.Rand, arity, size, dom int, wide bool) *Buffer {
 		for c := range row {
 			row[c] = rng.IntN(dom)
 			if wide && (i == 0 || rng.IntN(4) == 0) {
-				row[c] += 1 << relation.PackedShift(arity)
+				row[c] += 1 << (64 / arity) // past a one-word row's field
 			}
 		}
 		b.Append(row)
@@ -101,13 +86,13 @@ func randomRun(rng *rand.Rand, arity, size, dom int, wide bool) *Buffer {
 // input bit-identical (the recovery journal re-sends those buffers).
 func TestRunAlgebraMatchesTupleReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(101, 103))
-	for _, layout := range []string{"packed", "flat", "mixed"} {
+	for _, layout := range []string{"packed", "wide", "mixed"} {
 		for arity := 1; arity <= 5; arity++ {
 			for trial := 0; trial < 12; trial++ {
 				k := rng.IntN(6)
 				runs := make([]*Buffer, 0, k+2)
 				for i := 0; i < k; i++ {
-					wide := layout == "flat" || layout == "mixed" && i%2 == 1
+					wide := layout == "wide" || layout == "mixed" && i%2 == 1
 					runs = append(runs, randomRun(rng, arity, rng.IntN(60), 5, wide))
 				}
 				runs = append(runs, nil, NewBuffer(arity))
@@ -117,12 +102,14 @@ func TestRunAlgebraMatchesTupleReference(t *testing.T) {
 				merged := relation.Merge(runs)
 				sameTuples(t, layout+" merge", merged, relation.DedupSort(tuplesOf(runs...)))
 				checkUntouched(t, "Merge", runs, before)
-				wantPacked := true
+				wantStride := 1
 				for _, r := range runs {
-					wantPacked = wantPacked && (r.Len() == 0 || isPacked(r))
+					if r.Len() > 0 {
+						wantStride = max(wantStride, r.Stride())
+					}
 				}
-				if merged != nil && isPacked(merged) != wantPacked {
-					t.Fatalf("%s merge: packed = %v, want %v", layout, isPacked(merged), wantPacked)
+				if merged != nil && merged.Stride() != wantStride {
+					t.Fatalf("%s merge: %d words a row, want the widest input's %d", layout, merged.Stride(), wantStride)
 				}
 
 				// Diff of the union of one half against the other half.
@@ -192,10 +179,8 @@ func TestPartitionRunMatchesPartition(t *testing.T) {
 			}
 			for i := range want {
 				g, w := got[i], want[i]
-				gw, gp := g.Buf.Words()
-				ww, wp := w.Buf.Words()
-				if g.To != w.To || g.Rel != w.Rel || gp != wp || !g.Buf.Sealed() ||
-					!slices.Equal(gw, ww) || !slices.Equal(g.Buf.Flat(), w.Buf.Flat()) {
+				if g.To != w.To || g.Rel != w.Rel || g.Buf.Stride() != w.Buf.Stride() || !g.Buf.Sealed() ||
+					!slices.Equal(g.Buf.Words(), w.Buf.Words()) {
 					t.Fatalf("wide=%v size=%d: delivery %d differs", wide, size, i)
 				}
 			}
@@ -212,7 +197,7 @@ func TestPartitionRunMatchesPartition(t *testing.T) {
 // FuzzMergeRuns deals fuzzer-chosen values into runs of a
 // fuzzer-chosen arity and count and checks MergeRuns — the
 // materializing adapter over Merge — against DedupSort of the
-// concatenation, on whichever layouts the values land, and that the
+// concatenation, at whichever strides the values land, and that the
 // runs survive untouched.
 func FuzzMergeRuns(f *testing.F) {
 	vals := func(vs ...uint64) []byte {
@@ -223,7 +208,7 @@ func FuzzMergeRuns(f *testing.F) {
 		return out
 	}
 	f.Add(uint8(1), uint8(2), vals(1, 2, 3, 4, 1, 2, 3, 4, 5, 6))
-	f.Add(uint8(1), uint8(1), vals(1<<32, 0, 1, 2, 1<<32, 0, 1, 2))          // arity-2 values ≥ 2³²: one run flat, one packed
+	f.Add(uint8(1), uint8(1), vals(1<<32, 0, 1, 2, 1<<32, 0, 1, 2))          // arity-2 values ≥ 2³²: one run two words a row, one a word
 	f.Add(uint8(4), uint8(3), vals(40000, 1, 2, 3, 4, 40000, 1, 2, 3, 4, 7)) // 5 × 16 bits > 64
 	f.Add(uint8(0), uint8(0), vals(1<<62, 1<<62, 0))
 	f.Add(uint8(2), uint8(4), []byte{})
@@ -257,13 +242,14 @@ func FuzzMergeRuns(f *testing.F) {
 
 // BenchmarkDiffDelta is the diff a fixpoint iteration takes: a Δ of
 // 6 000 binary tuples, half of them known, against a closure of 50 000 —
-// on packed words (the scalar loop) and on flat rows (the strided one).
+// on one-word rows (the scalar loop) and on two-word ones (the strided
+// one).
 func BenchmarkDiffDelta(b *testing.B) {
-	for _, layout := range []string{"packed", "flat"} {
+	for _, layout := range []string{"packed", "wide"} {
 		b.Run(layout, func(b *testing.B) {
 			rng := rand.New(rand.NewPCG(23, 29))
 			offset := 0
-			if layout == "flat" {
+			if layout == "wide" {
 				offset = 1 << 33
 			}
 			draw := func(n int) []relation.Tuple {
@@ -276,8 +262,8 @@ func BenchmarkDiffDelta(b *testing.B) {
 			known := draw(50000)
 			closure := relation.RunOf(2, known).Dedup()
 			delta := relation.RunOf(2, append(draw(3000), known[:3000]...)).Dedup()
-			if isPacked(closure) != (layout == "packed") || isPacked(delta) != isPacked(closure) {
-				b.Fatalf("runs are not on the %s layout", layout)
+			if (closure.Stride() == 1) != (layout == "packed") || delta.Stride() != closure.Stride() {
+				b.Fatalf("runs are not %s", layout)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

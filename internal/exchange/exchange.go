@@ -16,7 +16,7 @@
 // cap enforcement) fall out of the deliveries' sizes with no per-message
 // accounting.
 //
-// What is routed — the run, its packed and flat layouts, its sort and
+// What is routed — the run, its one layout of packed words, its sort and
 // its set algebra — belongs to internal/relation; what carries it
 // between processes belongs to internal/wire. Besides the routing, the
 // package keeps three one-line aliases that bench/probes.go pins.

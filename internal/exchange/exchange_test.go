@@ -53,15 +53,15 @@ func TestBufferMigratesOnWideValues(t *testing.T) {
 }
 
 func TestBufferHugeArityFallsBack(t *testing.T) {
-	// Arity 65 cannot pack at all (PackedShift = 0).
+	// Arity 65 has more fields than a word has bits: two words a row.
 	wide := make(relation.Tuple, 65)
 	wide[64] = 42
 	b := NewBuffer(65)
 	b.Append(wide)
 	b.Seal()
 	got := b.AppendTuples(nil)
-	if len(got) != 1 || !got[0].Equal(wide) {
-		t.Fatalf("fallback round-trip failed: %v", got)
+	if len(got) != 1 || !got[0].Equal(wide) || b.Stride() < 2 {
+		t.Fatalf("round-trip at %d words a row failed: %v", b.Stride(), got)
 	}
 }
 
@@ -122,8 +122,8 @@ func TestMergeRunsMixedPaths(t *testing.T) {
 	}
 }
 
-// TestBufferDedup: Dedup seals and drops repeated tuples on both
-// layouts, and Grow reserves without changing content.
+// TestBufferDedup: Dedup seals and drops repeated tuples on rows of one
+// word and of two, and Grow reserves without changing content.
 func TestBufferDedup(t *testing.T) {
 	for _, wide := range []int{0, 1 << 40} {
 		b := NewBuffer(2)
@@ -133,8 +133,8 @@ func TestBufferDedup(t *testing.T) {
 		}
 		b.Grow(3)
 		b.Dedup()
-		if _, packed := b.Words(); packed != (wide == 0) {
-			t.Fatalf("wide=%d: packed = %v", wide, packed)
+		if (b.Stride() == 1) != (wide == 0) {
+			t.Fatalf("wide=%d: %d words a row", wide, b.Stride())
 		}
 		got := b.AppendTuples(nil)
 		want := []relation.Tuple{{1, 2}, {2, wide}, {3, 1}}
@@ -154,9 +154,10 @@ func TestBufferDedup(t *testing.T) {
 	}
 }
 
-// TestMergeWords: the word-level merge equals sort+compact of the
-// concatenation for every run count, skips empty runs, leaves its
-// inputs alone, and refuses a run on the flat layout.
+// TestMergeWords: Merge's words equal sort+compact of the concatenated
+// words for every run count, skip empty runs and leave the inputs alone;
+// a run of two words a row among one-word ones takes the merge to two
+// words a row, holding the union.
 func TestMergeWords(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 17))
 	for k := 0; k <= 5; k++ {
@@ -169,56 +170,65 @@ func TestMergeWords(t *testing.T) {
 			}
 			b.Seal()
 			runs = append(runs, b)
-			words, _ := b.Words()
-			all = append(all, words...)
+			all = append(all, b.Words()...)
 		}
 		before = append(before, all...)
 		slices.Sort(all)
 		want := slices.Compact(all)
-		got := relation.MergeWords(runs)
+		var got []uint64
+		if merged := relation.Merge(runs); merged != nil {
+			got = merged.Words()
+		}
 		if !slices.Equal(got, want) {
 			t.Errorf("k=%d: merged %v, want %v", k, got, want)
 		}
 		var after []uint64
 		for _, b := range runs {
-			words, _ := b.Words()
-			after = append(after, words...)
+			after = append(after, b.Words()...)
 		}
 		if !slices.Equal(after, before) {
-			t.Errorf("k=%d: MergeWords modified its inputs", k)
+			t.Errorf("k=%d: Merge modified its inputs", k)
 		}
 	}
-	flat := NewBuffer(2)
-	flat.Append(relation.Tuple{1 << 33, 1})
-	flat.Seal()
-	if _, packed := flat.Words(); packed {
-		t.Fatal("a 2^33 value at arity 2 should leave the packed layout")
+	wide := relation.RunOf(2, []relation.Tuple{{1 << 33, 1}, {2, 2}})
+	narrow := relation.RunOf(2, []relation.Tuple{{2, 2}, {1, 5}})
+	if wide.Stride() != 2 || narrow.Stride() != 1 {
+		t.Fatalf("fixture strides %d and %d, want 2 and 1", wide.Stride(), narrow.Stride())
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MergeWords over a flat run did not panic")
-		}
-	}()
-	relation.MergeWords([]*Buffer{flat})
+	got := relation.Merge([]*Buffer{narrow, wide})
+	if want := []relation.Tuple{{1, 5}, {2, 2}, {1 << 33, 1}}; got.Stride() != 2 || !reflect.DeepEqual(got.Tuples(), want) {
+		t.Errorf("mixed strides: %d words a row, %v, want 2 and %v", got.Stride(), got.Tuples(), want)
+	}
 }
 
-// sealWords appends ws to a fresh arity-1 packed buffer, seals it and
-// returns the sealed payload with the backing array it was built on.
+// sealWords appends ws to a fresh arity-1 buffer, seals it and returns
+// the sealed payload with the backing array it was built on. A lone
+// field is 64 bits wide, so a word is its value with the sign bit
+// flipped.
 func sealWords(ws []uint64) (sealed, built []uint64) {
 	b := NewBuffer(1)
 	for _, w := range ws {
 		b.Append(relation.Tuple{int(w)})
 	}
-	built, _ = b.Words()
+	built = b.Words()
 	b.Seal()
-	sealed, _ = b.Words()
-	return sealed, built
+	return b.Words(), built
+}
+
+// flipped returns ws with each word's sign bit flipped: the arity-1 code
+// of each.
+func flipped(ws []uint64) []uint64 {
+	out := make([]uint64, len(ws))
+	for i, w := range ws {
+		out[i] = w ^ 1<<63
+	}
+	return out
 }
 
 // TestSealMatchesSort: whatever order the words arrive in — random
-// above and below SortWords' radix cutoff, ascending, descending, all
-// equal, empty — a sealed packed buffer holds exactly slices.Sort of
-// its input.
+// above and below the radix sort's cutoff, ascending, descending, all
+// equal, empty — a sealed arity-1 buffer holds exactly slices.Sort of its
+// input's codes.
 func TestSealMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewPCG(81, 82))
 	random := func(n int) []uint64 {
@@ -236,7 +246,7 @@ func TestSealMatchesSort(t *testing.T) {
 		"random-small": random(100), "random-large": random(20000), "sorted": sorted,
 		"reversed": reversed, "all-equal": make([]uint64, 3000), "empty": nil,
 	} {
-		want := slices.Clone(ws)
+		want := flipped(ws)
 		slices.Sort(want)
 		if got, _ := sealWords(ws); !slices.Equal(got, want) {
 			t.Errorf("%s: sealed words differ from slices.Sort", name)
@@ -252,7 +262,7 @@ func TestSealSortedIsNoop(t *testing.T) {
 		ws[i] = uint64(3 * i)
 	}
 	sealed, built := sealWords(ws)
-	if &sealed[0] != &built[0] || !slices.Equal(sealed, ws) {
+	if &sealed[0] != &built[0] || !slices.Equal(sealed, flipped(ws)) {
 		t.Fatal("sealing a sorted buffer replaced or reordered its words")
 	}
 	// One pre-built unsealed buffer per measured call (AllocsPerRun warms

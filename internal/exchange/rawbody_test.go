@@ -36,12 +36,12 @@ func sortedWords(n int, seed uint64) []uint64 {
 	return words
 }
 
-// shipWords sends the sealed packed run of arity that words spell
-// through a wire Data frame and returns the stream and what the Reader
-// decodes from it.
+// shipWords sends the sealed one-word-a-row run of arity that words
+// spell through a wire Data frame and returns the stream and what the
+// Reader decodes from it.
 func shipWords(t *testing.T, arity int, words []uint64) ([]byte, []uint64) {
 	t.Helper()
-	run, err := relation.NewRunFromWords(arity, slices.Clone(words))
+	run, err := relation.NewRunFromWords(arity, 1, slices.Clone(words))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,15 +54,14 @@ func shipWords(t *testing.T, arity int, words []uint64) ([]byte, []uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, packed := f.Data.Buf.Words()
-	if !packed || f.Data.Buf.Arity() != arity {
-		t.Fatalf("decoded arity %d, packed %v; sent arity %d packed", f.Data.Buf.Arity(), packed, arity)
+	if buf := f.Data.Buf; buf.Stride() != 1 || buf.Arity() != arity {
+		t.Fatalf("decoded arity %d at %d words a row; sent arity %d at one", buf.Arity(), buf.Stride(), arity)
 	}
-	return sent, got
+	return sent, f.Data.Buf.Words()
 }
 
-// TestDeltaWordsRoundTrip: a packed run's words cross a Data frame as
-// their raw body and arrive as they left.
+// TestDeltaWordsRoundTrip: a run's words cross a Data frame as their raw
+// body and arrive as they left.
 func TestDeltaWordsRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 100, 4096} {
 		words := sortedWords(n, uint64(n)+3)
@@ -73,9 +72,10 @@ func TestDeltaWordsRoundTrip(t *testing.T) {
 }
 
 // TestDeltaWordsExtremes: boundary values survive the frame, which costs
-// exactly 8 bytes per word.
+// exactly 8 bytes per word — the codes of 0 and math.MaxInt in an arity-1
+// run's 64-bit field.
 func TestDeltaWordsExtremes(t *testing.T) {
-	words := []uint64{0, 0, 1, math.MaxUint64 - 1, math.MaxUint64, math.MaxUint64}
+	words := []uint64{1 << 63, 1 << 63, 1<<63 | 1, math.MaxUint64 - 1, math.MaxUint64, math.MaxUint64}
 	stream, dec := shipWords(t, 1, words)
 	if !slices.Equal(words, dec) {
 		t.Fatalf("got %v, want %v", dec, words)
@@ -85,10 +85,10 @@ func TestDeltaWordsExtremes(t *testing.T) {
 	}
 }
 
-// rawFrame is a Data frame whose arity-2 run claims count words and
-// carries body, written by hand as a hostile peer would.
+// rawFrame is a Data frame whose arity-2 run of one word a row claims
+// count rows and carries body, written by hand as a hostile peer would.
 func rawFrame(count uint32, body []byte) []byte {
-	p := []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'R', 0, 0, 0, 0, 0, 0, 2, 2} // round, dest, "R", no view, no retain key, append, arity 2, enc 2
+	p := []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'R', 0, 0, 0, 0, 0, 0, 2, 2, 1} // round, dest, "R", no view, no retain key, append, arity 2, enc 2, stride 1
 	p = binary.BigEndian.AppendUint32(p, count)
 	p = append(p, body...)
 	return append(binary.BigEndian.AppendUint32([]byte{byte(wire.TypeData)}, uint32(len(p))), p...)
@@ -149,15 +149,16 @@ func TestDecodeDeltaWordsSortedByConstruction(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if words, _ := f.Data.Buf.Words(); !slices.IsSorted(words) {
+		if words := f.Data.Buf.Words(); !slices.IsSorted(words) {
 			t.Fatalf("trial %d: decoded unsorted words %v", trial, words)
 		}
 	}
 }
 
-// TestNewBufferFromSortedWords: the wire constructors adopt a run that
+// TestNewBufferFromSortedWords: the wire constructor adopts a run that
 // arrives in order and in range — sealed, same storage, nothing moved —
-// and refuse every other: they check, they never reorder or repair.
+// at one word a row and wider, and refuses every other: it checks, it
+// never reorders or repairs.
 func TestNewBufferFromSortedWords(t *testing.T) {
 	src := exchange.NewBuffer(3)
 	rng := rand.New(rand.NewPCG(13, 2))
@@ -167,68 +168,59 @@ func TestNewBufferFromSortedWords(t *testing.T) {
 	src.Append(relation.Tuple{7, 7, 7})
 	src.Append(relation.Tuple{7, 7, 7}) // a sealed run may repeat a tuple
 	src.Seal()
-	words, _ := src.Words()
+	words := src.Words()
 
 	given := slices.Clone(words)
-	got, err := relation.NewRunFromWords(3, given)
+	got, err := relation.NewRunFromWords(3, 1, given)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kept, _ := got.Words(); !got.Sealed() || &kept[0] != &given[0] || !slices.Equal(kept, words) {
+	if kept := got.Words(); !got.Sealed() || &kept[0] != &given[0] || !slices.Equal(kept, words) {
 		t.Fatal("sorted in-width words were not adopted as they are")
 	}
 	if !reflect.DeepEqual(got.AppendTuples(nil), src.AppendTuples(nil)) {
 		t.Fatal("adopted words decode to different tuples")
 	}
-	if empty, err := relation.NewRunFromWords(3, nil); err != nil || !empty.Sealed() || empty.Len() != 0 {
+	if empty, err := relation.NewRunFromWords(3, 1, nil); err != nil || !empty.Sealed() || empty.Len() != 0 {
 		t.Fatalf("empty run: %v, %v", empty, err)
+	}
+
+	// Rows of three 64-bit fields: (1, 2⁵⁰, 3) twice, then (2, 0, 0).
+	const s = 1 << 63
+	rows := []uint64{s | 1, s | 1<<50, s | 3, s | 1, s | 1<<50, s | 3, s | 2, s, s}
+	wide, err := relation.NewRunFromWords(3, 3, slices.Clone(rows))
+	if want := []relation.Tuple{{1, 1 << 50, 3}, {1, 1 << 50, 3}, {2, 0, 0}}; err != nil || !wide.Sealed() || !reflect.DeepEqual(wide.Tuples(), want) {
+		t.Fatalf("sorted three-word rows: %v, %v", wide, err)
 	}
 
 	swapped := slices.Clone(words)
 	swapped[10], swapped[90] = swapped[90], swapped[10]
-	wide := append(slices.Clone(words), 1<<63) // arity 3 packs 63 bits
+	above := append(slices.Clone(words), 1<<63) // arity 3 packs 63 bits
 	for name, c := range map[string]struct {
-		arity int
-		words []uint64
-		want  string
+		arity, stride int
+		words         []uint64
+		want          string
 	}{
-		"unsorted":          {3, swapped, "not sorted"},
-		"bits above width":  {3, wide, "bits above"},
-		"arity 0":           {0, nil, "arity"},
-		"unpackable arity":  {65, nil, "does not admit"},
-		"lone word too big": {3, []uint64{1 << 63}, "bits above"},
+		"unsorted":          {3, 1, swapped, "not sorted"},
+		"bits above width":  {3, 1, above, "bits above"},
+		"arity 0":           {0, 1, nil, "layout"},
+		"unpackable arity":  {65, 1, nil, "layout"},
+		"lone word too big": {3, 1, []uint64{1 << 63}, "bits above"},
+		"stride 0":          {3, 0, nil, "layout"},
+		"stride past arity": {3, 4, nil, "layout"},
+		"stride 4 at arity 5 leaves a word empty": {5, 4, nil, "layout"},
+		"unsorted rows":   {3, 3, []uint64{s | 2, s, s, s | 1, s | 1<<50, s | 3}, "not sorted"},
+		"late column":     {3, 3, []uint64{s | 1, s | 5, s | 3, s | 1, s | 5, s | 2}, "not sorted"},
+		"negative value":  {3, 3, []uint64{s | 1, 2, s | 9, s | 1, s | 2, s | 3}, "negative"},
+		"ragged":          {3, 3, []uint64{s | 1, s | 2, s | 3, s | 4}, "whole rows"},
+		"padding bit set": {3, 2, []uint64{1<<32 | 2, 1 << 32}, "bits above"},
 	} {
 		before := slices.Clone(c.words)
-		if buf, err := relation.NewRunFromWords(c.arity, c.words); err == nil || !strings.Contains(err.Error(), c.want) {
+		if buf, err := relation.NewRunFromWords(c.arity, c.stride, c.words); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: buffer %v, err %v, want a rejection naming %q", name, buf, err, c.want)
 		}
 		if !slices.Equal(c.words, before) {
 			t.Errorf("%s: the constructor reordered its input", name)
-		}
-	}
-
-	rows := []int{1, 1 << 50, 3, 1, 1 << 50, 3, 2, 0, 0}
-	flat, err := relation.NewRunFromFlat(3, slices.Clone(rows))
-	if err != nil || !flat.Sealed() || !slices.Equal(flat.Flat(), rows) {
-		t.Fatalf("sorted flat rows: %v, %v", flat, err)
-	}
-	for name, c := range map[string]struct {
-		arity int
-		flat  []int
-		want  string
-	}{
-		"unsorted rows":  {3, []int{2, 0, 0, 1, 1 << 50, 3}, "not sorted"},
-		"late column":    {3, []int{1, 5, 3, 1, 5, 2}, "not sorted"},
-		"negative value": {3, []int{1, 2, 3, 1, -2, 9}, "negative"},
-		"ragged":         {3, []int{1, 2, 3, 4}, "multiple"},
-		"arity 0":        {0, nil, "arity"},
-	} {
-		before := slices.Clone(c.flat)
-		if buf, err := relation.NewRunFromFlat(c.arity, c.flat); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("flat %s: buffer %v, err %v, want a rejection naming %q", name, buf, err, c.want)
-		}
-		if !slices.Equal(c.flat, before) {
-			t.Errorf("flat %s: the constructor reordered its input", name)
 		}
 	}
 }

@@ -25,9 +25,9 @@ func TestWireExperiment(t *testing.T) {
 			t.Errorf("n=%d: non-positive throughput %+v", r.Tuples, r)
 		}
 		// Header (5) + round/dest (8) + name (2+1) + no view (2) + no
-		// retain key (2) + mode (1) + arity/enc/count (7) + 8 bytes per
-		// packed 3-ary tuple.
-		if want := 28 + 8*r.Tuples; r.FrameBytes != want {
+		// retain key (2) + mode (1) + arity/enc/stride/count (8) + 8 bytes
+		// per 3-ary tuple of one word.
+		if want := 29 + 8*r.Tuples; r.FrameBytes != want {
 			t.Errorf("n=%d: frame bytes %d, want %d", r.Tuples, r.FrameBytes, want)
 		}
 	}

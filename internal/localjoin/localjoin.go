@@ -32,6 +32,7 @@ package localjoin
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -240,8 +241,8 @@ func atomRelation(atom query.Atom, tuples []relation.Tuple) (*relation.Relation,
 		return r, nil
 	}
 	for _, t := range tuples {
-		if !consistentRepeats(t, eq) {
-			continue
+		if slices.ContainsFunc(eq, func(e [2]int) bool { return t[e[0]] != t[e[1]] }) {
+			continue // a repeated variable bound to two values
 		}
 		row := make(relation.Tuple, len(pos))
 		for i, j := range pos {

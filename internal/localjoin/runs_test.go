@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -182,11 +183,11 @@ func TestEvaluateRunsEdges(t *testing.T) {
 	if got := out.AppendTuples(nil); !reflect.DeepEqual(got, []relation.Tuple{{1, 2, 9}}) {
 		t.Errorf("duplicates: %v", got)
 	}
-	// A store mixing a packed and a flat run reads as the tuple trie, under
-	// a permuted atom too.
+	// A store mixing a one-word run and a two-word one is read at two
+	// words a row, under a permuted atom too.
 	wide := run(2, relation.Tuple{1 << 33, 2}, relation.Tuple{4, 1 << 33})
-	if _, packed := wide.Words(); packed {
-		t.Fatal("a value of 2³³ must not pack at arity 2")
+	if wide.Stride() != 2 {
+		t.Fatalf("a value of 2³³ at arity 2 takes %d words a row, want 2", wide.Stride())
 	}
 	for text, want := range map[string][]relation.Tuple{
 		"q(x,y,z) = R(x,y), S(y,z)": {{1, 2, 9}, {1 << 33, 2, 9}},
@@ -197,7 +198,7 @@ func TestEvaluateRunsEdges(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := out.Tuples(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s over a packed and a flat run: %v, want %v", text, got, want)
+			t.Errorf("%s over a one-word and a two-word run: %v, want %v", text, got, want)
 		}
 	}
 	// A wrong-arity run is an error, an empty one of wrong arity is not.
@@ -210,8 +211,8 @@ func TestEvaluateRunsEdges(t *testing.T) {
 }
 
 // TestEvaluateRunsAnswersOwnTheirMemory: eight goroutines join the same
-// sealed runs over and over — answers packed and flat, in and out of the
-// level order — while the scratch the answers are built in passes from
+// sealed runs over and over — answers of one word a row and of two, in
+// and out of the level order — while the scratch the answers are built in passes from
 // join to join. Every answer equals the hash-join oracle, its payload is
 // exactly its rows' size, and it is still equal once every later join
 // has run: no answer shares memory with a scratch.
@@ -239,7 +240,7 @@ func TestEvaluateRunsAnswersOwnTheirMemory(t *testing.T) {
 		text string
 		b    Bindings
 	}{
-		// 5 × 16-bit values do not fit a word: the answer is flat.
+		// 5 × 16-bit values do not fit a word: the answer takes two.
 		{"q(a,b,c,d,e) = A(a,b,c), B(c,d,e)", Bindings{"A": draw(3, 300, 1<<16, 2, 40), "B": draw(3, 300, 1<<16, 0, 40)}},
 		{"q(a,b,c) = A(a,b), B(b,c)", Bindings{"A": draw(2, 400, 1000, 1, 60), "B": draw(2, 400, 1000, 0, 60)}},
 		{"q(c,a,b) = A(a,b), B(b,c)", Bindings{"A": draw(2, 400, 1000, 1, 60), "B": draw(2, 400, 1000, 0, 60)}},
@@ -273,7 +274,7 @@ func TestEvaluateRunsAnswersOwnTheirMemory(t *testing.T) {
 					t.Errorf("%s: sealed=%v, %d answers, want %d", cases[c].q, out.Sealed(), len(got), len(cases[c].want))
 					return
 				}
-				if words, packed := out.Words(); packed && cap(words) != len(words) || !packed && cap(out.Flat()) != len(out.Flat()) {
+				if words := out.Words(); cap(words) != len(words) {
 					t.Errorf("%s: the answer's payload is not its rows' size", cases[c].q)
 					return
 				}
@@ -282,24 +283,24 @@ func TestEvaluateRunsAnswersOwnTheirMemory(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	flat := 0
+	strided := 0
 	for _, ks := range answers {
 		for _, k := range ks {
 			if got := k.out.Tuples(); !reflect.DeepEqual(got, cases[k.c].want) {
 				t.Fatalf("%s: an answer changed after later joins", cases[k.c].q)
 			}
-			if _, packed := k.out.Words(); !packed {
-				flat++
+			if k.out.Stride() > 1 {
+				strided++
 			}
 		}
 	}
-	if flat == 0 {
-		t.Fatal("no answer was on the flat layout")
+	if strided == 0 {
+		t.Fatal("no answer took more than one word a row")
 	}
 }
 
 // fuzzQueries are the shapes FuzzEvaluateRuns draws from: word runs at
-// arity 1 (full 64-bit words, top bit included), 2 and 3, in and out of
+// arity 1 (one 64-bit field, sign bit flipped), 2 and 3, in and out of
 // level order, with and without repeats, and chains whose outer variables
 // one atom alone binds (the walk in place). New shapes go at the end, so
 // the seeds keep theirs.
@@ -313,11 +314,64 @@ var fuzzQueries = []string{
 	"q(a,b,c,d,e) = A(a,b,c), B(c,d,e)",
 }
 
-// FuzzEvaluateRuns feeds arbitrary word runs — as a foreign peer could
-// put them on the wire — to the trie builder. Whatever the words, the
-// evaluator must not panic, must leave the runs untouched, and must
-// return exactly what the hash join computes from the same runs read
-// back as tuples.
+// fuzzRuns deals words to the atoms of q as a foreign peer could put them
+// on the wire: round-robin to the atoms; each atom's share in rows of its
+// stride — 1 + (split>>2) mod its arity, taken to the fewest words that
+// many fields a word allow — into 1 + split%3 runs, with the bits outside
+// a row's fields cleared and each run's rows sorted, as the wire decoder
+// would reject the rest. A run whose 64-bit fields hold a negative value,
+// which the wire refuses, is built from its tuples instead, as one is in
+// process. It returns the runs and a copy of each one's words.
+func fuzzRuns(t *testing.T, q *query.Query, split uint8, ws []uint64) (Runs, [][]uint64) {
+	runs := make(Runs, len(q.Atoms))
+	var before [][]uint64
+	for ai, a := range q.Atoms {
+		arity, k := a.Arity(), 1+int(split)%3
+		per := (arity + int(split>>2)%arity) / (1 + int(split>>2)%arity)
+		stride := (arity + per - 1) / per
+		width := uint(64 / per)
+		var share []uint64
+		for i := ai; i < len(ws); i += len(q.Atoms) {
+			share = append(share, ws[i])
+		}
+		parts := make([][][]uint64, k)
+		for r := 0; r+stride <= len(share); r += stride {
+			row := slices.Clone(share[r : r+stride])
+			for w := range row {
+				if used := uint(min(per, arity-w*per)) * width; used < 64 {
+					row[w] &= 1<<used - 1
+				}
+			}
+			parts[r/stride%k] = append(parts[r/stride%k], row)
+		}
+		for _, p := range parts {
+			slices.SortFunc(p, slices.Compare)
+			words := slices.Concat(p...)
+			buf, err := relation.NewRunFromWords(arity, stride, slices.Clone(words))
+			if err != nil && width == 64 && strings.Contains(err.Error(), "negative") {
+				tuples := make([]relation.Tuple, len(p))
+				for i, row := range p {
+					tuples[i] = make(relation.Tuple, arity)
+					for j, x := range row {
+						tuples[i][j] = int(x ^ 1<<63)
+					}
+				}
+				buf, err = relation.RunOf(arity, tuples), nil
+			}
+			if err != nil {
+				t.Fatalf("atom %s: %v", a.Name, err)
+			}
+			runs[a.Name] = append(runs[a.Name], buf)
+			before = append(before, slices.Clone(buf.Words()))
+		}
+	}
+	return runs, before
+}
+
+// FuzzEvaluateRuns feeds arbitrary word runs (fuzzRuns) to the trie
+// builder. Whatever the words, the evaluator must not panic, must leave
+// the runs untouched, and must return exactly what the hash join computes
+// from the same runs read back as tuples.
 func FuzzEvaluateRuns(f *testing.F) {
 	words := func(ws ...uint64) []byte {
 		out := make([]byte, 0, 8*len(ws))
@@ -329,7 +383,7 @@ func FuzzEvaluateRuns(f *testing.F) {
 	f.Add(uint8(0), uint8(2), words(1<<32|2, 2<<32|3, 3<<32|1, 1<<32|2, 5<<32|5, 7))
 	f.Add(uint8(1), uint8(1), words(0, 1<<63, ^uint64(0), 7, 7, 1<<63))
 	f.Add(uint8(1), uint8(3), words(3, 1, 2, 3, 1<<62, 2))
-	f.Add(uint8(1), uint8(0), words(5, 5, ^uint64(0), ^uint64(0))) // both hold 5 and "-1"
+	f.Add(uint8(1), uint8(0), words(5, 5, ^uint64(0), ^uint64(0))) // both hold a negative value and math.MaxInt
 	f.Add(uint8(2), uint8(2), words(4<<32|4, 4<<32|5, 9<<32|4, 0xffffffff<<32|0xffffffff, 0xffffffff<<32|4))
 	f.Add(uint8(3), uint8(1), words(1<<42|2<<21|3, 3<<42|2<<21|1, 3<<32|1, 1<<32|3))
 	f.Add(uint8(4), uint8(2), words(5<<42|6<<21|5, 5<<42|6<<21|4, 6, 0x1fffff<<42|0x1fffff))
@@ -346,37 +400,26 @@ func FuzzEvaluateRuns(f *testing.F) {
 	f.Add(uint8(5), uint8(0), words(0xffffffff<<32|2, 2<<32|0xffffffff, 0xffffffff<<32|5, 5<<32|1, 0xffffffff<<32|0xffffffff, 0xffffffff<<32|0xffffffff, 0xffffffff<<32|0xffffffff, 0xffffffff<<32|0xffffffff))
 	f.Add(uint8(6), uint8(0), words(0x1fffff<<42|0x1fffff<<21|7, 7<<42|0x1fffff<<21|0x1fffff, 0x1fffff<<42|0x1fffff<<21|7, 7<<42|0x1fffff<<21|0x1fffff, 3<<42|0x1fffff<<21|7, 7<<42|1<<21|2))
 	f.Add(uint8(6), uint8(1), words(1<<42|2<<21|3, 3<<42|4<<21|5, 1<<42|2<<21|3, 3<<42|4<<21|5, 1<<42|2<<21|3, 3<<42|4<<21|6, 0x1fffff<<42|0x1fffff<<21|0x1fffff, 0x1fffff<<42|0x1fffff<<21|0x1fffff))
+	// Rows wider than a word. Stride 2 at arity 2 and 3 (split 4), 3 at
+	// arity 3 (split 8): a level in the second word, bound under the first.
+	const s = 1 << 63 // a 64-bit field's zero
+	f.Add(uint8(5), uint8(4), words(s|1, s|2, s|2, s|3, s|1, s|2, s|2, s|9, s|1<<40, s|2, s|2, s|1<<40))
+	f.Add(uint8(6), uint8(4), words(1<<32|2, 3, 3<<32|4, 5, 1<<32|2, 3, 3<<32|4, 6, 0xffffffff<<32|0xffffffff, 0xffffffff, 3<<32|0xffffffff, 0xffffffff))
+	f.Add(uint8(6), uint8(8), words(s|1, s|2, s|3, s|3, s|4, s|5, s|1, s|2, s|3, s|3, s|4, s|6, ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)))
+	f.Add(uint8(0), uint8(5), words(s|1, s|2, s|2, s|3, s|3, s|1, s|1, s|2, s|2, s|3, s|3, s|1))
+	// 64-bit fields holding negative values: below every non-negative one,
+	// in order, and joined with them.
+	f.Add(uint8(5), uint8(4), words(1, 2, 2, 3, 1, s|2, s|2, 3, 2, 2, s|5, s|5))
+	f.Add(uint8(1), uint8(2), words(1, 1, s, s, ^uint64(0)>>1, ^uint64(0)>>1, 7, s|7))
+	// A row repeated across the runs of a wide atom, and a narrow one's.
+	f.Add(uint8(6), uint8(5), words(1<<32|2, 3, 3<<32|4, 5, 1<<32|2, 3, 3<<32|4, 5, 1<<32|2, 3, 3<<32|4, 5))
 	f.Fuzz(func(t *testing.T, shape, split uint8, data []byte) {
 		q := query.MustParse(fuzzQueries[int(shape)%len(fuzzQueries)])
 		var ws []uint64
 		for ; len(data) >= 8; data = data[8:] {
 			ws = append(ws, binary.LittleEndian.Uint64(data))
 		}
-		// Deal the words round-robin to the atoms, each atom's share into
-		// 1 + split%3 runs; bits above the atom's packed width are cleared
-		// and each run is sorted, as the wire decoder would reject the rest.
-		runs := make(Runs, len(q.Atoms))
-		var before [][]uint64
-		for ai, a := range q.Atoms {
-			k := 1 + int(split)%3
-			parts := make([][]uint64, k)
-			for i := ai; i < len(ws); i += len(q.Atoms) {
-				w := ws[i]
-				if used := uint(a.Arity()) * relation.PackedShift(a.Arity()); used < 64 {
-					w &= 1<<used - 1
-				}
-				parts[i%k] = append(parts[i%k], w)
-			}
-			for _, p := range parts {
-				slices.Sort(p)
-				buf, err := relation.NewRunFromWords(a.Arity(), p)
-				if err != nil {
-					t.Fatalf("atom %s: %v", a.Name, err)
-				}
-				runs[a.Name] = append(runs[a.Name], buf)
-				before = append(before, append([]uint64(nil), p...))
-			}
-		}
+		runs, before := fuzzRuns(t, q, split, ws)
 		b := make(Bindings, len(q.Atoms))
 		for _, a := range q.Atoms {
 			for _, run := range runs[a.Name] {
@@ -397,7 +440,7 @@ func FuzzEvaluateRuns(f *testing.F) {
 		i := 0
 		for _, a := range q.Atoms {
 			for _, buf := range runs[a.Name] {
-				if now, _ := buf.Words(); !reflect.DeepEqual(append([]uint64(nil), now...), before[i]) {
+				if !slices.Equal(buf.Words(), before[i]) {
 					t.Fatalf("atom %s: run modified", a.Name)
 				}
 				i++

@@ -21,23 +21,23 @@ import (
 // and it is robust to skew: a heavy join value narrows every
 // participating trie at once.
 //
-// The data path is packed end to end. An atom's input is a sealed
-// relation.Run — one uint64 word per tuple; several runs are merged into
-// one first, which a worker store has already done — and the trie is the
-// run's trie index in the atom's level order (Run.Index): the rows as
-// sorted words, which alias the run when the level order is the atom's
-// column order and are its bit-fields permuted and re-sorted when it is
-// not (T(z,x) under the order x,z) or when the atom repeats a variable,
-// plus a level-0 directory of bucket starts. A sealed run remembers its
-// index, so a second join over the same run builds nothing. Every seek is
-// a search over contiguous integers, compared as whole words — no
-// per-tuple allocation, no comparator indirection and no field extraction
-// per probe — and one at level 0 looks only inside its target's bucket. A
-// variable that one atom alone binds is not searched at all: that atom's
-// distinct values are read in place, each starting where open bounded the
-// one before. Runs holding a value that does not fit a word (the run's
-// flat layout) fall back to a sorted []relation.Tuple trie with identical
-// semantics, always leapfrogged.
+// The data path is rows of words end to end. An atom's input is a sealed
+// relation.Run — one or more uint64 words a tuple; several runs are
+// merged into one first, which a worker store has already done — and the
+// trie is the run's trie index in the atom's level order (Run.Index): the
+// rows sorted, one slice per word of a row, which alias the run when a row
+// is one word and the level order is the atom's column order, and are its
+// fields permuted and re-sorted when it is not (T(z,x) under the order
+// x,z) or when the atom repeats a variable, plus a level-0 directory of
+// bucket starts. Level d reads word d/Fields of a row, and the rows that
+// agree on the levels above it are sorted in that word. A sealed run
+// remembers its index, so a second join over the same run builds nothing.
+// Every seek is a search over contiguous integers, compared as whole
+// words — no per-tuple allocation, no comparator indirection and no field
+// extraction per probe — and one at level 0 looks only inside its
+// target's bucket. A variable that one atom alone binds is not searched at
+// all: that atom's distinct values are read in place, each starting where
+// open bounded the one before.
 //
 // Answers are appended to a scratch run drawn from a pool, whose memory
 // outlives the join, and kept as one exact-size copy: an answer's memory
@@ -48,18 +48,15 @@ import (
 type trieRel struct {
 	levels []trieLevel
 
-	// Packed layout: row i is keys[i], level d the mask-wide field at
-	// bit offset levels[d].shift. keys may alias a sealed run, or the
-	// order it remembers: read-only. starts and top are the level-0
-	// directory of relation.TrieIndex (nil under 64 rows): bucket b,
-	// the rows whose key>>top is b, starts at row starts[b].
-	keys   []uint64
-	mask   uint64
-	starts []uint32
-	top    uint
-
-	// Fallback layout: tuples sorted by the levels' positions col.
-	tuples []relation.Tuple
+	// A level's field is mask wide and holds its value XORed with flip
+	// (the sign bit in a 64-bit field); lowest is the smallest value a
+	// field holds. starts, base and top are the level-0 directory of
+	// relation.TrieIndex (nil under 64 rows): bucket b, the rows whose
+	// (first word−base)>>top is b, starts at row starts[b].
+	mask, flip, base uint64
+	lowest           int
+	starts           []uint32
+	top              uint
 }
 
 // trieLevel is the state of one trie level: what a seek touches, side
@@ -69,10 +66,10 @@ type trieLevel struct {
 	lo, hi int // rows consistent with the currently bound prefix; level 0 is the whole relation
 	cur    int // cursor: first row of the last sought value
 
-	shift uint   // packed: bit offset of the level's field
-	pre   uint64 // packed: the bits above the field, shared by every row of [lo, hi)
-
-	col int // fallback: tuple position of the level
+	keys  []uint64 // the word of every row that holds the level's field: aliases the index, read-only
+	shift uint     // bit offset of the level's field in it, below 64: the &63 where it is used spares the compiler's check
+	pre   uint64   // the bits above the field, shared by every row of [lo, hi)
+	carry uint64   // all ones when the level above shares its word (its field is then part of pre), else 0
 }
 
 // splitRepeats sorts atom's positions into first occurrences of a
@@ -93,91 +90,56 @@ next:
 	return first, eq
 }
 
-// consistentRepeats reports whether t holds equal values at every
-// repeated-variable position pair.
-func consistentRepeats(t relation.Tuple, eq [][2]int) bool {
-	for _, e := range eq {
-		if t[e[0]] != t[e[1]] {
-			return false
-		}
-	}
-	return true
-}
-
-// newTrieRel builds the trie for one atom from its columnar runs (all
-// of the atom's arity): project onto distinct variables (dropping
-// tuples with inconsistent repeats), order the columns by the
-// variables' global depths, and sort — skipping whatever of that the
-// runs already guarantee. Sealed runs are only read, never reordered.
+// newTrieRel builds the trie for one atom from its runs (all of the
+// atom's arity): the run's trie index with the atom's distinct variables
+// as levels in global depth order, rows with inconsistent repeats
+// dropped. Sealed runs are only read, never reordered.
 func newTrieRel(atom query.Atom, runs []*relation.Run, depthOf map[string]int) *trieRel {
-	arity := atom.Arity()
 	// pos[d] is the tuple position supplying trie level d: first
 	// occurrences, ordered by global depth.
 	pos, eq := splitRepeats(atom)
 	sort.Slice(pos, func(i, j int) bool { return depthOf[atom.Vars[pos[i]]] < depthOf[atom.Vars[pos[j]]] })
-	m := len(pos)
-	tr := &trieRel{levels: make([]trieLevel, m)}
-	for d, j := range pos {
-		tr.levels[d].depth, tr.levels[d].col = depthOf[atom.Vars[j]], j
-	}
-
 	// A worker store reads as one run; whoever hands over several has
-	// them merged here (packed with flat gives flat).
+	// them merged here.
 	run := runs[0]
 	if len(runs) > 1 {
 		run = relation.Merge(runs)
 	}
-	words, packed := run.Words()
-	if packed && arity == 1 && run.Sealed() && len(words) > 0 && words[len(words)-1] > math.MaxInt {
-		// A full-width word with the top bit set (only a foreign peer
-		// sends one; Append admits none) reads back as a negative value,
-		// which the unsigned word order misplaces; the tuple layout orders
-		// it.
-		packed = false
-	}
-	if !packed {
-		// Fallback: some value does not fit a word. Materialize once
-		// and sort with a comparator.
-		tuples := run.Tuples()
-		kept := tuples[:0]
-		for _, t := range tuples {
-			if consistentRepeats(t, eq) {
-				kept = append(kept, t)
-			}
-		}
-		sort.Slice(kept, func(i, j int) bool {
-			a, b := kept[i], kept[j]
-			for _, c := range pos {
-				if a[c] != b[c] {
-					return a[c] < b[c]
-				}
-			}
-			return false
-		})
-		tr.tuples = kept
-		tr.levels[0].hi = len(kept)
-		return tr
-	}
-
-	// Words carry arity fields of shift bits, most significant first;
-	// the trie keeps that width for its m ≤ arity levels.
-	shift := relation.PackedShift(arity)
-	tr.mask = relation.PackedMask(shift)
-	for d := range tr.levels {
-		tr.levels[d].shift = uint(m-1-d) * shift
-	}
 	// The run's trie index in level order — its own words when that is its
-	// column order, else the bit-fields permuted (repeats checked on the
-	// words) and re-sorted — with the level-0 directory: once per sealed
-	// run, not per join.
-	ix := run.Index(pos, eq)
-	tr.keys, tr.starts, tr.top = ix.Keys, ix.Starts, ix.Shift
-	tr.levels[0].hi = len(tr.keys)
+	// column order, else the fields permuted (repeats checked on the words)
+	// and re-sorted — with the level-0 directory: once per sealed run, not
+	// per join.
+	tr := newTrie(run.Index(pos, eq), len(pos))
+	for d, j := range pos {
+		tr.levels[d].depth = depthOf[atom.Vars[j]]
+	}
 	return tr
 }
 
-// at returns the level-d value of row i of the tuple layout.
-func (tr *trieRel) at(d, i int) int { return tr.tuples[i][tr.levels[d].col] }
+// newTrie returns the m-level trie over an index: level d reads word
+// d/Fields of a row, at its field's offset there.
+func newTrie(ix relation.TrieIndex, m int) *trieRel {
+	tr := &trieRel{levels: make([]trieLevel, m), mask: ^uint64(0) >> (64 - ix.Width), starts: ix.Starts, base: ix.Base, top: ix.Shift}
+	if ix.Width == 64 {
+		tr.flip, tr.lowest = 1<<63, math.MinInt
+	}
+	for d := range tr.levels {
+		l := &tr.levels[d]
+		w, f := d/ix.Fields, d%ix.Fields
+		fields := min(ix.Fields, m-w*ix.Fields)
+		l.keys, l.shift = ix.Col(w), uint(fields-1-f)*ix.Width
+		if f > 0 {
+			l.carry = ^uint64(0)
+		}
+	}
+	tr.levels[0].hi = len(ix.Col(0))
+	return tr
+}
+
+// value returns the value of level l's field in key.
+func (tr *trieRel) value(l *trieLevel, key uint64) int {
+	return int(key>>(l.shift&63)&tr.mask ^ tr.flip)
+}
 
 // reset rewinds the level-d cursor to the start of the current prefix
 // range; callers do this when they start a fresh intersection pass.
@@ -190,12 +152,13 @@ func (tr *trieRel) reset(d int) { tr.levels[d].cur = tr.levels[d].lo }
 // full intersection pass costs amortized O(rows) instead of
 // O(values · log rows), via galloping from the previous position.
 //
-// On the packed layout every row of the range shares the bits above
-// level d's field (pre), so the first row whose field is ≥ v is the
-// first word ≥ pre | v<<shift: the search compares whole words and
-// extracts a field once, from the row it lands on. A v below every field
-// value seeks 0; one above the field mask — a wider value from an atom
-// of another arity — exhausts the range.
+// Every row of the range shares the words before level d's and the bits
+// above its field in its own (pre), so the first row whose field is ≥ v
+// is the first word ≥ pre | code(v)<<shift in the level's word: the
+// search compares whole words and extracts a field once, from the row it
+// lands on. A v below every field value seeks the lowest; one above the
+// field mask — a wider value from an atom of another arity or stride —
+// exhausts the range.
 //
 // Level 0 spans the whole relation, and when its variable is not the
 // first of the order its cursor restarts at row 0 under every binding of
@@ -204,32 +167,23 @@ func (tr *trieRel) reset(d int) { tr.levels[d].cur = tr.levels[d].lo }
 // the target's bucket bounds and looks only between the cursor (or the
 // bucket's first row, whichever is later) and the bucket's end — every
 // row before the bucket is below the target, every row after it above.
+// The buckets span the first words' range, so values offset far from 0
+// spread over them as values from 0 do.
 func (tr *trieRel) seek(d, v int) (int, bool) {
 	l := &tr.levels[d]
 	i := l.cur
 	if i >= l.hi {
 		return 0, false
 	}
-	if tr.tuples != nil {
-		if val := tr.at(d, i); val >= v {
-			return val, true
-		}
-		i = tr.bound(d, i, l.hi, v)
-		l.cur = i
-		if i == l.hi {
-			return 0, false
-		}
-		return tr.at(d, i), true
-	}
-	v = max(v, 0)
-	if uint64(v) > tr.mask {
+	c := uint64(max(v, tr.lowest)) ^ tr.flip
+	if c > tr.mask {
 		l.cur = l.hi
 		return 0, false
 	}
-	if target := l.pre | uint64(v)<<l.shift; tr.keys[i] < target {
+	if target := l.pre | c<<(l.shift&63); l.keys[i] < target {
 		hi := l.hi
 		if d == 0 && tr.starts != nil {
-			b := target >> tr.top
+			b := (target - tr.base) >> tr.top // target > keys[i] ≥ base
 			if b >= uint64(len(tr.starts)) {
 				l.cur = l.hi
 				return 0, false
@@ -239,15 +193,15 @@ func (tr *trieRel) seek(d, v int) (int, bool) {
 				hi = int(tr.starts[b+1])
 			}
 		}
-		if i < hi && tr.keys[i] < target {
-			i = boundWords(tr.keys, i, hi, target)
+		if i < hi && l.keys[i] < target {
+			i = boundWords(l.keys, i, hi, target)
 		}
 		l.cur = i
 		if i == l.hi {
 			return 0, false
 		}
 	}
-	return int(tr.keys[i] >> l.shift & tr.mask), true
+	return tr.value(l, l.keys[i]), true
 }
 
 // open narrows level d+1 to the rows whose level-d value equals v. It
@@ -260,63 +214,37 @@ func (tr *trieRel) open(d, v int) {
 		return
 	}
 	l, next := &tr.levels[d], &tr.levels[d+1]
+	c := uint64(v) ^ tr.flip
 	next.lo, next.hi = l.cur, l.hi
-	if tr.tuples != nil {
-		if v < math.MaxInt {
-			next.hi = tr.bound(d, l.cur, l.hi, v+1)
-		}
-		return
-	}
-	next.pre = l.pre | uint64(v)<<l.shift
-	if uint64(v) < tr.mask {
-		next.hi = boundWords(tr.keys, l.cur, l.hi, next.pre+1<<l.shift)
+	next.pre = (l.pre | c<<(l.shift&63)) & next.carry
+	if c < tr.mask {
+		next.hi = boundWords(l.keys, l.cur, l.hi, l.pre|(c+1)<<(l.shift&63))
 	}
 }
 
 // next returns the first row of level d's range past the value its
-// cursor sits on, on the packed layout: where open bounded the level
-// below, or — on the last level, which open leaves unbounded — past the
-// cursor row's repeats. The last level's field is the word's lowest and
-// the range shares every bit above it, so a repeat is an equal word.
+// cursor sits on: where open bounded the level below, or — on the last
+// level, which open leaves unbounded — past the cursor row's repeats.
+// The last level's field is the lowest of a row's last word and the
+// range shares every bit before it, so a repeat is an equal word.
 func (tr *trieRel) next(d int) int {
 	if d+1 < len(tr.levels) {
 		return tr.levels[d+1].hi
 	}
 	l := &tr.levels[d]
-	i, key := l.cur+1, tr.keys[l.cur]
-	if i < l.hi && tr.keys[i] == key {
+	i, key := l.cur+1, l.keys[l.cur]
+	if i < l.hi && l.keys[i] == key {
 		if key == math.MaxUint64 {
 			return l.hi
 		}
-		i = boundWords(tr.keys, i, l.hi, key+1)
+		i = boundWords(l.keys, i, l.hi, key+1)
 	}
 	return i
 }
 
-// bound returns the first row in (i, hi] of the tuple layout whose
-// level-d value is ≥ v (hi when there is none), given that row i's value
-// is below v: gallop from i in doubling strides to bracket the row, then
-// bisect the bracket.
-func (tr *trieRel) bound(d, i, hi, v int) int {
-	step := 1
-	for i+step < hi && tr.at(d, i+step) < v {
-		i += step
-		step <<= 1
-	}
-	lo, up := i+1, min(hi, i+step)
-	for lo < up {
-		mid := int(uint(lo+up) >> 1)
-		if tr.at(d, mid) < v {
-			lo = mid + 1
-		} else {
-			up = mid
-		}
-	}
-	return lo
-}
-
-// boundWords is bound on the packed layout: the first row in (i, hi] of
-// keys that is ≥ target, given keys[i] < target.
+// boundWords returns the first row in (i, hi] of keys that is ≥ target,
+// given keys[i] < target (hi when there is none): gallop from i in
+// doubling strides to bracket the row, then bisect the bracket.
 func boundWords(keys []uint64, i, hi int, target uint64) int {
 	step := 1
 	for i+step < hi && keys[i+step] < target {
@@ -404,7 +332,7 @@ func EvaluateRuns(q *query.Query, runs Runs) (*relation.Run, error) {
 			return
 		}
 		ps := parts[g]
-		if p := ps[0]; len(ps) == 1 && p.tr.tuples == nil {
+		if p := ps[0]; len(ps) == 1 {
 			// One atom alone binds the variable: there is nothing to
 			// intersect, so its distinct values are read in place, each
 			// starting where the last one's rows end. A one-participant
@@ -413,7 +341,7 @@ func EvaluateRuns(q *query.Query, runs Runs) (*relation.Run, error) {
 			tr, l := p.tr, &p.tr.levels[p.d]
 			for i := l.lo; i < l.hi; i = tr.next(p.d) {
 				l.cur = i
-				v := int(tr.keys[i] >> l.shift & tr.mask)
+				v := tr.value(l, l.keys[i])
 				tr.open(p.d, v)
 				binding[g] = v
 				rec(g + 1)

@@ -130,25 +130,12 @@ func applyRunDelta(n int, r *Relation, dels, apps []Tuple) (*Relation, Effect, e
 	if err := validateDeltaTuples(n, r, apps, "append"); err != nil {
 		return nil, Effect{}, err
 	}
-	base, arity := r.Run(), r.Arity()
+	base := r.Run()
 	del, app := sortBatch(dels), sortBatch(apps)
-	var run *Run
-	var delC, appC []counts
-	words, packed := base.Words()
-	dw, dok := del.words(base)
-	aw, aok := app.words(base)
-	if packed && dok && aok {
-		words, delC, appC = mergeDelta(words, dw, aw, 1)
-		run = &Run{arity: arity, shift: base.shift, words: words, packed: true, sealed: true}
-	} else {
-		var rows []int
-		rows, delC, appC = mergeDelta(base.rows(), del.flat(), app.flat(), arity)
-		run = NewRun(arity) // packed again if what is left fits
-		for x := 0; x < len(rows); x += arity {
-			run.Append(rows[x : x+arity])
-		}
-		run.Seal()
-	}
+	dr, ar := del.run(base.arity), app.run(base.arity)
+	l := widest(base, dr, ar)
+	words, delC, appC := mergeDelta(base.at(l), dr.at(l), ar.at(l), l.stride)
+	run := &Run{layout: l, words: words, sealed: true}
 
 	failed, have, want := -1, 0, 0
 	var removed, added []int // first appearances, in the batch
@@ -214,28 +201,11 @@ func (b batch) groups(f func(k, size int)) {
 	}
 }
 
-// words packs the sorted batch at base's field width; false when base
-// is on the flat layout or a tuple does not pack.
-func (b batch) words(base *Run) ([]uint64, bool) {
-	if !base.packed {
-		return nil, false
-	}
-	out := make([]uint64, len(b.order))
-	for k, i := range b.order {
-		w, ok := base.pack(b.ts[i])
-		if !ok {
-			return nil, false
-		}
-		out[k] = w
-	}
-	return out, true
-}
-
-// flat lays the sorted batch out row-major.
-func (b batch) flat() []int {
-	var out []int
+// run returns the sorted batch as one run, open, its rows in order.
+func (b batch) run(arity int) *Run {
+	out := NewRun(arity)
 	for _, i := range b.order {
-		out = append(out, b.ts[i]...)
+		out.Append(b.ts[i])
 	}
 	return out
 }
@@ -251,14 +221,14 @@ type counts struct{ held, other int }
 // row. Base rows between two batch tuples are copied in bulk. A row
 // deleted more often than held drops all of its occurrences; the caller
 // reports it.
-func mergeDelta[T uint64 | int](base, del, app []T, stride int) (out []T, delC, appC []counts) {
-	row := func(s []T, i int) []T { return s[i*stride : (i+1)*stride] }
+func mergeDelta(base, del, app []uint64, stride int) (out []uint64, delC, appC []counts) {
+	row := func(s []uint64, i int) []uint64 { return s[i*stride : (i+1)*stride] }
 	nb, nd, na := len(base)/stride, len(del)/stride, len(app)/stride
-	out = make([]T, 0, max(0, len(base)-len(del))+len(app))
+	out = make([]uint64, 0, max(0, len(base)-len(del))+len(app))
 	delC, appC = make([]counts, nd), make([]counts, na)
 	i, j, k := 0, 0, 0
 	for j < nd || k < na {
-		var next []T // the smaller batch row
+		var next []uint64 // the smaller batch row
 		if k == na || j < nd && compareRows(row(del, j), row(app, k)) <= 0 {
 			next = row(del, j)
 		} else {

@@ -185,8 +185,8 @@ func TestIncrementalStatsTopKPromotion(t *testing.T) {
 }
 
 // Removing tuples from a sealed run is a Diff, and the membership search
-// sees the result — on packed words and, once a value exceeds the 32-bit
-// packed width, on the flat layout.
+// sees the result — on one-word rows and, once a value exceeds the
+// 32-bit field of one, on two-word rows.
 func TestTupleSetRemove(t *testing.T) {
 	s := RunOf(2, []Tuple{{1, 2}, {3, 4}})
 	gone := RunOf(2, []Tuple{{1, 2}})
@@ -200,26 +200,26 @@ func TestTupleSetRemove(t *testing.T) {
 	if s.Contains(Tuple{1, 2}) || !s.Contains(Tuple{3, 4}) || s.Len() != 1 {
 		t.Fatalf("run state wrong after Diff: len=%d", s.Len())
 	}
-	// Flat path.
+	// Two words a row.
 	huge := Tuple{1 << 40, 1 << 40}
-	big := RunOf(2, []Tuple{huge, {1, 2}}) // values exceed 32-bit packing
-	if _, packed := big.Words(); packed {
-		t.Fatal("a value past 2³² still packed at arity 2")
+	big := RunOf(2, []Tuple{huge, {1, 2}}) // values exceed a 32-bit field
+	if big.Stride() != 2 {
+		t.Fatalf("a value past 2³² at arity 2 takes %d words a row, want 2", big.Stride())
 	}
 	big = Diff(big, RunOf(2, []Tuple{huge}))
 	if big.Contains(huge) {
-		t.Fatal("Diff on the flat path kept the removed tuple")
+		t.Fatal("Diff on two-word rows kept the removed tuple")
 	}
 	if !big.Contains(Tuple{1, 2}) {
-		t.Fatal("flat Diff disturbed other members")
+		t.Fatal("a two-word Diff disturbed other members")
 	}
 }
 
 // TestApplyDeltaMatchesReference holds ApplyDelta's merge to the parent
 // tree's hash-counting apply (refApplyDelta) over random relations with
 // duplicates on a small domain: deletes present, absent and over-counted,
-// appends overlapping them and the relation, on the packed layout and on
-// the flat one (values ≥ 2³² at arity 2). The multiset, every Effect
+// appends overlapping them and the relation, on one-word rows and on
+// rows wider than a word (values ≥ 2³² at arity 2 and 3). The multiset, every Effect
 // list in order, and the error text must agree; then the result is the
 // next step's input, so a run built by the merge is merged again.
 func TestApplyDeltaMatchesReference(t *testing.T) {
@@ -255,7 +255,7 @@ func TestApplyDeltaMatchesReference(t *testing.T) {
 			for arity, name := range []string{"A", "B", "C"} {
 				db.AddRelation(&Relation{Name: name, Attrs: statsTestAttrs[:arity+1], Tuples: draw(rng.IntN(40), arity+1)})
 			}
-			var failed, removed, added int // what the steps exercised
+			var failed, removed, added, strided int // what the steps exercised
 			for step := 0; step < 300; step++ {
 				d := Delta{Appends: map[string][]Tuple{}, Deletes: map[string][]Tuple{}}
 				for _, name := range db.Names() {
@@ -298,16 +298,17 @@ func TestApplyDeltaMatchesReference(t *testing.T) {
 					if len(gotRows)+len(wantRows) > 0 && !reflect.DeepEqual(gotRows, wantRows) {
 						t.Fatalf("step %d: %s holds %v, reference %v", step, name, gotRows, wantRows)
 					}
-					if !tc.big && got.Relations[name].Run().Len() > 0 {
-						if _, packed := got.Relations[name].Run().Words(); !packed {
-							t.Fatalf("step %d: %s left the packed layout with every value fitting", step, name)
+					if run := got.Relations[name].Run(); run.Len() > 0 && run.Stride() > 1 {
+						if !tc.big {
+							t.Fatalf("step %d: %s takes %d words a row with every value fitting one", step, name, run.Stride())
 						}
+						strided++
 					}
 				}
 				db = got
 			}
-			if failed == 0 || removed == 0 || added == 0 {
-				t.Fatalf("the stream exercised %d rejected batches, %d removals, %d additions; want some of each", failed, removed, added)
+			if failed == 0 || removed == 0 || added == 0 || tc.big && strided == 0 {
+				t.Fatalf("the stream exercised %d rejected batches, %d removals, %d additions, %d relations wider than a word; want some of each", failed, removed, added, strided)
 			}
 		})
 	}
@@ -406,87 +407,20 @@ func refApplyRelationDelta(n int, r *Relation, dels, apps []Tuple) (*Relation, E
 	return &Relation{Name: r.Name, Attrs: append([]string(nil), r.Attrs...), Tuples: kept}, eff, nil
 }
 
-// refCounter is the parent tree's occurrence counter: same-arity tuple
-// occurrences counted under packed uint64 keys, string keys once a tuple
-// does not pack.
-type refCounter struct {
-	arity int
-	shift uint
-	ints  map[uint64]int
-	strs  map[string]int
-}
+// refCounter is the parent tree's occurrence counter, keyed by each
+// tuple's string key (the parent packed the keys it could into uint64s,
+// which counts the same).
+type refCounter map[string]int
 
-func newRefCounter(arity, sizeHint int) *refCounter {
-	c := &refCounter{arity: arity}
-	if shift := PackedShift(arity); shift > 0 {
-		c.shift = shift
-		c.ints = make(map[uint64]int, sizeHint)
-	} else {
-		c.strs = make(map[string]int, sizeHint)
-	}
-	return c
-}
+func newRefCounter(_, sizeHint int) refCounter { return make(refCounter, sizeHint) }
 
-func (c *refCounter) pack(t Tuple) (uint64, bool) {
-	if len(t) != c.arity {
-		return 0, false
-	}
-	var key uint64
-	for _, v := range t {
-		if !FitsPacked(v, c.shift) {
-			return 0, false
-		}
-		key = key<<c.shift | uint64(v)
-	}
-	return key, true
-}
-
-func (c *refCounter) migrate() {
-	c.strs = make(map[string]int, len(c.ints))
-	mask := PackedMask(c.shift)
-	t := make(Tuple, c.arity)
-	for key, n := range c.ints {
-		for i := c.arity - 1; i >= 0; i-- {
-			t[i] = int(key & mask)
-			key >>= c.shift
-		}
-		c.strs[t.Key()] = n
-	}
-	c.ints = nil
-}
-
-func (c *refCounter) add(t Tuple, delta int) {
-	if c.ints != nil {
-		if key, ok := c.pack(t); ok {
-			if c.ints[key] += delta; c.ints[key] == 0 {
-				delete(c.ints, key)
-			}
-			return
-		}
-		c.migrate()
-	}
+func (c refCounter) add(t Tuple, delta int) {
 	k := t.Key()
-	if c.strs[k] += delta; c.strs[k] == 0 {
-		delete(c.strs, k)
+	if c[k] += delta; c[k] == 0 {
+		delete(c, k)
 	}
 }
 
-func (c *refCounter) get(t Tuple) int {
-	if c.ints != nil {
-		if key, ok := c.pack(t); ok {
-			return c.ints[key]
-		}
-		return 0
-	}
-	return c.strs[t.Key()]
-}
+func (c refCounter) get(t Tuple) int { return c[t.Key()] }
 
-func (c *refCounter) clone() *refCounter {
-	out := &refCounter{arity: c.arity, shift: c.shift}
-	if c.ints != nil {
-		out.ints = maps.Clone(c.ints)
-	} else {
-		out.strs = maps.Clone(c.strs)
-	}
-	return out
-}
+func (c refCounter) clone() refCounter { return maps.Clone(c) }

@@ -2,87 +2,106 @@ package relation
 
 import "slices"
 
-// This file holds the packed-key arithmetic runs are built on and the
-// word sort.
+// This file holds the row sort runs are built on.
 
-// PackedShift returns the per-value bit width for packing m values
-// into one uint64 key, or 0 when m values cannot be packed.
-func PackedShift(m int) uint {
-	if m < 1 || m > 64 {
-		return 0
-	}
-	return uint(64 / m)
-}
-
-// FitsPacked reports whether value v occupies at most shift bits.
-// shift ≥ 63 admits every non-negative int.
-func FitsPacked(v int, shift uint) bool {
-	if v < 0 {
-		return false
-	}
-	return shift >= 63 || v < 1<<shift
-}
-
-// PackedMask returns the mask extracting one shift-bit value.
-func PackedMask(shift uint) uint64 {
-	if shift >= 64 {
-		return ^uint64(0)
-	}
-	return 1<<shift - 1
-}
-
-// SortWords sorts packed tuple words ascending with an LSD byte-radix
-// sort: linear passes over machine words instead of a comparison sort,
-// which is what keeps DedupSort's packed path linear on large join
-// outputs and the local join's trie build linear on unsorted keys.
-// Byte positions that are constant across ws (the common case for
-// packed tuples over a small domain) are found by one XOR scan up
-// front and cost no pass at all. Small inputs fall back to the
+// sortRows sorts rows of stride words each — a run's payload, or a trie
+// index's keys — ascending in uint64-lexicographic order, with an LSD
+// byte-radix sort: linear passes over machine words instead of a
+// comparison sort, which is what keeps DedupSort linear on large join
+// outputs and the local join's trie build linear on unsorted keys. The
+// passes run from the last word's lowest byte to the first word's
+// highest; byte positions that are constant across the rows (the common
+// case for packed tuples over a small domain) are found by one XOR scan
+// per word and cost no pass at all. Small inputs fall back to a
 // comparison sort, whose constant is lower there.
-func SortWords(ws []uint64) {
-	if len(ws) < 256 {
-		slices.Sort(ws)
-		return
-	}
-	var varying uint64
-	for _, w := range ws {
-		varying |= w ^ ws[0]
-	}
-	if varying == 0 {
+func sortRows(ws []uint64, stride int) {
+	n := len(ws) / max(stride, 1)
+	if n < 256 {
+		if stride == 1 {
+			slices.Sort(ws)
+			return
+		}
+		for i := 1; i < n; i++ { // insertion sort, row by row
+			for j := i; j > 0 && compareRows(ws[(j-1)*stride:j*stride], ws[j*stride:(j+1)*stride]) > 0; j-- {
+				for k := range stride {
+					ws[(j-1)*stride+k], ws[j*stride+k] = ws[j*stride+k], ws[(j-1)*stride+k]
+				}
+			}
+		}
 		return
 	}
 	buf := make([]uint64, len(ws))
 	src, dst := ws, buf
-	for shift := uint(0); shift < 64; shift += 8 {
-		if (varying>>shift)&0xff == 0 {
-			continue // byte constant across the slice
+	for word := stride - 1; word >= 0; word-- {
+		var varying uint64
+		for r := word; r < len(src); r += stride {
+			varying |= src[r] ^ src[word]
 		}
-		var counts [256]int
-		for _, w := range src {
-			counts[(w>>shift)&0xff]++
+		for shift := uint(0); shift < 64; shift += 8 {
+			if (varying>>shift)&0xff == 0 {
+				continue // byte constant across the rows
+			}
+			var counts [256]int
+			for r := word; r < len(src); r += stride {
+				counts[(src[r]>>shift)&0xff]++
+			}
+			sum := 0
+			for i := range counts {
+				c := counts[i]
+				counts[i] = sum
+				sum += c * stride
+			}
+			if stride == 1 {
+				for _, w := range src {
+					i := (w >> shift) & 0xff
+					dst[counts[i]] = w
+					counts[i]++
+				}
+			} else {
+				for r := 0; r < len(src); r += stride {
+					i := (src[r+word] >> shift) & 0xff
+					copy(dst[counts[i]:counts[i]+stride], src[r:r+stride])
+					counts[i] += stride
+				}
+			}
+			src, dst = dst, src
 		}
-		sum := 0
-		for i := range counts {
-			c := counts[i]
-			counts[i] = sum
-			sum += c
-		}
-		for _, w := range src {
-			i := (w >> shift) & 0xff
-			dst[counts[i]] = w
-			counts[i]++
-		}
-		src, dst = dst, src
 	}
 	if &src[0] != &ws[0] {
 		copy(ws, src)
 	}
 }
 
+// rowsSorted reports whether rows of stride words are in ascending
+// order.
+func rowsSorted(ws []uint64, stride int) bool {
+	if stride == 1 {
+		return slices.IsSorted(ws)
+	}
+	for r := stride; r < len(ws); r += stride {
+		if compareRows(ws[r-stride:r], ws[r:r+stride]) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// compareRows orders two equal-length rows of words lexicographically.
+func compareRows(a, b []uint64) int {
+	for i, v := range a {
+		if v != b[i] {
+			if v < b[i] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
 // DedupSort removes duplicates from ts in place and sorts the result
 // lexicographically. Tuples of one arity are sealed into a Run and read
-// back — a radix sort on packed words when they pack, the flat layout's
-// row sort when they do not — over one fresh backing array. Mixed
+// back — a radix sort on its rows — over one fresh backing array. Mixed
 // arities (a shorter tuple sorts before the longer ones it prefixes) and
 // arity zero are sorted by comparison and compacted.
 func DedupSort(ts []Tuple) []Tuple {

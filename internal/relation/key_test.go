@@ -25,6 +25,10 @@ func TestTupleSetBasic(t *testing.T) {
 	if s.Contains(Tuple{1, 2}) || (*Run)(nil).Contains(Tuple{1, 2, 3}) {
 		t.Error("a tuple of another arity, or a nil run, must contain nothing")
 	}
+	wide := RunOf(3, []Tuple{{1, 2, 3}, {1 << 40, 2, 3}})
+	if allocs := testing.AllocsPerRun(10, func() { s.Contains(Tuple{1, 2, 4}); wide.Contains(Tuple{1 << 40, 2, 3}) }); allocs != 0 {
+		t.Errorf("a membership search allocated %.0f times", allocs) // hypercube's maintenance asks once per answer
+	}
 }
 
 // Packed keys must not be ambiguous under concatenation: (1,23) and
@@ -36,18 +40,18 @@ func TestTupleSetNoPackingCollisions(t *testing.T) {
 	}
 }
 
-// Values that do not fit the packed width force the flat layout; the
-// earlier members must survive.
+// Values that do not fit a field re-stride the run; the earlier members
+// must survive.
 func TestTupleSetMigration(t *testing.T) {
 	members := []Tuple{{1, 2}, {7, 9}, {1 << 20, 5}}
 	// Arity 2 packs 32 bits per value; exceed it to migrate.
 	big := Tuple{math.MaxInt, math.MaxInt}
 	s := RunOf(2, append(slices.Clone(members), big, big)).Dedup()
-	if _, packed := s.Words(); packed {
-		t.Fatal("oversized tuple left the run packed")
+	if s.Stride() != 2 {
+		t.Fatalf("oversized tuple left the run at %d words a row, want 2", s.Stride())
 	}
 	if !s.Contains(big) {
-		t.Error("oversized tuple not found on the flat layout")
+		t.Error("oversized tuple not found in the re-strided run")
 	}
 	for _, m := range members {
 		if !s.Contains(m) {
@@ -60,16 +64,20 @@ func TestTupleSetMigration(t *testing.T) {
 	if s.Len() != len(members)+1 {
 		t.Errorf("Len = %d, want %d (the oversized duplicate must dedup)", s.Len(), len(members)+1)
 	}
-	// Negative values also take the flat layout.
+	// Negative values take a 64-bit field, sign bit flipped.
 	neg := RunOf(1, []Tuple{{-5}, {-5}, {3}}).Dedup()
 	if neg.Len() != 2 || !neg.Contains(Tuple{-5}) || !neg.Contains(Tuple{3}) || neg.Contains(Tuple{5}) {
-		t.Error("negative values must dedup and be found on the flat layout")
+		t.Error("negative values must dedup and be found in a 64-bit field")
+	}
+	if got := neg.Tuples(); got[0][0] != -5 {
+		t.Errorf("a negative value sorts after a positive one: %v", got)
 	}
 }
 
 // The membership search agrees with the reference string-key set on
-// random tuples of arity 1–4: packed runs of small values, and flat ones
-// mixing in values past 2³³ and negative values.
+// random tuples of arity 1–4: one-word rows of small values, and wider
+// ones mixing in values past 2³³ and negative values (a lone field is a
+// 64-bit one, so arity 1 is one word a row either way).
 func TestTupleSetMatchesStringKeys(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	draw := func(arity int, wide bool) Tuple {
@@ -96,8 +104,8 @@ func TestTupleSetMatchesStringKeys(t *testing.T) {
 				ref[tp.Key()] = true
 			}
 			s := RunOf(arity, tuples).Dedup()
-			if _, packed := s.Words(); packed == wide {
-				t.Fatalf("arity %d, wide %v: packed = %v", arity, wide, packed)
+			if strided := s.Stride() > 1; strided != (wide && arity > 1) {
+				t.Fatalf("arity %d, wide %v: %d words a row", arity, wide, s.Stride())
 			}
 			if s.Len() != len(ref) {
 				t.Fatalf("arity %d, wide %v: Len = %d, want %d", arity, wide, s.Len(), len(ref))
@@ -154,8 +162,7 @@ func dedupSortReference(ts []Tuple) []Tuple {
 func TestDedupSortMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 43))
 	gen := func(arity, count int) []Tuple {
-		shift := PackedShift(arity)
-		limit := 1 << min(shift, 40)
+		limit := 1 << min(64/arity, 40) // a value's field at one word a row
 		ts := make([]Tuple, count)
 		for i := range ts {
 			tp := make(Tuple, arity)

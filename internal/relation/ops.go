@@ -126,14 +126,14 @@ func hashJoinInto[K comparable](out, r, s *Relation, rIdx, sIdx []int, sExtra []
 // columns of both relations into a uint64 key, or ok=false when some
 // value is negative or too large.
 func packShift(cols int, rels [2]*Relation, idxs [2][]int) (uint, bool) {
-	shift := PackedShift(cols)
-	if shift == 0 {
+	if cols < 1 || cols > 64 {
 		return 0, false
 	}
+	shift := uint(64 / cols)
 	for k, rel := range rels {
 		for _, t := range rel.Tuples {
 			for _, j := range idxs[k] {
-				if !FitsPacked(t[j], shift) {
+				if bitsFor(t[j]) > min(shift, 63) { // a negative value needs 64
 					return 0, false
 				}
 			}

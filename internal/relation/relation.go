@@ -6,8 +6,8 @@
 // permutation of [n]).
 //
 // It also owns the form in which tuples travel: the sealed Run (run.go)
-// — same-arity tuples as sorted packed words, or sorted flat rows when
-// they do not pack — and its set algebra Merge, Diff and Project
+// — same-arity tuples as sorted rows of packed words, as many words a
+// row as the fields need — and its set algebra Merge, Diff and Project
 // (runalgebra.go), and the one index a sealed run remembers of itself
 // (Run.Index, the trie index a join reads: immutable input, so never
 // invalidated). Everything

@@ -5,22 +5,20 @@ import "fmt"
 // This file is the run algebra: union, difference and projection of
 // sealed runs, each producing one sealed run. Between a gather's wire
 // decode and the final materialization of an answer the coordinator
-// stays on these — linear passes over pointer-free words or row-major
-// rows — and never builds a []Tuple of a whole view; a worker keeps its
-// tombstones with them. Every operation works on either layout; a
-// packed run meeting a flat one is read through its decoded rows.
-// Inputs are only read (the recovery journal may re-send the same runs).
+// stays on these — linear passes over pointer-free rows of words — and
+// never builds a []Tuple of a whole view; a worker keeps its tombstones
+// with them. Runs of one arity at different strides meet at the widest
+// one: the narrower runs' rows are re-encoded there. Inputs are only
+// read (the recovery journal may re-send the same runs).
 
 // Merge returns the sorted, deduplicated union of the runs as one
-// sealed run: one k-way merge (mergeSorted) over packed words when
-// every run is packed, over row-major rows when any run is on the flat
-// layout. Nil and empty runs are skipped; with no tuples at all the
-// result is nil.
+// sealed run: one k-way merge (mergeSorted) over their rows at the
+// widest stride among them. Nil and empty runs are skipped; with no
+// tuples at all the result is nil.
 // All runs must share one arity (they are the per-worker pieces of one
 // view, so mixed arities indicate a routing bug and panic).
 func Merge(runs []*Run) *Run {
 	live := runs[:0:0]
-	packed := true
 	for _, r := range runs {
 		if r.Len() == 0 {
 			continue
@@ -29,51 +27,29 @@ func Merge(runs []*Run) *Run {
 			panic(fmt.Sprintf("relation: merge of arity-%d and arity-%d runs", live[0].arity, r.arity))
 		}
 		r.Seal()
-		packed = packed && r.packed
 		live = append(live, r)
 	}
 	if len(live) == 0 {
 		return nil
 	}
-	if packed {
-		return &Run{arity: live[0].arity, shift: live[0].shift, words: MergeWords(live), packed: true, sealed: true}
-	}
-	rows := make([][]int, len(live))
+	l := widest(live...)
+	rows := make([][]uint64, len(live))
 	for i, r := range live {
-		rows[i] = r.rows()
+		rows[i] = r.at(l)
 	}
-	return &Run{arity: live[0].arity, flat: mergeSorted(rows, live[0].arity), sealed: true}
-}
-
-// MergeWords returns the sorted, deduplicated union of the word
-// payloads of sealed packed runs of one arity — Merge's packed path,
-// exported for consumers that stay on packed words end to end (the
-// worker-side trie builder of internal/localjoin). Every non-empty run
-// must be packed (Words reports true); a run on the flat layout panics
-// rather than vanish from the union. The result is freshly allocated;
-// the runs are only read.
-func MergeWords(runs []*Run) []uint64 {
-	words := make([][]uint64, 0, len(runs))
-	for _, r := range runs {
-		if !r.packed && r.Len() > 0 {
-			panic("relation: MergeWords over a run on the flat layout")
-		}
-		words = append(words, r.words)
-	}
-	return mergeSorted(words, 1)
+	return &Run{layout: l, words: mergeSorted(rows, l.stride), sealed: true}
 }
 
 // mergeSorted is the one k-way merge of the package: the sorted,
-// deduplicated union of sorted row sequences of the given stride
-// (stride 1 over packed words, stride = arity over row-major values),
+// deduplicated union of sorted row sequences of the given stride,
 // freshly allocated. It is a balanced tree of two-way merges: each pass
 // merges neighbouring runs pairwise, ⌈log₂ k⌉ passes in all, every one
 // a branch-light linear scan — the shape that makes folding a Δ into a
 // sorted closure (k = 2) a single copy-speed pass and beats a cursor
 // heap at gather fan-ins too. Passes alternate between two arenas of
 // the total input size; the result is a prefix of one of them.
-func mergeSorted[T uint64 | int](runs [][]T, stride int) []T {
-	live := make([][]T, 0, len(runs))
+func mergeSorted(runs [][]uint64, stride int) []uint64 {
+	live := make([][]uint64, 0, len(runs))
 	total := 0
 	for _, r := range runs {
 		if len(r) > 0 {
@@ -84,16 +60,16 @@ func mergeSorted[T uint64 | int](runs [][]T, stride int) []T {
 	if total == 0 {
 		return nil
 	}
-	var arenas [2][]T
+	var arenas [2][]uint64
 	for pass := 0; ; pass++ {
 		dst := arenas[pass%2]
 		if dst == nil {
-			dst = make([]T, total)
+			dst = make([]uint64, total)
 			arenas[pass%2] = dst
 		}
 		merged, off := live[:0], 0
 		for i := 0; i < len(live); i += 2 {
-			var b []T // an odd run out merges with nothing: a deduplicating copy
+			var b []uint64 // an odd run out merges with nothing: a deduplicating copy
 			if i+1 < len(live) {
 				b = live[i+1]
 			}
@@ -112,13 +88,13 @@ func mergeSorted[T uint64 | int](runs [][]T, stride int) []T {
 // sequences a and b into dst (len(dst) ≥ len(a)+len(b)) and returns
 // the number of values written. Duplicates are dropped across and
 // within the inputs: a row is written only when it differs from the
-// last one written. Single-value rows (packed words) take a scalar
-// loop — half the cost per word of the strided one, and the loop every
-// fixpoint iteration and worker trie build runs.
-func mergePair[T uint64 | int](dst, a, b []T, stride int) int {
+// last one written. One-word rows take a scalar loop — half the cost
+// per word of the strided one, and the loop every fixpoint iteration
+// and worker trie build runs.
+func mergePair(dst, a, b []uint64, stride int) int {
 	n := 0
 	if stride == 1 {
-		put := func(v T) {
+		put := func(v uint64) {
 			if n == 0 || dst[n-1] != v {
 				dst[n] = v
 				n++
@@ -142,7 +118,7 @@ func mergePair[T uint64 | int](dst, a, b []T, stride int) int {
 		}
 		return n
 	}
-	put := func(row []T) {
+	put := func(row []uint64) {
 		if n == 0 || compareRows(dst[n-stride:n], row) != 0 {
 			n += copy(dst[n:], row)
 		}
@@ -165,19 +141,6 @@ func mergePair[T uint64 | int](dst, a, b []T, stride int) int {
 	return n
 }
 
-// compareRows orders two equal-length rows lexicographically.
-func compareRows[T uint64 | int](a, b []T) int {
-	for i, v := range a {
-		if v != b[i] {
-			if v < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
-}
-
 // Diff returns the tuples of a that are not in b, in a's order, as one
 // sealed run — the set difference a semi-naive fixpoint takes against
 // what it already knows. Both runs are sorted (they are sealed here if
@@ -193,20 +156,18 @@ func Diff(a, b *Run) *Run {
 	}
 	a.Seal()
 	b.Seal()
-	if a.packed && b.packed {
-		return &Run{arity: a.arity, shift: a.shift, words: diffSorted(a.words, b.words, 1), packed: true, sealed: true}
-	}
-	return &Run{arity: a.arity, flat: diffSorted(a.rows(), b.rows(), a.arity), sealed: true}
+	l := widest(a, b)
+	return &Run{layout: l, words: diffSorted(a.at(l), b.at(l), l.stride), sealed: true}
 }
 
 // diffSorted returns the rows of a absent from b (both sorted, same
 // stride), freshly allocated. b is searched by galloping from the last
 // match — doubling steps, then bisection — so subtracting a large
 // closure from a small Δ costs O(|Δ|·log) row comparisons, not a scan
-// of the closure. Single-value rows (packed words) take a scalar loop,
-// as in mergePair: every fixpoint iteration runs it.
-func diffSorted[T uint64 | int](a, b []T, stride int) []T {
-	out := make([]T, 0, len(a))
+// of the closure. One-word rows take a scalar loop, as in mergePair:
+// every fixpoint iteration runs it.
+func diffSorted(a, b []uint64, stride int) []uint64 {
+	out := make([]uint64, 0, len(a))
 	if stride == 1 {
 		j := 0
 		for _, v := range a {
@@ -257,8 +218,8 @@ func diffSorted[T uint64 | int](a, b []T, stride int) []T {
 
 // Project returns the run's tuples restricted to the columns cols, in
 // that order (a selection, a permutation, or both), sorted and
-// deduplicated, as one sealed run. The result picks its own layout:
-// projecting a wide flat run onto few columns packs again.
+// deduplicated, as one sealed run. The result picks its own stride:
+// projecting a wide run onto few columns may take fewer words a row.
 func Project(run *Run, cols []int) *Run {
 	if run == nil {
 		return nil

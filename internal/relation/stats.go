@@ -77,7 +77,7 @@ func (rs *RelationStats) String() string {
 }
 
 // signBit flips an int into a uint64 whose unsigned order is the
-// int's signed order, so SortWords sorts any labels — 0 and negatives
+// int's signed order, so sortRows sorts any labels — 0 and negatives
 // included — into the canonical "smaller value first" order.
 const signBit = 1 << 63
 
@@ -88,7 +88,7 @@ func sortedColumn(ts []Tuple, col int) []uint64 {
 	for i, t := range ts {
 		keys[i] = uint64(t[col]) ^ signBit
 	}
-	SortWords(keys)
+	sortRows(keys, 1)
 	return keys
 }
 

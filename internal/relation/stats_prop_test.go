@@ -401,7 +401,9 @@ func TestDatabaseStatsAdoptedSeed(t *testing.T) {
 
 // TestSortWordsMatchesComparisonSort covers the radix sort's skipped
 // byte positions: constant high bytes, a constant low byte, all-equal
-// input, and the sign-flipped keys the statistics kernel sorts.
+// input, and the sign-flipped keys the statistics kernel sorts — on rows
+// of one word and of two and three, whose later words are sorted first
+// and must not undo the order of the earlier ones.
 func TestSortWordsMatchesComparisonSort(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 3))
 	gens := map[string]func() uint64{
@@ -414,16 +416,21 @@ func TestSortWordsMatchesComparisonSort(t *testing.T) {
 		"sign-flipped": func() uint64 { return uint64(rng.IntN(2001)-1000) ^ signBit },
 	}
 	for name, gen := range gens {
-		for _, size := range []int{0, 1, 255, 256, 3000} {
-			ws := make([]uint64, size)
-			for i := range ws {
-				ws[i] = gen()
-			}
-			want := slices.Clone(ws)
-			slices.Sort(want)
-			SortWords(ws)
-			if !slices.Equal(ws, want) {
-				t.Errorf("%s, %d words: SortWords disagrees with slices.Sort", name, size)
+		for _, stride := range []int{1, 2, 3} {
+			for _, size := range []int{0, 1, 255, 256, 3000} {
+				ws := make([]uint64, size*stride)
+				for i := range ws {
+					ws[i] = gen()
+				}
+				rows := make([][]uint64, size)
+				for i := range rows {
+					rows[i] = slices.Clone(ws[i*stride : (i+1)*stride])
+				}
+				slices.SortFunc(rows, slices.Compare)
+				sortRows(ws, stride)
+				if !slices.Equal(ws, slices.Concat(rows...)) {
+					t.Errorf("%s, %d rows of %d words: sortRows disagrees with slices.SortFunc", name, size, stride)
+				}
 			}
 		}
 	}

@@ -167,7 +167,9 @@ func deltaBytes(delta relation.Delta) (appendBytes, deleteBytes int64) {
 // handleDatasetDelta is POST /datasets/{name}/delta: parse, apply
 // copy-on-write, maintain continuous queries, report. In multi-tenant
 // mode the batch's net byte growth (appends minus deletes) is booked
-// against the authenticated tenant's resident-bytes quota.
+// against the resident-bytes quota of the authenticated tenant, which is
+// the one that registered the dataset: to any other the name is unknown
+// (404).
 func (s *Server) handleDatasetDelta(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
@@ -178,7 +180,7 @@ func (s *Server) handleDatasetDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
-	ds, ok := s.registry.Get(name)
+	ds, ok := s.registry.getFor(name, ten)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown dataset %q (registered: %v)", name, s.registry.Names())
 		return

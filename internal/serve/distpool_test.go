@@ -1082,3 +1082,84 @@ func TestDatasetDelete(t *testing.T) {
 	}
 	ask(second)
 }
+
+// TestDatasetOwnedByItsTenant: a dataset belongs to the tenant that
+// registered it. Tenant B's delta and DELETE on tenant A's dataset get
+// the 404 an unknown name gets, with the same body, and change nothing;
+// A's DELETE succeeds and gives A's quota back, not B's.
+func TestDatasetOwnedByItsTenant(t *testing.T) {
+	srv := serve.New(serve.Config{Tenants: []serve.TenantConfig{{Name: "a", Key: "ka"}, {Name: "b", Key: "kb"}}})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	a, _ := srv.Tenants().Get("a")
+	b, _ := srv.Tenants().Get("b")
+	call := func(key, method, path string, body any) (int, string) {
+		t.Helper()
+		var rd io.Reader
+		if body != nil {
+			raw, err := json.Marshal(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rd = bytes.NewReader(raw)
+		}
+		req, err := http.NewRequest(method, ts.URL+path, rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-API-Key", key)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(out)
+	}
+	spec := serve.GeneratorSpec{Family: "L3", N: 60, Seed: 1}
+	if code, body := call("ka", http.MethodPost, "/datasets", serve.DatasetRequest{Name: "chain", Generator: &spec}); code != http.StatusCreated {
+		t.Fatalf("A registers: status %d, %s", code, body)
+	}
+	db, err := serve.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	booked := serve.DatasetBytes(db)
+	if a.ResidentBytes() != booked || b.ResidentBytes() != 0 {
+		t.Fatalf("after A's upload A holds %d bytes and B %d, want %d and 0", a.ResidentBytes(), b.ResidentBytes(), booked)
+	}
+	delta := serve.DeltaRequest{Appends: map[string][][]int{"S1": {{1, 2}}}}
+	for _, c := range []struct {
+		method, path, unknown string
+		body                  any
+	}{
+		{http.MethodPost, "/datasets/chain/delta", "/datasets/nope/delta", delta},
+		{http.MethodDelete, "/datasets/chain", "/datasets/nope", nil},
+	} {
+		code, body := call("kb", c.method, c.path, c.body)
+		_, unknown := call("kb", c.method, c.unknown, c.body)
+		if want := strings.ReplaceAll(unknown, `\"nope\"`, `\"chain\"`); code != http.StatusNotFound || body != want {
+			t.Errorf("B's %s %s: status %d, body %q; want 404 and %q", c.method, c.path, code, body, want)
+		}
+	}
+	var infos []serve.DatasetInfo
+	if code, body := call("ka", http.MethodGet, "/datasets", nil); code != http.StatusOK || json.Unmarshal([]byte(body), &infos) != nil ||
+		len(infos) != 1 || infos[0].Name != "chain" || infos[0].Version != 0 {
+		t.Fatalf("after B's attempts: status %d, %s; want chain at version 0", code, body)
+	}
+	if a.ResidentBytes() != booked || b.ResidentBytes() != 0 {
+		t.Fatalf("after B's attempts A holds %d bytes and B %d, want %d and 0", a.ResidentBytes(), b.ResidentBytes(), booked)
+	}
+	if code, body := call("ka", http.MethodPost, "/datasets/chain/delta", delta); code != http.StatusOK {
+		t.Fatalf("A's delta: status %d, %s", code, body)
+	}
+	if code, body := call("ka", http.MethodDelete, "/datasets/chain", nil); code != http.StatusOK {
+		t.Fatalf("A's DELETE: status %d, %s", code, body)
+	}
+	if a.ResidentBytes() != 0 || b.ResidentBytes() != 0 {
+		t.Fatalf("after A's DELETE A holds %d bytes and B %d, want 0 and 0", a.ResidentBytes(), b.ResidentBytes())
+	}
+}

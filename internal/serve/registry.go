@@ -25,6 +25,11 @@ import (
 type Dataset struct {
 	// Name is the registry key.
 	Name string
+	// owner is the tenant that registered the dataset over HTTP, nil for
+	// one registered without a tenant (single-tenant mode, or at
+	// startup). Only the owner may post a delta to it or delete it, and
+	// its bytes go back to the owner's quota when it is deleted.
+	owner *Tenant
 	// epoch counts the datasets of this name removed before this one was
 	// registered (see identity).
 	epoch uint64
@@ -167,6 +172,11 @@ var ErrDuplicateDataset = errors.New("serve: dataset already registered")
 // with ErrDuplicateDataset; callers pick a new name or drop the old
 // dataset first (DELETE /datasets/{name}).
 func (r *Registry) Add(name string, db *relation.Database) (*Dataset, error) {
+	return r.add(name, db, nil)
+}
+
+// add registers db under name, owned by owner.
+func (r *Registry) add(name string, db *relation.Database, owner *Tenant) (*Dataset, error) {
 	if name == "" {
 		return nil, fmt.Errorf("serve: empty dataset name")
 	}
@@ -181,7 +191,7 @@ func (r *Registry) Add(name string, db *relation.Database) (*Dataset, error) {
 	if _, exists := r.sets[name]; exists {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateDataset, name)
 	}
-	d := &Dataset{Name: name, epoch: r.drops[name]}
+	d := &Dataset{Name: name, owner: owner, epoch: r.drops[name]}
 	d.snap.Store(&Snapshot{DB: db, ds: d})
 	r.sets[name] = d
 	return d, nil
@@ -209,6 +219,17 @@ func (r *Registry) Get(name string) (*Dataset, bool) {
 	defer r.mu.RUnlock()
 	d, ok := r.sets[name]
 	return d, ok
+}
+
+// getFor returns the named dataset when ten may change it: it has no
+// owner, or ten is its owner. To any other tenant the dataset does not
+// exist.
+func (r *Registry) getFor(name string, ten *Tenant) (*Dataset, bool) {
+	d, ok := r.Get(name)
+	if !ok || d.owner != nil && d.owner != ten {
+		return nil, false
+	}
+	return d, true
 }
 
 // Names returns the registered dataset names, sorted.

@@ -819,7 +819,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		ds, err := s.registry.Add(name, db)
+		ds, err := s.registry.add(name, db, ten)
 		if err != nil {
 			if ten != nil {
 				ten.ReleaseBytes(bytes)
@@ -839,9 +839,9 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 
 // handleDatasetOne is DELETE /datasets/{name}: the dataset leaves the
 // registry and, in multi-tenant mode, its current snapshot's bytes go
-// back to the authenticated tenant's resident-bytes quota. A dataset a
-// continuous query is registered on is refused with 409: DELETE the
-// query first. Queries already running finish on the snapshot they
+// back to the resident-bytes quota of the tenant that registered it. To
+// any other tenant the name is unknown (404). A dataset a continuous
+// query is registered on is refused with 409: DELETE the query first. Queries already running finish on the snapshot they
 // hold; the name may be registered again, as a new dataset.
 func (s *Server) handleDatasetOne(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodDelete {
@@ -853,7 +853,7 @@ func (s *Server) handleDatasetOne(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
-	ds, ok := s.registry.Get(name)
+	ds, ok := s.registry.getFor(name, ten)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown dataset %q (registered: %v)", name, s.registry.Names())
 		return
@@ -872,8 +872,8 @@ func (s *Server) handleDatasetOne(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown dataset %q", name)
 		return
 	}
-	if ten != nil {
-		ten.ReleaseBytes(DatasetBytes(ds.DB()))
+	if ds.owner != nil {
+		ds.owner.ReleaseBytes(DatasetBytes(ds.DB()))
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"deleted": name})
 }

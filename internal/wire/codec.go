@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"slices"
 	"unsafe"
@@ -12,15 +13,12 @@ import (
 	"repro/internal/relation"
 )
 
-// Buffer-body encodings inside Data and Piece payloads, one per run
-// layout: a packed run ships its words raw, a flat-layout run ships
-// row-major. Bytes 0 and 3 were the big-endian packed encoding version 7
-// retired and the delta-varint encoding version 11 retired; both stay
-// unassigned.
-const (
-	encFlat = 1 // row-major big-endian int64 values
-	encRaw  = 2 // packed words as little-endian memory, sent zero-copy
-)
+// encRaw is the one buffer-body encoding inside Data and Piece payloads:
+// a run's words as little-endian memory, sent zero-copy. Bytes 0, 1 and 3
+// were the big-endian packed encoding version 7 retired, the row-major
+// flat encoding version 15 retired and the delta-varint encoding version
+// 11 retired; all three stay unassigned.
+const encRaw = 2
 
 // modeAbsorb is the mode byte of an absorbed Data run, beside 0 (append)
 // and 1 (retract).
@@ -46,10 +44,9 @@ func wordsLE(words []uint64) (b []byte, ok bool) {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(words)*8), true
 }
 
-// AppendFrames encodes frames for one connection. Frame headers,
-// control payloads and flat run payloads are appended to head (which
-// may be nil; the grown slice is returned for reuse); raw packed
-// payloads are returned as separate zero-copy segments aliasing the
+// AppendFrames encodes frames for one connection. Frame headers and
+// control payloads are appended to head (which may be nil; the grown
+// slice is returned for reuse); run payloads are returned as separate zero-copy segments aliasing the
 // buffers' word memory. The segments slot into the returned write
 // list in wire order, ready for a vectored send (net.Buffers). Callers
 // must not mutate the frames' buffers until the write completes —
@@ -234,10 +231,9 @@ func (w *payloadWriter) str(s string) {
 	w.b = append(w.b, s...)
 }
 
-// buffer appends one sealed run — arity u16, encoding byte, tuple count
-// u32, values — in the encoding of its layout, and returns the raw word
-// segment when there is one. Only a sealed run is sent: the receiver
-// rejects words out of order.
+// buffer appends one sealed run — arity u16, encoding byte, stride byte,
+// row count u32, words — and returns its words as the raw segment. Only a
+// sealed run is sent: the receiver rejects rows out of order.
 func (w *payloadWriter) buffer(buf *relation.Run) (seg []byte) {
 	if !buf.Sealed() {
 		w.fail(fmt.Errorf("unsealed buffer"))
@@ -248,19 +244,14 @@ func (w *payloadWriter) buffer(buf *relation.Run) (seg []byte) {
 		w.fail(fmt.Errorf("buffer arity %d out of range", arity))
 		return nil
 	}
-	w.u16(uint16(arity))
-	words, packed := buf.Words()
-	if !packed {
-		flat := buf.Flat()
-		w.b = append(w.b, encFlat)
-		w.u32(uint32(len(flat) / arity))
-		for _, v := range flat {
-			w.u64(uint64(int64(v)))
-		}
+	if buf.Stride() > math.MaxUint8 {
+		w.fail(fmt.Errorf("buffer stride %d out of range", buf.Stride()))
 		return nil
 	}
-	w.b = append(w.b, encRaw)
-	w.u32(uint32(len(words)))
+	w.u16(uint16(arity))
+	w.b = append(w.b, encRaw, byte(buf.Stride()))
+	words := buf.Words()
+	w.u32(uint32(buf.Len()))
 	if seg, ok := wordsLE(words); ok {
 		return seg
 	}
@@ -554,43 +545,28 @@ func (p *payloadReader) grid() *exchange.Grid {
 }
 
 // buffer reads one run — the body appendFrame's buffer wrote — into
-// fresh storage and has the relation constructors check it: they adopt a
-// run that is in order and in range and refuse any other. The storage
+// fresh storage and has relation.NewRunFromWords check it: it adopts a
+// run that is in order and in range and refuses any other. The storage
 // is sized by the payload bytes present, whatever the count claims.
 func (p *payloadReader) buffer() *relation.Run {
-	arity, enc, count := int(p.u16()), p.u8(), int(p.u32())
+	arity, enc := int(p.u16()), p.u8()
+	if p.err == nil && enc != encRaw {
+		p.fail(fmt.Errorf("unknown buffer encoding %d", enc))
+	}
+	stride, count := int(p.u8()), int(p.u32())
 	if p.err != nil {
 		return nil
 	}
-	var buf *relation.Run
-	var err error
-	switch enc {
-	case encRaw:
-		raw := p.take(count * 8)
-		words := make([]uint64, len(raw)/8)
-		if dst, ok := wordsLE(words); ok {
-			copy(dst, raw)
-		} else {
-			for i := range words {
-				words[i] = binary.LittleEndian.Uint64(raw[i*8:])
-			}
+	raw := p.take(count * stride * 8)
+	words := make([]uint64, len(raw)/8)
+	if dst, ok := wordsLE(words); ok {
+		copy(dst, raw)
+	} else {
+		for i := range words {
+			words[i] = binary.LittleEndian.Uint64(raw[i*8:])
 		}
-		buf, err = relation.NewRunFromWords(arity, words)
-	case encFlat:
-		raw := p.take(count * arity * 8)
-		flat := make([]int, len(raw)/8)
-		for i := range flat {
-			v := int64(binary.BigEndian.Uint64(raw[i*8:]))
-			if flat[i] = int(v); int64(flat[i]) != v {
-				err = fmt.Errorf("flat value %d overflows int", v)
-			}
-		}
-		if err == nil {
-			buf, err = relation.NewRunFromFlat(arity, flat)
-		}
-	default:
-		err = fmt.Errorf("unknown buffer encoding %d", enc)
 	}
+	buf, err := relation.NewRunFromWords(arity, stride, words)
 	if err != nil {
 		p.fail(err)
 	}

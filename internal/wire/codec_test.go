@@ -91,16 +91,15 @@ func TestFastEncodingChoice(t *testing.T) {
 			out.Write(b)
 		}
 		// enc byte sits after 5 hdr + 4 round + 4 dest + 2 len + 1 "R" +
-		// 2 len (no view) + 2 len (no retain key) + 1 mode + 2 arity; the
-		// body starts after the 4-byte count.
-		if enc := out.Bytes()[23]; enc != encRaw {
-			t.Errorf("%s column encoded as %d, want encRaw", name, enc)
+		// 2 len (no view) + 2 len (no retain key) + 1 mode + 2 arity, the
+		// stride byte after it; the body starts after the 4-byte count.
+		if enc, stride := out.Bytes()[23], out.Bytes()[24]; enc != encRaw || int(stride) != buf.Stride() {
+			t.Errorf("%s column encoded as %d at stride %d, want encRaw at %d", name, enc, stride, buf.Stride())
 		}
-		if body := out.Len() - 28; body != 8*buf.Len() {
+		if body := out.Len() - 29; body != 8*buf.Len() {
 			t.Errorf("%s column: %d body bytes for %d words, want 8 a word", name, body, buf.Len())
 		}
-		words, _ := buf.Words()
-		if seg, ok := wordsLE(words); ok && (len(bufs) != 2 || &bufs[1][0] != &seg[0] || len(bufs[1]) != len(seg)) {
+		if seg, ok := wordsLE(buf.Words()); ok && (len(bufs) != 2 || &bufs[1][0] != &seg[0] || len(bufs[1]) != len(seg)) {
 			t.Errorf("%s column: the body is not the run's word memory", name)
 		}
 	}
@@ -113,7 +112,7 @@ func TestFastZeroCopySegments(t *testing.T) {
 		t.Skip("zero-copy segments only on little-endian hosts")
 	}
 	buf := buildBuffer(t, 3, 1024, 1<<20, 23)
-	words, _ := buf.Words()
+	words := buf.Words()
 	_, bufs, err := AppendFrames(nil, []*Frame{{Type: TypeData, Data: Data{Rel: "R", Buf: buf}}})
 	if err != nil {
 		t.Fatal(err)
@@ -171,19 +170,20 @@ func TestValidatingRejectsDirtyRawWords(t *testing.T) {
 }
 
 // TestValidatingRejectsDirtyDeltaWords: a raw body whose last word sets
-// bits above the packed width is refused, and so is the delta-varint
-// body version 11 retired, as an unknown encoding.
+// bits above the packed width is refused, and so are the delta-varint
+// body version 11 retired and the flat body version 15 retired, as
+// unknown encodings.
 func TestValidatingRejectsDirtyDeltaWords(t *testing.T) {
 	frame := func(enc byte, count int, body []byte) []byte {
 		w := payloadWriter{}
 		w.u32(0) // round
 		w.u32(0) // dest
 		w.str("R")
-		w.str("")     // view
-		w.str("")     // retain
-		w.flag(false) // mode: append
-		w.u16(3)      // arity 3 → 21 bits/value, 63 used
-		w.b = append(w.b, enc)
+		w.str("")                 // view
+		w.str("")                 // retain
+		w.flag(false)             // mode: append
+		w.u16(3)                  // arity 3 → 21 bits/value, 63 used
+		w.b = append(w.b, enc, 1) // stride 1
 		w.u32(uint32(count))
 		w.b = append(w.b, body...)
 		return append(binary.BigEndian.AppendUint32([]byte{byte(TypeData)}, uint32(len(w.b))), w.b...)
@@ -200,5 +200,10 @@ func TestValidatingRejectsDirtyDeltaWords(t *testing.T) {
 	delta := bytes.Repeat([]byte{1}, 64)
 	if _, err := Decode(bytes.NewReader(frame(3, 64, delta))); err == nil || !strings.Contains(err.Error(), "unknown buffer encoding 3") {
 		t.Fatalf("delta-varint body: %v, want an unknown-encoding rejection", err)
+	}
+	// Version 14's flat body: one row-major big-endian int64 row.
+	flat := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, 1), 2), 3)
+	if _, err := Decode(bytes.NewReader(frame(1, 1, flat))); err == nil || !strings.Contains(err.Error(), "unknown buffer encoding 1") {
+		t.Fatalf("flat body: %v, want an unknown-encoding rejection", err)
 	}
 }

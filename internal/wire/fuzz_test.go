@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -9,11 +10,13 @@ import (
 	"repro/internal/relation"
 )
 
-// encPacked and encDelta are the big-endian packed encoding version 7
-// retired and the delta-varint encoding version 11 retired; the seeds
-// that carry them stay in the corpus as inputs that must be refused.
+// encPacked, encFlat and encDelta are the big-endian packed encoding
+// version 7 retired, the row-major flat encoding version 15 retired and
+// the delta-varint encoding version 11 retired; the seeds that carry them
+// stay in the corpus as inputs that must be refused.
 const (
 	encPacked = 0
+	encFlat   = 1
 	encDelta  = 3
 )
 
@@ -21,8 +24,9 @@ const (
 // arbitrary input: it must return an error or a valid frame — never
 // panic — and anything it accepts must re-encode to a stream that
 // decodes to an equal frame. The seed corpus is real encoded frames of
-// every type, both buffer encodings included, so the fuzzer starts
-// from deep in the valid format; its hostile entries must be refused.
+// every type, runs at every stride of arity 3 included, so the fuzzer
+// starts from deep in the valid format; its hostile entries must be
+// refused.
 func FuzzDecodeFrame(f *testing.F) {
 	seed := func(fr *Frame) {
 		var buf bytes.Buffer
@@ -56,8 +60,20 @@ func FuzzDecodeFrame(f *testing.F) {
 		wide.Append(relation.Tuple{i * i})
 	}
 	wide.Seal()
+	// Arity 3 at strides 1, 2 and 3: values below 2²¹, 2³² and past it.
+	for _, top := range []int{1 << 21, 1 << 32, 1 << 62} {
+		run := relation.NewRun(3)
+		for i := 0; i < 20; i++ {
+			run.Append(relation.Tuple{rng.IntN(top), rng.IntN(50), top - 1 - rng.IntN(3)})
+		}
+		run.Seal()
+		seed(&Frame{Type: TypeData, Data: Data{Round: 1, Dest: 1, Rel: fmt.Sprint("stride", run.Stride()), Buf: run}})
+	}
 
 	seed(&Frame{Type: TypeHello, Hello: Hello{Version: Version, Worker: 1, P: 4}})
+	// Version 14's hello decodes — a worker refuses its version, as
+	// dist's FuzzWorkerSession holds it to.
+	f.Add([]byte{byte(TypeHello), 0, 0, 0, 10, 0, 14, 0, 0, 0, 1, 0, 0, 0, 4})
 	seed(&Frame{Type: TypeData, Data: Data{Round: 1, Dest: 2, Rel: "R", Buf: packed}})
 	seed(&Frame{Type: TypeData, Data: Data{Round: 3, Dest: 0, Rel: "V1_1/S", Buf: flat}})
 	seed(&Frame{Type: TypeData, Data: Data{Round: 0, Dest: 3, Rel: "hc!answers", Buf: wide}})
@@ -141,8 +157,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	// delta-varint bodies — a first word above the packed width, a
 	// truncated varint, a lying count.
 	hostile([]byte{
-		byte(TypeData), 0, 0, 0, 39,
-		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 0, 0, 3, encRaw, 0, 0, 0, 2,
+		byte(TypeData), 0, 0, 0, 40,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 0, 0, 3, encRaw, 1, 0, 0, 0, 2,
 		9, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
 	})
 	hostile([]byte{
@@ -183,27 +199,40 @@ func FuzzDecodeFrame(f *testing.F) {
 		0x80,
 	})
 
-	// Hostile runs in the encodings that stay: a negative flat value,
-	// flat rows out of order, a raw count larger than its payload, bytes
-	// trailing a raw run.
+	// Version 14's flat body, one arity-1 row, which version 15 retired.
 	hostile([]byte{
 		byte(TypeData), 0, 0, 0, 31,
 		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 0, 0, 1, encFlat, 0, 0, 0, 1,
-		0x80, 0, 0, 0, 0, 0, 0, 1,
+		0, 0, 0, 0, 0, 0, 0, 1,
 	})
+	// Hostile raw runs: a padding bit set (arity 3 at stride 2: the second
+	// word holds one 32-bit field), a 64-bit field holding a negative value
+	// (the arity-1 word 1), rows out of order (arity 2 at stride 2), a
+	// count larger than its payload, bytes trailing the run.
 	hostile([]byte{
-		byte(TypeData), 0, 0, 0, 39,
-		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 0, 0, 1, encFlat, 0, 0, 0, 2,
-		0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 1,
-	})
-	hostile([]byte{
-		byte(TypeData), 0, 0, 0, 31,
-		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 0, 0, 3, encRaw, 0, 0, 0, 2,
-		1, 0, 0, 0, 0, 0, 0, 0,
+		byte(TypeData), 0, 0, 0, 40,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 0, 0, 3, encRaw, 2, 0, 0, 0, 1,
+		1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0,
 	})
 	hostile([]byte{
 		byte(TypeData), 0, 0, 0, 32,
-		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 0, 0, 3, encRaw, 0, 0, 0, 1,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 0, 0, 1, encRaw, 1, 0, 0, 0, 1,
+		1, 0, 0, 0, 0, 0, 0, 0,
+	})
+	hostile([]byte{
+		byte(TypeData), 0, 0, 0, 56,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 0, 0, 2, encRaw, 2, 0, 0, 0, 2,
+		9, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0, 0x80,
+		1, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0, 0x80,
+	})
+	hostile([]byte{
+		byte(TypeData), 0, 0, 0, 32,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 0, 0, 3, encRaw, 1, 0, 0, 0, 2,
+		1, 0, 0, 0, 0, 0, 0, 0,
+	})
+	hostile([]byte{
+		byte(TypeData), 0, 0, 0, 33,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 0, 0, 3, encRaw, 1, 0, 0, 0, 1,
 		1, 0, 0, 0, 0, 0, 0, 0, 0xAA,
 	})
 	// Well-formed version-10 delta-varint runs, which that version

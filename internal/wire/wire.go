@@ -12,9 +12,8 @@
 // one sealed relation.Run — the unit the exchange layer ships
 // between workers — as the round id, the destination shard, the store
 // name, the Δ view and retain key it may also land under, how it lands
-// (appended, retracted or absorbed), and the buffer body in the encoding
-// of its layout: the packed words as raw little-endian memory, or a
-// row-major big-endian int64 sequence for a buffer on the flat layout; a
+// (appended, retracted or absorbed), and the buffer body: the run's
+// stride (words a row) and its words as raw little-endian memory; a
 // Piece carries what a worker's route step derived for one destination
 // the same way. Control frames carry the BSP protocol
 // around the data (Hello, Barrier, Join, Gather, Route, Ack, Done,
@@ -28,9 +27,9 @@
 // word payloads back as segments aliasing the buffers, for one vectored
 // write. Reader is the only decoder, for a coordinator's frames and a
 // worker's alike: it copies each run out of the payload once and
-// validates it there — words non-decreasing and inside the packed
-// width, flat values non-negative with rows in order, counts against
-// lengths, no trailing bytes — and rejects what fails; it repairs
+// validates it there — a stride that lays out the arity, rows in order,
+// no bit outside a field, no negative value in a 64-bit field, counts
+// against lengths, no trailing bytes — and rejects what fails; it repairs
 // nothing and there is no way to decode a frame unvalidated. Any
 // malformed or truncated frame yields an error, never a panic, and
 // allocation is bounded by the bytes that actually arrive (a length
@@ -169,8 +168,9 @@ func (t Type) String() string {
 // version 13 added the Route step, its Piece reply and the absorb flag of
 // Delta, so a fixpoint's state stays on the workers; version 14 folded
 // Delta into Data — a Data frame carries Delta's view and mode byte — and
-// renumbered the four types after it.
-const Version = 14
+// renumbered the four types after it; version 15 gave a run one layout —
+// the raw body states its stride, and the flat body is retired.
+const Version = 15
 
 // MaxPayload bounds a frame's declared payload size (128 MiB). A
 // larger length prefix is rejected before any payload is read.

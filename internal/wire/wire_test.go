@@ -31,18 +31,19 @@ func buildBuffer(t *testing.T, arity, n, max int, seed uint64) *relation.Run {
 	return b
 }
 
-// sampleFrames returns one well-formed frame of every type, with both
-// buffer encodings represented.
+// sampleFrames returns one well-formed frame of every type, with runs
+// of one word a row and of three.
 func sampleFrames(t *testing.T) []*Frame {
 	t.Helper()
 	packed := buildBuffer(t, 3, 100, 1000, 1)
-	// Huge values defeat packing for arity 3 (21 bits per value).
+	// A value past 32 bits takes a 64-bit field: arity 3, three words a
+	// row.
 	flat := relation.NewRun(3)
 	flat.Append(relation.Tuple{1 << 40, 2, 3})
 	flat.Append(relation.Tuple{4, 5 << 30, 6})
 	flat.Seal()
-	if _, ok := flat.Words(); ok {
-		t.Fatal("expected flat buffer")
+	if flat.Stride() != 3 {
+		t.Fatalf("expected three words a row, got %d", flat.Stride())
 	}
 	return []*Frame{
 		{Type: TypeHello, Hello: Hello{Version: Version, Worker: 3, P: 8}},
@@ -365,8 +366,8 @@ func TestDecodeRejectsDirtyHighBits(t *testing.T) {
 
 // TestDecodedBufferSorted: a decoded run is sealed and in order (the
 // Column invariant) because the decoder adopts only runs that arrive so:
-// the same payloads with two words swapped, two flat rows swapped or a
-// flat value negated are rejected, never re-sorted.
+// the same payloads with two words swapped, two three-word rows swapped or
+// a 64-bit field's value negated are rejected, never re-sorted.
 func TestDecodedBufferSorted(t *testing.T) {
 	packed := relation.NewRun(2)
 	packed.Append(relation.Tuple{9, 1})
@@ -390,7 +391,7 @@ func TestDecodedBufferSorted(t *testing.T) {
 	}{
 		{"raw words", packed, func(b []byte) { swap(b, len(b)-24, len(b)-8, 8) }, "not sorted"},
 		{"flat rows", flat, func(b []byte) { swap(b, len(b)-48, len(b)-24, 24) }, "not sorted"},
-		{"flat value", flat, func(b []byte) { b[len(b)-8] |= 0x80 }, "negative"},
+		{"flat value", flat, func(b []byte) { b[len(b)-1] &^= 0x80 }, "negative"},
 	} {
 		stream := fastEncode(t, []*Frame{{Type: TypeData, Data: Data{Rel: "R", Buf: c.buf}}})
 		got, err := Decode(bytes.NewReader(stream))
