@@ -377,21 +377,19 @@ func BenchmarkJoinTriangle(b *testing.B) {
 // permuted atom's sort; warm is every later one — one pool, the join and
 // its gather repeated over stores that are standing. B/op is the memory
 // the join stage allocates per round across all workers.
+//
+// planted is warm over the same shape with n/1000 triangles planted
+// (plantedTriangles), so the level the join batches has answers to find.
 func BenchmarkWorkerJoinTriangle(b *testing.B) {
 	q := query.Triangle()
 	n, p := 100000, 16
 	db := relation.MatchingDatabase(rand.New(rand.NewPCG(31, 31)), q, n)
-	s := &hypercube.Shares{Vars: q.Vars(), Dims: []int{3, 2, 2}}
-	h := hypercube.NewHasher(s, 5)
-	var ds []exchange.Delivery
+	tuples := map[string][]relation.Tuple{}
 	for _, a := range q.Atoms {
 		rel, _ := db.Relation(a.Name)
-		part, err := exchange.Partition(a.Name, rel.Tuples, a.Arity(), p, hypercube.NewGridPartitioner(s, h, a))
-		if err != nil {
-			b.Fatal(err)
-		}
-		ds = append(ds, part...)
+		tuples[a.Name] = rel.Tuples
 	}
+	ds := routeTriangle(b, q, tuples, p)
 	joinGather := []dist.Op{
 		{Kind: dist.OpJoin, Join: dist.JoinSpec{Query: q.String(), View: "out"}},
 		{Kind: dist.OpGather, View: "out"},
@@ -425,16 +423,125 @@ func BenchmarkWorkerJoinTriangle(b *testing.B) {
 		}
 		b.ReportMetric(float64(answers), "answers")
 	})
-	b.Run("warm", func(b *testing.B) {
-		l := dist.NewLoopback(p)
-		answers := run(b, l, append([]dist.Op{{Kind: dist.OpDeliver, Round: 1, Deliveries: ds}}, joinGather...))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			answers = run(b, l, joinGather)
+	warm := func(ds []exchange.Delivery) func(b *testing.B) {
+		return func(b *testing.B) {
+			l := dist.NewLoopback(p)
+			answers := run(b, l, append([]dist.Op{{Kind: dist.OpDeliver, Round: 1, Deliveries: ds}}, joinGather...))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				answers = run(b, l, joinGather)
+			}
+			b.ReportMetric(float64(answers), "answers")
 		}
-		b.ReportMetric(float64(answers), "answers")
-	})
+	}
+	b.Run("warm", warm(ds))
+	planted, _ := plantedTriangles(rand.New(rand.NewPCG(31, 32)), q, n)
+	b.Run("planted", warm(routeTriangle(b, q, planted, p)))
+}
+
+// routeTriangle partitions the triangle's relations as one HyperCube
+// round at tri_warm's shares, 3×2×2 over p workers.
+func routeTriangle(tb testing.TB, q *query.Query, tuples map[string][]relation.Tuple, p int) []exchange.Delivery {
+	s := &hypercube.Shares{Vars: q.Vars(), Dims: []int{3, 2, 2}}
+	h := hypercube.NewHasher(s, 5)
+	var ds []exchange.Delivery
+	for _, a := range q.Atoms {
+		part, err := exchange.Partition(a.Name, tuples[a.Name], a.Arity(), p, hypercube.NewGridPartitioner(s, h, a))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ds = append(ds, part...)
+	}
+	return ds
+}
+
+// plantedTriangles returns the triangle's three relations as n-matchings
+// over 1…n in which n/1000 triangles (at least 3) are planted by rewiring
+// S3, every relation staying a matching, and the planted triangles in
+// q.Vars() order. A random instance has one triangle in expectation. The
+// rewiring is the end-to-end benchmark's (genTriangle in bench/).
+func plantedTriangles(rng *rand.Rand, q *query.Query, n int) (map[string][]relation.Tuple, []relation.Tuple) {
+	perm := func() []int {
+		p := rng.Perm(n)
+		for i := range p {
+			p[i]++
+		}
+		return p
+	}
+	p1, p2, p3 := perm(), perm(), perm()
+	inv3 := make([]int, n+1) // value → source of p3
+	for i, v := range p3 {
+		inv3[v] = i + 1
+	}
+	var planted []relation.Tuple
+	for _, x1 := range perm()[:max(3, n/1000)] {
+		x2 := p1[x1-1]
+		x3 := p2[x2-1]
+		// Make S3 map x3 → x1 by swapping with the source that
+		// currently maps to x1.
+		j, old := inv3[x1], p3[x3-1]
+		p3[x3-1], p3[j-1] = x1, old
+		inv3[x1], inv3[old] = x3, j
+		planted = append(planted, relation.Tuple{x1, x2, x3})
+	}
+	tuples := map[string][]relation.Tuple{}
+	for i, perm := range [][]int{p1, p2, p3} {
+		rel := make([]relation.Tuple, n)
+		for k, v := range perm {
+			rel[k] = relation.Tuple{k + 1, v}
+		}
+		tuples[q.Atoms[i].Name] = rel
+	}
+	return tuples, planted
+}
+
+// TestWorkerJoinTrianglePlanted runs the worker join at
+// BenchmarkWorkerJoinTriangle's shape over planted triangles: every
+// cell's EvaluateRuns equals the hash join of the runs the cell holds, and
+// the cells' answers together hold every planted triangle.
+func TestWorkerJoinTrianglePlanted(t *testing.T) {
+	q := query.Triangle()
+	const n, p = 100000, 16
+	tuples, planted := plantedTriangles(rand.New(rand.NewPCG(31, 32)), q, n)
+	cells := make([]localjoin.Runs, p)
+	for _, d := range routeTriangle(t, q, tuples, p) {
+		if cells[d.To] == nil {
+			cells[d.To] = localjoin.Runs{}
+		}
+		cells[d.To][d.Rel] = append(cells[d.To][d.Rel], d.Buf)
+	}
+	found := map[[3]int]bool{}
+	for w, runs := range cells {
+		bindings := localjoin.Bindings{}
+		for rel, rs := range runs {
+			for _, r := range rs {
+				bindings[rel] = r.AppendTuples(bindings[rel])
+			}
+		}
+		want, err := localjoin.Evaluate(q, bindings, localjoin.HashJoin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := localjoin.EvaluateRuns(q, runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tuples := got.Tuples(); len(tuples) != len(want) || len(want) > 0 && !slices.EqualFunc(tuples, want, relation.Tuple.Equal) {
+			t.Fatalf("cell %d: %d answers, the hash join %d", w, len(tuples), len(want))
+		}
+		for _, a := range want {
+			found[[3]int{a[0], a[1], a[2]}] = true
+		}
+	}
+	for _, tri := range planted {
+		if !found[[3]int{tri[0], tri[1], tri[2]}] {
+			t.Errorf("planted triangle %v is in no cell's answer", tri)
+		}
+	}
+	if len(found) < len(planted) {
+		t.Errorf("%d answers over %d planted triangles", len(found), len(planted))
+	}
 }
 
 // BenchmarkWorkerJoinChain times the worker stage of the end-to-end

@@ -127,6 +127,21 @@ func (l *layout) field(c int) (word int, off uint) {
 	return word, uint(fields-1-(c-word*l.per)) * l.width
 }
 
+// fieldAt is where a field sits in a row: its word and bit offset.
+type fieldAt struct {
+	word int
+	off  uint
+}
+
+// fieldsAt returns where each of the columns cols sits in a row.
+func (l *layout) fieldsAt(cols []int) []fieldAt {
+	at := make([]fieldAt, len(cols))
+	for i, c := range cols {
+		at[i].word, at[i].off = l.field(c)
+	}
+	return at
+}
+
 // TrieIndex is what a trie reads of a run: its rows in one column order,
 // sorted, read one word of a row at a time (Col), and a level-0
 // directory over the first word. A row holds its fields as a run does —
@@ -353,13 +368,13 @@ func (b *Run) AppendRow(src *Run, i int) {
 // tuple order. Rows that are already ascending — any partition of a
 // source that was in order, such as a generated matching or a
 // re-scattered sealed run — cost one linear check; anything else goes
-// through sortRows, the one sort this repo has for rows of words.
+// through SortRows, the one sort this repo has for rows of words.
 func (b *Run) Seal() {
 	if b.sealed {
 		return
 	}
 	if !rowsSorted(b.words, b.stride) {
-		sortRows(b.words, b.stride)
+		SortRows(b.words, b.stride, nil)
 	}
 	b.sealed = true
 }
@@ -401,7 +416,7 @@ func (b *Run) column(col int, keys []uint64) {
 		keys[i] = b.words[i*b.stride+w]>>off&mask ^ flip
 	}
 	if col > 0 {
-		sortRows(keys, 1)
+		SortRows(keys, 1, nil)
 	}
 }
 
@@ -607,21 +622,11 @@ func (b *Run) ownOrder(cols []int, eq [][2]int) bool {
 // fields moved as codes, never decoded, into rows of ⌈len(cols)/per⌉
 // words, sorted.
 func (b *Run) reorder(cols []int, eq [][2]int) TrieIndex {
-	type at struct {
-		word int
-		off  uint
-	}
-	field := func(c int) at {
-		w, off := b.field(c)
-		return at{w, off}
-	}
-	from := make([]at, len(cols))
-	for d, c := range cols {
-		from[d] = field(c)
-	}
-	eqAt := make([][2]at, len(eq))
+	from := b.fieldsAt(cols)
+	eqAt := make([][2]fieldAt, len(eq))
 	for i, e := range eq {
-		eqAt[i] = [2]at{field(e[0]), field(e[1])}
+		at := b.fieldsAt(e[:])
+		eqAt[i] = [2]fieldAt{at[0], at[1]}
 	}
 	mask, per := b.mask, b.per
 	stride := max((len(cols)+per-1)/per, 1)
@@ -642,7 +647,7 @@ rows:
 			keys = append(keys, key)
 		}
 	}
-	sortRows(keys, stride)
+	SortRows(keys, stride, nil)
 	return newTrieIndex(keys, stride, b.layout)
 }
 

@@ -1,6 +1,9 @@
 package relation
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // This file is the run algebra: union, difference and projection of
 // sealed runs, each producing one sealed run. Between a gather's wire
@@ -219,22 +222,37 @@ func diffSorted(a, b []uint64, stride int) []uint64 {
 // Project returns the run's tuples restricted to the columns cols, in
 // that order (a selection, a permutation, or both), sorted and
 // deduplicated, as one sealed run. The result picks its own stride:
-// projecting a wide run onto few columns may take fewer words a row.
+// projecting a wide run onto few columns may take fewer words a row. The
+// fields move as codes, never decoded, into the layout appending the
+// tuples would reach — the fewest words a row that hold the widest value
+// the columns hold — so the result is the run Append and Dedup would
+// build, word for word.
 func Project(run *Run, cols []int) *Run {
 	if run == nil {
 		return nil
 	}
-	out := NewRun(len(cols))
+	from := run.fieldsAt(cols)
 	n := run.Len()
-	out.Grow(n)
-	row := make(Tuple, run.arity)
-	sel := make(Tuple, len(cols))
-	for i := 0; i < n; i++ {
-		run.Row(i, row)
-		for j, c := range cols {
-			sel[j] = row[c]
+	// A field's code XOR its flip is its value's bits, and a negative
+	// value sets the sign bit: the OR's length is the widest value's.
+	var or uint64
+	for r := 0; r < n*run.stride; r += run.stride {
+		for _, f := range from {
+			or |= run.words[r+f.word]>>f.off&run.mask ^ run.flip
 		}
-		out.Append(sel)
+	}
+	l := layoutOf(len(cols), strideFor(len(cols), uint(bits.Len64(or))))
+	out := &Run{layout: l, words: make([]uint64, n*l.stride)}
+	flip := run.flip ^ l.flip // a 64-bit field keeps its flipped sign into another
+	for i := range n {
+		row, dst := run.words[i*run.stride:], out.words[i*l.stride:(i+1)*l.stride]
+		for w := range dst {
+			var word uint64
+			for _, f := range from[w*l.per : min((w+1)*l.per, len(from))] {
+				word = word<<(l.width&63) | (row[f.word]>>f.off&run.mask ^ flip)
+			}
+			dst[w] = word
+		}
 	}
 	return out.Dedup()
 }
