@@ -379,7 +379,7 @@ func BenchmarkJoinTriangle(b *testing.B) {
 // the join stage allocates per round across all workers.
 //
 // planted is warm over the same shape with n/1000 triangles planted
-// (plantedTriangles), so the level the join batches has answers to find.
+// (plantedTriangles), so the levels below depth 0 have answers to find.
 func BenchmarkWorkerJoinTriangle(b *testing.B) {
 	q := query.Triangle()
 	n, p := 100000, 16

@@ -14,13 +14,9 @@
 // (ARCHITECTURE.md, "Worker data path"). What it derives from a sealed
 // run — the words in an atom's level order and their level-0 directory —
 // the run remembers (relation.Run.Index), so joining the same runs again
-// only probes. It binds one variable at a time, depth-first, except at a
-// level below depth 0 where some atom starts its trie (the triangle's x2,
-// a chain's join variable): there the values the other atoms offer are
-// batched — sorted a chunk at a time and merged with that atom's first
-// level in one pass — instead of sought in it one by one under every
-// binding above, a scattered seek each (wcoj.go, "batch"). It is the only
-// evaluator a worker has: on cyclic queries it avoids the super-linear pairwise
+// only probes.
+// It is the only evaluator a
+// worker has: on cyclic queries it avoids the super-linear pairwise
 // intermediates of a hash join, and the model has no use for a choice
 // (README.md, "The local join").
 //

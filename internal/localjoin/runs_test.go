@@ -414,10 +414,10 @@ func FuzzEvaluateRuns(f *testing.F) {
 	f.Add(uint8(1), uint8(2), words(1, 1, s, s, ^uint64(0)>>1, ^uint64(0)>>1, 7, s|7))
 	// A row repeated across the runs of a wide atom, and a narrow one's.
 	f.Add(uint8(6), uint8(5), words(1<<32|2, 3, 3<<32|4, 5, 1<<32|2, 3, 3<<32|4, 5, 1<<32|2, 3, 3<<32|4, 5))
-	// Batched levels (B starts its trie at y, b and c): a planted triangle
-	// among decoys; a value repeated across the runs of both atoms and
-	// offered under several bindings, beside one B lacks; a heavy value
-	// offered under most bindings, with many rows below it in B.
+	// Levels where B starts its trie below depth 0 (at y, b and c): a
+	// planted triangle among decoys; a value repeated across the runs of
+	// both atoms and offered under several bindings, beside one B lacks; a
+	// heavy value offered under most bindings, with many rows below it in B.
 	f.Add(uint8(0), uint8(0), words(1<<32|2, 2<<32|3, 3<<32|1, 4<<32|5, 5<<32|6, 6<<32|4, 1<<32|5, 5<<32|3, 7<<32|1, 8<<32|2, 2<<32|8, 8<<32|9))
 	f.Add(uint8(5), uint8(2), words(1<<32|7, 7<<32|3, 2<<32|7, 7<<32|3, 3<<32|7, 7<<32|4, 1<<32|7, 7<<32|3, 4<<32|8, 9<<32|1, 2<<32|7, 7<<32|4))
 	f.Add(uint8(5), uint8(0), words(1<<32|7, 7<<32|1, 2<<32|7, 7<<32|2, 3<<32|7, 7<<32|3, 4<<32|7, 7<<32|4, 5<<32|8, 8<<32|5, 6<<32|7, 7<<32|6, 0xffffffff<<32|7, 7<<32|0xffffffff))
@@ -458,36 +458,29 @@ func FuzzEvaluateRuns(f *testing.F) {
 	})
 }
 
-// TestBatchedLevelAcrossChunks: R(x,y), S(y,z) and the triangle with
-// T(z,x) batch y, which R offers and S starts its trie at. R offers more
-// values than a chunk holds, two under each x but the first, so a chunk
-// fills between the values of one x, the first of which S lacks; the entries of one heavy value, which S holds many
-// rows under, straddle the chunk boundary; S lacks every tenth value; T
-// closes a third of R's rows into triangles; a few x offer too many values
-// to batch, among and after the batched ones. The answers equal the hash
-// join's. After a first join, a join allocates its answer's bytes and a
-// constant more, at half a chunk of bindings as at more than two: the
-// chunks are kept from join to join and not grown again.
-func TestBatchedLevelAcrossChunks(t *testing.T) {
+// TestStartingTrieBelowDepthZero: in R(x,y), S(y,z) and the triangle
+// with T(z,x), S starts its trie at y, under every x R binds — the level
+// whose level-0 seeks restart under each binding above. R offers one or
+// two values under each of up to 66 000 x, a few x offer 20, and one heavy
+// value is offered under many x and has many rows in S; S lacks every
+// tenth value; T closes a third of R's rows into triangles. The answers
+// equal the hash join's. After a first join, a join allocates its answer's
+// bytes and a constant more, at 2¹⁵ bindings as at 1.3·10⁵: nothing it
+// keeps grows with the bindings.
+func TestStartingTrieBelowDepthZero(t *testing.T) {
 	const overhead = 16 << 10
 	// One P, as in TestWarmJoinWritesItsAnswerOnce: the answers' scratch
 	// pool keeps a run per P, so every join finds the one the join before
 	// handed back.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const heavy = 7
-	for _, n := range []int{1 << (chunkBits - 1), 2<<chunkBits + 1000} {
+	for _, n := range []int{1 << 15, 2<<16 + 1000} {
 		rng := rand.New(rand.NewPCG(uint64(n), 47))
 		r := make([]relation.Tuple, n)
 		for i := range r {
-			// x's two values differ, so every row is an entry, and the
-			// chunk's last is the 2¹⁶th row.
 			var y int
 			switch {
-			case i == 1<<chunkBits-1:
-				y = 3 // the lesser of its x's two, which S lacks
-			case i == 1<<chunkBits:
-				y = heavy // the greater, added after the flush
-			case i%2 == 1 && (i%50 == 1 || i >= 1<<chunkBits-50 && i < 1<<chunkBits+50):
+			case i%2 == 1 && i%50 == 1:
 				y = heavy
 			case i%2 == 1:
 				y = 10 + rng.IntN(n/8)
@@ -496,10 +489,7 @@ func TestBatchedLevelAcrossChunks(t *testing.T) {
 			}
 			r[i] = relation.Tuple{(i + 1) / 2, y}
 		}
-		// A few x offer 20 values each: too many to batch, they go on
-		// depth-first, each after the chunk gone on so far — and leave no
-		// entry, so the rows above keep their places in the chunks.
-		for _, x := range []int{1000, 20000, 40000, 1<<chunkBits + 5} {
+		for _, x := range []int{1000, 20000, 40000, 1<<16 + 5} {
 			for k := range 20 {
 				r = append(r, relation.Tuple{x, 10 + 13*k})
 			}

@@ -3,7 +3,6 @@ package localjoin
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 
@@ -38,25 +37,8 @@ import (
 // extraction per probe — and one at level 0 looks only inside its
 // target's bucket. A variable that one atom alone binds is not searched at
 // all: that atom's distinct values are read in place, each starting where
-// open bounded the one before. Two ranges a merge steps through at a cost
-// the leapfrog's bound allows — two whole relations of about one length at
-// depth 0, or ranges of a few rows — are merged row by row (mergesRows).
-//
-// One kind of level is not walked depth-first: a level below depth 0 where
-// some atom starts its trie, such as the triangle's x2, where S2(x2,x3)
-// starts under S1(x1,x2)'s bindings. Sought value by value, that atom's
-// level-0 cursor restarts under every binding above and every offered
-// value costs a scattered directory seek. Such a level is batched (batch):
-// the values the other atoms offer under a binding that offers few
-// (fewValues) are kept with the state the levels below need, a chunk at a
-// time, radix-sorted (relation.SortKeys), merged with the starting atoms'
-// level 0 in one forward pass, and continued in the order they arrived —
-// Generic Join a level at a time with Free Join's batches (Ngo, Ré, Rudra,
-// SIGMOD Record 2013; Wang, Willsey, Suciu, SIGMOD 2023). A chunk holds at
-// most 2¹⁶ values and the offered values are the ones the depth-first walk
-// would have sought, so memory stays bounded and the join worst-case
-// optimal. Which levels are batched follows from the tries' level orders,
-// which bindings from the length of the ranges they leave open.
+// open bounded the one before. Two ranges that a merge steps through
+// within the leapfrog's bound are merged row by row instead (mergesRows).
 //
 // Answers are appended to a scratch run drawn from a pool, whose memory
 // outlives the join, and kept as one exact-size copy: an answer's memory
@@ -179,14 +161,13 @@ func (tr *trieRel) reset(d int) { tr.levels[d].cur = tr.levels[d].lo }
 // field mask — a wider value from an atom of another arity or stride —
 // exhausts the range.
 //
-// Level 0 spans the whole relation, and below depth 0 its cursor restarts
-// at row 0 — under every binding of the variables above it that the level
-// does not batch, and once a chunk where it does: a gallop from there
-// would cost ≈ 2·log₂ n scattered loads per probe. With a directory the
-// search instead reads the target's bucket bounds and looks only between
-// the cursor (or the bucket's first row, whichever is later) and the
-// bucket's end — every row before the bucket is below the target, every
-// row after it above.
+// Level 0 spans the whole relation, and when its variable is not the
+// first of the order its cursor restarts at row 0 under every binding of
+// the variables above it: a gallop from there would cost ≈ 2·log₂ n
+// scattered loads per probe. With a directory the search instead reads
+// the target's bucket bounds and looks only between the cursor (or the
+// bucket's first row, whichever is later) and the bucket's end — every
+// row before the bucket is below the target, every row after it above.
 // The buckets span the first words' range, so values offset far from 0
 // spread over them as values from 0 do.
 func (tr *trieRel) seek(d, v int) (int, bool) {
@@ -290,14 +271,13 @@ type participant struct {
 	d  int // trie level of the variable inside this atom
 }
 
-// EvaluateRuns computes q over sealed runs along the global variable
-// order — leapfrogging the participants of a level, merging two whose
-// ranges are about as long row by row, walking in place the values of a
-// variable only one atom binds, and batching the levels where an atom
-// starts its trie below depth 0 — and returns the answers, in the
-// variable order q.Vars(), deduplicated, as one sealed run whose payload
-// is exactly their size, or nil when there are none. The answers are
-// built in a pooled scratch run and copied out, so the returned run
+// EvaluateRuns computes q over sealed runs by leapfrog intersection
+// along the global variable order — walking in place the values of a
+// variable only one atom binds, and merging row by row two ranges a merge
+// steps through within the leapfrog's bound — and returns the answers, in
+// the variable order q.Vars(), deduplicated, as one sealed run whose
+// payload is exactly their size, or nil when there are none. The answers
+// are built in a pooled scratch run and copied out, so the returned run
 // shares no memory with it or with any other call's. A relation without
 // runs is empty. The runs are only read: a trie may alias a run's words,
 // and the same runs can be joined again (or re-sent by a recovery
@@ -326,503 +306,151 @@ func EvaluateRuns(q *query.Query, runs Runs) (*relation.Run, error) {
 	for d, v := range varOrder {
 		depthOf[v] = d
 	}
-	// The small slices a join keeps share two allocations.
-	n := q.NumVars()
-	ints := make([]int, k+2*n)
-	e := join{levels: make([]level, k), binding: ints[:k:k], outCol: ints[k : k+n : k+n], row: ints[k+n:]}
-	tries := make([]*trieRel, len(q.Atoms))
-	parts := 0
-	for i, a := range q.Atoms {
-		tries[i] = newTrieRel(a, runs[a.Name], depthOf)
-		parts += len(tries[i].levels)
+	parts := make([][]participant, k)
+	for _, a := range q.Atoms {
+		tr := newTrieRel(a, runs[a.Name], depthOf)
+		for d, l := range tr.levels {
+			parts[l.depth] = append(parts[l.depth], participant{tr: tr, d: d})
+		}
 	}
-	all := make([]participant, 0, parts)
-	for g := range e.levels {
-		from := len(all)
-		for _, tr := range tries {
-			for d, l := range tr.levels {
-				if l.depth == g {
-					all = append(all, participant{tr: tr, d: d})
+
+	// outCol[i] is the global depth of q.Vars()[i].
+	outCol := make([]int, q.NumVars())
+	for i, v := range q.Vars() {
+		outCol[i] = depthOf[v]
+	}
+
+	binding := make([]int, k)
+	row := make(relation.Tuple, len(outCol))
+	out := scratch.Get().(*relation.Run)
+	out.Reset(len(outCol))
+	var rec func(g int)
+	rec = func(g int) {
+		if g == k {
+			for i, c := range outCol {
+				row[i] = binding[c]
+			}
+			out.Append(row)
+			return
+		}
+		ps := parts[g]
+		if p := ps[0]; len(ps) == 1 {
+			// One atom alone binds the variable: there is nothing to
+			// intersect, so its distinct values are read in place, each
+			// starting where the last one's rows end. A one-participant
+			// leapfrog finds the same values, but its per-value bookkeeping
+			// costs BenchmarkWorkerJoinChain about a quarter more time.
+			tr, l := p.tr, &p.tr.levels[p.d]
+			for i := l.lo; i < l.hi; i = tr.next(p.d) {
+				l.cur = i
+				v := tr.value(l, l.keys[i])
+				tr.open(p.d, v)
+				binding[g] = v
+				rec(g + 1)
+			}
+			return
+		}
+		if len(ps) == 2 && mergesRows(g, ps[0], ps[1]) {
+			// Merge: the lesser value steps one row, and an equal pair is
+			// opened, bound, and stepped past.
+			p, q := ps[0], ps[1]
+			a, b := p.tr, q.tr
+			la, lb := &a.levels[p.d], &b.levels[q.d]
+			ka, kb := la.keys[:la.hi], lb.keys[:lb.hi]
+			sa, sb := la.shift&63, lb.shift&63
+			for i, j := la.lo, lb.lo; i < len(ka) && j < len(kb); {
+				x, y := int(ka[i]>>sa&a.mask^a.flip), int(kb[j]>>sb&b.mask^b.flip)
+				if x == y {
+					la.cur, lb.cur = i, j
+					a.open(p.d, x)
+					b.open(q.d, x)
+					binding[g] = x
+					rec(g + 1)
+					if x == math.MaxInt {
+						return
+					}
+					i, j = a.next(p.d), b.next(q.d)
+					continue
 				}
+				step := 0 // 1 when x < y: branch-free, as x < y is a coin toss
+				if x < y {
+					step = 1
+				}
+				i += step
+				j += 1 - step
+			}
+			return
+		}
+		// Leapfrog: cycle through the participants, raising the target
+		// value to each one's next feasible value until all agree.
+		for _, p := range ps {
+			p.tr.reset(p.d)
+		}
+		v := math.MinInt
+		i, agree := 0, 0
+		for {
+			val, ok := ps[i].tr.seek(ps[i].d, v)
+			if !ok {
+				return
+			}
+			if val == v {
+				agree++
+			} else {
+				v, agree = val, 1
+			}
+			if agree == len(ps) {
+				for _, p := range ps {
+					p.tr.open(p.d, v)
+				}
+				binding[g] = v
+				rec(g + 1)
+				if v == math.MaxInt {
+					return
+				}
+				// open bounded v's rows: the next seek starts past them
+				// instead of galloping over them again.
+				for _, p := range ps {
+					if p.d+1 < len(p.tr.levels) {
+						p.tr.levels[p.d].cur = p.tr.levels[p.d+1].hi
+					}
+				}
+				v, agree = v+1, 0
+			}
+			i++
+			if i == len(ps) {
+				i = 0
 			}
 		}
-		e.levels[g].ps = all[from:len(all):len(all)]
 	}
-	for g := 1; g < k; g++ {
-		e.levels[g].batch = e.newBatch(g)
-	}
-	for g := range e.levels {
-		l := &e.levels[g]
-		l.offer = len(l.ps)
-		if l.batch != nil {
-			l.offer -= len(l.batch.merge)
-		}
-	}
-	// outCol[i] is the global depth of q.Vars()[i].
-	for i, v := range q.Vars() {
-		e.outCol[i] = depthOf[v]
-	}
-	e.out = scratch.Get().(*relation.Run)
-	e.out.Reset(len(e.outCol))
-	e.rec(0)
-	// What a batch still holds goes on now, the shallowest first: its
-	// flush may add to a deeper one, never to a shallower.
-	for _, l := range e.levels {
-		if l.batch != nil {
-			l.batch.flush(&e)
-			l.batch.release()
-		}
-	}
+	rec(0)
 	var answers *relation.Run
-	if e.out.Len() > 0 {
-		answers = e.out.Clone().Dedup()
+	if out.Len() > 0 {
+		answers = out.Clone().Dedup()
 	}
-	scratch.Put(e.out)
+	scratch.Put(out)
 	return answers, nil
 }
 
-// join is the state of one EvaluateRuns call.
-type join struct {
-	levels  []level
-	binding []int // the value bound at every global depth above the current one
-	outCol  []int // the global depth of every answer column
-	row     relation.Tuple
-	out     *relation.Run
-}
-
-// level is what the join does at one global depth: intersect its
-// participants' values and go on below each, or hand each to its batch.
-type level struct {
-	ps       []participant
-	offer    int    // at a batched level, ps[:offer] offer its values and the rest start their tries there
-	batch    *batch // nil unless the level is batched
-	batching bool   // the values now offered go to the batch
-}
-
-// rec binds the variable at global depth g to every value its
-// participants agree on under the bindings above it, in ascending order,
-// and goes on below each.
-func (e *join) rec(g int) {
-	if g == len(e.levels) {
-		for i, c := range e.outCol {
-			e.row[i] = e.binding[c]
-		}
-		e.out.Append(e.row)
-		return
-	}
-	lv := &e.levels[g]
-	ps := lv.ps
-	if lv.batch != nil {
-		// A binding above that offers few values here is batched. One that
-		// offers many goes on depth-first, as at any other level: its values
-		// arrive in order, and seeking them in the starting tries only moves
-		// their cursors forward — batching them would cost more than the
-		// one restart it saves. What the batch holds goes on first, so the
-		// answers keep the depth-first order.
-		if lv.batching = offered(ps[:lv.offer]) < fewValues; lv.batching {
-			ps = ps[:lv.offer]
-		} else {
-			lv.batch.flush(e)
-		}
-	}
-	if p := ps[0]; len(ps) == 1 {
-		// One atom alone offers the variable: there is nothing to
-		// intersect, so its distinct values are read in place, each
-		// starting where the last one's rows end. A one-participant
-		// leapfrog finds the same values, but its per-value bookkeeping
-		// costs BenchmarkWorkerJoinChain about a quarter more time.
-		tr, l := p.tr, &p.tr.levels[p.d]
-		for i := l.lo; i < l.hi; i = tr.next(p.d) {
-			l.cur = i
-			v := tr.value(l, l.keys[i])
-			tr.open(p.d, v)
-			e.bind(g, v)
-		}
-		return
-	}
-	if len(ps) == 2 && mergesRows(g, ps[0], ps[1]) {
-		e.merge(g, ps[0], ps[1])
-		return
-	}
-	// Leapfrog: cycle through the participants, raising the target
-	// value to each one's next feasible value until all agree.
-	for _, p := range ps {
-		p.tr.reset(p.d)
-	}
-	v := math.MinInt
-	i, agree := 0, 0
-	for {
-		val, ok := ps[i].tr.seek(ps[i].d, v)
-		if !ok {
-			return
-		}
-		if val == v {
-			agree++
-		} else {
-			v, agree = val, 1
-		}
-		if agree == len(ps) {
-			for _, p := range ps {
-				p.tr.open(p.d, v)
-			}
-			e.bind(g, v)
-			if v == math.MaxInt {
-				return
-			}
-			// open bounded v's rows: the next seek starts past them
-			// instead of galloping over them again.
-			for _, p := range ps {
-				if p.d+1 < len(p.tr.levels) {
-					p.tr.levels[p.d].cur = p.tr.levels[p.d+1].hi
-				}
-			}
-			v, agree = v+1, 0
-		}
-		i++
-		if i == len(ps) {
-			i = 0
-		}
-	}
-}
-
-// bind goes on below depth g with v bound there and the participants
-// opened at v — or, at a level that is batching, hands v to the batch.
-func (e *join) bind(g, v int) {
-	if l := &e.levels[g]; l.batching {
-		l.batch.add(e, v)
-		return
-	}
-	e.binding[g] = v
-	e.rec(g + 1)
-}
-
 // mergesRows reports whether the two participants of depth g are merged
-// row by row instead of leapfrogged. A merge steps through every row of
-// both ranges, without a seek's branches: a mispredicted branch costs
-// more than the few rows a seek skips between two ranges of about the
-// same length. A leapfrog costs the fewer distinct values times a log,
-// and rows can repeat a value many times when the trie has levels below,
-// so a merge keeps that bound only where it costs a constant — neither
-// range longer than 16 rows — or where each range is a whole relation,
-// read once — at depth 0 — and neither is more than 8 times the other.
+// row by row instead of leapfrogged. A merge reads every row of both
+// ranges, without a seek's branches: between two ranges of about one
+// length a seek skips few rows, and its mispredicted branches cost more
+// than reading them. A leapfrog costs the fewer distinct values times a
+// log, and a range's rows can repeat a value many times when the trie has
+// levels below, so a merge keeps that bound only where it costs a
+// constant — neither range longer than 16 rows — or where each range is a
+// whole relation, read once — at depth 0 — and neither is more than 8
+// times the other. Both limits are measured (BenchmarkMergedLevels): the
+// merge ran faster at every degree 1–16 and every depth-0 ratio up to 6.
 func mergesRows(g int, p, q participant) bool {
 	a, b := p.size(), q.size()
 	return max(a, b) <= 16 || g == 0 && a <= 8*b && b <= 8*a
-}
-
-// fewValues is the most values a binding above a batched level may offer
-// there and still be batched. Measured on 2 cores: the triangle and a
-// chain offer one value under each binding and gain from the batch; a
-// skewed relation's heavy values offer thousands, and the tail's one or
-// two go with them in a chunk.
-const fewValues = 8
-
-// offered returns the fewest rows any of ps holds in its current range:
-// at most that many values are offered.
-func offered(ps []participant) int {
-	n := math.MaxInt
-	for _, p := range ps {
-		n = min(n, p.size())
-	}
-	return n
 }
 
 // size returns the number of rows in the participant's current range.
 func (p participant) size() int {
 	l := &p.tr.levels[p.d]
 	return l.hi - l.lo
-}
-
-// merge intersects two participants' ranges row by row: the lesser value
-// steps one row, and an equal pair is opened, bound, and stepped past.
-func (e *join) merge(g int, p, q participant) {
-	a, b := p.tr, q.tr
-	la, lb := &a.levels[p.d], &b.levels[q.d]
-	ka, kb := la.keys[:la.hi], lb.keys[:lb.hi]
-	sa, sb := la.shift&63, lb.shift&63
-	for i, j := la.lo, lb.lo; i < len(ka) && j < len(kb); {
-		x, y := int(ka[i]>>sa&a.mask^a.flip), int(kb[j]>>sb&b.mask^b.flip)
-		if x == y {
-			la.cur, lb.cur = i, j
-			a.open(p.d, x)
-			b.open(q.d, x)
-			e.bind(g, x)
-			if x == math.MaxInt {
-				return
-			}
-			i, j = a.next(p.d), b.next(q.d)
-			continue
-		}
-		step := 0 // 1 when x < y
-		if x < y {
-			step = 1
-		}
-		i += step
-		j += 1 - step
-	}
-}
-
-// chunkBits is the log₂ of the most bindings a batch holds before it
-// sorts and merges them: 2¹⁶, whose numbers fit a sort key's low 16 bits.
-const chunkBits = 16
-
-// batch is a batched level: a level at global depth g > 0 where some atoms
-// start their tries (merge) and the others, started above, offer the
-// values. Sought depth-first, every binding of the variables above
-// restarts each merged trie's level-0 cursor and seeks the values offered
-// under it in that trie's directory: when a binding offers few values, one
-// scattered seek a value. A batch instead keeps each value such a binding
-// offers with the bindings above it and the ranges the other tries have
-// open below them, a chunk at a time; sorts the chunk's values
-// (relation.SortKeys); seeks them in one forward pass through each merged
-// trie; and then goes on below the values every merged trie holds in the
-// order they arrived, so the answers come out in the order the depth-first
-// walk writes them and Seal finds them sorted.
-//
-// A batch and its memory are kept for the next join (spare): the
-// buffers of one join are the next one's, grown to the largest chunk once.
-type batch struct {
-	g     int
-	width int          // words a chunk entry takes: g bindings, lo, hi and pre of every carried level, the value
-	merge []*trieRel   // the tries whose level 0 is the level's variable
-	below []*trieLevel // each merged trie's level 1, which the merge opens; none for a one-level trie
-	carry []*trieLevel // every trie started above g: its first level below g, the range the bindings above left open
-
-	entries []uint64 // the offered values in arrival order, width words each
-	keys    []uint64 // their sort keys, sorted
-	buf     []uint64 // the sort's other half, then per entry its value's span, or ^0 when a merged trie lacks the value
-	spans   []uint64 // per value every merged trie holds: lo, hi and pre of each below level
-	saved   []uint64 // what a flush leaves as it found: the bindings above g and the carried ranges
-}
-
-// spare holds the batches of finished joins for the next ones. A
-// sync.Pool would drop them at every collection — and the race detector's
-// pool a quarter of them at random — so every join after a drop would
-// regrow a chunk's buffers: bytes in proportion to the values its level
-// offers, not to its answer. It holds as many batches as ever ran at once.
-var spare struct {
-	sync.Mutex
-	batches []*batch
-}
-
-// spareBatch returns a kept batch, or a new one.
-func spareBatch() *batch {
-	spare.Lock()
-	defer spare.Unlock()
-	n := len(spare.batches)
-	if n == 0 {
-		return new(batch)
-	}
-	b := spare.batches[n-1]
-	spare.batches[n-1] = nil
-	spare.batches = spare.batches[:n-1]
-	return b
-}
-
-// newBatch returns the batch of level g, or nil when the level is not
-// batched: at depth 0 every trie starts at the same variable and its
-// values arrive in every participant's order, a level where no trie
-// starts has nothing to merge, and one where every trie starts nothing to
-// offer — a product with the variables above, whose values a leapfrog
-// seeks anew under each of their bindings through the directory.
-func (e *join) newBatch(g int) *batch {
-	ps := e.levels[g].ps
-	offer := 0
-	for _, p := range ps {
-		if p.d > 0 {
-			offer++
-		}
-	}
-	if offer == 0 || offer == len(ps) {
-		return nil
-	}
-	// The offering participants first, in their order, then the merged
-	// ones (level.offer counts the first).
-	slices.SortStableFunc(ps, func(a, b participant) int { return min(b.d, 1) - min(a.d, 1) })
-	b := spareBatch()
-	b.g, b.width = g, g+1
-	for _, p := range ps[offer:] {
-		b.merge = append(b.merge, p.tr)
-		if len(p.tr.levels) > 1 {
-			b.below = append(b.below, &p.tr.levels[1])
-		}
-	}
-	// A trie started above g is a participant at its level 0's depth.
-	for _, l := range e.levels[:g] {
-		for _, p := range l.ps {
-			if p.d > 0 {
-				continue
-			}
-			for d := 1; d < len(p.tr.levels); d++ {
-				if p.tr.levels[d].depth > g {
-					b.carry = append(b.carry, &p.tr.levels[d])
-					b.width += 3
-					break
-				}
-			}
-		}
-	}
-	return b
-}
-
-// release keeps the batch for the next join, holding no trie.
-func (b *batch) release() {
-	clear(b.merge)
-	clear(b.below)
-	clear(b.carry)
-	b.merge, b.below, b.carry = b.merge[:0], b.below[:0], b.carry[:0]
-	spare.Lock()
-	spare.batches = append(spare.batches, b)
-	spare.Unlock()
-}
-
-// add keeps the offered value v with the bindings above it and the
-// carried ranges, and flushes a full chunk.
-func (b *batch) add(e *join, v int) {
-	if b.entries = b.state(b.entries, e, v); len(b.entries) == b.width<<chunkBits {
-		b.flush(e)
-	}
-}
-
-// state appends an entry to dst: the bindings above g, lo, hi and pre of
-// every carried level, and v.
-func (b *batch) state(dst []uint64, e *join, v int) []uint64 {
-	for _, x := range e.binding[:b.g] {
-		dst = append(dst, uint64(x))
-	}
-	for _, l := range b.carry {
-		dst = append(dst, uint64(l.lo), uint64(l.hi), l.pre)
-	}
-	return append(dst, uint64(v))
-}
-
-// flush merges the chunk's values with the merged tries, goes on below
-// every value they all hold, and empties the chunk. It leaves the
-// bindings above g and the carried ranges as it found them: the loops
-// that were binding them — when the chunk filled, or when a binding that
-// offers many values sent the chunk on first — go on from there.
-func (b *batch) flush(e *join) {
-	w := b.width
-	n := len(b.entries) / w
-	if n == 0 {
-		return
-	}
-	b.saved = b.state(b.saved[:0], e, e.binding[b.g])
-	b.merged(n)
-	for i, s := range b.buf[:n] {
-		if s == ^uint64(0) {
-			continue
-		}
-		b.restore(e, b.entries[i*w:(i+1)*w])
-		for j, l := range b.below {
-			sp := b.spans[(int(s)*len(b.below)+j)*3:]
-			l.lo, l.hi, l.pre = int(sp[0]), int(sp[1]), sp[2]
-		}
-		e.rec(b.g + 1)
-	}
-	b.restore(e, b.saved)
-	b.entries = b.entries[:0]
-}
-
-// restore binds the variables above g and the level's own from an entry
-// (state), and sets the carried ranges.
-func (b *batch) restore(e *join, entry []uint64) {
-	for j := range b.g {
-		e.binding[j] = int(entry[j])
-	}
-	k := b.g
-	for _, l := range b.carry {
-		l.lo, l.hi, l.pre = int(entry[k]), int(entry[k+1]), entry[k+2]
-		k += 3
-	}
-	e.binding[b.g] = int(entry[k])
-}
-
-// merged sorts the chunk's n values and seeks them in ascending order in
-// every merged trie, whose cursors then only move forward: a value all of
-// them hold gets a span — the range each opens below it — and every entry
-// offering it the span's number in buf; the other entries get ^0.
-func (b *batch) merged(n int) {
-	w := b.width
-	// A value's code (its bits with the sign flipped) orders as the values
-	// do. When the chunk's codes span less than 2⁴⁸, a sort key is one
-	// word: the code's distance from the least, above the entry's number.
-	// Else it is two: the code, then the number.
-	code := func(i int) uint64 { return b.entries[(i+1)*w-1] ^ 1<<63 }
-	lo, hi := code(0), code(0)
-	for i := 1; i < n; i++ {
-		lo, hi = min(lo, code(i)), max(hi, code(i))
-	}
-	stride := 1
-	if hi-lo >= 1<<(64-chunkBits) {
-		stride = 2
-	}
-	b.keys = slices.Grow(b.keys[:0], stride*n)[:stride*n]
-	b.buf = slices.Grow(b.buf[:0], stride*n)[:stride*n]
-	if stride == 1 {
-		for i := range n {
-			b.keys[i] = (code(i)-lo)<<chunkBits | uint64(i)
-		}
-		relation.SortKeys(b.keys, chunkBits, b.buf)
-	} else {
-		for i := range n {
-			b.keys[2*i], b.keys[2*i+1] = code(i), uint64(i)
-		}
-		relation.SortRows(b.keys, 2, b.buf)
-	}
-	key := func(i int) (code uint64, entry int) {
-		if stride == 1 {
-			return lo + b.keys[i]>>chunkBits, int(b.keys[i] & (1<<chunkBits - 1))
-		}
-		return b.keys[2*i], int(b.keys[2*i+1])
-	}
-
-	hit := b.buf[:n]
-	for i := range hit {
-		hit[i] = ^uint64(0)
-	}
-	b.spans = b.spans[:0]
-	for _, tr := range b.merge {
-		tr.reset(0)
-	}
-	span := uint64(0)
-	for i := 0; i < n; {
-		c, _ := key(i)
-		end := i + 1 // the entries offering the same value
-		for end < n {
-			if next, _ := key(end); next != c {
-				break
-			}
-			end++
-		}
-		v := int(c ^ 1<<63)
-		for _, tr := range b.merge {
-			got, ok := tr.seek(0, v)
-			if !ok {
-				return // this trie holds no value from v on
-			}
-			if got != v {
-				i = end
-				break
-			}
-		}
-		if i == end {
-			continue
-		}
-		for _, tr := range b.merge {
-			tr.open(0, v)
-			if len(tr.levels) > 1 {
-				l := &tr.levels[1]
-				b.spans = append(b.spans, uint64(l.lo), uint64(l.hi), l.pre)
-				tr.levels[0].cur = l.hi // past v's rows
-			}
-		}
-		for ; i < end; i++ {
-			_, entry := key(i)
-			hit[entry] = span
-		}
-		span++
-	}
 }
 
 // scratch holds the runs EvaluateRuns appends its answers to. A scratch

@@ -4,30 +4,17 @@ import "slices"
 
 // This file holds the row sort runs are built on.
 
-// SortRows sorts rows of stride words each — a run's payload, a trie
-// index's keys, or a batch of the local join's bindings — ascending in
-// uint64-lexicographic order, with an LSD byte-radix sort: linear passes
-// over machine words instead of a comparison sort, which is what keeps
-// DedupSort linear on large join outputs and the local join's trie build
-// linear on unsorted keys. The passes run from the last word's lowest
-// byte to the first word's highest; byte positions that are constant
-// across the rows (the common case for packed tuples over a small domain)
-// are found by one XOR scan per word and cost no pass at all. Small inputs
-// fall back to a comparison sort, whose constant is lower there. The
-// passes alternate between ws and a buffer of as many words: buf when it
-// is that long, so a caller that sorts again and again allocates nothing,
-// else a fresh one.
-func SortRows(ws []uint64, stride int, buf []uint64) { sortWords(ws, stride, 0, buf) }
-
-// SortKeys sorts one-word keys ascending in their bits from bit low up,
-// as SortRows sorts rows of one word, but without a pass over the bits
-// below low: they ride along with their key, which is how the local join
-// sorts values that carry their entry's number in their lowest bits. Keys
-// equal from low up come out in no particular order.
-func SortKeys(keys []uint64, low uint, buf []uint64) { sortWords(keys, 1, low, buf) }
-
-// sortWords is SortRows whose passes skip the bits of a word below low.
-func sortWords(ws []uint64, stride int, low uint, buf []uint64) {
+// sortRows sorts rows of stride words each — a run's payload, or a trie
+// index's keys — ascending in uint64-lexicographic order, with an LSD
+// byte-radix sort: linear passes over machine words instead of a
+// comparison sort, which is what keeps DedupSort linear on large join
+// outputs and the local join's trie build linear on unsorted keys. The
+// passes run from the last word's lowest byte to the first word's
+// highest; byte positions that are constant across the rows (the common
+// case for packed tuples over a small domain) are found by one XOR scan
+// per word and cost no pass at all. Small inputs fall back to a
+// comparison sort, whose constant is lower there.
+func sortRows(ws []uint64, stride int) {
 	n := len(ws) / max(stride, 1)
 	if n < 256 {
 		if stride == 1 {
@@ -43,16 +30,14 @@ func sortWords(ws []uint64, stride int, low uint, buf []uint64) {
 		}
 		return
 	}
-	if len(buf) < len(ws) {
-		buf = make([]uint64, len(ws))
-	}
-	src, dst := ws, buf[:len(ws)]
+	buf := make([]uint64, len(ws))
+	src, dst := ws, buf
 	for word := stride - 1; word >= 0; word-- {
 		var varying uint64
 		for r := word; r < len(src); r += stride {
 			varying |= src[r] ^ src[word]
 		}
-		for shift := low; shift < 64; shift += 8 {
+		for shift := uint(0); shift < 64; shift += 8 {
 			if (varying>>shift)&0xff == 0 {
 				continue // byte constant across the rows
 			}

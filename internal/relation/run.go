@@ -368,13 +368,13 @@ func (b *Run) AppendRow(src *Run, i int) {
 // tuple order. Rows that are already ascending — any partition of a
 // source that was in order, such as a generated matching or a
 // re-scattered sealed run — cost one linear check; anything else goes
-// through SortRows, the one sort this repo has for rows of words.
+// through sortRows, the one sort this repo has for rows of words.
 func (b *Run) Seal() {
 	if b.sealed {
 		return
 	}
 	if !rowsSorted(b.words, b.stride) {
-		SortRows(b.words, b.stride, nil)
+		sortRows(b.words, b.stride)
 	}
 	b.sealed = true
 }
@@ -416,7 +416,7 @@ func (b *Run) column(col int, keys []uint64) {
 		keys[i] = b.words[i*b.stride+w]>>off&mask ^ flip
 	}
 	if col > 0 {
-		SortRows(keys, 1, nil)
+		sortRows(keys, 1)
 	}
 }
 
@@ -647,7 +647,7 @@ rows:
 			keys = append(keys, key)
 		}
 	}
-	SortRows(keys, stride, nil)
+	sortRows(keys, stride)
 	return newTrieIndex(keys, stride, b.layout)
 }
 

@@ -7,7 +7,6 @@ package relation
 // top-K read and the merge can get wrong.
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -404,9 +403,7 @@ func TestDatabaseStatsAdoptedSeed(t *testing.T) {
 // byte positions: constant high bytes, a constant low byte, all-equal
 // input, and the sign-flipped keys the statistics kernel sorts — on rows
 // of one word and of two and three, whose later words are sorted first
-// and must not undo the order of the earlier ones — with a buffer of its
-// own and through a reused one holding old words — and SortKeys, which
-// sorts one-word keys above their low 16 bits.
+// and must not undo the order of the earlier ones.
 func TestSortWordsMatchesComparisonSort(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 3))
 	gens := map[string]func() uint64{
@@ -430,28 +427,9 @@ func TestSortWordsMatchesComparisonSort(t *testing.T) {
 					rows[i] = slices.Clone(ws[i*stride : (i+1)*stride])
 				}
 				slices.SortFunc(rows, slices.Compare)
-				// Once with a buffer of its own, once through a reused one
-				// that is longer than the rows and holds old words.
-				again, keyed := slices.Clone(ws), slices.Clone(ws)
-				SortRows(ws, stride, nil)
+				sortRows(ws, stride)
 				if !slices.Equal(ws, slices.Concat(rows...)) {
-					t.Errorf("%s, %d rows of %d words: SortRows disagrees with slices.SortFunc", name, size, stride)
-				}
-				buf := make([]uint64, len(again)+3)
-				for i := range buf {
-					buf[i] = 0xfeed
-				}
-				if SortRows(again, stride, buf); !slices.Equal(again, ws) {
-					t.Errorf("%s, %d rows of %d words: SortRows through a reused buffer disagrees", name, size, stride)
-				}
-				if stride == 1 {
-					// SortKeys orders the bits from 16 up and carries the
-					// low 16 along: the same keys, ascending above them.
-					SortKeys(keyed, 16, buf)
-					sorted := slices.IsSortedFunc(keyed, func(a, b uint64) int { return cmp.Compare(a>>16, b>>16) })
-					if slices.Sort(keyed); !sorted || !slices.Equal(keyed, ws) {
-						t.Errorf("%s, %d keys: SortKeys above bit 16 sorted=%v, or lost keys", name, size, sorted)
-					}
+					t.Errorf("%s, %d rows of %d words: sortRows disagrees with slices.SortFunc", name, size, stride)
 				}
 			}
 		}
