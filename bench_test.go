@@ -1302,7 +1302,7 @@ func BenchmarkHyperCubeRouting(b *testing.B) {
 	t := relation.Tuple{123, 456}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hypercube.Destinations(s, h, q.Atoms[0], t)
+		hypercube.NewGridPartitioner(s, h, q.Atoms[0]).Route(0, t, nil)
 	}
 }
 

@@ -51,13 +51,6 @@ func (p *Program) Schema(pred string) []string {
 	return attrs
 }
 
-// IsIDB reports whether the predicate is defined by a rule.
-func (p *Program) IsIDB(pred string) bool { return p.an.idb[pred] }
-
-// IsAggregate reports whether the predicate is defined by an aggregate
-// rule.
-func (p *Program) IsAggregate(pred string) bool { return p.an.aggPred[pred] }
-
 // EDBPreds returns the extensional predicates — those read but never
 // defined — sorted by name.
 func (p *Program) EDBPreds() []string {
@@ -85,16 +78,6 @@ func (p *Program) IDBPreds() []string {
 // dependency graph, dependencies before dependents. The slice is
 // shared; callers must not mutate it.
 func (p *Program) Strata() []Stratum { return p.an.strata }
-
-// Recursive reports whether any stratum needs a fixpoint.
-func (p *Program) Recursive() bool {
-	for _, s := range p.an.strata {
-		if s.Recursive {
-			return true
-		}
-	}
-	return false
-}
 
 // OutputPred returns the predicate the program answers: the goal's
 // predicate, or the head of the last rule when no goal is declared.

@@ -151,7 +151,7 @@ func TestClosureOnWorkersDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				for pred, facts := range want {
-					if prog.IsAggregate(pred) {
+					if prog.an.aggPred[pred] {
 						facts = reachAggregate(want["tc"])
 					}
 					if got := ref.Facts[pred].Tuples(); !reflect.DeepEqual(got, facts) && (len(got) > 0 || len(facts) > 0) {

@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,13 +28,13 @@ func TestParseBasic(t *testing.T) {
 	if got := prog.Rules[1].String(); got != "tc(x, z) :- tc(x, y), e(y, z)." {
 		t.Fatalf("bad rendering: %q", got)
 	}
-	if !prog.IsIDB("tc") || prog.IsIDB("e") {
+	if !prog.an.idb["tc"] || prog.an.idb["e"] {
 		t.Fatal("IDB/EDB classification wrong")
 	}
 	if got := prog.EDBPreds(); !reflect.DeepEqual(got, []string{"e"}) {
 		t.Fatalf("EDBPreds = %v", got)
 	}
-	if !prog.Recursive() {
+	if !slices.ContainsFunc(prog.Strata(), func(s Stratum) bool { return s.Recursive }) {
 		t.Fatal("tc program should be recursive")
 	}
 	if prog.OutputPred() != "tc" {
@@ -54,10 +55,10 @@ func TestParseAggregateHead(t *testing.T) {
 	if !reflect.DeepEqual(r.Head.Terms, want) {
 		t.Fatalf("head terms = %+v", r.Head.Terms)
 	}
-	if !prog.IsAggregate("deg") {
+	if !prog.an.aggPred["deg"] {
 		t.Fatal("deg should be an aggregate predicate")
 	}
-	if prog.Recursive() {
+	if slices.ContainsFunc(prog.Strata(), func(s Stratum) bool { return s.Recursive }) {
 		t.Fatal("aggregate program is not recursive")
 	}
 }

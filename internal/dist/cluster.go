@@ -268,7 +268,7 @@ func (c *Cluster) ScatterRun(ctx context.Context, run *relation.Run, as string, 
 // ScatterDelta partitions a sealed run of delta tuples through part —
 // the same partitioner as the base scatter, so each delta tuple reaches
 // exactly the workers that replicate it — and ships them maintaining
-// store: retractions (del) tombstone, and extensions append,
+// store: a retraction (del) rewrites the store, and extensions append,
 // additionally registering under view when it is non-empty. The run is
 // routed as it is (exchange.PartitionRun), every row received, a
 // repeated one once per occurrence. Receipt is accounted against the

@@ -35,9 +35,8 @@
 //     new dial (Registry parks such sessions between queries). A
 //     store holds sealed runs (relation.Run) and nothing else — what
 //     arrived, what the one local evaluator (localjoin.EvaluateRuns)
-//     produced, and per store one run of tombstones that reads
-//     subtract — so no tuple exists on a worker between wire decode
-//     and wire encode.
+//     produced, what a retraction rewrote a store to — so no tuple
+//     exists on a worker between wire decode and wire encode.
 //     What the process keeps between sessions is a read-only store of
 //     scatter slices it was asked to retain, which a later execution
 //     of the same scatter attaches to (resident.go).
@@ -141,8 +140,8 @@ type Op struct {
 	Round int
 	// Deliveries are the runs of an OpDeliver. Each is appended to its
 	// store — and registered under View when that is not empty — unless
-	// Del retracts them (tombstones) or Absorb has the receiver keep only
-	// the rows its store does not hold yet.
+	// Del retracts them (a retraction rewrites the store) or Absorb has
+	// the receiver keep only the rows its store does not hold yet.
 	Deliveries  []exchange.Delivery
 	Del, Absorb bool
 	// Join is the command of an OpJoin.

@@ -50,7 +50,8 @@ const (
 	DelayToBarrier
 	// DuplicateDelivery delivers the worker's runs twice. Exactly-once
 	// is not part of the transport contract — sorted-run merging dedups,
-	// tombstones are idempotent — so answers must not change.
+	// and a retraction applied twice rewrites the store once — so
+	// answers must not change.
 	DuplicateDelivery
 )
 

@@ -370,7 +370,7 @@ func explorations(t *testing.T, p int) []exploration {
 		if _, err := m.ApplyDelta(batch); err != nil {
 			return outcome{}, err
 		}
-		return outcome{answers: m.Answers().Tuples(), rounds: m.Stats().Rounds, repl: m.Replacements()}, nil
+		return outcome{answers: m.Answers().Tuples(), rounds: m.Stats().Rounds, repl: m.Outcome().Replacements}, nil
 	}})
 
 	// Reuse: the cold triangle on the maintainer's first database, then on
@@ -419,7 +419,7 @@ func explorations(t *testing.T, p int) []exploration {
 		if _, err := m.ApplyDelta(batch); err != nil {
 			return outcome{}, err
 		}
-		return outcome{answers: m.Answers().Tuples(), rounds: append(res.Stats.Rounds, m.Stats().Rounds...), repl: res.Replacements + m.Replacements()}, nil
+		return outcome{answers: m.Answers().Tuples(), rounds: append(res.Stats.Rounds, m.Stats().Rounds...), repl: res.Replacements + m.Outcome().Replacements}, nil
 	}})
 
 	// Resident: the cold triangle again, and the skew case's join, each as

@@ -215,8 +215,8 @@ func TestWorkerRejectsHostileRuns(t *testing.T) {
 	}
 }
 
-// mixedArityScript names one store with runs of two arities, tombstones
-// it and gathers it — the read that merges a store's runs into one.
+// mixedArityScript names one store with runs of two arities, retracts
+// from it and gathers it — the read that merges a store's runs into one.
 func mixedArityScript(t testing.TB) []byte {
 	return encodeFrames(t,
 		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", Buf: relation.RunOf(1, []relation.Tuple{{1}})}},
@@ -227,15 +227,15 @@ func mixedArityScript(t testing.TB) []byte {
 }
 
 // TestWorkerRejectsMixedArityStore: every run is well-formed, the store
-// they add up to is not. A store name holds one arity — as runs, as
-// tombstones, and under the Δ view an extension also registers — and a
-// run of another is refused where it arrives, before anything is
-// applied: an Error frame ends a session (at version 6 the gather
-// panicked the worker process; until version 8 a retraction of another
-// arity was accepted silently, and an extension that fit its store but
-// not its view left the store changed), and on a pool that lives on
-// every store reads as it did before — its rows and its tombstones: the
-// rows a retraction hid were delivered ahead of it, and stay hidden.
+// they add up to is not. A store name holds one arity — as runs, after
+// a retraction rewrote it, and under the Δ view an extension also
+// registers — and a run of another is refused where it arrives, before
+// anything is applied: an Error frame ends a session (at version 6 the
+// gather panicked the worker process; until version 8 a retraction of
+// another arity was accepted silently, and an extension that fit its
+// store but not its view left the store changed), and on a pool that
+// lives on every store reads as it did before: the rows a retraction
+// removed were delivered ahead of it, and stay removed.
 func TestWorkerRejectsMixedArityStore(t *testing.T) {
 	unary := func(vs ...int) *relation.Run {
 		ts := make([]relation.Tuple, len(vs))
@@ -283,7 +283,7 @@ func TestWorkerRejectsMixedArityStore(t *testing.T) {
 		{
 			name: "extension vs view", held: []dist.Op{deliver("R", relation.RunOf(2, []relation.Tuple{{1, 2}, {3, 4}})), deliver("V", unary(9)), delta("R", "", true, relation.RunOf(2, []relation.Tuple{{3, 4}}))},
 			refused: delta("R", "V", false, relation.RunOf(2, []relation.Tuple{{3, 4}})), want: `store "V", which holds arity 1`,
-			stores: map[string][]relation.Tuple{"R": {{1, 2}}, "V": {{9}}}, // (3,4) is still tombstoned
+			stores: map[string][]relation.Tuple{"R": {{1, 2}}, "V": {{9}}}, // (3,4) is still retracted
 		},
 	} {
 		t.Run(row.name, func(t *testing.T) {
@@ -806,7 +806,7 @@ func FuzzWorkerSession(f *testing.F) {
 		f.Add(append(script[:0:0], append(script, r.frame...)...))
 	}
 	pair := relation.RunOf(2, []relation.Tuple{{1, 2}})
-	f.Add(encodeFrames(f, // retract, re-append, gather: tombstones set and cleared
+	f.Add(encodeFrames(f, // retract, re-append, gather: a row rewritten out and back
 		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", Buf: relation.RunOf(2, []relation.Tuple{{1, 2}, {3, 4}})}},
 		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", Del: true, Buf: pair}},
 		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", Buf: pair}},

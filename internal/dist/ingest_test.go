@@ -10,11 +10,11 @@ import (
 	"repro/internal/relation"
 )
 
-// TestAppendClearsTombstone: a row appended after a retraction hid it
-// reads live whichever step carried it — a plain delivery, or an
-// extension that also registers a Δ view — and a later retraction hides
-// it again; on both links. (Until version 14 only the extension cleared
-// the tombstone.)
+// TestAppendClearsTombstone: a row appended after a retraction rewrote
+// it out of the store reads live whichever step carried it — a plain
+// delivery, or an extension that also registers a Δ view — and a later
+// retraction rewrites it out again; on both links. (Until version 14
+// only the extension put a retracted row back.)
 func TestAppendClearsTombstone(t *testing.T) {
 	row := relation.RunOf(2, []relation.Tuple{{1, 2}})
 	for _, link := range []struct {

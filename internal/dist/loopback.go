@@ -196,20 +196,19 @@ func (l *Loopback) Epoch() uint32 {
 // its session touches it, one frame at a time.
 type workerStore struct {
 	store map[string][]*relation.Run
-	// dead holds per-store tombstones — the tuples retracted by delta
-	// maintenance — as one sealed run. Runs are immutable once sealed, so
-	// a retraction merges into the tombstones instead of rewriting runs, a
-	// later re-append subtracts from them, and a read subtracts them from
-	// the store. Nil until the first retraction.
-	dead map[string]*relation.Run
 	// home is where the worker keeps runs beyond the session; retained
 	// holds the open round's flagged runs until its barrier.
 	home     residentHome
 	retained map[string]*retainedRuns
 	// absorbing holds, per store, the absorbed runs not yet settled: the
 	// next read of any store keeps what the store lacks of them and
-	// registers it under their view. filters holds the filter of each
-	// store of one-word rows absorbed into.
+	// registers it under their view. They wait for that read, not settle
+	// on receipt: Loopback hands data frames to its workers one at a
+	// time but runs a join on all of them at once, so a settle at the
+	// join runs in parallel. (Settled on receipt, in-process
+	// BenchmarkDatalogReach was slower in 7 of 10 alternated pairs on 2
+	// cores, median 34.2 against 33.7 ms.) filters holds the filter of
+	// each store of one-word rows absorbed into.
 	absorbing map[string]*absorbRuns
 	filters   map[string]*wordFilter
 }
@@ -226,16 +225,12 @@ func newWorkerStore(home residentHome) *workerStore {
 }
 
 // fits reports whether run may land under the store name. A store is
-// read as one relation — its runs merged, its tombstones subtracted, the
-// result joined — so it holds one arity, as runs and as tombstones, and a
-// run of another is refused: what names a store comes from the peer.
+// read as one relation — its runs merged, the result joined — so it
+// holds one arity, and a run of another is refused: what names a store
+// comes from the peer.
 func (w *workerStore) fits(rel string, run *relation.Run) error {
-	held := w.dead[rel]
-	if runs := w.store[rel]; len(runs) > 0 {
-		held = runs[0]
-	}
-	if held != nil && held.Arity() != run.Arity() {
-		return fmt.Errorf("dist: arity-%d run for store %q, which holds arity %d", run.Arity(), rel, held.Arity())
+	if held := w.store[rel]; len(held) > 0 && held[0].Arity() != run.Arity() {
+		return fmt.Errorf("dist: arity-%d run for store %q, which holds arity %d", run.Arity(), rel, held[0].Arity())
 	}
 	return nil
 }
@@ -255,8 +250,8 @@ func (w *workerStore) add(rel string, run *relation.Run) error {
 }
 
 // receive ingests one delivered run as its frame says: appended under
-// its store name — un-tombstoning its rows — and under its Δ view when it
-// names one; retracted (Del) into the store's tombstones; or absorbed,
+// its store name and under its Δ view when it names one; retracted (Del),
+// which rewrites the store as one run less the run's rows; or absorbed,
 // waiting to be settled with the store's other absorbed runs. A run
 // flagged to be retained is appended and noted to be published at the
 // round's barrier. A run that does not fit every name it would land
@@ -299,10 +294,12 @@ func (w *workerStore) receive(d *wire.Data) error {
 	w.settle()
 	delete(w.filters, store)
 	if d.Del {
-		if w.dead == nil {
-			w.dead = make(map[string]*relation.Run)
+		// A store that holds no rows keeps the run's arity, as no rows.
+		held := w.runs(store)
+		if len(held) == 0 {
+			held = []*relation.Run{run}
 		}
-		w.dead[store] = relation.Merge([]*relation.Run{w.dead[store], run})
+		w.store[store] = []*relation.Run{relation.Diff(held[0], run)}
 		return nil
 	}
 	w.extend(store, view, run)
@@ -319,14 +316,11 @@ func (w *workerStore) receive(d *wire.Data) error {
 	return nil
 }
 
-// extend appends a sealed run under store, un-tombstoning its rows, and
-// under view when there is one.
+// extend appends a sealed run under store, and under view when there is
+// one.
 func (w *workerStore) extend(store, view string, run *relation.Run) {
 	if view != "" {
 		w.store[view] = append(w.store[view], run)
-	}
-	if dead := w.dead[store]; dead.Len() > 0 {
-		w.dead[store] = relation.Diff(dead, run)
 	}
 	w.store[store] = append(w.store[store], run)
 }
@@ -358,12 +352,12 @@ func (w *workerStore) settle() {
 // the runs it arrived as — a fixpoint that merged it every iteration
 // would rewrite all of it every iteration — and, while its rows are one
 // word each, a Bloom filter of its words answers for most rows: only
-// those it may hold are looked up in the runs. Other stores, and stores
-// with tombstones, are subtracted as one merged read.
+// those it may hold are looked up in the runs. Other stores are
+// subtracted as one merged read.
 func (w *workerStore) unheld(store string, in *relation.Run) *relation.Run {
 	held := w.store[store]
 	f := w.filters[store]
-	if f == nil && w.dead[store].Len() == 0 && oneWord(held) {
+	if f == nil && oneWord(held) {
 		if len(held) > 1 {
 			// The runs the store arrived as become one, so that from here
 			// on each of its rows is in one run (gather).
@@ -519,9 +513,8 @@ func (w *workerStore) route(pieces []wire.Frame, r *wire.Route) (_ []wire.Frame,
 // store that holds several is merged here, once: the merged run takes
 // its pieces' place, so the next read — and whatever index the join
 // hangs on the run — finds it standing; a later delivery
-// appends a piece beside it and the next read merges again. While
-// tombstones are live for the store the run returned is the store less
-// the tombstones, so gathers and joins never see a retracted tuple.
+// appends a piece beside it and the next read merges again. A store
+// that holds no rows reads as nil.
 func (w *workerStore) runs(rel string) []*relation.Run {
 	w.settle()
 	held := w.store[rel]
@@ -533,15 +526,10 @@ func (w *workerStore) runs(rel string) []*relation.Run {
 		held = []*relation.Run{merged}
 		w.store[rel] = held
 	}
-	dead := w.dead[rel]
-	if dead.Len() == 0 || len(held) == 0 {
-		return held
-	}
-	live := relation.Diff(held[0], dead)
-	if live.Len() == 0 {
+	if len(held) == 1 && held[0].Len() == 0 {
 		return nil
 	}
-	return []*relation.Run{live}
+	return held
 }
 
 // gather returns what a gather of rel streams under limit — every row

@@ -91,7 +91,7 @@ func randomJoinQuery(rng *rand.Rand) *query.Query {
 // ≡ localjoin.Evaluate on the same tuples ≡ core.GroundTruth. Stores
 // are multi-run, sometimes empty or never delivered, sometimes hold a
 // value ≥ 2³² (flat-layout runs at arity 2 and 3), and sometimes carry
-// tombstones and re-insertions applied through ApplyDelta.
+// retractions and re-insertions applied through ApplyDelta.
 func TestPackedJoinMatchesReferences(t *testing.T) {
 	ctx := context.Background()
 	for trial := 0; trial < 400; trial++ {

@@ -217,10 +217,11 @@ func (c *Cluster) attach(ctx context.Context) error {
 // retained scatter slices, one merged run each, bounded in bytes, least
 // recently attached evicted first. A published entry is never written
 // again: its run is sealed, and a session copies the run pointer into
-// its own store — which is what its later deltas append to and
-// tombstone. What a sealed run remembers of itself (its trie index,
-// relation.Run.Index) is derived from it, bounded by it and counted here:
-// the budget is re-measured when an entry is attached.
+// its own store — which is what its later deltas append to, and what a
+// retraction replaces with a rewritten run of its own. What a sealed run
+// remembers of itself (its trie index, relation.Run.Index) is derived
+// from it, bounded by it and counted here: the budget is re-measured when
+// an entry is attached.
 type ResidentStore struct {
 	mu                   sync.Mutex
 	budget, bytes, clock int64

@@ -11,7 +11,7 @@ import (
 )
 
 // crossPathReference replays the historic per-tuple routing path —
-// Destinations per tuple, per-worker append stores, per-message bit
+// destinations per tuple, per-worker append stores, per-message bit
 // accounting — and returns the per-worker received bits plus the
 // deduplicated sorted answers computed from the per-worker stores.
 func crossPathReference(t *testing.T, q *query.Query, db *relation.Database, p int, shares *Shares, hasher *Hasher) ([]int64, []relation.Tuple) {
@@ -29,8 +29,9 @@ func crossPathReference(t *testing.T, q *query.Query, db *relation.Database, p i
 		if !ok {
 			t.Fatalf("missing relation %s", a.Name)
 		}
+		part := NewGridPartitioner(shares, hasher, a)
 		for _, tu := range rel.Tuples {
-			for _, dst := range Destinations(shares, hasher, a, tu) {
+			for _, dst := range part.Route(0, tu, nil) {
 				stores[dst][a.Name] = append(stores[dst][a.Name], tu)
 				perWorkerBits[dst] += bitsPerTuple(len(tu))
 			}

@@ -129,10 +129,6 @@ func Hold(q *query.Query, db *relation.Database, p int, opts Options) (*Distribu
 // and every maintenance batch included.
 func (d *Distribution) Stats() *mpc.Stats { return d.cluster.Stats() }
 
-// Replacements returns the total workers replaced by recovery across
-// the distribution's lifetime.
-func (d *Distribution) Replacements() int { return d.cluster.Replacements() }
-
 // Outcome returns the distribution's record so far, the cold round
 // included: statistics, a broken receive budget, replacements.
 func (d *Distribution) Outcome() dist.Outcome { return d.cluster.Outcome() }
@@ -232,10 +228,10 @@ func deltaView(atom string, seq int) string {
 func (d *Distribution) Apply(removed, added map[string]*relation.Run) (*relation.Run, error) {
 	d.seq++
 	// Route the delta along the grid: retractions first, then
-	// extensions, so a worker never resurrects an old occurrence by
-	// clearing a tombstone the same batch set (set-level effects make
-	// added and removed disjoint, but ordering keeps the invariant
-	// locally checkable). Atom order follows the query, as the cold
+	// extensions, so a retraction never rewrites out of a store a row
+	// the same batch put back in (set-level effects make added and
+	// removed disjoint, but ordering keeps the invariant locally
+	// checkable). Atom order follows the query, as the cold
 	// scatter does.
 	d.cluster.BeginRound()
 	var extended []query.Atom

@@ -515,7 +515,7 @@ func TestMaintainerFaultInjection(t *testing.T) {
 			if got := ft.Kills(); got != c.kills {
 				t.Errorf("fault schedule fired %d kills, want %d", got, c.kills)
 			}
-			if got := m.Replacements(); got != c.kills {
+			if got := m.Outcome().Replacements; got != c.kills {
 				t.Errorf("maintainer replaced %d workers, want exactly %d", got, c.kills)
 			}
 		})

@@ -198,21 +198,9 @@ func (h *Hasher) Coord(dim, value int) int {
 	return int(exchange.Mix(uint64(value), h.seeds[dim]) % uint64(h.dims[dim]))
 }
 
-// Destinations lists the grid points that must receive a tuple of
-// atom: coordinates of the atom's variables are fixed by the hashes,
-// all other dimensions range over their full shares. It is a thin
-// allocating wrapper around NewGridPartitioner; shuffle hot paths
-// should build the partitioner once per atom and reuse a buffer.
-func Destinations(s *Shares, h *Hasher, atom query.Atom, t relation.Tuple) []int {
-	out := NewGridPartitioner(s, h, atom).Route(0, t, nil)
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
 // GridPartitioner routes the tuples of one atom onto the hypercube
-// grid — the exchange.Partitioner form of Destinations. Its routing is
+// grid: coordinates of the atom's variables are fixed by the hashes,
+// all other dimensions range over their full shares. Its routing is
 // the atom's exchange.Grid, the one a worker builds from the same spec;
 // a sampled grid projects what the grid routes through the sample.
 type GridPartitioner struct {

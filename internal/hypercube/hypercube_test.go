@@ -159,7 +159,7 @@ func TestDestinationsReplication(t *testing.T) {
 	q := query.Triangle()
 	s := &Shares{Vars: q.Vars(), Dims: []int{4, 4, 4}}
 	h := NewHasher(s, 7)
-	dsts := Destinations(s, h, q.Atoms[0], relation.Tuple{10, 20})
+	dsts := NewGridPartitioner(s, h, q.Atoms[0]).Route(0, relation.Tuple{10, 20}, nil)
 	if len(dsts) != 4 {
 		t.Fatalf("destinations = %v, want 4", dsts)
 	}
@@ -190,7 +190,7 @@ func TestDestinationsAnswerCoverage(t *testing.T) {
 	}
 	for _, tc := range tuples {
 		found := false
-		for _, d := range Destinations(s, h, tc.atom, tc.t) {
+		for _, d := range NewGridPartitioner(s, h, tc.atom).Route(0, tc.t, nil) {
 			if d == target {
 				found = true
 			}

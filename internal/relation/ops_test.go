@@ -20,14 +20,14 @@ func TestNaturalJoinShared(t *testing.T) {
 	if len(j.Attrs) != 3 || j.Attrs[0] != "x" || j.Attrs[1] != "y" || j.Attrs[2] != "z" {
 		t.Fatalf("schema = %v", j.Attrs)
 	}
-	j.Sort()
+	got := j.Run().Tuples()
 	want := []Tuple{{1, 2, 10}, {1, 2, 11}}
-	if len(j.Tuples) != len(want) {
-		t.Fatalf("tuples = %v", j.Tuples)
+	if len(got) != len(want) {
+		t.Fatalf("tuples = %v", got)
 	}
 	for i := range want {
-		if !j.Tuples[i].Equal(want[i]) {
-			t.Errorf("tuple %d = %v, want %v", i, j.Tuples[i], want[i])
+		if !got[i].Equal(want[i]) {
+			t.Errorf("tuple %d = %v, want %v", i, got[i], want[i])
 		}
 	}
 }

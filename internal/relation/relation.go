@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -222,27 +221,6 @@ func (r *Relation) AttrIndex(name string) int {
 		}
 	}
 	return -1
-}
-
-// Clone deep-copies the relation's Tuples, which the copy seals anew;
-// the run of a relation built from one, being immutable, is shared.
-func (r *Relation) Clone() *Relation {
-	if r.Tuples == nil {
-		return FromRun(r.Name, r.Attrs, r.memo())
-	}
-	out := New(r.Name, r.Attrs...)
-	out.Tuples = make([]Tuple, len(r.Tuples))
-	for i, t := range r.Tuples {
-		out.Tuples[i] = t.Clone()
-	}
-	return out
-}
-
-// Sort orders Tuples lexicographically in place and returns r; the rows
-// of a relation built from a run are in that order already.
-func (r *Relation) Sort() *Relation {
-	sort.Slice(r.Tuples, func(i, j int) bool { return r.Tuples[i].Less(r.Tuples[j]) })
-	return r
 }
 
 // String renders a compact description (name, schema, cardinality).

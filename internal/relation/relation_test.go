@@ -53,11 +53,6 @@ func TestRelationBasics(t *testing.T) {
 	if r.AttrIndex("y") != 1 || r.AttrIndex("z") != -1 {
 		t.Error("AttrIndex")
 	}
-	c := r.Clone()
-	c.Tuples[0][0] = 99
-	if r.Tuples[0][0] == 99 {
-		t.Error("clone aliases tuples")
-	}
 	if got := r.String(); got != "R(x,y)[2 tuples]" {
 		t.Errorf("String = %q", got)
 	}
@@ -77,13 +72,12 @@ func TestSortDedup(t *testing.T) {
 	r.MustAdd(Tuple{3})
 	r.MustAdd(Tuple{1})
 	r.MustAdd(Tuple{3})
-	r.Sort()
-	if r.Size() != 3 || r.Tuples[0][0] != 1 || r.Tuples[1][0] != 3 || r.Tuples[2][0] != 3 {
-		t.Errorf("after sort: %v", r.Tuples)
+	sorted := r.Run().Tuples()
+	if len(sorted) != 3 || sorted[0][0] != 1 || sorted[1][0] != 3 || sorted[2][0] != 3 {
+		t.Errorf("sealed run: %v", sorted)
 	}
-	r.Tuples = DedupSort(r.Tuples)
-	if r.Size() != 2 || r.Tuples[0][0] != 1 || r.Tuples[1][0] != 3 {
-		t.Errorf("after dedup+sort: %v", r.Tuples)
+	if deduped := DedupSort(r.Tuples); len(deduped) != 2 || deduped[0][0] != 1 || deduped[1][0] != 3 {
+		t.Errorf("after dedup+sort: %v", deduped)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 // sealed runs, each producing one sealed run. Between a gather's wire
 // decode and the final materialization of an answer the coordinator
 // stays on these — linear passes over pointer-free rows of words — and
-// never builds a []Tuple of a whole view; a worker keeps its tombstones
-// with them. Runs of one arity at different strides meet at the widest
+// never builds a []Tuple of a whole view; a worker applies its
+// retractions with them. Runs of one arity at different strides meet at the widest
 // one: the narrower runs' rows are re-encoded there. Inputs are only
 // read (the recovery journal may re-send the same runs).
 

@@ -53,16 +53,6 @@ func (rs *RelationStats) Col(i int) *ColumnStats {
 	return rs.Cols[i]
 }
 
-// ColByName returns the stats of the named column, or nil.
-func (rs *RelationStats) ColByName(attr string) *ColumnStats {
-	for i, a := range rs.Attrs {
-		if a == attr {
-			return rs.Cols[i]
-		}
-	}
-	return nil
-}
-
 // String renders a one-line summary: |R|=n plus each column's max
 // frequency when it exceeds 1 (matching columns are omitted as noise).
 func (rs *RelationStats) String() string {
@@ -226,16 +216,6 @@ func (s *Stats) Relation(name string) *RelationStats {
 	return s.Relations[name]
 }
 
-// Size returns the cardinality of the named relation and whether it is
-// known.
-func (s *Stats) Size(name string) (int, bool) {
-	rs := s.Relation(name)
-	if rs == nil {
-		return 0, false
-	}
-	return rs.Count, true
-}
-
 // Sizes returns a name → cardinality map (the shape the hypercube
 // share optimizer consumes).
 func (s *Stats) Sizes() map[string]int {
@@ -253,16 +233,4 @@ func (s *Stats) TotalTuples() int {
 		total += rs.Count
 	}
 	return total
-}
-
-// MaxCount returns the largest relation cardinality (the n of the
-// paper's per-relation bounds), or 0 for an empty catalog.
-func (s *Stats) MaxCount() int {
-	max := 0
-	for _, rs := range s.Relations {
-		if rs.Count > max {
-			max = rs.Count
-		}
-	}
-	return max
 }

@@ -15,7 +15,7 @@ func TestCollectRelationStatsBasics(t *testing.T) {
 	if rs.Name != "R" || rs.Count != 6 {
 		t.Fatalf("got name=%s count=%d", rs.Name, rs.Count)
 	}
-	cx := rs.ColByName("x")
+	cx := rs.Col(0)
 	if cx == nil {
 		t.Fatal("no stats for column x")
 	}
@@ -35,7 +35,7 @@ func TestCollectRelationStatsBasics(t *testing.T) {
 	if cy.Distinct != 6 || cy.MaxFreq != 1 {
 		t.Errorf("y: distinct=%d maxfreq=%d, want 6, 1", cy.Distinct, cy.MaxFreq)
 	}
-	if rs.Col(2) != nil || rs.Col(-1) != nil || rs.ColByName("nope") != nil {
+	if rs.Col(2) != nil || rs.Col(-1) != nil {
 		t.Error("out-of-range column lookups must return nil")
 	}
 }
@@ -64,16 +64,16 @@ func TestCollectStatsOnMatchingDatabase(t *testing.T) {
 	db.AddRelation(r)
 	db.AddRelation(s)
 	st := CollectStats(db)
-	if st.TotalTuples() != 400 || st.MaxCount() != 200 {
-		t.Fatalf("total=%d max=%d", st.TotalTuples(), st.MaxCount())
+	if st.TotalTuples() != 400 || len(st.Relations) != 2 {
+		t.Fatalf("total=%d over %d relations", st.TotalTuples(), len(st.Relations))
 	}
 	for _, name := range []string{"R", "S"} {
 		rs := st.Relation(name)
 		if rs == nil {
 			t.Fatalf("missing stats for %s", name)
 		}
-		if n, ok := st.Size(name); !ok || n != 200 {
-			t.Errorf("Size(%s) = %d, %v", name, n, ok)
+		if rs.Count != 200 {
+			t.Errorf("%s: count %d, want 200", name, rs.Count)
 		}
 		for i := range rs.Cols {
 			if rs.Cols[i].MaxFreq != 1 || rs.Cols[i].Distinct != 200 {
@@ -83,9 +83,6 @@ func TestCollectStatsOnMatchingDatabase(t *testing.T) {
 	}
 	if st.Relation("nope") != nil {
 		t.Error("unknown relation must yield nil stats")
-	}
-	if _, ok := st.Size("nope"); ok {
-		t.Error("unknown relation must report !ok")
 	}
 	sizes := st.Sizes()
 	if sizes["R"] != 200 || sizes["S"] != 200 {

@@ -102,7 +102,7 @@ func (s *Server) handleTraceOne(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("queryID")
 	tc, ok := s.traces.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown query id %q (the trace ring keeps the last %d executions)", id, s.cfg.TraceCapacity)
+		writeError(w, http.StatusNotFound, "unknown query id %q (the trace ring keeps the last %d executions)", id, traceCapacity)
 		return
 	}
 	writeJSON(w, http.StatusOK, tc.Snapshot())

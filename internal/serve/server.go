@@ -122,14 +122,15 @@ type Config struct {
 	// Invalid configurations (empty or duplicate names/keys) panic in
 	// New; validate with NewTenants first when in doubt.
 	Tenants []TenantConfig
-	// TraceCapacity is the in-memory completed-trace ring size backing
-	// GET /trace. ≤ 0 selects 256.
-	TraceCapacity int
 	// Now is the clock the tenant rate limiters read; nil selects
 	// time.Now. Tests inject a fixed clock for deterministic 429
 	// counts.
 	Now func() time.Time
 }
+
+// traceCapacity is the size of the in-memory ring of traces behind
+// GET /trace: the last executions it keeps.
+const traceCapacity = 256
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
@@ -150,9 +151,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxContinuous <= 0 {
 		c.MaxContinuous = 16
-	}
-	if c.TraceCapacity <= 0 {
-		c.TraceCapacity = 256
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -198,7 +196,7 @@ func New(cfg Config) *Server {
 		gate:       NewGate(cfg.MaxConcurrent, cfg.LoadBudgetTuples),
 		metrics:    &Metrics{},
 		continuous: newCQRegistry(),
-		traces:     trace.NewRing(cfg.TraceCapacity),
+		traces:     trace.NewRing(traceCapacity),
 		started:    time.Now(),
 	}
 	if len(cfg.WorkerAddrs) > 0 {

@@ -210,7 +210,7 @@ type Data struct {
 	// under for later sessions to Attach to, from the round's barrier on.
 	Retain string
 	// Del and Absorb are the mode (byte 0 append, 1 retract, 2 absorb):
-	// a retraction tombstones the run's rows out of Rel; an absorbed run
+	// a retraction rewrites Rel without the run's rows; an absorbed run
 	// keeps only the rows Rel does not hold yet. Never both.
 	Del, Absorb bool
 	// Buf is the run itself.
