@@ -1160,7 +1160,7 @@ func legacyShuffle(q *query.Query, db *relation.Database, p int, s *hypercube.Sh
 // exchangeShuffle scatters db's relations for q through the columnar
 // exchange and returns (routed tuples, accounted bits).
 func exchangeShuffle(b *testing.B, q *query.Query, db *relation.Database, p int, s *hypercube.Shares, h *hypercube.Hasher) (int64, int64) {
-	cluster, ctx, err := dist.Open(dist.Env{}, mpc.Config{
+	cluster, ctx, err := dist.Open(dist.Options{}, mpc.Config{
 		Workers: p, Epsilon: 1, InputBits: db.InputBits(), DomainN: db.N,
 	})
 	if err != nil {
@@ -1259,7 +1259,7 @@ func BenchmarkShuffleHashJoin(b *testing.B) {
 	})
 	b.Run("exchange", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cluster, ctx, err := dist.Open(dist.Env{}, mpc.Config{
+			cluster, ctx, err := dist.Open(dist.Options{}, mpc.Config{
 				Workers: p, Epsilon: 1, InputBits: 1 << 30, DomainN: n,
 			})
 			if err != nil {

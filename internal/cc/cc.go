@@ -219,7 +219,7 @@ type session struct {
 }
 
 func open(g *Graph, opts Options) (*session, error) {
-	cluster, ctx, err := dist.Open(dist.Env{}, mpc.Config{
+	cluster, ctx, err := dist.Open(dist.Options{}, mpc.Config{
 		Workers:     opts.Workers,
 		Epsilon:     opts.Epsilon,
 		InputBits:   g.InputBits(),

@@ -201,13 +201,18 @@ type evaluator struct {
 	sum dist.Outcome
 }
 
-// dial returns the transport for one execution (nil = the engine's own
-// loopback).
-func (e *evaluator) dial() (dist.Transport, error) {
+// execution returns the options of one execution: the program's seed,
+// cap constant, context, recovery policy and trace, on a transport
+// dialed for it (nil = the engine's own loopback), which the caller
+// closes.
+func (e *evaluator) execution() (dist.Options, error) {
+	opts := dist.Options{Seed: e.opts.Seed, CapConstant: e.opts.CapConstant, Context: e.opts.Context, Recovery: e.opts.Recovery, Trace: e.opts.Trace}
 	if e.opts.Dial == nil {
-		return nil, nil
+		return opts, nil
 	}
-	return e.opts.Dial(e.opts.P)
+	var err error
+	opts.Transport, err = e.opts.Dial(e.opts.P)
+	return opts, err
 }
 
 // BodyQuery compiles the rule body into a conjunctive query named
@@ -306,20 +311,13 @@ func (e *evaluator) evalRule(ri int) (*relation.Run, int, error) {
 		return nil, 0, fmt.Errorf("datalog: rule for %s: %w", r.Head.Pred, err)
 	}
 	q := pl.Query
-	tr, err := e.dial()
+	opts, err := e.execution()
 	if err != nil {
 		return nil, 0, err
 	}
-	res, err := pl.ExecuteRun(e.wdb, plan.ExecOptions{
-		Seed:        e.opts.Seed,
-		CapConstant: e.opts.CapConstant,
-		Transport:   tr,
-		Context:     e.opts.Context,
-		Recovery:    e.opts.Recovery,
-		Trace:       e.opts.Trace,
-	})
-	if tr != nil {
-		tr.Close()
+	res, err := pl.ExecuteRun(e.wdb, opts)
+	if opts.Transport != nil {
+		opts.Transport.Close()
 	}
 	if err != nil {
 		return nil, 0, fmt.Errorf("datalog: rule for %s: %w", r.Head.Pred, err)
@@ -460,22 +458,15 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 		}
 		// Nothing that can fail without the network sits between the dial
 		// and the distribution that takes ownership of the session.
-		tr, err := e.dial()
+		opts, err := e.execution()
 		if err != nil {
 			return err
 		}
-		d, err := hypercube.Hold(q, e.wdb, e.opts.P, hypercube.Options{
-			Epsilon:     epsF,
-			CapConstant: e.opts.CapConstant,
-			Seed:        e.opts.Seed,
-			Transport:   tr,
-			Context:     e.opts.Context,
-			Recovery:    e.opts.Recovery,
-			Trace:       e.opts.Trace,
-		})
+		opts.Epsilon = epsF
+		d, err := hypercube.Hold(q, e.wdb, e.opts.P, opts)
 		if err != nil {
-			if tr != nil {
-				tr.Close()
+			if opts.Transport != nil {
+				opts.Transport.Close()
 			}
 			return fmt.Errorf("datalog: rule for %s: %w", r.Head.Pred, err)
 		}

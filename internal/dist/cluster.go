@@ -50,7 +50,7 @@ type Cluster struct {
 	// roundSpan is the open round's span id (0 between rounds, and
 	// always when untraced).
 	roundSpan uint64
-	// snap is Env.Snapshot; attaching holds the open round's scatters
+	// snap is Options.Snapshot; attaching holds the open round's scatters
 	// believed resident until its barrier (resident.go).
 	snap      *Snapshot
 	attaching []*residentScatter
@@ -80,14 +80,37 @@ func NewCluster(cfg mpc.Config, tr Transport) (*Cluster, error) {
 	return &Cluster{cfg: cfg, tr: tr, arity: make(map[string]int)}, nil
 }
 
-// Env says where and how an execution's rounds run — everything about
-// an execution that is neither the query, the data, nor the model
-// parameters of mpc.Config. The zero value runs in this process:
-// loopback workers, no deadline, no recovery, untraced. Engines and
-// front ends hand an Env through to Open unchanged, so a policy set at
-// the top (a service's recovery policy, a query's trace) reaches every
-// cluster the execution opens.
-type Env struct {
+// Options is how an execution runs — everything about it that is
+// neither the query nor the data. Every engine takes this one value:
+// hypercube, skew and multiround name it Options, the planner
+// ExecOptions. The zero value runs in this process: loopback workers,
+// no deadline, no recovery, untraced, every answer gathered. Engines
+// and front ends hand it through unchanged, so a policy set at the top
+// (a service's recovery policy, a query's trace) reaches every cluster
+// the execution opens.
+type Options struct {
+	// Seed drives the hash functions (and sampling in
+	// hypercube.RunSampled).
+	Seed uint64
+	// Epsilon is the space exponent of the MPC(ε) model, which sets the
+	// receive budget. HyperCube's one-round engine and Hold read it; a
+	// multi-round plan runs at its own ε and the skew join at 0.
+	Epsilon float64
+	// CapConstant is c in the per-round receive budget c·N/p^{1−ε};
+	// ≤ 0 disables enforcement.
+	CapConstant float64
+	// AnswerLimit is how many rows of the answer reach the coordinator:
+	// 0 all of them, k > 0 the first k in the answer's order, a negative
+	// limit none. An engine's Count counts every answer either way. The
+	// one-round engines honor it, and a multi-round plan's last round
+	// when its view is already in the query's variable order, by leaving
+	// the rest on the workers; where the rows must be re-sorted or
+	// folded first, everything is gathered.
+	AnswerLimit int
+	// Pipeline is read by nothing: there is one round schedule, and
+	// Open runs it. The name stays because the benchmark's probes set
+	// it; ROADMAP item 7 deletes it.
+	Pipeline bool
 	// Transport is the worker pool: nil opens an in-process loopback
 	// of cfg.Workers workers, a *TCP runs the rounds against remote
 	// mpcworker processes. The pool size must equal cfg.Workers. A
@@ -110,13 +133,17 @@ type Env struct {
 	// the relations handed to Cluster.Scatter belong to, by name, so a
 	// scatter the workers already keep is attached to instead of re-sent
 	// (see Residency). Nil: nothing is known, every scatter is shipped.
+	// A multi-round plan's snapshot covers its first round's scatters; a
+	// view re-scattered later has no identity.
 	Snapshot *Snapshot
 }
 
-// Open turns an Env and the model parameters into a ready cluster,
-// plus the context its rounds run under. It is the one way an engine
-// starts an execution; the caller that supplied env.Transport closes
-// it.
+// Open turns opts and the model parameters into a ready cluster, plus
+// the context its rounds run under. It is the one way an engine starts
+// an execution; the caller that supplied opts.Transport closes it. It
+// reads where and how the rounds run (Transport, Context, Recovery,
+// Trace, Snapshot); ε and the cap constant reach the cluster through
+// cfg.
 //
 // The cluster runs the fused schedule: Scatter, EndRound and Join
 // journal and queue their steps, and the next fence — a Gather, a
@@ -128,8 +155,8 @@ type Env struct {
 // is partitioned, before any transport, so answers and statistics do
 // not depend on when a step leaves; work still queued when the cluster
 // is dropped without a final fence is discarded.
-func Open(env Env, cfg mpc.Config) (*Cluster, context.Context, error) {
-	ctx, tr := env.Context, env.Transport
+func Open(opts Options, cfg mpc.Config) (*Cluster, context.Context, error) {
+	ctx, tr := opts.Context, opts.Transport
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -140,14 +167,14 @@ func Open(env Env, cfg mpc.Config) (*Cluster, context.Context, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if env.Recovery.Enabled {
-		if err := c.EnableRecovery(env.Recovery); err != nil {
+	if opts.Recovery.Enabled {
+		if err := c.EnableRecovery(opts.Recovery); err != nil {
 			return nil, nil, err
 		}
 	}
 	c.fused = true
-	c.EnableTracing(env.Trace)
-	c.snap = env.Snapshot
+	c.EnableTracing(opts.Trace)
+	c.snap = opts.Snapshot
 	return c, ctx, nil
 }
 
@@ -227,7 +254,7 @@ func (c *Cluster) BeginRound() {
 // round if none is), and ships them to the workers under store name
 // as.
 //
-// Under an Env.Snapshot, a scatter through an exchange.Keyed partitioner
+// Under an Options.Snapshot, a scatter through an exchange.Keyed partitioner
 // has an identity. Its second execution asks the workers to retain their
 // slices; from then on Scatter partitions and sends nothing: it charges
 // the round the recorded per-destination counts — a fresh scatter's

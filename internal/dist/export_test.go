@@ -54,8 +54,8 @@ func ServeConnOn(ctx context.Context, conn net.Conn, rs *ResidentStore, hello ti
 // OpenStepped is Open with the schedule of a bare NewCluster: every
 // step is sent before its call returns. The stepped ≡ fused nets drive
 // one round program through both.
-func OpenStepped(env Env, cfg mpc.Config) (*Cluster, context.Context, error) {
-	c, ctx, err := Open(env, cfg)
+func OpenStepped(opts Options, cfg mpc.Config) (*Cluster, context.Context, error) {
+	c, ctx, err := Open(opts, cfg)
 	if err == nil {
 		c.fused = false
 	}

@@ -109,14 +109,14 @@ func (k *killAtStep) Run(ctx context.Context, ops []dist.Op) (dist.Reply, error)
 func TestRecoveryMidStreamTCPPipelined(t *testing.T) {
 	const p = 4
 	eng := recoveryEngines(t, p)[0]
-	_, base := drive(t, dist.Open, dist.Env{}, eng.prog)
+	_, base := drive(t, dist.Open, dist.Options{}, eng.prog)
 	for _, sch := range schedules {
 		for _, at := range []dist.OpKind{dist.OpDeliver, dist.OpBarrier, dist.OpJoin, dist.OpGather} {
 			t.Run(sch.name+"/"+at.String(), func(t *testing.T) {
 				pool := startKillablePool(t, p+1)
 				members, spare := pool.addrs[:p], pool.addrs[p]
 				tr := &killAtStep{TCP: lentSession(t, members, []string{spare}), kind: at, kill: func() { pool.kill(2) }}
-				env := dist.Env{Transport: tr, Recovery: dist.RecoveryOptions{Enabled: true}}
+				env := dist.Options{Transport: tr, Recovery: dist.RecoveryOptions{Enabled: true}}
 				ans, cl := drive(t, sch.open, env, eng.prog)
 				if cl.Replacements() != 1 {
 					t.Fatalf("%d replacements for one killed worker process", cl.Replacements())

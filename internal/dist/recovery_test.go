@@ -36,7 +36,7 @@ type recEngine struct {
 // exploration runs the hand-written program on a cluster opened by open.
 func (pr program) exploration(name string, truth []relation.Tuple, open opener) exploration {
 	return exploration{name: name, truth: truth, run: func(dial func() dist.Transport, s *disttest.Schedule, rec dist.RecoveryOptions) (outcome, error) {
-		cl, ctx, err := open(dist.Env{Transport: behind(s, dial()), Recovery: rec}, pr.cfg)
+		cl, ctx, err := open(dist.Options{Transport: behind(s, dial()), Recovery: rec}, pr.cfg)
 		if err != nil {
 			return outcome{}, err
 		}

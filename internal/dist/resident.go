@@ -47,7 +47,7 @@ func NewResidency() (*Residency, error) {
 	return r, err
 }
 
-// Snapshot is one execution's Env.Snapshot: the identity of the dataset
+// Snapshot is one execution's Options.Snapshot: the identity of the dataset
 // version its base relations belong to, and what its scatters came to.
 type Snapshot struct {
 	res *Residency

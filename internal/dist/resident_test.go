@@ -388,7 +388,7 @@ func TestResidentRecoveryAfterAttach(t *testing.T) {
 // caller joins and gathers.
 func joinCluster(t *testing.T, q *query.Query, db *relation.Database, tr dist.Transport, snap *dist.Snapshot, part func(query.Atom) exchange.Partitioner) *dist.Cluster {
 	t.Helper()
-	cl, ctx, err := dist.Open(dist.Env{Transport: tr, Snapshot: snap}, mpc.Config{Workers: tr.Workers(), DomainN: db.N, InputBits: db.InputBits()})
+	cl, ctx, err := dist.Open(dist.Options{Transport: tr, Snapshot: snap}, mpc.Config{Workers: tr.Workers(), DomainN: db.N, InputBits: db.InputBits()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ import (
 // coordinator accounts.
 
 // opener opens a cluster: dist.Open (fused) or dist.OpenStepped.
-type opener func(dist.Env, mpc.Config) (*dist.Cluster, context.Context, error)
+type opener func(dist.Options, mpc.Config) (*dist.Cluster, context.Context, error)
 
 // schedules names the two.
 var schedules = []struct {
@@ -49,7 +49,7 @@ type program struct {
 }
 
 // drive opens prog's cluster in env under the schedule and runs it.
-func drive(t *testing.T, open opener, env dist.Env, prog program) ([]relation.Tuple, *dist.Cluster) {
+func drive(t *testing.T, open opener, env dist.Options, prog program) ([]relation.Tuple, *dist.Cluster) {
 	t.Helper()
 	cl, ctx, err := open(env, prog.cfg)
 	if err != nil {
@@ -68,7 +68,7 @@ func driveAll(t *testing.T, addrs []string, prog program, truth []relation.Tuple
 	t.Helper()
 	for _, sch := range schedules {
 		for _, kind := range []string{"loopback", "tcp"} {
-			var env dist.Env
+			var env dist.Options
 			if kind == "tcp" {
 				env.Transport = dialPool(t, addrs)
 			}

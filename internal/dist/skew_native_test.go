@@ -119,7 +119,7 @@ func TestSkewPlannerRunNative(t *testing.T) {
 					t.Errorf("%s: round stats differ from the loopback run", kind)
 				}
 				for _, sch := range schedules {
-					ans, cl := drive(t, sch.open, dist.Env{Transport: transport()}, planProgram(t, pl, db, 23))
+					ans, cl := drive(t, sch.open, dist.Options{Transport: transport()}, planProgram(t, pl, db, 23))
 					if !sameTuples(ans, truth) || !reflect.DeepEqual(cl.Stats().Rounds, base.Stats.Rounds) {
 						t.Errorf("%s, %s by hand: %d answers (ground truth %d), stats equal Execute's: %v",
 							kind, sch.name, len(ans), len(truth), reflect.DeepEqual(cl.Stats().Rounds, base.Stats.Rounds))

@@ -43,7 +43,7 @@ func runPlan(t *testing.T, q *query.Query, db *relation.Database, p int, tr dist
 		t.Fatal(err)
 	}
 	if !fused {
-		_, cl := drive(t, dist.OpenStepped, dist.Env{Transport: tr, Trace: tc}, planProgram(t, pl, db, 23))
+		_, cl := drive(t, dist.OpenStepped, dist.Options{Transport: tr, Trace: tc}, planProgram(t, pl, db, 23))
 		return cl.Stats()
 	}
 	res, err := pl.Execute(db, plan.ExecOptions{Seed: 23, Transport: tr, Trace: tc})

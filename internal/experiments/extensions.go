@@ -451,7 +451,7 @@ func Shuffle(w io.Writer, n int, ps []int, seed uint64) ([]ShuffleRow, error) {
 			return nil, err
 		}
 		hasher := hypercube.NewHasher(shares, seed)
-		cluster, ctx, err := dist.Open(dist.Env{}, mpc.Config{
+		cluster, ctx, err := dist.Open(dist.Options{}, mpc.Config{
 			Workers:   p,
 			Epsilon:   1,
 			InputBits: db.InputBits(),

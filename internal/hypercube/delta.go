@@ -27,7 +27,7 @@ import (
 // conjunctive query without projection determines each answer's witness
 // in atom S_j uniquely (it is the answer's projection onto vars(S_j)),
 // so an answer dies exactly when one of its projections was retracted.
-// Apply hands back what the workers joined, undiffed, and a Maintainer
+// apply hands back what the workers joined, undiffed, and a Maintainer
 // diffs it against the answer it keeps — serve's continuous queries. A
 // Datalog fixpoint keeps nothing on the coordinator: it holds a
 // Distribution open (Hold) and drives Route, Absorb and Closure, so each
@@ -106,7 +106,7 @@ func Hold(q *query.Query, db *relation.Database, p int, opts Options) (*Distribu
 	if shares.GridSize() > p {
 		return nil, fmt.Errorf("hypercube: grid size %d exceeds %d servers", shares.GridSize(), p)
 	}
-	cluster, ctx, err := opts.open(p, db)
+	cluster, ctx, err := open(p, db, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -218,14 +218,14 @@ func deltaView(atom string, seq int) string {
 	return fmt.Sprintf("delta!%s!%d", atom, seq)
 }
 
-// Apply maintains the distribution under one delta batch — per atom
+// apply maintains the distribution under one delta batch — per atom
 // name, the sealed runs of retracted and of added tuples (set-level
 // effects: disjoint, and truly present resp. absent; nil or empty runs
 // and names outside the query are skipped) — and returns what the
 // batch's delta joins produced, gathered into one sealed run: every
 // answer that uses at least one added tuple, whether or not the caller
 // has seen it before (nil when nothing was added or nothing joined).
-func (d *Distribution) Apply(removed, added map[string]*relation.Run) (*relation.Run, error) {
+func (d *Distribution) apply(removed, added map[string]*relation.Run) (*relation.Run, error) {
 	d.seq++
 	// Route the delta along the grid: retractions first, then
 	// extensions, so a retraction never rewrites out of a store a row
@@ -281,7 +281,7 @@ func (d *Distribution) Apply(removed, added map[string]*relation.Run) (*relation
 
 // Maintainer is a Distribution plus the materialized answer of its
 // query, kept current under delta batches given as tuples: ApplyDelta
-// is its way in (the promoted Apply would leave the answer behind).
+// is its way in.
 type Maintainer struct {
 	*Distribution
 	// proj maps atom name → positions of the atom's variables in the
@@ -340,7 +340,7 @@ func (m *Maintainer) ApplyDelta(changes map[string]relation.Effect) (*Report, er
 	}
 	stats := m.Stats()
 	statsFrom := len(stats.Rounds)
-	fresh, err := m.Apply(removed, added)
+	fresh, err := m.apply(removed, added)
 	if err != nil {
 		return nil, err
 	}

@@ -218,14 +218,14 @@ func runMaintainer(t *testing.T, sc *maintScenario, p int, opts Options, check b
 }
 
 // distributeByHand is Distribute and every batch of sc through
-// Distribution.Apply on a cluster the test made: a bare dist.NewCluster
+// Distribution.apply on a cluster the test made: a bare dist.NewCluster
 // when stepped — every step sent before its call returns — else
 // dist.Open's, which fuses a batch into one script. It returns the cold
 // answer and each batch's gathered Δ-join as tuples, and the record.
 func distributeByHand(t *testing.T, sc *maintScenario, p int, seed uint64, tr dist.Transport, stepped bool) ([][]relation.Tuple, *mpc.Stats) {
 	t.Helper()
 	cfg := mpc.Config{Workers: p, InputBits: sc.db0.InputBits(), DomainN: sc.db0.N}
-	cluster, ctx, err := dist.Open(dist.Env{Transport: tr}, cfg)
+	cluster, ctx, err := dist.Open(dist.Options{Transport: tr}, cfg)
 	if stepped {
 		cluster, err = dist.NewCluster(cfg, tr)
 	}
@@ -254,7 +254,7 @@ func distributeByHand(t *testing.T, sc *maintScenario, p int, seed uint64, tr di
 		for _, a := range sc.q.Atoms {
 			removed[a.Name], added[a.Name] = relation.RunOf(a.Arity(), eff[a.Name].Removed), relation.RunOf(a.Arity(), eff[a.Name].Added)
 		}
-		fresh, err := d.Apply(removed, added)
+		fresh, err := d.apply(removed, added)
 		if err != nil {
 			t.Fatalf("batch %d: %v", b, err)
 		}

@@ -15,7 +15,7 @@ import (
 // only, extensions only, both; labels that pack and labels past 2³³ that
 // put every run on the flat layout — a Maintainer, a bare Distribution
 // whose caller keeps the answer itself (anti-join, then relation.Diff and
-// Merge of what Apply gathered) and a cold re-join of each state hold
+// Merge of what apply gathered) and a cold re-join of each state hold
 // the same answer after every batch, and the two layers charge the same
 // rounds, on loopback and on TCP sessions.
 func TestMaintainerEqualsDistributionPlusAlgebra(t *testing.T) {
@@ -84,7 +84,7 @@ func TestMaintainerEqualsDistributionPlusAlgebra(t *testing.T) {
 							removed[name], added[name] = relation.RunOf(2, e.Removed), relation.RunOf(2, e.Added)
 							dead[name] = keySet(e.Removed)
 						}
-						gathered, err := d.Apply(removed, added)
+						gathered, err := d.apply(removed, added)
 						if err != nil {
 							t.Fatalf("%s batch %d: %v", transport, b, err)
 						}

@@ -36,7 +36,6 @@ import (
 	"repro/internal/mpc"
 	"repro/internal/query"
 	"repro/internal/relation"
-	"repro/internal/trace"
 )
 
 // Shares fixes the hypercube geometry: one integer share per variable.
@@ -269,34 +268,17 @@ func (g *GridPartitioner) Route(i int, t relation.Tuple, buf []int) []int {
 	return buf[:kept]
 }
 
-// Options configures a HyperCube run.
-type Options struct {
-	// Epsilon is the space exponent of the simulated MPC(ε) model; it
-	// determines the receive cap. Defaults should be the query's space
-	// exponent 1−1/τ*.
-	Epsilon float64
-	// CapConstant is c in the budget c·N/p^{1−ε}; ≤ 0 disables
-	// enforcement.
-	CapConstant float64
-	// Seed drives hash-function choice (and sampling in RunSampled).
-	Seed uint64
-	// Transport, Context, Recovery, Trace and Snapshot are the fields of
-	// dist.Env (documented there): where and how the round runs. The
-	// zero values are the in-process loopback, no deadline, no recovery,
-	// untraced, every scatter fresh.
-	Transport dist.Transport
-	Context   context.Context
-	Recovery  dist.RecoveryOptions
-	Trace     *trace.Trace
-	Snapshot  *dist.Snapshot
-}
+// Options configures a HyperCube run: the execution options every
+// engine takes (see dist.Options). Epsilon is the MPC(ε) space
+// exponent the receive budget is cut for — the query's 1−1/τ* is the
+// paper's — and RunSampled also draws its grid points from Seed.
+type Options = dist.Options
 
-// open starts the execution's cluster: p workers under the MPC(ε)
-// parameters of opts and db, in the environment opts carries.
-func (o Options) open(p int, db *relation.Database) (*dist.Cluster, context.Context, error) {
-	return dist.Open(
-		dist.Env{Transport: o.Transport, Context: o.Context, Recovery: o.Recovery, Trace: o.Trace, Snapshot: o.Snapshot},
-		mpc.Config{Workers: p, Epsilon: o.Epsilon, InputBits: db.InputBits(), CapConstant: o.CapConstant, DomainN: db.N})
+// open starts an execution's cluster: p workers under the MPC(ε)
+// parameters of opts and db, in the environment opts carries. It is
+// the one place this package opens a cluster.
+func open(p int, db *relation.Database, opts Options) (*dist.Cluster, context.Context, error) {
+	return dist.Open(opts, mpc.Config{Workers: p, Epsilon: opts.Epsilon, InputBits: db.InputBits(), CapConstant: opts.CapConstant, DomainN: db.N})
 }
 
 // Result reports a HyperCube execution.
@@ -318,22 +300,23 @@ type Result struct {
 }
 
 // Run executes the one-round HC algorithm for q over db on p servers
-// and returns all answers found (on matching databases this is the
-// complete answer when ε ≥ 1−1/τ*).
+// and returns the answers found, under opts.AnswerLimit as
+// RunWithShares (on matching databases this is the complete answer
+// when ε ≥ 1−1/τ*).
 func Run(q *query.Query, db *relation.Database, p int, opts Options) (*Result, error) {
 	shares, err := SharesForQuery(q, p, GreedyRounding)
 	if err != nil {
 		return nil, err
 	}
-	return runWithShares(q, db, p, shares, opts, nil, 0)
+	return runWithShares(q, db, p, shares, opts, nil)
 }
 
 // RunWithShares is Run with caller-provided shares (the planner's, or a
-// test's) that gathers only the first limit rows of the answer, as
-// dist.Cluster.GatherPrefix does: 0 all of them, a negative limit none.
-// Result.Count counts every answer either way.
-func RunWithShares(q *query.Query, db *relation.Database, p int, shares *Shares, opts Options, limit int) (*Result, error) {
-	return runWithShares(q, db, p, shares, opts, nil, limit)
+// test's) that gathers only the first opts.AnswerLimit rows of the
+// answer, as dist.Cluster.GatherPrefix does: 0 all of them, a negative
+// limit none. Result.Count counts every answer either way.
+func RunWithShares(q *query.Query, db *relation.Database, p int, shares *Shares, opts Options) (*Result, error) {
+	return runWithShares(q, db, p, shares, opts, nil)
 }
 
 // RunSampled executes the Proposition 3.11 algorithm: shares use the
@@ -369,7 +352,7 @@ func RunSampled(q *query.Query, db *relation.Database, p int, opts Options) (*Re
 			chosen[perm[srv]] = srv
 		}
 	}
-	return runWithShares(q, db, p, shares, opts, chosen, 0)
+	return runWithShares(q, db, p, shares, opts, chosen)
 }
 
 // AnswersView is the reserved store name per-worker outputs of Round
@@ -379,43 +362,49 @@ const AnswersView = "hc!answers"
 
 // runWithShares is the shared core. sample, when non-nil, maps
 // materialized grid points to servers; nil materializes the whole grid
-// (which must then fit in p). limit is the answer rows gathered.
-func runWithShares(q *query.Query, db *relation.Database, p int, shares *Shares, opts Options, sample map[int]int, limit int) (*Result, error) {
+// (which must then fit in p).
+func runWithShares(q *query.Query, db *relation.Database, p int, shares *Shares, opts Options, sample map[int]int) (*Result, error) {
 	if sample == nil && shares.GridSize() > p {
 		return nil, fmt.Errorf("hypercube: grid size %d exceeds %d servers", shares.GridSize(), p)
 	}
-	cluster, ctx, err := opts.open(p, db)
-	if err != nil {
-		return nil, err
-	}
 	hasher := NewHasher(shares, opts.Seed)
-	err = Round(ctx, cluster, q, db, func(a query.Atom) exchange.Partitioner {
+	// Every server outputs only answers that hash to its own grid point
+	// (a sampled one included), so the outputs are disjoint.
+	res, err := RunRound(q, db, p, opts, func(a query.Atom) exchange.Partitioner {
 		return NewGridPartitioner(shares, hasher, a).WithSample(sample)
 	})
 	if err != nil {
 		return nil, err
 	}
-	// The sorted per-worker outputs k-way merge in the gather. Every
-	// server outputs only answers that hash to its own grid point (a
-	// sampled one included), so the outputs are disjoint and a prefix
-	// gather counts and orders them right.
-	merged, count, err := cluster.GatherPrefix(ctx, AnswersView, limit)
+	res.Shares = shares
+	res.GridPoints = shares.GridSize()
+	if sample != nil && res.GridPoints > p {
+		res.GridPoints = p
+	}
+	return res, nil
+}
+
+// RunRound runs one round end to end: it opens a cluster of p workers
+// under opts over db, runs Round through part, and gathers the first
+// opts.AnswerLimit answers as dist.Cluster.GatherPrefix does — 0 all of
+// them, a negative limit none — with Result.Count counting every
+// answer. part must give each answer to one server, so that the
+// workers' sorted outputs are disjoint and the prefix gather's k-way
+// merge counts and orders them right. The Result's grid fields are
+// left for the caller.
+func RunRound(q *query.Query, db *relation.Database, p int, opts Options, part func(query.Atom) exchange.Partitioner) (*Result, error) {
+	cluster, ctx, err := open(p, db, opts)
 	if err != nil {
 		return nil, err
 	}
-
-	grid := shares.GridSize()
-	if sample != nil && grid > p {
-		grid = p
+	if err := Round(ctx, cluster, q, db, part); err != nil {
+		return nil, err
 	}
-	return &Result{
-		Answers:    merged,
-		Count:      count,
-		Outcome:    cluster.Outcome(),
-		Shares:     shares,
-		ReceiveCap: cluster.Config().ReceiveCap(),
-		GridPoints: grid,
-	}, nil
+	merged, count, err := cluster.GatherPrefix(ctx, AnswersView, opts.AnswerLimit)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Answers: merged, Count: count, Outcome: cluster.Outcome(), ReceiveCap: cluster.Config().ReceiveCap()}, nil
 }
 
 // Round is the one-round executor: a one-shot run, a maintainer's cold

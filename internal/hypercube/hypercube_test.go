@@ -284,7 +284,7 @@ func TestRunWithSharesGridTooLarge(t *testing.T) {
 	q := query.Chain(2)
 	db := relation.IdentityDatabase(q, 4)
 	s := &Shares{Vars: q.Vars(), Dims: []int{4, 4, 4}}
-	if _, err := RunWithShares(q, db, 8, s, Options{}, 0); err == nil {
+	if _, err := RunWithShares(q, db, 8, s, Options{}); err == nil {
 		t.Fatal("want error: grid larger than p")
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"repro/internal/mpc"
 	"repro/internal/query"
 	"repro/internal/relation"
-	"repro/internal/trace"
 )
 
 // Group is one operator of a step: a connected set of atoms of the
@@ -215,43 +214,10 @@ func sharesVariable(q *query.Query, member []int, j int) bool {
 	return false
 }
 
-// Options configures plan execution.
-type Options struct {
-	// CapConstant is c in the per-round receive budget; ≤ 0 disables
-	// enforcement.
-	CapConstant float64
-	// Seed drives all hash functions.
-	Seed uint64
-	// Transport, Context, Recovery, Trace and Snapshot are the fields of
-	// dist.Env (documented there): where and how the rounds run. The
-	// zero values are the in-process loopback, no deadline, no recovery,
-	// untraced, every scatter fresh. The snapshot identifies db's
-	// relations — round 1's scatters; a view re-scattered in a later
-	// round has no identity.
-	Transport dist.Transport
-	Context   context.Context
-	Recovery  dist.RecoveryOptions
-	Trace     *trace.Trace
-	Snapshot  *dist.Snapshot
-	// Pipeline is read by nothing: there is one round schedule, and
-	// dist.Open runs it. The name stays because plan.ExecOptions is this
-	// type and bench/probes.go, which changes only with the benchmark,
-	// sets it; ROADMAP item 7 deletes it.
-	Pipeline bool
-	// AnswerLimit is how many rows of the answer reach the coordinator:
-	// 0 all of them, k > 0 the first k in the answer's order, a negative
-	// limit none. Result.Count counts every answer either way. The grid
-	// engines honor it — HyperCube's one round, and this engine's last
-	// round when its view is already in the query's variable order — by
-	// leaving the rest on the workers; where the rows must be re-sorted
-	// or folded first, everything is gathered.
-	AnswerLimit int
-}
-
-// env bundles the options' execution environment for dist.Open.
-func (o Options) env() dist.Env {
-	return dist.Env{Transport: o.Transport, Context: o.Context, Recovery: o.Recovery, Trace: o.Trace, Snapshot: o.Snapshot}
-}
+// Options configures plan execution: the execution options every
+// engine takes (see dist.Options). The rounds run at the plan's ε,
+// whatever Epsilon says.
+type Options = dist.Options
 
 // Result reports a plan execution.
 type Result struct {
@@ -274,7 +240,7 @@ type Result struct {
 // communication.
 func Execute(plan *Plan, db *relation.Database, p int, opts Options) (*Result, error) {
 	epsF, _ := plan.Epsilon.Float64()
-	cluster, ctx, err := dist.Open(opts.env(), mpc.Config{
+	cluster, ctx, err := dist.Open(opts, mpc.Config{
 		Workers:     p,
 		Epsilon:     epsF,
 		InputBits:   db.InputBits(),

@@ -142,7 +142,7 @@ func TestAggregateAcrossEnginesAndTransports(t *testing.T) {
 }
 
 // TestWithAggregateValidation: the spec is validated against the
-// query's variable count, and OutputVars reflects the fold.
+// query's variable count, and AggVars names the fold's columns.
 func TestWithAggregateValidation(t *testing.T) {
 	q := query.MustParse("R(x,y),S(y,z)")
 	pl, err := plan.Build(q, plan.MatchingStats(q, 100), plan.Options{P: 4})
@@ -165,10 +165,10 @@ func TestWithAggregateValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := agg.OutputVars(); !reflect.DeepEqual(got, []string{"x", "sum(z)"}) {
-		t.Fatalf("OutputVars = %v", got)
+	if got := agg.AggVars; !reflect.DeepEqual(got, []string{"x", "sum(z)"}) {
+		t.Fatalf("AggVars = %v", got)
 	}
-	if got := pl.OutputVars(); !reflect.DeepEqual(got, q.Vars()) {
-		t.Fatalf("unaggregated OutputVars = %v", got)
+	if pl.AggVars != nil || !reflect.DeepEqual(pl.Query.Vars(), q.Vars()) {
+		t.Fatalf("unaggregated plan: AggVars = %v, Query.Vars() = %v", pl.AggVars, pl.Query.Vars())
 	}
 }

@@ -11,20 +11,18 @@ import (
 	"repro/internal/skew"
 )
 
-// ExecOptions configures Plan.ExecuteRun: the hash seed, the
-// receive-cap constant, the execution environment (worker pool,
-// context, recovery policy, trace, snapshot) and how many answer rows
-// to gather (AnswerLimit; the zero value gathers all of them).
-// It is the multiround engine's option set — the planner adds nothing
-// to it, and hands it to that engine as is.
-type ExecOptions = multiround.Options
+// ExecOptions configures Plan.ExecuteRun: the execution options every
+// engine takes (see dist.Options), handed to the chosen engine as is.
+// Epsilon is the plan's, whatever the caller sets.
+type ExecOptions = dist.Options
 
 // Result reports a planner-driven execution.
 type Result struct {
-	// Run is the answer in OutputVars() order as one sealed,
-	// deduplicated run (nil when empty): the run the engine gathered,
-	// folded into one row per group under WithAggregate — under
-	// ExecOptions.AnswerLimit, perhaps only its first rows.
+	// Run is the answer as one sealed, deduplicated run (nil when
+	// empty), in Query.Vars() order: the run the engine gathered — or,
+	// under WithAggregate, that run folded into one row per group, in
+	// AggVars order. Under ExecOptions.AnswerLimit it may hold only the
+	// answer's first rows.
 	Run *relation.Run
 	// Count is how many rows the answer holds: Run's, or more when the
 	// engine left the rest of them on the workers.
@@ -92,17 +90,8 @@ func (p *Plan) ExecuteRun(db *relation.Database, opts ExecOptions) (*Result, err
 }
 
 func (p *Plan) executeOneRound(db *relation.Database, opts ExecOptions) (*Result, error) {
-	epsF, _ := p.Epsilon.Float64()
-	res, err := hypercube.RunWithShares(p.Query, db, p.P, p.Shares, hypercube.Options{
-		Epsilon:     epsF,
-		CapConstant: opts.CapConstant,
-		Seed:        opts.Seed,
-		Transport:   opts.Transport,
-		Context:     opts.Context,
-		Recovery:    opts.Recovery,
-		Trace:       opts.Trace,
-		Snapshot:    opts.Snapshot,
-	}, opts.AnswerLimit)
+	opts.Epsilon, _ = p.Epsilon.Float64()
+	res, err := hypercube.RunWithShares(p.Query, db, p.P, p.Shares, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -141,15 +130,7 @@ func (p *Plan) executeSkewJoin(db *relation.Database, opts ExecOptions) (*Result
 	if rt == nil {
 		rt = skew.CompileFromData(relR, m.RY, relS, m.SY, p.P, heavyFactor)
 	}
-	res, err := skew.Execute(p.Query, relR, relS, m.RY, m.SY, rt, skew.Options{
-		Seed:        opts.Seed,
-		CapConstant: opts.CapConstant,
-		Transport:   opts.Transport,
-		Context:     opts.Context,
-		Recovery:    opts.Recovery,
-		Trace:       opts.Trace,
-		Snapshot:    opts.Snapshot,
-	}, opts.AnswerLimit)
+	res, err := skew.Execute(p.Query, relR, relS, m.RY, m.SY, rt, opts)
 	if err != nil {
 		return nil, err
 	}

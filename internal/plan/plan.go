@@ -225,16 +225,6 @@ type Plan struct {
 	skewJoinLoad float64
 }
 
-// OutputVars names the columns of ExecuteRun's answer: the
-// aggregated output columns under WithAggregate, Query.Vars()
-// otherwise.
-func (p *Plan) OutputVars() []string {
-	if p.Aggregate != nil {
-		return p.AggVars
-	}
-	return p.Query.Vars()
-}
-
 // WithAggregate returns a copy of the plan whose execution folds the
 // answer into grouped aggregates. The spec's column indices refer to
 // Query.Vars(); engine choice, shares, and cost estimates are

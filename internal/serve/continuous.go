@@ -32,6 +32,9 @@ import (
 type contQuery struct {
 	name    string
 	dataset string
+	// owner is the tenant that registered the query (nil in
+	// single-tenant mode); to any other tenant the name is unknown.
+	owner   *Tenant
 	q       *query.Query
 	p       int
 	seed    uint64
@@ -79,35 +82,35 @@ func (r *cqRegistry) add(name string, cq *contQuery, limit int) error {
 	return nil
 }
 
-// remove deletes the named query and returns it, or nil.
-func (r *cqRegistry) remove(name string) *contQuery {
+// remove deletes the named query of ten and returns it, or nil.
+func (r *cqRegistry) remove(name string, ten *Tenant) *contQuery {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	cq, ok := r.byName[name]
-	if !ok {
+	if !ok || cq.owner != ten {
 		return nil
 	}
 	delete(r.byName, name)
 	return cq
 }
 
-// get returns the named query.
-func (r *cqRegistry) get(name string) (*contQuery, bool) {
+// get returns the named query of ten.
+func (r *cqRegistry) get(name string, ten *Tenant) (*contQuery, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	cq, ok := r.byName[name]
-	return cq, ok
+	return cq, ok && cq.owner == ten
 }
 
-// onDataset returns the queries registered on the dataset, in
-// name order (deterministic maintenance and listing order). The catalog
-// holds at most MaxContinuous queries, so it is scanned.
-func (r *cqRegistry) onDataset(dataset string) []*contQuery {
+// list returns the queries keep accepts, in name order (deterministic
+// maintenance and listing order). The catalog holds at most
+// MaxContinuous queries, so it is scanned.
+func (r *cqRegistry) list(keep func(*contQuery) bool) []*contQuery {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var out []*contQuery
 	for _, cq := range r.byName {
-		if cq.dataset == dataset {
+		if keep(cq) {
 			out = append(out, cq)
 		}
 	}
@@ -115,16 +118,14 @@ func (r *cqRegistry) onDataset(dataset string) []*contQuery {
 	return out
 }
 
-// names returns every registered name, sorted.
-func (r *cqRegistry) names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.byName))
-	for name := range r.byName {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+// onDataset returns the queries registered on the dataset.
+func (r *cqRegistry) onDataset(dataset string) []*contQuery {
+	return r.list(func(cq *contQuery) bool { return cq.dataset == dataset })
+}
+
+// ownedBy returns the queries ten registered.
+func (r *cqRegistry) ownedBy(ten *Tenant) []*contQuery {
+	return r.list(func(cq *contQuery) bool { return cq.owner == ten })
 }
 
 // maintainContinuous folds one applied delta into every continuous
@@ -300,24 +301,22 @@ func (cq *contQuery) infoLocked(dsVersion uint64) ContinuousInfo {
 	return info
 }
 
-// handleContinuous is GET (list) and POST (register) /continuous.
+// handleContinuous is GET (list) and POST (register) /continuous. A
+// tenant lists the queries it registered.
 func (s *Server) handleContinuous(w http.ResponseWriter, r *http.Request) {
-	if _, handled := s.authorize(w, r); handled {
+	ten, handled := s.authorize(w, r)
+	if handled {
 		return
 	}
 	switch r.Method {
 	case http.MethodGet:
 		out := []ContinuousInfo{}
-		for _, name := range s.continuous.names() {
-			cq, ok := s.continuous.get(name)
-			if !ok {
-				continue
-			}
+		for _, cq := range s.continuous.ownedBy(ten) {
 			out = append(out, cq.info(s.datasetVersion(cq.dataset)))
 		}
 		writeJSON(w, http.StatusOK, out)
 	case http.MethodPost:
-		s.handleContinuousRegister(w, r)
+		s.handleContinuousRegister(w, r, ten)
 	default:
 		writeError(w, http.StatusMethodNotAllowed, "GET or POST required")
 	}
@@ -325,8 +324,9 @@ func (s *Server) handleContinuous(w http.ResponseWriter, r *http.Request) {
 
 // handleContinuousRegister is POST /continuous: cold-distribute the
 // query's relations on a borrowed execution site and register the
-// maintainer, which keeps the site until DELETE.
-func (s *Server) handleContinuousRegister(w http.ResponseWriter, r *http.Request) {
+// maintainer, owned by ten, which keeps the site until DELETE. The
+// dataset resolves as a delta's does: another tenant's is unknown.
+func (s *Server) handleContinuousRegister(w http.ResponseWriter, r *http.Request, ten *Tenant) {
 	var req ContinuousRequest
 	if err := decodeJSONBody(w, r, &req, 1<<20); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -344,6 +344,10 @@ func (s *Server) handleContinuousRegister(w http.ResponseWriter, r *http.Request
 	p, _, ds, err := s.target(req.P, "", req.Dataset)
 	if err != nil {
 		writeFailure(w, err, "")
+		return
+	}
+	if _, ok := s.registry.getFor(ds.Name, ten); !ok {
+		writeError(w, http.StatusNotFound, "unknown dataset %q (registered: %v)", req.Dataset, s.registry.Names())
 		return
 	}
 	seed := req.Seed
@@ -374,6 +378,7 @@ func (s *Server) handleContinuousRegister(w http.ResponseWriter, r *http.Request
 	cq := &contQuery{
 		name:    req.Name,
 		dataset: ds.Name,
+		owner:   ten,
 		q:       q,
 		p:       p,
 		seed:    seed,
@@ -392,17 +397,23 @@ func (s *Server) handleContinuousRegister(w http.ResponseWriter, r *http.Request
 	writeJSON(w, http.StatusCreated, cq.info(sn.Version))
 }
 
-// handleContinuousOne is GET (warm answers) and DELETE /continuous/{name}.
+// handleContinuousOne is GET (warm answers) and DELETE
+// /continuous/{name}. To any tenant but its owner the name is unknown.
 func (s *Server) handleContinuousOne(w http.ResponseWriter, r *http.Request) {
-	if _, handled := s.authorize(w, r); handled {
+	ten, handled := s.authorize(w, r)
+	if handled {
 		return
 	}
 	name := r.PathValue("name")
 	switch r.Method {
 	case http.MethodGet:
-		cq, ok := s.continuous.get(name)
+		cq, ok := s.continuous.get(name, ten)
 		if !ok {
-			writeError(w, http.StatusNotFound, "unknown continuous query %q (registered: %v)", name, s.continuous.names())
+			var names []string
+			for _, cq := range s.continuous.ownedBy(ten) {
+				names = append(names, cq.name)
+			}
+			writeError(w, http.StatusNotFound, "unknown continuous query %q (registered: %v)", name, names)
 			return
 		}
 		cq.mu.Lock()
@@ -413,7 +424,7 @@ func (s *Server) handleContinuousOne(w http.ResponseWriter, r *http.Request) {
 		s.metrics.ContinuousReads.Add(1)
 		writeJSON(w, http.StatusOK, resp)
 	case http.MethodDelete:
-		cq := s.continuous.remove(name)
+		cq := s.continuous.remove(name, ten)
 		if cq == nil {
 			writeError(w, http.StatusNotFound, "unknown continuous query %q", name)
 			return
@@ -444,15 +455,11 @@ func (s *Server) datasetVersion(name string) uint64 {
 // maintenance is synchronous under the dataset lock).
 func (s *Server) writeContinuousProm(w io.Writer) {
 	var stale uint64
-	names := s.continuous.names()
-	for _, name := range names {
-		cq, ok := s.continuous.get(name)
-		if !ok {
-			continue
-		}
+	all := s.continuous.list(func(*contQuery) bool { return true })
+	for _, cq := range all {
 		stale += cq.staleness(s.datasetVersion(cq.dataset))
 	}
-	fmt.Fprintf(w, "# HELP mpcserve_continuous_queries Registered continuous queries.\n# TYPE mpcserve_continuous_queries gauge\nmpcserve_continuous_queries %d\n", len(names))
+	fmt.Fprintf(w, "# HELP mpcserve_continuous_queries Registered continuous queries.\n# TYPE mpcserve_continuous_queries gauge\nmpcserve_continuous_queries %d\n", len(all))
 	fmt.Fprintf(w, "# HELP mpcserve_continuous_staleness Summed dataset versions continuous answers lag behind.\n# TYPE mpcserve_continuous_staleness gauge\nmpcserve_continuous_staleness %d\n", stale)
 }
 

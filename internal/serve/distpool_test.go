@@ -1083,17 +1083,14 @@ func TestDatasetDelete(t *testing.T) {
 	ask(second)
 }
 
-// TestDatasetOwnedByItsTenant: a dataset belongs to the tenant that
-// registered it. Tenant B's delta and DELETE on tenant A's dataset get
-// the 404 an unknown name gets, with the same body, and change nothing;
-// A's DELETE succeeds and gives A's quota back, not B's.
-func TestDatasetOwnedByItsTenant(t *testing.T) {
+// twoTenants serves tenants a (key ka) and b (key kb), and returns the
+// server and a call that sends a request under a key and returns the
+// status and body of the reply.
+func twoTenants(t *testing.T) (*serve.Server, func(key, method, path string, body any) (int, string)) {
 	srv := serve.New(serve.Config{Tenants: []serve.TenantConfig{{Name: "a", Key: "ka"}, {Name: "b", Key: "kb"}}})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	a, _ := srv.Tenants().Get("a")
-	b, _ := srv.Tenants().Get("b")
-	call := func(key, method, path string, body any) (int, string) {
+	return srv, func(key, method, path string, body any) (int, string) {
 		t.Helper()
 		var rd io.Reader
 		if body != nil {
@@ -1119,6 +1116,16 @@ func TestDatasetOwnedByItsTenant(t *testing.T) {
 		}
 		return resp.StatusCode, string(out)
 	}
+}
+
+// TestDatasetOwnedByItsTenant: a dataset belongs to the tenant that
+// registered it. Tenant B's delta and DELETE on tenant A's dataset get
+// the 404 an unknown name gets, with the same body, and change nothing;
+// A's DELETE succeeds and gives A's quota back, not B's.
+func TestDatasetOwnedByItsTenant(t *testing.T) {
+	srv, call := twoTenants(t)
+	a, _ := srv.Tenants().Get("a")
+	b, _ := srv.Tenants().Get("b")
 	spec := serve.GeneratorSpec{Family: "L3", N: 60, Seed: 1}
 	if code, body := call("ka", http.MethodPost, "/datasets", serve.DatasetRequest{Name: "chain", Generator: &spec}); code != http.StatusCreated {
 		t.Fatalf("A registers: status %d, %s", code, body)
@@ -1161,5 +1168,52 @@ func TestDatasetOwnedByItsTenant(t *testing.T) {
 	}
 	if a.ResidentBytes() != 0 || b.ResidentBytes() != 0 {
 		t.Fatalf("after A's DELETE A holds %d bytes and B %d, want 0 and 0", a.ResidentBytes(), b.ResidentBytes())
+	}
+}
+
+// TestContinuousQueryOwnedByItsTenant: a continuous query belongs to
+// the tenant that registered it. Tenant B cannot register one on tenant
+// A's dataset, and to B the name of A's query is unknown — the 404 a
+// name nobody registered gets, with the same body — and absent from its
+// listing; A reads, lists and deletes it.
+func TestContinuousQueryOwnedByItsTenant(t *testing.T) {
+	_, call := twoTenants(t)
+	spec := serve.GeneratorSpec{Family: "L3", N: 60, Seed: 1}
+	if code, body := call("ka", http.MethodPost, "/datasets", serve.DatasetRequest{Name: "chain", Generator: &spec}); code != http.StatusCreated {
+		t.Fatalf("A registers the dataset: status %d, %s", code, body)
+	}
+	unknownAs := func(code int, body, unknown, name string) bool {
+		return code == http.StatusNotFound && body == strings.ReplaceAll(unknown, `\"nope\"`, `\"`+name+`\"`)
+	}
+	code, body := call("kb", http.MethodPost, "/continuous", serve.ContinuousRequest{Name: "bq", Dataset: "chain", Family: "L3", P: 4})
+	if _, unknown := call("kb", http.MethodPost, "/continuous", serve.ContinuousRequest{Name: "bq", Dataset: "nope", Family: "L3", P: 4}); !unknownAs(code, body, unknown, "chain") {
+		t.Fatalf("B registers on A's dataset: status %d, body %q; want the unknown dataset's 404 %q", code, body, unknown)
+	}
+	if code, body := call("ka", http.MethodPost, "/continuous", serve.ContinuousRequest{Name: "aq", Dataset: "chain", Family: "L3", P: 4}); code != http.StatusCreated {
+		t.Fatalf("A registers aq: status %d, %s", code, body)
+	}
+	for _, method := range []string{http.MethodGet, http.MethodDelete} {
+		code, body := call("kb", method, "/continuous/aq", nil)
+		if _, unknown := call("kb", method, "/continuous/nope", nil); !unknownAs(code, body, unknown, "aq") {
+			t.Errorf("B's %s /continuous/aq: status %d, body %q; want the unknown name's 404 %q", method, code, body, unknown)
+		}
+	}
+	for key, want := range map[string]int{"ka": 1, "kb": 0} {
+		var infos []serve.ContinuousInfo
+		code, body := call(key, http.MethodGet, "/continuous", nil)
+		if code != http.StatusOK || json.Unmarshal([]byte(body), &infos) != nil || len(infos) != want || want == 1 && infos[0].Name != "aq" {
+			t.Errorf("GET /continuous under %s: status %d, %s; want %d queries (aq)", key, code, body, want)
+		}
+	}
+	if code, body := call("ka", http.MethodGet, "/continuous/aq", nil); code != http.StatusOK {
+		t.Errorf("A's GET /continuous/aq: status %d, %s", code, body)
+	}
+	if code, body := call("ka", http.MethodDelete, "/datasets/chain", nil); code != http.StatusConflict || !strings.Contains(body, "aq") {
+		t.Errorf("A's DELETE of its dataset under aq: status %d, %s; want 409 naming aq", code, body)
+	}
+	for _, path := range []string{"/continuous/aq", "/datasets/chain"} {
+		if code, body := call("ka", http.MethodDelete, path, nil); code != http.StatusOK {
+			t.Errorf("A's DELETE %s: status %d, %s", path, code, body)
+		}
 	}
 }

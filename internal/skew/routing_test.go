@@ -221,11 +221,11 @@ func TestOutputsAreDisjoint(t *testing.T) {
 		if repeats == 0 {
 			t.Fatalf("%s/p=%d: no split-side row of a multi-server block repeats", c.name, c.p)
 		}
-		full, err := Execute(JoinQuery(), r, s, 1, 0, rt, Options{Seed: 3}, 0)
+		full, err := Execute(JoinQuery(), r, s, 1, 0, rt, Options{Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		counted, err := Execute(JoinQuery(), r, s, 1, 0, rt, Options{Seed: 3}, -1)
+		counted, err := Execute(JoinQuery(), r, s, 1, 0, rt, Options{Seed: 3, AnswerLimit: -1})
 		if err != nil {
 			t.Fatal(err)
 		}

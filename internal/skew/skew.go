@@ -29,7 +29,6 @@
 package skew
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -41,10 +40,8 @@ import (
 	"repro/internal/exchange"
 	"repro/internal/hypercube"
 	"repro/internal/localjoin"
-	"repro/internal/mpc"
 	"repro/internal/query"
 	"repro/internal/relation"
-	"repro/internal/trace"
 )
 
 // JoinQuery returns q(x,y,z) = R(x,y), S(y,z).
@@ -230,28 +227,16 @@ func (m Mode) String() string {
 	}
 }
 
-// Options configures a join run.
-type Options struct {
-	// Seed drives hashing.
-	Seed uint64
-	// CapConstant enables receive-cap enforcement when positive.
-	CapConstant float64
-	// Transport, Context, Recovery, Trace and Snapshot are the fields of
-	// dist.Env (documented there): where and how the round runs. The zero
-	// values are the in-process loopback, no deadline, no recovery,
-	// untraced, every scatter fresh.
-	Transport dist.Transport
-	Context   context.Context
-	Recovery  dist.RecoveryOptions
-	Trace     *trace.Trace
-	Snapshot  *dist.Snapshot
-}
+// Options configures a join run: the execution options every engine
+// takes (see dist.Options). The join runs at ε = 0, whatever Epsilon
+// says, so its budget is c·N/p.
+type Options = dist.Options
 
 // Result reports a join run.
 type Result struct {
 	// Answers is the join result in the query's Vars() order — (x,y,z)
 	// for RunJoin — as one sealed, deduplicated run (nil when empty):
-	// all of it, or its first rows under Execute's limit.
+	// all of it, or its first rows under Options.AnswerLimit.
 	Answers *relation.Run
 	// Count is how many rows the whole join result holds.
 	Count int
@@ -342,7 +327,7 @@ func (j *joinPartitioner) Route(i int, t relation.Tuple, buf []int) []int {
 // RunJoin executes R ⋈ S on p servers under the chosen mode; Resilient
 // compiles its routing from the data's own histograms. The domain for
 // bit accounting is taken as the largest value appearing in either
-// relation.
+// relation. It gathers every answer, whatever opts.AnswerLimit says.
 func RunJoin(r, s *relation.Relation, p int, mode Mode, opts Options) (*Result, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("skew: p = %d", p)
@@ -355,29 +340,31 @@ func RunJoin(r, s *relation.Relation, p int, mode Mode, opts Options) (*Result, 
 	if mode == Resilient {
 		rt = CompileFromData(r, ry, s, sy, p, 1)
 	}
-	return Execute(JoinQuery(), r, s, ry, sy, rt, opts, 0)
+	opts.AnswerLimit = 0
+	return Execute(JoinQuery(), r, s, ry, sy, rt, opts)
 }
 
 // Execute runs the two-atom join q on rt.P servers, run-native on q's
 // own atoms: r and s (bound to q's first and second atom, whatever
 // their names and column order) scatter as they are in HyperCube's one
-// round, partitioned on columns ry and sy under rt; the workers join q
-// itself and the gather returns the first limit answers in q.Vars()
-// order, sorted and deduplicated, as dist.Cluster.GatherPrefix does: 0
-// all of them, a negative limit none. Result.Count counts every answer
-// either way.
-func Execute(q *query.Query, r, s *relation.Relation, ry, sy int, rt *Routing, opts Options, limit int) (*Result, error) {
-	domain := max(1, r.Run().MaxValue(), s.Run().MaxValue())
-	inputBits := int64(r.Size()+s.Size()) * 2 * int64(relation.BitsPerValue(domain))
-	cluster, ctx, err := dist.Open(dist.Env{Transport: opts.Transport, Context: opts.Context, Recovery: opts.Recovery, Trace: opts.Trace, Snapshot: opts.Snapshot},
-		mpc.Config{Workers: rt.P, InputBits: inputBits, CapConstant: opts.CapConstant, DomainN: domain})
-	if err != nil {
-		return nil, err
+// round (hypercube.RunRound), partitioned on columns ry and sy under
+// rt; the workers join q itself and the gather returns the first
+// opts.AnswerLimit answers in q.Vars() order, sorted and deduplicated,
+// as dist.Cluster.GatherPrefix does: 0 all of them, a negative limit
+// none. Result.Count counts every answer either way. The round runs at
+// ε = 0 over the inputs' own domain: the largest value either holds.
+func Execute(q *query.Query, r, s *relation.Relation, ry, sy int, rt *Routing, opts Options) (*Result, error) {
+	opts.Epsilon = 0
+	in := &relation.Database{
+		N:         max(1, r.Run().MaxValue(), s.Run().MaxValue()),
+		Relations: map[string]*relation.Relation{q.Atoms[0].Name: r, q.Atoms[1].Name: s},
 	}
 	// One partitioner per side; the split/broadcast decision flips
-	// between R and S for each heavy value.
-	in := &relation.Database{Relations: map[string]*relation.Relation{q.Atoms[0].Name: r, q.Atoms[1].Name: s}}
-	err = hypercube.Round(ctx, cluster, q, in, func(a query.Atom) exchange.Partitioner {
+	// between R and S for each heavy value. A split-side tuple lives,
+	// with every copy of it, on one server of its block (rank), and q
+	// outputs all its variables, so each answer is output by exactly one
+	// server.
+	res, err := hypercube.RunRound(q, in, rt.P, opts, func(a query.Atom) exchange.Partitioner {
 		if a.Name == q.Atoms[0].Name {
 			return NewPartitioner(rt, r, ry, true, opts.Seed)
 		}
@@ -386,19 +373,11 @@ func Execute(q *query.Query, r, s *relation.Relation, ry, sy int, rt *Routing, o
 	if err != nil {
 		return nil, err
 	}
-	// A split-side tuple lives, with every copy of it, on one server of
-	// its block (rank), and q outputs all its variables, so each answer
-	// is output by exactly one server: the outputs are disjoint and a
-	// prefix gather counts and orders them right.
-	answers, count, err := cluster.GatherPrefix(ctx, hypercube.AnswersView, limit)
-	if err != nil {
-		return nil, err
-	}
 	return &Result{
-		Answers:       answers,
-		Count:         count,
-		Outcome:       cluster.Outcome(),
-		MaxLoadTuples: cluster.Stats().MaxLoadTuples(),
+		Answers:       res.Answers,
+		Count:         res.Count,
+		Outcome:       res.Outcome,
+		MaxLoadTuples: res.Stats.MaxLoadTuples(),
 		Heavy:         rt.Heavy,
 	}, nil
 }

@@ -129,7 +129,7 @@ func RunOneRound(in *Input, p int, eps float64, seed uint64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cluster, ctx, err := dist.Open(dist.Env{}, mpc.Config{
+	cluster, ctx, err := dist.Open(dist.Options{}, mpc.Config{
 		Workers:   p,
 		Epsilon:   eps,
 		InputBits: in.DB.InputBits(),
