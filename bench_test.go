@@ -133,7 +133,7 @@ func BenchmarkOneRoundFraction(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					found += res.Answers.Len()
+					found += res.Run.Len()
 					total += len(truth)
 				}
 				if total > 0 {
@@ -179,7 +179,7 @@ func BenchmarkMultiRound(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				rounds = res.Rounds
+				rounds = res.Stats.NumRounds()
 			}
 			b.ReportMetric(float64(rounds), "rounds")
 		})
@@ -223,7 +223,7 @@ func BenchmarkConnectedComponents(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				nm, h2m = rn.Rounds, rh.Rounds
+				nm, h2m = rn.Stats.NumRounds(), rh.Stats.NumRounds()
 			}
 			b.ReportMetric(float64(nm), "neighbor-min-rounds")
 			b.ReportMetric(float64(h2m), "hash-to-min-rounds")
@@ -768,8 +768,8 @@ func benchDatalogReach(b *testing.B, opts datalog.Options) {
 			b.Fatal(err)
 		}
 	}
-	if want := paths * edges * (edges + 1) / 2; res.Answers.Len() != want {
-		b.Fatalf("closure has %d pairs, want %d", res.Answers.Len(), want)
+	if want := paths * edges * (edges + 1) / 2; res.Run.Len() != want {
+		b.Fatalf("closure has %d pairs, want %d", res.Run.Len(), want)
 	}
 	b.ReportMetric(float64(res.Iterations), "iterations")
 }
@@ -918,11 +918,11 @@ func BenchmarkSkewJoin(b *testing.B) {
 		b.Run(mode.String(), func(b *testing.B) {
 			var ratio float64
 			for i := 0; i < b.N; i++ {
-				res, err := skew.RunJoin(r, s, p, mode, skew.Options{Seed: uint64(i + 1)})
+				res, _, err := skew.RunJoin(r, s, p, mode, skew.Options{Seed: uint64(i + 1)})
 				if err != nil {
 					b.Fatal(err)
 				}
-				ratio = float64(res.MaxLoadTuples) / ideal
+				ratio = float64(res.Stats.MaxLoadTuples()) / ideal
 			}
 			b.ReportMetric(ratio, "load/ideal")
 		})

@@ -193,7 +193,7 @@ func runPlanned(q *query.Query, db *relation.Database, p int, eps *big.Rat, seed
 	if err != nil {
 		return err
 	}
-	fmt.Printf("executed: %s in %d rounds\n", res.Engine, res.Rounds)
+	fmt.Printf("executed: %s in %d rounds\n", pl.Engine, res.Stats.NumRounds())
 	if res.Replacements > 0 {
 		fmt.Printf("recovered: %d worker(s) replaced mid-query\n", res.Replacements)
 	}
@@ -367,10 +367,10 @@ func runDatalog(src string, n, p int, eps *big.Rat, seed uint64, capC float64, s
 		return err
 	}
 	fmt.Printf("evaluated: %d communication rounds, %d fixpoint iterations\n", res.Stats.NumRounds(), res.Iterations)
-	fmt.Printf("answers (%s): %d facts\n", prog.OutputPred(), res.Answers.Len())
+	fmt.Printf("answers (%s): %d facts\n", prog.OutputPred(), res.Run.Len())
 	fmt.Printf("max load: %d tuples, total %d bits (cap exceeded: %v)\n",
 		res.Stats.MaxLoadTuples(), res.Stats.TotalBits(), res.CapExceeded)
-	printAnswers(res.Vars, res.Answers, show)
+	printAnswers(res.Vars, res.Run, show)
 	return nil
 }
 

@@ -209,8 +209,8 @@ func TestDistributedWorkerKillRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if local.Rounds < 2 {
-		t.Fatalf("chain plan ran %d rounds; the kill-point needs a multiround execution", local.Rounds)
+	if local.Stats.NumRounds() < 2 {
+		t.Fatalf("chain plan ran %d rounds; the kill-point needs a multiround execution", local.Stats.NumRounds())
 	}
 
 	// The session is lent by a registry that owns the spare.

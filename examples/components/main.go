@@ -86,7 +86,7 @@ func main() {
 			}
 		}
 		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%d\t%.1f\n",
-			p, layers, g.N, nm.Rounds, h2m.Rounds, dense.Rounds, math.Log2(float64(p)))
+			p, layers, g.N, nm.Stats.NumRounds(), h2m.Stats.NumRounds(), dense.Stats.NumRounds(), math.Log2(float64(p)))
 	}
 	tw.Flush()
 	fmt.Println("\nsparse tuple-based algorithms need more rounds as p grows (Ω(log p));")

@@ -63,7 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nexecuted %v on p=%d servers, shares %s\n", res.Engine, p, res.Shares)
+	fmt.Printf("\nexecuted %v on p=%d servers, shares %s\n", pl.Engine, p, pl.Shares)
 	fmt.Printf("found %d answers (ground truth %d)\n", len(res.Answers), len(truth))
 	fmt.Printf("max per-server load: %d tuples (planner predicted %.0f)\n",
 		res.Stats.MaxLoadTuples(), pl.Cost.LoadTuples)

@@ -71,15 +71,15 @@ func main() {
 			log.Fatal(err)
 		}
 		for _, mode := range []skew.Mode{skew.Standard, skew.Resilient} {
-			res, err := skew.RunJoin(in.r, in.s, p, mode, skew.Options{Seed: 5})
+			res, rt, err := skew.RunJoin(in.r, in.s, p, mode, skew.Options{Seed: 5})
 			if err != nil {
 				log.Fatal(err)
 			}
-			if res.Answers.Len() != len(truth) {
-				log.Fatalf("%s/%s: %d answers, want %d", in.name, mode, res.Answers.Len(), len(truth))
+			if res.Run.Len() != len(truth) {
+				log.Fatalf("%s/%s: %d answers, want %d", in.name, mode, res.Run.Len(), len(truth))
 			}
 			fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\n",
-				in.name, mode, res.MaxLoadTuples, len(res.Heavy), res.Answers.Len())
+				in.name, mode, res.Stats.MaxLoadTuples(), len(rt.Heavy), res.Run.Len())
 		}
 	}
 	tw.Flush()

@@ -56,10 +56,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nplanner choice (%v, shares %s):\n", one.Engine, one.Shares)
+	fmt.Printf("\nplanner choice (%v, shares %s):\n", pl.Engine, pl.Shares)
 	fmt.Printf("  triangles found: %d\n", len(one.Answers))
 	fmt.Printf("  rounds: %d, max load: %d tuples, replication %.2fx\n\n",
-		one.Rounds, one.Stats.MaxLoadTuples(), one.Stats.Replication(db.InputBits()))
+		one.Stats.NumRounds(), one.Stats.MaxLoadTuples(), one.Stats.Replication(db.InputBits()))
 
 	// Tighten the budget to ε = 0: one round would need p^{2/3}-scale
 	// loads, so the planner falls back to the two-round decomposition
@@ -75,10 +75,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nplanner choice at ε=0 (%v):\n", multi.Engine)
+	fmt.Printf("\nplanner choice at ε=0 (%v):\n", pl0.Engine)
 	fmt.Printf("  triangles found: %d\n", len(multi.Answers))
 	fmt.Printf("  rounds: %d, max load/round: %d tuples, total %.2fx input\n\n",
-		multi.Rounds, multi.Stats.MaxLoadTuples(), multi.Stats.Replication(db.InputBits()))
+		multi.Stats.NumRounds(), multi.Stats.MaxLoadTuples(), multi.Stats.Replication(db.InputBits()))
 
 	if len(one.Answers) != len(truth) || len(multi.Answers) != len(truth) {
 		log.Fatal("triangle counts disagree with ground truth")

@@ -43,8 +43,8 @@ func TestTheorem11UpperBound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
-		if res.Answers.Len() != len(truth) {
-			t.Errorf("%s: one-round HC found %d answers, truth %d", q.Name, res.Answers.Len(), len(truth))
+		if res.Run.Len() != len(truth) {
+			t.Errorf("%s: one-round HC found %d answers, truth %d", q.Name, res.Run.Len(), len(truth))
 		}
 		if res.Stats.NumRounds() != 1 {
 			t.Errorf("%s: %d rounds, want 1", q.Name, res.Stats.NumRounds())
@@ -73,7 +73,7 @@ func TestTheorem11LowerBoundShape(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			found += res.Answers.Len()
+			found += res.Run.Len()
 			total += len(truth)
 		}
 		if total == 0 {
@@ -122,12 +122,12 @@ func TestTheorem12RoundTradeoff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Rounds < lower || res.Rounds > upper {
+		if res.Stats.NumRounds() < lower || res.Stats.NumRounds() > upper {
 			t.Errorf("L%d at ε=%s: executed %d rounds outside [%d,%d]",
-				tc.k, tc.eps.RatString(), res.Rounds, lower, upper)
+				tc.k, tc.eps.RatString(), res.Stats.NumRounds(), lower, upper)
 		}
-		if res.Answers.Len() != len(truth) {
-			t.Errorf("L%d: incomplete answers %d/%d", tc.k, res.Answers.Len(), len(truth))
+		if res.Run.Len() != len(truth) {
+			t.Errorf("L%d: incomplete answers %d/%d", tc.k, res.Run.Len(), len(truth))
 		}
 	}
 }

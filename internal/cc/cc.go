@@ -184,11 +184,9 @@ type Result struct {
 	// Labels maps every vertex to its component label (the component's
 	// minimum vertex id).
 	Labels map[int]int
-	// Rounds is the number of communication rounds used, including the
-	// initial edge distribution round.
-	Rounds int
-	// Outcome holds the communication record and whether the receive
-	// budget was violated.
+	// Outcome holds the communication record — its rounds include the
+	// initial edge distribution round — and whether the receive budget
+	// was violated.
 	dist.Outcome
 }
 
@@ -254,11 +252,7 @@ func (s *session) round(msgs *relation.Relation, part exchange.Partitioner) erro
 }
 
 func (s *session) result(labels map[int]int) *Result {
-	return &Result{
-		Labels:  labels,
-		Rounds:  s.cluster.Stats().NumRounds(),
-		Outcome: s.cluster.Outcome(),
-	}
+	return &Result{Labels: labels, Outcome: s.cluster.Outcome()}
 }
 
 func maxRounds(g *Graph, opts Options) int {

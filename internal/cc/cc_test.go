@@ -92,8 +92,8 @@ func TestNeighborMinCorrect(t *testing.T) {
 	}
 	labelsAgree(t, res.Labels, want, "neighbor-min")
 	// Path diameter is 6: needs about 6 propagation rounds + setup.
-	if res.Rounds < 6 {
-		t.Errorf("neighbor-min rounds = %d; expected ≥ diameter 6", res.Rounds)
+	if res.Stats.NumRounds() < 6 {
+		t.Errorf("neighbor-min rounds = %d; expected ≥ diameter 6", res.Stats.NumRounds())
 	}
 }
 
@@ -130,15 +130,15 @@ func TestHashToMinFewerRounds(t *testing.T) {
 	}
 	labelsAgree(t, nm.Labels, want, "neighbor-min")
 	labelsAgree(t, h2m.Labels, want, "hash-to-min")
-	if h2m.Rounds >= nm.Rounds {
+	if h2m.Stats.NumRounds() >= nm.Stats.NumRounds() {
 		t.Errorf("hash-to-min rounds %d should beat neighbor-min %d on diameter-32 paths",
-			h2m.Rounds, nm.Rounds)
+			h2m.Stats.NumRounds(), nm.Stats.NumRounds())
 	}
-	if nm.Rounds < 32 {
-		t.Errorf("neighbor-min rounds = %d, want ≥ diameter 32", nm.Rounds)
+	if nm.Stats.NumRounds() < 32 {
+		t.Errorf("neighbor-min rounds = %d, want ≥ diameter 32", nm.Stats.NumRounds())
 	}
-	if h2m.Rounds > 16 {
-		t.Errorf("hash-to-min rounds = %d, want ≈ log2(32)+O(1)", h2m.Rounds)
+	if h2m.Stats.NumRounds() > 16 {
+		t.Errorf("hash-to-min rounds = %d, want ≈ log2(32)+O(1)", h2m.Stats.NumRounds())
 	}
 }
 
@@ -154,8 +154,8 @@ func TestDenseTwoRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	labelsAgree(t, res.Labels, want, "dense")
-	if res.Rounds != 2 {
-		t.Errorf("dense rounds = %d, want exactly 2", res.Rounds)
+	if res.Stats.NumRounds() != 2 {
+		t.Errorf("dense rounds = %d, want exactly 2", res.Stats.NumRounds())
 	}
 }
 
@@ -174,10 +174,10 @@ func TestRoundsGrowWithLayers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Rounds <= prev {
-			t.Errorf("rounds did not grow: layers=%d rounds=%d (prev %d)", layers, res.Rounds, prev)
+		if res.Stats.NumRounds() <= prev {
+			t.Errorf("rounds did not grow: layers=%d rounds=%d (prev %d)", layers, res.Stats.NumRounds(), prev)
 		}
-		prev = res.Rounds
+		prev = res.Stats.NumRounds()
 	}
 }
 

@@ -101,7 +101,7 @@ func TestParityWithSimulator(t *testing.T) {
 					}
 				}
 				got := parityRecord{
-					rounds:        res.Rounds,
+					rounds:        res.Stats.NumRounds(),
 					totalBits:     res.Stats.TotalBits(),
 					maxLoadBits:   res.Stats.MaxLoadBits(),
 					maxLoadTuples: res.Stats.MaxLoadTuples(),

@@ -119,8 +119,8 @@ func TestEvaluateOneRoundDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Answers.Len() != len(truth) {
-		t.Errorf("answers = %d, want %d", res.Answers.Len(), len(truth))
+	if res.Run.Len() != len(truth) {
+		t.Errorf("answers = %d, want %d", res.Run.Len(), len(truth))
 	}
 }
 
@@ -140,15 +140,15 @@ func TestEvaluateMultiRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Answers.Len() != len(truth) {
-		t.Fatalf("answers = %d, want %d", res.Answers.Len(), len(truth))
+	if res.Run.Len() != len(truth) {
+		t.Fatalf("answers = %d, want %d", res.Run.Len(), len(truth))
 	}
-	for i, got := range res.Answers.Tuples() {
+	for i, got := range res.Run.Tuples() {
 		if !got.Equal(truth[i]) {
 			t.Fatalf("answer %d mismatch", i)
 		}
 	}
-	if res.Rounds != 3 {
-		t.Errorf("rounds = %d, want ⌈log2 6⌉ = 3", res.Rounds)
+	if res.Stats.NumRounds() != 3 {
+		t.Errorf("rounds = %d, want ⌈log2 6⌉ = 3", res.Stats.NumRounds())
 	}
 }

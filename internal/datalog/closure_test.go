@@ -158,8 +158,8 @@ func TestClosureOnWorkersDifferential(t *testing.T) {
 						t.Fatalf("%s: %d facts, the naive fixpoint %d", pred, len(got), len(facts))
 					}
 				}
-				if ref.Count != ref.Answers.Len() {
-					t.Errorf("Count = %d, answers %d", ref.Count, ref.Answers.Len())
+				if ref.Count != ref.Run.Len() {
+					t.Errorf("Count = %d, answers %d", ref.Count, ref.Run.Len())
 				}
 				same := func(variant string, res *Result, replacements int) {
 					t.Helper()
@@ -227,9 +227,9 @@ func TestClosureIsGatheredToTheLimit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := full.Answers.Tuples()[:max(limit, 0)]
-		if got := res.Answers.Tuples(); res.Count != full.Answers.Len() || !slices.EqualFunc(got, want, relation.Tuple.Equal) {
-			t.Errorf("limit %d: count %d and %d rows, want %d and the closure's first %d", limit, res.Count, len(got), full.Answers.Len(), len(want))
+		want := full.Run.Tuples()[:max(limit, 0)]
+		if got := res.Run.Tuples(); res.Count != full.Run.Len() || !slices.EqualFunc(got, want, relation.Tuple.Equal) {
+			t.Errorf("limit %d: count %d and %d rows, want %d and the closure's first %d", limit, res.Count, len(got), full.Run.Len(), len(want))
 		}
 		if res.Gathered > 4*max(limit, 0) {
 			t.Errorf("limit %d: %d rows gathered, more than 4 workers × the limit", limit, res.Gathered)
@@ -244,7 +244,7 @@ func TestClosureIsGatheredToTheLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Count != full.Answers.Len() || res.Answers.Len() != full.Answers.Len() {
-		t.Errorf("a closure a later stratum reads: %d of %d rows gathered, want all", res.Answers.Len(), full.Answers.Len())
+	if res.Count != full.Run.Len() || res.Run.Len() != full.Run.Len() {
+		t.Errorf("a closure a later stratum reads: %d of %d rows gathered, want all", res.Run.Len(), full.Run.Len())
 	}
 }

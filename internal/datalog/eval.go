@@ -68,32 +68,28 @@ type Options struct {
 	AnswerLimit int
 }
 
-// Result reports a Datalog evaluation.
+// Result reports a Datalog evaluation. Its Run is the output
+// predicate's fact set, in head-term order — its first
+// Options.AnswerLimit facts when the limit applies — and Count the
+// number of its facts, gathered or not. Its Outcome sums up every
+// execution the program ran: Stats concatenates their round records —
+// rule bodies in stratum order, then each recursive rule's rounds — so
+// two transports that execute the same program produce identical
+// records; a broken budget or a replacement in any execution is the
+// program's; Gathered is the rows the output predicate's gathers
+// shipped.
 type Result struct {
-	// Answers is the output predicate's fact set, in head-term order, as
-	// one sealed, deduplicated run (nil when empty) — its first
-	// Options.AnswerLimit facts when the limit applies.
-	Answers *relation.Run
-	// Count is the number of the output predicate's facts, gathered or
-	// not.
-	Count int
+	dist.Result
 	// Vars labels the answer columns: the goal's variables when a goal
 	// was declared, otherwise the output predicate's head terms
 	// rendered as written ("x", "count(y)").
 	Vars []string
 	// Facts holds every IDB predicate's derived fact set as one sealed
-	// run (nil when empty); the output predicate's is Answers.
+	// run (nil when empty); the output predicate's is Run.
 	Facts map[string]*relation.Run
 	// Iterations is the total number of semi-naive delta iterations
 	// across all recursive strata (0 for a non-recursive program).
 	Iterations int
-	// Outcome sums up every execution the program ran. Its Stats
-	// concatenates their round records — rule bodies in stratum order,
-	// then each recursive rule's rounds — so two transports that execute
-	// the same program produce identical records; a broken budget or a
-	// replacement in any execution is the program's. Gathered is the rows
-	// the output predicate's gathers shipped.
-	dist.Outcome
 }
 
 // Eval runs the program over db on the simulated MPC(ε) cluster. The
@@ -155,12 +151,10 @@ func Eval(prog *Program, db *relation.Database, opts Options) (*Result, error) {
 
 	out := prog.OutputPred()
 	return &Result{
-		Answers:    e.facts[out],
-		Count:      e.count,
+		Result:     dist.Result{Run: e.facts[out], Count: e.count, Outcome: e.sum},
 		Vars:       prog.outputVars(),
 		Facts:      e.facts,
 		Iterations: e.iterations,
-		Outcome:    e.sum,
 	}, nil
 }
 

@@ -112,7 +112,7 @@ func TestEvalTransitiveClosure(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := naiveTC(edges)
-		got := pairsOf(res.Answers.Tuples())
+		got := pairsOf(res.Run.Tuples())
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: closure has %d pairs, reference %d", trial, len(got), len(want))
 		}
@@ -123,7 +123,7 @@ func TestEvalTransitiveClosure(t *testing.T) {
 			t.Fatal("recursive run reports zero iterations")
 		}
 		// Sorted, deduplicated.
-		for i, answers := 1, res.Answers.Tuples(); i < len(answers); i++ {
+		for i, answers := 1, res.Run.Tuples(); i < len(answers); i++ {
 			if !answers[i-1].Less(answers[i]) {
 				t.Fatal("answers not sorted/deduplicated")
 			}
@@ -146,8 +146,8 @@ func TestEvalTransports(t *testing.T) {
 	}
 	lb := run(nil)
 	tcp := run(tcpDialer(startPool(t, p)))
-	if !reflect.DeepEqual(lb.Answers.Tuples(), tcp.Answers.Tuples()) {
-		t.Fatalf("answers diverge: %d loopback vs %d TCP", lb.Answers.Len(), tcp.Answers.Len())
+	if !reflect.DeepEqual(lb.Run.Tuples(), tcp.Run.Tuples()) {
+		t.Fatalf("answers diverge: %d loopback vs %d TCP", lb.Run.Len(), tcp.Run.Len())
 	}
 	if lb.Iterations != tcp.Iterations {
 		t.Fatalf("iterations diverge: %d vs %d", lb.Iterations, tcp.Iterations)
@@ -232,8 +232,8 @@ func TestDatalogRecoversWorker(t *testing.T) {
 	if res.Replacements != 1 {
 		t.Errorf("Replacements = %d, want 1", res.Replacements)
 	}
-	if !reflect.DeepEqual(res.Answers.Tuples(), ref.Answers.Tuples()) {
-		t.Errorf("recovered run has %d answers, fault-free run %d", res.Answers.Len(), ref.Answers.Len())
+	if !reflect.DeepEqual(res.Run.Tuples(), ref.Run.Tuples()) {
+		t.Errorf("recovered run has %d answers, fault-free run %d", res.Run.Len(), ref.Run.Len())
 	}
 	if res.Iterations != ref.Iterations || !reflect.DeepEqual(res.Stats.Rounds, ref.Stats.Rounds) {
 		t.Errorf("recovered run's record diverges:\n got %+v\nwant %+v", res.Stats.Rounds, ref.Stats.Rounds)
@@ -273,8 +273,8 @@ func TestEvalDisjointPathsClosedForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(lb.Answers.Tuples(), want) {
-			t.Fatalf("offset %d: closure has %d pairs, closed form %d", offset, lb.Answers.Len(), len(want))
+		if !reflect.DeepEqual(lb.Run.Tuples(), want) {
+			t.Fatalf("offset %d: closure has %d pairs, closed form %d", offset, lb.Run.Len(), len(want))
 		}
 		if !reflect.DeepEqual(lb.Facts["tc"].Tuples(), want) {
 			t.Fatalf("offset %d: Facts[tc] diverges from Answers", offset)
@@ -289,7 +289,7 @@ func TestEvalDisjointPathsClosedForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(tcp.Answers.Tuples(), lb.Answers.Tuples()) || !reflect.DeepEqual(tcp.Stats.Rounds, lb.Stats.Rounds) {
+		if !reflect.DeepEqual(tcp.Run.Tuples(), lb.Run.Tuples()) || !reflect.DeepEqual(tcp.Stats.Rounds, lb.Stats.Rounds) {
 			t.Errorf("offset %d: TCP diverges from loopback", offset)
 		}
 	}
@@ -344,7 +344,7 @@ func TestEvalMutualRecursion(t *testing.T) {
 			wantEven[[2]int{s.x, s.y}] = true
 		}
 	}
-	if got := pairsOf(res.Answers.Tuples()); !reflect.DeepEqual(got, wantOdd) {
+	if got := pairsOf(res.Run.Tuples()); !reflect.DeepEqual(got, wantOdd) {
 		t.Fatalf("odd: got %d pairs, want %d", len(got), len(wantOdd))
 	}
 	if got := pairsOf(res.Facts["even"].Tuples()); !reflect.DeepEqual(got, wantEven) {
@@ -373,8 +373,8 @@ func TestEvalAggregate(t *testing.T) {
 			{Func: relation.AggMax, Col: 1},
 		},
 	})
-	if !reflect.DeepEqual(res.Answers.Tuples(), want) {
-		t.Fatalf("aggregate diverges:\ngot  %v\nwant %v", res.Answers.Tuples(), want)
+	if !reflect.DeepEqual(res.Run.Tuples(), want) {
+		t.Fatalf("aggregate diverges:\ngot  %v\nwant %v", res.Run.Tuples(), want)
 	}
 	if !reflect.DeepEqual(res.Vars, []string{"x", "c", "m"}) {
 		t.Fatalf("vars = %v", res.Vars)
@@ -403,7 +403,7 @@ func TestEvalStratified(t *testing.T) {
 	for x, c := range counts {
 		want[[2]int{x, c}] = true
 	}
-	if got := pairsOf(res.Answers.Tuples()); !reflect.DeepEqual(got, want) {
+	if got := pairsOf(res.Run.Tuples()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("reach counts diverge:\ngot  %v\nwant %v", got, want)
 	}
 }
@@ -426,8 +426,8 @@ func TestEvalUnionRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []relation.Tuple{{1, 2}, {3, 4}, {5, 6}}
-	if !reflect.DeepEqual(res.Answers.Tuples(), want) {
-		t.Fatalf("union = %v, want %v", res.Answers.Tuples(), want)
+	if !reflect.DeepEqual(res.Run.Tuples(), want) {
+		t.Fatalf("union = %v, want %v", res.Run.Tuples(), want)
 	}
 	if res.Iterations != 0 {
 		t.Fatalf("non-recursive program reports %d iterations", res.Iterations)
@@ -523,8 +523,8 @@ func TestMaxIterationsIsPerStratum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Iterations != 10 || res.Answers.Len() != 21 {
-		t.Errorf("%d iterations and %d answers, want 10 (5 per stratum) and 21", res.Iterations, res.Answers.Len())
+	if res.Iterations != 10 || res.Run.Len() != 21 {
+		t.Errorf("%d iterations and %d answers, want 10 (5 per stratum) and 21", res.Iterations, res.Run.Len())
 	}
 	if _, err := Eval(prog, edgeDB(7, path), Options{P: 4, Seed: 5, MaxIterations: 4}); err == nil {
 		t.Error("a stratum that needs 5 iterations ran under a bound of 4")

@@ -55,8 +55,8 @@ func TestProgramExchangesEqualRounds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(res.Answers.Tuples(), ref.Answers.Tuples()) {
-				t.Fatalf("TCP run has %d answers, loopback %d", res.Answers.Len(), ref.Answers.Len())
+			if !reflect.DeepEqual(res.Run.Tuples(), ref.Run.Tuples()) {
+				t.Fatalf("TCP run has %d answers, loopback %d", res.Run.Len(), ref.Run.Len())
 			}
 			if !reflect.DeepEqual(res.Stats.Rounds, ref.Stats.Rounds) {
 				t.Fatalf("round record diverges:\n tcp %+v\nloop %+v", res.Stats.Rounds, ref.Stats.Rounds)
@@ -179,8 +179,8 @@ func TestDatalogRecoversWorkerFused(t *testing.T) {
 	if accepted != 3 {
 		t.Errorf("worker 1 accepted %d sessions, want 3 (two executions and the replacement)", accepted)
 	}
-	if !reflect.DeepEqual(res.Answers.Tuples(), ref.Answers.Tuples()) {
-		t.Errorf("recovered run has %d answers, fault-free run %d", res.Answers.Len(), ref.Answers.Len())
+	if !reflect.DeepEqual(res.Run.Tuples(), ref.Run.Tuples()) {
+		t.Errorf("recovered run has %d answers, fault-free run %d", res.Run.Len(), ref.Run.Len())
 	}
 	if res.Iterations != ref.Iterations || !reflect.DeepEqual(res.Stats.Rounds, ref.Stats.Rounds) {
 		t.Errorf("recovered run's record diverges:\n got %+v\nwant %+v", res.Stats.Rounds, ref.Stats.Rounds)

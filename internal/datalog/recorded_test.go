@@ -26,7 +26,7 @@ func factsDigest(res *Result) string {
 	for _, pred := range preds {
 		fmt.Fprintf(h, "%s%v", pred, res.Facts[pred].Tuples())
 	}
-	fmt.Fprintf(h, "%v", res.Answers.Tuples())
+	fmt.Fprintf(h, "%v", res.Run.Tuples())
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
@@ -157,8 +157,8 @@ func TestClosureIsHeldOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Iterations != 15 || res.Answers.Len() != paths*edges*(edges+1)/2 {
-		t.Fatalf("%d iterations, %d answers: not the benchmark's shape", res.Iterations, res.Answers.Len())
+	if res.Iterations != 15 || res.Run.Len() != paths*edges*(edges+1)/2 {
+		t.Fatalf("%d iterations, %d answers: not the benchmark's shape", res.Iterations, res.Run.Len())
 	}
 	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > 18+raceSlackMB {
 		t.Errorf("one Eval allocated %.1f MB, want ≤ %d", mb, 18+raceSlackMB)

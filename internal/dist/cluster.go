@@ -201,9 +201,6 @@ func (c *Cluster) EnableTracing(t *trace.Trace) {
 	}
 }
 
-// Config returns the cluster configuration.
-func (c *Cluster) Config() mpc.Config { return c.cfg }
-
 // Workers returns the pool size p.
 func (c *Cluster) Workers() int { return c.cfg.Workers }
 
@@ -225,6 +222,18 @@ type Outcome struct {
 	// coordinator — an engine's answer gather, which a limit bounds by p
 	// times the limit.
 	Gathered int
+}
+
+// Result is what every engine returns: the answer it gathered and the
+// record of the execution that computed it.
+type Result struct {
+	// Run is the answer as one sealed, deduplicated run (nil when
+	// empty), in the query's variable order — under an answer limit, its
+	// first rows only.
+	Run *relation.Run
+	// Count is how many rows the answer holds, gathered or not.
+	Count int
+	Outcome
 }
 
 // Outcome returns the cluster's record so far: its statistics, whether

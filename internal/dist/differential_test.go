@@ -59,7 +59,7 @@ func runHypercube(t *testing.T, q *query.Query, db *relation.Database, p int, tr
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Answers.Tuples(), res.Stats
+	return res.Run.Tuples(), res.Stats
 }
 
 func runMultiround(t *testing.T, q *query.Query, db *relation.Database, p int, tr dist.Transport) ([]relation.Tuple, *mpc.Stats) {
@@ -72,7 +72,7 @@ func runMultiround(t *testing.T, q *query.Query, db *relation.Database, p int, t
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Answers.Tuples(), res.Stats
+	return res.Run.Tuples(), res.Stats
 }
 
 // TestDifferentialFamilies is the family × engine × transport × input
@@ -158,19 +158,19 @@ func TestDifferentialSkewJoin(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				loop, err := skew.RunJoin(r, s, p, mode, skew.Options{Seed: 7})
+				loop, _, err := skew.RunJoin(r, s, p, mode, skew.Options{Seed: 7})
 				if err != nil {
 					t.Fatal(err)
 				}
-				tcpRes, err := skew.RunJoin(r, s, p, mode, skew.Options{Seed: 7, Transport: dialPool(t, addrs)})
+				tcpRes, _, err := skew.RunJoin(r, s, p, mode, skew.Options{Seed: 7, Transport: dialPool(t, addrs)})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !sameTuples(loop.Answers.Tuples(), truth) {
-					t.Errorf("loopback: %d answers, ground truth %d", loop.Answers.Len(), len(truth))
+				if !sameTuples(loop.Run.Tuples(), truth) {
+					t.Errorf("loopback: %d answers, ground truth %d", loop.Run.Len(), len(truth))
 				}
-				if !sameTuples(tcpRes.Answers.Tuples(), truth) {
-					t.Errorf("tcp: %d answers, ground truth %d", tcpRes.Answers.Len(), len(truth))
+				if !sameTuples(tcpRes.Run.Tuples(), truth) {
+					t.Errorf("tcp: %d answers, ground truth %d", tcpRes.Run.Len(), len(truth))
 				}
 				if !reflect.DeepEqual(loop.Stats.Rounds, tcpRes.Stats.Rounds) {
 					t.Errorf("round stats differ across transports")
@@ -229,9 +229,6 @@ func TestDifferentialPlanner(t *testing.T) {
 			}
 			if !reflect.DeepEqual(loop.Stats.Rounds, tcpRes.Stats.Rounds) {
 				t.Errorf("round stats differ across transports")
-			}
-			if loop.Engine != tcpRes.Engine {
-				t.Errorf("engines differ: %v vs %v", loop.Engine, tcpRes.Engine)
 			}
 		})
 	}

@@ -340,7 +340,7 @@ func explorations(t *testing.T, p int) []exploration {
 		if res.Iterations < 5 {
 			return outcome{}, fmt.Errorf("the fixpoint took %d iterations, the explorer wants at least 5", res.Iterations)
 		}
-		return outcome{answers: res.Answers.Tuples(), rounds: res.Stats.Rounds, repl: res.Replacements}, nil
+		return outcome{answers: res.Run.Tuples(), rounds: res.Stats.Rounds, repl: res.Replacements}, nil
 	}})
 
 	// Maintainer: the cold round, then one batch that retracts three
@@ -350,9 +350,9 @@ func explorations(t *testing.T, p int) []exploration {
 	batch := make(map[string]relation.Effect)
 	for i, add := range []relation.Tuple{{5, 6}, {6, 7}, {7, 5}} {
 		name := mq.Atoms[i].Name
-		eff, rel := relation.Effect{Added: []relation.Tuple{add}}, after.Relations[name]
+		eff, rel := relation.Effect{Added: relation.RunOf(2, []relation.Tuple{add})}, after.Relations[name]
 		if i == 0 {
-			eff.Removed, rel.Tuples = rel.Tuples[:3:3], rel.Tuples[3:]
+			eff.Removed, rel.Tuples = relation.RunOf(2, rel.Tuples[:3]), rel.Tuples[3:]
 		}
 		rel.Tuples = append(rel.Tuples, add)
 		batch[name] = eff
@@ -370,7 +370,7 @@ func explorations(t *testing.T, p int) []exploration {
 		if _, err := m.ApplyDelta(batch); err != nil {
 			return outcome{}, err
 		}
-		return outcome{answers: m.Answers().Tuples(), rounds: m.Stats().Rounds, repl: m.Outcome().Replacements}, nil
+		return outcome{answers: m.Answers().Tuples(), rounds: m.Outcome().Stats.Rounds, repl: m.Outcome().Replacements}, nil
 	}})
 
 	// Reuse: the cold triangle on the maintainer's first database, then on
@@ -389,7 +389,7 @@ func explorations(t *testing.T, p int) []exploration {
 			if err != nil {
 				return outcome{}, err
 			}
-			out.answers, out.rounds, out.repl = res.Answers.Tuples(), append(out.rounds, res.Stats.Rounds...), out.repl+res.Replacements
+			out.answers, out.rounds, out.repl = res.Run.Tuples(), append(out.rounds, res.Stats.Rounds...), out.repl+res.Replacements
 			if i == 0 && !sameTuples(out.answers, cold) {
 				return outcome{}, fmt.Errorf("the first execution has %d answers, ground truth %d", len(out.answers), len(cold))
 			}
@@ -408,7 +408,7 @@ func explorations(t *testing.T, p int) []exploration {
 		if err != nil {
 			return outcome{}, err
 		}
-		if got := res.Answers.Tuples(); !sameTuples(got, cold) {
+		if got := res.Run.Tuples(); !sameTuples(got, cold) {
 			return outcome{}, fmt.Errorf("the query has %d answers, ground truth %d", len(got), len(cold))
 		}
 		m, err := hypercube.NewMaintainer(mq, before, p, hypercube.Options{Seed: 23, Transport: behind(s, dial()), Recovery: rec})
@@ -419,7 +419,7 @@ func explorations(t *testing.T, p int) []exploration {
 		if _, err := m.ApplyDelta(batch); err != nil {
 			return outcome{}, err
 		}
-		return outcome{answers: m.Answers().Tuples(), rounds: append(res.Stats.Rounds, m.Stats().Rounds...), repl: res.Replacements + m.Outcome().Replacements}, nil
+		return outcome{answers: m.Answers().Tuples(), rounds: append(res.Stats.Rounds, m.Outcome().Stats.Rounds...), repl: res.Replacements + m.Outcome().Replacements}, nil
 	}})
 
 	// Resident: the cold triangle again, and the skew case's join, each as

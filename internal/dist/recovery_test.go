@@ -95,21 +95,21 @@ func recoveryEngines(t *testing.T, p int) []recEngine {
 			if err != nil {
 				return outcome{}, err
 			}
-			return outcome{answers: res.Answers.Tuples(), rounds: res.Stats.Rounds, repl: res.Replacements}, nil
+			return outcome{answers: res.Run.Tuples(), rounds: res.Stats.Rounds, repl: res.Replacements}, nil
 		}),
 		engine("multiround", chTruth, multiProgram(chPlan, chDB, p, 23), func(tr dist.Transport, rec dist.RecoveryOptions) (outcome, error) {
 			res, err := multiround.Execute(chPlan, chDB, p, multiround.Options{Seed: 23, Transport: tr, Recovery: rec})
 			if err != nil {
 				return outcome{}, err
 			}
-			return outcome{answers: res.Answers.Tuples(), rounds: res.Stats.Rounds, repl: res.Replacements}, nil
+			return outcome{answers: res.Run.Tuples(), rounds: res.Stats.Rounds, repl: res.Replacements}, nil
 		}),
 		engine("skew", sjTruth, skewProgram(skew.JoinQuery(), r, s, ry, sy, skew.CompileFromData(r, ry, s, sy, p, 1), 7), func(tr dist.Transport, rec dist.RecoveryOptions) (outcome, error) {
-			res, err := skew.RunJoin(r, s, p, skew.Resilient, skew.Options{Seed: 7, Transport: tr, Recovery: rec})
+			res, _, err := skew.RunJoin(r, s, p, skew.Resilient, skew.Options{Seed: 7, Transport: tr, Recovery: rec})
 			if err != nil {
 				return outcome{}, err
 			}
-			return outcome{answers: res.Answers.Tuples(), rounds: res.Stats.Rounds, repl: res.Replacements}, nil
+			return outcome{answers: res.Run.Tuples(), rounds: res.Stats.Rounds, repl: res.Replacements}, nil
 		}),
 	}
 }

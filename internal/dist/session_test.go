@@ -28,7 +28,7 @@ import (
 // triangleOn runs the triangle query over db on tr, healing under the
 // faults (none: recovery stays off), and checks it against the ground
 // truth.
-func triangleOn(t *testing.T, tr dist.Transport, db *relation.Database, faults ...disttest.Fault) *hypercube.Result {
+func triangleOn(t *testing.T, tr dist.Transport, db *relation.Database, faults ...disttest.Fault) *dist.Result {
 	t.Helper()
 	q := query.Cycle(3)
 	var rec dist.RecoveryOptions
@@ -43,7 +43,7 @@ func triangleOn(t *testing.T, tr dist.Transport, db *relation.Database, faults .
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Answers.Tuples(); !sameTuples(got, truth) {
+	if got := res.Run.Tuples(); !sameTuples(got, truth) {
 		t.Fatalf("%d answers, ground truth %d", len(got), len(truth))
 	}
 	return res
@@ -139,8 +139,8 @@ func TestSessionKeepsConfiguredSpares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Replacements != 1 || !sameTuples(res.Answers.Tuples(), truth) {
-		t.Fatalf("%d replacements, %d answers (ground truth %d); want one replacement", res.Replacements, res.Answers.Len(), len(truth))
+	if res.Replacements != 1 || !sameTuples(res.Run.Tuples(), truth) {
+		t.Fatalf("%d replacements, %d answers (ground truth %d); want one replacement", res.Replacements, res.Run.Len(), len(truth))
 	}
 	tr.Close()
 	if members, spares := reg.Members(), reg.Spares(); !slices.Equal(members, []string{m0, spare}) || !slices.Equal(spares, []string{m1}) {

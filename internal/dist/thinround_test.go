@@ -165,7 +165,7 @@ func TestWorkerAnswersScriptInOneWrite(t *testing.T) {
 		// fences, joins and gathers, and its reply is acks plus an empty
 		// gather stream — no payload segment splits the vectored write.
 		atom := q.Atoms[0].Name
-		rep, err := m.ApplyDelta(map[string]relation.Effect{atom: {Added: []relation.Tuple{{1, 1}}}})
+		rep, err := m.ApplyDelta(map[string]relation.Effect{atom: {Added: relation.RunOf(2, []relation.Tuple{{1, 1}})}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestRetractionOnlyBatchIsFenced(t *testing.T) {
 	q := query.Cycle(3)
 	db := relation.MatchingDatabase(rand.New(rand.NewPCG(103, 0)), q, 200)
 	atom := q.Atoms[0].Name
-	batch := map[string]relation.Effect{atom: {Removed: db.Relations[atom].Tuples[:3]}}
+	batch := map[string]relation.Effect{atom: {Removed: relation.RunOf(2, db.Relations[atom].Tuples[:3])}}
 	truth := func() []relation.Tuple {
 		ref, err := hypercube.NewMaintainer(q, db, p, hypercube.Options{Seed: 23})
 		if err != nil {

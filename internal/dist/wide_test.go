@@ -113,11 +113,15 @@ func TestDifferentialWideTuples(t *testing.T) {
 				}
 				base, prog = res.Stats, multiProgram(pl, db, p, 23)
 			} else {
-				res, err := hypercube.Run(c.q, db, p, hypercube.Options{Seed: 23})
+				shares, err := hypercube.SharesForQuery(c.q, p, hypercube.GreedyRounding)
 				if err != nil {
 					t.Fatal(err)
 				}
-				base, prog = res.Stats, hcProgram(c.q, db, p, 0, res.Shares, 23)
+				res, err := hypercube.RunWithShares(c.q, db, p, shares, hypercube.Options{Seed: 23})
+				if err != nil {
+					t.Fatal(err)
+				}
+				base, prog = res.Stats, hcProgram(c.q, db, p, 0, shares, 23)
 			}
 			if got := statsDigest(base); got != c.golden {
 				t.Errorf("round stats digest %s, recorded %s", got, c.golden)

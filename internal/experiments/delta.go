@@ -116,7 +116,7 @@ func deltaCell(q *query.Query, db, ndb *relation.Database, effects map[string]re
 	if err != nil {
 		return nil, err
 	}
-	if got, want := m.Answers().Len(), cold.Answers.Len(); got != want {
+	if got, want := m.Answers().Len(), cold.Run.Len(); got != want {
 		return nil, fmt.Errorf("experiments: delta n=%d p=%d maintained %d answers, cold re-join found %d",
 			n, p, got, want)
 	}

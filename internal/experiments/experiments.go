@@ -220,7 +220,7 @@ func HCLoad(w io.Writer, q *query.Query, n int, ps []int, seed uint64) ([]HCLoad
 			return nil, err
 		}
 		bound := float64(q.NumAtoms()) * hypercube.TheoreticalLoad(n, p, tauF)
-		complete := res.Answers.Len() == len(truth)
+		complete := res.Run.Len() == len(truth)
 		row := HCLoadRow{
 			Query:       q.Name,
 			N:           n,
@@ -267,7 +267,7 @@ func LBFraction(w io.Writer, q *query.Query, n int, eps float64, ps []int, trial
 			if err != nil {
 				return nil, err
 			}
-			foundSum += res.Answers.Len()
+			foundSum += res.Run.Len()
 			truthSum += len(truth)
 		}
 		measured := 0.0
@@ -357,13 +357,13 @@ func Rounds(w io.Writer, ks []int, epss []*big.Rat, n, p int, seed uint64) ([]Ro
 			if err != nil {
 				return nil, err
 			}
-			complete := res.Answers.Len() == len(truth)
+			complete := res.Run.Len() == len(truth)
 			rows = append(rows, RoundsRow{
 				Query: q.Name, Eps: eps, PlanRounds: plan.Rounds(),
-				Executed: res.Rounds, Lower: lower, Upper: upper, Complete: complete,
+				Executed: res.Stats.NumRounds(), Lower: lower, Upper: upper, Complete: complete,
 			})
 			fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t%v\n",
-				q.Name, eps.RatString(), lower, plan.Rounds(), res.Rounds, upper, complete)
+				q.Name, eps.RatString(), lower, plan.Rounds(), res.Stats.NumRounds(), upper, complete)
 		}
 	}
 	return rows, tw.Flush()
@@ -491,11 +491,11 @@ func CC(w io.Writer, ps []int, width int, seed uint64) ([]CCRow, error) {
 		}
 		rows = append(rows, CCRow{
 			P: p, Layers: layers,
-			NMRounds: nm.Rounds, H2MRounds: h2m.Rounds, DenseRound: dense.Rounds,
+			NMRounds: nm.Stats.NumRounds(), H2MRounds: h2m.Stats.NumRounds(), DenseRound: dense.Stats.NumRounds(),
 			LowerLogP: math.Log2(float64(p)),
 		})
 		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%.1f\n",
-			p, layers, nm.Rounds, h2m.Rounds, dense.Rounds, math.Log2(float64(p)))
+			p, layers, nm.Stats.NumRounds(), h2m.Stats.NumRounds(), dense.Stats.NumRounds(), math.Log2(float64(p)))
 	}
 	return rows, tw.Flush()
 }

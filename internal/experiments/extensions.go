@@ -137,22 +137,22 @@ func Skew(w io.Writer, n, p int, zipfS float64, seed uint64) ([]SkewRow, error) 
 			return nil, err
 		}
 		for _, mode := range []skew.Mode{skew.Standard, skew.Resilient} {
-			res, err := skew.RunJoin(in.r, in.s, p, mode, skew.Options{Seed: seed})
+			res, rt, err := skew.RunJoin(in.r, in.s, p, mode, skew.Options{Seed: seed})
 			if err != nil {
 				return nil, err
 			}
-			complete := res.Answers.Len() == len(truth)
+			complete := res.Run.Len() == len(truth)
 			row := SkewRow{
 				Input:        in.name,
 				Mode:         mode.String(),
-				MaxLoad:      res.MaxLoadTuples,
-				HeavyHitters: len(res.Heavy),
+				MaxLoad:      res.Stats.MaxLoadTuples(),
+				HeavyHitters: len(rt.Heavy),
 				IdealLoad:    ideal,
 				Complete:     complete,
 			}
 			rows = append(rows, row)
 			fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%.0f\t%v\n",
-				in.name, mode, res.MaxLoadTuples, len(res.Heavy), ideal, complete)
+				in.name, mode, res.Stats.MaxLoadTuples(), len(rt.Heavy), ideal, complete)
 		}
 	}
 	return rows, tw.Flush()

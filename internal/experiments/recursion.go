@@ -81,14 +81,14 @@ func Recursion(w io.Writer, sizes []int, p int, seed uint64) ([]RecursionRow, er
 		if err != nil {
 			return nil, err
 		}
-		if got, want := semi.Answers.Len(), naiveAnswers; got != want {
+		if got, want := semi.Run.Len(), naiveAnswers; got != want {
 			return nil, fmt.Errorf("experiments: recursion n=%d p=%d semi-naive found %d pairs, naive found %d",
 				n, p, got, want)
 		}
 		row := RecursionRow{
 			N:           n,
 			P:           p,
-			Answers:     semi.Answers.Len(),
+			Answers:     semi.Run.Len(),
 			Iterations:  semi.Iterations,
 			SemiRounds:  semi.Stats.NumRounds(),
 			SemiBits:    semi.Stats.TotalBits(),
@@ -134,7 +134,7 @@ func naiveClosure(db *relation.Database, p int, seed uint64) (answers, rounds in
 		bits += res.Stats.TotalBits()
 		// Project q's (x,y,z) answers onto (x,z) and fold into the
 		// closure; a pass that grows nothing is the fixpoint.
-		merged := relation.Merge([]*relation.Run{known, relation.Project(res.Answers, []int{0, 2})})
+		merged := relation.Merge([]*relation.Run{known, relation.Project(res.Run, []int{0, 2})})
 		if merged.Len() == known.Len() {
 			return known.Len(), rounds, bits, nil
 		}

@@ -96,11 +96,11 @@ func TestCrossPathEquivalence(t *testing.T) {
 			return false
 		}
 		// Identical answers.
-		if res.Answers.Len() != len(refAnswers) {
-			t.Logf("answers: got %d want %d", res.Answers.Len(), len(refAnswers))
+		if res.Run.Len() != len(refAnswers) {
+			t.Logf("answers: got %d want %d", res.Run.Len(), len(refAnswers))
 			return false
 		}
-		for i, got := range res.Answers.Tuples() {
+		for i, got := range res.Run.Tuples() {
 			if !got.Equal(refAnswers[i]) {
 				return false
 			}

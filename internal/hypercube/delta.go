@@ -125,12 +125,9 @@ func Hold(q *query.Query, db *relation.Database, p int, opts Options) (*Distribu
 	return d, nil
 }
 
-// Stats returns the cluster's communication record, cold distribution
-// and every maintenance batch included.
-func (d *Distribution) Stats() *mpc.Stats { return d.cluster.Stats() }
-
-// Outcome returns the distribution's record so far, the cold round
-// included: statistics, a broken receive budget, replacements.
+// Outcome returns the distribution's record so far, the cold round and
+// every maintenance batch included: statistics, a broken receive
+// budget, replacements.
 func (d *Distribution) Outcome() dist.Outcome { return d.cluster.Outcome() }
 
 // Fanout returns the replication factor of the named atom — how many
@@ -321,24 +318,21 @@ func (m *Maintainer) Answers() *relation.Run { return m.answers }
 // under one delta batch, given as the set-level effect per relation
 // (relation.ApplyDelta's output shape). Unknown relation names are
 // rejected; relations of the query not named in changes are
-// untouched. The returned report carries the batch's maintenance
-// cost.
+// untouched. A row a run repeats is routed and accounted once per
+// occurrence. The returned report carries the batch's maintenance cost.
 func (m *Maintainer) ApplyDelta(changes map[string]relation.Effect) (*Report, error) {
 	removed := make(map[string]*relation.Run, len(changes))
 	added := make(map[string]*relation.Run, len(changes))
 	for name, eff := range changes {
-		pos, ok := m.proj[name]
-		if !ok {
+		if _, ok := m.proj[name]; !ok {
 			return nil, fmt.Errorf("hypercube: delta for relation %s not in query", name)
 		}
-		// Every occurrence is kept, so a tuple a caller repeats is routed
-		// and accounted once per occurrence.
-		if len(eff.Removed) > 0 {
-			removed[name] = relation.RunOf(len(pos), eff.Removed)
+		if eff.Removed.Len() > 0 {
+			removed[name] = eff.Removed
 		}
-		added[name] = relation.RunOf(len(pos), eff.Added)
+		added[name] = eff.Added
 	}
-	stats := m.Stats()
+	stats := m.Outcome().Stats
 	statsFrom := len(stats.Rounds)
 	fresh, err := m.apply(removed, added)
 	if err != nil {

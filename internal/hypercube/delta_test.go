@@ -95,22 +95,22 @@ func dbEffect(before, after *relation.Database) map[string]relation.Effect {
 		a, _ := after.Relation(name)
 		bRows, aRows := b.Rows(), a.Rows()
 		bset, aset := keySet(bRows), keySet(aRows)
-		var eff relation.Effect
+		var added, removed []relation.Tuple
 		seenAdd := map[string]bool{}
 		for _, t := range aRows {
 			if k := t.Key(); !bset[k] && !seenAdd[k] {
 				seenAdd[k] = true
-				eff.Added = append(eff.Added, t)
+				added = append(added, t)
 			}
 		}
 		seenDel := map[string]bool{}
 		for _, t := range bRows {
 			if k := t.Key(); !aset[k] && !seenDel[k] {
 				seenDel[k] = true
-				eff.Removed = append(eff.Removed, t)
+				removed = append(removed, t)
 			}
 		}
-		out[name] = eff
+		out[name] = relation.Effect{Added: relation.RunOf(b.Arity(), added), Removed: relation.RunOf(b.Arity(), removed)}
 	}
 	return out
 }
@@ -168,6 +168,12 @@ func (sc *maintScenario) shifted(offset int) *maintScenario {
 		}
 		return out
 	}
+	run := func(r *relation.Run) *relation.Run {
+		if r == nil {
+			return nil
+		}
+		return relation.RunOf(r.Arity(), tuples(r.Tuples()))
+	}
 	database := func(db *relation.Database) *relation.Database {
 		out := relation.NewDatabase(db.N + offset)
 		for _, name := range db.Names() {
@@ -182,7 +188,7 @@ func (sc *maintScenario) shifted(offset int) *maintScenario {
 	for b, eff := range sc.effs {
 		wide := make(map[string]relation.Effect, len(eff))
 		for name, e := range eff {
-			wide[name] = relation.Effect{Added: tuples(e.Added), Removed: tuples(e.Removed)}
+			wide[name] = relation.Effect{Added: run(e.Added), Removed: run(e.Removed)}
 		}
 		out.effs = append(out.effs, wide)
 		out.dbs = append(out.dbs, database(sc.dbs[b]))
@@ -252,7 +258,7 @@ func distributeByHand(t *testing.T, sc *maintScenario, p int, seed uint64, tr di
 	for b, eff := range sc.effs {
 		removed, added := make(map[string]*relation.Run), make(map[string]*relation.Run)
 		for _, a := range sc.q.Atoms {
-			removed[a.Name], added[a.Name] = relation.RunOf(a.Arity(), eff[a.Name].Removed), relation.RunOf(a.Arity(), eff[a.Name].Added)
+			removed[a.Name], added[a.Name] = eff[a.Name].Removed, eff[a.Name].Added
 		}
 		fresh, err := d.apply(removed, added)
 		if err != nil {
@@ -313,9 +319,9 @@ func TestMaintainerMetamorphic(t *testing.T) {
 					t.Fatalf("TCP answers diverge from loopback: %d vs %d tuples",
 						tcp.Answers().Len(), lb.Answers().Len())
 				}
-				if !reflect.DeepEqual(tcp.Stats().Rounds, lb.Stats().Rounds) {
+				if !reflect.DeepEqual(tcp.Outcome().Stats.Rounds, lb.Outcome().Stats.Rounds) {
 					t.Fatalf("TCP round stats diverge from loopback:\n tcp %+v\nloop %+v",
-						tcp.Stats().Rounds, lb.Stats().Rounds)
+						tcp.Outcome().Stats.Rounds, lb.Outcome().Stats.Rounds)
 				}
 
 				// Stepped ≡ fused: the distribution driven by hand on a bare
@@ -329,7 +335,7 @@ func TestMaintainerMetamorphic(t *testing.T) {
 						if !reflect.DeepEqual(got, fused) {
 							t.Fatalf("%T stepped=%v: some batch gathered another Δ-join than the fused loopback run", tr, stepped)
 						}
-						if !reflect.DeepEqual(stats.Rounds, lb.Stats().Rounds) {
+						if !reflect.DeepEqual(stats.Rounds, lb.Outcome().Stats.Rounds) {
 							t.Fatalf("%T stepped=%v: round stats diverge from the maintainer's", tr, stepped)
 						}
 					}
@@ -410,7 +416,7 @@ func TestMaintainerTraced(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rounds := m.Stats().Rounds
+	rounds := m.Outcome().Stats.Rounds
 	if len(rounds) != 3 {
 		t.Fatalf("%d rounds recorded, want the cold round and two delta rounds", len(rounds))
 	}
@@ -533,7 +539,7 @@ func TestMaintainerRejects(t *testing.T) {
 	}
 	defer m.Close()
 	if _, err := m.ApplyDelta(map[string]relation.Effect{
-		"Q": {Added: []relation.Tuple{{1, 2}}},
+		"Q": {Added: relation.RunOf(2, []relation.Tuple{{1, 2}})},
 	}); err == nil {
 		t.Error("delta for unknown relation accepted")
 	}

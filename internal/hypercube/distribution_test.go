@@ -81,8 +81,8 @@ func TestMaintainerEqualsDistributionPlusAlgebra(t *testing.T) {
 						removed, added := map[string]*relation.Run{}, map[string]*relation.Run{}
 						dead := map[string]map[string]bool{}
 						for name, e := range eff {
-							removed[name], added[name] = relation.RunOf(2, e.Removed), relation.RunOf(2, e.Added)
-							dead[name] = keySet(e.Removed)
+							removed[name], added[name] = e.Removed, e.Added
+							dead[name] = keySet(e.Removed.Tuples())
 						}
 						gathered, err := d.apply(removed, added)
 						if err != nil {
@@ -115,11 +115,11 @@ func TestMaintainerEqualsDistributionPlusAlgebra(t *testing.T) {
 					if !answersEqual(answers.Tuples(), m.Answers().Tuples()) {
 						t.Fatalf("%s: the layers' answers diverge: %d vs %d", transport, answers.Len(), m.Answers().Len())
 					}
-					if !reflect.DeepEqual(d.Stats().Rounds, m.Stats().Rounds) {
+					if !reflect.DeepEqual(d.Outcome().Stats.Rounds, m.Outcome().Stats.Rounds) {
 						t.Fatalf("%s: the layers' round records diverge:\n distribution %+v\n maintainer   %+v",
-							transport, d.Stats().Rounds, m.Stats().Rounds)
+							transport, d.Outcome().Stats.Rounds, m.Outcome().Stats.Rounds)
 					}
-					rounds = append(rounds, m.Stats().Rounds)
+					rounds = append(rounds, m.Outcome().Stats.Rounds)
 				}
 				if !reflect.DeepEqual(rounds[0], rounds[1]) {
 					t.Fatal("TCP round record diverges from loopback")
@@ -146,7 +146,7 @@ func TestRepeatedEffectTupleIsCountedPerOccurrence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := m.ApplyDelta(map[string]relation.Effect{"S1": {Added: []relation.Tuple{{3, 7}, {9, 9}, {3, 7}}}})
+	rep, err := m.ApplyDelta(map[string]relation.Effect{"S1": {Added: relation.RunOf(2, []relation.Tuple{{3, 7}, {9, 9}, {3, 7}})}})
 	if err != nil {
 		t.Fatal(err)
 	}

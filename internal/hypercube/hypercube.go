@@ -281,29 +281,11 @@ func open(p int, db *relation.Database, opts Options) (*dist.Cluster, context.Co
 	return dist.Open(opts, mpc.Config{Workers: p, Epsilon: opts.Epsilon, InputBits: db.InputBits(), CapConstant: opts.CapConstant, DomainN: db.N})
 }
 
-// Result reports a HyperCube execution.
-type Result struct {
-	// Answers is the union of the tuples output by all servers, as the
-	// one sealed run the gather merged (nil when empty) — under a limit,
-	// its first rows only.
-	Answers *relation.Run
-	// Count is how many rows the union holds, Answers or not.
-	Count int
-	dist.Outcome
-	// Shares is the grid geometry used.
-	Shares *Shares
-	// ReceiveCap is the enforced per-worker budget in bits (0 = off).
-	ReceiveCap int64
-	// GridPoints is the number of materialized grid points (= servers
-	// used; less than p when shares round down, p in RunSampled).
-	GridPoints int
-}
-
 // Run executes the one-round HC algorithm for q over db on p servers
 // and returns the answers found, under opts.AnswerLimit as
 // RunWithShares (on matching databases this is the complete answer
 // when ε ≥ 1−1/τ*).
-func Run(q *query.Query, db *relation.Database, p int, opts Options) (*Result, error) {
+func Run(q *query.Query, db *relation.Database, p int, opts Options) (*dist.Result, error) {
 	shares, err := SharesForQuery(q, p, GreedyRounding)
 	if err != nil {
 		return nil, err
@@ -315,7 +297,7 @@ func Run(q *query.Query, db *relation.Database, p int, opts Options) (*Result, e
 // test's) that gathers only the first opts.AnswerLimit rows of the
 // answer, as dist.Cluster.GatherPrefix does: 0 all of them, a negative
 // limit none. Result.Count counts every answer either way.
-func RunWithShares(q *query.Query, db *relation.Database, p int, shares *Shares, opts Options) (*Result, error) {
+func RunWithShares(q *query.Query, db *relation.Database, p int, shares *Shares, opts Options) (*dist.Result, error) {
 	return runWithShares(q, db, p, shares, opts, nil)
 }
 
@@ -323,7 +305,7 @@ func RunWithShares(q *query.Query, db *relation.Database, p int, shares *Shares,
 // exponents (1−ε)·v_i, producing a virtual grid of ~p^{(1−ε)τ*} > p
 // points, of which p are chosen uniformly at random and assigned to
 // the servers; tuples routed to unmaterialized points are dropped.
-func RunSampled(q *query.Query, db *relation.Database, p int, opts Options) (*Result, error) {
+func RunSampled(q *query.Query, db *relation.Database, p int, opts Options) (*dist.Result, error) {
 	r, err := cover.Solve(q)
 	if err != nil {
 		return nil, err
@@ -363,25 +345,16 @@ const AnswersView = "hc!answers"
 // runWithShares is the shared core. sample, when non-nil, maps
 // materialized grid points to servers; nil materializes the whole grid
 // (which must then fit in p).
-func runWithShares(q *query.Query, db *relation.Database, p int, shares *Shares, opts Options, sample map[int]int) (*Result, error) {
+func runWithShares(q *query.Query, db *relation.Database, p int, shares *Shares, opts Options, sample map[int]int) (*dist.Result, error) {
 	if sample == nil && shares.GridSize() > p {
 		return nil, fmt.Errorf("hypercube: grid size %d exceeds %d servers", shares.GridSize(), p)
 	}
 	hasher := NewHasher(shares, opts.Seed)
 	// Every server outputs only answers that hash to its own grid point
 	// (a sampled one included), so the outputs are disjoint.
-	res, err := RunRound(q, db, p, opts, func(a query.Atom) exchange.Partitioner {
+	return RunRound(q, db, p, opts, func(a query.Atom) exchange.Partitioner {
 		return NewGridPartitioner(shares, hasher, a).WithSample(sample)
 	})
-	if err != nil {
-		return nil, err
-	}
-	res.Shares = shares
-	res.GridPoints = shares.GridSize()
-	if sample != nil && res.GridPoints > p {
-		res.GridPoints = p
-	}
-	return res, nil
 }
 
 // RunRound runs one round end to end: it opens a cluster of p workers
@@ -390,9 +363,8 @@ func runWithShares(q *query.Query, db *relation.Database, p int, shares *Shares,
 // them, a negative limit none — with Result.Count counting every
 // answer. part must give each answer to one server, so that the
 // workers' sorted outputs are disjoint and the prefix gather's k-way
-// merge counts and orders them right. The Result's grid fields are
-// left for the caller.
-func RunRound(q *query.Query, db *relation.Database, p int, opts Options, part func(query.Atom) exchange.Partitioner) (*Result, error) {
+// merge counts and orders them right.
+func RunRound(q *query.Query, db *relation.Database, p int, opts Options, part func(query.Atom) exchange.Partitioner) (*dist.Result, error) {
 	cluster, ctx, err := open(p, db, opts)
 	if err != nil {
 		return nil, err
@@ -404,7 +376,7 @@ func RunRound(q *query.Query, db *relation.Database, p int, opts Options, part f
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Answers: merged, Count: count, Outcome: cluster.Outcome(), ReceiveCap: cluster.Config().ReceiveCap()}, nil
+	return &dist.Result{Run: merged, Count: count, Outcome: cluster.Outcome()}, nil
 }
 
 // Round is the one-round executor: a one-shot run, a maintainer's cold

@@ -216,7 +216,7 @@ func TestRunTriangleComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameTuples(t, res.Answers.Tuples(), truth)
+	assertSameTuples(t, res.Run.Tuples(), truth)
 	if res.Stats.NumRounds() != 1 {
 		t.Errorf("rounds = %d, want 1", res.Stats.NumRounds())
 	}
@@ -233,9 +233,9 @@ func TestRunChainComplete(t *testing.T) {
 		if err != nil {
 			t.Fatalf("L%d: %v", k, err)
 		}
-		assertSameTuples(t, res.Answers.Tuples(), truth)
-		if res.Answers.Len() != n {
-			t.Errorf("L%d: %d answers, want %d", k, res.Answers.Len(), n)
+		assertSameTuples(t, res.Run.Tuples(), truth)
+		if res.Run.Len() != n {
+			t.Errorf("L%d: %d answers, want %d", k, res.Run.Len(), n)
 		}
 	}
 }
@@ -250,7 +250,7 @@ func TestRunStarComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameTuples(t, res.Answers.Tuples(), truth)
+	assertSameTuples(t, res.Run.Tuples(), truth)
 }
 
 func TestRunLoadWithinBound(t *testing.T) {
@@ -311,13 +311,17 @@ func TestRunSampledFraction(t *testing.T) {
 	for _, tp := range truth {
 		truthKeys[tp.Key()] = true
 	}
-	for _, tp := range res.Answers.Tuples() {
+	for _, tp := range res.Run.Tuples() {
 		if !truthKeys[tp.Key()] {
 			t.Errorf("sampled run reported false answer %v", tp)
 		}
 	}
-	if res.GridPoints != p {
-		t.Errorf("grid points = %d, want %d", res.GridPoints, p)
+	// The virtual grid exceeds p, so every server holds a sampled grid
+	// point and receives tuples.
+	for w, got := range res.Stats.Rounds[0].PerWorkerTuples {
+		if got == 0 {
+			t.Errorf("server %d received nothing: no grid point sampled onto it", w)
+		}
 	}
 }
 
@@ -333,7 +337,7 @@ func TestRunSampledSmallGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameTuples(t, res.Answers.Tuples(), truth)
+	assertSameTuples(t, res.Run.Tuples(), truth)
 }
 
 func TestTheoreticalLoad(t *testing.T) {

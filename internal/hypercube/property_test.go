@@ -33,10 +33,10 @@ func TestHCCompletenessProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if res.Answers.Len() != len(truth) {
+		if res.Run.Len() != len(truth) {
 			return false
 		}
-		for i, got := range res.Answers.Tuples() {
+		for i, got := range res.Run.Tuples() {
 			if !got.Equal(truth[i]) {
 				return false
 			}
@@ -62,8 +62,8 @@ func TestHCDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Answers.Len() != b.Answers.Len() {
-		t.Fatalf("answer counts differ: %d vs %d", a.Answers.Len(), b.Answers.Len())
+	if a.Run.Len() != b.Run.Len() {
+		t.Fatalf("answer counts differ: %d vs %d", a.Run.Len(), b.Run.Len())
 	}
 	if a.Stats.TotalBits() != b.Stats.TotalBits() ||
 		a.Stats.MaxLoadBits() != b.Stats.MaxLoadBits() ||
@@ -76,7 +76,7 @@ func TestHCDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Answers.Len() != a.Answers.Len() {
+	if c.Run.Len() != a.Run.Len() {
 		t.Error("different seed changed the answer set")
 	}
 }

@@ -288,9 +288,6 @@ func TestWorkerAccessors(t *testing.T) {
 	if c.Workers() != 1 {
 		t.Error("Workers")
 	}
-	if c.Config().Workers != 1 || c.Config().DomainN != 100 {
-		t.Error("Config accessor")
-	}
 }
 
 func TestTupleBits(t *testing.T) {

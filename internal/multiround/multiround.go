@@ -219,26 +219,13 @@ func sharesVariable(q *query.Query, member []int, j int) bool {
 // whatever Epsilon says.
 type Options = dist.Options
 
-// Result reports a plan execution.
-type Result struct {
-	// Answers is the final answer, in the original query's variable
-	// order, as one sealed, deduplicated run (nil when empty) — its first
-	// rows only, when AnswerLimit cut it short.
-	Answers *relation.Run
-	// Count is how many rows the final answer holds, Answers or not.
-	Count int
-	// Rounds is the number of communication rounds used.
-	Rounds int
-	dist.Outcome
-}
-
 // Execute runs the plan on db with p servers. Each step is one
 // communication round: every multi-atom group performs a HyperCube
 // shuffle of its input relations (base relations or views gathered
 // from the previous round) and its view is materialized from the
 // per-worker local joins. Singleton groups pass through without
 // communication.
-func Execute(plan *Plan, db *relation.Database, p int, opts Options) (*Result, error) {
+func Execute(plan *Plan, db *relation.Database, p int, opts Options) (*dist.Result, error) {
 	epsF, _ := plan.Epsilon.Float64()
 	cluster, ctx, err := dist.Open(opts, mpc.Config{
 		Workers:     p,
@@ -268,7 +255,7 @@ func Execute(plan *Plan, db *relation.Database, p int, opts Options) (*Result, e
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Answers: answers, Count: answers.Len(), Outcome: cluster.Outcome()}, nil
+		return &dist.Result{Run: answers, Count: answers.Len(), Outcome: cluster.Outcome()}, nil
 	}
 	seedCounter := opts.Seed
 
@@ -362,12 +349,7 @@ func Execute(plan *Plan, db *relation.Database, p int, opts Options) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Answers: answers,
-		Count:   final.rows,
-		Rounds:  cluster.Stats().NumRounds(),
-		Outcome: cluster.Outcome(),
-	}, nil
+	return &dist.Result{Run: answers, Count: final.rows, Outcome: cluster.Outcome()}, nil
 }
 
 // source is one entry of the executor's environment: the schema of an

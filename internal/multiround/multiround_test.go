@@ -169,10 +169,10 @@ func TestExecuteChainCorrect(t *testing.T) {
 		if err != nil {
 			t.Fatalf("L%d: %v", k, err)
 		}
-		if res.Rounds != plan.Rounds() {
-			t.Errorf("L%d: executed %d rounds, plan says %d", k, res.Rounds, plan.Rounds())
+		if res.Stats.NumRounds() != plan.Rounds() {
+			t.Errorf("L%d: executed %d rounds, plan says %d", k, res.Stats.NumRounds(), plan.Rounds())
 		}
-		assertSameTuples(t, res.Answers.Tuples(), truth)
+		assertSameTuples(t, res.Run.Tuples(), truth)
 	}
 }
 
@@ -192,12 +192,12 @@ func TestExecuteExample42(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds != 2 {
-		t.Errorf("rounds = %d, want 2", res.Rounds)
+	if res.Stats.NumRounds() != 2 {
+		t.Errorf("rounds = %d, want 2", res.Stats.NumRounds())
 	}
-	assertSameTuples(t, res.Answers.Tuples(), truth)
-	if res.Answers.Len() != n {
-		t.Errorf("answers = %d, want %d (chains over matchings)", res.Answers.Len(), n)
+	assertSameTuples(t, res.Run.Tuples(), truth)
+	if res.Run.Len() != n {
+		t.Errorf("answers = %d, want %d (chains over matchings)", res.Run.Len(), n)
 	}
 }
 
@@ -215,7 +215,7 @@ func TestExecuteSPk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameTuples(t, res.Answers.Tuples(), truth)
+	assertSameTuples(t, res.Run.Tuples(), truth)
 }
 
 func TestExecuteCycle(t *testing.T) {
@@ -232,7 +232,7 @@ func TestExecuteCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameTuples(t, res.Answers.Tuples(), truth)
+	assertSameTuples(t, res.Run.Tuples(), truth)
 }
 
 func TestExecuteSingleAtom(t *testing.T) {
@@ -249,8 +249,8 @@ func TestExecuteSingleAtom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds != 0 || res.Answers.Len() != 1 {
-		t.Errorf("rounds=%d answers=%v", res.Rounds, res.Answers.Tuples())
+	if res.Stats.NumRounds() != 0 || res.Run.Len() != 1 {
+		t.Errorf("rounds=%d answers=%v", res.Stats.NumRounds(), res.Run.Tuples())
 	}
 }
 
@@ -334,7 +334,7 @@ func TestAnswerLimitOnlyInQueryOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := res.Answers.Tuples()
+		got := res.Run.Tuples()
 		if res.Count != len(truth) || len(got) < limit {
 			t.Fatalf("%s: count %d, %d rows; want %d and at least %d", c.q.Name, res.Count, len(got), len(truth), limit)
 		}

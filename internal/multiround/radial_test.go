@@ -86,9 +86,9 @@ func TestExecuteRadialCorrect(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v\n%s", q.Name, err, plan)
 		}
-		assertSameTuples(t, res.Answers.Tuples(), truth)
-		if res.Rounds != plan.Rounds() {
-			t.Errorf("%s: executed %d rounds, plan says %d", q.Name, res.Rounds, plan.Rounds())
+		assertSameTuples(t, res.Run.Tuples(), truth)
+		if res.Stats.NumRounds() != plan.Rounds() {
+			t.Errorf("%s: executed %d rounds, plan says %d", q.Name, res.Stats.NumRounds(), plan.Rounds())
 		}
 	}
 }

@@ -16,27 +16,14 @@ import (
 // Epsilon is the plan's, whatever the caller sets.
 type ExecOptions = dist.Options
 
-// Result reports a planner-driven execution.
+// Result reports a planner-driven execution: the engine's Result —
+// under WithAggregate, its Run folded into one row per group, in
+// AggVars order — and, from Execute, the answer as tuples. The engine
+// that ran and its grid are the plan's.
 type Result struct {
-	// Run is the answer as one sealed, deduplicated run (nil when
-	// empty), in Query.Vars() order: the run the engine gathered — or,
-	// under WithAggregate, that run folded into one row per group, in
-	// AggVars order. Under ExecOptions.AnswerLimit it may hold only the
-	// answer's first rows.
-	Run *relation.Run
-	// Count is how many rows the answer holds: Run's, or more when the
-	// engine left the rest of them on the workers.
-	Count int
+	dist.Result
 	// Answers is Run materialized as tuples; only Execute fills it.
 	Answers []relation.Tuple
-	// Engine is the strategy that actually ran.
-	Engine Engine
-	// Rounds is the number of communication rounds used.
-	Rounds int
-	dist.Outcome
-	// Shares is the grid geometry (one-round engine only, nil
-	// otherwise).
-	Shares *hypercube.Shares
 }
 
 // Execute is ExecuteRun with the answer also materialized as tuples in
@@ -64,7 +51,7 @@ func (p *Plan) Execute(db *relation.Database, opts ExecOptions) (*Result, error)
 // buffers), so many executions — of the same plan or of different
 // plans over a shared database — may run in parallel.
 func (p *Plan) ExecuteRun(db *relation.Database, opts ExecOptions) (*Result, error) {
-	var res *Result
+	var res *dist.Result
 	var err error
 	if p.Aggregate != nil {
 		opts.AnswerLimit = 0
@@ -86,34 +73,26 @@ func (p *Plan) ExecuteRun(db *relation.Database, opts ExecOptions) (*Result, err
 		res.Run = relation.Fold(res.Run, *p.Aggregate)
 		res.Count = res.Run.Len()
 	}
-	return res, nil
+	return &Result{Result: *res}, nil
 }
 
-func (p *Plan) executeOneRound(db *relation.Database, opts ExecOptions) (*Result, error) {
+func (p *Plan) executeOneRound(db *relation.Database, opts ExecOptions) (*dist.Result, error) {
 	opts.Epsilon, _ = p.Epsilon.Float64()
-	res, err := hypercube.RunWithShares(p.Query, db, p.P, p.Shares, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Run: res.Answers, Count: res.Count, Engine: OneRound, Rounds: res.Stats.NumRounds(), Outcome: res.Outcome, Shares: res.Shares}, nil
+	return hypercube.RunWithShares(p.Query, db, p.P, p.Shares, opts)
 }
 
-func (p *Plan) executeMultiRound(db *relation.Database, opts ExecOptions) (*Result, error) {
+func (p *Plan) executeMultiRound(db *relation.Database, opts ExecOptions) (*dist.Result, error) {
 	if p.Multi == nil {
 		return nil, fmt.Errorf("plan: multiround engine selected but no Γ^r_ε plan was built")
 	}
-	res, err := multiround.Execute(p.Multi, db, p.P, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Run: res.Answers, Count: res.Count, Engine: MultiRound, Rounds: res.Rounds, Outcome: res.Outcome}, nil
+	return multiround.Execute(p.Multi, db, p.P, opts)
 }
 
 // executeSkewJoin runs the resilient heavy-hitter discipline on the
 // query's own atoms under the routing compiled at Build; a plan whose
 // catalog carried no histogram for a join column compiles it from the
 // data here, through the same compiler.
-func (p *Plan) executeSkewJoin(db *relation.Database, opts ExecOptions) (*Result, error) {
+func (p *Plan) executeSkewJoin(db *relation.Database, opts ExecOptions) (*dist.Result, error) {
 	m := p.SkewMap
 	if m == nil {
 		return nil, fmt.Errorf("plan: skew engine selected but query %s is not a two-atom binary join", p.Query.Name)
@@ -130,11 +109,7 @@ func (p *Plan) executeSkewJoin(db *relation.Database, opts ExecOptions) (*Result
 	if rt == nil {
 		rt = skew.CompileFromData(relR, m.RY, relS, m.SY, p.P, heavyFactor)
 	}
-	res, err := skew.Execute(p.Query, relR, relS, m.RY, m.SY, rt, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Run: res.Answers, Count: res.Count, Engine: SkewJoin, Rounds: res.Stats.NumRounds(), Outcome: res.Outcome}, nil
+	return skew.Execute(p.Query, relR, relS, m.RY, m.SY, rt, opts)
 }
 
 // WithShares returns a copy of the plan forced onto the one-round

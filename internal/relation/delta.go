@@ -47,14 +47,14 @@ func (d Delta) Empty() bool {
 // bookkeeping: Added tuples were absent before and are present after;
 // Removed tuples were present before and are absent after. A tuple
 // deleted and re-appended in the same batch, or appended when other
-// occurrences survive, appears in neither list.
+// occurrences survive, is in neither run.
 type Effect struct {
-	// Added lists tuples newly present, in first-appearance order of
-	// the batch's append list.
-	Added []Tuple
-	// Removed lists tuples no longer present, in first-appearance order
-	// of the batch's delete list.
-	Removed []Tuple
+	// Added holds the tuples newly present as one sealed run, each once
+	// (nil when none).
+	Added *Run
+	// Removed holds the tuples no longer present as one sealed run, each
+	// once (nil when none).
+	Removed *Run
 }
 
 // ApplyDelta returns a new database reflecting d. Untouched relations
@@ -138,7 +138,7 @@ func applyRunDelta(n int, r *Relation, dels, apps []Tuple) (*Relation, Effect, e
 	run := &Run{layout: l, words: words, sealed: true}
 
 	failed, have, want := -1, 0, 0
-	var removed, added []int // first appearances, in the batch
+	var removed, added []int // sorted positions, one per group
 	del.groups(func(k, size int) {
 		first, c := del.order[k], delC[k]
 		switch {
@@ -147,7 +147,7 @@ func applyRunDelta(n int, r *Relation, dels, apps []Tuple) (*Relation, Effect, e
 				failed, have, want = first, c.held, size
 			}
 		case c.held == size && c.other == 0:
-			removed = append(removed, first)
+			removed = append(removed, k)
 		}
 	})
 	if failed >= 0 {
@@ -155,19 +155,24 @@ func applyRunDelta(n int, r *Relation, dels, apps []Tuple) (*Relation, Effect, e
 	}
 	app.groups(func(k, _ int) {
 		if appC[k].held == 0 {
-			added = append(added, app.order[k])
+			added = append(added, k)
 		}
 	})
-	return FromRun(r.Name, r.Attrs, run), Effect{Added: pick(apps, added), Removed: pick(dels, removed)}, nil
+	return FromRun(r.Name, r.Attrs, run), Effect{Added: subRun(ar, added), Removed: subRun(dr, removed)}, nil
 }
 
-// pick returns copies of ts[i] for the indices idx in ascending order;
-// nil for none.
-func pick(ts []Tuple, idx []int) (out []Tuple) {
-	slices.Sort(idx)
-	for _, i := range idx {
-		out = append(out, ts[i].Clone())
+// subRun returns the rows idx, ascending, of the sorted run src as one
+// sealed run, laid out as RunOf lays out its tuples; nil for none.
+func subRun(src *Run, idx []int) *Run {
+	if len(idx) == 0 {
+		return nil
 	}
+	out, row := NewRun(src.arity), make(Tuple, src.arity)
+	out.Grow(len(idx))
+	for _, i := range idx {
+		out.Append(src.Row(i, row))
+	}
+	out.Seal()
 	return out
 }
 

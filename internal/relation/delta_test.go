@@ -58,7 +58,7 @@ func TestApplyDeltaEffects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(eff["R"].Removed) != 0 || len(eff["R"].Added) != 0 {
+	if eff["R"].Removed.Len() != 0 || eff["R"].Added.Len() != 0 {
 		t.Fatalf("one-of-two delete produced effect %+v", eff["R"])
 	}
 	nr, _ := out.Relation("R")
@@ -74,8 +74,8 @@ func TestApplyDeltaEffects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := eff["R"]; len(got.Removed) != 1 || !got.Removed[0].Equal(Tuple{3, 4}) ||
-		len(got.Added) != 1 || !got.Added[0].Equal(Tuple{5, 6}) {
+	if got := eff["R"]; !reflect.DeepEqual(got.Removed.Tuples(), []Tuple{{3, 4}}) ||
+		!reflect.DeepEqual(got.Added.Tuples(), []Tuple{{5, 6}}) {
 		t.Fatalf("effect %+v, want removed [3 4], added [5 6]", eff["R"])
 	}
 
@@ -87,7 +87,7 @@ func TestApplyDeltaEffects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := eff["R"]; len(got.Removed) != 0 || len(got.Added) != 0 {
+	if got := eff["R"]; got.Removed.Len() != 0 || got.Added.Len() != 0 {
 		t.Fatalf("delete+re-append produced effect %+v", got)
 	}
 
@@ -285,10 +285,10 @@ func TestApplyDeltaMatchesReference(t *testing.T) {
 					continue
 				}
 				for _, e := range wantEff {
-					removed += len(e.Removed)
-					added += len(e.Added)
+					removed += e.Removed.Len()
+					added += e.Added.Len()
 				}
-				if !reflect.DeepEqual(gotEff, wantEff) {
+				if !reflect.DeepEqual(effectRows(gotEff), effectRows(wantEff)) {
 					t.Fatalf("step %d: effects %v, reference %v", step, gotEff, wantEff)
 				}
 				for _, name := range db.Names() {
@@ -378,7 +378,7 @@ func refApplyRelationDelta(n int, r *Relation, dels, apps []Tuple) (*Relation, E
 		}
 		kept = append(kept, t)
 	}
-	var eff Effect
+	var removed, added []Tuple
 	seenDel := make(map[string]bool, len(dels))
 	for _, t := range dels {
 		if seenDel[t.Key()] {
@@ -390,7 +390,7 @@ func refApplyRelationDelta(n int, r *Relation, dels, apps []Tuple) (*Relation, E
 			return nil, Effect{}, fmt.Errorf("relation: delete of %v from %s: %d occurrence(s) present, %d deleted", t, r.Name, have, want)
 		}
 		if have == want && appC.get(t) == 0 {
-			eff.Removed = append(eff.Removed, t.Clone())
+			removed = append(removed, t.Clone())
 		}
 	}
 	seenApp := make(map[string]bool, len(apps))
@@ -401,10 +401,21 @@ func refApplyRelationDelta(n int, r *Relation, dels, apps []Tuple) (*Relation, E
 		}
 		seenApp[t.Key()] = true
 		if occ.get(t) == 0 {
-			eff.Added = append(eff.Added, t.Clone())
+			added = append(added, t.Clone())
 		}
 	}
+	eff := Effect{Added: RunOf(arity, added), Removed: RunOf(arity, removed)}
 	return &Relation{Name: r.Name, Attrs: append([]string(nil), r.Attrs...), Tuples: kept}, eff, nil
+}
+
+// effectRows is each relation's Effect as its added and removed tuples,
+// in order: what an effect holds, whatever layout its runs have.
+func effectRows(effects map[string]Effect) map[string][2][]Tuple {
+	out := make(map[string][2][]Tuple, len(effects))
+	for name, e := range effects {
+		out[name] = [2][]Tuple{e.Added.Tuples(), e.Removed.Tuples()}
+	}
+	return out
 }
 
 // refCounter is the parent tree's occurrence counter, keyed by each

@@ -153,7 +153,7 @@ func (cq *contQuery) maintain(s *Server, sn *Snapshot, effects map[string]relati
 	if err == nil {
 		scoped := make(map[string]relation.Effect, len(effects))
 		for name, eff := range effects {
-			if cq.m.Fanout(name) > 0 && (len(eff.Added) > 0 || len(eff.Removed) > 0) {
+			if cq.m.Fanout(name) > 0 && (eff.Added.Len() > 0 || eff.Removed.Len() > 0) {
 				scoped[name] = eff
 			}
 		}
@@ -167,7 +167,7 @@ func (cq *contQuery) maintain(s *Server, sn *Snapshot, effects map[string]relati
 		var m *hypercube.Maintainer
 		if m, err = s.maintainer(context.Background(), cq.q, cq.p, cq.seed, sn); err == nil {
 			cq.m = m
-			rep = &hypercube.Report{Bits: m.Stats().TotalBits(),
+			rep = &hypercube.Report{Bits: m.Outcome().Stats.TotalBits(),
 				AnswersAdded: relation.Diff(m.Answers(), old).Len(), AnswersRemoved: relation.Diff(old, m.Answers()).Len()}
 		}
 	}
@@ -293,7 +293,7 @@ func (cq *contQuery) infoLocked(dsVersion uint64) ContinuousInfo {
 		Version:        cq.version,
 		DatasetVersion: dsVersion,
 		AnswerCount:    cq.m.Answers().Len(),
-		TotalBits:      cq.m.Stats().TotalBits(),
+		TotalBits:      cq.m.Outcome().Stats.TotalBits(),
 	}
 	if cq.err != nil {
 		info.Error = cq.err.Error()
@@ -341,13 +341,13 @@ func (s *Server) handleContinuousRegister(w http.ResponseWriter, r *http.Request
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	p, _, ds, err := s.target(req.P, "", req.Dataset)
+	p, _, ds, err := s.target(req.P, "", req.Dataset, ten)
 	if err != nil {
 		writeFailure(w, err, "")
 		return
 	}
 	if _, ok := s.registry.getFor(ds.Name, ten); !ok {
-		writeError(w, http.StatusNotFound, "unknown dataset %q (registered: %v)", req.Dataset, s.registry.Names())
+		writeFailure(w, s.unknownDataset(req.Dataset, ten), "")
 		return
 	}
 	seed := req.Seed

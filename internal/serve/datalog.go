@@ -25,7 +25,7 @@ import (
 // the program, the rule's index, the dataset version, p and ε: the
 // statistics its planner reads — derived predicates included — are a
 // function of those.
-func (s *Server) resolveProgram(req QueryRequest) (*job, error) {
+func (s *Server) resolveProgram(req QueryRequest, ten *Tenant) (*job, error) {
 	src := req.Program
 	if src == "" {
 		src = req.Query
@@ -39,7 +39,7 @@ func (s *Server) resolveProgram(req QueryRequest) (*job, error) {
 	if err != nil {
 		return nil, errorf(http.StatusBadRequest, "%v", err)
 	}
-	p, eps, ds, err := s.target(req.P, req.Epsilon, req.Dataset)
+	p, eps, ds, err := s.target(req.P, req.Epsilon, req.Dataset, ten)
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +57,7 @@ func (s *Server) resolveProgram(req QueryRequest) (*job, error) {
 			Engine:  "datalog",
 			Explain: prog.Describe(),
 		},
-		run: func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) (answer, error) {
+		run: func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) (*dist.Result, error) {
 			// A recursive output is gathered as far as the reply goes: the
 			// rest of the closure stays on the workers, which count it.
 			opts := datalog.Options{P: p, Epsilon: eps, CapConstant: s.cfg.CapFactor, Seed: seed, Context: ctx, Trace: tc,
@@ -87,14 +87,13 @@ func (s *Server) resolveProgram(req QueryRequest) (*job, error) {
 			res, err := datalog.Eval(prog, sn.DB, opts)
 			var he *httpError
 			if errors.As(err, &he) {
-				return answer{}, he
+				return nil, he
 			}
 			if err != nil {
-				return answer{}, errorf(http.StatusUnprocessableEntity, "evaluation failed: %v", err)
+				return nil, errorf(http.StatusUnprocessableEntity, "evaluation failed: %v", err)
 			}
 			reply.Vars, reply.Iterations = res.Vars, res.Iterations
-			reply.CapExceeded, reply.WorkerReplacements = res.CapExceeded, res.Replacements
-			return answer{run: res.Answers, count: res.Count, gathered: res.Gathered, stats: res.Stats}, nil
+			return &res.Result, nil
 		},
 	}, nil
 }

@@ -182,7 +182,7 @@ func (s *Server) handleDatasetDelta(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	ds, ok := s.registry.getFor(name, ten)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown dataset %q (registered: %v)", name, s.registry.Names())
+		writeFailure(w, s.unknownDataset(name, ten), "")
 		return
 	}
 	body, err := readBody(w, r, 64<<20)

@@ -1217,3 +1217,62 @@ func TestContinuousQueryOwnedByItsTenant(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownDatasetNamesOnlyVisibleDatasets: the 404 an unknown
+// dataset name gets lists only the datasets the caller may change — the
+// unowned ones and its own — on every path that resolves a dataset, so
+// tenant B never learns the name of one tenant A registered.
+func TestUnknownDatasetNamesOnlyVisibleDatasets(t *testing.T) {
+	srv, call := twoTenants(t)
+	spec := serve.GeneratorSpec{Family: "L3", N: 60, Seed: 1}
+	db, err := serve.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Registry().Add("shared", db); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := call("ka", http.MethodPost, "/datasets", serve.DatasetRequest{Name: "a-private", Generator: &spec}); code != http.StatusCreated {
+		t.Fatalf("A registers: status %d, %s", code, body)
+	}
+	for _, c := range []struct {
+		method, path string
+		body         any
+	}{
+		{http.MethodPost, "/query", serve.QueryRequest{Dataset: "nope", Family: "L3", P: 4}},
+		{http.MethodDelete, "/datasets/nope", nil},
+		{http.MethodPost, "/datasets/nope/delta", serve.DeltaRequest{Appends: map[string][][]int{"S1": {{1, 2}}}}},
+		{http.MethodPost, "/continuous", serve.ContinuousRequest{Name: "q", Dataset: "nope", Family: "L3", P: 4}},
+	} {
+		for key, want := range map[string]string{"ka": "[a-private shared]", "kb": "[shared]"} {
+			code, body := call(key, c.method, c.path, c.body)
+			if code != http.StatusNotFound || !strings.Contains(body, "(registered: "+want+")") {
+				t.Errorf("%s %s under %s: status %d, %s; want 404 listing %s", c.method, c.path, key, code, body, want)
+			}
+		}
+	}
+}
+
+// TestDeleteConflictNamesOnlyOwnQueries: DELETE of a dataset a
+// continuous query is registered on is a 409 that names the query only
+// to the tenant that owns it; any other tenant is told the count.
+func TestDeleteConflictNamesOnlyOwnQueries(t *testing.T) {
+	srv, call := twoTenants(t)
+	db, err := serve.Generate(serve.GeneratorSpec{Family: "L3", N: 60, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Registry().Add("shared", db); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := call("ka", http.MethodPost, "/continuous", serve.ContinuousRequest{Name: "secret-a", Dataset: "shared", Family: "L3", P: 4}); code != http.StatusCreated {
+		t.Fatalf("A registers secret-a: status %d, %s", code, body)
+	}
+	if code, body := call("kb", http.MethodDelete, "/datasets/shared", nil); code != http.StatusConflict || strings.Contains(body, "secret-a") ||
+		!strings.Contains(body, "1 continuous queries") {
+		t.Errorf("B's DELETE: status %d, %s; want 409 counting one query, naming none", code, body)
+	}
+	if code, body := call("ka", http.MethodDelete, "/datasets/shared", nil); code != http.StatusConflict || !strings.Contains(body, "secret-a") {
+		t.Errorf("A's DELETE: status %d, %s; want 409 naming secret-a", code, body)
+	}
+}

@@ -232,6 +232,17 @@ func (r *Registry) getFor(name string, ten *Tenant) (*Dataset, bool) {
 	return d, true
 }
 
+// namesFor returns, sorted, the names of the datasets getFor gives ten.
+func (r *Registry) namesFor(ten *Tenant) []string {
+	var out []string
+	for _, name := range r.Names() {
+		if _, ok := r.getFor(name, ten); ok {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
 // Names returns the registered dataset names, sorted.
 func (r *Registry) Names() []string {
 	r.mu.RLock()

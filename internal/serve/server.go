@@ -51,12 +51,12 @@ import (
 	"fmt"
 	"math/big"
 	"net/http"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/datalog"
 	"repro/internal/dist"
-	"repro/internal/mpc"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -409,11 +409,11 @@ func writeFailure(w http.ResponseWriter, err error, queryID string) {
 }
 
 // target validates the (p, ε, dataset) triple every execution request
-// names and resolves it: p defaulted and bounded — and pinned to the
-// size of the worker pool the service executes on, if it has one — ε a
-// rational in [0,1) or nil when left to the query, the dataset
+// of ten names and resolves it: p defaulted and bounded — and pinned to
+// the size of the worker pool the service executes on, if it has one —
+// ε a rational in [0,1) or nil when left to the query, the dataset
 // registered.
-func (s *Server) target(p int, epsilon, dataset string) (int, *big.Rat, *Dataset, error) {
+func (s *Server) target(p int, epsilon, dataset string, ten *Tenant) (int, *big.Rat, *Dataset, error) {
 	if p == 0 {
 		p = s.cfg.DefaultP
 	}
@@ -437,9 +437,15 @@ func (s *Server) target(p int, epsilon, dataset string) (int, *big.Rat, *Dataset
 	}
 	ds, ok := s.registry.Get(dataset)
 	if !ok {
-		return 0, nil, nil, errorf(http.StatusNotFound, "unknown dataset %q (registered: %v)", dataset, s.registry.Names())
+		return 0, nil, nil, s.unknownDataset(dataset, ten)
 	}
 	return p, eps, ds, nil
+}
+
+// unknownDataset is the 404 a name unknown to ten gets. It lists only
+// the datasets ten may change, so no tenant learns another's names.
+func (s *Server) unknownDataset(name string, ten *Tenant) *httpError {
+	return errorf(http.StatusNotFound, "unknown dataset %q (registered: %v)", name, s.registry.namesFor(ten))
 }
 
 // job is a resolved /query request. Everything after resolution —
@@ -457,30 +463,20 @@ type job struct {
 	// query text, p, engine, plan identity, EXPLAIN, output schema.
 	reply QueryResponse
 	// run executes the job under ctx with the given seed, recording on
-	// tc, and returns its answer; it fills in the reply fields only an
-	// execution knows.
-	run func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) (answer, error)
-}
-
-// answer is what an execution hands the reply: the answer as one sealed
-// run — every row, or at least the first the request asked for — how many
-// rows the answer holds, how many rows its gather shipped to the
-// coordinator, and the communication record.
-type answer struct {
-	run      *relation.Run
-	count    int
-	gathered int
-	stats    *mpc.Stats
+	// tc, and returns its result — every row of the answer, or at least
+	// the first the request asked for; it fills in the reply fields only
+	// its kind of execution knows.
+	run func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) (*dist.Result, error)
 }
 
 // resolveQuery resolves a conjunctive request: parse, bind to one
 // snapshot of the dataset, plan cache-first.
-func (s *Server) resolveQuery(req QueryRequest) (*job, error) {
+func (s *Server) resolveQuery(req QueryRequest, ten *Tenant) (*job, error) {
 	q, err := query.Resolve(req.Query, req.Family)
 	if err != nil {
 		return nil, errorf(http.StatusBadRequest, "%v", err)
 	}
-	p, eps, ds, err := s.target(req.P, req.Epsilon, req.Dataset)
+	p, eps, ds, err := s.target(req.P, req.Epsilon, req.Dataset, ten)
 	if err != nil {
 		return nil, err
 	}
@@ -535,10 +531,10 @@ func (s *Server) resolveQuery(req QueryRequest) (*job, error) {
 			Explain:     pl.Explain(),
 			Vars:        q.Vars(),
 		},
-		run: func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) (answer, error) {
+		run: func(ctx context.Context, seed uint64, tc *trace.Trace, reply *QueryResponse) (*dist.Result, error) {
 			tr, rec, err := s.borrow(ctx)
 			if err != nil {
-				return answer{}, err
+				return nil, err
 			}
 			// The reply's rows are all the coordinator gathers: the engine
 			// leaves the rest on the workers and counts them there.
@@ -552,10 +548,9 @@ func (s *Server) resolveQuery(req QueryRequest) (*job, error) {
 			}
 			res, err := pl.ExecuteRun(view, execOpts)
 			if err != nil {
-				return answer{}, errorf(http.StatusInternalServerError, "execution failed: %v", err)
+				return nil, errorf(http.StatusInternalServerError, "execution failed: %v", err)
 			}
-			reply.CapExceeded, reply.WorkerReplacements = res.CapExceeded, res.Replacements
-			return answer{run: res.Run, count: res.Count, gathered: res.Gathered, stats: res.Stats}, nil
+			return &res.Result, nil
 		},
 	}, nil
 }
@@ -649,7 +644,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Program != "" || datalog.IsDatalog(req.Query) {
 		resolve = s.resolveProgram
 	}
-	j, err := resolve(req)
+	j, err := resolve(req, ten)
 	if err != nil {
 		writeFailure(w, err, "")
 		return
@@ -682,7 +677,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		seed = 1
 	}
 	start := time.Now()
-	ans, err := j.run(r.Context(), seed, tc, &reply)
+	res, err := j.run(r.Context(), seed, tc, &reply)
 	elapsed := time.Since(start)
 	release()
 	if err != nil {
@@ -695,26 +690,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeFailure(w, err, reply.QueryID)
 		return
 	}
-	tc.Replacements = reply.WorkerReplacements
+	reply.CapExceeded, reply.WorkerReplacements = res.CapExceeded, res.Replacements
+	tc.Replacements = res.Replacements
 	tc.Finish()
 	s.metrics.QueriesServed.Add(1)
-	s.metrics.RecordExecution(ans.stats)
-	s.metrics.WorkerReplacements.Add(int64(reply.WorkerReplacements))
+	s.metrics.RecordExecution(res.Stats)
+	s.metrics.WorkerReplacements.Add(int64(res.Replacements))
 
-	reply.Answers = s.truncate(ans.run, s.answerLimit(req.MaxAnswers))
+	reply.Answers = s.truncate(res.Run, s.answerLimit(req.MaxAnswers))
 	s.metrics.AnswersReturned.Add(int64(len(reply.Answers)))
-	s.metrics.AnswerRowsGathered.Add(int64(ans.gathered))
+	s.metrics.AnswerRowsGathered.Add(int64(res.Gathered))
 	if ten != nil {
 		ten.QueriesServed.Add(1)
 		ten.AnswersReturned.Add(int64(len(reply.Answers)))
 	}
-	reply.AnswerCount = ans.count
+	reply.AnswerCount = res.Count
 	reply.Truncated = len(reply.Answers) < reply.AnswerCount
-	reply.Rounds = ans.stats.NumRounds()
-	reply.MaxLoadTuples = ans.stats.MaxLoadTuples()
-	reply.TotalBits = ans.stats.TotalBits()
-	reply.PerRoundBits = make([]int64, 0, len(ans.stats.Rounds))
-	for _, rs := range ans.stats.Rounds {
+	reply.Rounds = res.Stats.NumRounds()
+	reply.MaxLoadTuples = res.Stats.MaxLoadTuples()
+	reply.TotalBits = res.Stats.TotalBits()
+	reply.PerRoundBits = make([]int64, 0, len(res.Stats.Rounds))
+	for _, rs := range res.Stats.Rounds {
 		reply.PerRoundBits = append(reply.PerRoundBits, rs.TotalBits)
 	}
 	reply.ElapsedMs = float64(elapsed.Microseconds()) / 1000
@@ -853,7 +849,7 @@ func (s *Server) handleDatasetOne(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	ds, ok := s.registry.getFor(name, ten)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown dataset %q (registered: %v)", name, s.registry.Names())
+		writeFailure(w, s.unknownDataset(name, ten), "")
 		return
 	}
 	// The dataset lock holds off a delta and a continuous registration,
@@ -861,7 +857,13 @@ func (s *Server) handleDatasetOne(w http.ResponseWriter, r *http.Request) {
 	ds.mu.Lock()
 	if cqs := s.continuous.onDataset(name); len(cqs) > 0 {
 		ds.mu.Unlock()
-		writeError(w, http.StatusConflict, "dataset %s has %d continuous queries registered (%s first); delete them first", name, len(cqs), cqs[0].name)
+		// Only the caller's own queries are named; another tenant's are
+		// only counted.
+		first := ""
+		if i := slices.IndexFunc(cqs, func(cq *contQuery) bool { return cq.owner == ten }); i >= 0 {
+			first = fmt.Sprintf(" (%s first)", cqs[i].name)
+		}
+		writeError(w, http.StatusConflict, "dataset %s has %d continuous queries registered%s; delete them first", name, len(cqs), first)
 		return
 	}
 	removed := s.registry.remove(ds)

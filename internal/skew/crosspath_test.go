@@ -25,7 +25,7 @@ func TestStandardBitsMatchPerTupleAccounting(t *testing.T) {
 		}
 		p := 8
 		seed := uint64(7)
-		res, err := RunJoin(r, s, p, Standard, Options{Seed: seed})
+		res, _, err := RunJoin(r, s, p, Standard, Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,10 +71,10 @@ func TestStandardBitsMatchPerTupleAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 		truth = relation.DedupSort(truth)
-		if res.Answers.Len() != len(truth) {
-			t.Fatalf("skewed=%v: %d answers, want %d", skewed, res.Answers.Len(), len(truth))
+		if res.Run.Len() != len(truth) {
+			t.Fatalf("skewed=%v: %d answers, want %d", skewed, res.Run.Len(), len(truth))
 		}
-		for i, got := range res.Answers.Tuples() {
+		for i, got := range res.Run.Tuples() {
 			if !got.Equal(truth[i]) {
 				t.Fatalf("skewed=%v: answer %d = %v, want %v", skewed, i, got, truth[i])
 			}
@@ -105,24 +105,24 @@ func TestResilientSplitSpreadsPeriodicHeavyValue(t *testing.T) {
 			s.MustAdd(relation.Tuple{2000 + i, i + 1})
 		}
 	}
-	res, err := RunJoin(r, s, p, Resilient, Options{Seed: 3})
+	res, heavyRt, err := RunJoin(r, s, p, Resilient, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Heavy) == 0 {
+	if len(heavyRt.Heavy) == 0 {
 		t.Fatal("expected value 1 to be detected heavy")
 	}
 	// 200 heavy R-tuples split over a block of 2 servers plus ~75
 	// hashed light tuples → max load ≈ 195. Index-modulo routing puts
 	// all 200 heavy copies on one server (max load ≈ 280).
-	if res.MaxLoadTuples > 240 {
-		t.Errorf("max load %d: heavy value not split across its block", res.MaxLoadTuples)
+	if res.Stats.MaxLoadTuples() > 240 {
+		t.Errorf("max load %d: heavy value not split across its block", res.Stats.MaxLoadTuples())
 	}
 	truth, err := GroundTruth(r, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Answers.Len() != len(truth) {
-		t.Errorf("answers %d, want %d", res.Answers.Len(), len(truth))
+	if res.Run.Len() != len(truth) {
+		t.Errorf("answers %d, want %d", res.Run.Len(), len(truth))
 	}
 }

@@ -38,14 +38,14 @@ func TestAllModesMatchGroundTruth(t *testing.T) {
 		for _, mode := range allModes {
 			for _, p := range []int{1, 7, 16} {
 				t.Run(fmt.Sprintf("%s/%v/p=%d", in.name, mode, p), func(t *testing.T) {
-					res, err := RunJoin(in.r, in.s, p, mode, Options{Seed: 99})
+					res, _, err := RunJoin(in.r, in.s, p, mode, Options{Seed: 99})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if res.Answers.Len() != len(truth) {
-						t.Fatalf("%d answers, ground truth %d", res.Answers.Len(), len(truth))
+					if res.Run.Len() != len(truth) {
+						t.Fatalf("%d answers, ground truth %d", res.Run.Len(), len(truth))
 					}
-					for i, got := range res.Answers.Tuples() {
+					for i, got := range res.Run.Tuples() {
 						if !got.Equal(truth[i]) {
 							t.Fatalf("answer[%d] = %v, want %v", i, got, truth[i])
 						}

@@ -115,12 +115,12 @@ func TestCompiledRoutingMatchesOracle(t *testing.T) {
 func TestPredictedLoadIsExactOnAllEqual(t *testing.T) {
 	in := routingInputs()["all-equal"]
 	rt := CompileFromData(in[0], 1, in[1], 0, 8, 1)
-	res, err := RunJoin(in[0], in[1], 8, Resilient, Options{Seed: 1})
+	res, _, err := RunJoin(in[0], in[1], 8, Resilient, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 400.0/8 + 400; rt.PredictedLoad() != want || float64(res.MaxLoadTuples) != want {
-		t.Errorf("predicted %v, measured %d, want %v", rt.PredictedLoad(), res.MaxLoadTuples, want)
+	if want := 400.0/8 + 400; rt.PredictedLoad() != want || float64(res.Stats.MaxLoadTuples()) != want {
+		t.Errorf("predicted %v, measured %d, want %v", rt.PredictedLoad(), res.Stats.MaxLoadTuples(), want)
 	}
 }
 
@@ -229,9 +229,9 @@ func TestOutputsAreDisjoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if counted.Count != full.Answers.Len() || counted.Answers.Len() != 0 {
+		if counted.Count != full.Run.Len() || counted.Run.Len() != 0 {
 			t.Errorf("%s/p=%d: the workers count %d answers, their union holds %d (%d repeated split-side rows)",
-				c.name, c.p, counted.Count, full.Answers.Len(), repeats)
+				c.name, c.p, counted.Count, full.Run.Len(), repeats)
 		}
 	}
 }

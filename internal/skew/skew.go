@@ -232,22 +232,6 @@ func (m Mode) String() string {
 // says, so its budget is c·N/p.
 type Options = dist.Options
 
-// Result reports a join run.
-type Result struct {
-	// Answers is the join result in the query's Vars() order — (x,y,z)
-	// for RunJoin — as one sealed, deduplicated run (nil when empty):
-	// all of it, or its first rows under Options.AnswerLimit.
-	Answers *relation.Run
-	// Count is how many rows the whole join result holds.
-	Count int
-	dist.Outcome
-	// MaxLoadTuples is the maximum per-server received tuple count.
-	MaxLoadTuples int64
-	// Heavy lists the heavy hitters the run routed by (none under plain
-	// hashing).
-	Heavy []HeavyValue
-}
-
 // joinPartitioner is one side of the skew-aware routing discipline as
 // an exchange.Partitioner: light values hash to one server, heavy
 // values either split round-robin across their block or broadcast to
@@ -327,21 +311,27 @@ func (j *joinPartitioner) Route(i int, t relation.Tuple, buf []int) []int {
 // RunJoin executes R ⋈ S on p servers under the chosen mode; Resilient
 // compiles its routing from the data's own histograms. The domain for
 // bit accounting is taken as the largest value appearing in either
-// relation. It gathers every answer, whatever opts.AnswerLimit says.
-func RunJoin(r, s *relation.Relation, p int, mode Mode, opts Options) (*Result, error) {
+// relation. It gathers every answer, in (x,y,z) order, whatever
+// opts.AnswerLimit says, and returns the routing it ran under: its
+// heavy hitters, none under plain hashing.
+func RunJoin(r, s *relation.Relation, p int, mode Mode, opts Options) (*dist.Result, *Routing, error) {
 	if p < 1 {
-		return nil, fmt.Errorf("skew: p = %d", p)
+		return nil, nil, fmt.Errorf("skew: p = %d", p)
 	}
 	ry, sy := r.AttrIndex("y"), s.AttrIndex("y")
 	if ry < 0 || sy < 0 {
-		return nil, fmt.Errorf("skew: inputs must share attribute y")
+		return nil, nil, fmt.Errorf("skew: inputs must share attribute y")
 	}
 	rt := &Routing{P: p} // no heavy values: plain hashing
 	if mode == Resilient {
 		rt = CompileFromData(r, ry, s, sy, p, 1)
 	}
 	opts.AnswerLimit = 0
-	return Execute(JoinQuery(), r, s, ry, sy, rt, opts)
+	res, err := Execute(JoinQuery(), r, s, ry, sy, rt, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, rt, nil
 }
 
 // Execute runs the two-atom join q on rt.P servers, run-native on q's
@@ -353,7 +343,7 @@ func RunJoin(r, s *relation.Relation, p int, mode Mode, opts Options) (*Result, 
 // as dist.Cluster.GatherPrefix does: 0 all of them, a negative limit
 // none. Result.Count counts every answer either way. The round runs at
 // ε = 0 over the inputs' own domain: the largest value either holds.
-func Execute(q *query.Query, r, s *relation.Relation, ry, sy int, rt *Routing, opts Options) (*Result, error) {
+func Execute(q *query.Query, r, s *relation.Relation, ry, sy int, rt *Routing, opts Options) (*dist.Result, error) {
 	opts.Epsilon = 0
 	in := &relation.Database{
 		N:         max(1, r.Run().MaxValue(), s.Run().MaxValue()),
@@ -364,22 +354,12 @@ func Execute(q *query.Query, r, s *relation.Relation, ry, sy int, rt *Routing, o
 	// with every copy of it, on one server of its block (rank), and q
 	// outputs all its variables, so each answer is output by exactly one
 	// server.
-	res, err := hypercube.RunRound(q, in, rt.P, opts, func(a query.Atom) exchange.Partitioner {
+	return hypercube.RunRound(q, in, rt.P, opts, func(a query.Atom) exchange.Partitioner {
 		if a.Name == q.Atoms[0].Name {
 			return NewPartitioner(rt, r, ry, true, opts.Seed)
 		}
 		return NewPartitioner(rt, s, sy, false, opts.Seed)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Answers:       res.Answers,
-		Count:         res.Count,
-		Outcome:       res.Outcome,
-		MaxLoadTuples: res.Stats.MaxLoadTuples(),
-		Heavy:         rt.Heavy,
-	}, nil
 }
 
 // GroundTruth joins the inputs on one node.

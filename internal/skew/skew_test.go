@@ -77,11 +77,11 @@ func TestStandardJoinCorrectOnMatching(t *testing.T) {
 	if len(truth) != 200 {
 		t.Fatalf("matching join should have n answers, got %d", len(truth))
 	}
-	res, err := RunJoin(r, s, 16, Standard, Options{Seed: 3})
+	res, _, err := RunJoin(r, s, 16, Standard, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameAnswers(t, res.Answers.Tuples(), truth, "standard/matching")
+	assertSameAnswers(t, res.Run.Tuples(), truth, "standard/matching")
 }
 
 func TestResilientJoinCorrectOnMatching(t *testing.T) {
@@ -91,13 +91,13 @@ func TestResilientJoinCorrectOnMatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunJoin(r, s, 8, Resilient, Options{Seed: 4})
+	res, heavyRt, err := RunJoin(r, s, 8, Resilient, Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameAnswers(t, res.Answers.Tuples(), truth, "resilient/matching")
-	if len(res.Heavy) != 0 {
-		t.Errorf("matching input should have no heavy hitters, got %v", res.Heavy)
+	assertSameAnswers(t, res.Run.Tuples(), truth, "resilient/matching")
+	if len(heavyRt.Heavy) != 0 {
+		t.Errorf("matching input should have no heavy hitters, got %v", heavyRt.Heavy)
 	}
 }
 
@@ -109,11 +109,11 @@ func TestBothModesCorrectOnZipf(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []Mode{Standard, Resilient} {
-		res, err := RunJoin(r, s, 16, mode, Options{Seed: 5})
+		res, _, err := RunJoin(r, s, 16, mode, Options{Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameAnswers(t, res.Answers.Tuples(), truth, mode.String()+"/zipf")
+		assertSameAnswers(t, res.Run.Tuples(), truth, mode.String()+"/zipf")
 	}
 }
 
@@ -126,48 +126,48 @@ func TestResilientBeatsStandardOnSkew(t *testing.T) {
 	n := 2000
 	p := 32
 	r, s := ZipfJoinInput(rng, n, 1.1)
-	std, err := RunJoin(r, s, p, Standard, Options{Seed: 6})
+	std, _, err := RunJoin(r, s, p, Standard, Options{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunJoin(r, s, p, Resilient, Options{Seed: 6})
+	res, heavyRt, err := RunJoin(r, s, p, Resilient, Options{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Heavy) == 0 {
+	if len(heavyRt.Heavy) == 0 {
 		t.Fatal("expected heavy hitters on Zipf(1.1) input")
 	}
-	if !(res.MaxLoadTuples < std.MaxLoadTuples) {
-		t.Errorf("resilient max load %d not below standard %d", res.MaxLoadTuples, std.MaxLoadTuples)
+	if !(res.Stats.MaxLoadTuples() < std.Stats.MaxLoadTuples()) {
+		t.Errorf("resilient max load %d not below standard %d", res.Stats.MaxLoadTuples(), std.Stats.MaxLoadTuples())
 	}
 	// Control: on matchings both disciplines are within a small factor.
 	rm, sm := MatchingJoinInput(rng, n)
-	stdM, err := RunJoin(rm, sm, p, Standard, Options{Seed: 6})
+	stdM, _, err := RunJoin(rm, sm, p, Standard, Options{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resM, err := RunJoin(rm, sm, p, Resilient, Options{Seed: 6})
+	resM, _, err := RunJoin(rm, sm, p, Resilient, Options{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := stdM.MaxLoadTuples, resM.MaxLoadTuples
+	lo, hi := stdM.Stats.MaxLoadTuples(), resM.Stats.MaxLoadTuples()
 	if lo > hi {
 		lo, hi = hi, lo
 	}
 	if float64(hi) > 1.5*float64(lo) {
 		t.Errorf("matching control diverged: standard %d vs resilient %d",
-			stdM.MaxLoadTuples, resM.MaxLoadTuples)
+			stdM.Stats.MaxLoadTuples(), resM.Stats.MaxLoadTuples())
 	}
 }
 
 func TestRunJoinValidation(t *testing.T) {
 	r := relation.New("R", "x", "y")
 	s := relation.New("S", "y", "z")
-	if _, err := RunJoin(r, s, 0, Standard, Options{}); err == nil {
+	if _, _, err := RunJoin(r, s, 0, Standard, Options{}); err == nil {
 		t.Error("want error for p=0")
 	}
 	bad := relation.New("R", "a", "b")
-	if _, err := RunJoin(bad, s, 4, Standard, Options{}); err == nil {
+	if _, _, err := RunJoin(bad, s, 4, Standard, Options{}); err == nil {
 		t.Error("want error for missing join attribute")
 	}
 	if Standard.String() != "standard" || Resilient.String() != "resilient" || Mode(7).String() == "" {
