@@ -1218,6 +1218,56 @@ func BenchmarkShuffleTriangle(b *testing.B) {
 	})
 }
 
+// BenchmarkPartitionRun times exchange.PartitionRun alone, on the
+// scatters the end-to-end workloads make at p = 16: ingest_cold's
+// triangle atom (30 000 rows on the 3×2×2 grid), chain4_warm's
+// re-scattered view (40 000 arity-3 rows on a 16-point grid), a
+// 400-row worker route step, an atom whose rows take two words, and
+// one side of the skew join's routing (Zipf 1.3, n = 100 000), whose
+// partitioner is built per scatter as the engine builds it.
+func BenchmarkPartitionRun(b *testing.B) {
+	const p = 16
+	rng := rand.New(rand.NewPCG(53, 53))
+	tri := query.Triangle()
+	shares := &hypercube.Shares{Vars: tri.Vars(), Dims: []int{3, 2, 2}}
+	atom := hypercube.NewGridPartitioner(shares, hypercube.NewHasher(shares, 1), tri.Atoms[0])
+	wide := relation.New("R", "x", "y")
+	for range 30000 {
+		wide.MustAdd(relation.Tuple{rng.IntN(1 << 40), rng.IntN(1 << 40)})
+	}
+	view, err := exchange.NewGrid([]int{4, 4}, []uint64{3, 4}, []exchange.GridBind{{Pos: 0, Dim: 0}, {Pos: 2, Dim: 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	step, err := exchange.NewGrid([]int{p}, []uint64{5}, []exchange.GridBind{{Pos: 0, Dim: 0}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, s := skew.ZipfJoinInput(rng, 100000, 1.3)
+	rt := skew.CompileFromData(r, 1, s, 0, p, 1)
+	for _, c := range []struct {
+		name string
+		run  *relation.Run
+		part func() exchange.Partitioner
+	}{
+		{"ingest_atom", relation.Matching(rng, "R", []string{"x", "y"}, 30000).Run(), func() exchange.Partitioner { return atom }},
+		{"chain_view", relation.Matching(rng, "V", []string{"a", "b", "c"}, 40000).Run(), func() exchange.Partitioner { return view }},
+		{"route_step", relation.Matching(rng, "E", []string{"x", "y"}, 400).Run(), func() exchange.Partitioner { return step }},
+		{"stride2", wide.Run(), func() exchange.Partitioner { return atom }},
+		{"skew", r.Run(), func() exchange.Partitioner { return skew.NewPartitioner(rt, r, 1, true, 7) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := exchange.PartitionRun("R", c.run, p, c.part()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(c.run.Len())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
+		})
+	}
+}
+
 // BenchmarkShuffleHashJoin is the plain-hash shuffle head-to-head on
 // the Zipf join inputs of E-SKEW.
 func BenchmarkShuffleHashJoin(b *testing.B) {

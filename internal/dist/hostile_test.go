@@ -860,6 +860,13 @@ func FuzzWorkerSession(f *testing.F) {
 		&wire.Frame{Type: wire.TypeRoute, Route: wire.Route{View: "R", Cols: []int{1, 0}, Grids: []*exchange.Grid{cell}}},
 		&wire.Frame{Type: wire.TypeRoute, Route: wire.Route{View: "R", Cols: []int{2}, Grids: []*exchange.Grid{cell}}},
 	))
+	// Route steps over rows of two words each, projected in both column
+	// orders onto the one cell there is, once and twice.
+	f.Add(encodeFrames(f,
+		&wire.Frame{Type: wire.TypeData, Data: wire.Data{Rel: "R", Buf: relation.RunOf(2, []relation.Tuple{{1, 1 << 40}, {1 << 33, 2}, {3, 4}, {3, 4}})}},
+		&wire.Frame{Type: wire.TypeRoute, Route: wire.Route{View: "R", Cols: []int{1, 0}, Grids: []*exchange.Grid{cell}}},
+		&wire.Frame{Type: wire.TypeRoute, Route: wire.Route{View: "R", Cols: []int{0, 1}, Grids: []*exchange.Grid{cell, cell}}},
+	))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		joins := false

@@ -10,11 +10,12 @@
 // Partitioners (HashPartitioner and Broadcast here,
 // hypercube.NewGridPartitioner, and the skew package). PartitionRun
 // routes a sealed run through one (Partition, a tuple slice sealed into
-// one first), in parallel (one goroutine per source shard), into one sealed
-// relation.Run per destination: a Delivery, the unit the coordinator
-// accounts and ships. Round statistics (total bits, max per-worker load,
-// cap enforcement) fall out of the deliveries' sizes with no per-message
-// accounting.
+// one first) into one sealed relation.Run per destination, the same
+// whatever GOMAXPROCS: a Delivery, the unit the coordinator accounts and
+// ships. It is a counting scatter — route and count, then copy each row
+// into exact-size runs — over source shards routed in parallel. Round
+// statistics (total bits, max per-worker load, cap enforcement) fall out
+// of the deliveries' sizes with no per-message accounting.
 //
 // What is routed — the run, its one layout of packed words, its sort and
 // its set algebra — belongs to internal/relation; what carries it

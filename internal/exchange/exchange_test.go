@@ -286,51 +286,55 @@ func TestSealSortedIsNoop(t *testing.T) {
 	}
 }
 
-// sizedHash is a HashPartitioner that also says what one destination
-// should expect.
-type sizedHash struct{ HashPartitioner }
-
-func (s sizedHash) PerDestination(rows int) int { return (rows + s.P - 1) / s.P }
-
-// TestPartitionReservesFromFanout: a partitioner that reports what one
-// destination should expect has its buffers reserved once — the same
-// runs, a fraction of the allocations of growing each from empty.
+// TestPartitionReservesFromFanout: a scatter allocates each
+// destination's run once, at the exact size its rows take, whatever the
+// partitioner — a hash, a broadcast, a grid routed a column at a time
+// and one routed per row — and beyond those runs a constant few
+// allocations: the shard's scratch, its list of destinations doubling
+// past one a row, Route's own buffer; none per row, and no run regrown.
 func TestPartitionReservesFromFanout(t *testing.T) {
 	const p = 8
 	tuples := make([]relation.Tuple, 40000)
 	for i := range tuples {
 		tuples[i] = relation.Tuple{i, i * 31}
 	}
-	plain := HashPartitioner{Col: 0, P: p, Seed: 3}
-	a, err := Partition("R", tuples, 2, p, plain)
+	run := relation.RunOf(2, tuples)
+	grid, err := NewGrid([]int{2, 4}, []uint64{1, 2}, []GridBind{{Pos: 1, Dim: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Partition("R", tuples, 2, p, sizedHash{plain})
+	repeated, err := NewGrid([]int{8}, []uint64{5}, []GridBind{{Pos: 0, Dim: 0}, {Pos: 0, Dim: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a) != len(b) {
-		t.Fatalf("%d runs reserved, %d grown", len(b), len(a))
-	}
-	for i := range a {
-		if a[i].To != b[i].To || !reflect.DeepEqual(a[i].Buf.Tuples(), b[i].Buf.Tuples()) {
-			t.Fatalf("run %d differs when reserved", i)
+	for _, c := range []struct {
+		name string
+		part Partitioner
+	}{
+		{"hash", HashPartitioner{Col: 0, P: p, Seed: 3}},
+		{"broadcast", Broadcast{P: p}},
+		{"grid", grid},
+		{"repeated", repeated},
+	} {
+		ds, err := PartitionRun("R", run, p, c.part)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	allocs := func(part Partitioner) float64 {
-		return testing.AllocsPerRun(5, func() {
-			if _, err := Partition("R", tuples, 2, p, part); err != nil {
+		if len(ds) != p {
+			t.Fatalf("%s: %d runs for %d destinations", c.name, len(ds), p)
+		}
+		for _, d := range ds {
+			if w := d.Buf.Words(); len(w) == 0 || cap(w) != len(w) || !d.Buf.Sealed() {
+				t.Fatalf("%s: destination %d holds %d words in a buffer of %d, sealed %v", c.name, d.To, len(w), cap(w), d.Buf.Sealed())
+			}
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := PartitionRun("R", run, p, c.part); err != nil {
 				t.Fatal(err)
 			}
 		})
-	}
-	grown, reserved := allocs(plain), allocs(sizedHash{plain})
-	if reserved > grown/2 {
-		t.Errorf("%.0f allocations reserved, %.0f grown: want less than half", reserved, grown)
-	}
-	c, err := PartitionRun("R", a[0].Buf, p, sizedHash{plain})
-	if err != nil || len(c) != 1 || !reflect.DeepEqual(c[0].Buf.Tuples(), a[0].Buf.Tuples()) {
-		t.Fatalf("re-scattering a reserved run: %d runs, %v", len(c), err)
+		if allocs > p+32 {
+			t.Errorf("%s: %.0f allocations for %d destinations", c.name, allocs, p)
+		}
 	}
 }

@@ -136,12 +136,6 @@ func (g *Grid) Canonical() []int {
 	return cells
 }
 
-// PerDestination returns the tuples one grid point should expect of
-// rows, each reaching Fanout of the grid's points.
-func (g *Grid) PerDestination(rows int) int {
-	return (rows*g.fanout + g.Size() - 1) / g.Size()
-}
-
 // Key implements Keyed: shares, per-dimension hash seeds and position →
 // dimension bindings.
 func (g *Grid) Key() string {
@@ -176,10 +170,18 @@ func (g *Grid) Route(_ int, t relation.Tuple, buf []int) []int {
 		coord[b.Dim] = c
 		base += c * g.strides[b.Dim]
 	}
+	return g.expand(buf, base)
+}
+
+// expand appends to buf the grid points a tuple whose bound coordinates
+// give point base reaches: base moved by every combination of
+// coordinates on the free dimensions, expanded innermost-first by
+// mixed-radix enumeration, so the first free dimension is outermost in
+// the result. Expanding 0 lists those moves: the one fixed list of
+// offsets every base point of the grid expands by.
+func (g *Grid) expand(buf []int, base int) []int {
 	start := len(buf)
 	buf = append(buf, base)
-	// Expand the free dimensions innermost-first, so the first free
-	// dimension is outermost in the result.
 	for i := len(g.free) - 1; i >= 0; i-- {
 		d := g.free[i]
 		m := len(buf)
@@ -191,4 +193,26 @@ func (g *Grid) Route(_ int, t relation.Tuple, buf []int) []int {
 		}
 	}
 	return buf
+}
+
+// RoutingGrid returns g, which routes as itself. PartitionRun routes a
+// partitioner that names its grid this way a column at a time; one that
+// embeds a Grid and routes otherwise (a sampled grid) returns nil.
+func (g *Grid) RoutingGrid() *Grid { return g }
+
+// bases adds to base[i] the grid point the bound coordinates of row lo+i
+// of run give, for every row up to hi, a bound column at a time: each
+// position is read straight from the rows' words into vals (scratch) and
+// hashed by coord. The grid must be Total, so no dimension of more than
+// one point is bound twice; a dimension of one point adds nothing.
+func (g *Grid) bases(run *relation.Run, lo, hi int, base, vals []int) {
+	for _, b := range g.binds {
+		if g.dims[b.Dim] == 1 {
+			continue
+		}
+		stride := g.strides[b.Dim]
+		for i, v := range run.Values(b.Pos, lo, hi, vals[:0]) {
+			base[i] += g.coord(b.Dim, v) * stride
+		}
+	}
 }

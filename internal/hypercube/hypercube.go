@@ -231,13 +231,14 @@ func (g *GridPartitioner) WithSample(sample map[int]int) *GridPartitioner {
 	return g
 }
 
-// PerDestination returns the tuples one grid point should expect of
-// rows, each reaching Fanout of the grid's points; 0 on a sampled grid.
-func (g *GridPartitioner) PerDestination(rows int) int {
+// RoutingGrid returns the grid the partitioner routes by, which
+// exchange.PartitionRun routes a column at a time; nil on a sampled
+// grid, which projects each tuple's points through its sample.
+func (g *GridPartitioner) RoutingGrid() *exchange.Grid {
 	if g.sample != nil {
-		return 0
+		return nil
 	}
-	return g.Grid.PerDestination(rows)
+	return g.Grid
 }
 
 // Key implements exchange.Keyed: the grid's key. A sampled grid has no

@@ -498,6 +498,32 @@ func (b *Run) Row(i int, dst Tuple) Tuple {
 	return dst
 }
 
+// Values appends to dst the values column c (< Arity) holds in rows lo
+// up to hi, read straight from the one word of each row that holds the
+// field — how a router reads the columns it hashes a block at a time.
+func (b *Run) Values(c, lo, hi int, dst []int) []int {
+	w, off := b.field(c)
+	mask, flip := b.mask, b.flip
+	for r := lo*b.stride + w; r < hi*b.stride; r += b.stride {
+		dst = append(dst, int(b.words[r]>>off&mask^flip))
+	}
+	return dst
+}
+
+// Subsequences adopts each of parts as a run of b's layout, taking
+// ownership of its words; the runs are allocated together. Each part
+// must be whole rows of b in the order b holds them — the pieces a
+// scatter copies out of b — so a run is sealed when b is, with nothing
+// to check or sort, and open when b is.
+func (b *Run) Subsequences(parts [][]uint64) []*Run {
+	runs, out := make([]Run, len(parts)), make([]*Run, len(parts))
+	for i, words := range parts {
+		runs[i].layout, runs[i].words, runs[i].sealed = b.layout, words, b.sealed
+		out[i] = &runs[i]
+	}
+	return out
+}
+
 // Contains reports whether the sealed run holds t: one binary search over
 // its rows. A nil run holds nothing.
 func (b *Run) Contains(t Tuple) bool {

@@ -1253,6 +1253,38 @@ func TestUnknownDatasetNamesOnlyVisibleDatasets(t *testing.T) {
 	}
 }
 
+// TestListDatasetsOnlyVisibleDatasets: GET /datasets lists what the
+// caller may see — the datasets registered at startup, which no tenant
+// owns, and the caller's own uploads — and no other tenant's upload.
+func TestListDatasetsOnlyVisibleDatasets(t *testing.T) {
+	srv, call := twoTenants(t)
+	spec := serve.GeneratorSpec{Family: "L3", N: 60, Seed: 1}
+	db, err := serve.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Registry().Add("shared", db); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := call("ka", http.MethodPost, "/datasets", serve.DatasetRequest{Name: "a-private", Generator: &spec}); code != http.StatusCreated {
+		t.Fatalf("A registers: status %d, %s", code, body)
+	}
+	for key, want := range map[string][]string{"ka": {"a-private", "shared"}, "kb": {"shared"}} {
+		var infos []serve.DatasetInfo
+		code, body := call(key, http.MethodGet, "/datasets", nil)
+		if code != http.StatusOK || json.Unmarshal([]byte(body), &infos) != nil {
+			t.Fatalf("GET /datasets under %s: status %d, %s", key, code, body)
+		}
+		var names []string
+		for _, info := range infos {
+			names = append(names, info.Name)
+		}
+		if !slices.Equal(names, want) {
+			t.Errorf("GET /datasets under %s lists %v, want %v", key, names, want)
+		}
+	}
+}
+
 // TestDeleteConflictNamesOnlyOwnQueries: DELETE of a dataset a
 // continuous query is registered on is a 409 that names the query only
 // to the tenant that owns it; any other tenant is told the count.

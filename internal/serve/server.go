@@ -787,9 +787,10 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		var out []DatasetInfo
-		for _, name := range s.registry.Names() {
-			ds, _ := s.registry.Get(name)
-			out = append(out, s.describe(ds))
+		for _, name := range s.registry.namesFor(ten) {
+			if ds, ok := s.registry.Get(name); ok {
+				out = append(out, s.describe(ds))
+			}
 		}
 		if out == nil {
 			out = []DatasetInfo{}
