@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/dist"
 	"repro/internal/hypercube"
@@ -127,16 +126,8 @@ func (p *Plan) WithShares(shares *hypercube.Shares) (*Plan, error) {
 	out := *p
 	out.Shares = shares
 	out.SizeAware = false
-	uniform, skewLoad := oneRoundLoad(p.Query, p.Stats, shares)
-	comm, err := hypercube.CommunicationCost(p.Query, shares, p.Stats.Sizes())
-	if err != nil {
+	if err := out.estimateOneRound(); err != nil {
 		return nil, err
-	}
-	out.UniformLoad, out.SkewLoad = uniform, skewLoad
-	out.OneRoundCost = CostEstimate{
-		LoadTuples: math.Max(uniform, skewLoad),
-		CommTuples: comm,
-		Rounds:     1,
 	}
 	out.Engine = OneRound
 	out.Cost = out.OneRoundCost

@@ -307,17 +307,8 @@ func Build(q *query.Query, stats *relation.Stats, opts Options) (*Plan, error) {
 		p.Shares = shares
 	}
 
-	// One-round estimates.
-	uniform, skewLoad := oneRoundLoad(q, stats, p.Shares)
-	comm, err := hypercube.CommunicationCost(q, p.Shares, sizes)
-	if err != nil {
+	if err := p.estimateOneRound(); err != nil {
 		return nil, err
-	}
-	p.UniformLoad, p.SkewLoad = uniform, skewLoad
-	p.OneRoundCost = CostEstimate{
-		LoadTuples: math.Max(uniform, skewLoad),
-		CommTuples: comm,
-		Rounds:     1,
 	}
 	p.BoundLoad = paperBound(q, stats, p.ShareExponents, opts.P)
 	epsF, _ := eps.Float64()
@@ -420,6 +411,38 @@ func differingSizes(q *query.Query, sizes map[string]int) bool {
 	return false
 }
 
+// estimateOneRound sets the plan's one-round estimates for its shares:
+// the uniform and skew loads (oneRoundLoad) and the tuples the shuffle
+// communicates.
+func (p *Plan) estimateOneRound() error {
+	uniform, skewLoad := oneRoundLoad(p.Query, p.Stats, p.Shares)
+	comm, err := hypercube.CommunicationCost(p.Query, p.Shares, p.Stats.Sizes())
+	if err != nil {
+		return err
+	}
+	p.UniformLoad, p.SkewLoad = uniform, skewLoad
+	p.OneRoundCost = CostEstimate{
+		LoadTuples: math.Max(uniform, skewLoad),
+		CommTuples: comm,
+		Rounds:     1,
+	}
+	return nil
+}
+
+// spread is the number of grid cells an atom's tuples hash over: the
+// product of the shares of the distinct dimensions it mentions.
+func spread(a query.Atom, shares *hypercube.Shares) float64 {
+	denom := 1.0
+	seen := map[int]bool{}
+	for _, v := range a.DistinctVars() {
+		if d := shares.DimOf(v); d >= 0 && !seen[d] {
+			seen[d] = true
+			denom *= float64(shares.Dims[d])
+		}
+	}
+	return denom
+}
+
 // oneRoundLoad predicts the per-worker received tuple count of the
 // HyperCube shuffle. The uniform part assumes hashing spreads each
 // relation evenly: server loads are |S_j| / Π_{d ∈ dims(S_j)} p_d
@@ -430,14 +453,7 @@ func differingSizes(q *query.Query, sizes map[string]int) bool {
 func oneRoundLoad(q *query.Query, stats *relation.Stats, shares *hypercube.Shares) (uniform, skew float64) {
 	for _, a := range q.Atoms {
 		rs := stats.Relation(a.Name)
-		denom := 1.0
-		seen := map[int]bool{}
-		for _, v := range a.DistinctVars() {
-			if d := shares.DimOf(v); d >= 0 && !seen[d] {
-				seen[d] = true
-				denom *= float64(shares.Dims[d])
-			}
-		}
+		denom := spread(a, shares)
 		uniform += float64(rs.Count) / denom
 		for pos, v := range a.Vars {
 			d := shares.DimOf(v)
@@ -512,15 +528,7 @@ func multiroundCost(mp *multiround.Plan, stats *relation.Stats, p int) (*CostEst
 				if sz > viewSize {
 					viewSize = sz
 				}
-				denom := 1.0
-				seen := map[int]bool{}
-				for _, v := range a.DistinctVars() {
-					if d := shares.DimOf(v); d >= 0 && !seen[d] {
-						seen[d] = true
-						denom *= float64(shares.Dims[d])
-					}
-				}
-				roundLoad += float64(sz) / denom
+				roundLoad += float64(sz) / spread(a, shares)
 			}
 			comm, err := hypercube.CommunicationCost(g.Query, shares, groupSizes)
 			if err != nil {

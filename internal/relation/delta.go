@@ -3,11 +3,11 @@ package relation
 // This file is the relation half of incremental view maintenance: a
 // Delta names per-relation appended and deleted tuple occurrences,
 // ApplyDelta folds one into a database snapshot (multiset semantics,
-// validating every deletion), and IncrementalStats keeps the
-// planner-facing Stats catalog current under a delta stream without
-// ever re-scanning a relation — each touched column's histogram (see
-// hist) is merged with the batch's sorted values, and cardinalities,
-// distinct counts and maximum frequencies are read off the result.
+// validating every deletion) and carries a collected Stats catalog
+// into the next version without re-scanning a relation — each touched
+// column's histogram (see hist) is merged with the batch's sorted
+// values, and cardinalities, distinct counts and maximum frequencies
+// are read off the result.
 
 import (
 	"fmt"
@@ -63,7 +63,9 @@ type Effect struct {
 // the rows come back sorted, whatever order they were registered in,
 // while sets, multiplicities, Effects and statistics are what applying
 // the batch to a tuple list gives. The returned map holds one Effect per
-// changed relation.
+// changed relation. When db has collected its catalog (Stats), the
+// returned database is born with that catalog carried through d; when
+// it has not, neither has the result, and nothing is scanned.
 //
 // Every delta tuple is validated: the relation must exist, arities
 // must match, and values must lie in [1, db.N] — the domain is fixed
@@ -98,6 +100,13 @@ func ApplyDelta(db *Database, d Delta) (*Database, map[string]Effect, error) {
 		}
 		out.AddRelation(nr)
 		effects[name] = eff
+	}
+	// Set after the loop: AddRelation drops the memo.
+	db.statsMu.Lock()
+	cat := db.cachedStats
+	db.statsMu.Unlock()
+	if cat != nil {
+		out.cachedStats = cat.apply(d)
 	}
 	return out, effects, nil
 }
@@ -262,122 +271,56 @@ func mergeDelta(base, del, app []uint64, stride int) (out []uint64, delC, appC [
 	return append(out, base[i*stride:]...), delC, appC
 }
 
-// IncStats incrementally maintains one relation's RelationStats: its
-// cardinality plus one histogram per column. Snapshot returns a
-// summary equal (field for field, including heavy-hitter order) to
-// what CollectRelationStats would compute from scratch on the current
-// state.
-type IncStats struct {
-	name  string
-	attrs []string
-	count int
-	cols  []hist
-}
-
-// NewIncStats seeds an incremental summary with one scan of r's run —
-// the only full scan the relation ever pays; every later delta costs a
-// sort of the batch and one merge per column. Each column is read off
-// the run into one reused key slice; the first is in order already.
-func NewIncStats(r *Relation) *IncStats {
-	run := r.Run()
-	s := &IncStats{
-		name:  r.Name,
-		attrs: append([]string(nil), r.Attrs...),
-		count: run.Len(),
-		cols:  make([]hist, r.Arity()),
-	}
-	keys := make([]uint64, run.Len())
-	for col := range s.cols {
-		run.column(col, keys)
-		s.cols[col] = newHist(keys)
-	}
-	return s
-}
-
-// apply folds one batch into the summary: per column, the deleted and
-// appended values are sorted and merged into a fresh histogram, so
-// histograms handed out earlier (or adopted from a Database) stay
-// valid. The caller guarantees every deleted occurrence was present
-// (relation.ApplyDelta validates this).
-func (s *IncStats) apply(dels, apps []Tuple) {
+// apply returns the summary after one batch, deletes before appends,
+// every deleted occurrence present (ApplyDelta validates this): per
+// column, the batch's values are sorted and merged into a fresh
+// histogram, and the column's counts are read off it. rs is never
+// written; an empty batch returns rs itself.
+func (rs *RelationStats) apply(dels, apps []Tuple) *RelationStats {
 	if len(dels)+len(apps) == 0 {
-		return
+		return rs
 	}
-	s.count += len(apps) - len(dels)
-	cols := make([]hist, len(s.cols)) // not in place: an adopted IncStats shares s.cols with the Database memo
-	for col, h := range s.cols {
-		cols[col] = h.merge(sortedColumn(apps, col), sortedColumn(dels, col))
+	out := &RelationStats{
+		Name:  rs.Name,
+		Count: rs.Count + len(apps) - len(dels),
+		Attrs: rs.Attrs,
+		Cols:  make([]*ColumnStats, len(rs.Cols)),
 	}
-	s.cols = cols
+	for col, cs := range rs.Cols {
+		out.Cols[col] = hist(cs.Hist).merge(sortedColumn(apps, col), sortedColumn(dels, col)).stats()
+	}
+	return out
 }
 
-// Snapshot materializes the current RelationStats.
-func (s *IncStats) Snapshot() *RelationStats {
-	rs := &RelationStats{
-		Name:  s.name,
-		Count: s.count,
-		Attrs: append([]string(nil), s.attrs...),
-		Cols:  make([]*ColumnStats, len(s.cols)),
+// apply returns the catalog after one validated delta; relations the
+// delta leaves untouched keep their summaries. s is never written, so
+// every catalog handed out earlier stays what it was.
+func (s *Stats) apply(d Delta) *Stats {
+	out := &Stats{Relations: make(map[string]*RelationStats, len(s.Relations))}
+	for name, rs := range s.Relations {
+		out.Relations[name] = rs.apply(d.Deletes[name], d.Appends[name])
 	}
-	for i, h := range s.cols {
-		rs.Cols[i] = h.stats()
-	}
-	return rs
+	return out
 }
 
-// IncrementalStats incrementally maintains a whole database's Stats
-// catalog under a delta stream.
-type IncrementalStats struct {
-	rels  map[string]*IncStats
-	order []string
-}
+// IncrementalStats carries a database's catalog across a delta stream
+// by hand, for a caller that holds the deltas but not the databases
+// ApplyDelta returns: bench/probes.go pins NewIncrementalStats and
+// Apply, and the statistics tests read Snapshot.
+type IncrementalStats struct{ cat *Stats }
 
-// scanStats builds every relation's histograms with one scan each.
-func scanStats(db *Database) *IncrementalStats {
-	s := &IncrementalStats{
-		rels:  make(map[string]*IncStats, len(db.Relations)),
-		order: db.Names(),
-	}
-	for _, name := range s.order {
-		s.rels[name] = NewIncStats(db.Relations[name])
-	}
-	return s
-}
-
-// NewIncrementalStats seeds the catalog from db. When db.Stats() has
-// already collected, the histograms it kept are adopted (shared, never
-// written) and nothing is scanned; otherwise each relation is scanned
-// once.
+// NewIncrementalStats starts from db's catalog: db.Stats(), which scans
+// only when nothing has collected it yet.
 func NewIncrementalStats(db *Database) *IncrementalStats {
-	db.statsMu.Lock()
-	kept := db.statsHists
-	db.statsMu.Unlock()
-	if kept == nil {
-		return scanStats(db)
-	}
-	s := &IncrementalStats{rels: make(map[string]*IncStats, len(kept.rels)), order: kept.order}
-	for name, inc := range kept.rels {
-		adopted := *inc
-		s.rels[name] = &adopted
-	}
-	return s
+	return &IncrementalStats{cat: db.Stats()}
 }
 
 // Apply folds one validated delta (deletes before appends, matching
 // ApplyDelta's semantics) into the catalog. Call it only after
 // ApplyDelta accepted the same delta.
-func (s *IncrementalStats) Apply(d Delta) {
-	for name, inc := range s.rels {
-		inc.apply(d.Deletes[name], d.Appends[name])
-	}
-}
+func (s *IncrementalStats) Apply(d Delta) { s.cat = s.cat.apply(d) }
 
-// Snapshot materializes the current catalog. The result matches
-// CollectStats on the maintained database state field for field.
-func (s *IncrementalStats) Snapshot() *Stats {
-	out := &Stats{Relations: make(map[string]*RelationStats, len(s.rels))}
-	for _, name := range s.order {
-		out.Relations[name] = s.rels[name].Snapshot()
-	}
-	return out
-}
+// Snapshot returns the current catalog. It matches CollectStats on the
+// maintained database state field for field, and no later Apply
+// writes it.
+func (s *IncrementalStats) Snapshot() *Stats { return s.cat }

@@ -86,8 +86,8 @@ func sortedColumn(ts []Tuple, col int) []uint64 {
 // each with its occurrence count. It is the one statistics kernel —
 // collection builds it with a radix sort, a delta batch merges into a
 // fresh one, and every ColumnStats is read off it. A hist is never
-// written after it is built, so snapshots, the Database memo and an
-// IncrementalStats may share one.
+// written after it is built, so every catalog a delta stream passes
+// through may share one.
 type hist []ValueCount
 
 // ColumnHistogram returns the histogram run of column col of r — what a
@@ -160,9 +160,23 @@ func (h hist) stats() *ColumnStats {
 }
 
 // CollectRelationStats scans one relation and returns its summary:
-// one radix sort per column into a histogram run, O(|R|·arity).
+// one radix sort per column into a histogram run, O(|R|·arity). Each
+// column is read off the run into one reused key slice; the first is
+// in order already.
 func CollectRelationStats(r *Relation) *RelationStats {
-	return NewIncStats(r).Snapshot()
+	run := r.Run()
+	rs := &RelationStats{
+		Name:  r.Name,
+		Count: run.Len(),
+		Attrs: append([]string(nil), r.Attrs...),
+		Cols:  make([]*ColumnStats, r.Arity()),
+	}
+	keys := make([]uint64, run.Len())
+	for col := range rs.Cols {
+		run.column(col, keys)
+		rs.Cols[col] = newHist(keys).stats()
+	}
+	return rs
 }
 
 // Stats is a database-wide statistics catalog keyed by relation name —
@@ -177,35 +191,27 @@ type Stats struct {
 // statistics over its own relation only (Section 2.4) and the Θ(p)
 // numbers exchanged are negligible against the Ω(n) data.
 func CollectStats(db *Database) *Stats {
-	return scanStats(db).Snapshot()
+	out := &Stats{Relations: make(map[string]*RelationStats, len(db.Relations))}
+	for name, r := range db.Relations {
+		out.Relations[name] = CollectRelationStats(r)
+	}
+	return out
 }
 
 // Stats returns the database's statistics catalog, collecting it on
 // first use and memoizing it for every later call — the serving layer
 // amortizes the O(Σ|S_j|·a_j) scan across all queries that hit the
-// same resident dataset. The histograms the scan built are kept beside
-// the catalog for NewIncrementalStats to adopt; AddRelation drops
-// both. The returned catalog is shared and must be treated as
-// read-only; concurrent callers are safe.
+// same resident dataset, and ApplyDelta carries the memo into the next
+// version instead of leaving it to be scanned again. AddRelation drops
+// it. The returned catalog is shared and must be treated as read-only;
+// concurrent callers are safe.
 func (db *Database) Stats() *Stats {
 	db.statsMu.Lock()
 	defer db.statsMu.Unlock()
 	if db.cachedStats == nil {
-		db.statsHists = scanStats(db)
-		db.cachedStats = db.statsHists.Snapshot()
+		db.cachedStats = CollectStats(db)
 	}
 	return db.cachedStats
-}
-
-// InstallStats installs a precomputed catalog as the database's memo,
-// so the next Stats call returns it without a collection scan. The
-// incremental-maintenance path uses it to seed a post-delta snapshot's
-// catalog from the delta instead of re-scanning; the caller guarantees
-// s describes the database's current contents.
-func (db *Database) InstallStats(s *Stats) {
-	db.statsMu.Lock()
-	defer db.statsMu.Unlock()
-	db.cachedStats = s
 }
 
 // Relation returns the summary of the named relation, or nil.

@@ -80,8 +80,8 @@ type statsStream struct {
 // CollectStats on the state the batch produced (via ApplyDelta too
 // whenever it accepts the batch). It also holds every catalog handed
 // out earlier to its value: Apply must never write a histogram in
-// place. With adopt, the catalog is seeded from the histograms
-// db.Stats() kept, and that memoized catalog is held as well.
+// place. With adopt, db.Stats() has collected before the stream
+// starts, and that memoized catalog is held as well.
 func (s statsStream) run(t *testing.T, adopt bool) {
 	rng := rand.New(rand.NewPCG(0x57a75, uint64(len(s.name))))
 	db0 := s.db(rng)
@@ -364,9 +364,9 @@ func allocatedBytes(f func()) uint64 {
 }
 
 // TestDatabaseStatsAdoptedSeed pins the one-scan-per-dataset contract:
-// once Database.Stats has collected, NewIncrementalStats adopts the
-// histograms it kept — O(relations) small allocations, nothing sized
-// by the data — and AddRelation drops them, so the next seed scans.
+// once Database.Stats has collected, NewIncrementalStats starts from
+// the memoized catalog — O(relations) small allocations, nothing sized
+// by the data — and AddRelation drops it, so the next seed scans.
 func TestDatabaseStatsAdoptedSeed(t *testing.T) {
 	const n = 5000
 	rng := rand.New(rand.NewPCG(9, 9))
@@ -396,6 +396,47 @@ func TestDatabaseStatsAdoptedSeed(t *testing.T) {
 	}
 	if got, want := inc.Snapshot(), refStats(db); !reflect.DeepEqual(got, want) {
 		t.Fatalf("seed after AddRelation diverges from the oracle:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestApplyDeltaCarriesCollectedStats pins the carry-forward: a
+// database whose catalog is collected hands it, with the delta applied,
+// to the database ApplyDelta returns, so that database's Stats() scans
+// nothing and still equals a from-scratch collection. An uncollected
+// database hands on nothing, so its successor's first Stats() scans.
+func TestApplyDeltaCarriesCollectedStats(t *testing.T) {
+	const n = 5000
+	rng := rand.New(rand.NewPCG(54, 54))
+	db := NewDatabase(n)
+	for _, name := range []string{"R", "S", "T"} {
+		db.AddRelation(Matching(rng, name, []string{"x", "y"}, n))
+	}
+	d := Delta{
+		Deletes: map[string][]Tuple{"R": {db.Relations["R"].Tuples[0]}},
+		Appends: map[string][]Tuple{"R": {{1, 1}}, "S": {{2, 3}, {n, 1}}},
+	}
+	uncollected, _, err := ApplyDelta(db, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := allocatedBytes(func() { uncollected.Stats() }); b < 8*n {
+		t.Errorf("Stats() of a delta over an uncollected database allocated %d B; it must scan", b)
+	}
+
+	db.Stats()
+	next, _, err := ApplyDelta(db, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *Stats
+	if b := allocatedBytes(func() { got = next.Stats() }); b > 4096 {
+		t.Errorf("Stats() after ApplyDelta allocated %d B for %d tuples; the collected catalog must be carried forward", b, next.TotalTuples())
+	}
+	if want := CollectStats(next); !reflect.DeepEqual(got, want) {
+		t.Fatalf("carried catalog diverges from CollectStats:\n got %+v\nwant %+v", got, want)
+	}
+	if got.Relations["T"] != db.Stats().Relations["T"] {
+		t.Error("an untouched relation's summary was rebuilt")
 	}
 }
 

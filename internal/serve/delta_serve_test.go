@@ -382,7 +382,7 @@ func TestPlannerSkewFlipUnderDeltas(t *testing.T) {
 
 	// engineAt also executes the from-scratch plan (the server's default
 	// seed is 1): the served run routed by a heavy set that arrived
-	// through IncrementalStats' merged histogram runs, so its answer
+	// through the delta-merged histogram runs, so its answer
 	// count and communication record must equal the run routed from a
 	// fresh scan's.
 	engineAt := func() (served, scratch string) {

@@ -44,19 +44,13 @@ type TraceSummary struct {
 // summarizeTrace condenses a (possibly still-live) trace.
 func summarizeTrace(tc *trace.Trace) TraceSummary {
 	sn := tc.Snapshot()
-	rounds := 0
-	for _, s := range sn.Spans {
-		if s.Name == "round" {
-			rounds++
-		}
-	}
 	return TraceSummary{
 		QueryID:             sn.QueryID,
 		Tenant:              sn.Tenant,
 		Query:               sn.Query,
 		Engine:              sn.Engine,
 		P:                   sn.P,
-		Rounds:              rounds,
+		Rounds:              sn.Rounds(),
 		Replacements:        sn.Replacements,
 		PredictedLoadTuples: sn.PredictedLoadTuples,
 		BudgetLoadTuples:    sn.BudgetLoadTuples,

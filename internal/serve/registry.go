@@ -41,12 +41,10 @@ type Dataset struct {
 	mu      sync.Mutex
 	dropped bool
 	snap    atomic.Pointer[Snapshot]
-	// inc incrementally maintains the statistics catalog across the
-	// delta stream (guarded by mu). It is seeded on the first delta,
-	// from the histograms version 0's Stats() kept when a query got
-	// there first, by the dataset's one statistics scan otherwise.
-	inc *relation.IncrementalStats
 
+	// statsSeen reports whether the current version's catalog is
+	// memoized: the first query or the first delta collects it, and
+	// every delta carries it into the next version.
 	statsSeen atomic.Bool
 }
 
@@ -89,10 +87,10 @@ func (d *Dataset) Version() uint64 { return d.snap.Load().Version }
 // Stats returns the snapshot's statistics catalog and whether the
 // dataset's statistics were already memoized (false exactly once, for
 // the collecting call — the serving layer's stats-cache hit/miss
-// signal). Post-delta snapshots are born with an incrementally
-// maintained catalog installed, so only version 0 can pay a
-// collection scan here — and only when no delta has seeded the
-// incremental catalog first: a dataset is scanned once on every path.
+// signal). Post-delta snapshots are born with the catalog ApplyDelta
+// carried forward, so only version 0 can pay a collection scan here —
+// and only when no delta collected it first: a dataset is scanned once
+// on every path.
 func (sn *Snapshot) Stats() (stats *relation.Stats, cached bool) {
 	cached = sn.ds.statsSeen.Swap(true)
 	return sn.DB.Stats(), cached
@@ -122,27 +120,22 @@ func (sn *Snapshot) Bind(q *query.Query) (*relation.Database, error) {
 
 // applyBatchLocked applies one delta batch to the dataset: it validates
 // the delta against the current snapshot, builds the next snapshot with
-// the incrementally maintained statistics catalog pre-installed (no
-// re-scan — the batch's values are merged into the column histograms
-// of the relations it touches), and returns the new version plus the
+// its statistics catalog already memoized (no re-scan — ApplyDelta
+// merges the batch's values into the column histograms of the
+// relations it touches), and returns the new version plus the
 // set-level effect per changed relation. The caller holds d.mu: the
 // delta handler holds it across application and continuous-query
 // maintenance so no second delta can interleave between them.
 func (d *Dataset) applyBatchLocked(delta relation.Delta) (uint64, map[string]relation.Effect, error) {
 	cur := d.snap.Load()
+	// Collected already when a query got here first; otherwise this is
+	// the dataset's one statistics scan.
+	cur.DB.Stats()
+	d.statsSeen.Store(true)
 	ndb, effects, err := relation.ApplyDelta(cur.DB, delta)
 	if err != nil {
 		return 0, nil, err
 	}
-	if d.inc == nil {
-		// First delta: adopt the histograms a query already collected
-		// on this snapshot, or scan it now — either way the dataset's
-		// only statistics scan.
-		d.inc = relation.NewIncrementalStats(cur.DB)
-	}
-	d.inc.Apply(delta)
-	ndb.InstallStats(d.inc.Snapshot())
-	d.statsSeen.Store(true)
 	next := &Snapshot{DB: ndb, Version: cur.Version + 1, ds: d}
 	d.snap.Store(next)
 	return next.Version, effects, nil

@@ -4,8 +4,8 @@ package serve_test
 // a delta reaches a dataset first, every version's catalog equals a
 // from-scratch CollectStats of that version, earlier versions'
 // catalogs are never written, and the stats-cache signals keep their
-// meaning (one miss for the collecting query, none when a delta seeded
-// the catalog first).
+// meaning (one miss for the collecting query, none when a delta
+// collected the catalog first and carried it forward).
 
 import (
 	"bytes"
@@ -71,8 +71,8 @@ func TestDatasetStatsQueryThenDelta(t *testing.T) {
 	v0Catalog := v0.DB.Stats()
 	checkCatalog(t, "after the first query", v0)
 
-	// The delta seeds the incremental catalog from the histograms the
-	// query's collection kept; version 1 is born with its catalog.
+	// The delta carries the catalog the query collected forward;
+	// version 1 is born with its catalog.
 	for round := 1; round <= 3; round++ {
 		triDelta(t, ts.URL, ds.DB(), n)
 		checkCatalog(t, "after a delta", ds.Snapshot())
@@ -112,10 +112,10 @@ func TestDatasetStatsDeltaBeforeAnyQuery(t *testing.T) {
 
 // TestDatasetStatsConcurrentQueriesDuringDelta reads version 0's
 // catalog and plans on it from many goroutines (each query with its
-// own plan-cache key, so each fetches statistics) while deltas seed
-// the incremental catalog from version 0 and merge past it — with the
-// collecting query already done (the deltas adopt its histograms) and
-// with collection and the first delta racing. Run under -race: adopted
+// own plan-cache key, so each fetches statistics) while deltas carry
+// version 0's catalog forward and merge past it — with the collecting
+// query already done (the deltas start from its catalog) and with
+// collection and the first delta racing. Run under -race: carried
 // histograms are shared, never written.
 func TestDatasetStatsConcurrentQueriesDuringDelta(t *testing.T) {
 	for _, collected := range []bool{true, false} {
