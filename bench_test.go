@@ -699,9 +699,11 @@ func BenchmarkDatalogReach(b *testing.B) {
 
 // BenchmarkDatalogReachTCP is BenchmarkDatalogReach as mpcserve runs
 // it: 16 in-process dist.Serve listeners, a fresh dial per execution,
-// recovery armed. The program's 17 thin rounds make it the benchmark of
-// the TCP control path — what a round costs in round trips on top of
-// what the model charges — which the loopback variant never touches.
+// recovery armed. The program's 16 thin rounds — the recursive rule's
+// cold round and 15 delta rounds, on its one session; the base rule is
+// answered where e is, without one — make it the benchmark of the TCP
+// control path — what a round costs in round trips on top of what the
+// model charges — which the loopback variant never touches.
 func BenchmarkDatalogReachTCP(b *testing.B) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var serving sync.WaitGroup
@@ -743,7 +745,9 @@ func BenchmarkDatalogReachTCP(b *testing.B) {
 	b.ReportMetric(float64(exchanges)/float64(b.N), "exchanges/op")
 }
 
-// benchDatalogReach is the body of the DatalogReach benchmarks.
+// benchDatalogReach is the body of the DatalogReach benchmarks. Next to
+// the time it reports the model's cost of one evaluation — its rounds
+// and total Mbit — which every op repeats exactly.
 func benchDatalogReach(b *testing.B, opts datalog.Options) {
 	const paths, edges = 625, 16
 	rng := rand.New(rand.NewPCG(43, 43))
@@ -772,6 +776,8 @@ func benchDatalogReach(b *testing.B, opts datalog.Options) {
 		b.Fatalf("closure has %d pairs, want %d", res.Run.Len(), want)
 	}
 	b.ReportMetric(float64(res.Iterations), "iterations")
+	b.ReportMetric(float64(res.Stats.NumRounds()), "rounds/op")
+	b.ReportMetric(float64(res.Stats.TotalBits())/1e6, "Mbit/op")
 }
 
 // statsBenchDBs returns the two catalog shapes the statistics kernel

@@ -163,8 +163,8 @@ func (p *Program) analyze() error {
 				return err
 			}
 			if seenAtom[a.Name] {
-				return fmt.Errorf("line %d: rule for %s repeats body predicate %s (self-joins are not supported; split the rule through an alias predicate)",
-					r.line, r.Head.Pred, a.Name)
+				return fmt.Errorf("line %d: rule for %s repeats body predicate %s (self-joins are not supported; split the rule through an alias predicate — a one-atom rule such as %s2(...) :- %s(...) copies it without a round)",
+					r.line, r.Head.Pred, a.Name, a.Name, a.Name)
 			}
 			seenAtom[a.Name] = true
 			for _, v := range a.Vars {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/exchange"
 	"repro/internal/hypercube"
+	"repro/internal/localjoin"
 	"repro/internal/mpc"
 	"repro/internal/plan"
 	"repro/internal/query"
@@ -29,12 +30,12 @@ type Options struct {
 	CapConstant float64
 	// Seed drives every hash function of the run.
 	Seed uint64
-	// Dial returns the transport one execution runs on: one per
-	// rule-body plan execution, one per recursive-rule distribution, each
-	// closed when its execution is done. A session may outlive the
-	// execution — a dist.Registry parks it, reset, for the next one — but
-	// carries one at a time. nil runs everything on in-process loopback
-	// pools.
+	// Dial returns the transport one execution runs on: one per planned
+	// rule body (a one-atom rule runs none), one per recursive-rule
+	// distribution, each closed when its execution is done. A session may
+	// outlive the execution — a dist.Registry parks it, reset, for the
+	// next one — but carries one at a time. nil runs everything on
+	// in-process loopback pools.
 	Dial func(p int) (dist.Transport, error)
 	// Plan returns the plan of the program's rule i (its index in
 	// Program.Rules), calling build — which plans the rule over this
@@ -94,15 +95,20 @@ type Result struct {
 
 // Eval runs the program over db on the simulated MPC(ε) cluster. The
 // database must hold exactly the EDB predicates (IDB predicates are
-// derived and may not be pre-populated). Each rule body is planned and
-// executed as a conjunctive query through internal/plan; recursive
-// strata run a semi-naive fixpoint whose state lives on the workers:
-// each recursive rule holds a warm grid distribution, and every delta
-// iteration relays what the workers derived to the grid points that keep
-// it, where only what is new stays and is joined next — so iteration cost
-// is routing the derivations, not a rescatter, and the coordinator merges
-// no closure. A program's round count grows with its data; over TCP each
-// round is one exchange per worker (dist.Open's fused schedule).
+// derived and may not be pre-populated). A rule whose body is one atom —
+// a copy, a projection, a selection or an aggregate over one relation —
+// is answered by the coordinator over the relation the working database
+// already holds, as an input server computes on its own data before the
+// first round: no plan, no dial, no round. Every other rule body is
+// planned and executed as a conjunctive query through internal/plan;
+// recursive strata run a semi-naive fixpoint, seeded with the base
+// rules' facts, whose state lives on the workers: each recursive rule
+// holds a warm grid distribution, and every delta iteration relays what
+// the workers derived to the grid points that keep it, where only what
+// is new stays and is joined next — so iteration cost is routing the
+// derivations, not a rescatter, and the coordinator merges no closure.
+// A program's round count grows with its data; over TCP each round is
+// one exchange per worker (dist.Open's fused schedule).
 func Eval(prog *Program, db *relation.Database, opts Options) (*Result, error) {
 	if opts.P < 1 {
 		return nil, fmt.Errorf("datalog: p = %d, need ≥ 1", opts.P)
@@ -215,10 +221,10 @@ func (r *Rule) BodyQuery() (*query.Query, error) {
 	return query.New(r.Head.Pred, r.Body...)
 }
 
-// Plan is the one way from a rule to what executes it: the body query
-// planned over stats, with an aggregate head folded over the gathered
-// answer.
-// The planned query is the result's Query field.
+// Plan is the one way from a rule of two or more atoms to what executes
+// it: the body query planned over stats, with an aggregate head folded
+// over the gathered answer. (Eval answers a one-atom rule without a
+// plan.) The planned query is the result's Query field.
 func (r *Rule) Plan(stats *relation.Stats, opts plan.Options) (*plan.Plan, error) {
 	q, err := r.BodyQuery()
 	if err != nil {
@@ -228,10 +234,15 @@ func (r *Rule) Plan(stats *relation.Stats, opts plan.Options) (*plan.Plan, error
 	if err != nil || !r.HasAggregate() {
 		return pl, err
 	}
-	// The fold's spec, relative to the body query's variable order:
-	// group columns are the plain head terms, aggregate columns the
-	// aggregate terms, both in head order (analysis guarantees groups
-	// precede aggregates, so the fold's output order is the head order).
+	return pl.WithAggregate(r.groupSpec(q))
+}
+
+// groupSpec is an aggregate head's fold, relative to the body query's
+// variable order: group columns are the plain head terms, aggregate
+// columns the aggregate terms, both in head order (analysis guarantees
+// groups precede aggregates, so the fold's output order is the head
+// order).
+func (r *Rule) groupSpec(q *query.Query) relation.GroupSpec {
 	var spec relation.GroupSpec
 	for _, t := range r.Head.Terms {
 		if t.Agg != 0 {
@@ -240,7 +251,7 @@ func (r *Rule) Plan(stats *relation.Stats, opts plan.Options) (*plan.Plan, error
 			spec.GroupBy = append(spec.GroupBy, q.VarIndex(t.Var))
 		}
 	}
-	return pl.WithAggregate(spec)
+	return spec
 }
 
 // headPositions maps each head term to its column in the body query's
@@ -251,6 +262,17 @@ func headPositions(r *Rule, q *query.Query) []int {
 		pos[i] = q.VarIndex(t.Var)
 	}
 	return pos
+}
+
+// project shapes a plain head's facts from the body answer, which is in
+// q's Vars() order, sealed and deduplicated: the answer itself when the
+// head lists the body's variables in that order.
+func project(r *Rule, q *query.Query, answer *relation.Run) *relation.Run {
+	pos := headPositions(r, q)
+	if slices.Equal(pos, identity(q.NumVars())) {
+		return answer
+	}
+	return relation.Project(answer, pos)
 }
 
 // catalog returns the planner statistics for one rule body: full
@@ -284,11 +306,20 @@ func (e *evaluator) record(o dist.Outcome) {
 	e.sum.Replacements += o.Replacements
 }
 
-// evalRule plans and executes the program's rule ri — a non-recursive
-// rule body — end to end and returns the head facts (projected, or
-// aggregate-folded) as one sealed run, and the rows its gather shipped.
+// evalRule answers the program's rule ri — a non-recursive rule body —
+// and returns the head facts (projected, or aggregate-folded) as one
+// sealed run, and the rows its gather shipped: none for a one-atom body,
+// which evalLocal answers without a round; every other body is planned
+// and executed end to end.
 func (e *evaluator) evalRule(ri int) (*relation.Run, int, error) {
 	r := &e.prog.Rules[ri]
+	if len(r.Body) == 1 {
+		facts, err := e.evalLocal(r)
+		if err != nil {
+			return nil, 0, fmt.Errorf("datalog: rule for %s: %w", r.Head.Pred, err)
+		}
+		return facts, 0, nil
+	}
 	build := func() (*plan.Plan, error) {
 		return r.Plan(e.catalog(r), plan.Options{
 			P: e.opts.P, Epsilon: e.opts.Epsilon, CapFactor: e.opts.CapConstant,
@@ -304,7 +335,6 @@ func (e *evaluator) evalRule(ri int) (*relation.Run, int, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("datalog: rule for %s: %w", r.Head.Pred, err)
 	}
-	q := pl.Query
 	opts, err := e.execution()
 	if err != nil {
 		return nil, 0, err
@@ -317,13 +347,31 @@ func (e *evaluator) evalRule(ri int) (*relation.Run, int, error) {
 		return nil, 0, fmt.Errorf("datalog: rule for %s: %w", r.Head.Pred, err)
 	}
 	e.record(res.Outcome)
-	pos := headPositions(r, q)
-	if r.HasAggregate() || slices.Equal(pos, identity(q.NumVars())) {
-		// Already the head's rows: one per group in head order, or the
-		// body's own, sealed and deduplicated.
+	if r.HasAggregate() {
+		// Already the head's rows: one per group, in head order.
 		return res.Run, res.Gathered, nil
 	}
-	return relation.Project(res.Run, pos), res.Gathered, nil
+	return project(r, pl.Query, res.Run), res.Gathered, nil
+}
+
+// evalLocal answers a one-atom rule over the run its relation already
+// holds in the working database, with the evaluator every worker runs —
+// which binds a repeated variable, as in e(x,x), the way a worker would —
+// and no plan, dial or round.
+func (e *evaluator) evalLocal(r *Rule) (*relation.Run, error) {
+	q, err := r.BodyQuery()
+	if err != nil {
+		return nil, err
+	}
+	rel, _ := e.wdb.Relation(q.Atoms[0].Name)
+	answer, err := localjoin.EvaluateRuns(q, localjoin.Runs{q.Atoms[0].Name: {rel.Run()}})
+	if err != nil {
+		return nil, err
+	}
+	if r.HasAggregate() {
+		return relation.Fold(answer, r.groupSpec(q)), nil
+	}
+	return project(r, q, answer), nil
 }
 
 // identity returns the positions 0 … n−1.

@@ -216,12 +216,11 @@ func TestDatalogRecoversWorker(t *testing.T) {
 	if ref.Iterations < 2 {
 		t.Fatalf("reference ran %d iterations; the kill point needs a second delta round", ref.Iterations)
 	}
-	// The program opens two sessions: the base rule's execution, then
-	// the recursive rule's maintainer, which is the one that loses a
-	// worker.
-	faulty := disttest.NewSchedule(killAtSecondDelta(t, MustParse(tcProgram), edgeDB(20, edges), p, 1)...)
+	// The program opens one session, the recursive rule's distribution —
+	// the base rule costs no round — and it loses a worker.
+	faulty := disttest.NewSchedule(killAtSecondDelta(t, MustParse(tcProgram), edgeDB(20, edges), p, 0)...)
 	res, err := Eval(MustParse(tcProgram), edgeDB(20, edges), Options{
-		P: p, Seed: 5, Dial: onSession(1, faulty), Recovery: dist.RecoveryOptions{Enabled: true},
+		P: p, Seed: 5, Dial: onSession(0, faulty), Recovery: dist.RecoveryOptions{Enabled: true},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,9 @@ import (
 // acknowledged pool-wide exchange per model round — sent a step at a
 // time it would pay three — plus one gather per predicate a recursive
 // stratum derives, whose facts stay on the workers until its fixpoint is
-// done; with the answers and the round record of the loopback run.
+// done; with the answers and the round record of the loopback run. A
+// one-atom rule runs no execution: a program of them alone dials nothing
+// and runs no round.
 func TestProgramExchangesEqualRounds(t *testing.T) {
 	const p = 4
 	rng := rand.New(rand.NewPCG(9, 0))
@@ -25,13 +27,16 @@ func TestProgramExchangesEqualRounds(t *testing.T) {
 		name, src      string
 		dials, gathers int
 	}{
-		{"closure", tcProgram, 2, 1},
+		{"closure", tcProgram, 1, 1},
 		{"mutual recursion", `
 			odd(x, y) :- e(x, y).
 			odd(x, z) :- even(x, y), e(y, z).
 			even(x, z) :- odd(x, y), e(y, z).
-			?- odd(x, y).`, 3, 2},
-		{"aggregate head", `deg(x, count(y), max(y)) :- e(x, y).`, 1, 0},
+			?- odd(x, y).`, 2, 2},
+		{"aggregate head", `deg(x, count(y), max(y)) :- e(x, y).`, 0, 0},
+		{"aggregate over a join", `
+			e2(x, y) :- e(x, y).
+			fan(x, y, count(z), max(z)) :- e(x, y), e2(y, z).`, 1, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := MustParse(tc.src)
@@ -66,8 +71,9 @@ func TestProgramExchangesEqualRounds(t *testing.T) {
 				exchanges += tr.Exchanges()
 				dials += tr.Dials()
 			}
-			if rounds := int64(len(res.Stats.Rounds)); exchanges != rounds+int64(tc.gathers) || rounds == 0 {
-				t.Errorf("%d exchanges for %d rounds, want one per round and %d closure gathers", exchanges, rounds, tc.gathers)
+			if rounds := int64(len(res.Stats.Rounds)); exchanges != rounds+int64(tc.gathers) || (rounds == 0) != (tc.dials == 0) {
+				t.Errorf("%d exchanges for %d rounds, want one per round and %d closure gathers, and a round exactly when the program dials",
+					exchanges, rounds, tc.gathers)
 			}
 			if dials != int64(tc.dials) {
 				t.Errorf("%d dials, want %d (one per execution)", dials, tc.dials)
@@ -157,9 +163,10 @@ func TestDatalogRecoversWorkerFused(t *testing.T) {
 		}
 		addrs[i] = ln.Addr().String()
 		if i == 1 {
-			// Session 0 is the base rule's execution, session 1 the
-			// maintainer; its bursts are hello, cold round, delta 1, delta 2.
-			victim = &dyingListener{Listener: ln, session: 1, killAt: 3}
+			// Session 0 is the recursive rule's distribution, the one
+			// session the program opens (the base rule costs no round); its
+			// bursts are hello, cold round, delta 1, delta 2.
+			victim = &dyingListener{Listener: ln, session: 0, killAt: 3}
 			ln = victim
 		}
 		go dist.Serve(ctx, ln)
@@ -176,8 +183,8 @@ func TestDatalogRecoversWorkerFused(t *testing.T) {
 	victim.mu.Lock()
 	accepted := victim.accepted
 	victim.mu.Unlock()
-	if accepted != 3 {
-		t.Errorf("worker 1 accepted %d sessions, want 3 (two executions and the replacement)", accepted)
+	if accepted != 2 {
+		t.Errorf("worker 1 accepted %d sessions, want 2 (the one execution and the replacement)", accepted)
 	}
 	if !reflect.DeepEqual(res.Run.Tuples(), ref.Run.Tuples()) {
 		t.Errorf("recovered run has %d answers, fault-free run %d", res.Run.Len(), ref.Run.Len())

@@ -52,7 +52,12 @@ func roundsDigest(res *Result) string {
 // graphs a rule derives facts already known, which the receivers now
 // drop where the coordinator used to, so the servers receive candidates
 // rather than Δ and each stratum runs one more round, the relay that
-// finds nothing new (CHANGES.md has the table).
+// finds nothing new (CHANGES.md has the table). They were re-recorded
+// again when a one-atom rule stopped costing a round: each is the
+// previous record without the base rule's execution (one round) and, for
+// the aggregate over recursion, without the aggregate rule's (one round
+// more) — so the recursive distribution is now the first session a
+// program dials.
 func TestFixpointRecorded(t *testing.T) {
 	const p = 4
 	rng := rand.New(rand.NewPCG(9, 0))
@@ -64,21 +69,21 @@ func TestFixpointRecorded(t *testing.T) {
 		session       int
 		facts, rounds string
 	}{
-		{"closure", tcProgram, 1, "4dc749e43cff6fce", "449d79b345f92848"},
+		{"closure", tcProgram, 0, "4dc749e43cff6fce", "07653fc636d794f4"},
 		{"mutual recursion", `
 			odd(x, y) :- e(x, y).
 			odd(x, z) :- even(x, y), e(y, z).
 			even(x, z) :- odd(x, y), e(y, z).
-			?- odd(x, y).`, 1, "9b8e336afe1a4f4d", "c8421c1ccda15e43"},
+			?- odd(x, y).`, 0, "9b8e336afe1a4f4d", "71d73bd828b6d6ff"},
 		{"aggregate over recursion", `
 			tc(x, y) :- e(x, y).
 			tc(x, z) :- tc(x, y), e(y, z).
 			reaches(x, count(y), max(y)) :- tc(x, y).
-			?- reaches(x, n, m).`, 1, "d4b3313c1de65546", "e2fa035242c5c37a"},
+			?- reaches(x, n, m).`, 0, "d4b3313c1de65546", "07653fc636d794f4"},
 		{"two recursive rules", `
 			tc(x, y) :- e(x, y).
 			tc(x, z) :- tc(x, y), e(y, z).
-			tc(x, z) :- e(x, y), tc(y, z).`, 1, "4dc749e43cff6fce", "9c45cee7251e8244"},
+			tc(x, z) :- e(x, y), tc(y, z).`, 0, "4dc749e43cff6fce", "caf743f857c19ae0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := MustParse(tc.src)

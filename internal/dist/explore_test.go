@@ -317,8 +317,8 @@ func explorations(t *testing.T, p int) []exploration {
 	}
 
 	// Datalog: the closure of a path — eight delta rounds, each a script of
-	// the recursive rule's session-long distribution, behind a base rule
-	// that dials a session of its own.
+	// the recursive rule's session-long distribution, the one session the
+	// program dials (its base rule reads one atom and runs no round).
 	const nodes = 9
 	edges := relation.New("e", "a", "b")
 	var closure []relation.Tuple

@@ -89,8 +89,8 @@ func (r *recordingTransport) RunOn(ctx context.Context, w int, ops []dist.Op) er
 func TestRecoveryArmedCostsNoTraffic(t *testing.T) {
 	const p = 4
 	for _, x := range explorations(t, p) {
-		if x.name == "datalog" || x.name == "resident" || x.lent {
-			continue // two sessions; a round that scatters nothing; a session reset between executions
+		if x.name == "resident" || x.lent {
+			continue // a round that scatters nothing; a session reset between executions
 		}
 		t.Run(x.name, func(t *testing.T) {
 			off, on := &recordingTransport{inner: dist.NewLoopback(p)}, &recordingTransport{inner: dist.NewLoopback(p)}

@@ -10,7 +10,10 @@ package experiments
 // the gap is the whole point. Each cell evaluates transitive closure
 // both ways over the same Zipf-targeted random graph and compares
 // total communication and round counts; the answer sets must agree
-// exactly before any number is reported.
+// exactly before any number is reported. Both sides seed the closure
+// with the edges where they already are, without a round — the
+// semi-naive side because its base rule reads one atom — so every
+// round either side is charged is a join.
 
 import (
 	"fmt"
@@ -35,7 +38,8 @@ type RecursionRow struct {
 	// Iterations is the semi-naive fixpoint iteration count.
 	Iterations int
 	// SemiRounds and SemiBits are the semi-naive run's communication
-	// record (cold hypercube run plus every warm delta batch).
+	// record (cold hypercube run plus every warm delta batch; the base
+	// rule costs none).
 	SemiRounds int
 	SemiBits   int64
 	// NaiveRounds and NaiveBits are the naive fixpoint's record: a

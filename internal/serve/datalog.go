@@ -19,12 +19,13 @@ import (
 // resolveProgram resolves the Datalog kind of POST /query: a request
 // whose program field is set (or whose query text contains ':-'/'?-')
 // is parsed by internal/datalog and evaluated stratum by stratum —
-// rule bodies through the planner, recursive strata semi-naive with the
-// closure kept on the workers and gathered only as far as the reply
-// goes, aggregate heads folded over the gathered answer. A rule body's plan is cached like a query's, under
-// the program, the rule's index, the dataset version, p and ε: the
-// statistics its planner reads — derived predicates included — are a
-// function of those.
+// one-atom rules on the coordinator without a round, other rule bodies
+// through the planner, recursive strata semi-naive with the closure kept
+// on the workers and gathered only as far as the reply goes, aggregate
+// heads folded over the answer. A planned rule body's plan is cached
+// like a query's, under the program, the rule's index, the dataset
+// version, p and ε: the statistics its planner reads — derived
+// predicates included — are a function of those.
 func (s *Server) resolveProgram(req QueryRequest, ten *Tenant) (*job, error) {
 	src := req.Program
 	if src == "" {
@@ -47,8 +48,10 @@ func (s *Server) resolveProgram(req QueryRequest, ten *Tenant) (*job, error) {
 	text := prog.String()
 	return &job{
 		// A program has no single plan to cost, so the booked load is the
-		// dataset cardinality — every EDB tuple is shuffled at least once,
-		// and the recursive deltas ride on top.
+		// dataset cardinality — what one round that reads every EDB
+		// relation would shuffle, with the recursive deltas on top. A
+		// one-atom rule ships nothing, so a program of them alone books
+		// more than it costs.
 		cost: int64(sn.DB.TotalTuples()) + 1,
 		reply: QueryResponse{
 			Dataset: ds.Name,

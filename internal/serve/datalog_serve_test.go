@@ -196,17 +196,17 @@ func TestServeDatalogWorkerPool(t *testing.T) {
 	if got := srv.Metrics().DistributedQueries.Load(); got < 1 {
 		t.Fatalf("DistributedQueries = %d, want ≥ 1", got)
 	}
-	// The program borrowed two sessions (base rule, the recursive rule's
-	// distribution) — the second is the first, parked and reset — so it
-	// dialled at most two, and ran them fused: one acknowledged pool-wide
-	// exchange per model round, and one more for the gather of the
-	// closure, which stays on the workers until the fixpoint is done.
+	// The program borrowed one session, the recursive rule's distribution
+	// (the base rule costs no round), so it dialled one, and ran it fused:
+	// one acknowledged pool-wide exchange per model round, and one more for
+	// the gather of the closure, which stays on the workers until the
+	// fixpoint is done.
 	pool := srv.Pool()
 	dials, ex := pool.Usage().Dials, pool.Usage().Exchanges
-	if dials < 1 || dials > 2 || ex != int64(out.Rounds+1) {
-		t.Fatalf("pool dials = %d, exchanges = %d; want at most 2 and %d (the rounds and the closure's gather)", dials, ex, out.Rounds+1)
+	if dials != 1 || ex != int64(out.Rounds+1) {
+		t.Fatalf("pool dials = %d, exchanges = %d; want 1 and %d (the rounds and the closure's gather)", dials, ex, out.Rounds+1)
 	}
-	// An identical second program finds its sessions parked: it dials
+	// An identical second program finds its session parked: it dials
 	// nothing, and its exchanges are still its rounds and one gather.
 	again, _ := postQuery(t, ts.URL, serve.QueryRequest{
 		Dataset: "graph", Program: tcServeProgram, MaxAnswers: 100000,
@@ -230,11 +230,38 @@ func TestServeDatalogWorkerPool(t *testing.T) {
 	for _, line := range []string{
 		fmt.Sprintf("mpcserve_pool_dials_total %d\n", dials),
 		fmt.Sprintf("mpcserve_pool_exchanges_total %d\n", out.Rounds+again.Rounds+2+q.Rounds),
-		fmt.Sprintf("mpcserve_pool_sessions_reused_total %d\n", 5-dials),
+		fmt.Sprintf("mpcserve_pool_sessions_reused_total %d\n", 3-dials),
 	} {
 		if !strings.Contains(string(text), line) {
 			t.Errorf("/metrics lacks %q", line)
 		}
+	}
+}
+
+// TestServeDatalogOneAtomBorrowsNoSession: a program whose rules each
+// read one atom is answered on the coordinator, where the dataset is, so
+// on a pool-backed server it replies with its facts and zero rounds and
+// borrows no session: the pool neither dials nor lends a parked one.
+func TestServeDatalogOneAtomBorrowsNoSession(t *testing.T) {
+	addrs := startWorkerPool(t, 3)
+	srv, ts := newGraphServer(t, serve.Config{WorkerAddrs: addrs})
+	want := make([][]int, 0, len(graphEdges()))
+	for _, e := range graphEdges() {
+		want = append(want, []int{e[0], e[1]})
+	}
+	sort.Slice(want, func(i, j int) bool {
+		return want[i][0] < want[j][0] || want[i][0] == want[j][0] && want[i][1] < want[j][1]
+	})
+
+	out, _ := postQuery(t, ts.URL, serve.QueryRequest{Dataset: "graph", Program: "out(x,y) :- e(x,y).", MaxAnswers: 100000})
+	if !reflect.DeepEqual(out.Answers, want) {
+		t.Fatalf("copy: got %v, want %v", out.Answers, want)
+	}
+	if out.Rounds != 0 || out.TotalBits != 0 || out.MaxLoadTuples != 0 {
+		t.Errorf("rounds = %d, totalBits = %d, maxLoad = %d; want zeros", out.Rounds, out.TotalBits, out.MaxLoadTuples)
+	}
+	if u := srv.Pool().Usage(); u.Dials != 0 || u.Reused != 0 || u.Exchanges != 0 {
+		t.Errorf("pool usage %+v; want no session borrowed", u)
 	}
 }
 
@@ -256,30 +283,31 @@ func TestServeDatalogRecoversWorker(t *testing.T) {
 	_, ts := newGraphServer(t, serve.Config{WorkerAddrs: addrs[:p], SpareAddrs: addrs[p:]})
 	req := serve.QueryRequest{Dataset: "graph", Program: tcServeProgram, MaxAnswers: 100000}
 
-	// A program run borrows two sessions — the base rule's execution,
-	// then the recursive rule's maintainer — and the second is the first,
-	// parked and reset: connection 0 of every worker carries the hello,
-	// the base rule, a reset, the maintainer and a reset.
+	// A program run borrows one session — the recursive rule's
+	// distribution; the base rule costs no round — and parks it reset:
+	// connection 0 of every worker carries the hello, the distribution
+	// and a reset.
 	ref, _ := postQuery(t, ts.URL, req)
 	if ref.WorkerReplacements != 0 || !reflect.DeepEqual(ref.Answers, closurePairs(graphEdges())) {
 		t.Fatalf("healthy run: %d replacements, %d answers", ref.WorkerReplacements, len(ref.Answers))
 	}
 	conn, accepted := workers[1].conn(0)
 	spans := conn.frames()
-	for deadline := time.Now().Add(10 * time.Second); len(spans[wire.TypeReset]) < 2; spans = conn.frames() {
-		if time.Now().After(deadline) { // the last reset is off the reply's path
-			t.Fatalf("connection 0 read %d resets, want 2", len(spans[wire.TypeReset]))
+	for deadline := time.Now().Add(10 * time.Second); len(spans[wire.TypeReset]) < 1; spans = conn.frames() {
+		if time.Now().After(deadline) { // the reset is off the reply's path
+			t.Fatalf("connection 0 read %d resets, want 1", len(spans[wire.TypeReset]))
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if accepted != 1 || len(spans[wire.TypeHello]) != 1 {
-		t.Fatalf("worker 1 accepted %d connections, the first read %d hellos; want 1 and 1", accepted, len(spans[wire.TypeHello]))
+	if accepted != 1 || len(spans[wire.TypeHello]) != 1 || len(spans[wire.TypeReset]) != 1 {
+		t.Fatalf("worker 1 accepted %d connections, the first read %d hellos and %d resets; want 1, 1 and 1",
+			accepted, len(spans[wire.TypeHello]), len(spans[wire.TypeReset]))
 	}
-	hello, first, last := spans[wire.TypeHello][0], spans[wire.TypeReset][0], spans[wire.TypeReset][1]
-	base, maintainer := first[0]-hello[1], last[0]-first[1]
+	hello, reset := spans[wire.TypeHello][0], spans[wire.TypeReset][0]
+	distribution := reset[0] - hello[1]
 	// The second run is the first again on the same connection, without a
-	// hello: cut its maintainer off halfway.
-	conn.budget.Store(last[1] + base + (last[1] - last[0]) + maintainer/2)
+	// hello: cut its distribution off halfway.
+	conn.budget.Store(reset[1] + distribution/2)
 
 	out, _ := postQuery(t, ts.URL, req)
 	if out.WorkerReplacements != 1 {
@@ -346,17 +374,27 @@ func TestServeDatalogRejections(t *testing.T) {
 }
 
 // TestServeDatalogPlansCached: a program's rule plans are cached like a
-// query's. The closure's one non-recursive rule is a plan-cache miss on
-// the first run and a hit on the second, with the same answers and the
-// same communication record; a delta is a new dataset version, planned
-// afresh; a program that differs is keyed apart.
+// query's. A closure seeded with the two-hop pairs has one planned
+// non-recursive rule, the join through the alias e2 (a one-atom rule
+// needs no plan): a plan-cache miss on the first run and a hit on the
+// second, with the same answers and the same communication record; a
+// delta is a new dataset version, planned afresh; a program that differs
+// is keyed apart.
 func TestServeDatalogPlansCached(t *testing.T) {
 	srv, ts := newGraphServer(t, serve.Config{DefaultP: 4})
 	m := srv.Metrics()
 	lookups := func() [2]int64 { return [2]int64{m.PlanCacheHits.Load(), m.PlanCacheMisses.Load()} }
-	req := serve.QueryRequest{Dataset: "graph", Program: tcServeProgram, MaxAnswers: 100000}
+	req := serve.QueryRequest{Dataset: "graph", MaxAnswers: 100000, Program: `e2(x,y) :- e(x,y).
+two(x,z) :- e(x,y), e2(y,z).
+tc(x,y) :- e(x,y).
+tc(x,y) :- two(x,y).
+tc(x,z) :- tc(x,y), e(y,z).
+?- tc(x,y).`}
 
 	first, _ := postQuery(t, ts.URL, req)
+	if !reflect.DeepEqual(first.Answers, closurePairs(graphEdges())) {
+		t.Fatalf("closure: %d pairs, reference %d", len(first.Answers), len(closurePairs(graphEdges())))
+	}
 	if got := lookups(); got != [2]int64{0, 1} {
 		t.Fatalf("first run: hits, misses = %v; want 0, 1", got)
 	}
@@ -378,7 +416,7 @@ func TestServeDatalogPlansCached(t *testing.T) {
 	if out, _ := postQuery(t, ts.URL, req); lookups() != [2]int64{1, 2} || len(out.Answers) != 12*12 {
 		t.Fatalf("after a delta closing the cycle: hits, misses = %v and %d answers; want 1, 2 and %d", lookups(), len(out.Answers), 12*12)
 	}
-	req.Program = "r(x,y) :- e(x,y)."
+	req.Program = "e2(x,y) :- e(x,y). r(x,z) :- e(x,y), e2(y,z)."
 	postQuery(t, ts.URL, req)
 	if got := lookups(); got != [2]int64{1, 3} {
 		t.Fatalf("another program: hits, misses = %v; want 1, 3", got)

@@ -471,8 +471,8 @@ func assertRoundSpans(t *testing.T, url string, qr QueryResponse, p int) {
 
 // TestDatalogQueryTraced: a served recursive program is traced like a
 // conjunctive query — every round of every execution the program opens
-// (the base rule's, then the recursive rule's cold round and each
-// delta round) leaves a round span with p worker spans, and the span
+// (the recursive rule's cold round and each delta round; the base rule
+// opens none) leaves a round span with p worker spans, and the span
 // loads add up to the reply's totals.
 func TestDatalogQueryTraced(t *testing.T) {
 	const p = 4
