@@ -605,6 +605,97 @@ func BenchmarkWorkerJoinChain(b *testing.B) {
 	b.ReportMetric(float64(answers), "answers")
 }
 
+// BenchmarkWorkerJoinCells times localjoin.EvaluateRuns alone on one
+// worker's cell of each acyclic join the end-to-end workloads run, in ns
+// per answer, over sealed runs whose trie indexes the first join built:
+//
+//   - chain4-round1: chain4_warm's first round, S1(x0,x1) ⋈ S2(x1,x2), the
+//     rows of n = 40 000 matchings whose x1 lands on one of 16 workers —
+//     2 500 a side;
+//   - chain4-round2: its second, V1(x0,x1,x2) ⋈ V2(x2,x3,x4), routed on x2;
+//   - reach-delta: reach_warm's Δ(x,y) ⋈ e(y,z), the pairs 8 edges apart on
+//     625 paths of 16 edges (≈ 350) against the edges (≈ 625), routed on y;
+//   - skew-zipf: skew_warm's R(x,y) ⋈ S(y,z), n = 100 000 with Zipf(1.3)
+//     first columns and R.y a permutation, routed on y: a quarter of R's
+//     rows share one x, whose y-range is intersected with S's whole first
+//     level.
+func BenchmarkWorkerJoinCells(b *testing.B) {
+	const p = 16
+	type cell struct {
+		name string
+		q    *query.Query
+		rels [2][]relation.Tuple
+	}
+	var cells []cell
+	rng := rand.New(rand.NewPCG(56, 56))
+	const n = 40000
+	x := [5][]int{rng.Perm(n), rng.Perm(n), rng.Perm(n), rng.Perm(n), rng.Perm(n)}
+	round1 := cell{name: "chain4-round1", q: query.MustParse("q(x0,x1,x2) = S1(x0,x1), S2(x1,x2)")}
+	round2 := cell{name: "chain4-round2", q: query.MustParse("q(x0,x1,x2,x3,x4) = V1(x0,x1,x2), V2(x2,x3,x4)")}
+	for i := range n {
+		if x[1][i]%p == 0 {
+			round1.rels[0] = append(round1.rels[0], relation.Tuple{x[0][i], x[1][i]})
+			round1.rels[1] = append(round1.rels[1], relation.Tuple{x[1][i], x[2][i]})
+		}
+		if x[2][i]%p == 0 {
+			round2.rels[0] = append(round2.rels[0], relation.Tuple{x[0][i], x[1][i], x[2][i]})
+			round2.rels[1] = append(round2.rels[1], relation.Tuple{x[2][i], x[3][i], x[4][i]})
+		}
+	}
+	cells = append(cells, round1, round2)
+	const paths, edges, apart = 625, 16, 8
+	label := rng.Perm(paths * (edges + 1))
+	reach := cell{name: "reach-delta", q: query.MustParse("q(x,y,z) = D(x,y), e(y,z)")}
+	for path := range paths {
+		v := label[path*(edges+1) : (path+1)*(edges+1)]
+		for i := range edges {
+			if v[i]%p == 0 {
+				reach.rels[1] = append(reach.rels[1], relation.Tuple{v[i] + 1, v[i+1] + 1})
+			}
+			if i+apart <= edges && v[i+apart]%p == 0 {
+				reach.rels[0] = append(reach.rels[0], relation.Tuple{v[i] + 1, v[i+apart] + 1})
+			}
+		}
+	}
+	cells = append(cells, reach)
+	const zn = 100000
+	r := relation.SkewedZipf(rng, "R", []string{"x", "y"}, zn, 1.3)
+	for i, y := range rng.Perm(zn) {
+		r.Tuples[i][1] = y + 1
+	}
+	s := relation.SkewedZipf(rng, "S", []string{"y", "z"}, zn, 1.3)
+	zipf := cell{name: "skew-zipf", q: query.MustParse("q(x,y,z) = R(x,y), S(y,z)")}
+	for j, rel := range []*relation.Relation{r, s} {
+		for _, t := range rel.Tuples {
+			if t[1-j]%p == 0 {
+				zipf.rels[j] = append(zipf.rels[j], t)
+			}
+		}
+	}
+	cells = append(cells, zipf)
+	for _, c := range cells {
+		runs := localjoin.Runs{}
+		for j, a := range c.q.Atoms {
+			runs[a.Name] = []*relation.Run{relation.RunOf(a.Arity(), c.rels[j])}
+		}
+		b.Run(c.name, func(b *testing.B) {
+			out, err := localjoin.EvaluateRuns(c.q, runs)
+			if err != nil || out.Len() == 0 {
+				b.Fatalf("%s: %d answers, %v", c.q, out.Len(), err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := localjoin.EvaluateRuns(c.q, runs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*out.Len()), "ns/answer")
+			b.ReportMetric(float64(out.Len()), "answers")
+		})
+	}
+}
+
 // BenchmarkWorkerJoinWide times one worker's join of V1(a,b,c) and
 // V2(c,d,e), 40 000 rows each — the halves of a matching chain, so 40 000
 // answers — on values below 2¹⁶ (packed: one word an input row) and on the

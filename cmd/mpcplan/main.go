@@ -16,7 +16,9 @@
 // A -query containing ':-' or '?-' is analyzed as a Datalog program
 // (internal/datalog): mpcplan prints its EDB/IDB split, the stratified
 // evaluation order with recursion flags, and the planner's EXPLAIN for
-// every rule body.
+// every rule body of two or more atoms; a one-atom rule, which evaluation
+// answers over its relation's run with no plan and no round, gets one
+// line saying so.
 //
 // Without -eps the planner uses the query's own one-round space
 // exponent 1 − 1/τ*. The -n flag sets the cardinality of the assumed
@@ -99,9 +101,10 @@ func run(queryStr, familyStr, epsStr string, p, n int) error {
 }
 
 // runDatalog analyzes a Datalog program: the canonical rendering, its
-// evaluation structure, and the planner's EXPLAIN for every rule body,
-// in evaluation order, against an assumed matching database of
-// cardinality n.
+// evaluation structure, and, in evaluation order, the planner's EXPLAIN
+// for every rule body of two or more atoms against an assumed matching
+// database of cardinality n — or, for a one-atom body, which
+// datalog.Eval answers on the coordinator without a plan, one line.
 func runDatalog(src string, eps *big.Rat, p, n int) error {
 	prog, err := datalog.Parse(src)
 	if err != nil {
@@ -111,6 +114,10 @@ func runDatalog(src string, eps *big.Rat, p, n int) error {
 	for _, s := range prog.Strata() {
 		for _, ri := range s.Rules {
 			r := &prog.Rules[ri]
+			if len(r.Body) == 1 {
+				fmt.Printf("\nrule: %s\n  no plan: one atom, answered on the coordinator over %s's run, with no round\n", r, r.Body[0].Name)
+				continue
+			}
 			q, err := r.BodyQuery()
 			if err != nil {
 				return err

@@ -98,3 +98,26 @@ func TestTriangleExplainOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestDatalogExplainsPlannedRulesOnly: of the transitive closure, the
+// base rule has one atom, which evaluation answers without a plan, so it
+// gets one line and no EXPLAIN; the recursive rule gets its EXPLAIN.
+func TestDatalogExplainsPlannedRulesOnly(t *testing.T) {
+	out := capture(t, func() error {
+		return run("tc(x,y) :- e(x,y). tc(x,z) :- tc(x,y), e(y,z).", "", "", 64, 10000)
+	})
+	base, recursive, ok := strings.Cut(out, "\nrule: tc(x, z) :- tc(x, y), e(y, z).\n")
+	if !ok {
+		t.Fatalf("no recursive rule in:\n%s", out)
+	}
+	_, base, ok = strings.Cut(base, "\nrule: tc(x, y) :- e(x, y).\n")
+	if !ok {
+		t.Fatalf("no base rule in:\n%s", out)
+	}
+	if base != "  no plan: one atom, answered on the coordinator over e's run, with no round\n" {
+		t.Errorf("base rule: got %q, want its one line", base)
+	}
+	if !strings.HasPrefix(recursive, "EXPLAIN tc(x,y,z) = tc(x,y),e(y,z)\n") {
+		t.Errorf("recursive rule: no EXPLAIN in:\n%s", recursive)
+	}
+}

@@ -53,7 +53,11 @@ func evalBacktracking(q *query.Query, b Bindings) ([]relation.Tuple, error) {
 	}
 	vars := q.Vars()
 	k := len(vars)
-	varOrder := variableOrder(q)
+	order, _ := variableOrder(q, make([]int, 2*k))
+	varOrder := make([]string, k)
+	for d, i := range order {
+		varOrder[d] = vars[i]
+	}
 	binding := make(map[string]int, k)
 	var out []relation.Tuple
 

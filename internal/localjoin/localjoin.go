@@ -232,7 +232,7 @@ func atomRelation(atom query.Atom, tuples []relation.Tuple) (*relation.Relation,
 			return nil, arityError(len(t), atom)
 		}
 	}
-	pos, eq := splitRepeats(atom)
+	pos, eq := splitRepeats(atom, nil)
 	if len(eq) == 0 {
 		// Every tuple passes unchanged, so share the binding's storage
 		// instead of copying row by row (the join operators treat their
@@ -253,46 +253,37 @@ func atomRelation(atom query.Atom, tuples []relation.Tuple) (*relation.Relation,
 	return r, nil
 }
 
-// variableOrder returns variables ordered to keep each prefix
-// connected within its component.
-func variableOrder(q *query.Query) []string {
-	var order []string
-	seen := make(map[string]bool)
-	for _, comp := range q.Components() {
-		// BFS over variables of this component.
-		var queue []string
-		for _, ai := range comp {
-			for _, v := range q.Atoms[ai].Vars {
-				if !seen[v] {
-					seen[v] = true
-					queue = append(queue, v)
-					break
-				}
-			}
-			break
+// variableOrder returns the join's variable order — each prefix
+// connected within its component, the components one after another, each
+// in breadth-first order from its first variable — as indices into
+// q.Vars(), and every variable's depth in that order, by index. They are
+// buf[:k] and buf[k:2k], for k variables; it allocates nothing.
+func variableOrder(q *query.Query, buf []int) (order, depth []int) {
+	k := q.NumVars()
+	order, depth = buf[:0:k], buf[k:2*k]
+	for i := range depth {
+		depth[i] = -1
+	}
+	for start := range k {
+		if depth[start] >= 0 {
+			continue
 		}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			order = append(order, v)
-			for _, ai := range q.AtomsOf(v) {
-				for _, w := range q.Atoms[ai].Vars {
-					if !seen[w] {
-						seen[w] = true
-						queue = append(queue, w)
+		// The order so far is the queue: a variable is placed when it is
+		// first reached, and its atoms' variables are reached from it.
+		depth[start], order = len(order), append(order, start)
+		for head := len(order) - 1; head < len(order); head++ {
+			v := q.Vars()[order[head]]
+			for _, a := range q.Atoms {
+				if !slices.Contains(a.Vars, v) {
+					continue
+				}
+				for _, w := range a.Vars {
+					if i := q.VarIndex(w); depth[i] < 0 {
+						depth[i], order = len(order), append(order, i)
 					}
 				}
 			}
 		}
-		// Pick up any stragglers of the component (shouldn't happen).
-		for _, ai := range comp {
-			for _, v := range q.Atoms[ai].Vars {
-				if !seen[v] {
-					seen[v] = true
-					order = append(order, v)
-				}
-			}
-		}
 	}
-	return order
+	return order, depth
 }

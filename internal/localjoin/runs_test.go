@@ -303,8 +303,13 @@ func TestEvaluateRunsAnswersOwnTheirMemory(t *testing.T) {
 // fuzzQueries are the shapes FuzzEvaluateRuns draws from: word runs at
 // arity 1 (one 64-bit field, sign bit flipped), 2 and 3, in and out of
 // level order, with and without repeats, and chains whose outer variables
-// one atom alone binds (the walk in place). New shapes go at the end, so
-// the seeds keep theirs.
+// one atom alone binds (the row scan, or the walk in place when a row is
+// wider than a word) and whose last ones another does (the tail); a
+// three-atom path, whose middle level is a lookup under a lookup; a star,
+// whose first atom's last level is walked above the second's tail; and a
+// two-atom join under two levels the first atom alone binds, whose seeds
+// repeat its outer value, so a scan meets ranges of many rows. New shapes
+// go at the end, so the seeds keep theirs.
 var fuzzQueries = []string{
 	"q(x,y,z) = A(x,y), B(y,z), C(z,x)",
 	"q(x) = A(x), B(x)",
@@ -313,6 +318,9 @@ var fuzzQueries = []string{
 	"q(x,y) = A(x,y,x), B(y)",
 	"q(a,b,c) = A(a,b), B(b,c)",
 	"q(a,b,c,d,e) = A(a,b,c), B(c,d,e)",
+	"q(a,b,c,d) = A(a,b), B(b,c), C(c,d)",
+	"q(x,y,z) = A(x,y), B(x,z)",
+	"q(x,y,z,u) = A(x,y,z), B(z,u)",
 }
 
 // fuzzRuns deals words to the atoms of q as a foreign peer could put them
@@ -422,6 +430,24 @@ func FuzzEvaluateRuns(f *testing.F) {
 	f.Add(uint8(5), uint8(2), words(1<<32|7, 7<<32|3, 2<<32|7, 7<<32|3, 3<<32|7, 7<<32|4, 1<<32|7, 7<<32|3, 4<<32|8, 9<<32|1, 2<<32|7, 7<<32|4))
 	f.Add(uint8(5), uint8(0), words(1<<32|7, 7<<32|1, 2<<32|7, 7<<32|2, 3<<32|7, 7<<32|3, 4<<32|7, 7<<32|4, 5<<32|8, 8<<32|5, 6<<32|7, 7<<32|6, 0xffffffff<<32|7, 7<<32|0xffffffff))
 	f.Add(uint8(6), uint8(1), words(1<<42|2<<21|7, 7<<42|1<<21|1, 3<<42|4<<21|7, 7<<42|2<<21|2, 5<<42|6<<21|7, 7<<42|3<<21|3, 1<<42|2<<21|9, 8<<42|1<<21|1))
+	// The path, dealt A, B, C, …: C, its tail, holds repeated rows within
+	// a run and across two; two words a row.
+	f.Add(uint8(7), uint8(0), words(1<<32|2, 2<<32|3, 3<<32|4, 5<<32|2, 2<<32|3, 3<<32|4, 1<<32|2, 2<<32|7, 3<<32|4, 6<<32|6, 7<<32|3, 3<<32|9))
+	f.Add(uint8(7), uint8(1), words(1<<32|2, 2<<32|3, 3<<32|4, 1<<32|2, 2<<32|3, 3<<32|4, 1<<32|2, 2<<32|3, 3<<32|4, 8<<32|2, 2<<32|3, 3<<32|5))
+	f.Add(uint8(7), uint8(4), words(s|1, s|2, s|3, s|2, s|3, s|4, s|5, s|2, s|3, s|2, s|3, s|4))
+	// Two words a row, 64-bit fields holding negative values: the star's
+	// x shared below zero, and the chain's tail.
+	f.Add(uint8(8), uint8(4), words(1, 1, 2, 9, 1, s|7, s|5, 1, s|7, s|7, 3, 2))
+	f.Add(uint8(5), uint8(4), words(1, 2, 2, 3, s|1, 2, 2, 3, 7, s, s, 1))
+	// A one-row level whose value the other participant lacks: A's b = 4
+	// and 9 are not in B, 2 is.
+	f.Add(uint8(5), uint8(0), words(1<<32|2, 5<<32|6, 3<<32|4, 2<<32|7, 8<<32|9, 10<<32|1))
+	// Levels where every participant holds one row: a triangle among
+	// decoys whose last levels disagree.
+	f.Add(uint8(0), uint8(0), words(1<<32|2, 2<<32|3, 3<<32|1, 3<<32|4, 4<<32|5, 6<<32|3))
+	// A heavy outer value: x = 1 under most of A's rows, one (x, y) under
+	// two, so the scan bounds ranges of several rows at z.
+	f.Add(uint8(9), uint8(0), words(1<<42|1<<21|1, 1<<32|9, 1<<42|2<<21|2, 3<<32|9, 1<<42|3<<21|3, 4<<32|8, 1<<42|4<<21|4, 5<<32|7, 1<<42|4<<21|5, 6<<32|6, 2<<42|1<<21|1, 2<<32|1))
 	f.Fuzz(func(t *testing.T, shape, split uint8, data []byte) {
 		q := query.MustParse(fuzzQueries[int(shape)%len(fuzzQueries)])
 		var ws []uint64

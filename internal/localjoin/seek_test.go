@@ -42,7 +42,8 @@ func ownTrie(run *relation.Run, directory bool) *trieRel {
 	if !directory {
 		ix.Starts = nil
 	}
-	return newTrie(ix, len(cols))
+	tr := newTrie(ix, make([]trieLevel, len(cols)))
+	return &tr
 }
 
 // TestWordSeekMatchesFieldSeek walks random sorted tries the way the

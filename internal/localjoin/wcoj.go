@@ -3,7 +3,7 @@ package localjoin
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 	"sync"
 
 	"repro/internal/query"
@@ -35,10 +35,28 @@ import (
 // Every seek is a search over contiguous integers, compared as whole
 // words — no per-tuple allocation, no comparator indirection and no field
 // extraction per probe — and one at level 0 looks only inside its
-// target's bucket. A variable that one atom alone binds is not searched at
-// all: that atom's distinct values are read in place, each starting where
-// open bounded the one before. Two ranges that a merge steps through
-// within the leapfrog's bound are merged row by row instead (mergesRows).
+// target's bucket.
+//
+// Not every level is a leapfrog. As in Free Join (Wang, Willsey and Suciu,
+// SIGMOD 2023), the acyclic parts of a join bind by lookups and whole rows
+// rather than by intersecting one value at a time — which is every level of
+// the chain, reach and skew cells and the triangle's last:
+//
+//   - the tail: the last levels, when one atom alone binds them, are that
+//     atom's rows, read in order with repeats skipped (emitRows);
+//   - the row scan: levels one atom alone binds above a level it shares,
+//     in the word of that level, are read a row at a time, so a row the
+//     next one does not extend is the shared level's one candidate
+//     (scanRows);
+//   - the lookup: a level where every participant but one holds a single
+//     row is one seek of that row's value in the other (lookup);
+//   - the walk: any other level one atom alone binds has its distinct
+//     values read in place, each starting where open bounded the one
+//     before;
+//   - the merge: two ranges a merge steps through within the leapfrog's
+//     bound are merged row by row (mergesRows).
+//
+// Every other level is the leapfrog.
 //
 // Answers are appended to a scratch run drawn from a pool, whose memory
 // outlives the join, and kept as one exact-size copy: an answer's memory
@@ -74,10 +92,11 @@ type trieLevel struct {
 }
 
 // splitRepeats sorts atom's positions into first occurrences of a
-// variable and, for every repeated occurrence, the position pair
-// (first occurrence, repeat). A tuple matches the atom only when every
-// pair holds equal values — S(x,x) drops (1,2). Computed once per atom.
-func splitRepeats(atom query.Atom) (first []int, eq [][2]int) {
+// variable, appended to first, and, for every repeated occurrence, the
+// position pair (first occurrence, repeat). A tuple matches the atom only
+// when every pair holds equal values — S(x,x) drops (1,2).
+func splitRepeats(atom query.Atom, first []int) ([]int, [][2]int) {
+	var eq [][2]int
 next:
 	for j, v := range atom.Vars {
 		for f := 0; f < j; f++ {
@@ -91,49 +110,24 @@ next:
 	return first, eq
 }
 
-// newTrieRel builds the trie for one atom from its runs (all of the
-// atom's arity): the run's trie index with the atom's distinct variables
-// as levels in global depth order, rows with inconsistent repeats
-// dropped. Sealed runs are only read, never reordered.
-func newTrieRel(atom query.Atom, runs []*relation.Run, depthOf map[string]int) *trieRel {
-	// pos[d] is the tuple position supplying trie level d: first
-	// occurrences, ordered by global depth.
-	pos, eq := splitRepeats(atom)
-	sort.Slice(pos, func(i, j int) bool { return depthOf[atom.Vars[pos[i]]] < depthOf[atom.Vars[pos[j]]] })
-	// A worker store reads as one run; whoever hands over several has
-	// them merged here.
-	run := runs[0]
-	if len(runs) > 1 {
-		run = relation.Merge(runs)
-	}
-	// The run's trie index in level order — its own words when that is its
-	// column order, else the fields permuted (repeats checked on the words)
-	// and re-sorted — with the level-0 directory: once per sealed run, not
-	// per join.
-	tr := newTrie(run.Index(pos, eq), len(pos))
-	for d, j := range pos {
-		tr.levels[d].depth = depthOf[atom.Vars[j]]
-	}
-	return tr
-}
-
-// newTrie returns the m-level trie over an index: level d reads word
-// d/Fields of a row, at its field's offset there.
-func newTrie(ix relation.TrieIndex, m int) *trieRel {
-	tr := &trieRel{levels: make([]trieLevel, m), mask: ^uint64(0) >> (64 - ix.Width), starts: ix.Starts, base: ix.Base, top: ix.Shift}
+// newTrie returns the trie over an index whose levels are levels: level d
+// reads word d/Fields of a row, at its field's offset there.
+func newTrie(ix relation.TrieIndex, levels []trieLevel) trieRel {
+	tr := trieRel{levels: levels, mask: ^uint64(0) >> (64 - ix.Width), starts: ix.Starts, base: ix.Base, top: ix.Shift}
 	if ix.Width == 64 {
 		tr.flip, tr.lowest = 1<<63, math.MinInt
 	}
-	for d := range tr.levels {
-		l := &tr.levels[d]
+	m := len(levels)
+	for d := range levels {
+		l := &levels[d]
 		w, f := d/ix.Fields, d%ix.Fields
 		fields := min(ix.Fields, m-w*ix.Fields)
-		l.keys, l.shift = ix.Col(w), uint(fields-1-f)*ix.Width
+		*l = trieLevel{keys: ix.Col(w), shift: uint(fields-1-f) * ix.Width}
 		if f > 0 {
 			l.carry = ^uint64(0)
 		}
 	}
-	tr.levels[0].hi = len(ix.Col(0))
+	levels[0].hi = len(ix.Col(0))
 	return tr
 }
 
@@ -271,17 +265,22 @@ type participant struct {
 	d  int // trie level of the variable inside this atom
 }
 
-// EvaluateRuns computes q over sealed runs by leapfrog intersection
-// along the global variable order — walking in place the values of a
-// variable only one atom binds, and merging row by row two ranges a merge
-// steps through within the leapfrog's bound — and returns the answers, in
-// the variable order q.Vars(), deduplicated, as one sealed run whose
-// payload is exactly their size, or nil when there are none. The answers
-// are built in a pooled scratch run and copied out, so the returned run
-// shares no memory with it or with any other call's. A relation without
-// runs is empty. The runs are only read: a trie may alias a run's words,
-// and the same runs can be joined again (or re-sent by a recovery
-// journal) after the call.
+// EvaluateRuns computes q over sealed runs along the global variable
+// order and returns the answers, in the variable order q.Vars(),
+// deduplicated, as one sealed run whose payload is exactly their size, or
+// nil when there are none. The tail and the row scans are chosen once per
+// join, from the variable order: the tail from the first depth from which
+// one atom alone binds every level left, those being its last; a row scan
+// where one atom alone binds depths above one it shares, all in one word
+// of its rows. Every other level is bound by the step its participants'
+// ranges pick when it is reached: with one participant, the walk; with
+// every participant but one holding a single row, the lookup; with two
+// ranges mergesRows accepts, the merge; else the leapfrog. The answers are
+// built in a pooled scratch run and copied out, so the returned run shares
+// no memory with it or with any other call's. A relation without runs is
+// empty. The runs are only read: a trie may alias a run's words, and the
+// same runs can be joined again (or re-sent by a recovery journal) after
+// the call.
 func EvaluateRuns(q *query.Query, runs Runs) (*relation.Run, error) {
 	// Validate every atom before the empty-input shortcut, so an arity
 	// mismatch is reported whatever the other atoms hold.
@@ -299,136 +298,352 @@ func EvaluateRuns(q *query.Query, runs Runs) (*relation.Run, error) {
 	if empty {
 		return nil, nil
 	}
-
-	varOrder := variableOrder(q)
-	k := len(varOrder)
-	depthOf := make(map[string]int, k)
-	for d, v := range varOrder {
-		depthOf[v] = d
+	var j join
+	j.plan(q, runs)
+	j.out = scratch.Get().(*relation.Run)
+	j.out.Reset(len(j.row))
+	j.bind(0)
+	var answers *relation.Run
+	if j.out.Len() > 0 {
+		answers = j.out.Clone().Dedup()
 	}
-	parts := make([][]participant, k)
+	scratch.Put(j.out)
+	return answers, nil
+}
+
+// join is one evaluation: the atoms' tries, the participants of every
+// depth, and the answer being bound.
+type join struct {
+	parts []participant  // every trie level, grouped by the depth it binds
+	at    []int          // parts[at[g]:at[g+1]] bind depth g
+	row   relation.Tuple // the answer being bound, in q.Vars() order
+	rowOf []int          // rowOf[g] is depth g's variable's position in row
+	scan  []int          // scan[g] > g: scanRows binds depths g to scan[g]−1; 0 elsewhere
+	tail  int            // the first depth of emitRows: k when the last depth has several participants
+	out   *relation.Run  // the scratch the answers are appended to
+}
+
+// plan sets j up to join q over runs: the variable order, one trie per
+// atom — its run's trie index with the atom's distinct variables as
+// levels in depth order, rows with inconsistent repeats dropped — the
+// participants of every depth, the tail and the row scans. Whatever is
+// indexed by a variable or a depth shares one allocation, the tries
+// another, their levels and the participants one each: a join's set-up
+// builds no map and sorts with no closure.
+func (j *join) plan(q *query.Query, runs Runs) {
+	k, arity := q.NumVars(), 0
 	for _, a := range q.Atoms {
-		tr := newTrieRel(a, runs[a.Name], depthOf)
-		for d, l := range tr.levels {
-			parts[l.depth] = append(parts[l.depth], participant{tr: tr, d: d})
+		arity = max(arity, a.Arity())
+	}
+	ints := make([]int, 5*k+1+arity)
+	order, depth := variableOrder(q, ints[:2*k])
+	j.rowOf, j.row, j.scan, j.at = order, ints[2*k:3*k], ints[3*k:4*k], ints[4*k:5*k+1]
+	pos := ints[5*k+1:]
+	tries := make([]trieRel, len(q.Atoms))
+	levels := make([]trieLevel, q.TotalArity())
+	depthOf := func(a query.Atom, p int) int { return depth[q.VarIndex(a.Vars[p])] }
+	n := 0
+	for ai, a := range q.Atoms {
+		// The positions supplying the levels: first occurrences, ordered
+		// by depth.
+		first, eq := splitRepeats(a, pos[:0])
+		for i := 1; i < len(first); i++ {
+			for m := i; m > 0 && depthOf(a, first[m]) < depthOf(a, first[m-1]); m-- {
+				first[m], first[m-1] = first[m-1], first[m]
+			}
+		}
+		// A worker store reads as one run; whoever hands over several has
+		// them merged here.
+		rs := runs[a.Name]
+		run := rs[0]
+		if len(rs) > 1 {
+			run = relation.Merge(rs)
+		}
+		// The run's trie index in level order — its own words when that is
+		// its column order, else the fields permuted (repeats checked on
+		// the words) and re-sorted — with the level-0 directory: once per
+		// sealed run, not per join.
+		m := len(first)
+		tries[ai] = newTrie(run.Index(first, eq), levels[n:n+m:n+m])
+		for d, p := range first {
+			g := depthOf(a, p)
+			levels[n+d].depth = g
+			j.at[g+1]++
+		}
+		n += m
+	}
+	// The participants in depth order, atom order within a depth: count,
+	// place, and shift the ends back to starts.
+	for g := range k {
+		j.at[g+1] += j.at[g]
+	}
+	j.parts = make([]participant, n)
+	for ai := range tries {
+		tr := &tries[ai]
+		for d := range tr.levels {
+			g := tr.levels[d].depth
+			j.parts[j.at[g]] = participant{tr: tr, d: d}
+			j.at[g]++
 		}
 	}
-
-	// outCol[i] is the global depth of q.Vars()[i].
-	outCol := make([]int, q.NumVars())
-	for i, v := range q.Vars() {
-		outCol[i] = depthOf[v]
+	copy(j.at[1:], j.at[:k])
+	j.at[0] = 0
+	// The tail: the longest run of last depths that one trie alone binds.
+	// Its levels there are consecutive and its last.
+	j.tail = k
+	for g := k - 1; g >= 0 && j.at[g+1]-j.at[g] == 1; g-- {
+		if g < k-1 && j.parts[j.at[g]].tr != j.parts[j.at[g+1]].tr {
+			break
+		}
+		j.tail = g
 	}
+	// The row scans: depths g to h−1 that one trie alone binds, above a
+	// depth h it shares, every level of them in the word of its level at h.
+	for g := range j.tail {
+		if j.at[g+1]-j.at[g] != 1 {
+			continue
+		}
+		p := j.parts[j.at[g]]
+		h := g + 1
+		for h < k && j.at[h+1]-j.at[h] == 1 && j.parts[j.at[h]].tr == p.tr {
+			h++
+		}
+		e := p.d + h - g
+		if e == len(p.tr.levels) || p.tr.levels[e].depth != h {
+			continue
+		}
+		oneWord := true
+		for _, l := range p.tr.levels[p.d+1 : e+1] {
+			oneWord = oneWord && l.carry != 0
+		}
+		if oneWord {
+			j.scan[g] = h
+		}
+	}
+}
 
-	binding := make([]int, k)
-	row := make(relation.Tuple, len(outCol))
-	out := scratch.Get().(*relation.Run)
-	out.Reset(len(outCol))
-	var rec func(g int)
-	rec = func(g int) {
-		if g == k {
-			for i, c := range outCol {
-				row[i] = binding[c]
-			}
-			out.Append(row)
-			return
+// bind binds depth g, and under each of its values every deeper one,
+// appending an answer for every complete binding.
+func (j *join) bind(g int) {
+	if g == j.tail {
+		j.emitRows(g)
+		return
+	}
+	if h := j.scan[g]; h > 0 {
+		j.scanRows(g, h)
+		return
+	}
+	ps := j.parts[j.at[g]:j.at[g+1]]
+	slot := &j.row[j.rowOf[g]]
+	if p := ps[0]; len(ps) == 1 {
+		// One atom alone binds the variable, and neither the tail nor a
+		// row scan covers it: there is nothing to intersect, so its
+		// distinct values are read in place, each starting where the last
+		// one's rows end. A one-participant leapfrog finds the same values,
+		// but its per-value bookkeeping cost the chain's join about a
+		// quarter more time when the walk replaced it.
+		tr, l := p.tr, &p.tr.levels[p.d]
+		for i := l.lo; i < l.hi; i = tr.next(p.d) {
+			l.cur = i
+			v := tr.value(l, l.keys[i])
+			tr.open(p.d, v)
+			*slot = v
+			j.bind(g + 1)
 		}
-		ps := parts[g]
-		if p := ps[0]; len(ps) == 1 {
-			// One atom alone binds the variable: there is nothing to
-			// intersect, so its distinct values are read in place, each
-			// starting where the last one's rows end. A one-participant
-			// leapfrog finds the same values, but its per-value bookkeeping
-			// costs BenchmarkWorkerJoinChain about a quarter more time.
-			tr, l := p.tr, &p.tr.levels[p.d]
-			for i := l.lo; i < l.hi; i = tr.next(p.d) {
-				l.cur = i
-				v := tr.value(l, l.keys[i])
-				tr.open(p.d, v)
-				binding[g] = v
-				rec(g + 1)
-			}
-			return
-		}
-		if len(ps) == 2 && mergesRows(g, ps[0], ps[1]) {
-			// Merge: the lesser value steps one row, and an equal pair is
-			// opened, bound, and stepped past.
-			p, q := ps[0], ps[1]
-			a, b := p.tr, q.tr
-			la, lb := &a.levels[p.d], &b.levels[q.d]
-			ka, kb := la.keys[:la.hi], lb.keys[:lb.hi]
-			sa, sb := la.shift&63, lb.shift&63
-			for i, j := la.lo, lb.lo; i < len(ka) && j < len(kb); {
-				x, y := int(ka[i]>>sa&a.mask^a.flip), int(kb[j]>>sb&b.mask^b.flip)
-				if x == y {
-					la.cur, lb.cur = i, j
-					a.open(p.d, x)
-					b.open(q.d, x)
-					binding[g] = x
-					rec(g + 1)
-					if x == math.MaxInt {
-						return
-					}
-					i, j = a.next(p.d), b.next(q.d)
-					continue
-				}
-				step := 0 // 1 when x < y: branch-free, as x < y is a coin toss
-				if x < y {
-					step = 1
-				}
-				i += step
-				j += 1 - step
-			}
-			return
-		}
-		// Leapfrog: cycle through the participants, raising the target
-		// value to each one's next feasible value until all agree.
-		for _, p := range ps {
-			p.tr.reset(p.d)
-		}
-		v := math.MinInt
-		i, agree := 0, 0
-		for {
-			val, ok := ps[i].tr.seek(ps[i].d, v)
-			if !ok {
-				return
-			}
-			if val == v {
-				agree++
-			} else {
-				v, agree = val, 1
-			}
-			if agree == len(ps) {
-				for _, p := range ps {
-					p.tr.open(p.d, v)
-				}
-				binding[g] = v
-				rec(g + 1)
-				if v == math.MaxInt {
+		return
+	}
+	if j.lookup(g, ps) {
+		return
+	}
+	if len(ps) == 2 && mergesRows(g, ps[0], ps[1]) {
+		// Merge: the lesser value steps one row, and an equal pair is
+		// opened, bound, and stepped past.
+		p, q := ps[0], ps[1]
+		a, b := p.tr, q.tr
+		la, lb := &a.levels[p.d], &b.levels[q.d]
+		ka, kb := la.keys[:la.hi], lb.keys[:lb.hi]
+		sa, sb := la.shift&63, lb.shift&63
+		for i, k := la.lo, lb.lo; i < len(ka) && k < len(kb); {
+			x, y := int(ka[i]>>sa&a.mask^a.flip), int(kb[k]>>sb&b.mask^b.flip)
+			if x == y {
+				la.cur, lb.cur = i, k
+				a.open(p.d, x)
+				b.open(q.d, x)
+				*slot = x
+				j.bind(g + 1)
+				if x == math.MaxInt {
 					return
 				}
-				// open bounded v's rows: the next seek starts past them
-				// instead of galloping over them again.
-				for _, p := range ps {
-					if p.d+1 < len(p.tr.levels) {
-						p.tr.levels[p.d].cur = p.tr.levels[p.d+1].hi
-					}
+				i, k = a.next(p.d), b.next(q.d)
+				continue
+			}
+			step := 0 // 1 when x < y: branch-free, as x < y is a coin toss
+			if x < y {
+				step = 1
+			}
+			i += step
+			k += 1 - step
+		}
+		return
+	}
+	// Leapfrog: cycle through the participants, raising the target
+	// value to each one's next feasible value until all agree.
+	for _, p := range ps {
+		p.tr.reset(p.d)
+	}
+	v := math.MinInt
+	i, agree := 0, 0
+	for {
+		val, ok := ps[i].tr.seek(ps[i].d, v)
+		if !ok {
+			return
+		}
+		if val == v {
+			agree++
+		} else {
+			v, agree = val, 1
+		}
+		if agree == len(ps) {
+			for _, p := range ps {
+				p.tr.open(p.d, v)
+			}
+			*slot = v
+			j.bind(g + 1)
+			if v == math.MaxInt {
+				return
+			}
+			// open bounded v's rows: the next seek starts past them
+			// instead of galloping over them again.
+			for _, p := range ps {
+				if p.d+1 < len(p.tr.levels) {
+					p.tr.levels[p.d].cur = p.tr.levels[p.d+1].hi
 				}
-				v, agree = v+1, 0
 			}
-			i++
-			if i == len(ps) {
-				i = 0
-			}
+			v, agree = v+1, 0
+		}
+		i++
+		if i == len(ps) {
+			i = 0
 		}
 	}
-	rec(0)
-	var answers *relation.Run
-	if out.Len() > 0 {
-		answers = out.Clone().Dedup()
+}
+
+// scanRows binds depths g to h−1, which one atom alone binds, above depth
+// h, which it shares, its levels there lying in one word. It reads the
+// atom's rows in order: a row whose fields on those levels the next row
+// does not repeat holds depth h's one value for them, so it is bound and
+// its range at h is that row alone, which the participants at h look up.
+// Rows that do repeat them are one range at h, bounded as open bounds it,
+// and intersected there as under a walk — so a value a heavy prefix
+// offers many of is not sought row by row.
+func (j *join) scanRows(g, h int) {
+	p := j.parts[j.at[g]]
+	tr, lv := p.tr, p.tr.levels[p.d:p.d+h-g+1]
+	shared := &lv[h-g]
+	keys := lv[0].keys[:lv[0].hi]
+	// A row's fields on the scanned levels are its word above shared's
+	// field, below 64 bits as the first scanned level lies above it.
+	above := (shared.shift + uint(bits.Len64(tr.mask))) & 63
+	for i := lv[0].lo; i < len(keys); {
+		key := keys[i]
+		end := i + 1
+		if prefix := key >> above; end < len(keys) && keys[end]>>above == prefix {
+			end = len(keys)
+			if prefix < ^uint64(0)>>above {
+				end = boundWords(keys, i, len(keys), (prefix+1)<<above)
+			}
+		}
+		for t := range lv[:h-g] {
+			j.row[j.rowOf[g+t]] = tr.value(&lv[t], key)
+		}
+		shared.lo, shared.hi, shared.pre = i, end, key>>above<<above
+		j.bind(h)
+		i = end
 	}
-	scratch.Put(out)
-	return answers, nil
+}
+
+// lookup binds depth g when every participant but one holds a single row:
+// that row's value is the level's only candidate, sought once in the
+// other participant's range — at level 0 through its directory — with no
+// leapfrog cycle, and compared when every participant holds one row. It
+// reports whether the level was of that shape.
+func (j *join) lookup(g int, ps []participant) bool {
+	other := -1
+	for i, p := range ps {
+		if p.size() != 1 {
+			if other >= 0 {
+				return false
+			}
+			other = i
+		}
+	}
+	one := ps[0]
+	if other == 0 {
+		one = ps[1]
+	}
+	l := &one.tr.levels[one.d]
+	v := one.tr.value(l, l.keys[l.lo])
+	for i, p := range ps {
+		if i == other {
+			continue
+		}
+		l := &p.tr.levels[p.d]
+		if l.cur = l.lo; p.tr.value(l, l.keys[l.lo]) != v {
+			return true
+		}
+	}
+	if other >= 0 {
+		p := ps[other]
+		p.tr.reset(p.d)
+		if w, ok := p.tr.seek(p.d, v); !ok || w != v {
+			return true
+		}
+	}
+	for _, p := range ps {
+		p.tr.open(p.d, v)
+	}
+	j.row[j.rowOf[g]] = v
+	j.bind(g + 1)
+	return true
+}
+
+// emitRows binds the join's tail, depths g to k−1, which one atom alone
+// binds as its last levels: every distinct row of that atom's range is one
+// answer, whose values at those depths are the row's fields, so the rows
+// are read in order and a row equal to the one before it — in every word
+// from the tail's first level's on, as the range shares the rest — is
+// skipped. With no depth left (g = k) it appends the bound answer.
+func (j *join) emitRows(g int) {
+	if g == len(j.row) {
+		j.out.Append(j.row)
+		return
+	}
+	p := j.parts[j.at[g]]
+	tr, lv, rowOf := p.tr, p.tr.levels[p.d:], j.rowOf[g:]
+	lo, hi := lv[0].lo, lv[0].hi
+	for i := lo; i < hi; i++ {
+		if i > lo && repeats(lv, i) {
+			continue
+		}
+		for t := range lv {
+			l := &lv[t]
+			j.row[rowOf[t]] = tr.value(l, l.keys[i])
+		}
+		j.out.Append(j.row)
+	}
+}
+
+// repeats reports whether row i repeats row i−1 on levels lv, a trie's
+// last levels, given both rows agree on every level above them: whether
+// the words lv's fields lie in, from the first level's to the last, are
+// equal.
+func repeats(lv []trieLevel, i int) bool {
+	for t := range lv {
+		if l := &lv[t]; (t == 0 || l.carry == 0) && l.keys[i] != l.keys[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // mergesRows reports whether the two participants of depth g are merged
