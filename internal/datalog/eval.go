@@ -38,10 +38,10 @@ type Options struct {
 	// in-process loopback pools.
 	Dial func(p int) (dist.Transport, error)
 	// Plan returns the plan of the program's rule i (its index in
-	// Program.Rules), calling build — which plans the rule over this
-	// evaluation's statistics — when it has none; nil plans every rule
-	// afresh. What build returns is a function of the program, the
-	// database and P, Epsilon and CapConstant, so a service can keep a
+	// Program.Rules), calling build — which plans the body over the
+	// relations it reads, as POST /query would — when it has none; nil
+	// plans every rule afresh. What build returns is a function of the
+	// program, the database and P, Epsilon and CapConstant, so a service can keep a
 	// program's plans the way it keeps a query's.
 	Plan func(rule int, build func() (*plan.Plan, error)) (*plan.Plan, error)
 	// Context bounds distributed executions; nil selects
@@ -100,7 +100,9 @@ type Result struct {
 // is answered by the coordinator over the relation the working database
 // already holds, as an input server computes on its own data before the
 // first round: no plan, no dial, no round. Every other rule body is
-// planned and executed as a conjunctive query through internal/plan;
+// planned, executed and capped as the conjunctive query it is, over the
+// relations it reads alone (relation.Database.Bind) — as POST /query
+// would run it;
 // recursive strata run a semi-naive fixpoint, seeded with the base
 // rules' facts, whose state lives on the workers: each recursive rule
 // holds a warm grid distribution, and every delta iteration relays what
@@ -132,7 +134,6 @@ func Eval(prog *Program, db *relation.Database, opts Options) (*Result, error) {
 	e := &evaluator{
 		prog: prog, opts: opts,
 		facts: make(map[string]*relation.Run),
-		stats: make(map[string]*relation.RelationStats),
 		sum:   dist.Outcome{Stats: &mpc.Stats{}},
 	}
 	// The working database: shared EDB relations plus the IDB
@@ -189,10 +190,6 @@ type evaluator struct {
 	wdb  *relation.Database
 	// facts maps IDB pred → its fact set, one sealed run.
 	facts map[string]*relation.Run
-	// stats memoizes the column statistics of the working database's
-	// relations for this evaluation; install drops a replaced
-	// relation's entry.
-	stats map[string]*relation.RelationStats
 
 	iterations int
 	// count is the output predicate's fact count.
@@ -275,30 +272,6 @@ func project(r *Rule, q *query.Query, answer *relation.Run) *relation.Run {
 	return relation.Project(answer, pos)
 }
 
-// catalog returns the planner statistics for one rule body: full
-// column statistics for the body's relations, collected once per
-// relation and evaluation, and cardinalities alone for the rest of the
-// working database — the planner reads distributions only for the
-// query's atoms, but its budget and heavy-hitter threshold are
-// fractions of the database-wide tuple count.
-func (e *evaluator) catalog(r *Rule) *relation.Stats {
-	cat := &relation.Stats{Relations: make(map[string]*relation.RelationStats, len(e.wdb.Relations))}
-	for name, rel := range e.wdb.Relations {
-		cat.Relations[name] = &relation.RelationStats{Name: name, Count: rel.Size(), Attrs: rel.Attrs}
-	}
-	for _, a := range r.Body {
-		rs := e.stats[a.Name]
-		if rel, ok := e.wdb.Relation(a.Name); ok && rs == nil {
-			rs = relation.CollectRelationStats(rel)
-			e.stats[a.Name] = rs
-		}
-		if rs != nil {
-			cat.Relations[a.Name] = rs
-		}
-	}
-	return cat
-}
-
 // record accumulates one execution's outcome.
 func (e *evaluator) record(o dist.Outcome) {
 	e.sum.Stats.Rounds = append(e.sum.Stats.Rounds, o.Stats.Rounds...)
@@ -320,13 +293,21 @@ func (e *evaluator) evalRule(ri int) (*relation.Run, int, error) {
 		}
 		return facts, 0, nil
 	}
+	// Planned, run and capped over the relations it reads alone.
+	q, err := r.BodyQuery()
+	var view *relation.Database
+	if err == nil {
+		view, err = e.wdb.Bind(q)
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("datalog: rule for %s: %w", r.Head.Pred, err)
+	}
 	build := func() (*plan.Plan, error) {
-		return r.Plan(e.catalog(r), plan.Options{
+		return r.Plan(view.Stats(), plan.Options{
 			P: e.opts.P, Epsilon: e.opts.Epsilon, CapFactor: e.opts.CapConstant,
 		})
 	}
 	var pl *plan.Plan
-	var err error
 	if e.opts.Plan != nil {
 		pl, err = e.opts.Plan(ri, build)
 	} else {
@@ -339,7 +320,7 @@ func (e *evaluator) evalRule(ri int) (*relation.Run, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	res, err := pl.ExecuteRun(e.wdb, opts)
+	res, err := pl.ExecuteRun(view, opts)
 	if opts.Transport != nil {
 		opts.Transport.Close()
 	}
@@ -387,7 +368,6 @@ func identity(n int) []int {
 // database and the result.
 func (e *evaluator) install(pred string, run *relation.Run) {
 	e.facts[pred] = run
-	delete(e.stats, pred)
 	e.wdb.AddRelation(relation.FromRun(pred, e.prog.Schema(pred), run))
 }
 
@@ -498,6 +478,10 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 			}
 			epsF = cr.SpaceExponentFloat()
 		}
+		view, err := e.wdb.Bind(q)
+		if err != nil {
+			return fmt.Errorf("datalog: rule for %s: %w", r.Head.Pred, err)
+		}
 		// Nothing that can fail without the network sits between the dial
 		// and the distribution that takes ownership of the session.
 		opts, err := e.execution()
@@ -505,7 +489,7 @@ func (e *evaluator) evalRecursive(s Stratum) error {
 			return err
 		}
 		opts.Epsilon = epsF
-		d, err := hypercube.Hold(q, e.wdb, e.opts.P, opts)
+		d, err := hypercube.Hold(q, view, e.opts.P, opts)
 		if err != nil {
 			if opts.Transport != nil {
 				opts.Transport.Close()

@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"context"
+	"math/big"
 	"math/rand/v2"
 	"net"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/dist/disttest"
+	"repro/internal/plan"
 	"repro/internal/relation"
 )
 
@@ -456,49 +458,110 @@ func TestEvalErrors(t *testing.T) {
 	}
 }
 
-// TestCatalogCollectsBodyRelationsOnce: the planner catalog of a rule
-// carries full column statistics for the body's relations — the same
-// object on every call until install replaces the relation — and
-// cardinalities alone for the rest of the working database, so
-// database-wide totals match a full collection.
-func TestCatalogCollectsBodyRelationsOnce(t *testing.T) {
+// TestRuleCatalogIsItsRelations: a rule body is planned over the
+// catalog of the view it reads — its own relations' summaries, each
+// collected once and shared with the working database, and collected
+// afresh for a relation install replaces — and nothing else the working
+// database holds.
+func TestRuleCatalogIsItsRelations(t *testing.T) {
 	prog := MustParse(`
 		a(x, y) :- e(x, y).
 		b(x, y) :- f(x, y), a(y, x).
 	`)
-	e := &evaluator{
-		prog: prog, wdb: relation.NewDatabase(9),
-		facts: map[string]*relation.Run{}, stats: map[string]*relation.RelationStats{},
-	}
+	e := &evaluator{prog: prog, wdb: relation.NewDatabase(9), facts: map[string]*relation.Run{}}
 	for _, name := range []string{"e", "f"} {
 		r := relation.New(name, "u", "v")
 		r.Tuples = []relation.Tuple{{1, 2}, {1, 3}, {4, 2}}
 		e.wdb.AddRelation(r)
 	}
+	catalog := func(ri int) *relation.Stats {
+		q, err := prog.Rules[ri].BodyQuery()
+		if err != nil {
+			t.Fatal(err)
+		}
+		view, err := e.wdb.Bind(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return view.Stats()
+	}
 	full := relation.CollectStats(e.wdb)
-	ruleA := &prog.Rules[0]
-	cat := e.catalog(ruleA)
-	if !reflect.DeepEqual(cat.Relation("e"), full.Relation("e")) {
-		t.Errorf("body relation stats = %+v, want %+v", cat.Relation("e"), full.Relation("e"))
+	cat := catalog(0)
+	if !reflect.DeepEqual(cat.Relation("e"), full.Relation("e")) || len(cat.Relations) != 1 {
+		t.Errorf("rule a's catalog = %+v, want e's summary alone, %+v", cat.Relations, full.Relation("e"))
 	}
-	if f := cat.Relation("f"); f == nil || f.Count != 3 || f.Cols != nil {
-		t.Errorf("non-body relation = %+v, want a count-only entry", f)
-	}
-	if cat.TotalTuples() != full.TotalTuples() {
-		t.Errorf("total tuples %d, full collection %d", cat.TotalTuples(), full.TotalTuples())
-	}
-	if again := e.catalog(ruleA); again.Relation("e") != cat.Relation("e") {
-		t.Error("body relation statistics were collected twice")
+	if catalog(0).Relation("e") != cat.Relation("e") || e.wdb.Stats().Relation("e") != cat.Relation("e") {
+		t.Error("e's summary was collected twice")
 	}
 	e.install("a", relation.RunOf(2, []relation.Tuple{{7, 7}}))
-	ruleB := &prog.Rules[1]
-	first := e.catalog(ruleB).Relation("a")
+	first := catalog(1).Relation("a")
 	e.install("a", relation.RunOf(2, []relation.Tuple{{7, 7}, {8, 8}}))
-	if after := e.catalog(ruleB).Relation("a"); after == first || after.Count != 2 || len(after.Cols) != 2 {
+	if after := catalog(1).Relation("a"); after == first || after.Count != 2 || len(after.Cols) != 2 {
 		t.Errorf("statistics of a replaced relation not recollected: %+v", after)
 	}
-	if after := e.catalog(ruleA).Relation("e"); after != cat.Relation("e") {
+	if after := catalog(0).Relation("e"); after != cat.Relation("e") {
 		t.Errorf("an untouched relation was recollected: %+v", after)
+	}
+}
+
+// TestRuleBodyPlannedOverItsRelations: L4 over four 2,000-tuple
+// matchings at p = 16, ε = 0 gets the budget and engine plan.Build gives
+// the body on its own four relations — 2·8000/16 = 1,000 tuples, the
+// two-round multiround plan — whatever other rule and relation the
+// program holds. A rule beside it that reads a 20,000-tuple relation
+// and derives ~20,000 facts before it neither raises its budget nor
+// moves it to one round.
+func TestRuleBodyPlannedOverItsRelations(t *testing.T) {
+	const n = 2000
+	rng := rand.New(rand.NewPCG(57, 57))
+	db := relation.NewDatabase(n)
+	for _, name := range []string{"s1", "s2", "s3", "s4"} {
+		db.AddRelation(relation.Matching(rng, name, []string{"u", "v"}, n))
+	}
+	other := relation.New("big", "u", "v")
+	for range 10 * n {
+		other.Tuples = append(other.Tuples, relation.Tuple{rng.IntN(n) + 1, rng.IntN(n) + 1})
+	}
+	db.AddRelation(other)
+	const l4 = "l4(a, b, c, d, e) :- s1(a, b), s2(b, c), s3(c, d), s4(d, e)."
+	want := func() *plan.Plan {
+		q, err := MustParse(l4).Rules[0].BodyQuery()
+		if err != nil {
+			t.Fatal(err)
+		}
+		view, err := db.Bind(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := plan.Build(q, relation.CollectStats(view), plan.Options{P: 16, Epsilon: new(big.Rat)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pl
+	}()
+	if want.BudgetLoad != 1000 || want.Engine != plan.MultiRound {
+		t.Fatalf("L4 alone plans budget %.0f on %s, want 1000 on the multiround plan", want.BudgetLoad, want.Engine)
+	}
+	for _, src := range []string{l4, "other(x, y) :- big(x, y), s1(y, z).\n" + l4 + "\n?- l4(a, b, c, d, e)."} {
+		prog := MustParse(src)
+		var got *plan.Plan
+		opts := Options{P: 16, Epsilon: new(big.Rat), Seed: 3}
+		opts.Plan = func(rule int, build func() (*plan.Plan, error)) (*plan.Plan, error) {
+			pl, err := build()
+			if err == nil && prog.Rules[rule].Head.Pred == "l4" {
+				got = pl
+			}
+			return pl, err
+		}
+		if _, err := Eval(prog, db, opts); err != nil {
+			t.Fatal(err)
+		}
+		if got == nil {
+			t.Fatalf("%d rules: L4 was not planned", len(prog.Rules))
+		}
+		if got.BudgetLoad != want.BudgetLoad || got.Engine != want.Engine || got.Cost != want.Cost {
+			t.Errorf("%d rules: L4 planned budget %.0f on %s, want %.0f on %s", len(prog.Rules), got.BudgetLoad, got.Engine, want.BudgetLoad, want.Engine)
+		}
 	}
 }
 

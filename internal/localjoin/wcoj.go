@@ -305,7 +305,8 @@ func EvaluateRuns(q *query.Query, runs Runs) (*relation.Run, error) {
 	j.bind(0)
 	var answers *relation.Run
 	if j.out.Len() > 0 {
-		answers = j.out.Clone().Dedup()
+		answers = j.out.Clone() // each answer is bound once: Seal only sorts
+		answers.Seal()
 	}
 	scratch.Put(j.out)
 	return answers, nil

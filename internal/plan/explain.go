@@ -57,7 +57,7 @@ func (p *Plan) Explain() string {
 	fmt.Fprintf(&sb, "  ε-budget c·N/p^{1−ε} @ ε=%s: %.0f tuples/worker — one round %s\n",
 		p.Epsilon.RatString(), p.BudgetLoad, verdict)
 	fmt.Fprintf(&sb, "  predicted communication: %d tuple copies (%.2f× input)\n",
-		p.OneRoundCost.CommTuples, float64(p.OneRoundCost.CommTuples)/math.Max(1, float64(p.Stats.TotalTuples())))
+		p.OneRoundCost.CommTuples, float64(p.OneRoundCost.CommTuples)/math.Max(1, float64(p.input)))
 
 	// Alternatives considered.
 	if p.MultiCost != nil {

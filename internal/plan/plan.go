@@ -220,6 +220,7 @@ type Plan struct {
 	AggVars []string
 
 	capFactor    float64
+	input        int  // Σ_j |S_j| over Query's relations
 	manualShares bool // set by WithShares: Shares no longer follow the LP
 	// skewJoinLoad is the routing's predicted load, the skew engine's cost.
 	skewJoinLoad float64
@@ -250,7 +251,7 @@ func (p *Plan) WithAggregate(spec relation.GroupSpec) (*Plan, error) {
 
 // Build plans q over the given statistics. Every atom of q must have a
 // stats entry (collect them with relation.CollectStats, or synthesize
-// matching-shaped ones with MatchingStats).
+// matching-shaped ones with MatchingStats); other entries are ignored.
 func Build(q *query.Query, stats *relation.Stats, opts Options) (*Plan, error) {
 	if opts.P < 1 {
 		return nil, fmt.Errorf("plan: p = %d", opts.P)
@@ -258,10 +259,13 @@ func Build(q *query.Query, stats *relation.Stats, opts Options) (*Plan, error) {
 	if stats == nil {
 		return nil, fmt.Errorf("plan: nil stats (use relation.CollectStats or plan.MatchingStats)")
 	}
+	input := 0 // Σ_j |S_j| over q's relations: the budget's N
 	for _, a := range q.Atoms {
-		if stats.Relation(a.Name) == nil {
+		rs := stats.Relation(a.Name)
+		if rs == nil {
 			return nil, fmt.Errorf("plan: no statistics for relation %s", a.Name)
 		}
+		input += rs.Count
 	}
 	cr, err := cover.Solve(q)
 	if err != nil {
@@ -288,6 +292,7 @@ func Build(q *query.Query, stats *relation.Stats, opts Options) (*Plan, error) {
 		ShareExponents: cr.ShareExponents(),
 		EdgePacking:    cr.EdgePacking,
 		capFactor:      capFactor,
+		input:          input,
 	}
 
 	// Integer shares: LP-exponent rounding on uniform cardinalities,
@@ -312,7 +317,7 @@ func Build(q *query.Query, stats *relation.Stats, opts Options) (*Plan, error) {
 	}
 	p.BoundLoad = paperBound(q, stats, p.ShareExponents, opts.P)
 	epsF, _ := eps.Float64()
-	p.BudgetLoad = capFactor * float64(stats.TotalTuples()) / math.Pow(float64(opts.P), 1-epsF)
+	p.BudgetLoad = capFactor * float64(p.input) / math.Pow(float64(opts.P), 1-epsF)
 
 	// Multiround alternative (connected multi-atom queries only; Build
 	// fails when no step makes progress at this ε, which just removes

@@ -1,13 +1,13 @@
 package relation
 
 // This file is the relation half of incremental view maintenance: a
-// Delta names per-relation appended and deleted tuple occurrences,
+// Delta names per-relation appended and deleted tuple occurrences, and
 // ApplyDelta folds one into a database snapshot (multiset semantics,
-// validating every deletion) and carries a collected Stats catalog
-// into the next version without re-scanning a relation — each touched
-// column's histogram (see hist) is merged with the batch's sorted
-// values, and cardinalities, distinct counts and maximum frequencies
-// are read off the result.
+// validating every deletion). A changed relation whose summary was
+// collected is born holding it with the batch applied, without a
+// re-scan — each column's histogram (see hist) is merged with the
+// batch's sorted values, and cardinalities, distinct counts and maximum
+// frequencies are read off the result.
 
 import (
 	"fmt"
@@ -63,9 +63,9 @@ type Effect struct {
 // the rows come back sorted, whatever order they were registered in,
 // while sets, multiplicities, Effects and statistics are what applying
 // the batch to a tuple list gives. The returned map holds one Effect per
-// changed relation. When db has collected its catalog (Stats), the
-// returned database is born with that catalog carried through d; when
-// it has not, neither has the result, and nothing is scanned.
+// changed relation. A changed relation whose summary was collected
+// (Relation.Stats) is born holding that summary with d applied; one
+// whose summary was not is born without, and nothing is scanned.
 //
 // Every delta tuple is validated: the relation must exist, arities
 // must match, and values must lie in [1, db.N] — the domain is fixed
@@ -98,15 +98,11 @@ func ApplyDelta(db *Database, d Delta) (*Database, map[string]Effect, error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		if rs := r.memoStats(false); rs != nil {
+			nr.sealed.sum = &summary{of: nr, rs: rs.apply(d.Deletes[name], d.Appends[name])}
+		}
 		out.AddRelation(nr)
 		effects[name] = eff
-	}
-	// Set after the loop: AddRelation drops the memo.
-	db.statsMu.Lock()
-	cat := db.cachedStats
-	db.statsMu.Unlock()
-	if cat != nil {
-		out.cachedStats = cat.apply(d)
 	}
 	return out, effects, nil
 }

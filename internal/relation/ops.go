@@ -200,3 +200,22 @@ func IdentityDatabase(q *query.Query, n int) *Database {
 	}
 	return db
 }
+
+// Bind returns the view of db that q reads, which every front door
+// plans, executes and caps q over: q's relations alone, each under its
+// atom's variables (WithAttrs), sharing db's runs and summaries. Every
+// atom must name a relation of db of its arity.
+func (db *Database) Bind(q *query.Query) (*Database, error) {
+	view := NewDatabase(db.N)
+	for _, a := range q.Atoms {
+		r, ok := db.Relation(a.Name)
+		if !ok {
+			return nil, fmt.Errorf("database has no relation %s (has: %s)", a.Name, strings.Join(db.Names(), ", "))
+		}
+		if r.Arity() != a.Arity() {
+			return nil, fmt.Errorf("relation %s has arity %d, atom %s needs %d", a.Name, r.Arity(), a, a.Arity())
+		}
+		view.AddRelation(r.WithAttrs(a.Vars))
+	}
+	return view, nil
+}

@@ -119,6 +119,7 @@ type Relation struct {
 	sealed struct {
 		sync.Mutex
 		run *Run
+		sum *summary // the statistics memo, shared with WithAttrs views
 	}
 }
 
@@ -182,16 +183,18 @@ func (r *Relation) Rows() []Tuple {
 
 // WithAttrs returns a view of r under another schema of the same arity:
 // it shares r's rows — Tuples and the sealed run, sealed first if need
-// be, so every view of r reads one run — and copies none.
+// be, so every view of r reads one run — and r's statistics memo, so r
+// and its views collect one summary between them; it copies neither.
 func (r *Relation) WithAttrs(attrs []string) *Relation {
 	v := FromRun(r.Name, attrs, r.Run())
 	v.Tuples = r.Tuples
+	v.sealed.sum = r.summary()
 	return v
 }
 
 // Add appends a tuple (copied) after validating its arity. The relation
 // becomes a Tuples relation: a run it held is read back first, and the
-// run is sealed afresh on the next Run.
+// run is sealed — and its summary collected — afresh on next use.
 func (r *Relation) Add(t Tuple) error {
 	if len(t) != r.Arity() {
 		return fmt.Errorf("relation %s: tuple arity %d != schema arity %d", r.Name, len(t), r.Arity())
@@ -202,7 +205,7 @@ func (r *Relation) Add(t Tuple) error {
 		r.Tuples = r.sealed.run.Tuples()
 	}
 	r.Tuples = append(r.Tuples, t.Clone())
-	r.sealed.run = nil
+	r.sealed.run, r.sealed.sum = nil, nil
 	return nil
 }
 
@@ -365,8 +368,8 @@ func DatabaseOf(rels ...*Relation) *Database {
 	return db
 }
 
-// AddRelation inserts a relation, replacing any with the same name.
-// Any memoized statistics (see Stats) are invalidated. The insertion
+// AddRelation inserts a relation, replacing any with the same name,
+// and drops the memoized catalog (see Stats). The insertion
 // happens under the statistics lock, so it serializes with a
 // concurrent Stats() collection; like the rest of Database, it is not
 // otherwise synchronized against concurrent readers.
@@ -391,15 +394,6 @@ func (db *Database) Names() []string {
 	out := make([]string, len(db.order))
 	copy(out, db.order)
 	return out
-}
-
-// TotalTuples returns the sum of relation cardinalities.
-func (db *Database) TotalTuples() int {
-	total := 0
-	for _, r := range db.Relations {
-		total += r.Size()
-	}
-	return total
 }
 
 // BitsPerValue returns the number of bits used to encode one domain

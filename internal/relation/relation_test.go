@@ -176,8 +176,8 @@ func TestDatabase(t *testing.T) {
 	}
 	r, _ := db.Relation("R")
 	r.MustAdd(Tuple{1, 2})
-	if db.TotalTuples() != 1 {
-		t.Errorf("TotalTuples = %d", db.TotalTuples())
+	if got := db.Relations["R"].Size(); got != 1 {
+		t.Errorf("R holds %d tuples", got)
 	}
 	// InputBits: 1 tuple × arity 2 × ceil(log2(11)) = 2×4 = 8.
 	if got := db.InputBits(); got != 8 {

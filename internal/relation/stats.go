@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // ValueCount pairs a domain value with its number of occurrences in
@@ -198,18 +199,56 @@ func CollectStats(db *Database) *Stats {
 	return out
 }
 
-// Stats returns the database's statistics catalog, collecting it on
-// first use and memoizing it for every later call — the serving layer
-// amortizes the O(Σ|S_j|·a_j) scan across all queries that hit the
-// same resident dataset, and ApplyDelta carries the memo into the next
-// version instead of leaving it to be scanned again. AddRelation drops
-// it. The returned catalog is shared and must be treated as read-only;
-// concurrent callers are safe.
+// summary is a relation's statistics memo, shared with its WithAttrs
+// views: rs, collected from of — the relation it was made for, frozen
+// at that run and schema — or derived by a delta.
+type summary struct {
+	sync.Mutex
+	of *Relation
+	rs *RelationStats
+}
+
+func (r *Relation) summary() *summary {
+	run := r.Run()
+	r.sealed.Lock()
+	defer r.sealed.Unlock()
+	if r.sealed.sum == nil {
+		r.sealed.sum = &summary{of: FromRun(r.Name, r.Attrs, run)}
+	}
+	return r.sealed.sum
+}
+
+// Stats returns the relation's summary, collected on first use and
+// memoized on the relation, as a sealed run memoizes its trie index:
+// every catalog holding the relation or a view of it reads that one.
+// It is shared and read-only; concurrent callers are safe.
+func (r *Relation) Stats() *RelationStats { return r.memoStats(true) }
+
+// memoStats returns the memoized summary, collecting it when collect
+// is set and none is held (nil otherwise).
+func (r *Relation) memoStats(collect bool) *RelationStats {
+	s := r.summary()
+	s.Lock()
+	defer s.Unlock()
+	if s.rs == nil && collect {
+		s.rs = CollectRelationStats(s.of)
+	}
+	return s.rs
+}
+
+// Stats returns the database's catalog of its relations' summaries,
+// gathered on first use and memoized; AddRelation drops it. Serving
+// amortizes the O(Σ|S_j|·a_j) scan across every query on a resident
+// dataset, and ApplyDelta hands the summaries on. The catalog is shared
+// and read-only; concurrent callers are safe.
 func (db *Database) Stats() *Stats {
 	db.statsMu.Lock()
 	defer db.statsMu.Unlock()
 	if db.cachedStats == nil {
-		db.cachedStats = CollectStats(db)
+		db.cachedStats = &Stats{Relations: make(map[string]*RelationStats, len(db.Relations))}
+		for name, r := range db.Relations {
+			db.cachedStats.Relations[name] = r.Stats()
+		}
 	}
 	return db.cachedStats
 }
@@ -230,13 +269,4 @@ func (s *Stats) Sizes() map[string]int {
 		out[name] = rs.Count
 	}
 	return out
-}
-
-// TotalTuples returns the summed cardinality Σ_j |S_j|.
-func (s *Stats) TotalTuples() int {
-	total := 0
-	for _, rs := range s.Relations {
-		total += rs.Count
-	}
-	return total
 }

@@ -2,7 +2,11 @@ package relation
 
 import (
 	"math/rand/v2"
+	"reflect"
+	"sync"
 	"testing"
+
+	"repro/internal/query"
 )
 
 func TestCollectRelationStatsBasics(t *testing.T) {
@@ -64,8 +68,8 @@ func TestCollectStatsOnMatchingDatabase(t *testing.T) {
 	db.AddRelation(r)
 	db.AddRelation(s)
 	st := CollectStats(db)
-	if st.TotalTuples() != 400 || len(st.Relations) != 2 {
-		t.Fatalf("total=%d over %d relations", st.TotalTuples(), len(st.Relations))
+	if total := st.Relation("R").Count + st.Relation("S").Count; total != 400 || len(st.Relations) != 2 {
+		t.Fatalf("total=%d over %d relations", total, len(st.Relations))
 	}
 	for _, name := range []string{"R", "S"} {
 		rs := st.Relation(name)
@@ -138,5 +142,76 @@ func TestDatabaseStatsMemoized(t *testing.T) {
 	}
 	if second.Relation("S") == nil || second.Relation("S").Count != 1 {
 		t.Fatalf("recollected stats missing S: %+v", second)
+	}
+}
+
+// TestViewSharesOneSummary: a relation and its WithAttrs views — views
+// of views included — collect one summary between them, once, whichever
+// of them concurrent readers ask first, under the schema the views were
+// taken of. Add gives the relation a fresh summary and leaves its views
+// theirs.
+func TestViewSharesOneSummary(t *testing.T) {
+	r := Matching(rand.New(rand.NewPCG(3, 3)), "R", []string{"a", "b"}, 500)
+	v := r.WithAttrs([]string{"x", "y"})
+	rels := []*Relation{v, r, v.WithAttrs([]string{"y", "y"})}
+	const readers = 12
+	got := make([]*RelationStats, readers)
+	var wg sync.WaitGroup
+	for i := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = rels[i%len(rels)].Stats()
+		}()
+	}
+	wg.Wait()
+	for i, rs := range got {
+		if rs != got[0] {
+			t.Fatalf("reader %d collected a summary of its own", i)
+		}
+	}
+	if want := CollectRelationStats(r); !reflect.DeepEqual(got[0], want) {
+		t.Fatalf("shared summary = %+v, want %+v", got[0], want)
+	}
+	r.MustAdd(Tuple{1, 1})
+	if rs := r.Stats(); rs == got[0] || rs.Count != 501 {
+		t.Errorf("after Add the relation's summary counts %d tuples, want a fresh one of 501", rs.Count)
+	}
+	if v.Stats() != got[0] {
+		t.Error("Add on the relation changed its view's summary")
+	}
+}
+
+// TestBindReadsQueryRelations: a bound view holds exactly the query's
+// relations under the atoms' variables, sharing the database's runs and
+// summaries, so its catalog and input size are the query's alone; a
+// missing relation or a wrong arity is an error.
+func TestBindReadsQueryRelations(t *testing.T) {
+	rng := rand.New(rand.NewPCG(4, 4))
+	db := NewDatabase(50)
+	for _, name := range []string{"R", "S", "T"} {
+		db.AddRelation(Matching(rng, name, []string{"c1", "c2"}, 50))
+	}
+	q := query.MustParse("q(x,y,z) = R(x,y), S(y,z)")
+	view, err := db.Bind(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := view.Names(); !reflect.DeepEqual(got, []string{"R", "S"}) {
+		t.Fatalf("view holds %v, want R and S", got)
+	}
+	for _, a := range q.Atoms {
+		r, v := db.Relations[a.Name], view.Relations[a.Name]
+		if !reflect.DeepEqual(v.Attrs, a.Vars) || v.Run() != r.Run() || v.Stats() != r.Stats() {
+			t.Errorf("%s: view %v does not share %v's run and summary under the atom's variables", a.Name, v, r)
+		}
+	}
+	if view.InputBits()*3 != db.InputBits()*2 || len(view.Stats().Relations) != 2 {
+		t.Errorf("view counts %d bits and %d summaries, want two of three relations", view.InputBits(), len(view.Stats().Relations))
+	}
+	for _, bad := range []string{"q(x,y) = U(x,y)", "q(x,y,z) = R(x,y,z)"} {
+		if _, err := db.Bind(query.MustParse(bad)); err == nil {
+			t.Errorf("Bind(%s) succeeded", bad)
+		}
 	}
 }

@@ -346,10 +346,6 @@ func (s *Server) handleContinuousRegister(w http.ResponseWriter, r *http.Request
 		writeFailure(w, err, "")
 		return
 	}
-	if _, ok := s.registry.getFor(ds.Name, ten); !ok {
-		writeFailure(w, s.unknownDataset(req.Dataset, ten), "")
-		return
-	}
 	seed := req.Seed
 	if seed == 0 {
 		seed = 1

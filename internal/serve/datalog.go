@@ -46,13 +46,16 @@ func (s *Server) resolveProgram(req QueryRequest, ten *Tenant) (*job, error) {
 	}
 	sn := ds.Snapshot()
 	text := prog.String()
+	// A program has no single plan to cost, so it books what one round
+	// over its EDB relations would shuffle (a one-atom rule ships none).
+	cost := int64(1)
+	for _, pred := range prog.EDBPreds() {
+		if rel, ok := sn.DB.Relation(pred); ok {
+			cost += int64(rel.Size())
+		}
+	}
 	return &job{
-		// A program has no single plan to cost, so the booked load is the
-		// dataset cardinality — what one round that reads every EDB
-		// relation would shuffle, with the recursive deltas on top. A
-		// one-atom rule ships nothing, so a program of them alone books
-		// more than it costs.
-		cost: int64(sn.DB.TotalTuples()) + 1,
+		cost: cost,
 		reply: QueryResponse{
 			Dataset: ds.Name,
 			Query:   strings.TrimRight(text, "\n"),

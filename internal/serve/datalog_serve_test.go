@@ -5,14 +5,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/datalog"
+	"repro/internal/relation"
 	"repro/internal/serve"
 	"repro/internal/wire"
 )
@@ -420,5 +424,58 @@ tc(x,z) :- tc(x,y), e(y,z).
 	postQuery(t, ts.URL, req)
 	if got := lookups(); got != [2]int64{1, 3} {
 		t.Fatalf("another program: hits, misses = %v; want 1, 3", got)
+	}
+}
+
+// TestFrontDoorsBudgetOneBody: POST /query and a Datalog program budget
+// and cap a rule body over the relations it reads, whatever else the
+// dataset or the program holds. On four 2,000-tuple matchings and a
+// 20,000-tuple relation big, at p = 16 and ε = 0, L4 as a query and as
+// a one-rule program runs the same rounds at the same load; a second
+// rule over big leaves L4's rounds as they were, so the two-rule
+// program's record is its two bodies' query records, in stratum order.
+func TestFrontDoorsBudgetOneBody(t *testing.T) {
+	const n = 2000
+	rng := rand.New(rand.NewPCG(57, 57))
+	db := relation.NewDatabase(n)
+	for _, name := range []string{"s1", "s2", "s3", "s4"} {
+		db.AddRelation(relation.Matching(rng, name, []string{"u", "v"}, n))
+	}
+	big := relation.New("big", "u", "v")
+	for range 10 * n {
+		big.Tuples = append(big.Tuples, relation.Tuple{rng.IntN(n) + 1, rng.IntN(n) + 1})
+	}
+	db.AddRelation(big)
+	srv := serve.New(serve.Config{})
+	if _, err := srv.Registry().Add("mixed", db); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	run := func(req serve.QueryRequest) *serve.QueryResponse {
+		t.Helper()
+		req.Dataset, req.P, req.Epsilon, req.Seed, req.MaxAnswers = "mixed", 16, "0", 3, 1
+		out, _ := postQuery(t, ts.URL, req)
+		return out
+	}
+	const l4 = "l4(a, b, c, d, e) :- s1(a, b), s2(b, c), s3(c, d), s4(d, e)."
+	const other = "other(x, y) :- big(x, y), s1(y, z)."
+	q := run(serve.QueryRequest{Query: "l4(a,b,c,d,e) = s1(a,b), s2(b,c), s3(c,d), s4(d,e)"})
+	if q.Engine != "multiround decomposition" || q.Rounds != 2 {
+		t.Fatalf("L4 query ran %s in %d rounds, want the two-round multiround plan", q.Engine, q.Rounds)
+	}
+	one := run(serve.QueryRequest{Program: l4})
+	if one.MaxLoadTuples != q.MaxLoadTuples || !reflect.DeepEqual(one.PerRoundBits, q.PerRoundBits) {
+		t.Errorf("one-rule program: max load %d, bits %v; the query's: %d, %v", one.MaxLoadTuples, one.PerRoundBits, q.MaxLoadTuples, q.PerRoundBits)
+	}
+	o := run(serve.QueryRequest{Query: "other(x,y,z) = big(x,y), s1(y,z)"})
+	two := run(serve.QueryRequest{Program: l4 + "\n" + other + "\n?- l4(a, b, c, d, e)."})
+	first, second := q, o
+	if prog, _ := datalog.Parse(two.Query); prog.Strata()[0].Preds[0] == "other" {
+		first, second = o, q
+	}
+	if want := append(slices.Clone(first.PerRoundBits), second.PerRoundBits...); !reflect.DeepEqual(two.PerRoundBits, want) ||
+		two.MaxLoadTuples != max(q.MaxLoadTuples, o.MaxLoadTuples) {
+		t.Errorf("two-rule program: max load %d, bits %v; want the two queries' %d, %v", two.MaxLoadTuples, two.PerRoundBits, max(q.MaxLoadTuples, o.MaxLoadTuples), want)
 	}
 }

@@ -1119,9 +1119,10 @@ func twoTenants(t *testing.T) (*serve.Server, func(key, method, path string, bod
 }
 
 // TestDatasetOwnedByItsTenant: a dataset belongs to the tenant that
-// registered it. Tenant B's delta and DELETE on tenant A's dataset get
-// the 404 an unknown name gets, with the same body, and change nothing;
-// A's DELETE succeeds and gives A's quota back, not B's.
+// registered it. Tenant B's delta, DELETE, query and program on tenant
+// A's dataset get the 404 an unknown name gets, with the same body, and
+// change nothing; A's query and program run, and A's DELETE succeeds
+// and gives A's quota back, not B's.
 func TestDatasetOwnedByItsTenant(t *testing.T) {
 	srv, call := twoTenants(t)
 	a, _ := srv.Tenants().Get("a")
@@ -1139,15 +1140,18 @@ func TestDatasetOwnedByItsTenant(t *testing.T) {
 		t.Fatalf("after A's upload A holds %d bytes and B %d, want %d and 0", a.ResidentBytes(), b.ResidentBytes(), booked)
 	}
 	delta := serve.DeltaRequest{Appends: map[string][][]int{"S1": {{1, 2}}}}
+	const prog = `p(x, z) :- S1(x, y), S2(y, z).`
 	for _, c := range []struct {
 		method, path, unknown string
-		body                  any
+		body, unknownBody     any
 	}{
-		{http.MethodPost, "/datasets/chain/delta", "/datasets/nope/delta", delta},
-		{http.MethodDelete, "/datasets/chain", "/datasets/nope", nil},
+		{http.MethodPost, "/datasets/chain/delta", "/datasets/nope/delta", delta, delta},
+		{http.MethodDelete, "/datasets/chain", "/datasets/nope", nil, nil},
+		{http.MethodPost, "/query", "/query", serve.QueryRequest{Dataset: "chain", Family: "L3"}, serve.QueryRequest{Dataset: "nope", Family: "L3"}},
+		{http.MethodPost, "/query", "/query", serve.QueryRequest{Dataset: "chain", Program: prog}, serve.QueryRequest{Dataset: "nope", Program: prog}},
 	} {
 		code, body := call("kb", c.method, c.path, c.body)
-		_, unknown := call("kb", c.method, c.unknown, c.body)
+		_, unknown := call("kb", c.method, c.unknown, c.unknownBody)
 		if want := strings.ReplaceAll(unknown, `\"nope\"`, `\"chain\"`); code != http.StatusNotFound || body != want {
 			t.Errorf("B's %s %s: status %d, body %q; want 404 and %q", c.method, c.path, code, body, want)
 		}
@@ -1159,6 +1163,11 @@ func TestDatasetOwnedByItsTenant(t *testing.T) {
 	}
 	if a.ResidentBytes() != booked || b.ResidentBytes() != 0 {
 		t.Fatalf("after B's attempts A holds %d bytes and B %d, want %d and 0", a.ResidentBytes(), b.ResidentBytes(), booked)
+	}
+	for _, req := range []serve.QueryRequest{{Dataset: "chain", Family: "L3"}, {Dataset: "chain", Program: prog}} {
+		if code, body := call("ka", http.MethodPost, "/query", req); code != http.StatusOK {
+			t.Fatalf("A's query %+v: status %d, %s", req, code, body)
+		}
 	}
 	if code, body := call("ka", http.MethodPost, "/datasets/chain/delta", delta); code != http.StatusOK {
 		t.Fatalf("A's delta: status %d, %s", code, body)

@@ -87,36 +87,17 @@ func (d *Dataset) Version() uint64 { return d.snap.Load().Version }
 // Stats returns the snapshot's statistics catalog and whether the
 // dataset's statistics were already memoized (false exactly once, for
 // the collecting call — the serving layer's stats-cache hit/miss
-// signal). Post-delta snapshots are born with the catalog ApplyDelta
-// carried forward, so only version 0 can pay a collection scan here —
-// and only when no delta collected it first: a dataset is scanned once
-// on every path.
+// signal). A post-delta snapshot's relations hold the summaries
+// ApplyDelta handed on, so a dataset is scanned once on every path.
 func (sn *Snapshot) Stats() (stats *relation.Stats, cached bool) {
 	cached = sn.ds.statsSeen.Swap(true)
 	return sn.DB.Stats(), cached
 }
 
-// Bind resolves a query against the snapshot: every atom must name a
-// resident relation of matching arity. It returns a cheap per-request
-// database view whose relations carry the atom's variables as their
-// schema and share the snapshot's sealed runs (relation.WithAttrs):
-// nothing is copied, and nothing may be mutated.
-func (sn *Snapshot) Bind(q *query.Query) (*relation.Database, error) {
-	view := relation.NewDatabase(sn.DB.N)
-	for _, a := range q.Atoms {
-		rel, ok := sn.DB.Relation(a.Name)
-		if !ok {
-			return nil, fmt.Errorf("dataset %s has no relation %s (has: %s)",
-				sn.ds.Name, a.Name, strings.Join(sn.DB.Names(), ", "))
-		}
-		if rel.Arity() != a.Arity() {
-			return nil, fmt.Errorf("dataset %s: relation %s has arity %d, atom %s needs %d",
-				sn.ds.Name, a.Name, rel.Arity(), a, a.Arity())
-		}
-		view.AddRelation(rel.WithAttrs(a.Vars))
-	}
-	return view, nil
-}
+// Bind resolves a query against the snapshot (relation.Database.Bind):
+// a per-request view of exactly q's relations under the atoms'
+// variables, sharing the snapshot's sealed runs and summaries.
+func (sn *Snapshot) Bind(q *query.Query) (*relation.Database, error) { return sn.DB.Bind(q) }
 
 // applyBatchLocked applies one delta batch to the dataset: it validates
 // the delta against the current snapshot, builds the next snapshot with
@@ -214,9 +195,9 @@ func (r *Registry) Get(name string) (*Dataset, bool) {
 	return d, ok
 }
 
-// getFor returns the named dataset when ten may change it: it has no
-// owner, or ten is its owner. To any other tenant the dataset does not
-// exist.
+// getFor returns the named dataset when ten may read or change it: it
+// has no owner, or ten is its owner. To any other tenant the dataset
+// does not exist.
 func (r *Registry) getFor(name string, ten *Tenant) (*Dataset, bool) {
 	d, ok := r.Get(name)
 	if !ok || d.owner != nil && d.owner != ten {

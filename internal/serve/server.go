@@ -411,8 +411,9 @@ func writeFailure(w http.ResponseWriter, err error, queryID string) {
 // target validates the (p, ε, dataset) triple every execution request
 // of ten names and resolves it: p defaulted and bounded — and pinned to
 // the size of the worker pool the service executes on, if it has one —
-// ε a rational in [0,1) or nil when left to the query, the dataset
-// registered.
+// ε a rational in [0,1) or nil when left to the query, the dataset one
+// ten may read: a startup dataset or its own (Registry.getFor). Any
+// other name is unknown to ten, whoever registered it.
 func (s *Server) target(p int, epsilon, dataset string, ten *Tenant) (int, *big.Rat, *Dataset, error) {
 	if p == 0 {
 		p = s.cfg.DefaultP
@@ -435,7 +436,7 @@ func (s *Server) target(p int, epsilon, dataset string, ten *Tenant) (int, *big.
 	if dataset == "" {
 		return 0, nil, nil, errorf(http.StatusBadRequest, "dataset is required")
 	}
-	ds, ok := s.registry.Get(dataset)
+	ds, ok := s.registry.getFor(dataset, ten)
 	if !ok {
 		return 0, nil, nil, s.unknownDataset(dataset, ten)
 	}
@@ -507,7 +508,7 @@ func (s *Server) resolveQuery(req QueryRequest, ten *Tenant) (*job, error) {
 		} else {
 			s.metrics.StatsCacheMisses.Add(1)
 		}
-		pl, err = plan.Build(q, queryScopedStats(stats, q), opts)
+		pl, err = plan.Build(q, stats, opts)
 		if err != nil {
 			s.metrics.QueryErrors.Add(1)
 			return nil, errorf(http.StatusUnprocessableEntity, "planning failed: %v", err)
@@ -918,17 +919,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.tenants != nil {
 		s.tenants.WriteProm(w)
 	}
-}
-
-// queryScopedStats restricts a dataset catalog to the query's atoms,
-// so budgets (Σ|S_j|) see the same totals cmd/mpcrun computes over an
-// exactly-matching database.
-func queryScopedStats(stats *relation.Stats, q *query.Query) *relation.Stats {
-	scoped := &relation.Stats{Relations: make(map[string]*relation.RelationStats, q.NumAtoms())}
-	for _, a := range q.Atoms {
-		if rs := stats.Relation(a.Name); rs != nil {
-			scoped.Relations[a.Name] = rs
-		}
-	}
-	return scoped
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/relation"
 	"repro/internal/trace"
 )
 
@@ -501,4 +502,25 @@ func TestDatalogQueryTraced(t *testing.T) {
 		t.Fatalf("status %d, engine %q, %d iterations, %d rounds; want a served recursive program", resp.StatusCode, qr.Engine, qr.Iterations, qr.Rounds)
 	}
 	assertRoundSpans(t, hs.URL, qr, p)
+}
+
+// TestProgramBooksWhatItReads: a program books the relations it reads,
+// plus one — not the dataset's other relations.
+func TestProgramBooksWhatItReads(t *testing.T) {
+	s := New(Config{})
+	e, unread := relation.New("e", "x", "y"), relation.New("big", "x", "y")
+	e.Tuples = []relation.Tuple{{1, 2}, {2, 3}, {3, 4}}
+	for v := 1; v <= 100; v++ {
+		unread.Tuples = append(unread.Tuples, relation.Tuple{v, v})
+	}
+	if _, err := s.Registry().Add("g", relation.DatabaseOf(e, unread)); err != nil {
+		t.Fatal(err)
+	}
+	j, err := s.resolveProgram(QueryRequest{Dataset: "g", Program: "tc(x,y) :- e(x,y). tc(x,z) :- tc(x,y), e(y,z)."}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.cost != 4 {
+		t.Errorf("the program books %d tuples, want |e| + 1 = 4", j.cost)
+	}
 }
